@@ -13,7 +13,6 @@ from repro.analytics import AnalyticalQuery
 from repro.bench.workloads import SCALES, bench_scale_from_env
 from repro.datagen.blogger import BloggerConfig, blogger_dataset, words_per_blogger_query
 from repro.olap import DrillOut, OLAPSession
-from repro.olap.baseline import transformed_answer_from_scratch
 from repro.olap.rewriting import drill_out_from_partial
 
 AGGREGATES = ["count", "sum", "avg", "min", "max"]
@@ -56,6 +55,6 @@ def test_drill_out_scratch_by_aggregate(benchmark, aggregate):
     transformed = operation.apply(query)
     benchmark.extra_info["aggregate"] = aggregate
     result = benchmark(
-        lambda: transformed_answer_from_scratch(session.evaluator, query, operation, transformed)
+        lambda: session.evaluator.answer(transformed)
     )
     assert len(result) > 0

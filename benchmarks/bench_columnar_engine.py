@@ -22,7 +22,6 @@ np = pytest.importorskip("numpy")
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
 from repro.olap import Dice, OLAPSession, Slice
-from repro.olap.baseline import transformed_answer_from_scratch
 from repro.olap.cube import Cube
 
 from repro.bench.workloads import SCALES, bench_scale_from_env
@@ -77,7 +76,7 @@ def _assert_engines_equal(engines, query, operation):
     transformed = operation.apply(query)
     cubes = {
         engine: Cube(
-            transformed_answer_from_scratch(evaluator, query, operation, transformed),
+            evaluator.answer(transformed),
             transformed,
         )
         for engine, evaluator in engines.items()
@@ -95,7 +94,7 @@ def test_slice_scratch_by_engine(benchmark, facts, engine):
     benchmark.extra_info["facts"] = facts
     benchmark.extra_info["engine"] = engine
     benchmark(
-        lambda: transformed_answer_from_scratch(evaluator, query, operation, transformed)
+        lambda: evaluator.answer(transformed)
     )
     _assert_engines_equal(engines, query, operation)
 
@@ -110,7 +109,7 @@ def test_dice_scratch_by_engine(benchmark, facts, engine):
     benchmark.extra_info["facts"] = facts
     benchmark.extra_info["engine"] = engine
     benchmark(
-        lambda: transformed_answer_from_scratch(evaluator, query, operation, transformed)
+        lambda: evaluator.answer(transformed)
     )
     _assert_engines_equal(engines, query, operation)
 
@@ -144,7 +143,7 @@ def test_columnar_speedup_at_largest_size():
         def run_all(evaluator=evaluator):
             for operation in operations:
                 transformed = operation.apply(query)
-                transformed_answer_from_scratch(evaluator, query, operation, transformed)
+                evaluator.answer(transformed)
 
         run_all()  # warm-up: statistics + (for columnar) the triple index
         totals[engine] = _best_of(run_all)

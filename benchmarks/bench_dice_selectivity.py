@@ -12,7 +12,6 @@ import pytest
 from repro.bench.workloads import SCALES, bench_scale_from_env
 from repro.datagen.generic import GenericConfig, generic_dataset
 from repro.olap import Dice, OLAPSession
-from repro.olap.baseline import transformed_answer_from_scratch
 from repro.olap.rewriting import slice_dice_from_answer
 
 SELECTIVITIES = [0.05, 0.25, 0.5, 1.0]
@@ -58,4 +57,4 @@ def test_dice_scratch_selectivity(benchmark, selectivity):
     operation = Dice({dimension: values[:keep]})
     transformed = operation.apply(query)
     benchmark.extra_info["selectivity"] = selectivity
-    benchmark(lambda: transformed_answer_from_scratch(session.evaluator, query, operation, transformed))
+    benchmark(lambda: session.evaluator.answer(transformed))

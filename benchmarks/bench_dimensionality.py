@@ -10,7 +10,6 @@ import pytest
 from repro.bench.workloads import SCALES, bench_scale_from_env
 from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
 from repro.olap import DrillIn, DrillOut, OLAPSession
-from repro.olap.baseline import transformed_answer_from_scratch
 from repro.olap.rewriting import drill_in_from_partial, drill_out_from_partial
 
 DIMENSIONS = [2, 3, 4, 5]
@@ -55,7 +54,7 @@ def test_drill_out_scratch_dimensionality(benchmark, dimensions):
     operation = DrillOut(query.dimension_names[-1])
     transformed = operation.apply(query)
     benchmark.extra_info["dimensions"] = dimensions
-    benchmark(lambda: transformed_answer_from_scratch(session.evaluator, query, operation, transformed))
+    benchmark(lambda: session.evaluator.answer(transformed))
 
 
 @pytest.mark.parametrize("dimensions", DIMENSIONS)
@@ -75,4 +74,4 @@ def test_drill_in_scratch_dimensionality(benchmark, dimensions):
     operation = DrillIn("da")
     transformed = operation.apply(query)
     benchmark.extra_info["dimensions"] = dimensions
-    benchmark(lambda: transformed_answer_from_scratch(session.evaluator, query, operation, transformed))
+    benchmark(lambda: session.evaluator.answer(transformed))

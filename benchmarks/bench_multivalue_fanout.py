@@ -14,7 +14,6 @@ import pytest
 from repro.bench.workloads import SCALES, bench_scale_from_env
 from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
 from repro.olap import DrillOut, OLAPSession
-from repro.olap.baseline import transformed_answer_from_scratch
 from repro.olap.rewriting import drill_out_from_partial
 
 FANOUTS = [1.0, 1.5, 2.0, 3.0]
@@ -59,6 +58,6 @@ def test_drill_out_scratch_fanout(benchmark, fanout):
     transformed = operation.apply(query)
     benchmark.extra_info["fanout"] = fanout
     result = benchmark(
-        lambda: transformed_answer_from_scratch(session.evaluator, query, operation, transformed)
+        lambda: session.evaluator.answer(transformed)
     )
     assert len(result) > 0

@@ -12,20 +12,15 @@ Benchmarked pairs (each operation once per strategy):
 The paper's claim (shape): every rewrite row is faster than its scratch row,
 SLICE/DICE by the largest factor.
 
-The trailing ``test_scratch_engine_*`` group reports the id-space refactor's
-before/after on the from-scratch path itself: the same query answered by the
-frozen seed pipeline (:mod:`repro.bench.legacy`), by the refactored
-operators with eager decoding (``id_space=False``) and by the default
-id-space engine — with a ``Cube.same_cells`` equality check across all
-three.
+The trailing ``test_scratch_engine_idspace`` times the from-scratch path on
+its own (the query itself, no operation), checked against the session's
+materialized answer.
 """
 
 import pytest
 
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
-from repro.bench.legacy import LegacyAnalyticalEvaluator
 from repro.olap import Dice, DrillIn, DrillOut, Slice
-from repro.olap.baseline import transformed_answer_from_scratch
 from repro.olap.cube import Cube
 from repro.olap.rewriting import (
     drill_in_from_partial,
@@ -61,7 +56,7 @@ def test_slice_scratch(benchmark, blogger_bench_session):
     operation = Slice("dage", _first_value(session, query, "dage"))
     transformed = operation.apply(query)
     result = benchmark(
-        lambda: transformed_answer_from_scratch(session.evaluator, query, operation, transformed)
+        lambda: session.evaluator.answer(transformed)
     )
     assert len(result) >= 0
 
@@ -83,7 +78,7 @@ def test_dice_scratch(benchmark, blogger_bench_session):
     operation = Dice({"dage": (20, 40), "dcity": _values(session, query, "dcity", 3)})
     transformed = operation.apply(query)
     result = benchmark(
-        lambda: transformed_answer_from_scratch(session.evaluator, query, operation, transformed)
+        lambda: session.evaluator.answer(transformed)
     )
     assert len(result) >= 0
 
@@ -105,7 +100,7 @@ def test_drill_out_scratch(benchmark, blogger_bench_session):
     operation = DrillOut("dage")
     transformed = operation.apply(query)
     result = benchmark(
-        lambda: transformed_answer_from_scratch(session.evaluator, query, operation, transformed)
+        lambda: session.evaluator.answer(transformed)
     )
     assert len(result) > 0
 
@@ -130,36 +125,17 @@ def test_drill_in_scratch(benchmark, video_bench_session):
     operation = DrillIn("d3")
     transformed = operation.apply(query)
     result = benchmark(
-        lambda: transformed_answer_from_scratch(session.evaluator, query, operation, transformed)
+        lambda: session.evaluator.answer(transformed)
     )
     assert len(result) > 0
 
 
-# --- engine before/after: the id-space refactor on the from-scratch path ----
+# --- the from-scratch path on its own ---------------------------------------
 
 
 def test_scratch_engine_idspace(benchmark, blogger_bench_session):
-    """The default engine: id-space end-to-end, late materialization."""
+    """The engine: id-space end-to-end, late materialization."""
     session, query = blogger_bench_session
-    evaluator = AnalyticalQueryEvaluator(session.instance, id_space=True)
+    evaluator = AnalyticalQueryEvaluator(session.instance)
     answer = benchmark(lambda: evaluator.answer(query))
-    legacy = LegacyAnalyticalEvaluator(session.instance).answer(query)
-    assert Cube(answer, query).same_cells(Cube(legacy, query))
-
-
-def test_scratch_engine_decoded(benchmark, blogger_bench_session):
-    """Refactored operators with decoding forced at the BGP boundary."""
-    session, query = blogger_bench_session
-    evaluator = AnalyticalQueryEvaluator(session.instance, id_space=False)
-    answer = benchmark(lambda: evaluator.answer(query))
-    idspace = AnalyticalQueryEvaluator(session.instance, id_space=True).answer(query)
-    assert Cube(answer, query).same_cells(Cube(idspace, query))
-
-
-def test_scratch_engine_legacy(benchmark, blogger_bench_session):
-    """The frozen seed pipeline — the 'before' of the refactor."""
-    session, query = blogger_bench_session
-    evaluator = LegacyAnalyticalEvaluator(session.instance)
-    answer = benchmark(lambda: evaluator.answer(query))
-    idspace = AnalyticalQueryEvaluator(session.instance, id_space=True).answer(query)
-    assert Cube(answer, query).same_cells(Cube(idspace, query))
+    assert Cube(answer, query).same_cells(Cube(session.materialized(query).answer, query))

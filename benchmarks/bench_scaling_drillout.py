@@ -11,7 +11,6 @@ import pytest
 from repro.bench.workloads import SCALES, bench_scale_from_env
 from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
 from repro.olap import DrillOut, OLAPSession
-from repro.olap.baseline import transformed_answer_from_scratch
 from repro.olap.rewriting import drill_out_from_partial
 
 SWEEP = [int(value) for value in SCALES[bench_scale_from_env()]["sweep"]]
@@ -52,6 +51,6 @@ def test_drill_out_scratch_scaling(benchmark, facts):
     benchmark.extra_info["facts"] = facts
     benchmark.extra_info["instance_triples"] = len(session.instance)
     result = benchmark(
-        lambda: transformed_answer_from_scratch(session.evaluator, query, operation, transformed)
+        lambda: session.evaluator.answer(transformed)
     )
     assert len(result) > 0

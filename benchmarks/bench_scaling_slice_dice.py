@@ -11,7 +11,6 @@ import pytest
 
 from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
 from repro.olap import Dice, OLAPSession, Slice
-from repro.olap.baseline import transformed_answer_from_scratch
 from repro.olap.rewriting import slice_dice_from_answer
 
 from repro.bench.workloads import SCALES, bench_scale_from_env
@@ -66,7 +65,7 @@ def test_slice_scratch_scaling(benchmark, facts):
     operation = _slice_operation(session, query)
     transformed = operation.apply(query)
     benchmark.extra_info["facts"] = facts
-    benchmark(lambda: transformed_answer_from_scratch(session.evaluator, query, operation, transformed))
+    benchmark(lambda: session.evaluator.answer(transformed))
 
 
 @pytest.mark.parametrize("facts", SWEEP)
@@ -85,32 +84,19 @@ def test_dice_scratch_scaling(benchmark, facts):
     operation = _dice_operation(session, query)
     transformed = operation.apply(query)
     benchmark.extra_info["facts"] = facts
-    benchmark(lambda: transformed_answer_from_scratch(session.evaluator, query, operation, transformed))
+    benchmark(lambda: session.evaluator.answer(transformed))
 
 
-# --- engine before/after: scratch evaluation, id-space vs. the seed pipeline
+# --- the from-scratch path on its own, per sweep size
 
 
 @pytest.mark.parametrize("facts", SWEEP)
 def test_scratch_engine_idspace_scaling(benchmark, facts):
     from repro.analytics.evaluator import AnalyticalQueryEvaluator
     from repro.olap.cube import Cube
-    from repro.bench.legacy import LegacyAnalyticalEvaluator
 
     session, query = _session_for(facts)
-    evaluator = AnalyticalQueryEvaluator(session.instance, id_space=True)
+    evaluator = AnalyticalQueryEvaluator(session.instance)
     benchmark.extra_info["facts"] = facts
     answer = benchmark(lambda: evaluator.answer(query))
-    legacy = LegacyAnalyticalEvaluator(session.instance).answer(query)
-    assert Cube(answer, query).same_cells(Cube(legacy, query))
-
-
-@pytest.mark.parametrize("facts", SWEEP)
-def test_scratch_engine_legacy_scaling(benchmark, facts):
-    from repro.bench.legacy import LegacyAnalyticalEvaluator
-
-    session, query = _session_for(facts)
-    evaluator = LegacyAnalyticalEvaluator(session.instance)
-    benchmark.extra_info["facts"] = facts
-    answer = benchmark(lambda: evaluator.answer(query))
-    assert len(answer) > 0
+    assert Cube(answer, query).same_cells(Cube(session.materialized(query).answer, query))

@@ -64,9 +64,7 @@ __all__ = [
     "HAVE_NUMPY",
     "ENGINE_ENV_VAR",
     "ENGINES",
-    "COLUMNAR_COST_MULTIPLIER",
     "resolve_engine",
-    "engine_cost_multiplier",
     "ColumnarIdRelation",
     "select_columnar",
     "join_columnar",
@@ -87,14 +85,6 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 #: The two executable engines (``"auto"`` resolves to one of them).
 ENGINES = ("rows", "columnar")
-
-#: The planner's per-engine rows-touched multiplier: a row "touched" by a
-#: vectorized kernel costs a fraction of a row touched by the Python row
-#: engine.  Calibrated against ``benchmarks/bench_columnar_engine.py`` —
-#: the observed from-scratch speedup is well above 1/0.35, so the
-#: multiplier is conservative (scratch is never under-priced into beating
-#: a reuse strategy it would lose to in reality).
-COLUMNAR_COST_MULTIPLIER = 0.35
 
 _FAST_EXTRA_HINT = (
     "the columnar engine requires numpy; install the [fast] extra "
@@ -143,16 +133,6 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     if requested == "columnar" and not HAVE_NUMPY:
         raise ConfigurationError(_FAST_EXTRA_HINT)
     return requested
-
-
-def engine_cost_multiplier(engine: str) -> float:
-    """The planner's rows-touched multiplier for ``engine``.
-
-    ``1.0`` for the row engine; :data:`COLUMNAR_COST_MULTIPLIER` for the
-    columnar engine, reflecting that its per-row cost is a fraction of the
-    interpreted row loop's.
-    """
-    return COLUMNAR_COST_MULTIPLIER if engine == "columnar" else 1.0
 
 
 def _as_int64(array) -> "_np.ndarray":

@@ -219,10 +219,9 @@ class EntailmentRewritingEvaluator(AnalyticalQueryEvaluator):
         self,
         instance: Graph,
         statistics: Optional[GraphStatistics] = None,
-        id_space: bool = True,
         engine: Optional[str] = None,
     ):
-        super().__init__(instance, statistics=statistics, id_space=id_space, engine=engine)
+        super().__init__(instance, statistics=statistics, engine=engine)
         self._schema_version: Optional[int] = None
         self._schema_view: Optional[SchemaView] = None
         self._expansions: Dict[BGPQuery, Tuple[int, List[BGPQuery]]] = {}

@@ -15,17 +15,14 @@ measure (bag semantics) and joining them on the fact variable.
 Execution model
 ---------------
 
-By default the whole pipeline runs in **id space** (late materialization):
-the BGP evaluator returns dictionary-encoded
+The whole pipeline runs in **id space** (late materialization): the BGP
+evaluator returns dictionary-encoded
 :class:`~repro.algebra.relation.IdRelation` results, the Σ-selection tests
 ids with memoized decoding, the fact-variable hash join keys on integers and
 γ decodes only the measure bags it aggregates.  Materialized ``pres(Q)`` and
 ``ans(Q)`` stay encoded, so the OLAP rewritings never decode either; the
 public accessors (``PartialResult.relation``, ``CubeAnswer.relation``,
 :class:`~repro.olap.cube.Cube`) decode lazily at the result boundary.
-
-Pass ``id_space=False`` to run the historical decode-eagerly pipeline — kept
-as the benchmark baseline quantifying what late materialization buys.
 """
 
 from __future__ import annotations
@@ -56,11 +53,6 @@ class AnalyticalQueryEvaluator:
         The AnS instance graph (see :func:`repro.analytics.instance.materialize_instance`).
     statistics:
         Optional pre-computed statistics of the instance (recomputed otherwise).
-    id_space:
-        When True (default), evaluate on dictionary-encoded ids with late
-        materialization; when False, decode every BGP result eagerly (the
-        pre-refactor behaviour, kept as a benchmark baseline, always on the
-        row engine).
     engine:
         ``"rows"``, ``"columnar"`` or None/``"auto"`` — see
         :func:`repro.algebra.columnar.resolve_engine`.  ``auto`` picks the
@@ -80,14 +72,10 @@ class AnalyticalQueryEvaluator:
         self,
         instance: Graph,
         statistics: Optional[GraphStatistics] = None,
-        id_space: bool = True,
         engine: Optional[str] = None,
     ):
         self._instance = instance
-        self._id_space = bool(id_space)
-        # The columnar engine is an id-space refinement: the decode-eagerly
-        # baseline always runs on rows.
-        self._engine = resolve_engine(engine) if self._id_space else "rows"
+        self._engine = resolve_engine(engine)
         self._bgp = BGPEvaluator(instance, statistics, engine=self._engine)
 
     @property
@@ -99,25 +87,16 @@ class AnalyticalQueryEvaluator:
         return self._bgp
 
     @property
-    def id_space(self) -> bool:
-        """True when this evaluator executes on encoded ids (late materialization)."""
-        return self._id_space
-
-    @property
     def engine(self) -> str:
         """The resolved execution engine: ``"rows"`` or ``"columnar"``."""
         return self._engine
 
     # ------------------------------------------------------------------
-    # engine-space building blocks (id relations in id_space mode)
+    # engine-space building blocks (dictionary-encoded id relations)
     # ------------------------------------------------------------------
 
     def _bgp_result(self, query, semantics: str, initial_binding=None, fact_range=None) -> Relation:
-        if self._id_space:
-            return self._bgp.evaluate_ids(
-                query, semantics=semantics, initial_binding=initial_binding, fact_range=fact_range
-            )
-        return self._bgp.evaluate(
+        return self._bgp.evaluate_ids(
             query, semantics=semantics, initial_binding=initial_binding, fact_range=fact_range
         )
 
@@ -205,7 +184,7 @@ class AnalyticalQueryEvaluator:
         """``pres(Q, I) = c(I) ⋈ₓ mᵏ(I)`` (Definition 4).
 
         The returned partial result keeps its relation in the engine's
-        value space (encoded ids by default); use
+        value space (encoded ids); use
         :attr:`~repro.analytics.answer.PartialResult.relation` for the
         decoded view.
 

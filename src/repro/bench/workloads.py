@@ -41,7 +41,6 @@ __all__ = [
     "experiment_dimensionality",
     "experiment_pres_storage",
     "experiment_aggregates",
-    "experiment_engine_idspace",
     "experiment_planner_sessions",
     "experiment_advisor_sessions",
     "experiment_incremental_refresh",
@@ -441,73 +440,6 @@ def experiment_aggregates(scale: str = "small") -> ResultTable:
             comparison["speedup"],
             comparison["equal"],
         )
-    return table
-
-
-# ---------------------------------------------------------------------------
-
-
-def experiment_engine_idspace(scale: str = "small", repeats: Optional[int] = None) -> ResultTable:
-    """ENGINE — the id-space refactor's before/after on from-scratch evaluation.
-
-    Three engines answer the same queries on the same instances:
-
-    * ``legacy`` — the frozen pre-refactor pipeline
-      (:mod:`repro.bench.legacy`): dict bindings, eager decoding, per-row
-      dict selections, value-tuple join keys;
-    * ``decoded`` — the refactored operators with materialization forced at
-      the BGP boundary (``id_space=False``): isolates what late
-      materialization itself buys on top of the positional operators;
-    * ``id-space`` — the default engine: encoded end-to-end, decoding at
-      the result boundary only.
-
-    Every row checks cube equality against the legacy answer; the speedup
-    column is relative to legacy.
-    """
-    from repro.bench.legacy import LegacyAnalyticalEvaluator
-
-    parameters = _scale(scale)
-    repeats = repeats or int(parameters["repeats"])
-    table = ResultTable(
-        ["workload", "engine", "instance triples", "time (ms)", "speedup", "cells", "equal"],
-        title="ENGINE — id-space late materialization vs. the seed pipeline (from scratch)",
-    )
-
-    blogger = blogger_dataset(BloggerConfig(bloggers=int(parameters["bloggers"])))
-    video = video_dataset(VideoConfig(videos=int(parameters["videos"])))
-    generic_config = GenericConfig(
-        facts=int(parameters["facts"]), dimensions=3, values_per_dimension=1.4, measures_per_fact=2.0
-    )
-    generic = generic_dataset(generic_config)
-    workloads = [
-        ("blogger/count", blogger.instance, sites_per_blogger_query(blogger.schema)),
-        ("blogger/avg", blogger.instance, words_per_blogger_query(blogger.schema)),
-        ("video/sum", video.instance, views_per_url_query(video.schema)),
-        ("generic/count", generic.instance, generic_query(generic_config, aggregate="count")),
-    ]
-    for label, instance, query in workloads:
-        engines = [
-            ("legacy", LegacyAnalyticalEvaluator(instance)),
-            ("decoded", AnalyticalQueryEvaluator(instance, id_space=False)),
-            ("id-space", AnalyticalQueryEvaluator(instance, id_space=True)),
-        ]
-        timings = {}
-        cubes = {}
-        for name, evaluator in engines:
-            measurement = time_callable(name, lambda e=evaluator: e.answer(query), repeats=repeats)
-            timings[name] = measurement.milliseconds()
-            cubes[name] = Cube(evaluator.answer(query), query)
-        baseline = timings["legacy"]
-        for name, _ in engines:
-            table.add_row(
-                label,
-                name,
-                len(instance),
-                timings[name],
-                baseline / timings[name] if timings[name] > 0 else float("inf"),
-                len(cubes[name]),
-                cubes[name].same_cells(cubes["legacy"]),
-            )
     return table
 
 
@@ -1598,7 +1530,6 @@ def run_all_experiments(scale: str = "small") -> List[ResultTable]:
         experiment_dimensionality(scale),
         experiment_pres_storage(scale),
         experiment_aggregates(scale),
-        experiment_engine_idspace(scale),
         experiment_planner_sessions(scale),
         experiment_advisor_sessions(scale),
         experiment_incremental_refresh(scale),

@@ -19,10 +19,9 @@ The :class:`RefreshScheduler` makes that call per entry, per batch.  Its
 ``"auto"`` policy follows the entry's observed hit rate
 (:attr:`~repro.olap.cache.CacheEntry.hits`): hot entries refresh eagerly,
 cold ones go lazy.  Pricing flows through
-:meth:`~repro.olap.maintenance.DeltaMaintainer.price_refresh` — the same
-calibrated :class:`~repro.olap.calibration.CostModel` numbers the planner
-and the read path use, so the scheduler never eagerly applies a patch the
-read path would have rejected.
+:meth:`~repro.olap.planner.OLAPPlanner.price_refresh` — the planner's own
+``refresh-cached`` and ``scratch`` candidates, so the scheduler never
+eagerly applies a patch the read path would have rejected.
 """
 
 from __future__ import annotations
@@ -210,9 +209,7 @@ class RefreshScheduler:
                 hits=hits,
             )
         entry, delta = found
-        refresh_cost, scratch_cost = session.maintainer.price_refresh(
-            entry.materialized, delta, engine=session.engine
-        )
+        refresh_cost, scratch_cost = session.planner.price_refresh(entry, delta)
         action = self._choose(refresh_cost, scratch_cost, hits)
         if action == "eager":
             refreshed = cache.refresh(query, graph, session.maintainer)

@@ -5,7 +5,6 @@
 * :mod:`repro.olap.auxiliary` — the auxiliary DRILL-IN query (Definition 6);
 * :mod:`repro.olap.rewriting` — Proposition 1, Algorithm 1, Algorithm 2, and
   the strategy-selecting :class:`OLAPRewriter`;
-* :mod:`repro.olap.baseline` — the from-scratch baseline;
 * :mod:`repro.olap.cube` — the cube result abstraction;
 * :mod:`repro.olap.cache` — the bounded canonical-form result cache;
 * :mod:`repro.olap.maintenance` — incremental refresh of cached results
@@ -23,7 +22,6 @@
 from repro.olap.advisor import AdvisorReport, Recommendation, WorkloadAdvisor, apply_recommendations
 from repro.olap.auxiliary import auxiliary_join_columns, build_auxiliary_query
 from repro.olap.calibration import CalibrationSample, CostModel, fit_cost_model
-from repro.olap.baseline import answer_from_scratch, transformed_answer_from_scratch
 from repro.olap.cache import (
     CacheEntry,
     CacheStats,
@@ -36,15 +34,10 @@ from repro.olap.maintenance import DeltaMaintainer, estimate_scratch_cost
 from repro.olap.parallel import (
     ExecutorStats,
     ParallelExecutor,
-    dispatch_shard_cost,
     estimate_parallel_cost,
 )
 from repro.olap.planner import OLAPPlanner, Plan, PlanCandidate
-from repro.olap.hierarchy import (
-    DimensionHierarchy,
-    roll_up_from_answer_naive,
-    roll_up_from_partial,
-)
+from repro.olap.hierarchy import DimensionHierarchy
 from repro.olap.operations import (
     Dice,
     DrillDown,
@@ -85,8 +78,6 @@ __all__ = [
     "drill_out_from_answer_naive",
     "transform_partial",
     "DimensionHierarchy",
-    "roll_up_from_partial",
-    "roll_up_from_answer_naive",
     "answer_from_rolled_partial",
     "OLAPRewriter",
     "RewriteOption",
@@ -101,7 +92,6 @@ __all__ = [
     "ParallelExecutor",
     "ExecutorStats",
     "estimate_parallel_cost",
-    "dispatch_shard_cost",
     "OLAPPlanner",
     "Plan",
     "PlanCandidate",
@@ -112,8 +102,6 @@ __all__ = [
     "AdvisorReport",
     "Recommendation",
     "apply_recommendations",
-    "answer_from_scratch",
-    "transformed_answer_from_scratch",
     "Cube",
     "OLAPSession",
     "TransformationRecord",

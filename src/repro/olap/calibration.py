@@ -10,12 +10,10 @@ relative correctness to rank strategies.
 
 This module closes the loop from observed runtimes back into planning:
 
-* :class:`CostModel` gathers every pricing constant in one object the
-  planner (and :class:`~repro.olap.maintenance.DeltaMaintainer` /
-  :func:`~repro.olap.parallel.estimate_parallel_cost`) reads instead of
-  module-level constants.  ``CostModel()`` reproduces the hand-set
-  defaults exactly, so an uncalibrated session plans identically to the
-  static planner.
+* :class:`CostModel` holds every pricing constant — the one object the
+  planner, :class:`~repro.olap.maintenance.DeltaMaintainer` and
+  :func:`~repro.olap.parallel.estimate_parallel_cost` read.  Its defaults
+  are the hand-set values; an uncalibrated session plans with them.
 
 * :func:`fit_cost_model` performs a least-squares fit over the
   ``(predicted cost, observed execute seconds, strategy)`` samples a
@@ -73,12 +71,10 @@ FAMILIES = ("instance", "reuse", "cached", "refresh", "parallel")
 class CostModel:
     """Every constant of the planner's rows-touched cost model.
 
-    The defaults reproduce the hand-set constants of
-    :mod:`repro.olap.planner`, :mod:`repro.olap.maintenance` and
-    :mod:`repro.olap.parallel` exactly — a default-constructed model is
-    the static PR-2 planner.  Fitted models (see :func:`fit_cost_model`)
-    carry ``source="fitted"`` and the per-family scale factors that
-    produced them.
+    The defaults are the hand-set constants (the only place they are
+    written down).  Fitted models (see :func:`fit_cost_model`) carry
+    ``source="fitted"`` and the per-family scale factors that produced
+    them.
 
     Examples
     --------
@@ -115,6 +111,9 @@ class CostModel:
     mmap_dispatch_shard_cost: float = 8.0
     #: Rows-touched multiplier per execution engine (vectorized columnar
     #: kernels touch a row for a fraction of the interpreted loop's cost).
+    #: ``benchmarks/bench_columnar_engine.py`` observes a from-scratch
+    #: speedup well above 1/0.35, so scratch is never under-priced into
+    #: beating a reuse strategy it would lose to in reality.
     engine_multipliers: Dict[str, float] = field(
         default_factory=lambda: {"rows": 1.0, "columnar": 0.35}
     )

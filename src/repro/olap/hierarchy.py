@@ -8,35 +8,22 @@ DRILL-OUT needs ``pres(Q)``, roll-up does too: a fact carrying several
 dimension values that map to the *same* parent must not have its measures
 counted once per child value.
 
-This module provides:
-
-* :class:`DimensionHierarchy` — a mapping from dimension values to parents
-  (one level; stack several for multi-level hierarchies);
-* :func:`roll_up_from_partial` — the correct roll-up: replace the dimension
-  values by their parents in ``pres(Q)``, deduplicate on the key column
-  (Algorithm 1's δ step, generalized), then re-aggregate;
-* :func:`roll_up_from_answer_naive` — the relational shortcut over
-  ``ans(Q)``, kept for tests/benchmarks that quantify its error on
-  multi-valued data (it is correct only for distributive aggregates over
-  single-valued dimensions);
-* :meth:`repro.olap.session.OLAPSession.roll_up` wires the correct version
-  into interactive sessions.
+This module provides :class:`DimensionHierarchy` — a mapping from dimension
+values to parents (one level; stack several for multi-level hierarchies).
+The roll-up itself is :func:`repro.analytics.rolling.roll_partial` (parents
+substituted in ``pres(Q)``, then Algorithm 1's δ step) followed by
+:func:`repro.olap.rewriting.answer_from_rolled_partial`;
+:meth:`repro.olap.session.OLAPSession.roll_up` runs both through the planner.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.errors import OLAPError, RewritingError
-from repro.algebra.aggregates import AggregateFunction, get_aggregate
+from repro.errors import OLAPError
 from repro.algebra.expressions import comparable
-from repro.algebra.grouping import group_aggregate
-from repro.algebra.operators import dedup, project
-from repro.algebra.relation import Relation
-from repro.analytics.answer import CubeAnswer, PartialResult
-from repro.analytics.query import AnalyticalQuery
 
-__all__ = ["DimensionHierarchy", "roll_up_from_partial", "roll_up_from_answer_naive"]
+__all__ = ["DimensionHierarchy"]
 
 
 class DimensionHierarchy:
@@ -171,86 +158,3 @@ class DimensionHierarchy:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DimensionHierarchy({self.name}, {len(self._mapping)} explicit mappings)"
-
-
-def _rolled_relation(relation: Relation, dimension: str, hierarchy: DimensionHierarchy) -> Relation:
-    """Replace one column's values by their hierarchy parents."""
-    index = relation.column_index(dimension)
-
-    def roll(row):
-        return row[:index] + (hierarchy.parent(row[index]),) + row[index + 1 :]
-
-    return relation.map_rows(roll)
-
-
-def roll_up_from_partial(
-    partial: PartialResult,
-    query: AnalyticalQuery,
-    dimension: str,
-    hierarchy: DimensionHierarchy,
-    aggregate: Optional[Union[str, AggregateFunction]] = None,
-) -> CubeAnswer:
-    """Roll ``pres(Q)`` up along a hierarchy on ``dimension`` and re-aggregate.
-
-    Mirrors Algorithm 1 with a value substitution instead of a projection:
-
-    1. replace the dimension values by their parents;
-    2. δ-deduplicate — a fact that had several children of the same parent
-       (multi-valued dimension) now contributes each measure key once per
-       parent, not once per child;
-    3. γ-aggregate over the (unchanged) other dimensions and the parents.
-    """
-    if dimension not in partial.dimension_columns:
-        raise RewritingError(
-            f"pres({query.name}) has no dimension column {dimension!r}; "
-            f"its dimensions are {partial.dimension_columns}"
-        )
-    aggregate_function = get_aggregate(aggregate if aggregate is not None else query.aggregate)
-
-    rolled = _rolled_relation(partial.relation, dimension, hierarchy)
-    rolled = dedup(rolled)
-    aggregated = group_aggregate(
-        rolled,
-        by=partial.dimension_columns,
-        measure=partial.measure_column,
-        function=aggregate_function,
-        output_column=partial.measure_column,
-    )
-    return CubeAnswer(aggregated, partial.dimension_columns, partial.measure_column)
-
-
-def roll_up_from_answer_naive(
-    answer: CubeAnswer,
-    query: AnalyticalQuery,
-    dimension: str,
-    hierarchy: DimensionHierarchy,
-) -> CubeAnswer:
-    """The relational shortcut: combine already-aggregated cells per parent.
-
-    Provided for comparison only; requires a distributive aggregate and is
-    wrong whenever a fact is multi-valued along the rolled-up dimension
-    (exactly the Example-5 situation).
-    """
-    if not query.aggregate.distributive:
-        raise RewritingError(
-            f"aggregate {query.aggregate.name!r} is not distributive; "
-            "ans(Q)-based roll-up is impossible"
-        )
-    if dimension not in answer.dimension_columns:
-        raise RewritingError(f"the answer has no dimension column {dimension!r}")
-
-    rolled = _rolled_relation(answer.relation, dimension, hierarchy)
-    combining = AggregateFunction(
-        name=f"{query.aggregate.name}_combine",
-        function=lambda values: query.aggregate.combine(values),
-        distributive=True,
-        numeric_only=False,
-    )
-    aggregated = group_aggregate(
-        rolled,
-        by=answer.dimension_columns,
-        measure=answer.measure_column,
-        function=combining,
-        output_column=answer.measure_column,
-    )
-    return CubeAnswer(aggregated, answer.dimension_columns, answer.measure_column)

@@ -39,7 +39,7 @@ instance.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.algebra.expressions import comparable
 from repro.algebra.relation import IdRelation, Relation, relation_like
@@ -53,24 +53,11 @@ from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
 from repro.bgp.evaluator import BGPEvaluator
 from repro.bgp.query import BGPQuery
+from repro.olap.calibration import CostModel
 from repro.rdf.graph import EncodedTriple, Graph, GraphDelta
 from repro.rdf.terms import Term, Variable
 
 __all__ = ["DeltaMaintainer", "estimate_scratch_cost"]
-
-#: Per unifying (delta triple, body pattern) pair: cost of one pinned
-#: affected-fact probe — a mostly-bound BGP evaluation, i.e. a few index
-#: lookups plus the embeddings through the triple.  (The live values come
-#: from the session's :class:`~repro.olap.calibration.CostModel`; these
-#: module aliases pin the static defaults.)
-DELTA_PROBE_COST = 2.0
-#: Per cached pres(Q) row: cost of the retain-or-recompute partition scan.
-PRES_SCAN_COST = 0.25
-#: Per cached ans(Q) cell: cost of the touched-group splice.
-REFRESH_CELL_COST = 0.05
-
-#: Aggregates whose cells can be patched arithmetically from row deltas.
-_INVERTIBLE_AGGREGATES = frozenset({"count", "sum", "avg"})
 
 
 def estimate_scratch_cost(statistics, query: AnalyticalQuery) -> float:
@@ -169,9 +156,7 @@ class DeltaMaintainer:
     True
     """
 
-    def __init__(self, evaluator: AnalyticalQueryEvaluator, cost_model=None):
-        from repro.olap.calibration import CostModel
-
+    def __init__(self, evaluator: AnalyticalQueryEvaluator, cost_model: Optional[CostModel] = None):
         self._evaluator = evaluator
         self._graph = evaluator.instance
         self._statistics = evaluator.bgp_evaluator.statistics
@@ -256,25 +241,6 @@ class DeltaMaintainer:
     def estimate_scratch_cost(self, query: AnalyticalQuery) -> float:
         """From-scratch estimate in the same unit (see module function)."""
         return estimate_scratch_cost(self._statistics, query)
-
-    def price_refresh(
-        self, materialized: MaterializedQueryResults, delta: GraphDelta, engine: str = "rows"
-    ) -> Tuple[float, float]:
-        """``(refresh cost, scratch cost)`` for one stale entry, one unit.
-
-        The refresh-vs-recompute comparison every consumer must agree on:
-        the session's refresh-on-read path, the planner's refresh-cached
-        candidate and the ingest layer's :class:`~repro.ingest.scheduler.RefreshScheduler`
-        all price through here, so a scheduler decision made at publish
-        time can never contradict the read path's own pricing.  Scratch is
-        scaled by the cost model's per-``engine`` multiplier (patching is
-        row-level work regardless of engine).
-        """
-        refresh_cost = self.estimate_refresh_cost(materialized, delta)
-        scratch_cost = self._model.engine_multiplier(engine) * self.estimate_scratch_cost(
-            materialized.query
-        )
-        return refresh_cost, scratch_cost
 
     # ------------------------------------------------------------------
     # affected facts

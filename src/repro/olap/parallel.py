@@ -85,6 +85,7 @@ from repro.algebra.relation import IdRelation, Relation
 from repro.analytics.answer import CubeAnswer, MaterializedQueryResults, PartialResult
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import KEY_COLUMN, AnalyticalQuery
+from repro.olap.calibration import CostModel
 from repro.olap.maintenance import estimate_scratch_cost
 from repro.rdf.graph import GraphShard
 
@@ -92,11 +93,7 @@ __all__ = [
     "ParallelExecutor",
     "ExecutorStats",
     "estimate_parallel_cost",
-    "dispatch_shard_cost",
     "KEY_STRIDE",
-    "DISPATCH_SHARD_COST",
-    "MMAP_DISPATCH_SHARD_COST",
-    "MERGE_CELL_COST",
 ]
 
 #: Disjoint ``newk()`` key range per shard: shard *i* draws keys from
@@ -104,64 +101,32 @@ __all__ = [
 #: (Algorithm 1 dedups by key), and 2^40 keys per shard is unreachable.
 KEY_STRIDE = 1 << 40
 
-#: Flat rows-touched-equivalent overhead of dispatching one shard when the
-#: pool must be seeded by **pickling the graph** (task submission, result
-#: transfer, amortized pool-build).  Keeps tiny instances serial.
-DISPATCH_SHARD_COST = 200.0
-
-#: Per-shard dispatch overhead when workers **attach to a snapshot by
-#: mmap**: pool build ships a path instead of a graph, so only task
-#: submission and result transfer remain.  Measured ~O(1) in instance size
-#: (see ``benchmarks/bench_snapshot_coldstart.py``).
-MMAP_DISPATCH_SHARD_COST = 8.0
-
-#: Per merged γ state / answer cell: cost of the merge-and-finalize step.
-MERGE_CELL_COST = 0.5
-
-
-def dispatch_shard_cost(graph) -> float:
-    """The per-shard dispatch constant for ``graph``'s attach mode.
-
-    Snapshot-backed graphs (non-None ``snapshot_path``) are priced at
-    :data:`MMAP_DISPATCH_SHARD_COST` — their workers attach by path;
-    heap graphs pay the pickled-shipping :data:`DISPATCH_SHARD_COST`.
-    """
-    if getattr(graph, "snapshot_path", None) is not None:
-        return MMAP_DISPATCH_SHARD_COST
-    return DISPATCH_SHARD_COST
-
 
 def estimate_parallel_cost(
     statistics,
     query: AnalyticalQuery,
     workers: int,
     shard_count: int,
-    dispatch_cost: Optional[float] = None,
-    merge_cell_cost: Optional[float] = None,
+    model: CostModel,
+    graph=None,
 ) -> float:
     """Rows-touched estimate of the partitioned path for ``query``.
 
     Per-shard evaluation splits the from-scratch work across the usable
     lanes (``min(workers, shard_count)``); merging touches every answer
     cell once per shard in the worst case; dispatch pays a flat overhead
-    per shard — :data:`DISPATCH_SHARD_COST` by default, or the caller's
-    ``dispatch_cost`` (use :func:`dispatch_shard_cost` to price the
-    instance's actual attach mode).  ``merge_cell_cost`` likewise defaults
-    to :data:`MERGE_CELL_COST` and lets a fitted
-    :class:`~repro.olap.calibration.CostModel` substitute its calibrated
-    value.  Same unit as
+    per shard, which ``model.dispatch_cost(graph)`` sets by attach mode —
+    workers of a snapshot-backed ``graph`` attach by path, those of a heap
+    graph (or None) are seeded by pickling it, which keeps tiny instances
+    serial.  Same unit as
     :func:`repro.olap.maintenance.estimate_scratch_cost`, so the planner
     can rank the two directly.
     """
-    if dispatch_cost is None:
-        dispatch_cost = DISPATCH_SHARD_COST
-    if merge_cell_cost is None:
-        merge_cell_cost = MERGE_CELL_COST
     lanes = max(1, min(int(workers), int(shard_count)))
     per_lane = estimate_scratch_cost(statistics, query) / lanes
     cells = statistics.estimate_bgp_cardinality(query.classifier)
-    merge = merge_cell_cost * (cells + shard_count)
-    return per_lane + merge + dispatch_cost * shard_count
+    merge = model.merge_cell_cost * (cells + shard_count)
+    return per_lane + merge + model.dispatch_cost(graph) * shard_count
 
 
 class ExecutorStats:
@@ -222,30 +187,26 @@ class ExecutorStats:
 _WORKER_EVALUATOR: Optional[AnalyticalQueryEvaluator] = None
 
 
-def _initialize_worker(graph, engine: Optional[str] = None) -> None:
-    """Pickled-graph pool initializer: one evaluator per worker.
+def _initialize_worker(
+    source, engine: Optional[str] = None, evaluator_class=AnalyticalQueryEvaluator
+) -> None:
+    """Pool initializer: one evaluator per worker.
 
-    ``engine`` carries the parent evaluator's resolved engine so an
-    explicit pin (``OLAPSession(engine="rows")``) governs worker processes
-    too — auto-resolution in the worker could disagree with the parent.
+    ``source`` is the pickled graph, or the path of its snapshot: then
+    nothing instance-sized crosses the process boundary — each worker mmaps
+    the snapshot read-only and the OS page cache shares the hot pages across
+    the pool, so pool build is O(header) whatever the instance size
+    (statistics come from the snapshot header too).  ``engine`` and
+    ``evaluator_class`` are the parent evaluator's: an explicit engine pin
+    (auto-resolution in the worker could disagree with the parent) and
+    ``entailment="rewrite"`` must govern the worker processes too.
     """
     global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = AnalyticalQueryEvaluator(graph, engine=engine)
+    if isinstance(source, str):
+        from repro.storage.snapshot import load_snapshot
 
-
-def _initialize_worker_snapshot(path: str, engine: Optional[str] = None) -> None:
-    """Snapshot-attach pool initializer: workers mmap the file by path.
-
-    Nothing instance-sized crosses the process boundary — the initializer
-    payload is a path string.  Each worker re-opens the snapshot read-only
-    and the OS page cache shares the hot pages across the whole pool, so
-    pool build is O(header) regardless of instance size.  Statistics come
-    from the snapshot header (no scan), making worker warm-up O(1) too.
-    """
-    from repro.storage.snapshot import load_snapshot
-
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = AnalyticalQueryEvaluator(load_snapshot(path, mmap=True), engine=engine)
+        source = load_snapshot(source, mmap=True)
+    _WORKER_EVALUATOR = evaluator_class(source, engine=engine)
 
 
 def _run_shard(payload: Tuple[AnalyticalQuery, GraphShard, int, bool]):
@@ -267,8 +228,8 @@ class ParallelExecutor:
     ----------
     evaluator:
         The serial :class:`~repro.analytics.evaluator.AnalyticalQueryEvaluator`
-        over the AnS instance (must be id-space; it is also the fallback for
-        non-mergeable aggregates).
+        over the AnS instance (it is also the fallback for non-mergeable
+        aggregates).
     workers:
         Pool size.  ``1`` evaluates the shards inline (the merge algebra is
         still exercised).
@@ -356,15 +317,14 @@ class ParallelExecutor:
     def supports(self, query: AnalyticalQuery) -> bool:
         """True when ``query`` can be answered by partitioned evaluation.
 
-        Requires the id-space engine (shards merge on shared term ids) and
-        a mergeable partial form of the aggregate; anything else falls back
-        to the serial evaluator inside :meth:`evaluate`.  Rolled-up queries
-        are unsupported: their hierarchy objects (often closures) do not
-        survive the worker-process pickle boundary.
+        Requires a mergeable partial form of the aggregate; anything else
+        falls back to the serial evaluator inside :meth:`evaluate`.
+        Rolled-up queries are unsupported: their hierarchy objects (often
+        closures) do not survive the worker-process pickle boundary.
         """
         if query.rollup:
             return False
-        return self._evaluator.id_space and partial_aggregate(query.aggregate) is not None
+        return partial_aggregate(query.aggregate) is not None
 
     # -- execution -----------------------------------------------------
 
@@ -500,18 +460,12 @@ class ParallelExecutor:
         # result (workers die in the initializer) — _dispatch falls back.
         self._shutdown_process_pool()
         engine = getattr(self._evaluator, "engine", None)
-        snapshot_path = getattr(self._graph, "snapshot_path", None)
-        if snapshot_path is not None:
-            # Snapshot attach mode: ship the path, not the graph.  Workers
-            # mmap the file and share pages through the OS cache — pool
-            # build cost is O(1) in the instance size.
-            initializer, initargs = _initialize_worker_snapshot, (snapshot_path, engine)
-        else:
-            initializer, initargs = _initialize_worker, (self._graph, engine)
+        # Snapshot attach mode ships the path, not the graph.
+        source = getattr(self._graph, "snapshot_path", None) or self._graph
         self._process_pool = ProcessPoolExecutor(
             max_workers=self._workers,
-            initializer=initializer,
-            initargs=initargs,
+            initializer=_initialize_worker,
+            initargs=(source, engine, type(self._evaluator)),
         )
         self._process_pool_version = version
         return self._process_pool

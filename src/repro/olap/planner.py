@@ -6,7 +6,13 @@ on what is cached and how big everything is.  :class:`OLAPPlanner` makes
 that choice per operation: it enumerates every candidate answering strategy,
 prices each with a row-count cost model, and executes the cheapest.
 
-Candidate strategies, in the order they are enumerated:
+It is the only place a route is enumerated and priced: the session's forced
+``rewrite`` / ``scratch`` / ``auto`` strategies are ``families`` filters on
+:meth:`OLAPPlanner.plan`, and ``OLAPSession.execute`` runs
+:meth:`OLAPPlanner.plan_query`.
+
+Candidate strategies, in the order they are enumerated (a candidate's
+*family* is its strategy name up to the first ``[``):
 
 ``cached``
     The transformed query's own canonical form is already in the result
@@ -75,6 +81,7 @@ from repro.algebra.operators import select
 from repro.analytics.answer import CubeAnswer, MaterializedQueryResults, PartialResult
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
+from repro.errors import MaterializationError, RewritingError
 from repro.olap.auxiliary import build_auxiliary_query
 from repro.olap.cache import CacheEntry, ResultCache, canonical_query_key
 from repro.olap.calibration import CostModel
@@ -86,27 +93,10 @@ from repro.olap.rewriting import (
     OLAPRewriter,
     answer_from_rolled_partial,
     slice_dice_from_answer,
-    transform_partial,
 )
 from repro.rdf.graph import GraphDelta
 
 __all__ = ["PlanCandidate", "Plan", "OLAPPlanner"]
-
-# The hand-set constants now live as the defaults of
-# :class:`repro.olap.calibration.CostModel`; the module-level aliases are
-# kept for backwards compatibility and for tests that pin the static values.
-_STATIC_MODEL = CostModel()
-
-#: Per-row weight of a σ-selection over a materialized answer or partial.
-SELECT_ROW_COST = _STATIC_MODEL.select_row_cost
-#: Per-row weight of project + dedup + group-aggregate (Algorithm 1).
-GROUP_ROW_COST = _STATIC_MODEL.group_row_cost
-#: Per-row weight of the pres(Q) side of the auxiliary join (Algorithm 2).
-JOIN_ROW_COST = _STATIC_MODEL.join_row_cost
-#: Per-cell weight of returning an already-computed cached answer.
-CACHED_CELL_COST = _STATIC_MODEL.cached_cell_cost
-#: Flat base cost of any strategy (lookup / bookkeeping), keeps costs > 0.
-BASE_COST = _STATIC_MODEL.base_cost
 
 
 class PlanCandidate:
@@ -140,13 +130,13 @@ class Plan:
 
     def __init__(
         self,
-        operation: OLAPOperation,
+        operation: Optional[OLAPOperation],
         transformed_query: AnalyticalQuery,
         candidates: List[PlanCandidate],
     ):
         if not candidates:
             raise ValueError("a plan needs at least one candidate (scratch is always available)")
-        self.operation = operation
+        self.operation = operation  # None: a plan of the query itself (plan_query)
         self.transformed_query = transformed_query
         # The strategy name breaks cost ties: explain() output and golden
         # comparisons must not depend on candidate enumeration order.
@@ -163,9 +153,8 @@ class Plan:
 
     def explain(self) -> str:
         """Human-readable plan, one line per candidate, chosen first."""
-        lines = [
-            f"plan: {self.operation.describe()} -> {self.transformed_query.name}"
-        ]
+        operation = "execute" if self.operation is None else self.operation.describe()
+        lines = [f"plan: {operation} -> {self.transformed_query.name}"]
         for index, candidate in enumerate(self.candidates):
             marker = "->" if index == 0 else "  "
             lines.append(
@@ -174,7 +163,7 @@ class Plan:
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Plan({self.operation.describe()}, chosen={self.chosen.strategy})"
+        return f"Plan({self.transformed_query.name}, chosen={self.chosen.strategy})"
 
 
 class OLAPPlanner:
@@ -281,6 +270,7 @@ class OLAPPlanner:
         transformed_query: AnalyticalQuery,
         origin_materialized: Optional[MaterializedQueryResults] = None,
         materialize_partial: bool = True,
+        families: Optional[Tuple[str, ...]] = None,
     ) -> Plan:
         """Enumerate and cost every candidate strategy for ``T(Q)``.
 
@@ -288,39 +278,44 @@ class OLAPPlanner:
         origin query when the session still holds them; the cache supplies
         the transformed query's own entry and compatible weaker-Σ entries.
         The scratch candidate is always present, so a plan always exists.
+
+        ``families`` restricts the enumeration to the named candidate
+        families (the session's forced strategies pass ``("rewrite",)`` or
+        ``("scratch",)``); unlisted families are not probed at all.  A
+        filter that leaves no candidate raises
+        :class:`~repro.errors.MaterializationError` when ``pres(Q)`` was
+        never kept, :class:`~repro.errors.RewritingError` otherwise.
         """
-        graph = self._evaluator.instance
+
+        def wanted(family: str) -> bool:
+            return families is None or family in families
+
         candidates: List[PlanCandidate] = []
 
-        exact = self._cache.get(transformed_query, graph)
-        if exact is not None and exact.materialized.has_answer():
-            candidates.append(self._cached_candidate(exact.materialized))
-        else:
-            stale = self._cache.stale_entry(transformed_query, graph)
-            if stale is not None:
-                candidates.append(
-                    self._refresh_candidate(
-                        transformed_query, stale[0], stale[1], materialize_partial
-                    )
-                )
+        if wanted("cached"):  # the query's own entry: cached, or refresh-cached when stale
+            candidates.extend(self._own_entry_candidates(transformed_query, materialize_partial))
 
-        if origin_materialized is not None:
+        if origin_materialized is not None and wanted("rewrite"):
             candidates.extend(
                 self._rewrite_candidates(
                     origin_materialized, operation, transformed_query, materialize_partial
                 )
             )
 
-        candidates.extend(
-            self._compatible_candidates(transformed_query, original_query, materialize_partial)
-        )
+        if wanted("compat"):
+            candidates.extend(
+                self._compatible_candidates(transformed_query, original_query, materialize_partial)
+            )
 
-        rollup_candidates = self._rollup_candidates(
-            transformed_query, original_query, materialize_partial
+        rollup_candidates = (
+            self._rollup_candidates(transformed_query, original_query, materialize_partial)
+            if wanted("rollup-from-cached")
+            else []
         )
         candidates.extend(rollup_candidates)
 
-        if self._parallel is not None and self._parallel.supports(transformed_query):
+        executor = self._parallel
+        if wanted("parallel") and executor is not None and executor.supports(transformed_query):
             candidates.append(self._parallel_candidate(transformed_query, materialize_partial))
 
         # Cached lattice entries reveal the *actual* pres(Q) row count the
@@ -335,14 +330,65 @@ class OLAPPlanner:
             if observed:
                 pres_rows_hint = max(observed)
 
-        candidates.append(
-            self._scratch_candidate(transformed_query, materialize_partial, pres_rows_hint)
-        )
+        if wanted("scratch"):
+            candidates.append(
+                self._scratch_candidate(transformed_query, materialize_partial, pres_rows_hint)
+            )
+
+        if not candidates:  # only the ("rewrite",) filter can leave none
+            reason = f"{operation.describe()} cannot be answered by rewriting {original_query.name!r}"
+            if origin_materialized is None or not origin_materialized.has_partial():
+                raise MaterializationError(
+                    f"{reason}: its pres(Q) is not materialized; call execute() first"
+                )
+            raise RewritingError(f"{reason}; use the plan, auto or scratch strategy")
         return Plan(operation, transformed_query, candidates)
+
+    def plan_query(self, query: AnalyticalQuery, materialize_partial: bool = True) -> Plan:
+        """Enumerate and cost the ways of answering ``query`` itself.
+
+        What ``OLAPSession.execute`` runs: the query's own cache entry
+        (``cached`` — with ``pres(Q)`` when ``materialize_partial`` wants it
+        — or ``refresh-cached``), ``parallel`` and ``scratch``, priced as in
+        :meth:`plan`.  A fresh hit is returned alone (a hit must stay O(1));
+        so is a stale entry the refresh scheduler marked for refresh-on-read,
+        whose patch was priced against recomputing when its batch published.
+        """
+        candidates = self._own_entry_candidates(
+            query, materialize_partial, require_partial=materialize_partial
+        )
+        if candidates and (candidates[0].strategy == "cached" or self._cache.is_lazy(query)):
+            return Plan(None, query, candidates)
+        if self._parallel is not None and self._parallel.supports(query):
+            candidates.append(self._parallel_candidate(query, materialize_partial))
+        candidates.append(self._scratch_candidate(query, materialize_partial))
+        return Plan(None, query, candidates)
+
+    def price_refresh(self, entry: CacheEntry, delta: GraphDelta) -> Tuple[float, float]:
+        """``(refresh-cached cost, scratch cost)`` of one stale cache entry: the
+        candidates :meth:`plan_query` ranks on the next read, which the ingest
+        layer's ``RefreshScheduler`` decides on when a batch publishes."""
+        return (
+            self._refresh_candidate(entry.query, entry, delta, True).cost,
+            self._scratch_candidate(entry.query, True).cost,
+        )
 
     # ------------------------------------------------------------------
     # candidate builders
     # ------------------------------------------------------------------
+
+    def _own_entry_candidates(
+        self, query: AnalyticalQuery, materialize_partial: bool, require_partial: bool = False
+    ) -> List[PlanCandidate]:
+        """``cached`` or ``refresh-cached``: the entry under ``query``'s own key."""
+        graph = self._evaluator.instance
+        exact = self._cache.get(query, graph, require_partial=require_partial)
+        if exact is not None and exact.materialized.has_answer():
+            return [self._cached_candidate(exact.materialized)]
+        stale = self._cache.stale_entry(query, graph)
+        if stale is not None:
+            return [self._refresh_candidate(query, stale[0], stale[1], materialize_partial)]
+        return []
 
     def _cached_candidate(self, materialized: MaterializedQueryResults) -> PlanCandidate:
         cells = len(materialized.answer)
@@ -560,8 +606,8 @@ class OLAPPlanner:
             transformed_query,
             executor.workers,
             executor.shard_count,
-            dispatch_cost=self._model.dispatch_cost(self._evaluator.instance),
-            merge_cell_cost=self._model.merge_cell_cost,
+            self._model,
+            self._evaluator.instance,
         )
         instance_triples = len(self._evaluator.instance)
 
@@ -643,12 +689,8 @@ class OLAPPlanner:
         """
         cost = self._engine_multiplier * estimate_scratch_cost(self._statistics, query)
         branch_count = getattr(self._evaluator, "branch_count", None)
-        if branch_count is not None:
-            try:
-                factor = max(branch_count(query.classifier), branch_count(query.measure))
-            except Exception:
-                factor = 1
-            cost *= max(1, factor)
+        if branch_count is not None:  # never raises: 1 for an unexpandable query
+            cost *= max(1, branch_count(query.classifier), branch_count(query.measure))
         if query.rollup:
             if pres_rows_hint is not None:
                 pres_rows = float(pres_rows_hint)

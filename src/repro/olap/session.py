@@ -18,8 +18,8 @@ together — the object a data analyst (or an example script) works with:
   picks the cheapest of: returning a cached answer, one of the paper's
   rewritings, σ-selecting a cached compatible (weaker-Σ) answer, or
   re-evaluating from scratch.  The forced strategies ``"rewrite"``,
-  ``"scratch"`` and ``"auto"`` remain available for experiments that
-  compare them;
+  ``"scratch"`` and ``"auto"`` restrict the planner to those candidate
+  families, for experiments that compare them;
 * every transformed query is materialized in turn (subject to the cache
   bound), so OLAP navigations can chain: slice, then drill-out, then dice...
 
@@ -44,17 +44,29 @@ from repro.analytics.entailment import EntailmentRewritingEvaluator
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
 from repro.analytics.schema import AnalyticalSchema
-from repro.olap.baseline import transformed_answer_from_scratch
 from repro.olap.cache import DEFAULT_CAPACITY, CacheEntry, ResultCache
 from repro.olap.calibration import CostModel, fit_cost_model
 from repro.olap.cube import Cube
-from repro.olap.maintenance import DeltaMaintainer, estimate_scratch_cost
+from repro.olap.maintenance import DeltaMaintainer
 from repro.olap.operations import DrillDown, OLAPOperation, RollUp
-from repro.olap.parallel import ParallelExecutor, estimate_parallel_cost
-from repro.olap.planner import OLAPPlanner
-from repro.olap.rewriting import OLAPRewriter
+from repro.olap.parallel import ParallelExecutor
+from repro.olap.planner import OLAPPlanner, Plan
 
 __all__ = ["OLAPSession", "TransformationRecord"]
+
+#: The planner candidate families each :meth:`OLAPSession.transform` strategy
+#: admits (None: all of them).  ``auto`` takes a rewriting whenever one is
+#: enumerated, whatever the prices say.
+_STRATEGY_FAMILIES = {
+    "plan": None,
+    "rewrite": ("rewrite",),
+    "scratch": ("scratch",),
+    "auto": ("rewrite", "scratch"),
+}
+
+#: History labels of :meth:`OLAPSession.execute` for the planner candidates
+#: whose name differs (``cache[disk]`` when the entry came from the disk store).
+_EXECUTE_LABELS = {"cached": "cache", "refresh-cached": "refresh"}
 
 
 @dataclass
@@ -62,8 +74,9 @@ class TransformationRecord:
     """Bookkeeping for one executed query or OLAP transformation.
 
     ``seconds`` is the end-to-end wall-clock of the operation; it splits
-    into ``plan_seconds`` (planner candidate enumeration — 0 for forced
-    strategies and :meth:`OLAPSession.execute`) and ``execute_seconds``
+    into ``plan_seconds`` (planner candidate enumeration under
+    ``strategy="plan"`` — 0 for forced strategies and
+    :meth:`OLAPSession.execute`) and ``execute_seconds``
     (actually serving the answer).  The calibrator feeds on
     ``execute_seconds`` only, so a cache hit's sample measures the cost of
     serving the hit, not of pricing its alternatives.
@@ -116,9 +129,8 @@ class OLAPSession:
     workers:
         Size of the shard-parallel worker pool.  With ``workers > 1`` the
         planner enumerates a ``parallel`` candidate (per-shard evaluation +
-        partial-aggregate merge) and :meth:`execute` answers cold queries
-        in parallel when priced cheaper than serial scratch.  ``1``
-        (default) keeps everything serial.
+        partial-aggregate merge) for :meth:`execute` and :meth:`transform`
+        alike.  ``1`` (default) keeps everything serial.
     shard_count:
         Fact shards per parallel evaluation (defaults to ``workers``).
     parallel_backend:
@@ -131,11 +143,10 @@ class OLAPSession:
         vectorized columnar engine when numpy (the ``[fast]`` extra) is
         installed, honouring a ``REPRO_ENGINE`` override.
     cost_model:
-        Optional :class:`~repro.olap.calibration.CostModel` that the
-        planner, the delta maintainer and the refresh/parallel pricing in
-        this session read instead of the static module constants.  Pass a
+        Optional :class:`~repro.olap.calibration.CostModel` supplying every
+        pricing constant the planner and the delta maintainer read.  Pass a
         fitted model (see :meth:`fit_cost_model`) to replan a workload
-        with runtime-calibrated costs; omit it for the static planner.
+        with runtime-calibrated costs; omit it for the hand-set defaults.
     entailment:
         ``None`` (default) answers queries over the asserted triples only.
         ``"saturate"`` evaluates every query over the ρdf closure of the
@@ -222,7 +233,6 @@ class OLAPSession:
                 # (scratch[saturate]); evaluation itself is plain — the graph
                 # is already closed.
                 self.evaluator.entailment = "saturate"
-        self._rewriter = OLAPRewriter(self.evaluator.bgp_evaluator)
         self._materialize_partial = materialize_partial
         self._cache = ResultCache(cache_capacity, store_dir=cache_dir)
         self._cost_model = cost_model or CostModel()
@@ -240,7 +250,6 @@ class OLAPSession:
         self._planner = OLAPPlanner(
             self.evaluator,
             self._cache,
-            rewriter=self._rewriter,
             maintainer=self._maintainer,
             parallel=self._parallel,
             cost_model=self._cost_model,
@@ -396,48 +405,16 @@ class OLAPSession:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _parallel_is_cheaper(self, query: AnalyticalQuery) -> bool:
-        """True when the partitioned path is priced below serial scratch."""
-        if self._parallel is None or not self._parallel.supports(query):
-            return False
-        statistics = self.evaluator.bgp_evaluator.statistics
-        parallel_cost = estimate_parallel_cost(
-            statistics,
-            query,
-            self._parallel.workers,
-            self._parallel.shard_count,
-            dispatch_cost=self._cost_model.dispatch_cost(self.instance),
-            merge_cell_cost=self._cost_model.merge_cell_cost,
-        )
-        return parallel_cost < estimate_scratch_cost(statistics, query)
-
-    def _try_refresh(self, query: AnalyticalQuery) -> Optional[CacheEntry]:
-        """Refresh a stale cache entry for ``query`` when priced cheaper.
-
-        Compares the delta-based refresh estimate against the from-scratch
-        estimate (same rows-touched unit the planner uses) and patches the
-        entry only when refreshing wins; returns the refreshed (now fresh)
-        entry or None.  This is how ``execute`` — and the plan-strategy
-        origin lookup in :meth:`transform` — keeps serving materialized
-        results across instance updates instead of recomputing them.
-        """
-        found = self._cache.stale_entry(query, self.instance)
-        if found is None:
+    def _refresh_origin(self, query: AnalyticalQuery) -> Optional[CacheEntry]:
+        """Patch an origin query's stale entry when the planner prices that
+        below recomputing it (as for :meth:`execute`); the fresh entry or None."""
+        if self._cache.stale_entry(query, self.instance) is None:
             return None
-        entry, delta = found
-        # An entry the refresh scheduler marked lazy was already priced (and
-        # chosen for refresh-on-read) when its batch published: patch it now
-        # without second-guessing that decision.
-        if not self._cache.is_lazy(entry.key):
-            # Same pricing as the planner's candidates (see
-            # DeltaMaintainer.price_refresh), so execute() and transform()
-            # never disagree on the refresh-vs-recompute call.
-            refresh_cost, scratch_cost = self._maintainer.price_refresh(
-                entry.materialized, delta, engine=self.engine
-            )
-            if refresh_cost >= scratch_cost:
-                return None
-        return self._cache.refresh(query, self.instance, self._maintainer)
+        chosen = self._planner.plan_query(query).chosen
+        if chosen.strategy != "refresh-cached":
+            return None
+        chosen.execute()
+        return self._cache.peek(query, self.instance)
 
     # ------------------------------------------------------------------
     # query execution
@@ -446,57 +423,40 @@ class OLAPSession:
     def execute(self, query: AnalyticalQuery, materialize_partial: Optional[bool] = None) -> Cube:
         """Answer ``query`` and materialize its results (cache-first).
 
-        When the cache (memory or disk store) already holds the query's
-        canonical form — with a partial result if one is requested — the
-        stored answer is returned without touching the instance; the history
-        records the ``cache`` strategy.
+        Runs the winner of :meth:`OLAPPlanner.plan_query
+        <repro.olap.planner.OLAPPlanner.plan_query>`; the history strategy
+        names the route: ``cache`` / ``cache[disk]`` (the stored answer,
+        with a partial result if one is requested, without touching the
+        instance), ``refresh`` (a stale entry patched from the change log),
+        ``parallel`` or ``scratch`` (evaluated on the instance).
         """
         keep_partial = (
             self._materialize_partial if materialize_partial is None else materialize_partial
         )
         self._sync_entailment()
         started = time.perf_counter()
-        entry = self._cache.get(query, self.instance, require_partial=keep_partial)
-        if entry is None:
-            # A stale entry may be cheaper to patch from the graph's change
-            # log than to recompute (refreshed entries always carry pres).
-            entry = self._try_refresh(query)
-            if entry is not None:
-                strategy = "refresh"
-                materialized = entry.materialized
-                input_rows = len(materialized.answer)
-        else:
-            strategy = "cache" if entry.origin == "memory" else "cache[disk]"
-            materialized = entry.materialized
-            input_rows = len(materialized.answer)
-        if entry is None:
-            # Stamp the entry with the version observed *before* evaluating:
-            # a mutation interleaved between materialization and insertion
-            # must yield a born-stale entry, never a fresh-stamped one
-            # holding stale cells.
-            observed_version = self.instance.version
-            if self._parallel_is_cheaper(query):
-                materialized = self._parallel.evaluate(
-                    query, materialize_partial=keep_partial
-                )
-                strategy = "parallel"
-            else:
-                materialized = self.evaluator.evaluate(query, materialize_partial=keep_partial)
-                strategy = (
-                    "scratch" if self._entailment is None else f"scratch[{self._entailment}]"
-                )
-            self._cache.put(query, materialized, self.instance, version=observed_version)
-            input_rows = len(self.instance)
+        # Stamp a new entry with the version observed *before* evaluating: a
+        # mutation interleaved between materialization and insertion must
+        # yield a born-stale entry, never a fresh-stamped one holding stale
+        # cells.
+        observed_version = self.instance.version
+        chosen = self._planner.plan_query(query, materialize_partial=keep_partial).chosen
+        answer, partial = chosen.execute()
+        strategy = _EXECUTE_LABELS.get(chosen.strategy, chosen.strategy)
+        if chosen.strategy == "cached":
+            # A hit that is not in memory (capacity 0) was read from disk.
+            entry = self._cache.peek(query, self.instance)
+            if entry is None or entry.origin == "disk":
+                strategy = "cache[disk]"
+        self._store(query, chosen, answer, partial, observed_version)
         elapsed = time.perf_counter() - started
-        self._queries[query.name] = query
-        answer = materialized.answer
         self.history.append(
             TransformationRecord(
                 query_name=query.name,
                 operation="execute",
                 strategy=strategy,
                 seconds=elapsed,
-                input_rows=input_rows,
+                input_rows=chosen.input_rows,
                 output_cells=len(answer),
                 execute_seconds=elapsed,
             )
@@ -594,7 +554,7 @@ class OLAPSession:
             Whether to store the transformed query's results for further
             navigation.
         """
-        if strategy not in ("plan", "auto", "rewrite", "scratch"):
+        if strategy not in _STRATEGY_FAMILIES:
             raise OLAPError(
                 f"unknown strategy {strategy!r}; expected plan, auto, rewrite or scratch"
             )
@@ -615,80 +575,46 @@ class OLAPSession:
             # the origin), patching the origin when priced cheaper than
             # recomputing restores every rewrite candidate for this and
             # subsequent operations.  The forced rewrite/scratch/auto
-            # baselines stay pure and never refresh.
-            origin_entry = self._try_refresh(original_query)
+            # filters stay pure and never refresh.
+            origin_entry = self._refresh_origin(original_query)
         origin_materialized = origin_entry.materialized if origin_entry is not None else None
-        if strategy == "rewrite" and origin_materialized is None:
-            raise MaterializationError(
-                f"query {original_query.name!r} has no materialized results in this session; "
-                f"call execute() first (or use the plan/auto/scratch strategies)"
-            )
 
-        details: Dict[str, object] = {}
         started = time.perf_counter()
-        plan_seconds = 0.0
-        transformed_partial = None
         # Version observed when the transformed result is materialized (see
         # ResultCache.put: the stamp must predate the evaluation, not the
         # insertion).
         observed_version = self.instance.version
-        if strategy == "scratch":
-            answer, used, input_rows = self._scratch(original_query, operation, transformed_query)
-        elif strategy == "rewrite":
-            answer, used, input_rows, transformed_partial = self._rewrite(
-                origin_materialized, operation, transformed_query, materialize_partial=materialize
-            )
-        elif strategy == "auto":
-            # "Rewrite when possible, otherwise scratch": a missing origin
-            # entry (capacity 0, LRU eviction, graph mutation) means the
-            # rewriting inputs are gone, which is just another reason to
-            # fall back.
-            try:
-                if origin_materialized is None:
-                    raise MaterializationError(
-                        f"no materialized results for {original_query.name!r}"
-                    )
-                answer, used, input_rows, transformed_partial = self._rewrite(
-                    origin_materialized, operation, transformed_query, materialize_partial=materialize
-                )
-            except (MaterializationError, OLAPError):
-                answer, used, input_rows = self._scratch(original_query, operation, transformed_query)
-        else:  # plan
-            plan = self._planner.plan(
-                original_query,
-                operation,
-                transformed_query,
-                origin_materialized,
-                materialize_partial=materialize,
-            )
-            plan_seconds = time.perf_counter() - started
-            answer, transformed_partial = plan.execute()
-            chosen = plan.chosen
-            used = f"plan[{chosen.strategy}]"
-            input_rows = chosen.input_rows
-            details["plan"] = plan.explain()
-            details["estimated_cost"] = chosen.cost
+        plan = self._planner.plan(
+            original_query,
+            operation,
+            transformed_query,
+            origin_materialized,
+            materialize_partial=materialize,
+            families=_STRATEGY_FAMILIES[strategy],
+        )
+        if strategy == "auto":
+            rewritings = [c for c in plan.candidates if c.strategy.startswith("rewrite[")]
+            if rewritings:
+                plan = Plan(operation, transformed_query, rewritings)
+        chosen = plan.chosen
+        planned = strategy == "plan"
+        plan_seconds = time.perf_counter() - started if planned else 0.0
+        answer, transformed_partial = plan.execute()
+        details: Dict[str, object] = (
+            {"plan": plan.explain(), "estimated_cost": chosen.cost} if planned else {}
+        )
         elapsed = time.perf_counter() - started
 
         if materialize:
-            if used in ("plan[cached]", "plan[refresh-cached]"):
-                # The answer is already the cache entry for this very query
-                # (served, or patched in place and re-stamped by the refresh
-                # path): re-storing and re-persisting it would be pure
-                # overhead.
-                self._queries[transformed_query.name] = transformed_query
-            else:
-                self._store_transformed(
-                    transformed_query, answer, transformed_partial, version=observed_version
-                )
+            self._store(transformed_query, chosen, answer, transformed_partial, observed_version)
 
         self.history.append(
             TransformationRecord(
                 query_name=transformed_query.name,
                 operation=operation.describe(),
-                strategy=used,
+                strategy=f"plan[{chosen.strategy}]" if planned else chosen.strategy,
                 seconds=elapsed,
-                input_rows=input_rows,
+                input_rows=chosen.input_rows,
                 output_cells=len(answer),
                 details=details,
                 plan_seconds=plan_seconds,
@@ -697,60 +623,27 @@ class OLAPSession:
         )
         return Cube(answer, transformed_query)
 
-    def _rewrite(
-        self,
-        materialized: MaterializedQueryResults,
-        operation: OLAPOperation,
-        transformed_query: AnalyticalQuery,
-        materialize_partial: bool = False,
-    ):
-        result = self._rewriter.answer(
-            materialized, operation, transformed_query, materialize_partial=materialize_partial
-        )
-        if result.used_partial:
-            input_rows = len(materialized.partial)
-        elif result.used_answer:
-            input_rows = len(materialized.answer)
-        else:  # pragma: no cover - every current rewriting uses one of the two
-            input_rows = 0
-        return result.answer, f"rewrite[{result.strategy}]", input_rows, result.partial
-
-    def _scratch(
-        self,
-        original_query: AnalyticalQuery,
-        operation: OLAPOperation,
-        transformed_query: AnalyticalQuery,
-    ) -> Tuple[CubeAnswer, str, int]:
-        answer = transformed_answer_from_scratch(
-            self.evaluator, original_query, operation, transformed_query
-        )
-        used = "scratch" if self._entailment is None else f"scratch[{self._entailment}]"
-        return answer, used, len(self.instance)
-
-    def _store_transformed(
-        self,
-        transformed_query: AnalyticalQuery,
-        answer: CubeAnswer,
-        partial=None,
-        version: Optional[int] = None,
-    ) -> None:
-        self._queries[transformed_query.name] = transformed_query
-        self._cache.put(
-            transformed_query,
-            MaterializedQueryResults(transformed_query, answer=answer, partial=partial),
-            self.instance,
-            version=version,
-        )
+    def _store(self, query: AnalyticalQuery, chosen, answer: CubeAnswer, partial, version: int) -> None:
+        """Keep ``query``'s results (answered by ``chosen``) for further navigation."""
+        self._queries[query.name] = query
+        # A served or in-place-patched entry already *is* the cache entry for
+        # this very query: re-storing and re-persisting it is pure overhead.
+        if chosen.strategy not in ("cached", "refresh-cached"):
+            self._cache.put(
+                query,
+                MaterializedQueryResults(query, answer=answer, partial=partial),
+                self.instance,
+                version=version,
+            )
 
     def explain_last(self) -> str:
         """Describe the session's most recent operation.
 
         Planned transformations return their full costed plan (the
         candidate table of :meth:`~repro.olap.planner.Plan.explain`);
-        operations that never went through the planner — cache hits,
-        refresh-served and parallel executes, the forced
-        rewrite/scratch/auto strategies — return their one-line history
-        record (strategy, row counts, timing) instead of a placeholder.
+        :meth:`execute` and the forced rewrite/scratch/auto strategies
+        return their one-line history record (strategy, row counts,
+        timing).
         """
         if not self.history:
             return "(no operations in this session's history)"
@@ -791,7 +684,8 @@ class OLAPSession:
             raise OLAPError(
                 f"session roll-up keeps the query's own aggregate "
                 f"({getattr(original_query.aggregate, 'name', '?')}); for ad-hoc "
-                f"re-aggregation use repro.olap.hierarchy.roll_up_from_partial"
+                f"re-aggregation roll pres(Q) with repro.analytics.rolling.roll_partial "
+                f"and aggregate it with repro.olap.rewriting.answer_from_rolled_partial"
             )
         return self.transform(original_query, RollUp(dimension, hierarchy), strategy=strategy)
 
@@ -829,16 +723,22 @@ class OLAPSession:
         original_query = materialized.query
         transformed_query = operation.apply(original_query)
 
-        started = time.perf_counter()
-        rewritten, rewrite_strategy, _, _ = self._rewrite(materialized, operation, transformed_query)
-        rewrite_seconds = time.perf_counter() - started
+        def answered_by(family: str) -> Tuple[Cube, float, str]:
+            plan = self._planner.plan(
+                original_query,
+                operation,
+                transformed_query,
+                materialized,
+                materialize_partial=False,
+                families=(family,),
+            )
+            started = time.perf_counter()
+            answer, _ = plan.execute()
+            seconds = time.perf_counter() - started
+            return Cube(answer, transformed_query), seconds, plan.chosen.strategy
 
-        started = time.perf_counter()
-        scratch, _, _ = self._scratch(original_query, operation, transformed_query)
-        scratch_seconds = time.perf_counter() - started
-
-        rewritten_cube = Cube(rewritten, transformed_query)
-        scratch_cube = Cube(scratch, transformed_query)
+        rewritten_cube, rewrite_seconds, rewrite_strategy = answered_by("rewrite")
+        scratch_cube, scratch_seconds, _ = answered_by("scratch")
         return {
             "operation": operation.describe(),
             "rewrite_cube": rewritten_cube,

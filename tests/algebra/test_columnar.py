@@ -17,7 +17,6 @@ from repro.errors import ConfigurationError, UnknownColumnError
 from repro.algebra import columnar
 from repro.algebra.columnar import (
     ArrayGroupStates,
-    COLUMNAR_COST_MULTIPLIER,
     ColumnarIdRelation,
     group_reduce,
     group_states_columnar,
@@ -454,8 +453,6 @@ class TestEngineWiring:
 
         assert AnalyticalQueryEvaluator(example2_instance).engine == "columnar"
         assert AnalyticalQueryEvaluator(example2_instance, engine="rows").engine == "rows"
-        # The decode-eagerly baseline always runs on rows.
-        assert AnalyticalQueryEvaluator(example2_instance, id_space=False).engine == "rows"
         with OLAPSession(example2_instance, engine="rows") as session:
             assert session.engine == "rows"
 
@@ -484,6 +481,7 @@ class TestEngineWiring:
             parallel_module._WORKER_EVALUATOR = None
 
     def test_planner_prices_scratch_with_engine_multiplier(self, example2_instance):
+        from repro.olap.calibration import CostModel
         from repro.olap.session import OLAPSession
         from repro.olap.operations import Slice
         from tests.conftest import make_sites_query
@@ -501,5 +499,5 @@ class TestEngineWiring:
         columnar_cost = scratch_cost("columnar")
         assert columnar_cost < rows_cost
         assert columnar_cost == pytest.approx(
-            1.0 + COLUMNAR_COST_MULTIPLIER * (rows_cost - 1.0)
+            1.0 + CostModel().engine_multiplier("columnar") * (rows_cost - 1.0)
         )

@@ -15,7 +15,6 @@ from repro.bench.workloads import (
     experiment_aggregates,
     experiment_dice_selectivity,
     experiment_dimensionality,
-    experiment_engine_idspace,
     experiment_multivalue_fanout,
     experiment_operations_table,
     experiment_pres_storage,
@@ -41,12 +40,6 @@ class TestExperiments:
     def test_operations_table(self):
         table = experiment_operations_table("tiny")
         assert set(_column(table, "operation")) >= {"SLICE", "DICE", "DRILL-OUT", "DRILL-IN"}
-        assert all(value == "True" for value in _column(table, "equal"))
-
-    def test_engine_idspace_comparison(self):
-        table = experiment_engine_idspace("tiny", repeats=1)
-        assert set(_column(table, "engine")) == {"legacy", "decoded", "id-space"}
-        # every engine's cube equals the legacy (seed) cube on every workload
         assert all(value == "True" for value in _column(table, "equal"))
 
     @pytest.mark.parametrize("kind", ["slice", "dice", "drill-out", "drill-in"])

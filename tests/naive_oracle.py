@@ -1,24 +1,23 @@
-"""The pre-refactor evaluation pipeline, frozen as a benchmark baseline.
+"""The naive reference oracle: from-scratch evaluation sharing no code path
+with the production engine.
 
-The id-space refactor rebuilt the whole from-scratch evaluation path —
-slot-tuple BGP bindings, late materialization, positional/compiled σ, hash
-joins keyed on ints.  This module preserves the *seed* implementation it
-replaced, so the benchmarks can report an honest before/after on identical
-workloads:
+This is the seed implementation the id-space engine replaced, kept as the
+one independent reference the differential property tests compare against:
 
-* :class:`LegacyBGPEvaluator` — dictionary-of-variables bindings with a
+* :class:`NaiveBGPEvaluator` — dictionary-of-variables bindings with a
   fresh dict copy per candidate triple, eager per-row decoding of every
-  result (no decode cache);
-* :func:`legacy_select` — σ applied to a ``dict(zip(columns, row))`` per
-  row;
-* :func:`legacy_join_on` — hash join keyed on per-row value tuples;
-* :func:`legacy_group_aggregate` — γ over per-group value lists with
-  literal conversion inside the aggregate;
-* :class:`LegacyAnalyticalEvaluator` — the Definition 4 / Equation (3)
+  result;
+* :func:`naive_select` — σ applied to a ``dict(zip(columns, row))`` per row;
+* :func:`naive_join_on` — hash join keyed on per-row value tuples;
+* :func:`naive_group_aggregate` — γ over per-group value lists with literal
+  conversion inside the aggregate;
+* :class:`NaiveAnalyticalEvaluator` — the Definition 4 / Equation (3)
   pipeline wired from the above.
 
-Nothing outside ``benchmarks/`` and :mod:`repro.bench.workloads` should
-import this; the production engine lives in :mod:`repro.bgp.evaluator` and
+It reuses only the data model (graph, relation, query and answer classes),
+the aggregate functions and the pattern ordering — none of
+:mod:`repro.bgp.evaluator`, :mod:`repro.algebra.operators`,
+:mod:`repro.algebra.grouping`, :mod:`repro.algebra.columnar` or
 :mod:`repro.analytics.evaluator`.
 """
 
@@ -37,10 +36,10 @@ from repro.rdf.terms import Variable
 from repro.bgp.optimizer import order_patterns
 from repro.bgp.query import BGPQuery
 
-__all__ = ["LegacyBGPEvaluator", "LegacyAnalyticalEvaluator"]
+__all__ = ["NaiveBGPEvaluator", "NaiveAnalyticalEvaluator"]
 
 
-class LegacyBGPEvaluator:
+class NaiveBGPEvaluator:
     """The seed BGP evaluator: dict bindings, eager term decoding."""
 
     def __init__(self, graph: Graph, statistics: Optional[GraphStatistics] = None):
@@ -113,14 +112,14 @@ class LegacyBGPEvaluator:
         return extended
 
 
-def legacy_select(relation: Relation, predicate) -> Relation:
+def naive_select(relation: Relation, predicate) -> Relation:
     """The seed σ: one ``dict(zip(columns, row))`` per row."""
     columns = relation.columns
     kept = [row for row in relation if predicate(dict(zip(columns, row)))]
     return Relation(columns, kept)
 
 
-def legacy_join_on(left: Relation, right: Relation, join_pairs) -> Relation:
+def naive_join_on(left: Relation, right: Relation, join_pairs) -> Relation:
     """The seed equi-join: value-tuple hash keys, no adoption fast path."""
     left_key_indexes = tuple(left.column_index(l) for l, _ in join_pairs)
     right_key_indexes = tuple(right.column_index(r) for _, r in join_pairs)
@@ -140,7 +139,7 @@ def legacy_join_on(left: Relation, right: Relation, join_pairs) -> Relation:
     return Relation(output_columns, rows)
 
 
-def legacy_group_aggregate(relation: Relation, by, measure, function, output_column) -> Relation:
+def naive_group_aggregate(relation: Relation, by, measure, function, output_column) -> Relation:
     """The seed γ: tuple keys per row, value lists through the aggregate."""
     aggregate = get_aggregate(function)
     key_indexes = relation.column_indexes(by)
@@ -157,11 +156,11 @@ def legacy_group_aggregate(relation: Relation, by, measure, function, output_col
     return Relation(tuple(by) + (output_column,), rows)
 
 
-class LegacyAnalyticalEvaluator:
+class NaiveAnalyticalEvaluator:
     """The seed from-scratch AnQ pipeline (Definition 4 + Equation (3))."""
 
     def __init__(self, instance: Graph, statistics: Optional[GraphStatistics] = None):
-        self._bgp = LegacyBGPEvaluator(instance, statistics)
+        self._bgp = NaiveBGPEvaluator(instance, statistics)
 
     def partial_result(
         self, query: AnalyticalQuery, key_generator: Optional[KeyGenerator] = None
@@ -169,14 +168,14 @@ class LegacyAnalyticalEvaluator:
         fact = query.fact_variable.name
         classifier = self._bgp.evaluate(query.classifier, semantics="set")
         if not query.sigma.is_unrestricted():
-            classifier = legacy_select(classifier, query.sigma.allows_row)
+            classifier = naive_select(classifier, query.sigma.allows_row)
         keys = key_generator or KeyGenerator()
         measure = self._bgp.evaluate(query.measure, semantics="bag")
         measure_column = query.measure_variable.name
         keyed = Relation(
             (KEY_COLUMN,) + measure.columns, [(keys(),) + row for row in measure]
         ).reorder((fact, KEY_COLUMN, measure_column))
-        joined = legacy_join_on(classifier, keyed, [(fact, fact)])
+        joined = naive_join_on(classifier, keyed, [(fact, fact)])
         dimension_columns = query.dimension_names
         expected = (fact, *dimension_columns, KEY_COLUMN, measure_column)
         if tuple(joined.columns) != expected:
@@ -200,7 +199,7 @@ class LegacyAnalyticalEvaluator:
             (partial.fact_column, *dimension_columns, measure_column),
             [tuple(row[i] for i in indexes) for row in partial.relation],
         )
-        aggregated = legacy_group_aggregate(
+        aggregated = naive_group_aggregate(
             projected,
             by=dimension_columns,
             measure=measure_column,

@@ -37,21 +37,19 @@ def _record(strategy, cost, execute_seconds, plan_seconds=0.0):
 
 
 class TestCostModel:
-    def test_defaults_match_static_constants(self):
-        from repro.olap import maintenance, parallel, planner
-
+    def test_defaults_are_the_hand_set_constants(self):
         model = CostModel()
-        assert model.select_row_cost == planner.SELECT_ROW_COST
-        assert model.group_row_cost == planner.GROUP_ROW_COST
-        assert model.join_row_cost == planner.JOIN_ROW_COST
-        assert model.cached_cell_cost == planner.CACHED_CELL_COST
-        assert model.base_cost == planner.BASE_COST
-        assert model.delta_probe_cost == maintenance.DELTA_PROBE_COST
-        assert model.pres_scan_cost == maintenance.PRES_SCAN_COST
-        assert model.refresh_cell_cost == maintenance.REFRESH_CELL_COST
-        assert model.merge_cell_cost == parallel.MERGE_CELL_COST
-        assert model.dispatch_shard_cost == parallel.DISPATCH_SHARD_COST
-        assert model.mmap_dispatch_shard_cost == parallel.MMAP_DISPATCH_SHARD_COST
+        assert model.select_row_cost == 1.0
+        assert model.group_row_cost == 2.0
+        assert model.join_row_cost == 2.0
+        assert model.cached_cell_cost == 0.05
+        assert model.base_cost == 1.0
+        assert model.delta_probe_cost == 2.0
+        assert model.pres_scan_cost == 0.25
+        assert model.refresh_cell_cost == 0.05
+        assert model.merge_cell_cost == 0.5
+        assert model.dispatch_shard_cost == 200.0
+        assert model.mmap_dispatch_shard_cost == 8.0
         assert model.source == "static"
 
     def test_engine_multiplier(self):

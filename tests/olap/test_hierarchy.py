@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.errors import OLAPError, RewritingError
+from repro.errors import OLAPError
 from repro.rdf import EX, Literal, RDF, Triple
 from repro.analytics import AnalyticalQueryEvaluator
-from repro.olap import Cube, DimensionHierarchy, OLAPSession, roll_up_from_answer_naive, roll_up_from_partial
+from repro.analytics.rolling import roll_partial
+from repro.olap import Cube, DimensionHierarchy, OLAPSession, RollUp, answer_from_rolled_partial
 
 from tests.conftest import make_sites_query
 
@@ -54,11 +55,16 @@ class TestDimensionHierarchy:
         assert hierarchy.parent("1") == "digit"
 
 
+def _rolled_answer(instance, query, dimension, hierarchy):
+    """``ans`` of ``query`` rolled up from its from-scratch ``pres``."""
+    rolled_query = RollUp(dimension, hierarchy).apply(query)
+    partial = AnalyticalQueryEvaluator(instance).partial_result(query)
+    return answer_from_rolled_partial(roll_partial(partial, rolled_query), rolled_query)
+
+
 class TestRollUpCorrectness:
     def test_roll_up_ages_to_bands_on_example2(self, example2_instance, sites_query):
-        evaluator = AnalyticalQueryEvaluator(example2_instance)
-        partial = evaluator.partial_result(sites_query)
-        rolled = roll_up_from_partial(partial, sites_query, "dage", AGE_BANDS)
+        rolled = _rolled_answer(example2_instance, sites_query, "dage", AGE_BANDS)
         cells = {(str(row[0]), row[1].local_name()): row[2] for row in rolled.relation}
         # user1 (28, Madrid, 3 sites measures) -> young; user3+user4 (35, NY) -> senior.
         assert cells == {("young", "Madrid"): 3, ("senior", "NY"): 2}
@@ -66,24 +72,22 @@ class TestRollUpCorrectness:
     def test_roll_up_does_not_double_count_multivalued_dimensions(self):
         """A blogger living in two cities of the same country is counted once."""
         graph = self._two_city_instance()
-        query = make_sites_query("sum")
-        # Measure: count of posting sites -> use count to keep it simple.
         query = make_sites_query("count")
-        evaluator = AnalyticalQueryEvaluator(graph)
-        partial = evaluator.partial_result(query)
         hierarchy = DimensionHierarchy(
             {EX.term("Madrid"): "Spain", EX.term("Barcelona"): "Spain"}, name="city->country"
         )
-        rolled = roll_up_from_partial(partial, query, "dcity", hierarchy)
+        rolled = _rolled_answer(graph, query, "dcity", hierarchy)
         cells = {(row[0], row[1]): row[2] for row in rolled.relation}
         # user1 wrote 2 posts; living in Madrid AND Barcelona must not double it.
         assert cells == {(Literal(28), "Spain"): 2}
 
-        naive = roll_up_from_answer_naive(
-            evaluator.answer_from_partial(query, partial), query, "dcity", hierarchy
-        )
-        naive_cells = {(row[0], row[1]): row[2] for row in naive.relation}
-        assert naive_cells == {(Literal(28), "Spain"): 4}  # the double-counting error
+        # The relational shortcut — combining already-aggregated ans(Q) cells
+        # per parent — double-counts the multi-valued fact.
+        naive_cells = {}
+        for age, city, count in AnalyticalQueryEvaluator(graph).answer(query).relation:
+            key = (age, hierarchy.parent(city))
+            naive_cells[key] = naive_cells.get(key, 0) + count
+        assert naive_cells == {(Literal(28), "Spain"): 4}
 
     @staticmethod
     def _two_city_instance():
@@ -101,31 +105,33 @@ class TestRollUpCorrectness:
             graph.add(Triple(post, EX.postedOn, EX.term(site)))
         return graph
 
-    def test_roll_up_with_average_recomputes_from_details(self, example4_instance, words_query=None):
+    def test_roll_up_with_average_recomputes_from_details(self, example4_instance):
         from tests.conftest import make_words_query
 
-        query = make_words_query()
-        evaluator = AnalyticalQueryEvaluator(example4_instance)
-        partial = evaluator.partial_result(query)
-        rolled = roll_up_from_partial(partial, query, "dage", AGE_BANDS)
+        rolled = _rolled_answer(example4_instance, make_words_query(), "dage", AGE_BANDS)
         cells = {(str(row[0]), row[1].local_name()): row[2] for row in rolled.relation}
         assert cells[("young", "Madrid")] == pytest.approx((100 + 120 + 410) / 3)
         assert cells[("senior", "NY")] == pytest.approx(570.0)
 
     def test_roll_up_unknown_dimension(self, example2_instance, sites_query):
-        evaluator = AnalyticalQueryEvaluator(example2_instance)
-        partial = evaluator.partial_result(sites_query)
-        with pytest.raises(RewritingError):
-            roll_up_from_partial(partial, sites_query, "dbrowser", AGE_BANDS)
+        session = OLAPSession(example2_instance)
+        session.execute(sites_query)
+        with pytest.raises(OLAPError):
+            session.roll_up(sites_query, "dbrowser", AGE_BANDS)
 
-    def test_naive_roll_up_requires_distributive_aggregate(self, example4_instance):
-        from tests.conftest import make_words_query
-
-        query = make_words_query()  # avg
-        evaluator = AnalyticalQueryEvaluator(example4_instance)
-        answer = evaluator.answer(query)
-        with pytest.raises(RewritingError):
-            roll_up_from_answer_naive(answer, query, "dage", AGE_BANDS)
+    def test_roll_up_with_another_aggregate_points_at_the_building_blocks(
+        self, example2_instance, sites_query
+    ):
+        session = OLAPSession(example2_instance)
+        session.execute(sites_query)
+        with pytest.raises(OLAPError) as raised:
+            session.roll_up(sites_query, "dage", AGE_BANDS, aggregate="sum")
+        message = str(raised.value)
+        assert f"{roll_partial.__module__}.{roll_partial.__name__}" in message
+        assert (
+            f"{answer_from_rolled_partial.__module__}.{answer_from_rolled_partial.__name__}"
+            in message
+        )
 
 
 class TestSessionRollUp:

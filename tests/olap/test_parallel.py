@@ -31,6 +31,7 @@ from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery, KEY_COLUMN
 from repro.olap.cube import Cube
 from repro.olap.parallel import KEY_STRIDE, ParallelExecutor, estimate_parallel_cost
+from repro.olap.calibration import CostModel
 from repro.olap.maintenance import estimate_scratch_cost
 
 from tests.conftest import make_sites_query, make_words_query
@@ -278,6 +279,23 @@ class TestParallelExecutor:
             assert executor.last_backend == "process"
         assert cube.same_cells(oracle)
 
+    def test_process_workers_rewrite_entailment_like_their_parent(self, small_retail_dataset):
+        """Workers must be built from the parent evaluator's class: a plain
+        worker evaluator silently drops every entailed sale and amount."""
+        from repro.analytics.entailment import EntailmentRewritingEvaluator
+        from repro.datagen.retail import revenue_query
+
+        dataset = small_retail_dataset
+        query = revenue_query(dataset.schema)
+        evaluator = EntailmentRewritingEvaluator(dataset.instance)
+        oracle = Cube(evaluator.answer(query), query)
+        plain = Cube(AnalyticalQueryEvaluator(dataset.instance).answer(query), query)
+        assert not oracle.same_cells(plain)  # entailment matters on this data
+        with ParallelExecutor(evaluator, workers=2, shard_count=3, backend="process") as executor:
+            cube = Cube(executor.answer(query), query)
+            assert executor.last_backend == "process"
+        assert cube.same_cells(oracle)
+
     def test_process_pool_rebuilds_after_instance_mutation(self, example2_instance):
         query = make_sites_query("count")
         with _executor(example2_instance, workers=2, shard_count=2, backend="process") as executor:
@@ -341,25 +359,24 @@ class TestParallelExecutor:
         with pytest.raises(ValueError):
             ParallelExecutor(evaluator, workers=2, backend="gpu")
 
-    def test_decoded_evaluator_is_unsupported(self, example2_instance):
-        evaluator = AnalyticalQueryEvaluator(example2_instance, id_space=False)
-        executor = ParallelExecutor(evaluator, workers=2)
-        assert not executor.supports(make_sites_query("count"))
-
 
 class TestParallelCostModel:
     def test_dispatch_overhead_keeps_tiny_instances_serial(self, example2_instance):
         statistics = AnalyticalQueryEvaluator(example2_instance).bgp_evaluator.statistics
         query = make_sites_query("count")
         serial_cost = estimate_scratch_cost(statistics, query)
-        parallel_cost = estimate_parallel_cost(statistics, query, workers=4, shard_count=4)
+        parallel_cost = estimate_parallel_cost(
+            statistics, query, workers=4, shard_count=4, model=CostModel()
+        )
         assert parallel_cost > serial_cost
 
     def test_more_workers_price_lower_until_overhead_dominates(self, example2_instance):
         statistics = AnalyticalQueryEvaluator(example2_instance).bgp_evaluator.statistics
         query = make_sites_query("count")
         same_shards = [
-            estimate_parallel_cost(statistics, query, workers=workers, shard_count=8)
+            estimate_parallel_cost(
+                statistics, query, workers=workers, shard_count=8, model=CostModel()
+            )
             for workers in (1, 2, 4, 8)
         ]
         assert same_shards == sorted(same_shards, reverse=True)
@@ -545,30 +562,29 @@ class TestExecutorStatsAndAttachMode:
             assert "pickled-graph attach" in explanation
             assert "fallback" in explanation
 
-    def test_dispatch_cost_constant_tracks_attach_mode(self, example2_instance, tmp_path):
+    def test_dispatch_cost_tracks_attach_mode(self, example2_instance, tmp_path):
         pytest.importorskip("numpy")
-        from repro.olap.parallel import (
-            DISPATCH_SHARD_COST,
-            MMAP_DISPATCH_SHARD_COST,
-            dispatch_shard_cost,
-        )
         from repro.storage import load_snapshot, save_snapshot
 
-        assert dispatch_shard_cost(example2_instance) == DISPATCH_SHARD_COST
         path = str(tmp_path / "example2.snap")
         save_snapshot(example2_instance, path)
         mapped = load_snapshot(path, mmap=True)
-        assert dispatch_shard_cost(mapped) == MMAP_DISPATCH_SHARD_COST
-        assert MMAP_DISPATCH_SHARD_COST < DISPATCH_SHARD_COST
+        model = CostModel()
+        assert model.dispatch_cost(example2_instance) == model.dispatch_shard_cost
+        assert model.dispatch_cost(mapped) == model.mmap_dispatch_shard_cost
+        assert model.mmap_dispatch_shard_cost < model.dispatch_shard_cost
 
     def test_mmap_dispatch_prices_parallel_cheaper(self, example2_instance):
         statistics = AnalyticalQueryEvaluator(example2_instance).bgp_evaluator.statistics
         query = make_sites_query("count")
-        from repro.olap.parallel import MMAP_DISPATCH_SHARD_COST
 
-        pickled = estimate_parallel_cost(statistics, query, workers=2, shard_count=4)
+        class Mapped:
+            snapshot_path = "/tmp/example2.snap"
+
+        pickled = estimate_parallel_cost(
+            statistics, query, workers=2, shard_count=4, model=CostModel()
+        )
         mmap = estimate_parallel_cost(
-            statistics, query, workers=2, shard_count=4,
-            dispatch_cost=MMAP_DISPATCH_SHARD_COST,
+            statistics, query, workers=2, shard_count=4, model=CostModel(), graph=Mapped()
         )
         assert mmap < pickled

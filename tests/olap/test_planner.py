@@ -235,8 +235,8 @@ class TestExplain:
 
     def test_explain_last_helper(self, executed):
         session, query = executed
-        # execute() never goes through the planner, but the operation is
-        # still reported (strategy + timing) instead of a placeholder.
+        # execute() records no costed plan, but the operation is still
+        # reported (strategy + timing) instead of a placeholder.
         explanation = session.explain_last()
         assert "scratch" in explanation
         assert "execute" in explanation

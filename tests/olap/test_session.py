@@ -3,8 +3,14 @@
 import pytest
 
 from repro.errors import MaterializationError, OLAPError
-from repro.rdf import EX, Literal
-from repro.olap.operations import Dice, DrillIn, DrillOut, Slice
+from repro.rdf import EX, Literal, RDF, Triple
+from repro.datagen.retail import (
+    RetailConfig,
+    city_region_hierarchy,
+    retail_dataset,
+    revenue_query,
+)
+from repro.olap.operations import Dice, DrillIn, DrillOut, RollUp, Slice
 from repro.olap.session import OLAPSession
 
 from tests.conftest import make_sites_query, make_views_query
@@ -46,13 +52,108 @@ class TestExecution:
         assert "Q_sites" in str(record)
 
 
+SLICE = Slice("dage", Literal(35))
+
+
+def _executed(instance, times=1, **options):
+    """A session that executed the sites query ``times`` times."""
+    session = OLAPSession(instance, **options)
+    for _ in range(times):
+        session.execute(make_sites_query())
+    return session
+
+
+def _disk_warmed(instance, store, **options):
+    OLAPSession(instance, cache_dir=store).execute(make_sites_query())
+    return _executed(instance, cache_dir=store, **options)
+
+
+def _updated_between_executes(instance):
+    # Row engine: pins the cost ranking that makes patching beat recomputing.
+    session = _executed(instance, engine="rows")
+    instance.add(Triple(EX.term("user9"), RDF.term("type"), EX.Blogger))
+    session.execute(make_sites_query())
+    return session
+
+
+def _executed_in_parallel():
+    dataset = retail_dataset(RetailConfig(sales=300))
+    session = OLAPSession(dataset.instance, dataset.schema, workers=2, parallel_backend="thread")
+    session.execute(revenue_query(dataset.schema))
+    return session
+
+
+def _transformed(instance, strategy, times=1, **options):
+    session = _executed(instance, engine="rows", **options)
+    for _ in range(times):
+        session.transform(make_sites_query(), SLICE, strategy=strategy)
+    return session
+
+
+#: ``(history label, scenario(instance, store) -> session whose last record took that route)``
+ROUTES = [
+    ("scratch", lambda graph, store: _executed(graph)),
+    ("cache", lambda graph, store: _executed(graph, times=2)),
+    ("cache[disk]", lambda graph, store: _disk_warmed(graph, store)),
+    ("cache[disk]", lambda graph, store: _disk_warmed(graph, store, cache_capacity=0)),
+    ("refresh", lambda graph, store: _updated_between_executes(graph)),
+    ("parallel", lambda graph, store: _executed_in_parallel()),
+    ("scratch[saturate]", lambda graph, store: _executed(graph, entailment="saturate")),
+    ("scratch[rewrite]", lambda graph, store: _executed(graph, entailment="rewrite")),
+    ("rewrite[slice-dice/ans]", lambda graph, store: _transformed(graph, "rewrite")),
+    ("rewrite[slice-dice/ans]", lambda graph, store: _transformed(graph, "auto")),
+    ("scratch", lambda graph, store: _transformed(graph, "scratch")),
+    ("scratch[saturate]", lambda graph, store: _transformed(graph, "scratch", entailment="saturate")),
+    ("plan[rewrite[slice-dice/ans]]", lambda graph, store: _transformed(graph, "plan")),
+    ("plan[cached]", lambda graph, store: _transformed(graph, "plan", times=2)),
+]
+
+
+class TestRouteLabels:
+    @pytest.mark.parametrize(
+        "label,scenario", ROUTES, ids=[f"{i}-{label}" for i, (label, _) in enumerate(ROUTES)]
+    )
+    def test_route_label(self, label, scenario, example2_instance, tmp_path):
+        """The history label of every route: ``benchmarks/e2e``,
+        ``calibration.strategy_family``, the advisor and
+        ``ServedResult.strategy`` all parse these strings."""
+        with scenario(example2_instance, str(tmp_path)) as session:
+            assert session.history[-1].strategy == label
+
+    @pytest.mark.parametrize("entailment", [None, "rewrite"])
+    @pytest.mark.parametrize("rolled", [False, True], ids=["base", "rolled"])
+    def test_execute_takes_the_route_the_planner_prices_cheapest(self, rolled, entailment):
+        """One pricing site: ``execute(Q)`` cannot pick another engine than the
+        planner's own winner for ``Q`` — rolling pass and entailment branch
+        fan-out included (separate pricing in ``execute`` used to miss both)."""
+        config = RetailConfig(sales=40)
+        dataset = retail_dataset(config)
+        query = revenue_query(dataset.schema)
+        if rolled:
+            query = RollUp("dcity", city_region_hierarchy(config)).apply(query)
+        with OLAPSession(dataset.instance, dataset.schema, entailment=entailment) as serial:
+            expected = serial.execute(query)
+        with OLAPSession(
+            dataset.instance,
+            dataset.schema,
+            workers=2,
+            parallel_backend="thread",
+            entailment=entailment,
+        ) as session:
+            winner = session.planner.plan_query(query).chosen.strategy
+            assert winner in ("parallel", "scratch", "scratch[rewrite]")
+            cube = session.execute(query)
+            assert session.history[-1].strategy == winner
+            assert cube.same_cells(expected)
+
+
 class TestTransform:
     def test_transform_with_rewrite_strategy(self, example2_instance, sites_query):
         session = OLAPSession(example2_instance)
         session.execute(sites_query)
         cube = session.transform(sites_query, Slice("dage", Literal(35)), strategy="rewrite")
         assert len(cube) == 1
-        assert session.history[-1].strategy.startswith("rewrite")
+        assert session.history[-1].strategy == "rewrite[slice-dice/ans]"
 
     def test_transform_with_scratch_strategy(self, example2_instance, sites_query):
         session = OLAPSession(example2_instance)

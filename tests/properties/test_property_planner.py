@@ -3,9 +3,10 @@
 For random chains of OLAP operations (length ≤ 6) over randomized blogger
 workloads, the cube the planner-driven session produces at every step must
 equal the cube computed from scratch by the id-space engine AND the cube
-computed by the frozen legacy (seed) engine — regardless of the session's
-cache capacity, including the degenerate capacities 0 (nothing ever cached:
-every plan falls back to scratch) and 1 (constant eviction churn).
+computed by the naive reference oracle (:mod:`tests.naive_oracle`) —
+regardless of the session's cache capacity, including the degenerate
+capacities 0 (nothing ever cached: every plan falls back to scratch) and 1
+(constant eviction churn).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -13,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 from repro.datagen import BloggerConfig, blogger_dataset
 from repro.datagen.blogger import sites_per_blogger_query
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
-from repro.bench.legacy import LegacyAnalyticalEvaluator
 from repro.olap.cube import Cube
 from repro.olap.operations import Dice, DrillIn, DrillOut, Slice
 from repro.olap.session import OLAPSession
+
+from tests.naive_oracle import NaiveAnalyticalEvaluator
 
 _SETTINGS = dict(max_examples=10, deadline=None)
 
@@ -95,7 +97,7 @@ def test_planner_chain_matches_both_engines(data, seed, chain_length, capacity):
     kwargs = {} if capacity is None else {"cache_capacity": capacity}
     session = OLAPSession(dataset.instance, dataset.schema, **kwargs)
     scratch_engine = AnalyticalQueryEvaluator(dataset.instance)
-    legacy_engine = LegacyAnalyticalEvaluator(dataset.instance)
+    oracle_engine = NaiveAnalyticalEvaluator(dataset.instance)
 
     session.execute(query)
     current = query
@@ -106,12 +108,12 @@ def test_planner_chain_matches_both_engines(data, seed, chain_length, capacity):
         planned = session.transform(current, operation, strategy="plan")
         transformed = planned.query
         scratch = Cube(scratch_engine.answer(transformed), transformed)
-        legacy = Cube(legacy_engine.answer(transformed), transformed)
+        oracle = Cube(oracle_engine.answer(transformed), transformed)
         assert planned.same_cells(scratch), (
             f"planner diverged from id-space scratch on {transformed.name} "
             f"(strategy {session.history[-1].strategy}, capacity {capacity})"
         )
-        assert scratch.same_cells(legacy), f"engines diverged on {transformed.name}"
+        assert scratch.same_cells(oracle), f"engine diverged from the oracle on {transformed.name}"
         current = transformed
 
 

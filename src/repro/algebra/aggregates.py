@@ -11,25 +11,29 @@ All aggregates operate on **bags** of values (Python sequences where
 duplicates matter).  Values may be RDF literals; they are converted to
 Python numbers/strings first through :func:`~repro.algebra.expressions.comparable`.
 
-Partial-aggregate algebra
--------------------------
+Mergeable-state algebra
+-----------------------
 
-The partitioned execution engine (:mod:`repro.olap.parallel`) evaluates γ
-per fact shard and combines the per-shard results.  Plain distributivity is
-not enough for that: ``avg`` and ``count_distinct`` are not distributive,
-yet both *are* mergeable through a richer intermediate state — ``avg`` as a
-``(sum, count)`` pair, ``count_distinct`` as the set of distinct raw values
-(term ids on encoded relations, so shards never decode).  Each standard
-aggregate therefore carries a :class:`PartialAggregate`: a small algebra of
-``make`` (bag → state), ``merge`` (state × state → state, associative and
-commutative) and ``finalize`` (state → aggregated value).  Aggregates
-without a registered partial form simply cannot be parallelized; callers
-ask via :func:`partial_aggregate`.
+γ is evaluated through **one** algebra whether it runs over a whole
+relation or over the fact shards of :mod:`repro.olap.parallel`: ``make``
+(bag → state), ``merge`` (state × state → state, associative and
+commutative) and ``finalize`` (state → aggregated value).  Serial γ is the
+one-partition case — ``finalize(make(bag))`` — so each standard aggregate is
+defined exactly once, by those three functions.  Plain distributivity would
+not be enough: ``avg`` and ``count_distinct`` are not distributive, yet both
+*are* mergeable through a richer state — ``avg`` as a ``(sum, count)`` pair,
+``count_distinct`` as the set of distinct raw values (term ids on encoded
+relations, so shards never decode).  A custom aggregate that supplies only a
+bag function is the degenerate case: its state is its final value, which
+cannot be merged, so it answers serially and is never partitioned
+(:attr:`AggregateFunction.mergeable` is False).
 """
 
 from __future__ import annotations
 
+import operator
 from decimal import Decimal
+from functools import reduce
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import AggregationError
@@ -38,10 +42,8 @@ from repro.algebra.expressions import comparable
 __all__ = [
     "AggregateFunction",
     "AggregateRegistry",
-    "PartialAggregate",
     "default_registry",
     "get_aggregate",
-    "partial_aggregate",
     "COUNT",
     "COUNT_DISTINCT",
     "SUM",
@@ -51,8 +53,24 @@ __all__ = [
 ]
 
 
+def _identity(state: object, decode=None) -> object:
+    return state
+
+
 class AggregateFunction:
     """A named aggregation function ``⊕`` over bags of values.
+
+    ``AggregateFunction(name, function, ...)`` wraps a plain bag function —
+    the form custom aggregates register in.  The standard aggregates are
+    built by :meth:`from_states` from their mergeable-state algebra, whose
+    contract is
+
+        ``finalize(merge(make(A), make(B))) = ⊕(A ⊎ B)``
+
+    with ``merge`` associative and commutative, so the γ results of disjoint
+    row partitions combine in any order and grouping into exactly the serial
+    answer.  States must be plain picklable Python data — they cross process
+    boundaries.
 
     Attributes
     ----------
@@ -62,6 +80,13 @@ class AggregateFunction:
         True when ``⊕(A ∪ B) = ⊕({⊕(A), ⊕(B)})`` for disjoint bags A, B.
     numeric_only:
         True when inputs must be numbers (after literal conversion).
+    raw_states:
+        True when states are built from the *raw* relation column values
+        (term ids on encoded relations) instead of :meth:`prepare`'d ones:
+        ``count`` needs only the bag's cardinality and ``count_distinct``
+        ships integer sets, so neither decodes while grouping;
+        :meth:`finalize` then receives a unary ``decode`` to bring the
+        merged members into value space once, at the merge boundary.
     """
 
     def __init__(
@@ -70,56 +95,99 @@ class AggregateFunction:
         function: Callable[[List], object],
         distributive: bool,
         numeric_only: bool = True,
-        combine: Optional[Callable[[List], object]] = None,
-        value_free: bool = False,
     ):
         self.name = name
-        self._function = function
         self.distributive = distributive
         self.numeric_only = numeric_only
-        self._combine = combine if combine is not None else (function if distributive else None)
-        #: True when the result depends only on the bag's cardinality
-        #: (``count``): γ can then skip decoding/converting the values.
-        self.value_free = value_free
+        self.raw_states = False
+        self._make = function
+        self._merge: Optional[Callable[[object, object], object]] = None
+        self._finalize: Callable = _identity
+
+    @classmethod
+    def from_states(
+        cls,
+        name: str,
+        make: Callable[[Sequence], object],
+        merge: Callable[[object, object], object],
+        finalize: Callable,
+        distributive: bool,
+        numeric_only: bool,
+        raw_states: bool,
+    ) -> "AggregateFunction":
+        """Define a mergeable aggregate by its state algebra.
+
+        ``finalize`` is called as ``finalize(state, decode)``; a distributive
+        aggregate's state is the aggregated value itself.
+        """
+        aggregate = cls(name, make, distributive, numeric_only)
+        aggregate._merge = merge
+        aggregate._finalize = finalize
+        aggregate.raw_states = raw_states
+        return aggregate
 
     # ------------------------------------------------------------------
 
+    @property
+    def mergeable(self) -> bool:
+        """True when states of disjoint sub-bags merge (γ can be partitioned)."""
+        return self._merge is not None
+
+    def make(self, values: Sequence) -> object:
+        """The state of one non-empty bag (raw or prepared, per ``raw_states``)."""
+        return self._make(values)
+
+    def merge(self, left: object, right: object) -> object:
+        """Combine the states of two disjoint sub-bags."""
+        if self._merge is None:
+            raise AggregationError(
+                f"aggregate {self.name!r} has no mergeable state; evaluate serially"
+            )
+        return self._merge(left, right)
+
+    def finalize(self, state: object, decode: Optional[Callable[[object], object]] = None) -> object:
+        """Turn a (merged) state into the aggregated value."""
+        return self._finalize(state, decode)
+
     def __call__(self, values: Iterable) -> object:
-        """Aggregate a bag of values.
+        """Aggregate a bag of values: the one-partition ``finalize(make(bag))``.
 
         Per Definition 1 of the paper, the aggregate of an empty bag is
         *undefined*; we signal that with :class:`AggregationError`, and the
         evaluator simply omits the fact from the cube.
         """
-        prepared = self._prepare(values)
+        prepared = self.prepare(values)
         if not prepared:
             raise AggregationError(f"aggregate {self.name!r} is undefined on an empty bag")
-        return self._function(prepared)
+        return self._finalize(self._make(prepared), None)
 
     def combine(self, partial_results: Iterable) -> object:
-        """Combine already-aggregated partial results (distributive functions only)."""
-        if self._combine is None:
+        """Combine already-aggregated partial results (distributive functions only).
+
+        A distributive mergeable aggregate's state *is* its value, so
+        combining is folding ``merge`` over the partial results (``count``
+        adds its counts up); a bag-function aggregate declared distributive
+        re-applies its function.
+        """
+        if not self.distributive:
             raise AggregationError(
                 f"aggregate {self.name!r} is not distributive; partial results cannot be combined"
             )
         prepared = [comparable(value) for value in partial_results]
         if not prepared:
             raise AggregationError(f"aggregate {self.name!r} is undefined on an empty bag")
-        return self._combine(prepared)
+        if self._merge is None:
+            return self._make(prepared)
+        return reduce(self._merge, prepared)
 
     def prepare(self, values: Iterable) -> List:
         """Convert a bag to the value space ⊕ aggregates over.
 
-        Public counterpart of the internal conversion applied by
-        :meth:`__call__`: literals become Python values and, for
-        numeric-only aggregates, everything is coerced to a number (or
-        :class:`AggregationError` is raised).  The partitioned γ uses this
-        so per-shard partial states are built from exactly the values the
-        serial aggregate would see.
+        Literals become Python values and, for numeric-only aggregates,
+        everything is coerced to a number (or :class:`AggregationError` is
+        raised).  γ builds every non-raw state from exactly these values,
+        whichever partition it runs over.
         """
-        return self._prepare(values)
-
-    def _prepare(self, values: Iterable) -> List:
         prepared = [comparable(value) for value in values]
         if self.numeric_only:
             converted = []
@@ -143,208 +211,70 @@ class AggregateFunction:
         return f"AggregateFunction({self.name}, {kind})"
 
 
-def _sum(values: List) -> object:
-    return sum(values)
+def _avg_make(values: Sequence) -> tuple:
+    return (sum(values), len(values))
 
 
-def _avg(values: List) -> float:
-    return float(sum(values)) / len(values)
+def _avg_merge(left: tuple, right: tuple) -> tuple:
+    return (left[0] + right[0], left[1] + right[1])
 
 
-def _count(values: List) -> int:
-    return len(values)
+def _avg_finalize(state: tuple, decode=None) -> float:
+    total, count = state
+    return float(total) / count
 
 
-def _count_distinct(values: List) -> int:
-    return len(set(values))
+def _distinct_finalize(state: frozenset, decode=None) -> int:
+    members = state if decode is None else (decode(value) for value in state)
+    return len({comparable(value) for value in members})
 
 
-def _min(values: List) -> object:
-    return min(values)
-
-
-def _max(values: List) -> object:
-    return max(values)
-
-
-#: ``count`` is distributive: counts of disjoint sub-bags add up.
-COUNT = AggregateFunction(
-    "count", _count, distributive=True, numeric_only=False, combine=_sum, value_free=True
+#: ``count`` is distributive: the state is the bag's cardinality (no value
+#: is ever decoded or converted) and counts of disjoint sub-bags add up.
+COUNT = AggregateFunction.from_states(
+    "count", len, operator.add, _identity, distributive=True, numeric_only=False, raw_states=True
 )
 
-#: ``count_distinct`` is *not* distributive (distinct values may repeat across sub-bags).
-COUNT_DISTINCT = AggregateFunction(
-    "count_distinct", _count_distinct, distributive=False, numeric_only=False
+#: ``count_distinct`` is *not* distributive (distinct values may repeat across
+#: sub-bags): the state is the set of distinct raw values, merge unions the
+#: sets, and only the merged set's members are decoded and converted, each
+#: exactly once — so two ids decoding to equal comparable values (``28`` and
+#: ``28.0``) count as one, exactly as over the whole bag.
+COUNT_DISTINCT = AggregateFunction.from_states(
+    "count_distinct",
+    frozenset,
+    operator.or_,
+    _distinct_finalize,
+    distributive=False,
+    numeric_only=False,
+    raw_states=True,
 )
 
-SUM = AggregateFunction("sum", _sum, distributive=True)
-AVG = AggregateFunction("avg", _avg, distributive=False)
-MIN = AggregateFunction("min", _min, distributive=True, numeric_only=False)
-MAX = AggregateFunction("max", _max, distributive=True, numeric_only=False)
+#: ``sum``: the state is the running sum; merge adds (exact on ints/Decimals).
+SUM = AggregateFunction.from_states(
+    "sum", sum, operator.add, _identity, distributive=True, numeric_only=True, raw_states=False
+)
 
+#: ``avg``: the state is ``(sum, count)``; division happens once, at finalize.
+#: Sums of integer bags stay integers, so the merged total — and therefore
+#: ``float(total) / n`` — is bit-identical however the rows were partitioned.
+AVG = AggregateFunction.from_states(
+    "avg",
+    _avg_make,
+    _avg_merge,
+    _avg_finalize,
+    distributive=False,
+    numeric_only=True,
+    raw_states=False,
+)
 
-# ---------------------------------------------------------------------------
-# partial-aggregate algebra (mergeable γ states for partitioned execution)
-# ---------------------------------------------------------------------------
-
-
-class PartialAggregate:
-    """The mergeable-state algebra of one aggregation function ⊕.
-
-    ``make`` builds a state from one shard's (non-empty) bag, ``merge``
-    combines the states of two disjoint sub-bags and ``finalize`` turns a
-    state into the aggregated value.  The algebra's contract is
-
-        ``finalize(merge(make(A), make(B))) = ⊕(A ⊎ B)``
-
-    with ``merge`` associative and commutative, so per-shard γ results
-    combine in any order and grouping into exactly the serial answer.
-
-    ``wants_raw`` states hold the *raw* relation column values (term ids on
-    encoded relations): shards then ship integer sets instead of decoded
-    terms, and ``finalize`` receives an optional unary ``decode`` to bring
-    the merged members into value space once, at the merge boundary.  All
-    other states are built from :meth:`AggregateFunction.prepare`'d values
-    and ignore ``decode``.  States must be plain picklable Python data —
-    they cross process boundaries.
-    """
-
-    __slots__ = ("name", "wants_raw")
-
-    def __init__(self, name: str, wants_raw: bool = False):
-        self.name = name
-        self.wants_raw = wants_raw
-
-    def make(self, values: Sequence) -> object:
-        raise NotImplementedError
-
-    def merge(self, left: object, right: object) -> object:
-        raise NotImplementedError
-
-    def finalize(self, state: object, decode: Optional[Callable[[object], object]] = None) -> object:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"PartialAggregate({self.name})"
-
-
-class _CountPartial(PartialAggregate):
-    """count: the state is the bag's cardinality; merge adds."""
-
-    def __init__(self):
-        super().__init__("count", wants_raw=True)  # cardinality needs no decoding
-
-    def make(self, values: Sequence) -> int:
-        return len(values)
-
-    def merge(self, left: int, right: int) -> int:
-        return left + right
-
-    def finalize(self, state: int, decode=None) -> int:
-        return state
-
-
-class _SumPartial(PartialAggregate):
-    """sum: the state is the running sum; merge adds (exact on ints/Decimals)."""
-
-    def __init__(self):
-        super().__init__("sum")
-
-    def make(self, values: Sequence) -> object:
-        return _sum(values)
-
-    def merge(self, left: object, right: object) -> object:
-        return left + right
-
-    def finalize(self, state: object, decode=None) -> object:
-        return state
-
-
-class _AvgPartial(PartialAggregate):
-    """avg: the state is ``(sum, count)``; division happens once, at finalize.
-
-    Per-shard sums of integer bags stay integers, so the merged total —
-    and therefore ``float(total) / n`` — is bit-identical to the serial
-    ``avg`` regardless of how the rows were sharded.
-    """
-
-    def __init__(self):
-        super().__init__("avg")
-
-    def make(self, values: Sequence) -> tuple:
-        return (_sum(values), len(values))
-
-    def merge(self, left: tuple, right: tuple) -> tuple:
-        return (left[0] + right[0], left[1] + right[1])
-
-    def finalize(self, state: tuple, decode=None) -> float:
-        total, count = state
-        return float(total) / count
-
-
-class _ExtremumPartial(PartialAggregate):
-    """min / max: the state is the extremum so far; merge re-compares."""
-
-    __slots__ = ("_pick",)
-
-    def __init__(self, name: str, pick: Callable):
-        super().__init__(name)
-        self._pick = pick
-
-    def make(self, values: Sequence) -> object:
-        return self._pick(values)
-
-    def merge(self, left: object, right: object) -> object:
-        return self._pick((left, right))
-
-    def finalize(self, state: object, decode=None) -> object:
-        return state
-
-
-class _CountDistinctPartial(PartialAggregate):
-    """count_distinct: the state is the set of distinct raw values.
-
-    Shards collect raw column values (term ids on encoded relations — no
-    per-shard decoding), merge unions the sets, and only the merged set's
-    members are decoded and converted, each exactly once.  This matches the
-    serial semantics, where two ids decoding to equal comparable values
-    (e.g. ``28`` and ``28.0``) count as one.
-    """
-
-    def __init__(self):
-        super().__init__("count_distinct", wants_raw=True)
-
-    def make(self, values: Sequence) -> frozenset:
-        return frozenset(values)
-
-    def merge(self, left: frozenset, right: frozenset) -> frozenset:
-        return left | right
-
-    def finalize(self, state: frozenset, decode=None) -> int:
-        members = state if decode is None else (decode(value) for value in state)
-        return len({comparable(value) for value in members})
-
-
-_PARTIAL_FORMS: Dict[str, PartialAggregate] = {
-    "count": _CountPartial(),
-    "sum": _SumPartial(),
-    "avg": _AvgPartial(),
-    "min": _ExtremumPartial("min", _min),
-    "max": _ExtremumPartial("max", _max),
-    "count_distinct": _CountDistinctPartial(),
-}
-
-
-def partial_aggregate(function) -> Optional[PartialAggregate]:
-    """The mergeable partial form of an aggregate, or None when it has none.
-
-    ``function`` may be a name or an :class:`AggregateFunction`.  A ``None``
-    answer means γ over this aggregate cannot be partitioned (a custom
-    registered aggregate without a merge algebra): callers must evaluate
-    serially.
-    """
-    aggregate = get_aggregate(function)
-    return _PARTIAL_FORMS.get(aggregate.name)
+#: ``min`` / ``max``: the state is the extremum so far; merge re-compares.
+MIN = AggregateFunction.from_states(
+    "min", min, min, _identity, distributive=True, numeric_only=False, raw_states=False
+)
+MAX = AggregateFunction.from_states(
+    "max", max, max, _identity, distributive=True, numeric_only=False, raw_states=False
+)
 
 
 class AggregateRegistry:

@@ -11,11 +11,12 @@ kernels for the hot operators —
   (distinct ids are decoded and tested once, the mask is ``np.isin``);
 * :func:`join_columnar` — the int-keyed equi-join (the fact-variable join of
   Definition 4) via argsort + ``searchsorted`` expansion;
-* :func:`group_reduce` — γ via lexsort group boundaries with ``reduceat``
-  reductions for COUNT/SUM/AVG/MIN/MAX and a sorted-runs COUNT-DISTINCT;
-* :class:`ArrayGroupStates` — the array form of the partitioned γ's
-  mergeable partial-aggregate states, so shard merges concatenate and
-  re-reduce arrays instead of re-boxing per-group Python objects.
+* :func:`group_states_columnar` — γ's states via lexsort group boundaries
+  with ``reduceat`` reductions for COUNT/SUM/AVG/MIN/MAX, held in array
+  form (:class:`ArrayGroupStates`) so a whole relation finalizes, and
+  shards merge (concatenate + re-reduce), without boxing one Python state
+  per group; :func:`distinct_count_states` is the serial COUNT-DISTINCT
+  (``count`` over the δ of ``(group, value)`` pairs).
 
 Every kernel is a *fast path*: callers (``operators.select``,
 ``operators.join_on``, ``grouping.group_aggregate``, the BGP evaluator)
@@ -53,7 +54,7 @@ from repro.algebra.expressions import (
     _Negation,
     comparable,
 )
-from repro.algebra.relation import IdRelation, Relation, Row, relation_like
+from repro.algebra.relation import IdRelation, Relation, Row
 
 try:  # pragma: no cover - exercised via both CI legs (with and without numpy)
     import numpy as _np
@@ -69,7 +70,7 @@ __all__ = [
     "select_columnar",
     "join_columnar",
     "project_columnar",
-    "group_reduce",
+    "distinct_count_states",
     "group_states_columnar",
     "ArrayGroupStates",
     "prepend_key_column",
@@ -508,23 +509,28 @@ def dedup_arrays(arrays: List["_np.ndarray"]) -> "_np.ndarray":
     return order[starts]
 
 
+def _distinct_measure_values(relation: ColumnarIdRelation, measure: str):
+    """``(values, inverse)``: the comparable value of each distinct measure
+    id (decoded once each) and every row's position among them."""
+    distinct, inverse = _np.unique(relation.column_array(measure), return_inverse=True)
+    decoder = relation.column_decoder(measure)
+    if decoder is None:
+        return distinct.tolist(), inverse
+    return [comparable(decoder(value)) for value in distinct.tolist()], inverse
+
+
 def _measure_value_array(
     relation: ColumnarIdRelation, measure: str, aggregate: AggregateFunction
 ):
-    """Per-row numeric measure values, decoded/converted once per distinct id.
+    """Per-row numeric measure values, converted once per distinct id.
 
-    Returns ``(values, exact_int)`` or None when some value does not convert
-    to a plain int/float (Decimal, strings, mixed types): the caller then
-    falls back to the row γ, which owns those semantics (including the
-    skip-the-group answer to undefined aggregates).
+    Returns an int64 array (all-integer bags, kept exact) or a float64 one,
+    or None when some value does not convert to a plain int/float (Decimal,
+    strings, mixed types): the caller then falls back to the row γ, which
+    owns those semantics (including the skip-the-group answer to undefined
+    aggregates).
     """
-    ids = relation.column_array(measure)
-    distinct, inverse = _np.unique(ids, return_inverse=True)
-    decoder = relation.column_decoder(measure)
-    decoded = [
-        comparable(decoder(value)) if decoder is not None else value
-        for value in distinct.tolist()
-    ]
+    decoded, inverse = _distinct_measure_values(relation, measure)
     try:
         prepared = aggregate.prepare(decoded)
     except AggregationError:
@@ -538,7 +544,7 @@ def _measure_value_array(
         if any(abs(int(value)) >= (1 << 31) for value in prepared):
             return None
         lookup = _np.asarray([int(value) for value in prepared], dtype=_np.int64)
-        return lookup[inverse], True
+        return lookup[inverse]
     if all(isinstance(value, (bool, int, float)) for value in prepared):
         try:
             lookup = _np.asarray(
@@ -546,7 +552,7 @@ def _measure_value_array(
             )
         except OverflowError:
             return None
-        return lookup[inverse], False
+        return lookup[inverse]
     return None
 
 
@@ -556,100 +562,35 @@ def _distinct_value_codes(relation: ColumnarIdRelation, measure: str):
     Two ids decoding to equal comparable values (``"28"`` and ``"28.0"``)
     receive the same code — the distinctness space of count_distinct.
     """
-    ids = relation.column_array(measure)
-    distinct, inverse = _np.unique(ids, return_inverse=True)
-    decoder = relation.column_decoder(measure)
+    values, inverse = _distinct_measure_values(relation, measure)
     code_of: Dict[object, int] = {}
-    codes = _np.empty(len(distinct), dtype=_np.int64)
-    for index, value in enumerate(distinct.tolist()):
-        key = comparable(decoder(value)) if decoder is not None else value
-        codes[index] = code_of.setdefault(key, len(code_of))
-    return codes[inverse]
+    codes = [code_of.setdefault(value, len(code_of)) for value in values]
+    return _np.asarray(codes, dtype=_np.int64)[inverse]
 
 
-_REDUCIBLE = ("count", "count_distinct", "sum", "avg", "min", "max")
-
-
-def group_reduce(
-    relation: ColumnarIdRelation,
-    by: Sequence[str],
-    measure: str,
-    function,
-    output_column: str = "v",
-) -> Optional[Relation]:
-    """Vectorized γ_{by, ⊕(measure)}; None when unsupported (row fallback).
-
-    Matches :func:`repro.algebra.grouping.group_aggregate` cell for cell:
-    group keys stay in id space, the aggregated column is plain Python
-    scalars, and integer bags aggregate exactly (int64 ``reduceat`` for
-    SUM, exact ``(sum, count)`` division for AVG).
-    """
-    aggregate = get_aggregate(function)
-    if aggregate.name not in _REDUCIBLE:
-        return None
-    length = len(relation)
-    key_arrays = [relation.column_array(name) for name in by]
-    output_columns = tuple(by) + (output_column,)
-
-    if length == 0:
-        return relation_like(output_columns, [], relation, plain_columns=(output_column,))
-
-    values = None
-    if aggregate.name == "count":
-        pass  # cardinality only — no decoding
-    elif aggregate.name == "count_distinct":
-        value_codes = _distinct_value_codes(relation, measure)
-    else:
-        found = _measure_value_array(relation, measure, aggregate)
-        if found is None:
-            return None
-        values, _ = found
-
-    if aggregate.name == "count_distinct":
-        # One sort by (group keys, value code): every (group, value) run
-        # start is marked, group runs are located in the SAME sorted order,
-        # and the distinct count per group is the number of marks it spans.
-        order, pair_starts = _group_boundaries(key_arrays + [value_codes], length)
-        group_new = _np.zeros(length, dtype=bool)
-        group_new[0] = True
-        for array in key_arrays:
-            sorted_column = array[order]
-            group_new[1:] |= sorted_column[1:] != sorted_column[:-1]
-        starts = _np.flatnonzero(group_new)
-        run_marks = _np.zeros(length, dtype=_np.int64)
-        run_marks[pair_starts] = 1
-        aggregated = _np.add.reduceat(run_marks, starts)
-    else:
-        order, starts = _group_boundaries(key_arrays, length)
-        if aggregate.name == "count":
-            boundaries = _np.append(starts, length)
-            aggregated = _np.diff(boundaries)
-        else:
-            sorted_values = values[order]
-            if aggregate.name == "sum":
-                aggregated = _np.add.reduceat(sorted_values, starts)
-            elif aggregate.name == "min":
-                aggregated = _np.minimum.reduceat(sorted_values, starts)
-            elif aggregate.name == "max":
-                aggregated = _np.maximum.reduceat(sorted_values, starts)
-            else:  # avg — division once per group, exact over integer bags
-                sums = _np.add.reduceat(sorted_values, starts)
-                boundaries = _np.append(starts, length)
-                counts = _np.diff(boundaries)
-                aggregated = sums.astype(_np.float64) / counts
-
-    key_columns = [array[order][starts].tolist() for array in key_arrays]
-    value_list = aggregated.tolist()
-    rows = [
-        tuple(column[index] for column in key_columns) + (value_list[index],)
-        for index in range(len(value_list))
-    ]
-    return relation_like(output_columns, rows, relation, plain_columns=(output_column,))
+def _key_rows(key_arrays: List["_np.ndarray"], count: int) -> List[Row]:
+    """The group-key tuples of ``count`` groups, as plain Python scalars."""
+    if not key_arrays:
+        return [()] * count
+    return list(zip(*(array.tolist() for array in key_arrays)))
 
 
 # ---------------------------------------------------------------------------
-# array-form partial-aggregate states (partitioned γ without re-boxing)
+# array-form aggregate states (γ without boxing one state per group)
 # ---------------------------------------------------------------------------
+
+#: The one aggregate → array-state table.  Each state array is named by the
+#: reduce ufunc that merges it and — when the flag is True — also builds it
+#: from the measure values; flag False arrays are built from the group's row
+#: count.  Aggregates absent here (``count_distinct``, custom ones) keep
+#: dict-form states.
+_STATE_ARRAYS: Dict[str, Tuple[Tuple[str, bool], ...]] = {
+    "count": (("add", False),),
+    "sum": (("add", True),),
+    "avg": (("add", True), ("add", False)),
+    "min": (("minimum", True),),
+    "max": (("maximum", True),),
+}
 
 
 class ArrayGroupStates:
@@ -680,27 +621,19 @@ class ArrayGroupStates:
         self.keys = list(keys)
         self.data = list(data)
 
-    def group_count(self) -> int:
-        if self.key_columns:
-            return len(self.keys[0]) if self.keys else 0
-        return len(self.data[0]) if self.data else 0
-
     def __len__(self) -> int:
-        return self.group_count()
+        return len(self.data[0])
 
     def to_dict(self) -> Dict[Tuple, object]:
-        """Box into the dict-state form (for mixing with dict partitions)."""
-        count = self.group_count()
-        key_lists = [array.tolist() for array in self.keys]
+        """Box into the dict-state form (to finalize, or to mix with dict partitions).
+
+        A single state array boxes to its scalar, several to a tuple — the
+        dict form's ``(sum, count)`` pair of ``avg`` — so the aggregate's one
+        ``finalize`` serves both forms.
+        """
         data_lists = [array.tolist() for array in self.data]
-        states: Dict[Tuple, object] = {}
-        for index in range(count):
-            key = tuple(column[index] for column in key_lists)
-            if self.function == "avg":
-                states[key] = (data_lists[0][index], data_lists[1][index])
-            else:
-                states[key] = data_lists[0][index]
-        return states
+        boxed = data_lists[0] if len(data_lists) == 1 else zip(*data_lists)
+        return dict(zip(_key_rows(self.keys, len(self)), boxed))
 
     def merge(self, other: "ArrayGroupStates") -> "ArrayGroupStates":
         """Combine two partitions' states (associative and commutative)."""
@@ -719,44 +652,15 @@ class ArrayGroupStates:
             return ArrayGroupStates(self.function, self.key_columns, keys, data)
         order, starts = _group_boundaries(keys, length)
         merged_keys = [array[order][starts] for array in keys]
-        if self.function in ("count", "sum"):
-            merged_data = [_np.add.reduceat(data[0][order], starts)]
-        elif self.function == "avg":
-            merged_data = [
-                _np.add.reduceat(data[0][order], starts),
-                _np.add.reduceat(data[1][order], starts),
-            ]
-        elif self.function == "min":
-            merged_data = [_np.minimum.reduceat(data[0][order], starts)]
-        elif self.function == "max":
-            merged_data = [_np.maximum.reduceat(data[0][order], starts)]
-        else:  # pragma: no cover - constructors only emit the five above
-            raise AggregationError(f"no array merge for aggregate {self.function!r}")
-        return ArrayGroupStates(self.function, self.key_columns, merged_keys, merged_data)
-
-    def finalize_rows(self) -> List[Row]:
-        """``key + (aggregated value,)`` rows, all plain Python scalars."""
-        count = self.group_count()
-        key_lists = [array.tolist() for array in self.keys]
-        if self.function == "avg":
-            sums, counts = self.data
-            values = (sums.astype(_np.float64) / counts).tolist()
-        else:
-            values = self.data[0].tolist()
-        return [
-            tuple(column[index] for column in key_lists) + (values[index],)
-            for index in range(count)
+        merged_data = [
+            getattr(_np, ufunc).reduceat(array[order], starts)
+            for (ufunc, _), array in zip(_STATE_ARRAYS[self.function], data)
         ]
-
-    def __reduce__(self):
-        return (
-            ArrayGroupStates,
-            (self.function, self.key_columns, self.keys, self.data),
-        )
+        return ArrayGroupStates(self.function, self.key_columns, merged_keys, merged_data)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"ArrayGroupStates({self.function}, {self.group_count()} groups, "
+            f"ArrayGroupStates({self.function}, {len(self)} groups, "
             f"keys={self.key_columns})"
         )
 
@@ -764,54 +668,54 @@ class ArrayGroupStates:
 def group_states_columnar(
     relation: ColumnarIdRelation, by: Sequence[str], measure: str, function
 ) -> Optional[ArrayGroupStates]:
-    """Array-form per-partition γ states; None when unsupported.
+    """Array-form γ states of one columnar partition; None when unsupported.
 
-    Mirrors :func:`repro.algebra.grouping.group_partial_states` for the
-    mergeable numeric aggregates.  AVG states carry exact integer ``(sum,
-    count)`` pairs when the bag is integral, so merged shard averages are
-    bit-identical to the serial answer.
+    None — the aggregate has no array form, or some measure value is not an
+    int64/float64-exact number — sends the caller to the dict-form states
+    over the materialized rows, which own those semantics.  Integer bags
+    reduce exactly (int64 ``reduceat``), and AVG states carry exact integer
+    ``(sum, count)`` pairs, so merged shard averages are bit-identical to
+    the one-partition answer.
     """
     aggregate = get_aggregate(function)
-    if aggregate.name not in ("count", "sum", "avg", "min", "max"):
+    layout = _STATE_ARRAYS.get(aggregate.name) if aggregate.mergeable else None
+    if layout is None:
         return None
     length = len(relation)
     key_arrays = [relation.column_array(name) for name in by]
     if length == 0:
-        return ArrayGroupStates(
-            aggregate.name,
-            tuple(by),
-            [_np.empty(0, dtype=_np.int64) for _ in by],
-            _empty_state_data(aggregate.name),
-        )
+        empty = _np.empty(0, dtype=_np.int64)
+        return ArrayGroupStates(aggregate.name, tuple(by), [empty] * len(by), [empty] * len(layout))
     values = None
-    if aggregate.name != "count":
-        found = _measure_value_array(relation, measure, aggregate)
-        if found is None:
+    if any(of_values for _, of_values in layout):
+        values = _measure_value_array(relation, measure, aggregate)
+        if values is None:
             return None
-        values, _ = found
     order, starts = _group_boundaries(key_arrays, length)
+    sorted_values = None if values is None else values[order]
+    counts = _np.diff(_np.append(starts, length))
+    data = [
+        getattr(_np, ufunc).reduceat(sorted_values, starts) if of_values else counts
+        for ufunc, of_values in layout
+    ]
     keys = [array[order][starts] for array in key_arrays]
-    boundaries = _np.append(starts, length)
-    counts = _np.diff(boundaries)
-    if aggregate.name == "count":
-        data = [counts]
-    else:
-        sorted_values = values[order]
-        if aggregate.name == "sum":
-            data = [_np.add.reduceat(sorted_values, starts)]
-        elif aggregate.name == "avg":
-            data = [_np.add.reduceat(sorted_values, starts), counts]
-        elif aggregate.name == "min":
-            data = [_np.minimum.reduceat(sorted_values, starts)]
-        else:
-            data = [_np.maximum.reduceat(sorted_values, starts)]
     return ArrayGroupStates(aggregate.name, tuple(by), keys, data)
 
 
-def _empty_state_data(function: str) -> List["_np.ndarray"]:
-    if function == "avg":
-        return [_np.empty(0, dtype=_np.int64), _np.empty(0, dtype=_np.int64)]
-    return [_np.empty(0, dtype=_np.int64)]
+def distinct_count_states(
+    relation: ColumnarIdRelation, by: Sequence[str], measure: str
+) -> ArrayGroupStates:
+    """Serial γ_{by, count_distinct(measure)} as ``count`` states over δ.
+
+    The one aggregate whose state (a set of ids per group) has no array
+    form: over a whole relation the distinct count of a group is the plain
+    count of its distinct ``(group, value)`` pairs, so the serial case
+    deduplicates on the *comparable decoded* value and counts, instead of
+    boxing one set per group.
+    """
+    arrays = [relation.column_array(name) for name in by]
+    arrays.append(_distinct_value_codes(relation, measure))
+    return group_states_columnar(relation.take(dedup_arrays(arrays)), by, measure, "count")
 
 
 # ---------------------------------------------------------------------------

@@ -7,30 +7,33 @@ group.  Facts whose measure bag is empty simply produce no group (per
 Definition 1 the aggregated measure is then undefined); with the γ operator
 this happens naturally because such facts contribute no rows.
 
-``group_rows`` is the lower-level helper returning the groups themselves,
-used by the analytics evaluator when it needs to post-process bags (e.g. to
-deduplicate measure keys in Algorithm 1).
-
-``group_partial_states`` is the per-shard half of a **partitioned** γ: it
-produces one mergeable :class:`~repro.algebra.aggregates.PartialAggregate`
-state per group instead of a final value; ``merge_group_states`` combines
-the state maps of disjoint row partitions and ``finalize_group_states``
-turns the merged map into the rows γ would have produced serially.  Group
+There is **one** γ, built on the mergeable-state algebra of
+:mod:`repro.algebra.aggregates`: ``group_partial_states`` produces one
+state per group of one row partition, ``merge_group_states`` combines the
+state maps of disjoint partitions (fact shards) and ``finalize_group_states``
+turns a state map into γ's rows.  ``group_aggregate`` is the one-partition
+case — it finalizes the states of the whole relation — so the serial and
+the partitioned answer are the same code, not two loops kept in step.  Group
 keys stay in the relation's value space (term ids group exactly like terms
 — the encoding is bijective and shards share one dictionary), so merging
 never decodes.
+
+``group_rows`` is the lower-level helper returning the groups themselves,
+used by the analytics evaluator when it needs to post-process bags (e.g. to
+deduplicate measure keys in Algorithm 1).
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import AggregationError, UnknownColumnError
-from repro.algebra.aggregates import AggregateFunction, get_aggregate, partial_aggregate
+from repro.algebra.aggregates import AggregateFunction, get_aggregate
 from repro.algebra.columnar import (
     ArrayGroupStates,
     ColumnarIdRelation,
-    group_reduce,
+    distinct_count_states,
     group_states_columnar,
 )
 from repro.algebra.expressions import comparable, memoized_unary
@@ -50,12 +53,13 @@ __all__ = [
 class _PoisonedGroup:
     """Sentinel state: the group's bag failed to prepare in some partition.
 
-    Serial γ omits a group whose bag raises "undefined" (e.g. non-numeric
-    values under ``sum``) — *as a whole*.  A partitioned γ only sees one
-    shard's slice of the bag, so a failing slice must poison the group
-    across every shard or the answer would depend on where the shard
-    boundaries fell.  The sentinel absorbs merges and is dropped at
-    finalize; pickling preserves identity across process boundaries.
+    γ omits a group whose bag raises "undefined" (e.g. non-numeric values
+    under ``sum``) — *as a whole*, mirroring Definition 1's "x^j does not
+    contribute to the cube".  A partition only sees its slice of the bag,
+    so a failing slice must poison the group across every partition or the
+    answer would depend on where the shard boundaries fell.  The sentinel
+    absorbs merges and is dropped at finalize; pickling preserves identity
+    across process boundaries.
     """
 
     __slots__ = ()
@@ -88,6 +92,19 @@ def group_rows(relation: Relation, by: Sequence[str]) -> Dict[Tuple, List[Row]]:
     return groups
 
 
+def _value_decoder(relation: Relation, measure: str) -> Optional[Callable[[object], object]]:
+    """Memoized id → comparable value of an encoded measure column, else None.
+
+    Measure literals repeat, and every aggregate converts its inputs to the
+    comparable form anyway, so each distinct literal is decoded and
+    converted exactly once.
+    """
+    decoder = relation.column_decoder(measure)
+    if decoder is None:
+        return None
+    return memoized_unary(lambda value_id: comparable(decoder(value_id)))
+
+
 def group_aggregate(
     relation: Relation,
     by: Sequence[str],
@@ -111,63 +128,30 @@ def group_aggregate(
     output_column:
         Name of the aggregated column in the result (default ``"v"``).
 
-    Groups whose measure bag raises "undefined on an empty bag" are omitted;
-    this cannot happen when every row carries a measure value, but it can
-    when callers pre-filter ``None`` measures.
+    The single-partition case of the state algebra:
+    ``finalize_group_states(group_partial_states(relation))``.  Groups whose
+    measure bag is undefined under ⊕ (empty after ``None`` filtering,
+    non-numeric under a numeric aggregate) are omitted.
     """
     aggregate: AggregateFunction = get_aggregate(function)
-    measure_index = relation.column_index(measure)
+    relation.column_index(measure)  # raises UnknownColumnError for bad names
     if output_column in by:
         raise UnknownColumnError(
             f"output column {output_column!r} clashes with a grouping column"
         )
-
-    if isinstance(relation, ColumnarIdRelation):
-        # Vectorized γ (reduceat over lexsorted group runs); unsupported
-        # aggregates / non-numeric bags answer None and take the row path.
-        reduced = group_reduce(relation, by, measure, aggregate, output_column)
-        if reduced is not None:
-            return reduced
-
-    # On id-space relations the measure column holds term ids; the bag fed
-    # to ⊕ must be the decoded values (memoized — measure literals repeat).
-    # The cache stores the *comparable* form directly, which is what every
-    # aggregate converts its inputs to anyway, so each distinct literal is
-    # decoded and converted exactly once.
-    decoder = relation.column_decoder(measure)
-    decode = (
-        memoized_unary(lambda value_id: comparable(decoder(value_id)))
-        if decoder is not None
-        else None
-    )
-
-    groups = group_rows(relation, by)
-    output_columns = tuple(by) + (output_column,)
-    rows: List[Row] = []
-    if getattr(aggregate, "value_free", False):
-        # count: the result is the bag's cardinality — no decoding, no
-        # conversion, just counting the non-None measures per group.
-        for key, group in groups.items():
-            bag_size = sum(1 for row in group if row[measure_index] is not None)
-            if bag_size:
-                rows.append(key + (bag_size,))
-        return relation_like(output_columns, rows, relation, plain_columns=(output_column,))
-    for key, group in groups.items():
-        values = [row[measure_index] for row in group if row[measure_index] is not None]
-        if not values:
-            continue
-        if decode is not None:
-            values = [decode(value) for value in values]
-        try:
-            aggregated = aggregate(values)
-        except AggregationError:
-            # Undefined aggregate (empty bag after filtering): skip the group,
-            # mirroring Definition 1's "x^j does not contribute to the cube".
-            continue
-        rows.append(key + (aggregated,))
+    if isinstance(relation, ColumnarIdRelation) and aggregate.name == "count_distinct":
+        # The one serial special case: sets of ids per group have no array
+        # form, and boxing them costs 2.4x counting the relation's distinct
+        # (group, value) pairs.
+        rows = finalize_group_states(distinct_count_states(relation, by, measure), "count")
+    else:
+        states = group_partial_states(relation, by, measure, aggregate)
+        rows = finalize_group_states(states, aggregate, _value_decoder(relation, measure))
     # Group keys stay in their input space (ids group exactly like terms:
     # the encoding is bijective); the aggregated column is always plain.
-    return relation_like(output_columns, rows, relation, plain_columns=(output_column,))
+    return relation_like(
+        tuple(by) + (output_column,), rows, relation, plain_columns=(output_column,)
+    )
 
 
 def group_partial_states(
@@ -175,63 +159,41 @@ def group_partial_states(
     by: Sequence[str],
     measure: str,
     function,
-) -> Dict[Tuple, object]:
-    """The per-partition half of γ: one mergeable state per group.
+):
+    """One partition's γ: one aggregate state per group.
 
-    Mirrors :func:`group_aggregate` — the same ``None`` filtering, the same
-    memoized decode-and-convert of encoded measure values, the same
-    skip-the-group answer to "undefined on an empty bag" — but stops at the
-    :class:`~repro.algebra.aggregates.PartialAggregate` state so results of
-    disjoint row partitions (fact shards) can be combined exactly.
-
-    Raises :class:`AggregationError` when the aggregate has no registered
-    partial form (callers should have checked :func:`partial_aggregate` and
-    fallen back to a serial γ).
+    ``None`` measures are filtered, encoded measure values are decoded and
+    converted once per distinct id (never, for ``raw_states`` aggregates),
+    and a group whose bag is undefined under ⊕ is held as
+    :data:`POISONED_GROUP` so the omission survives a merge.  Columnar
+    relations answer in array form
+    (:class:`~repro.algebra.columnar.ArrayGroupStates`) when the aggregate
+    and the bag have one; everything else — including a non-mergeable
+    aggregate, whose "state" is its final value — is a dict keyed by group.
     """
     aggregate: AggregateFunction = get_aggregate(function)
-    partial = partial_aggregate(aggregate)
-    if partial is None:
-        raise AggregationError(
-            f"aggregate {aggregate.name!r} has no mergeable partial form; evaluate serially"
-        )
     if isinstance(relation, ColumnarIdRelation):
         # Array-form states: one row per group across parallel arrays, so
-        # shard merges concatenate + re-reduce instead of re-boxing.
+        # merges concatenate + re-reduce instead of re-boxing.
         array_states = group_states_columnar(relation, by, measure, aggregate)
         if array_states is not None:
             return array_states
     measure_index = relation.column_index(measure)
-    groups = group_rows(relation, by)
+    # count / count_distinct states are built from the raw column values
+    # (term ids on encoded relations) — no decoding while grouping.
+    decode = None if aggregate.raw_states else _value_decoder(relation, measure)
     states: Dict[Tuple, object] = {}
-
-    if partial.wants_raw:
-        # count / count_distinct: states are built from the raw column
-        # values (term ids on encoded relations) — no decoding on the shard.
-        for key, group in groups.items():
-            values = [row[measure_index] for row in group if row[measure_index] is not None]
-            if values:
-                states[key] = partial.make(values)
-        return states
-
-    decoder = relation.column_decoder(measure)
-    decode = (
-        memoized_unary(lambda value_id: comparable(decoder(value_id)))
-        if decoder is not None
-        else None
-    )
-    for key, group in groups.items():
+    for key, group in group_rows(relation, by).items():
         values = [row[measure_index] for row in group if row[measure_index] is not None]
         if not values:
             continue
-        if decode is not None:
-            values = [decode(value) for value in values]
         try:
-            states[key] = partial.make(aggregate.prepare(values))
+            if not aggregate.raw_states:
+                if decode is not None:
+                    values = [decode(value) for value in values]
+                values = aggregate.prepare(values)
+            states[key] = aggregate.make(values)
         except AggregationError:
-            # Same semantics as group_aggregate — an undefined aggregate
-            # (e.g. non-numeric values under sum) omits the group — but the
-            # omission must survive the merge: this shard only saw a slice
-            # of the bag, and other shards' slices may prepare fine.
             states[key] = POISONED_GROUP
     return states
 
@@ -239,27 +201,18 @@ def group_partial_states(
 def merge_group_states(state_maps: Iterable, function):
     """Combine per-partition γ states (associative and commutative).
 
-    Each partition contributes either a dict state map (the boxed form of
-    :func:`group_partial_states`) or an
+    Each partition contributes either a dict state map or an
     :class:`~repro.algebra.columnar.ArrayGroupStates` (the columnar
     engine's array form).  All-array partitions merge vectorized —
     concatenate + re-reduce, no per-group boxing; a mix is aligned by
-    boxing the array partitions first.
+    boxing the array partitions first.  Raises
+    :class:`AggregationError` when a non-mergeable aggregate's group
+    spans two partitions.
     """
     aggregate = get_aggregate(function)
-    partial = partial_aggregate(aggregate)
-    if partial is None:
-        raise AggregationError(
-            f"aggregate {aggregate.name!r} has no mergeable partial form; evaluate serially"
-        )
     partitions = list(state_maps)
-    if partitions and all(
-        isinstance(states, ArrayGroupStates) for states in partitions
-    ):
-        merged_arrays = partitions[0]
-        for states in partitions[1:]:
-            merged_arrays = merged_arrays.merge(states)
-        return merged_arrays
+    if partitions and all(isinstance(states, ArrayGroupStates) for states in partitions):
+        return reduce(ArrayGroupStates.merge, partitions)
     merged: Dict[Tuple, object] = {}
     for states in partitions:
         if isinstance(states, ArrayGroupStates):
@@ -271,7 +224,7 @@ def merge_group_states(state_maps: Iterable, function):
             elif existing is POISONED_GROUP or state is POISONED_GROUP:
                 merged[key] = POISONED_GROUP
             else:
-                merged[key] = partial.merge(existing, state)
+                merged[key] = aggregate.merge(existing, state)
     return merged
 
 
@@ -280,25 +233,20 @@ def finalize_group_states(
     function,
     decode: Optional[Callable[[object], object]] = None,
 ) -> List[Row]:
-    """Turn merged γ states into ``key + (aggregated value,)`` rows.
+    """Turn (merged) γ states into ``key + (aggregated value,)`` rows.
 
     ``states`` is a dict state map or an
     :class:`~repro.algebra.columnar.ArrayGroupStates`.  ``decode`` (id →
     term) is forwarded to raw-state aggregates (count_distinct) whose
     members are still encoded; pass the shared dictionary's decoder when
     the measure column was id-encoded.  Poisoned groups (undefined in some
-    partition) are dropped, matching serial γ.
+    partition) are dropped.
     """
     if isinstance(states, ArrayGroupStates):
-        return states.finalize_rows()
+        states = states.to_dict()
     aggregate = get_aggregate(function)
-    partial = partial_aggregate(aggregate)
-    if partial is None:
-        raise AggregationError(
-            f"aggregate {aggregate.name!r} has no mergeable partial form; evaluate serially"
-        )
     return [
-        key + (partial.finalize(state, decode),)
+        key + (aggregate.finalize(state, decode),)
         for key, state in states.items()
         if state is not POISONED_GROUP
     ]

@@ -282,22 +282,24 @@ class AnalyticalQueryEvaluator:
         ]
         return relation_like(columns, rows, classifier, measure, plain_columns=(KEY_COLUMN,))
 
+    @staticmethod
+    def _gamma_input(partial: PartialResult) -> Relation:
+        """Equation (3)'s ``π_{x,d₁,...,dₙ,v}(pres(Q))``, the relation γ runs over."""
+        return project(
+            partial.storage,
+            (partial.fact_column, *partial.dimension_columns, partial.measure_column),
+        )
+
     def answer_from_partial(self, query: AnalyticalQuery, partial: PartialResult) -> CubeAnswer:
         """Equation (3): aggregate the partial result into ``ans(Q)``."""
-        fact = partial.fact_column
-        measure_column = partial.measure_column
-        dimension_columns = partial.dimension_columns
-        projected = project(
-            partial.storage, (fact, *dimension_columns, measure_column)
-        )
         aggregated = group_aggregate(
-            projected,
-            by=dimension_columns,
-            measure=measure_column,
+            self._gamma_input(partial),
+            by=partial.dimension_columns,
+            measure=partial.measure_column,
             function=query.aggregate,
-            output_column=measure_column,
+            output_column=partial.measure_column,
         )
-        return CubeAnswer(aggregated, dimension_columns, measure_column)
+        return CubeAnswer(aggregated, partial.dimension_columns, partial.measure_column)
 
     def answer(self, query: AnalyticalQuery) -> CubeAnswer:
         """``ans(Q, I)`` computed from scratch (Definition 1 via Equation (3))."""
@@ -312,18 +314,14 @@ class AnalyticalQueryEvaluator:
     ) -> Dict[Tuple, object]:
         """Mergeable γ states of ``ans(Q)`` from one (shard's) partial result.
 
-        The per-shard half of Equation (3): the same projection
-        :meth:`answer_from_partial` aggregates over, stopped at the
-        :class:`~repro.algebra.aggregates.PartialAggregate` state per
-        dimension group.  States of disjoint fact shards merge into the
-        exact serial answer (see :mod:`repro.algebra.grouping`).
+        The per-shard half of Equation (3): the γ of
+        :meth:`answer_from_partial` over the same projection, stopped before
+        ``finalize`` at the aggregate state per dimension group.  States of
+        disjoint fact shards merge into the exact serial answer (see
+        :mod:`repro.algebra.grouping`).
         """
-        projected = project(
-            partial.storage,
-            (partial.fact_column, *partial.dimension_columns, partial.measure_column),
-        )
         return group_partial_states(
-            projected,
+            self._gamma_input(partial),
             by=partial.dimension_columns,
             measure=partial.measure_column,
             function=query.aggregate,

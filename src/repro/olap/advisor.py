@@ -181,12 +181,13 @@ class WorkloadAdvisor:
         return counts
 
     def _benefit(self, query: AnalyticalQuery, cells: int, accesses: int) -> float:
-        """Rows-touched saved per replay by serving ``query`` from cache."""
-        model = self._session.cost_model
-        scratch = model.engine_multiplier(
-            self._session.engine
-        ) * self._session.maintainer.estimate_scratch_cost(query)
-        served = model.base_cost + cells * model.cached_cell_cost
+        """Rows-touched saved per replay by serving ``query`` from cache.
+
+        Both sides are the planner's own candidate costs, so the advisor
+        credits exactly what ``execute`` would be charged (entailment branch
+        fan-out and rolling passes included).
+        """
+        served, scratch = self._session.planner.price_cached(query, cells)
         return max(0.0, scratch - served) * accesses
 
     # -- recommendation ------------------------------------------------------

@@ -11,10 +11,12 @@ and the per-shard results are combined:
 * ``pres(Q)`` is the concatenation of the shard partial results (facts are
   partitioned, so the shard relations are disjoint; ``newk()`` keys come
   from disjoint per-shard ranges);
-* ``ans(Q)`` is merged through the partial-aggregate algebra of
-  :mod:`repro.algebra.aggregates` — COUNT/SUM add, AVG merges ``(sum,
-  count)`` pairs, MIN/MAX re-compare, count_distinct unions per-shard id
-  sets — so γ results combine **without re-decoding** a single term.  On
+* ``ans(Q)`` is the N-partition case of the one γ
+  (:mod:`repro.algebra.grouping`): each shard stops at the aggregate
+  states of :mod:`repro.algebra.aggregates` and the merge side folds them
+  — COUNT/SUM add, AVG merges ``(sum, count)`` pairs, MIN/MAX re-compare,
+  count_distinct unions per-shard id sets — then finalizes exactly as the
+  serial γ does, so results combine **without re-decoding** a single term.  On
   the columnar engine the shard states arrive in **array form**
   (:class:`~repro.algebra.columnar.ArrayGroupStates`: one row per group
   across parallel int64 arrays), and the merge is a concatenate +
@@ -79,14 +81,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OLAPError
 
-from repro.algebra.aggregates import partial_aggregate
 from repro.algebra.grouping import finalize_group_states, merge_group_states
 from repro.algebra.relation import IdRelation, Relation
 from repro.analytics.answer import CubeAnswer, MaterializedQueryResults, PartialResult
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import KEY_COLUMN, AnalyticalQuery
 from repro.olap.calibration import CostModel
-from repro.olap.maintenance import estimate_scratch_cost
 from repro.rdf.graph import GraphShard
 
 __all__ = [
@@ -103,30 +103,29 @@ KEY_STRIDE = 1 << 40
 
 
 def estimate_parallel_cost(
-    statistics,
-    query: AnalyticalQuery,
+    serial_cost: float,
+    cells: float,
     workers: int,
     shard_count: int,
     model: CostModel,
     graph=None,
 ) -> float:
-    """Rows-touched estimate of the partitioned path for ``query``.
+    """Rows-touched estimate of the partitioned path.
 
-    Per-shard evaluation splits the from-scratch work across the usable
-    lanes (``min(workers, shard_count)``); merging touches every answer
-    cell once per shard in the worst case; dispatch pays a flat overhead
-    per shard, which ``model.dispatch_cost(graph)`` sets by attach mode —
-    workers of a snapshot-backed ``graph`` attach by path, those of a heap
-    graph (or None) are seeded by pickling it, which keeps tiny instances
-    serial.  Same unit as
-    :func:`repro.olap.maintenance.estimate_scratch_cost`, so the planner
-    can rank the two directly.
+    Per-shard evaluation splits ``serial_cost`` — the from-scratch estimate
+    of the work shards can evaluate, entailment branch fan-out included —
+    across the usable lanes (``min(workers, shard_count)``); merging touches
+    every one of the ``cells`` answer cells once per shard in the worst
+    case; dispatch pays a flat overhead per shard, which
+    ``model.dispatch_cost(graph)`` sets by attach mode — workers of a
+    snapshot-backed ``graph`` attach by path, those of a heap graph (or
+    None) are seeded by pickling it, which keeps tiny instances serial.
+    Same unit as :func:`repro.olap.maintenance.estimate_scratch_cost`, so
+    the planner can rank the two directly.
     """
     lanes = max(1, min(int(workers), int(shard_count)))
-    per_lane = estimate_scratch_cost(statistics, query) / lanes
-    cells = statistics.estimate_bgp_cardinality(query.classifier)
     merge = model.merge_cell_cost * (cells + shard_count)
-    return per_lane + merge + model.dispatch_cost(graph) * shard_count
+    return serial_cost / lanes + merge + model.dispatch_cost(graph) * shard_count
 
 
 class ExecutorStats:
@@ -317,14 +316,15 @@ class ParallelExecutor:
     def supports(self, query: AnalyticalQuery) -> bool:
         """True when ``query`` can be answered by partitioned evaluation.
 
-        Requires a mergeable partial form of the aggregate; anything else
-        falls back to the serial evaluator inside :meth:`evaluate`.
+        Requires a mergeable aggregate (a custom bag function has no state
+        to merge); anything else falls back to the serial evaluator inside
+        :meth:`evaluate`.
         Rolled-up queries are unsupported: their hierarchy objects (often
         closures) do not survive the worker-process pickle boundary.
         """
         if query.rollup:
             return False
-        return partial_aggregate(query.aggregate) is not None
+        return query.aggregate.mergeable
 
     # -- execution -----------------------------------------------------
 

@@ -45,10 +45,10 @@ Candidate strategies, in the order they are enumerated (a candidate's
 ``parallel``
     Re-evaluate ``Q_T`` shard-parallel on the AnS instance
     (:class:`~repro.olap.parallel.ParallelExecutor`): per-shard evaluation
-    plus a partial-aggregate merge, priced as the scratch estimate divided
-    by the usable worker lanes plus merge and dispatch overheads.  Only
-    enumerated when the session was built with ``workers > 1`` and the
-    aggregate has a mergeable partial form.
+    plus a merge of the aggregate states, priced as the scratch estimate
+    (entailment branch fan-out included) divided by the usable worker lanes
+    plus merge and dispatch overheads.  Only enumerated when the session
+    was built with ``workers > 1`` and the aggregate is mergeable.
 
 ``scratch``
     Re-evaluate ``Q_T`` on the AnS instance with the id-space engine,
@@ -373,6 +373,13 @@ class OLAPPlanner:
             self._scratch_candidate(entry.query, True).cost,
         )
 
+    def price_cached(self, query: AnalyticalQuery, cells: int) -> Tuple[float, float]:
+        """``(cached cost, scratch cost)`` of answering ``query`` from a
+        ``cells``-cell cache entry or from the instance: the candidates
+        :meth:`plan_query` ranks, whose difference is what the workload
+        advisor credits a materialization with per access."""
+        return self._cached_cost(cells), self._scratch_candidate(query, True).cost
+
     # ------------------------------------------------------------------
     # candidate builders
     # ------------------------------------------------------------------
@@ -390,6 +397,9 @@ class OLAPPlanner:
             return [self._refresh_candidate(query, stale[0], stale[1], materialize_partial)]
         return []
 
+    def _cached_cost(self, cells: int) -> float:
+        return self._model.base_cost + cells * self._model.cached_cell_cost
+
     def _cached_candidate(self, materialized: MaterializedQueryResults) -> PlanCandidate:
         cells = len(materialized.answer)
 
@@ -399,7 +409,7 @@ class OLAPPlanner:
 
         return PlanCandidate(
             "cached",
-            self._model.base_cost + cells * self._model.cached_cell_cost,
+            self._cached_cost(cells),
             cells,
             f"ans already cached: {cells} cells",
             run,
@@ -601,22 +611,8 @@ class OLAPPlanner:
         self, transformed_query: AnalyticalQuery, materialize_partial: bool
     ) -> PlanCandidate:
         executor = self._parallel
-        cost = self._model.base_cost + self._engine_multiplier * estimate_parallel_cost(
-            self._statistics,
-            transformed_query,
-            executor.workers,
-            executor.shard_count,
-            self._model,
-            self._evaluator.instance,
-        )
+        cost = self._model.base_cost + self._instance_cost(transformed_query, None, executor)
         instance_triples = len(self._evaluator.instance)
-
-        def run() -> Tuple[CubeAnswer, Optional[PartialResult]]:
-            materialized = executor.evaluate(
-                transformed_query, materialize_partial=materialize_partial
-            )
-            return materialized.answer, materialized.partial if materialize_partial else None
-
         detail = (
             f"{executor.shard_count} shards on {executor.workers} workers "
             f"({executor.backend} backend, {executor.attach_mode} attach)"
@@ -629,7 +625,7 @@ class OLAPPlanner:
             cost,
             instance_triples,
             detail,
-            run,
+            lambda: self._evaluate_on(executor, transformed_query, materialize_partial),
         )
 
     def _scratch_candidate(
@@ -638,17 +634,10 @@ class OLAPPlanner:
         materialize_partial: bool,
         pres_rows_hint: Optional[int] = None,
     ) -> PlanCandidate:
-        cost = self._model.base_cost + self._estimate_scratch_cost(
-            transformed_query, pres_rows_hint
+        cost = self._model.base_cost + self._instance_cost(
+            transformed_query, pres_rows_hint, None
         )
         instance_triples = len(self._evaluator.instance)
-
-        def run() -> Tuple[CubeAnswer, Optional[PartialResult]]:
-            materialized = self._evaluator.evaluate(
-                transformed_query, materialize_partial=materialize_partial
-            )
-            return materialized.answer, materialized.partial if materialize_partial else None
-
         # Entailment-aware sessions evaluate scratch over the saturated graph
         # or through query rewriting; the plan names which, so explain()
         # shows what "from scratch" actually means in this session.
@@ -658,39 +647,66 @@ class OLAPPlanner:
             cost,
             instance_triples,
             f"instance: {instance_triples} triples, est. {cost:.0f} rows touched",
-            run,
+            lambda: self._evaluate_on(self._evaluator, transformed_query, materialize_partial),
         )
+
+    @staticmethod
+    def _evaluate_on(
+        engine, query: AnalyticalQuery, materialize_partial: bool
+    ) -> Tuple[CubeAnswer, Optional[PartialResult]]:
+        """Run ``query`` on the instance through the evaluator or the executor."""
+        materialized = engine.evaluate(query, materialize_partial=materialize_partial)
+        return materialized.answer, materialized.partial if materialize_partial else None
 
     # ------------------------------------------------------------------
     # cost estimation helpers
     # ------------------------------------------------------------------
 
-    def _estimate_scratch_cost(
-        self, query: AnalyticalQuery, pres_rows_hint: Optional[int] = None
+    def _instance_cost(
+        self,
+        query: AnalyticalQuery,
+        pres_rows_hint: Optional[int],
+        executor: Optional[ParallelExecutor],
     ) -> float:
-        """Estimated rows touched by a from-scratch evaluation of ``query``.
+        """Estimated rows touched evaluating ``query`` on the instance —
+        serially (``executor`` None: ``scratch``) or on ``executor``'s shards
+        (``parallel``); one pricing, so neither omits work the other pays.
 
-        Shared with the refresh-vs-recompute decision (see
-        :func:`repro.olap.maintenance.estimate_scratch_cost`) so every
+        The evaluable part is shared with the refresh-vs-recompute decision
+        (see :func:`repro.olap.maintenance.estimate_scratch_cost`) so every
         strategy is priced in the same unit, then scaled by the per-engine
         multiplier (the columnar engine touches rows vectorized).
 
         Under ``entailment="rewrite"`` every BGP expands into its entailment
-        branches, so scratch pays the branch fan-out; under ``"saturate"``
-        the statistics already describe the (bigger) saturated graph and no
-        extra factor applies.
+        branches — in every shard too — so the evaluable part pays the
+        branch fan-out; under ``"saturate"`` the statistics already describe
+        the (bigger) saturated graph and no extra factor applies.  Only this
+        part divides across the executor's lanes
+        (:func:`~repro.olap.parallel.estimate_parallel_cost` adds the merge
+        and dispatch overheads).
 
         A rolled query pays the base-query evaluation *plus* the rolling
         pass: every pres row goes through every hierarchy stage at the same
         ``group_row_cost`` the ``rollup-from-cached`` candidate is priced
-        at — otherwise scratch would look artificially cheap exactly where
-        the lattice has a cached shortcut.  Rolling is row-level work
-        regardless of engine, so it lands outside the engine multiplier.
+        at — otherwise evaluation would look artificially cheap exactly
+        where the lattice has a cached shortcut.  Rolling is serial
+        row-level work regardless of engine, so it lands outside both the
+        engine multiplier and the per-lane division.
         """
-        cost = self._engine_multiplier * estimate_scratch_cost(self._statistics, query)
+        cost = estimate_scratch_cost(self._statistics, query)
         branch_count = getattr(self._evaluator, "branch_count", None)
         if branch_count is not None:  # never raises: 1 for an unexpandable query
             cost *= max(1, branch_count(query.classifier), branch_count(query.measure))
+        if executor is not None:
+            cost = estimate_parallel_cost(
+                cost,
+                self._statistics.estimate_bgp_cardinality(query.classifier),
+                executor.workers,
+                executor.shard_count,
+                self._model,
+                self._evaluator.instance,
+            )
+        cost *= self._engine_multiplier
         if query.rollup:
             if pres_rows_hint is not None:
                 pres_rows = float(pres_rows_hint)

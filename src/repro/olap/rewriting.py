@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.errors import InvalidOperationError, MaterializationError, RewritingError
+from repro.algebra.aggregates import AggregateFunction
 from repro.algebra.grouping import group_aggregate
 from repro.algebra.operators import dedup, join_on, project, select
 from repro.algebra.relation import IdRelation, Relation
@@ -261,13 +262,8 @@ def drill_out_from_answer_naive(
 
 def _combiner(aggregate):
     """Wrap a distributive aggregate so γ combines partial aggregates."""
-    from repro.algebra.aggregates import AggregateFunction
-
     return AggregateFunction(
-        name=f"{aggregate.name}_combine",
-        function=lambda values: aggregate.combine(values),
-        distributive=True,
-        numeric_only=False,
+        f"{aggregate.name}_combine", aggregate.combine, distributive=True, numeric_only=False
     )
 
 

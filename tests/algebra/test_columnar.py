@@ -18,7 +18,6 @@ from repro.algebra import columnar
 from repro.algebra.columnar import (
     ArrayGroupStates,
     ColumnarIdRelation,
-    group_reduce,
     group_states_columnar,
     join_columnar,
     prepend_key_column,
@@ -247,12 +246,13 @@ class TestJoinKernel:
         assert len(join_columnar(other, empty, "x", "x", ("d",))) == 0
 
 
-class TestGroupReduceKernel:
+class TestColumnarGamma:
+    """γ over a columnar relation (array-form states, finalized) vs the row engine."""
+
     @pytest.mark.parametrize("aggregate", AGGREGATES)
     def test_matches_row_gamma(self, aggregate):
         columnar_relation, row_relation = _paired_relations(_sample_rows())
-        fast = group_reduce(columnar_relation, ["d"], "v", aggregate)
-        assert fast is not None
+        fast = group_aggregate(columnar_relation, ["d"], "v", aggregate)
         assert fast.bag_equal(group_aggregate(row_relation, ["d"], "v", aggregate))
 
     @pytest.mark.parametrize("aggregate", AGGREGATES)
@@ -262,7 +262,7 @@ class TestGroupReduceKernel:
             (IRI("http://example.org/f1"), IRI("http://example.org/only"), Literal(9)),
         ]
         columnar_relation, row_relation = _paired_relations(rows)
-        fast = group_reduce(columnar_relation, ["d"], "v", aggregate)
+        fast = group_aggregate(columnar_relation, ["d"], "v", aggregate)
         slow = group_aggregate(row_relation, ["d"], "v", aggregate)
         assert len(fast) == 1
         assert fast.bag_equal(slow)
@@ -275,12 +275,11 @@ class TestGroupReduceKernel:
             {"d": np.empty(0, dtype=np.int64), "v": np.empty(0, dtype=np.int64)},
             dictionary,
         )
-        fast = group_reduce(empty, ["d"], "v", aggregate)
-        assert fast is not None and len(fast) == 0
+        assert len(group_aggregate(empty, ["d"], "v", aggregate)) == 0
 
     def test_no_grouping_columns(self):
         columnar_relation, row_relation = _paired_relations(_sample_rows())
-        fast = group_reduce(columnar_relation, [], "v", "sum")
+        fast = group_aggregate(columnar_relation, [], "v", "sum")
         assert fast.bag_equal(group_aggregate(row_relation, [], "v", "sum"))
 
     def test_non_numeric_measure_falls_back(self):
@@ -289,8 +288,8 @@ class TestGroupReduceKernel:
             (IRI("http://example.org/f1"), IRI("http://example.org/c"), Literal("east")),
         ]
         columnar_relation, row_relation = _paired_relations(rows)
-        assert group_reduce(columnar_relation, ["d"], "v", "sum") is None
-        # The public γ still answers (row fallback), identically to rows:
+        assert group_states_columnar(columnar_relation, ["d"], "v", "sum") is None
+        # γ still answers (dict-form states over the rows), identically to rows:
         # sum over strings is undefined, so the group is omitted.
         assert group_aggregate(columnar_relation, ["d"], "v", "sum").bag_equal(
             group_aggregate(row_relation, ["d"], "v", "sum")
@@ -303,7 +302,7 @@ class TestGroupReduceKernel:
     @pytest.mark.parametrize("aggregate", ("sum", "avg", "min", "max"))
     def test_huge_integers_fall_back_to_exact_row_arithmetic(self, aggregate):
         """Values that could overflow int64 sums never enter the kernels:
-        the reduction answers None and the row engine's unlimited-precision
+        the array states decline and the row engine's unlimited-precision
         arithmetic produces the exact cell."""
         rows = [
             (IRI("http://example.org/f0"), IRI("http://example.org/c"), Literal(6 * 10**18)),
@@ -311,12 +310,24 @@ class TestGroupReduceKernel:
             (IRI("http://example.org/f2"), IRI("http://example.org/c"), Literal(2**63)),
         ]
         columnar_relation, row_relation = _paired_relations(rows)
-        assert group_reduce(columnar_relation, ["d"], "v", aggregate) is None
+        assert group_states_columnar(columnar_relation, ["d"], "v", aggregate) is None
         fast = group_aggregate(columnar_relation, ["d"], "v", aggregate)
         slow = group_aggregate(row_relation, ["d"], "v", aggregate)
         assert fast.bag_equal(slow)
         if aggregate == "sum":
             assert fast.rows[0][-1] == 12 * 10**18 + 2**63  # exact, not wrapped
+
+    def test_bag_function_named_like_a_builtin_keeps_its_own_semantics(self):
+        """The array states are the built-ins' (looked up by name): a custom
+        bag function that shadows a built-in name must not be reduced as one."""
+        from repro.algebra.aggregates import AggregateFunction
+
+        columnar_relation, row_relation = _paired_relations(_sample_rows())
+        shadow = AggregateFunction("sum", lambda values: -1, distributive=False)
+        assert group_states_columnar(columnar_relation, ["d"], "v", shadow) is None
+        fast = group_aggregate(columnar_relation, ["d"], "v", shadow)
+        assert {row[-1] for row in fast.rows} == {-1}
+        assert fast.bag_equal(group_aggregate(row_relation, ["d"], "v", shadow))
 
     def test_count_distinct_merges_equal_comparables(self):
         """Ids decoding to equal comparable values count once (28 vs 28.0)."""
@@ -336,7 +347,7 @@ class TestGroupReduceKernel:
             dictionary,
         )
         row_relation = IdRelation(("d", "v"), relation.rows, dictionary=dictionary)
-        fast = group_reduce(relation, ["d"], "v", "count_distinct")
+        fast = group_aggregate(relation, ["d"], "v", "count_distinct")
         assert fast.bag_equal(group_aggregate(row_relation, ["d"], "v", "count_distinct"))
         assert fast.rows[0][-1] == 2
 
@@ -373,7 +384,7 @@ class TestArrayGroupStates:
         )
         full = group_partial_states(columnar_relation, ["d"], "v", "sum")
         nothing = group_partial_states(empty, ["d"], "v", "sum")
-        assert nothing.group_count() == 0
+        assert len(nothing) == 0
         merged = merge_group_states([full, nothing], "sum")
         assert sorted(finalize_group_states(merged, "sum")) == sorted(
             finalize_group_states(full, "sum")

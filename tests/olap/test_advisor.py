@@ -3,9 +3,10 @@
 import pytest
 
 from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
+from repro.datagen.retail import RetailConfig, city_region_hierarchy, retail_dataset, revenue_query
 from repro.olap.advisor import AdvisorReport, WorkloadAdvisor, apply_recommendations
 from repro.olap.cache import canonical_query_key
-from repro.olap.operations import DrillOut, Slice
+from repro.olap.operations import DrillOut, RollUp, Slice
 from repro.olap.session import OLAPSession
 
 
@@ -144,6 +145,28 @@ class TestBenefit:
             session.execute(query)
         many = session.advise().materializations[0].benefit
         assert many > few
+
+    @pytest.mark.parametrize("entailment", [None, "rewrite"])
+    def test_benefit_is_planner_scratch_minus_planner_cached(self, entailment):
+        """The advisor credits what ``execute`` is charged: for a rolled query
+        (and under entailment rewriting) the planner's scratch candidate
+        carries the rolling pass and the branch fan-out, which a hand-made
+        ``multiplier × estimate_scratch_cost`` left out."""
+        config = RetailConfig(sales=40)
+        retail = retail_dataset(config)
+        rolled = RollUp("dcity", city_region_hierarchy(config)).apply(revenue_query(retail.schema))
+        with OLAPSession(retail.instance, retail.schema, entailment=entailment) as cold:
+            scratch = cold.planner.plan_query(rolled).chosen
+            assert scratch.strategy.startswith("scratch")
+        with OLAPSession(retail.instance, retail.schema, entailment=entailment) as session:
+            session.execute(rolled)
+            session.execute(rolled)
+            cached = session.planner.plan_query(rolled).chosen
+            assert cached.strategy == "cached"
+            (recommendation,) = session.advise().materializations
+            assert recommendation.benefit / recommendation.accesses == pytest.approx(
+                scratch.cost - cached.cost
+            )
 
     def test_report_type(self, dataset, query):
         report = _profiled_session(dataset, query).advise()

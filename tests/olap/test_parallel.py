@@ -18,7 +18,6 @@ from repro.algebra.aggregates import (
     AggregateFunction,
     default_registry,
     get_aggregate,
-    partial_aggregate,
 )
 from repro.algebra.grouping import (
     finalize_group_states,
@@ -41,24 +40,23 @@ ALL_AGGREGATES = ("count", "sum", "avg", "min", "max", "count_distinct")
 
 def _aggregate_via_states(aggregate_name, partitions):
     """Aggregate a partitioned bag through make → merge → finalize."""
-    partial = partial_aggregate(aggregate_name)
     aggregate = get_aggregate(aggregate_name)
     states = []
     for part in partitions:
         if not part:
             continue  # empty shards contribute no state
-        values = part if partial.wants_raw else aggregate.prepare(part)
-        states.append(partial.make(values))
+        values = part if aggregate.raw_states else aggregate.prepare(part)
+        states.append(aggregate.make(values))
     merged = states[0]
     for state in states[1:]:
-        merged = partial.merge(merged, state)
-    return partial.finalize(merged)
+        merged = aggregate.merge(merged, state)
+    return aggregate.finalize(merged)
 
 
 class TestPartialAggregateAlgebra:
-    def test_every_standard_aggregate_has_a_partial_form(self):
+    def test_every_standard_aggregate_is_mergeable(self):
         for name in ALL_AGGREGATES:
-            assert partial_aggregate(name) is not None, name
+            assert get_aggregate(name).mergeable, name
 
     def test_merged_result_equals_serial_aggregate(self):
         bag = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
@@ -91,10 +89,10 @@ class TestPartialAggregateAlgebra:
                 assert merged == serial
 
     def test_avg_state_is_a_sum_count_pair(self):
-        partial = partial_aggregate("avg")
-        assert partial.make([1, 2, 3]) == (6, 3)
-        assert partial.merge((6, 3), (10, 1)) == (16, 4)
-        assert partial.finalize((16, 4)) == 4.0
+        avg = get_aggregate("avg")
+        assert avg.make([1, 2, 3]) == (6, 3)
+        assert avg.merge((6, 3), (10, 1)) == (16, 4)
+        assert avg.finalize((16, 4)) == 4.0
 
     def test_count_distinct_dedups_across_shards(self):
         # The same value appearing in several shards counts once.
@@ -102,20 +100,19 @@ class TestPartialAggregateAlgebra:
         assert merged == 3
 
     def test_count_distinct_finalize_decodes_each_member_once(self):
-        partial = partial_aggregate("count_distinct")
-        state = partial.merge(partial.make([0, 1]), partial.make([1, 2]))
+        distinct = get_aggregate("count_distinct")
+        state = distinct.merge(distinct.make([0, 1]), distinct.make([1, 2]))
         decoded = {0: Literal(28), 1: Literal(28.0), 2: Literal(35)}
         # ids 0 and 1 decode to comparable-equal values -> 2 distinct.
-        assert partial.finalize(state, decode=decoded.__getitem__) == 2
+        assert distinct.finalize(state, decode=decoded.__getitem__) == 2
 
     def test_merge_is_associative_and_commutative(self):
         bag = [5, 1, 5, 8, 2, 9, 9, 4]
         chunks = [bag[0:2], bag[2:4], bag[4:6], bag[6:8]]
         for name in ALL_AGGREGATES:
-            partial = partial_aggregate(name)
             aggregate = get_aggregate(name)
             states = [
-                partial.make(chunk if partial.wants_raw else aggregate.prepare(chunk))
+                aggregate.make(chunk if aggregate.raw_states else aggregate.prepare(chunk))
                 for chunk in chunks
             ]
             reference = None
@@ -123,24 +120,28 @@ class TestPartialAggregateAlgebra:
                 # left fold
                 left = states[ordering[0]]
                 for index in ordering[1:]:
-                    left = partial.merge(left, states[index])
+                    left = aggregate.merge(left, states[index])
                 # right fold (different association)
                 right = states[ordering[-1]]
                 for index in reversed(ordering[:-1]):
-                    right = partial.merge(states[index], right)
-                assert partial.finalize(left) == partial.finalize(right), name
+                    right = aggregate.merge(states[index], right)
+                assert aggregate.finalize(left) == aggregate.finalize(right), name
                 if reference is None:
-                    reference = partial.finalize(left)
-                assert partial.finalize(left) == reference, name
+                    reference = aggregate.finalize(left)
+                assert aggregate.finalize(left) == reference, name
 
-    def test_unregistered_aggregate_has_no_partial_form(self):
+    def test_bag_function_aggregate_is_not_mergeable(self):
         registry = default_registry()
         name = "median_test_parallel"
         if name not in registry:
             registry.register(
                 AggregateFunction(name, lambda values: sorted(values)[len(values) // 2], distributive=False)
             )
-        assert partial_aggregate(name) is None
+        median = get_aggregate(name)
+        assert not median.mergeable
+        assert median([5, 1, 3]) == 3  # state == value: make is the bag function
+        with pytest.raises(AggregationError):
+            median.merge(median.make([1]), median.make([2]))
 
 
 class TestGroupPartialStates:
@@ -172,15 +173,21 @@ class TestGroupPartialStates:
         assert merge_group_states([states, {}], "sum") == {}
         assert finalize_group_states({}, "sum") == []
 
-    def test_non_mergeable_aggregate_raises(self):
+    def test_non_mergeable_aggregate_states_do_not_merge(self):
         registry = default_registry()
         name = "median_test_parallel_grouping"
         if name not in registry:
             registry.register(
                 AggregateFunction(name, lambda values: sorted(values)[len(values) // 2], distributive=False)
             )
+        # One partition is the serial γ: the "state" is the final value ...
+        states = group_partial_states(
+            self._relation([("a", 1), ("a", 9), ("a", 4)]), by=("d",), measure="v", function=name
+        )
+        assert finalize_group_states(states, name) == [("a", 4)]
+        # ... which a second partition's slice of the same group cannot join.
         with pytest.raises(AggregationError):
-            group_partial_states(self._relation([("a", 1)]), by=("d",), measure="v", function=name)
+            merge_group_states([states, states], name)
 
 
 class TestGraphPartition:
@@ -365,17 +372,20 @@ class TestParallelCostModel:
         statistics = AnalyticalQueryEvaluator(example2_instance).bgp_evaluator.statistics
         query = make_sites_query("count")
         serial_cost = estimate_scratch_cost(statistics, query)
+        cells = statistics.estimate_bgp_cardinality(query.classifier)
         parallel_cost = estimate_parallel_cost(
-            statistics, query, workers=4, shard_count=4, model=CostModel()
+            serial_cost, cells, workers=4, shard_count=4, model=CostModel()
         )
         assert parallel_cost > serial_cost
 
     def test_more_workers_price_lower_until_overhead_dominates(self, example2_instance):
         statistics = AnalyticalQueryEvaluator(example2_instance).bgp_evaluator.statistics
         query = make_sites_query("count")
+        serial_cost = estimate_scratch_cost(statistics, query)
+        cells = statistics.estimate_bgp_cardinality(query.classifier)
         same_shards = [
             estimate_parallel_cost(
-                statistics, query, workers=workers, shard_count=8, model=CostModel()
+                serial_cost, cells, workers=workers, shard_count=8, model=CostModel()
             )
             for workers in (1, 2, 4, 8)
         ]
@@ -581,10 +591,12 @@ class TestExecutorStatsAndAttachMode:
         class Mapped:
             snapshot_path = "/tmp/example2.snap"
 
+        serial_cost = estimate_scratch_cost(statistics, query)
+        cells = statistics.estimate_bgp_cardinality(query.classifier)
         pickled = estimate_parallel_cost(
-            statistics, query, workers=2, shard_count=4, model=CostModel()
+            serial_cost, cells, workers=2, shard_count=4, model=CostModel()
         )
         mmap = estimate_parallel_cost(
-            statistics, query, workers=2, shard_count=4, model=CostModel(), graph=Mapped()
+            serial_cost, cells, workers=2, shard_count=4, model=CostModel(), graph=Mapped()
         )
         assert mmap < pickled

@@ -47,8 +47,8 @@ def test_materialize_partial_result(benchmark):
 def test_materialize_answer_and_partial(benchmark):
     evaluator, query, size = _prepared()
     benchmark.extra_info["instance_triples"] = size
-    result = benchmark(lambda: evaluator.evaluate(query, materialize_partial=True))
-    assert result.has_partial()
+    result = benchmark(lambda: evaluator.evaluate(query))
+    assert len(result.partial) >= len(result.answer) > 0
 
 
 def test_materialize_intermediary_result(benchmark):

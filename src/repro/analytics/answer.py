@@ -21,7 +21,7 @@ benchmarks):
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import MaterializationError
 from repro.algebra.relation import Relation
@@ -113,6 +113,22 @@ class PartialResult:
             self._decoded = self._storage.materialize()
         return self._decoded
 
+    def with_storage(self, relation: Relation) -> "PartialResult":
+        """Same roles, new storage: the ``pres`` a derivation produced from this one.
+
+        Fact, key and measure keep their column names; the dimensions are
+        whatever columns ``relation`` carries between the fact column and
+        the key — a derivation may have dropped (DRILL-OUT) or added
+        (DRILL-IN) some.  The layout check of the constructor applies.
+        """
+        return PartialResult(
+            relation,
+            fact_column=self.fact_column,
+            dimension_columns=tuple(relation.columns[1:-2]),
+            key_column=self.key_column,
+            measure_column=self.measure_column,
+        )
+
     def __len__(self) -> int:
         return len(self._storage)
 
@@ -181,49 +197,22 @@ class CubeAnswer:
 
 
 class MaterializedQueryResults:
-    """Everything materialized while answering a query ``Q``.
+    """Everything materialized while answering a query ``Q``: ``ans(Q)`` and ``pres(Q)``.
 
-    The OLAP session stores one of these per executed query; the rewriting
-    engine consumes whichever part the transformation needs (``ans`` for
-    SLICE/DICE, ``pres`` for DRILL-OUT/DRILL-IN).
+    The OLAP session stores one of these per executed query, always
+    complete — the paper assumes ``pres(Q)`` "has been materialized and
+    stored as part of the evaluation of the original query".  The rewriting
+    engine derives ``pres(Q_T)`` from ``partial`` (Proposition 1's SLICE/DICE
+    shortcut reads ``answer``), delta maintenance patches both.
     """
 
-    def __init__(
-        self,
-        query,
-        answer: Optional[CubeAnswer] = None,
-        partial: Optional[PartialResult] = None,
-    ):
+    def __init__(self, query, answer: CubeAnswer, partial: PartialResult):
         self.query = query
-        self._answer = answer
-        self._partial = partial
-
-    @property
-    def answer(self) -> CubeAnswer:
-        if self._answer is None:
-            raise MaterializationError(
-                f"the answer of query {self.query.name!r} has not been materialized"
-            )
-        return self._answer
-
-    @property
-    def partial(self) -> PartialResult:
-        if self._partial is None:
-            raise MaterializationError(
-                f"the partial result of query {self.query.name!r} has not been materialized"
-            )
-        return self._partial
-
-    def has_answer(self) -> bool:
-        return self._answer is not None
-
-    def has_partial(self) -> bool:
-        return self._partial is not None
+        self.answer = answer
+        self.partial = partial
 
     def __repr__(self) -> str:  # pragma: no cover
-        parts = []
-        if self._answer is not None:
-            parts.append(f"ans: {len(self._answer)} cells")
-        if self._partial is not None:
-            parts.append(f"pres: {len(self._partial)} rows")
-        return f"MaterializedQueryResults({self.query.name}, {', '.join(parts) or 'empty'})"
+        return (
+            f"MaterializedQueryResults({self.query.name}, "
+            f"ans: {len(self.answer)} cells, pres: {len(self.partial)} rows)"
+        )

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.algebra.columnar import ColumnarIdRelation, prepend_key_column, resolve_engine
 from repro.algebra.grouping import group_aggregate, group_partial_states
-from repro.algebra.operators import join_on, project, rename, select
+from repro.algebra.operators import join_on, rename, select
 from repro.algebra.relation import Relation, relation_like
 from repro.errors import RewritingError
 from repro.rdf.graph import Graph, GraphShard
@@ -282,18 +282,17 @@ class AnalyticalQueryEvaluator:
         ]
         return relation_like(columns, rows, classifier, measure, plain_columns=(KEY_COLUMN,))
 
-    @staticmethod
-    def _gamma_input(partial: PartialResult) -> Relation:
-        """Equation (3)'s ``π_{x,d₁,...,dₙ,v}(pres(Q))``, the relation γ runs over."""
-        return project(
-            partial.storage,
-            (partial.fact_column, *partial.dimension_columns, partial.measure_column),
-        )
-
     def answer_from_partial(self, query: AnalyticalQuery, partial: PartialResult) -> CubeAnswer:
-        """Equation (3): aggregate the partial result into ``ans(Q)``."""
+        """Equation (3): aggregate the partial result into ``ans(Q)``.
+
+        The one γ of the library: scratch evaluation calls it on the
+        ``pres(Q)`` it just built, every OLAP rewriting on the ``pres(Q_T)``
+        it derived (:mod:`repro.olap.rewriting`).  It reads nothing but
+        ``partial`` — γ addresses the dimension and measure columns by name,
+        so Equation (3)'s π (dropping the key column) is left implicit.
+        """
         aggregated = group_aggregate(
-            self._gamma_input(partial),
+            partial.storage,
             by=partial.dimension_columns,
             measure=partial.measure_column,
             function=query.aggregate,
@@ -315,13 +314,13 @@ class AnalyticalQueryEvaluator:
         """Mergeable γ states of ``ans(Q)`` from one (shard's) partial result.
 
         The per-shard half of Equation (3): the γ of
-        :meth:`answer_from_partial` over the same projection, stopped before
+        :meth:`answer_from_partial` over the same relation, stopped before
         ``finalize`` at the aggregate state per dimension group.  States of
         disjoint fact shards merge into the exact serial answer (see
         :mod:`repro.algebra.grouping`).
         """
         return group_partial_states(
-            self._gamma_input(partial),
+            partial.storage,
             by=partial.dimension_columns,
             measure=partial.measure_column,
             function=query.aggregate,
@@ -356,25 +355,15 @@ class AnalyticalQueryEvaluator:
         rows = partial.storage.rows if keep_rows else None
         return rows, states
 
-    def evaluate(
-        self,
-        query: AnalyticalQuery,
-        materialize_partial: bool = True,
-    ) -> MaterializedQueryResults:
+    def evaluate(self, query: AnalyticalQuery) -> MaterializedQueryResults:
         """Answer ``Q`` and keep the materialized inputs for later OLAP reuse.
 
-        With ``materialize_partial=True`` (the recommended mode, and the one
-        the paper assumes: "pres(Q) ... which we assume has been materialized
-        and stored as part of the evaluation of the original query Q"), the
-        partial result is retained alongside the final answer.
+        The partial result is retained alongside the final answer, as the
+        paper assumes: "pres(Q) ... which we assume has been materialized
+        and stored as part of the evaluation of the original query Q".
         """
         partial = self.partial_result(query)
-        answer = self.answer_from_partial(query, partial)
-        return MaterializedQueryResults(
-            query,
-            answer=answer,
-            partial=partial if materialize_partial else None,
-        )
+        return MaterializedQueryResults(query, self.answer_from_partial(query, partial), partial)
 
     # ------------------------------------------------------------------
     # direct Definition 1 semantics (used to cross-check Equation (3) in tests)

@@ -64,11 +64,4 @@ def roll_partial(partial: PartialResult, query: "AnalyticalQuery", start: int = 
         relation = rolled_dimension_relation(relation, stage.dimension, stage.hierarchy)
         sigma_after = stages[index + 1].sigma_before if index + 1 < len(stages) else query.sigma
         relation = select(relation, sigma_after.predicate())
-    relation = dedup(relation)
-    return PartialResult(
-        relation,
-        fact_column=partial.fact_column,
-        dimension_columns=partial.dimension_columns,
-        key_column=partial.key_column,
-        measure_column=partial.measure_column,
-    )
+    return partial.with_storage(dedup(relation))

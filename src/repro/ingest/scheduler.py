@@ -9,7 +9,8 @@ somewhere:
   the read path so the next read is a plain hit;
 * **lazy** — mark it for refresh-on-read
   (:meth:`~repro.olap.cache.ResultCache.mark_lazy`): the read path patches
-  it on first access without re-pricing, and entries nobody reads again
+  it on first access — after pricing the patch against recomputing once
+  more, since later batches grow the delta — and entries nobody reads again
   cost nothing;
 * **invalidate** — drop it when patching is priced at or above recomputing
   from scratch (keeping it would only waste memory — the read path would
@@ -186,7 +187,7 @@ class RefreshScheduler:
             if entry.graph_version >= graph.version:
                 continue  # fresh (or from the future of another graph)
             if cache.is_lazy(entry.key):
-                continue  # already scheduled; the read path owns it now
+                continue  # already scheduled; the read path prices and owns it now
             self.stats.walked += 1
             decisions.append(self._decide(session, cache, graph, entry))
         return decisions
@@ -238,8 +239,8 @@ class RefreshScheduler:
     def _choose(self, refresh_cost: float, scratch_cost: float, hits: int) -> str:
         if refresh_cost >= scratch_cost:
             # Patching costs at least a recomputation: the read path would
-            # never take the patch, so a retained entry is dead weight and
-            # a lazy mark would *force* the worse plan.  Drop it.
+            # never take the patch, so a retained entry is dead weight.
+            # Drop it.
             return "invalidate"
         if self._policy == "eager":
             return "eager"

@@ -26,7 +26,6 @@ from repro.olap.cache import (
     CacheEntry,
     CacheStats,
     ResultCache,
-    ResultCacheStats,
     canonical_query_key,
 )
 from repro.olap.cube import Cube
@@ -54,10 +53,12 @@ from repro.olap.rewriting import (
     RewritingResult,
     answer_from_rolled_partial,
     drill_in_from_partial,
+    drill_in_partial,
     drill_out_from_answer_naive,
     drill_out_from_partial,
+    drill_out_partial,
+    select_partial,
     slice_dice_from_answer,
-    transform_partial,
 )
 from repro.olap.session import OLAPSession, TransformationRecord
 
@@ -76,7 +77,9 @@ __all__ = [
     "drill_out_from_partial",
     "drill_in_from_partial",
     "drill_out_from_answer_naive",
-    "transform_partial",
+    "select_partial",
+    "drill_out_partial",
+    "drill_in_partial",
     "DimensionHierarchy",
     "answer_from_rolled_partial",
     "OLAPRewriter",
@@ -85,7 +88,6 @@ __all__ = [
     "ResultCache",
     "CacheEntry",
     "CacheStats",
-    "ResultCacheStats",
     "canonical_query_key",
     "DeltaMaintainer",
     "estimate_scratch_cost",

@@ -21,8 +21,7 @@ process that computed them.  :class:`ResultCache` provides exactly that:
   (:meth:`~repro.rdf.graph.Graph.deltas_since`), the entry is *retained*
   for :meth:`ResultCache.refresh`, which patches it in place via a
   :class:`~repro.olap.maintenance.DeltaMaintainer` instead of throwing the
-  work away; only entries past the log window (or lacking the partial
-  result patching needs) are dropped as invalidated;
+  work away; only entries past the log window are dropped as invalidated;
 * the mutation paths (LRU recency moves, inserts, evictions, pin
   bookkeeping) are guarded by a reentrant lock, so the cache can be shared
   by the serving layer's concurrent reader threads (one writer at a time;
@@ -55,7 +54,6 @@ __all__ = [
     "canonical_query_key",
     "graph_fingerprint",
     "CacheStats",
-    "ResultCacheStats",
     "CacheEntry",
     "ResultCache",
 ]
@@ -215,10 +213,6 @@ class CacheStats:
         return f"CacheStats({parts})"
 
 
-#: Alias matching the ``ResultCache`` naming (both refer to the same class).
-ResultCacheStats = CacheStats
-
-
 class CacheEntry:
     """One cached materialized result with its validity stamp."""
 
@@ -247,12 +241,7 @@ class CacheEntry:
 
     def size_rows(self) -> int:
         """Rows held by this entry (answer cells + partial rows)."""
-        rows = 0
-        if self.materialized.has_answer():
-            rows += len(self.materialized.answer)
-        if self.materialized.has_partial():
-            rows += len(self.materialized.partial)
-        return rows
+        return len(self.materialized.answer) + len(self.materialized.partial)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -348,55 +337,34 @@ class ResultCache:
 
     # -- lookup / insertion --------------------------------------------------
 
-    def get(
-        self, query: AnalyticalQuery, graph: Graph, require_partial: bool = False
-    ) -> Optional[CacheEntry]:
+    def get(self, query: AnalyticalQuery, graph: Graph) -> Optional[CacheEntry]:
         """The entry for ``query``'s canonical form, or None.
 
         A hit refreshes LRU recency.  An entry stamped with an older graph
         version is never served — a cache hit must not return a result
         computed against a graph that has since been mutated.  When the
-        graph can still report the triple deltas since the stamp and the
-        entry carries the partial result patching needs, the stale entry is
-        *retained* (a miss, awaiting :meth:`refresh`); otherwise it is
-        dropped and counted as an invalidation.  With
-        ``require_partial=True`` an entry lacking ``pres(Q)`` counts as a
-        miss and keeps its recency: the caller cannot use it, so it must
-        neither inflate the hit statistics nor crowd out genuinely reusable
-        entries.  On a miss the disk store, when configured, is consulted
-        and a disk hit is promoted into memory.
+        graph can still report the triple deltas since the stamp, the stale
+        entry is *retained* (a miss, awaiting :meth:`refresh`); otherwise it
+        is dropped and counted as an invalidation.  On a miss the disk
+        store, when configured, is consulted and a disk hit is promoted into
+        memory.
         """
         key = canonical_query_key(query)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry.graph_version != graph.version:
-                if not self._refreshable(entry, graph):
+                if graph.deltas_since(entry.graph_version) is None:
                     del self._entries[key]
                     self._lazy.discard(key)
                     self.stats.invalidations += 1
                 entry = None
-            if entry is not None and require_partial and not entry.materialized.has_partial():
-                # The persisted copy (same entry, written at put time) cannot
-                # have a partial either, so the disk store is not consulted.
-                self.stats.misses += 1
-                return None
             if entry is not None:
                 self._entries.move_to_end(key)
                 entry.hits += 1
                 self.stats.hits += 1
                 return entry
             self.stats.misses += 1
-            loaded = self._load_from_store(key, query, graph)
-            if loaded is not None and require_partial and not loaded.materialized.has_partial():
-                return None
-            return loaded
-
-    @staticmethod
-    def _refreshable(entry: CacheEntry, graph: Graph) -> bool:
-        """True when a stale entry is worth retaining for a later refresh."""
-        if not entry.materialized.has_partial():
-            return False
-        return graph.deltas_since(entry.graph_version) is not None
+            return self._load_from_store(key, query, graph)
 
     def peek(self, query: AnalyticalQuery, graph: Graph) -> Optional[CacheEntry]:
         """The *fresh* in-memory entry for ``query``, without side effects.
@@ -415,9 +383,8 @@ class ResultCache:
         """The retained stale entry for ``query`` plus its pending deltas.
 
         Returns ``(entry, delta)`` when the in-memory entry for ``query``'s
-        canonical form is stamped with an older graph version, still holds
-        its partial result, and the graph can produce the deltas since that
-        stamp; None otherwise (entries that turn out unpatchable are dropped
+        canonical form is stamped with an older graph version and the graph
+        can produce the deltas since that stamp; None otherwise (entries that turn out unpatchable are dropped
         and counted as invalidations).  No statistics or recency updates —
         this is the planner's candidate-enumeration probe.
         """
@@ -426,11 +393,7 @@ class ResultCache:
             entry = self._entries.get(key)
             if entry is None or entry.graph_version == graph.version:
                 return None
-            delta = (
-                graph.deltas_since(entry.graph_version)
-                if entry.materialized.has_partial()
-                else None
-            )
+            delta = graph.deltas_since(entry.graph_version)
             if delta is None:
                 del self._entries[key]
                 self._lazy.discard(key)
@@ -546,14 +509,15 @@ class ResultCache:
         """Mark an entry for lazy refresh-on-read (scheduler decision).
 
         The refresh scheduler marks stale-but-patchable entries it chose
-        *not* to refresh eagerly; the session's read path then patches a
-        marked entry on its next access without re-pricing the decision.
+        *not* to refresh eagerly, so it stops re-deciding them after every
+        batch; the session's read path still prices the patch against
+        recomputing (the delta may have grown since) and a patch of a marked
+        entry is counted in ``stats.lazy_refreshes``.
         Accepts a query or canonical key; returns True when the mark was
         recorded.  Only a key with a live in-memory entry is marked — a
-        mark is a decision *about an entry*, and an orphaned mark would
-        ambush a future entry stored under the same key with a refresh
-        that skipped the refresh-vs-scratch pricing.  Marks are dropped
-        when the entry is refreshed, invalidated, evicted or re-``put``.
+        mark is a decision *about an entry*, not about whatever is stored
+        under the same key later.  Marks are dropped when the entry is
+        refreshed, invalidated, evicted or re-``put``.
         """
         key = self._resolve_key(query_or_key)
         with self._lock:

@@ -43,12 +43,7 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from repro.algebra.expressions import comparable
 from repro.algebra.relation import IdRelation, Relation, relation_like
-from repro.analytics.answer import (
-    CubeAnswer,
-    KeyGenerator,
-    MaterializedQueryResults,
-    PartialResult,
-)
+from repro.analytics.answer import CubeAnswer, KeyGenerator, MaterializedQueryResults
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
 from repro.bgp.evaluator import BGPEvaluator
@@ -202,8 +197,6 @@ class DeltaMaintainer:
         for instance-sized batches it exceeds it, which is exactly the
         crossover the planner should find.
         """
-        if not materialized.has_partial() or not materialized.has_answer():
-            return float("inf")
         if materialized.query.rollup:
             return float("inf")  # rolled entries invalidate, never patch
         if getattr(self._evaluator, "entailment", None) == "rewrite":
@@ -341,9 +334,10 @@ class DeltaMaintainer:
     ) -> Optional[MaterializedQueryResults]:
         """Patched results equal to a from-scratch recompute, or None.
 
-        ``None`` means the entry is not patchable (no partial result, or its
-        relations live in a value space the maintainer cannot splice into)
-        and the caller should fall back to invalidation.  When the delta
+        ``None`` means the entry is not patchable (a rolled or
+        entailment-rewritten query, or relations living in a value space the
+        maintainer cannot splice into) and the caller should fall back to
+        invalidation.  When the delta
         does not touch the query at all the input object is returned as-is —
         the caller only needs to re-stamp its version.
         """
@@ -359,8 +353,6 @@ class DeltaMaintainer:
             # affects patterns over p's superproperties and the classes it
             # types into — the probe unification below would miss those, so
             # rewrite-mode entries invalidate instead of patching.
-            return None
-        if not materialized.has_partial() or not materialized.has_answer():
             return None
         partial = materialized.partial
         answer = materialized.answer
@@ -462,14 +454,7 @@ class DeltaMaintainer:
         )
 
         new_pres = relation_like(pres_storage.columns, retained + fresh, pres_storage)
-        new_partial = PartialResult(
-            new_pres,
-            fact_column=partial.fact_column,
-            dimension_columns=partial.dimension_columns,
-            key_column=partial.key_column,
-            measure_column=partial.measure_column,
-        )
-        return MaterializedQueryResults(query, answer=patched_answer, partial=new_partial)
+        return MaterializedQueryResults(query, patched_answer, partial.with_storage(new_pres))
 
     # ------------------------------------------------------------------
     # ans(Q) patching

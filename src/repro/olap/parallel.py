@@ -329,10 +329,7 @@ class ParallelExecutor:
     # -- execution -----------------------------------------------------
 
     def evaluate(
-        self,
-        query: AnalyticalQuery,
-        materialize_partial: bool = True,
-        shard_count: Optional[int] = None,
+        self, query: AnalyticalQuery, shard_count: Optional[int] = None
     ) -> MaterializedQueryResults:
         """Answer ``query`` shard-parallel; fall back to serial when unsupported.
 
@@ -345,19 +342,32 @@ class ParallelExecutor:
         property suite in ``tests/properties/test_property_parallel.py``
         holds all of this across worker/shard combinations.
         """
+        results = self._shard_results(query, shard_count, keep_rows=True)
+        if results is None:
+            return self._evaluator.evaluate(query)
+        return MaterializedQueryResults(
+            query, self._merge_answer(query, results), self._merge_partial(query, results)
+        )
+
+    def answer(self, query: AnalyticalQuery, shard_count: Optional[int] = None) -> CubeAnswer:
+        """``ans(Q)`` alone: workers ship no ``pres(Q)`` rows, only γ states."""
+        results = self._shard_results(query, shard_count, keep_rows=False)
+        if results is None:
+            return self._evaluator.answer(query)
+        return self._merge_answer(query, results)
+
+    def _shard_results(
+        self, query: AnalyticalQuery, shard_count: Optional[int], keep_rows: bool
+    ) -> Optional[List[Tuple[Optional[list], Dict]]]:
+        """Per-shard ``(pres rows, γ states)``; None (a recorded fallback) when
+        ``query`` is unsupported and the caller must evaluate it serially."""
         if not self.supports(query):
             self.last_backend = "fallback-serial"
             self.stats.record_dispatch("fallback-serial")
             self._record_fallback(self._backend, "serial", "unsupported aggregate")
-            return self._evaluator.evaluate(query, materialize_partial=materialize_partial)
+            return None
         count = self._shard_count if shard_count is None else int(shard_count)
-        shards = self._graph.partition(count)
-        results = self._dispatch(query, shards, materialize_partial)
-        return self._merge(query, results, materialize_partial)
-
-    def answer(self, query: AnalyticalQuery, shard_count: Optional[int] = None) -> CubeAnswer:
-        """``ans(Q)`` without retaining ``pres(Q)`` (workers ship no rows)."""
-        return self.evaluate(query, materialize_partial=False, shard_count=shard_count).answer
+        return self._dispatch(query, self._graph.partition(count), keep_rows)
 
     # -- dispatch ------------------------------------------------------
 
@@ -472,17 +482,12 @@ class ParallelExecutor:
 
     # -- merge ---------------------------------------------------------
 
-    def _merge(
-        self,
-        query: AnalyticalQuery,
-        results: List[Tuple[Optional[list], Dict]],
-        materialize_partial: bool,
-    ) -> MaterializedQueryResults:
+    def _merge_answer(
+        self, query: AnalyticalQuery, results: List[Tuple[Optional[list], Dict]]
+    ) -> CubeAnswer:
         dictionary = self._graph.dictionary
-        fact = query.fact_variable.name
         dimension_columns = query.dimension_names
         measure_column = query.measure_variable.name
-
         merged = merge_group_states((states for _, states in results), query.aggregate)
         answer_rows = finalize_group_states(merged, query.aggregate, decode=dictionary.decode)
         answer_columns = (*dimension_columns, measure_column)
@@ -492,28 +497,30 @@ class ParallelExecutor:
             )
         else:
             answer_relation = Relation.adopt(answer_columns, answer_rows)
-        answer = CubeAnswer(answer_relation, dimension_columns, measure_column)
+        return CubeAnswer(answer_relation, dimension_columns, measure_column)
 
-        partial = None
-        if materialize_partial:
-            pres_columns = (fact, *dimension_columns, KEY_COLUMN, measure_column)
-            pres_rows: list = []
-            for shard_rows, _ in results:
-                pres_rows.extend(shard_rows or ())
-            pres_relation = IdRelation.adopt_encoded(
-                pres_columns,
-                pres_rows,
-                dictionary,
-                encoded=(fact, *dimension_columns, measure_column),
-            )
-            partial = PartialResult(
-                pres_relation,
-                fact_column=fact,
-                dimension_columns=dimension_columns,
-                key_column=KEY_COLUMN,
-                measure_column=measure_column,
-            )
-        return MaterializedQueryResults(query, answer=answer, partial=partial)
+    def _merge_partial(
+        self, query: AnalyticalQuery, results: List[Tuple[Optional[list], Dict]]
+    ) -> PartialResult:
+        fact = query.fact_variable.name
+        dimension_columns = query.dimension_names
+        measure_column = query.measure_variable.name
+        pres_rows: list = []
+        for shard_rows, _ in results:
+            pres_rows.extend(shard_rows)
+        pres_relation = IdRelation.adopt_encoded(
+            (fact, *dimension_columns, KEY_COLUMN, measure_column),
+            pres_rows,
+            self._graph.dictionary,
+            encoded=(fact, *dimension_columns, measure_column),
+        )
+        return PartialResult(
+            pres_relation,
+            fact_column=fact,
+            dimension_columns=dimension_columns,
+            key_column=KEY_COLUMN,
+            measure_column=measure_column,
+        )
 
     # -- lifecycle -----------------------------------------------------
 

@@ -21,10 +21,12 @@ Candidate strategies, in the order they are enumerated (a candidate's
 
 ``rewrite[...]``
     One of the paper's rewritings applied to the materialized results of
-    the *origin* query — Proposition 1 (SLICE/DICE over ``ans(Q)``),
-    Algorithm 1 (DRILL-OUT from ``pres(Q)``), Algorithm 2 (DRILL-IN from
-    ``pres(Q)`` + auxiliary query).  The applicable rewritings are reported
-    by :meth:`repro.olap.rewriting.OLAPRewriter.options`.
+    the *origin* query: derive ``pres(Q_T)`` from ``pres(Q)`` (Algorithm 1
+    for DRILL-OUT, Algorithm 2 with its auxiliary query for DRILL-IN, the
+    hierarchy roll for ROLL-UP), then the one γ of Equation (3) —
+    Proposition 1 (SLICE/DICE as σ over ``ans(Q)``) is the shortcut.  The
+    applicable rewritings are reported by
+    :meth:`repro.olap.rewriting.OLAPRewriter.options`.
 
 ``compat[...]``
     A cached entry for a *different* query with the same classifier,
@@ -77,7 +79,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.algebra.operators import select
 from repro.analytics.answer import CubeAnswer, MaterializedQueryResults, PartialResult
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
@@ -92,6 +93,7 @@ from repro.analytics.rolling import roll_partial
 from repro.olap.rewriting import (
     OLAPRewriter,
     answer_from_rolled_partial,
+    select_partial,
     slice_dice_from_answer,
 )
 from repro.rdf.graph import GraphDelta
@@ -279,12 +281,19 @@ class OLAPPlanner:
         the transformed query's own entry and compatible weaker-Σ entries.
         The scratch candidate is always present, so a plan always exists.
 
+        Every candidate returns ``ans(Q_T)`` with ``pres(Q_T)``;
+        ``materialize_partial=False`` asks for the answer alone, which only
+        changes the candidates that answer by Proposition 1 (SLICE/DICE
+        ``rewrite`` and ``compat``): they then skip the σ over ``pres`` and
+        return no partial result.
+
         ``families`` restricts the enumeration to the named candidate
         families (the session's forced strategies pass ``("rewrite",)`` or
         ``("scratch",)``); unlisted families are not probed at all.  A
         filter that leaves no candidate raises
-        :class:`~repro.errors.MaterializationError` when ``pres(Q)`` was
-        never kept, :class:`~repro.errors.RewritingError` otherwise.
+        :class:`~repro.errors.MaterializationError` when the origin's
+        results are not materialized, :class:`~repro.errors.RewritingError`
+        otherwise.
         """
 
         def wanted(family: str) -> bool:
@@ -293,7 +302,7 @@ class OLAPPlanner:
         candidates: List[PlanCandidate] = []
 
         if wanted("cached"):  # the query's own entry: cached, or refresh-cached when stale
-            candidates.extend(self._own_entry_candidates(transformed_query, materialize_partial))
+            candidates.extend(self._own_entry_candidates(transformed_query))
 
         if origin_materialized is not None and wanted("rewrite"):
             candidates.extend(
@@ -308,7 +317,7 @@ class OLAPPlanner:
             )
 
         rollup_candidates = (
-            self._rollup_candidates(transformed_query, original_query, materialize_partial)
+            self._rollup_candidates(transformed_query, original_query)
             if wanted("rollup-from-cached")
             else []
         )
@@ -316,7 +325,7 @@ class OLAPPlanner:
 
         executor = self._parallel
         if wanted("parallel") and executor is not None and executor.supports(transformed_query):
-            candidates.append(self._parallel_candidate(transformed_query, materialize_partial))
+            candidates.append(self._parallel_candidate(transformed_query))
 
         # Cached lattice entries reveal the *actual* pres(Q) row count the
         # scratch evaluation would have to roll (rolling preserves rows);
@@ -325,43 +334,40 @@ class OLAPPlanner:
         pres_rows_hint: Optional[int] = None
         if transformed_query.rollup:
             observed = [candidate.input_rows for candidate in rollup_candidates]
-            if origin_materialized is not None and origin_materialized.has_partial():
+            if origin_materialized is not None:
                 observed.append(len(origin_materialized.partial))
             if observed:
                 pres_rows_hint = max(observed)
 
         if wanted("scratch"):
-            candidates.append(
-                self._scratch_candidate(transformed_query, materialize_partial, pres_rows_hint)
-            )
+            candidates.append(self._scratch_candidate(transformed_query, pres_rows_hint))
 
         if not candidates:  # only the ("rewrite",) filter can leave none
             reason = f"{operation.describe()} cannot be answered by rewriting {original_query.name!r}"
-            if origin_materialized is None or not origin_materialized.has_partial():
+            if origin_materialized is None:
                 raise MaterializationError(
-                    f"{reason}: its pres(Q) is not materialized; call execute() first"
+                    f"{reason}: its results are not materialized; call execute() first"
                 )
             raise RewritingError(f"{reason}; use the plan, auto or scratch strategy")
         return Plan(operation, transformed_query, candidates)
 
-    def plan_query(self, query: AnalyticalQuery, materialize_partial: bool = True) -> Plan:
+    def plan_query(self, query: AnalyticalQuery) -> Plan:
         """Enumerate and cost the ways of answering ``query`` itself.
 
         What ``OLAPSession.execute`` runs: the query's own cache entry
-        (``cached`` — with ``pres(Q)`` when ``materialize_partial`` wants it
-        — or ``refresh-cached``), ``parallel`` and ``scratch``, priced as in
-        :meth:`plan`.  A fresh hit is returned alone (a hit must stay O(1));
-        so is a stale entry the refresh scheduler marked for refresh-on-read,
-        whose patch was priced against recomputing when its batch published.
+        (``cached`` or ``refresh-cached``), ``parallel`` and ``scratch``,
+        priced as in :meth:`plan`.  A fresh hit is returned alone (a hit
+        must stay O(1)).  A stale entry is priced against recomputing on
+        every read, whether or not the refresh scheduler marked it for
+        refresh-on-read: the mark defers the *patch*, never the *pricing* —
+        batches landing after the mark grow the delta it was priced for.
         """
-        candidates = self._own_entry_candidates(
-            query, materialize_partial, require_partial=materialize_partial
-        )
-        if candidates and (candidates[0].strategy == "cached" or self._cache.is_lazy(query)):
+        candidates = self._own_entry_candidates(query)
+        if candidates and candidates[0].strategy == "cached":
             return Plan(None, query, candidates)
         if self._parallel is not None and self._parallel.supports(query):
-            candidates.append(self._parallel_candidate(query, materialize_partial))
-        candidates.append(self._scratch_candidate(query, materialize_partial))
+            candidates.append(self._parallel_candidate(query))
+        candidates.append(self._scratch_candidate(query))
         return Plan(None, query, candidates)
 
     def price_refresh(self, entry: CacheEntry, delta: GraphDelta) -> Tuple[float, float]:
@@ -369,8 +375,8 @@ class OLAPPlanner:
         candidates :meth:`plan_query` ranks on the next read, which the ingest
         layer's ``RefreshScheduler`` decides on when a batch publishes."""
         return (
-            self._refresh_candidate(entry.query, entry, delta, True).cost,
-            self._scratch_candidate(entry.query, True).cost,
+            self._refresh_candidate(entry.query, entry, delta).cost,
+            self._scratch_candidate(entry.query).cost,
         )
 
     def price_cached(self, query: AnalyticalQuery, cells: int) -> Tuple[float, float]:
@@ -378,23 +384,21 @@ class OLAPPlanner:
         ``cells``-cell cache entry or from the instance: the candidates
         :meth:`plan_query` ranks, whose difference is what the workload
         advisor credits a materialization with per access."""
-        return self._cached_cost(cells), self._scratch_candidate(query, True).cost
+        return self._cached_cost(cells), self._scratch_candidate(query).cost
 
     # ------------------------------------------------------------------
     # candidate builders
     # ------------------------------------------------------------------
 
-    def _own_entry_candidates(
-        self, query: AnalyticalQuery, materialize_partial: bool, require_partial: bool = False
-    ) -> List[PlanCandidate]:
+    def _own_entry_candidates(self, query: AnalyticalQuery) -> List[PlanCandidate]:
         """``cached`` or ``refresh-cached``: the entry under ``query``'s own key."""
         graph = self._evaluator.instance
-        exact = self._cache.get(query, graph, require_partial=require_partial)
-        if exact is not None and exact.materialized.has_answer():
+        exact = self._cache.get(query, graph)
+        if exact is not None:
             return [self._cached_candidate(exact.materialized)]
         stale = self._cache.stale_entry(query, graph)
         if stale is not None:
-            return [self._refresh_candidate(query, stale[0], stale[1], materialize_partial)]
+            return [self._refresh_candidate(query, stale[0], stale[1])]
         return []
 
     def _cached_cost(self, cells: int) -> float:
@@ -402,48 +406,35 @@ class OLAPPlanner:
 
     def _cached_candidate(self, materialized: MaterializedQueryResults) -> PlanCandidate:
         cells = len(materialized.answer)
-
-        def run() -> Tuple[CubeAnswer, Optional[PartialResult]]:
-            partial = materialized.partial if materialized.has_partial() else None
-            return materialized.answer, partial
-
         return PlanCandidate(
             "cached",
             self._cached_cost(cells),
             cells,
             f"ans already cached: {cells} cells",
-            run,
+            lambda: (materialized.answer, materialized.partial),
         )
 
     def _refresh_candidate(
-        self,
-        transformed_query: AnalyticalQuery,
-        entry: CacheEntry,
-        delta: GraphDelta,
-        materialize_partial: bool,
+        self, transformed_query: AnalyticalQuery, entry: CacheEntry, delta: GraphDelta
     ) -> PlanCandidate:
         cost = self._model.base_cost + self._maintainer.estimate_refresh_cost(
             entry.materialized, delta
         )
         pres_rows = len(entry.materialized.partial)
 
-        def run() -> Tuple[CubeAnswer, Optional[PartialResult]]:
+        def run() -> Tuple[CubeAnswer, PartialResult]:
             refreshed = self._cache.refresh(
                 transformed_query, self._evaluator.instance, self._maintainer
             )
             if refreshed is not None:
-                materialized = refreshed.materialized
-                partial = materialized.partial if materialized.has_partial() else None
-                return materialized.answer, partial
+                return refreshed.materialized.answer, refreshed.materialized.partial
             # The entry turned out unpatchable (e.g. the change log rolled
             # over between planning and execution): recompute instead, and
             # store the result — the session skips re-storing for this
             # strategy because the cache normally already holds it.
-            materialized = self._evaluator.evaluate(
-                transformed_query, materialize_partial=materialize_partial
-            )
+            materialized = self._evaluator.evaluate(transformed_query)
             self._cache.put(transformed_query, materialized, self._evaluator.instance)
-            return materialized.answer, materialized.partial if materialize_partial else None
+            return materialized.answer, materialized.partial
 
         return PlanCandidate(
             "refresh-cached",
@@ -511,8 +502,6 @@ class OLAPPlanner:
                 continue  # exact hits and the origin are covered elsewhere
             if entry.graph_version != graph.version:
                 continue
-            if not entry.materialized.has_answer():
-                continue
             if tuple(entry.query.rollup) != tuple(transformed_query.rollup):
                 # Entries share the core key across lattice levels; σ-selecting
                 # an answer at a different granularity would be wrong.
@@ -522,18 +511,8 @@ class OLAPPlanner:
             rows = len(entry.materialized.answer)
 
             def run(mat=entry.materialized, tq=transformed_query):
-                answer = slice_dice_from_answer(mat.answer, tq)
-                partial = None
-                if materialize_partial and mat.has_partial():
-                    source = mat.partial
-                    partial = PartialResult(
-                        select(source.storage, tq.sigma.predicate()),
-                        fact_column=source.fact_column,
-                        dimension_columns=source.dimension_columns,
-                        key_column=source.key_column,
-                        measure_column=source.measure_column,
-                    )
-                return answer, partial
+                partial = select_partial(mat.partial, tq) if materialize_partial else None
+                return slice_dice_from_answer(mat.answer, tq), partial
 
             candidates.append(
                 PlanCandidate(
@@ -547,10 +526,7 @@ class OLAPPlanner:
         return candidates
 
     def _rollup_candidates(
-        self,
-        transformed_query: AnalyticalQuery,
-        original_query: AnalyticalQuery,
-        materialize_partial: bool,
+        self, transformed_query: AnalyticalQuery, original_query: AnalyticalQuery
     ) -> List[PlanCandidate]:
         """Answer a rolled-up cube from any cached finer-grained cube.
 
@@ -575,8 +551,6 @@ class OLAPPlanner:
                 continue  # exact hits and the origin are covered elsewhere
             if entry.graph_version != graph.version:
                 continue
-            if not entry.materialized.has_partial():
-                continue
             source = entry.query
             level = len(source.rollup)
             if level >= len(stages):
@@ -592,8 +566,7 @@ class OLAPPlanner:
 
             def run(mat=entry.materialized, lvl=level):
                 partial = roll_partial(mat.partial, transformed_query, start=lvl)
-                answer = answer_from_rolled_partial(partial, transformed_query)
-                return answer, (partial if materialize_partial else None)
+                return answer_from_rolled_partial(partial, transformed_query), partial
 
             candidates.append(
                 PlanCandidate(
@@ -607,9 +580,7 @@ class OLAPPlanner:
             )
         return candidates
 
-    def _parallel_candidate(
-        self, transformed_query: AnalyticalQuery, materialize_partial: bool
-    ) -> PlanCandidate:
+    def _parallel_candidate(self, transformed_query: AnalyticalQuery) -> PlanCandidate:
         executor = self._parallel
         cost = self._model.base_cost + self._instance_cost(transformed_query, None, executor)
         instance_triples = len(self._evaluator.instance)
@@ -625,14 +596,11 @@ class OLAPPlanner:
             cost,
             instance_triples,
             detail,
-            lambda: self._evaluate_on(executor, transformed_query, materialize_partial),
+            lambda: self._evaluate_on(executor, transformed_query),
         )
 
     def _scratch_candidate(
-        self,
-        transformed_query: AnalyticalQuery,
-        materialize_partial: bool,
-        pres_rows_hint: Optional[int] = None,
+        self, transformed_query: AnalyticalQuery, pres_rows_hint: Optional[int] = None
     ) -> PlanCandidate:
         cost = self._model.base_cost + self._instance_cost(
             transformed_query, pres_rows_hint, None
@@ -647,16 +615,14 @@ class OLAPPlanner:
             cost,
             instance_triples,
             f"instance: {instance_triples} triples, est. {cost:.0f} rows touched",
-            lambda: self._evaluate_on(self._evaluator, transformed_query, materialize_partial),
+            lambda: self._evaluate_on(self._evaluator, transformed_query),
         )
 
     @staticmethod
-    def _evaluate_on(
-        engine, query: AnalyticalQuery, materialize_partial: bool
-    ) -> Tuple[CubeAnswer, Optional[PartialResult]]:
+    def _evaluate_on(engine, query: AnalyticalQuery) -> Tuple[CubeAnswer, PartialResult]:
         """Run ``query`` on the instance through the evaluator or the executor."""
-        materialized = engine.evaluate(query, materialize_partial=materialize_partial)
-        return materialized.answer, materialized.partial if materialize_partial else None
+        materialized = engine.evaluate(query)
+        return materialized.answer, materialized.partial
 
     # ------------------------------------------------------------------
     # cost estimation helpers

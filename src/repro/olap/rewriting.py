@@ -1,48 +1,64 @@
 """View-based rewriting of OLAP operations (the paper's core contribution).
 
 Given a query ``Q`` whose results have been materialized (its answer
-``ans(Q)`` and/or its partial result ``pres(Q)``), and an OLAP
-transformation ``T`` with ``Q_T = T(Q)``, this module computes
-``ans(Q_T)`` *without re-evaluating the classifier and measure over the AnS
-instance* — except for the small auxiliary query needed by DRILL-IN.
+``ans(Q)`` and its partial result ``pres(Q)``), and an OLAP transformation
+``T`` with ``Q_T = T(Q)``, this module computes ``ans(Q_T)`` *without
+re-evaluating the classifier and measure over the AnS instance* — except for
+the small auxiliary query needed by DRILL-IN.
 
-Implemented algorithms:
+The paper's Algorithms 1 and 2 have one shape: build a table ``T`` from
+``pres(Q)``, then apply Equation (3)'s γ.  ``T`` *is* ``pres(Q_T)`` up to the
+key column's concrete values, so each operation is written here exactly
+once, as the derivation of ``pres(Q_T)`` from ``pres(Q)``:
 
-* :func:`slice_dice_from_answer` — Proposition 1: σ_dice over ``ans(Q)``;
-* :func:`drill_out_from_partial` — Algorithm 1: project ``pres(Q)``,
-  deduplicate (δ), re-aggregate (γ);
-* :func:`drill_in_from_partial` — Algorithm 2: join ``pres(Q)`` with the
-  auxiliary query's answer over the instance, then aggregate;
-* :func:`drill_out_from_answer_naive` — the *incorrect* relational-style
-  re-aggregation of ``ans(Q)`` discussed in Example 5, kept for the
-  benchmark that demonstrates why ``pres(Q)`` is needed.
+* :func:`select_partial` — SLICE / DICE: ``σ_Σ′(pres(Q))``;
+* :func:`drill_out_partial` — Algorithm 1, lines 2–3: project, then δ;
+* :func:`drill_in_partial` — Algorithm 2, lines 2–3: ``pres(Q) ⋈ q_aux(I)``;
+* :func:`repro.analytics.rolling.roll_partial` — ROLL-UP: substitute
+  hierarchy parents, then δ (the generalized Algorithm 1);
 
-:class:`OLAPRewriter` packages these together with strategy selection.
+and ``ans(Q_T)`` is Equation (3) over that table, through the same γ
+from-scratch evaluation uses
+(:meth:`~repro.analytics.evaluator.AnalyticalQueryEvaluator.answer_from_partial`).
+Materializing the derived table is what lets OLAP *chains* — slice, then
+drill-out, then dice, ... — stay on the rewriting path throughout.
+
+One shortcut: :func:`slice_dice_from_answer` — Proposition 1, σ over
+``ans(Q)`` — answers SLICE/DICE reading ``|ans|`` rather than ``|pres|`` rows.
+
+:func:`drill_out_from_answer_naive` is the *incorrect* relational-style
+re-aggregation of ``ans(Q)`` discussed in Example 5, kept for the benchmark
+that demonstrates why ``pres(Q)`` is needed.
+
+:class:`OLAPRewriter` packages these behind one per-operation table.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
-from repro.errors import InvalidOperationError, MaterializationError, RewritingError
+from repro.errors import InvalidOperationError, RewritingError
 from repro.algebra.aggregates import AggregateFunction
 from repro.algebra.grouping import group_aggregate
 from repro.algebra.operators import dedup, join_on, project, select
-from repro.algebra.relation import IdRelation, Relation
+from repro.algebra.relation import IdRelation
 from repro.bgp.evaluator import BGPEvaluator
 from repro.analytics.answer import CubeAnswer, MaterializedQueryResults, PartialResult
+from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
 from repro.analytics.rolling import roll_partial
 from repro.olap.auxiliary import auxiliary_join_columns, build_auxiliary_query
-from repro.olap.operations import Dice, DrillDown, DrillIn, DrillOut, OLAPOperation, RollUp, Slice
+from repro.olap.operations import Dice, DrillIn, DrillOut, OLAPOperation, RollUp, Slice
 
 __all__ = [
     "slice_dice_from_answer",
+    "select_partial",
+    "drill_out_partial",
+    "drill_in_partial",
     "drill_out_from_partial",
     "drill_in_from_partial",
-    "drill_out_from_answer_naive",
     "answer_from_rolled_partial",
-    "transform_partial",
+    "drill_out_from_answer_naive",
     "OLAPRewriter",
     "RewriteOption",
     "RewritingResult",
@@ -50,7 +66,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Proposition 1: SLICE / DICE by selection over ans(Q)
+# Proposition 1: SLICE / DICE by selection over ans(Q) — the one shortcut
 # ---------------------------------------------------------------------------
 
 
@@ -68,24 +84,26 @@ def slice_dice_from_answer(answer: CubeAnswer, transformed_query: AnalyticalQuer
 
 
 # ---------------------------------------------------------------------------
-# Algorithm 1: DRILL-OUT from pres(Q)
+# pres(Q) → pres(Q_T): one derivation per operation
 # ---------------------------------------------------------------------------
 
 
-def drill_out_from_partial(
+def select_partial(partial: PartialResult, transformed_query: AnalyticalQuery) -> PartialResult:
+    """SLICE / DICE: ``pres(Q_T) = σ_Σ′(pres(Q))``, the Σ′ row selection."""
+    return partial.with_storage(select(partial.storage, transformed_query.sigma.predicate()))
+
+
+def drill_out_partial(
     partial: PartialResult,
     query: AnalyticalQuery,
     transformed_query: AnalyticalQuery,
-) -> CubeAnswer:
-    """Algorithm 1: answer ``Q_DRILL-OUT`` from ``pres(Q)``.
-
-    Steps (lines of Algorithm 1):
+) -> PartialResult:
+    """Algorithm 1, lines 2–3: the table ``T`` of DRILL-OUT, i.e. ``pres(Q_T)``.
 
     2. ``T ← Π_{root, d₁..d_{i-1}, d_{i+1}..dₙ, k, v}(pres(Q))``
     3. ``T ← δ(T)`` — the deduplication is what prevents facts that are
        multi-valued along the removed dimension(s) from being counted
-       several times;
-    4. ``T ← γ_{remaining dims, ⊕(v)}(T)``.
+       several times.
 
     Applicability: the removed dimensions must be **unrestricted** in Q's Σ.
     DRILL-OUT drops the removed dimension's Σ entry from the transformed
@@ -100,63 +118,45 @@ def drill_out_from_partial(
         raise RewritingError(
             f"the materialized pres({query.name}) does not contain dimensions {unknown}"
         )
-    _require_removed_dimensions_unrestricted(query, transformed_query)
-    kept_columns = (
-        partial.fact_column,
-        *remaining,
-        partial.key_column,
-        partial.measure_column,
-    )
-    table = project(partial.storage, kept_columns)
-    table = dedup(table)
-    aggregated = group_aggregate(
-        table,
-        by=remaining,
-        measure=partial.measure_column,
-        function=transformed_query.aggregate,
-        output_column=partial.measure_column,
-    )
-    return CubeAnswer(aggregated, tuple(remaining), partial.measure_column)
-
-
-def _require_removed_dimensions_unrestricted(
-    query: AnalyticalQuery, transformed_query: AnalyticalQuery
-) -> None:
-    """Refuse pres(Q)-based DRILL-OUT when a removed dimension carried a Σ restriction."""
-    remaining = set(transformed_query.dimension_names)
-    restricted = [
-        name
-        for name in query.sigma.restricted_dimensions()
-        if name not in remaining
-    ]
+    restricted = _removed_restricted_dimensions(query, transformed_query)
     if restricted:
         raise RewritingError(
             f"DRILL-OUT removes dimensions {restricted} whose Σ restricts the values; "
             f"pres({query.name}) lacks the facts the restriction excluded, so the "
             f"transformed query must be evaluated from scratch"
         )
+    kept = (partial.fact_column, *remaining, partial.key_column, partial.measure_column)
+    return partial.with_storage(dedup(project(partial.storage, kept)))
 
 
-# ---------------------------------------------------------------------------
-# Algorithm 2: DRILL-IN from pres(Q) + the instance
-# ---------------------------------------------------------------------------
+def _removed_restricted_dimensions(
+    query: AnalyticalQuery, transformed_query: AnalyticalQuery
+) -> list:
+    """The Σ-restricted dimensions of ``Q`` that ``Q_T`` no longer has.
+
+    Empty for every operation that keeps Q's dimensions; non-empty means
+    ``pres(Q)`` cannot answer ``Q_T`` (see :func:`drill_out_partial`).
+    """
+    remaining = set(transformed_query.dimension_names)
+    return [name for name in query.sigma.restricted_dimensions() if name not in remaining]
 
 
-def drill_in_from_partial(
+def drill_in_partial(
     partial: PartialResult,
     query: AnalyticalQuery,
     transformed_query: AnalyticalQuery,
-    instance_evaluator: BGPEvaluator,
-) -> CubeAnswer:
-    """Algorithm 2: answer ``Q_DRILL-IN`` from ``pres(Q)`` and the instance.
-
-    Steps (lines of Algorithm 2):
+    instance_evaluator: Optional[BGPEvaluator],
+) -> PartialResult:
+    """Algorithm 2, lines 2–3: the table ``T`` of DRILL-IN, i.e. ``pres(Q_T)``.
 
     2. build the auxiliary query ``q_aux(dvars, d_{n+1})`` (Definition 6);
     3. ``T ← pres(Q) ⋈_{dvars} q_aux(I)`` — the instance is consulted only
-       through ``q_aux``, which touches a small part of it;
-    4. ``T ← γ_{d₁..dₙ, d_{n+1}, ⊕(v)}(T)``.
+       through ``q_aux``, which touches a small part of it.
     """
+    if instance_evaluator is None:
+        raise RewritingError(
+            "DRILL-IN rewriting needs access to the AnS instance for the auxiliary query"
+        )
     original_dimensions = set(query.dimension_names)
     new_dimensions = [
         name for name in transformed_query.dimension_names if name not in original_dimensions
@@ -167,22 +167,18 @@ def drill_in_from_partial(
         )
     auxiliary = build_auxiliary_query(query.classifier, new_dimensions)
     join_columns = auxiliary_join_columns(query.classifier, auxiliary)
-    auxiliary_answer = _auxiliary_answer(partial, instance_evaluator, auxiliary)
-
     joined = join_on(
         partial.storage,
-        auxiliary_answer,
+        _auxiliary_answer(partial, instance_evaluator, auxiliary),
         [(column, column) for column in join_columns],
     )
-    output_dimensions = tuple(transformed_query.dimension_names)
-    aggregated = group_aggregate(
-        joined,
-        by=output_dimensions,
-        measure=partial.measure_column,
-        function=transformed_query.aggregate,
-        output_column=partial.measure_column,
+    layout = (
+        partial.fact_column,
+        *transformed_query.dimension_names,
+        partial.key_column,
+        partial.measure_column,
     )
-    return CubeAnswer(aggregated, output_dimensions, partial.measure_column)
+    return partial.with_storage(joined.reorder(layout))
 
 
 def _auxiliary_answer(partial: PartialResult, instance_evaluator: BGPEvaluator, auxiliary):
@@ -203,26 +199,44 @@ def _auxiliary_answer(partial: PartialResult, instance_evaluator: BGPEvaluator, 
 
 
 # ---------------------------------------------------------------------------
-# ROLL-UP from pres(Q): the generalized Algorithm-1 pipeline
+# ans(Q_T) = Equation (3) over the derived table
 # ---------------------------------------------------------------------------
 
 
 def answer_from_rolled_partial(
     partial: PartialResult, transformed_query: AnalyticalQuery
 ) -> CubeAnswer:
-    """γ-aggregate an already-rolled ``pres(Q_T)`` into ``ans(Q_T)``.
+    """Equation (3) over a derived ``pres(Q_T)``: the last line of every rewriting.
 
-    The partial must already be at the transformed query's granularity and
-    δ-deduplicated (see :func:`repro.analytics.rolling.roll_partial`).
+    ``partial`` must already be ``pres(Q_T)`` — at the transformed query's
+    granularity and δ-deduplicated (what :func:`drill_out_partial`,
+    :func:`drill_in_partial` and :func:`repro.analytics.rolling.roll_partial`
+    return).  This is the γ from-scratch evaluation runs; it reads only the
+    table, never an instance, so it is called on the evaluator class.
     """
-    aggregated = group_aggregate(
-        partial.storage,
-        by=partial.dimension_columns,
-        measure=partial.measure_column,
-        function=transformed_query.aggregate,
-        output_column=partial.measure_column,
-    )
-    return CubeAnswer(aggregated, partial.dimension_columns, partial.measure_column)
+    return AnalyticalQueryEvaluator.answer_from_partial(None, transformed_query, partial)
+
+
+def drill_out_from_partial(
+    partial: PartialResult,
+    query: AnalyticalQuery,
+    transformed_query: AnalyticalQuery,
+) -> CubeAnswer:
+    """Algorithm 1: answer ``Q_DRILL-OUT`` from ``pres(Q)`` (:func:`drill_out_partial`, then γ)."""
+    table = drill_out_partial(partial, query, transformed_query)
+    return answer_from_rolled_partial(table, transformed_query)
+
+
+def drill_in_from_partial(
+    partial: PartialResult,
+    query: AnalyticalQuery,
+    transformed_query: AnalyticalQuery,
+    instance_evaluator: BGPEvaluator,
+) -> CubeAnswer:
+    """Algorithm 2: answer ``Q_DRILL-IN`` from ``pres(Q)`` and the instance
+    (:func:`drill_in_partial`, then γ)."""
+    table = drill_in_partial(partial, query, transformed_query, instance_evaluator)
+    return answer_from_rolled_partial(table, transformed_query)
 
 
 # ---------------------------------------------------------------------------
@@ -268,84 +282,73 @@ def _combiner(aggregate):
 
 
 # ---------------------------------------------------------------------------
-# Rewriting the partial result itself (enables chains of OLAP operations)
+# The per-operation table
 # ---------------------------------------------------------------------------
 
 
-def transform_partial(
-    partial: PartialResult,
-    query: AnalyticalQuery,
-    transformed_query: AnalyticalQuery,
-    operation: OLAPOperation,
-    instance_evaluator: Optional[BGPEvaluator] = None,
-) -> PartialResult:
-    """Derive ``pres(Q_T)`` from ``pres(Q)`` for an OLAP transformation T.
+class _Rewriting(NamedTuple):
+    """How one OLAP operation is answered from materialized results.
 
-    The paper's algorithms produce ``ans(Q_T)``; the tables they build along
-    the way are (up to the key column's concrete values) exactly
-    ``pres(Q_T)``, so materializing them lets OLAP *chains* — slice, then
-    drill-out, then dice, ... — stay on the rewriting path throughout:
-
-    * SLICE / DICE: the Σ′ row selection applied to ``pres(Q)``;
-    * DRILL-OUT: the projected and deduplicated table T of Algorithm 1
-      (before the final aggregation);
-    * DRILL-IN: the join of ``pres(Q)`` with the auxiliary query's answer
-      (Algorithm 2's T before aggregation), which needs the instance.
+    ``derive(pres(Q), Q, Q_T, instance_evaluator)`` returns ``pres(Q_T)``;
+    ``output_rows(input_rows, cells, Q_T)`` is the crude output-size
+    estimate the planner prices with, from the rows of the input read
+    (``input_kind``) and the cells of ``ans(Q)``.
     """
-    if isinstance(operation, (Slice, Dice)):
-        selected = select(partial.storage, transformed_query.sigma.predicate())
-        return PartialResult(
-            selected,
-            fact_column=partial.fact_column,
-            dimension_columns=partial.dimension_columns,
-            key_column=partial.key_column,
-            measure_column=partial.measure_column,
-        )
-    if isinstance(operation, DrillOut):
-        _require_removed_dimensions_unrestricted(query, transformed_query)
-        remaining = tuple(transformed_query.dimension_names)
-        kept = (partial.fact_column, *remaining, partial.key_column, partial.measure_column)
-        table = dedup(project(partial.storage, kept))
-        return PartialResult(
-            table,
-            fact_column=partial.fact_column,
-            dimension_columns=remaining,
-            key_column=partial.key_column,
-            measure_column=partial.measure_column,
-        )
-    if isinstance(operation, DrillIn):
-        if instance_evaluator is None:
-            raise RewritingError(
-                "deriving pres(Q_DRILL-IN) needs access to the AnS instance for the auxiliary query"
-            )
-        original_dimensions = set(query.dimension_names)
-        new_dimensions = [
-            name for name in transformed_query.dimension_names if name not in original_dimensions
-        ]
-        auxiliary = build_auxiliary_query(query.classifier, new_dimensions)
-        join_columns = auxiliary_join_columns(query.classifier, auxiliary)
-        auxiliary_answer = _auxiliary_answer(partial, instance_evaluator, auxiliary)
-        joined = join_on(
-            partial.storage, auxiliary_answer, [(column, column) for column in join_columns]
-        )
-        layout = (
-            partial.fact_column,
-            *transformed_query.dimension_names,
-            partial.key_column,
-            partial.measure_column,
-        )
-        return PartialResult(
-            joined.reorder(layout),
-            fact_column=partial.fact_column,
-            dimension_columns=tuple(transformed_query.dimension_names),
-            key_column=partial.key_column,
-            measure_column=partial.measure_column,
-        )
-    if isinstance(operation, RollUp):
-        return roll_partial(partial, transformed_query, start=len(query.rollup))
-    raise InvalidOperationError(
-        f"no partial-result rewriting is defined for operation {type(operation).__name__}"
-    )
+
+    strategy: str
+    input_kind: str  # "answer" (Proposition 1) or "partial"
+    needs_instance: bool
+    derive: Callable[..., PartialResult]
+    output_rows: Callable[[int, int, AnalyticalQuery], float]
+
+
+_SLICE_DICE = _Rewriting(
+    "slice-dice/ans",
+    "answer",
+    False,
+    lambda partial, query, transformed_query, instance_evaluator: select_partial(
+        partial, transformed_query
+    ),
+    lambda rows, cells, transformed_query: rows * _sigma_selectivity(transformed_query),
+)
+
+#: The one place an operation class is mapped to its rewriting.  DRILL-DOWN
+#: is absent: it restores a finer granularity that ``pres(Q)`` no longer
+#: carries; the planner answers it from the cache lattice or from scratch,
+#: never from the coarser origin.
+_REWRITINGS = {
+    Slice: _SLICE_DICE,
+    Dice: _SLICE_DICE,
+    DrillOut: _Rewriting(
+        "drill-out/pres",
+        "partial",
+        False,
+        lambda partial, query, transformed_query, instance_evaluator: drill_out_partial(
+            partial, query, transformed_query
+        ),
+        # Dropping dimensions merges groups: the output is at most the
+        # current answer size, estimated as half of it.
+        lambda rows, cells, transformed_query: max(cells / 2.0, 1.0),
+    ),
+    DrillIn: _Rewriting(
+        "drill-in/pres+aux",
+        "partial",
+        True,
+        drill_in_partial,
+        # The auxiliary join can only refine groups; output grows with the
+        # new dimension's fan-out, estimated at 2x the current cells.
+        lambda rows, cells, transformed_query: cells * 2.0,
+    ),
+    RollUp: _Rewriting(
+        "roll-up/pres",
+        "partial",
+        False,
+        lambda partial, query, transformed_query, instance_evaluator: roll_partial(
+            partial, transformed_query, start=len(query.rollup)
+        ),
+        lambda rows, cells, transformed_query: rows * _sigma_selectivity(transformed_query),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +356,7 @@ def transform_partial(
 # ---------------------------------------------------------------------------
 
 
-class RewriteOption:
+class RewriteOption(NamedTuple):
     """One applicable rewriting, reported to the planner.
 
     Instead of callers hand-picking an algorithm per operation, the
@@ -364,28 +367,12 @@ class RewriteOption:
     into a costed plan candidate.
     """
 
-    __slots__ = ("strategy", "input_kind", "input_rows", "estimated_output_rows", "needs_instance")
-
-    def __init__(
-        self,
-        strategy: str,
-        input_kind: str,
-        input_rows: int,
-        estimated_output_rows: float,
-        needs_instance: bool = False,
-    ):
-        self.strategy = strategy
-        #: ``"answer"`` or ``"partial"`` — which materialized input is read.
-        self.input_kind = input_kind
-        self.input_rows = input_rows
-        self.estimated_output_rows = estimated_output_rows
-        self.needs_instance = needs_instance
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"RewriteOption({self.strategy}, {self.input_kind}: {self.input_rows} rows "
-            f"-> ~{self.estimated_output_rows:.0f})"
-        )
+    strategy: str
+    #: ``"answer"`` or ``"partial"`` — which materialized input is read.
+    input_kind: str
+    input_rows: int
+    estimated_output_rows: float
+    needs_instance: bool
 
 
 def _sigma_selectivity(transformed_query: AnalyticalQuery) -> float:
@@ -407,29 +394,18 @@ def _sigma_selectivity(transformed_query: AnalyticalQuery) -> float:
     return max(selectivity, 0.001)
 
 
-class RewritingResult:
+class RewritingResult(NamedTuple):
     """Outcome of answering a transformed query through rewriting."""
 
-    def __init__(
-        self,
-        answer: CubeAnswer,
-        strategy: str,
-        used_answer: bool,
-        used_partial: bool,
-        used_instance: bool,
-        partial: Optional[PartialResult] = None,
-    ):
-        self.answer = answer
-        self.strategy = strategy
-        self.used_answer = used_answer
-        self.used_partial = used_partial
-        self.used_instance = used_instance
-        #: ``pres(Q_T)`` derived from ``pres(Q)`` when requested (see
-        #: :meth:`OLAPRewriter.answer`'s ``materialize_partial``).
-        self.partial = partial
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RewritingResult({self.strategy}, {len(self.answer)} cells)"
+    answer: CubeAnswer
+    #: Names the rewriting, and with it the inputs read: ``slice-dice/ans``
+    #: (``ans(Q)``), ``drill-out/pres`` / ``roll-up/pres`` (``pres(Q)``),
+    #: ``drill-in/pres+aux`` (``pres(Q)`` and the instance).
+    strategy: str
+    #: The derived ``pres(Q_T)`` — the table the answer was aggregated from.
+    #: None only for an answer-only Proposition 1 rewriting (see
+    #: :meth:`OLAPRewriter.answer`'s ``materialize_partial``).
+    partial: Optional[PartialResult]
 
 
 class OLAPRewriter:
@@ -451,67 +427,35 @@ class OLAPRewriter:
         operation: OLAPOperation,
         transformed_query: Optional[AnalyticalQuery] = None,
     ) -> Tuple[RewriteOption, ...]:
-        """The rewritings applicable to ``T(Q)`` given what is materialized.
+        """The rewritings applicable to ``T(Q)`` from the materialized results.
 
-        Returns an empty tuple when the required input (``ans(Q)`` for
-        SLICE/DICE, ``pres(Q)`` for the drills, plus an instance evaluator
-        for DRILL-IN) is missing — the planner then knows reuse is off the
-        table and falls back to from-scratch evaluation.
+        Returns an empty tuple when the operation has no rewriting
+        (DRILL-DOWN), when DRILL-IN lacks an instance evaluator, or when
+        DRILL-OUT removes a Σ-restricted dimension — the planner then knows
+        reuse of the origin is off the table and falls back to from-scratch
+        evaluation.
         """
+        query = materialized.query
         if transformed_query is None:
-            transformed_query = operation.apply(materialized.query)
-        if isinstance(operation, (Slice, Dice)):
-            if not materialized.has_answer():
-                return ()
-            rows = len(materialized.answer)
-            return (
-                RewriteOption(
-                    "slice-dice/ans",
-                    "answer",
-                    rows,
-                    rows * _sigma_selectivity(transformed_query),
-                ),
-            )
-        if isinstance(operation, DrillOut):
-            if not materialized.has_partial():
-                return ()
-            try:
-                _require_removed_dimensions_unrestricted(materialized.query, transformed_query)
-            except RewritingError:
-                return ()
-            rows = len(materialized.partial)
-            # Dropping dimensions merges groups: the output is at most the
-            # current answer size, estimated as half of it.
-            cells = len(materialized.answer) if materialized.has_answer() else rows
-            return (RewriteOption("drill-out/pres", "partial", rows, max(cells / 2.0, 1.0)),)
-        if isinstance(operation, DrillIn):
-            if not materialized.has_partial() or self._instance_evaluator is None:
-                return ()
-            rows = len(materialized.partial)
-            # The auxiliary join can only refine groups; output grows with
-            # the new dimension's fan-out, estimated at 2x the current cells.
-            cells = len(materialized.answer) if materialized.has_answer() else rows
-            return (
-                RewriteOption(
-                    "drill-in/pres+aux", "partial", rows, cells * 2.0, needs_instance=True
-                ),
-            )
-        if isinstance(operation, RollUp):
-            if not materialized.has_partial():
-                return ()
-            rows = len(materialized.partial)
-            return (
-                RewriteOption(
-                    "roll-up/pres",
-                    "partial",
-                    rows,
-                    rows * _sigma_selectivity(transformed_query),
-                ),
-            )
-        # DRILL-DOWN restores a finer granularity that pres(Q) no longer
-        # carries; the planner must answer it from the cache lattice or from
-        # scratch, never from the coarser origin.
-        return ()
+            transformed_query = operation.apply(query)
+        rewriting = _REWRITINGS.get(type(operation))
+        if (
+            rewriting is None
+            or (rewriting.needs_instance and self._instance_evaluator is None)
+            or _removed_restricted_dimensions(query, transformed_query)
+        ):
+            return ()
+        cells = len(materialized.answer)
+        rows = cells if rewriting.input_kind == "answer" else len(materialized.partial)
+        return (
+            RewriteOption(
+                rewriting.strategy,
+                rewriting.input_kind,
+                rows,
+                rewriting.output_rows(rows, cells, transformed_query),
+                rewriting.needs_instance,
+            ),
+        )
 
     def answer(
         self,
@@ -526,65 +470,28 @@ class OLAPRewriter:
         built it (e.g. the OLAP session); otherwise it is derived by
         applying ``operation`` to the materialized query.
 
-        With ``materialize_partial=True`` the result also carries
-        ``pres(Q_T)`` (derived from ``pres(Q)`` when it is available), so the
-        transformed query can itself be the input of further rewritten OLAP
-        operations.
+        ``pres(Q_T)`` is derived once; the answer is Equation (3) over it and
+        the result carries it, so the transformed query can itself be the
+        input of further rewritten OLAP operations.  SLICE/DICE is the
+        exception: its answer is Proposition 1's σ over ``ans(Q)``, and
+        ``σ_Σ′(pres(Q))`` is only computed under ``materialize_partial=True``.
         """
         query = materialized.query
         if transformed_query is None:
             transformed_query = operation.apply(query)
-
-        if isinstance(operation, (Slice, Dice)):
-            if not materialized.has_answer():
-                raise MaterializationError(
-                    f"SLICE/DICE rewriting needs ans({query.name}) to be materialized"
-                )
-            answer = slice_dice_from_answer(materialized.answer, transformed_query)
-            result = RewritingResult(answer, "slice-dice/ans", True, False, False)
-        elif isinstance(operation, DrillOut):
-            if not materialized.has_partial():
-                raise MaterializationError(
-                    f"DRILL-OUT rewriting needs pres({query.name}) to be materialized"
-                )
-            answer = drill_out_from_partial(materialized.partial, query, transformed_query)
-            result = RewritingResult(answer, "drill-out/pres", False, True, False)
-        elif isinstance(operation, DrillIn):
-            if not materialized.has_partial():
-                raise MaterializationError(
-                    f"DRILL-IN rewriting needs pres({query.name}) to be materialized"
-                )
-            if self._instance_evaluator is None:
-                raise RewritingError(
-                    "DRILL-IN rewriting needs access to the AnS instance for the auxiliary query"
-                )
-            answer = drill_in_from_partial(
-                materialized.partial, query, transformed_query, self._instance_evaluator
-            )
-            result = RewritingResult(answer, "drill-in/pres+aux", False, True, True)
-        elif isinstance(operation, RollUp):
-            if not materialized.has_partial():
-                raise MaterializationError(
-                    f"ROLL-UP rewriting needs pres({query.name}) to be materialized"
-                )
-            rolled = roll_partial(
-                materialized.partial, transformed_query, start=len(query.rollup)
-            )
-            answer = answer_from_rolled_partial(rolled, transformed_query)
-            result = RewritingResult(answer, "roll-up/pres", False, True, False)
-            if materialize_partial:
-                result.partial = rolled
-        else:
+        rewriting = _REWRITINGS.get(type(operation))
+        if rewriting is None:
             raise InvalidOperationError(
                 f"no rewriting is defined for operation {type(operation).__name__}"
             )
-
-        if materialize_partial and materialized.has_partial() and result.partial is None:
-            result.partial = transform_partial(
-                materialized.partial,
-                query,
-                transformed_query,
-                operation,
-                self._instance_evaluator,
+        by_proposition_1 = rewriting.input_kind == "answer"
+        partial = None
+        if materialize_partial or not by_proposition_1:
+            partial = rewriting.derive(
+                materialized.partial, query, transformed_query, self._instance_evaluator
             )
-        return result
+        if by_proposition_1:
+            answer = slice_dice_from_answer(materialized.answer, transformed_query)
+        else:
+            answer = answer_from_rolled_partial(partial, transformed_query)
+        return RewritingResult(answer, rewriting.strategy, partial)

@@ -117,8 +117,6 @@ class OLAPSession:
     schema:
         Optional analytical schema (kept for introspection; queries carry
         their own).
-    materialize_partial:
-        Whether :meth:`execute` retains ``pres(Q)`` alongside ``ans(Q)``.
     cache_capacity:
         Bound on the number of in-memory materialized results (LRU beyond
         it).  0 disables in-memory caching; correctness is unaffected
@@ -184,7 +182,6 @@ class OLAPSession:
         self,
         instance: Optional[Graph] = None,
         schema: Optional[AnalyticalSchema] = None,
-        materialize_partial: bool = True,
         cache_capacity: int = DEFAULT_CAPACITY,
         cache_dir: Optional[str] = None,
         workers: int = 1,
@@ -233,7 +230,6 @@ class OLAPSession:
                 # (scratch[saturate]); evaluation itself is plain — the graph
                 # is already closed.
                 self.evaluator.entailment = "saturate"
-        self._materialize_partial = materialize_partial
         self._cache = ResultCache(cache_capacity, store_dir=cache_dir)
         self._cost_model = cost_model or CostModel()
         self._maintainer = DeltaMaintainer(self.evaluator, cost_model=self._cost_model)
@@ -420,19 +416,16 @@ class OLAPSession:
     # query execution
     # ------------------------------------------------------------------
 
-    def execute(self, query: AnalyticalQuery, materialize_partial: Optional[bool] = None) -> Cube:
-        """Answer ``query`` and materialize its results (cache-first).
+    def execute(self, query: AnalyticalQuery) -> Cube:
+        """Answer ``query`` and materialize ``ans(Q)`` and ``pres(Q)`` (cache-first).
 
         Runs the winner of :meth:`OLAPPlanner.plan_query
         <repro.olap.planner.OLAPPlanner.plan_query>`; the history strategy
-        names the route: ``cache`` / ``cache[disk]`` (the stored answer,
-        with a partial result if one is requested, without touching the
-        instance), ``refresh`` (a stale entry patched from the change log),
-        ``parallel`` or ``scratch`` (evaluated on the instance).
+        names the route: ``cache`` / ``cache[disk]`` (the stored results,
+        without touching the instance), ``refresh`` (a stale entry patched
+        from the change log), ``parallel`` or ``scratch`` (evaluated on the
+        instance).
         """
-        keep_partial = (
-            self._materialize_partial if materialize_partial is None else materialize_partial
-        )
         self._sync_entailment()
         started = time.perf_counter()
         # Stamp a new entry with the version observed *before* evaluating: a
@@ -440,7 +433,7 @@ class OLAPSession:
         # yield a born-stale entry, never a fresh-stamped one holding stale
         # cells.
         observed_version = self.instance.version
-        chosen = self._planner.plan_query(query, materialize_partial=keep_partial).chosen
+        chosen = self._planner.plan_query(query).chosen
         answer, partial = chosen.execute()
         strategy = _EXECUTE_LABELS.get(chosen.strategy, chosen.strategy)
         if chosen.strategy == "cached":
@@ -551,8 +544,8 @@ class OLAPSession:
             ``"scratch"`` — force re-evaluation on the instance;
             ``"auto"`` — rewrite when possible, otherwise scratch.
         materialize:
-            Whether to store the transformed query's results for further
-            navigation.
+            Whether to store the transformed query's results (``ans(Q_T)``
+            and ``pres(Q_T)``) for further navigation.
         """
         if strategy not in _STRATEGY_FAMILIES:
             raise OLAPError(
@@ -631,7 +624,7 @@ class OLAPSession:
         if chosen.strategy not in ("cached", "refresh-cached"):
             self._cache.put(
                 query,
-                MaterializedQueryResults(query, answer=answer, partial=partial),
+                MaterializedQueryResults(query, answer, partial),
                 self.instance,
                 version=version,
             )

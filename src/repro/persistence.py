@@ -12,9 +12,10 @@ Format
 A *result directory* contains:
 
 * ``manifest.json`` — the query name, column roles (fact / dimensions / key /
-  measure), aggregate name and which parts are present;
-* ``answer.tsv`` / ``partial.tsv`` — one relation each, tab-separated, one
-  header line with the column names, one line per row.
+  measure) and aggregate name;
+* ``answer.tsv`` and ``partial.tsv`` — ``ans(Q)`` and ``pres(Q)``, one
+  relation each, tab-separated, one header line with the column names, one
+  line per row.  Both are required: a directory lacking either is rejected.
 
 Cell encoding: RDF terms are written in their N-Triples form (``<iri>``,
 ``"literal"^^<datatype>``, ``_:label``); Python ints/floats/bools are written
@@ -22,8 +23,8 @@ as JSON scalars; ``None`` as an empty field.  This keeps files human-readable
 and diff-able while round-tripping exactly.
 
 The AnS **instance** itself persists through the binary columnar snapshot
-format of :mod:`repro.storage` (:func:`save_graph_snapshot` /
-:func:`load_graph_snapshot` below re-export it), so a session can be fully
+format of :mod:`repro.storage` (:func:`~repro.storage.save_snapshot` /
+:func:`~repro.storage.load_snapshot`), so a session can be fully
 re-hydrated — instance by mmap, materialized results from a result
 directory — without re-parsing any source syntax.
 """
@@ -47,31 +48,7 @@ __all__ = [
     "load_materialized_results",
     "save_cache_entry",
     "load_cache_entry",
-    "save_graph_snapshot",
-    "load_graph_snapshot",
 ]
-
-
-def save_graph_snapshot(graph, path: str) -> None:
-    """Persist an AnS instance as an on-disk columnar snapshot.
-
-    Convenience re-export of :func:`repro.storage.save_snapshot`, so the
-    persistence module covers both halves of a session: materialized
-    results (TSV directories, above) and the instance itself.
-    """
-    from repro.storage.snapshot import save_snapshot
-
-    save_snapshot(graph, path)
-
-
-def load_graph_snapshot(path: str, mmap: bool = True):
-    """Load an AnS instance snapshot (mmap-backed by default).
-
-    Convenience re-export of :func:`repro.storage.load_snapshot`.
-    """
-    from repro.storage.snapshot import load_snapshot
-
-    return load_snapshot(path, mmap=mmap)
 
 _MANIFEST_NAME = "manifest.json"
 _ANSWER_NAME = "answer.tsv"
@@ -171,21 +148,24 @@ def save_materialized_results(
         "fact_column": query.fact_variable.name,
         "dimension_columns": list(query.dimension_names),
         "measure_column": query.measure_variable.name,
-        "has_answer": materialized.has_answer(),
-        "has_partial": materialized.has_partial(),
+        "partial_key_column": materialized.partial.key_column,
+        "partial_dimension_columns": list(materialized.partial.dimension_columns),
     }
-    if materialized.has_answer():
-        save_relation(materialized.answer.relation, os.path.join(directory, _ANSWER_NAME))
-    if materialized.has_partial():
-        partial = materialized.partial
-        manifest["partial_key_column"] = partial.key_column
-        manifest["partial_dimension_columns"] = list(partial.dimension_columns)
-        save_relation(partial.relation, os.path.join(directory, _PARTIAL_NAME))
+    save_relation(materialized.answer.relation, os.path.join(directory, _ANSWER_NAME))
+    save_relation(materialized.partial.relation, os.path.join(directory, _PARTIAL_NAME))
     if extra_manifest:
         manifest.update(extra_manifest)
     with open(os.path.join(directory, _MANIFEST_NAME), "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def _holds_both_relations(directory: str) -> bool:
+    """True when ``directory`` has ``answer.tsv`` and ``partial.tsv``: stored
+    results are complete, and anything else is malformed outside input."""
+    return all(
+        os.path.exists(os.path.join(directory, name)) for name in (_ANSWER_NAME, _PARTIAL_NAME)
+    )
 
 
 def load_materialized_results(directory: str, query, check_name: bool = True) -> MaterializedQueryResults:
@@ -196,11 +176,17 @@ def load_materialized_results(directory: str, query, check_name: bool = True) ->
     and column roles) so stale directories are rejected rather than silently
     producing wrong cubes.  ``check_name=False`` skips the display-name
     check — used by the result cache, whose canonical keys already prove
-    semantic equality while session-assigned names may differ.
+    semantic equality while session-assigned names may differ.  A directory
+    lacking ``answer.tsv`` or ``partial.tsv`` is rejected.
     """
     manifest_path = os.path.join(directory, _MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise MaterializationError(f"no manifest found in {directory!r}")
+    if not _holds_both_relations(directory):
+        raise MaterializationError(
+            f"result directory {directory!r} lacks {_ANSWER_NAME} or {_PARTIAL_NAME}; "
+            f"materialized results are stored complete (ans(Q) and pres(Q))"
+        )
     with open(manifest_path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
 
@@ -219,21 +205,19 @@ def load_materialized_results(directory: str, query, check_name: bool = True) ->
                 f"{key}={manifest.get(key)!r}, but the query has {key}={value!r}"
             )
 
-    answer: Optional[CubeAnswer] = None
-    partial: Optional[PartialResult] = None
-    if manifest.get("has_answer"):
-        relation = load_relation(os.path.join(directory, _ANSWER_NAME))
-        answer = CubeAnswer(relation, tuple(manifest["dimension_columns"]), manifest["measure_column"])
-    if manifest.get("has_partial"):
-        relation = load_relation(os.path.join(directory, _PARTIAL_NAME))
-        partial = PartialResult(
-            relation,
-            fact_column=manifest["fact_column"],
-            dimension_columns=tuple(manifest["partial_dimension_columns"]),
-            key_column=manifest["partial_key_column"],
-            measure_column=manifest["measure_column"],
-        )
-    return MaterializedQueryResults(query, answer=answer, partial=partial)
+    answer = CubeAnswer(
+        load_relation(os.path.join(directory, _ANSWER_NAME)),
+        tuple(manifest["dimension_columns"]),
+        manifest["measure_column"],
+    )
+    partial = PartialResult(
+        load_relation(os.path.join(directory, _PARTIAL_NAME)),
+        fact_column=manifest["fact_column"],
+        dimension_columns=tuple(manifest["partial_dimension_columns"]),
+        key_column=manifest["partial_key_column"],
+        measure_column=manifest["measure_column"],
+    )
+    return MaterializedQueryResults(query, answer, partial)
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +258,17 @@ def load_cache_entry(
     instance_triples: int,
     instance_fingerprint: str,
 ) -> Optional[MaterializedQueryResults]:
-    """Load a persisted cache entry, or None when absent or stale.
+    """Load a persisted cache entry, or None when absent, incomplete or stale.
 
-    The entry must carry the expected canonical key and have been computed
-    against an instance with the same triple count *and* the same content
-    fingerprint — a graph whose mutations cancel out in size (one triple
-    removed, another added) is still detected as different content.  A
-    corrupt directory (unreadable manifest / relations) raises
+    The entry must hold both relations, carry the expected canonical key and
+    have been computed against an instance with the same triple count *and*
+    the same content fingerprint — a graph whose mutations cancel out in
+    size (one triple removed, another added) is still detected as different
+    content.  A corrupt directory (unreadable manifest / relations) raises
     :class:`~repro.errors.MaterializationError` as usual.
     """
     manifest_path = os.path.join(directory, _MANIFEST_NAME)
-    if not os.path.exists(manifest_path):
+    if not os.path.exists(manifest_path) or not _holds_both_relations(directory):
         return None
     with open(manifest_path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)

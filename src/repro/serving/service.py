@@ -318,12 +318,7 @@ class OLAPService:
 
     # -- reads ---------------------------------------------------------
 
-    async def query(
-        self,
-        tenant: str,
-        query: AnalyticalQuery,
-        materialize_partial: Optional[bool] = None,
-    ) -> ServedResult:
+    async def query(self, tenant: str, query: AnalyticalQuery) -> ServedResult:
         """Admit, execute and answer ``query`` for ``tenant``.
 
         Raises a typed :class:`~repro.errors.AdmissionError` subclass when
@@ -362,7 +357,7 @@ class OLAPService:
                 started = time.perf_counter()
                 session = self._session_for(state, generation)
                 cube = await self._loop.run_in_executor(
-                    self._executor, self._execute, session, query, materialize_partial
+                    self._executor, self._execute, session, query
                 )
                 finished = time.perf_counter()
             finally:
@@ -391,10 +386,8 @@ class OLAPService:
             self._generations.unpin(generation)
 
     @staticmethod
-    def _execute(
-        session: OLAPSession, query: AnalyticalQuery, materialize_partial: Optional[bool]
-    ) -> Cube:
-        return session.execute(query, materialize_partial=materialize_partial)
+    def _execute(session: OLAPSession, query: AnalyticalQuery) -> Cube:
+        return session.execute(query)
 
     def _session_for(self, state: TenantState, generation: GraphGeneration) -> OLAPSession:
         session = state.sessions.get(generation.version)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import MaterializationError
 from repro.rdf import EX, Literal
 from repro.algebra.operators import project
 from repro.analytics.answer import KeyGenerator
@@ -159,16 +158,8 @@ class TestMaterializedResults:
     def test_evaluate_keeps_answer_and_partial(self, example2_instance, sites_query):
         evaluator = AnalyticalQueryEvaluator(example2_instance)
         materialized = evaluator.evaluate(sites_query)
-        assert materialized.has_answer() and materialized.has_partial()
         assert len(materialized.answer) == 2
         assert len(materialized.partial) == 5
-
-    def test_evaluate_without_partial(self, example2_instance, sites_query):
-        evaluator = AnalyticalQueryEvaluator(example2_instance)
-        materialized = evaluator.evaluate(sites_query, materialize_partial=False)
-        assert materialized.has_answer() and not materialized.has_partial()
-        with pytest.raises(MaterializationError):
-            _ = materialized.partial
 
     def test_empty_instance_gives_empty_answer(self, sites_query):
         from repro.rdf import Graph

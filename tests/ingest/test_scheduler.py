@@ -5,6 +5,8 @@ import pytest
 from repro.datagen.generic import GenericConfig, generic_dataset
 from repro.errors import IngestError
 from repro.ingest import POLICIES, RefreshScheduler, StreamIngestor
+from repro.analytics.evaluator import AnalyticalQueryEvaluator
+from repro.olap.cube import Cube
 from repro.olap.operations import Slice
 from repro.olap.session import OLAPSession
 from repro.rdf import Literal, RDF, Triple
@@ -84,6 +86,40 @@ class TestPolicies:
         ingest_round(graph, scheduler, "second")
         assert scheduler.stats.walked == walked
         assert scheduler.stats.lazy_marks == 1
+
+    def test_lazy_mark_defers_the_patch_not_the_pricing(self, live):
+        """Batches landing after the mark grow the delta: the read re-prices it.
+
+        Regression: a marked entry's ``refresh-cached`` candidate used to be
+        returned alone, so a delta that outgrew a recomputation was still
+        patched row by row.
+        """
+        graph, session, query = live
+        session.execute(query)
+        scheduler = RefreshScheduler([session], policy="lazy")
+        dropped = next(iter(graph))
+        ingestor = StreamIngestor(graph, batch_size=1, scheduler=scheduler)
+        ingestor.ingest(remove=[dropped])
+        ingestor.drain()
+        (decision,) = scheduler.last_decisions
+        assert decision.action == "lazy" and decision.refresh_cost < decision.scratch_cost
+        # Nine tenths of the instance go away; the walk skips the marked entry.
+        doomed = [triple for triple in graph][: len(graph) * 9 // 10]
+        bulk = StreamIngestor(graph, batch_size=len(doomed), scheduler=scheduler)
+        bulk.ingest(remove=doomed)
+        bulk.drain()
+        assert session.cache.lazy_keys() and scheduler.stats.lazy_marks == 1
+        entry, delta = session.cache.stale_entry(query, graph)
+        refresh_cost, scratch_cost = session.planner.price_refresh(entry, delta)
+        assert refresh_cost > scratch_cost
+        plan = session.planner.plan_query(query)
+        assert {c.strategy for c in plan.candidates} == {"refresh-cached", "scratch"}
+        cube = session.execute(query)
+        assert session.history[-1].strategy == "scratch"
+        assert session.cache.stats.lazy_refreshes == 0
+        assert not session.cache.lazy_keys()  # the recomputed entry superseded the mark
+        oracle = AnalyticalQueryEvaluator(graph).answer(query)
+        assert cube.same_cells(Cube(oracle, query))
 
     def test_auto_policy_splits_by_hit_rate(self, live):
         graph, session, query = live

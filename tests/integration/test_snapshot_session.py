@@ -8,7 +8,7 @@ from repro.datagen.blogger import BloggerConfig, blogger_dataset, sites_per_blog
 from repro.errors import ConfigurationError
 from repro.olap.operations import DrillOut, Slice
 from repro.olap.session import OLAPSession
-from repro.persistence import load_graph_snapshot, save_graph_snapshot
+from repro.storage import load_snapshot, save_snapshot
 from repro.storage.mapped import SnapshotGraph
 
 
@@ -20,7 +20,7 @@ def dataset():
 @pytest.fixture(scope="module")
 def snapshot_path(dataset, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("session-snapshots") / "blogger.snap")
-    save_graph_snapshot(dataset.instance, path)
+    save_snapshot(dataset.instance, path)
     return path
 
 
@@ -69,11 +69,11 @@ def test_mmap_session_parallel_workers_attach_by_path(dataset, snapshot_path):
         assert session.parallel.stats.fallbacks == []
 
 
-def test_persistence_wrappers_roundtrip(dataset, tmp_path):
+def test_snapshot_roundtrip_heap_and_mmap(dataset, tmp_path):
     path = str(tmp_path / "wrapped.snap")
-    save_graph_snapshot(dataset.instance, path)
-    assert load_graph_snapshot(path, mmap=False) == dataset.instance
-    assert load_graph_snapshot(path, mmap=True) == dataset.instance
+    save_snapshot(dataset.instance, path)
+    assert load_snapshot(path, mmap=False) == dataset.instance
+    assert load_snapshot(path, mmap=True) == dataset.instance
 
 
 def test_no_numpy_degrades_with_clear_error(monkeypatch, tmp_path, dataset):

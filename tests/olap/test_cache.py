@@ -1,5 +1,7 @@
 """Unit tests for the bounded result cache (:mod:`repro.olap.cache`)."""
 
+import os
+
 import pytest
 
 from repro.errors import MaterializationError
@@ -228,37 +230,6 @@ class TestAccounting:
         assert cache.stats.hits == 2
         assert cache.stats.misses == 1
 
-    def test_answer_only_entry_is_a_miss_when_partial_required(
-        self, example2_instance, sites_query
-    ):
-        """An entry the caller cannot use must not count as a hit nor gain recency."""
-        from repro.analytics.answer import MaterializedQueryResults
-
-        evaluated = AnalyticalQueryEvaluator(example2_instance).evaluate(sites_query)
-        answer_only = MaterializedQueryResults(sites_query, answer=evaluated.answer)
-        cache = ResultCache(capacity=2)
-        other = _variant(sites_query, 1)
-        cache.put(sites_query, answer_only, example2_instance)
-        cache.put(other, evaluated, example2_instance)  # more recent than answer_only
-        assert cache.get(sites_query, example2_instance, require_partial=True) is None
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 1
-        # Recency untouched: inserting a third entry evicts the unusable one.
-        cache.put(_variant(sites_query, 2), evaluated, example2_instance)
-        assert cache.get(sites_query, example2_instance) is None
-        assert cache.get(other, example2_instance) is not None
-
-    def test_execute_recomputes_when_cached_entry_lacks_partial(
-        self, example2_instance, sites_query
-    ):
-        session = OLAPSession(example2_instance)
-        session.execute(sites_query, materialize_partial=False)
-        hits_before = session.cache.stats.hits
-        session.execute(sites_query)  # needs pres(Q): must re-evaluate, not "hit"
-        assert session.history[-1].strategy == "scratch"
-        assert session.cache.stats.hits == hits_before
-        assert session.materialized(sites_query).has_partial()
-
     def test_entry_hit_counter(self, example2_instance, sites_query, materialized):
         cache = ResultCache(capacity=4)
         cache.put(sites_query, materialized, example2_instance)
@@ -296,20 +267,6 @@ class TestGraphMutationInvalidation:
         assert cache.stats.invalidations == 1
         assert cache.stats.misses == 1
         assert cache.stale_entry(sites_query, instance) is None
-
-    def test_answer_only_stale_entry_is_invalidated(
-        self, example2_instance, sites_query
-    ):
-        """Without pres(Q) there is nothing to patch: stale -> dropped."""
-        from repro.analytics.answer import MaterializedQueryResults
-
-        evaluated = _evaluate(example2_instance, sites_query)
-        answer_only = MaterializedQueryResults(sites_query, answer=evaluated.answer)
-        cache = ResultCache(capacity=4)
-        cache.put(sites_query, answer_only, example2_instance)
-        example2_instance.add(Triple(EX.term("userX"), RDF_TYPE, EX.Blogger))
-        assert cache.get(sites_query, example2_instance) is None
-        assert cache.stats.invalidations == 1
 
     def test_noop_mutation_keeps_entry(self, example2_instance, sites_query, materialized):
         cache = ResultCache(capacity=4)
@@ -360,7 +317,24 @@ class TestPersistenceWarmStart:
         restored = Cube(entry.materialized.answer, sites_query)
         original = Cube(materialized.answer, sites_query)
         assert restored.same_cells(original)
-        assert entry.materialized.has_partial()
+        assert len(entry.materialized.partial) == len(materialized.partial)
+
+    @pytest.mark.parametrize("missing", ["answer.tsv", "partial.tsv"])
+    def test_incomplete_disk_entry_is_a_miss(
+        self, tmp_path, example2_instance, sites_query, materialized, missing
+    ):
+        """Stored results are complete; a directory lacking a relation is skipped."""
+        store = str(tmp_path / "cache")
+        ResultCache(capacity=4, store_dir=store).put(sites_query, materialized, example2_instance)
+        (entry_dir,) = os.listdir(store)
+        os.remove(os.path.join(store, entry_dir, missing))
+        cold = ResultCache(capacity=4, store_dir=store)
+        assert cold.get(sites_query, example2_instance) is None
+        assert cold.stats.disk_hits == 0 and cold.stats.misses == 1
+        session = OLAPSession(example2_instance, cache_dir=store)
+        session.execute(sites_query)  # recomputes, and heals the store
+        assert session.history[-1].strategy == "scratch"
+        assert ResultCache(capacity=4, store_dir=store).get(sites_query, example2_instance)
 
     def test_disk_entry_for_other_instance_size_is_stale(
         self, tmp_path, example2_instance, sites_query, materialized

@@ -197,14 +197,6 @@ class TestRefreshProtocol:
         refreshed = _maintainer(example2_instance).refresh(materialized, delta)
         assert refreshed is materialized
 
-    def test_answer_only_entry_is_not_patchable(self, example2_instance, sites_query):
-        evaluator = AnalyticalQueryEvaluator(example2_instance)
-        materialized = evaluator.evaluate(sites_query, materialize_partial=False)
-        version = example2_instance.version
-        example2_instance.add(Triple(EX.term("userQ"), RDF_TYPE, EX.Blogger))
-        delta = example2_instance.deltas_since(version)
-        assert _maintainer(example2_instance).refresh(materialized, delta) is None
-
     def test_fresh_keys_do_not_collide_with_retained_ones(
         self, example2_instance, sites_query
     ):
@@ -307,12 +299,3 @@ class TestCostEstimates:
             _add_blogger(example2_instance, f"d2_{index}", 21 + index, "Rome", sites=("s1", "s2"))
         large = example2_instance.deltas_since(version)
         assert maintainer.estimate_refresh_cost(materialized, large) > small_cost
-
-    def test_missing_partial_is_infinitely_expensive(
-        self, example2_instance, sites_query
-    ):
-        evaluator = AnalyticalQueryEvaluator(example2_instance)
-        maintainer = DeltaMaintainer(evaluator)
-        materialized = evaluator.evaluate(sites_query, materialize_partial=False)
-        delta = example2_instance.deltas_since(example2_instance.version)
-        assert maintainer.estimate_refresh_cost(materialized, delta) == float("inf")

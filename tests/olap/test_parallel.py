@@ -261,7 +261,7 @@ class TestParallelExecutor:
         serial = AnalyticalQueryEvaluator(example2_instance)
         expected = serial.partial_result(query)
         with _executor(example2_instance, workers=2, shard_count=4, backend="thread") as executor:
-            materialized = executor.evaluate(query, materialize_partial=True)
+            materialized = executor.evaluate(query)
         partial = materialized.partial
         assert partial.columns == expected.columns
         keyless = [name for name in expected.columns if name != KEY_COLUMN]

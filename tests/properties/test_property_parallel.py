@@ -119,7 +119,7 @@ def _draw_operation(draw, query, pools):
 
 
 def _assert_parallel_matches_serial(executor, serial, query):
-    parallel = executor.evaluate(query, materialize_partial=True)
+    parallel = executor.evaluate(query)
     oracle_partial = serial.partial_result(query)
     oracle = Cube(serial.answer_from_partial(query, oracle_partial), query)
     cube = Cube(parallel.answer, query)

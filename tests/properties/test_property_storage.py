@@ -50,8 +50,8 @@ def _mapped_instance(scenario: str, seed: int, instance, tmp_path_factory):
 
 
 def _assert_backends_agree(mapped_engine, heap_engine, query):
-    mapped = mapped_engine.evaluate(query, materialize_partial=True)
-    heap = heap_engine.evaluate(query, materialize_partial=True)
+    mapped = mapped_engine.evaluate(query)
+    heap = heap_engine.evaluate(query)
     assert Cube(mapped.answer, query).same_cells(Cube(heap.answer, query)), (
         f"mmap-backed evaluation diverged from the heap oracle on {query.name}"
     )
@@ -113,8 +113,8 @@ def test_mapped_shard_evaluation_matches_heap_oracle(
         backend="serial",
     )
     try:
-        merged = executor.evaluate(query, materialize_partial=True)
-        oracle = heap_engine.evaluate(query, materialize_partial=True)
+        merged = executor.evaluate(query)
+        oracle = heap_engine.evaluate(query)
         assert Cube(merged.answer, query).same_cells(Cube(oracle.answer, query))
         keyless = [name for name in oracle.partial.columns if name != KEY_COLUMN]
         assert project(merged.partial.storage, keyless).bag_equal(

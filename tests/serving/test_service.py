@@ -74,10 +74,10 @@ class TestAdmission:
 
     @staticmethod
     def _blocking_execute(gate: threading.Event, started: "asyncio.Queue"):
-        def execute(session, query, materialize_partial):
+        def execute(session, query):
             started.put_nowait(None)
             gate.wait(timeout=10)
-            return session.execute(query, materialize_partial=materialize_partial)
+            return session.execute(query)
 
         return execute
 
@@ -276,10 +276,10 @@ class TestLifecycle:
                 started = asyncio.Queue()
                 real_execute = service._execute
 
-                def slow_execute(session, q, mp):
+                def slow_execute(session, q):
                     started.put_nowait(None)
                     gate.wait(timeout=10)
-                    return real_execute(session, q, mp)
+                    return real_execute(session, q)
 
                 service._execute = slow_execute
                 inflight = asyncio.ensure_future(service.query("alice", query))

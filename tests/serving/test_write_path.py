@@ -152,10 +152,10 @@ class TestPromptDrain:
 
             real_execute = service._execute
 
-            def blocking_execute(session, q, materialize_partial):
+            def blocking_execute(session, q):
                 started.put_nowait(None)
                 gate.wait(timeout=10)
-                return real_execute(session, q, materialize_partial)
+                return real_execute(session, q)
 
             service._execute = blocking_execute
             task = asyncio.create_task(service.query("alice", query))

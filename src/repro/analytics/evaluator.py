@@ -91,6 +91,11 @@ class AnalyticalQueryEvaluator:
         """The resolved execution engine: ``"rows"`` or ``"columnar"``."""
         return self._engine
 
+    def branch_count(self, query) -> int:
+        """How many BGP evaluations answering ``query`` costs: 1 here; the
+        entailment-rewriting evaluator evaluates one per entailment branch."""
+        return 1
+
     # ------------------------------------------------------------------
     # engine-space building blocks (dictionary-encoded id relations)
     # ------------------------------------------------------------------

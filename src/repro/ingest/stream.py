@@ -170,7 +170,8 @@ class StreamIngestor:
         (batches go through the single writer's atomic
         :meth:`~repro.serving.service.OLAPService.update` and republish) or
         a bare mutable :class:`~repro.rdf.graph.Graph` (batches apply
-        directly, with the same rollback-on-error discipline).
+        directly through the same atomic
+        :meth:`~repro.rdf.graph.Graph.apply`).
     capacity:
         Bound on pending coalesced mutations (backpressure beyond it).
     batch_size:
@@ -484,30 +485,6 @@ class StreamIngestor:
             pending[triple] = (sign, arrival)
             pending.move_to_end(triple, last=False)
 
-    def _apply_to_graph(self, adds, removes) -> int:
-        """Apply one batch to a bare graph atomically; returns its version.
-
-        Mirrors the serving writer's discipline: on error the applied
-        prefix is rolled back (reverse order) before the error propagates.
-        """
-        graph = self._sink
-        applied: List[Tuple[int, Triple]] = []
-        try:
-            for triple in removes:
-                if graph.remove(triple):
-                    applied.append((-1, triple))
-            for triple in adds:
-                if graph.add(triple):
-                    applied.append((1, triple))
-        except Exception:
-            for sign, triple in reversed(applied):
-                if sign > 0:
-                    graph.remove(triple)
-                else:
-                    graph.add(triple)
-            raise
-        return graph.version
-
     def _record(self, adds, removes, reason, seconds, version) -> AppliedBatch:
         batch = AppliedBatch(
             sequence=self._sequence,
@@ -548,14 +525,16 @@ class StreamIngestor:
         removes = tuple(triple for triple, sign, _ in items if sign < 0)
         started = time.perf_counter()
         try:
-            version = self._apply_to_graph(adds, removes)
+            self._sink.apply(add=adds, remove=removes)
         except Exception:
-            # The rollback left the graph unchanged: re-queue the batch so
-            # a transient failure costs a retry, not the mutations.
+            # Graph.apply is atomic — the graph is unchanged: re-queue the
+            # batch so a transient failure costs a retry, not the mutations.
             self.stats.failed_batches += 1
             self._requeue(items)
             raise
-        return self._record(adds, removes, reason, time.perf_counter() - started, version)
+        return self._record(
+            adds, removes, reason, time.perf_counter() - started, self._sink.version
+        )
 
     async def aflush(self, force: bool = False) -> Optional[AppliedBatch]:
         """Cut and apply one micro-batch (any sink; service sinks await)."""

@@ -354,9 +354,7 @@ class ResultCache:
             entry = self._entries.get(key)
             if entry is not None and entry.graph_version != graph.version:
                 if graph.deltas_since(entry.graph_version) is None:
-                    del self._entries[key]
-                    self._lazy.discard(key)
-                    self.stats.invalidations += 1
+                    self._invalidate(key)
                 entry = None
             if entry is not None:
                 self._entries.move_to_end(key)
@@ -395,9 +393,7 @@ class ResultCache:
                 return None
             delta = graph.deltas_since(entry.graph_version)
             if delta is None:
-                del self._entries[key]
-                self._lazy.discard(key)
-                self.stats.invalidations += 1
+                self._invalidate(key)
                 return None
             return entry, delta
 
@@ -419,9 +415,7 @@ class ResultCache:
             entry, delta = found
             refreshed = maintainer.refresh(entry.materialized, delta)
             if refreshed is None:
-                del self._entries[entry.key]
-                self._lazy.discard(entry.key)
-                self.stats.invalidations += 1
+                self._invalidate(entry.key)
                 return None
             entry.materialized = refreshed
             entry.graph_version = graph.version
@@ -430,12 +424,7 @@ class ResultCache:
                 self._lazy.discard(entry.key)
                 self.stats.lazy_refreshes += 1
             self._entries.move_to_end(entry.key)
-            if self._store_dir is not None and _key_is_persistable(entry.key):
-                from repro.persistence import save_cache_entry
-
-                save_cache_entry(
-                    refreshed, self._entry_dir(entry.key), entry.key, len(graph), graph_fingerprint(graph)
-                )
+            self._write_through(entry.key, refreshed, graph)
             return entry
 
     def put(
@@ -476,18 +465,26 @@ class ResultCache:
                 self._entries[key] = entry
                 self._entries.move_to_end(key)
                 self._evict_overflow()
-            if (
-                persist
-                and stamped == graph.version
-                and self._store_dir is not None
-                and _key_is_persistable(key)
-            ):
-                from repro.persistence import save_cache_entry
-
-                save_cache_entry(
-                    materialized, self._entry_dir(key), key, len(graph), graph_fingerprint(graph)
-                )
+            if persist and stamped == graph.version:
+                self._write_through(key, materialized, graph)
         return entry
+
+    def _invalidate(self, key: str) -> None:
+        """Drop an entry that can no longer be patched (caller holds the lock)."""
+        del self._entries[key]
+        self._lazy.discard(key)
+        self.stats.invalidations += 1
+
+    def _write_through(self, key: str, materialized: MaterializedQueryResults, graph: Graph) -> None:
+        """Persist a result known fresh at ``graph``'s current version, when a
+        disk store is configured and the key identifies the query by value."""
+        if self._store_dir is None or not _key_is_persistable(key):
+            return
+        from repro.persistence import save_cache_entry
+
+        save_cache_entry(
+            materialized, self._entry_dir(key), key, len(graph), graph_fingerprint(graph)
+        )
 
     def discard(self, query: AnalyticalQuery) -> bool:
         """Drop the in-memory entry for ``query`` (disk copies are kept)."""

@@ -25,6 +25,10 @@ class Cube:
     def __init__(self, answer: CubeAnswer, query: Optional[AnalyticalQuery] = None):
         self._answer = answer
         self.query = query
+        #: The session's history record of the operation that answered this
+        #: cube (set by :class:`~repro.olap.session.OLAPSession`; None for a
+        #: cube built directly from an answer).
+        self.record = None
         self._cells: Dict[Tuple, object] = {}
         storage = answer.storage
         measure_index = storage.column_index(answer.measure_column)

@@ -22,14 +22,17 @@ recomputing them:
    :meth:`~repro.analytics.evaluator.AnalyticalQueryEvaluator.fact_partial_rows`
    (the fact variable pre-bound — index lookups, not a full BGP join).
 
-3. **Patch ans(Q).** Only the cube cells of *touched* groups (dimension
-   tuples of dropped or re-derived rows) are revisited.  COUNT/SUM/AVG are
-   patched arithmetically from the old cell value and the row-level +/-
-   deltas (AVG via the group's old row count, recorded during the single
-   pres scan).  MIN/MAX combine with fresh values when a group only gained
-   rows, and fall back to re-aggregating the group's surviving rows when a
-   contributing row was deleted; non-invertible aggregates (count_distinct)
-   always take the per-group recompute path.
+3. **γ over the touched groups.** A group is *touched* when its dimension
+   tuple appears on a dropped or a re-derived row.  The touched groups'
+   rows of the patched ``pres(Q)`` (retained rows of those groups plus the
+   fresh rows) go through
+   :meth:`~repro.analytics.evaluator.AnalyticalQueryEvaluator.answer_from_partial`
+   — Equation (3)'s γ, the one scratch evaluation and every rewriting use —
+   and the resulting cells replace the touched cells of the cached
+   ``ans(Q)``; untouched cells are kept verbatim.  Maintenance is thereby
+   one more ``pres → pres`` derivation followed by the shared γ: no
+   aggregate is ever inverted, a refreshed cell is γ of the group's
+   current rows.
 
 The result is cell-for-cell identical to a from-scratch recomputation (the
 differential oracle in ``tests/properties/test_property_maintenance.py``
@@ -41,8 +44,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.algebra.expressions import comparable
-from repro.algebra.relation import IdRelation, Relation, relation_like
+from repro.algebra.relation import IdRelation, Relation, relation_like, tuple_getter
 from repro.analytics.answer import CubeAnswer, KeyGenerator, MaterializedQueryResults
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
@@ -186,6 +188,18 @@ class DeltaMaintainer:
     # cost estimation
     # ------------------------------------------------------------------
 
+    def _patchable(self, query: AnalyticalQuery) -> bool:
+        """Whether entries of ``query`` can be patched from deltas at all.
+
+        Rolled entries derive from a *mapped* base pres: per-fact
+        re-derivation cannot reproduce the hierarchy substitution (the
+        planner re-rolls them from a refreshed finer-grained entry instead).
+        Under entailment rewriting a delta triple ``(p, x, y)`` also affects
+        patterns over ``p``'s superproperties and the classes it types into,
+        which the probe unification would miss.  Both invalidate instead.
+        """
+        return not query.rollup and self._evaluator.entailment != "rewrite"
+
     def estimate_refresh_cost(
         self, materialized: MaterializedQueryResults, delta: GraphDelta
     ) -> float:
@@ -197,10 +211,8 @@ class DeltaMaintainer:
         for instance-sized batches it exceeds it, which is exactly the
         crossover the planner should find.
         """
-        if materialized.query.rollup:
-            return float("inf")  # rolled entries invalidate, never patch
-        if getattr(self._evaluator, "entailment", None) == "rewrite":
-            return float("inf")  # delta probes cannot see entailed matches
+        if not self._patchable(materialized.query):
+            return float("inf")  # such entries invalidate, never patch
         query = materialized.query
         # Only (delta triple, body pattern) pairs that actually unify spawn
         # a probe; counting them is O(|delta| · |body|) id comparisons, far
@@ -230,10 +242,6 @@ class DeltaMaintainer:
             + len(materialized.partial) * self._model.pres_scan_cost
             + len(materialized.answer) * self._model.refresh_cell_cost
         )
-
-    def estimate_scratch_cost(self, query: AnalyticalQuery) -> float:
-        """From-scratch estimate in the same unit (see module function)."""
-        return estimate_scratch_cost(self._statistics, query)
 
     # ------------------------------------------------------------------
     # affected facts
@@ -337,22 +345,12 @@ class DeltaMaintainer:
         ``None`` means the entry is not patchable (a rolled or
         entailment-rewritten query, or relations living in a value space the
         maintainer cannot splice into) and the caller should fall back to
-        invalidation.  When the delta
-        does not touch the query at all the input object is returned as-is —
-        the caller only needs to re-stamp its version.
+        invalidation.  When the delta does not touch the query at all the
+        input object is returned as-is — the caller only needs to re-stamp
+        its version.
         """
         query = materialized.query
-        if query.rollup:
-            # Rolled entries derive from a *mapped* base pres: per-fact
-            # re-derivation cannot reproduce the hierarchy substitution, so
-            # they invalidate instead of patching (the planner re-rolls them
-            # from a refreshed finer-grained entry instead).
-            return None
-        if getattr(self._evaluator, "entailment", None) == "rewrite":
-            # Under entailment rewriting a delta triple (p, x, y) also
-            # affects patterns over p's superproperties and the classes it
-            # types into — the probe unification below would miss those, so
-            # rewrite-mode entries invalidate instead of patching.
+        if not self._patchable(query):
             return None
         partial = materialized.partial
         answer = materialized.answer
@@ -382,21 +380,21 @@ class DeltaMaintainer:
 
         fact_index = pres_storage.column_index(partial.fact_column)
         key_index = pres_storage.column_index(partial.key_column)
-        measure_index = pres_storage.column_index(partial.measure_column)
-        dimension_indexes = pres_storage.column_indexes(partial.dimension_columns)
+        group_of = tuple_getter(pres_storage.column_indexes(partial.dimension_columns))
 
         # First pass over the cached pres: partition retained vs. dropped
-        # rows (a fact-membership test per row, nothing else) and track the
-        # highest newk() key, so fresh rows cannot collide.
+        # rows (a fact-membership test per row), note the groups losing
+        # rows, and track the highest newk() key so fresh rows cannot
+        # collide.
         retained: List[tuple] = []
-        removed_rows: List[tuple] = []
+        touched: Set[tuple] = set()
         max_key = 0
         for row in pres_storage.rows:
             key = row[key_index]
             if isinstance(key, int) and key > max_key:
                 max_key = key
             if row[fact_index] in affected_facts:
-                removed_rows.append(row)
+                touched.add(group_of(row))
             else:
                 retained.append(row)
 
@@ -415,152 +413,26 @@ class DeltaMaintainer:
                 fresh.extend(fact_relation.rows)
             else:
                 fresh.extend(fact_relation.iter_decoded())
+        touched.update(map(group_of, fresh))
 
-        removed_by_group: Dict[tuple, List] = {}
-        for row in removed_rows:
-            group = tuple(row[index] for index in dimension_indexes)
-            removed_by_group.setdefault(group, []).append(row[measure_index])
-        fresh_by_group: Dict[tuple, List] = {}
-        for row in fresh:
-            group = tuple(row[index] for index in dimension_indexes)
-            fresh_by_group.setdefault(group, []).append(row[measure_index])
-        touched = set(removed_by_group) | set(fresh_by_group)
-
-        # Second, *targeted* pass: per-group retained counts (AVG needs the
-        # old cardinality) and surviving values (the MIN/MAX /
-        # non-invertible fallback) are collected only for touched groups —
-        # a 1-triple delta on a 100k-row pres must not build indexes over
-        # every group it will never look at.
-        group_sizes: Dict[tuple, int] = {}
-        surviving_values: Dict[tuple, List] = {}
-        for row in retained:
-            group = tuple(row[index] for index in dimension_indexes)
-            if group in touched:
-                group_sizes[group] = group_sizes.get(group, 0) + 1
-                surviving_values.setdefault(group, []).append(row[measure_index])
-        for group, values in removed_by_group.items():
-            group_sizes[group] = group_sizes.get(group, 0) + len(values)
-        for group, values in fresh_by_group.items():
-            surviving_values.setdefault(group, []).extend(values)
-
-        patched_answer = self._patch_answer(
+        # Second, *targeted* pass: γ over the touched groups' rows of the
+        # patched pres only — a 1-triple delta on a 100k-row pres must not
+        # re-aggregate the groups it never reached.  Their cells replace
+        # the touched cells of the cached ans; a group left without rows
+        # (or undefined under ⊕) simply yields no cell.
+        touched_rows = [row for row in retained if group_of(row) in touched] + fresh
+        regrouped = self._evaluator.answer_from_partial(
             query,
-            answer,
-            removed_by_group,
-            fresh_by_group,
-            group_sizes,
-            surviving_values,
-            pres_storage.column_decoder(partial.measure_column),
+            partial.with_storage(relation_like(pres_storage.columns, touched_rows, pres_storage)),
         )
-
+        cell_group_of = tuple_getter(ans_storage.column_indexes(answer.dimension_columns))
+        untouched_cells = [row for row in ans_storage.rows if cell_group_of(row) not in touched]
+        new_ans = relation_like(
+            ans_storage.columns, untouched_cells + regrouped.storage.rows, ans_storage
+        )
         new_pres = relation_like(pres_storage.columns, retained + fresh, pres_storage)
-        return MaterializedQueryResults(query, patched_answer, partial.with_storage(new_pres))
-
-    # ------------------------------------------------------------------
-    # ans(Q) patching
-    # ------------------------------------------------------------------
-
-    def _patch_answer(
-        self,
-        query: AnalyticalQuery,
-        answer: CubeAnswer,
-        removed_by_group: Dict[tuple, List],
-        fresh_by_group: Dict[tuple, List],
-        group_sizes: Dict[tuple, int],
-        surviving_values: Dict[tuple, List],
-        measure_decoder,
-    ) -> CubeAnswer:
-        ans_storage = answer.storage
-        dimension_indexes = ans_storage.column_indexes(answer.dimension_columns)
-        measure_index = ans_storage.column_index(answer.measure_column)
-        touched = set(removed_by_group) | set(fresh_by_group)
-
-        kept_rows: List[tuple] = []
-        old_cells: Dict[tuple, object] = {}
-        touched_order: List[tuple] = []
-        seen: Set[tuple] = set()
-        for row in ans_storage.rows:
-            group = tuple(row[index] for index in dimension_indexes)
-            if group in touched:
-                old_cells[group] = row[measure_index]
-                if group not in seen:
-                    seen.add(group)
-                    touched_order.append(group)
-            else:
-                kept_rows.append(row)
-        for group in list(fresh_by_group) + list(removed_by_group):
-            if group not in seen:
-                seen.add(group)
-                touched_order.append(group)
-
-        memo: Dict[object, object] = {}
-
-        def value_of(raw):
-            converted = memo.get(raw)
-            if converted is None:
-                converted = comparable(measure_decoder(raw)) if measure_decoder else comparable(raw)
-                memo[raw] = converted
-            return converted
-
-        patched_rows: List[tuple] = []
-        for group in touched_order:
-            cell = self._patch_cell(
-                query.aggregate,
-                old_cells.get(group),
-                group_sizes.get(group, 0),
-                removed_by_group.get(group, ()),
-                fresh_by_group.get(group, ()),
-                surviving_values.get(group, ()),
-                value_of,
-            )
-            if cell is not None:
-                patched_rows.append(group + (cell,))
-
-        new_ans = relation_like(ans_storage.columns, kept_rows + patched_rows, ans_storage)
-        return CubeAnswer(new_ans, answer.dimension_columns, answer.measure_column)
-
-    @staticmethod
-    def _patch_cell(
-        aggregate,
-        old_value,
-        old_count: int,
-        removed_values,
-        fresh_values,
-        surviving,
-        value_of,
-    ):
-        """The new cell value of one touched group (None drops the cell)."""
-        new_count = old_count - len(removed_values) + len(fresh_values)
-        if new_count <= 0:
-            return None
-        name = aggregate.name
-        try:
-            if name == "count":
-                return new_count
-            if name in ("sum", "avg") and (old_value is not None or old_count == 0):
-                removed_sum = sum(value_of(value) for value in removed_values)
-                fresh_sum = sum(value_of(value) for value in fresh_values)
-                old_sum = 0 if old_value is None else (
-                    old_value if name == "sum" else old_value * old_count
-                )
-                new_sum = old_sum - removed_sum + fresh_sum
-                return new_sum if name == "sum" else float(new_sum) / new_count
-            if (
-                name in ("min", "max")
-                and not removed_values
-                and old_value is not None
-            ):
-                return aggregate(
-                    [old_value] + [value_of(value) for value in fresh_values]
-                )
-        except (TypeError, ValueError, ArithmeticError):
-            pass  # non-numeric surprise: fall through to the recompute path
-        # Per-group recompute: MIN/MAX with deletions, non-invertible
-        # aggregates (count_distinct), or any arithmetic that did not apply.
-        values = [value_of(value) for value in surviving]
-        if not values:
-            return None
-        try:
-            return aggregate(values)
-        except Exception:
-            return None  # undefined aggregate: the cell disappears
+        return MaterializedQueryResults(
+            query,
+            CubeAnswer(new_ans, answer.dimension_columns, answer.measure_column),
+            partial.with_storage(new_pres),
+        )

@@ -294,7 +294,7 @@ class ParallelExecutor:
         initializer ships a path and workers mmap it (O(1) pool build);
         ``"pickled-graph"`` otherwise.
         """
-        if getattr(self._graph, "snapshot_path", None) is not None:
+        if self._graph.snapshot_path is not None:
             return "snapshot-mmap"
         return "pickled-graph"
 
@@ -469,13 +469,12 @@ class ParallelExecutor:
         # An unpicklable graph surfaces as BrokenProcessPool on the first
         # result (workers die in the initializer) — _dispatch falls back.
         self._shutdown_process_pool()
-        engine = getattr(self._evaluator, "engine", None)
         # Snapshot attach mode ships the path, not the graph.
-        source = getattr(self._graph, "snapshot_path", None) or self._graph
+        source = self._graph.snapshot_path or self._graph
         self._process_pool = ProcessPoolExecutor(
             max_workers=self._workers,
             initializer=_initialize_worker,
-            initargs=(source, engine, type(self._evaluator)),
+            initargs=(source, self._evaluator.engine, type(self._evaluator)),
         )
         self._process_pool_version = version
         return self._process_pool

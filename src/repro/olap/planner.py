@@ -242,9 +242,7 @@ class OLAPPlanner:
         # interpreted row loop, so instance-evaluating candidates (scratch,
         # parallel) are priced down accordingly while the row-level reuse
         # candidates (rewrite, refresh, compat) keep weight 1.
-        self._engine_multiplier = self._model.engine_multiplier(
-            getattr(evaluator, "engine", "rows")
-        )
+        self._engine_multiplier = self._model.engine_multiplier(evaluator.engine)
 
     @property
     def cost_model(self) -> CostModel:
@@ -609,7 +607,7 @@ class OLAPPlanner:
         # Entailment-aware sessions evaluate scratch over the saturated graph
         # or through query rewriting; the plan names which, so explain()
         # shows what "from scratch" actually means in this session.
-        mode = getattr(self._evaluator, "entailment", None)
+        mode = self._evaluator.entailment
         return PlanCandidate(
             "scratch" if mode is None else f"scratch[{mode}]",
             cost,
@@ -660,9 +658,8 @@ class OLAPPlanner:
         engine multiplier and the per-lane division.
         """
         cost = estimate_scratch_cost(self._statistics, query)
-        branch_count = getattr(self._evaluator, "branch_count", None)
-        if branch_count is not None:  # never raises: 1 for an unexpandable query
-            cost *= max(1, branch_count(query.classifier), branch_count(query.measure))
+        branch_count = self._evaluator.branch_count
+        cost *= max(branch_count(query.classifier), branch_count(query.measure))
         if executor is not None:
             cost = estimate_parallel_cost(
                 cost,

@@ -443,7 +443,8 @@ class OLAPSession:
                 strategy = "cache[disk]"
         self._store(query, chosen, answer, partial, observed_version)
         elapsed = time.perf_counter() - started
-        self.history.append(
+        return self._recorded(
+            Cube(answer, query),
             TransformationRecord(
                 query_name=query.name,
                 operation="execute",
@@ -452,9 +453,19 @@ class OLAPSession:
                 input_rows=chosen.input_rows,
                 output_cells=len(answer),
                 execute_seconds=elapsed,
-            )
+            ),
         )
-        return Cube(answer, query)
+
+    def _recorded(self, cube: Cube, record: TransformationRecord) -> Cube:
+        """Append ``record`` to the history and hand it back on its cube.
+
+        ``history[-1]`` is only *this* operation's record until the next one
+        lands — concurrent callers of one session (the serving layer) read
+        ``cube.record`` instead.
+        """
+        self.history.append(record)
+        cube.record = record
+        return cube
 
     def _resolve_query(self, query: Union[str, AnalyticalQuery]) -> AnalyticalQuery:
         if isinstance(query, str):
@@ -601,7 +612,8 @@ class OLAPSession:
         if materialize:
             self._store(transformed_query, chosen, answer, transformed_partial, observed_version)
 
-        self.history.append(
+        return self._recorded(
+            Cube(answer, transformed_query),
             TransformationRecord(
                 query_name=transformed_query.name,
                 operation=operation.describe(),
@@ -612,9 +624,8 @@ class OLAPSession:
                 details=details,
                 plan_seconds=plan_seconds,
                 execute_seconds=max(0.0, elapsed - plan_seconds),
-            )
+            ),
         )
-        return Cube(answer, transformed_query)
 
     def _store(self, query: AnalyticalQuery, chosen, answer: CubeAnswer, partial, version: int) -> None:
         """Keep ``query``'s results (answered by ``chosen``) for further navigation."""

@@ -18,7 +18,7 @@ Two access levels are offered:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import InvalidTripleError
 from repro.rdf.dictionary import TermDictionary
@@ -225,18 +225,23 @@ class Graph:
     # mutation
     # ------------------------------------------------------------------
 
+    @staticmethod
+    def _as_triple(triple) -> Triple:
+        if isinstance(triple, Triple):
+            return triple
+        try:
+            subject, predicate, object_ = triple
+        except (TypeError, ValueError) as exc:
+            raise InvalidTripleError(f"cannot interpret {triple!r} as a triple") from exc
+        return Triple(subject, predicate, object_)
+
     def add(self, triple) -> bool:
         """Add a triple; return True when it was not already present.
 
         ``triple`` may be a :class:`Triple` or a plain ``(s, p, o)`` tuple of
         terms (converted, with positional validation).
         """
-        if not isinstance(triple, Triple):
-            try:
-                subject, predicate, object_ = triple
-            except (TypeError, ValueError) as exc:
-                raise InvalidTripleError(f"cannot interpret {triple!r} as a triple") from exc
-            triple = Triple(subject, predicate, object_)
+        triple = self._as_triple(triple)
         encode = self._dictionary.encode
         encoded = (encode(triple.subject), encode(triple.predicate), encode(triple.object))
         if encoded in self._triples:
@@ -256,10 +261,12 @@ class Graph:
         return added
 
     def remove(self, triple) -> bool:
-        """Remove a triple; return True when it was present."""
-        if not isinstance(triple, Triple):
-            subject, predicate, object_ = triple
-            triple = Triple(subject, predicate, object_)
+        """Remove a triple; return True when it was present.
+
+        Accepts what :meth:`add` accepts and rejects a malformed tuple the
+        same way (:class:`~repro.errors.InvalidTripleError`).
+        """
+        triple = self._as_triple(triple)
         lookup = self._dictionary.lookup
         ids = (lookup(triple.subject), lookup(triple.predicate), lookup(triple.object))
         if None in ids:
@@ -272,6 +279,32 @@ class Graph:
         self._version += 1
         self._log_change(-1, encoded)
         return True
+
+    def apply(self, add: Iterable = (), remove: Iterable = ()) -> int:
+        """Apply one batch atomically: removals first, then additions.
+
+        Returns the number of effective mutations.  When a triple raises (a
+        malformed tuple, a read-only backend), the already-applied prefix is
+        undone in reverse order before the error propagates: length,
+        contents and the coalesced :meth:`deltas_since` of the version
+        observed before the call are as if the batch had never started
+        (only the version counter has moved).  The one batch-apply of the
+        library — stream ingestion and the serving writer both go through
+        it.
+        """
+        undo: List[Tuple[Callable[[object], bool], object]] = []
+        try:
+            for triple in remove:
+                if self.remove(triple):
+                    undo.append((self.add, triple))
+            for triple in add:
+                if self.add(triple):
+                    undo.append((self.remove, triple))
+        except Exception:
+            for revert, triple in reversed(undo):
+                revert(triple)
+            raise
+        return len(undo)
 
     def clear(self) -> None:
         """Remove all triples (the term dictionary is kept).

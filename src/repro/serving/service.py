@@ -374,7 +374,7 @@ class OLAPService:
                 cube=cube,
                 graph_version=generation.version,
                 generation=generation,
-                strategy=session.history[-1].strategy if session.history else "scratch",
+                strategy=cube.record.strategy,
                 seconds=finished - started,
                 waited_seconds=started - admitted,
             )
@@ -437,21 +437,13 @@ class OLAPService:
 
             def apply_and_publish() -> PublishResult:
                 before = writer.version
-                applied: List[tuple] = []
-                ran_mutate = False
-                try:
-                    for triple in remove:
-                        if writer.remove(triple):
-                            applied.append((-1, triple))
-                    for triple in add:
-                        if writer.add(triple):
-                            applied.append((1, triple))
-                    if mutate is not None:
-                        ran_mutate = True
+                writer.apply(add=add, remove=remove)
+                if mutate is not None:
+                    try:
                         mutate(writer)
-                except Exception as error:
-                    self._roll_back(writer, before, applied, ran_mutate, error)
-                    raise
+                    except Exception as error:
+                        self._roll_back(writer, before, error)
+                        raise
                 mutations = writer.version - before
                 previous = self._generations.current.version
                 if publish:
@@ -474,27 +466,19 @@ class OLAPService:
         return result
 
     @staticmethod
-    def _roll_back(
-        writer: Graph, before: int, applied: List[tuple], ran_mutate: bool, error: Exception
-    ) -> None:
-        """Undo the applied prefix of a failed update batch.
+    def _roll_back(writer: Graph, before: int, error: Exception) -> None:
+        """Undo a batch whose ``mutate`` callback failed.
 
-        The explicit ``add``/``remove`` lists are undone from the recorded
-        prefix in reverse order.  A failed ``mutate`` callback may have made
-        arbitrary effective mutations, so its rollback replays the graph's
-        own coalesced deltas since the batch started (which subsume the
-        prefix list); when the change log cannot reconstruct them (overflow
-        inside one batch, or ``clear()``), the writer really is torn and a
+        The explicit ``add``/``remove`` lists are atomic on their own
+        (:meth:`~repro.rdf.graph.Graph.apply`).  A failed ``mutate``
+        callback may have made arbitrary effective mutations, so its
+        rollback replays the graph's own coalesced deltas since the batch
+        started (which subsume the applied lists); when the change log
+        cannot reconstruct them (overflow inside one batch, or
+        ``clear()``), the writer really is torn and a
         :class:`~repro.errors.ServingError` chains the original error
         rather than silently leaving half a batch behind.
         """
-        if not ran_mutate:
-            for sign, triple in reversed(applied):
-                if sign > 0:
-                    writer.remove(triple)
-                else:
-                    writer.add(triple)
-            return
         delta = writer.deltas_since(before)
         if delta is None:
             raise ServingError(
@@ -503,10 +487,10 @@ class OLAPService:
                 "graph is torn — rebuild it before publishing again"
             ) from error
         decode = writer.decode_id
-        for s, p, o in delta.added:
-            writer.remove((decode(s), decode(p), decode(o)))
-        for s, p, o in delta.removed:
-            writer.add((decode(s), decode(p), decode(o)))
+        writer.apply(
+            remove=[tuple(map(decode, triple)) for triple in delta.added],
+            add=[tuple(map(decode, triple)) for triple in delta.removed],
+        )
 
     def stream_ingestor(self, **kwargs):
         """A :class:`~repro.ingest.stream.StreamIngestor` sinking into this

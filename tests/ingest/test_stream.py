@@ -352,7 +352,8 @@ class TestLifecycle:
             StreamIngestor(object())
 
     def test_failed_graph_batch_rolls_back_and_counts(self, graph):
-        """The bare-graph sink applies batches as atomically as the service."""
+        """The bare-graph sink applies batches through the atomic
+        ``Graph.apply``; the ingestor owns the counting and the re-queue."""
         ingestor = StreamIngestor(graph, batch_size=100)
         ingestor.add(triple(0))
         ingestor.add(triple(1))

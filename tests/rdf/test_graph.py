@@ -73,6 +73,49 @@ class TestMutation:
         small_graph.remove(Triple(EX.user1, EX.livesIn, EX.term("Madrid")))
         assert list(small_graph.triples(None, EX.livesIn, None)) == []
 
+    def test_remove_rejects_garbage_like_add(self, small_graph):
+        for garbage in ("not a triple", 42, (EX.user1, EX.hasAge)):
+            with pytest.raises(InvalidTripleError):
+                small_graph.remove(garbage)
+
+
+class TestApply:
+    """``Graph.apply`` is the one atomic batch mutation (ingestion and the
+    serving writer both delegate to it)."""
+
+    AGE = Triple(EX.user1, EX.hasAge, Literal(28))
+    CITY = Triple(EX.user1, EX.livesIn, EX.term("Madrid"))
+    NEW = [Triple(EX.user3, RDF_TYPE, EX.Blogger), Triple(EX.user3, EX.hasAge, Literal(41))]
+
+    def test_counts_effective_mutations_only(self, small_graph):
+        absent = Triple(EX.nobody, EX.hasAge, Literal(1))
+        applied = small_graph.apply(add=self.NEW + [self.AGE], remove=[self.CITY, absent])
+        assert applied == 3  # AGE was already present, ``absent`` never was
+        assert self.CITY not in small_graph
+        assert all(triple in small_graph for triple in self.NEW)
+
+    def test_removes_run_before_adds(self, small_graph):
+        small_graph.apply(add=[self.AGE], remove=[self.AGE])
+        assert self.AGE in small_graph
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            dict(add=NEW + ["not a triple"] + [Triple(EX.user4, RDF_TYPE, EX.Blogger)]),
+            dict(remove=[AGE, CITY, 42]),
+            dict(remove=[AGE, CITY], add=NEW + [(Literal("s"), EX.p, EX.o)]),
+        ],
+        ids=["raising-add", "raising-remove", "removes-applied-then-raising-add"],
+    )
+    def test_a_raising_triple_mid_batch_leaves_nothing_behind(self, small_graph, batch):
+        before = small_graph.version
+        size, contents = len(small_graph), set(small_graph)
+        with pytest.raises(InvalidTripleError):
+            small_graph.apply(**batch)
+        assert len(small_graph) == size
+        assert set(small_graph) == contents
+        assert small_graph.deltas_since(before).is_empty()
+
 
 class TestMatching:
     def test_full_scan(self, small_graph):

@@ -60,6 +60,30 @@ class TestBasics:
 
         run(main())
 
+    def test_strategy_is_the_served_querys_own_record(self, dataset, query, monkeypatch):
+        """Regression: ``history[-1]`` of the shared per-generation session
+        may belong to the tenant's *other* in-flight query (the decoy stands
+        in for it); the result must name the route its own cube took."""
+        from repro.olap.session import TransformationRecord
+
+        def execute_then_decoy(session, served_query):
+            cube = session.execute(served_query)
+            session.history.append(
+                TransformationRecord("other", "execute", "decoy", 0.0, 0, 0)
+            )
+            return cube
+
+        monkeypatch.setattr(OLAPService, "_execute", staticmethod(execute_then_decoy))
+
+        async def main():
+            async with OLAPService(dataset.instance, dataset.schema) as service:
+                first = await service.query("alice", query)
+                second = await service.query("alice", query)
+                assert first.strategy == "scratch"
+                assert second.strategy in ("cache", "cache[disk]")
+
+        run(main())
+
     def test_constructor_validation(self, dataset):
         with pytest.raises(ServingError):
             OLAPService(dataset.instance, max_concurrency=0)

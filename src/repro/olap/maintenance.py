@@ -174,8 +174,9 @@ class DeltaMaintainer:
 
     def _sync_memos(self) -> None:
         # Statistics need no handling here: GraphStatistics is stamped with
-        # the graph version and re-derives itself on the next read, so both
-        # cost estimates always price against the current instance.
+        # the graph version and re-reads the graph's own summary (counters
+        # kept with the indexes, no scan) on the next estimate, so both cost
+        # estimates always price against the current instance.
         version = self._graph.version
         if self._memo_version != version:
             self._memo_version = version

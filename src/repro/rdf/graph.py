@@ -176,6 +176,10 @@ class Graph:
         self._spo: Dict[int, Dict[int, Set[int]]] = {}
         self._pos: Dict[int, Dict[int, Set[int]]] = {}
         self._osp: Dict[int, Dict[int, Set[int]]] = {}
+        # Statistics kept with the indexes (see statistics_summary): triples
+        # and distinct subjects per predicate id; zero counts are deleted.
+        self._predicate_triples: Dict[int, int] = {}
+        self._predicate_subjects: Dict[int, int] = {}
         self._version = 0
         # Bounded ring buffer of effective mutations: (version after the
         # mutation, +1 / -1, encoded triple).  Overflow evicts the *oldest*
@@ -320,20 +324,38 @@ class Graph:
         self._spo.clear()
         self._pos.clear()
         self._osp.clear()
+        self._predicate_triples.clear()
+        self._predicate_subjects.clear()
         self._change_log.clear()
         self._log_base = self._version
 
     def _index_add(self, encoded: EncodedTriple) -> None:
         s, p, o = encoded
-        self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
+        by_predicate = self._spo.setdefault(s, {})
+        objects = by_predicate.get(p)
+        if objects is None:
+            objects = by_predicate[p] = set()
+            self._predicate_subjects[p] = self._predicate_subjects.get(p, 0) + 1
+        objects.add(o)
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
         self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
+        self._predicate_triples[p] = self._predicate_triples.get(p, 0) + 1
 
     def _index_remove(self, encoded: EncodedTriple) -> None:
         s, p, o = encoded
         self._discard_from_index(self._spo, s, p, o)
         self._discard_from_index(self._pos, p, o, s)
         self._discard_from_index(self._osp, o, s, p)
+        self._decrement(self._predicate_triples, p)
+        if p not in self._spo.get(s, ()):
+            self._decrement(self._predicate_subjects, p)
+
+    @staticmethod
+    def _decrement(counts: Dict[int, int], key: int) -> None:
+        if counts[key] == 1:
+            del counts[key]
+        else:
+            counts[key] -= 1
 
     @staticmethod
     def _discard_from_index(index: Dict[int, Dict[int, Set[int]]], a: int, b: int, c: int) -> None:
@@ -592,7 +614,7 @@ class Graph:
         if s is not None and p is None and o is None:
             return sum(len(objects) for objects in self._spo.get(s, {}).values())
         if p is not None and s is None and o is None:
-            return sum(len(subjects) for subjects in self._pos.get(p, {}).values())
+            return self._predicate_triples.get(p, 0)
         if o is not None and s is None and p is None:
             return sum(len(predicates) for predicates in self._osp.get(o, {}).values())
         if p is not None and o is not None and s is None:
@@ -640,14 +662,42 @@ class Graph:
         """
         return None
 
-    def statistics_summary(self):
-        """Precomputed summary counts for :class:`~repro.rdf.statistics.GraphStatistics`.
+    def statistics_summary(self) -> Dict[str, object]:
+        """Summary counts for :class:`~repro.rdf.statistics.GraphStatistics`.
 
-        Returns ``None`` on heap graphs (statistics scan the instance);
-        mapped snapshots return the counts stored in their header so the
-        scan — and the term decoding it implies — is skipped entirely.
+        ``triple_count`` plus four term-keyed count dicts; predicates and
+        classes without a triple are absent.  Heap graphs keep the counts
+        with their indexes on every effective mutation, mapped snapshots in
+        their header, so this is O(#predicates + #classes) — never a scan.
         """
-        return None
+        predicates, classes = self._summary_rows()
+        decode = self._dictionary.decode
+        counts: Dict[Term, int] = {}
+        distinct_subjects: Dict[Term, int] = {}
+        distinct_objects: Dict[Term, int] = {}
+        for p_id, count, subjects, objects in predicates:
+            predicate = decode(p_id)
+            counts[predicate] = count
+            distinct_subjects[predicate] = subjects
+            distinct_objects[predicate] = objects
+        return {
+            "triple_count": len(self),
+            "predicate_counts": counts,
+            "predicate_distinct_subjects": distinct_subjects,
+            "predicate_distinct_objects": distinct_objects,
+            "class_counts": {decode(c_id): count for c_id, count in classes},
+        }
+
+    def _summary_rows(self):
+        """Id-level ``(p, triples, subjects, objects)`` and ``(class, instances)`` rows."""
+        pos = self._pos
+        subjects = self._predicate_subjects
+        predicates = [
+            (p, count, subjects[p], len(pos[p]))
+            for p, count in self._predicate_triples.items()
+        ]
+        instances = pos.get(self._dictionary.lookup(_RDF_TYPE), {})
+        return predicates, [(c, len(members)) for c, members in instances.items()]
 
     def save_snapshot(self, path: str) -> None:
         """Serialize this graph into an on-disk columnar snapshot file.

@@ -9,17 +9,22 @@ with the classical lightweight statistics of RDF engines:
 * per-predicate distinct subject / object counts;
 * counts of ``rdf:type`` instances per class.
 
-Statistics are stamped with the graph's change counter
-(:attr:`~repro.rdf.graph.Graph.version`) and re-derive themselves on the
-next read after a mutation — exactly like the result caches — so a
+The counts are an index, not a scan: every graph keeps them itself (heap
+graphs beside their permutation indexes, updated by each effective
+mutation; mapped snapshots in their header) and
+:meth:`~repro.rdf.graph.Graph.statistics_summary` hands them over in
+O(#predicates + #classes).  A :class:`GraphStatistics` is therefore a cheap
+view: it is stamped with the graph's change counter
+(:attr:`~repro.rdf.graph.Graph.version`) and re-reads the summary on the
+next estimate after a mutation — exactly like the result caches — so a
 cardinality estimate can never be served against a graph that has since
-changed.  :meth:`GraphStatistics.refresh` remains available to force a
-recount eagerly (e.g. to move the cost out of a timed region).
+changed, and a write costs the statistics nothing proportional to the
+instance.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import RDF
@@ -36,72 +41,36 @@ class GraphStatistics:
 
     def __init__(self, graph: Graph):
         self._graph = graph
-        self._version: Optional[int] = None
-        self.triple_count = 0
-        self.predicate_counts: Dict[Term, int] = {}
-        self.predicate_distinct_subjects: Dict[Term, int] = {}
-        self.predicate_distinct_objects: Dict[Term, int] = {}
-        self.class_counts: Dict[Term, int] = {}
         self.refresh()
 
     def _sync(self) -> None:
-        """Re-derive the statistics when the graph has mutated since.
+        """Re-read the summary when the graph has mutated since.
 
-        Every estimation entry point calls this first: the stored version
-        stamp is compared against the graph's change counter (an int
-        compare — free on the hot path) and a mismatch triggers a
-        :meth:`refresh`.  This is what lets planner cost estimates stay
-        honest across interleaved reads and writes without anyone
-        remembering to refresh manually.
+        Every estimation entry point calls this first: an int compare of the
+        version stamp against the graph's change counter, a :meth:`refresh`
+        on mismatch — so planner cost estimates stay honest across
+        interleaved reads and writes without anyone refreshing manually.
         """
-        if getattr(self._graph, "version", None) != self._version:
+        if self._graph.version != self._version:
             self.refresh()
 
     def refresh(self) -> None:
-        """Recompute all statistics from the current graph contents.
+        """Re-read all statistics from the graph's own summary.
 
-        Graphs that carry a precomputed summary (memory-mapped snapshots,
-        whose headers store the per-predicate and per-class counts) are
-        served from it directly — no instance scan, no term decoding — so
-        building statistics on a mapped graph is O(#predicates + #classes),
-        not O(#triples).
+        One path for every graph type, O(#predicates + #classes): no
+        instance scan, and only the predicate and class terms are decoded.
         """
-        self._version = getattr(self._graph, "version", None)
+        self._version: int = self._graph.version
         summary = self._graph.statistics_summary()
-        if summary is not None:
-            self.triple_count = summary["triple_count"]
-            self.predicate_counts = dict(summary["predicate_counts"])
-            self.predicate_distinct_subjects = dict(
-                summary["predicate_distinct_subjects"]
-            )
-            self.predicate_distinct_objects = dict(
-                summary["predicate_distinct_objects"]
-            )
-            self.class_counts = dict(summary["class_counts"])
-            return
-        graph = self._graph
-        self.triple_count = len(graph)
-        predicate_counts: Dict[Term, int] = {}
-        distinct_subjects: Dict[Term, set] = {}
-        distinct_objects: Dict[Term, set] = {}
-        class_counts: Dict[Term, int] = {}
-
-        for triple in graph:
-            predicate = triple.predicate
-            predicate_counts[predicate] = predicate_counts.get(predicate, 0) + 1
-            distinct_subjects.setdefault(predicate, set()).add(triple.subject)
-            distinct_objects.setdefault(predicate, set()).add(triple.object)
-            if predicate == _TYPE:
-                class_counts[triple.object] = class_counts.get(triple.object, 0) + 1
-
-        self.predicate_counts = predicate_counts
-        self.predicate_distinct_subjects = {
-            predicate: len(values) for predicate, values in distinct_subjects.items()
-        }
-        self.predicate_distinct_objects = {
-            predicate: len(values) for predicate, values in distinct_objects.items()
-        }
-        self.class_counts = class_counts
+        self.triple_count: int = summary["triple_count"]
+        self.predicate_counts: Dict[Term, int] = summary["predicate_counts"]
+        self.predicate_distinct_subjects: Dict[Term, int] = summary[
+            "predicate_distinct_subjects"
+        ]
+        self.predicate_distinct_objects: Dict[Term, int] = summary[
+            "predicate_distinct_objects"
+        ]
+        self.class_counts: Dict[Term, int] = summary["class_counts"]
 
     # ------------------------------------------------------------------
     # estimation

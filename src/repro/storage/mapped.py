@@ -392,32 +392,10 @@ class SnapshotGraph(Graph):
 
     # -- statistics hook -----------------------------------------------
 
-    def statistics_summary(self):
-        """Header-stored summary counts, decoded to terms on demand.
-
-        Lets :class:`~repro.rdf.statistics.GraphStatistics` skip its full
-        instance scan: only the few predicate / class terms are decoded.
-        """
-        summary = self._snapshot.header.get("statistics")
-        if summary is None:  # pragma: no cover - written by every current save
-            return None
-        decode = self._dictionary.decode
-        predicate_counts = {}
-        distinct_subjects = {}
-        distinct_objects = {}
-        for p_id, count, subjects, objects in summary["predicates"]:
-            predicate = decode(p_id)
-            predicate_counts[predicate] = count
-            distinct_subjects[predicate] = subjects
-            distinct_objects[predicate] = objects
-        class_counts = {decode(o_id): count for o_id, count in summary["classes"]}
-        return {
-            "triple_count": summary["triple_count"],
-            "predicate_counts": predicate_counts,
-            "predicate_distinct_subjects": distinct_subjects,
-            "predicate_distinct_objects": distinct_objects,
-            "class_counts": class_counts,
-        }
+    def _summary_rows(self):
+        """The header-stored rows: the counts :func:`save_snapshot` wrote."""
+        summary = self._snapshot.header["statistics"]
+        return summary["predicates"], summary["classes"]
 
     # -- persistence ----------------------------------------------------
 

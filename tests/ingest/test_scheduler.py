@@ -12,6 +12,9 @@ from repro.olap.session import OLAPSession
 from repro.rdf import Literal, RDF, Triple
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import EX
+from repro.rdf.statistics import GraphStatistics
+
+from tests.naive_oracle import RecountedStatistics
 
 RDF_TYPE = RDF.term("type")
 
@@ -161,6 +164,69 @@ class TestPolicies:
         assert scheduler.stats.lazy_marks == 0
         assert not session.cache.lazy_keys()
         assert session.cache.peek(query, graph) is None
+
+
+class TestWritePathIsDeltaSized:
+    """Nothing between ``ingest()`` and the refreshed cube walks the instance."""
+
+    @pytest.mark.parametrize("policy, served", [("eager", "cache"), ("lazy", "refresh")])
+    def test_no_whole_graph_iteration(self, live, monkeypatch, policy, served):
+        graph, session, query = live
+        session.execute(query)
+        scheduler = RefreshScheduler([session], policy=policy)
+        expected = AnalyticalQueryEvaluator(
+            Graph(list(graph) + fact_triples("guard", 0))
+        ).answer(query)
+
+        def scan(*_args, **_kwargs):
+            raise AssertionError("whole-graph iteration on the write path")
+
+        match_ids = Graph.match_ids
+
+        def match_ids_with_a_constant(self, s, p, o):
+            if s is None and p is None and o is None:
+                scan()
+            return match_ids(self, s, p, o)
+
+        monkeypatch.setattr(Graph, "__iter__", scan)
+        monkeypatch.setattr(Graph, "encoded_triples", scan)
+        monkeypatch.setattr(Graph, "match_ids", match_ids_with_a_constant)
+        ingest_round(graph, scheduler, "guard")
+        cube = session.execute(query)
+        monkeypatch.undo()
+        assert session.history[-1].strategy == served
+        assert cube.same_cells(Cube(expected, query))
+
+    def test_decisions_price_as_with_recounted_statistics(self, dataset, monkeypatch):
+        """Maintained statistics change what pricing costs, not what it says."""
+
+        def decisions():
+            graph = dataset.instance.copy()
+            session = OLAPSession(graph, dataset.schema)
+            cold_query = Slice("d0", EX.term("dimvalue/0/0")).apply(dataset.query)
+            session.execute(dataset.query)
+            session.execute(dataset.query)  # hot: one hit; the slice stays cold
+            session.execute(cold_query)
+            scheduler = RefreshScheduler([session], policy="auto", hot_hits=1)
+            ingestor = StreamIngestor(graph, batch_size=64, scheduler=scheduler)
+            doomed = sorted(graph, key=str)[::7]
+            seen = []
+            for index in range(12):
+                ingestor.ingest(add=fact_triples("priced", index), remove=doomed[index::12])
+                ingestor.drain()
+                session.execute(dataset.query)
+                session.execute(cold_query)  # patches the lazy-marked entry
+                seen.extend(
+                    (d.query_name, d.action, d.refresh_cost, d.scratch_cost)
+                    for d in scheduler.last_decisions
+                )
+            session.close()
+            return seen
+
+        maintained = decisions()
+        monkeypatch.setattr(GraphStatistics, "refresh", RecountedStatistics.refresh)
+        assert maintained and maintained == decisions()
+        assert {action for _, action, _, _ in maintained} >= {"eager", "lazy"}
 
 
 class TestWalk:

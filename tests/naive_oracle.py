@@ -12,7 +12,11 @@ one independent reference the differential property tests compare against:
 * :func:`naive_group_aggregate` — γ over per-group value lists with literal
   conversion inside the aggregate;
 * :class:`NaiveAnalyticalEvaluator` — the Definition 4 / Equation (3)
-  pipeline wired from the above.
+  pipeline wired from the above;
+* :class:`RecountedStatistics` — :class:`GraphStatistics` whose ``refresh``
+  recounts by iterating and decoding every triple (the scan the engine ran
+  before graphs kept their own summary), the independent check of the
+  index-maintained and header-stored counts.
 
 It reuses only the data model (graph, relation, query and answer classes),
 the aggregate functions and the pattern ordering — none of
@@ -31,12 +35,64 @@ from repro.algebra.relation import Relation
 from repro.analytics.answer import CubeAnswer, KeyGenerator, PartialResult
 from repro.analytics.query import KEY_COLUMN, AnalyticalQuery
 from repro.rdf.graph import Graph
+from repro.rdf.namespaces import RDF
 from repro.rdf.statistics import GraphStatistics
 from repro.rdf.terms import Variable
 from repro.bgp.optimizer import order_patterns
 from repro.bgp.query import BGPQuery
 
-__all__ = ["NaiveBGPEvaluator", "NaiveAnalyticalEvaluator"]
+__all__ = [
+    "NaiveBGPEvaluator",
+    "NaiveAnalyticalEvaluator",
+    "RecountedStatistics",
+    "statistics_fields",
+]
+
+_TYPE = RDF.term("type")
+
+#: The five public fields of a :class:`GraphStatistics`.
+_STATISTICS_FIELDS = (
+    "triple_count",
+    "predicate_counts",
+    "predicate_distinct_subjects",
+    "predicate_distinct_objects",
+    "class_counts",
+)
+
+
+def statistics_fields(statistics: GraphStatistics) -> Dict[str, object]:
+    """The five fields of ``statistics`` by name, for whole-object comparison."""
+    return {name: getattr(statistics, name) for name in _STATISTICS_FIELDS}
+
+
+class RecountedStatistics(GraphStatistics):
+    """Statistics recounted from a full scan of the graph on every refresh."""
+
+    def refresh(self) -> None:
+        graph = self._graph
+        self._version = graph.version
+        triple_count = 0
+        predicate_counts: Dict[object, int] = {}
+        distinct_subjects: Dict[object, set] = {}
+        distinct_objects: Dict[object, set] = {}
+        class_counts: Dict[object, int] = {}
+        for triple in graph:
+            triple_count += 1
+            predicate = triple.predicate
+            predicate_counts[predicate] = predicate_counts.get(predicate, 0) + 1
+            distinct_subjects.setdefault(predicate, set()).add(triple.subject)
+            distinct_objects.setdefault(predicate, set()).add(triple.object)
+            if predicate == _TYPE:
+                class_counts[triple.object] = class_counts.get(triple.object, 0) + 1
+        self.triple_count = triple_count
+        self.predicate_counts = predicate_counts
+        self.predicate_distinct_subjects = {
+            predicate: len(values) for predicate, values in distinct_subjects.items()
+        }
+        self.predicate_distinct_objects = {
+            predicate: len(values) for predicate, values in distinct_objects.items()
+        }
+        self.class_counts = class_counts
 
 
 class NaiveBGPEvaluator:

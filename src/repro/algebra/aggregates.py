@@ -50,7 +50,36 @@ __all__ = [
     "AVG",
     "MIN",
     "MAX",
+    "POISONED_GROUP",
 ]
+
+
+class _PoisonedGroup:
+    """Sentinel state: the group's bag failed to prepare in some partition.
+
+    γ omits a group whose bag raises "undefined" (e.g. non-numeric values
+    under ``sum``) — *as a whole*, mirroring Definition 1's "x^j does not
+    contribute to the cube".  A partition only sees its slice of the bag,
+    so a failing slice must poison the group across every partition or the
+    answer would depend on where the shard boundaries fell.  The sentinel
+    absorbs merges and is dropped at finalize; pickling preserves identity
+    across process boundaries.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return (_poisoned_group, ())
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return "POISONED_GROUP"
+
+
+def _poisoned_group() -> "_PoisonedGroup":
+    return POISONED_GROUP
+
+
+POISONED_GROUP = _PoisonedGroup()
 
 
 def _identity(state: object, decode=None) -> object:

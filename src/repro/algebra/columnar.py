@@ -1,28 +1,32 @@
-"""numpy-backed columnar storage and vectorized kernels for the id-space algebra.
+"""numpy-backed columnar storage: the relation protocol over ``int64`` arrays.
 
 The row engine represents every relation as a Python list of tuples and
 iterates it row by row — the dominant cost of from-scratch evaluation once
 BGP matching, Σ-selection, the fact-variable join and γ all run in id space.
-This module adds the **columnar** execution engine: encoded columns stored
-as contiguous ``int64`` arrays (:class:`ColumnarIdRelation`) and vectorized
-kernels for the hot operators —
+:class:`ColumnarIdRelation` stores encoded columns as contiguous ``int64``
+arrays and implements the relation protocol of
+:class:`~repro.algebra.relation.Relation` on them —
 
-* :func:`select_columnar` — positional-predicate σ via boolean masks
-  (distinct ids are decoded and tested once, the mask is ``np.isin``);
-* :func:`join_columnar` — the int-keyed equi-join (the fact-variable join of
+* ``select`` — positional-predicate σ via boolean masks (distinct ids are
+  decoded and tested once, the mask is ``np.isin``);
+* ``project`` / ``rename`` / ``reorder`` / ``prepend_keys`` — share the arrays;
+* ``dedup`` — δ via lexsort run heads, first occurrences kept in order;
+* ``join_on`` — the int-keyed equi-join (the fact-variable join of
   Definition 4) via argsort + ``searchsorted`` expansion;
-* :func:`group_states_columnar` — γ's states via lexsort group boundaries
-  with ``reduceat`` reductions for COUNT/SUM/AVG/MIN/MAX, held in array
-  form (:class:`ArrayGroupStates`) so a whole relation finalizes, and
-  shards merge (concatenate + re-reduce), without boxing one Python state
-  per group; :func:`distinct_count_states` is the serial COUNT-DISTINCT
+* ``group_states`` — γ's states via lexsort group boundaries with
+  ``reduceat`` reductions for COUNT/SUM/AVG/MIN/MAX, held in array form
+  (:class:`ArrayGroupStates`) so a whole relation finalizes, and shards
+  merge (concatenate + re-reduce), without boxing one Python state per
+  group; :func:`distinct_count_states` is the serial COUNT-DISTINCT
   (``count`` over the δ of ``(group, value)`` pairs).
 
-Every kernel is a *fast path*: callers (``operators.select``,
-``operators.join_on``, ``grouping.group_aggregate``, the BGP evaluator)
-try the columnar kernel first and fall back to the row implementation
-whenever the input is not columnar or the operation shape is unsupported,
-so semantics never depend on which engine ran.
+The engine of an operator is the storage of its input: the BGP solver
+chooses it once, when it constructs a relation, and every protocol method
+returns the storage it was given.  Rows leave the arrays through **one**
+conversion, :meth:`ColumnarIdRelation.to_rows`, which takes the reason and
+counts it in :data:`ROW_CONVERSIONS`; whatever has no array form (an opaque
+σ callable, a multi-pair ⋈, γ over big ints) converts there, by name, and
+then runs the row implementation, so semantics never depend on the engine.
 
 Engine selection
 ----------------
@@ -43,10 +47,11 @@ never a silent degradation to the row engine.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import AggregationError, ConfigurationError, SchemaMismatchError
-from repro.algebra.aggregates import AggregateFunction, get_aggregate
+from repro.errors import AggregationError, AlgebraError, ConfigurationError, SchemaMismatchError
+from repro.algebra.aggregates import COUNT, AggregateFunction
 from repro.algebra.expressions import (
     ColumnPredicate,
     _Conjunction,
@@ -54,7 +59,7 @@ from repro.algebra.expressions import (
     _Negation,
     comparable,
 )
-from repro.algebra.relation import IdRelation, Relation, Row
+from repro.algebra.relation import IdRelation, Relation, Row, relation_like
 
 try:  # pragma: no cover - exercised via both CI legs (with and without numpy)
     import numpy as _np
@@ -65,15 +70,11 @@ __all__ = [
     "HAVE_NUMPY",
     "ENGINE_ENV_VAR",
     "ENGINES",
+    "ROW_CONVERSIONS",
     "resolve_engine",
     "ColumnarIdRelation",
-    "select_columnar",
-    "join_columnar",
-    "project_columnar",
     "distinct_count_states",
-    "group_states_columnar",
     "ArrayGroupStates",
-    "prepend_key_column",
     "dedup_arrays",
     "expand_sorted",
 ]
@@ -86,6 +87,9 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 #: The two executable engines (``"auto"`` resolves to one of them).
 ENGINES = ("rows", "columnar")
+
+#: ``to_rows`` reason → how often a columnar relation left its arrays for it.
+ROW_CONVERSIONS: Counter = Counter()
 
 _FAST_EXTRA_HINT = (
     "the columnar engine requires numpy; install the [fast] extra "
@@ -147,17 +151,18 @@ class ColumnarIdRelation(IdRelation):
     """An :class:`~repro.algebra.relation.IdRelation` stored column-wise.
 
     Every column — encoded term ids and plain integer columns such as the
-    ``newk()`` key column alike — is a contiguous ``int64`` numpy array.
-    The relation is a drop-in ``IdRelation``: any row-level consumer that
-    touches ``.rows`` (or iterates) transparently materializes the tuple
-    list once (cached), while the columnar kernels operate on the arrays
-    directly and never box a row.
+    ``newk()`` key column alike — is a contiguous ``int64`` numpy array, and
+    the relation protocol (σ, π, δ, ρ, ⋈, γ, ``take``, ``reorder``,
+    ``prepend_keys``) runs on the arrays and returns columnar relations.
+    It is an operator output, immutable; row tuples exist only in what
+    :meth:`to_rows` returns (the ``rows`` accessor, iteration and decoding
+    go through it under the reason ``"api:rows"``).
 
-    Construct via :meth:`from_arrays`; the columnar engine's operators and
-    the BGP evaluator's column-block solver are the only producers.
+    Construct via :meth:`from_arrays`; the protocol methods and the BGP
+    evaluator's column-block solver are the only producers.
     """
 
-    __slots__ = ("_column_arrays", "_length", "_materialized_rows")
+    __slots__ = ("_column_arrays", "_length")
 
     @classmethod
     def from_arrays(
@@ -166,8 +171,10 @@ class ColumnarIdRelation(IdRelation):
         arrays: Dict[str, "_np.ndarray"],
         dictionary,
         encoded: Optional[Iterable[str]] = None,
+        length: Optional[int] = None,
     ) -> "ColumnarIdRelation":
-        """Adopt one ``int64`` array per column (all of equal length)."""
+        """Adopt one ``int64`` array per column, all of ``length`` values
+        (default: the first array's; a relation without columns needs it)."""
         if _np is None:  # pragma: no cover - guarded by resolve_engine
             raise ConfigurationError(_FAST_EXTRA_HINT)
         relation = cls.__new__(cls)
@@ -175,7 +182,6 @@ class ColumnarIdRelation(IdRelation):
         index_of = {name: index for index, name in enumerate(columns)}
         if len(index_of) != len(columns):
             raise SchemaMismatchError(f"duplicate column names in schema: {columns}")
-        length: Optional[int] = None
         adopted: Dict[str, "_np.ndarray"] = {}
         for name in columns:
             array = _as_int64(arrays[name])
@@ -193,60 +199,34 @@ class ColumnarIdRelation(IdRelation):
             frozenset(columns) if encoded is None else frozenset(encoded) & set(columns)
         )
         relation._column_arrays = adopted
-        relation._length = 0 if length is None else int(length)
-        relation._materialized_rows = None
+        relation._length = int(length or 0)
         return relation
 
-    @classmethod
-    def from_rows(
-        cls,
-        columns: Sequence[str],
-        rows: Iterable[Sequence],
-        dictionary,
-        encoded: Optional[Iterable[str]] = None,
-    ) -> Optional["ColumnarIdRelation"]:
-        """Build a columnar relation from integer row tuples.
+    def _with(self, columns, arrays, length, encoded=None) -> "ColumnarIdRelation":
+        """A relation over (some of) the same dictionary's columns."""
+        return ColumnarIdRelation.from_arrays(
+            columns, arrays, self._dictionary, self._encoded if encoded is None else encoded, length
+        )
 
-        Returns None when numpy is unavailable or any value is not a plain
-        integer (e.g. a ``None`` measure) — callers then keep the row
-        representation, so missing values never reach the int64 kernels.
-        """
-        if _np is None:
-            return None
-        row_list = rows if isinstance(rows, list) else list(rows)
-        columns = tuple(columns)
-        for row in row_list:
-            for value in row:
-                if type(value) is not int:
-                    return None
-        if row_list:
-            matrix = _np.array(row_list, dtype=_np.int64)
-            arrays = {name: matrix[:, index].copy() for index, name in enumerate(columns)}
-        else:
-            arrays = {name: _np.empty(0, dtype=_np.int64) for name in columns}
-        return cls.from_arrays(columns, arrays, dictionary, encoded)
+    # -- rows: the one way out of the arrays ------------------------------
 
-    # -- row materialization (the compatibility boundary) ---------------
+    def to_rows(self, reason: str) -> Relation:
+        """This relation in row storage, same value space — the only place
+        column arrays are zipped into tuples; ``reason`` says who needed
+        them and is counted in :data:`ROW_CONVERSIONS`."""
+        ROW_CONVERSIONS[reason] += 1
+        lists = [array.tolist() for array in self._column_arrays.values()]
+        rows = list(zip(*lists)) if lists else [()] * self._length
+        return relation_like(self._columns, rows, self)
 
     @property
-    def _rows(self) -> List[Row]:
-        rows = self._materialized_rows
-        if rows is None:
-            rows = self._materialize_row_list()
-            self._materialized_rows = rows
-        return rows
+    def rows(self) -> List[Row]:
+        return self.to_rows("api:rows").rows
 
-    @_rows.setter
-    def _rows(self, value: List[Row]) -> None:  # parent-class assignments
-        self._materialized_rows = value
+    def add_row(self, row: Sequence) -> None:
+        raise AlgebraError("a ColumnarIdRelation is an operator output and cannot be appended to")
 
-    def _materialize_row_list(self) -> List[Row]:
-        if not self._length:
-            return []
-        column_lists = [self._column_arrays[name].tolist() for name in self._columns]
-        return list(zip(*column_lists))
-
-    # -- cheap overrides avoiding materialization ------------------------
+    extend = add_row  # raises whatever it is given, an empty iterable included
 
     def __len__(self) -> int:
         return self._length
@@ -265,27 +245,113 @@ class ColumnarIdRelation(IdRelation):
     def distinct_values(self, name: str) -> set:
         return set(_np.unique(self.column_array(name)).tolist())
 
-    def reorder(self, columns: Sequence[str]) -> "Relation":
+    # -- the relation protocol, on the arrays -----------------------------
+
+    def select(self, predicate) -> Relation:
+        """σ by boolean mask; a predicate that does not mask-compile runs on rows."""
+        mask = _predicate_mask(self, predicate)
+        if mask is None:
+            return self.to_rows("sigma:opaque-predicate").select(predicate)
+        return self.take(slice(None) if mask is True else mask)
+
+    def project(self, columns: Sequence[str]) -> "ColumnarIdRelation":
+        """π (no copies; the arrays are shared, the bag's cardinality kept)."""
+        arrays = {name: self.column_array(name) for name in columns}
+        return self._with(tuple(columns), arrays, self._length)
+
+    def dedup(self) -> "ColumnarIdRelation":
+        """δ: the head of each run of the (stable) lexsort is a tuple's first
+        occurrence; sorting the heads restores first-occurrence order."""
+        if self._length < 2:
+            return self
+        order, starts = _group_boundaries(list(self._column_arrays.values()), self._length)
+        return self.take(_np.sort(order[starts]))
+
+    def rename(self, mapping) -> "ColumnarIdRelation":
+        arrays = {mapping.get(name, name): array for name, array in self._column_arrays.items()}
+        encoded = {mapping.get(name, name) for name in self._encoded}
+        return self._with(tuple(arrays), arrays, self._length, encoded)
+
+    def reorder(self, columns: Sequence[str]) -> "ColumnarIdRelation":
         if set(columns) != set(self._columns) or len(columns) != len(self._columns):
             raise SchemaMismatchError(
                 f"reorder columns {tuple(columns)} must be a permutation of {self._columns}"
             )
-        return ColumnarIdRelation.from_arrays(
-            columns, self._column_arrays, self._dictionary, self._encoded
-        )
+        return self._with(columns, self._column_arrays, self._length)
 
-    def head(self, count: int = 10) -> "Relation":
-        arrays = {name: array[:count] for name, array in self._column_arrays.items()}
-        return ColumnarIdRelation.from_arrays(
-            self._columns, arrays, self._dictionary, self._encoded
-        )
-
-    def take(self, indexes: "_np.ndarray") -> "ColumnarIdRelation":
-        """Gather rows by position (the kernels' output constructor)."""
+    def take(self, indexes) -> "ColumnarIdRelation":
+        """Gather rows by position: a slice, a boolean mask or an index array."""
         arrays = {name: array[indexes] for name, array in self._column_arrays.items()}
-        return ColumnarIdRelation.from_arrays(
-            self._columns, arrays, self._dictionary, self._encoded
+        length = None if arrays else len(_np.arange(self._length)[indexes])
+        return self._with(self._columns, arrays, length)
+
+    def prepend_keys(self, key_column: str, keys: range) -> "ColumnarIdRelation":
+        """``mᵏ``: the fresh ``newk()`` keys as a leading ``arange`` column."""
+        arrays = {key_column: _np.arange(keys.start, keys.stop, dtype=_np.int64)}
+        arrays.update(self._column_arrays)
+        return self._with((key_column,) + self._columns, arrays, self._length)
+
+    def join_on(self, right, join_pairs, kept_right_columns) -> Relation:
+        """Single-pair ⋈ of two columnar relations via argsort + ``searchsorted``
+        expansion (:func:`~repro.algebra.operators.join_on` aligned the value
+        spaces); other shapes hash-join on rows."""
+        if len(join_pairs) != 1 or not isinstance(right, ColumnarIdRelation):
+            reason = "join:multi-pair" if len(join_pairs) != 1 else "join:mixed-storage"
+            return self.to_rows(reason).join_on(right, join_pairs, kept_right_columns)
+        left_column, right_column = join_pairs[0]
+        left_idx, right_idx = _expand_matches(
+            self.column_array(left_column), right.column_array(right_column)
         )
+        arrays = {name: array[left_idx] for name, array in self._column_arrays.items()}
+        for name in kept_right_columns:
+            arrays[name] = right.column_array(name)[right_idx]
+        encoded = self._encoded | (right.encoded_columns & set(kept_right_columns))
+        return self._with(self._columns + tuple(kept_right_columns), arrays, len(left_idx), encoded)
+
+    def group_states(self, by: Sequence[str], measure: str, aggregate, serial: bool = False):
+        """One partition's γ states in array form (:class:`ArrayGroupStates`).
+
+        Integer bags reduce exactly (int64 ``reduceat``) and AVG states carry
+        exact integer ``(sum, count)`` pairs, so merged shard averages are
+        bit-identical to the one-partition answer.  COUNT-DISTINCT, whose
+        state is a set of ids per group, answers as
+        :func:`distinct_count_states` when ``serial`` (no merge follows) and
+        boxes only the δ of its ``(group, id)`` pairs otherwise.  An aggregate
+        without array form, or a measure value that is not an
+        int64/float64-exact number, takes the dict-form states of the rows.
+        """
+        if aggregate.mergeable and aggregate.name == "count_distinct":
+            if serial:
+                return distinct_count_states(self, by, measure)
+            arrays = [self.column_array(name) for name in (*by, measure)]
+            keep = dedup_arrays(arrays)
+            keys = _key_rows([array[keep] for array in arrays[:-1]], len(keep))
+            ids: Dict[Tuple, List[int]] = {}
+            for key, value in zip(keys, arrays[-1][keep].tolist()):
+                ids.setdefault(key, []).append(value)
+            return {key: aggregate.make(values) for key, values in ids.items()}
+        layout = _STATE_ARRAYS.get(aggregate.name) if aggregate.mergeable else None
+        values = None
+        if layout is not None and self._length and any(of_values for _, of_values in layout):
+            values = _measure_value_array(self, measure, aggregate)
+            if values is None:
+                layout = None
+        if layout is None:
+            return self.to_rows("gamma:no-array-form").group_states(by, measure, aggregate)
+        length = self._length
+        key_arrays = [self.column_array(name) for name in by]
+        if length == 0:
+            empty = _np.empty(0, dtype=_np.int64)
+            return ArrayGroupStates(aggregate.name, tuple(by), [empty] * len(by), [empty] * len(layout))
+        order, starts = _group_boundaries(key_arrays, length)
+        sorted_values = None if values is None else values[order]
+        counts = _np.diff(_np.append(starts, length))
+        data = [
+            getattr(_np, ufunc).reduceat(sorted_values, starts) if of_values else counts
+            for ufunc, of_values in layout
+        ]
+        keys = [array[order][starts] for array in key_arrays]
+        return ArrayGroupStates(aggregate.name, tuple(by), keys, data)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -391,31 +457,6 @@ def _combine_or(left, right):
     return left | right
 
 
-def select_columnar(
-    relation: ColumnarIdRelation, predicate
-) -> Optional[ColumnarIdRelation]:
-    """Vectorized σ; None when the predicate shape is not mask-compilable."""
-    mask = _predicate_mask(relation, predicate)
-    if mask is None:
-        return None
-    if mask is True:
-        return relation.take(slice(None))
-    return relation.take(mask)
-
-
-# ---------------------------------------------------------------------------
-# π: column projection
-# ---------------------------------------------------------------------------
-
-
-def project_columnar(relation: ColumnarIdRelation, columns: Sequence[str]) -> ColumnarIdRelation:
-    """Vectorized π (no row copies; the arrays are shared)."""
-    arrays = {name: relation.column_array(name) for name in columns}
-    return ColumnarIdRelation.from_arrays(
-        tuple(columns), arrays, relation.dictionary, relation.encoded_columns
-    )
-
-
 # ---------------------------------------------------------------------------
 # ⋈: int-keyed equi-join via argsort + searchsorted expansion
 # ---------------------------------------------------------------------------
@@ -456,25 +497,6 @@ def _expand_matches(left_keys, right_keys):
     order = _np.argsort(right_keys, kind="stable")
     left_idx, positions = expand_sorted(left_keys, right_keys[order])
     return left_idx, order[positions]
-
-
-def join_columnar(
-    left: ColumnarIdRelation,
-    right: ColumnarIdRelation,
-    left_column: str,
-    right_column: str,
-    kept_right_columns: Sequence[str],
-) -> ColumnarIdRelation:
-    """Vectorized single-pair equi-join (callers check dictionary/encoding)."""
-    left_idx, right_idx = _expand_matches(
-        left.column_array(left_column), right.column_array(right_column)
-    )
-    arrays = {name: left.column_array(name)[left_idx] for name in left.columns}
-    for name in kept_right_columns:
-        arrays[name] = right.column_array(name)[right_idx]
-    columns = tuple(left.columns) + tuple(kept_right_columns)
-    encoded = left.encoded_columns | (right.encoded_columns & set(kept_right_columns))
-    return ColumnarIdRelation.from_arrays(columns, arrays, left.dictionary, encoded)
 
 
 # ---------------------------------------------------------------------------
@@ -665,43 +687,6 @@ class ArrayGroupStates:
         )
 
 
-def group_states_columnar(
-    relation: ColumnarIdRelation, by: Sequence[str], measure: str, function
-) -> Optional[ArrayGroupStates]:
-    """Array-form γ states of one columnar partition; None when unsupported.
-
-    None — the aggregate has no array form, or some measure value is not an
-    int64/float64-exact number — sends the caller to the dict-form states
-    over the materialized rows, which own those semantics.  Integer bags
-    reduce exactly (int64 ``reduceat``), and AVG states carry exact integer
-    ``(sum, count)`` pairs, so merged shard averages are bit-identical to
-    the one-partition answer.
-    """
-    aggregate = get_aggregate(function)
-    layout = _STATE_ARRAYS.get(aggregate.name) if aggregate.mergeable else None
-    if layout is None:
-        return None
-    length = len(relation)
-    key_arrays = [relation.column_array(name) for name in by]
-    if length == 0:
-        empty = _np.empty(0, dtype=_np.int64)
-        return ArrayGroupStates(aggregate.name, tuple(by), [empty] * len(by), [empty] * len(layout))
-    values = None
-    if any(of_values for _, of_values in layout):
-        values = _measure_value_array(relation, measure, aggregate)
-        if values is None:
-            return None
-    order, starts = _group_boundaries(key_arrays, length)
-    sorted_values = None if values is None else values[order]
-    counts = _np.diff(_np.append(starts, length))
-    data = [
-        getattr(_np, ufunc).reduceat(sorted_values, starts) if of_values else counts
-        for ufunc, of_values in layout
-    ]
-    keys = [array[order][starts] for array in key_arrays]
-    return ArrayGroupStates(aggregate.name, tuple(by), keys, data)
-
-
 def distinct_count_states(
     relation: ColumnarIdRelation, by: Sequence[str], measure: str
 ) -> ArrayGroupStates:
@@ -715,24 +700,4 @@ def distinct_count_states(
     """
     arrays = [relation.column_array(name) for name in by]
     arrays.append(_distinct_value_codes(relation, measure))
-    return group_states_columnar(relation.take(dedup_arrays(arrays)), by, measure, "count")
-
-
-# ---------------------------------------------------------------------------
-# mᵏ: key-column prepend (the extended measure result)
-# ---------------------------------------------------------------------------
-
-
-def prepend_key_column(
-    relation: ColumnarIdRelation, key_column: str, keys: range
-) -> ColumnarIdRelation:
-    """``mᵏ``: prepend a fresh ``newk()`` key per row as an ``arange`` column."""
-    arrays = {key_column: _np.arange(keys.start, keys.stop, dtype=_np.int64)}
-    for name in relation.columns:
-        arrays[name] = relation.column_array(name)
-    return ColumnarIdRelation.from_arrays(
-        (key_column,) + tuple(relation.columns),
-        arrays,
-        relation.dictionary,
-        relation.encoded_columns,
-    )
+    return relation.take(dedup_arrays(arrays)).group_states(by, measure, COUNT)

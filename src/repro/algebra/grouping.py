@@ -28,16 +28,10 @@ from __future__ import annotations
 from functools import reduce
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import AggregationError, UnknownColumnError
-from repro.algebra.aggregates import AggregateFunction, get_aggregate
-from repro.algebra.columnar import (
-    ArrayGroupStates,
-    ColumnarIdRelation,
-    distinct_count_states,
-    group_states_columnar,
-)
-from repro.algebra.expressions import comparable, memoized_unary
-from repro.algebra.relation import Relation, Row, relation_like, tuple_getter
+from repro.errors import UnknownColumnError
+from repro.algebra.aggregates import POISONED_GROUP, AggregateFunction, get_aggregate
+from repro.algebra.columnar import ArrayGroupStates
+from repro.algebra.relation import Relation, Row, relation_like, tuple_getter, value_decoder
 
 __all__ = [
     "group_rows",
@@ -48,34 +42,6 @@ __all__ = [
     "aggregate_column",
     "POISONED_GROUP",
 ]
-
-
-class _PoisonedGroup:
-    """Sentinel state: the group's bag failed to prepare in some partition.
-
-    γ omits a group whose bag raises "undefined" (e.g. non-numeric values
-    under ``sum``) — *as a whole*, mirroring Definition 1's "x^j does not
-    contribute to the cube".  A partition only sees its slice of the bag,
-    so a failing slice must poison the group across every partition or the
-    answer would depend on where the shard boundaries fell.  The sentinel
-    absorbs merges and is dropped at finalize; pickling preserves identity
-    across process boundaries.
-    """
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return (_poisoned_group, ())
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "POISONED_GROUP"
-
-
-def _poisoned_group() -> "_PoisonedGroup":
-    return POISONED_GROUP
-
-
-POISONED_GROUP = _PoisonedGroup()
 
 
 def group_rows(relation: Relation, by: Sequence[str]) -> Dict[Tuple, List[Row]]:
@@ -90,19 +56,6 @@ def group_rows(relation: Relation, by: Sequence[str]) -> Dict[Tuple, List[Row]]:
     for row in relation:
         groups.setdefault(key_of(row), []).append(row)
     return groups
-
-
-def _value_decoder(relation: Relation, measure: str) -> Optional[Callable[[object], object]]:
-    """Memoized id → comparable value of an encoded measure column, else None.
-
-    Measure literals repeat, and every aggregate converts its inputs to the
-    comparable form anyway, so each distinct literal is decoded and
-    converted exactly once.
-    """
-    decoder = relation.column_decoder(measure)
-    if decoder is None:
-        return None
-    return memoized_unary(lambda value_id: comparable(decoder(value_id)))
 
 
 def group_aggregate(
@@ -139,14 +92,11 @@ def group_aggregate(
         raise UnknownColumnError(
             f"output column {output_column!r} clashes with a grouping column"
         )
-    if isinstance(relation, ColumnarIdRelation) and aggregate.name == "count_distinct":
-        # The one serial special case: sets of ids per group have no array
-        # form, and boxing them costs 2.4x counting the relation's distinct
-        # (group, value) pairs.
-        rows = finalize_group_states(distinct_count_states(relation, by, measure), "count")
-    else:
-        states = group_partial_states(relation, by, measure, aggregate)
-        rows = finalize_group_states(states, aggregate, _value_decoder(relation, measure))
+    # serial=True: no merge follows, so columnar storage may count the δ of
+    # (group, value) pairs for count_distinct — sets of ids per group have
+    # no array form, and boxing them costs 2.4x.
+    states = relation.group_states(by, measure, aggregate, serial=True)
+    rows = finalize_group_states(states, aggregate, value_decoder(relation, measure))
     # Group keys stay in their input space (ids group exactly like terms:
     # the encoding is bijective); the aggregated column is always plain.
     return relation_like(
@@ -171,31 +121,7 @@ def group_partial_states(
     and the bag have one; everything else — including a non-mergeable
     aggregate, whose "state" is its final value — is a dict keyed by group.
     """
-    aggregate: AggregateFunction = get_aggregate(function)
-    if isinstance(relation, ColumnarIdRelation):
-        # Array-form states: one row per group across parallel arrays, so
-        # merges concatenate + re-reduce instead of re-boxing.
-        array_states = group_states_columnar(relation, by, measure, aggregate)
-        if array_states is not None:
-            return array_states
-    measure_index = relation.column_index(measure)
-    # count / count_distinct states are built from the raw column values
-    # (term ids on encoded relations) — no decoding while grouping.
-    decode = None if aggregate.raw_states else _value_decoder(relation, measure)
-    states: Dict[Tuple, object] = {}
-    for key, group in group_rows(relation, by).items():
-        values = [row[measure_index] for row in group if row[measure_index] is not None]
-        if not values:
-            continue
-        try:
-            if not aggregate.raw_states:
-                if decode is not None:
-                    values = [decode(value) for value in values]
-                values = aggregate.prepare(values)
-            states[key] = aggregate.make(values)
-        except AggregationError:
-            states[key] = POISONED_GROUP
-    return states
+    return relation.group_states(by, measure, get_aggregate(function))
 
 
 def merge_group_states(state_maps: Iterable, function):
@@ -243,7 +169,9 @@ def finalize_group_states(
     partition) are dropped.
     """
     if isinstance(states, ArrayGroupStates):
-        states = states.to_dict()
+        # Array states name the built-in that finalizes them (a serial
+        # count_distinct arrives as count states over δ'd pairs).
+        function, states = states.function, states.to_dict()
     aggregate = get_aggregate(function)
     return [
         key + (aggregate.finalize(state, decode),)

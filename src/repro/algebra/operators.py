@@ -12,21 +12,22 @@ whole ``pres(Q)``/``ans(Q)`` pipeline runs without decoding a single term.
 Mixed-space inputs (e.g. an encoded ``pres(Q)`` joined with a relation
 restored from disk) are aligned by materializing the encoded side first —
 correctness over speed on that cold path.
+
+They are also *storage preserving*: σ, π, δ, ρ and ⋈ validate here and
+dispatch to the input's own implementation of the relation protocol (row
+:class:`~repro.algebra.relation.Relation` or
+:class:`~repro.algebra.columnar.ColumnarIdRelation`), so the engine is the
+one the input was built in.  ∪, −, × and ``extend_column`` have only a row
+algorithm and say so through ``to_rows``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from repro.errors import SchemaMismatchError, UnknownColumnError
-from repro.algebra.columnar import (
-    ColumnarIdRelation,
-    join_columnar,
-    project_columnar,
-    select_columnar,
-)
-from repro.algebra.expressions import RowPredicate, compile_predicate
-from repro.algebra.relation import IdRelation, Relation, Row, relation_like, tuple_getter
+from repro.algebra.expressions import RowPredicate
+from repro.algebra.relation import IdRelation, Relation, Row, relation_like
 
 __all__ = [
     "select",
@@ -46,37 +47,21 @@ def select(relation: Relation, predicate: RowPredicate) -> Relation:
     """σ: keep the rows satisfying ``predicate``.
 
     Structured predicates (:mod:`repro.algebra.expressions` builders, Σ
-    predicates) are compiled once against the relation's column positions;
-    arbitrary callables receive per-row mappings (decoded on id-space
-    relations) as before.
+    predicates) are compiled once against the relation's column positions
+    (row storage) or to a boolean mask (columnar storage); arbitrary
+    callables receive per-row mappings (decoded on id-space relations).
     """
-    if isinstance(relation, ColumnarIdRelation):
-        # Vectorized mask selection; opaque callables fall through to rows.
-        result = select_columnar(relation, predicate)
-        if result is not None:
-            return result
-    test = compile_predicate(predicate, relation)
-    kept = [row for row in relation if test(row)]
-    return relation_like(relation.columns, kept, relation)
+    return relation.select(predicate)
 
 
 def project(relation: Relation, columns: Sequence[str]) -> Relation:
     """π: keep only the named columns (bag semantics: duplicates are kept)."""
-    if isinstance(relation, ColumnarIdRelation):
-        return project_columnar(relation, columns)
-    getter = tuple_getter(relation.column_indexes(columns))
-    return relation_like(tuple(columns), [getter(row) for row in relation], relation)
+    return relation.project(columns)
 
 
 def dedup(relation: Relation) -> Relation:
     """δ: duplicate elimination, preserving first-occurrence order."""
-    seen = set()
-    kept: List[Row] = []
-    for row in relation:
-        if row not in seen:
-            seen.add(row)
-            kept.append(row)
-    return relation_like(relation.columns, kept, relation)
+    return relation.dedup()
 
 
 def rename(relation: Relation, mapping: Mapping[str, str]) -> Relation:
@@ -84,13 +69,7 @@ def rename(relation: Relation, mapping: Mapping[str, str]) -> Relation:
     for old in mapping:
         if not relation.has_column(old):
             raise UnknownColumnError(f"cannot rename unknown column {old!r}")
-    new_columns = tuple(mapping.get(name, name) for name in relation.columns)
-    if isinstance(relation, IdRelation):
-        encoded = {mapping.get(name, name) for name in relation.encoded_columns}
-        return IdRelation(
-            new_columns, relation.rows, dictionary=relation.dictionary, encoded=encoded
-        )
-    return Relation(new_columns, relation.rows)
+    return relation.rename(mapping)
 
 
 def natural_join(left: Relation, right: Relation) -> Relation:
@@ -117,13 +96,18 @@ def _join_operands(
     if not (left_id or right_id):
         return left, right
     if left_id and right_id and left.dictionary is not right.dictionary:
-        return left.materialize(), right.materialize()
+        return _decoded(left, right)
     for left_name, right_name in join_pairs:
         left_encoded = left_id and left.is_encoded(left_name)
         right_encoded = right_id and right.is_encoded(right_name)
         if left_encoded != right_encoded:
-            return left.materialize(), right.materialize()
+            return _decoded(left, right)
     return left, right
+
+
+def _decoded(*relations: Relation) -> List[Relation]:
+    """The join inputs in the decoded value space (hence in row storage)."""
+    return [relation.to_rows("join:mixed-space").materialize() for relation in relations]
 
 
 def join_on(
@@ -142,72 +126,14 @@ def join_on(
         return cross_product(left, right)
 
     left, right = _join_operands(left, right, join_pairs)
-
-    left_key_indexes = tuple(left.column_index(l) for l, _ in join_pairs)
-    right_key_indexes = tuple(right.column_index(r) for _, r in join_pairs)
-
-    dropped_right_columns = {
-        r for l, r in join_pairs if l == r
-    }
-    kept_right_positions = [
-        index for index, name in enumerate(right.columns) if name not in dropped_right_columns
-    ]
-    kept_right_names = [right.columns[index] for index in kept_right_positions]
-
+    dropped_right_columns = {r for l, r in join_pairs if l == r}
+    kept_right_names = [name for name in right.columns if name not in dropped_right_columns]
     overlap = set(left.columns) & set(kept_right_names)
     if overlap:
         raise SchemaMismatchError(
             f"join would produce duplicate columns {sorted(overlap)}; rename one side first"
         )
-
-    output_columns = tuple(left.columns) + tuple(kept_right_names)
-
-    if (
-        len(join_pairs) == 1
-        and isinstance(left, ColumnarIdRelation)
-        and isinstance(right, ColumnarIdRelation)
-        and left.dictionary is right.dictionary
-    ):
-        # Vectorized int-keyed join (argsort + searchsorted expansion);
-        # _join_operands already aligned the join columns' encodings.
-        return join_columnar(left, right, join_pairs[0][0], join_pairs[0][1], kept_right_names)
-
-    # Single-column equi-joins (the fact-variable join of Definition 4 and
-    # the engine's hottest operation) hash the bare value — an int in id
-    # space — instead of a 1-tuple.
-    if len(join_pairs) == 1:
-        left_key = left_key_indexes[0]
-        right_key = right_key_indexes[0]
-        left_key_of = lambda row: row[left_key]  # noqa: E731
-        right_key_of = lambda row: row[right_key]  # noqa: E731
-    else:
-        left_key_of = tuple_getter(left_key_indexes)
-        right_key_of = tuple_getter(right_key_indexes)
-    right_part_of = tuple_getter(kept_right_positions)
-
-    # Build a hash table on the smaller input to bound memory.
-    build_on_right = len(right) <= len(left)
-    rows: List[Row] = []
-    if build_on_right:
-        table: Dict[object, List[Row]] = {}
-        for row in right:
-            table.setdefault(right_key_of(row), []).append(right_part_of(row))
-        empty: List[Row] = []
-        for left_row in left:
-            for right_part in table.get(left_key_of(left_row), empty):
-                rows.append(left_row + right_part)
-    else:
-        table = {}
-        for row in left:
-            table.setdefault(left_key_of(row), []).append(row)
-        empty = []
-        for right_row in right:
-            matches = table.get(right_key_of(right_row), empty)
-            if matches:
-                right_part = right_part_of(right_row)
-                for left_row in matches:
-                    rows.append(left_row + right_part)
-    return relation_like(output_columns, rows, left, right)
+    return left.join_on(right, join_pairs, kept_right_names)
 
 
 def cross_product(left: Relation, right: Relation) -> Relation:
@@ -217,6 +143,7 @@ def cross_product(left: Relation, right: Relation) -> Relation:
         raise SchemaMismatchError(
             f"cross product requires disjoint schemas; shared columns {sorted(overlap)}"
         )
+    left, right = left.to_rows("product:no-array-form"), right.to_rows("product:no-array-form")
     if (
         isinstance(left, IdRelation)
         and isinstance(right, IdRelation)
@@ -228,8 +155,9 @@ def cross_product(left: Relation, right: Relation) -> Relation:
     return relation_like(columns, rows, left, right)
 
 
-def _union_operands(relations: Sequence[Relation]) -> Sequence[Relation]:
-    """Align union/difference inputs: one dictionary, one encoding per column."""
+def _union_operands(relations: Sequence[Relation], reason: str) -> Sequence[Relation]:
+    """Align union/difference inputs: row storage, one dictionary, one encoding per column."""
+    relations = [relation.to_rows(reason) for relation in relations]
     id_relations = [relation for relation in relations if isinstance(relation, IdRelation)]
     if not id_relations:
         return relations
@@ -248,7 +176,7 @@ def union_all(*relations: Relation) -> Relation:
     """∪ (bag union): concatenate rows of union-compatible relations."""
     if not relations:
         raise SchemaMismatchError("union_all requires at least one relation")
-    relations = tuple(_union_operands(relations))
+    relations = tuple(_union_operands(relations, "union:no-array-form"))
     first = relations[0]
     rows: List[Row] = list(first.rows)
     for other in relations[1:]:
@@ -264,7 +192,7 @@ def union_all(*relations: Relation) -> Relation:
 
 def difference_all(left: Relation, right: Relation) -> Relation:
     """Bag difference: each row's multiplicity is reduced by its multiplicity in ``right``."""
-    left, right = _union_operands((left, right))
+    left, right = _union_operands((left, right), "difference:no-array-form")
     if left.columns != right.columns:
         if set(left.columns) != set(right.columns):
             raise SchemaMismatchError(
@@ -290,6 +218,7 @@ def extend_column(relation: Relation, name: str, function) -> Relation:
     """
     if relation.has_column(name):
         raise SchemaMismatchError(f"column {name!r} already exists")
+    relation = relation.to_rows("extend:opaque-function")
     columns = relation.columns + (name,)
     as_dict = relation.row_as_dict
     rows = [row + (function(as_dict(row)),) for row in relation]

@@ -28,7 +28,9 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import SchemaMismatchError, UnknownColumnError
+from repro.errors import AggregationError, SchemaMismatchError, UnknownColumnError
+from repro.algebra.aggregates import POISONED_GROUP
+from repro.algebra.expressions import comparable, compile_predicate, memoized_unary
 
 __all__ = ["Relation", "IdRelation", "Row", "relation_like"]
 
@@ -60,9 +62,10 @@ class Relation:
     rows:
         Iterable of tuples (or lists), each of the same arity as ``columns``.
 
-    The class is deliberately small and explicit: the relational operators
-    live in :mod:`repro.algebra.operators` and :mod:`repro.algebra.grouping`
-    and return new relations, never mutating their inputs.
+    The relational operators are the free functions of
+    :mod:`repro.algebra.operators` and :mod:`repro.algebra.grouping`; they
+    dispatch to this class's *relation protocol* methods (the row
+    algorithms), return new relations and never mutate their inputs.
     """
 
     __slots__ = ("_columns", "_rows", "_index_of")
@@ -158,7 +161,7 @@ class Relation:
         return len(self._rows)
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self._rows)
+        return iter(self.rows)
 
     def __bool__(self) -> bool:
         return bool(self._rows)
@@ -179,18 +182,18 @@ class Relation:
     def column_values(self, name: str) -> List:
         """Return the list of values in the named column (with duplicates)."""
         index = self.column_index(name)
-        return [row[index] for row in self._rows]
+        return [row[index] for row in self.rows]
 
     def distinct_values(self, name: str) -> set:
         """Return the set of distinct values in the named column."""
         index = self.column_index(name)
-        return {row[index] for row in self._rows}
+        return {row[index] for row in self.rows}
 
     def row_as_dict(self, row: Row) -> Dict[str, object]:
         return dict(zip(self._columns, row))
 
     def iter_dicts(self) -> Iterator[Dict[str, object]]:
-        for row in self._rows:
+        for row in self.rows:
             yield self.row_as_dict(row)
 
     # ------------------------------------------------------------------
@@ -203,7 +206,7 @@ class Relation:
 
     def iter_decoded(self) -> Iterator[Row]:
         """Iterate over decoded rows (the rows themselves for plain relations)."""
-        return iter(self._rows)
+        return iter(self.rows)
 
     def column_decoder(self, name: str) -> Optional[Callable[[object], object]]:
         """Return the id→term decoder for an encoded column, or None.
@@ -226,7 +229,7 @@ class Relation:
     def to_multiset(self) -> Dict[Row, int]:
         """Return the bag of rows as a multiplicity map."""
         counts: Dict[Row, int] = {}
-        for row in self._rows:
+        for row in self.rows:
             counts[row] = counts.get(row, 0) + 1
         return counts
 
@@ -258,7 +261,7 @@ class Relation:
         elif self._columns != other._columns:
             return False
         left, right = _comparison_pair(self, other)
-        return set(left._rows) == set(right._rows)
+        return set(left.rows) == set(right.rows)
 
     def __eq__(self, other: object) -> bool:
         """Relations compare by bag equality with identical schemas."""
@@ -283,12 +286,124 @@ class Relation:
         return self._new(columns, (tuple(row[i] for i in indexes) for row in self._rows))
 
     def copy(self) -> "Relation":
-        return self._new(self._columns, self._rows)
+        return self._new(self._columns, self.rows)
 
     def map_rows(self, function: Callable[[Row], Row], columns: Optional[Sequence[str]] = None) -> "Relation":
         """Apply ``function`` to every row, optionally changing the schema."""
         new_columns = tuple(columns) if columns is not None else self._columns
-        return Relation(new_columns, (function(row) for row in self._rows))
+        return Relation(new_columns, (function(row) for row in self.rows))
+
+    # ------------------------------------------------------------------
+    # the relation protocol, row storage (the free functions of
+    # :mod:`~repro.algebra.operators` / :mod:`~repro.algebra.grouping`
+    # validate and dispatch here; ``ColumnarIdRelation`` is the other
+    # implementation, so an operator's engine is its input's storage)
+    # ------------------------------------------------------------------
+
+    def to_rows(self, reason: str) -> "Relation":
+        """This relation in row storage — itself; columnar storage converts and counts."""
+        return self
+
+    def select(self, predicate) -> "Relation":
+        test = compile_predicate(predicate, self)
+        return relation_like(self._columns, [row for row in self._rows if test(row)], self)
+
+    def project(self, columns: Sequence[str]) -> "Relation":
+        getter = tuple_getter(self.column_indexes(columns))
+        return relation_like(tuple(columns), [getter(row) for row in self._rows], self)
+
+    def dedup(self) -> "Relation":
+        return relation_like(self._columns, list(dict.fromkeys(self._rows)), self)
+
+    def rename(self, mapping: Mapping[str, str]) -> "Relation":
+        return Relation(tuple(mapping.get(name, name) for name in self._columns), self._rows)
+
+    def take(self, indexes) -> "Relation":
+        """Gather rows by position: a slice or an iterable of row numbers."""
+        rows = self._rows
+        picked = rows[indexes] if isinstance(indexes, slice) else [rows[i] for i in indexes]
+        return relation_like(self._columns, picked, self)
+
+    def prepend_keys(self, key_column: str, keys: range) -> "Relation":
+        """``mᵏ``: one fresh ``newk()`` key per row, as a plain leading column."""
+        rows = [(key,) + row for key, row in zip(keys, self._rows)]
+        return relation_like((key_column,) + self._columns, rows, self)
+
+    def join_on(
+        self,
+        right: "Relation",
+        join_pairs: Sequence[Tuple[str, str]],
+        kept_right_columns: Sequence[str],
+    ) -> "Relation":
+        """Hash equi-join; :func:`~repro.algebra.operators.join_on` aligned the
+        value spaces and chose which right columns survive."""
+        right = right.to_rows("join:mixed-storage")
+        # Single-column equi-joins (the fact-variable join of Definition 4 and
+        # the engine's hottest operation) hash the bare value — an int in id
+        # space — instead of a 1-tuple.
+        if len(join_pairs) == 1:
+            left_key = self.column_index(join_pairs[0][0])
+            right_key = right.column_index(join_pairs[0][1])
+            left_key_of = lambda row: row[left_key]  # noqa: E731
+            right_key_of = lambda row: row[right_key]  # noqa: E731
+        else:
+            left_key_of = tuple_getter(self.column_indexes([l for l, _ in join_pairs]))
+            right_key_of = tuple_getter(right.column_indexes([r for _, r in join_pairs]))
+        right_part_of = tuple_getter(right.column_indexes(kept_right_columns))
+
+        # Build a hash table on the smaller input to bound memory.
+        rows: List[Row] = []
+        table: Dict[object, List[Row]] = {}
+        empty: List[Row] = []
+        if len(right) <= len(self):
+            for row in right._rows:
+                table.setdefault(right_key_of(row), []).append(right_part_of(row))
+            for left_row in self._rows:
+                for right_part in table.get(left_key_of(left_row), empty):
+                    rows.append(left_row + right_part)
+        else:
+            for row in self._rows:
+                table.setdefault(left_key_of(row), []).append(row)
+            for right_row in right._rows:
+                matches = table.get(right_key_of(right_row), empty)
+                if matches:
+                    right_part = right_part_of(right_row)
+                    for left_row in matches:
+                        rows.append(left_row + right_part)
+        return relation_like(self._columns + tuple(kept_right_columns), rows, self, right)
+
+    def group_states(self, by: Sequence[str], measure: str, aggregate, serial: bool = False):
+        """One partition's γ: a dict of one aggregate state per group.
+
+        ``None`` measures are filtered, encoded measure values are decoded
+        and converted once per distinct id (never, for ``raw_states``
+        aggregates), and a group whose bag is undefined under ⊕ is held as
+        :data:`~repro.algebra.aggregates.POISONED_GROUP` so the omission
+        survives a merge.  ``serial`` promises that no merge follows (the
+        partition is the whole relation); row storage has no use for it.
+        """
+        measure_index = self.column_index(measure)
+        key_of = tuple_getter(self.column_indexes(by))
+        # count / count_distinct states are built from the raw column values
+        # (term ids on encoded relations) — no decoding while grouping.
+        decode = None if aggregate.raw_states else value_decoder(self, measure)
+        bags: Dict[Tuple, List] = {}
+        for row in self._rows:
+            bags.setdefault(key_of(row), []).append(row[measure_index])
+        states: Dict[Tuple, object] = {}
+        for key, bag in bags.items():
+            values = [value for value in bag if value is not None]
+            if not values:
+                continue
+            try:
+                if not aggregate.raw_states:
+                    if decode is not None:
+                        values = [decode(value) for value in values]
+                    values = aggregate.prepare(values)
+                states[key] = aggregate.make(values)
+            except AggregationError:
+                states[key] = POISONED_GROUP
+        return states
 
     # ------------------------------------------------------------------
     # presentation
@@ -296,15 +411,15 @@ class Relation:
 
     def head(self, count: int = 10) -> "Relation":
         """Return the first ``count`` rows (for display)."""
-        return self._new(self._columns, self._rows[:count])
+        return self.take(slice(count))
 
     def sorted(self) -> "Relation":
         """Return the relation with rows sorted by their repr (stable display order)."""
-        return self._new(self._columns, sorted(self._rows, key=repr))
+        return self._new(self._columns, sorted(self.rows, key=repr))
 
     def to_text(self, max_rows: int = 20) -> str:
         """Render an ASCII table of the relation (used by examples and benches)."""
-        shown = self._rows[:max_rows]
+        shown = self.rows[:max_rows]
         headers = [str(column) for column in self._columns]
         rendered = [[_render_value(value) for value in row] for row in shown]
         widths = [len(header) for header in headers]
@@ -318,8 +433,8 @@ class Relation:
         ]
         for row in rendered:
             lines.append(" | ".join(cell.ljust(width) for cell, width in zip(row, widths)))
-        if len(self._rows) > max_rows:
-            lines.append(f"... ({len(self._rows) - max_rows} more rows)")
+        if len(self) > max_rows:
+            lines.append(f"... ({len(self) - max_rows} more rows)")
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -402,6 +517,11 @@ class IdRelation(Relation):
             return self._dictionary.decode
         return None
 
+    def rename(self, mapping: Mapping[str, str]) -> "Relation":
+        columns = tuple(mapping.get(name, name) for name in self._columns)
+        encoded = {mapping.get(name, name) for name in self._encoded}
+        return IdRelation(columns, self._rows, dictionary=self._dictionary, encoded=encoded)
+
     def _new(self, columns: Sequence[str], rows: Iterable[Sequence]) -> "Relation":
         encoded = self._encoded & set(columns)
         if not encoded:
@@ -416,18 +536,19 @@ class IdRelation(Relation):
     def materialize(self) -> Relation:
         """Decode every encoded column and return a plain relation."""
         if not self._encoded:
-            return Relation.adopt(self._columns, list(self._rows))
+            return Relation.adopt(self._columns, list(self.rows))
         return Relation.adopt(self._columns, list(self.iter_decoded()))
 
     def iter_decoded(self) -> Iterator[Row]:
         """Yield decoded rows one at a time (the decoding-iterator boundary)."""
         indexes = self._encoded_indexes()
+        rows = self.rows
         if not indexes:
-            yield from self._rows
+            yield from rows
             return
         decode = self._dictionary.decode
         cache: Dict[object, object] = {}
-        for row in self._rows:
+        for row in rows:
             decoded = list(row)
             for index in indexes:
                 value_id = decoded[index]
@@ -464,6 +585,19 @@ def _comparison_pair(left: Relation, right: Relation) -> Tuple[Relation, Relatio
         if left.dictionary is right.dictionary and left.encoded_columns == right.encoded_columns:
             return left, right
     return left.materialize(), right.materialize()
+
+
+def value_decoder(relation: Relation, measure: str) -> Optional[Callable[[object], object]]:
+    """Memoized id → comparable value of an encoded measure column, else None.
+
+    Measure literals repeat, and every aggregate converts its inputs to the
+    comparable form anyway, so each distinct literal is decoded and
+    converted exactly once.
+    """
+    decoder = relation.column_decoder(measure)
+    if decoder is None:
+        return None
+    return memoized_unary(lambda value_id: comparable(decoder(value_id)))
 
 
 def relation_like(

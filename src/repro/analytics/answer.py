@@ -108,9 +108,10 @@ class PartialResult:
 
     @property
     def relation(self) -> Relation:
-        """The decoded view of ``pres(Q)`` (lazily materialized, cached)."""
+        """The decoded view of ``pres(Q)`` (lazily materialized, cached) —
+        what ROLL-UP substitutes values in and persistence writes."""
         if self._decoded is None:
-            self._decoded = self._storage.materialize()
+            self._decoded = self._storage.to_rows("decode:pres").materialize()
         return self._decoded
 
     def with_storage(self, relation: Relation) -> "PartialResult":
@@ -176,7 +177,7 @@ class CubeAnswer:
     def relation(self) -> Relation:
         """The decoded answer relation ``(d₁, ..., dₙ, v)`` (lazy, cached)."""
         if self._decoded is None:
-            self._decoded = self._storage.materialize()
+            self._decoded = self._storage.to_rows("decode:ans").materialize()
         return self._decoded
 
     def __len__(self) -> int:
@@ -190,7 +191,7 @@ class CubeAnswer:
         """Iterate over decoded answer rows without forcing full materialization."""
         if self._decoded is not None:
             return iter(self._decoded)
-        return self._storage.iter_decoded()
+        return self._storage.to_rows("decode:ans").iter_decoded()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CubeAnswer(dims={self.dimension_columns}, {len(self._storage)} cells)"

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.algebra.columnar import ColumnarIdRelation, prepend_key_column, resolve_engine
+from repro.algebra.columnar import resolve_engine
 from repro.algebra.grouping import group_aggregate, group_partial_states
 from repro.algebra.operators import join_on, rename, select
 from repro.algebra.relation import Relation, relation_like
@@ -122,12 +122,9 @@ class AnalyticalQueryEvaluator:
     ) -> Relation:
         keys = key_generator or KeyGenerator()
         measure = self._measure_relation(query, fact_range=fact_range)
-        if isinstance(measure, ColumnarIdRelation) and isinstance(keys, KeyGenerator):
-            # The columnar mᵏ: consume len(measure) consecutive keys in one
-            # step and prepend them as an arange column — no row boxing.
-            return prepend_key_column(measure, KEY_COLUMN, keys.take(len(measure)))
-        columns = (KEY_COLUMN,) + measure.columns
-        return relation_like(columns, ((keys(),) + row for row in measure), measure)
+        # Consume len(measure) consecutive keys in one step; the measure's
+        # storage prepends them (row tuples, or an arange column).
+        return measure.prepend_keys(KEY_COLUMN, keys.take(len(measure)))
 
     # ------------------------------------------------------------------
     # components (public, decoded — the id engine is an implementation detail)
@@ -357,7 +354,7 @@ class AnalyticalQueryEvaluator:
             query, key_generator=KeyGenerator(key_base), fact_range=fact_range
         )
         states = self.partial_answer_states(query, partial)
-        rows = partial.storage.rows if keep_rows else None
+        rows = partial.storage.to_rows("parallel:ship-rows").rows if keep_rows else None
         return rows, states
 
     def evaluate(self, query: AnalyticalQuery) -> MaterializedQueryResults:

@@ -267,7 +267,7 @@ class BGPEvaluator:
         """
         return self.evaluate_ids(
             query, semantics=semantics, initial_binding=initial_binding, fact_range=fact_range
-        ).materialize()
+        ).to_rows("decode:bgp").materialize()
 
     def count(self, query: BGPQuery, semantics: str = "set") -> int:
         """Return the number of answers without materializing term objects."""

@@ -390,7 +390,7 @@ class DeltaMaintainer:
         retained: List[tuple] = []
         touched: Set[tuple] = set()
         max_key = 0
-        for row in pres_storage.rows:
+        for row in pres_storage.to_rows("refresh:splice").rows:
             key = row[key_index]
             if isinstance(key, int) and key > max_key:
                 max_key = key

@@ -240,8 +240,10 @@ class OLAPPlanner:
         # Per-engine rows-touched multiplier: a row touched by the columnar
         # engine's vectorized kernels is cheaper than one touched by the
         # interpreted row loop, so instance-evaluating candidates (scratch,
-        # parallel) are priced down accordingly while the row-level reuse
-        # candidates (rewrite, refresh, compat) keep weight 1.
+        # parallel) are priced down accordingly.  The reuse candidates
+        # (rewrite, compat) run in the storage of the pres(Q) they read —
+        # vectorized too on a columnar pres — yet keep weight 1: a known
+        # mispricing (ROADMAP item 3), left as is rather than retuned here.
         self._engine_multiplier = self._model.engine_multiplier(evaluator.engine)
 
     @property
@@ -460,7 +462,7 @@ class OLAPPlanner:
             elif option.needs_instance:
                 # The auxiliary query evaluates on the instance through the
                 # same engine as scratch, so it gets the same multiplier;
-                # the join over pres(Q) stays row-level work.
+                # the join over pres(Q) is priced at weight 1 (see __init__).
                 cost += option.input_rows * self._model.join_row_cost + (
                     self._engine_multiplier
                     * self._auxiliary_cost(materialized.query, transformed_query)

@@ -96,7 +96,7 @@ def save_relation(relation: Relation, path: str) -> None:
     """Write a relation to a TSV file (header line + one line per row)."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\t".join(relation.columns) + "\n")
-        for row in relation:
+        for row in relation.to_rows("persist:tsv"):
             handle.write("\t".join(_encode_cell(value) for value in row) + "\n")
 
 

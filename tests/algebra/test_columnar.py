@@ -13,16 +13,14 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.errors import ConfigurationError, UnknownColumnError
+from repro.errors import AlgebraError, ConfigurationError, UnknownColumnError
 from repro.algebra import columnar
+from repro.algebra.aggregates import get_aggregate
 from repro.algebra.columnar import (
+    ROW_CONVERSIONS,
     ArrayGroupStates,
     ColumnarIdRelation,
-    group_states_columnar,
-    join_columnar,
-    prepend_key_column,
     resolve_engine,
-    select_columnar,
 )
 from repro.algebra.expressions import between, conjunction, disjunction, equals, is_in, negation
 from repro.algebra.grouping import (
@@ -31,7 +29,7 @@ from repro.algebra.grouping import (
     group_partial_states,
     merge_group_states,
 )
-from repro.algebra.operators import join_on, project, select
+from repro.algebra.operators import dedup, join_on, project, select
 from repro.algebra.relation import IdRelation, Relation
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import IRI, Literal
@@ -116,18 +114,44 @@ class TestColumnarIdRelation:
         with pytest.raises(UnknownColumnError):
             columnar_relation.column_array("missing")
 
-    def test_from_rows_refuses_none_values(self):
-        """Missing measures never reach the int64 kernels: construction
-        falls back (None) and the caller keeps the row representation,
-        whose γ filters None measures."""
-        dictionary = TermDictionary()
-        assert (
-            ColumnarIdRelation.from_rows(("x", "v"), [(1, None)], dictionary) is None
-        )
-        assert ColumnarIdRelation.from_rows(("x", "v"), [(1, 2.5)], dictionary) is None
-        built = ColumnarIdRelation.from_rows(("x", "v"), [(1, 2)], dictionary)
-        assert isinstance(built, ColumnarIdRelation)
-        assert built.rows == [(1, 2)]
+    def test_columnar_relations_are_immutable(self):
+        """Regression: the inherited ``add_row`` / ``extend`` appended to a
+        materialized row list while ``len()`` and the arrays kept the old
+        size.  A columnar relation is an operator output; both raise."""
+        columnar_relation, _ = _paired_relations(_sample_rows(3), columns=("x", "d", "v"))
+        before = columnar_relation.column_array("x").copy()
+        with pytest.raises(AlgebraError):
+            columnar_relation.add_row((9, 9, 9))
+        with pytest.raises(AlgebraError):
+            columnar_relation.extend([(9, 9, 9)])
+        with pytest.raises(AlgebraError):
+            columnar_relation.extend([])
+        assert len(columnar_relation) == len(columnar_relation.rows) == 3
+        assert (columnar_relation.column_array("x") == before).all()
+
+    def test_zero_column_projection_keeps_the_cardinality(self):
+        """Regression: ``from_arrays`` inferred the length from its first
+        array, so π onto no columns lost the bag's cardinality."""
+        columnar_relation, row_relation = _paired_relations(_sample_rows(3))
+        fast = project(columnar_relation, ())
+        slow = project(row_relation, ())
+        assert isinstance(fast, ColumnarIdRelation)
+        assert len(fast) == len(slow) == 3
+        assert fast.rows == slow.rows == [(), (), ()]
+        assert dedup(fast).rows == dedup(slow).rows == [()]
+        assert len(fast.take(np.asarray([0, 2]))) == 2
+        assert len(select(fast, conjunction())) == 3
+
+    def test_to_rows_is_counted_by_reason(self):
+        columnar_relation, row_relation = _paired_relations(_sample_rows())
+        before = ROW_CONVERSIONS["test:reason"]
+        converted = columnar_relation.to_rows("test:reason")
+        assert ROW_CONVERSIONS["test:reason"] == before + 1
+        assert type(converted) is IdRelation
+        assert converted.rows == row_relation.rows
+        assert converted.encoded_columns == row_relation.encoded_columns
+        assert row_relation.to_rows("test:reason") is row_relation
+        assert ROW_CONVERSIONS["test:reason"] == before + 1
 
     def test_schema_validation(self):
         dictionary = TermDictionary()
@@ -193,14 +217,19 @@ class TestSelectKernel:
             ("dage",),
             {"dage": DimensionRestriction.to_value(IRI("http://example.org/city1"))},
         )
-        fast = select_columnar(columnar_relation, sigma.predicate())
-        assert fast is not None, "SigmaPredicate lost the vectorized fast path"
+        before = ROW_CONVERSIONS["sigma:opaque-predicate"]
+        fast = columnar_relation.select(sigma.predicate())
+        assert isinstance(fast, ColumnarIdRelation) and (
+            ROW_CONVERSIONS["sigma:opaque-predicate"] == before
+        ), "SigmaPredicate lost the vectorized fast path"
         assert fast.bag_equal(select(row_relation, sigma.predicate()))
 
     def test_opaque_callable_falls_back_to_rows(self):
         columnar_relation, row_relation = _paired_relations(_sample_rows())
         opaque = lambda row: str(row["d"]).endswith("city1")  # noqa: E731
-        assert select_columnar(columnar_relation, opaque) is None
+        before = ROW_CONVERSIONS["sigma:opaque-predicate"]
+        assert not isinstance(columnar_relation.select(opaque), ColumnarIdRelation)
+        assert ROW_CONVERSIONS["sigma:opaque-predicate"] == before + 1
         assert select(columnar_relation, opaque).bag_equal(select(row_relation, opaque))
 
 
@@ -242,8 +271,17 @@ class TestJoinKernel:
             {"x": np.zeros(2, dtype=np.int64), "v": np.ones(2, dtype=np.int64)},
             dictionary,
         )
-        assert len(join_columnar(empty, other, "x", "x", ("v",))) == 0
-        assert len(join_columnar(other, empty, "x", "x", ("d",))) == 0
+        assert len(empty.join_on(other, [("x", "x")], ("v",))) == 0
+        assert len(other.join_on(empty, [("x", "x")], ("d",))) == 0
+
+
+def _assert_no_array_form(relation, aggregate):
+    """``group_states`` declines the array form: dict states over the rows,
+    reported through the conversion counter."""
+    before = ROW_CONVERSIONS["gamma:no-array-form"]
+    states = relation.group_states(["d"], "v", get_aggregate(aggregate))
+    assert not isinstance(states, ArrayGroupStates)
+    assert ROW_CONVERSIONS["gamma:no-array-form"] == before + 1
 
 
 class TestColumnarGamma:
@@ -288,7 +326,7 @@ class TestColumnarGamma:
             (IRI("http://example.org/f1"), IRI("http://example.org/c"), Literal("east")),
         ]
         columnar_relation, row_relation = _paired_relations(rows)
-        assert group_states_columnar(columnar_relation, ["d"], "v", "sum") is None
+        _assert_no_array_form(columnar_relation, "sum")
         # γ still answers (dict-form states over the rows), identically to rows:
         # sum over strings is undefined, so the group is omitted.
         assert group_aggregate(columnar_relation, ["d"], "v", "sum").bag_equal(
@@ -310,7 +348,7 @@ class TestColumnarGamma:
             (IRI("http://example.org/f2"), IRI("http://example.org/c"), Literal(2**63)),
         ]
         columnar_relation, row_relation = _paired_relations(rows)
-        assert group_states_columnar(columnar_relation, ["d"], "v", aggregate) is None
+        _assert_no_array_form(columnar_relation, aggregate)
         fast = group_aggregate(columnar_relation, ["d"], "v", aggregate)
         slow = group_aggregate(row_relation, ["d"], "v", aggregate)
         assert fast.bag_equal(slow)
@@ -324,7 +362,7 @@ class TestColumnarGamma:
 
         columnar_relation, row_relation = _paired_relations(_sample_rows())
         shadow = AggregateFunction("sum", lambda values: -1, distributive=False)
-        assert group_states_columnar(columnar_relation, ["d"], "v", shadow) is None
+        _assert_no_array_form(columnar_relation, shadow)
         fast = group_aggregate(columnar_relation, ["d"], "v", shadow)
         assert {row[-1] for row in fast.rows} == {-1}
         assert fast.bag_equal(group_aggregate(row_relation, ["d"], "v", shadow))
@@ -360,6 +398,16 @@ class TestArrayGroupStates:
         dict_states = group_partial_states(row_relation, ["d"], "v", aggregate)
         assert isinstance(array_states, ArrayGroupStates)
         assert array_states.to_dict() == dict_states
+
+    def test_count_distinct_partition_states_come_from_the_arrays(self):
+        """A shard's id sets are boxed from the δ of the (group, id) pairs —
+        the same dict states as the row engine's, without a row conversion
+        (the worker would otherwise convert its pres twice: γ, then shipping)."""
+        columnar_relation, row_relation = _paired_relations(_sample_rows())
+        before = ROW_CONVERSIONS.copy()
+        states = group_partial_states(columnar_relation, ["d"], "v", "count_distinct")
+        assert ROW_CONVERSIONS == before
+        assert states == group_partial_states(row_relation, ["d"], "v", "count_distinct")
 
     @pytest.mark.parametrize("aggregate", ("count", "sum", "avg", "min", "max"))
     def test_split_merge_equals_serial(self, aggregate):
@@ -410,7 +458,8 @@ class TestArrayGroupStates:
 class TestKeyColumn:
     def test_prepend_key_column(self):
         columnar_relation, _ = _paired_relations(_sample_rows(), columns=("x", "d", "v"))
-        keyed = prepend_key_column(columnar_relation, "k", range(5, 5 + len(columnar_relation)))
+        keyed = columnar_relation.prepend_keys("k", range(5, 5 + len(columnar_relation)))
+        assert isinstance(keyed, ColumnarIdRelation)
         assert keyed.columns == ("k", "x", "d", "v")
         assert keyed.column_values("k") == list(range(5, 14))
         assert "k" not in keyed.encoded_columns

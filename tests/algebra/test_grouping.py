@@ -152,10 +152,10 @@ def _engine_relation(engine, dictionary, pairs, plain):
     if plain:
         return Relation(("d", "v"), terms)
     rows = [(dictionary.encode(group), dictionary.encode(value)) for group, value in terms]
-    relation = None
     if engine == "columnar":
-        relation = ColumnarIdRelation.from_rows(("d", "v"), rows, dictionary)
-    return relation if relation is not None else IdRelation(("d", "v"), rows, dictionary=dictionary)
+        arrays = {name: [row[index] for row in rows] for index, name in enumerate(("d", "v"))}
+        return ColumnarIdRelation.from_arrays(("d", "v"), arrays, dictionary)
+    return IdRelation(("d", "v"), rows, dictionary=dictionary)
 
 
 def _cells(rows, dictionary, grouped):

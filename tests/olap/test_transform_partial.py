@@ -301,3 +301,56 @@ def test_materializing_drill_out_deduplicates_once(monkeypatch, example2_instanc
     cube = session.transform(sites_query, DrillOut("dage"), strategy="rewrite")
     assert len(dedups) == 1
     assert session.materialized(cube.query).partial.dimension_columns == ("dcity",)
+
+
+# ---------------------------------------------------------------------------
+# Engine closure: a rewriting chain never leaves the storage it was given
+# ---------------------------------------------------------------------------
+
+
+def test_rewriting_chain_is_closed_over_the_engine(monkeypatch):
+    """execute → SLICE → DICE → DRILL-OUT → DRILL-OUT → DRILL-IN under forced
+    ``rewrite`` with the one arrays → rows conversion patched to raise: every
+    derivation and its γ run on the storage of the ``pres`` they read (on the
+    columnar engine every stored ``pres`` is columnar; on the row engine the
+    protocol's other implementation makes this trivially true), and every
+    cube equals scratch and the naive oracle."""
+    from repro.algebra.columnar import ColumnarIdRelation
+    from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
+
+    config = GenericConfig(
+        facts=60, dimensions=3, values_per_dimension=1.4, measures_per_fact=2.0,
+        with_detail=True, seed=5,
+    )
+    dataset = generic_dataset(config)
+    root = generic_query(config, aggregate="sum", include_detail_in_classifier=True, name="root")
+
+    def refuse(self, reason):
+        raise AssertionError(f"a rewriting left the columnar engine: to_rows({reason!r})")
+
+    def value(dimension, index):
+        return EX.term(f"dimvalue/{dimension}/{index}")
+
+    with OLAPSession(dataset.instance, dataset.schema) as session:
+        chain = [
+            lambda: session.execute(root),
+            lambda: session.transform(root, Slice("d0", value(0, 0)), strategy="rewrite"),
+            lambda: session.transform(
+                root, Dice({"d1": [value(1, index) for index in range(4)]}), strategy="rewrite"
+            ),
+            lambda: session.transform(root, DrillOut("d2"), strategy="rewrite"),
+            lambda: session.transform(cubes[-1].query, DrillOut("d1"), strategy="rewrite"),
+            lambda: session.transform(cubes[-1].query, DrillIn("da"), strategy="rewrite"),
+        ]
+        cubes = []
+        for step in chain:
+            with monkeypatch.context() as patch:
+                patch.setattr(ColumnarIdRelation, "to_rows", refuse)
+                cubes.append(step())
+            cube = cubes[-1]
+            stored = session.materialized(cube.query).partial.storage
+            assert isinstance(stored, ColumnarIdRelation) == (session.engine == "columnar")
+            assert Cube(session.evaluator.answer(cube.query), cube.query).same_cells(cube)
+            assert _naive_cube(dataset.instance, cube.query).same_cells(cube)
+        assert [cube.record.strategy.split("[")[0] for cube in cubes[1:]] == ["rewrite"] * 5
+        assert cubes[-1].dimensions == ("d0", "da")

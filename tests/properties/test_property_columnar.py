@@ -7,17 +7,40 @@ root and after every transformation the columnar engine's from-scratch
 bag-equal once the opaque ``newk()`` keys are projected away.  This mirrors
 the maintenance and parallel differential suites: whatever the engines'
 internals, the cube is the contract.
+
+The second half holds every operator of the algebra to the same oracle one
+relation at a time: equal as bags (δ in first-occurrence order) whichever
+storage the input has, and — per operator — whether it keeps the columnar
+storage or leaves it through ``to_rows``, and under which reason.  That
+table is the tested form of the guide's *Fallback rules*.
 """
 
 import pytest
 
-pytest.importorskip("numpy")  # the suite forces engine="columnar" explicitly
+np = pytest.importorskip("numpy")  # the suite forces engine="columnar" explicitly
 
 from hypothesis import given, settings, strategies as st
 
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery, KEY_COLUMN
-from repro.algebra.operators import project
+from repro.algebra.aggregates import AggregateFunction
+from repro.algebra.columnar import ROW_CONVERSIONS, ColumnarIdRelation
+from repro.algebra.expressions import is_in
+from repro.algebra.grouping import group_aggregate
+from repro.algebra.operators import (
+    cross_product,
+    dedup,
+    difference_all,
+    extend_column,
+    join_on,
+    project,
+    rename,
+    select,
+    union_all,
+)
+from repro.algebra.relation import IdRelation
+from repro.rdf.dictionary import TermDictionary
+from repro.rdf.terms import Literal
 from repro.datagen import BloggerConfig, VideoConfig, blogger_dataset, video_dataset
 from repro.datagen.blogger import words_per_blogger_query
 from repro.datagen.videos import views_per_url_query
@@ -167,3 +190,97 @@ def test_columnar_shard_evaluation_matches_row_oracle(seed, aggregate, shards):
         )
     finally:
         executor.close()
+
+
+# ---------------------------------------------------------------------------
+# Operator by operator: same bag on either storage; storage kept or converted
+# ---------------------------------------------------------------------------
+
+_TERMS = TermDictionary()
+_IDS = [_TERMS.encode(Literal(value)) for value in range(5)]
+_COLUMNS = ("a", "b", "c")
+
+
+def _both_storages(rows):
+    arrays = {
+        name: np.asarray([row[index] for row in rows], dtype=np.int64)
+        for index, name in enumerate(_COLUMNS)
+    }
+    return (
+        ColumnarIdRelation.from_arrays(_COLUMNS, arrays, _TERMS, length=len(rows)),
+        IdRelation(_COLUMNS, rows, dictionary=_TERMS),
+    )
+
+
+def _as_rows(relation):
+    return IdRelation(relation.columns, relation.rows, dictionary=_TERMS)
+
+
+_APART = {"a": "ra", "b": "rb", "c": "rc"}
+_SHADOW_SUM = AggregateFunction("sum", lambda values: len(values), distributive=False)
+
+#: operator → (application to (left, right), keeps columnar storage, ``to_rows`` reasons)
+_OPERATORS = {
+    "σ": (lambda l, r: select(l, is_in("a", [Literal(0), Literal(3)])), True, set()),
+    "σ opaque": (
+        lambda l, r: select(l, lambda row: row["a"] == Literal(1)),
+        False,
+        {"sigma:opaque-predicate"},
+    ),
+    "π": (lambda l, r: project(l, ("c", "a")), True, set()),
+    "π onto no column": (lambda l, r: project(l, ()), True, set()),
+    "δ": (lambda l, r: dedup(l), True, set()),
+    "δ∘π": (lambda l, r: dedup(project(l, ("b",))), True, set()),
+    "ρ": (lambda l, r: rename(l, {"a": "z"}), True, set()),
+    "reorder": (lambda l, r: l.reorder(("c", "a", "b")), True, set()),
+    "take": (lambda l, r: l.take(slice(0, None, 2)), True, set()),
+    "mᵏ": (lambda l, r: l.prepend_keys("k", range(7, 7 + len(l))), True, set()),
+    "⋈": (lambda l, r: join_on(l, rename(r, {"b": "rb", "c": "rc"}), [("a", "a")]), True, set()),
+    "⋈ multi-pair": (
+        lambda l, r: join_on(l, rename(r, {"c": "rc"}), [("a", "a"), ("b", "b")]),
+        False,
+        {"join:multi-pair", "join:mixed-storage"},
+    ),
+    "⋈ mixed storage": (
+        lambda l, r: join_on(l, _as_rows(rename(r, {"b": "rb", "c": "rc"})), [("a", "a")]),
+        False,
+        {"join:mixed-storage"},
+    ),
+    "∪": (lambda l, r: union_all(l, r), False, {"union:no-array-form"}),
+    "−": (lambda l, r: difference_all(l, r), False, {"difference:no-array-form"}),
+    "×": (lambda l, r: cross_product(l, rename(r, _APART)), False, {"product:no-array-form"}),
+    "extend_column": (
+        lambda l, r: extend_column(l, "s", lambda row: str(row["a"])),
+        False,
+        {"extend:opaque-function"},
+    ),
+    # γ's output is always a (small) row relation; its *input* stays in the arrays.
+    "γ": (lambda l, r: group_aggregate(l, ["a"], "c", "sum"), False, set()),
+    "γ no array form": (
+        lambda l, r: group_aggregate(l, ["a"], "c", _SHADOW_SUM),
+        False,
+        {"gamma:no-array-form"},
+    ),
+}
+
+_rows = st.lists(st.tuples(*[st.sampled_from(_IDS)] * 3), max_size=10)
+
+
+@pytest.mark.parametrize("operator", list(_OPERATORS))
+@given(left=_rows, right=_rows)
+@settings(max_examples=20, deadline=None, print_blob=True)
+def test_operator_matches_row_engine_and_keeps_or_names_its_storage(operator, left, right):
+    apply, keeps_storage, reasons = _OPERATORS[operator]
+    fast_left, slow_left = _both_storages(left)
+    fast_right, slow_right = _both_storages(right)
+    slow = apply(slow_left, slow_right)
+    before = ROW_CONVERSIONS.copy()
+    fast = apply(fast_left, fast_right)
+    converted = set(ROW_CONVERSIONS - before) - {"api:rows"}  # _as_rows reads .rows
+    assert isinstance(fast, ColumnarIdRelation) == keeps_storage
+    assert converted == reasons
+    assert not isinstance(slow, ColumnarIdRelation)
+    assert fast.columns == slow.columns and len(fast) == len(slow)
+    assert fast.bag_equal(slow)
+    if operator.startswith("δ"):
+        assert fast.rows == slow.rows  # first-occurrence order

@@ -10,6 +10,8 @@ arrays and implements the relation protocol of
 * ``select`` — positional-predicate σ via boolean masks (distinct ids are
   decoded and tested once, the mask is ``np.isin``);
 * ``project`` / ``rename`` / ``reorder`` / ``prepend_keys`` — share the arrays;
+* ``map_column`` — ROLL-UP's parent substitution: the function runs once per
+  distinct id (``np.unique``), one gather writes the column;
 * ``dedup`` — δ via lexsort run heads, first occurrences kept in order;
 * ``join_on`` — the int-keyed equi-join (the fact-variable join of
   Definition 4) via argsort + ``searchsorted`` expansion;
@@ -278,6 +280,17 @@ class ColumnarIdRelation(IdRelation):
                 f"reorder columns {tuple(columns)} must be a permutation of {self._columns}"
             )
         return self._with(columns, self._column_arrays, self._length)
+
+    def map_column(self, name: str, function) -> Relation:
+        """Substitute one encoded column through ``function``: its image over
+        the distinct ids, gathered back by ``np.unique``'s inverse."""
+        if name not in self._encoded:
+            return self.to_rows("map:plain-column").map_column(name, function)
+        distinct, inverse = _np.unique(self.column_array(name), return_inverse=True)
+        image = self._column_image(name, distinct.tolist(), function)
+        arrays = dict(self._column_arrays)
+        arrays[name] = _np.fromiter(image.values(), dtype=_np.int64, count=len(image))[inverse]
+        return self._with(self._columns, arrays, self._length)
 
     def take(self, indexes) -> "ColumnarIdRelation":
         """Gather rows by position: a slice, a boolean mask or an index array."""

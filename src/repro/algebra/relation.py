@@ -208,6 +208,11 @@ class Relation:
         """Iterate over decoded rows (the rows themselves for plain relations)."""
         return iter(self.rows)
 
+    def decoded_columns(self) -> List[Sequence]:
+        """The relation transposed: one sequence of decoded values per column."""
+        rows = self.rows
+        return list(zip(*rows)) if rows else [()] * len(self._columns)
+
     def column_decoder(self, name: str) -> Optional[Callable[[object], object]]:
         """Return the id→term decoder for an encoded column, or None.
 
@@ -288,11 +293,6 @@ class Relation:
     def copy(self) -> "Relation":
         return self._new(self._columns, self.rows)
 
-    def map_rows(self, function: Callable[[Row], Row], columns: Optional[Sequence[str]] = None) -> "Relation":
-        """Apply ``function`` to every row, optionally changing the schema."""
-        new_columns = tuple(columns) if columns is not None else self._columns
-        return Relation(new_columns, (function(row) for row in self.rows))
-
     # ------------------------------------------------------------------
     # the relation protocol, row storage (the free functions of
     # :mod:`~repro.algebra.operators` / :mod:`~repro.algebra.grouping`
@@ -317,6 +317,24 @@ class Relation:
 
     def rename(self, mapping: Mapping[str, str]) -> "Relation":
         return Relation(tuple(mapping.get(name, name) for name in self._columns), self._rows)
+
+    def map_column(self, name: str, function: Callable[[object], object]) -> "Relation":
+        """Replace one column's values by ``function`` of them (ROLL-UP's
+        parent substitution), calling it once per *distinct* value.
+
+        ``function`` maps decoded values to decoded values; an encoded column
+        stays encoded — a result that is no term of the graph gets a derived
+        id (:meth:`~repro.rdf.dictionary.TermDictionary.encode_derived`).
+        """
+        index = self.column_index(name)
+        image = self._column_image(name, {row[index] for row in self._rows}, function)
+        rows = [row[:index] + (image[row[index]],) + row[index + 1 :] for row in self._rows]
+        return relation_like(self._columns, rows, self)
+
+    def _column_image(self, name: str, distinct: Iterable, function) -> Dict[object, object]:
+        """``{stored value: stored image}`` of ``function`` over one column's
+        distinct stored values — the identity encoding on a plain column."""
+        return {value: function(value) for value in distinct}
 
     def take(self, indexes) -> "Relation":
         """Gather rows by position: a slice or an iterable of row numbers."""
@@ -530,33 +548,32 @@ class IdRelation(Relation):
 
     # -- late materialization ------------------------------------------
 
-    def _encoded_indexes(self) -> List[int]:
-        return [index for index, name in enumerate(self._columns) if name in self._encoded]
-
     def materialize(self) -> Relation:
         """Decode every encoded column and return a plain relation."""
-        if not self._encoded:
-            return Relation.adopt(self._columns, list(self.rows))
         return Relation.adopt(self._columns, list(self.iter_decoded()))
 
     def iter_decoded(self) -> Iterator[Row]:
-        """Yield decoded rows one at a time (the decoding-iterator boundary)."""
-        indexes = self._encoded_indexes()
-        rows = self.rows
-        if not indexes:
-            yield from rows
-            return
+        """Iterate over the decoded rows (decoded column-wise, up front)."""
+        if not self._encoded:
+            return iter(self.rows)
+        return zip(*self.decoded_columns())
+
+    def decoded_columns(self) -> List[Sequence]:
+        """The one decode: transpose, then per encoded column one
+        ``{id: term}`` table over its *distinct* ids mapped back over it."""
+        columns = super().decoded_columns()
         decode = self._dictionary.decode
-        cache: Dict[object, object] = {}
-        for row in rows:
-            decoded = list(row)
-            for index in indexes:
-                value_id = decoded[index]
-                term = cache.get(value_id)
-                if term is None:
-                    term = cache[value_id] = decode(value_id)
-                decoded[index] = term
-            yield tuple(decoded)
+        for index, name in enumerate(self._columns):
+            if name in self._encoded:
+                terms = {value_id: decode(value_id) for value_id in set(columns[index])}
+                columns[index] = list(map(terms.__getitem__, columns[index]))
+        return columns
+
+    def _column_image(self, name: str, distinct: Iterable, function) -> Dict[object, object]:
+        if name not in self._encoded:
+            return super()._column_image(name, distinct, function)
+        decode, encode = self._dictionary.decode, self._dictionary.encode_derived
+        return {value_id: encode(function(decode(value_id))) for value_id in distinct}
 
     def row_as_dict(self, row: Row) -> Dict[str, object]:
         decode = self._dictionary.decode

@@ -21,9 +21,10 @@ benchmarks):
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import MaterializationError
+from repro.algebra.expressions import comparable
 from repro.algebra.relation import Relation
 
 __all__ = ["KeyGenerator", "PartialResult", "CubeAnswer", "MaterializedQueryResults"]
@@ -74,10 +75,10 @@ class PartialResult:
     dimension, key and measure columns by role rather than by position.
 
     The wrapped relation may live in **id space**
-    (:class:`~repro.algebra.relation.IdRelation`): the rewriting algorithms
-    consume :attr:`storage` and never decode, while :attr:`relation` is the
-    decoded view for external consumers (tests, persistence, display) —
-    materialized lazily, once.
+    (:class:`~repro.algebra.relation.IdRelation`): every ``pres → pres``
+    derivation — ROLL-UP included — consumes :attr:`storage` and never
+    decodes, while :attr:`relation` is the decoded view for external
+    consumers (tests, persistence, display) — materialized lazily, once.
     """
 
     def __init__(
@@ -109,7 +110,7 @@ class PartialResult:
     @property
     def relation(self) -> Relation:
         """The decoded view of ``pres(Q)`` (lazily materialized, cached) —
-        what ROLL-UP substitutes values in and persistence writes."""
+        what persistence writes."""
         if self._decoded is None:
             self._decoded = self._storage.to_rows("decode:pres").materialize()
         return self._decoded
@@ -139,7 +140,9 @@ class PartialResult:
 
     def facts(self) -> set:
         """The set of distinct facts appearing in the partial result (decoded)."""
-        return self.relation.distinct_values(self.fact_column)
+        facts = self._storage.distinct_values(self.fact_column)
+        decode = self._storage.column_decoder(self.fact_column)
+        return facts if decode is None else {decode(fact) for fact in facts}
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -155,6 +158,13 @@ class CubeAnswer:
     the dimension/measure column roles.  The richer cube abstraction (cell
     lookup, pretty-printing, pivoting) is :class:`repro.olap.cube.Cube`,
     which is constructed from a ``CubeAnswer``.
+
+    The answer is also where its **decoded form** lives: the cell map
+    (:meth:`decoded_cells`) is built the first time a cube is constructed
+    over the answer and shared, read-only, by every later one — a cache
+    entry holds its ``CubeAnswer``, so a hit decodes nothing.  An answer is
+    never mutated (refresh and every rewriting build a new one), so the memo
+    needs no invalidation and goes away with the answer.
     """
 
     def __init__(self, relation: Relation, dimension_columns: Tuple[str, ...], measure_column: str):
@@ -165,6 +175,8 @@ class CubeAnswer:
             )
         self._storage = relation
         self._decoded: Optional[Relation] = None
+        self._cells: Optional[Dict[Tuple, object]] = None
+        self._comparable_cells: Optional[Dict[Tuple, object]] = None
         self.dimension_columns = dimension_columns
         self.measure_column = measure_column
 
@@ -172,6 +184,35 @@ class CubeAnswer:
     def storage(self) -> Relation:
         """The answer relation in its native value space (ids when engine-built)."""
         return self._storage
+
+    def decoded_cells(self) -> Dict[Tuple, object]:
+        """``(d₁, ..., dₙ) → measure`` over decoded values, built once.
+
+        The returned dict is shared by every cube over this answer: treat it
+        as read-only.  Two threads asking at once may both decode; they build
+        equal maps and either may be the one kept.
+        """
+        cells = self._cells
+        if cells is None:
+            storage = self._storage.to_rows("decode:ans")
+            columns = storage.decoded_columns()
+            dimensions = [columns[i] for i in storage.column_indexes(self.dimension_columns)]
+            measures = columns[storage.column_index(self.measure_column)]
+            keys = zip(*dimensions) if dimensions else [()] * len(storage)
+            cells = self._cells = dict(zip(keys, measures))
+        return cells
+
+    def comparable_cells(self) -> Dict[Tuple, object]:
+        """The cells keyed through the literal-to-Python conversion (built
+        once): what finds ``cube.cell(28, "Madrid")`` under typed literals
+        and what ``same_cells`` compares.  The first cell of a key wins."""
+        index = self._comparable_cells
+        if index is None:
+            index = {}
+            for key, measure in self.decoded_cells().items():
+                index.setdefault(tuple(map(comparable, key)), measure)
+            self._comparable_cells = index
+        return index
 
     @property
     def relation(self) -> Relation:
@@ -186,12 +227,6 @@ class CubeAnswer:
     @property
     def columns(self) -> Tuple[str, ...]:
         return self._storage.columns
-
-    def __iter__(self):
-        """Iterate over decoded answer rows without forcing full materialization."""
-        if self._decoded is not None:
-            return iter(self._decoded)
-        return self._storage.to_rows("decode:ans").iter_decoded()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CubeAnswer(dims={self.dimension_columns}, {len(self._storage)} cells)"

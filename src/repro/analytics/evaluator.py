@@ -21,8 +21,9 @@ evaluator returns dictionary-encoded
 ids with memoized decoding, the fact-variable hash join keys on integers and
 γ decodes only the measure bags it aggregates.  Materialized ``pres(Q)`` and
 ``ans(Q)`` stay encoded, so the OLAP rewritings never decode either; the
-public accessors (``PartialResult.relation``, ``CubeAnswer.relation``,
-:class:`~repro.olap.cube.Cube`) decode lazily at the result boundary.
+public accessors (``PartialResult.relation``, ``CubeAnswer.relation``)
+decode lazily at the result boundary and a :class:`~repro.olap.cube.Cube`
+decodes its answer once (``CubeAnswer.decoded_cells``).
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ class AnalyticalQueryEvaluator:
 
         Rolled-up queries evaluate their base (finest-granularity) query and
         map the result through the rollup stack (see
-        :mod:`repro.analytics.rolling`); the rolled ``pres`` is decoded.
+        :mod:`repro.analytics.rolling`), in the storage the base ``pres`` has.
         """
         if query.rollup:
             base_partial = self.partial_result(

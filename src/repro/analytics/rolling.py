@@ -14,7 +14,14 @@ Algorithm-1 pipeline:
    parent, not once per child.  (Deduplicating between stages is equivalent:
    value substitution commutes with duplicate elimination.)
 
-The helpers here operate on decoded relations and are shared by the
+Like every other ``pres → pres`` derivation it is closed over the storage
+it is given: σ, the substitution (:meth:`Relation.map_column
+<repro.algebra.relation.Relation.map_column>`) and δ are relation-protocol
+methods, so a columnar ``pres`` is rolled on its arrays and an id-space one
+on its ids.  ``hierarchy.parent()`` sees decoded values, once per distinct
+child; a parent that is no term of the graph travels under a derived id
+(:meth:`TermDictionary.encode_derived
+<repro.rdf.dictionary.TermDictionary.encode_derived>`).  Shared by the
 from-scratch evaluator, the OLAP rewriter and the planner's
 ``rollup-from-cached`` candidate.
 """
@@ -24,24 +31,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.algebra.operators import dedup, select
-from repro.algebra.relation import Relation
 from repro.analytics.answer import PartialResult
 from repro.errors import RewritingError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analytics.query import AnalyticalQuery
 
-__all__ = ["rolled_dimension_relation", "roll_partial"]
-
-
-def rolled_dimension_relation(relation: Relation, dimension: str, hierarchy) -> Relation:
-    """Replace one column's values by their hierarchy parents."""
-    index = relation.column_index(dimension)
-
-    def roll(row):
-        return row[:index] + (hierarchy.parent(row[index]),) + row[index + 1 :]
-
-    return relation.map_rows(roll)
+__all__ = ["roll_partial"]
 
 
 def roll_partial(partial: PartialResult, query: "AnalyticalQuery", start: int = 0) -> PartialResult:
@@ -58,10 +54,10 @@ def roll_partial(partial: PartialResult, query: "AnalyticalQuery", start: int = 
             f"rollup start level {start} out of range 0..{len(stages) - 1} "
             f"for query {query.name!r}"
         )
-    relation = select(partial.relation, stages[start].sigma_before.predicate())
+    relation = select(partial.storage, stages[start].sigma_before.predicate())
     for index in range(start, len(stages)):
         stage = stages[index]
-        relation = rolled_dimension_relation(relation, stage.dimension, stage.hierarchy)
+        relation = relation.map_column(stage.dimension, stage.hierarchy.parent)
         sigma_after = stages[index + 1].sigma_before if index + 1 < len(stages) else query.sigma
         relation = select(relation, sigma_after.predicate())
     return partial.with_storage(dedup(relation))

@@ -4,11 +4,17 @@
 corresponding aggregate measure" (Section 2).  :class:`Cube` wraps the
 answer relation with cell-level access, dimension introspection and
 display helpers used by the examples and the benchmark reports.
+
+A cube is the **decoding boundary**: it leaves its constructor with its
+cells decoded.  The decoded map belongs to the
+:class:`~repro.analytics.answer.CubeAnswer`, so the decode is paid once per
+answer — column-wise, per distinct id — and every further cube over the
+same answer (a cache hit) shares it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import OLAPError
 from repro.algebra.expressions import comparable
@@ -29,15 +35,9 @@ class Cube:
         #: cube (set by :class:`~repro.olap.session.OLAPSession`; None for a
         #: cube built directly from an answer).
         self.record = None
-        self._cells: Dict[Tuple, object] = {}
-        storage = answer.storage
-        measure_index = storage.column_index(answer.measure_column)
-        dimension_indexes = storage.column_indexes(answer.dimension_columns)
-        # The cube is the decoding boundary: iterate the answer's decoded
-        # rows (a streaming decode on id-space answers) to build the cells.
-        for row in answer:
-            key = tuple(row[index] for index in dimension_indexes)
-            self._cells[key] = row[measure_index]
+        # Decoded here, not on first access — but only the first cube over
+        # an answer pays; the map is the answer's, shared and never mutated.
+        self._cells: Dict[Tuple, object] = answer.decoded_cells()
 
     # ------------------------------------------------------------------
     # structure
@@ -71,7 +71,8 @@ class Cube:
         """Distinct values appearing along one dimension."""
         if dimension not in self.dimensions:
             raise OLAPError(f"unknown dimension {dimension!r}; cube dimensions are {self.dimensions}")
-        return self._answer.relation.distinct_values(dimension)
+        index = self.dimensions.index(dimension)
+        return {key[index] for key in self._cells}
 
     # ------------------------------------------------------------------
     # cell access
@@ -93,10 +94,10 @@ class Cube:
         # Second chance: compare via the literal-to-Python conversion so that
         # cube.cell(28, "Madrid") finds the cell keyed by typed literals.
         wanted = tuple(comparable(value) for value in key)
-        for existing_key, measure in self._cells.items():
-            if tuple(comparable(value) for value in existing_key) == wanted:
-                return measure
-        raise OLAPError(f"no cell for dimension values {key!r}")
+        try:
+            return self._answer.comparable_cells()[wanted]
+        except KeyError:
+            raise OLAPError(f"no cell for dimension values {key!r}") from None
 
     def get(self, *values, default=None, **named_values) -> object:
         """Like :meth:`cell` but returns ``default`` for empty cells."""
@@ -138,19 +139,12 @@ class Cube:
         """
         if self.dimensions != other.dimensions:
             return False
-
-        def normalize(cube: "Cube") -> Dict[Tuple, object]:
-            return {
-                tuple(comparable(value) for value in key): comparable(measure)
-                for key, measure in cube._cells.items()
-            }
-
-        mine = normalize(self)
-        theirs = normalize(other)
-        if set(mine) != set(theirs):
+        mine = self._answer.comparable_cells()
+        theirs = other._answer.comparable_cells()
+        if mine.keys() != theirs.keys():
             return False
-        for key, value in mine.items():
-            other_value = theirs[key]
+        for key, measure in mine.items():
+            value, other_value = comparable(measure), comparable(theirs[key])
             if isinstance(value, (int, float)) and isinstance(other_value, (int, float)):
                 if abs(float(value) - float(other_value)) > tolerance:
                     return False

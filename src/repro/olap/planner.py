@@ -655,9 +655,11 @@ class OLAPPlanner:
         pass: every pres row goes through every hierarchy stage at the same
         ``group_row_cost`` the ``rollup-from-cached`` candidate is priced
         at — otherwise evaluation would look artificially cheap exactly
-        where the lattice has a cached shortcut.  Rolling is serial
-        row-level work regardless of engine, so it lands outside both the
-        engine multiplier and the per-lane division.
+        where the lattice has a cached shortcut.  Rolling is priced as
+        serial row-level work, outside both the engine multiplier and the
+        per-lane division — although it now runs in the storage of the
+        ``pres`` it reads (vectorized on a columnar one): the same known
+        mispricing as the reuse candidates' (ROADMAP item 3), left as is.
         """
         cost = estimate_scratch_cost(self._statistics, query)
         branch_count = self._evaluator.branch_count

@@ -12,12 +12,19 @@ order — a property the benchmarks rely on for reproducibility.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import DictionaryError
 from repro.rdf.terms import Term
 
 __all__ = ["TermDictionary"]
+
+#: Guards the assigning path of :meth:`TermDictionary.encode_derived` (two
+#: pool threads of one serving generation share a dictionary).  Module-level
+#: so that dictionaries — heap graphs are pickled into worker processes —
+#: stay picklable.
+_DERIVED_LOCK = threading.Lock()
 
 
 class TermDictionary:
@@ -26,11 +33,21 @@ class TermDictionary:
     The dictionary is append-only: terms are never removed, even when the
     triples mentioning them are deleted from the graph.  This keeps encoded
     relations valid across graph mutations.
+
+    Beside the terms sits a side table of **derived values** — ROLL-UP
+    parents that are not terms of the graph (a bucket IRI, a band label) —
+    under stable *negative* ids (:meth:`encode_derived`).  :meth:`decode`
+    understands them, so an id relation can hold them and keep this very
+    dictionary object; nothing else does: they are not counted by ``len``,
+    not listed by :meth:`items` / :meth:`terms`, not copied, and never reach
+    a snapshot or a graph fingerprint.
     """
 
     def __init__(self):
         self._term_to_id: Dict[Term, int] = {}
         self._id_to_term: List[Term] = []
+        self._derived_ids: Dict[object, int] = {}
+        self._derived_values: List[object] = []
 
     def __len__(self) -> int:
         return len(self._id_to_term)
@@ -59,19 +76,35 @@ class TermDictionary:
         """Return the id of ``term`` or None when unknown (no assignment)."""
         return self._term_to_id.get(term)
 
-    def decode(self, term_id: int) -> Term:
-        """Return the term with the given id."""
-        if not 0 <= term_id < len(self._id_to_term):
-            raise DictionaryError(f"unknown term id: {term_id}")
-        return self._id_to_term[term_id]
+    def encode_derived(self, value: object) -> int:
+        """The id of a value an operator *derived* (a ROLL-UP parent).
 
-    def decode_many(self, ids: Tuple[int, ...]) -> Tuple[Term, ...]:
-        """Decode a tuple of ids in one call (hot path of result decoding)."""
-        table = self._id_to_term
-        try:
-            return tuple(table[i] for i in ids)
-        except IndexError as exc:
-            raise DictionaryError(f"unknown term id in {ids!r}") from exc
+        The graph's own id when ``value`` is one of its terms; otherwise a
+        negative id from the side table, assigned on first sight and stable
+        for the life of the dictionary.  Works on read-only dictionaries:
+        no term is ever added.
+        """
+        found = self.lookup(value)
+        if found is None:
+            found = self._derived_ids.get(value)
+        if found is None:
+            with _DERIVED_LOCK:
+                found = self._derived_ids.get(value)
+                if found is None:
+                    self._derived_values.append(value)
+                    found = self._derived_ids[value] = -len(self._derived_values)
+        return found
+
+    def decode(self, term_id: int) -> Term:
+        """Return the term (or derived value) with the given id."""
+        if 0 <= term_id < len(self._id_to_term):
+            return self._id_to_term[term_id]
+        return self._decode_derived(term_id)
+
+    def _decode_derived(self, term_id: int) -> object:
+        if not -len(self._derived_values) <= term_id < 0:
+            raise DictionaryError(f"unknown term id: {term_id}")
+        return self._derived_values[-term_id - 1]
 
     def items(self) -> Iterator[Tuple[Term, int]]:
         return iter(self._term_to_id.items())

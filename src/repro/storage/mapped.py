@@ -76,16 +76,13 @@ class MappedTermDictionary(TermDictionary):
     def decode(self, term_id: int) -> Term:
         term_id = int(term_id)
         if not 0 <= term_id < self._count:
-            raise DictionaryError(f"unknown term id: {term_id}")
+            return self._decode_derived(term_id)
         found = self._id_to_term[term_id]
         if found is None:
             found = self._id_to_term[term_id] = decode_term_record(
                 int(self._kinds[term_id]), self._text(term_id)
             )
         return found
-
-    def decode_many(self, ids: Tuple[int, ...]) -> Tuple[Term, ...]:
-        return tuple(self.decode(term_id) for term_id in ids)
 
     # -- lookup (binary search over the lexicographic permutation) -----
 

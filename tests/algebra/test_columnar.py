@@ -471,6 +471,45 @@ class TestKeyColumn:
         assert projected.bag_equal(project(row_relation, ("d", "v")))
 
 
+class TestMapColumn:
+    """ROLL-UP's substitution: once per distinct id, one gather, derived ids."""
+
+    def test_substitutes_on_the_arrays_once_per_distinct_value(self):
+        columnar_relation, row_relation = _paired_relations(_sample_rows())
+        dictionary = columnar_relation.dictionary
+        terms_before = len(dictionary)
+        asked = []
+
+        def region(city):
+            asked.append(city)
+            # city0's parent is a term of the dictionary, the other is not.
+            return IRI("http://example.org/fact0") if city.value.endswith("0") else "elsewhere"
+
+        mapped = columnar_relation.map_column("d", region)
+        assert isinstance(mapped, ColumnarIdRelation) and mapped.dictionary is dictionary
+        assert len(asked) == 3  # three distinct cities over nine rows
+        assert mapped.bag_equal(row_relation.map_column("d", region))
+        assert mapped.materialize().distinct_values("d") == {
+            IRI("http://example.org/fact0"), "elsewhere",
+        }
+        ids = mapped.distinct_values("d")
+        assert dictionary.lookup(IRI("http://example.org/fact0")) in ids
+        assert min(ids) < 0 and len(dictionary) == terms_before
+        # The other columns are the very same arrays.
+        assert mapped.column_array("x") is columnar_relation.column_array("x")
+
+    def test_plain_column_and_empty_relation(self):
+        columnar_relation, row_relation = _paired_relations(
+            _sample_rows(), encoded=("x", "d")
+        )
+        before = ROW_CONVERSIONS["map:plain-column"]
+        mapped = columnar_relation.map_column("v", lambda value: f"#{value}")
+        assert ROW_CONVERSIONS["map:plain-column"] == before + 1
+        assert mapped.bag_equal(row_relation.map_column("v", lambda value: f"#{value}"))
+        empty = columnar_relation.take(slice(0))
+        assert len(empty.map_column("d", lambda city: "nowhere")) == 0
+
+
 class TestEngineResolution:
     def test_explicit_choices(self):
         assert resolve_engine("rows") == "rows"

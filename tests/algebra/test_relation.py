@@ -117,12 +117,21 @@ class TestReshaping:
         clone.add_row((2,))
         assert len(relation) == 1 and len(clone) == 2
 
-    def test_map_rows(self):
-        relation = Relation(["x"], [(1,), (2,)])
-        doubled = relation.map_rows(lambda row: (row[0] * 2,))
-        assert doubled.rows == [(2,), (4,)]
-        renamed = relation.map_rows(lambda row: (row[0], row[0] + 1), columns=["x", "y"])
-        assert renamed.columns == ("x", "y")
+    def test_map_column_calls_the_function_once_per_distinct_value(self):
+        relation = Relation(["x", "v"], [(1, 10), (2, 20), (1, 30)])
+        seen = []
+
+        def double(value):
+            seen.append(value)
+            return value * 2
+
+        doubled = relation.map_column("x", double)
+        assert doubled.columns == ("x", "v")
+        assert doubled.rows == [(2, 10), (4, 20), (2, 30)]
+        assert sorted(seen) == [1, 2]
+        assert relation.rows == [(1, 10), (2, 20), (1, 30)]
+        with pytest.raises(UnknownColumnError):
+            relation.map_column("nope", double)
 
     def test_head_and_sorted(self):
         relation = Relation(["x"], [(3,), (1,), (2,)])

@@ -72,6 +72,71 @@ class TestCellAccess:
             two_dim_cube.cell(dage=Literal(28))
 
 
+class TestDecodeOnce:
+    """The decoded forms live on the ``CubeAnswer``: cubes, ``dimension_values``
+    and ``cell`` lookups over one answer share one decode and one index."""
+
+    def test_one_conversion_per_answer_however_many_cubes(self):
+        np = pytest.importorskip("numpy")
+        from repro.algebra.columnar import ROW_CONVERSIONS, ColumnarIdRelation
+        from repro.rdf.dictionary import TermDictionary
+
+        dictionary = TermDictionary()
+        ages = [dictionary.encode(Literal(age)) for age in (28, 35, 28)]
+        cities = [dictionary.encode(EX.term(city)) for city in ("Madrid", "NY", "NY")]
+        relation = ColumnarIdRelation.from_arrays(
+            ("dage", "dcity", "v"),
+            {"dage": np.array(ages), "dcity": np.array(cities), "v": np.array([3, 2, 9])},
+            dictionary,
+            encoded=("dage", "dcity"),
+        )
+        answer = CubeAnswer(relation, ("dage", "dcity"), "v")
+        before = ROW_CONVERSIONS["decode:ans"]
+        for _ in range(3):
+            cube = Cube(answer)
+            assert cube.dimension_values("dcity") == {EX.term("Madrid"), EX.term("NY")}
+            assert cube.cell(28, "http://example.org/NY") == 9
+            assert cube.cell(Literal(35), EX.term("NY")) == 2
+        assert ROW_CONVERSIONS["decode:ans"] == before + 1
+
+    def test_second_chance_lookup_converts_the_cells_once(self, monkeypatch):
+        from repro.algebra import expressions
+        from repro.analytics import answer as answer_module
+        from repro.olap import cube as cube_module
+
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return expressions.comparable(value)
+
+        monkeypatch.setattr(answer_module, "comparable", counting)
+        monkeypatch.setattr(cube_module, "comparable", counting)
+        rows = [(Literal(age), EX.term(f"city{age}"), age) for age in range(200)]
+        cube = Cube(CubeAnswer(Relation(["dage", "dcity", "v"], rows), ("dage", "dcity"), "v"))
+        assert cube.cell(28, "http://example.org/city28") == 28
+        assert len(calls) == 2 * 200 + 2  # every key once, plus the wanted key
+        assert cube.cell(150, "http://example.org/city150") == 150
+        assert cube.get(150, "http://example.org/city28", default=-1) == -1
+        assert Cube(cube.answer).cell(7, "http://example.org/city7") == 7
+        assert len(calls) == 2 * 200 + 2 + 3 * 2  # only the wanted keys since
+
+    def test_facts_decodes_the_distinct_facts_not_the_rows(self, small_generic_dataset):
+        pytest.importorskip("numpy")
+        from repro.algebra.columnar import ROW_CONVERSIONS
+        from repro.analytics import AnalyticalQueryEvaluator
+        from repro.datagen.generic import generic_query
+
+        dataset = small_generic_dataset
+        evaluator = AnalyticalQueryEvaluator(dataset.instance, engine="columnar")
+        partial = evaluator.partial_result(generic_query(dataset.config, aggregate="count"))
+        before = ROW_CONVERSIONS["decode:pres"]
+        facts = partial.facts()
+        assert ROW_CONVERSIONS["decode:pres"] == before
+        assert facts == partial.relation.distinct_values(partial.fact_column)
+        assert ROW_CONVERSIONS["decode:pres"] == before + 1
+
+
 class TestComparison:
     def test_same_cells_across_value_representations(self, two_dim_cube):
         # The same cube with literal dimension values replaced by raw Python values.

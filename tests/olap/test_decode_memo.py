@@ -1,0 +1,178 @@
+"""The decoded cell map belongs to the ``CubeAnswer``: decoded once, never stale.
+
+A cache entry holds its ``CubeAnswer`` and a hit hands it back, so a repeated
+``execute`` decodes nothing; refresh and every rewriting build a *new*
+answer, so the memo has nothing to invalidate.  These tests hold both halves:
+the saving (one decode per answer, a cube fully decoded when handed over) and
+the safety (no stale, aliased, racy or leaked cells).
+"""
+
+import asyncio
+import gc
+import sys
+import threading
+import weakref
+
+import pytest
+
+from repro.algebra.columnar import ROW_CONVERSIONS
+from repro.analytics import AnalyticalQueryEvaluator
+from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
+from repro.ingest import RefreshScheduler, StreamIngestor
+from repro.olap import Cube, DrillOut, OLAPSession, Slice
+from repro.rdf import EX, RDF, Literal, Triple
+from repro.serving import OLAPService
+
+_CONFIG = GenericConfig(facts=80, dimensions=2, measures_per_fact=2.0, seed=21)
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return generic_dataset(_CONFIG)
+
+
+@pytest.fixture(params=["rows", "columnar"])
+def engine(request):
+    if request.param == "columnar":
+        pytest.importorskip("numpy")
+    return request.param
+
+
+def _query(aggregate="sum"):
+    return generic_query(_CONFIG, aggregate=aggregate, name=f"memo_{aggregate}")
+
+
+def _cell_map(cube):
+    """The cube's decoded map, read without calling any accessor."""
+    return vars(cube)["_cells"]
+
+
+def test_a_cube_is_fully_decoded_when_it_is_handed_over(dataset, engine):
+    query = _query()
+    with OLAPSession(dataset.instance.copy(), dataset.schema, engine=engine) as session:
+        executed = session.execute(query)
+        transformed = session.transform(query, DrillOut("d1"))
+        for cube in (executed, transformed):
+            assert len(_cell_map(cube)) == len(cube.answer) > 0
+            assert _cell_map(cube) is vars(cube.answer)["_cells"]
+            assert all(not isinstance(value, int) for key in _cell_map(cube) for value in key)
+
+
+def test_a_served_cube_is_fully_decoded_when_it_is_handed_over(dataset):
+    async def serve():
+        async with OLAPService(dataset.instance.copy(), dataset.schema) as service:
+            return await service.query("tenant", _query())
+
+    served = asyncio.run(serve())
+    assert len(_cell_map(served.cube)) == len(served.cube.answer) > 0
+
+
+def test_a_hit_decodes_nothing_and_converts_nothing(dataset, engine):
+    query = _query()
+    with OLAPSession(dataset.instance.copy(), dataset.schema, engine=engine) as session:
+        first = session.execute(query)
+        dictionary = session.instance.dictionary
+        decodes = []
+        original = dictionary.decode
+        dictionary.decode = lambda term_id: decodes.append(term_id) or original(term_id)
+        before = dict(ROW_CONVERSIONS)
+        try:
+            hits = [session.execute(query) for _ in range(3)]
+            for cube in hits:
+                cube.dimension_values("d0")
+                cube.get(*next(iter(cube.cells())))
+        finally:
+            del dictionary.decode
+        assert [cube.record.strategy for cube in hits] == ["cache"] * 3
+        assert decodes == []
+        assert dict(ROW_CONVERSIONS) == before
+        assert all(_cell_map(cube) is _cell_map(first) for cube in hits)
+
+
+def test_the_refreshed_entry_serves_the_refreshed_cells(dataset, engine):
+    """execute → ingest + pump → execute: the patched entry carries a new
+    ``CubeAnswer``, so the memo of the old one cannot be what is served."""
+    query = _query("count")
+    graph = dataset.instance.copy()
+    with OLAPSession(graph, dataset.schema, engine=engine) as session:
+        before = session.execute(query)
+        stale_cells = before.cells()
+        ingestor = StreamIngestor(
+            graph, batch_size=4, scheduler=RefreshScheduler([session], policy="eager")
+        )
+        fact = EX.term("fact/memo-extra")
+        ingestor.ingest(add=[
+            Triple(fact, RDF.term("type"), EX.term("Fact")),
+            Triple(fact, EX.term("dim0"), EX.term("dimvalue/0/0")),
+            Triple(fact, EX.term("dim1"), EX.term("dimvalue/1/1")),
+            Triple(fact, EX.term("measure"), Literal(7)),
+        ])
+        assert ingestor.pump() is not None
+        after = session.execute(query)
+        assert after.record.strategy in ("cache", "refresh")
+        assert after.answer is not before.answer
+        oracle = Cube(AnalyticalQueryEvaluator(graph, engine=engine).answer(query), query)
+        assert after.same_cells(oracle)
+        key = (EX.term("dimvalue/0/0"), EX.term("dimvalue/1/1"))
+        assert after.cell(*key) == stale_cells.get(key, 0) + 1
+        assert before.cells() == stale_cells  # the old cube still reads its own version
+
+
+def test_mutating_cells_changes_neither_this_cube_nor_the_next_hit(dataset):
+    query = _query()
+    with OLAPSession(dataset.instance.copy(), dataset.schema) as session:
+        cube = session.execute(query)
+        pristine = dict(_cell_map(cube))
+        handed_out = cube.cells()
+        handed_out.clear()
+        handed_out[("bogus",)] = -1
+        assert cube.cells() == pristine
+        assert session.execute(query).cells() == pristine
+
+
+def test_two_threads_building_cubes_over_one_cached_answer_agree(dataset):
+    query = _query()
+    with OLAPSession(dataset.instance.copy(), dataset.schema) as session:
+        expected = session.execute(query).cells()
+        answer = session.materialized(query).answer
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                vars(answer)["_cells"] = None  # a cold answer, as after a rewriting
+                barrier = threading.Barrier(4)
+                cubes = []
+
+                def build():
+                    barrier.wait(timeout=10)
+                    cubes.append(Cube(answer, query))
+
+                threads = [threading.Thread(target=build) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(cubes) == 4
+                assert all(cube.cells() == expected for cube in cubes)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("drop", ["forget", "evict"])
+def test_the_decoded_map_goes_away_with_its_entry(dataset, drop):
+    query = _query()
+    other = Slice("d0", EX.term("dimvalue/0/0")).apply(query)
+    with OLAPSession(dataset.instance.copy(), dataset.schema, cache_capacity=1) as session:
+        cube = session.execute(query)
+        answer = weakref.ref(cube.answer)
+        cells = _cell_map(cube)
+        del cube
+        assert answer() is not None and vars(answer())["_cells"] is cells
+        del cells
+        if drop == "forget":
+            session.forget(query)
+        else:
+            session.execute(other)  # capacity 1: evicts the first entry
+        gc.collect()
+        assert answer() is None

@@ -202,3 +202,173 @@ class TestSessionRollUp:
         # Total mass is preserved for count: sum over rolled cube equals sum over original.
         original = Cube(session.materialized(query).answer, query)
         assert sum(rolled.cells().values()) == sum(original.cells().values())
+
+
+# ---------------------------------------------------------------------------
+# ROLL-UP in id space: derived ids for parents the graph does not hold
+# ---------------------------------------------------------------------------
+
+
+def _words_instance():
+    """Four bloggers over Madrid / Sevilla / NY / Lima with word-count posts."""
+    from repro.rdf import Graph
+
+    graph = Graph()
+    bloggers = {
+        "u1": (28, ("Madrid",), (100, 120)),
+        "u2": (28, ("Madrid", "Sevilla"), (50, 70)),
+        "u3": (35, ("NY",), (570,)),
+        "u4": (61, ("Lima",), (10,)),
+    }
+    for name, (age, cities, words) in bloggers.items():
+        user = EX.term(name)
+        graph.add(Triple(user, RDF_TYPE, EX.Blogger))
+        graph.add(Triple(user, EX.hasAge, Literal(age)))
+        for city in cities:
+            graph.add(Triple(user, EX.livesIn, EX.term(city)))
+        for index, count in enumerate(words):
+            post = EX.term(f"{name}_p{index}")
+            graph.add(Triple(user, EX.wrotePost, post))
+            graph.add(Triple(post, EX.hasWordCount, Literal(count)))
+    return graph
+
+
+#: Sevilla's parent *is* a term of the graph (Madrid); the others are not.
+_CITY_TO_REGION = DimensionHierarchy(
+    {
+        EX.term("Madrid"): EX.term("region/Iberia"),
+        EX.term("Sevilla"): EX.term("region/Iberia"),
+        EX.term("NY"): EX.term("Madrid"),
+        EX.term("Lima"): EX.term("region/Andes"),
+    },
+    name="city->region",
+)
+
+
+def _dictionary_state(graph, tmp_path):
+    from repro.algebra.columnar import HAVE_NUMPY
+    from repro.olap.cache import graph_fingerprint
+    from repro.storage.snapshot import open_snapshot, save_snapshot
+
+    dictionary = graph.dictionary
+    state = {
+        "len": len(dictionary),
+        "items": list(dictionary.items()),
+        "fingerprint": graph_fingerprint(graph),
+    }
+    if HAVE_NUMPY and not graph.snapshot_path:  # snapshots need the [fast] extra
+        path = str(tmp_path / f"state-{len(list(tmp_path.iterdir()))}.snap")
+        save_snapshot(graph, path)
+        state["term_count"] = open_snapshot(path).header["term_count"]
+    return state
+
+
+class TestDerivedIds:
+    @pytest.fixture(params=["heap", "snapshot"])
+    def graph(self, request, tmp_path):
+        graph = _words_instance()
+        if request.param == "heap":
+            return graph
+        pytest.importorskip("numpy")
+        from repro.storage.snapshot import load_snapshot, save_snapshot
+
+        path = str(tmp_path / "instance.snap")
+        save_snapshot(graph, path)
+        return load_snapshot(path)
+
+    @pytest.fixture(params=["rows", "columnar"])
+    def engine(self, request):
+        if request.param == "columnar":
+            pytest.importorskip("numpy")
+        return request.param
+
+    def test_parents_absent_from_the_graph_roll_in_id_space(self, graph, engine, tmp_path):
+        from repro.algebra.relation import IdRelation
+        from tests.conftest import make_words_query
+
+        query = make_words_query("sum")
+        before = _dictionary_state(graph, tmp_path)
+        with OLAPSession(graph, engine=engine) as session:
+            session.execute(query)
+            rolled = session.roll_up(query, "dcity", _CITY_TO_REGION, strategy="rewrite")
+            banded = session.roll_up(rolled.query, "dage", AGE_BANDS, strategy="rewrite")
+            storage = session.materialized(banded.query).partial.storage
+        assert rolled.cells() == {
+            (Literal(28), EX.term("region/Iberia")): 340,  # u2's two cities are one region
+            (Literal(35), EX.term("Madrid")): 570,
+            (Literal(61), EX.term("region/Andes")): 10,
+        }
+        assert banded.cells() == {
+            ("young", EX.term("region/Iberia")): 340,
+            ("senior", EX.term("Madrid")): 570,
+            ("senior", EX.term("region/Andes")): 10,
+        }
+        # The rolled pres kept the graph's own dictionary object and ids.
+        dictionary = graph.dictionary
+        assert isinstance(storage, IdRelation) and storage.dictionary is dictionary
+        assert {"dage", "dcity"} <= storage.encoded_columns
+        city_ids = storage.distinct_values("dcity")
+        assert dictionary.lookup(EX.term("Madrid")) in city_ids  # a graph term keeps its id
+        assert sorted(dictionary.decode(i) for i in city_ids if i < 0) == [
+            EX.term("region/Andes"), EX.term("region/Iberia"),
+        ]
+        assert all(i < 0 for i in storage.distinct_values("dage"))  # "young" / "senior"
+        assert _dictionary_state(graph, tmp_path) == before
+        from repro.errors import DictionaryError
+
+        with pytest.raises(DictionaryError):
+            dictionary.decode(min(city_ids | storage.distinct_values("dage")) - 1)
+
+    def test_default_parent_round_trips(self, engine):
+        from tests.conftest import make_words_query
+
+        hierarchy = DimensionHierarchy({EX.term("Madrid"): "Spain"}, default="Elsewhere")
+        with OLAPSession(_words_instance(), engine=engine) as session:
+            query = make_words_query("count")
+            session.execute(query)
+            rolled = session.roll_up(query, "dcity", hierarchy, strategy="rewrite")
+        assert rolled.dimension_values("dcity") == {"Spain", "Elsewhere"}
+        assert rolled.cell(28, "Spain") == 4
+
+    def test_a_value_sigma_excluded_needs_no_parent(self, engine):
+        """σ(sigma_before) runs before the substitution: ``parent()`` is never
+        asked about a value the finer Σ removed — and is asked once per
+        distinct child, not once per row."""
+        from repro.olap import Dice
+        from tests.conftest import make_words_query
+
+        asked = []
+        iberia = {EX.term("Madrid"): "Iberia", EX.term("Sevilla"): "Iberia"}
+
+        def classify(city):
+            asked.append(city)
+            return iberia[city]  # KeyError for NY / Lima
+
+        hierarchy = DimensionHierarchy(classify=classify, name="iberia-only")
+        diced = Dice({"dcity": [EX.term("Madrid"), EX.term("Sevilla")]}).apply(
+            make_words_query("count")
+        )
+        with OLAPSession(_words_instance(), engine=engine) as session:
+            session.execute(diced)
+            rolled = session.roll_up(diced, "dcity", hierarchy, strategy="rewrite")
+        assert rolled.cells() == {(Literal(28), "Iberia"): 4}
+        assert sorted(asked) == [EX.term("Madrid"), EX.term("Sevilla")]
+
+    def test_a_restored_value_space_pres_rolls_through_the_same_method(self, tmp_path):
+        """A ``pres`` read back from disk holds decoded values: the identity
+        encoding of ``map_column``, no dictionary involved."""
+        from repro.algebra.relation import IdRelation
+        from tests.conftest import make_words_query
+
+        query = make_words_query("sum")
+        graph = _words_instance()
+        with OLAPSession(graph) as session:
+            session.execute(query)
+            expected = session.roll_up(query, "dcity", _CITY_TO_REGION).cells()
+            session.save_materialized(query, str(tmp_path / "saved"))
+        with OLAPSession(graph) as session:
+            restored = session.restore_materialized(query, str(tmp_path / "saved"))
+            assert not isinstance(restored.partial.storage, IdRelation)
+            rolled = session.roll_up(query, "dcity", _CITY_TO_REGION, strategy="rewrite")
+            assert not isinstance(session.materialized(rolled.query).partial.storage, IdRelation)
+        assert rolled.cells() == expected

@@ -173,17 +173,21 @@ def _multivalued_instance() -> Graph:
 
 def _naive_cube(graph: Graph, query) -> Cube:
     """``ans(query)`` by the naive oracle; a rolled query maps the oracle's base
-    ``pres`` through the hierarchy and δ-deduplicates, all in plain Python."""
+    ``pres`` through each stage's hierarchy, keeps the rows the Σ after the
+    stage allows and δ-deduplicates, all in plain Python."""
     oracle = NaiveAnalyticalEvaluator(graph)
     if not query.rollup:
         return Cube(oracle.answer(query), query)
-    (stage,) = query.rollup
     partial = oracle.partial_result(query.base_query())
-    index = partial.columns.index(stage.dimension)
-    rolled = {
-        row[:index] + (stage.hierarchy.parent(row[index]),) + row[index + 1 :]
-        for row in partial.relation
-    }
+    rolled = set(partial.relation)
+    for level, stage in enumerate(query.rollup):
+        index = partial.columns.index(stage.dimension)
+        after = query.rollup[level + 1].sigma_before if level + 1 < len(query.rollup) else query.sigma
+        rolled = {
+            row[:index] + (stage.hierarchy.parent(row[index]),) + row[index + 1 :]
+            for row in rolled
+        }
+        rolled = {row for row in rolled if after.allows_row(dict(zip(partial.columns, row)))}
     aggregated = naive_group_aggregate(
         Relation(partial.columns, sorted(rolled, key=repr)),
         by=partial.dimension_columns,
@@ -354,3 +358,68 @@ def test_rewriting_chain_is_closed_over_the_engine(monkeypatch):
             assert _naive_cube(dataset.instance, cube.query).same_cells(cube)
         assert [cube.record.strategy.split("[")[0] for cube in cubes[1:]] == ["rewrite"] * 5
         assert cubes[-1].dimensions == ("d0", "da")
+
+
+def test_roll_up_chain_is_closed_over_the_engine(monkeypatch):
+    """ROLL-UP → SLICE → ROLL-UP → DRILL-DOWN → DRILL-IN with the arrays → rows
+    conversion patched to raise for every reason but the answer decode: the
+    parent substitution, the σ / δ around it and the γ after it run on the
+    storage of the ``pres`` they read.  Every step that has a rewriting is
+    forced onto it; DRILL-DOWN has none (the planner serves the finer cube it
+    materialized on the way up) and a rolled query cannot change dimensions,
+    so DRILL-IN starts from the root.  Parents are no terms of the graph."""
+    from repro.algebra.columnar import ROW_CONVERSIONS, ColumnarIdRelation
+    from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
+    from repro.olap import DrillDown
+
+    config = GenericConfig(
+        facts=60, dimensions=3, values_per_dimension=1.4, measures_per_fact=2.0,
+        with_detail=True, seed=5,
+    )
+    dataset = generic_dataset(config)
+    root = generic_query(config, aggregate="sum", include_detail_in_classifier=True, name="root")
+    values = range(config.dimension_cardinality)
+    buckets = DimensionHierarchy.from_pairs(
+        [(EX.term(f"dimvalue/0/{v}"), EX.term(f"d0bucket/{v // 3}")) for v in values],
+        name="d0_bucket",
+    )
+    halves = DimensionHierarchy(
+        classify=lambda bucket: "low" if bucket in (EX.term("d0bucket/0"), EX.term("d0bucket/1")) else "high",
+        name="d0_half",
+    )
+    to_rows = ColumnarIdRelation.to_rows
+
+    def refuse(self, reason):
+        if reason != "decode:ans":
+            raise AssertionError(f"a rewriting left the columnar engine: to_rows({reason!r})")
+        return to_rows(self, reason)
+
+    with OLAPSession(dataset.instance, dataset.schema) as session:
+        chain = [
+            lambda: session.execute(root),
+            lambda: session.roll_up(root, "d0", buckets, strategy="rewrite"),
+            lambda: session.transform(
+                cubes[-1].query, Slice("d1", EX.term("dimvalue/1/0")), strategy="rewrite"
+            ),
+            lambda: session.roll_up(cubes[-1].query, "d0", halves, strategy="rewrite"),
+            lambda: session.transform(cubes[-1].query, DrillDown("d0")),
+            lambda: session.transform(root, DrillIn("da"), strategy="rewrite"),
+        ]
+        cubes = []
+        decoded_pres = ROW_CONVERSIONS["decode:pres"]
+        for step in chain:
+            with monkeypatch.context() as patch:
+                patch.setattr(ColumnarIdRelation, "to_rows", refuse)
+                cubes.append(step())
+            cube = cubes[-1]
+            stored = session.materialized(cube.query).partial.storage
+            assert isinstance(stored, ColumnarIdRelation) == (session.engine == "columnar")
+            assert Cube(session.evaluator.answer(cube.query), cube.query).same_cells(cube)
+            assert _naive_cube(dataset.instance, cube.query).same_cells(cube)
+        assert ROW_CONVERSIONS["decode:pres"] == decoded_pres
+        assert [cube.record.strategy for cube in cubes[1:]] == [
+            "rewrite[roll-up/pres]", "rewrite[slice-dice/ans]", "rewrite[roll-up/pres]",
+            "plan[cached]", "rewrite[drill-in/pres+aux]",
+        ]
+        assert cubes[3].dimension_values("d0") <= {"low", "high"}
+        assert cubes[4].same_cells(cubes[2])

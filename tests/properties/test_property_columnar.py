@@ -12,7 +12,10 @@ The second half holds every operator of the algebra to the same oracle one
 relation at a time: equal as bags (δ in first-occurrence order) whichever
 storage the input has, and — per operator — whether it keeps the columnar
 storage or leaves it through ``to_rows``, and under which reason.  That
-table is the tested form of the guide's *Fallback rules*.
+table is the tested form of the guide's *Fallback rules*.  The ids the
+relations hold include *derived* (negative) ones — ROLL-UP parents that are
+no terms of the graph — and one case holds nothing else: no kernel may index
+by id.
 """
 
 import pytest
@@ -25,7 +28,7 @@ from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery, KEY_COLUMN
 from repro.algebra.aggregates import AggregateFunction
 from repro.algebra.columnar import ROW_CONVERSIONS, ColumnarIdRelation
-from repro.algebra.expressions import is_in
+from repro.algebra.expressions import comparable, is_in
 from repro.algebra.grouping import group_aggregate
 from repro.algebra.operators import (
     cross_product,
@@ -197,7 +200,8 @@ def test_columnar_shard_evaluation_matches_row_oracle(seed, aggregate, shards):
 # ---------------------------------------------------------------------------
 
 _TERMS = TermDictionary()
-_IDS = [_TERMS.encode(Literal(value)) for value in range(5)]
+_DERIVED_IDS = [_TERMS.encode_derived(value) for value in (Literal(40), 41, Literal(42))]
+_IDS = [_TERMS.encode(Literal(value)) for value in range(5)] + _DERIVED_IDS
 _COLUMNS = ("a", "b", "c")
 
 
@@ -222,6 +226,7 @@ _SHADOW_SUM = AggregateFunction("sum", lambda values: len(values), distributive=
 #: operator → (application to (left, right), keeps columnar storage, ``to_rows`` reasons)
 _OPERATORS = {
     "σ": (lambda l, r: select(l, is_in("a", [Literal(0), Literal(3)])), True, set()),
+    "σ derived": (lambda l, r: select(l, is_in("a", [Literal(40), 41, Literal(2)])), True, set()),
     "σ opaque": (
         lambda l, r: select(l, lambda row: row["a"] == Literal(1)),
         False,
@@ -235,6 +240,14 @@ _OPERATORS = {
     "reorder": (lambda l, r: l.reorder(("c", "a", "b")), True, set()),
     "take": (lambda l, r: l.take(slice(0, None, 2)), True, set()),
     "mᵏ": (lambda l, r: l.prepend_keys("k", range(7, 7 + len(l))), True, set()),
+    # ROLL-UP's substitution: images are a graph term, a derived term, a derived label.
+    "map_column": (
+        lambda l, r: l.map_column(
+            "b", lambda v: (Literal(1), Literal(77), "other")[comparable(v) % 3]
+        ),
+        True,
+        set(),
+    ),
     "⋈": (lambda l, r: join_on(l, rename(r, {"b": "rb", "c": "rc"}), [("a", "a")]), True, set()),
     "⋈ multi-pair": (
         lambda l, r: join_on(l, rename(r, {"c": "rc"}), [("a", "a"), ("b", "b")]),
@@ -256,6 +269,9 @@ _OPERATORS = {
     ),
     # γ's output is always a (small) row relation; its *input* stays in the arrays.
     "γ": (lambda l, r: group_aggregate(l, ["a"], "c", "sum"), False, set()),
+    "γ count_distinct": (lambda l, r: group_aggregate(l, ["a", "b"], "c", "count_distinct"), False, set()),
+    "γ min": (lambda l, r: group_aggregate(l, ["b"], "c", "min"), False, set()),
+    "γ max": (lambda l, r: group_aggregate(l, ["b"], "c", "max"), False, set()),
     "γ no array form": (
         lambda l, r: group_aggregate(l, ["a"], "c", _SHADOW_SUM),
         False,
@@ -270,6 +286,24 @@ _rows = st.lists(st.tuples(*[st.sampled_from(_IDS)] * 3), max_size=10)
 @given(left=_rows, right=_rows)
 @settings(max_examples=20, deadline=None, print_blob=True)
 def test_operator_matches_row_engine_and_keeps_or_names_its_storage(operator, left, right):
+    _assert_operator(operator, left, right)
+
+
+@pytest.mark.parametrize(
+    "operator",
+    ["σ derived", "π", "δ", "δ∘π", "⋈", "map_column", "γ", "γ count_distinct", "γ min", "γ max"],
+)
+def test_operator_over_derived_ids_only(operator):
+    """Every id negative: a kernel that indexed an array by id would read the
+    wrong slot (or wrap around) instead of failing."""
+    x, y, z = _DERIVED_IDS
+    assert max(_DERIVED_IDS) < 0
+    left = [(x, y, z), (y, y, x), (x, y, z), (z, x, y), (y, z, z)]
+    right = [(y, x, x), (x, x, z), (x, z, y)]
+    _assert_operator(operator, left, right)
+
+
+def _assert_operator(operator, left, right):
     apply, keeps_storage, reasons = _OPERATORS[operator]
     fast_left, slow_left = _both_storages(left)
     fast_right, slow_right = _both_storages(right)

@@ -25,7 +25,6 @@ class TestTermDictionary:
         terms = [EX.user1, Literal(28), Literal("Bill"), EX.hasAge]
         ids = [dictionary.encode(term) for term in terms]
         assert [dictionary.decode(i) for i in ids] == terms
-        assert dictionary.decode_many(tuple(ids)) == tuple(terms)
 
     def test_lookup_returns_none_for_unknown(self):
         dictionary = TermDictionary()
@@ -45,11 +44,59 @@ class TestTermDictionary:
         with pytest.raises(DictionaryError):
             dictionary.decode(-1)
 
-    def test_decode_many_unknown_raises(self):
+    def test_derived_ids_are_negative_stable_and_invisible(self):
         dictionary = TermDictionary()
         dictionary.encode(EX.user1)
+        assert dictionary.encode_derived(EX.user1) == 0  # a graph term keeps its graph id
+        bucket = dictionary.encode_derived(EX.term("bucket/3"))
+        label = dictionary.encode_derived("young")  # parents need not be terms
+        assert bucket < 0 and label < 0 and bucket != label
+        assert dictionary.encode_derived(EX.term("bucket/3")) == bucket
+        assert dictionary.decode(bucket) == EX.term("bucket/3")
+        assert dictionary.decode(label) == "young"
+        assert len(dictionary) == 1
+        assert list(dictionary.items()) == [(EX.user1, 0)]
+        assert list(dictionary.terms()) == [EX.user1]
+        assert EX.term("bucket/3") not in dictionary
+        assert dictionary.lookup(EX.term("bucket/3")) is None
+        assert len(dictionary.copy()) == 1
         with pytest.raises(DictionaryError):
-            dictionary.decode_many((0, 5))
+            dictionary.copy().decode(bucket)
+        with pytest.raises(DictionaryError):
+            dictionary.decode(min(bucket, label) - 1)  # an unassigned derived id
+
+    def test_concurrent_derived_encoding_assigns_each_value_one_id(self):
+        import sys
+        import threading
+
+        dictionary = TermDictionary()
+        values = [f"bucket/{index}" for index in range(200)]
+        seen = [dict() for _ in range(8)]
+        barrier = threading.Barrier(len(seen))
+
+        def encode_all(mine, offset):
+            barrier.wait(timeout=10)
+            for index in range(len(values)):
+                value = values[(index + offset) % len(values)]
+                mine[value] = dictionary.encode_derived(value)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=encode_all, args=(mine, 25 * number))
+                for number, mine in enumerate(seen)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(mine == seen[0] for mine in seen)
+        assert sorted(seen[0].values()) == list(range(-len(values), 0))
+        assert all(dictionary.decode(value_id) == value for value, value_id in seen[0].items())
 
     def test_contains(self):
         dictionary = TermDictionary()

@@ -13,6 +13,9 @@ arrays and implements the relation protocol of
 * ``map_column`` — ROLL-UP's parent substitution: the function runs once per
   distinct id (``np.unique``), one gather writes the column;
 * ``dedup`` — δ via lexsort run heads, first occurrences kept in order;
+* ``split_on`` / ``union_all`` — the (anti-)semi-join against a set of id
+  tuples by ``np.isin`` masks, and ∪ by concatenating columns (the splice of
+  a delta refresh);
 * ``join_on`` — the int-keyed equi-join (the fact-variable join of
   Definition 4) via argsort + ``searchsorted`` expansion;
 * ``group_states`` — γ's states via lexsort group boundaries with
@@ -291,6 +294,50 @@ class ColumnarIdRelation(IdRelation):
         arrays = dict(self._column_arrays)
         arrays[name] = _np.fromiter(image.values(), dtype=_np.int64, count=len(image))[inverse]
         return self._with(self._columns, arrays, self._length)
+
+    def with_rows(self, rows: List[Row]) -> "ColumnarIdRelation":
+        """Id rows (a refresh's re-derived facts) transposed into this storage."""
+        block = _np.array(rows, dtype=_np.int64).reshape(len(rows), len(self._columns))
+        return self._with(self._columns, dict(zip(self._columns, block.T)), len(rows))
+
+    def with_dictionary(self, dictionary) -> "ColumnarIdRelation":
+        return ColumnarIdRelation.from_arrays(
+            self._columns, self._column_arrays, dictionary, self._encoded, self._length
+        )
+
+    def column_max(self, name: str, default: int = 0):
+        return int(self.column_array(name).max()) if self._length else default
+
+    def split_on(self, columns: Sequence[str], keys, rest: bool = True):
+        """``(⋉, ▷)`` by mask: per-column ``np.isin`` against the keys'
+        components finds the candidates (exactly the matches for one column);
+        with several columns the few candidates are confirmed as tuples."""
+        arrays = [self.column_array(name) for name in columns]
+        mask = _np.full(self._length, bool(keys))
+        for position, array in enumerate(arrays):
+            components = _np.fromiter({key[position] for key in keys}, dtype=_np.int64)
+            mask &= _np.isin(array, components)
+        if len(arrays) > 1:
+            candidates = _np.flatnonzero(mask)
+            tuples = zip(*(array[candidates].tolist() for array in arrays))
+            mask[candidates] = [row in keys for row in tuples]
+        return self.take(mask), self.take(~mask) if rest else None
+
+    def union_all(self, others: Sequence[Relation]) -> Relation:
+        """∪ by concatenating columns; operands that do not share this
+        storage, dictionary and encoding are united as rows."""
+        if not all(
+            isinstance(other, ColumnarIdRelation)
+            and other.dictionary is self._dictionary
+            and other.encoded_columns == self._encoded
+            for other in others
+        ):
+            return self.to_rows("union:no-array-form").union_all(others)
+        arrays = {
+            name: _np.concatenate([array, *(other.column_array(name) for other in others)])
+            for name, array in self._column_arrays.items()
+        }
+        return self._with(self._columns, arrays, self._length + sum(map(len, others)))
 
     def take(self, indexes) -> "ColumnarIdRelation":
         """Gather rows by position: a slice, a boolean mask or an index array."""

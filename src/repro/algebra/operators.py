@@ -17,8 +17,9 @@ They are also *storage preserving*: σ, π, δ, ρ and ⋈ validate here and
 dispatch to the input's own implementation of the relation protocol (row
 :class:`~repro.algebra.relation.Relation` or
 :class:`~repro.algebra.columnar.ColumnarIdRelation`), so the engine is the
-one the input was built in.  ∪, −, × and ``extend_column`` have only a row
-algorithm and say so through ``to_rows``.
+one the input was built in — and so does ∪, whose array form concatenates
+the columns of operands sharing storage, dictionary and encoding.  −, × and
+``extend_column`` have only a row algorithm and say so through ``to_rows``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import List, Mapping, Sequence, Tuple
 
 from repro.errors import SchemaMismatchError, UnknownColumnError
 from repro.algebra.expressions import RowPredicate
-from repro.algebra.relation import IdRelation, Relation, Row, relation_like
+from repro.algebra.relation import IdRelation, Relation, Row, aligned_rows, relation_like
 
 __all__ = [
     "select",
@@ -155,30 +156,13 @@ def cross_product(left: Relation, right: Relation) -> Relation:
     return relation_like(columns, rows, left, right)
 
 
-def _union_operands(relations: Sequence[Relation], reason: str) -> Sequence[Relation]:
-    """Align union/difference inputs: row storage, one dictionary, one encoding per column."""
-    relations = [relation.to_rows(reason) for relation in relations]
-    id_relations = [relation for relation in relations if isinstance(relation, IdRelation)]
-    if not id_relations:
-        return relations
-    dictionary = id_relations[0].dictionary
-    aligned = (
-        len(id_relations) == len(relations)
-        and all(relation.dictionary is dictionary for relation in id_relations)
-        and len({relation.encoded_columns for relation in id_relations}) == 1
-    )
-    if aligned:
-        return relations
-    return [relation.materialize() for relation in relations]
-
-
 def union_all(*relations: Relation) -> Relation:
-    """∪ (bag union): concatenate rows of union-compatible relations."""
+    """∪ (bag union): concatenate union-compatible relations, in the first
+    one's column order and — when all share it — in its storage."""
     if not relations:
         raise SchemaMismatchError("union_all requires at least one relation")
-    relations = tuple(_union_operands(relations, "union:no-array-form"))
     first = relations[0]
-    rows: List[Row] = list(first.rows)
+    others = []
     for other in relations[1:]:
         if other.columns != first.columns:
             if set(other.columns) != set(first.columns):
@@ -186,13 +170,13 @@ def union_all(*relations: Relation) -> Relation:
                     f"union of incompatible schemas: {first.columns} vs {other.columns}"
                 )
             other = other.reorder(first.columns)
-        rows.extend(other.rows)
-    return relation_like(first.columns, rows, *relations)
+        others.append(other)
+    return first.union_all(others)
 
 
 def difference_all(left: Relation, right: Relation) -> Relation:
     """Bag difference: each row's multiplicity is reduced by its multiplicity in ``right``."""
-    left, right = _union_operands((left, right), "difference:no-array-form")
+    left, right = aligned_rows((left, right), "difference:no-array-form")
     if left.columns != right.columns:
         if set(left.columns) != set(right.columns):
             raise SchemaMismatchError(

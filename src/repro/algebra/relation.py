@@ -25,7 +25,8 @@ Two value spaces coexist:
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, not_
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import AggregationError, SchemaMismatchError, UnknownColumnError
@@ -336,6 +337,35 @@ class Relation:
         distinct stored values — the identity encoding on a plain column."""
         return {value: function(value) for value in distinct}
 
+    def with_rows(self, rows: List[Row]) -> "Relation":
+        """This schema, value space and storage over other ``rows`` (adopted)."""
+        return relation_like(self._columns, rows, self)
+
+    def with_dictionary(self, dictionary) -> "Relation":
+        """The same rows read against ``dictionary`` — one that agrees with
+        this relation's on every id it holds (a later generation of the same
+        graph); nothing is copied.  A plain relation holds no ids: itself."""
+        return self
+
+    def column_max(self, name: str, default: int = 0):
+        """The largest value of one column (``default`` when empty)."""
+        return max(self.column_values(name), default=default)
+
+    def split_on(self, columns: Sequence[str], keys, rest: bool = True):
+        """``(⋉, ▷)`` against a set of value tuples: the rows whose tuple over
+        ``columns`` is in ``keys``, and the others (both in row order); with
+        ``rest=False`` the ▷ half is not built (None)."""
+        key_of = tuple_getter(self.column_indexes(columns))
+        hits = list(map(keys.__contains__, map(key_of, self._rows)))
+        matching = self.with_rows(list(compress(self._rows, hits)))
+        return matching, self.with_rows(list(compress(self._rows, map(not_, hits)))) if rest else None
+
+    def union_all(self, others: Sequence["Relation"]) -> "Relation":
+        """∪ with relations of this schema (bag union: rows concatenated)."""
+        relations = aligned_rows([self, *others], "union:no-array-form")
+        rows = [row for relation in relations for row in relation.rows]
+        return relation_like(self._columns, rows, *relations)
+
     def take(self, indexes) -> "Relation":
         """Gather rows by position: a slice or an iterable of row numbers."""
         rows = self._rows
@@ -540,6 +570,9 @@ class IdRelation(Relation):
         encoded = {mapping.get(name, name) for name in self._encoded}
         return IdRelation(columns, self._rows, dictionary=self._dictionary, encoded=encoded)
 
+    def with_dictionary(self, dictionary) -> "Relation":
+        return IdRelation.adopt_encoded(self._columns, self._rows, dictionary, self._encoded)
+
     def _new(self, columns: Sequence[str], rows: Iterable[Sequence]) -> "Relation":
         encoded = self._encoded & set(columns)
         if not encoded:
@@ -602,6 +635,24 @@ def _comparison_pair(left: Relation, right: Relation) -> Tuple[Relation, Relatio
         if left.dictionary is right.dictionary and left.encoded_columns == right.encoded_columns:
             return left, right
     return left.materialize(), right.materialize()
+
+
+def aligned_rows(relations: Sequence[Relation], reason: str) -> List[Relation]:
+    """∪ / − inputs in row storage and one value space: ids only when every
+    input is encoded against one dictionary with one encoding per column."""
+    relations = [relation.to_rows(reason) for relation in relations]
+    id_relations = [relation for relation in relations if isinstance(relation, IdRelation)]
+    if not id_relations:
+        return relations
+    dictionary = id_relations[0].dictionary
+    aligned = (
+        len(id_relations) == len(relations)
+        and all(relation.dictionary is dictionary for relation in id_relations)
+        and len({relation.encoded_columns for relation in id_relations}) == 1
+    )
+    if aligned:
+        return relations
+    return [relation.materialize() for relation in relations]
 
 
 def value_decoder(relation: Relation, measure: str) -> Optional[Callable[[object], object]]:

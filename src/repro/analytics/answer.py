@@ -164,7 +164,11 @@ class CubeAnswer:
     over the answer and shared, read-only, by every later one — a cache
     entry holds its ``CubeAnswer``, so a hit decodes nothing.  An answer is
     never mutated (refresh and every rewriting build a new one), so the memo
-    needs no invalidation and goes away with the answer.
+    needs no invalidation and goes away with the answer; the two answers
+    that *are* this one again take it along — :meth:`patched` (a delta
+    refresh: the untouched cells are carried, only the touched ones are
+    decoded) and :meth:`with_dictionary` (the same cells in a later
+    generation of the graph).
     """
 
     def __init__(self, relation: Relation, dimension_columns: Tuple[str, ...], measure_column: str):
@@ -201,6 +205,36 @@ class CubeAnswer:
             keys = zip(*dimensions) if dimensions else [()] * len(storage)
             cells = self._cells = dict(zip(keys, measures))
         return cells
+
+    def patched(self, relation: Relation, replaced: Relation, regrouped: "CubeAnswer") -> "CubeAnswer":
+        """The answer over ``relation`` = this one's cells minus ``replaced``
+        (some of its rows), then ``regrouped``'s — what a delta refresh builds.
+
+        When this answer was decoded, the new one inherits the cell map:
+        copied, the replaced cells dropped, the regrouped ones decoded and
+        appended — O(touched) decodes, in ``relation``'s row order.  An answer
+        never decoded carries nothing.
+        """
+        answer = CubeAnswer(relation, self.dimension_columns, self.measure_column)
+        if self._cells is not None:
+            cells = dict(self._cells)
+            for key in CubeAnswer(replaced, self.dimension_columns, self.measure_column).decoded_cells():
+                del cells[key]
+            cells.update(regrouped.decoded_cells())
+            assert len(cells) == len(relation), "carried cell map out of step with ans(Q)"
+            answer._cells = cells
+        return answer
+
+    def with_dictionary(self, dictionary) -> "CubeAnswer":
+        """This answer read against ``dictionary`` (see
+        :meth:`Relation.with_dictionary
+        <repro.algebra.relation.Relation.with_dictionary>`), decoded forms shared."""
+        answer = CubeAnswer(
+            self._storage.with_dictionary(dictionary), self.dimension_columns, self.measure_column
+        )
+        answer._decoded, answer._cells = self._decoded, self._cells
+        answer._comparable_cells = self._comparable_cells
+        return answer
 
     def comparable_cells(self) -> Dict[Tuple, object]:
         """The cells keyed through the literal-to-Python conversion (built
@@ -246,6 +280,16 @@ class MaterializedQueryResults:
         self.query = query
         self.answer = answer
         self.partial = partial
+
+    def with_dictionary(self, dictionary) -> "MaterializedQueryResults":
+        """The same results bound to ``dictionary`` — how a cache entry
+        crosses to the next generation of its graph (no copy, cells shared)."""
+        partial = self.partial
+        return MaterializedQueryResults(
+            self.query,
+            self.answer.with_dictionary(dictionary),
+            partial.with_storage(partial.storage.with_dictionary(dictionary)),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -31,7 +31,10 @@ process that computed them.  :class:`ResultCache` provides exactly that:
   which is how a new session warm-starts from a previous one's work;
 * entries can be **pinned** against LRU eviction (:meth:`ResultCache.pin`)
   — the workload advisor pins the entries whose replay benefit it values
-  most, so a burst of one-off queries cannot wash them out of the cache.
+  most, so a burst of one-off queries cannot wash them out of the cache;
+* a cache over a *later generation* of the same graph can take another's
+  entries over, stale-stamped (:meth:`ResultCache.adopt`) — how the serving
+  layer carries a tenant's cubes across a publish.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import hashlib
 import os
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analytics.answer import MaterializedQueryResults
 from repro.analytics.query import AnalyticalQuery
@@ -56,6 +59,8 @@ __all__ = [
     "CacheStats",
     "CacheEntry",
     "ResultCache",
+    "carried",
+    "in_log_window",
 ]
 
 #: Default number of in-memory entries an :class:`ResultCache` retains.
@@ -191,6 +196,7 @@ class CacheStats:
         "lazy_refreshes",
         "disk_hits",
         "puts",
+        "adopted",
     )
 
     def __init__(self) -> None:
@@ -204,6 +210,9 @@ class CacheStats:
         self.lazy_refreshes = 0
         self.disk_hits = 0
         self.puts = 0
+        #: Entries taken over, born stale, from a cache over an earlier
+        #: generation of the graph (:meth:`ResultCache.adopt`) — not puts.
+        self.adopted = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -248,6 +257,30 @@ class CacheEntry:
             f"CacheEntry({self.query.name!r}, {self.size_rows()} rows, "
             f"v{self.graph_version}, {self.origin})"
         )
+
+
+def carried(entries: Iterable[CacheEntry], graph: Graph) -> List[CacheEntry]:
+    """``entries`` as a later generation ``graph`` of their graph can hold them.
+
+    Each keeps its own stamp and has its relations rebound to
+    ``graph.dictionary`` (no copy; the decoded cells stay shared).  Left
+    behind: entries whose stamp ``graph`` cannot bring forward
+    (``deltas_since`` would answer None) and rolled-up entries (their derived
+    ids belong to the old dictionary, and they are not patchable anyway).
+    """
+    dictionary = graph.dictionary
+    return [
+        CacheEntry(
+            entry.key, entry.core_key, entry.materialized.with_dictionary(dictionary), entry.graph_version
+        )
+        for entry in entries
+        if not entry.query.rollup and in_log_window(entry.graph_version, graph)
+    ]
+
+
+def in_log_window(stamp: int, graph: Graph) -> bool:
+    """Whether ``graph.deltas_since(stamp)`` can still answer (not computing it)."""
+    return graph.change_log_base <= stamp <= graph.version
 
 
 class ResultCache:
@@ -458,16 +491,45 @@ class ResultCache:
         entry = CacheEntry(key, canonical_core_key(query), materialized, stamped)
         with self._lock:
             self.stats.puts += 1
-            # A new result supersedes any lazy mark left on the key: the
-            # mark priced a *previous* entry's patch, not this one's.
-            self._lazy.discard(key)
-            if self._capacity > 0:
-                self._entries[key] = entry
-                self._entries.move_to_end(key)
-                self._evict_overflow()
+            self._insert(entry)
             if persist and stamped == graph.version:
                 self._write_through(key, materialized, graph)
         return entry
+
+    def _insert(self, entry: CacheEntry) -> None:
+        """Store ``entry`` most recently used, evicting LRU overflow (caller holds the lock)."""
+        # A new result supersedes any lazy mark left on the key: the
+        # mark priced a *previous* entry's patch, not this one's.
+        self._lazy.discard(entry.key)
+        if self._capacity > 0:
+            self._entries[entry.key] = entry
+            self._entries.move_to_end(entry.key)
+            self._evict_overflow()
+
+    def adopt(self, entries: Iterable[CacheEntry], graph: Graph, pinned: Iterable[str] = ()) -> int:
+        """Take over ``entries`` of a cache over an earlier generation of
+        ``graph`` (least recently used first); returns how many crossed.
+
+        What :func:`carried` lets through is inserted *born stale*, as
+        :meth:`put` inserts an older ``version``: :meth:`get` never serves it,
+        and the planner prices :meth:`refresh` against recomputing on its
+        first read.  Nothing was materialized — it counts as ``adopted``, not
+        as a put — and a key already held is left alone.  Of ``pinned`` only
+        the adopted keys are pinned.
+        """
+        if not self._capacity:
+            return 0
+        heirs, pinned, adopted = carried(entries, graph), set(pinned), 0
+        with self._lock:
+            for entry in heirs:
+                if entry.key in self._entries:
+                    continue
+                if entry.key in pinned:
+                    self._pinned.add(entry.key)
+                self._insert(entry)
+                adopted += 1
+            self.stats.adopted += adopted
+        return adopted
 
     def _invalidate(self, key: str) -> None:
         """Drop an entry that can no longer be patched (caller holds the lock)."""

@@ -42,10 +42,11 @@ instance.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
-from repro.algebra.relation import IdRelation, Relation, relation_like, tuple_getter
-from repro.analytics.answer import CubeAnswer, KeyGenerator, MaterializedQueryResults
+from repro.algebra.operators import union_all
+from repro.algebra.relation import IdRelation, Relation
+from repro.analytics.answer import KeyGenerator, MaterializedQueryResults
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
 from repro.bgp.evaluator import BGPEvaluator
@@ -379,29 +380,17 @@ class DeltaMaintainer:
         else:
             affected_facts = {dictionary.decode(fact_id) for fact_id in affected}
 
-        fact_index = pres_storage.column_index(partial.fact_column)
-        key_index = pres_storage.column_index(partial.key_column)
-        group_of = tuple_getter(pres_storage.column_indexes(partial.dimension_columns))
+        dimensions = partial.dimension_columns
+        # σ over the cached pres: the affected facts' rows leave, every other
+        # row is kept verbatim — in the storage the pres has.
+        dropped, retained = pres_storage.split_on(
+            (partial.fact_column,), {(fact,) for fact in affected_facts}
+        )
 
-        # First pass over the cached pres: partition retained vs. dropped
-        # rows (a fact-membership test per row), note the groups losing
-        # rows, and track the highest newk() key so fresh rows cannot
-        # collide.
-        retained: List[tuple] = []
-        touched: Set[tuple] = set()
-        max_key = 0
-        for row in pres_storage.to_rows("refresh:splice").rows:
-            key = row[key_index]
-            if isinstance(key, int) and key > max_key:
-                max_key = key
-            if row[fact_index] in affected_facts:
-                touched.add(group_of(row))
-            else:
-                retained.append(row)
-
-        # Re-derive the affected facts' rows from the current instance.
-        keys = KeyGenerator(start=max_key + 1)
-        fresh: List[tuple] = []
+        # Re-derive the affected facts' rows from the current instance, under
+        # newk() keys above every cached one so they cannot collide.
+        keys = KeyGenerator(start=pres_storage.column_max(partial.key_column) + 1)
+        fresh_rows: list = []
         for fact_id in sorted(affected):
             fact_relation = self._evaluator.fact_partial_rows(
                 query, dictionary.decode(fact_id), keys, memo=self._fact_memo
@@ -411,29 +400,32 @@ class DeltaMaintainer:
             if pres_encoded:
                 if not isinstance(fact_relation, IdRelation):
                     return None  # engine space changed under us; recompute instead
-                fresh.extend(fact_relation.rows)
+                fresh_rows.extend(fact_relation.rows)
             else:
-                fresh.extend(fact_relation.iter_decoded())
-        touched.update(map(group_of, fresh))
+                fresh_rows.extend(fact_relation.iter_decoded())
+        fresh = pres_storage.with_rows(fresh_rows)
 
-        # Second, *targeted* pass: γ over the touched groups' rows of the
-        # patched pres only — a 1-triple delta on a 100k-row pres must not
-        # re-aggregate the groups it never reached.  Their cells replace
-        # the touched cells of the cached ans; a group left without rows
+        # γ over the touched groups only — those of a dropped or a fresh row:
+        # ⋉ picks their retained rows, a 1-triple delta on a 100k-row pres
+        # never re-aggregates the groups it did not reach.  The cells replace
+        # (▷ ∪) the touched cells of the cached ans; a group left without rows
         # (or undefined under ⊕) simply yields no cell.
-        touched_rows = [row for row in retained if group_of(row) in touched] + fresh
+        touched = _key_tuples(dropped, dimensions) | _key_tuples(fresh, dimensions)
+        touched_retained, _ = retained.split_on(dimensions, touched, rest=False)
         regrouped = self._evaluator.answer_from_partial(
-            query,
-            partial.with_storage(relation_like(pres_storage.columns, touched_rows, pres_storage)),
+            query, partial.with_storage(union_all(touched_retained, fresh))
         )
-        cell_group_of = tuple_getter(ans_storage.column_indexes(answer.dimension_columns))
-        untouched_cells = [row for row in ans_storage.rows if cell_group_of(row) not in touched]
-        new_ans = relation_like(
-            ans_storage.columns, untouched_cells + regrouped.storage.rows, ans_storage
-        )
-        new_pres = relation_like(pres_storage.columns, retained + fresh, pres_storage)
+        replaced, untouched = ans_storage.split_on(answer.dimension_columns, touched)
         return MaterializedQueryResults(
             query,
-            CubeAnswer(new_ans, answer.dimension_columns, answer.measure_column),
-            partial.with_storage(new_pres),
+            answer.patched(union_all(untouched, regrouped.storage), replaced, regrouped),
+            partial.with_storage(union_all(retained, fresh)),
         )
+
+
+def _key_tuples(relation: Relation, columns) -> Set[tuple]:
+    """The distinct value tuples over ``columns``, read column by column (a
+    columnar relation stays in its arrays; these relations are delta-sized)."""
+    if not columns:
+        return {()} if len(relation) else set()
+    return set(zip(*map(relation.column_values, columns)))

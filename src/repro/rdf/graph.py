@@ -794,14 +794,36 @@ class Graph:
     # ------------------------------------------------------------------
 
     def copy(self, name: str | None = None) -> "Graph":
-        """Return an independent copy of this graph (shared nothing).
+        """Return an independent heap copy of this graph (shared nothing).
 
-        The copy keeps this graph's ``change_log_limit`` (but not its log:
-        a fresh graph starts its own history).
+        **Id-preserving**: the copy's dictionary holds the same terms under
+        the same ids — terms whose triples were all removed included — so
+        encoded relations and change-log records of this graph read the same
+        in the copy.  It keeps this graph's ``change_log_limit`` but starts
+        its own history (version 0, empty log; see :meth:`adopt_history`).
         """
         clone = Graph(name=name or self.name, change_log_limit=self._change_log_limit)
-        clone.add_all(self)
+        clone._dictionary = self._dictionary.copy()
+        clone._triples = set(self.encoded_triples())
+        for encoded in clone._triples:
+            clone._index_add(encoded)
         return clone
+
+    def adopt_history(self, source: "Graph") -> None:
+        """Take over ``source``'s version stamp and retained change-log tail.
+
+        For a graph holding ``source``'s current triples under ``source``'s
+        ids (an id-preserving :meth:`copy`, a re-opened snapshot of it): it
+        then sits on ``source``'s version axis, and :meth:`deltas_since`
+        answers for an older stamp exactly what ``source`` would — ``None``
+        included (overflow, ``change_log_limit=0``, ``clear()``).  This is
+        how a published generation lets results cached against its
+        predecessors be delta-refreshed instead of recomputed.
+        """
+        self._version = version = source._version
+        self._change_log = deque(record for record in source._change_log if record[0] <= version)
+        self._log_base = source._log_base
+        self._delta_memo = None
 
     def union(self, other: "Graph", name: str | None = None) -> "Graph":
         """Return a new graph holding the triples of both graphs."""

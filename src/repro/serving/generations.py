@@ -21,16 +21,22 @@ Two publication modes:
     construction, not convention.  Requires numpy (the ``[fast]`` extra).
 ``heap``
     The writer graph is deep-copied per publication
-    (:meth:`~repro.rdf.graph.Graph.copy`).  O(instance) per publish and no
+    (:meth:`~repro.rdf.graph.Graph.copy`, id-preserving).  O(instance) per publish and no
     read-only enforcement, but dependency-free — the fallback the
     ``auto`` mode selects when numpy is missing.
 
-Version stamps carry through either way: a published generation's graph
-reports the writer's :attr:`~repro.rdf.graph.Graph.version` at publish
-time, and its change log is truncated at that version, so the PR-2/3
-version-stamped cache machinery on top of it behaves exactly as it would
-on a frozen live graph (``deltas_since`` of any older stamp answers the
-honest full-invalidation ``None``).
+Version stamps carry through either way, and so does history: a published
+generation's graph (an id-preserving copy — snapshots store the dictionary
+in id order, :meth:`~repro.rdf.graph.Graph.copy` keeps the ids) takes over
+the writer's :attr:`~repro.rdf.graph.Graph.version` *and the retained tail
+of its change log* (:meth:`~repro.rdf.graph.Graph.adopt_history`).
+``generation.graph.deltas_since(older_generation.version)`` therefore answers
+the coalesced delta between the two generations, exactly as the live writer
+graph would — and ``None`` exactly when the writer's own log could not
+(overflow past the stamp, ``change_log_limit=0``, ``clear()``).  That is
+what lets the version-stamped cache machinery carry a tenant's cubes across
+a publish by delta refresh instead of starting every generation cold (see
+:class:`~repro.serving.service.OLAPService`).
 """
 
 from __future__ import annotations
@@ -225,13 +231,9 @@ class GenerationManager:
         else:
             path = None
             graph = self._writer_graph.copy()
-            # The copy re-adds every triple, so its change counter restarts
-            # at the triple count.  Re-stamp it with the writer's version
-            # (and truncate the log there) so the version-stamped cache
-            # machinery sees one consistent version axis across modes.
-            graph._version = version
-            graph._log_base = version
-            graph._change_log.clear()
+        # Either way the published graph holds the writer's triples under the
+        # writer's ids; put it on the writer's version axis, log tail included.
+        graph.adopt_history(self._writer_graph)
         generation = GraphGeneration(version, graph, path)
         generation.pins = 1  # the manager's own pin while current
         self.published_count += 1

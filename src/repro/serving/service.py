@@ -26,6 +26,13 @@ multi-tenant serving loop:
   graph; tenants are isolated in state, not in data.  Two queries of one
   tenant may run concurrently in the same session (the result cache is
   lock-protected for exactly this).
+* **A publish is not a cold start.**  A tenant's new session *adopts* the
+  cache entries of its predecessor — the tenant's newest older session, or,
+  when that generation has already retired, the entries it bequeathed —
+  stale-stamped (:meth:`ResultCache.adopt <repro.olap.cache.ResultCache.adopt>`).
+  A stale stamp is never served: the first read of each cube in the new
+  generation prices a delta refresh (the generation's graph carries the
+  writer's change-log tail) against recomputing, and normally patches.
 * **A single writer.**  :meth:`OLAPService.update` applies triple deltas
   to the authoritative heap graph under the writer lock and republishes;
   readers never observe a half-applied batch.
@@ -39,10 +46,11 @@ responsive while the engine works.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import (
     QueueFullError,
@@ -52,7 +60,7 @@ from repro.errors import (
 )
 from repro.analytics.query import AnalyticalQuery
 from repro.analytics.schema import AnalyticalSchema
-from repro.olap.cache import DEFAULT_CAPACITY
+from repro.olap.cache import DEFAULT_CAPACITY, CacheEntry, carried, in_log_window
 from repro.olap.cube import Cube
 from repro.olap.session import OLAPSession
 from repro.rdf.graph import Graph
@@ -147,6 +155,23 @@ class ServiceStats:
         )
 
 
+@dataclass(frozen=True)
+class Bequest:
+    """What a retired session left its tenant: its cache entries carried to
+    the writer graph's dictionary, read by the heir the way a cache is."""
+
+    version: int  #: of the generation the session served
+    oldest: int  #: stamp held: the writer's change log must reach back to it
+    kept: Tuple[CacheEntry, ...]
+    pins: Tuple[str, ...]
+
+    def entries(self) -> Tuple[CacheEntry, ...]:
+        return self.kept
+
+    def pinned_keys(self) -> Tuple[str, ...]:
+        return self.pins
+
+
 @dataclass
 class TenantState:
     """Per-tenant bookkeeping: concurrency cap and per-generation sessions."""
@@ -157,6 +182,8 @@ class TenantState:
     served: int = 0
     #: Generation version -> that generation's private OLAPSession.
     sessions: Dict[int, OLAPSession] = field(default_factory=dict)
+    #: Entries of the newest retired session no live session succeeded yet.
+    bequest: Optional[Bequest] = None
 
 
 class OLAPService:
@@ -230,6 +257,10 @@ class OLAPService:
             on_retire=self._close_generation_sessions,
         )
         self._tenants: Dict[str, TenantState] = {}
+        # Guards the tenant table, every tenant's session map and bequest:
+        # the loop thread inserts while the retire hook (run by whichever
+        # thread published or unpinned last) pops.
+        self._tenants_lock = threading.Lock()
         self._executor = ThreadPoolExecutor(
             max_workers=self._max_concurrency, thread_name_prefix="repro-serving"
         )
@@ -279,14 +310,16 @@ class OLAPService:
         return self._inflight
 
     def tenants(self) -> List[str]:
-        return sorted(self._tenants)
+        with self._tenants_lock:
+            return sorted(self._tenants)
 
     def tenant(self, name: str) -> TenantState:
         """The (existing or fresh) bookkeeping record for ``name``."""
-        state = self._tenants.get(name)
-        if state is None:
-            state = self._tenants[name] = TenantState(name, self._per_tenant_limit)
-        return state
+        with self._tenants_lock:
+            state = self._tenants.get(name)
+            if state is None:
+                state = self._tenants[name] = TenantState(name, self._per_tenant_limit)
+            return state
 
     # -- async plumbing ------------------------------------------------
 
@@ -355,7 +388,11 @@ class OLAPService:
                 self._waiting -= 1
             try:
                 started = time.perf_counter()
-                session = self._session_for(state, generation)
+                session, predecessor = self._session_for(state, generation)
+                if predecessor is not None:  # a new session's first read: not a cold start
+                    await self._loop.run_in_executor(
+                        self._executor, self._adopt, session, predecessor
+                    )
                 cube = await self._loop.run_in_executor(
                     self._executor, self._execute, session, query
                 )
@@ -389,17 +426,32 @@ class OLAPService:
     def _execute(session: OLAPSession, query: AnalyticalQuery) -> Cube:
         return session.execute(query)
 
-    def _session_for(self, state: TenantState, generation: GraphGeneration) -> OLAPSession:
-        session = state.sessions.get(generation.version)
-        if session is None:
-            session = OLAPSession(
-                generation.graph,
-                self.schema,
-                cache_capacity=self._cache_capacity,
-                engine=self._engine,
-            )
-            state.sessions[generation.version] = session
-        return session
+    @staticmethod
+    def _adopt(session: OLAPSession, predecessor) -> None:
+        session.cache.adopt(predecessor.entries(), session.instance, predecessor.pinned_keys())
+
+    def _session_for(self, state: TenantState, generation: GraphGeneration):
+        """``(session, predecessor)``: a session created by this call has yet
+        to adopt (on the executor) from ``predecessor`` — the cache of the
+        tenant's newest older session or, that generation retired, its bequest."""
+        version = generation.version
+        with self._tenants_lock:
+            session = state.sessions.get(version)
+        if session is not None:
+            return session, None
+        session = OLAPSession(
+            generation.graph,
+            self.schema,
+            cache_capacity=self._cache_capacity,
+            engine=self._engine,
+        )
+        with self._tenants_lock:
+            older = {seen: held.cache for seen, held in state.sessions.items() if seen < version}
+            if state.bequest is not None and state.bequest.version < version:
+                older[state.bequest.version] = state.bequest
+                state.bequest = None
+            state.sessions[version] = session
+        return session, older[max(older)] if older else None
 
     # -- writes --------------------------------------------------------
 
@@ -463,6 +515,12 @@ class OLAPService:
         self.stats.updates += 1
         if result.published:
             self.stats.publishes += 1
+        # A bequest whose oldest stamp left the writer's log window could
+        # only be invalidated by its heir: an idle tenant must not hold it.
+        with self._tenants_lock:
+            for state in self._tenants.values():
+                if state.bequest is not None and not in_log_window(state.bequest.oldest, writer):
+                    state.bequest = None
         return result
 
     @staticmethod
@@ -506,11 +564,36 @@ class OLAPService:
     # -- lifecycle -----------------------------------------------------
 
     def _close_generation_sessions(self, generation: GraphGeneration) -> None:
-        """Retire hook: drop every tenant's session for a drained generation."""
-        for state in self._tenants.values():
-            session = state.sessions.pop(generation.version, None)
-            if session is not None:
-                session.close()
+        """Retire hook: drop every tenant's session for a drained generation.
+
+        A closing session that no newer session of its tenant succeeded yet
+        bequeaths its entries to the tenant, carried to the writer graph's
+        dictionary (an append-only superset of every generation's, alive as
+        long as the service) — so the retired graph is not kept reachable.
+        Runs on whichever thread retired the generation; the tenants lock
+        covers the table read and the hand-over, never the rebinding or
+        ``close()``, and until the hand-over the session stays registered: an
+        heir created meanwhile adopts from it directly.
+        """
+        writer = self._generations.writer_graph
+        version = generation.version
+        with self._tenants_lock:
+            closing = [
+                (state, state.sessions[version])
+                for state in self._tenants.values()
+                if version in state.sessions
+            ]
+        for state, session in closing:
+            kept = tuple(carried(session.cache.entries(), writer))
+            oldest = min([entry.graph_version for entry in kept], default=0)
+            bequest = Bequest(version, oldest, kept, session.cache.pinned_keys())
+            with self._tenants_lock:
+                if state.sessions.pop(version, None) is None:
+                    continue  # aclose() got there first
+                succeeded = -1 if state.bequest is None else state.bequest.version
+                if kept and version > max([succeeded, *state.sessions]):
+                    state.bequest = bequest
+            session.close()
 
     async def aclose(self) -> None:
         """Stop admitting queries, drain in-flight work, release everything.
@@ -527,10 +610,12 @@ class OLAPService:
         # the moment the service drains, not up to a poll period later.
         if self._inflight > 0 and self._drained is not None:
             await self._drained.wait()
-        for state in self._tenants.values():
-            for session in state.sessions.values():
-                session.close()
-            state.sessions.clear()
+        with self._tenants_lock:
+            for state in self._tenants.values():
+                for session in state.sessions.values():
+                    session.close()
+                state.sessions.clear()
+                state.bequest = None
         self._generations.close()
         self._executor.shutdown(wait=True)
 

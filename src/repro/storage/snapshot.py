@@ -348,7 +348,7 @@ class Snapshot:
                 )
 
     def section(self, name: str):
-        """A read-only memmap view of one section (cached per snapshot)."""
+        """A read-only array over one memory-mapped section (cached per snapshot)."""
         found = self._cache.get(name)
         if found is None:
             entry = self.header["sections"].get(name)
@@ -357,12 +357,17 @@ class Snapshot:
                     f"{self.path!r} has no section {name!r} (incomplete snapshot?)"
                 )
             offset, length, dtype = entry
-            found = self._cache[name] = _np.memmap(
-                self.path,
-                dtype=_np.dtype(dtype),
-                mode="r",
-                offset=self._payload_base + int(offset),
-                shape=(int(length),),
+            # The base-class view of the map (which stays alive through
+            # ``.base``): slices and scalar reads of an ``np.memmap`` instance
+            # go through its Python-level ``__getitem__`` / ``__array_finalize__``.
+            found = self._cache[name] = _np.asarray(
+                _np.memmap(
+                    self.path,
+                    dtype=_np.dtype(dtype),
+                    mode="r",
+                    offset=self._payload_base + int(offset),
+                    shape=(int(length),),
+                )
             )
         return found
 

@@ -618,6 +618,92 @@ class TestRefreshAccounting:
         assert session.cache.stats.refreshes == 0
 
 
+class TestAdoption:
+    """``adopt``: another cache's entries cross to a later generation of the
+    same graph, stale-stamped and rebound to its dictionary."""
+
+    @staticmethod
+    def _generation(writer):
+        published = writer.copy()  # id-preserving
+        published.adopt_history(writer)
+        return published
+
+    def test_entries_cross_stale_stamped_rebound_and_refreshable(self, example2_instance, sites_query):
+        from repro.olap.maintenance import DeltaMaintainer
+
+        writer = example2_instance
+        first = self._generation(writer)
+        variants = [_variant(sites_query, index) for index in (28, 35)] + [sites_query]
+        source = ResultCache(capacity=4)
+        for query in variants:
+            source.put(query, _evaluate(first, query), first)
+        source.pin(variants[0])
+        assert source.get(variants[1], first) is not None  # most recently used now
+        _grow_instance(writer)
+        second = self._generation(writer)
+
+        heir = ResultCache(capacity=4)
+        assert heir.adopt(source.entries(), second, source.pinned_keys()) == 3
+        assert heir.keys() == source.keys() and heir.pinned_keys() == source.pinned_keys()
+        assert len(source) == 3  # the source keeps its own entries
+        # Nothing was materialized: adoptions are not puts.
+        assert (heir.stats.puts, heir.stats.adopted) == (0, 3)
+        for entry, original in zip(heir.entries(), source.entries()):
+            assert entry.graph_version == first.version != second.version
+            assert entry.materialized.partial.storage.dictionary is second.dictionary
+            assert entry.materialized.answer.storage.dictionary is second.dictionary
+            assert original.materialized.answer.storage.dictionary is first.dictionary
+        # Never served as is; patched from the log tail the generation carries.
+        assert heir.get(sites_query, second) is None
+        maintainer = DeltaMaintainer(AnalyticalQueryEvaluator(second))
+        entry = heir.refresh(sites_query, second, maintainer)
+        assert entry is not None and entry.graph_version == second.version
+        assert Cube(entry.materialized.answer, sites_query).same_cells(
+            Cube(AnalyticalQueryEvaluator(second).answer(sites_query), sites_query)
+        )
+
+    def test_the_decoded_cells_are_shared_not_copied(self, example2_instance, sites_query):
+        first = self._generation(example2_instance)
+        source = ResultCache(capacity=2)
+        source.put(sites_query, _evaluate(first, sites_query), first)
+        cells = source.entries()[0].materialized.answer.decoded_cells()
+        heir = ResultCache(capacity=2)
+        heir.adopt(source.entries(), self._generation(example2_instance))
+        assert heir.entries()[0].materialized.answer.decoded_cells() is cells
+
+    def test_out_of_window_stamps_and_rolled_entries_stay_behind(self, example2_instance, sites_query):
+        from repro.olap import DimensionHierarchy, RollUp
+
+        writer = example2_instance
+        first = self._generation(writer)
+        rolled = RollUp("dage", DimensionHierarchy(classify=lambda age: "any", name="all")).apply(sites_query)
+        source = ResultCache(capacity=4)
+        source.put(sites_query, _evaluate(first, sites_query), first)
+        source.put(rolled, _evaluate(first, rolled), first)
+        source.pin(rolled)
+        heir = ResultCache(capacity=4)
+        assert heir.adopt(source.entries(), self._generation(writer), source.pinned_keys()) == 1
+        assert heir.keys() == (canonical_query_key(sites_query),)
+        # A pin crosses only with its entry: a later put of the key left
+        # behind must stay evictable.
+        assert heir.pinned_keys() == ()
+
+        writer.clear()  # the log can no longer reach back to the stamp
+        _grow_instance(writer)
+        assert ResultCache(capacity=4).adopt(source.entries(), self._generation(writer)) == 0
+
+    def test_a_key_already_held_is_left_alone(self, example2_instance, sites_query):
+        first = self._generation(example2_instance)
+        source = ResultCache(capacity=2)
+        source.put(sites_query, _evaluate(first, sites_query), first)
+        _grow_instance(example2_instance)
+        second = self._generation(example2_instance)
+        heir = ResultCache(capacity=2)
+        fresh = heir.put(sites_query, _evaluate(second, sites_query), second)
+        assert heir.adopt(source.entries(), second) == 0
+        assert heir.get(sites_query, second) is fresh
+
+
 class TestExecuteTimeVersionStamping:
     """Regression: entries must be stamped with the graph version observed at
     *evaluation* time, not whatever the version is when ``put`` finally runs.

@@ -2,7 +2,8 @@
 
 A cache entry holds its ``CubeAnswer`` and a hit hands it back, so a repeated
 ``execute`` decodes nothing; refresh and every rewriting build a *new*
-answer, so the memo has nothing to invalidate.  These tests hold both halves:
+answer, so the memo has nothing to invalidate — a refresh hands the untouched
+cells of the old map on to the new answer.  These tests hold both halves:
 the saving (one decode per answer, a cube fully decoded when handed over) and
 the safety (no stale, aliased, racy or leaked cells).
 """
@@ -17,6 +18,7 @@ import pytest
 
 from repro.algebra.columnar import ROW_CONVERSIONS
 from repro.analytics import AnalyticalQueryEvaluator
+from repro.analytics.answer import CubeAnswer
 from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
 from repro.ingest import RefreshScheduler, StreamIngestor
 from repro.olap import Cube, DrillOut, OLAPSession, Slice
@@ -176,3 +178,97 @@ def test_the_decoded_map_goes_away_with_its_entry(dataset, drop):
             session.execute(other)  # capacity 1: evicts the first entry
         gc.collect()
         assert answer() is None
+
+
+# ---------------------------------------------------------------------------
+# A delta refresh carries the decoded cells over to the patched answer
+# ---------------------------------------------------------------------------
+
+_TOUCHED = (EX.term("dimvalue/0/0"), EX.term("dimvalue/1/1"))
+
+
+def _extra_fact(tag):
+    fact = EX.term(f"fact/memo-{tag}")
+    return [
+        Triple(fact, RDF.term("type"), EX.term("Fact")),
+        Triple(fact, EX.term("dim0"), _TOUCHED[0]),
+        Triple(fact, EX.term("dim1"), _TOUCHED[1]),
+        Triple(fact, EX.term("measure"), Literal(7)),
+    ]
+
+
+def _fresh_cells(answer):
+    """What decoding ``answer`` from nothing gives (a new, memo-less wrapper)."""
+    return CubeAnswer(answer.storage, answer.dimension_columns, answer.measure_column).decoded_cells()
+
+
+def test_a_refresh_carries_the_untouched_cells_and_decodes_only_the_touched(dataset, engine):
+    query = _query("count")
+    graph = dataset.instance.copy()
+    with OLAPSession(graph, dataset.schema, engine=engine) as session:
+        before = session.execute(query)
+        graph.apply(add=_extra_fact("carried"))
+        dictionary = graph.dictionary
+        decodes = []
+        original = dictionary.decode
+        dictionary.decode = lambda term_id: decodes.append(term_id) or original(term_id)
+        try:
+            after = session.execute(query)
+        finally:
+            del dictionary.decode
+        assert after.record.strategy == "refresh"
+        carried = _cell_map(after)
+        assert carried is vars(after.answer)["_cells"] and carried is not _cell_map(before)
+        # Equal to decoding the patched answer from nothing — key order included.
+        assert list(carried.items()) == list(_fresh_cells(after.answer).items())
+        assert after.cell(*_TOUCHED) == before.cells().get(_TOUCHED, 0) + 1
+        # Only the touched group was decoded: no dimension value of another cell.
+        touched_ids = {dictionary.lookup(term) for term in _TOUCHED}
+        foreign = {
+            term_id
+            for name in after.answer.dimension_columns
+            for term_id in after.answer.storage.column_values(name)
+        } - touched_ids
+        assert len(foreign) > 4 and not foreign & set(decodes)
+
+
+def test_an_answer_never_decoded_carries_nothing(dataset, engine):
+    query = _query("sum")
+    graph = dataset.instance.copy()
+    with OLAPSession(graph, dataset.schema, engine=engine) as session:
+        session.execute(query)
+        entry = session.cache.peek(query, graph)
+        answer = entry.materialized.answer
+        cold = CubeAnswer(answer.storage, answer.dimension_columns, answer.measure_column)
+        entry.materialized = type(entry.materialized)(query, cold, entry.materialized.partial)
+        graph.apply(add=_extra_fact("cold"))
+        refreshed = session.cache.refresh(query, graph, session.maintainer)
+        assert refreshed is not None
+        assert vars(refreshed.materialized.answer)["_cells"] is None
+        assert vars(cold)["_cells"] is None
+        oracle = Cube(AnalyticalQueryEvaluator(graph, engine=engine).answer(query), query)
+        assert session.execute(query).same_cells(oracle)
+
+
+def test_a_refresh_that_empties_a_group_drops_its_cell(dataset, engine):
+    query = _query("count")
+    graph = dataset.instance.copy()
+    lonely = (EX.term("dimvalue/0/lonely"), EX.term("dimvalue/1/lonely"))
+    fact = EX.term("fact/memo-lonely")
+    membership = Triple(fact, EX.term("dim0"), lonely[0])
+    graph.apply(add=[
+        Triple(fact, RDF.term("type"), EX.term("Fact")),
+        membership,
+        Triple(fact, EX.term("dim1"), lonely[1]),
+        Triple(fact, EX.term("measure"), Literal(3)),
+    ])
+    with OLAPSession(graph, dataset.schema, engine=engine) as session:
+        before = session.execute(query)
+        assert before.cell(*lonely) == 1
+        graph.apply(remove=[membership])
+        after = session.execute(query)
+        assert after.record.strategy == "refresh"
+        carried = _cell_map(after)
+        assert lonely not in carried and len(carried) == len(before) - 1
+        assert list(carried.items()) == list(_fresh_cells(after.answer).items())
+        assert lonely in _cell_map(before)

@@ -423,3 +423,57 @@ def test_roll_up_chain_is_closed_over_the_engine(monkeypatch):
         ]
         assert cubes[3].dimension_values("d0") <= {"low", "high"}
         assert cubes[4].same_cells(cubes[2])
+
+
+def test_delta_refresh_is_closed_over_the_engine(monkeypatch):
+    """execute → ``Graph.apply`` → execute, twice (an insertion, then a
+    retraction), with the arrays → rows conversion patched to raise for every
+    reason but the answer decode: the splice of a refresh — σ, ⋉, ∪ — runs on
+    the storage of the ``pres`` it patches, so a columnar ``pres`` is still
+    columnar afterwards (it used to become a row relation for good)."""
+    from repro.algebra.columnar import ROW_CONVERSIONS, ColumnarIdRelation
+    from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
+
+    config = GenericConfig(
+        facts=60, dimensions=3, values_per_dimension=1.4, measures_per_fact=2.0,
+        with_detail=True, seed=5,
+    )
+    dataset = generic_dataset(config)
+    graph = dataset.instance.copy()
+    queries = [
+        generic_query(config, aggregate="sum", include_detail_in_classifier=True, name="sum_detail"),
+        DrillIn("da").apply(
+            generic_query(config, aggregate="avg", include_detail_in_classifier=True, name="avg_detail")
+        ),
+        generic_query(config, aggregate="count_distinct", name="distinct"),
+    ]
+    fact = EX.term("fact/closure-extra")
+    extra = [
+        Triple(fact, RDF.term("type"), EX.term("Fact")),
+        *[Triple(fact, EX.term(f"dim{d}"), EX.term(f"dimvalue/{d}/{d}")) for d in range(3)],
+        Triple(fact, EX.measure, Literal(5)),
+        Triple(fact, EX.measure, Literal(9)),
+        Triple(fact, EX.hasDetail, EX.term("detail/1")),
+    ]
+    to_rows = ColumnarIdRelation.to_rows
+
+    def refuse(self, reason):
+        if reason != "decode:ans":
+            raise AssertionError(f"a refresh left the columnar engine: to_rows({reason!r})")
+        return to_rows(self, reason)
+
+    with OLAPSession(graph, dataset.schema) as session:
+        for query in queries:
+            session.execute(query)
+        for delta in ({"add": extra}, {"remove": extra[1:3]}):
+            graph.apply(**delta)
+            for query in queries:
+                with monkeypatch.context() as patch:
+                    patch.setattr(ColumnarIdRelation, "to_rows", refuse)
+                    cube = session.execute(query)
+                assert cube.record.strategy == "refresh"
+                stored = session.materialized(query).partial.storage
+                assert isinstance(stored, ColumnarIdRelation) == (session.engine == "columnar")
+                assert Cube(session.evaluator.answer(query), query).same_cells(cube)
+                assert _naive_cube(graph, query).same_cells(cube)
+        assert ROW_CONVERSIONS["refresh:splice"] == 0

@@ -220,6 +220,15 @@ def _as_rows(relation):
     return IdRelation(relation.columns, relation.rows, dictionary=_TERMS)
 
 
+def _plain_column(relation, name):
+    """``relation`` with one column declared plain (not holding term ids)."""
+    encoded = set(relation.columns) - {name}
+    if isinstance(relation, ColumnarIdRelation):
+        arrays = {column: relation.column_array(column) for column in relation.columns}
+        return ColumnarIdRelation.from_arrays(relation.columns, arrays, _TERMS, encoded, len(relation))
+    return IdRelation(relation.columns, relation.rows, dictionary=_TERMS, encoded=encoded)
+
+
 _APART = {"a": "ra", "b": "rb", "c": "rc"}
 _SHADOW_SUM = AggregateFunction("sum", lambda values: len(values), distributive=False)
 
@@ -259,7 +268,12 @@ _OPERATORS = {
         False,
         {"join:mixed-storage"},
     ),
-    "∪": (lambda l, r: union_all(l, r), False, {"union:no-array-form"}),
+    "∪": (lambda l, r: union_all(l, r, l), True, set()),
+    "∪ reordered columns": (lambda l, r: union_all(l, r.reorder(("c", "a", "b"))), True, set()),
+    "∪ mixed storage": (lambda l, r: union_all(l, _as_rows(r)), False, {"union:no-array-form"}),
+    "∪ misaligned encoding": (
+        lambda l, r: union_all(l, _plain_column(r, "c")), False, {"union:no-array-form"}
+    ),
     "−": (lambda l, r: difference_all(l, r), False, {"difference:no-array-form"}),
     "×": (lambda l, r: cross_product(l, rename(r, _APART)), False, {"product:no-array-form"}),
     "extend_column": (
@@ -291,7 +305,7 @@ def test_operator_matches_row_engine_and_keeps_or_names_its_storage(operator, le
 
 @pytest.mark.parametrize(
     "operator",
-    ["σ derived", "π", "δ", "δ∘π", "⋈", "map_column", "γ", "γ count_distinct", "γ min", "γ max"],
+    ["σ derived", "π", "δ", "δ∘π", "⋈", "∪", "map_column", "γ", "γ count_distinct", "γ min", "γ max"],
 )
 def test_operator_over_derived_ids_only(operator):
     """Every id negative: a kernel that indexed an array by id would read the
@@ -318,3 +332,38 @@ def _assert_operator(operator, left, right):
     assert fast.bag_equal(slow)
     if operator.startswith("δ"):
         assert fast.rows == slow.rows  # first-occurrence order
+
+
+# ``split_on``: the id-tuple (anti-)semi-join a delta refresh splices with.
+
+_ABSENT = [10_000, -10_000]  # ids no generated row holds
+
+
+def _keys_over(width):
+    return st.sets(st.tuples(*[st.sampled_from(_IDS + _ABSENT)] * width), max_size=5)
+
+
+@pytest.mark.parametrize("key_columns", [("a",), ("c", "a"), ("a", "b", "c"), ()])
+@given(rows=_rows, data=st.data())
+@settings(max_examples=25, deadline=None, print_blob=True)
+def test_split_on_matches_row_engine_and_stays_in_the_arrays(key_columns, rows, data):
+    """``(⋉, ▷)`` against a key set — empty, partly absent from the relation,
+    holding derived (negative) ids — is the row engine's pair, row order
+    included, and never leaves the columnar storage."""
+    keys = data.draw(_keys_over(len(key_columns)))
+    fast, slow = _both_storages(rows)
+    before = ROW_CONVERSIONS.copy()
+    fast_pair = fast.split_on(key_columns, keys)
+    assert not set(ROW_CONVERSIONS - before)
+    for fast_part, slow_part in zip(fast_pair, slow.split_on(key_columns, keys)):
+        assert isinstance(fast_part, ColumnarIdRelation)
+        assert not isinstance(slow_part, ColumnarIdRelation)
+        assert fast_part.columns == slow_part.columns == _COLUMNS
+        assert fast_part.rows == slow_part.rows
+    matching, rest = fast_pair
+    assert len(matching) + len(rest) == len(rows)
+    assert all(tuple(row[_COLUMNS.index(name)] for name in key_columns) in keys for row in matching.rows)
+    # ⋉ alone: the ▷ half is not built when the caller has no use for it.
+    for relation in (fast, slow):
+        only, nothing = relation.split_on(key_columns, keys, rest=False)
+        assert nothing is None and only.rows == matching.rows

@@ -188,6 +188,31 @@ class TestSetOperations:
         clone.add(Triple(EX.user3, RDF_TYPE, EX.Blogger))
         assert len(clone) == len(small_graph) + 1
 
+    def test_copy_preserves_every_id(self, small_graph):
+        """Ids follow the source's insertion order, not the copy's iteration
+        order, and terms whose triples were all removed keep theirs."""
+        for index in range(40):  # enough terms for set iteration to scramble
+            small_graph.add(Triple(EX.term(f"user/{index}"), EX.hasAge, Literal(index)))
+        small_graph.remove(Triple(EX.user1, EX.livesIn, EX.term("Madrid")))
+        clone = small_graph.copy()
+        assert clone.dictionary is not small_graph.dictionary
+        assert list(clone.dictionary.items()) == list(small_graph.dictionary.items())
+        assert clone.encode_term(EX.term("Madrid")) == small_graph.encode_term(EX.term("Madrid"))
+        assert set(clone.encoded_triples()) == set(small_graph.encoded_triples())
+        assert clone == small_graph
+        assert clone.statistics_summary() == small_graph.statistics_summary()
+        assert list(clone.triples(subject=EX.user2, predicate=EX.hasAge)) == [
+            Triple(EX.user2, EX.hasAge, Literal(35))
+        ]
+        # Independent dictionaries: a term new to the copy does not reach the source.
+        clone.add(Triple(EX.user3, RDF_TYPE, EX.Blogger))
+        assert small_graph.encode_term(EX.user3) is None
+
+    def test_copy_starts_its_own_history(self, small_graph):
+        clone = small_graph.copy()
+        assert (clone.version, clone.change_log_length, clone.change_log_base) == (0, 0, 0)
+        assert clone.change_log_limit == small_graph.change_log_limit
+
     def test_union(self, small_graph):
         other = Graph()
         other.add(Triple(EX.user3, RDF_TYPE, EX.Blogger))
@@ -404,6 +429,52 @@ class TestChangeLog:
             _encoded(small_graph, first),
             _encoded(small_graph, second),
         }
+
+
+class TestAdoptHistory:
+    """A copy holding the source's triples under the source's ids can take
+    over its version stamp and change-log tail."""
+
+    def test_adopted_copy_answers_deltas_like_its_source(self, small_graph):
+        seen = small_graph.version
+        small_graph.add(Triple(EX.user3, RDF_TYPE, EX.Blogger))
+        small_graph.remove(Triple(EX.user1, EX.hasAge, Literal(28)))
+        clone = small_graph.copy()
+        assert clone.deltas_since(seen) is None  # a bare copy knows no past
+        clone.adopt_history(small_graph)
+        assert clone.version == small_graph.version
+        assert clone.change_log_base == small_graph.change_log_base
+        for stamp in range(small_graph.version + 1):
+            ours, theirs = clone.deltas_since(stamp), small_graph.deltas_since(stamp)
+            assert (set(ours.added), set(ours.removed)) == (set(theirs.added), set(theirs.removed))
+        assert clone.deltas_since(small_graph.version + 1) is None
+
+    def test_the_adopted_tail_is_a_copy(self, small_graph):
+        clone = small_graph.copy()
+        clone.adopt_history(small_graph)
+        stamp = small_graph.version
+        small_graph.add(Triple(EX.user3, RDF_TYPE, EX.Blogger))
+        assert clone.version == stamp and clone.deltas_since(stamp).is_empty()
+        clone.add(Triple(EX.user4, RDF_TYPE, EX.Blogger))
+        assert small_graph.change_log_length == stamp + 1
+        assert [len(clone.deltas_since(stamp).added), clone.version] == [1, stamp + 1]
+
+    @pytest.mark.parametrize("how", ["overflow", "disabled", "clear"])
+    def test_none_exactly_when_the_source_would_say_none(self, how):
+        graph = Graph(change_log_limit=0 if how == "disabled" else 3)
+        graph.add(Triple(EX.user1, RDF_TYPE, EX.Blogger))
+        stamp = graph.version
+        if how == "clear":
+            graph.clear()
+        for index in range(4):
+            graph.add(Triple(EX.term(f"user/{index}"), RDF_TYPE, EX.Blogger))
+        assert graph.deltas_since(stamp) is None
+        clone = graph.copy()
+        clone.adopt_history(graph)
+        assert clone.deltas_since(stamp) is None
+        assert clone.deltas_since(graph.version).is_empty()
+        if how != "disabled":
+            assert len(clone.deltas_since(graph.version - 2).added) == 2
 
 
 class TestPartitionAndPickling:

@@ -62,8 +62,8 @@ class TestPublication:
         self, dataset, publish_mode
     ):
         """Both modes must expose one consistent version axis: the published
-        graph reports the writer's version at publish time (the heap copy is
-        re-stamped — ``Graph.copy`` alone would restart the counter)."""
+        graph reports the writer's version at publish time (it adopts the
+        writer's history — ``Graph.copy`` alone would restart the counter)."""
         manager = GenerationManager(dataset.instance, mode=publish_mode)
         try:
             for triple in fact_batch("stamp"):
@@ -71,6 +71,67 @@ class TestPublication:
             generation = manager.publish()
             assert generation.version == dataset.instance.version
             assert generation.graph.version == dataset.instance.version
+        finally:
+            manager.close()
+
+
+class TestGenerationsShareTheWritersAxis:
+    """A generation carries the writer's ids and the tail of its change log."""
+
+    def test_every_term_keeps_the_writers_id(self, dataset, publish_mode):
+        """Also for a writer whose insertion order differs from its set's
+        iteration order and that holds ids no triple uses any more."""
+        writer = dataset.instance
+        batch = fact_batch("ids", count=30)
+        writer.apply(add=batch)
+        writer.apply(remove=batch[:8])  # two facts gone: their ids stay assigned
+        manager = GenerationManager(writer, mode=publish_mode)
+        try:
+            graph = manager.current.graph
+            assert len(graph.dictionary) == len(writer.dictionary)
+            for term, term_id in writer.dictionary.items():
+                assert graph.encode_term(term) == term_id
+                assert graph.decode_id(term_id) == term
+            assert set(graph.encoded_triples()) == set(writer.encoded_triples())
+        finally:
+            manager.close()
+
+    def test_deltas_between_generations_are_the_writers(self, dataset, publish_mode):
+        writer = dataset.instance
+        manager = GenerationManager(writer, mode=publish_mode)
+        try:
+            first = manager.current
+            writer.apply(add=fact_batch("delta-a"))
+            second = manager.publish()
+            writer.apply(add=fact_batch("delta-b"), remove=fact_batch("delta-a")[:1])
+            third = manager.publish()
+            for older in (first, second, third):
+                ours = third.graph.deltas_since(older.version)
+                theirs = writer.deltas_since(older.version)
+                assert (set(ours.added), set(ours.removed)) == (set(theirs.added), set(theirs.removed))
+            assert len(third.graph.deltas_since(first.version)) == len(fact_batch("x")) * 2 - 1
+            # An older generation knows nothing of what came after it.
+            assert second.graph.version == second.version
+            assert second.graph.deltas_since(third.version) is None
+        finally:
+            manager.close()
+
+    @pytest.mark.parametrize("how", ["disabled", "overflow"])
+    def test_none_when_the_writers_log_cannot_answer(self, dataset, publish_mode, how):
+        writer = dataset.instance.copy()
+        if how == "disabled":
+            plain = type(writer)(change_log_limit=0)
+            plain.add_all(writer)
+            writer = plain
+        manager = GenerationManager(writer, mode=publish_mode)
+        try:
+            first = manager.current
+            count = 2 if how == "disabled" else writer.change_log_limit // 4 + 10
+            writer.apply(add=fact_batch(how, count=count))
+            current = manager.publish()
+            assert writer.deltas_since(first.version) is None
+            assert current.graph.deltas_since(first.version) is None
+            assert current.graph.deltas_since(current.version).is_empty()
         finally:
             manager.close()
 

@@ -14,7 +14,6 @@ Run with:  python examples/blogger_analytics.py [--bloggers N]
 import argparse
 
 from repro import Dice, DrillOut, OLAPSession, Slice
-from repro.bench.harness import ResultTable
 from repro.datagen import BloggerConfig, blogger_dataset
 from repro.datagen.blogger import sites_per_blogger_query, words_per_blogger_query
 
@@ -46,10 +45,7 @@ def run(bloggers: int) -> None:
     ages = sorted(sites_cube.dimension_values("dage"), key=repr)
     cities = sorted(sites_cube.dimension_values("dcity"), key=repr)
 
-    table = ResultTable(
-        ["query", "operation", "rewrite (ms)", "scratch (ms)", "speedup", "cells", "equal"],
-        title="OLAP operations: rewriting vs. from-scratch",
-    )
+    print("OLAP operations: rewriting vs. from-scratch")
     cases = [
         (sites_query, Slice("dage", ages[0])),
         (sites_query, Dice({"dage": (20, 35), "dcity": cities[:3]})),
@@ -60,16 +56,13 @@ def run(bloggers: int) -> None:
     ]
     for query, operation in cases:
         comparison = session.compare_strategies(query, operation)
-        table.add_row(
-            query.name,
-            operation.describe(),
-            comparison["rewrite_seconds"] * 1000,
-            comparison["scratch_seconds"] * 1000,
-            comparison["speedup"],
-            len(comparison["rewrite_cube"]),
-            comparison["equal"],
+        print(
+            f"  {query.name:<8} {operation.describe():<40} "
+            f"rewrite {comparison['rewrite_seconds'] * 1000:8.2f} ms   "
+            f"scratch {comparison['scratch_seconds'] * 1000:8.2f} ms   "
+            f"speedup {comparison['speedup']:6.1f}x   "
+            f"{len(comparison['rewrite_cube']):>4} cells   equal={comparison['equal']}"
         )
-    print(table.to_text())
     print()
 
     # A chained navigation, every step answered by rewriting.

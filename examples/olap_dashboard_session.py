@@ -18,7 +18,6 @@ Run with:  python examples/olap_dashboard_session.py [--facts N]
 import argparse
 
 from repro import Cube, Dice, DrillIn, DrillOut, OLAPSession, Slice
-from repro.bench.harness import ResultTable
 from repro.datagen import GenericConfig, generic_dataset
 from repro.datagen.generic import generic_query
 from repro.olap.rewriting import drill_out_from_answer_naive
@@ -93,11 +92,10 @@ def run(facts: int) -> None:
     )
 
     # Session summary.
-    table = ResultTable(["#", "query", "operation", "strategy", "ms", "cells"], title="Session history")
+    print("Session history")
     for index, record in enumerate(session.history, start=1):
-        table.add_row(index, record.query_name, record.operation, record.strategy,
-                      record.seconds * 1000, record.output_cells)
-    print(table.to_text())
+        print(f"  {index:>2}  {record.query_name:<28} {record.operation:<40} {record.strategy:<28} "
+              f"{record.seconds * 1000:8.2f} ms  {record.output_cells:>5} cells")
 
     rewritten = sum(1 for record in session.history if record.strategy.startswith("rewrite"))
     scratch = sum(1 for record in session.history if record.strategy == "scratch")

@@ -14,8 +14,7 @@ DESWeb @ ICDE 2015):
 * :mod:`repro.olap` — SLICE / DICE / DRILL-OUT / DRILL-IN and their
   view-based rewritings (Proposition 1, Algorithms 1 and 2), cube
   navigation sessions;
-* :mod:`repro.datagen` — synthetic dataset generators;
-* :mod:`repro.bench` — the experiment harness.
+* :mod:`repro.datagen` — synthetic dataset generators.
 
 Quickstart::
 

@@ -466,7 +466,7 @@ class Relation:
         return self._new(self._columns, sorted(self.rows, key=repr))
 
     def to_text(self, max_rows: int = 20) -> str:
-        """Render an ASCII table of the relation (used by examples and benches)."""
+        """Render an ASCII table of the relation (used by examples and the CLI)."""
         shown = self.rows[:max_rows]
         headers = [str(column) for column in self._columns]
         rendered = [[_render_value(value) for value in row] for row in shown]

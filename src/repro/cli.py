@@ -1,4 +1,4 @@
-"""Command-line interface: generate datasets, run the experiment suite, inspect cubes.
+"""Command-line interface: generate datasets, inspect cubes, drive the service.
 
 Installed as the ``repro-olap`` console script (also runnable as
 ``python -m repro.cli``).  Subcommands:
@@ -7,10 +7,6 @@ Installed as the ``repro-olap`` console script (also runnable as
     Generate one of the synthetic scenarios (blogger / video / generic) and
     write its base graph and AnS instance as N-Triples files.
 
-``experiments``
-    Run the EXP-1 … EXP-9 experiment workloads at a chosen scale and write a
-    Markdown report (the same harness that fills EXPERIMENTS.md).
-
 ``demo``
     Run the paper's running example end to end and print the cube, the OLAP
     transformations and the rewriting-vs-scratch comparison.  With
@@ -18,7 +14,9 @@ Installed as the ``repro-olap`` console script (also runnable as
     its costed plan is printed; with ``--advise`` the session's history is
     mined into an advisor report (what to pre-materialize / pin / evict,
     plus the fitted cost model) and the advised warm-started replay is
-    compared against the cold static planner.
+    compared against the cold static planner; with ``--serve`` concurrent
+    tenants query an :class:`~repro.serving.OLAPService` while a writer
+    republishes, and every served cube is verified against scratch.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.bench.reporting import write_report
-from repro.bench.workloads import SCALES, run_all_experiments
 from repro.datagen import (
     BloggerConfig,
     GenericConfig,
@@ -57,10 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=7)
     generate.add_argument("--base-output", default=None, help="N-Triples path for the base graph")
     generate.add_argument("--instance-output", default=None, help="N-Triples path for the AnS instance")
-
-    experiments = subparsers.add_parser("experiments", help="run the experiment suite")
-    experiments.add_argument("--scale", choices=sorted(SCALES), default="small")
-    experiments.add_argument("--output", default="experiment_report.md", help="Markdown report path")
 
     demo = subparsers.add_parser("demo", help="run the paper's running example end to end")
     demo.add_argument("--bloggers", type=int, default=200)
@@ -104,16 +96,6 @@ def _command_generate(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _command_experiments(arguments: argparse.Namespace) -> int:
-    tables = run_all_experiments(arguments.scale)
-    write_report(tables, arguments.output, heading=f"Measured results (scale: {arguments.scale})")
-    for table in tables:
-        print(table.to_text())
-        print()
-    print(f"report written to {arguments.output}")
-    return 0
-
-
 def _command_demo(arguments: argparse.Namespace) -> int:
     if arguments.serve:
         return _demo_serve()
@@ -151,40 +133,79 @@ def _command_demo(arguments: argparse.Namespace) -> int:
 
 
 def _demo_serve() -> int:
-    """Smoke the serving layer: 4 tenants × 10 requests, 90/10 read-write.
+    """Smoke the serving layer: 4 tenants × 10 seeded requests, 90/10 read-write.
 
-    Every answered cube is verified against from-scratch evaluation at the
-    generation it was served from; the run fails loudly on any divergence.
+    A write adds one fresh fact through the single writer, which republishes
+    the graph.  Every served cube is then checked against from-scratch
+    evaluation over the generation it was served from; any divergence makes
+    the exit code 1.
     """
-    from repro.bench.workloads import serving_load_run
+    import asyncio
+    import random
+    import time
+
+    from repro.analytics.evaluator import AnalyticalQueryEvaluator
+    from repro.errors import AdmissionError
+    from repro.olap.cube import Cube
+    from repro.rdf import RDF, Literal, Triple
+    from repro.rdf.namespaces import EX
+    from repro.serving import OLAPService
     from repro.serving.generations import resolve_publish_mode
 
     dataset = generic_dataset(GenericConfig(facts=300, dimensions=2, seed=7))
+    query = dataset.query
     mode = resolve_publish_mode("auto")
     print(f"serving demo: generic instance, {len(dataset.instance)} triples, publish mode {mode!r}")
-    run = serving_load_run(
-        dataset.instance,
-        dataset.schema,
-        dataset.query,
-        clients=4,
-        write_ratio=0.1,
-        requests_per_client=10,
-        seed=7,
-    )
+    rng = random.Random(7)
+    plans = [[rng.random() < 0.1 for _ in range(10)] for _ in range(4)]
+
+    def new_fact(tag: str) -> list:
+        fact = EX.term(f"fact/served-{tag}")
+        dimensions = [Triple(fact, EX.term(f"dim{d}"), EX.term(f"dimvalue/{d}/{d}")) for d in range(2)]
+        return [Triple(fact, RDF.term("type"), EX.term("Fact")), *dimensions,
+                Triple(fact, EX.term("measure"), Literal(5))]
+
+    async def drive():
+        served, latencies = [], []
+        async with OLAPService(
+            dataset.instance, dataset.schema, max_queue_depth=8, per_tenant_limit=4
+        ) as service:
+
+            async def client(index: int) -> None:
+                for step, write in enumerate(plans[index]):
+                    started = time.perf_counter()
+                    if write:
+                        await service.update(add=new_fact(f"{index}-{step}"))
+                    else:
+                        try:
+                            served.append(await service.query(f"tenant-{index}", query))
+                            latencies.append(time.perf_counter() - started)
+                        except AdmissionError:
+                            pass  # counted in service.stats, never retried
+                    await asyncio.sleep(0)
+
+            await asyncio.gather(*(client(index) for index in range(len(plans))))
+            oracles = {}
+            for result in served:
+                if result.graph_version not in oracles:
+                    answer = AnalyticalQueryEvaluator(result.generation.graph).answer(query)
+                    oracles[result.graph_version] = Cube(answer, query)
+            verified = sum(r.cube.same_cells(oracles[r.graph_version]) for r in served)
+            return served, sorted(latencies), verified, service.stats
+
+    served, latencies, verified, stats = asyncio.run(drive())
+    writes = sum(write for plan in plans for write in plan)
     print(
-        f"4 tenants x 10 requests (90/10 read-write): "
-        f"{run['served']} served, {run['writes']} writes, {run['rejected']} rejected, "
-        f"{run['publishes']} publishes"
+        f"4 tenants x 10 requests (90/10 read-write): {len(served)} served, {writes} writes, "
+        f"{stats.rejected} rejected, {stats.publishes} publishes"
     )
+    p50, p95 = (latencies[round(q * (len(latencies) - 1))] * 1000 for q in (0.5, 0.95))
+    print(f"read latency p50 {p50:.2f} ms, p95 {p95:.2f} ms")
     print(
-        f"read latency p50 {run['read_p50_ms']:.2f} ms, p95 {run['read_p95_ms']:.2f} ms, "
-        f"p99 {run['read_p99_ms']:.2f} ms; throughput {run['throughput_ops']:.1f} op/s"
+        f"snapshot versions answered: {sorted({result.graph_version for result in served})}; "
+        f"verified {verified}/{len(served)} cubes against scratch at their version"
     )
-    print(
-        f"snapshot versions answered: {run['versions_served']}; "
-        f"verified {run['verified']}/{run['served']} cubes against scratch at their version"
-    )
-    return 0 if run["verified"] == run["served"] else 1
+    return 0 if verified == len(served) else 1
 
 
 def _demo_advise(dataset, session: OLAPSession, query, operations) -> int:
@@ -234,8 +255,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     arguments = build_parser().parse_args(argv)
     if arguments.command == "generate":
         return _command_generate(arguments)
-    if arguments.command == "experiments":
-        return _command_experiments(arguments)
     if arguments.command == "demo":
         return _command_demo(arguments)
     return 2  # pragma: no cover - argparse enforces the choices above

@@ -1,7 +1,7 @@
-"""Configurable generic generator for scaling and ablation experiments.
+"""Configurable generic generator for scaling and ablation workloads.
 
-The blogger and video generators mirror the paper's examples; the scaling
-sweeps of the experiment harness need finer control: an exact number of
+The blogger and video generators mirror the paper's examples; the benchmark
+workloads and the differential oracles need finer control: an exact number of
 facts, an exact number of dimensions with chosen cardinalities, an exact
 multi-value fan-out per dimension, and a chosen number of measure values per
 fact.  :func:`generic_dataset` provides that: a star-shaped dataset where

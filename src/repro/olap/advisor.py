@@ -30,8 +30,7 @@ closing the loop: replay the workload in a new session constructed with
 ``cost_model=report.cost_model`` and warmed by
 :func:`apply_recommendations`, and the planner both prices candidates from
 observed runtimes and starts with the hot set already materialized.
-``benchmarks/bench_advisor.py`` measures exactly that against the static
-cold planner.
+``repro-olap demo --advise`` runs that loop against the static cold planner.
 """
 
 from __future__ import annotations

@@ -111,9 +111,8 @@ class CostModel:
     mmap_dispatch_shard_cost: float = 8.0
     #: Rows-touched multiplier per execution engine (vectorized columnar
     #: kernels touch a row for a fraction of the interpreted loop's cost).
-    #: ``benchmarks/bench_columnar_engine.py`` observes a from-scratch
-    #: speedup well above 1/0.35, so scratch is never under-priced into
-    #: beating a reuse strategy it would lose to in reality.
+    #: The columnar 0.35 is hand-set, not fitted; ROADMAP item 4 refits it
+    #: against measured plan regret.
     engine_multipliers: Dict[str, float] = field(
         default_factory=lambda: {"rows": 1.0, "columnar": 0.35}
     )
@@ -135,7 +134,7 @@ class CostModel:
         return self.dispatch_shard_cost
 
     def as_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-friendly; used by bench records)."""
+        """Plain-dict form (JSON-friendly; embedded in ``AdvisorReport.as_dict``)."""
         return {
             "select_row_cost": self.select_row_cost,
             "group_row_cost": self.group_row_cost,

@@ -3,7 +3,7 @@
 ``ans(Q)`` is "a cube of n dimensions, holding in each cube cell the
 corresponding aggregate measure" (Section 2).  :class:`Cube` wraps the
 answer relation with cell-level access, dimension introspection and
-display helpers used by the examples and the benchmark reports.
+display helpers used by the examples and the CLI.
 
 A cube is the **decoding boundary**: it leaves its constructor with its
 cells decoded.  The decoded map belongs to the

@@ -19,7 +19,7 @@ together — the object a data analyst (or an example script) works with:
   rewritings, σ-selecting a cached compatible (weaker-Σ) answer, or
   re-evaluating from scratch.  The forced strategies ``"rewrite"``,
   ``"scratch"`` and ``"auto"`` restrict the planner to those candidate
-  families, for experiments that compare them;
+  families, so the paths can be compared (:meth:`compare_strategies`);
 * every transformed query is materialized in turn (subject to the cache
   bound), so OLAP navigations can chain: slice, then drill-out, then dice...
 
@@ -712,7 +712,7 @@ class OLAPSession:
         return self.transform(original_query, DrillDown(dimension), strategy=strategy)
 
     # ------------------------------------------------------------------
-    # comparisons (used by examples / tests / benches)
+    # comparisons (used by examples / tests / the CLI demo)
     # ------------------------------------------------------------------
 
     def compare_strategies(
@@ -721,7 +721,7 @@ class OLAPSession:
         """Answer the transformed query with both strategies and compare.
 
         Returns a dictionary with both cubes, their timings and whether the
-        cell contents agree — the building block of the experiment harness.
+        cell contents agree.
         """
         materialized = self.materialized(query)
         original_query = materialized.query

@@ -1,7 +1,8 @@
 """Differential oracle: the columnar engine against the row engine.
 
-Hypothesis generates chains of up to six OLAP operations over blogger and
-video instances across all five aggregates (plus count_distinct); at the
+Hypothesis generates chains of up to six OLAP operations over blogger,
+video and generic (multi-valued dimensions) instances across all five
+aggregates (plus count_distinct); at the
 root and after every transformation the columnar engine's from-scratch
 ``ans(Q)`` must be cell-for-cell equal to the row engine's, and ``pres(Q)``
 bag-equal once the opaque ``newk()`` keys are projected away.  This mirrors
@@ -25,7 +26,7 @@ np = pytest.importorskip("numpy")  # the suite forces engine="columnar" explicit
 from hypothesis import given, settings, strategies as st
 
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
-from repro.analytics.query import AnalyticalQuery, KEY_COLUMN
+from repro.analytics.query import KEY_COLUMN
 from repro.algebra.aggregates import AggregateFunction
 from repro.algebra.columnar import ROW_CONVERSIONS, ColumnarIdRelation
 from repro.algebra.expressions import comparable, is_in
@@ -44,86 +45,18 @@ from repro.algebra.operators import (
 from repro.algebra.relation import IdRelation
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import Literal
-from repro.datagen import BloggerConfig, VideoConfig, blogger_dataset, video_dataset
-from repro.datagen.blogger import words_per_blogger_query
-from repro.datagen.videos import views_per_url_query
 from repro.olap.cube import Cube
-from repro.olap.operations import Dice, DrillIn, DrillOut, Slice
+
+from tests.properties.test_property_parallel import (
+    AGGREGATES,
+    _DATASETS,
+    _blogger,
+    _draw_operation,
+    _root_query,
+    _value_pool,
+)
 
 _SETTINGS = dict(max_examples=8, deadline=None, print_blob=True)
-
-AGGREGATES = ("count", "sum", "avg", "min", "max", "count_distinct")
-
-_dataset_cache = {}
-
-
-def _blogger(seed: int):
-    if ("blogger", seed) not in _dataset_cache:
-        _dataset_cache[("blogger", seed)] = blogger_dataset(
-            BloggerConfig(bloggers=14 + seed % 8, seed=seed)
-        )
-    return _dataset_cache[("blogger", seed)]
-
-
-def _video(seed: int):
-    if ("video", seed) not in _dataset_cache:
-        _dataset_cache[("video", seed)] = video_dataset(
-            VideoConfig(videos=12 + seed % 6, websites=5, seed=seed)
-        )
-    return _dataset_cache[("video", seed)]
-
-
-def _root_query(scenario: str, dataset, aggregate: str) -> AnalyticalQuery:
-    base = (
-        words_per_blogger_query(dataset.schema)
-        if scenario == "blogger"
-        else views_per_url_query(dataset.schema)
-    )
-    return AnalyticalQuery(
-        base.classifier, base.measure, aggregate, name=f"Q_{scenario}_{aggregate}"
-    )
-
-
-def _value_pool(evaluator, query):
-    cube = Cube(evaluator.answer(query), query)
-    return {
-        dimension: sorted(cube.dimension_values(dimension), key=repr)
-        for dimension in query.dimension_names
-    }
-
-
-def _draw_operation(draw, query, pools):
-    """Draw one applicable OLAP operation (None when the query is stuck)."""
-    dimensions = list(query.dimension_names)
-    sliceable = [
-        (dimension, [v for v in pools.get(dimension, []) if query.sigma[dimension].allows(v)])
-        for dimension in dimensions
-    ]
-    sliceable = [(dimension, values) for dimension, values in sliceable if values]
-    choices = []
-    if sliceable:
-        choices.extend(["slice", "dice"])
-    if dimensions:
-        choices.append("drill-out")
-    body = {variable.name for variable in query.classifier.variables()}
-    drillable = sorted(body - set(dimensions) - {query.fact_variable.name})
-    drillable = [name for name in drillable if name in pools]
-    if drillable:
-        choices.append("drill-in")
-    if not choices:
-        return None
-    kind = draw(st.sampled_from(choices))
-    if kind == "slice":
-        dimension, values = draw(st.sampled_from(sliceable))
-        return Slice(dimension, draw(st.sampled_from(values)))
-    if kind == "dice":
-        dimension, values = draw(st.sampled_from(sliceable))
-        count = draw(st.integers(min_value=1, max_value=min(4, len(values))))
-        start = draw(st.integers(min_value=0, max_value=len(values) - count))
-        return Dice({dimension: values[start : start + count]})
-    if kind == "drill-out":
-        return DrillOut(draw(st.sampled_from(dimensions)))
-    return DrillIn(draw(st.sampled_from(drillable)))
 
 
 def _assert_engines_agree(columnar_engine, row_engine, query):
@@ -141,13 +74,13 @@ def _assert_engines_agree(columnar_engine, row_engine, query):
 @given(
     data=st.data(),
     seed=st.integers(min_value=0, max_value=15),
-    scenario=st.sampled_from(["blogger", "video"]),
+    scenario=st.sampled_from(sorted(_DATASETS)),
     aggregate=st.sampled_from(AGGREGATES),
     chain_length=st.integers(min_value=1, max_value=6),
 )
 @settings(**_SETTINGS)
 def test_columnar_chain_matches_row_oracle(data, seed, scenario, aggregate, chain_length):
-    dataset = _blogger(seed) if scenario == "blogger" else _video(seed)
+    dataset = _DATASETS[scenario](seed)
     columnar_engine = AnalyticalQueryEvaluator(dataset.instance, engine="columnar")
     row_engine = AnalyticalQueryEvaluator(dataset.instance, engine="rows")
     query = _root_query(scenario, dataset, aggregate)

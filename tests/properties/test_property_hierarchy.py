@@ -255,6 +255,31 @@ def test_retail_lattice_chain_matches_scratch(data, seed, chain_length, capacity
     engine=st.sampled_from(ENGINES),
 )
 @settings(**_SETTINGS)
+def test_evicted_level_rolls_from_a_cached_finer_level(seed, engine):
+    """Evict a deep lattice level and its origin, then ask for it again: the
+    planner must roll it from a cached finer level, and the cube must still
+    equal scratch evaluation."""
+    dataset = _retail(seed)
+    config = dataset.config
+    query = revenue_query(dataset.schema)
+    session = OLAPSession(dataset.instance, dataset.schema, engine=engine)
+    session.execute(query)
+    region = session.transform(query, RollUp("dcity", city_region_hierarchy(config))).query
+    zone = session.transform(region, RollUp("dcity", region_zone_hierarchy(config))).query
+    to_departments = RollUp("dcat", category_department_hierarchy(config))
+    session.forget(session.transform(zone, to_departments).query)
+    session.forget(zone)
+    served = session.transform(zone, to_departments)
+    assert session.history[-1].strategy == "plan[rollup-from-cached]"
+    oracle = Cube(AnalyticalQueryEvaluator(dataset.instance).answer(served.query), served.query)
+    assert served.same_cells(oracle)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=20),
+    engine=st.sampled_from(ENGINES),
+)
+@settings(**_SETTINGS)
 def test_full_stack_roll_and_unroll_is_identity(seed, engine):
     """Rolling every stack level then drilling all the way back down serves
     the original cube again (through whatever strategies the planner picks)."""

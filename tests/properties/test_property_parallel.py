@@ -1,7 +1,8 @@
 """Differential oracle for the partitioned parallel execution engine.
 
-Hypothesis generates chains of up to six OLAP operations over blogger and
-video instances; at the root and after **every** transformation the
+Hypothesis generates chains of up to six OLAP operations over blogger,
+video and generic (multi-valued dimensions) instances; at the root and
+after **every** transformation the
 shard-parallel engine (workers ∈ {1, 2, 4} × shard counts {1, 3, 7}, all
 five aggregates COUNT/SUM/AVG/MIN/MAX plus count_distinct's set-merge path)
 must produce a cube cell-for-cell equal to the serial id-space engine — the
@@ -23,8 +24,16 @@ from hypothesis import given, settings, strategies as st
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery, KEY_COLUMN
 from repro.algebra.operators import project
-from repro.datagen import BloggerConfig, VideoConfig, blogger_dataset, video_dataset
+from repro.datagen import (
+    BloggerConfig,
+    GenericConfig,
+    VideoConfig,
+    blogger_dataset,
+    generic_dataset,
+    video_dataset,
+)
 from repro.datagen.blogger import words_per_blogger_query
+from repro.datagen.generic import generic_query
 from repro.datagen.videos import views_per_url_query
 from repro.olap.cube import Cube
 from repro.olap.operations import Dice, DrillIn, DrillOut, Slice
@@ -66,7 +75,22 @@ def _video(seed: int):
     return _dataset_cache[("video", seed)]
 
 
+def _generic(seed: int):
+    """Three multi-valued dimensions (fan-out 1.4) and two measures per fact."""
+    if ("generic", seed) not in _dataset_cache:
+        _dataset_cache[("generic", seed)] = generic_dataset(
+            GenericConfig(facts=40 + seed % 20, dimensions=3, values_per_dimension=1.4,
+                          measures_per_fact=2.0, seed=seed)
+        )
+    return _dataset_cache[("generic", seed)]
+
+
+_DATASETS = {"blogger": _blogger, "video": _video, "generic": _generic}
+
+
 def _root_query(scenario: str, dataset, aggregate: str) -> AnalyticalQuery:
+    if scenario == "generic":
+        return generic_query(dataset.config, aggregate, name=f"Q_generic_{aggregate}")
     if scenario == "blogger":
         base = words_per_blogger_query(dataset.schema)
     else:
@@ -136,7 +160,7 @@ def _assert_parallel_matches_serial(executor, serial, query):
 @given(
     data=st.data(),
     seed=st.integers(min_value=0, max_value=15),
-    scenario=st.sampled_from(["blogger", "video"]),
+    scenario=st.sampled_from(sorted(_DATASETS)),
     aggregate=st.sampled_from(AGGREGATES),
     workers=st.sampled_from(WORKER_CHOICES),
     shards=st.sampled_from(SHARD_CHOICES),
@@ -146,7 +170,7 @@ def _assert_parallel_matches_serial(executor, serial, query):
 def test_parallel_chain_matches_serial_oracle(
     data, seed, scenario, aggregate, workers, shards, chain_length
 ):
-    dataset = _blogger(seed) if scenario == "blogger" else _video(seed)
+    dataset = _DATASETS[scenario](seed)
     serial = AnalyticalQueryEvaluator(dataset.instance)
     query = _root_query(scenario, dataset, aggregate)
     pools = _value_pool(serial, query)

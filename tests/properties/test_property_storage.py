@@ -23,7 +23,7 @@ from repro.datagen import BloggerConfig, VideoConfig, blogger_dataset, video_dat
 from repro.olap.cube import Cube
 from repro.storage import load_snapshot, save_snapshot
 
-from tests.properties.test_property_columnar import (
+from tests.properties.test_property_parallel import (
     AGGREGATES,
     _blogger,
     _draw_operation,

@@ -17,12 +17,6 @@ class TestParser:
         assert arguments.scenario == "blogger"
         assert arguments.size == 500
 
-    def test_experiments_scale_choices(self):
-        arguments = build_parser().parse_args(["experiments", "--scale", "tiny"])
-        assert arguments.scale == "tiny"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiments", "--scale", "enormous"])
-
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
@@ -98,3 +92,31 @@ class TestDemoCommand:
         assert "publish mode" in output
         assert "read latency p50" in output
         assert "verified 32/32" in output
+
+    def test_demo_serve_follows_its_seeded_plan(self, capsys):
+        """Seed 7 fixes which of the 40 requests write: 8 writes, each one a
+        publish, and the 32 reads all admitted."""
+        assert main(["demo", "--serve"]) == 0
+        output = capsys.readouterr().out
+        assert "32 served, 8 writes, 0 rejected, 8 publishes" in output
+
+    def test_demo_serve_verifies_in_heap_mode(self, capsys, monkeypatch):
+        from repro.serving import generations
+
+        resolve = generations.resolve_publish_mode
+        monkeypatch.setattr(
+            generations,
+            "resolve_publish_mode",
+            lambda mode="auto": "heap" if mode == "auto" else resolve(mode),
+        )
+        assert main(["demo", "--serve"]) == 0
+        output = capsys.readouterr().out
+        assert "publish mode 'heap'" in output
+        assert "verified 32/32" in output
+
+    def test_demo_serve_fails_on_a_divergent_cube(self, capsys, monkeypatch):
+        from repro.olap.cube import Cube
+
+        monkeypatch.setattr(Cube, "same_cells", lambda self, other: False)
+        assert main(["demo", "--serve"]) == 1
+        assert "verified 0/32" in capsys.readouterr().out

@@ -3,10 +3,13 @@
 ``mkdocs build --strict`` runs in CI (mkdocs-material is not a test
 dependency); this suite is the local proxy that catches the same classes
 of rot without the toolchain: nav entries pointing at missing pages,
-pages missing from the nav, broken relative links between pages, and
-mkdocstrings ``:::`` targets that no longer import.
+pages missing from the nav, broken relative links between pages,
+mkdocstrings ``:::`` targets that no longer import, backticked repo paths
+that no longer exist, and a benchmarks page out of step with
+``BENCHMARK.json``.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -79,6 +82,45 @@ def test_readme_links_into_docs_resolve():
         if not target or "://" in target:
             continue
         assert (REPO_ROOT / target).exists(), f"README.md: broken link {target!r}"
+
+
+_REPO_PATH = re.compile(r"`((?:bench(?:marks|_records)|examples|src|tests)/[^`\s]*)`")
+
+_PAGES = [REPO_ROOT / "README.md", *sorted(DOCS_DIR.rglob("*.md"))]
+
+
+@pytest.mark.parametrize(
+    "page", _PAGES, ids=[str(page.relative_to(REPO_ROOT)) for page in _PAGES]
+)
+def test_backticked_repo_paths_exist(page):
+    """A page naming a deleted or renamed file fails here, not in a reader's
+    shell.  ``path::Test`` selectors are checked by their file; glob
+    patterns must match at least one path."""
+    missing = []
+    for path in _REPO_PATH.findall(page.read_text()):
+        path = path.split("::")[0].rstrip(".,:;")
+        if not (any(REPO_ROOT.glob(path)) if "*" in path else (REPO_ROOT / path).exists()):
+            missing.append(f"`{path}`")
+    assert not missing, (
+        f"{page.relative_to(REPO_ROOT)} names paths that do not exist:\n" + "\n".join(missing)
+    )
+
+
+_BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+_BENCHMARKS_PAGE = DOCS_DIR / "benchmarks.md"
+
+
+@pytest.mark.parametrize("workload", [entry["name"] for entry in _BENCHMARK["workloads"]])
+def test_benchmarks_page_covers_every_workload(workload):
+    """docs/benchmarks.md describes each declared workload and reports it."""
+    rows = [line for line in _BENCHMARKS_PAGE.read_text().splitlines()
+            if line.startswith(f"| `{workload}` |")]
+    assert len(rows) == 2, f"{workload}: expected a description row and a results row"
+
+
+@pytest.mark.parametrize("metric", [entry["name"] for entry in _BENCHMARK["end_to_end"]])
+def test_benchmarks_page_names_every_end_to_end_metric(metric):
+    assert f"`{metric}`" in _BENCHMARKS_PAGE.read_text()
 
 
 def test_mkdocstrings_targets_import():

@@ -20,10 +20,10 @@ arrays and implements the relation protocol of
   Definition 4) via argsort + ``searchsorted`` expansion;
 * ``group_states`` — γ's states via lexsort group boundaries with
   ``reduceat`` reductions for COUNT/SUM/AVG/MIN/MAX, held in array form
-  (:class:`ArrayGroupStates`) so a whole relation finalizes, and shards
-  merge (concatenate + re-reduce), without boxing one Python state per
-  group; :func:`distinct_count_states` is the serial COUNT-DISTINCT
-  (``count`` over the δ of ``(group, value)`` pairs).
+  (:class:`ArrayGroupStates`) so shards merge (concatenate + re-reduce)
+  and a whole relation finalizes into a columnar ``ans(Q)`` without boxing
+  one Python state per group; :func:`distinct_count_states` is the serial
+  COUNT-DISTINCT (``count`` over the δ of ``(group, value)`` pairs).
 
 The engine of an operator is the storage of its input: the BGP solver
 chooses it once, when it constructs a relation, and every protocol method
@@ -56,7 +56,7 @@ from collections import Counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import AggregationError, AlgebraError, ConfigurationError, SchemaMismatchError
-from repro.algebra.aggregates import COUNT, AggregateFunction
+from repro.algebra.aggregates import COUNT, AggregateFunction, get_aggregate
 from repro.algebra.expressions import (
     ColumnPredicate,
     _Conjunction,
@@ -152,16 +152,36 @@ def _as_int64(array) -> "_np.ndarray":
     return array
 
 
+def _concatenate(arrays: List["_np.ndarray"]) -> "_np.ndarray":
+    """``np.concatenate`` that converts no value: the non-empty arrays, joined
+    as ``object`` when their dtypes differ instead of promoted to a common one."""
+    filled = [array for array in arrays if len(array)] or arrays[:1]
+    if len({array.dtype for array in filled}) > 1:
+        filled = [array.astype(object) for array in filled]
+    return _np.concatenate(filled)
+
+
+def _value_array(values: List) -> "_np.ndarray":
+    """γ's aggregated column: ``int64`` when every value is a Python ``int``,
+    ``float64`` when every one is a ``float``, otherwise ``object``."""
+    kinds = set(map(type, values))
+    dtype = _np.int64 if kinds <= {int} else _np.float64 if kinds == {float} else object
+    column = _np.empty(len(values), dtype)
+    column[:] = values
+    return column
+
+
 class ColumnarIdRelation(IdRelation):
     """An :class:`~repro.algebra.relation.IdRelation` stored column-wise.
 
-    Every column — encoded term ids and plain integer columns such as the
-    ``newk()`` key column alike — is a contiguous ``int64`` numpy array, and
-    the relation protocol (σ, π, δ, ρ, ⋈, γ, ``take``, ``reorder``,
-    ``prepend_keys``) runs on the arrays and returns columnar relations.
+    Every column is a contiguous numpy array — ``int64`` for term ids and
+    the ``newk()`` keys; γ's aggregated column keeps its values' Python
+    types (see :func:`_value_array`) — and the relation protocol (σ, π, δ,
+    ρ, ⋈, γ, ``take``, ``reorder``, ``prepend_keys``) runs on the arrays
+    and returns columnar relations.
     It is an operator output, immutable; row tuples exist only in what
-    :meth:`to_rows` returns (the ``rows`` accessor, iteration and decoding
-    go through it under the reason ``"api:rows"``).
+    :meth:`to_rows` returns (the ``rows`` accessor, iteration and
+    comparisons go through it under the reason ``"api:rows"``).
 
     Construct via :meth:`from_arrays`; the protocol methods and the BGP
     evaluator's column-block solver are the only producers.
@@ -178,8 +198,8 @@ class ColumnarIdRelation(IdRelation):
         encoded: Optional[Iterable[str]] = None,
         length: Optional[int] = None,
     ) -> "ColumnarIdRelation":
-        """Adopt one ``int64`` array per column, all of ``length`` values
-        (default: the first array's; a relation without columns needs it)."""
+        """Adopt one array per column (``int64`` if encoded), all of ``length``
+        values (default: the first array's; a relation without columns needs it)."""
         if _np is None:  # pragma: no cover - guarded by resolve_engine
             raise ConfigurationError(_FAST_EXTRA_HINT)
         relation = cls.__new__(cls)
@@ -187,9 +207,10 @@ class ColumnarIdRelation(IdRelation):
         index_of = {name: index for index, name in enumerate(columns)}
         if len(index_of) != len(columns):
             raise SchemaMismatchError(f"duplicate column names in schema: {columns}")
+        encoded = frozenset(columns) if encoded is None else frozenset(encoded) & set(columns)
         adopted: Dict[str, "_np.ndarray"] = {}
         for name in columns:
-            array = _as_int64(arrays[name])
+            array = _as_int64(arrays[name]) if name in encoded else _np.asarray(arrays[name])
             if length is None:
                 length = len(array)
             elif len(array) != length:
@@ -200,9 +221,7 @@ class ColumnarIdRelation(IdRelation):
         relation._columns = columns
         relation._index_of = index_of
         relation._dictionary = dictionary
-        relation._encoded = (
-            frozenset(columns) if encoded is None else frozenset(encoded) & set(columns)
-        )
+        relation._encoded = encoded
         relation._column_arrays = adopted
         relation._length = int(length or 0)
         return relation
@@ -240,7 +259,7 @@ class ColumnarIdRelation(IdRelation):
         return self._length > 0
 
     def column_array(self, name: str) -> "_np.ndarray":
-        """The named column as an ``int64`` array (read-only)."""
+        """The named column's array (read-only)."""
         self.column_index(name)  # raises UnknownColumnError for bad names
         return self._column_arrays[name]
 
@@ -249,6 +268,19 @@ class ColumnarIdRelation(IdRelation):
 
     def distinct_values(self, name: str) -> set:
         return set(_np.unique(self.column_array(name)).tolist())
+
+    def decoded_columns(self) -> List[Sequence]:
+        """Per encoded column, its distinct ids decoded once and gathered
+        back by ``np.unique``'s inverse — no row conversion."""
+        columns = []
+        for name, array in self._column_arrays.items():
+            if name in self._encoded:
+                distinct, inverse = _np.unique(array, return_inverse=True)
+                terms = list(map(self._dictionary.decode, distinct.tolist()))
+                columns.append(list(map(terms.__getitem__, inverse.tolist())))
+            else:
+                columns.append(array.tolist())
+        return columns
 
     # -- the relation protocol, on the arrays -----------------------------
 
@@ -334,7 +366,7 @@ class ColumnarIdRelation(IdRelation):
         ):
             return self.to_rows("union:no-array-form").union_all(others)
         arrays = {
-            name: _np.concatenate([array, *(other.column_array(name) for other in others)])
+            name: _concatenate([array, *(other.column_array(name) for other in others)])
             for name, array in self._column_arrays.items()
         }
         return self._with(self._columns, arrays, self._length + sum(map(len, others)))
@@ -445,7 +477,7 @@ def _column_mask(
         return True
     if not allowed:
         return _np.zeros(len(array), dtype=bool)
-    return _np.isin(array, _np.asarray(allowed, dtype=_np.int64))
+    return _np.isin(array, _np.asarray(allowed, dtype=array.dtype))
 
 
 def _predicate_mask(relation: ColumnarIdRelation, predicate):
@@ -606,35 +638,29 @@ def _measure_value_array(
 ):
     """Per-row numeric measure values, converted once per distinct id.
 
-    Returns an int64 array (all-integer bags, kept exact) or a float64 one,
-    or None when some value does not convert to a plain int/float (Decimal,
-    strings, mixed types): the caller then falls back to the row γ, which
-    owns those semantics (including the skip-the-group answer to undefined
-    aggregates).
+    Returns an int64 array (all-``int`` bags, kept exact) or a float64 one
+    (all-``float`` bags), else None — Decimal, strings, booleans, or ints
+    mixed with floats (a group of ints alone must still sum to an ``int``):
+    the row γ owns those semantics, including the skip-the-group answer to
+    undefined aggregates.
     """
     decoded, inverse = _distinct_measure_values(relation, measure)
     try:
         prepared = aggregate.prepare(decoded)
     except AggregationError:
         return None
-    if all(isinstance(value, bool) or type(value) is int for value in prepared):
+    kinds = set(map(type, prepared))
+    if kinds <= {int}:
         # Unlimited-precision Python ints must stay exact: bound the
         # magnitude so that even a whole-relation SUM (and a cross-shard
         # merge of per-shard sums) cannot overflow int64 — 2^31 distinct
         # magnitude times < 2^31 contributing rows stays under 2^62.
         # Anything larger falls back to the row engine's exact arithmetic.
-        if any(abs(int(value)) >= (1 << 31) for value in prepared):
+        if any(abs(value) >= (1 << 31) for value in prepared):
             return None
-        lookup = _np.asarray([int(value) for value in prepared], dtype=_np.int64)
-        return lookup[inverse]
-    if all(isinstance(value, (bool, int, float)) for value in prepared):
-        try:
-            lookup = _np.asarray(
-                [float(value) for value in prepared], dtype=_np.float64
-            )
-        except OverflowError:
-            return None
-        return lookup[inverse]
+        return _np.asarray(prepared, dtype=_np.int64)[inverse]
+    if kinds == {float}:
+        return _np.asarray(prepared, dtype=_np.float64)[inverse]
     return None
 
 
@@ -706,16 +732,26 @@ class ArrayGroupStates:
     def __len__(self) -> int:
         return len(self.data[0])
 
-    def to_dict(self) -> Dict[Tuple, object]:
-        """Box into the dict-state form (to finalize, or to mix with dict partitions).
-
-        A single state array boxes to its scalar, several to a tuple — the
-        dict form's ``(sum, count)`` pair of ``avg`` — so the aggregate's one
-        ``finalize`` serves both forms.
-        """
+    def _boxed_states(self) -> Iterable:
+        """One Python state per group: a single state array boxes to its
+        scalar, several to a tuple — the dict form's ``(sum, count)`` pair of
+        ``avg`` — so the aggregate's one ``finalize`` serves both forms."""
         data_lists = [array.tolist() for array in self.data]
-        boxed = data_lists[0] if len(data_lists) == 1 else zip(*data_lists)
-        return dict(zip(_key_rows(self.keys, len(self)), boxed))
+        return data_lists[0] if len(data_lists) == 1 else zip(*data_lists)
+
+    def to_dict(self) -> Dict[Tuple, object]:
+        """Box into the dict-state form (to mix with dict partitions)."""
+        return dict(zip(_key_rows(self.keys, len(self)), self._boxed_states()))
+
+    def finalized(self, columns: Sequence[str], dictionary, encoded, decode=None) -> ColumnarIdRelation:
+        """γ's output in the arrays: the key arrays as the grouping
+        ``columns`` (``encoded`` of them ids of ``dictionary``), then the
+        aggregate's own ``finalize`` of each state."""
+        finalize = get_aggregate(self.function).finalize
+        values = [finalize(state, decode) for state in self._boxed_states()]
+        arrays = dict(zip(columns, self.keys))
+        arrays[columns[-1]] = _value_array(values)
+        return ColumnarIdRelation.from_arrays(columns, arrays, dictionary, encoded, len(values))
 
     def merge(self, other: "ArrayGroupStates") -> "ArrayGroupStates":
         """Combine two partitions' states (associative and commutative)."""
@@ -725,10 +761,8 @@ class ArrayGroupStates:
             _np.concatenate([mine, theirs])
             for mine, theirs in zip(self.keys, other.keys)
         ]
-        data = [
-            _np.concatenate([mine, theirs])
-            for mine, theirs in zip(self.data, other.data)
-        ]
+        # int64 and float64 shards re-reduce as objects: an all-int group stays int.
+        data = [_concatenate([mine, theirs]) for mine, theirs in zip(self.data, other.data)]
         length = len(data[0])
         if length == 0:
             return ArrayGroupStates(self.function, self.key_columns, keys, data)

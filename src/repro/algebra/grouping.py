@@ -11,12 +11,13 @@ There is **one** γ, built on the mergeable-state algebra of
 :mod:`repro.algebra.aggregates`: ``group_partial_states`` produces one
 state per group of one row partition, ``merge_group_states`` combines the
 state maps of disjoint partitions (fact shards) and ``finalize_group_states``
-turns a state map into γ's rows.  ``group_aggregate`` is the one-partition
-case — it finalizes the states of the whole relation — so the serial and
-the partitioned answer are the same code, not two loops kept in step.  Group
-keys stay in the relation's value space (term ids group exactly like terms
-— the encoding is bijective and shards share one dictionary), so merging
-never decodes.
+turns a state map into γ's output relation.  ``group_aggregate`` is the
+one-partition case — it finalizes the states of the whole relation — so the
+serial and the partitioned answer are the same code, not two loops kept in
+step.  Group keys stay in the relation's value space (term ids group
+exactly like terms — the encoding is bijective and shards share one
+dictionary), so merging never decodes.  Array-form states finalize into a
+columnar relation (``ans(Q)`` is columnar on the columnar engine).
 
 ``group_rows`` is the lower-level helper returning the groups themselves,
 used by the analytics evaluator when it needs to post-process bags (e.g. to
@@ -31,7 +32,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import UnknownColumnError
 from repro.algebra.aggregates import POISONED_GROUP, AggregateFunction, get_aggregate
 from repro.algebra.columnar import ArrayGroupStates
-from repro.algebra.relation import Relation, Row, relation_like, tuple_getter, value_decoder
+from repro.algebra.relation import IdRelation, Relation, Row, tuple_getter, value_decoder
 
 __all__ = [
     "group_rows",
@@ -96,11 +97,12 @@ def group_aggregate(
     # (group, value) pairs for count_distinct — sets of ids per group have
     # no array form, and boxing them costs 2.4x.
     states = relation.group_states(by, measure, aggregate, serial=True)
-    rows = finalize_group_states(states, aggregate, value_decoder(relation, measure))
     # Group keys stay in their input space (ids group exactly like terms:
     # the encoding is bijective); the aggregated column is always plain.
-    return relation_like(
-        tuple(by) + (output_column,), rows, relation, plain_columns=(output_column,)
+    encoded = [name for name in by if relation.column_decoder(name) is not None]
+    return finalize_group_states(
+        states, aggregate, (*by, output_column), getattr(relation, "dictionary", None),
+        encoded, value_decoder(relation, measure),
     )
 
 
@@ -157,27 +159,31 @@ def merge_group_states(state_maps: Iterable, function):
 def finalize_group_states(
     states,
     function,
+    columns: Sequence[str],
+    dictionary=None,
+    encoded: Sequence[str] = (),
     decode: Optional[Callable[[object], object]] = None,
-) -> List[Row]:
-    """Turn (merged) γ states into ``key + (aggregated value,)`` rows.
+) -> Relation:
+    """γ's output over (merged) states: ``columns`` are the grouping columns
+    (``encoded`` of them ids of ``dictionary``), then the aggregated one.
 
-    ``states`` is a dict state map or an
-    :class:`~repro.algebra.columnar.ArrayGroupStates`.  ``decode`` (id →
-    term) is forwarded to raw-state aggregates (count_distinct) whose
-    members are still encoded; pass the shared dictionary's decoder when
-    the measure column was id-encoded.  Poisoned groups (undefined in some
-    partition) are dropped.
+    Array states finalize in their arrays (they name the built-in that
+    finalizes them), a dict state map into rows; ``decode`` (id → term) is
+    forwarded to raw-state aggregates (count_distinct) whose members are
+    still encoded.  Poisoned groups (undefined in some partition) are dropped.
     """
+    columns = tuple(columns)
     if isinstance(states, ArrayGroupStates):
-        # Array states name the built-in that finalizes them (a serial
-        # count_distinct arrives as count states over δ'd pairs).
-        function, states = states.function, states.to_dict()
+        return states.finalized(columns, dictionary, encoded, decode)
     aggregate = get_aggregate(function)
-    return [
+    rows = [
         key + (aggregate.finalize(state, decode),)
         for key, state in states.items()
         if state is not POISONED_GROUP
     ]
+    if dictionary is None or not encoded:
+        return Relation.adopt(columns, rows)
+    return IdRelation.adopt_encoded(columns, rows, dictionary, encoded)
 
 
 def aggregate_column(relation: Relation, measure: str, function) -> object:

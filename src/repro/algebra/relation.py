@@ -587,9 +587,8 @@ class IdRelation(Relation):
 
     def iter_decoded(self) -> Iterator[Row]:
         """Iterate over the decoded rows (decoded column-wise, up front)."""
-        if not self._encoded:
-            return iter(self.rows)
-        return zip(*self.decoded_columns())
+        columns = self.decoded_columns()
+        return zip(*columns) if columns else iter(self.rows)
 
     def decoded_columns(self) -> List[Sequence]:
         """The one decode: transpose, then per encoded column one

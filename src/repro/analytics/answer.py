@@ -192,18 +192,16 @@ class CubeAnswer:
     def decoded_cells(self) -> Dict[Tuple, object]:
         """``(d₁, ..., dₙ) → measure`` over decoded values, built once.
 
-        The returned dict is shared by every cube over this answer: treat it
-        as read-only.  Two threads asking at once may both decode; they build
-        equal maps and either may be the one kept.
+        Decoded column-wise in the answer's own storage, each distinct id
+        once.  The returned dict is shared by every cube over this answer:
+        treat it as read-only.  Two threads asking at once may both decode;
+        they build equal maps and either may be the one kept.
         """
         cells = self._cells
         if cells is None:
-            storage = self._storage.to_rows("decode:ans")
-            columns = storage.decoded_columns()
-            dimensions = [columns[i] for i in storage.column_indexes(self.dimension_columns)]
-            measures = columns[storage.column_index(self.measure_column)]
-            keys = zip(*dimensions) if dimensions else [()] * len(storage)
-            cells = self._cells = dict(zip(keys, measures))
+            columns = self._storage.decoded_columns()  # (d₁, ..., dₙ, v): checked at construction
+            keys = zip(*columns[:-1]) if self.dimension_columns else [()] * len(self._storage)
+            cells = self._cells = dict(zip(keys, columns[-1]))
         return cells
 
     def patched(self, relation: Relation, replaced: Relation, regrouped: "CubeAnswer") -> "CubeAnswer":
@@ -252,7 +250,7 @@ class CubeAnswer:
     def relation(self) -> Relation:
         """The decoded answer relation ``(d₁, ..., dₙ, v)`` (lazy, cached)."""
         if self._decoded is None:
-            self._decoded = self._storage.to_rows("decode:ans").materialize()
+            self._decoded = self._storage.materialize()
         return self._decoded
 
     def __len__(self) -> int:

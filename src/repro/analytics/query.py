@@ -27,7 +27,8 @@ Validation performed at construction:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.errors import QueryDefinitionError
 from repro.algebra.aggregates import AggregateFunction, get_aggregate
@@ -36,10 +37,26 @@ from repro.bgp.query import BGPQuery
 from repro.analytics.schema import AnalyticalSchema
 from repro.analytics.sigma import DimensionRestriction, Sigma
 
-__all__ = ["AnalyticalQuery", "RollStage", "KEY_COLUMN"]
+__all__ = ["AnalyticalQuery", "RollStage", "KEY_COLUMN", "canonical_bgp_key"]
 
 #: Reserved column name for the ``newk()`` key of extended measure results.
 KEY_COLUMN = "k"
+
+def canonical_bgp_key(query: BGPQuery) -> str:
+    """Canonical text of a BGP query: ordered head, sorted body atoms.
+
+    Body order is semantically irrelevant, so atoms are sorted; variable
+    names matter (they name answer columns) and are kept as-is.
+    """
+    head = ",".join(f"?{variable.name}" for variable in query.head)
+    atoms = sorted(
+        " ".join(
+            f"?{term.name}" if isinstance(term, Variable) else term.n3()
+            for term in pattern.as_tuple()
+        )
+        for pattern in query.body
+    )
+    return f"({head}):-{'&'.join(atoms)}"
 
 
 class RollStage:
@@ -99,7 +116,9 @@ class AnalyticalQuery:
         Optional :class:`~repro.analytics.schema.AnalyticalSchema`; when
         given, classifier and measure are checked to be homomorphic to it.
     name:
-        Display name of the query (``"Q"`` by default).
+        Display name of the query (``"Q"`` by default) — the one attribute
+        that may be reassigned: the others make up the canonical keys
+        (:attr:`canonical_key`, :attr:`core_key`), derived once and held.
     """
 
     def __init__(
@@ -128,23 +147,27 @@ class AnalyticalQuery:
             )
         classifier.require_rooted()
         measure.require_rooted()
-
-        dimensions = classifier.head[1:]
-        dimension_names = tuple(variable.name for variable in dimensions)
         measure_variable = measure.head[1]
+        if measure_variable.name in (fact_variable.name, KEY_COLUMN):
+            raise QueryDefinitionError(
+                f"the measure variable ?{measure_variable.name} clashes with a reserved name"
+            )
+        if schema is not None:
+            schema.check_homomorphic(classifier)
+            schema.check_homomorphic(measure)
+        self._bind(name, classifier, measure, get_aggregate(aggregate), sigma, schema, rollup)
 
-        reserved = {fact_variable.name, measure_variable.name, KEY_COLUMN}
+    def _bind(self, name, classifier, measure, aggregate, sigma, schema, rollup) -> "AnalyticalQuery":
+        """Check the dimension names, Σ and the rollup stages against the
+        classifier's head, then set every attribute — the only write a query takes."""
+        dimension_names = tuple(variable.name for variable in classifier.head[1:])
+        reserved = {classifier.head[0].name, measure.head[1].name, KEY_COLUMN}
         clashes = [name_ for name_ in dimension_names if name_ in reserved]
         if clashes:
             raise QueryDefinitionError(
                 f"dimension names {clashes} clash with the fact variable, the measure variable "
                 f"or the reserved key column {KEY_COLUMN!r}"
             )
-        if measure_variable.name in (fact_variable.name, KEY_COLUMN):
-            raise QueryDefinitionError(
-                f"the measure variable ?{measure_variable.name} clashes with a reserved name"
-            )
-
         if sigma is None:
             sigma = Sigma(dimension_names)
         elif tuple(sigma.dimensions) != dimension_names:
@@ -152,11 +175,6 @@ class AnalyticalQuery:
                 f"Σ ranges over {tuple(sigma.dimensions)} but the classifier dimensions are "
                 f"{dimension_names}"
             )
-
-        if schema is not None:
-            schema.check_homomorphic(classifier)
-            schema.check_homomorphic(measure)
-
         rollup = tuple(rollup)
         for stage in rollup:
             if not isinstance(stage, RollStage):
@@ -173,18 +191,49 @@ class AnalyticalQuery:
                     f"rollup stage Σ ranges over {tuple(stage.sigma_before.dimensions)} "
                     f"but the classifier dimensions are {dimension_names}"
                 )
+        vars(self).update(
+            name=name, classifier=classifier, measure=measure, aggregate=aggregate,
+            sigma=sigma, schema=schema, rollup=rollup,
+        )
+        return self
 
-        self.name = name
-        self.classifier = classifier
-        self.measure = measure
-        self.aggregate = get_aggregate(aggregate)
-        self.sigma = sigma
-        self.schema = schema
-        self.rollup = rollup
+    def __setattr__(self, attribute: str, value: object) -> None:
+        if attribute != "name":
+            raise AttributeError(f"AnalyticalQuery.{attribute} is read-only; derive a new query")
+        object.__setattr__(self, attribute, value)
+
+    def _derived(self, sigma: Optional[Sigma], name: str, rollup=()) -> "AnalyticalQuery":
+        """This query's classifier, measure and aggregate (checked when it was
+        built) under another Σ and rollup stack; the core key carries over."""
+        query = AnalyticalQuery.__new__(AnalyticalQuery)._bind(
+            name, self.classifier, self.measure, self.aggregate, sigma, self.schema, rollup
+        )
+        if "core_key" in vars(self):
+            vars(query)["core_key"] = self.core_key
+        return query
 
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
+
+    @cached_property
+    def core_key(self) -> str:
+        """The Σ-independent part of the canonical form (classifier, measure,
+        aggregate): the planner's compatible-entry scans match on it."""
+        classifier, measure = canonical_bgp_key(self.classifier), canonical_bgp_key(self.measure)
+        return f"c:{classifier}|m:{measure}|agg:{self.aggregate.name}"
+
+    @cached_property
+    def canonical_key(self) -> str:
+        """The full canonical form: core key, rollup-stage tokens (the
+        lattice position: dimension, hierarchy and finer-level Σ per stage),
+        Σ value tokens.  Display names are excluded: two navigation paths
+        reaching the same analytical query share cached results."""
+        key = self.core_key
+        for level, stage in enumerate(self.rollup):
+            key += f"|roll[{level}]:{stage.canonical_token()}"
+        sigma = ";".join(f"{name}->{token}" for name, token in self.sigma.canonical_tokens())
+        return key + "|sigma:" + sigma
 
     @property
     def fact_variable(self) -> Variable:
@@ -226,14 +275,7 @@ class AnalyticalQuery:
         """The finest-granularity query under the rollup stack (self if unrolled)."""
         if not self.rollup:
             return self
-        return AnalyticalQuery(
-            self.classifier,
-            self.measure,
-            self.aggregate,
-            sigma=self.rollup[0].sigma_before,
-            schema=self.schema,
-            name=f"{self.name}@base",
-        )
+        return self._derived(self.rollup[0].sigma_before, f"{self.name}@base")
 
     def rollup_prefix(self, count: int) -> "AnalyticalQuery":
         """The lattice ancestor after only the first ``count`` rollup stages.
@@ -247,14 +289,8 @@ class AnalyticalQuery:
             )
         if count == len(self.rollup):
             return self
-        return AnalyticalQuery(
-            self.classifier,
-            self.measure,
-            self.aggregate,
-            sigma=self.rollup[count].sigma_before,
-            schema=self.schema,
-            name=f"{self.name}@lvl{count}",
-            rollup=self.rollup[:count],
+        return self._derived(
+            self.rollup[count].sigma_before, f"{self.name}@lvl{count}", self.rollup[:count]
         )
 
     def with_rollup(self, dimension: str, hierarchy: object, name: Optional[str] = None) -> "AnalyticalQuery":
@@ -270,15 +306,7 @@ class AnalyticalQuery:
             )
         stage = RollStage(dimension, hierarchy, self.sigma)
         sigma = self.sigma.restrict(dimension, DimensionRestriction.full())
-        return AnalyticalQuery(
-            self.classifier,
-            self.measure,
-            self.aggregate,
-            sigma=sigma,
-            schema=self.schema,
-            name=name or self.name,
-            rollup=self.rollup + (stage,),
-        )
+        return self._derived(sigma, name or self.name, self.rollup + (stage,))
 
     def without_last_rollup(self, name: Optional[str] = None) -> "AnalyticalQuery":
         """Pop the top ROLL-UP stage (DRILL-DOWN), restoring the finer Σ."""
@@ -303,15 +331,7 @@ class AnalyticalQuery:
 
     def with_sigma(self, sigma: Sigma, name: Optional[str] = None) -> "AnalyticalQuery":
         """Return the same query with a different Σ (SLICE / DICE)."""
-        return AnalyticalQuery(
-            self.classifier,
-            self.measure,
-            self.aggregate,
-            sigma=sigma,
-            schema=self.schema,
-            name=name or self.name,
-            rollup=self.rollup,
-        )
+        return self._derived(sigma, name or self.name, self.rollup)
 
     def with_dimensions(
         self,

@@ -47,13 +47,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analytics.answer import MaterializedQueryResults
 from repro.analytics.query import AnalyticalQuery
-from repro.bgp.query import BGPQuery
 from repro.rdf.graph import Graph
-from repro.rdf.terms import Variable
 
 __all__ = [
-    "canonical_bgp_key",
-    "canonical_core_key",
     "canonical_query_key",
     "graph_fingerprint",
     "CacheStats",
@@ -104,58 +100,10 @@ def graph_fingerprint(graph: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def canonical_bgp_key(query: BGPQuery) -> str:
-    """Canonical text of a BGP query: ordered head, sorted body atoms.
-
-    Body order is semantically irrelevant, so atoms are sorted; variable
-    names matter (they name answer columns) and are kept as-is.
-    """
-    head = ",".join(f"?{variable.name}" for variable in query.head)
-    atoms = sorted(
-        " ".join(
-            f"?{term.name}" if isinstance(term, Variable) else term.n3()
-            for term in pattern.as_tuple()
-        )
-        for pattern in query.body
-    )
-    return f"({head}):-{'&'.join(atoms)}"
-
-
-def canonical_core_key(query: AnalyticalQuery) -> str:
-    """The Σ-independent part of a query's canonical form.
-
-    Two queries with equal core keys define the same cube modulo dimension
-    restrictions — the planner scans cache entries by core key when looking
-    for a weaker-Σ ancestor whose ``ans(Q)`` can be σ-selected.
-    """
-    return "|".join(
-        (
-            "c:" + canonical_bgp_key(query.classifier),
-            "m:" + canonical_bgp_key(query.measure),
-            "agg:" + query.aggregate.name,
-        )
-    )
-
-
 def canonical_query_key(query: AnalyticalQuery) -> str:
-    """The full canonical form: core key, rollup-stage tokens, Σ value tokens.
-
-    Display names are deliberately excluded: the session names transformed
-    queries after their navigation path (``Q_slice_dage_dice``...), but two
-    paths reaching the same analytical query must share cached results.
-
-    Rolled-up queries additionally key on their position in the hierarchy
-    lattice: one token per :class:`~repro.analytics.query.RollStage`
-    (dimension, hierarchy identity and the finer-level Σ), in stack order —
-    two navigation paths reaching the same granularity share the key, while
-    cubes at different levels (or rolled through different hierarchies)
-    never collide.
-    """
-    key = canonical_core_key(query)
-    for level, stage in enumerate(query.rollup):
-        key += f"|roll[{level}]:{stage.canonical_token()}"
-    sigma = ";".join(f"{name}->{token}" for name, token in query.sigma.canonical_tokens())
-    return key + "|sigma:" + sigma
+    """The key ``query``'s results are cached under, held on the query
+    (:attr:`~repro.analytics.query.AnalyticalQuery.canonical_key`)."""
+    return query.canonical_key
 
 
 def _key_is_persistable(key: str) -> bool:
@@ -361,7 +309,7 @@ class ResultCache:
         not touch recency (the candidate list is snapshotted under the
         lock, so a concurrent insert cannot corrupt it).
         """
-        core = canonical_core_key(query)
+        core = query.core_key
         with self._lock:
             candidates = list(self._entries.values())
         for entry in candidates:
@@ -382,7 +330,7 @@ class ResultCache:
         store, when configured, is consulted and a disk hit is promoted into
         memory.
         """
-        key = canonical_query_key(query)
+        key = query.canonical_key
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry.graph_version != graph.version:
@@ -405,7 +353,7 @@ class ResultCache:
         query) is worth doing before the accounted lookup happens.
         """
         with self._lock:
-            entry = self._entries.get(canonical_query_key(query))
+            entry = self._entries.get(query.canonical_key)
             if entry is None or entry.graph_version != graph.version:
                 return None
             return entry
@@ -415,11 +363,11 @@ class ResultCache:
 
         Returns ``(entry, delta)`` when the in-memory entry for ``query``'s
         canonical form is stamped with an older graph version and the graph
-        can produce the deltas since that stamp; None otherwise (entries that turn out unpatchable are dropped
-        and counted as invalidations).  No statistics or recency updates —
-        this is the planner's candidate-enumeration probe.
+        can produce the deltas since that stamp; None otherwise (entries that
+        turn out unpatchable are dropped and counted as invalidations).  No
+        statistics or recency updates — this is the planner's probe.
         """
-        key = canonical_query_key(query)
+        key = query.canonical_key
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or entry.graph_version == graph.version:
@@ -486,9 +434,9 @@ class ResultCache:
         a born-stale entry must not poison a later warm start with a
         fingerprint it never matched.
         """
-        key = canonical_query_key(query)
+        key = query.canonical_key
         stamped = graph.version if version is None else int(version)
-        entry = CacheEntry(key, canonical_core_key(query), materialized, stamped)
+        entry = CacheEntry(key, query.core_key, materialized, stamped)
         with self._lock:
             self.stats.puts += 1
             self._insert(entry)
@@ -550,7 +498,7 @@ class ResultCache:
 
     def discard(self, query: AnalyticalQuery) -> bool:
         """Drop the in-memory entry for ``query`` (disk copies are kept)."""
-        key = canonical_query_key(query)
+        key = query.canonical_key
         with self._lock:
             self._pinned.discard(key)
             self._lazy.discard(key)
@@ -607,9 +555,7 @@ class ResultCache:
 
     @staticmethod
     def _resolve_key(query_or_key) -> str:
-        if isinstance(query_or_key, str):
-            return query_or_key
-        return canonical_query_key(query_or_key)
+        return query_or_key if isinstance(query_or_key, str) else query_or_key.canonical_key
 
     def pin(self, query_or_key) -> bool:
         """Protect an entry from LRU eviction until :meth:`unpin`.
@@ -696,7 +642,7 @@ class ResultCache:
         if materialized is None:
             return None
         entry = CacheEntry(
-            key, canonical_core_key(query), materialized, graph.version, origin="disk"
+            key, query.core_key, materialized, graph.version, origin="disk"
         )
         entry.hits += 1
         self.stats.disk_hits += 1

@@ -111,7 +111,7 @@ class CostModel:
     mmap_dispatch_shard_cost: float = 8.0
     #: Rows-touched multiplier per execution engine (vectorized columnar
     #: kernels touch a row for a fraction of the interpreted loop's cost).
-    #: The columnar 0.35 is hand-set, not fitted; ROADMAP item 4 refits it
+    #: The columnar 0.35 is hand-set, not fitted; ROADMAP item 6 refits it
     #: against measured plan regret.
     engine_multipliers: Dict[str, float] = field(
         default_factory=lambda: {"rows": 1.0, "columnar": 0.35}

@@ -14,6 +14,7 @@ same answer (a cache hit) shares it.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import OLAPError
@@ -78,9 +79,10 @@ class Cube:
     # cell access
     # ------------------------------------------------------------------
 
-    def cells(self) -> Dict[Tuple, object]:
-        """Mapping from dimension-value tuples (in dimension order) to measures."""
-        return dict(self._cells)
+    def cells(self) -> Mapping[Tuple, object]:
+        """Dimension-value tuples (in dimension order) → measures: a read-only
+        view of the map every cube over this answer shares, not a copy."""
+        return MappingProxyType(self._cells)
 
     def cell(self, *values, **named_values) -> object:
         """The measure of one cell, addressed positionally or by dimension name.

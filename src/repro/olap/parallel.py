@@ -82,7 +82,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import OLAPError
 
 from repro.algebra.grouping import finalize_group_states, merge_group_states
-from repro.algebra.relation import IdRelation, Relation
+from repro.algebra.relation import IdRelation
 from repro.analytics.answer import CubeAnswer, MaterializedQueryResults, PartialResult
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import KEY_COLUMN, AnalyticalQuery
@@ -488,14 +488,10 @@ class ParallelExecutor:
         dimension_columns = query.dimension_names
         measure_column = query.measure_variable.name
         merged = merge_group_states((states for _, states in results), query.aggregate)
-        answer_rows = finalize_group_states(merged, query.aggregate, decode=dictionary.decode)
-        answer_columns = (*dimension_columns, measure_column)
-        if dimension_columns:
-            answer_relation: Relation = IdRelation.adopt_encoded(
-                answer_columns, answer_rows, dictionary, encoded=dimension_columns
-            )
-        else:
-            answer_relation = Relation.adopt(answer_columns, answer_rows)
+        answer_relation = finalize_group_states(
+            merged, query.aggregate, (*dimension_columns, measure_column), dictionary,
+            dimension_columns, decode=dictionary.decode,
+        )
         return CubeAnswer(answer_relation, dimension_columns, measure_column)
 
     def _merge_partial(

@@ -17,7 +17,8 @@ Candidate strategies, in the order they are enumerated (a candidate's
 ``cached``
     The transformed query's own canonical form is already in the result
     cache (a repeated operation, or a warm start from disk): return the
-    stored answer.
+    stored answer.  Unless a ``families`` filter is given, a fresh hit is
+    planned alone: its ``Plan.explain()`` shows this one candidate.
 
 ``rewrite[...]``
     One of the paper's rewritings applied to the materialized results of
@@ -63,10 +64,10 @@ materialized inputs they read (with per-row weights reflecting selection vs.
 group-by vs. join work) plus their estimated output rows (reported by
 :class:`~repro.olap.rewriting.RewriteOption`); the from-scratch candidate
 sums per-triple-pattern match estimates plus the estimated BGP output
-cardinalities — the same statistics the BGP evaluator's join optimizer uses.  Cache hits pay a small
-per-cell touch cost.  The model only needs to *rank* strategies, and its
-inputs (cache entry sizes, graph statistics) are all O(1) to read, so
-planning overhead stays negligible next to evaluation.
+cardinalities — the same statistics the BGP evaluator's join optimizer
+uses; cache hits pay a small per-cell touch cost.  The model only needs to
+*rank* strategies, from inputs (entry sizes, graph statistics) that are O(1)
+to read — and a fresh hit is not ranked at all.
 
 Every constant lives in a :class:`~repro.olap.calibration.CostModel`; the
 defaults are the hand-set values, and
@@ -84,7 +85,7 @@ from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
 from repro.errors import MaterializationError, RewritingError
 from repro.olap.auxiliary import build_auxiliary_query
-from repro.olap.cache import CacheEntry, ResultCache, canonical_query_key
+from repro.olap.cache import CacheEntry, ResultCache
 from repro.olap.calibration import CostModel
 from repro.olap.maintenance import DeltaMaintainer, estimate_scratch_cost
 from repro.olap.operations import OLAPOperation
@@ -243,7 +244,7 @@ class OLAPPlanner:
         # parallel) are priced down accordingly.  The reuse candidates
         # (rewrite, compat) run in the storage of the pres(Q) they read —
         # vectorized too on a columnar pres — yet keep weight 1: a known
-        # mispricing (ROADMAP item 3), left as is rather than retuned here.
+        # mispricing (ROADMAP item 6), left as is rather than retuned here.
         self._engine_multiplier = self._model.engine_multiplier(evaluator.engine)
 
     @property
@@ -274,26 +275,25 @@ class OLAPPlanner:
         materialize_partial: bool = True,
         families: Optional[Tuple[str, ...]] = None,
     ) -> Plan:
-        """Enumerate and cost every candidate strategy for ``T(Q)``.
+        """Enumerate and cost the candidate strategies for ``T(Q)``.
 
-        ``origin_materialized`` carries the materialized results of the
-        origin query when the session still holds them; the cache supplies
-        the transformed query's own entry and compatible weaker-Σ entries.
-        The scratch candidate is always present, so a plan always exists.
+        ``origin_materialized`` carries the origin query's materialized
+        results when the session still holds them; the cache supplies the
+        transformed query's own entry and compatible weaker-Σ entries.
+        Without a ``families`` filter a fresh hit is planned alone, and
+        scratch is a candidate whenever it is not, so a plan always exists.
 
         Every candidate returns ``ans(Q_T)`` with ``pres(Q_T)``;
-        ``materialize_partial=False`` asks for the answer alone, which only
-        changes the candidates that answer by Proposition 1 (SLICE/DICE
-        ``rewrite`` and ``compat``): they then skip the σ over ``pres`` and
+        ``materialize_partial=False`` makes the Proposition 1 candidates
+        (SLICE/DICE ``rewrite`` and ``compat``) skip the σ over ``pres`` and
         return no partial result.
 
         ``families`` restricts the enumeration to the named candidate
         families (the session's forced strategies pass ``("rewrite",)`` or
-        ``("scratch",)``); unlisted families are not probed at all.  A
-        filter that leaves no candidate raises
-        :class:`~repro.errors.MaterializationError` when the origin's
-        results are not materialized, :class:`~repro.errors.RewritingError`
-        otherwise.
+        ``("scratch",)``); unlisted families are not probed.  A filter that
+        leaves no candidate raises :class:`~repro.errors.MaterializationError`
+        when the origin's results are not materialized,
+        :class:`~repro.errors.RewritingError` otherwise.
         """
 
         def wanted(family: str) -> bool:
@@ -303,6 +303,8 @@ class OLAPPlanner:
 
         if wanted("cached"):  # the query's own entry: cached, or refresh-cached when stale
             candidates.extend(self._own_entry_candidates(transformed_query))
+            if families is None and candidates and candidates[0].strategy == "cached":
+                return Plan(operation, transformed_query, candidates)
 
         if origin_materialized is not None and wanted("rewrite"):
             candidates.extend(
@@ -487,21 +489,23 @@ class OLAPPlanner:
             )
         return candidates
 
+    def _fresh_relatives(self, transformed_query: AnalyticalQuery, original_query: AnalyticalQuery):
+        """Fresh entries sharing ``transformed_query``'s core key, but for its
+        own and the origin's (the exact hit and the rewritings cover those)."""
+        version = self._evaluator.instance.version
+        covered = (transformed_query.canonical_key, original_query.canonical_key)
+        for entry in self._cache.entries_with_core(transformed_query):
+            if entry.key not in covered and entry.graph_version == version:
+                yield entry
+
     def _compatible_candidates(
         self,
         transformed_query: AnalyticalQuery,
         original_query: AnalyticalQuery,
         materialize_partial: bool,
     ) -> List[PlanCandidate]:
-        graph = self._evaluator.instance
-        target_key = canonical_query_key(transformed_query)
-        origin_key = canonical_query_key(original_query)
         candidates = []
-        for entry in self._cache.entries_with_core(transformed_query):
-            if entry.key in (target_key, origin_key):
-                continue  # exact hits and the origin are covered elsewhere
-            if entry.graph_version != graph.version:
-                continue
+        for entry in self._fresh_relatives(transformed_query, original_query):
             if tuple(entry.query.rollup) != tuple(transformed_query.rollup):
                 # Entries share the core key across lattice levels; σ-selecting
                 # an answer at a different granularity would be wrong.
@@ -541,16 +545,9 @@ class OLAPPlanner:
         """
         if not transformed_query.rollup:
             return []
-        graph = self._evaluator.instance
-        target_key = canonical_query_key(transformed_query)
-        origin_key = canonical_query_key(original_query)
         stages = transformed_query.rollup
         candidates = []
-        for entry in self._cache.entries_with_core(transformed_query):
-            if entry.key in (target_key, origin_key):
-                continue  # exact hits and the origin are covered elsewhere
-            if entry.graph_version != graph.version:
-                continue
+        for entry in self._fresh_relatives(transformed_query, original_query):
             source = entry.query
             level = len(source.rollup)
             if level >= len(stages):
@@ -659,7 +656,7 @@ class OLAPPlanner:
         serial row-level work, outside both the engine multiplier and the
         per-lane division — although it now runs in the storage of the
         ``pres`` it reads (vectorized on a columnar one): the same known
-        mispricing as the reuse candidates' (ROADMAP item 3), left as is.
+        mispricing as the reuse candidates' (ROADMAP item 6), left as is.
         """
         cost = estimate_scratch_cost(self._statistics, query)
         branch_count = self._evaluator.branch_count

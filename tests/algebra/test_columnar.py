@@ -29,7 +29,7 @@ from repro.algebra.grouping import (
     group_partial_states,
     merge_group_states,
 )
-from repro.algebra.operators import dedup, join_on, project, select
+from repro.algebra.operators import dedup, join_on, project, select, union_all
 from repro.algebra.relation import IdRelation, Relation
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import IRI, Literal
@@ -85,6 +85,32 @@ class TestColumnarIdRelation:
         assert list(columnar_relation) == list(row_relation)
         assert columnar_relation.bag_equal(row_relation)
         assert columnar_relation.materialize().bag_equal(row_relation.materialize())
+
+    def test_plain_columns_keep_their_values_types_through_select_and_union(self):
+        """γ's aggregated column is int64, float64 or object: σ on it masks
+        with its own dtype, and ∪ of differing dtypes converts no value."""
+        dictionary, ids = _dictionary_with([IRI(f"http://example.org/g{index}") for index in range(3)])
+
+        def answer(values, dtype):
+            column = np.empty(len(values), dtype=dtype)
+            column[:] = values
+            arrays = {"d": np.asarray(ids[: len(values)]), "v": column}
+            return ColumnarIdRelation.from_arrays(("d", "v"), arrays, dictionary, encoded=("d",))
+
+        ints, floats = answer([3, 4], np.int64), answer([0.5, 2.5, 3.0], np.float64)
+        mixed = answer([1, 2.5], object)
+        assert (ints.column_array("v").dtype, floats.column_array("v").dtype) == (np.int64, np.float64)
+        assert mixed.column_array("v").dtype == object
+        selected = select(floats, between("v", 1.0, 2.75))
+        assert isinstance(selected, ColumnarIdRelation) and selected.column_values("v") == [2.5]
+        assert select(mixed, equals("v", 2.5)).column_values("v") == [2.5]
+        before = ROW_CONVERSIONS.copy()
+        united = union_all(ints, floats, mixed, ints.take(slice(0, 0)))
+        assert ROW_CONVERSIONS == before and isinstance(united, ColumnarIdRelation)
+        values = united.column_values("v")
+        assert values == [3, 4, 0.5, 2.5, 3.0, 1, 2.5]
+        assert [type(value) for value in values] == [int, int, float, float, float, int, float]
+        assert union_all(ints, ints.take(slice(0, 0))).column_array("v").dtype == np.int64
 
     def test_empty_relation(self):
         dictionary = TermDictionary()
@@ -420,7 +446,9 @@ class TestArrayGroupStates:
         merged = merge_group_states(parts, aggregate)
         assert isinstance(merged, ArrayGroupStates)
         serial = group_aggregate(row_relation, ["d"], "v", aggregate)
-        assert sorted(finalize_group_states(merged, aggregate)) == sorted(serial.rows)
+        finalized = finalize_group_states(merged, aggregate, ("d", "v"), row_relation.dictionary, ("d",))
+        assert isinstance(finalized, ColumnarIdRelation)
+        assert sorted(finalized.rows) == sorted(serial.rows)
 
     def test_empty_partition_merges(self):
         columnar_relation, _ = _paired_relations(_sample_rows())
@@ -434,8 +462,8 @@ class TestArrayGroupStates:
         nothing = group_partial_states(empty, ["d"], "v", "sum")
         assert len(nothing) == 0
         merged = merge_group_states([full, nothing], "sum")
-        assert sorted(finalize_group_states(merged, "sum")) == sorted(
-            finalize_group_states(full, "sum")
+        assert sorted(finalize_group_states(merged, "sum", ("d", "v"), dictionary, ("d",)).rows) == sorted(
+            finalize_group_states(full, "sum", ("d", "v"), dictionary, ("d",)).rows
         )
 
     def test_mixed_array_and_dict_partitions(self):

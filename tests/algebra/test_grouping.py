@@ -184,11 +184,7 @@ def test_gamma_oracle(name, aggregate, grouped, engine):
     for every split of the rows into 1, 2 and 5 partitions."""
     import random
 
-    from repro.algebra.grouping import (
-        finalize_group_states,
-        group_partial_states,
-        merge_group_states,
-    )
+    from repro.algebra.grouping import finalize_group_states, group_partial_states, merge_group_states
     from repro.rdf.dictionary import TermDictionary
 
     from tests.naive_oracle import naive_group_aggregate
@@ -225,8 +221,12 @@ def test_gamma_oracle(name, aggregate, grouped, engine):
                 ),
                 aggregate,
             )
-            merged = finalize_group_states(states, aggregate, decode=whole.column_decoder("v"))
-            assert _cells(merged, dictionary, grouped) == expected, parts
+            merged = finalize_group_states(
+                states, aggregate, (*by, "v"), dictionary, () if plain else by,
+                decode=whole.column_decoder("v"),
+            )
+            assert merged.columns == (*by, "v")
+            assert _cells(merged.rows, dictionary, grouped) == expected, parts
 
 
 class TestBagFunctionAggregate:

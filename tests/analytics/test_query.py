@@ -28,6 +28,12 @@ def measure():
     )
 
 
+def _city_hierarchy():
+    from repro.olap.hierarchy import DimensionHierarchy
+
+    return DimensionHierarchy({EX.term("Madrid"): "Spain", EX.term("NY"): "USA"}, name="country")
+
+
 class TestConstruction:
     def test_example1_query(self):
         query = AnalyticalQuery(classifier(), measure(), "count", name="Q")
@@ -121,6 +127,45 @@ class TestDerivedQueries:
         query = AnalyticalQuery(classifier(), measure(), "count")
         with pytest.raises(QueryDefinitionError):
             query.with_dimensions(["dcity", "dbrowser"])
+
+    def test_sigma_and_rollup_derivations_reuse_the_validated_bodies(self, monkeypatch):
+        """with_sigma / with_rollup / rollup_prefix / base_query keep the
+        classifier and measure: rootedness and the schema are not re-checked.
+        with_dimensions builds a new classifier head and checks everything."""
+        from repro.bgp.query import BGPQuery
+
+        schema = blogger_schema()
+        query = AnalyticalQuery(classifier(), measure(), "count", schema=schema)
+        checks = []
+        monkeypatch.setattr(BGPQuery, "require_rooted", lambda self: checks.append("rooted") or self)
+        monkeypatch.setattr(type(schema), "check_homomorphic", lambda self, bgp: checks.append("schema"))
+        rolled = query.with_sigma(query.sigma).with_rollup("dcity", _city_hierarchy())
+        assert rolled.rollup_prefix(0).rollup == () and rolled.base_query().rollup == ()
+        assert checks == []
+        query.with_dimensions(["dcity"])
+        assert checks == ["rooted", "rooted", "schema", "schema"]
+
+    def test_sigma_and_rollup_derivations_still_check_what_changes(self):
+        query = AnalyticalQuery(classifier(), measure(), "count")
+        hierarchy = _city_hierarchy()
+        with pytest.raises(QueryDefinitionError):
+            query.with_sigma(Sigma(["other"]))
+        with pytest.raises(QueryDefinitionError):
+            query.with_rollup("other", hierarchy)
+        with pytest.raises(QueryDefinitionError):
+            query.with_rollup("dcity", object())  # no parent(): not a hierarchy
+        rolled = query.with_rollup("dcity", hierarchy).with_rollup("dcity", hierarchy)
+        # A stage whose recorded Σ no longer ranges over the dimensions: the
+        # base Σ it hands over, and the prefix stack holding it, are refused.
+        rolled.rollup[0].sigma_before = Sigma(["other"])
+        with pytest.raises(QueryDefinitionError):
+            rolled.base_query()
+        with pytest.raises(QueryDefinitionError):
+            rolled.rollup_prefix(1)
+        rolled.rollup[0].sigma_before = query.sigma
+        rolled.rollup[0].dimension = "other"
+        with pytest.raises(QueryDefinitionError):
+            rolled.rollup_prefix(1)
 
     def test_describe_mentions_components(self):
         query = make_sites_query()

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import MaterializationError
 from repro.rdf import EX, Literal, RDF, Triple
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
-from repro.olap.cache import ResultCache, canonical_core_key, canonical_query_key
+from repro.olap.cache import ResultCache, canonical_query_key
 from repro.olap.cube import Cube
 from repro.olap.operations import Dice, DrillOut, Slice
 from repro.olap.session import OLAPSession
@@ -39,7 +39,7 @@ class TestCanonicalKeys:
     def test_sigma_changes_key_but_not_core(self, sites_query):
         sliced = Slice("dage", Literal(35)).apply(sites_query)
         assert canonical_query_key(sliced) != canonical_query_key(sites_query)
-        assert canonical_core_key(sliced) == canonical_core_key(sites_query)
+        assert sliced.core_key == sites_query.core_key
 
     def test_value_set_order_is_canonical(self, sites_query):
         forward = Dice({"dcity": [EX.term("Madrid"), EX.term("NY")]}).apply(sites_query)
@@ -60,6 +60,48 @@ class TestCanonicalKeys:
         assert canonical_query_key(one) == canonical_query_key(other)
         different = Dice({"dage": (20, 41)}).apply(sites_query)
         assert canonical_query_key(one) != canonical_query_key(different)
+
+    def test_a_query_object_derives_its_keys_once(
+        self, monkeypatch, example2_instance, sites_query, materialized
+    ):
+        """The cache reads the keys the query holds: however often it is
+        looked up, one query object runs ``canonical_bgp_key`` at most twice
+        (its classifier and its measure, for the core key)."""
+        from repro.analytics import query as query_module
+        from repro.analytics.query import AnalyticalQuery
+
+        calls = []
+        original = query_module.canonical_bgp_key
+        monkeypatch.setattr(
+            query_module, "canonical_bgp_key", lambda bgp: calls.append(bgp) or original(bgp)
+        )
+        fresh = AnalyticalQuery(
+            sites_query.classifier, sites_query.measure, sites_query.aggregate, name="fresh"
+        )
+        cache = ResultCache(capacity=4)
+        for _ in range(3):
+            assert cache.get(fresh, example2_instance) is None
+            assert cache.peek(fresh, example2_instance) is None
+            assert cache.stale_entry(fresh, example2_instance) is None
+        cache.put(fresh, materialized, example2_instance)
+        for _ in range(3):
+            assert cache.get(fresh, example2_instance) is not None
+            assert list(cache.entries_with_core(fresh))
+        assert len(calls) == 2
+        # A SLICE of it is a new query with its own Σ, but the same core key.
+        sliced = Slice("dage", Literal(35)).apply(fresh)
+        cache.get(sliced, example2_instance)
+        assert len(calls) == 2
+        assert canonical_query_key(fresh) == canonical_query_key(sites_query)
+
+    def test_a_query_is_read_only_but_its_name(self, sites_query):
+        key = canonical_query_key(sites_query)
+        for attribute in ("sigma", "classifier", "measure", "aggregate", "rollup", "schema"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(sites_query, attribute, getattr(sites_query, attribute))
+        renamed = sites_query.with_sigma(sites_query.sigma)
+        renamed.name = "display name only"
+        assert canonical_query_key(renamed) == key
 
 
 class TestLRUBehaviour:

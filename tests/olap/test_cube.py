@@ -76,7 +76,9 @@ class TestDecodeOnce:
     """The decoded forms live on the ``CubeAnswer``: cubes, ``dimension_values``
     and ``cell`` lookups over one answer share one decode and one index."""
 
-    def test_one_conversion_per_answer_however_many_cubes(self):
+    def test_one_columnwise_decode_per_answer_however_many_cubes(self):
+        """A columnar answer decodes in its arrays — each distinct id once,
+        no row conversion — and only the first cube over it pays."""
         np = pytest.importorskip("numpy")
         from repro.algebra.columnar import ROW_CONVERSIONS, ColumnarIdRelation
         from repro.rdf.dictionary import TermDictionary
@@ -91,13 +93,26 @@ class TestDecodeOnce:
             encoded=("dage", "dcity"),
         )
         answer = CubeAnswer(relation, ("dage", "dcity"), "v")
-        before = ROW_CONVERSIONS["decode:ans"]
-        for _ in range(3):
-            cube = Cube(answer)
-            assert cube.dimension_values("dcity") == {EX.term("Madrid"), EX.term("NY")}
-            assert cube.cell(28, "http://example.org/NY") == 9
-            assert cube.cell(Literal(35), EX.term("NY")) == 2
-        assert ROW_CONVERSIONS["decode:ans"] == before + 1
+        decoded = []
+        original = dictionary.decode
+        dictionary.decode = lambda term_id: decoded.append(term_id) or original(term_id)
+        before = ROW_CONVERSIONS.copy()
+        try:
+            for _ in range(3):
+                cube = Cube(answer)
+                assert cube.dimension_values("dcity") == {EX.term("Madrid"), EX.term("NY")}
+                assert cube.cell(28, "http://example.org/NY") == 9
+                assert cube.cell(Literal(35), EX.term("NY")) == 2
+            assert answer.relation.rows == [
+                (Literal(28), EX.term("Madrid"), 3),
+                (Literal(35), EX.term("NY"), 2),
+                (Literal(28), EX.term("NY"), 9),
+            ]
+        finally:
+            del dictionary.decode
+        assert ROW_CONVERSIONS == before
+        # Each distinct id once for the cells, once for the decoded relation.
+        assert sorted(decoded) == sorted(2 * list(set(ages) | set(cities)))
 
     def test_second_chance_lookup_converts_the_cells_once(self, monkeypatch):
         from repro.algebra import expressions

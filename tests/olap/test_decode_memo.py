@@ -98,7 +98,7 @@ def test_the_refreshed_entry_serves_the_refreshed_cells(dataset, engine):
     graph = dataset.instance.copy()
     with OLAPSession(graph, dataset.schema, engine=engine) as session:
         before = session.execute(query)
-        stale_cells = before.cells()
+        stale_cells = dict(before.cells())  # a snapshot: cells() is a live view
         ingestor = StreamIngestor(
             graph, batch_size=4, scheduler=RefreshScheduler([session], policy="eager")
         )
@@ -120,16 +120,23 @@ def test_the_refreshed_entry_serves_the_refreshed_cells(dataset, engine):
         assert before.cells() == stale_cells  # the old cube still reads its own version
 
 
-def test_mutating_cells_changes_neither_this_cube_nor_the_next_hit(dataset):
+def test_cells_is_a_read_only_view_of_the_shared_map(dataset):
+    """``cells()`` copies nothing and cannot be written through: the map is
+    the answer's, shared by this cube and the next hit."""
     query = _query()
     with OLAPSession(dataset.instance.copy(), dataset.schema) as session:
         cube = session.execute(query)
         pristine = dict(_cell_map(cube))
         handed_out = cube.cells()
-        handed_out.clear()
-        handed_out[("bogus",)] = -1
-        assert cube.cells() == pristine
-        assert session.execute(query).cells() == pristine
+        with pytest.raises(TypeError):
+            handed_out[("bogus",)] = -1
+        with pytest.raises(AttributeError):
+            handed_out.clear()
+        assert handed_out == pristine
+        hit = session.execute(query)
+        assert hit.record.strategy == "cache"
+        assert hit.cells() == pristine
+        assert hit.cells() == cube.cells() and _cell_map(hit) is _cell_map(cube)
 
 
 def test_two_threads_building_cubes_over_one_cached_answer_agree(dataset):

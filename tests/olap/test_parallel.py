@@ -159,7 +159,7 @@ class TestGroupPartialStates:
                 (group_partial_states(part, by=("d",), measure="v", function=name) for part in split),
                 name,
             )
-            finalized = finalize_group_states(merged, name)
+            finalized = finalize_group_states(merged, name, ("d", "v")).rows
             assert sorted(finalized) == sorted(serial.rows), name
 
     def test_none_measures_are_filtered_like_serial_gamma(self):
@@ -171,7 +171,7 @@ class TestGroupPartialStates:
         states = group_partial_states(self._relation([]), by=("d",), measure="v", function="sum")
         assert states == {}
         assert merge_group_states([states, {}], "sum") == {}
-        assert finalize_group_states({}, "sum") == []
+        assert finalize_group_states({}, "sum", ("d", "v")).rows == []
 
     def test_non_mergeable_aggregate_states_do_not_merge(self):
         registry = default_registry()
@@ -184,7 +184,7 @@ class TestGroupPartialStates:
         states = group_partial_states(
             self._relation([("a", 1), ("a", 9), ("a", 4)]), by=("d",), measure="v", function=name
         )
-        assert finalize_group_states(states, name) == [("a", 4)]
+        assert finalize_group_states(states, name, ("d", "v")).rows == [("a", 4)]
         # ... which a second partition's slice of the same group cannot join.
         with pytest.raises(AggregationError):
             merge_group_states([states, states], name)
@@ -407,7 +407,7 @@ class TestMixedTypeGroupSemantics:
                 (group_partial_states(part, by=("d",), measure="v", function="sum") for part in parts),
                 "sum",
             )
-            assert sorted(finalize_group_states(merged, "sum")) == [("b", 7)], cut
+            assert sorted(finalize_group_states(merged, "sum", ("d", "v"))) == [("b", 7)], cut
             if 0 < cut < 3:  # the mixed group really was split across parts
                 assert merged[("a",)] is POISONED_GROUP
 

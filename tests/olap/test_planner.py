@@ -7,7 +7,7 @@ from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.datagen.retail import RetailConfig, retail_dataset, revenue_query
 from repro.olap.cube import Cube
 from repro.olap.operations import Dice, DrillIn, DrillOut, Slice
-from repro.olap.planner import Plan
+from repro.olap.planner import OLAPPlanner, Plan
 from repro.olap.session import OLAPSession
 
 from tests.conftest import make_sites_query, make_views_query
@@ -65,6 +65,67 @@ class TestPlanEnumeration:
         session.transform(query, operation, strategy="plan")
         plan = _plan(session, query, operation)
         assert plan.chosen.strategy == "cached"
+
+    def test_a_fresh_hit_is_planned_alone(self, executed, monkeypatch):
+        """Neither scratch nor the compatible-entry scan is priced for a query
+        the cache then serves; a filtered plan still enumerates its families."""
+        session, query = executed
+        operation = Slice("dage", Literal(35))
+        session.transform(query, operation)
+        probed = []
+        for name in ("_scratch_candidate", "_compatible_candidates"):
+            original = getattr(OLAPPlanner, name)
+            monkeypatch.setattr(
+                OLAPPlanner,
+                name,
+                lambda self, *args, _name=name, _original=original: probed.append(_name)
+                or _original(self, *args),
+            )
+        cube = session.transform(query, operation)
+        assert cube.record.strategy == "plan[cached]"
+        plan = _plan(session, query, operation)
+        assert [candidate.strategy for candidate in plan.candidates] == ["cached"]
+        assert probed == []
+        assert session.explain_last().count("cost~") == 1
+        forced = session.transform(query, operation, strategy="scratch")
+        assert forced.record.strategy == "scratch" and probed == ["_scratch_candidate"]
+
+    def test_the_hit_fast_path_changes_no_choice_and_no_cache_accounting(self, example2_instance):
+        """One operation stream, planned as usual and through the full
+        enumeration (every family named): the same strategies, cells, hit and
+        miss counts, evictions, and LRU order of the keys."""
+        every_family = ("cached", "rewrite", "compat", "rollup-from-cached", "parallel", "scratch")
+        query = make_sites_query()
+        stream = [
+            Slice("dage", Literal(35)),
+            Dice({"dcity": [EX.term("NY")]}),
+            Slice("dage", Literal(35)),
+            DrillOut("dage"),
+            Dice({"dcity": [EX.term("NY")]}),
+            Slice("dage", Literal(28)),
+            DrillOut("dage"),
+            Slice("dage", Literal(35)),
+        ]
+
+        def replay(full):
+            session = OLAPSession(example2_instance, engine="rows", cache_capacity=4)
+            if full:
+                plan = session.planner.plan
+                session.planner.plan = lambda *args, families=None, **kwargs: plan(
+                    *args, families=families or every_family, **kwargs
+                )
+            session.execute(query)
+            served = [
+                (cube.record.strategy, dict(cube.cells()))
+                for cube in (session.transform(query, operation) for operation in stream)
+            ]
+            stats = session.cache.stats
+            return served, (stats.hits, stats.misses, stats.evictions), session.cache.keys()
+
+        fast, full = replay(full=False), replay(full=True)
+        assert [strategy for strategy, _ in fast[0]].count("plan[cached]") >= 2
+        assert fast[1][2] >= 1  # the stream evicts too
+        assert fast == full
 
     def test_compatible_cached_view_is_found(self, executed):
         """A DICE strengthening a cached SLICE reuses the slice's answer."""

@@ -316,9 +316,10 @@ def test_rewriting_chain_is_closed_over_the_engine(monkeypatch):
     """execute → SLICE → DICE → DRILL-OUT → DRILL-OUT → DRILL-IN under forced
     ``rewrite`` with the one arrays → rows conversion patched to raise: every
     derivation and its γ run on the storage of the ``pres`` they read (on the
-    columnar engine every stored ``pres`` is columnar; on the row engine the
-    protocol's other implementation makes this trivially true), and every
-    cube equals scratch and the naive oracle."""
+    columnar engine every stored ``pres`` and ``ans`` is columnar; on the row
+    engine the protocol's other implementation makes this trivially true), the
+    cube of every step decodes without leaving it, and every cube equals
+    scratch and the naive oracle."""
     from repro.algebra.columnar import ColumnarIdRelation
     from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
 
@@ -351,6 +352,7 @@ def test_rewriting_chain_is_closed_over_the_engine(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(ColumnarIdRelation, "to_rows", refuse)
                 cubes.append(step())
+                _assert_cube_decodes_in_its_storage(cubes[-1], session)
             cube = cubes[-1]
             stored = session.materialized(cube.query).partial.storage
             assert isinstance(stored, ColumnarIdRelation) == (session.engine == "columnar")
@@ -360,11 +362,27 @@ def test_rewriting_chain_is_closed_over_the_engine(monkeypatch):
         assert cubes[-1].dimensions == ("d0", "da")
 
 
+def _assert_cube_decodes_in_its_storage(cube, session):
+    """The step's ``ans(Q)`` is in the engine's storage, and a cube built
+    over it from nothing (a cold decode: cells, then the decoded relation)
+    equals the served one — run where ``to_rows`` raises, so the decode
+    never leaves the arrays."""
+    from repro.algebra.columnar import ColumnarIdRelation
+
+    answer = session.materialized(cube.query).answer
+    assert isinstance(answer.storage, ColumnarIdRelation) == (session.engine == "columnar")
+    cold = CubeAnswer(answer.storage, answer.dimension_columns, answer.measure_column)
+    rebuilt = Cube(cold, cube.query)
+    assert dict(rebuilt.cells()) == dict(cube.cells())
+    assert len(cold.relation) == len(cube)
+
+
 def test_roll_up_chain_is_closed_over_the_engine(monkeypatch):
     """ROLL-UP → SLICE → ROLL-UP → DRILL-DOWN → DRILL-IN with the arrays → rows
-    conversion patched to raise for every reason but the answer decode: the
-    parent substitution, the σ / δ around it and the γ after it run on the
-    storage of the ``pres`` they read.  Every step that has a rewriting is
+    conversion patched to raise, the cube of every step built and decoded
+    under the patch: the parent substitution, the σ / δ around it, the γ
+    after it and the decode of its answer run on the storage of the ``pres``
+    they read.  Every step that has a rewriting is
     forced onto it; DRILL-DOWN has none (the planner serves the finer cube it
     materialized on the way up) and a rolled query cannot change dimensions,
     so DRILL-IN starts from the root.  Parents are no terms of the graph."""
@@ -387,12 +405,8 @@ def test_roll_up_chain_is_closed_over_the_engine(monkeypatch):
         classify=lambda bucket: "low" if bucket in (EX.term("d0bucket/0"), EX.term("d0bucket/1")) else "high",
         name="d0_half",
     )
-    to_rows = ColumnarIdRelation.to_rows
-
     def refuse(self, reason):
-        if reason != "decode:ans":
-            raise AssertionError(f"a rewriting left the columnar engine: to_rows({reason!r})")
-        return to_rows(self, reason)
+        raise AssertionError(f"a rewriting left the columnar engine: to_rows({reason!r})")
 
     with OLAPSession(dataset.instance, dataset.schema) as session:
         chain = [
@@ -411,12 +425,14 @@ def test_roll_up_chain_is_closed_over_the_engine(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(ColumnarIdRelation, "to_rows", refuse)
                 cubes.append(step())
+                _assert_cube_decodes_in_its_storage(cubes[-1], session)
             cube = cubes[-1]
             stored = session.materialized(cube.query).partial.storage
             assert isinstance(stored, ColumnarIdRelation) == (session.engine == "columnar")
             assert Cube(session.evaluator.answer(cube.query), cube.query).same_cells(cube)
             assert _naive_cube(dataset.instance, cube.query).same_cells(cube)
         assert ROW_CONVERSIONS["decode:pres"] == decoded_pres
+        assert ROW_CONVERSIONS["decode:ans"] == 0
         assert [cube.record.strategy for cube in cubes[1:]] == [
             "rewrite[roll-up/pres]", "rewrite[slice-dice/ans]", "rewrite[roll-up/pres]",
             "plan[cached]", "rewrite[drill-in/pres+aux]",
@@ -427,10 +443,10 @@ def test_roll_up_chain_is_closed_over_the_engine(monkeypatch):
 
 def test_delta_refresh_is_closed_over_the_engine(monkeypatch):
     """execute → ``Graph.apply`` → execute, twice (an insertion, then a
-    retraction), with the arrays → rows conversion patched to raise for every
-    reason but the answer decode: the splice of a refresh — σ, ⋉, ∪ — runs on
-    the storage of the ``pres`` it patches, so a columnar ``pres`` is still
-    columnar afterwards (it used to become a row relation for good)."""
+    retraction), with the arrays → rows conversion patched to raise while the
+    refreshed cube is built and decoded: the splice of a refresh — σ, ⋉, ∪ —
+    runs on the storage of the ``pres`` and the ``ans`` it patches, so both
+    are still columnar afterwards."""
     from repro.algebra.columnar import ROW_CONVERSIONS, ColumnarIdRelation
     from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
 
@@ -455,12 +471,8 @@ def test_delta_refresh_is_closed_over_the_engine(monkeypatch):
         Triple(fact, EX.measure, Literal(9)),
         Triple(fact, EX.hasDetail, EX.term("detail/1")),
     ]
-    to_rows = ColumnarIdRelation.to_rows
-
     def refuse(self, reason):
-        if reason != "decode:ans":
-            raise AssertionError(f"a refresh left the columnar engine: to_rows({reason!r})")
-        return to_rows(self, reason)
+        raise AssertionError(f"a refresh left the columnar engine: to_rows({reason!r})")
 
     with OLAPSession(graph, dataset.schema) as session:
         for query in queries:
@@ -471,9 +483,10 @@ def test_delta_refresh_is_closed_over_the_engine(monkeypatch):
                 with monkeypatch.context() as patch:
                     patch.setattr(ColumnarIdRelation, "to_rows", refuse)
                     cube = session.execute(query)
+                    _assert_cube_decodes_in_its_storage(cube, session)
                 assert cube.record.strategy == "refresh"
                 stored = session.materialized(query).partial.storage
                 assert isinstance(stored, ColumnarIdRelation) == (session.engine == "columnar")
                 assert Cube(session.evaluator.answer(query), query).same_cells(cube)
                 assert _naive_cube(graph, query).same_cells(cube)
-        assert ROW_CONVERSIONS["refresh:splice"] == 0
+        assert ROW_CONVERSIONS["refresh:splice"] == ROW_CONVERSIONS["decode:ans"] == 0

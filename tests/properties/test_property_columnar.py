@@ -26,9 +26,10 @@ np = pytest.importorskip("numpy")  # the suite forces engine="columnar" explicit
 from hypothesis import given, settings, strategies as st
 
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
-from repro.analytics.query import KEY_COLUMN
-from repro.algebra.aggregates import AggregateFunction
+from repro.analytics.query import KEY_COLUMN, AnalyticalQuery
+from repro.algebra.aggregates import AggregateFunction, default_registry
 from repro.algebra.columnar import ROW_CONVERSIONS, ColumnarIdRelation
+from repro.bgp.parser import parse_query
 from repro.algebra.expressions import comparable, is_in
 from repro.algebra.grouping import group_aggregate
 from repro.algebra.operators import (
@@ -43,8 +44,10 @@ from repro.algebra.operators import (
     union_all,
 )
 from repro.algebra.relation import IdRelation
+from repro.rdf import EX, RDF, Graph, Triple
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import Literal
+from repro.olap import DimensionHierarchy, OLAPSession, RollUp, Slice
 from repro.olap.cube import Cube
 
 from tests.properties.test_property_parallel import (
@@ -59,12 +62,17 @@ from tests.properties.test_property_parallel import (
 _SETTINGS = dict(max_examples=8, deadline=None, print_blob=True)
 
 
+def _measure_types(answer):
+    return {key: type(value) for key, value in answer.decoded_cells().items()}
+
+
 def _assert_engines_agree(columnar_engine, row_engine, query):
     fast = columnar_engine.evaluate(query)
     slow = row_engine.evaluate(query)
     assert Cube(fast.answer, query).same_cells(Cube(slow.answer, query)), (
         f"columnar diverged from the row oracle on {query.name}"
     )
+    assert _measure_types(fast.answer) == _measure_types(slow.answer)
     keyless = [name for name in slow.partial.columns if name != KEY_COLUMN]
     assert project(fast.partial.storage, keyless).bag_equal(
         project(slow.partial.storage, keyless)
@@ -126,6 +134,79 @@ def test_columnar_shard_evaluation_matches_row_oracle(seed, aggregate, shards):
         )
     finally:
         executor.close()
+
+
+# ---------------------------------------------------------------------------
+# ans(Q) itself: the columnar answer holds the row answer's cells, each
+# measure of the same Python type — a count of 3 never becomes 3.0
+# ---------------------------------------------------------------------------
+
+_MEDIAN = AggregateFunction("median_columnar_oracle", lambda bag: sorted(bag)[len(bag) // 2], False)
+if _MEDIAN.name not in default_registry():
+    default_registry().register(_MEDIAN)
+
+_HALVES = DimensionHierarchy(
+    classify=lambda value: "low" if str(value).endswith(("/0", "/1")) else "high", name="d0_half"
+)
+
+#: case → (measures of fact i, aggregate, columnar ans(Q)?, ROLL-UP of d0?)
+_ANSWER_CASES = {
+    "sum of ints": (lambda i: (i % 5 + 1, i % 3 + 7), "sum", True, False),
+    "avg": (lambda i: (i % 5 + 1, i % 3 + 7), "avg", True, False),
+    "sum of floats": (lambda i: (0.5 * (i % 4), 0.25 + i % 3), "sum", True, False),
+    "sum of ints and floats": (lambda i: (i % 5 + 1,) if i % 3 else (0.5,), "sum", False, False),
+    "count_distinct": (lambda i: (i % 4, (i + 1) % 4), "count_distinct", True, False),
+    "custom aggregate": (lambda i: (i % 5 + 1, i % 3 + 7), _MEDIAN.name, False, False),
+    "ints of 2^31 and more": (lambda i: (2**31 + i, 2**40), "sum", False, False),
+    "roll-up to derived ids": (lambda i: (i % 5 + 1, i % 3 + 7), "sum", True, True),
+}
+
+
+def _answer_case(measures):
+    """Facts over two dimensions — ``d0`` multi-valued for every third fact —
+    with ``measures(i)`` as fact ``i``'s measure values."""
+    graph = Graph()
+    for index in range(24):
+        fact = EX.term(f"fact/{index}")
+        graph.add(Triple(fact, RDF.term("type"), EX.term("Fact")))
+        graph.add(Triple(fact, EX.term("dim0"), EX.term(f"d0/{index % 4}")))
+        if index % 3 == 0:
+            graph.add(Triple(fact, EX.term("dim0"), EX.term(f"d0/{(index + 1) % 4}")))
+        graph.add(Triple(fact, EX.term("dim1"), EX.term(f"d1/{index % 2}")))
+        for value in measures(index):
+            graph.add(Triple(fact, EX.term("measure"), Literal(value)))
+    return graph
+
+
+@pytest.mark.parametrize("case", list(_ANSWER_CASES))
+def test_answer_cells_and_measure_types_match_the_row_oracle(case):
+    measures, aggregate, columnar_answer, rolled = _ANSWER_CASES[case]
+    graph = _answer_case(measures)
+    query = AnalyticalQuery(
+        parse_query("c(?x, ?d0, ?d1) :- ?x rdf:type ex:Fact, ?x ex:dim0 ?d0, ?x ex:dim1 ?d1"),
+        parse_query("m(?x, ?v) :- ?x ex:measure ?v"),
+        aggregate,
+        name="answer_case",
+    )
+    if rolled:
+        query = RollUp("d0", _HALVES).apply(query)
+    fast = AnalyticalQueryEvaluator(graph, engine="columnar").answer(query)
+    slow = AnalyticalQueryEvaluator(graph, engine="rows").answer(query)
+    assert isinstance(fast.storage, ColumnarIdRelation) == columnar_answer
+    assert fast.decoded_cells() == slow.decoded_cells()
+    assert _measure_types(fast) == _measure_types(slow)
+    if rolled:
+        assert min(fast.storage.column_values("d0")) < 0  # parents are no graph terms
+    # Proposition 1 over each answer: σ on the arrays, same cells and types.
+    operation = Slice("d1", EX.term("d1/1"))
+    cubes = []
+    for engine in ("columnar", "rows"):
+        with OLAPSession(graph, engine=engine) as session:
+            session.execute(query)
+            cubes.append(session.transform(query, operation, strategy="rewrite"))
+    assert cubes[0].record.strategy == "rewrite[slice-dice/ans]"
+    assert dict(cubes[0].cells()) == dict(cubes[1].cells()) != {}
+    assert _measure_types(cubes[0].answer) == _measure_types(cubes[1].answer)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +295,11 @@ _OPERATORS = {
         False,
         {"extend:opaque-function"},
     ),
-    # γ's output is always a (small) row relation; its *input* stays in the arrays.
-    "γ": (lambda l, r: group_aggregate(l, ["a"], "c", "sum"), False, set()),
-    "γ count_distinct": (lambda l, r: group_aggregate(l, ["a", "b"], "c", "count_distinct"), False, set()),
-    "γ min": (lambda l, r: group_aggregate(l, ["b"], "c", "min"), False, set()),
-    "γ max": (lambda l, r: group_aggregate(l, ["b"], "c", "max"), False, set()),
+    # γ's array states finalize in the arrays: ans(Q) is columnar too.
+    "γ": (lambda l, r: group_aggregate(l, ["a"], "c", "sum"), True, set()),
+    "γ count_distinct": (lambda l, r: group_aggregate(l, ["a", "b"], "c", "count_distinct"), True, set()),
+    "γ min": (lambda l, r: group_aggregate(l, ["b"], "c", "min"), True, set()),
+    "γ max": (lambda l, r: group_aggregate(l, ["b"], "c", "max"), True, set()),
     "γ no array form": (
         lambda l, r: group_aggregate(l, ["a"], "c", _SHADOW_SUM),
         False,

@@ -84,12 +84,6 @@ from repro.datagen import (
     views_per_url_query,
     words_per_blogger_query,
 )
-from repro.persistence import (
-    load_materialized_results,
-    load_relation,
-    save_materialized_results,
-    save_relation,
-)
 
 __version__ = "1.0.0"
 
@@ -149,9 +143,4 @@ __all__ = [
     "sites_per_blogger_query",
     "words_per_blogger_query",
     "views_per_url_query",
-    # persistence
-    "save_relation",
-    "load_relation",
-    "save_materialized_results",
-    "load_materialized_results",
 ]

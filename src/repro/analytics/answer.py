@@ -78,7 +78,7 @@ class PartialResult:
     (:class:`~repro.algebra.relation.IdRelation`): every ``pres → pres``
     derivation — ROLL-UP included — consumes :attr:`storage` and never
     decodes, while :attr:`relation` is the decoded view for external
-    consumers (tests, persistence, display) — materialized lazily, once.
+    consumers (tests, display) — materialized lazily, once.
     """
 
     def __init__(
@@ -109,8 +109,7 @@ class PartialResult:
 
     @property
     def relation(self) -> Relation:
-        """The decoded view of ``pres(Q)`` (lazily materialized, cached) —
-        what persistence writes."""
+        """The decoded view of ``pres(Q)`` (lazily materialized, cached)."""
         if self._decoded is None:
             self._decoded = self._storage.to_rows("decode:pres").materialize()
         return self._decoded

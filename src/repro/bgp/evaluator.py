@@ -43,7 +43,7 @@ try:  # numpy is the optional [fast] extra; the row engine needs none of it
 except ImportError:  # pragma: no cover
     _np = None
 
-__all__ = ["BGPEvaluator", "ColumnarTripleIndex", "evaluate_query"]
+__all__ = ["BGPEvaluator", "ColumnarTripleIndex", "evaluate_query", "gathered_relation"]
 
 #: Term-id ceiling for packing an (s, o) pair into one int64 join key.
 _PAIR_KEY_BITS = 31
@@ -648,3 +648,33 @@ def evaluate_query(
 ) -> Relation:
     """One-shot convenience wrapper around :class:`BGPEvaluator`."""
     return BGPEvaluator(graph, statistics).evaluate(query, semantics=semantics)
+
+
+def gathered_relation(
+    engine: Optional[str],
+    columns: Sequence[str],
+    values: Dict[str, object],
+    table: List[int],
+    dictionary,
+    encoded: Sequence[str],
+) -> IdRelation:
+    """A relation read back from disk, in ``engine``'s storage over ``dictionary``.
+
+    ``values[name]`` is one column: an int64 buffer, or a list of the plain
+    values that have no int64 form.  An ``encoded`` column's buffer holds
+    positions in ``table`` — the live ids — and is gathered through it.
+    """
+    if resolve_engine(engine) == "columnar":
+        live = _np.asarray(table, dtype=_np.int64)
+        arrays = {}
+        for name in columns:
+            column = values[name]
+            if isinstance(column, list):  # no int64 form: float64 if every value is a float
+                floats = set(map(type, column)) == {float}
+                arrays[name] = _np.array(column, dtype=_np.float64 if floats else object)
+            else:
+                array = _np.frombuffer(column, dtype=_np.int64)
+                arrays[name] = live[array] if name in encoded else array
+        return ColumnarIdRelation.from_arrays(columns, arrays, dictionary, encoded)
+    lists = [[table[i] for i in values[name]] if name in encoded else list(values[name]) for name in columns]
+    return IdRelation.adopt_encoded(columns, list(zip(*lists)), dictionary, encoded)

@@ -26,9 +26,19 @@ process that computed them.  :class:`ResultCache` provides exactly that:
   bookkeeping) are guarded by a reentrant lock, so the cache can be shared
   by the serving layer's concurrent reader threads (one writer at a time;
   see :mod:`repro.serving`);
-* with a ``store_dir`` the cache writes entries through to disk
-  (:func:`repro.persistence.save_cache_entry`) and serves misses from disk,
-  which is how a new session warm-starts from a previous one's work;
+* with a ``store_dir`` the cache writes entries through to disk and serves
+  misses from disk, which is how a new session warm-starts from a previous
+  one's work.  An entry is one binary file in the section container of
+  :mod:`repro.storage.snapshot` (header ``kind`` ``"cache-entry"``): the
+  header holds the manifest (canonical key, each relation's columns in
+  their layout order and which are encoded, the aggregate, the instance's
+  triple count and fingerprint) and the plain values with no int64 form;
+  a local value table holds the terms and derived values the encoded
+  columns reference, each stored as int64 positions in it, and plain int
+  columns (the ``k`` key) are int64 sections.  A read decodes each table
+  value once, maps it to a live id and gathers the columns through that
+  mapping: a warm-started entry is in the graph's id space and the
+  session's engine storage, like any other;
 * entries can be **pinned** against LRU eviction (:meth:`ResultCache.pin`)
   — the workload advisor pins the entries whose replay benefit it values
   most, so a burst of one-off queries cannot wash them out of the cache;
@@ -41,13 +51,25 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import threading
+from array import array
 from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.analytics.answer import MaterializedQueryResults
+from repro.errors import ReproError, SnapshotFormatError
+from repro.analytics.answer import CubeAnswer, MaterializedQueryResults, PartialResult
 from repro.analytics.query import AnalyticalQuery
+from repro.bgp.evaluator import gathered_relation
 from repro.rdf.graph import Graph
+from repro.storage.snapshot import (
+    Container,
+    decode_records,
+    decode_term_record,
+    record_table,
+    term_record,
+    write_container,
+)
 
 __all__ = [
     "canonical_query_key",
@@ -61,6 +83,13 @@ __all__ = [
 
 #: Default number of in-memory entries an :class:`ResultCache` retains.
 DEFAULT_CAPACITY = 64
+
+#: The header ``kind`` of a cache-entry file.
+_ENTRY_KIND = "cache-entry"
+
+#: What reading a bad entry file raises: a typed storage or parse error, or
+#: a header of the wrong shape.  Each is a counted miss, never a failed read.
+_BAD_ENTRY = (ReproError, OSError, LookupError, TypeError, ValueError, ArithmeticError)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +151,85 @@ def _key_is_persistable(key: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# entry files (warm start across sessions)
+# ---------------------------------------------------------------------------
+
+
+def _save_entry(path: str, key: str, materialized: MaterializedQueryResults, graph: Graph) -> None:
+    """Write one entry, fresh at ``graph``'s version, as a container file."""
+    table: Dict[object, int] = {}  # decoded value → position in the value table
+    relations: Dict[str, dict] = {}
+    plain: Dict[str, list] = {}
+    sections: Dict[str, array] = {}
+    for label, relation in (("partial", materialized.partial.storage), ("answer", materialized.answer.storage)):
+        encoded = [name for name in relation.columns if relation.column_decoder(name) is not None]
+        relations[label] = {"columns": list(relation.columns), "encoded": encoded}
+        for name in relation.columns:
+            values = relation.column_values(name)
+            if name in encoded:
+                decode = relation.column_decoder(name)
+                position = {value: table.setdefault(decode(value), len(table)) for value in set(values)}
+                values = list(map(position.__getitem__, values))
+            elif not all(type(value) is int and -(1 << 63) <= value < (1 << 63) for value in values):
+                plain[f"{label}.{name}"] = [term_record(value) for value in values]
+                continue
+            sections[f"{label}.{name}"] = array("q", values)
+    kinds, offsets, blob, _ = record_table(table)
+    sections.update(term_kinds=kinds, term_offsets=offsets, term_blob=blob)
+    manifest = {
+        "kind": _ENTRY_KIND,
+        "canonical_key": key,
+        "aggregate": materialized.query.aggregate.name,
+        "instance_triples": len(graph),
+        "instance_fingerprint": graph_fingerprint(graph),
+        "relations": relations,
+        "plain": plain,
+    }
+    write_container(path, manifest, sections)
+
+
+def _load_entry(
+    path: str, query: AnalyticalQuery, key: str, graph: Graph, engine: Optional[str]
+) -> Optional[MaterializedQueryResults]:
+    """The entry at ``path`` in ``graph``'s id space and ``engine``'s storage;
+    None when it was computed for another key or another instance content.
+
+    Each table value is decoded once and mapped to a live id — the graph's
+    own, or a derived one (:meth:`~repro.rdf.dictionary.TermDictionary.encode_derived`)
+    — and each encoded column is gathered through that mapping.  A bad file
+    raises (see ``_BAD_ENTRY``).
+    """
+    container = Container(path, kind=_ENTRY_KIND)
+    header = container.header
+    stamp = (header["canonical_key"], header["instance_triples"], header["instance_fingerprint"])
+    if stamp != (key, len(graph), graph_fingerprint(graph)):
+        return None
+    sections = container.read_sections()
+    dictionary, plain = graph.dictionary, header["plain"]
+    records = decode_records(sections["term_kinds"], sections["term_offsets"], sections["term_blob"])
+    table = list(map(dictionary.encode_derived, records))
+    stored = {}
+    for label, layout in header["relations"].items():
+        values = {}
+        for name in layout["columns"]:
+            section = f"{label}.{name}"
+            stored_plain = plain.get(section)
+            values[name] = sections[section] if stored_plain is None else [
+                decode_term_record(*record) for record in stored_plain
+            ]
+        stored[label] = gathered_relation(
+            engine, layout["columns"], values, table, dictionary, layout["encoded"]
+        )
+    partial, answer = stored["partial"], stored["answer"]
+    fact, *dimensions, key_column, measure = partial.columns
+    return MaterializedQueryResults(
+        query,
+        CubeAnswer(answer, answer.columns[:-1], answer.columns[-1]),
+        PartialResult(partial, fact, tuple(dimensions), key_column, measure),
+    )
+
+
+# ---------------------------------------------------------------------------
 # the cache
 # ---------------------------------------------------------------------------
 
@@ -143,6 +251,7 @@ class CacheStats:
         "refreshes",
         "lazy_refreshes",
         "disk_hits",
+        "disk_rejects",
         "puts",
         "adopted",
     )
@@ -157,6 +266,9 @@ class CacheStats:
         #: scheduler had marked for lazy refresh-on-read.
         self.lazy_refreshes = 0
         self.disk_hits = 0
+        #: Disk entries that could not be read (truncated, corrupt, foreign
+        #: or an older format): each a miss, overwritten by the recompute.
+        self.disk_rejects = 0
         self.puts = 0
         #: Entries taken over, born stale, from a cache over an earlier
         #: generation of the graph (:meth:`ResultCache.adopt`) — not puts.
@@ -241,8 +353,8 @@ class ResultCache:
         entirely (lookups only consult the disk store, if any).
     store_dir:
         Optional directory for write-through persistence and warm starts.
-        Entries land in per-key subdirectories named by a digest of the
-        canonical key.
+        Entries land in one binary file each, named by a digest of the
+        canonical key (not human-readable; see the module docstring).
 
     Examples
     --------
@@ -318,7 +430,9 @@ class ResultCache:
 
     # -- lookup / insertion --------------------------------------------------
 
-    def get(self, query: AnalyticalQuery, graph: Graph) -> Optional[CacheEntry]:
+    def get(
+        self, query: AnalyticalQuery, graph: Graph, engine: Optional[str] = None
+    ) -> Optional[CacheEntry]:
         """The entry for ``query``'s canonical form, or None.
 
         A hit refreshes LRU recency.  An entry stamped with an older graph
@@ -327,8 +441,9 @@ class ResultCache:
         graph can still report the triple deltas since the stamp, the stale
         entry is *retained* (a miss, awaiting :meth:`refresh`); otherwise it
         is dropped and counted as an invalidation.  On a miss the disk
-        store, when configured, is consulted and a disk hit is promoted into
-        memory.
+        store, when configured, is consulted and a disk hit — read into
+        ``graph``'s id space and ``engine``'s storage (the resolved default
+        when None) — is promoted into memory.
         """
         key = query.canonical_key
         with self._lock:
@@ -343,7 +458,7 @@ class ResultCache:
                 self.stats.hits += 1
                 return entry
             self.stats.misses += 1
-            return self._load_from_store(key, query, graph)
+            return self._load_from_store(key, query, graph, engine)
 
     def peek(self, query: AnalyticalQuery, graph: Graph) -> Optional[CacheEntry]:
         """The *fresh* in-memory entry for ``query``, without side effects.
@@ -413,7 +528,6 @@ class ResultCache:
         query: AnalyticalQuery,
         materialized: MaterializedQueryResults,
         graph: Graph,
-        persist: bool = True,
         version: Optional[int] = None,
     ) -> CacheEntry:
         """Insert (or refresh) the entry for ``query``, evicting LRU overflow.
@@ -427,8 +541,7 @@ class ResultCache:
         older version is inserted *born stale*: :meth:`get` will never serve
         it, but :meth:`refresh` can still patch it from the change log.
 
-        With a disk store and ``persist=True`` the entry is also written
-        through; a ``capacity`` of 0 keeps nothing in memory but still
+        With a disk store the entry is also written through; a ``capacity`` of 0 keeps nothing in memory but still
         writes through, so a cacheless session can feed a later warm start.
         The persisted stamp is only written when the result is known fresh —
         a born-stale entry must not poison a later warm start with a
@@ -440,7 +553,7 @@ class ResultCache:
         with self._lock:
             self.stats.puts += 1
             self._insert(entry)
-            if persist and stamped == graph.version:
+            if stamped == graph.version:
                 self._write_through(key, materialized, graph)
         return entry
 
@@ -490,11 +603,14 @@ class ResultCache:
         disk store is configured and the key identifies the query by value."""
         if self._store_dir is None or not _key_is_persistable(key):
             return
-        from repro.persistence import save_cache_entry
-
-        save_cache_entry(
-            materialized, self._entry_dir(key), key, len(graph), graph_fingerprint(graph)
-        )
+        path = self._entry_path(key)
+        if os.path.isdir(path):  # an entry directory of the earlier TSV format
+            shutil.rmtree(path)
+        os.makedirs(self._store_dir, exist_ok=True)
+        try:
+            _save_entry(path, key, materialized, graph)
+        except SnapshotFormatError:
+            pass  # a value with no record form: the entry stays in memory only
 
     def discard(self, query: AnalyticalQuery) -> bool:
         """Drop the in-memory entry for ``query`` (disk copies are kept)."""
@@ -622,23 +738,23 @@ class ResultCache:
 
     # -- disk store ----------------------------------------------------------
 
-    def _entry_dir(self, key: str) -> str:
+    def _entry_path(self, key: str) -> str:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:20]
         return os.path.join(self._store_dir, digest)  # type: ignore[arg-type]
 
     def _load_from_store(
-        self, key: str, query: AnalyticalQuery, graph: Graph
+        self, key: str, query: AnalyticalQuery, graph: Graph, engine: Optional[str]
     ) -> Optional[CacheEntry]:
         if self._store_dir is None or not _key_is_persistable(key):
             return None
-        directory = self._entry_dir(key)
-        if not os.path.isdir(directory):
+        path = self._entry_path(key)
+        if not os.path.exists(path):
             return None
-        from repro.persistence import load_cache_entry
-
-        materialized = load_cache_entry(
-            directory, query, key, len(graph), graph_fingerprint(graph)
-        )
+        try:
+            materialized = _load_entry(path, query, key, graph, engine)
+        except _BAD_ENTRY:
+            self.stats.disk_rejects += 1
+            return None
         if materialized is None:
             return None
         entry = CacheEntry(

@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Set
 
 from repro.algebra.operators import union_all
-from repro.algebra.relation import IdRelation, Relation
+from repro.algebra.relation import Relation
 from repro.analytics.answer import KeyGenerator, MaterializedQueryResults
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
@@ -345,11 +345,10 @@ class DeltaMaintainer:
         """Patched results equal to a from-scratch recompute, or None.
 
         ``None`` means the entry is not patchable (a rolled or
-        entailment-rewritten query, or relations living in a value space the
-        maintainer cannot splice into) and the caller should fall back to
-        invalidation.  When the delta does not touch the query at all the
-        input object is returned as-is — the caller only needs to re-stamp
-        its version.
+        entailment-rewritten query, or relations not in this graph's id
+        space) and the caller should fall back to invalidation.  When the
+        delta does not touch the query at all the input object is returned
+        as-is — the caller only needs to re-stamp its version.
         """
         query = materialized.query
         if not self._patchable(query):
@@ -358,16 +357,12 @@ class DeltaMaintainer:
         answer = materialized.answer
         pres_storage = partial.storage
         ans_storage = answer.storage
-        pres_encoded = isinstance(pres_storage, IdRelation)
-        ans_encoded = isinstance(ans_storage, IdRelation)
         dictionary = self._graph.dictionary
-        if pres_encoded != ans_encoded:
-            return None  # mixed-space entries are not patchable
-        if pres_encoded and (
-            pres_storage.dictionary is not dictionary
-            or ans_storage.dictionary is not dictionary
+        if any(
+            getattr(storage, "dictionary", None) is not dictionary
+            for storage in (pres_storage, ans_storage)
         ):
-            return None  # ids from a foreign dictionary cannot be spliced
+            return None  # not in this graph's id space: nothing to splice into
         if delta.is_empty():
             return materialized
 
@@ -375,16 +370,12 @@ class DeltaMaintainer:
         affected = self.affected_facts(query, delta)
         if not affected:
             return materialized
-        if pres_encoded:
-            affected_facts = affected
-        else:
-            affected_facts = {dictionary.decode(fact_id) for fact_id in affected}
 
         dimensions = partial.dimension_columns
         # σ over the cached pres: the affected facts' rows leave, every other
         # row is kept verbatim — in the storage the pres has.
         dropped, retained = pres_storage.split_on(
-            (partial.fact_column,), {(fact,) for fact in affected_facts}
+            (partial.fact_column,), {(fact,) for fact in affected}
         )
 
         # Re-derive the affected facts' rows from the current instance, under
@@ -395,14 +386,7 @@ class DeltaMaintainer:
             fact_relation = self._evaluator.fact_partial_rows(
                 query, dictionary.decode(fact_id), keys, memo=self._fact_memo
             )
-            if not len(fact_relation):
-                continue
-            if pres_encoded:
-                if not isinstance(fact_relation, IdRelation):
-                    return None  # engine space changed under us; recompute instead
-                fresh_rows.extend(fact_relation.rows)
-            else:
-                fresh_rows.extend(fact_relation.iter_decoded())
+            fresh_rows.extend(fact_relation.rows)
         fresh = pres_storage.with_rows(fresh_rows)
 
         # γ over the touched groups only — those of a dropped or a fresh row:

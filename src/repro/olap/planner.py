@@ -395,7 +395,7 @@ class OLAPPlanner:
     def _own_entry_candidates(self, query: AnalyticalQuery) -> List[PlanCandidate]:
         """``cached`` or ``refresh-cached``: the entry under ``query``'s own key."""
         graph = self._evaluator.instance
-        exact = self._cache.get(query, graph)
+        exact = self._cache.get(query, graph, engine=self._evaluator.engine)
         if exact is not None:
             return [self._cached_candidate(exact.materialized)]
         stale = self._cache.stale_entry(query, graph)

@@ -41,7 +41,6 @@ from repro.errors import InvalidOperationError, RewritingError
 from repro.algebra.aggregates import AggregateFunction
 from repro.algebra.grouping import group_aggregate
 from repro.algebra.operators import dedup, join_on, project, select
-from repro.algebra.relation import IdRelation
 from repro.bgp.evaluator import BGPEvaluator
 from repro.analytics.answer import CubeAnswer, MaterializedQueryResults, PartialResult
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
@@ -169,7 +168,7 @@ def drill_in_partial(
     join_columns = auxiliary_join_columns(query.classifier, auxiliary)
     joined = join_on(
         partial.storage,
-        _auxiliary_answer(partial, instance_evaluator, auxiliary),
+        instance_evaluator.evaluate_ids(auxiliary, semantics="set"),
         [(column, column) for column in join_columns],
     )
     layout = (
@@ -179,23 +178,6 @@ def drill_in_partial(
         partial.measure_column,
     )
     return partial.with_storage(joined.reorder(layout))
-
-
-def _auxiliary_answer(partial: PartialResult, instance_evaluator: BGPEvaluator, auxiliary):
-    """Evaluate ``q_aux`` in the same value space as the materialized pres(Q).
-
-    An engine-built pres(Q) is encoded against the instance dictionary, so
-    the auxiliary answer can stay encoded too and the join keys on integer
-    ids; a pres(Q) restored from disk (decoded) gets a decoded auxiliary
-    answer.
-    """
-    storage = partial.storage
-    if (
-        isinstance(storage, IdRelation)
-        and storage.dictionary is instance_evaluator.graph.dictionary
-    ):
-        return instance_evaluator.evaluate_ids(auxiliary, semantics="set")
-    return instance_evaluator.evaluate(auxiliary, semantics="set")
 
 
 # ---------------------------------------------------------------------------

@@ -485,7 +485,7 @@ class OLAPSession:
         """
         self._sync_entailment()
         resolved = self._resolve_query(query)
-        entry = self._cache.get(resolved, self.instance)
+        entry = self._cache.get(resolved, self.instance, engine=self.engine)
         if entry is None:
             raise MaterializationError(
                 f"query {resolved.name!r} has not been executed in this session (or its "
@@ -504,29 +504,6 @@ class OLAPSession:
             self._cache.discard(resolved)
         elif isinstance(query, AnalyticalQuery):
             self._cache.discard(query)
-
-    # ------------------------------------------------------------------
-    # persistence of materialized results
-    # ------------------------------------------------------------------
-
-    def save_materialized(self, query: Union[str, AnalyticalQuery], directory: str) -> None:
-        """Persist a query's materialized results (see :mod:`repro.persistence`)."""
-        from repro.persistence import save_materialized_results
-
-        save_materialized_results(self.materialized(query), directory)
-
-    def restore_materialized(self, query: AnalyticalQuery, directory: str) -> MaterializedQueryResults:
-        """Load previously saved materialized results and register them in this session.
-
-        After restoring, OLAP transformations on ``query`` can be answered by
-        rewriting without re-executing it against the instance.
-        """
-        from repro.persistence import load_materialized_results
-
-        materialized = load_materialized_results(directory, query)
-        self._queries[query.name] = query
-        self._cache.put(query, materialized, self.instance, persist=False)
-        return materialized
 
     # ------------------------------------------------------------------
     # OLAP transformations
@@ -565,7 +542,7 @@ class OLAPSession:
         self._sync_entailment()
         original_query = self._resolve_query(query)
         transformed_query = operation.apply(original_query)
-        origin_entry = self._cache.get(original_query, self.instance)
+        origin_entry = self._cache.get(original_query, self.instance, engine=self.engine)
         if (
             origin_entry is None
             and strategy == "plan"

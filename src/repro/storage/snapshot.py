@@ -1,7 +1,10 @@
-"""The on-disk columnar snapshot format: writer and low-level reader.
+"""The on-disk section container, and the columnar graph snapshot written in it.
 
-A snapshot is a **single file** holding everything needed to re-open an AnS
-instance without re-parsing or re-encoding it:
+The container (:func:`write_container` / :class:`Container`) holds two file
+kinds: graph snapshots, and the result cache's entries
+(:mod:`repro.olap.cache`), whose header names ``kind``.  A snapshot is a
+**single file** holding everything needed to re-open an AnS instance without
+re-parsing or re-encoding it:
 
 * the fact columns — subject / predicate / object term ids as three
   contiguous ``int64`` arrays, globally sorted by ``(p, s, o)`` so that each
@@ -28,15 +31,17 @@ File layout::
     ...        sections       raw little-endian arrays, each 8-byte aligned
 
 The header's ``sections`` table maps each section name to ``[relative
-offset, element count, dtype]``; offsets are relative to the 8-byte-aligned
-payload base, so readers never need to re-measure the header.  Opening a
-snapshot reads **only** the fixed fields and the header — array sections are
-attached as :func:`numpy.memmap` views and fault in page by page on first
-touch, which is what makes cold starts O(header) instead of O(instance).
+offset, element count, dtype]`` (``int64`` or ``uint8``); offsets are
+relative to the 8-byte-aligned payload base, so readers never need to
+re-measure the header.  Opening a snapshot reads **only** the fixed fields
+and the header — array sections are attached as :func:`numpy.memmap` views
+and fault in page by page on first touch, which is what makes cold starts
+O(header) instead of O(instance).
 
-numpy (the ``[fast]`` extra) is required: without it both saving and
-loading raise :class:`~repro.errors.ConfigurationError` naming the extra —
-a clear degradation, never a crash mid-file.
+Graph snapshots need numpy (the ``[fast]`` extra): without it both saving
+and loading raise :class:`~repro.errors.ConfigurationError` naming the
+extra — a clear degradation, never a crash mid-file.  The container itself
+needs none: :meth:`Container.read_sections` reads with the stdlib.
 """
 
 from __future__ import annotations
@@ -44,7 +49,10 @@ from __future__ import annotations
 import json
 import os
 import struct
-from typing import Dict, Optional, Tuple
+import threading
+from array import array
+from decimal import Decimal
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -63,7 +71,11 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
 __all__ = [
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_FORMAT_VERSION",
+    "Container",
     "Snapshot",
+    "write_container",
+    "record_table",
+    "decode_records",
     "save_snapshot",
     "load_snapshot",
     "open_snapshot",
@@ -77,10 +89,18 @@ SNAPSHOT_FORMAT_VERSION = 1
 
 _FIXED_HEADER = struct.Struct("<8sIQ")  # magic, format version, header length
 
-#: Term kind bytes of the typed-term table.
+#: Section dtype → its stdlib ``array`` / ``memoryview`` format.
+_FORMATS = {"int64": "q", "uint8": "B"}
+_DTYPES = {code: dtype for dtype, code in _FORMATS.items()}
+
+#: Kind bytes of the typed-value table: the three term kinds, then the
+#: plain values an operator derives (a ROLL-UP parent, an aggregated measure).
 _KIND_IRI = 0
 _KIND_BLANK = 1
 _KIND_LITERAL = 2
+_KIND_STR = 3
+_KIND_JSON = 4  # int, float, bool or None, as its JSON text
+_KIND_DECIMAL = 5
 
 _SNAPSHOT_EXTRA_HINT = (
     "columnar snapshots require numpy; install the [fast] extra "
@@ -103,6 +123,8 @@ def term_record(term: Term) -> Tuple[int, str]:
     IRIs store their value, blank nodes their label, literals their full
     N-Triples form (injective over (lexical, datatype, language)).  The
     sort key of the lexicographic permutation is ``(kind, utf-8 bytes)``.
+    A plain value (a string, number, bool, None or Decimal) records under
+    its own kind, so a cache entry can store what ROLL-UP and γ derive.
     """
     if isinstance(term, IRI):
         return _KIND_IRI, term.value
@@ -110,11 +132,17 @@ def term_record(term: Term) -> Tuple[int, str]:
         return _KIND_BLANK, term.label
     if isinstance(term, Literal):
         return _KIND_LITERAL, term.n3()
-    raise SnapshotFormatError(f"cannot serialize term {term!r} into a snapshot")
+    if isinstance(term, str):
+        return _KIND_STR, term
+    if term is None or isinstance(term, (bool, int, float)):
+        return _KIND_JSON, json.dumps(term)
+    if isinstance(term, Decimal):
+        return _KIND_DECIMAL, str(term)
+    raise SnapshotFormatError(f"cannot serialize {term!r} into a value record")
 
 
 def decode_term_record(kind: int, text: str) -> Term:
-    """Rebuild a term from its ``(kind, text)`` record."""
+    """Rebuild a term (or plain value) from its ``(kind, text)`` record."""
     if kind == _KIND_IRI:
         return IRI(text)
     if kind == _KIND_BLANK:
@@ -122,20 +150,86 @@ def decode_term_record(kind: int, text: str) -> Term:
     if kind == _KIND_LITERAL:
         term, _ = _parse_term(text, 0, 0)
         return term
+    if kind == _KIND_STR:
+        return text
+    if kind == _KIND_JSON:
+        return json.loads(text)
+    if kind == _KIND_DECIMAL:
+        return Decimal(text)
     raise SnapshotFormatError(f"unknown term kind byte {kind}")
 
 
+def record_table(values: Iterable) -> Tuple[array, array, array, List[bytes]]:
+    """The typed-value table of ``values``: kind bytes, ``len + 1`` int64
+    offsets and the UTF-8 blob (three sections), plus each record's bytes."""
+    kinds, offsets, texts = array("B"), array("q", [0]), []
+    for value in values:
+        kind, text = term_record(value)
+        kinds.append(kind)
+        texts.append(text.encode("utf-8"))
+        offsets.append(offsets[-1] + len(texts[-1]))
+    return kinds, offsets, array("B", b"".join(texts)), texts
+
+
+def decode_records(kinds, offsets, blob) -> list:
+    """The values of a typed-value table (:func:`record_table`'s sections,
+    as numpy arrays or stdlib buffers), in order."""
+    blob, offsets = bytes(blob), offsets.tolist()
+    return [
+        decode_term_record(kind, blob[offsets[index] : offsets[index + 1]].decode("utf-8"))
+        for index, kind in enumerate(kinds.tolist())
+    ]
+
+
 # ---------------------------------------------------------------------------
-# writer
+# the container: writer
+# ---------------------------------------------------------------------------
+
+
+def write_container(path: str, header: Dict[str, object], sections: Dict[str, object]) -> None:
+    """Write one container file: the fixed fields, ``header`` plus the
+    sections' table of contents as JSON, then each section 8-byte aligned.
+
+    A section is an int64 or uint8 numpy array or ``array.array``.  The
+    write is atomic (temp file + rename), so a crash mid-write never leaves
+    a half-written file behind.
+    """
+    toc: Dict[str, list] = {}
+    cursor = 0
+    for name, section in sections.items():
+        cursor = _align8(cursor)
+        dtype = _DTYPES[section.typecode] if isinstance(section, array) else str(section.dtype)
+        toc[name] = [cursor, int(len(section)), dtype]
+        cursor += len(section) * section.itemsize
+    header_bytes = json.dumps({**header, "sections": toc}, sort_keys=True).encode("utf-8")
+
+    temp_path = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+    try:
+        with open(temp_path, "wb") as handle:
+            handle.write(
+                _FIXED_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_FORMAT_VERSION, len(header_bytes))
+            )
+            handle.write(header_bytes)
+            payload_base = _align8(handle.tell())
+            for name, section in sections.items():
+                handle.write(b"\0" * (payload_base + toc[name][0] - handle.tell()))
+                handle.write(section.tobytes())
+        os.replace(temp_path, path)
+    finally:
+        if os.path.exists(temp_path):  # pragma: no cover - crash-path cleanup
+            os.unlink(temp_path)
+
+
+# ---------------------------------------------------------------------------
+# graph snapshot: writer
 # ---------------------------------------------------------------------------
 
 
 def save_snapshot(graph, path: str) -> None:
     """Serialize ``graph`` into a single snapshot file at ``path``.
 
-    The write is atomic (temp file + rename), so a crash mid-write never
-    leaves a half-written snapshot behind.  Requires numpy; see the module
-    docstring for the file layout.
+    Written through :func:`write_container`, so atomically.  Requires
+    numpy; see the module docstring for the file layout.
     """
     _require_numpy("save a snapshot")
     dictionary = graph.dictionary
@@ -143,22 +237,8 @@ def save_snapshot(graph, path: str) -> None:
     triple_count = len(graph)
 
     # -- term table: kinds, offsets, blob, lexicographic permutation -------
-    kinds = _np.empty(term_count, dtype=_np.uint8)
-    texts = []
-    for index, term in enumerate(dictionary.terms()):
-        kind, text = term_record(term)
-        kinds[index] = kind
-        texts.append(text.encode("utf-8"))
-    offsets = _np.zeros(term_count + 1, dtype=_np.int64)
-    for index, text in enumerate(texts):
-        offsets[index + 1] = offsets[index] + len(text)
-    blob = _np.frombuffer(b"".join(texts), dtype=_np.uint8) if texts else _np.empty(
-        0, dtype=_np.uint8
-    )
-    term_sort = _np.asarray(
-        sorted(range(term_count), key=lambda i: (kinds[i], texts[i])),
-        dtype=_np.int64,
-    )
+    kinds, offsets, blob, texts = record_table(dictionary.terms())
+    term_sort = array("q", sorted(range(term_count), key=lambda i: (kinds[i], texts[i])))
 
     # -- fact columns in both per-predicate sort orders --------------------
     # Materialize: heap graphs hand back their triple set, mapped graphs a
@@ -197,13 +277,6 @@ def save_snapshot(graph, path: str) -> None:
         "term_sort": term_sort,
     }
 
-    toc: Dict[str, list] = {}
-    cursor = 0
-    for name, array in sections.items():
-        cursor = _align8(cursor)
-        toc[name] = [cursor, int(len(array)), str(array.dtype)]
-        cursor += array.nbytes
-
     header = {
         "graph_version": graph.version,
         "name": graph.name,
@@ -211,29 +284,8 @@ def save_snapshot(graph, path: str) -> None:
         "term_count": term_count,
         "change_log_limit": graph.change_log_limit,
         "statistics": statistics,
-        "sections": toc,
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-
-    temp_path = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(temp_path, "wb") as handle:
-            handle.write(
-                _FIXED_HEADER.pack(
-                    SNAPSHOT_MAGIC, SNAPSHOT_FORMAT_VERSION, len(header_bytes)
-                )
-            )
-            handle.write(header_bytes)
-            payload_base = _align8(handle.tell())
-            handle.write(b"\0" * (payload_base - handle.tell()))
-            for name, array in sections.items():
-                target = payload_base + toc[name][0]
-                handle.write(b"\0" * (target - handle.tell()))
-                handle.write(array.tobytes())
-        os.replace(temp_path, path)
-    finally:
-        if os.path.exists(temp_path):  # pragma: no cover - crash-path cleanup
-            os.unlink(temp_path)
+    write_container(path, header, sections)
 
 
 def _summarize(pred_ids, pred_offsets, s_col, obj_keys, dictionary, triple_count):
@@ -273,22 +325,23 @@ def _summarize(pred_ids, pred_offsets, s_col, obj_keys, dictionary, triple_count
 
 
 # ---------------------------------------------------------------------------
-# reader
+# the container: reader
 # ---------------------------------------------------------------------------
 
 
-class Snapshot:
-    """An opened snapshot file: validated header + lazy section accessors.
+class Container:
+    """An opened container file: validated fixed fields, header and sections.
 
     Construction reads and validates only the fixed fields and the JSON
-    table of contents; :meth:`section` attaches one array as a read-only
-    :func:`numpy.memmap` view (pages fault in on demand).
+    header: the magic, the format version, the header's ``kind`` (None for
+    a graph snapshot) and that every section lies inside the file — each
+    failure a :class:`~repro.errors.SnapshotFormatError` (or
+    :class:`~repro.errors.SnapshotVersionError`).
     """
 
-    __slots__ = ("path", "header", "_payload_base", "_file_size", "_cache")
+    __slots__ = ("path", "header", "_payload_base", "_file_size")
 
-    def __init__(self, path: str):
-        _require_numpy(f"open snapshot {path!r}")
+    def __init__(self, path: str, kind: Optional[str] = None):
         self.path = path
         try:
             self._file_size = os.path.getsize(path)
@@ -324,7 +377,11 @@ class Snapshot:
                 f"{path!r} has a corrupt header table of contents: {exc}"
             ) from exc
         self._payload_base = _align8(_FIXED_HEADER.size + header_length)
-        self._cache: Dict[str, object] = {}
+        found = self.header.get("kind") if isinstance(self.header, dict) else "malformed"
+        if found != kind:
+            raise SnapshotFormatError(
+                f"{path!r} is a {found or 'graph snapshot'} file, not a {kind or 'graph snapshot'}"
+            )
         self._validate_sections()
 
     def _validate_sections(self) -> None:
@@ -336,8 +393,8 @@ class Snapshot:
         for name, entry in sections.items():
             try:
                 offset, length, dtype = entry
-                nbytes = int(length) * _np.dtype(dtype).itemsize
-            except (TypeError, ValueError) as exc:
+                nbytes = int(length) * struct.calcsize(_FORMATS[dtype])
+            except (TypeError, ValueError, KeyError) as exc:
                 raise SnapshotFormatError(
                     f"{self.path!r}: malformed TOC entry for section {name!r}: {entry!r}"
                 ) from exc
@@ -346,6 +403,39 @@ class Snapshot:
                     f"{self.path!r} is truncated: section {name!r} ends past "
                     f"the end of the file"
                 )
+
+    def read_sections(self) -> Dict[str, memoryview]:
+        """Every section as a stdlib buffer of its dtype's format, from one
+        read of the payload (no numpy)."""
+        try:
+            with open(self.path, "rb") as handle:
+                handle.seek(self._payload_base)
+                payload = memoryview(handle.read())
+        except OSError as exc:
+            raise SnapshotFormatError(f"cannot read {self.path!r}: {exc}") from exc
+        sections = {}
+        for name, (offset, length, dtype) in self.header["sections"].items():
+            end = int(offset) + int(length) * struct.calcsize(_FORMATS[dtype])
+            sections[name] = payload[int(offset) : end].cast(_FORMATS[dtype])
+        return sections
+
+
+# ---------------------------------------------------------------------------
+# graph snapshot: reader
+# ---------------------------------------------------------------------------
+
+
+class Snapshot(Container):
+    """An opened graph snapshot: a :class:`Container` whose sections attach
+    lazily, each a read-only :func:`numpy.memmap` view (pages fault in on
+    demand)."""
+
+    __slots__ = ("_cache",)
+
+    def __init__(self, path: str):
+        _require_numpy(f"open snapshot {path!r}")
+        super().__init__(path)
+        self._cache: Dict[str, object] = {}
 
     def section(self, name: str):
         """A read-only array over one memory-mapped section (cached per snapshot)."""
@@ -412,16 +502,7 @@ def _load_heap(snapshot: Snapshot):
         change_log_limit=int(header.get("change_log_limit", 4096)),
     )
 
-    kinds = snapshot.section("term_kinds")
-    offsets = snapshot.section("term_offsets")
-    blob = bytes(snapshot.section("term_blob"))
-    terms = [
-        decode_term_record(
-            int(kinds[index]),
-            blob[int(offsets[index]) : int(offsets[index + 1])].decode("utf-8"),
-        )
-        for index in range(int(header["term_count"]))
-    ]
+    terms = decode_records(*map(snapshot.section, ("term_kinds", "term_offsets", "term_blob")))
     dictionary = graph.dictionary
     dictionary._id_to_term = terms
     dictionary._term_to_id = {term: index for index, term in enumerate(terms)}

@@ -22,7 +22,8 @@ import pytest
 
 from repro.rdf import EX, Literal, RDF, Triple
 from repro.olap import Dice, DimensionHierarchy, DrillIn, DrillOut, OLAPSession, RollUp, Slice
-from repro.persistence import _decode_cell, _encode_cell
+from repro.rdf.ntriples import _parse_term
+from repro.rdf.terms import Term
 
 from tests.conftest import make_sites_query, make_views_query, make_words_query
 
@@ -271,6 +272,32 @@ WORKLOAD_CASES = {
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+
+def _encode_cell(value):
+    """A cell value as fixture text: a term's N-Triples form, ``json:`` plus
+    a number or bool, ``str:`` plus a string, the empty string for None."""
+    if value is None:
+        return ""
+    if isinstance(value, Term):
+        return value.n3()
+    if isinstance(value, (bool, int, float)):
+        return f"json:{json.dumps(value)}"
+    if isinstance(value, str):
+        return "str:" + value
+    raise TypeError(f"no fixture form for {value!r} of type {type(value).__name__}")
+
+
+def _decode_cell(text):
+    """The value :func:`_encode_cell` wrote as ``text``."""
+    if text == "":
+        return None
+    if text.startswith("json:"):
+        return json.loads(text[len("json:") :])
+    if text.startswith("str:"):
+        return text[len("str:") :]
+    term, _ = _parse_term(text, 0, 0)
+    return term
 
 
 def _cube_payload(cube):

@@ -1,20 +1,33 @@
 """Unit tests for the bounded result cache (:mod:`repro.olap.cache`)."""
 
 import os
+from decimal import Decimal
 
 import pytest
 
 from repro.errors import MaterializationError
-from repro.rdf import EX, Literal, RDF, Triple
+from repro.rdf import EX, Graph, Literal, RDF, Triple
+from repro.algebra.aggregates import AggregateFunction, default_registry
+from repro.algebra.columnar import HAVE_NUMPY
+from repro.algebra.relation import IdRelation
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
+from repro.analytics.query import AnalyticalQuery
+from repro.bgp.parser import parse_query
 from repro.olap.cache import ResultCache, canonical_query_key
 from repro.olap.cube import Cube
 from repro.olap.operations import Dice, DrillOut, Slice
 from repro.olap.session import OLAPSession
+from repro.storage.snapshot import write_container
 
 from tests.conftest import make_sites_query
 
 RDF_TYPE = RDF.term("type")
+
+#: Both engines; the columnar one needs the [fast] extra.
+ENGINES = [
+    "rows",
+    pytest.param("columnar", marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")),
+]
 
 
 @pytest.fixture()
@@ -29,6 +42,74 @@ def _variant(query, index):
 
 def _evaluate(instance, query):
     return AnalyticalQueryEvaluator(instance).evaluate(query)
+
+
+def _file_stamp(path):
+    """A rewrite replaces the file: a new inode, whatever the clock says."""
+    status = os.stat(path)
+    return status.st_ino, status.st_mtime_ns
+
+
+def _rewritten(path, edit):
+    with open(path, "rb") as handle:
+        data = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(edit(data))
+
+
+def _tsv_directory(path):
+    """The entry directory the earlier text format left under the same name."""
+    os.remove(path)
+    os.makedirs(path)
+    for name in ("manifest.json", "answer.tsv", "partial.tsv"):
+        with open(os.path.join(path, name), "w") as handle:
+            handle.write("{}\n" if name.endswith(".json") else "dage\tv\n")
+
+
+#: How an entry file goes bad: each must read as a miss, never raise.
+_DAMAGES = {
+    "truncated section": lambda path: _rewritten(path, lambda data: data[:-1]),
+    "bad magic": lambda path: _rewritten(path, lambda data: b"NOTANENT" + data[8:]),
+    "corrupt header": lambda path: _rewritten(path, lambda data: data[:20] + b"#" + data[21:]),
+    "graph snapshot kind": lambda path: write_container(path, {"graph_version": 0}, {}),
+    "old tsv directory": _tsv_directory,
+}
+
+_MEDIAN = AggregateFunction("median_cache_oracle", lambda bag: sorted(bag)[len(bag) // 2], False)
+if _MEDIAN.name not in default_registry():
+    default_registry().register(_MEDIAN)
+
+#: case → (measure values of fact i, aggregate)
+_MEASURE_CASES = {
+    "count": (lambda i: (i % 5, i % 3), "count"),
+    "sum of ints": (lambda i: (i % 5 + 1, i % 3 + 7), "sum"),
+    "sum of floats": (lambda i: (0.5 * (i % 4), 0.25 + i % 3), "sum"),
+    "sum of ints and floats": (lambda i: (i % 5 + 1,) if i % 3 else (0.5,), "sum"),
+    "sum of decimals": (lambda i: (Decimal("0.1") * (i % 4), Decimal("2.5")), "sum"),
+    "avg": (lambda i: (i % 5 + 1, i % 3 + 7), "avg"),
+    "count_distinct": (lambda i: (i % 4, (i + 1) % 4), "count_distinct"),
+    "custom aggregate": (lambda i: (i % 5 + 1, i % 3 + 7), _MEDIAN.name),
+    "ints of 2^31 and more": (lambda i: (2**31 + i, 2**40), "sum"),
+    "ints of 2^63 and more": (lambda i: (2**62, 2**62), "sum"),
+}
+
+
+def _typed(cells):
+    return {key: (type(value), value) for key, value in cells.items()}
+
+
+def _measure_case(measures):
+    """Twelve facts over one multi-valued dimension, fact i measuring ``measures(i)``."""
+    graph = Graph()
+    for index in range(12):
+        fact = EX.term(f"fact/{index}")
+        graph.add(Triple(fact, RDF_TYPE, EX.term("Fact")))
+        graph.add(Triple(fact, EX.term("dim"), EX.term(f"d/{index % 3}")))
+        if index % 4 == 0:
+            graph.add(Triple(fact, EX.term("dim"), EX.term(f"d/{(index + 1) % 3}")))
+        for value in measures(index):
+            graph.add(Triple(fact, EX.term("measure"), Literal(value)))
+    return graph
 
 
 class TestCanonicalKeys:
@@ -361,22 +442,82 @@ class TestPersistenceWarmStart:
         assert restored.same_cells(original)
         assert len(entry.materialized.partial) == len(materialized.partial)
 
-    @pytest.mark.parametrize("missing", ["answer.tsv", "partial.tsv"])
-    def test_incomplete_disk_entry_is_a_miss(
-        self, tmp_path, example2_instance, sites_query, materialized, missing
+    @pytest.mark.parametrize("damage", sorted(_DAMAGES))
+    def test_a_bad_entry_file_is_a_counted_miss_and_is_overwritten(
+        self, tmp_path, example2_instance, sites_query, materialized, damage
     ):
-        """Stored results are complete; a directory lacking a relation is skipped."""
+        """A bad file under the entry's name never fails a read: it is a miss,
+        counted in ``disk_rejects``, and the recompute writes a good file."""
         store = str(tmp_path / "cache")
         ResultCache(capacity=4, store_dir=store).put(sites_query, materialized, example2_instance)
-        (entry_dir,) = os.listdir(store)
-        os.remove(os.path.join(store, entry_dir, missing))
+        (name,) = os.listdir(store)
+        _DAMAGES[damage](os.path.join(store, name))
         cold = ResultCache(capacity=4, store_dir=store)
         assert cold.get(sites_query, example2_instance) is None
-        assert cold.stats.disk_hits == 0 and cold.stats.misses == 1
+        assert (cold.stats.disk_rejects, cold.stats.disk_hits, cold.stats.misses) == (1, 0, 1)
         session = OLAPSession(example2_instance, cache_dir=store)
-        session.execute(sites_query)  # recomputes, and heals the store
+        session.execute(sites_query)  # recomputes, and overwrites the bad file
         assert session.history[-1].strategy == "scratch"
-        assert ResultCache(capacity=4, store_dir=store).get(sites_query, example2_instance)
+        assert session.cache.stats.disk_rejects == 1
+        healed = ResultCache(capacity=4, store_dir=store)
+        assert healed.get(sites_query, example2_instance).origin == "disk"
+        assert healed.stats.disk_rejects == 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_warm_started_entry_is_in_the_graph_id_space(
+        self, tmp_path, example2_instance, sites_query, engine
+    ):
+        """Read back into the live dictionary and the session's engine
+        storage — the same storage a computed entry has."""
+        store = str(tmp_path / "cache")
+        computed = OLAPSession(example2_instance, cache_dir=store, engine=engine)
+        expected_cube = computed.execute(sites_query)
+        fresh = OLAPSession(example2_instance, cache_dir=store, engine=engine)
+        assert fresh.execute(sites_query).same_cells(expected_cube)
+        assert fresh.history[-1].strategy == "cache[disk]"
+        restored, expected = fresh.materialized(sites_query), computed.materialized(sites_query)
+        for storage, reference in (
+            (restored.partial.storage, expected.partial.storage),
+            (restored.answer.storage, expected.answer.storage),
+        ):
+            assert type(storage) is type(reference)
+            assert isinstance(storage, IdRelation)
+            assert storage.dictionary is example2_instance.dictionary
+            assert storage.encoded_columns == reference.encoded_columns
+            assert storage.bag_equal(reference)
+
+    def test_warm_start_over_a_mapped_snapshot(self, tmp_path, example2_instance, sites_query):
+        pytest.importorskip("numpy")
+        from repro.storage.snapshot import save_snapshot
+
+        path, store = str(tmp_path / "instance.snap"), str(tmp_path / "cache")
+        save_snapshot(example2_instance, path)
+        expected = OLAPSession(snapshot=path, cache_dir=store).execute(sites_query)
+        fresh = OLAPSession(snapshot=path, cache_dir=store)
+        assert fresh.execute(sites_query).same_cells(expected)
+        assert fresh.history[-1].strategy == "cache[disk]"
+        partial = fresh.materialized(sites_query).partial.storage
+        assert partial.dictionary is fresh.instance.dictionary
+        drilled = fresh.transform(sites_query, DrillOut("dage"), strategy="rewrite")
+        assert drilled.cell(EX.term("Madrid")) == 3
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("case", sorted(_MEASURE_CASES))
+    def test_measure_values_keep_their_python_type(self, tmp_path, case, engine):
+        measures, aggregate = _MEASURE_CASES[case]
+        graph = _measure_case(measures)
+        query = AnalyticalQuery(
+            parse_query("c(?x, ?d) :- ?x rdf:type ex:Fact, ?x ex:dim ?d"),
+            parse_query("m(?x, ?v) :- ?x ex:measure ?v"),
+            aggregate,
+            name="measure_case",
+        )
+        store = str(tmp_path / "cache")
+        expected = OLAPSession(graph, cache_dir=store, engine=engine).execute(query)
+        fresh = OLAPSession(graph, cache_dir=store, engine=engine)
+        cube = fresh.execute(query)
+        assert fresh.history[-1].strategy == "cache[disk]"
+        assert _typed(cube.cells()) == _typed(expected.cells()) != {}
 
     def test_disk_entry_for_other_instance_size_is_stale(
         self, tmp_path, example2_instance, sites_query, materialized
@@ -479,16 +620,13 @@ class TestSessionCacheIntegration:
         session.execute(sites_query)
         operation = Slice("dage", Literal(35))
         session.transform(sites_query, operation, strategy="plan")
-        entry_dirs = sorted(os.listdir(store))
-        stamps = {
-            name: os.path.getmtime(os.path.join(store, name, "manifest.json"))
-            for name in entry_dirs
-        }
+        entry_files = sorted(os.listdir(store))
+        stamps = {name: _file_stamp(os.path.join(store, name)) for name in entry_files}
         session.transform(sites_query, operation, strategy="plan")  # cached
         assert session.history[-1].strategy == "plan[cached]"
-        assert sorted(os.listdir(store)) == entry_dirs
+        assert sorted(os.listdir(store)) == entry_files
         for name, stamp in stamps.items():
-            assert os.path.getmtime(os.path.join(store, name, "manifest.json")) == stamp
+            assert _file_stamp(os.path.join(store, name)) == stamp
 
     def test_forget_discards_cache_entry(self, example2_instance, sites_query):
         session = OLAPSession(example2_instance)
@@ -618,9 +756,9 @@ class TestRefreshAccounting:
     def test_disk_loaded_entry_refreshes_correctly(
         self, tmp_path, example2_instance, sites_query
     ):
-        """An origin="disk" entry (decoded relations) survives updates too.
+        """An origin="disk" entry survives updates too, through ``execute``.
 
-        Row engine: the test must drive the *patch* path on the decoded
+        Row engine: the test must drive the *patch* path on the warm-started
         entry; columnar's cheaper scratch pricing would recompute at this
         fixture scale instead of patching.
         """
@@ -643,13 +781,34 @@ class TestRefreshAccounting:
             AnalyticalQueryEvaluator(example2_instance).answer(sites_query), sites_query
         )
         assert cube.same_cells(scratch)
-        # Drill rewritings work off the patched (decoded) partial result.
+        # Drill rewritings work off the patched partial result.
         drilled = fresh.transform(sites_query, DrillOut("dage"), strategy="rewrite")
         drilled_query = DrillOut("dage").apply(sites_query)
         drilled_scratch = Cube(
             AnalyticalQueryEvaluator(example2_instance).answer(drilled_query), drilled_query
         )
         assert drilled.same_cells(drilled_scratch)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_warm_started_entry_refreshes_by_delta_and_equals_scratch(
+        self, tmp_path, example2_instance, sites_query, engine
+    ):
+        """Forced through ``cache.refresh`` (columnar pricing may prefer
+        recomputing at this scale): the patch splices in the live id space."""
+        store = str(tmp_path / "cache")
+        OLAPSession(example2_instance, cache_dir=store, engine=engine).execute(sites_query)
+        fresh = OLAPSession(example2_instance, cache_dir=store, engine=engine)
+        fresh.execute(sites_query)
+        assert fresh.history[-1].strategy == "cache[disk]"
+        _grow_instance(example2_instance, suffix="W")
+        entry = fresh.cache.refresh(sites_query, example2_instance, fresh.maintainer)
+        assert entry is not None and entry.origin == "disk"
+        assert (fresh.cache.stats.refreshes, fresh.cache.stats.invalidations) == (1, 0)
+        for storage in (entry.materialized.partial.storage, entry.materialized.answer.storage):
+            assert storage.dictionary is example2_instance.dictionary
+        scratch = AnalyticalQueryEvaluator(example2_instance, engine=engine).evaluate(sites_query)
+        assert Cube(entry.materialized.answer, sites_query).same_cells(Cube(scratch.answer, sites_query))
+        assert Cube(entry.materialized.answer, sites_query).cell(Literal(35), EX.term("NY")) == 3
 
     def test_capacity_zero_never_refreshes(self, example2_instance, sites_query):
         session = OLAPSession(example2_instance, cache_capacity=0)

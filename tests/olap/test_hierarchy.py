@@ -354,21 +354,29 @@ class TestDerivedIds:
         assert rolled.cells() == {(Literal(28), "Iberia"): 4}
         assert sorted(asked) == [EX.term("Madrid"), EX.term("Sevilla")]
 
-    def test_a_restored_value_space_pres_rolls_through_the_same_method(self, tmp_path):
-        """A ``pres`` read back from disk holds decoded values: the identity
-        encoding of ``map_column``, no dictionary involved."""
+    def test_a_rolled_entry_with_derived_ids_round_trips_in_id_space(self, graph, engine, tmp_path):
+        """A rolled entry on disk holds its derived parents as values; a new
+        session over a fresh copy of the graph — whose dictionary has never
+        seen them — reads them back as *its* negative derived ids."""
         from repro.algebra.relation import IdRelation
+        from repro.storage.snapshot import load_snapshot
         from tests.conftest import make_words_query
 
         query = make_words_query("sum")
-        graph = _words_instance()
-        with OLAPSession(graph) as session:
+        store = str(tmp_path / "cache")
+        with OLAPSession(graph, cache_dir=store, engine=engine) as session:
             session.execute(query)
-            expected = session.roll_up(query, "dcity", _CITY_TO_REGION).cells()
-            session.save_materialized(query, str(tmp_path / "saved"))
-        with OLAPSession(graph) as session:
-            restored = session.restore_materialized(query, str(tmp_path / "saved"))
-            assert not isinstance(restored.partial.storage, IdRelation)
             rolled = session.roll_up(query, "dcity", _CITY_TO_REGION, strategy="rewrite")
-            assert not isinstance(session.materialized(rolled.query).partial.storage, IdRelation)
-        assert rolled.cells() == expected
+            banded = session.roll_up(rolled.query, "dage", AGE_BANDS, strategy="rewrite")
+        fresh = load_snapshot(graph.snapshot_path) if graph.snapshot_path else _words_instance()
+        with OLAPSession(fresh, cache_dir=store, engine=engine) as session:
+            cube = session.execute(banded.query)
+            assert session.history[-1].strategy == "cache[disk]"
+            restored = session.materialized(banded.query)
+        assert cube.cells() == banded.cells()
+        for storage in (restored.partial.storage, restored.answer.storage):
+            assert isinstance(storage, IdRelation) and storage.dictionary is fresh.dictionary
+            assert {"dage", "dcity"} <= storage.encoded_columns
+            bands = storage.distinct_values("dage")
+            assert all(i < 0 for i in bands)  # "young" / "senior"
+            assert {fresh.dictionary.decode(i) for i in bands} == {"young", "senior"}

@@ -1,136 +1,135 @@
-"""Unit tests for persisting and restoring materialized query results."""
+"""Persisted materialized results: cache-entry files and their value records."""
 
 import os
+from decimal import Decimal
 
 import pytest
 
-from repro.errors import MaterializationError
-from repro.rdf import EX, Literal
-from repro.algebra.relation import Relation
-from repro.analytics import AnalyticalQuery, AnalyticalQueryEvaluator
-from repro.olap import Cube, DrillIn, DrillOut, OLAPSession, Slice
-from repro.persistence import (
-    load_materialized_results,
-    load_relation,
-    save_materialized_results,
-    save_relation,
-)
-
-from tests.conftest import make_sites_query, make_views_query
+from repro.errors import SnapshotFormatError
+from repro.rdf import EX, BlankNode, Literal
+from repro.algebra.aggregates import AggregateFunction
+from repro.analytics import AnalyticalQuery
+from repro.olap import DrillIn, DrillOut, OLAPSession, Slice
+from repro.olap.cache import ResultCache
+from repro.storage.snapshot import Container, decode_records, record_table
 
 
-class TestRelationRoundtrip:
-    def test_terms_numbers_strings_and_none(self, tmp_path):
-        relation = Relation(
-            ["x", "dage", "dcity", "k", "v", "note"],
-            [
-                (EX.user1, Literal(28), EX.term("Madrid"), 1, 3.5, "plain text"),
-                (EX.user3, Literal("35"), EX.term("NY"), 2, True, None),
-            ],
+class TestValueRecords:
+    def test_terms_and_plain_values_round_trip_with_their_types(self):
+        values = [
+            EX.user1,
+            BlankNode("b0"),
+            Literal(28),
+            Literal("35"),
+            Literal("chat", language="fr"),
+            "plain text",
+            "",
+            1,
+            2**70,
+            3.5,
+            True,
+            None,
+            Decimal("0.10"),
+            1,  # duplicates are records like any other
+        ]
+        decoded = decode_records(*record_table(values)[:3])
+        assert decoded == values
+        assert list(map(type, decoded)) == list(map(type, values))
+
+    def test_empty_table(self):
+        assert decode_records(*record_table([])[:3]) == []
+
+    def test_a_value_without_a_record_is_rejected(self):
+        with pytest.raises(SnapshotFormatError):
+            record_table([(1, 2)])
+
+
+def _entry_path(store):
+    (name,) = os.listdir(store)
+    return os.path.join(store, name)
+
+
+class TestEntryFiles:
+    def test_an_entry_is_one_container_file(self, example2_instance, sites_query, tmp_path):
+        store = str(tmp_path / "cache")
+        OLAPSession(example2_instance, cache_dir=store).execute(sites_query)
+        path = _entry_path(store)
+        assert os.path.isfile(path)
+        entry = Container(path, kind="cache-entry")
+        header = entry.header
+        assert header["canonical_key"] == sites_query.canonical_key
+        assert (header["aggregate"], header["instance_triples"]) == ("count", len(example2_instance))
+        partial = header["relations"]["partial"]
+        assert partial["columns"] == ["x", "dage", "dcity", "k", "vsite"]
+        assert set(partial["encoded"]) == {"x", "dage", "dcity", "vsite"}
+        assert header["relations"]["answer"]["columns"] == ["dage", "dcity", "vsite"]
+        sections = entry.read_sections()
+        assert {"partial.k", "partial.x", "answer.vsite", "term_kinds"} <= set(sections)
+        assert sections["partial.k"].format == "q"
+        with pytest.raises(SnapshotFormatError, match="not a graph snapshot"):
+            Container(path)
+
+    def test_the_value_table_holds_only_the_values_the_entry_references(
+        self, example2_instance, sites_query, tmp_path
+    ):
+        store = str(tmp_path / "cache")
+        session = OLAPSession(example2_instance, cache_dir=store)
+        session.execute(sites_query)
+        materialized = session.materialized(sites_query)
+        partial = materialized.partial.relation  # ans(Q)'s dimension values are among pres(Q)'s
+        referenced = set().union(*map(partial.distinct_values, ("x", "dage", "dcity", "vsite")))
+        sections = Container(_entry_path(store), kind="cache-entry").read_sections()
+        table = decode_records(sections["term_kinds"], sections["term_offsets"], sections["term_blob"])
+        assert sorted(table, key=repr) == sorted(referenced, key=repr)
+        assert len(table) < len(example2_instance.dictionary)
+
+    def test_a_value_without_a_record_keeps_the_entry_in_memory_only(
+        self, example2_instance, sites_query, tmp_path
+    ):
+        spread = AggregateFunction(
+            "spread_persistence_oracle", lambda bag: (min(bag), max(bag)), False, numeric_only=False
         )
-        path = str(tmp_path / "relation.tsv")
-        save_relation(relation, path)
-        recovered = load_relation(path)
-        assert recovered.columns == relation.columns
-        assert recovered.bag_equal(relation)
+        query = AnalyticalQuery(sites_query.classifier, sites_query.measure, spread, name="Q_spread")
+        store = str(tmp_path / "cache")
+        session = OLAPSession(example2_instance, cache_dir=store)
+        cube = session.execute(query)
+        assert cube.cell(Literal(28), EX.term("Madrid")) == ("http://example.org/s1", "http://example.org/s2")
+        assert os.listdir(store) == []
+        assert session.execute(query).cells() == cube.cells()
+        assert session.history[-1].strategy == "cache"
 
-    def test_duplicate_rows_survive(self, tmp_path):
-        relation = Relation(["a"], [(1,), (1,), (2,)])
-        path = str(tmp_path / "dups.tsv")
-        save_relation(relation, path)
-        assert load_relation(path).to_multiset() == relation.to_multiset()
-
-    def test_empty_relation(self, tmp_path):
-        relation = Relation(["a", "b"], [])
-        path = str(tmp_path / "empty.tsv")
-        save_relation(relation, path)
-        recovered = load_relation(path)
-        assert recovered.columns == ("a", "b") and len(recovered) == 0
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "broken.tsv"
-        path.write_text("")
-        with pytest.raises(MaterializationError):
-            load_relation(str(path))
-
-    def test_arity_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "broken.tsv"
-        path.write_text("a\tb\njson:1\n")
-        with pytest.raises(MaterializationError):
-            load_relation(str(path))
-
-    def test_unpersistable_value_rejected(self, tmp_path):
-        relation = Relation(["a"], [(object(),)])
-        with pytest.raises(MaterializationError):
-            save_relation(relation, str(tmp_path / "bad.tsv"))
-
-
-class TestMaterializedResultsRoundtrip:
-    def test_save_and_load_answer_and_partial(self, example2_instance, sites_query, tmp_path):
-        evaluator = AnalyticalQueryEvaluator(example2_instance)
-        materialized = evaluator.evaluate(sites_query)
-        directory = str(tmp_path / "Q_sites")
-        save_materialized_results(materialized, directory)
-        assert os.path.exists(os.path.join(directory, "manifest.json"))
-
-        restored = load_materialized_results(directory, sites_query)
-        assert restored.answer.relation.bag_equal(materialized.answer.relation)
-        assert restored.partial.relation.bag_equal(materialized.partial.relation)
-        assert restored.partial.dimension_columns == materialized.partial.dimension_columns
-
-    @pytest.mark.parametrize("missing", ["answer.tsv", "partial.tsv"])
-    def test_incomplete_bundle_rejected(self, example2_instance, sites_query, tmp_path, missing):
-        """Stored results are complete: a directory lacking either relation is malformed."""
-        evaluator = AnalyticalQueryEvaluator(example2_instance)
-        directory = str(tmp_path / "Q_incomplete")
-        save_materialized_results(evaluator.evaluate(sites_query), directory)
-        os.remove(os.path.join(directory, missing))
-        with pytest.raises(MaterializationError, match=r"answer\.tsv or partial\.tsv"):
-            load_materialized_results(directory, sites_query)
-        with pytest.raises(MaterializationError):
-            OLAPSession(example2_instance).restore_materialized(sites_query, directory)
-
-    def test_mismatched_query_rejected(self, example2_instance, sites_query, tmp_path):
-        evaluator = AnalyticalQueryEvaluator(example2_instance)
-        directory = str(tmp_path / "Q_sites")
-        save_materialized_results(evaluator.evaluate(sites_query), directory)
-        other = AnalyticalQuery(
-            sites_query.classifier, sites_query.measure, "sum", name=sites_query.name
-        )
-        with pytest.raises(MaterializationError):
-            load_materialized_results(directory, other)
-
-    def test_missing_manifest_rejected(self, sites_query, tmp_path):
-        with pytest.raises(MaterializationError):
-            load_materialized_results(str(tmp_path), sites_query)
+    def test_another_aggregate_is_another_entry(self, example2_instance, sites_query, tmp_path):
+        store = str(tmp_path / "cache")
+        OLAPSession(example2_instance, cache_dir=store).execute(sites_query)
+        other = AnalyticalQuery(sites_query.classifier, sites_query.measure, "sum", name=sites_query.name)
+        cold = ResultCache(capacity=4, store_dir=store)
+        assert cold.get(other, example2_instance) is None
+        assert (cold.stats.disk_hits, cold.stats.disk_rejects) == (0, 0)
 
 
 class TestSessionIntegration:
-    def test_restore_enables_rewriting_without_reexecution(
+    def test_warm_start_enables_rewriting_without_reexecution(
         self, example2_instance, sites_query, tmp_path
     ):
-        # First session: execute and persist.
-        first = OLAPSession(example2_instance)
+        store = str(tmp_path / "cache")
+        first = OLAPSession(example2_instance, cache_dir=store)
         first.execute(sites_query)
-        directory = str(tmp_path / "saved")
-        first.save_materialized(sites_query, directory)
         reference = first.transform(sites_query, DrillOut("dage"), strategy="rewrite")
 
-        # Second session: restore instead of executing, then rewrite.
-        second = OLAPSession(example2_instance)
-        second.restore_materialized(sites_query, directory)
+        second = OLAPSession(example2_instance, cache_dir=store)
+        second.execute(sites_query)
+        assert second.history[-1].strategy == "cache[disk]"
         restored_cube = second.transform(sites_query, DrillOut("dage"), strategy="rewrite")
         assert restored_cube.same_cells(reference)
         sliced = second.transform(sites_query, Slice("dage", Literal(35)), strategy="rewrite")
         assert len(sliced) == 1
 
-    def test_drill_in_after_restore(self, figure3_instance, views_query, tmp_path):
-        first = OLAPSession(figure3_instance)
-        first.execute(views_query)
-        directory = str(tmp_path / "views")
-        first.save_materialized(views_query, directory)
+    def test_drill_in_after_warm_start(self, figure3_instance, views_query, tmp_path):
+        store = str(tmp_path / "cache")
+        OLAPSession(figure3_instance, cache_dir=store).execute(views_query)
 
-        second = OLAPSession(figure3_instance)
-        second.restore_materialized(views_query, directory)
+        second = OLAPSession(figure3_instance, cache_dir=store)
+        second.execute(views_query)
+        assert second.history[-1].strategy == "cache[disk]"
         refined = second.transform(views_query, DrillIn("d3"), strategy="rewrite")
         assert refined.cell(Literal("URL1"), Literal("firefox")) == 100

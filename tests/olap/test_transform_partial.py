@@ -267,7 +267,7 @@ def test_restricted_removed_dimension_still_refuses(engine):
 
 
 def _count_calls(monkeypatch, module, name):
-    """Count calls of ``module.name`` (the alias that module looks up)."""
+    """Count calls of ``module.name`` (the attribute its callers look up)."""
     calls = []
     original = getattr(module, name)
 
@@ -286,7 +286,8 @@ def test_materializing_drill_in_evaluates_q_aux_and_joins_once(monkeypatch, smal
     session = OLAPSession(small_video_dataset.instance, small_video_dataset.schema)
     query = views_per_url_query(small_video_dataset.schema)
     session.execute(query)
-    auxiliary = _count_calls(monkeypatch, rewriting, "_auxiliary_answer")
+    # q_aux is the one BGP the rewriting evaluates on the instance.
+    auxiliary = _count_calls(monkeypatch, session.evaluator.bgp_evaluator, "evaluate_ids")
     joins = _count_calls(monkeypatch, rewriting, "join_on")
     cube = session.transform(query, DrillIn("d3"), strategy="rewrite")
     assert (len(auxiliary), len(joins)) == (1, 1)

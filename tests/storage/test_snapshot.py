@@ -219,3 +219,42 @@ def test_corrupt_header_json_raises(blogger_instance, tmp_path):
 def test_missing_file_raises_format_error(tmp_path):
     with pytest.raises(SnapshotFormatError, match="cannot read"):
         open_snapshot(str(tmp_path / "does-not-exist.snap"))
+
+
+# ---------------------------------------------------------------------------
+# the container's two file kinds
+# ---------------------------------------------------------------------------
+
+
+def test_graph_snapshot_bytes_are_pinned(tmp_path):
+    """Format version 1 is frozen: the container writer must lay a graph
+    snapshot out byte for byte as it always has."""
+    import hashlib
+
+    from repro.rdf.graph import Graph
+    from repro.rdf.namespaces import RDF
+    from repro.rdf.terms import BlankNode
+
+    graph = Graph(name="pinned")  # inserted in a fixed order: fixed term ids
+    for index in range(6):
+        fact = IRI(f"http://example.org/fact/{index}")
+        graph.add(Triple(fact, RDF.term("type"), IRI("http://example.org/Fact")))
+        graph.add(Triple(fact, IRI("http://example.org/value"), Literal(index * 1.5)))
+        graph.add(Triple(fact, IRI("http://example.org/label"), Literal(f"f{index}", language="en")))
+    graph.add(Triple(BlankNode("b0"), IRI("http://example.org/flag"), Literal(True)))
+    data = open(_snapshot_of(graph, tmp_path), "rb").read()
+    assert hashlib.sha256(data).hexdigest() == (
+        "5b54c522e1cf0910b27c61e1d775847cd152c3ebc28242d9336865bf75df1fa0"
+    )
+
+
+def test_a_cache_entry_is_not_a_snapshot(example2_instance, sites_query, tmp_path):
+    import os
+
+    from repro.olap import OLAPSession
+
+    store = str(tmp_path / "cache")
+    OLAPSession(example2_instance, cache_dir=store).execute(sites_query)
+    (name,) = os.listdir(store)
+    with pytest.raises(SnapshotFormatError, match="cache-entry file, not a graph snapshot"):
+        open_snapshot(os.path.join(store, name))

@@ -252,12 +252,10 @@ class EntailmentRewritingEvaluator(AnalyticalQueryEvaluator):
         except EvaluationError:
             return 1
 
-    def _bgp_result(self, query, semantics: str, initial_binding=None, fact_range=None) -> Relation:
+    def _bgp_result(self, query, semantics: str, seed=None, fact_range=None) -> Relation:
         branches = self.branches(query)
         if len(branches) == 1:
-            return super()._bgp_result(
-                query, semantics, initial_binding=initial_binding, fact_range=fact_range
-            )
+            return super()._bgp_result(query, semantics, seed=seed, fact_range=fact_range)
         # Head = all original variables: bag multiplicities over the closure
         # count embeddings of the original query's variables only, never the
         # fresh witnesses, and never one embedding twice across derivations.
@@ -266,7 +264,7 @@ class EntailmentRewritingEvaluator(AnalyticalQueryEvaluator):
             super(EntailmentRewritingEvaluator, self)._bgp_result(
                 branch.with_head(full_head.head, name=branch.name),
                 "set",
-                initial_binding=initial_binding,
+                seed=seed,
                 fact_range=fact_range,
             )
             for branch in branches

@@ -28,13 +28,12 @@ decodes its answer once (``CubeAnswer.decoded_cells``).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.algebra.columnar import resolve_engine
 from repro.algebra.grouping import group_aggregate, group_partial_states
 from repro.algebra.operators import join_on, rename, select
 from repro.algebra.relation import Relation, relation_like
-from repro.errors import RewritingError
 from repro.rdf.graph import Graph, GraphShard
 from repro.rdf.statistics import GraphStatistics
 from repro.bgp.evaluator import BGPEvaluator
@@ -101,28 +100,27 @@ class AnalyticalQueryEvaluator:
     # engine-space building blocks (dictionary-encoded id relations)
     # ------------------------------------------------------------------
 
-    def _bgp_result(self, query, semantics: str, initial_binding=None, fact_range=None) -> Relation:
-        return self._bgp.evaluate_ids(
-            query, semantics=semantics, initial_binding=initial_binding, fact_range=fact_range
-        )
+    def _bgp_result(self, query, semantics: str, seed=None, fact_range=None) -> Relation:
+        return self._bgp.evaluate_ids(query, semantics=semantics, seed=seed, fact_range=fact_range)
 
-    def _classifier_relation(self, query: AnalyticalQuery, fact_range=None) -> Relation:
-        relation = self._bgp_result(query.classifier, "set", fact_range=fact_range)
+    def _classifier_relation(self, query: AnalyticalQuery, fact_range=None, seed=None) -> Relation:
+        relation = self._bgp_result(query.classifier, "set", seed=seed, fact_range=fact_range)
         if query.sigma.is_unrestricted():
             return relation
         return select(relation, query.sigma.predicate())
 
-    def _measure_relation(self, query: AnalyticalQuery, fact_range=None) -> Relation:
-        return self._bgp_result(query.measure, "bag", fact_range=fact_range)
+    def _measure_relation(self, query: AnalyticalQuery, fact_range=None, seed=None) -> Relation:
+        return self._bgp_result(query.measure, "bag", seed=seed, fact_range=fact_range)
 
     def _extended_measure_relation(
         self,
         query: AnalyticalQuery,
         key_generator: Optional[KeyGenerator] = None,
         fact_range=None,
+        seed=None,
     ) -> Relation:
         keys = key_generator or KeyGenerator()
-        measure = self._measure_relation(query, fact_range=fact_range)
+        measure = self._measure_relation(query, fact_range=fact_range, seed=seed)
         # Consume len(measure) consecutive keys in one step; the measure's
         # storage prepends them (row tuples, or an arange column).
         return measure.prepend_keys(KEY_COLUMN, keys.take(len(measure)))
@@ -183,17 +181,23 @@ class AnalyticalQueryEvaluator:
         query: AnalyticalQuery,
         key_generator: Optional[KeyGenerator] = None,
         fact_range=None,
+        seed: Optional[Sequence[int]] = None,
     ) -> PartialResult:
         """``pres(Q, I) = c(I) ⋈ₓ mᵏ(I)`` (Definition 4).
 
         The returned partial result keeps its relation in the engine's
         value space (encoded ids); use
         :attr:`~repro.analytics.answer.PartialResult.relation` for the
-        decoded view.
+        decoded view.  Keys come from ``key_generator``: one per measure
+        embedding, repeated across the fact's classifier rows (Algorithm
+        1's key-dedup semantics depend on this).
 
         ``fact_range`` restricts both sides to facts with term ids in the
         given ``(variable, lo, hi)`` interval — the building block of
-        per-shard evaluation (see :meth:`shard_results`).
+        per-shard evaluation (see :meth:`shard_results`).  ``seed``
+        restricts both sides to the facts with the given ids, by seeding the
+        BGP solver with them — how a delta refresh
+        (:mod:`repro.olap.maintenance`) re-derives its affected facts.
 
         Rolled-up queries evaluate their base (finest-granularity) query and
         map the result through the rollup stack (see
@@ -201,12 +205,15 @@ class AnalyticalQueryEvaluator:
         """
         if query.rollup:
             base_partial = self.partial_result(
-                query.base_query(), key_generator=key_generator, fact_range=fact_range
+                query.base_query(), key_generator=key_generator, fact_range=fact_range, seed=seed
             )
             return roll_partial(base_partial, query, start=0)
         fact = query.fact_variable.name
-        classifier_relation = self._classifier_relation(query, fact_range=fact_range)
-        keyed_measure = self._extended_measure_relation(query, key_generator, fact_range=fact_range)
+        facts = None if seed is None else {query.fact_variable: seed}
+        classifier_relation = self._classifier_relation(query, fact_range=fact_range, seed=facts)
+        keyed_measure = self._extended_measure_relation(
+            query, key_generator, fact_range=fact_range, seed=facts
+        )
         # Reorder mᵏ columns to (x, k, v) so the join drops the duplicate fact
         # column and the output layout is (x, d₁..dₙ, k, v).
         measure_column = query.measure_variable.name
@@ -223,67 +230,6 @@ class AnalyticalQueryEvaluator:
             key_column=KEY_COLUMN,
             measure_column=measure_column,
         )
-
-    def fact_partial_rows(
-        self,
-        query: AnalyticalQuery,
-        fact_term,
-        key_generator: KeyGenerator,
-        memo: Optional[Dict] = None,
-    ) -> Relation:
-        """Freshly evaluated ``pres(Q)`` rows of a **single** fact.
-
-        The workhorse of incremental maintenance
-        (:mod:`repro.olap.maintenance`): after a graph update, only the
-        facts whose embeddings touch changed triples need new partial-result
-        rows, and each is re-derived here by evaluating classifier and
-        measure with the fact variable pre-bound — a handful of index
-        lookups instead of a full BGP join.
-
-        The returned relation has the exact ``pres(Q)`` layout
-        ``(x, d₁..dₙ, k, v)`` in the engine's value space.  Keys come from
-        ``key_generator`` — one per measure embedding, duplicated across
-        classifier rows, matching :meth:`partial_result`'s ``c ⋈ₓ mᵏ``
-        construction (Algorithm 1's key-dedup semantics depend on this).
-
-        ``memo`` (optional) caches the raw classifier / measure evaluations
-        keyed by (query, fact) across calls — refresh waves re-derive the
-        same facts for many cached entries that share bodies, and only the
-        Σ-selection and the keys differ per entry.  Callers own the memo's
-        lifetime and must drop it when the graph changes.
-        """
-        if query.rollup:
-            raise RewritingError(
-                f"per-fact re-derivation is not defined for rolled-up query {query.name!r}; "
-                "rolled cache entries are invalidated, not patched"
-            )
-        fact = query.fact_variable.name
-        measure_column = query.measure_variable.name
-        columns = (fact, *query.dimension_names, KEY_COLUMN, measure_column)
-        binding = {query.fact_variable: fact_term}
-        classifier = measure = None
-        if memo is not None:
-            classifier_key = ("classifier", query.classifier, fact_term)
-            measure_key = ("measure", query.measure, fact_term)
-            classifier = memo.get(classifier_key)
-            measure = memo.get(measure_key)
-        if classifier is None:
-            classifier = self._bgp_result(query.classifier, "set", initial_binding=binding)
-            if memo is not None:
-                memo[classifier_key] = classifier
-        if measure is None:
-            measure = self._bgp_result(query.measure, "bag", initial_binding=binding)
-            if memo is not None:
-                memo[measure_key] = measure
-        if not query.sigma.is_unrestricted():
-            classifier = select(classifier, query.sigma.predicate())
-        keyed = [(row[1], key_generator()) for row in measure]
-        rows = [
-            tuple(classifier_row) + (key, value)
-            for classifier_row in classifier
-            for value, key in keyed
-        ]
-        return relation_like(columns, rows, classifier, measure, plain_columns=(KEY_COLUMN,))
 
     def answer_from_partial(self, query: AnalyticalQuery, partial: PartialResult) -> CubeAnswer:
         """Equation (3): aggregate the partial result into ``ans(Q)``.

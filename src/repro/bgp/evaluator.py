@@ -33,7 +33,7 @@ from repro.algebra.columnar import ColumnarIdRelation, resolve_engine
 from repro.algebra.relation import IdRelation, Relation, tuple_getter
 from repro.rdf.graph import Graph
 from repro.rdf.statistics import GraphStatistics
-from repro.rdf.terms import Term, Variable
+from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
 from repro.bgp.optimizer import order_patterns
 from repro.bgp.query import BGPQuery
@@ -195,7 +195,7 @@ class BGPEvaluator:
         self,
         query: BGPQuery,
         semantics: str = "set",
-        initial_binding: Optional[Dict[Variable, Term]] = None,
+        seed: Optional[Dict[Variable, Sequence[int]]] = None,
         fact_range: Optional[Tuple[Variable, int, Optional[int]]] = None,
     ) -> IdRelation:
         """Evaluate ``query`` and return the id-level relation over its head.
@@ -204,17 +204,29 @@ class BGPEvaluator:
         term object is materialized.  This is the engine's native entry
         point — decoded results are a :meth:`materialize` call away.
 
+        ``seed`` — parallel id columns, one per variable, all the same
+        length — starts the solver from one binding per position instead
+        of from the empty binding (a VALUES clause): the result is the
+        union of the evaluations under each seed row.  A delta refresh
+        seeds the fact variable with its affected facts; an empty column
+        gives an empty result.
+
         ``fact_range`` — a ``(variable, lo, hi)`` triple (``hi`` may be
         None for "unbounded") — restricts one variable's bindings to term
         ids in ``[lo, hi)``.  This is the shard-evaluation hook of the
         partitioned engine: bindings outside the range are pruned as soon
         as the variable is bound, so a shard pays only for its own slice of
-        the join work, not a post-hoc filter over the full result.
+        the join work, not a post-hoc filter over the full result.  A seed
+        and a range are never combined.
         """
         if semantics not in ("set", "bag"):
             raise EvaluationError(f"unknown semantics {semantics!r}; expected 'set' or 'bag'")
 
-        if self._engine == "columnar" and initial_binding is None:
+        # Seeded calls stay on the row solver: the columnar index drops every
+        # array when the graph version moves and rebuilds a heap predicate's
+        # with a Python pass, so a seeded (delta-sized) solve after each
+        # ingest batch would cost O(instance) there.
+        if self._engine == "columnar" and not seed:
             # The columnar fast path: emit column blocks instead of per-row
             # binding tuples.  Unsupported query shapes (variable
             # predicates, disconnected joins, repeated in-pattern
@@ -223,7 +235,7 @@ class BGPEvaluator:
             if result is not None:
                 return result
 
-        bindings, slot_of = self._solve(query, initial_binding, fact_range)
+        bindings, slot_of = self._solve(query, seed, fact_range)
         dictionary = self._graph.dictionary
         if not bindings:
             return IdRelation.adopt_encoded(query.head_names, [], dictionary)
@@ -245,7 +257,7 @@ class BGPEvaluator:
         self,
         query: BGPQuery,
         semantics: str = "set",
-        initial_binding: Optional[Dict[Variable, Term]] = None,
+        seed: Optional[Dict[Variable, Sequence[int]]] = None,
         fact_range: Optional[Tuple[Variable, int, Optional[int]]] = None,
     ) -> Relation:
         """Evaluate ``query`` and return a decoded relation over its head variables.
@@ -257,16 +269,16 @@ class BGPEvaluator:
         semantics:
             ``"set"`` (deduplicate head rows) or ``"bag"`` (one row per
             homomorphism of the body).
-        initial_binding:
-            Optional pre-bindings of some variables to ground terms (used by
-            extended classifiers); variables bound here may also appear in
-            the head.
+        seed:
+            Optional id columns the solver starts from (see
+            :meth:`evaluate_ids`); seeded variables may also appear in the
+            head.
         fact_range:
             Optional id-range restriction of one variable (see
             :meth:`evaluate_ids`).
         """
         return self.evaluate_ids(
-            query, semantics=semantics, initial_binding=initial_binding, fact_range=fact_range
+            query, semantics=semantics, seed=seed, fact_range=fact_range
         ).to_rows("decode:bgp").materialize()
 
     def count(self, query: BGPQuery, semantics: str = "set") -> int:
@@ -442,7 +454,7 @@ class BGPEvaluator:
     def _solve(
         self,
         query: BGPQuery,
-        initial_binding: Optional[Dict[Variable, Term]] = None,
+        seed: Optional[Dict[Variable, Sequence[int]]] = None,
         fact_range: Optional[Tuple[Variable, int, Optional[int]]] = None,
     ) -> Tuple[List[Tuple[Optional[int], ...]], Dict[Variable, int]]:
         """Return (list of slot tuples, variable → slot index).
@@ -451,45 +463,24 @@ class BGPEvaluator:
         not yet bound hold ``None`` (only possible transiently — after the
         last pattern every body variable is bound).
         """
-        graph = self._graph
-        start_ids: Dict[Variable, int] = {}
-        if initial_binding:
-            for variable, term in initial_binding.items():
-                term_id = graph.encode_term(term)
-                if term_id is None:
-                    return [], {}  # a pre-bound constant absent from the graph: no answers
-                start_ids[variable] = term_id
+        seed = seed or {}
+        pending_range = fact_range
+        ordered = order_patterns(query.body, self._statistics, bound_variables=set(seed))
 
-        pending_range: Optional[Tuple[Variable, int, Optional[int]]] = None
-        if fact_range is not None:
-            range_variable, range_lo, range_hi = fact_range
-            if range_variable in start_ids:
-                term_id = start_ids[range_variable]
-                if term_id < range_lo or (range_hi is not None and term_id >= range_hi):
-                    return [], {}  # the pre-bound fact lives in another shard
-            else:
-                pending_range = fact_range
-
-        ordered = order_patterns(
-            query.body, self._statistics, bound_variables=set(start_ids)
-        )
-
-        # Fixed slot assignment: initial-binding variables first, then body
-        # variables in the order the chosen join order binds them.
-        slot_of: Dict[Variable, int] = {}
-        for variable in start_ids:
-            slot_of[variable] = len(slot_of)
+        # Fixed slot assignment: seeded variables first, then body variables
+        # in the order the chosen join order binds them.
+        slot_of: Dict[Variable, int] = dict(zip(seed, range(len(seed))))
         for pattern in ordered:
             for term in pattern.as_tuple():
                 if isinstance(term, Variable) and term not in slot_of:
                     slot_of[term] = len(slot_of)
 
-        start = [None] * len(slot_of)
-        for variable, term_id in start_ids.items():
-            start[slot_of[variable]] = term_id
-
-        bindings: List[Tuple[Optional[int], ...]] = [tuple(start)]
-        bound = set(start_ids)
+        # One start tuple per seed row (the empty binding when unseeded).
+        unbound = (None,) * (len(slot_of) - len(seed))
+        bindings: List[Tuple[Optional[int], ...]] = (
+            [row + unbound for row in zip(*seed.values())] if seed else [unbound]
+        )
+        bound = set(seed)
         for pattern in ordered:
             if not bindings:
                 return [], slot_of

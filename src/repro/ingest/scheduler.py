@@ -35,9 +35,10 @@ from repro.errors import IngestError
 __all__ = ["POLICIES", "RefreshDecision", "RefreshScheduler", "SchedulerStats"]
 
 #: Supported scheduling policies.  ``"eager"`` and ``"lazy"`` force one
-#: action for every patchable entry (the benchmark baselines); ``"auto"``
-#: splits by hit rate.  All three invalidate entries whose refresh is
-#: priced at or above a from-scratch recomputation.
+#: action for every patchable entry (the fixed baselines ``"auto"`` is
+#: tested against, and a choice for callers who know their read pattern);
+#: ``"auto"`` splits by hit rate.  All three invalidate entries whose
+#: refresh is priced at or above a from-scratch recomputation.
 POLICIES = ("eager", "lazy", "auto")
 
 #: ``"auto"``'s default hotness bar: an entry read at least this many

@@ -183,7 +183,7 @@ def strategy_family(strategy: str) -> Optional[str]:
     """
     if strategy.startswith("plan[") and strategy.endswith("]"):
         strategy = strategy[len("plan[") : -1]
-    if strategy in ("scratch", "auto") or strategy.startswith("scratch["):
+    if strategy == "scratch" or strategy.startswith("scratch["):
         # scratch[saturate] / scratch[rewrite]: entailment-aware evaluation
         # still touches the instance — same pricing family as plain scratch.
         return "instance"

@@ -9,18 +9,21 @@ recomputing them:
 
 1. **Affected facts.** A partial-result row can only change when some
    embedding of the classifier or measure body maps a triple pattern onto a
-   changed triple.  For every delta triple and every body pattern it unifies
-   with, the body is re-evaluated with the pattern's variables pre-bound to
-   the triple's terms, projecting the fact variable — over an *overlay*
-   graph (current graph plus the removed triples), which is a superset of
-   both the old and the new instance, so facts losing embeddings are found
-   too.  The union of these projections is a sound superset of every fact
-   whose classifier rows or measure bag changed.
+   changed triple.  Each body pattern is unified with the delta once, and
+   the body is re-evaluated *seeded* with the bindings of every delta
+   triple it unifies with (one VALUES-style evaluation per pattern),
+   projecting the fact variable — over an *overlay* graph (current graph
+   plus the removed triples), which is a superset of both the old and the
+   new instance, so facts losing embeddings are found too.  The union of
+   these projections is a sound superset of every fact whose classifier
+   rows or measure bag changed.
 
 2. **Patch pres(Q).** Rows of unaffected facts are kept verbatim; rows of
-   affected facts are dropped and re-derived from the current graph with
-   :meth:`~repro.analytics.evaluator.AnalyticalQueryEvaluator.fact_partial_rows`
-   (the fact variable pre-bound — index lookups, not a full BGP join).
+   affected facts are dropped and re-derived from the current graph by one
+   :meth:`~repro.analytics.evaluator.AnalyticalQueryEvaluator.partial_result`
+   seeded with the affected facts — Definition 4 built where scratch
+   evaluation builds it, the solver starting from the fact column instead
+   of enumerating every fact.
 
 3. **γ over the touched groups.** A group is *touched* when its dimension
    tuple appears on a dropped or a re-derived row.  The touched groups'
@@ -42,7 +45,7 @@ instance.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.algebra.operators import union_all
 from repro.algebra.relation import Relation
@@ -126,8 +129,8 @@ class DeltaMaintainer:
     ----------
     evaluator:
         The session's analytical evaluator over the live instance; supplies
-        the BGP machinery for affected-fact probes and per-fact re-derivation
-        as well as the statistics both cost estimates are computed from.
+        the seeded ``partial_result`` that re-derives affected facts and the
+        statistics both cost estimates (and the affected-fact probes) use.
 
     Examples
     --------
@@ -159,16 +162,15 @@ class DeltaMaintainer:
         self._graph = evaluator.instance
         self._statistics = evaluator.bgp_evaluator.statistics
         self._model = cost_model or CostModel()
-        # A refresh *wave* patches many cache entries against one graph
-        # version, and a session's entries overwhelmingly share classifier
-        # and measure bodies (Σ and head differ, bodies do not).  Both the
-        # affected-fact probes and the per-fact BGP evaluations are
-        # therefore memoized, keyed by value-hashable queries, and cleared
-        # the moment the graph moves on.
+        # A refresh *wave* prices and patches many cache entries against one
+        # graph version, and a session's entries overwhelmingly share
+        # classifier and measure bodies (Σ and head differ, bodies do not).
+        # The delta's unifications with each body pattern and the
+        # affected-fact probes are therefore memoized, keyed by value-hashable
+        # patterns and queries, and cleared the moment the graph moves on.
         self._memo_version: Optional[int] = None
         self._probe_memo: Dict[tuple, frozenset] = {}
-        self._fact_memo: Dict[tuple, Relation] = {}
-        self._probe_count_memo: Dict[tuple, int] = {}
+        self._unified_memo: Dict[tuple, List[Dict[Variable, int]]] = {}
         # id-keyed, but each value holds a strong reference to its pattern,
         # so an id can never be recycled while its memo entry is alive.
         self._pattern_memo: Dict[int, tuple] = {}
@@ -182,8 +184,7 @@ class DeltaMaintainer:
         if self._memo_version != version:
             self._memo_version = version
             self._probe_memo.clear()
-            self._fact_memo.clear()
-            self._probe_count_memo.clear()
+            self._unified_memo.clear()
             self._pattern_memo.clear()
 
     # ------------------------------------------------------------------
@@ -193,8 +194,8 @@ class DeltaMaintainer:
     def _patchable(self, query: AnalyticalQuery) -> bool:
         """Whether entries of ``query`` can be patched from deltas at all.
 
-        Rolled entries derive from a *mapped* base pres: per-fact
-        re-derivation cannot reproduce the hierarchy substitution (the
+        Rolled entries derive from a *mapped* base pres: re-deriving facts
+        from the instance cannot reproduce the hierarchy substitution (the
         planner re-rolls them from a refreshed finer-grained entry instead).
         Under entailment rewriting a delta triple ``(p, x, y)`` also affects
         patterns over ``p``'s superproperties and the classes it types into,
@@ -216,29 +217,16 @@ class DeltaMaintainer:
         if not self._patchable(materialized.query):
             return float("inf")  # such entries invalidate, never patch
         query = materialized.query
-        # Only (delta triple, body pattern) pairs that actually unify spawn
-        # a probe; counting them is O(|delta| · |body|) id comparisons, far
-        # cheaper than the probes themselves, and keeps the estimate from
+        # Each (delta triple, body pattern) pair that unifies is one seed row
+        # of an affected-fact probe; unifying is O(|delta| · |body|) id
+        # comparisons, shared with the probes, and keeps the estimate from
         # charging a blogger-post insertion for classifier patterns it can
         # never touch.
         self._sync_memos()
-        count_key = (
-            query.classifier,
-            query.measure,
-            delta.from_version,
-            delta.to_version,
+        probes = sum(
+            len(self._unified(pattern, delta))
+            for pattern in (*query.classifier.body, *query.measure.body)
         )
-        probes = self._probe_count_memo.get(count_key)
-        if probes is None:
-            patterns = tuple(query.classifier.body) + tuple(query.measure.body)
-            triples = delta.added + delta.removed
-            probes = sum(
-                1
-                for pattern in patterns
-                for triple in triples
-                if self._unify_ids(pattern, triple) is not None
-            )
-            self._probe_count_memo[count_key] = probes
         return (
             probes * self._model.delta_probe_cost
             + len(materialized.partial) * self._model.pres_scan_cost
@@ -255,7 +243,7 @@ class DeltaMaintainer:
         Sound superset: any embedding of the classifier or measure body that
         exists in the old instance or the new one but not both must map some
         pattern onto a delta triple, and every such embedding is found by
-        the pinned probes over the overlay (which contains both instances).
+        the seeded probes over the overlay (which contains both instances).
         """
         self._sync_memos()
         fact = query.fact_variable
@@ -269,36 +257,51 @@ class DeltaMaintainer:
             memo_key = (probe, delta.from_version, delta.to_version)
             found = self._probe_memo.get(memo_key)
             if found is None:
-                if overlay_evaluator is None:
-                    overlay = _TripleOverlay(self._graph, delta.removed)
-                    overlay_evaluator = BGPEvaluator(overlay, statistics=self._statistics)
                 probe_hits: Set[int] = set()
-                for triple in delta.added + delta.removed:
-                    for pattern in probe.body:
-                        bound_ids = self._unify_ids(pattern, triple)
-                        if bound_ids is None:
-                            continue
-                        if fact in bound_ids:
-                            # The pattern itself binds the fact variable:
-                            # the only fact any embedding through this
-                            # triple can have is the bound one.  Flagging
-                            # it without checking that a full embedding
-                            # exists keeps the set a (cheap) superset.
-                            probe_hits.add(bound_ids[fact])
-                            continue
-                        decode = self._graph.dictionary.decode
-                        binding = {
-                            variable: decode(term_id)
-                            for variable, term_id in bound_ids.items()
-                        }
-                        result = overlay_evaluator.evaluate_ids(
-                            probe, semantics="set", initial_binding=binding
+                for pattern in probe.body:
+                    bindings = self._unified(pattern, delta)
+                    if not bindings:
+                        continue
+                    if fact in bindings[0]:
+                        # The pattern itself binds the fact variable: the
+                        # only fact any embedding through such a triple can
+                        # have is the bound one.  Flagging it without
+                        # checking that a full embedding exists keeps the
+                        # set a (cheap) superset.
+                        probe_hits.update(bound[fact] for bound in bindings)
+                        continue
+                    if overlay_evaluator is None:
+                        # The overlay has no columnar hooks: the row solver.
+                        overlay = _TripleOverlay(self._graph, delta.removed)
+                        overlay_evaluator = BGPEvaluator(
+                            overlay, statistics=self._statistics, engine="rows"
                         )
-                        probe_hits.update(row[0] for row in result.rows)
+                    # One seed row per unified triple (a pattern without
+                    # variables seeds nothing: the whole probe runs).
+                    seed = {
+                        variable: [bound[variable] for bound in bindings]
+                        for variable in bindings[0]
+                    }
+                    result = overlay_evaluator.evaluate_ids(probe, semantics="set", seed=seed)
+                    probe_hits.update(row[0] for row in result.rows)
                 found = frozenset(probe_hits)
                 self._probe_memo[memo_key] = found
             affected |= found
         return set(affected)
+
+    def _unified(self, pattern, delta: GraphDelta) -> List[Dict[Variable, int]]:
+        """The bindings of every delta triple that unifies with ``pattern``.
+
+        Memoized per (pattern, delta) until the graph moves on: the refresh
+        estimate counts them and the affected-fact probes are seeded with
+        them, so each (pattern, delta triple) pair is unified once.
+        """
+        key = (pattern, delta.from_version, delta.to_version)
+        found = self._unified_memo.get(key)
+        if found is None:
+            unified = (self._unify_ids(pattern, triple) for triple in delta.added + delta.removed)
+            found = self._unified_memo[key] = [bound for bound in unified if bound is not None]
+        return found
 
     def _compiled_pattern(self, pattern) -> tuple:
         """The pattern's positions with constants pre-encoded to ids.
@@ -378,16 +381,12 @@ class DeltaMaintainer:
             (partial.fact_column,), {(fact,) for fact in affected}
         )
 
-        # Re-derive the affected facts' rows from the current instance, under
-        # newk() keys above every cached one so they cannot collide.
+        # Re-derive the affected facts' rows from the current instance — one
+        # pres(Q) seeded with them — under newk() keys above every cached one
+        # so they cannot collide, into the storage the cached pres has.
         keys = KeyGenerator(start=pres_storage.column_max(partial.key_column) + 1)
-        fresh_rows: list = []
-        for fact_id in sorted(affected):
-            fact_relation = self._evaluator.fact_partial_rows(
-                query, dictionary.decode(fact_id), keys, memo=self._fact_memo
-            )
-            fresh_rows.extend(fact_relation.rows)
-        fresh = pres_storage.with_rows(fresh_rows)
+        derived = self._evaluator.partial_result(query, key_generator=keys, seed=sorted(affected))
+        fresh = pres_storage.with_rows(derived.storage.rows)
 
         # γ over the touched groups only — those of a dropped or a fresh row:
         # ⋉ picks their retained rows, a 1-triple delta on a 100k-row pres

@@ -7,7 +7,7 @@ that choice per operation: it enumerates every candidate answering strategy,
 prices each with a row-count cost model, and executes the cheapest.
 
 It is the only place a route is enumerated and priced: the session's forced
-``rewrite`` / ``scratch`` / ``auto`` strategies are ``families`` filters on
+``rewrite`` / ``scratch`` strategies are ``families`` filters on
 :meth:`OLAPPlanner.plan`, and ``OLAPSession.execute`` runs
 :meth:`OLAPPlanner.plan_query`.
 
@@ -350,7 +350,7 @@ class OLAPPlanner:
                 raise MaterializationError(
                     f"{reason}: its results are not materialized; call execute() first"
                 )
-            raise RewritingError(f"{reason}; use the plan, auto or scratch strategy")
+            raise RewritingError(f"{reason}; use the plan or scratch strategy")
         return Plan(operation, transformed_query, candidates)
 
     def plan_query(self, query: AnalyticalQuery) -> Plan:

@@ -27,8 +27,9 @@ One shortcut: :func:`slice_dice_from_answer` — Proposition 1, σ over
 ``ans(Q)`` — answers SLICE/DICE reading ``|ans|`` rather than ``|pres|`` rows.
 
 :func:`drill_out_from_answer_naive` is the *incorrect* relational-style
-re-aggregation of ``ans(Q)`` discussed in Example 5, kept for the benchmark
-that demonstrates why ``pres(Q)`` is needed.
+re-aggregation of ``ans(Q)`` discussed in Example 5, kept for the tests and
+the ``examples/olap_dashboard_session.py`` demo that show why ``pres(Q)`` is
+needed.
 
 :class:`OLAPRewriter` packages these behind one per-operation table.
 """
@@ -236,8 +237,9 @@ def drill_out_from_answer_naive(
     the removed dimension columns and combine the already-aggregated
     values.  In the RDF setting it is **incorrect in general** (Example 5):
     facts that are multi-valued along a removed dimension are counted once
-    per value.  It is provided only so benchmarks/tests can quantify that
-    error; :func:`drill_out_from_partial` is the correct algorithm.
+    per value.  It is provided only so the tests and the dashboard example
+    can quantify that error; :func:`drill_out_from_partial` is the correct
+    algorithm.
     """
     aggregate = transformed_query.aggregate
     if not aggregate.distributive:

@@ -17,9 +17,9 @@ together — the object a data analyst (or an example script) works with:
   through the cost-based :class:`~repro.olap.planner.OLAPPlanner`, which
   picks the cheapest of: returning a cached answer, one of the paper's
   rewritings, σ-selecting a cached compatible (weaker-Σ) answer, or
-  re-evaluating from scratch.  The forced strategies ``"rewrite"``,
-  ``"scratch"`` and ``"auto"`` restrict the planner to those candidate
-  families, so the paths can be compared (:meth:`compare_strategies`);
+  re-evaluating from scratch.  The forced strategies ``"rewrite"`` and
+  ``"scratch"`` restrict the planner to that candidate family, so the
+  paths can be compared (:meth:`compare_strategies`);
 * every transformed query is materialized in turn (subject to the cache
   bound), so OLAP navigations can chain: slice, then drill-out, then dice...
 
@@ -50,18 +50,16 @@ from repro.olap.cube import Cube
 from repro.olap.maintenance import DeltaMaintainer
 from repro.olap.operations import DrillDown, OLAPOperation, RollUp
 from repro.olap.parallel import ParallelExecutor
-from repro.olap.planner import OLAPPlanner, Plan
+from repro.olap.planner import OLAPPlanner
 
 __all__ = ["OLAPSession", "TransformationRecord"]
 
 #: The planner candidate families each :meth:`OLAPSession.transform` strategy
-#: admits (None: all of them).  ``auto`` takes a rewriting whenever one is
-#: enumerated, whatever the prices say.
+#: admits (None: all of them).
 _STRATEGY_FAMILIES = {
     "plan": None,
     "rewrite": ("rewrite",),
     "scratch": ("scratch",),
-    "auto": ("rewrite", "scratch"),
 }
 
 #: History labels of :meth:`OLAPSession.execute` for the planner candidates
@@ -529,15 +527,14 @@ class OLAPSession:
             the paper's rewritings, compatible cached views and scratch;
             ``"rewrite"`` — force the paper's rewriting algorithms (raises
             when the needed materialized input is missing);
-            ``"scratch"`` — force re-evaluation on the instance;
-            ``"auto"`` — rewrite when possible, otherwise scratch.
+            ``"scratch"`` — force re-evaluation on the instance.
         materialize:
             Whether to store the transformed query's results (``ans(Q_T)``
             and ``pres(Q_T)``) for further navigation.
         """
         if strategy not in _STRATEGY_FAMILIES:
             raise OLAPError(
-                f"unknown strategy {strategy!r}; expected plan, auto, rewrite or scratch"
+                f"unknown strategy {strategy!r}; expected plan, rewrite or scratch"
             )
         self._sync_entailment()
         original_query = self._resolve_query(query)
@@ -555,7 +552,7 @@ class OLAPSession:
             # planner's refresh-cached candidate covers it without touching
             # the origin), patching the origin when priced cheaper than
             # recomputing restores every rewrite candidate for this and
-            # subsequent operations.  The forced rewrite/scratch/auto
+            # subsequent operations.  The forced rewrite/scratch
             # filters stay pure and never refresh.
             origin_entry = self._refresh_origin(original_query)
         origin_materialized = origin_entry.materialized if origin_entry is not None else None
@@ -573,10 +570,6 @@ class OLAPSession:
             materialize_partial=materialize,
             families=_STRATEGY_FAMILIES[strategy],
         )
-        if strategy == "auto":
-            rewritings = [c for c in plan.candidates if c.strategy.startswith("rewrite[")]
-            if rewritings:
-                plan = Plan(operation, transformed_query, rewritings)
         chosen = plan.chosen
         planned = strategy == "plan"
         plan_seconds = time.perf_counter() - started if planned else 0.0
@@ -622,7 +615,7 @@ class OLAPSession:
 
         Planned transformations return their full costed plan (the
         candidate table of :meth:`~repro.olap.planner.Plan.explain`);
-        :meth:`execute` and the forced rewrite/scratch/auto strategies
+        :meth:`execute` and the forced rewrite/scratch strategies
         return their one-line history record (strategy, row counts,
         timing).
         """

@@ -1,5 +1,7 @@
 """Unit tests for BGP query evaluation (set and bag semantics)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import EvaluationError
@@ -93,17 +95,30 @@ class TestBagSemantics:
 
 
 class TestEvaluatorFeatures:
-    def test_initial_binding_restricts_results(self, example2_like_graph):
+    def test_seed_restricts_results(self, example2_like_graph):
         evaluator = BGPEvaluator(example2_like_graph)
         query = parse_query("q(?x, ?s) :- ?x wrotePost ?p, ?p postedOn ?s")
-        result = evaluator.evaluate(query, initial_binding={Variable("x"): EX.user3})
+        user3 = example2_like_graph.encode_term(EX.user3)
+        result = evaluator.evaluate(query, seed={Variable("x"): [user3]})
         assert result.rows == [(EX.user3, EX.term("s2"))]
 
-    def test_initial_binding_with_unknown_term(self, example2_like_graph):
+    def test_empty_seed_gives_empty_result(self, example2_like_graph):
         evaluator = BGPEvaluator(example2_like_graph)
         query = parse_query("q(?x) :- ?x rdf:type ex:Blogger")
-        result = evaluator.evaluate(query, initial_binding={Variable("x"): EX.term("ghost")})
-        assert len(result) == 0
+        assert len(evaluator.evaluate(query, seed={Variable("x"): []})) == 0
+
+    @pytest.mark.parametrize("semantics, expected", [("set", 1), ("bag", 2)])
+    def test_seed_columns_bind_jointly_per_row(self, example2_like_graph, semantics, expected):
+        """Row i of the seed binds x and s together (a VALUES row, not a
+        cross product): (user3, s1) has no embedding, (user1, s1) has two."""
+        graph = example2_like_graph
+        seed = {
+            Variable("x"): [graph.encode_term(EX.user1), graph.encode_term(EX.user3)],
+            Variable("s"): [graph.encode_term(EX.term("s1"))] * 2,
+        }
+        query = parse_query("q(?x, ?s) :- ?x wrotePost ?p, ?p postedOn ?s")
+        result = BGPEvaluator(graph).evaluate(query, semantics, seed=seed)
+        assert result.rows == [(EX.user1, EX.term("s1"))] * expected
 
     def test_count_matches_len(self, example2_like_graph):
         evaluator = BGPEvaluator(example2_like_graph)
@@ -144,3 +159,60 @@ class TestEvaluatorFeatures:
         evaluator = BGPEvaluator(example2_like_graph)
         assert evaluator.statistics.triple_count == len(example2_like_graph)
         assert evaluator.graph is example2_like_graph
+
+
+def _bloggers_with_posts() -> Graph:
+    """Blogger ``u{i}`` writes ``i + 1`` posts alternating over sites s0/s1,
+    so (blogger, site) has several embeddings from u2 on."""
+    graph = Graph()
+    for index in range(5):
+        user = EX.term(f"u{index}")
+        graph.add(Triple(user, RDF_TYPE, EX.Blogger))
+        for post_index in range(index + 1):
+            post = EX.term(f"u{index}_p{post_index}")
+            graph.add(Triple(user, EX.wrotePost, post))
+            graph.add(Triple(post, EX.postedOn, EX.term(f"s{post_index % 2}")))
+    return graph
+
+
+class TestSeededEvaluation:
+    """A seed of several rows is the full evaluation restricted to them —
+    on either storage and either engine (seeded calls take the row solver,
+    unseeded ones the columnar solver where it applies)."""
+
+    @pytest.fixture(params=["heap", "snapshot"])
+    def graph(self, request, tmp_path):
+        graph = _bloggers_with_posts()
+        if request.param == "heap":
+            return graph
+        pytest.importorskip("numpy")
+        from repro.storage.snapshot import load_snapshot, save_snapshot
+
+        path = str(tmp_path / "bloggers.snap")
+        save_snapshot(graph, path)
+        return load_snapshot(path)
+
+    @pytest.fixture(params=["rows", "columnar"])
+    def engine(self, request, monkeypatch):
+        if request.param == "columnar":
+            pytest.importorskip("numpy")
+        monkeypatch.setenv("REPRO_ENGINE", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("semantics", ["set", "bag"])
+    def test_three_subject_seed_equals_restricted_full_evaluation(self, graph, engine, semantics):
+        evaluator = BGPEvaluator(graph)
+        assert evaluator.engine == engine
+        query = parse_query("q(?x, ?s) :- ?x wrotePost ?p, ?p postedOn ?s")
+        chosen = [EX.term(f"u{index}") for index in (4, 1, 2)]
+        seed = {Variable("x"): [graph.encode_term(term) for term in chosen]}
+        seeded = evaluator.evaluate(query, semantics, seed=seed)
+        full = evaluator.evaluate(query, semantics)
+        expected = Counter(row for row in full.rows if row[0] in chosen)
+        assert Counter(seeded.rows) == expected
+        assert set(expected) == {
+            (EX.term("u4"), EX.term("s0")), (EX.term("u4"), EX.term("s1")),
+            (EX.term("u1"), EX.term("s0")), (EX.term("u1"), EX.term("s1")),
+            (EX.term("u2"), EX.term("s0")), (EX.term("u2"), EX.term("s1")),
+        }
+        assert max(expected.values()) == (3 if semantics == "bag" else 1)

@@ -3,8 +3,8 @@
 Every paper example and both datagen workloads have their expected cubes
 serialized under ``tests/golden/*.json``; each case is answered through
 **every** answering strategy the session offers (the cost-based planner,
-the forced rewriting path, forced from-scratch evaluation and the auto
-fallback) and must reproduce the golden cells exactly — same cell keys,
+the forced rewriting path and forced from-scratch evaluation) and must
+reproduce the golden cells exactly — same cell keys,
 same measures (numeric measures within 1e-9).
 
 Regenerating the fixtures after an intended cube-semantics change::
@@ -32,7 +32,7 @@ RDF_TYPE = RDF.term("type")
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "golden")
 
 #: Strategies every transform case must reproduce the golden cube under.
-STRATEGIES = ("scratch", "rewrite", "auto", "plan")
+STRATEGIES = ("scratch", "rewrite", "plan")
 
 
 # ---------------------------------------------------------------------------

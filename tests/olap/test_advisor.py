@@ -198,7 +198,7 @@ class TestTimingSplit:
     def test_forced_strategies_have_no_plan_time(self, dataset, query):
         session = OLAPSession(dataset.instance, dataset.schema)
         session.execute(query)
-        for strategy in ("scratch", "rewrite", "auto"):
+        for strategy in ("scratch", "rewrite"):
             session.transform(query, DrillOut("d1"), strategy=strategy)
             record = session.history[-1]
             assert record.plan_seconds == 0.0

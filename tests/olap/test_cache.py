@@ -598,15 +598,15 @@ class TestPersistenceWarmStart:
 
 
 class TestSessionCacheIntegration:
-    def test_auto_falls_back_to_scratch_when_origin_evicted(
+    def test_plan_falls_back_to_scratch_when_origin_evicted(
         self, example2_instance, sites_query
     ):
-        """'Rewrite when possible, otherwise scratch' covers a missing origin
-        entry too (capacity 0 here; LRU eviction and invalidation likewise)."""
+        """With no origin entry (capacity 0 here; LRU eviction and
+        invalidation likewise) the planner has no rewriting to offer."""
         session = OLAPSession(example2_instance, cache_capacity=0)
         session.execute(sites_query)
-        cube = session.transform(sites_query, Slice("dage", Literal(35)), strategy="auto")
-        assert session.history[-1].strategy == "scratch"
+        cube = session.transform(sites_query, Slice("dage", Literal(35)))
+        assert session.history[-1].strategy == "plan[scratch]"
         assert cube.cells() == {(Literal(35), EX.term("NY")): 2}
 
     def test_repeated_planned_operation_writes_disk_once(

@@ -84,7 +84,6 @@ class TestStrategyFamily:
         "strategy, family",
         [
             ("scratch", "instance"),
-            ("auto", "instance"),
             ("plan[scratch]", "instance"),
             ("parallel", "parallel"),
             ("plan[parallel]", "parallel"),

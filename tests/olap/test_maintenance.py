@@ -468,3 +468,78 @@ class TestCostEstimates:
             _add_blogger(example2_instance, f"d2_{index}", 21 + index, "Rome", sites=("s1", "s2"))
         large = example2_instance.deltas_since(version)
         assert maintainer.estimate_refresh_cost(materialized, large) > small_cost
+
+
+class TestRefreshWorkIsDeltaSized:
+    """A refresh evaluates the affected facts as one set and unifies the
+    delta once per wave, whatever the batch size and however many entries
+    share the bodies."""
+
+    @pytest.fixture(params=["rows", "columnar"])
+    def engine(self, request):
+        if request.param == "columnar":
+            pytest.importorskip("numpy")
+        return request.param
+
+    @pytest.mark.parametrize("facts", [3, 7])
+    def test_one_seeded_pres_per_refresh_whatever_the_batch(
+        self, example4_instance, engine, facts, monkeypatch
+    ):
+        query = make_words_query()
+        evaluator = AnalyticalQueryEvaluator(example4_instance, engine=engine)
+        materialized = evaluator.evaluate(query)
+        version = example4_instance.version
+        for index in range(facts):
+            name = f"batch{index}"
+            _add_blogger(example4_instance, name, 28 + index % 2, "Madrid", words=(index + 1,))
+        delta = example4_instance.deltas_since(version)
+        maintainer = DeltaMaintainer(evaluator)
+        assert len(maintainer.affected_facts(query, delta)) == facts
+
+        live = evaluator.bgp_evaluator
+        calls = []
+        evaluate_ids = live.evaluate_ids
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return evaluate_ids(*args, **kwargs)
+
+        monkeypatch.setattr(live, "evaluate_ids", counting)
+        refreshed = maintainer.refresh(materialized, delta)
+        assert calls == [query.classifier, query.measure]
+        monkeypatch.undo()
+        scratch = AnalyticalQueryEvaluator(example4_instance, engine=engine).answer(query)
+        assert Cube(refreshed.answer, query).same_cells(Cube(scratch, query))
+
+    def test_pricing_and_probes_unify_each_delta_triple_once(
+        self, example4_instance, engine, monkeypatch
+    ):
+        query = make_words_query()
+        sliced = Slice("dage", Literal(28)).apply(query)  # same bodies, other Σ
+        session = OLAPSession(example4_instance, engine=engine)
+        session.execute(query)
+        session.execute(sliced)
+        _add_blogger(example4_instance, "newbie", 28, "Madrid", words=(55, 700))
+        example4_instance.remove(Triple(EX.term("user1"), EX.wrotePost, EX.term("p2")))
+
+        calls = []
+        unify = DeltaMaintainer._unify_ids
+
+        def counting(self, pattern, triple):
+            calls.append((pattern, triple))
+            return unify(self, pattern, triple)
+
+        monkeypatch.setattr(DeltaMaintainer, "_unify_ids", counting)
+        for each in (query, sliced):
+            entry, delta = session.cache.stale_entry(each, example4_instance)
+            session.planner.price_refresh(entry, delta)
+            assert session.cache.refresh(each, example4_instance, session.maintainer) is not None
+        patterns = set(query.classifier.body) | set(query.measure.body)
+        triples = delta.added + delta.removed
+        assert len(calls) == len(set(calls)) == len(patterns) * len(triples)
+        monkeypatch.undo()
+        for each in (query, sliced):
+            cube = session.execute(each)
+            assert session.history[-1].strategy == "cache"
+            oracle = AnalyticalQueryEvaluator(example4_instance, engine=engine).answer(each)
+            assert cube.same_cells(Cube(oracle, each))

@@ -96,7 +96,6 @@ ROUTES = [
     ("scratch[saturate]", lambda graph, store: _executed(graph, entailment="saturate")),
     ("scratch[rewrite]", lambda graph, store: _executed(graph, entailment="rewrite")),
     ("rewrite[slice-dice/ans]", lambda graph, store: _transformed(graph, "rewrite")),
-    ("rewrite[slice-dice/ans]", lambda graph, store: _transformed(graph, "auto")),
     ("scratch", lambda graph, store: _transformed(graph, "scratch")),
     ("scratch[saturate]", lambda graph, store: _transformed(graph, "scratch", entailment="saturate")),
     ("plan[rewrite[slice-dice/ans]]", lambda graph, store: _transformed(graph, "plan")),
@@ -165,17 +164,17 @@ class TestTransform:
         scratch = session.transform(sites_query, operation, strategy="scratch")
         assert rewrite.same_cells(scratch)
 
-    def test_auto_falls_back_to_scratch_when_no_rewriting_applies(
+    def test_plan_falls_back_to_scratch_when_no_rewriting_applies(
         self, example2_instance, sites_query
     ):
         session = OLAPSession(example2_instance)
         session.execute(sites_query)
         sliced = session.transform(sites_query, Slice("dage", Literal(35)))
         # Drilling out the Σ-restricted dimension re-admits excluded facts:
-        # pres(Q_slice) cannot answer it, so auto evaluates from scratch.
-        cube = session.transform(sliced.query, DrillOut("dage"), strategy="auto")
+        # pres(Q_slice) cannot answer it, so the planner evaluates from scratch.
+        cube = session.transform(sliced.query, DrillOut("dage"), strategy="plan")
         assert len(cube) >= 1
-        assert session.history[-1].strategy == "scratch"
+        assert session.history[-1].strategy == "plan[scratch]"
 
     def test_rewrite_strategy_fails_when_origin_not_materialized(
         self, example2_instance, sites_query
@@ -184,11 +183,13 @@ class TestTransform:
         with pytest.raises(MaterializationError):
             session.transform(sites_query, DrillOut("dage"), strategy="rewrite")
 
-    def test_unknown_strategy(self, example2_instance, sites_query):
+    @pytest.mark.parametrize("strategy", ["magic", "auto"])
+    def test_unknown_strategy(self, example2_instance, sites_query, strategy):
+        """``auto`` is gone: the planner subsumes it."""
         session = OLAPSession(example2_instance)
         session.execute(sites_query)
-        with pytest.raises(OLAPError):
-            session.transform(sites_query, Slice("dage", Literal(35)), strategy="magic")
+        with pytest.raises(OLAPError, match="expected plan, rewrite or scratch"):
+            session.transform(sites_query, Slice("dage", Literal(35)), strategy=strategy)
 
     def test_chained_navigation(self, example2_instance, sites_query):
         """Slice, then drill-out on the transformed query (cube chaining)."""

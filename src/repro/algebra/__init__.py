@@ -1,13 +1,15 @@
 """Bag-relational algebra: relations, operators, predicates, aggregation.
 
 This package provides the relational machinery in which the paper states
-its OLAP rewriting algorithms:
+its OLAP rewriting algorithms — exactly the operators the pipeline runs:
 
 * :mod:`repro.algebra.relation` — the :class:`Relation` bag-of-rows table
   and its id-space variant :class:`IdRelation` (dictionary-encoded columns,
   late materialization);
-* :mod:`repro.algebra.operators` — σ, π, δ, ⋈, ∪, rename, ... ;
-* :mod:`repro.algebra.expressions` — row predicates for σ;
+* :mod:`repro.algebra.operators` — σ, π, δ, ⋈, ×, ∪, rename;
+* :mod:`repro.algebra.expressions` — how σ compiles its predicate (Σ, or
+  any row callable) and :func:`comparable`, the value conversion every
+  comparison goes through;
 * :mod:`repro.algebra.aggregates` — ⊕ functions with distributivity metadata;
 * :mod:`repro.algebra.grouping` — the γ group-and-aggregate operator.
 """
@@ -24,25 +26,12 @@ from repro.algebra.aggregates import (
     default_registry,
     get_aggregate,
 )
-from repro.algebra.expressions import (
-    always_true,
-    between,
-    compare,
-    comparable,
-    conjunction,
-    disjunction,
-    equals,
-    is_in,
-    negation,
-)
-from repro.algebra.grouping import aggregate_column, group_aggregate, group_rows
+from repro.algebra.expressions import comparable
+from repro.algebra.grouping import group_aggregate
 from repro.algebra.operators import (
     cross_product,
     dedup,
-    difference_all,
-    extend_column,
     join_on,
-    natural_join,
     project,
     rename,
     select,
@@ -58,15 +47,10 @@ __all__ = [
     "project",
     "dedup",
     "rename",
-    "natural_join",
     "join_on",
     "cross_product",
     "union_all",
-    "difference_all",
-    "extend_column",
-    "group_rows",
     "group_aggregate",
-    "aggregate_column",
     "AggregateFunction",
     "AggregateRegistry",
     "default_registry",
@@ -77,13 +61,5 @@ __all__ = [
     "AVG",
     "MIN",
     "MAX",
-    "equals",
-    "is_in",
-    "between",
-    "compare",
     "comparable",
-    "conjunction",
-    "disjunction",
-    "negation",
-    "always_true",
 ]

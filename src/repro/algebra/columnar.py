@@ -7,8 +7,8 @@ BGP matching, Σ-selection, the fact-variable join and γ all run in id space.
 arrays and implements the relation protocol of
 :class:`~repro.algebra.relation.Relation` on them —
 
-* ``select`` — positional-predicate σ via boolean masks (distinct ids are
-  decoded and tested once, the mask is ``np.isin``);
+* ``select`` — Σ-selection via boolean masks (distinct ids are decoded and
+  tested once, the mask is ``np.isin``);
 * ``project`` / ``rename`` / ``reorder`` / ``prepend_keys`` — share the arrays;
 * ``map_column`` — ROLL-UP's parent substitution: the function runs once per
   distinct id (``np.unique``), one gather writes the column;
@@ -57,13 +57,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import AggregationError, AlgebraError, ConfigurationError, SchemaMismatchError
 from repro.algebra.aggregates import COUNT, AggregateFunction, get_aggregate
-from repro.algebra.expressions import (
-    ColumnPredicate,
-    _Conjunction,
-    _Disjunction,
-    _Negation,
-    comparable,
-)
+from repro.algebra.expressions import comparable
 from repro.algebra.relation import IdRelation, Relation, Row, relation_like
 
 try:  # pragma: no cover - exercised via both CI legs (with and without numpy)
@@ -285,7 +279,7 @@ class ColumnarIdRelation(IdRelation):
     # -- the relation protocol, on the arrays -----------------------------
 
     def select(self, predicate) -> Relation:
-        """σ by boolean mask; a predicate that does not mask-compile runs on rows."""
+        """σ by Σ's boolean mask; any other predicate runs on rows."""
         mask = _predicate_mask(self, predicate)
         if mask is None:
             return self.to_rows("sigma:opaque-predicate").select(predicate)
@@ -481,54 +475,20 @@ def _column_mask(
 
 
 def _predicate_mask(relation: ColumnarIdRelation, predicate):
-    """Boolean mask (or True for all-rows, None for unsupported shapes)."""
-    # Σ predicates: one membership mask per restricted dimension present.
-    # (Duck-typed via the public accessor so algebra need not import the
-    # analytics layer.)
+    """Σ's boolean mask: one membership mask per restricted dimension the
+    relation holds (True for all rows); None for any other predicate."""
+    # Duck-typed via the public accessor so algebra need not import the
+    # analytics layer.
     sigma = getattr(predicate, "sigma", None)
-    if sigma is not None and hasattr(sigma, "dimensions"):
-        mask = True
-        for name in sigma.dimensions:
-            restriction = sigma.restriction(name)
-            if restriction.is_full or not relation.has_column(name):
-                continue
-            test = restriction.value_test()
-            column_mask = _column_mask(relation, name, test)
-            mask = _combine_and(mask, column_mask)
-        return mask
-    if isinstance(predicate, ColumnPredicate):
-        if not relation.has_column(predicate.column):
-            # Mirror the row path: unknown columns keep lazy per-row
-            # semantics (an error only when a row is examined) — fall back.
-            return None
-        column = predicate.column
-        return _column_mask(relation, column, lambda value: predicate({column: value}))
-    if isinstance(predicate, _Conjunction):
-        mask = True
-        for child in predicate.predicates:
-            child_mask = _predicate_mask(relation, child)
-            if child_mask is None:
-                return None
-            mask = _combine_and(mask, child_mask)
-        return mask
-    if isinstance(predicate, _Disjunction):
-        mask = False
-        for child in predicate.predicates:
-            child_mask = _predicate_mask(relation, child)
-            if child_mask is None:
-                return None
-            mask = _combine_or(mask, child_mask)
-        if mask is False:
-            return _np.zeros(len(relation), dtype=bool)
-        return mask
-    if isinstance(predicate, _Negation):
-        inner = _predicate_mask(relation, predicate.inner)
-        if inner is None:
-            return None
-        if inner is True:
-            return _np.zeros(len(relation), dtype=bool)
-        return ~inner
-    return None
+    if sigma is None or not hasattr(sigma, "dimensions"):
+        return None
+    mask = True
+    for name in sigma.dimensions:
+        restriction = sigma.restriction(name)
+        if restriction.is_full or not relation.has_column(name):
+            continue
+        mask = _combine_and(mask, _column_mask(relation, name, restriction.value_test()))
+    return mask
 
 
 def _combine_and(left, right):
@@ -537,16 +497,6 @@ def _combine_and(left, right):
     if right is True:
         return left
     return left & right
-
-
-def _combine_or(left, right):
-    if left is False:
-        return right
-    if right is False:
-        return left
-    if left is True or right is True:
-        return True
-    return left | right
 
 
 # ---------------------------------------------------------------------------

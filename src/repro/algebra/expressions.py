@@ -1,64 +1,27 @@
-"""Row predicates for selections (σ).
+"""Row predicates for selections (σ) and the value conversion they compare by.
 
 A selection predicate is any callable taking a row dictionary (column name →
-value) and returning a boolean.  This module provides composable predicate
-builders covering the needs of the OLAP operations:
-
-* :func:`equals` — dimension = value (SLICE);
-* :func:`is_in` — dimension ∈ set of values (DICE);
-* :func:`between` — range restriction on a dimension (range DICE, as in the
-  paper's Example 4 where ``20 ≤ d_age ≤ 30``);
-* :func:`compare` — generic comparison against a constant;
-* boolean combinators :func:`conjunction`, :func:`disjunction`,
-  :func:`negation`.
+value) and returning a boolean.  The structured σ of the pipeline is Σ (the
+paper's Definition 2, :class:`~repro.analytics.sigma.SigmaPredicate`),
+which also **compiles** against a concrete relation schema:
+:func:`compile_predicate` lets it resolve its columns to positions once and
+evaluate rows positionally, on term ids where the relation is encoded (each
+distinct id decoded and tested once, see :func:`memoized_value_test`).  Any
+other callable receives per-row mappings, decoded on id-space relations.
 
 Values are compared through :func:`comparable`, which converts RDF literals
 to native Python values so that a dimension bound to ``Literal("28",
-xsd:integer)`` satisfies ``between("age", 20, 30)``.
-
-Every builder returns a :class:`ColumnPredicate` (or a boolean combination
-of them).  These are callable on row mappings for backward compatibility,
-but they also **compile** against a concrete relation schema: σ resolves the
-column to its position once and evaluates rows positionally, with no
-per-row dict construction.  On id-space relations
-(:class:`~repro.algebra.relation.IdRelation`) the compiled test decodes
-column ids on demand and memoizes the verdict per id, so a selection over a
-million-row encoded relation decodes each distinct dimension value once.
+xsd:integer)`` falls in the range ``[20, 30]``.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Callable, Collection, Dict, Iterable, Mapping
+from typing import Callable, Dict, Mapping
 
-from repro.errors import UnknownColumnError
-
-__all__ = [
-    "RowPredicate",
-    "ColumnPredicate",
-    "comparable",
-    "compile_predicate",
-    "equals",
-    "is_in",
-    "between",
-    "compare",
-    "conjunction",
-    "disjunction",
-    "negation",
-    "always_true",
-]
+__all__ = ["RowPredicate", "comparable", "compile_predicate"]
 
 #: Signature of a selection predicate.
 RowPredicate = Callable[[Mapping[str, object]], bool]
-
-_COMPARATORS: Dict[str, Callable[[object, object], bool]] = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
 
 _MISSING = object()
 
@@ -79,13 +42,6 @@ def comparable(value: object) -> object:
     return value
 
 
-def _column_value(row: Mapping[str, object], column: str) -> object:
-    try:
-        return row[column]
-    except KeyError:
-        raise UnknownColumnError(f"selection refers to unknown column {column!r}") from None
-
-
 def memoized_unary(function: Callable[[object], object]) -> Callable[[object], object]:
     """Memoize a unary function by argument (the shared id-decode cache shape)."""
     cache: Dict[object, object] = {}
@@ -104,212 +60,17 @@ def memoized_value_test(test: Callable[[object], bool], decoder: Callable[[objec
     return memoized_unary(lambda value_id: bool(test(decoder(value_id))))
 
 
-class ColumnPredicate:
-    """A predicate over one column's value.
-
-    Callable on row mappings (the historical :data:`RowPredicate` protocol)
-    and compilable against a relation schema via :meth:`compile`, which
-    returns a positional row test (id-aware on encoded relations).
-    """
-
-    __slots__ = ("column", "_test", "description")
-
-    def __init__(self, column: str, test: Callable[[object], bool], description: str = ""):
-        self.column = column
-        self._test = test
-        self.description = description or f"predicate on {column!r}"
-
-    def __call__(self, row: Mapping[str, object]) -> bool:
-        return bool(self._test(_column_value(row, self.column)))
-
-    def compile(self, relation) -> Callable[[tuple], bool]:
-        """Resolve the column to its position in ``relation`` once."""
-        index = relation.column_index(self.column)
-        test = self._test
-        decoder = relation.column_decoder(self.column)
-        if decoder is not None:
-            test = memoized_value_test(test, decoder)
-
-        def check(row: tuple) -> bool:
-            return bool(test(row[index]))
-
-        return check
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"ColumnPredicate({self.description})"
-
-
-class _Compound:
-    """Boolean combination of predicates; compiles child-wise."""
-
-    __slots__ = ("_predicates",)
-
-    def __init__(self, predicates: Iterable[RowPredicate]):
-        self._predicates = list(predicates)
-
-    @property
-    def predicates(self) -> list:
-        """The child predicates (read-only; used by the columnar kernels)."""
-        return list(self._predicates)
-
-
-class _Conjunction(_Compound):
-    def __call__(self, row: Mapping[str, object]) -> bool:
-        return all(predicate(row) for predicate in self._predicates)
-
-    def compile(self, relation) -> Callable[[tuple], bool]:
-        compiled = [compile_predicate(predicate, relation) for predicate in self._predicates]
-        return lambda row: all(check(row) for check in compiled)
-
-
-class _Disjunction(_Compound):
-    def __call__(self, row: Mapping[str, object]) -> bool:
-        return any(predicate(row) for predicate in self._predicates)
-
-    def compile(self, relation) -> Callable[[tuple], bool]:
-        compiled = [compile_predicate(predicate, relation) for predicate in self._predicates]
-        return lambda row: any(check(row) for check in compiled)
-
-
-class _Negation:
-    __slots__ = ("_inner",)
-
-    def __init__(self, inner: RowPredicate):
-        self._inner = inner
-
-    @property
-    def inner(self) -> RowPredicate:
-        """The negated predicate (read-only; used by the columnar kernels)."""
-        return self._inner
-
-    def __call__(self, row: Mapping[str, object]) -> bool:
-        return not self._inner(row)
-
-    def compile(self, relation) -> Callable[[tuple], bool]:
-        compiled = compile_predicate(self._inner, relation)
-        return lambda row: not compiled(row)
-
-
 def compile_predicate(predicate: RowPredicate, relation) -> Callable[[tuple], bool]:
     """Compile a row predicate into a positional test over ``relation``'s rows.
 
-    Structured predicates (:class:`ColumnPredicate`, Σ predicates, boolean
-    combinations) compile to direct index access; arbitrary callables fall
-    back to a per-row mapping — built through
-    :meth:`~repro.algebra.relation.Relation.row_as_dict`, which decodes
-    encoded columns, so even opaque predicates see decoded values on
+    A predicate with a ``compile`` method (Σ) compiles to direct index
+    access; any other callable falls back to a per-row mapping — built
+    through :meth:`~repro.algebra.relation.Relation.row_as_dict`, which
+    decodes encoded columns, so even opaque predicates see decoded values on
     id-space relations.
     """
     compiler = getattr(predicate, "compile", None)
     if callable(compiler):
-        try:
-            return compiler(relation)
-        except UnknownColumnError:
-            # Preserve the lazy per-row semantics of the mapping protocol: a
-            # predicate over a column the relation lacks only errors when a
-            # row is actually examined (so σ over an empty relation stays a
-            # no-op instead of raising at compile time).
-            pass
+        return compiler(relation)
     as_dict = relation.row_as_dict
     return lambda row: bool(predicate(as_dict(row)))
-
-
-def equals(column: str, value: object) -> ColumnPredicate:
-    """Predicate ``row[column] == value`` (SLICE semantics).
-
-    Equality is checked both on the raw values (so two identical RDF terms
-    match) and on their comparable forms (so ``Literal("28")`` matches the
-    integer 28).
-    """
-    target_comparable = comparable(value)
-
-    def test(actual: object) -> bool:
-        if actual == value:
-            return True
-        return comparable(actual) == target_comparable
-
-    return ColumnPredicate(column, test, description=f"{column} == {value!r}")
-
-
-def is_in(column: str, values: Collection[object]) -> ColumnPredicate:
-    """Predicate ``row[column] ∈ values`` (DICE semantics)."""
-    values = list(values)
-    raw_values = set()
-    comparable_values = set()
-    for value in values:
-        try:
-            raw_values.add(value)
-        except TypeError:
-            pass
-        comp = comparable(value)
-        try:
-            comparable_values.add(comp)
-        except TypeError:
-            pass
-
-    def test(actual: object) -> bool:
-        try:
-            if actual in raw_values:
-                return True
-        except TypeError:
-            pass
-        try:
-            return comparable(actual) in comparable_values
-        except TypeError:
-            return False
-
-    return ColumnPredicate(column, test, description=f"{column} in {len(values)} values")
-
-
-def between(column: str, low: object, high: object, inclusive: bool = True) -> ColumnPredicate:
-    """Predicate ``low ≤ row[column] ≤ high`` (range DICE)."""
-    low_comparable = comparable(low)
-    high_comparable = comparable(high)
-
-    def test(value: object) -> bool:
-        actual = comparable(value)
-        try:
-            if inclusive:
-                return low_comparable <= actual <= high_comparable
-            return low_comparable < actual < high_comparable
-        except TypeError:
-            return False
-
-    return ColumnPredicate(column, test, description=f"{low!r} <= {column} <= {high!r}")
-
-
-def compare(column: str, op: str, value: object) -> ColumnPredicate:
-    """Generic comparison predicate, ``op`` one of ``== != < <= > >=``."""
-    if op not in _COMPARATORS:
-        raise ValueError(f"unknown comparison operator {op!r}; expected one of {sorted(_COMPARATORS)}")
-    comparator = _COMPARATORS[op]
-    target = comparable(value)
-
-    def test(value_: object) -> bool:
-        actual = comparable(value_)
-        try:
-            return comparator(actual, target)
-        except TypeError:
-            return False
-
-    return ColumnPredicate(column, test, description=f"{column} {op} {value!r}")
-
-
-def conjunction(*predicates: RowPredicate) -> RowPredicate:
-    """Logical AND of predicates (empty conjunction is true)."""
-    return _Conjunction(predicates)
-
-
-def disjunction(*predicates: RowPredicate) -> RowPredicate:
-    """Logical OR of predicates (empty disjunction is false)."""
-    return _Disjunction(predicates)
-
-
-def negation(inner: RowPredicate) -> RowPredicate:
-    """Logical NOT of a predicate."""
-    return _Negation(inner)
-
-
-def always_true(row: Mapping[str, object]) -> bool:
-    """The trivial predicate (useful as a default)."""
-    return True

@@ -18,45 +18,25 @@ step.  Group keys stay in the relation's value space (term ids group
 exactly like terms — the encoding is bijective and shards share one
 dictionary), so merging never decodes.  Array-form states finalize into a
 columnar relation (``ans(Q)`` is columnar on the columnar engine).
-
-``group_rows`` is the lower-level helper returning the groups themselves,
-used by the analytics evaluator when it needs to post-process bags (e.g. to
-deduplicate measure keys in Algorithm 1).
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import UnknownColumnError
 from repro.algebra.aggregates import POISONED_GROUP, AggregateFunction, get_aggregate
 from repro.algebra.columnar import ArrayGroupStates
-from repro.algebra.relation import IdRelation, Relation, Row, tuple_getter, value_decoder
+from repro.algebra.relation import IdRelation, Relation, value_decoder
 
 __all__ = [
-    "group_rows",
     "group_aggregate",
     "group_partial_states",
     "merge_group_states",
     "finalize_group_states",
-    "aggregate_column",
     "POISONED_GROUP",
 ]
-
-
-def group_rows(relation: Relation, by: Sequence[str]) -> Dict[Tuple, List[Row]]:
-    """Partition rows by the values of the ``by`` columns.
-
-    Returns a mapping from group key (tuple of values, in ``by`` order) to
-    the list of full rows in that group, preserving input order within each
-    group.
-    """
-    key_of = tuple_getter(relation.column_indexes(by))
-    groups: Dict[Tuple, List[Row]] = {}
-    for row in relation:
-        groups.setdefault(key_of(row), []).append(row)
-    return groups
 
 
 def group_aggregate(
@@ -184,13 +164,3 @@ def finalize_group_states(
     if dictionary is None or not encoded:
         return Relation.adopt(columns, rows)
     return IdRelation.adopt_encoded(columns, rows, dictionary, encoded)
-
-
-def aggregate_column(relation: Relation, measure: str, function) -> object:
-    """Aggregate a whole column (no grouping); raises on an empty relation."""
-    aggregate = get_aggregate(function)
-    decoder = relation.column_decoder(measure)
-    values = [value for value in relation.column_values(measure) if value is not None]
-    if decoder is not None:
-        values = [decoder(value) for value in values]
-    return aggregate(values)

@@ -1,4 +1,4 @@
-"""Bag-relational algebra operators: σ, π, δ, ⋈, ∪, rename.
+"""Bag-relational algebra operators: σ, π, δ, ⋈, ×, ∪, rename.
 
 Every operator is a pure function from relations to a new relation; inputs
 are never mutated.  All operators have **bag semantics** (Section 3 of the
@@ -18,8 +18,8 @@ dispatch to the input's own implementation of the relation protocol (row
 :class:`~repro.algebra.relation.Relation` or
 :class:`~repro.algebra.columnar.ColumnarIdRelation`), so the engine is the
 one the input was built in — and so does ∪, whose array form concatenates
-the columns of operands sharing storage, dictionary and encoding.  −, × and
-``extend_column`` have only a row algorithm and say so through ``to_rows``.
+the columns of operands sharing storage, dictionary and encoding.  × (⋈'s
+empty-pairs case) has only a row algorithm and says so through ``to_rows``.
 """
 
 from __future__ import annotations
@@ -28,18 +28,15 @@ from typing import List, Mapping, Sequence, Tuple
 
 from repro.errors import SchemaMismatchError, UnknownColumnError
 from repro.algebra.expressions import RowPredicate
-from repro.algebra.relation import IdRelation, Relation, Row, aligned_rows, relation_like
+from repro.algebra.relation import IdRelation, Relation, relation_like
 
 __all__ = [
     "select",
     "project",
     "dedup",
     "rename",
-    "natural_join",
     "join_on",
     "union_all",
-    "difference_all",
-    "extend_column",
     "cross_product",
 ]
 
@@ -47,10 +44,9 @@ __all__ = [
 def select(relation: Relation, predicate: RowPredicate) -> Relation:
     """σ: keep the rows satisfying ``predicate``.
 
-    Structured predicates (:mod:`repro.algebra.expressions` builders, Σ
-    predicates) are compiled once against the relation's column positions
-    (row storage) or to a boolean mask (columnar storage); arbitrary
-    callables receive per-row mappings (decoded on id-space relations).
+    A Σ predicate is compiled once against the relation's column positions
+    (row storage) or to a boolean mask (columnar storage); any other
+    callable receives per-row mappings (decoded on id-space relations).
     """
     return relation.select(predicate)
 
@@ -71,16 +67,6 @@ def rename(relation: Relation, mapping: Mapping[str, str]) -> Relation:
         if not relation.has_column(old):
             raise UnknownColumnError(f"cannot rename unknown column {old!r}")
     return relation.rename(mapping)
-
-
-def natural_join(left: Relation, right: Relation) -> Relation:
-    """⋈: natural join on all shared column names (hash join, bag semantics).
-
-    The output schema is the left schema followed by the right's non-shared
-    columns, matching the conventional definition.
-    """
-    shared = [name for name in left.columns if right.has_column(name)]
-    return join_on(left, right, [(name, name) for name in shared])
 
 
 def _join_operands(
@@ -172,38 +158,3 @@ def union_all(*relations: Relation) -> Relation:
             other = other.reorder(first.columns)
         others.append(other)
     return first.union_all(others)
-
-
-def difference_all(left: Relation, right: Relation) -> Relation:
-    """Bag difference: each row's multiplicity is reduced by its multiplicity in ``right``."""
-    left, right = aligned_rows((left, right), "difference:no-array-form")
-    if left.columns != right.columns:
-        if set(left.columns) != set(right.columns):
-            raise SchemaMismatchError(
-                f"difference of incompatible schemas: {left.columns} vs {right.columns}"
-            )
-        right = right.reorder(left.columns)
-    remaining = right.to_multiset()
-    rows: List[Row] = []
-    for row in left:
-        count = remaining.get(row, 0)
-        if count > 0:
-            remaining[row] = count - 1
-        else:
-            rows.append(row)
-    return relation_like(left.columns, rows, left)
-
-
-def extend_column(relation: Relation, name: str, function) -> Relation:
-    """Add a computed column: ``function`` receives the row dict and returns the value.
-
-    On id-space relations the row dict is decoded, and the computed column
-    is plain (unencoded) in the result.
-    """
-    if relation.has_column(name):
-        raise SchemaMismatchError(f"column {name!r} already exists")
-    relation = relation.to_rows("extend:opaque-function")
-    columns = relation.columns + (name,)
-    as_dict = relation.row_as_dict
-    rows = [row + (function(as_dict(row)),) for row in relation]
-    return relation_like(columns, rows, relation, plain_columns=(name,))

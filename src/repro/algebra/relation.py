@@ -362,7 +362,7 @@ class Relation:
 
     def union_all(self, others: Sequence["Relation"]) -> "Relation":
         """∪ with relations of this schema (bag union: rows concatenated)."""
-        relations = aligned_rows([self, *others], "union:no-array-form")
+        relations = aligned_rows([self, *others])
         rows = [row for relation in relations for row in relation.rows]
         return relation_like(self._columns, rows, *relations)
 
@@ -636,10 +636,10 @@ def _comparison_pair(left: Relation, right: Relation) -> Tuple[Relation, Relatio
     return left.materialize(), right.materialize()
 
 
-def aligned_rows(relations: Sequence[Relation], reason: str) -> List[Relation]:
-    """∪ / − inputs in row storage and one value space: ids only when every
+def aligned_rows(relations: Sequence[Relation]) -> List[Relation]:
+    """∪ inputs in row storage and one value space: ids only when every
     input is encoded against one dictionary with one encoding per column."""
-    relations = [relation.to_rows(reason) for relation in relations]
+    relations = [relation.to_rows("union:no-array-form") for relation in relations]
     id_relations = [relation for relation in relations if isinstance(relation, IdRelation)]
     if not id_relations:
         return relations

@@ -337,72 +337,85 @@ class StreamIngestor:
             raise InvalidTripleError(f"cannot interpret {triple!r} as a triple") from exc
         return Triple(subject, predicate, object_)
 
-    def _enqueue(self, triple, sign: int, count_reject: bool = True) -> bool:
-        """Coalesce one mutation into the buffer; True when it grew.
+    def _group(self, add: Iterable, remove: Iterable) -> List[Tuple[Triple, int]]:
+        """Validate a submitted group: ``(triple, sign)`` pairs, removes first."""
+        return [(self._as_triple(triple), -1) for triple in remove] + [
+            (self._as_triple(triple), 1) for triple in add
+        ]
 
-        Raises :class:`IngestBackpressureError` when growth would exceed
-        ``capacity``; ``count_reject=False`` keeps the raise out of
-        ``stats.rejected`` (blocking callers retry, they don't reject).
+    def _growth(self, group: List[Tuple[Triple, int]]) -> int:
+        """How many slots ``group`` adds to the buffer: a triple already
+        pending, or repeated within the group, coalesces into one slot."""
+        pending = self._pending
+        return len({triple for triple, _ in group if triple not in pending})
+
+    def _admit(self, group: List[Tuple[Triple, int]], count_reject: bool = True) -> None:
+        """Coalesce a validated group into the buffer, all or nothing.
+
+        Raises :class:`IngestBackpressureError` — before buffering any of
+        it — when the group's growth would exceed ``capacity``;
+        ``count_reject=False`` keeps the raise out of ``stats.rejected``
+        (blocking callers retry, they don't reject).
         """
         if self._closed:
             raise IngestClosedError()
         if self._pump_error is not None:
             raise IngestPumpError(self._pump_error) from self._pump_error
-        triple = self._as_triple(triple)
-        self.stats.submitted += 1
         pending = self._pending
-        existing = pending.get(triple)
-        if existing is not None:
-            existing_sign, arrival = existing
-            if existing_sign == sign:
-                self.stats.duplicates += 1
-                return False
-            # Opposite mutation of a pending triple: the last writer wins.
-            # The slot keeps its position and arrival (the oldest pending
-            # intent still bounds the batch age), only the sign flips.
-            # Cancelling the pair outright would be unsound: it assumes the
-            # pending mutation would have been effective, which a no-op add
-            # (triple already in the sink) or no-op remove (never there)
-            # is not.
-            pending[triple] = (sign, arrival)
-            self.stats.superseded += 1
-            return False
-        if len(pending) >= self._capacity:
-            self.stats.submitted -= 1  # not admitted; recounted on retry
+        if len(pending) + self._growth(group) > self._capacity:
             if count_reject:
-                self.stats.rejected += 1
+                self.stats.rejected += len(group)
             raise IngestBackpressureError(len(pending), self._capacity)
-        pending[triple] = (sign, self._clock())
-        self.stats.accepted += 1
-        return True
+        self.stats.submitted += len(group)
+        for triple, sign in group:
+            existing = pending.get(triple)
+            if existing is None:
+                pending[triple] = (sign, self._clock())
+                self.stats.accepted += 1
+            elif existing[0] == sign:
+                self.stats.duplicates += 1
+            else:
+                # Opposite mutation of a pending triple: the last writer
+                # wins.  The slot keeps its position and arrival (the oldest
+                # pending intent still bounds the batch age), only the sign
+                # flips.  Cancelling the pair outright would be unsound: it
+                # assumes the pending mutation would have been effective,
+                # which a no-op add (triple already in the sink) or no-op
+                # remove (never there) is not.
+                pending[triple] = (sign, existing[1])
+                self.stats.superseded += 1
 
     def add(self, triple) -> None:
         """Buffer one triple addition (synchronous; raises when full)."""
-        self._enqueue(triple, 1)
+        self.ingest(add=(triple,))
 
     def remove(self, triple) -> None:
         """Buffer one triple removal (synchronous; raises when full)."""
-        self._enqueue(triple, -1)
+        self.ingest(remove=(triple,))
 
     def ingest(self, add: Iterable = (), remove: Iterable = ()) -> None:
-        """Buffer a group of mutations (synchronous; raises when full)."""
-        for triple in remove:
-            self._enqueue(triple, -1)
-        for triple in add:
-            self._enqueue(triple, 1)
+        """Buffer a group of mutations, all or nothing (synchronous; raises
+        when the group does not fit, having buffered none of it)."""
+        self._admit(self._group(add, remove))
 
-    async def asubmit(self, triple, sign: int) -> None:
-        """Async submit: blocks for space under ``backpressure="block"``.
+    async def aingest(self, add: Iterable = (), remove: Iterable = ()) -> None:
+        """Async group submit, all or nothing: blocks under
+        ``backpressure="block"`` until the whole group fits.
 
         With a pump task running, a blocked producer waits for the pump's
         next flush; without one it drains a due batch inline — either way
-        the await returns only once the mutation is buffered (or cancels
-        with the typed error under ``backpressure="error"``).
+        the await returns only once the group is buffered (or cancels with
+        the typed error under ``backpressure="error"``, or at once for a
+        group that outgrows ``capacity`` and so can never fit).
         """
-        blocking = self._backpressure == "block"
+        group = self._group(add, remove)
+        # Whether the group can *ever* fit is its distinct triples against
+        # capacity — not its growth over what is pending now, which a flush
+        # can raise.
+        blocking = self._backpressure == "block" and len({t for t, _ in group}) <= self._capacity
         while True:
             try:
-                self._enqueue(triple, sign, count_reject=not blocking)
+                self._admit(group, count_reject=not blocking)
                 return
             except IngestBackpressureError:
                 if not blocking:
@@ -415,7 +428,7 @@ class StreamIngestor:
         if pump is not None and not pump.done():
             # A live pump will flush; wait for it to signal freed space (or
             # for its failure handler to set the event and record the error
-            # that the retry in asubmit then surfaces).
+            # that the retry in aingest then surfaces).
             if self._space is None:
                 self._space = asyncio.Event()
             self._space.clear()
@@ -426,16 +439,10 @@ class StreamIngestor:
             await self.aflush(force=True)
 
     async def aadd(self, triple) -> None:
-        await self.asubmit(triple, 1)
+        await self.aingest(add=(triple,))
 
     async def aremove(self, triple) -> None:
-        await self.asubmit(triple, -1)
-
-    async def aingest(self, add: Iterable = (), remove: Iterable = ()) -> None:
-        for triple in remove:
-            await self.asubmit(triple, -1)
-        for triple in add:
-            await self.asubmit(triple, 1)
+        await self.aingest(remove=(triple,))
 
     # -- flushing ------------------------------------------------------
 

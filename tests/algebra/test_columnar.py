@@ -22,7 +22,6 @@ from repro.algebra.columnar import (
     ColumnarIdRelation,
     resolve_engine,
 )
-from repro.algebra.expressions import between, conjunction, disjunction, equals, is_in, negation
 from repro.algebra.grouping import (
     finalize_group_states,
     group_aggregate,
@@ -31,8 +30,10 @@ from repro.algebra.grouping import (
 )
 from repro.algebra.operators import dedup, join_on, project, select, union_all
 from repro.algebra.relation import IdRelation, Relation
+from repro.analytics.sigma import DimensionRestriction, Sigma
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import IRI, Literal
+from tests.conftest import sigma_predicate
 
 AGGREGATES = ("count", "sum", "avg", "min", "max", "count_distinct")
 
@@ -101,9 +102,9 @@ class TestColumnarIdRelation:
         mixed = answer([1, 2.5], object)
         assert (ints.column_array("v").dtype, floats.column_array("v").dtype) == (np.int64, np.float64)
         assert mixed.column_array("v").dtype == object
-        selected = select(floats, between("v", 1.0, 2.75))
+        selected = select(floats, sigma_predicate(v=DimensionRestriction.to_range(1.0, 2.75)))
         assert isinstance(selected, ColumnarIdRelation) and selected.column_values("v") == [2.5]
-        assert select(mixed, equals("v", 2.5)).column_values("v") == [2.5]
+        assert select(mixed, sigma_predicate(v=DimensionRestriction.to_range(2, 3))).column_values("v") == [2.5]
         before = ROW_CONVERSIONS.copy()
         united = union_all(ints, floats, mixed, ints.take(slice(0, 0)))
         assert ROW_CONVERSIONS == before and isinstance(united, ColumnarIdRelation)
@@ -166,7 +167,7 @@ class TestColumnarIdRelation:
         assert fast.rows == slow.rows == [(), (), ()]
         assert dedup(fast).rows == dedup(slow).rows == [()]
         assert len(fast.take(np.asarray([0, 2]))) == 2
-        assert len(select(fast, conjunction())) == 3
+        assert len(select(fast, Sigma(("x",)).predicate())) == 3
 
     def test_to_rows_is_counted_by_reason(self):
         columnar_relation, row_relation = _paired_relations(_sample_rows())
@@ -200,25 +201,40 @@ class TestColumnarIdRelation:
             )
 
 
+_CITY0, _CITY1, _CITY2 = (IRI(f"http://example.org/city{index}") for index in range(3))
+
+#: σ predicates over ``_sample_rows`` → whether the arrays answer them.
+_SELECTIONS = {
+    "value": (sigma_predicate(d=DimensionRestriction.to_value(_CITY1)), True),
+    "value set": (sigma_predicate(d=DimensionRestriction.to_values([_CITY0, _CITY2])), True),
+    "int range": (sigma_predicate(v=DimensionRestriction.to_range(10, 30)), True),
+    "float range": (sigma_predicate(v=DimensionRestriction.to_range(9.5, 30.5)), True),
+    "exclusive range": (sigma_predicate(v=DimensionRestriction.to_range(10, 30, inclusive=False)), True),
+    "literal bounds": (sigma_predicate(v=DimensionRestriction.to_range(Literal(0), Literal(20.5))), True),
+    "conjunction": (
+        sigma_predicate(v=DimensionRestriction.to_range(0, 30), d=DimensionRestriction.to_value(_CITY0)),
+        True,
+    ),
+    "unrestricted": (Sigma(("d", "v")).predicate(), True),
+    "disjunction callable": (lambda row: row["v"] in (Literal(0), Literal(40)), False),
+    "negation callable": (lambda row: row["d"] != _CITY1, False),
+}
+
+
 class TestSelectKernel:
-    def test_sigma_like_predicates_match_row_select(self):
+    @pytest.mark.parametrize("case", list(_SELECTIONS))
+    def test_sigma_like_predicates_match_row_select(self, case):
+        predicate, on_arrays = _SELECTIONS[case]
         columnar_relation, row_relation = _paired_relations(_sample_rows())
-        predicates = [
-            equals("d", IRI("http://example.org/city1")),
-            is_in("d", [IRI("http://example.org/city0"), IRI("http://example.org/city2")]),
-            between("v", 10, 30),
-            conjunction(between("v", 0, 30), equals("d", IRI("http://example.org/city0"))),
-            disjunction(equals("v", Literal(0)), equals("v", Literal(40))),
-            negation(equals("d", IRI("http://example.org/city1"))),
-        ]
-        for predicate in predicates:
-            fast = select(columnar_relation, predicate)
-            slow = select(row_relation, predicate)
-            assert fast.bag_equal(slow)
+        before = ROW_CONVERSIONS["sigma:opaque-predicate"]
+        fast = select(columnar_relation, predicate)
+        assert isinstance(fast, ColumnarIdRelation) == on_arrays
+        assert ROW_CONVERSIONS["sigma:opaque-predicate"] == before + (not on_arrays)
+        assert fast.bag_equal(select(row_relation, predicate))
 
     def test_all_rows_filtered_mask(self):
         columnar_relation, row_relation = _paired_relations(_sample_rows())
-        none_match = equals("d", IRI("http://example.org/elsewhere"))
+        none_match = sigma_predicate(d=DimensionRestriction.to_value(IRI("http://example.org/elsewhere")))
         fast = select(columnar_relation, none_match)
         assert isinstance(fast, ColumnarIdRelation)
         assert len(fast) == 0
@@ -229,13 +245,11 @@ class TestSelectKernel:
         empty = ColumnarIdRelation.from_arrays(
             ("d",), {"d": np.empty(0, dtype=np.int64)}, dictionary
         )
-        assert len(select(empty, equals("d", Literal(1)))) == 0
+        assert len(select(empty, sigma_predicate(d=DimensionRestriction.to_value(Literal(1))))) == 0
 
     def test_sigma_predicate_takes_the_mask_fast_path(self):
         """A real SigmaPredicate must mask-compile (not silently fall back
         to the row loop) — the engine's hottest selection shape."""
-        from repro.analytics.sigma import DimensionRestriction, Sigma
-
         columnar_relation, row_relation = _paired_relations(
             _sample_rows(), columns=("x", "dage", "v")
         )

@@ -1,20 +1,15 @@
-"""Unit tests for selection predicates."""
+"""Unit tests for the value conversion σ compares by and for predicate compilation.
+
+The semantics of Σ's restrictions (equality, value sets, ranges) are in
+``tests/analytics/test_sigma.py``.
+"""
 
 import pytest
 
-from repro.errors import UnknownColumnError
-from repro.algebra.expressions import (
-    always_true,
-    between,
-    compare,
-    comparable,
-    conjunction,
-    disjunction,
-    equals,
-    is_in,
-    negation,
-)
+from repro.algebra.expressions import comparable, compile_predicate
+from repro.algebra.relation import IdRelation, Relation
 from repro.rdf import EX, Literal
+from repro.rdf.dictionary import TermDictionary
 
 
 class TestComparable:
@@ -32,88 +27,23 @@ class TestComparable:
         assert comparable(None) is None
 
 
-class TestEquals:
-    def test_matches_identical_terms(self):
-        predicate = equals("dcity", EX.Madrid)
-        assert predicate({"dcity": EX.Madrid})
-        assert not predicate({"dcity": EX.Kyoto})
+class TestCompilePredicate:
+    def test_callable_sees_decoded_rows_of_an_encoded_relation(self):
+        dictionary = TermDictionary()
+        rows = [(dictionary.encode(city), dictionary.encode(Literal(age))) for city, age in
+                ((EX.Madrid, 28), (EX.Kyoto, 35))]
+        relation = IdRelation(("dcity", "dage"), rows, dictionary=dictionary)
+        young_in_madrid = lambda row: row["dcity"] == EX.Madrid and row["dage"] == Literal(28)  # noqa: E731
+        check = compile_predicate(young_in_madrid, relation)
+        assert [check(row) for row in relation.rows] == [True, False]
 
-    def test_matches_literal_against_python_value(self):
-        predicate = equals("dage", 28)
-        assert predicate({"dage": Literal(28)})
-        assert not predicate({"dage": Literal(29)})
+    def test_callable_result_is_a_bool(self):
+        relation = Relation(("a",), [(0,), (3,)])
+        check = compile_predicate(lambda row: row["a"], relation)
+        assert [check(row) for row in relation.rows] == [False, True]
 
-    def test_unknown_column_raises(self):
-        with pytest.raises(UnknownColumnError):
-            equals("nope", 1)({"dage": 1})
-
-
-class TestIsIn:
-    def test_membership_with_terms_and_values(self):
-        predicate = is_in("dcity", [EX.Madrid, EX.Kyoto])
-        assert predicate({"dcity": EX.Madrid})
-        assert not predicate({"dcity": EX.term("NY")})
-
-    def test_membership_via_comparable_values(self):
-        predicate = is_in("dage", [28, 35])
-        assert predicate({"dage": Literal(35)})
-        assert not predicate({"dage": Literal(40)})
-
-    def test_empty_collection_matches_nothing(self):
-        assert not is_in("dage", [])({"dage": 1})
-
-
-class TestBetween:
-    def test_inclusive_range(self):
-        predicate = between("dage", 20, 30)
-        assert predicate({"dage": Literal(20)})
-        assert predicate({"dage": Literal(28)})
-        assert predicate({"dage": Literal(30)})
-        assert not predicate({"dage": Literal(31)})
-
-    def test_exclusive_range(self):
-        predicate = between("dage", 20, 30, inclusive=False)
-        assert not predicate({"dage": Literal(20)})
-        assert predicate({"dage": Literal(25)})
-
-    def test_non_comparable_values_fail_closed(self):
-        assert not between("dage", 20, 30)({"dage": Literal("unknown")})
-
-
-class TestCompare:
-    @pytest.mark.parametrize(
-        "op, value, expected",
-        [("==", 28, True), ("!=", 28, False), ("<", 30, True), ("<=", 28, True), (">", 28, False), (">=", 29, False)],
-    )
-    def test_operators(self, op, value, expected):
-        assert compare("dage", op, value)({"dage": Literal(28)}) is expected
-
-    def test_unknown_operator(self):
-        with pytest.raises(ValueError):
-            compare("dage", "<>", 1)
-
-    def test_type_mismatch_fails_closed(self):
-        assert not compare("dage", "<", 10)({"dage": Literal("abc")})
-
-
-class TestCombinators:
-    def test_conjunction_and_disjunction(self):
-        young = compare("dage", "<", 30)
-        in_madrid = equals("dcity", "Madrid")
-        row_yes = {"dage": 25, "dcity": "Madrid"}
-        row_no = {"dage": 40, "dcity": "Madrid"}
-        assert conjunction(young, in_madrid)(row_yes)
-        assert not conjunction(young, in_madrid)(row_no)
-        assert disjunction(young, in_madrid)(row_no)
-        assert not disjunction(young)(row_no)
-
-    def test_empty_combinators(self):
-        assert conjunction()({})
-        assert not disjunction()({})
-
-    def test_negation(self):
-        assert negation(equals("a", 1))({"a": 2})
-        assert not negation(equals("a", 1))({"a": 1})
-
-    def test_always_true(self):
-        assert always_true({})
+    def test_callable_over_an_absent_column_fails_only_on_a_row(self):
+        relation = Relation(("a",), [(1,)])
+        check = compile_predicate(lambda row: row["b"] == 1, relation)
+        with pytest.raises(KeyError):
+            check((1,))

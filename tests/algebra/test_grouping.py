@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import UnknownColumnError
-from repro.algebra.grouping import aggregate_column, group_aggregate, group_rows
+from repro.algebra.grouping import group_aggregate
 from repro.algebra.relation import Relation
 from repro.rdf import Literal
 
@@ -20,22 +20,6 @@ def word_counts() -> Relation:
             ("user4", 28, "Madrid", 410),
         ],
     )
-
-
-class TestGroupRows:
-    def test_partitioning(self, word_counts):
-        groups = group_rows(word_counts, ["dage", "dcity"])
-        assert set(groups) == {(28, "Madrid"), (35, "NY")}
-        assert len(groups[(28, "Madrid")]) == 3
-
-    def test_empty_by_creates_single_group(self, word_counts):
-        groups = group_rows(word_counts, [])
-        assert set(groups) == {()}
-        assert len(groups[()]) == 4
-
-    def test_unknown_column(self, word_counts):
-        with pytest.raises(UnknownColumnError):
-            group_rows(word_counts, ["nope"])
 
 
 class TestGroupAggregate:
@@ -78,18 +62,6 @@ class TestGroupAggregate:
     def test_empty_relation_produces_empty_result(self):
         relation = Relation(["g", "v"])
         assert len(group_aggregate(relation, ["g"], "v", "sum")) == 0
-
-
-class TestAggregateColumn:
-    def test_whole_column(self, word_counts):
-        assert aggregate_column(word_counts, "vwords", "sum") == 1200
-        assert aggregate_column(word_counts, "vwords", "min") == 100
-
-    def test_empty_column_raises(self):
-        from repro.errors import AggregationError
-
-        with pytest.raises(AggregationError):
-            aggregate_column(Relation(["v"]), "v", "sum")
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
 from repro.bgp.evaluator import BGPEvaluator
 from repro.bgp.query import BGPQuery
-from repro.algebra.expressions import between, conjunction, equals, is_in
 from repro.algebra.operators import dedup, join_on, project, rename, select, union_all
 from repro.algebra.grouping import group_aggregate
 from repro.algebra.relation import IdRelation, Relation
+from repro.analytics.sigma import DimensionRestriction
+from tests.conftest import sigma_predicate
 
 RDF_TYPE = RDF.term("type")
 
@@ -81,17 +82,20 @@ class TestIdRelation:
 
 class TestOperatorsPreserveEncoding:
     def test_select_compiled_predicate_stays_encoded(self, people):
-        selected = select(people, equals("city", EX.term("Madrid")))
+        selected = select(people, sigma_predicate(city=DimensionRestriction.to_value(EX.term("Madrid"))))
         assert isinstance(selected, IdRelation)
         assert len(selected) == 2
         assert selected.materialize().distinct_values("x") == {EX.term("u1"), EX.term("u3")}
 
     def test_select_range_predicate_on_ids(self, people):
-        selected = select(people, between("age", 30, 40))
+        selected = select(people, sigma_predicate(age=DimensionRestriction.to_range(30, 40)))
         assert selected.materialize().distinct_values("age") == {Literal(35)}
 
     def test_select_conjunction_and_is_in(self, people):
-        predicate = conjunction(is_in("age", [28, 35]), equals("city", EX.term("NY")))
+        predicate = sigma_predicate(
+            age=DimensionRestriction.to_values([28, 35]),
+            city=DimensionRestriction.to_value(EX.term("NY")),
+        )
         selected = select(people, predicate)
         assert len(selected) == 1
 
@@ -189,13 +193,15 @@ class TestAdoption:
 
 class TestCompiledSelectSemantics:
     def test_missing_column_on_empty_relation_is_a_noop(self):
-        """σ over zero rows never evaluates the predicate (legacy semantics)."""
+        """σ over zero rows never evaluates the predicate."""
         empty = Relation(("a",), [])
-        assert len(select(empty, equals("b", 1))) == 0
+        assert len(select(empty, sigma_predicate(b=DimensionRestriction.to_value(1)))) == 0
+        assert len(select(empty, lambda row: row["b"] == 1)) == 0
 
-    def test_missing_column_on_populated_relation_raises(self):
-        from repro.errors import UnknownColumnError
-
-        relation = Relation(("a",), [(1,)])
-        with pytest.raises(UnknownColumnError):
-            select(relation, equals("b", 1))
+    def test_sigma_ignores_a_dimension_the_relation_lacks(self):
+        """As ``Sigma.allows_row`` does: the dimension may have been drilled out."""
+        relation = Relation(("a",), [(1,), (2,)])
+        assert select(relation, sigma_predicate(b=DimensionRestriction.to_value(1))).rows == [(1,), (2,)]
+        assert select(relation, sigma_predicate(
+            a=DimensionRestriction.to_value(2), b=DimensionRestriction.to_value(1)
+        )).rows == [(2,)]

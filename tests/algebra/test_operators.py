@@ -3,20 +3,41 @@
 import pytest
 
 from repro.errors import SchemaMismatchError, UnknownColumnError
-from repro.algebra.expressions import compare, equals
 from repro.algebra.operators import (
     cross_product,
     dedup,
-    difference_all,
-    extend_column,
     join_on,
-    natural_join,
     project,
     rename,
     select,
     union_all,
 )
 from repro.algebra.relation import Relation
+from repro.analytics.sigma import DimensionRestriction, Sigma
+from tests.conftest import sigma_predicate
+
+
+#: ``(group, measure)`` rows with int, float and repeated measures.
+_MEASURED = [("a", 1), ("b", 2.5), ("a", 3), ("c", 0.5), ("b", 3), ("a", 1), ("c", -2)]
+
+#: σ predicate → the same test written on ``(g, v)`` by hand.
+_SELECTIONS = {
+    "value set": (sigma_predicate(g=DimensionRestriction.to_values(["a", "c"])), lambda g, v: g in "ac"),
+    "float range": (sigma_predicate(v=DimensionRestriction.to_range(0.5, 2.5)), lambda g, v: 0.5 <= v <= 2.5),
+    "mixed int/float range": (
+        sigma_predicate(v=DimensionRestriction.to_range(1, 2.75)), lambda g, v: 1 <= v <= 2.75
+    ),
+    "exclusive range": (
+        sigma_predicate(v=DimensionRestriction.to_range(1, 3, inclusive=False)), lambda g, v: 1 < v < 3
+    ),
+    "conjunction": (
+        sigma_predicate(g=DimensionRestriction.to_values(["a", "b"]), v=DimensionRestriction.to_range(2, 5)),
+        lambda g, v: g in "ab" and 2 <= v <= 5,
+    ),
+    "unrestricted": (Sigma(("g", "v")).predicate(), lambda g, v: True),
+    "disjunction": (lambda row: row["g"] == "c" or row["v"] == 3, lambda g, v: g == "c" or v == 3),
+    "negation": (lambda row: not row["g"] == "a", lambda g, v: g != "a"),
+}
 
 
 @pytest.fixture()
@@ -34,18 +55,27 @@ def pres_like() -> Relation:
 
 class TestSelect:
     def test_select_keeps_matching_rows(self, pres_like):
-        result = select(pres_like, equals("dn", "bn"))
+        result = select(pres_like, sigma_predicate(dn=DimensionRestriction.to_value("bn")))
         assert len(result) == 2
         assert all(row[2] == "bn" for row in result)
 
     def test_select_preserves_schema_and_duplicates(self):
         relation = Relation(["a"], [(1,), (1,), (2,)])
-        result = select(relation, compare("a", "<", 2))
+        below_2 = DimensionRestriction.to_range(float("-inf"), 2, inclusive=False)
+        result = select(relation, sigma_predicate(a=below_2))
         assert result.columns == ("a",)
         assert result.rows == [(1,), (1,)]
 
     def test_select_empty_result(self, pres_like):
-        assert len(select(pres_like, equals("x", "nobody"))) == 0
+        assert len(select(pres_like, sigma_predicate(x=DimensionRestriction.to_value("nobody")))) == 0
+
+    @pytest.mark.parametrize("case", list(_SELECTIONS))
+    def test_select_keeps_exactly_the_rows_the_predicate_allows(self, case):
+        predicate, allows = _SELECTIONS[case]
+        relation = Relation(["g", "v"], _MEASURED)
+        result = select(relation, predicate)
+        assert result.columns == ("g", "v")
+        assert result.rows == [row for row in _MEASURED if allows(*row)]
 
 
 class TestProject:
@@ -86,17 +116,17 @@ class TestRename:
 
 
 class TestJoins:
-    def test_natural_join_on_shared_column(self):
+    def test_join_on_a_shared_column_keeps_it_once(self):
         classifier = Relation(["x", "dage"], [("u1", 28), ("u2", 35)])
         measure = Relation(["x", "v"], [("u1", 100), ("u1", 120), ("u3", 5)])
-        joined = natural_join(classifier, measure)
+        joined = join_on(classifier, measure, [("x", "x")])
         assert joined.columns == ("x", "dage", "v")
         assert joined.to_multiset() == {("u1", 28, 100): 1, ("u1", 28, 120): 1}
 
     def test_join_bag_semantics_multiplies_duplicates(self):
         left = Relation(["x"], [("a",), ("a",)])
         right = Relation(["x", "v"], [("a", 1)])
-        assert len(natural_join(left, right)) == 2
+        assert len(join_on(left, right, [("x", "x")])) == 2
 
     def test_join_on_differently_named_columns(self):
         left = Relation(["fact", "d"], [("u1", "a")])
@@ -116,11 +146,6 @@ class TestJoins:
         right = Relation(["b"], [(3,)])
         assert len(join_on(left, right, [])) == 2
 
-    def test_natural_join_without_shared_columns_is_cross_product(self):
-        left = Relation(["a"], [(1,), (2,)])
-        right = Relation(["b"], [(3,), (4,)])
-        assert len(natural_join(left, right)) == 4
-
     def test_cross_product_requires_disjoint_schemas(self):
         with pytest.raises(SchemaMismatchError):
             cross_product(Relation(["a"], [(1,)]), Relation(["a"], [(2,)]))
@@ -134,7 +159,7 @@ class TestJoins:
         assert len(join_on(large, small, [("x", "x")])) == 10
 
 
-class TestUnionDifference:
+class TestUnion:
     def test_union_all_concatenates(self):
         a = Relation(["x"], [(1,), (2,)])
         b = Relation(["x"], [(2,)])
@@ -154,25 +179,3 @@ class TestUnionDifference:
     def test_union_requires_an_argument(self):
         with pytest.raises(SchemaMismatchError):
             union_all()
-
-    def test_difference_all_respects_multiplicities(self):
-        a = Relation(["x"], [(1,), (1,), (2,)])
-        b = Relation(["x"], [(1,)])
-        assert difference_all(a, b).to_multiset() == {(1,): 1, (2,): 1}
-
-    def test_difference_incompatible_schemas(self):
-        with pytest.raises(SchemaMismatchError):
-            difference_all(Relation(["x"], [(1,)]), Relation(["y"], [(1,)]))
-
-
-class TestExtendColumn:
-    def test_extend_column_computes_value_from_row(self):
-        relation = Relation(["a", "b"], [(1, 2), (3, 4)])
-        extended = extend_column(relation, "total", lambda row: row["a"] + row["b"])
-        assert extended.columns == ("a", "b", "total")
-        assert extended.rows == [(1, 2, 3), (3, 4, 7)]
-
-    def test_extend_column_rejects_existing_name(self):
-        relation = Relation(["a"], [(1,)])
-        with pytest.raises(SchemaMismatchError):
-            extend_column(relation, "a", lambda row: 0)

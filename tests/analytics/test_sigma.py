@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.algebra.expressions import comparable
 from repro.errors import SigmaError
 from repro.rdf import EX, Literal
+from repro.rdf.namespaces import XSD
 from repro.analytics.sigma import DimensionRestriction, Sigma
 
 
@@ -74,6 +76,46 @@ class TestDimensionRestriction:
         both = values.intersect(in_range)
         assert both.allows(25)
         assert not both.allows(1) and not both.allows(40)
+
+    def test_value_matches_on_the_raw_value_or_its_comparable_form(self):
+        typed_28 = Literal("28", datatype=XSD.integer)
+        assert DimensionRestriction.to_value(28).allows(typed_28)
+        assert DimensionRestriction.to_value(typed_28).allows(28)
+        assert DimensionRestriction.to_value(typed_28).allows(Literal(28))
+        assert not DimensionRestriction.to_value(28).allows(Literal(29))
+        assert not DimensionRestriction.to_value(28).allows(Literal("28"))  # a string
+        cities = DimensionRestriction.to_values([EX.Madrid, EX.Kyoto])
+        assert cities.allows(EX.Madrid) and cities.allows("http://example.org/Kyoto")
+        assert not cities.allows(EX.term("NY"))
+
+    def test_range_over_literals(self):
+        restriction = DimensionRestriction.to_range(Literal(20), Literal(30))
+        assert restriction.allows(Literal(20)) and restriction.allows(25.5)
+        assert restriction.allows(Literal("30", datatype=XSD.integer))
+        assert not restriction.allows(Literal(30.5))
+        exclusive = DimensionRestriction.to_range(Literal(20), Literal(30), inclusive=False)
+        assert not exclusive.allows(20) and exclusive.allows(Literal(29))
+
+    def test_incomparable_values_are_not_allowed(self):
+        assert not DimensionRestriction.to_range(10, 20).allows(Literal("abc"))
+        assert not DimensionRestriction.to_range("a", "z").allows(Literal(5))
+        assert not DimensionRestriction.to_values([28]).allows([28])  # unhashable
+        assert not DimensionRestriction.to_value(EX.Madrid).allows(None)
+
+    @pytest.mark.parametrize(
+        "restriction, expected",
+        [
+            (DimensionRestriction.to_value(28), True),
+            (DimensionRestriction.to_predicate(lambda value: comparable(value) != 28), False),
+            (DimensionRestriction.to_range(float("-inf"), 30, inclusive=False), True),
+            (DimensionRestriction.to_range(float("-inf"), 28), True),
+            (DimensionRestriction.to_range(28, float("inf"), inclusive=False), False),
+            (DimensionRestriction.to_range(29, float("inf")), False),
+        ],
+        ids=["==", "!=", "<", "<=", ">", ">="],
+    )
+    def test_comparisons_against_a_literal(self, restriction, expected):
+        assert restriction.allows(Literal(28)) is expected
 
     def test_equality(self):
         assert DimensionRestriction.full() == DimensionRestriction.full()

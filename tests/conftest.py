@@ -21,6 +21,7 @@ from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
 from repro.bgp.query import BGPQuery
 from repro.analytics import AnalyticalQuery, AnalyticalSchema
+from repro.analytics.sigma import Sigma
 from repro.datagen import (
     BloggerConfig,
     GenericConfig,
@@ -228,6 +229,11 @@ def make_views_query(aggregate: str = "sum") -> AnalyticalQuery:
         name="m",
     )
     return AnalyticalQuery(classifier, measure, aggregate, name="Q_views")
+
+
+def sigma_predicate(**restrictions):
+    """The σ predicate of a Σ restricting the named columns."""
+    return Sigma(tuple(restrictions), restrictions).predicate()
 
 
 @pytest.fixture()

@@ -254,6 +254,118 @@ class TestBackpressure:
         assert ingestor.pending == 1
 
 
+class TestGroupAdmission:
+    """A submitted group is buffered all or nothing: a refused group leaves
+    no half of a fact behind for the next flush to apply."""
+
+    def test_group_that_does_not_fit_buffers_none_of_it(self, graph):
+        ingestor = StreamIngestor(graph, capacity=3, batch_size=10)
+        ingestor.add(triple(0))
+        ingestor.add(triple(1))
+        with pytest.raises(IngestBackpressureError) as excinfo:
+            ingestor.ingest(add=[triple(2), triple(3)])
+        assert excinfo.value.pending == 2 and excinfo.value.capacity == 3
+        assert ingestor.pending == 2
+        assert ingestor.stats.rejected == 2
+        assert ingestor.stats.submitted == ingestor.stats.accepted == 2
+        batch = ingestor.flush(force=True)
+        assert set(batch.adds) == {triple(0), triple(1)}
+        assert triple(2) not in graph
+
+    def test_malformed_triple_refuses_its_whole_group(self, graph):
+        ingestor = StreamIngestor(graph)
+        with pytest.raises(InvalidTripleError):
+            ingestor.ingest(add=[triple(0), ("bad",)])
+        with pytest.raises(InvalidTripleError):
+            ingestor.ingest(add=[triple(1)], remove=["junk"])
+        assert ingestor.pending == 0
+        assert ingestor.flush(force=True) is None
+        assert len(graph) == 0
+
+    def test_coalescing_members_take_no_room(self, graph):
+        ingestor = StreamIngestor(graph, capacity=3, batch_size=10)
+        ingestor.add(triple(0))
+        ingestor.add(triple(1))
+        # t0 is pending, t2 repeats, t1's remove supersedes: the group grows by one.
+        ingestor.ingest(add=[triple(0), triple(2), triple(2)], remove=[triple(1)])
+        assert ingestor.pending == 3
+        assert ingestor.stats.duplicates == 2 and ingestor.stats.superseded == 1
+        # A refused group coalesces nothing either, not even its pending member.
+        with pytest.raises(IngestBackpressureError):
+            ingestor.ingest(add=[triple(2), triple(3)])
+        assert ingestor.pending == 3
+        assert ingestor.stats.duplicates == 2
+
+    def test_async_group_that_does_not_fit_buffers_none_of_it(self, graph):
+        async def main():
+            ingestor = StreamIngestor(graph, capacity=3, batch_size=10, backpressure="error")
+            await ingestor.aadd(triple(0))
+            await ingestor.aadd(triple(1))
+            with pytest.raises(IngestBackpressureError):
+                await ingestor.aingest(add=[triple(2), triple(3)])
+            assert ingestor.pending == 2
+            assert ingestor.stats.rejected == 2
+            await ingestor.adrain()
+            assert set(graph) == {triple(0), triple(1)}
+
+        run(main())
+
+    def test_async_malformed_triple_refuses_its_whole_group(self, graph):
+        async def main():
+            ingestor = StreamIngestor(graph, backpressure="error")
+            with pytest.raises(InvalidTripleError):
+                await ingestor.aingest(add=[triple(0), ("bad",)])
+            assert ingestor.pending == 0
+            assert await ingestor.aflush(force=True) is None
+            assert len(graph) == 0
+
+        run(main())
+
+    def test_blocked_group_waits_until_all_of_it_fits(self, graph):
+        async def main():
+            ingestor = StreamIngestor(graph, capacity=3, batch_size=10, backpressure="block")
+            await ingestor.aadd(triple(0))
+            await ingestor.aadd(triple(1))
+            await ingestor.aingest(add=[triple(2), triple(3)])
+            assert ingestor.stats.blocked == 1 and ingestor.stats.rejected == 0
+            # The inline flush shipped the two older triples, not half the group.
+            assert set(graph) == {triple(0), triple(1)}
+            assert ingestor.pending == 2
+            await ingestor.adrain()
+            assert len(graph) == 4
+
+        run(main())
+
+    def test_blocked_group_larger_than_capacity_raises_at_once(self, graph):
+        async def main():
+            ingestor = StreamIngestor(graph, capacity=2, batch_size=10, backpressure="block")
+            with pytest.raises(IngestBackpressureError):
+                await asyncio.wait_for(
+                    ingestor.aingest(add=[triple(0), triple(1), triple(2)]), timeout=5.0
+                )
+            assert ingestor.pending == 0 and ingestor.stats.blocked == 0
+            assert ingestor.stats.rejected == 3
+
+        run(main())
+
+    def test_blocked_group_larger_than_capacity_raises_with_members_pending(self, graph):
+        # The group grows the buffer by one only because two of its members
+        # are pending; a flush would make it grow by three, so it never fits.
+        async def main():
+            ingestor = StreamIngestor(graph, capacity=2, batch_size=10, backpressure="block")
+            await ingestor.aadd(triple(0))
+            await ingestor.aadd(triple(1))
+            with pytest.raises(IngestBackpressureError):
+                await asyncio.wait_for(
+                    ingestor.aingest(add=[triple(0), triple(1), triple(2)]), timeout=5.0
+                )
+            assert ingestor.pending == 2 and ingestor.stats.blocked == 0
+            assert ingestor.stats.rejected == 3
+            assert len(graph) == 0
+
+        run(main())
+
+
 class TestCadence:
     def test_size_threshold_marks_due(self, graph):
         ingestor = StreamIngestor(graph, batch_size=2, max_batch_age=100.0)

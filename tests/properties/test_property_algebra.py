@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra.aggregates import AVG, COUNT, MAX, MIN, SUM
-from repro.algebra.expressions import compare, equals
-from repro.algebra.grouping import group_aggregate, group_rows
+from repro.algebra.grouping import group_aggregate
 from repro.algebra.operators import dedup, join_on, project, select, union_all
 from repro.algebra.relation import Relation
+from repro.analytics.sigma import DimensionRestriction
+from tests.conftest import sigma_predicate
 
 # Rows over a fixed 3-column schema (g: group, d: dimension, v: measure).
 row_strategy = st.tuples(
@@ -50,7 +51,7 @@ class TestSelectProjectProperties:
     @given(rows_strategy, st.integers(min_value=0, max_value=3))
     def test_selection_commutes_with_projection_on_kept_columns(self, rows, threshold):
         relation = make_relation(rows)
-        predicate = compare("g", "<=", threshold)
+        predicate = sigma_predicate(g=DimensionRestriction.to_range(float("-inf"), threshold))
         left = project(select(relation, predicate), ["g", "v"])
         right = select(project(relation, ["g", "v"]), predicate)
         assert left.bag_equal(right)
@@ -63,7 +64,7 @@ class TestSelectProjectProperties:
     @given(rows_strategy, st.integers(min_value=0, max_value=3))
     def test_selection_is_a_sub_bag(self, rows, value):
         relation = make_relation(rows)
-        selected = select(relation, equals("g", value))
+        selected = select(relation, sigma_predicate(g=DimensionRestriction.to_value(value)))
         full = relation.to_multiset()
         for row, count in selected.to_multiset().items():
             assert count <= full[row]
@@ -99,12 +100,6 @@ class TestUnionJoinProperties:
 
 
 class TestGroupingProperties:
-    @given(rows_strategy)
-    def test_group_rows_partitions_the_input(self, rows):
-        relation = make_relation(rows)
-        groups = group_rows(relation, ["g"])
-        assert sum(len(group) for group in groups.values()) == len(relation)
-
     @given(rows_strategy)
     def test_group_aggregate_matches_manual_computation(self, rows):
         relation = make_relation(rows)

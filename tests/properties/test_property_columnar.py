@@ -16,8 +16,12 @@ storage or leaves it through ``to_rows``, and under which reason.  That
 table is the tested form of the guide's *Fallback rules*.  The ids the
 relations hold include *derived* (negative) ones — ROLL-UP parents that are
 no terms of the graph — and one case holds nothing else: no kernel may index
-by id.
+by id.  σ's one structured predicate, Σ, is then held to itself: its three
+evaluators (``Sigma.allows_row`` on mappings, ``SigmaPredicate.compile`` on
+positional rows, the columnar mask) keep the same rows.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -30,13 +34,11 @@ from repro.analytics.query import KEY_COLUMN, AnalyticalQuery
 from repro.algebra.aggregates import AggregateFunction, default_registry
 from repro.algebra.columnar import ROW_CONVERSIONS, ColumnarIdRelation
 from repro.bgp.parser import parse_query
-from repro.algebra.expressions import comparable, is_in
+from repro.algebra.expressions import comparable
 from repro.algebra.grouping import group_aggregate
 from repro.algebra.operators import (
     cross_product,
     dedup,
-    difference_all,
-    extend_column,
     join_on,
     project,
     rename,
@@ -44,11 +46,13 @@ from repro.algebra.operators import (
     union_all,
 )
 from repro.algebra.relation import IdRelation
+from repro.analytics.sigma import DimensionRestriction, Sigma
 from repro.rdf import EX, RDF, Graph, Triple
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import Literal
 from repro.olap import DimensionHierarchy, OLAPSession, RollUp, Slice
 from repro.olap.cube import Cube
+from tests.conftest import sigma_predicate
 
 from tests.properties.test_property_parallel import (
     AGGREGATES,
@@ -248,8 +252,18 @@ _SHADOW_SUM = AggregateFunction("sum", lambda values: len(values), distributive=
 
 #: operator → (application to (left, right), keeps columnar storage, ``to_rows`` reasons)
 _OPERATORS = {
-    "σ": (lambda l, r: select(l, is_in("a", [Literal(0), Literal(3)])), True, set()),
-    "σ derived": (lambda l, r: select(l, is_in("a", [Literal(40), 41, Literal(2)])), True, set()),
+    "σ": (
+        lambda l, r: select(l, sigma_predicate(a=DimensionRestriction.to_values([Literal(0), Literal(3)]))),
+        True,
+        set(),
+    ),
+    "σ derived": (
+        lambda l, r: select(
+            l, sigma_predicate(a=DimensionRestriction.to_values([Literal(40), 41, Literal(2)]))
+        ),
+        True,
+        set(),
+    ),
     "σ opaque": (
         lambda l, r: select(l, lambda row: row["a"] == Literal(1)),
         False,
@@ -288,13 +302,7 @@ _OPERATORS = {
     "∪ misaligned encoding": (
         lambda l, r: union_all(l, _plain_column(r, "c")), False, {"union:no-array-form"}
     ),
-    "−": (lambda l, r: difference_all(l, r), False, {"difference:no-array-form"}),
     "×": (lambda l, r: cross_product(l, rename(r, _APART)), False, {"product:no-array-form"}),
-    "extend_column": (
-        lambda l, r: extend_column(l, "s", lambda row: str(row["a"])),
-        False,
-        {"extend:opaque-function"},
-    ),
     # γ's array states finalize in the arrays: ans(Q) is columnar too.
     "γ": (lambda l, r: group_aggregate(l, ["a"], "c", "sum"), True, set()),
     "γ count_distinct": (lambda l, r: group_aggregate(l, ["a", "b"], "c", "count_distinct"), True, set()),
@@ -381,3 +389,68 @@ def test_split_on_matches_row_engine_and_stays_in_the_arrays(key_columns, rows, 
     for relation in (fast, slow):
         only, nothing = relation.split_on(key_columns, keys, rest=False)
         assert nothing is None and only.rows == matching.rows
+
+
+# Σ's three evaluators: mappings, positional rows, arrays.
+
+_SIGMA_TERMS = TermDictionary()
+_GRAPH_IDS = [
+    _SIGMA_TERMS.encode(term)
+    for term in (Literal(0), Literal(2), Literal(3.5), Literal("x"), EX.term("a"))
+]
+_LABEL_IDS = [_SIGMA_TERMS.encode_derived(value) for value in (Literal(40), 41, "label")]
+#: Plain-column pools: int64, float64 and (mixed) object arrays.
+_PLAIN_POOLS = ((0, 1, 3, -1), (0.5, 2.5, -1.5), (0, 2.5, 3, -1.5))
+_SIGMA_VALUES = [
+    Literal(0), 2, Literal(3.5), Literal("x"), EX.term("a"), Literal(40), 41, "label",
+    0.5, 2.5, -1, Literal(99),
+]
+_OPAQUE_TESTS = (
+    lambda value: str(value).endswith(("0", "a")),
+    lambda value: isinstance(comparable(value), int),
+)
+
+_restrictions = st.one_of(
+    st.just(DimensionRestriction.full()),
+    st.lists(st.sampled_from(_SIGMA_VALUES), min_size=1, max_size=4).map(
+        DimensionRestriction.to_values
+    ),
+    st.builds(
+        DimensionRestriction.to_range,
+        st.sampled_from([-2, 0, 1, 2.5, Literal(40)]),
+        st.sampled_from([0, 2, 3.5, 41, Literal(100)]),
+        st.booleans(),
+    ),
+    st.sampled_from(_OPAQUE_TESTS).map(DimensionRestriction.to_predicate),
+)
+
+
+@given(data=st.data(), pool=st.sampled_from(_PLAIN_POOLS))
+@settings(max_examples=60, deadline=None, print_blob=True)
+def test_sigma_evaluators_agree(data, pool):
+    """An encoded column of graph terms (``e``), a plain one (``p``), one of
+    derived (negative) ids (``g``), and a Σ dimension the relation lacks:
+    ``select`` on either engine keeps, as a bag, exactly the rows
+    ``Sigma.allows_row`` keeps, and the columnar side never leaves its arrays."""
+    columns = ("e", "p", "g")
+    rows = data.draw(st.lists(
+        st.tuples(st.sampled_from(_GRAPH_IDS), st.sampled_from(pool), st.sampled_from(_LABEL_IDS)),
+        max_size=12,
+    ))
+    dimensions = ("g", "absent", "e", "p")
+    sigma = Sigma(dimensions, {name: data.draw(_restrictions) for name in dimensions})
+    plain = [row[1] for row in rows]
+    arrays = {
+        name: np.asarray([row[index] for row in rows], dtype=np.int64)
+        for index, name in ((0, "e"), (2, "g"))
+    }
+    arrays["p"] = np.asarray(plain, dtype=object if len(set(map(type, plain))) > 1 else None)
+    fast = ColumnarIdRelation.from_arrays(columns, arrays, _SIGMA_TERMS, {"e", "g"}, len(rows))
+    slow = IdRelation(columns, rows, dictionary=_SIGMA_TERMS, encoded={"e", "g"})
+
+    kept = Counter(row for row in rows if sigma.allows_row(slow.row_as_dict(row)))
+    before = ROW_CONVERSIONS.copy()
+    fast_kept = select(fast, sigma.predicate())
+    assert ROW_CONVERSIONS == before and isinstance(fast_kept, ColumnarIdRelation)
+    assert Counter(fast_kept.rows) == kept
+    assert Counter(select(slow, sigma.predicate()).rows) == kept

@@ -7,18 +7,19 @@ BGP matching, Σ-selection, the fact-variable join and γ all run in id space.
 arrays and implements the relation protocol of
 :class:`~repro.algebra.relation.Relation` on them —
 
-* ``select`` — Σ-selection via boolean masks (distinct ids are decoded and
-  tested once, the mask is ``np.isin``);
+* ``select`` — Σ-selection via boolean masks (a column's distinct ids, memoized
+  per relation, are decoded and tested once; the mask is ``np.isin``);
 * ``project`` / ``rename`` / ``reorder`` / ``prepend_keys`` — share the arrays;
 * ``map_column`` — ROLL-UP's parent substitution: the function runs once per
-  distinct id (``np.unique``), one gather writes the column;
-* ``dedup`` — δ via lexsort run heads, first occurrences kept in order;
+  (memoized) distinct id, one gather writes the column;
+* ``dedup`` — δ via the run heads of one sorted packed key, first occurrences
+  kept in order;
 * ``split_on`` / ``union_all`` — the (anti-)semi-join against a set of id
   tuples by ``np.isin`` masks, and ∪ by concatenating columns (the splice of
   a delta refresh);
 * ``join_on`` — the int-keyed equi-join (the fact-variable join of
   Definition 4) via argsort + ``searchsorted`` expansion;
-* ``group_states`` — γ's states via lexsort group boundaries with
+* ``group_states`` — γ's states via the same packed-key group boundaries with
   ``reduceat`` reductions for COUNT/SUM/AVG/MIN/MAX, held in array form
   (:class:`ArrayGroupStates`) so shards merge (concatenate + re-reduce)
   and a whole relation finalizes into a columnar ``ans(Q)`` without boxing
@@ -181,7 +182,7 @@ class ColumnarIdRelation(IdRelation):
     evaluator's column-block solver are the only producers.
     """
 
-    __slots__ = ("_column_arrays", "_length")
+    __slots__ = ("_column_arrays", "_length", "_distinct")
 
     @classmethod
     def from_arrays(
@@ -218,6 +219,7 @@ class ColumnarIdRelation(IdRelation):
         relation._encoded = encoded
         relation._column_arrays = adopted
         relation._length = int(length or 0)
+        relation._distinct = {}
         return relation
 
     def _with(self, columns, arrays, length, encoded=None) -> "ColumnarIdRelation":
@@ -260,16 +262,27 @@ class ColumnarIdRelation(IdRelation):
     def column_values(self, name: str) -> List:
         return self.column_array(name).tolist()
 
+    def _distinct_ids(self, name: str, inverse: bool = False):
+        """``(distinct, inverse)``: the column's sorted distinct values, memoized on first
+        use (two threads may both fill it, equally), and each row's position if asked."""
+        array, distinct = self.column_array(name), self._distinct.get(name)
+        if distinct is not None:
+            return distinct, _np.searchsorted(distinct, array) if inverse else None
+        found = _np.unique(array, return_inverse=inverse)
+        distinct, positions = found if inverse else (found, None)
+        self._distinct[name] = distinct
+        return distinct, positions
+
     def distinct_values(self, name: str) -> set:
-        return set(_np.unique(self.column_array(name)).tolist())
+        return set(self._distinct_ids(name)[0].tolist())
 
     def decoded_columns(self) -> List[Sequence]:
         """Per encoded column, its distinct ids decoded once and gathered
-        back by ``np.unique``'s inverse — no row conversion."""
+        back by their positions — no row conversion."""
         columns = []
         for name, array in self._column_arrays.items():
             if name in self._encoded:
-                distinct, inverse = _np.unique(array, return_inverse=True)
+                distinct, inverse = self._distinct_ids(name, inverse=True)
                 terms = list(map(self._dictionary.decode, distinct.tolist()))
                 columns.append(list(map(terms.__getitem__, inverse.tolist())))
             else:
@@ -291,7 +304,7 @@ class ColumnarIdRelation(IdRelation):
         return self._with(tuple(columns), arrays, self._length)
 
     def dedup(self) -> "ColumnarIdRelation":
-        """δ: the head of each run of the (stable) lexsort is a tuple's first
+        """δ: the head of each run of the (stable) sort is a tuple's first
         occurrence; sorting the heads restores first-occurrence order."""
         if self._length < 2:
             return self
@@ -312,10 +325,10 @@ class ColumnarIdRelation(IdRelation):
 
     def map_column(self, name: str, function) -> Relation:
         """Substitute one encoded column through ``function``: its image over
-        the distinct ids, gathered back by ``np.unique``'s inverse."""
+        the distinct ids, gathered back by their positions."""
         if name not in self._encoded:
             return self.to_rows("map:plain-column").map_column(name, function)
-        distinct, inverse = _np.unique(self.column_array(name), return_inverse=True)
+        distinct, inverse = self._distinct_ids(name, inverse=True)
         image = self._column_image(name, distinct.tolist(), function)
         arrays = dict(self._column_arrays)
         arrays[name] = _np.fromiter(image.values(), dtype=_np.int64, count=len(image))[inverse]
@@ -327,9 +340,11 @@ class ColumnarIdRelation(IdRelation):
         return self._with(self._columns, dict(zip(self._columns, block.T)), len(rows))
 
     def with_dictionary(self, dictionary) -> "ColumnarIdRelation":
-        return ColumnarIdRelation.from_arrays(
+        relation = ColumnarIdRelation.from_arrays(
             self._columns, self._column_arrays, dictionary, self._encoded, self._length
         )
+        relation._distinct = self._distinct  # the same arrays
+        return relation
 
     def column_max(self, name: str, default: int = 0):
         return int(self.column_array(name).max()) if self._length else default
@@ -433,7 +448,7 @@ class ColumnarIdRelation(IdRelation):
         sorted_values = None if values is None else values[order]
         counts = _np.diff(_np.append(starts, length))
         data = [
-            getattr(_np, ufunc).reduceat(sorted_values, starts) if of_values else counts
+            _reduce_runs(ufunc, sorted_values, starts) if of_values else counts
             for ufunc, of_values in layout
         ]
         keys = [array[order][starts] for array in key_arrays]
@@ -456,12 +471,12 @@ def _column_mask(
 ):
     """Mask of rows whose (decoded) column value passes ``value_test``.
 
-    Distinct ids are decoded and tested exactly once; the verdictful ids
-    become an ``np.isin`` membership test over the whole column.  Returns
-    ``True`` when every distinct value passes (no mask needed).
+    Distinct ids (memoized per column) are decoded and tested exactly once;
+    the verdictful ids become an ``np.isin`` membership test over the whole
+    column.  Returns ``True`` when every distinct value passes (no mask needed).
     """
     array = relation.column_array(column)
-    distinct = _np.unique(array)
+    distinct = relation._distinct_ids(column)[0]
     decoder = relation.column_decoder(column)
     if decoder is None:
         allowed = [value for value in distinct.tolist() if value_test(value)]
@@ -542,26 +557,59 @@ def _expand_matches(left_keys, right_keys):
 
 
 # ---------------------------------------------------------------------------
-# γ: lexsort group boundaries + reduceat reductions
+# γ and δ: one sorted int64 key per row + reduceat reductions
 # ---------------------------------------------------------------------------
+
+#: Bits of a non-negative int64: what one packed grouping key can hold.
+_KEY_BITS = 63
+
+
+def _key_codes(array, dense: bool = False):
+    """``(codes, width)``: an integer column offset by its minimum (derived ids are
+    negative); any other, one too wide or a ``dense`` one as each value's rank."""
+    if not dense and array.dtype.kind == "i":
+        low = int(array.min())
+        width = (int(array.max()) - low).bit_length()
+        if width <= _KEY_BITS:
+            return _np.subtract(array, low, dtype=_np.int64), width
+    distinct, codes = _np.unique(array, return_inverse=True)
+    return codes.astype(_np.int64, copy=False), (len(distinct) - 1).bit_length()
 
 
 def _group_boundaries(key_arrays: List["_np.ndarray"], length: int):
     """Sort rows by the key columns and locate the group runs.
 
-    Returns ``(order, starts)``: ``order`` sorts the rows, ``starts`` are
-    the positions (within the sorted order) where a new group begins.
+    Returns ``(order, starts)``: ``order`` is the stable sort of the rows by the
+    key columns (the first most significant), ``starts`` the positions in it where
+    a new group begins.  One sort of one int64 per row: the columns packed by bit
+    width (the key so far, then the column, re-densified to pass no 63 bits)
+    above the row index, which breaks ties.
     """
-    if not key_arrays:
-        # γ with no grouping columns: a single global group.
-        return _np.arange(length, dtype=_np.int64), _np.zeros(1, dtype=_np.int64)
-    order = _np.lexsort(tuple(reversed(key_arrays)))
-    is_new = _np.zeros(length, dtype=bool)
-    is_new[0] = True
+    row_bits = (length - 1).bit_length()
+    key, bits = _np.zeros(length, dtype=_np.int64), 0
     for array in key_arrays:
-        sorted_column = array[order]
-        is_new[1:] |= sorted_column[1:] != sorted_column[:-1]
-    return order, _np.flatnonzero(is_new)
+        column, width = _key_codes(array)
+        if bits + width > _KEY_BITS:
+            key, bits = _key_codes(key, dense=True)
+        if bits + width > _KEY_BITS:
+            column, width = _key_codes(column, dense=True)
+        key, bits = (key << width) | column, bits + width
+    if bits + row_bits > _KEY_BITS:
+        key, bits = _key_codes(key, dense=True)
+    key = (key << row_bits) | _np.arange(length, dtype=_np.int64)
+    key.sort()
+    groups = key >> row_bits
+    return key & ((1 << row_bits) - 1), _np.flatnonzero(_np.append(True, groups[1:] != groups[:-1]))
+
+
+def _reduce_runs(ufunc: str, values, starts):
+    """One ``ufunc`` reduction per group run.  A float64 sum is Python's
+    ``sum`` over the run, in row order as in the row engine: ``np.add.reduceat``
+    adds pairwise from eight values on, and float addition does not associate."""
+    if ufunc != "add" or values.dtype != _np.float64:
+        return getattr(_np, ufunc).reduceat(values, starts)
+    listed, bounds = values.tolist(), [*starts.tolist(), len(values)]
+    return _np.array([sum(listed[lo:hi]) for lo, hi in zip(bounds, bounds[1:])], dtype=_np.float64)
 
 
 def dedup_arrays(arrays: List["_np.ndarray"]) -> "_np.ndarray":
@@ -576,7 +624,7 @@ def dedup_arrays(arrays: List["_np.ndarray"]) -> "_np.ndarray":
 def _distinct_measure_values(relation: ColumnarIdRelation, measure: str):
     """``(values, inverse)``: the comparable value of each distinct measure
     id (decoded once each) and every row's position among them."""
-    distinct, inverse = _np.unique(relation.column_array(measure), return_inverse=True)
+    distinct, inverse = relation._distinct_ids(measure, inverse=True)
     decoder = relation.column_decoder(measure)
     if decoder is None:
         return distinct.tolist(), inverse
@@ -696,21 +744,20 @@ class ArrayGroupStates:
     def finalized(self, columns: Sequence[str], dictionary, encoded, decode=None) -> ColumnarIdRelation:
         """γ's output in the arrays: the key arrays as the grouping
         ``columns`` (``encoded`` of them ids of ``dictionary``), then the
-        aggregate's own ``finalize`` of each state."""
-        finalize = get_aggregate(self.function).finalize
-        values = [finalize(state, decode) for state in self._boxed_states()]
+        aggregate's own ``finalize`` of each state; a distributive aggregate's
+        state is its value, so its one int64/float64 state array is taken as is."""
+        aggregate, measures = get_aggregate(self.function), self.data[0]
+        if not aggregate.distributive or measures.dtype == object:
+            measures = _value_array([aggregate.finalize(s, decode) for s in self._boxed_states()])
         arrays = dict(zip(columns, self.keys))
-        arrays[columns[-1]] = _value_array(values)
-        return ColumnarIdRelation.from_arrays(columns, arrays, dictionary, encoded, len(values))
+        arrays[columns[-1]] = measures
+        return ColumnarIdRelation.from_arrays(columns, arrays, dictionary, encoded, len(self))
 
     def merge(self, other: "ArrayGroupStates") -> "ArrayGroupStates":
         """Combine two partitions' states (associative and commutative)."""
         if self.function != other.function or self.key_columns != other.key_columns:
             raise AggregationError("cannot merge mismatched array group states")
-        keys = [
-            _np.concatenate([mine, theirs])
-            for mine, theirs in zip(self.keys, other.keys)
-        ]
+        keys = [_np.concatenate([mine, theirs]) for mine, theirs in zip(self.keys, other.keys)]
         # int64 and float64 shards re-reduce as objects: an all-int group stays int.
         data = [_concatenate([mine, theirs]) for mine, theirs in zip(self.data, other.data)]
         length = len(data[0])

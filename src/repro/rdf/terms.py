@@ -43,21 +43,34 @@ _BNODE_LABEL = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
 
 
 class Term:
-    """Abstract base class of all RDF terms (and of :class:`Variable`)."""
+    """Abstract base class of all RDF terms (and of :class:`Variable`); a term
+    hashes once, at construction, over its value (not a dictionary id)."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def _freeze(self, *values) -> None:
+        """Set the value slots — each subclass's ``__slots__`` — and the hash."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *values)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, val):  # immutability guard
+        raise AttributeError(f"{type(self).__name__} instances are immutable")
+
+    def __lt__(self, other: "Term") -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        (name,) = self.__slots__  # one value slot; Literal orders by its own rule
+        return getattr(self, name) < getattr(other, name)
 
     def __reduce__(self):
-        # Terms are immutable (every subclass blocks __setattr__), which
-        # breaks the default slots unpickling; restore through
-        # object.__setattr__ instead.  Picklable terms are what lets graphs
-        # and queries cross process boundaries (the parallel executor ships
-        # both to its worker pool).
-        state = {}
-        for klass in type(self).__mro__:
-            for slot in getattr(klass, "__slots__", ()):
-                if hasattr(self, slot):
-                    state[slot] = getattr(self, slot)
+        # Immutable terms (which graphs and queries ship to worker processes)
+        # unpickle through _freeze, which re-hashes: a str hashes differently
+        # in another process (spawn, PYTHONHASHSEED), so no hash is shipped.
+        state = {name: getattr(self, name) for name in self.__slots__}
         return (_restore_term, (type(self), state))
 
     def n3(self) -> str:
@@ -101,10 +114,7 @@ class IRI(Term):
             raise InvalidTermError("IRI value must be a non-empty string")
         if _IRI_FORBIDDEN.search(value):
             raise InvalidTermError(f"IRI contains forbidden characters: {value!r}")
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, val):  # immutability guard
-        raise AttributeError("IRI instances are immutable")
+        self._freeze(value)
 
     def n3(self) -> str:
         return f"<{self.value}>"
@@ -121,13 +131,7 @@ class IRI(Term):
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IRI) and self.value == other.value
 
-    def __hash__(self) -> int:
-        return hash(("IRI", self.value))
-
-    def __lt__(self, other: "IRI") -> bool:
-        if not isinstance(other, IRI):
-            return NotImplemented
-        return self.value < other.value
+    __hash__ = Term.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -222,12 +226,7 @@ class Literal(Term):
             else:
                 raise InvalidTermError("datatype must be an IRI or a string")
 
-        object.__setattr__(self, "lexical", lexical)
-        object.__setattr__(self, "datatype", datatype_value)
-        object.__setattr__(self, "language", language)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("Literal instances are immutable")
+        self._freeze(lexical, datatype_value, language)
 
     # -- conversion --------------------------------------------------------
 
@@ -281,14 +280,16 @@ class Literal(Term):
             and self.language == other.language
         )
 
-    def __hash__(self) -> int:
-        return hash(("Literal", self.lexical, self.datatype, self.language))
+    __hash__ = Term.__hash__
 
     def __lt__(self, other: "Literal") -> bool:
         if not isinstance(other, Literal):
             return NotImplemented
         if self.is_numeric and other.is_numeric:
-            return float(self.to_python()) < float(other.to_python())
+            mine, theirs = self.to_python(), other.to_python()
+            # An ill-typed form (``"abc"^^xsd:integer``) stays a str: order it by its lexical key.
+            if not isinstance(mine, str) and not isinstance(theirs, str):
+                return float(mine) < float(theirs)
         return (self.lexical, self.datatype) < (other.lexical, other.datatype)
 
     def __str__(self) -> str:
@@ -305,10 +306,7 @@ class BlankNode(Term):
             raise InvalidTermError("blank node label must be a non-empty string")
         if not _BNODE_LABEL.match(label):
             raise InvalidTermError(f"invalid blank node label: {label!r}")
-        object.__setattr__(self, "label", label)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("BlankNode instances are immutable")
+        self._freeze(label)
 
     def n3(self) -> str:
         return f"_:{self.label}"
@@ -316,13 +314,7 @@ class BlankNode(Term):
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BlankNode) and self.label == other.label
 
-    def __hash__(self) -> int:
-        return hash(("BlankNode", self.label))
-
-    def __lt__(self, other: "BlankNode") -> bool:
-        if not isinstance(other, BlankNode):
-            return NotImplemented
-        return self.label < other.label
+    __hash__ = Term.__hash__
 
     def __str__(self) -> str:
         return self.label
@@ -345,10 +337,7 @@ class Variable(Term):
             name = name[1:]
         if not _VARIABLE_NAME.match(name):
             raise InvalidTermError(f"invalid variable name: {name!r}")
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("Variable instances are immutable")
+        self._freeze(name)
 
     def n3(self) -> str:
         return f"?{self.name}"
@@ -356,23 +345,16 @@ class Variable(Term):
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Variable) and self.name == other.name
 
-    def __hash__(self) -> int:
-        return hash(("Variable", self.name))
-
-    def __lt__(self, other: "Variable") -> bool:
-        if not isinstance(other, Variable):
-            return NotImplemented
-        return self.name < other.name
+    __hash__ = Term.__hash__
 
     def __str__(self) -> str:
         return self.name
 
 
 def _restore_term(cls, state):
-    """Unpickling helper: rebuild an immutable term without re-validating."""
+    """Unpickling helper: rebuild (and re-hash) a term without re-validating."""
     instance = cls.__new__(cls)
-    for name, value in state.items():
-        object.__setattr__(instance, name, value)
+    instance._freeze(*(state[name] for name in cls.__slots__))
     return instance
 
 

@@ -642,3 +642,40 @@ class TestEngineWiring:
         assert columnar_cost == pytest.approx(
             1.0 + CostModel().engine_multiplier("columnar") * (rows_cost - 1.0)
         )
+
+
+class TestDistinctIdsFoundOnce:
+    """A cached ``pres(Q)`` is immutable: each column's distinct ids are
+    sorted out once, whatever σ, ROLL-UP's substitution or decode runs over
+    it afterwards — also once it is read against a later dictionary."""
+
+    def test_second_pass_over_a_cached_pres_calls_no_unique(self, example4_instance, monkeypatch):
+        from repro.olap import OLAPSession
+        from tests.conftest import make_words_query
+
+        query = make_words_query()
+        session = OLAPSession(example4_instance, engine="columnar")
+        session.execute(query)
+        pres = session.materialized(query).partial.storage
+        assert isinstance(pres, ColumnarIdRelation)
+        sigma = sigma_predicate(dage=DimensionRestriction.to_values([Literal(28)]))
+
+        def passes():
+            return (
+                select(pres, sigma).rows,
+                pres.with_dictionary(pres.dictionary).map_column("dcity", lambda city: "somewhere").rows,
+                pres.decoded_columns(),
+            )
+
+        first = passes()
+        calls = []
+        unique = np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        assert passes() == first
+        assert calls == []
+        assert 0 < len(first[0]) < len(pres)

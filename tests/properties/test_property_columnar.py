@@ -32,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import KEY_COLUMN, AnalyticalQuery
 from repro.algebra.aggregates import AggregateFunction, default_registry
-from repro.algebra.columnar import ROW_CONVERSIONS, ColumnarIdRelation
+from repro.algebra.columnar import ROW_CONVERSIONS, ColumnarIdRelation, _group_boundaries
 from repro.bgp.parser import parse_query
 from repro.algebra.expressions import comparable
 from repro.algebra.grouping import group_aggregate
@@ -45,7 +45,7 @@ from repro.algebra.operators import (
     select,
     union_all,
 )
-from repro.algebra.relation import IdRelation
+from repro.algebra.relation import IdRelation, Relation
 from repro.analytics.sigma import DimensionRestriction, Sigma
 from repro.rdf import EX, RDF, Graph, Triple
 from repro.rdf.dictionary import TermDictionary
@@ -454,3 +454,85 @@ def test_sigma_evaluators_agree(data, pool):
     assert ROW_CONVERSIONS == before and isinstance(fast_kept, ColumnarIdRelation)
     assert Counter(fast_kept.rows) == kept
     assert Counter(select(slow, sigma.predicate()).rows) == kept
+
+
+# γ and δ's one grouping key against the k-key lexsort it replaced.
+
+_INT64 = (-(2**63), 2**63 - 1)
+
+
+@st.composite
+def _grouping_columns(draw):
+    """1–5 int64 key columns whose packed widths plus the row-index bits
+    reach 62, 63, 64 or more (or anything), int64 extremes included, plus
+    optionally one float64 and one object column, over 1…40 rows."""
+    length = draw(st.integers(min_value=1, max_value=40))
+    count = draw(st.integers(min_value=1, max_value=5))
+    remaining = draw(st.sampled_from([None, 62, 63, 64, 90]))
+    remaining = None if remaining is None else remaining - (length - 1).bit_length()
+    columns = []
+    for index in range(count):
+        if index == 0 and draw(st.booleans()):
+            pool = [*_INT64, -1, 0]  # spans all 64 bits
+        else:
+            if remaining is None:
+                width = draw(st.integers(min_value=0, max_value=63))
+            else:
+                most = min(63, max(remaining, 0))
+                width = most if index == count - 1 else draw(st.integers(0, most))
+                remaining -= width
+            low = min(draw(st.sampled_from([_INT64[0], -(2**40), -3, 0, 5])), _INT64[1] - 2**width + 1)
+            inner = draw(st.lists(st.integers(0, 2**width - 1), max_size=3))
+            pool = [low, low + 2**width - 1, *(low + value for value in inner)]
+        values = pool[: min(2, length)]  # the column's min and max
+        rest = length - len(values)
+        values += draw(st.lists(st.sampled_from(pool), min_size=rest, max_size=rest))
+        columns.append(np.asarray(values, dtype=np.int64))
+    for kind, pool in ((np.float64, [0.5, -2.25, 1e300, 3.0]), (object, [2**70, -5, 2.5, 7])):
+        if draw(st.booleans()):
+            values = draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length))
+            column = np.empty(length, dtype=kind)
+            column[:] = values
+            columns.insert(draw(st.integers(0, len(columns))), column)
+    return columns
+
+
+def _lexsort_groups(arrays, length):
+    """The reference: one stable lexsort over the columns (the first most
+    significant), a new group wherever any column changes."""
+    order = np.lexsort(tuple(reversed(arrays)))
+    is_new = np.zeros(length, dtype=bool)
+    is_new[0] = True
+    for array in arrays:
+        ordered = array[order]
+        is_new[1:] |= ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(is_new)
+
+
+@given(arrays=_grouping_columns(), measures=st.data())
+@settings(max_examples=200, deadline=None, print_blob=True)
+def test_one_grouping_key_is_the_stable_lexsort(arrays, measures):
+    """One sorted int64 key per row gives the lexsort's ``order`` and
+    ``starts``; δ keeps first occurrences, and float SUM/AVG are bit-identical
+    to the row engine (the sums run in row order within each group)."""
+    length = len(arrays[0])
+    order, starts = _group_boundaries(arrays, length)
+    expected_order, expected_starts = _lexsort_groups(arrays, length)
+    assert order.tolist() == expected_order.tolist()
+    assert starts.tolist() == expected_starts.tolist()
+
+    names = [f"k{index}" for index in range(len(arrays))]
+    floats = measures.draw(st.lists(
+        st.sampled_from([1e16, 1.0, -1e16, 0.1, 0.2, 3.5]), min_size=length, max_size=length
+    ))
+    columns = dict(zip(names, arrays), m=np.asarray(floats, dtype=np.float64))
+    fast = ColumnarIdRelation.from_arrays((*names, "m"), columns, _TERMS, encoded=())
+    slow = Relation((*names, "m"), fast.rows)
+    assert dedup(fast).rows == dedup(slow).rows
+    assert dedup(project(fast, names)).rows == dedup(project(slow, names)).rows
+    for function in ("sum", "avg"):
+        cells = [
+            {row[:-1]: repr(row[-1]) for row in group_aggregate(relation, names, "m", function).rows}
+            for relation in (fast, slow)
+        ]
+        assert cells[0] == cells[1]

@@ -1,10 +1,16 @@
 """Unit tests for RDF terms (IRI, Literal, BlankNode, Variable)."""
 
+import os
+import pickle
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from repro.errors import InvalidTermError
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import (
     IRI,
     BlankNode,
@@ -120,6 +126,12 @@ class TestLiteral:
         assert Literal(9) < Literal(10)
         assert Literal(2.5) < Literal(3)
 
+    def test_ill_typed_numeric_orders_by_its_lexical_form(self):
+        ill_typed = Literal("abc", datatype=XSD_INTEGER)
+        one = Literal("1", datatype=XSD_INTEGER)
+        assert one < ill_typed and not ill_typed < one  # ("1", …) < ("abc", …)
+        assert sorted([ill_typed, Literal(10), one]) == [one, Literal(10), ill_typed]
+
     def test_rejects_unsupported_python_type(self):
         with pytest.raises(InvalidTermError):
             Literal([1, 2, 3])  # type: ignore[arg-type]
@@ -180,3 +192,55 @@ class TestVariable:
 
     def test_distinct_from_equally_named_literal(self):
         assert Variable("x") != Literal("x")
+
+
+_TERMS = (
+    IRI("http://example.org/user1"),
+    Literal("28", datatype=XSD_INTEGER),
+    Literal("chat", language="fr"),
+    BlankNode("b1"),
+    Variable("dage"),
+)
+
+
+class TestHashOnce:
+    """A term hashes once, at construction, over its value."""
+
+    @pytest.mark.parametrize("term", _TERMS, ids=lambda term: type(term).__name__)
+    def test_pickle_ships_the_value_not_the_hash(self, term):
+        _, (_, state) = term.__reduce__()
+        assert "_hash" not in state
+        clone = pickle.loads(pickle.dumps(term))
+        assert clone == term and hash(clone) == hash(term)
+        with pytest.raises(AttributeError):
+            clone.anything = 1
+
+    def test_term_pickled_under_another_hash_seed_finds_its_entry(self):
+        """A hash pickled from another process would miss every dict lookup."""
+        ours = os.environ.get("PYTHONHASHSEED", "")
+        seed = str(int(ours) + 1) if ours.isdigit() else "1"
+        src = Path(__file__).resolve().parents[2] / "src"
+        environment = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        script = (
+            "import pickle, sys\n"
+            "from repro.rdf.terms import IRI, Literal\n"
+            "terms = [IRI('http://example.org/user1'), Literal('chat', language='fr')]\n"
+            "sys.stdout.buffer.write(pickle.dumps((terms, [hash(t) for t in terms])))\n"
+        )
+        output = subprocess.run(
+            [sys.executable, "-c", script], env=environment, capture_output=True, check=True, timeout=60
+        ).stdout
+        terms, foreign_hashes = pickle.loads(output)
+        assert [hash(term) for term in terms] != foreign_hashes  # the seeds really differ
+        entries = {_TERMS[0]: "iri", _TERMS[2]: "literal"}
+        assert [entries[term] for term in terms] == ["iri", "literal"]
+
+    def test_equal_terms_from_two_dictionaries_hash_equal(self):
+        first, second = TermDictionary(), TermDictionary()
+        second.encode(IRI("http://example.org/other"))  # shifts every later id
+        for term in _TERMS[:4]:
+            ids = first.encode(term), second.encode(pickle.loads(pickle.dumps(term)))
+            assert ids[0] != ids[1]
+            decoded = first.decode(ids[0]), second.decode(ids[1])
+            assert decoded[0] == decoded[1] and hash(decoded[0]) == hash(decoded[1])
+        assert hash(Literal(28)) == hash(Literal("28", datatype=XSD_INTEGER))

@@ -12,9 +12,11 @@ current *and* its last pinned reader has drained.
 Two publication modes:
 
 ``snapshot``
-    :func:`repro.storage.snapshot.save_snapshot` serializes the writer
-    graph into a spool file and the generation re-opens it as a read-only
-    memory-mapped :class:`~repro.storage.mapped.SnapshotGraph`.  Readers
+    :func:`repro.storage.snapshot.save_snapshot` merges the current
+    generation's file with the writer's delta into a spool file (a file it
+    cannot use gives a from-scratch write, counted in ``scratch_writes``)
+    and the generation re-opens it as a read-only memory-mapped
+    :class:`~repro.storage.mapped.SnapshotGraph`.  Readers
     share the file's pages through the OS page cache, the columnar kernels
     run zero-copy over it, and an accidental mutation raises
     :class:`~repro.errors.ReadOnlyGraphError` — isolation is enforced by
@@ -143,7 +145,10 @@ class GenerationManager:
         self._closed = False
         self.published_count = 0
         self.retired_count = 0
+        #: Snapshot publishes whose predecessor file could not be merged from.
+        self.scratch_writes = 0
         self._live: List[GraphGeneration] = []
+        self._current: Optional[GraphGeneration] = None
         self._current = self._publish_locked()
 
     # -- introspection -------------------------------------------------
@@ -226,8 +231,14 @@ class GenerationManager:
             from repro.storage.snapshot import load_snapshot, save_snapshot
 
             path = os.path.join(self._spool_dir, f"gen-{version:010d}.snap")
-            save_snapshot(self._writer_graph, path)
-            graph: Graph = load_snapshot(path, mmap=True)
+            predecessor = self._current and self._current.path
+            if not save_snapshot(self._writer_graph, path, predecessor=predecessor) and predecessor:
+                self.scratch_writes += 1
+            try:
+                graph: Graph = load_snapshot(path, mmap=True)
+            except Exception:
+                os.unlink(path)
+                raise
         else:
             path = None
             graph = self._writer_graph.copy()

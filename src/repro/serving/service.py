@@ -472,11 +472,11 @@ class OLAPService:
         plain ``add``/``remove`` triples; with ``publish=False`` the delta
         is applied but only becomes visible at the next published update.
 
-        Batches are **atomic**: when any triple of the batch (or the
-        ``mutate`` callback) raises, the already-applied prefix is rolled
-        back before the error propagates, so a later successful update can
-        never publish a torn batch.  Failed batches count in
-        ``stats.update_failures``, never in ``stats.updates``.
+        Batches are **atomic**: when any triple of the batch, the
+        ``mutate`` callback or the publication raises, the applied part is
+        rolled back before the error propagates, so a later successful
+        update can never publish a torn or failed batch.  Failed batches
+        count in ``stats.update_failures``, never in ``stats.updates``.
         """
         if self._closed:
             self.stats.rejected_closed += 1
@@ -490,22 +490,16 @@ class OLAPService:
             def apply_and_publish() -> PublishResult:
                 before = writer.version
                 writer.apply(add=add, remove=remove)
-                if mutate is not None:
-                    try:
-                        mutate(writer)
-                    except Exception as error:
-                        self._roll_back(writer, before, error)
-                        raise
-                mutations = writer.version - before
                 previous = self._generations.current.version
-                if publish:
-                    generation = self._generations.publish()
-                    return PublishResult(
-                        mutations=mutations,
-                        published=generation.version != previous,
-                        version=generation.version,
-                    )
-                return PublishResult(mutations=mutations, published=False, version=previous)
+                try:
+                    if mutate is not None:
+                        mutate(writer)
+                    mutations = writer.version - before
+                    version = self._generations.publish().version if publish else previous
+                except Exception as error:
+                    self._roll_back(writer, before, error)
+                    raise
+                return PublishResult(mutations, published=version != previous, version=version)
 
             try:
                 result = await self._loop.run_in_executor(self._executor, apply_and_publish)
@@ -525,22 +519,22 @@ class OLAPService:
 
     @staticmethod
     def _roll_back(writer: Graph, before: int, error: Exception) -> None:
-        """Undo a batch whose ``mutate`` callback failed.
+        """Undo a batch whose ``mutate`` callback or publication failed.
 
         The explicit ``add``/``remove`` lists are atomic on their own
         (:meth:`~repro.rdf.graph.Graph.apply`).  A failed ``mutate``
-        callback may have made arbitrary effective mutations, so its
-        rollback replays the graph's own coalesced deltas since the batch
-        started (which subsume the applied lists); when the change log
-        cannot reconstruct them (overflow inside one batch, or
-        ``clear()``), the writer really is torn and a
-        :class:`~repro.errors.ServingError` chains the original error
-        rather than silently leaving half a batch behind.
+        callback may have made arbitrary effective mutations, and a failed
+        publication follows the whole batch, so the rollback replays the
+        graph's own coalesced deltas since the batch started (which subsume
+        the applied lists); when the change log cannot reconstruct them
+        (overflow inside one batch, or ``clear()``), the writer really is
+        torn and a :class:`~repro.errors.ServingError` chains the original
+        error rather than silently leaving half a batch behind.
         """
         delta = writer.deltas_since(before)
         if delta is None:
             raise ServingError(
-                "update batch failed and its mutate() effects cannot be rolled "
+                "update batch failed and its effects cannot be rolled "
                 "back (the change log cannot reconstruct the batch); the writer "
                 "graph is torn — rebuild it before publishing again"
             ) from error

@@ -29,7 +29,8 @@ from repro.errors import DictionaryError, ReadOnlyGraphError
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Term
-from repro.storage.snapshot import Snapshot, decode_term_record, term_record
+from repro.storage.snapshot import Snapshot, decode_term_record, record_key, record_position
+from repro.storage.snapshot import term_record
 
 try:
     import numpy as _np
@@ -68,20 +69,14 @@ class MappedTermDictionary(TermDictionary):
 
     # -- decode --------------------------------------------------------
 
-    def _text(self, term_id: int) -> str:
-        lo = int(self._offsets[term_id])
-        hi = int(self._offsets[term_id + 1])
-        return bytes(self._blob[lo:hi]).decode("utf-8")
-
     def decode(self, term_id: int) -> Term:
         term_id = int(term_id)
         if not 0 <= term_id < self._count:
             return self._decode_derived(term_id)
         found = self._id_to_term[term_id]
         if found is None:
-            found = self._id_to_term[term_id] = decode_term_record(
-                int(self._kinds[term_id]), self._text(term_id)
-            )
+            kind, text = record_key(self._kinds, self._offsets, self._blob, term_id)
+            found = self._id_to_term[term_id] = decode_term_record(kind, text.decode("utf-8"))
         return found
 
     # -- lookup (binary search over the lexicographic permutation) -----
@@ -95,16 +90,11 @@ class MappedTermDictionary(TermDictionary):
         except Exception:
             return None
         probe = (kind, text.encode("utf-8"))
-        lo, hi = 0, self._count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            candidate = int(self._sort[mid])
-            key = (int(self._kinds[candidate]), self._text(candidate).encode("utf-8"))
-            if key < probe:
-                lo = mid + 1
-            elif key > probe:
-                hi = mid
-            else:
+        table = (self._kinds, self._offsets, self._blob)
+        position = record_position(*table, self._sort, probe)
+        if position < self._count:
+            candidate = int(self._sort[position])
+            if record_key(*table, candidate) == probe:
                 self._term_to_id[term] = candidate
                 return candidate
         return None
@@ -370,11 +360,7 @@ class SnapshotGraph(Graph):
 
     def columnar_predicate_pairs(self, p_id: int):
         """Zero-copy ``(subjects, objects)`` slices for one predicate."""
-        bounds = self._slice(p_id)
-        if bounds is None:
-            return (_np.empty(0, dtype=_np.int64), _np.empty(0, dtype=_np.int64))
-        lo, hi = bounds
-        return (self._s[lo:hi], self._o[lo:hi])
+        return self.columnar_sorted_pairs(p_id, 0)
 
     def columnar_sorted_pairs(self, p_id: int, sort_position: int):
         """Zero-copy pre-sorted pair slices (both sort orders are on disk)."""
@@ -393,14 +379,6 @@ class SnapshotGraph(Graph):
         """The header-stored rows: the counts :func:`save_snapshot` wrote."""
         summary = self._snapshot.header["statistics"]
         return summary["predicates"], summary["classes"]
-
-    # -- persistence ----------------------------------------------------
-
-    def save_snapshot(self, path: str) -> None:
-        """Re-serialize through the generic writer (id columns stream out)."""
-        from repro.storage.snapshot import save_snapshot
-
-        save_snapshot(self, path)
 
     def __repr__(self) -> str:  # pragma: no cover
         label = f" {self.name!r}" if self.name else ""

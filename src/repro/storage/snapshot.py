@@ -38,6 +38,15 @@ and the header — array sections are attached as :func:`numpy.memmap` views
 and fault in page by page on first touch, which is what makes cold starts
 O(header) instead of O(instance).
 
+The writer (:func:`save_snapshot`) merges.  Its ``predecessor``, a snapshot
+the same graph saved earlier, is read once (never mapped) and patched with
+``graph.deltas_since`` its version: only new ids are encoded (the dictionary
+is append-only) and placed into the permutation, and fact rows are dropped
+from and spliced into both sort orders, each located by binary search, so
+nothing is re-sorted.  A from-scratch save, and one whose predecessor is
+unreadable, past the log window, or inconsistent with the graph (terms,
+last term, triple count), is the same merge into an empty file.
+
 Graph snapshots need numpy (the ``[fast]`` extra): without it both saving
 and loading raise :class:`~repro.errors.ConfigurationError` naming the
 extra — a clear degradation, never a crash mid-file.  The container itself
@@ -52,10 +61,12 @@ import struct
 import threading
 from array import array
 from decimal import Decimal
+from itertools import chain, islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import (
     ConfigurationError,
+    ReproError,
     SnapshotFormatError,
     SnapshotVersionError,
 )
@@ -171,6 +182,21 @@ def record_table(values: Iterable) -> Tuple[array, array, array, List[bytes]]:
     return kinds, offsets, array("B", b"".join(texts)), texts
 
 
+def record_key(kinds, offsets, blob, index: int) -> Tuple[int, bytes]:
+    """The ``(kind, utf-8 bytes)`` sort key of record ``index`` of a table."""
+    return int(kinds[index]), bytes(blob[int(offsets[index]) : int(offsets[index + 1])])
+
+
+def record_position(kinds, offsets, blob, sort, probe: Tuple[int, bytes]) -> int:
+    """How many records of the table sort before the key ``probe``: a binary
+    search over its lexicographic permutation ``sort``."""
+    lo, hi = 0, len(sort)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if record_key(kinds, offsets, blob, sort[mid]) < probe else (lo, mid)
+    return lo
+
+
 def decode_records(kinds, offsets, blob) -> list:
     """The values of a typed-value table (:func:`record_table`'s sections,
     as numpy arrays or stdlib buffers), in order."""
@@ -225,43 +251,38 @@ def write_container(path: str, header: Dict[str, object], sections: Dict[str, ob
 # ---------------------------------------------------------------------------
 
 
-def save_snapshot(graph, path: str) -> None:
+def save_snapshot(graph, path: str, *, predecessor: Optional[str] = None) -> bool:
     """Serialize ``graph`` into a single snapshot file at ``path``.
 
     Written through :func:`write_container`, so atomically.  Requires
-    numpy; see the module docstring for the file layout.
+    numpy; see the module docstring for the file layout and the merge from
+    ``predecessor``.  Returns whether the predecessor was used.
     """
     _require_numpy("save a snapshot")
     dictionary = graph.dictionary
     term_count = len(dictionary)
     triple_count = len(graph)
+    found = _predecessor(graph, predecessor) if predecessor else None
+    base, added, removed = found or (_empty_sections(), list(graph.encoded_triples()), ())
 
-    # -- term table: kinds, offsets, blob, lexicographic permutation -------
-    kinds, offsets, blob, texts = record_table(dictionary.terms())
-    term_sort = array("q", sorted(range(term_count), key=lambda i: (kinds[i], texts[i])))
+    # -- term table: the predecessor's records, then the new terms' --------
+    known = len(base["term_kinds"])
+    kinds, offsets, blob, texts = record_table(islice(dictionary.terms(), known, None))
+    new = sorted(range(term_count - known), key=lambda i: (kinds[i], texts[i]))
+    table = [base[name] for name in ("term_kinds", "term_offsets", "term_blob", "term_sort")]
+    positions = [record_position(*table, (kinds[i], texts[i])) for i in new]
 
     # -- fact columns in both per-predicate sort orders --------------------
-    # Materialize: heap graphs hand back their triple set, mapped graphs a
-    # one-shot iterator over their columns — we iterate three times below.
-    encoded = list(graph.encoded_triples())
-    s = _np.fromiter((t[0] for t in encoded), dtype=_np.int64, count=triple_count)
-    p = _np.fromiter((t[1] for t in encoded), dtype=_np.int64, count=triple_count)
-    o = _np.fromiter((t[2] for t in encoded), dtype=_np.int64, count=triple_count)
-    subject_order = _np.lexsort((o, s, p))  # primary p, then s, then o
-    s_col, p_col, o_col = s[subject_order], p[subject_order], o[subject_order]
-    object_order = _np.lexsort((s, o, p))  # primary p, then o, then s
-    obj_keys, obj_vals = o[object_order], s[object_order]
-
-    if triple_count:
-        pred_ids, pred_starts = _np.unique(p_col, return_index=True)
-        pred_offsets = _np.append(pred_starts, triple_count).astype(_np.int64)
-    else:
-        pred_ids = _np.empty(0, dtype=_np.int64)
-        pred_offsets = _np.zeros(1, dtype=_np.int64)
-
-    statistics = _summarize(
-        pred_ids, pred_offsets, s_col, obj_keys, dictionary, triple_count
+    removed, added = _id_columns(removed), _id_columns(added)
+    p_col, s_col, o_col = _merge_sorted(
+        (base["spo_p"], base["spo_s"], base["spo_o"]), removed[[1, 0, 2]], added[[1, 0, 2]]
     )
+    _, obj_keys, obj_vals = _merge_sorted(
+        (base["spo_p"], base["obj_keys"], base["obj_vals"]), removed[[1, 2, 0]], added[[1, 2, 0]]
+    )
+    pred_ids, pred_starts = _np.unique(p_col, return_index=True)
+    pred_offsets = _np.append(pred_starts, triple_count).astype(_np.int64)
+    statistics = _summarize(pred_ids, pred_offsets, s_col, obj_keys, dictionary, triple_count)
 
     sections = {
         "spo_s": s_col,
@@ -271,10 +292,10 @@ def save_snapshot(graph, path: str) -> None:
         "obj_vals": obj_vals,
         "pred_ids": pred_ids,
         "pred_offsets": pred_offsets,
-        "term_kinds": kinds,
-        "term_offsets": offsets,
-        "term_blob": blob,
-        "term_sort": term_sort,
+        "term_kinds": _np.concatenate((base["term_kinds"], kinds)),
+        "term_offsets": _np.append(base["term_offsets"], _np.add(offsets[1:], base["term_offsets"][-1])),
+        "term_blob": _np.concatenate((base["term_blob"], blob)),
+        "term_sort": _np.insert(base["term_sort"], positions, _np.array(new, dtype=_np.int64) + known),
     }
 
     header = {
@@ -286,6 +307,58 @@ def save_snapshot(graph, path: str) -> None:
         "statistics": statistics,
     }
     write_container(path, header, sections)
+    return found is not None
+
+
+def _predecessor(graph, path: str):
+    """The sections a merge reads of snapshot ``path`` (one read of the
+    file, never its mapping) and the triples ``graph`` added and removed
+    since it — or None when ``path`` is not a usable predecessor."""
+    try:
+        container = Container(path)
+        delta = graph.deltas_since(int(container.header["graph_version"]))
+        count = int(container.header["triple_count"])
+        if delta is None or count + len(delta.added) - len(delta.removed) != len(graph):
+            return None
+        sections = container.read_sections()
+        base = {name: _np.asarray(sections[name]) for name in _empty_sections()}
+        last = len(base["term_kinds"]) - 1  # the graph must hold the last term under that id
+        if last >= 0:
+            kind, text = record_key(base["term_kinds"], base["term_offsets"], base["term_blob"], last)
+            if graph.dictionary.lookup(decode_term_record(kind, text.decode("utf-8"))) != last:
+                return None
+    except (ReproError, LookupError, TypeError, ValueError):  # unreadable or malformed
+        return None
+    return base, delta.added, delta.removed
+
+
+def _empty_sections():
+    """The sections a merge reads, of an empty snapshot."""
+    ids, no_bytes = _np.empty(0, _np.int64), _np.empty(0, _np.uint8)
+    empty = dict.fromkeys(("spo_s", "spo_p", "spo_o", "obj_keys", "obj_vals", "term_sort"), ids)
+    return dict(empty, term_kinds=no_bytes, term_offsets=_np.zeros(1, _np.int64), term_blob=no_bytes)
+
+
+def _id_columns(triples):
+    """The ``(s, p, o)`` int64 rows of encoded triples."""
+    flat = _np.fromiter(chain.from_iterable(triples), dtype=_np.int64, count=3 * len(triples))
+    return flat.reshape(-1, 3).T
+
+
+def _merge_sorted(base, removed, added):
+    """Columns ``base``, whose rows are sorted, without the rows ``removed``
+    and with the rows ``added``: each located by a binary search and
+    spliced in, so ``base`` is never re-sorted."""
+    keys = _row_keys(base)
+    gone = _np.searchsorted(keys, _row_keys(removed))
+    added = added[:, _np.lexsort(added[::-1])]
+    at = _np.searchsorted(_np.delete(keys, gone), _row_keys(added))
+    return [_np.insert(_np.delete(column, gone), at, extra) for column, extra in zip(base, added)]
+
+
+def _row_keys(columns):
+    """One big-endian 24-byte key per row, ordered bytewise like the ids."""
+    return _np.stack(columns, axis=1).astype(">i8").view("S24").ravel()
 
 
 def _summarize(pred_ids, pred_offsets, s_col, obj_keys, dictionary, triple_count):
@@ -295,25 +368,13 @@ def _summarize(pred_ids, pred_offsets, s_col, obj_keys, dictionary, triple_count
     graph can serve :class:`~repro.rdf.statistics.GraphStatistics` without
     ever scanning (and decoding) the full instance.
     """
-    predicates = []
-    for index in range(len(pred_ids)):
-        lo = int(pred_offsets[index])
-        hi = int(pred_offsets[index + 1])
-        count = hi - lo
-        distinct_subjects = int(1 + (_np.diff(s_col[lo:hi]) != 0).sum()) if count else 0
-        objects = obj_keys[lo:hi]
-        distinct_objects = int(1 + (_np.diff(objects) != 0).sum()) if count else 0
-        predicates.append(
-            [int(pred_ids[index]), count, distinct_subjects, distinct_objects]
-        )
-
-    classes = []
     type_id = dictionary.lookup(RDF.term("type"))
-    if type_id is not None:
-        position = int(_np.searchsorted(pred_ids, type_id))
-        if position < len(pred_ids) and int(pred_ids[position]) == type_id:
-            lo = int(pred_offsets[position])
-            hi = int(pred_offsets[position + 1])
+    predicates, classes = [], []
+    for index, p_id in enumerate(pred_ids.tolist()):
+        lo, hi = int(pred_offsets[index]), int(pred_offsets[index + 1])
+        runs = [int(1 + (_np.diff(column[lo:hi]) != 0).sum()) for column in (s_col, obj_keys)]
+        predicates.append([p_id, hi - lo, *runs])
+        if p_id == type_id:
             values, counts = _np.unique(obj_keys[lo:hi], return_counts=True)
             classes = [[int(v), int(c)] for v, c in zip(values, counts)]
 

@@ -8,19 +8,29 @@ be cell-for-cell equal, with ``pres(Q)`` bag-equal modulo the opaque
 internal (binary-search matching over file-backed columns, lazy term
 decoding, header-served statistics), so agreement here pins the storage
 subsystem to the semantics of the in-memory engine it replaces.
+
+A second oracle pins the writer: a generation's snapshot merged from its
+predecessor's file and the writer's delta is, byte for byte, the file a
+from-scratch save of the same graph writes.
 """
+
+import os
+import tempfile
 
 import pytest
 
 pytest.importorskip("numpy")  # snapshots require the [fast] extra
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.algebra.operators import project
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import KEY_COLUMN
 from repro.datagen import BloggerConfig, VideoConfig, blogger_dataset, video_dataset
 from repro.olap.cube import Cube
+from repro.rdf import BlankNode, Graph, Literal, RDF, Triple
+from repro.rdf.namespaces import EX
+from repro.serving.generations import GenerationManager
 from repro.storage import load_snapshot, save_snapshot
 
 from tests.properties.test_property_parallel import (
@@ -122,3 +132,74 @@ def test_mapped_shard_evaluation_matches_heap_oracle(
         )
     finally:
         executor.close()
+
+
+# Pools whose first-seen order is the draw order, so a new term's sort key
+# lands before, between or after the ones already in the file.
+_SUBJECTS = [EX.term("m"), EX.term("a"), EX.term("z"), EX.term("mm"), BlankNode("b"), BlankNode("a")]
+_PREDICATES = [RDF.term("type"), EX.term("p"), EX.term("q"), EX.term("0-first"), EX.term("~last")]
+_OBJECTS = _SUBJECTS + [EX.term("Fact"), Literal(5), Literal("5"), Literal("x", language="en"), Literal("")]
+_OPERATION = st.tuples(
+    st.booleans(),
+    st.builds(
+        Triple,
+        st.sampled_from(_SUBJECTS),
+        st.sampled_from(_PREDICATES),
+        st.sampled_from(_OBJECTS),
+    ),
+)
+
+
+def _add(s, p, o):
+    return True, Triple(EX.term(s), EX.term(p), EX.term(o))
+
+
+def _remove(s, p, o):
+    return False, Triple(EX.term(s), EX.term(p), EX.term(o))
+
+
+def _read(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+@given(batches=st.lists(st.lists(_OPERATION, max_size=6), max_size=8), limit=st.sampled_from([3, 4096]))
+@example(
+    batches=[
+        [_add("m", "p", "z")],
+        [_add("a", "p", "mm")],  # new terms before and between the file's
+        [_add("m", "q", "~z")],  # a new predicate, a new term after them all
+        [_remove("m", "q", "~z")],  # the predicate's last triple
+        [_remove("a", "p", "mm"), _add("a", "p", "mm")],  # an empty delta
+        [_add("m", "q", "~z")],  # re-added
+        [],
+        [_remove("m", "p", "z"), _remove("a", "p", "mm"), _remove("m", "q", "~z")],  # to empty
+        [_add("b", "p", "a")],  # from empty
+    ],
+    limit=4096,
+)
+@example(batches=[[_add("a", "p", str(index)) for index in range(5)], [_add("b", "p", "a")]], limit=3)
+@settings(max_examples=40, deadline=None, print_blob=True)
+def test_snapshot_merged_from_its_predecessor_is_the_scratch_file(batches, limit):
+    """Replays add/remove batches through snapshot publication: every
+    generation's file equals a from-scratch save of the writer, and only a
+    predecessor past the change-log window is written from scratch."""
+    graph = Graph(change_log_limit=limit)
+    with tempfile.TemporaryDirectory() as spool:
+        manager = GenerationManager(graph, spool_dir=spool, mode="snapshot")
+        try:
+            scratch_writes = 0
+            for batch in batches:
+                graph.apply(
+                    remove=[triple for add, triple in batch if not add],
+                    add=[triple for add, triple in batch if add],
+                )
+                previous = manager.current.version
+                scratch_writes += previous != graph.version and graph.deltas_since(previous) is None
+                generation = manager.publish()
+                scratch = os.path.join(spool, "scratch.snap")
+                save_snapshot(graph, scratch)
+                assert _read(generation.path) == _read(scratch)
+                assert manager.scratch_writes == scratch_writes
+        finally:
+            manager.close()

@@ -1,10 +1,15 @@
 """MVCC generation lifecycle: publish, pin, drain, retire."""
 
+import asyncio
 import os
 
 import pytest
 
+from repro.datagen.generic import GenericConfig, generic_dataset
 from repro.errors import ServingError
+from repro.rdf import RDF, Graph, Triple
+from repro.rdf.namespaces import EX
+from repro.serving import OLAPService
 from repro.serving.generations import GenerationManager, resolve_publish_mode
 
 from tests.serving.conftest import fact_batch, scratch_cube
@@ -242,5 +247,134 @@ class TestSnapshotSpool:
             generation = manager.current
             with pytest.raises(ReadOnlyGraphError):
                 generation.graph.add(next(iter(dataset.instance)))
+        finally:
+            manager.close()
+
+
+def _read(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _swap(path, data):
+    """Replace the file at ``path`` by rename, so a generation that still
+    maps the old file keeps valid pages."""
+    with open(f"{path}.swap", "wb") as handle:
+        handle.write(data)
+    os.replace(f"{path}.swap", path)
+
+
+def _from_another_graph(manager):
+    other = generic_dataset(GenericConfig(facts=60, dimensions=2, seed=12)).instance
+    other.add(Triple(EX.term("elsewhere"), RDF.term("type"), EX.term("Fact")))
+    other.adopt_history(manager.writer_graph)  # the writer's version, so its log answers
+    from repro.storage import save_snapshot
+
+    save_snapshot(other, f"{manager.current.path}.other")
+    os.replace(f"{manager.current.path}.other", manager.current.path)
+
+
+def _with_another_last_term(manager):
+    """The current file with one byte of its last term flipped: version and
+    counts still match, so only the last-term check refuses it."""
+    from repro.storage.snapshot import term_record
+
+    dictionary = manager.writer_graph.dictionary
+    text = term_record(dictionary.decode(len(dictionary) - 1))[1].encode("utf-8")
+    data = bytearray(_read(manager.current.path))
+    data[data.rfind(text) + len(text) - 1] ^= 1
+    _swap(manager.current.path, bytes(data))
+
+
+_UNUSABLE = {
+    "missing": lambda manager: os.unlink(manager.current.path),
+    "truncated": lambda manager: _swap(
+        manager.current.path, _read(manager.current.path)[: os.path.getsize(manager.current.path) // 2]
+    ),
+    "bad-magic": lambda manager: _swap(
+        manager.current.path, b"NOTASNAP" + _read(manager.current.path)[8:]
+    ),
+    "another-graph": _from_another_graph,
+    "another-last-term": _with_another_last_term,
+    # More mutations than the change log keeps, published nowhere yet.
+    "past-log-window": lambda manager: manager.writer_graph.apply(add=fact_batch("flood", 1100)),
+}
+
+
+class TestSnapshotWriter:
+    """A snapshot publish merges the current generation's file with the
+    writer's delta; a predecessor it cannot use gives a counted
+    from-scratch write."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_numpy(self):
+        pytest.importorskip("numpy")
+
+    @pytest.mark.parametrize("how", sorted(_UNUSABLE))
+    def test_unusable_predecessor_degrades_counted(self, tmp_path, dataset, query, how):
+        from repro.storage import save_snapshot
+
+        async def main():
+            spool = tmp_path / "spool"
+            async with OLAPService(
+                dataset.instance, dataset.schema, publish_mode="snapshot", spool_dir=str(spool)
+            ) as service:
+                manager = service.generations
+                _UNUSABLE[how](manager)
+                result = await service.update(add=fact_batch("after", 2))
+                assert result.published
+                assert manager.scratch_writes == 1
+                scratch = str(tmp_path / "scratch.snap")
+                save_snapshot(manager.writer_graph, scratch)
+                assert _read(manager.current.path) == _read(scratch)
+                served = await service.query("alice", query)
+                assert served.cube.same_cells(scratch_cube(served.generation.graph, query))
+                assert not [name for name in os.listdir(spool) if ".tmp" in name]
+
+        asyncio.run(main())
+
+class TestPublishIsDeltaSized:
+    """A 2-fact publish on a serve-size writer encodes only the new terms'
+    records and reads the writer through its delta, never its whole set of
+    triples."""
+
+    def test_two_fact_publish_encodes_and_reads_only_the_delta(self, tmp_path, monkeypatch):
+        pytest.importorskip("numpy")
+        from repro.storage import save_snapshot, snapshot
+
+        writer = generic_dataset(
+            GenericConfig(
+                facts=2500,
+                dimensions=3,
+                values_per_dimension=1.4,
+                measures_per_fact=2.0,
+                with_detail=True,
+                seed=7,
+            )
+        ).instance
+        manager = GenerationManager(writer, spool_dir=str(tmp_path / "spool"), mode="snapshot")
+        try:
+            known = len(writer.dictionary)
+            recorded = []
+            term_record = snapshot.term_record
+
+            def counting(term):
+                recorded.append(term)
+                return term_record(term)
+
+            def whole_instance(self):
+                raise AssertionError("a publish iterated the writer's encoded_triples()")
+
+            monkeypatch.setattr(snapshot, "term_record", counting)
+            monkeypatch.setattr(Graph, "encoded_triples", whole_instance)
+            writer.apply(add=fact_batch("delta", 2))
+            generation = manager.publish()
+            monkeypatch.undo()
+
+            new_terms = [writer.dictionary.decode(i) for i in range(known, len(writer.dictionary))]
+            assert new_terms and recorded == new_terms
+            assert manager.scratch_writes == 0
+            save_snapshot(writer, str(tmp_path / "scratch.snap"))
+            assert _read(generation.path) == _read(str(tmp_path / "scratch.snap"))
         finally:
             manager.close()

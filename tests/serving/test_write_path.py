@@ -7,6 +7,8 @@ to busy-poll the in-flight counter instead of being woken.
 """
 
 import asyncio
+import errno
+import os
 import threading
 import time
 
@@ -104,6 +106,52 @@ class TestAtomicUpdate:
 
                 with pytest.raises(ServingError, match="cannot be rolled back"):
                     await service.update(mutate=mutate)
+
+        run(main())
+
+    @pytest.mark.parametrize("failing", ["save_snapshot", "load_snapshot"])
+    def test_failed_publish_takes_its_batch_down(
+        self, dataset, query, tmp_path, monkeypatch, failing
+    ):
+        """Regression: a publish that raised (a full disk, a spool file that
+        would not re-open) left its batch in the writer, so the next clean
+        update published the failed facts — and its spool file stayed."""
+        pytest.importorskip("numpy")
+        from repro.storage import snapshot
+
+        real = getattr(snapshot, failing)
+        calls = []
+
+        def fail_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real(*args, **kwargs)
+
+        def fact(tag):
+            return Triple(EX.term(f"fact/extra-{tag}-0"), RDF_TYPE, EX.term("Fact"))
+
+        async def main():
+            spool = tmp_path / "spool"
+            async with OLAPService(
+                dataset.instance, dataset.schema, publish_mode="snapshot", spool_dir=str(spool)
+            ) as service:
+                generations = service.generations
+                before = graph_triples(generations.writer_graph)
+                monkeypatch.setattr(snapshot, failing, fail_once)
+                with pytest.raises(OSError):
+                    await service.update(add=fact_batch("failed", 1))
+                assert service.stats.update_failures == 1
+                assert graph_triples(generations.writer_graph) == before
+
+                result = await service.update(add=fact_batch("clean", 1))
+                assert result.published
+                graph = generations.current.graph
+                assert fact("clean") in graph and fact("failed") not in graph
+                served = await service.query("alice", query)
+                assert served.cube.same_cells(scratch_cube(served.generation.graph, query))
+                live = {os.path.basename(g.path) for g in generations.live_generations()}
+                assert set(os.listdir(spool)) == live
 
         run(main())
 

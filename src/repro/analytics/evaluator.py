@@ -60,12 +60,10 @@ class AnalyticalQueryEvaluator:
         installed, honouring a ``REPRO_ENGINE`` override.
     """
 
-    #: Entailment mode marker the planner and calibration read to name
-    #: strategies (``"saturate"`` / ``"rewrite"`` / None).  Plain evaluators
-    #: answer over asserted triples only; the session sets ``"saturate"``
-    #: when the graph is its maintained ρdf closure, and
-    #: :class:`repro.analytics.entailment.EntailmentRewritingEvaluator`
-    #: overrides it with ``"rewrite"``.
+    #: Entailment mode marker the planner reads to name scratch evaluation
+    #: (``"saturate"`` / None).  Evaluation itself is plain either way; the
+    #: session sets ``"saturate"`` when the graph is its maintained ρdf
+    #: closure.
     entailment: Optional[str] = None
 
     def __init__(
@@ -90,11 +88,6 @@ class AnalyticalQueryEvaluator:
     def engine(self) -> str:
         """The resolved execution engine: ``"rows"`` or ``"columnar"``."""
         return self._engine
-
-    def branch_count(self, query) -> int:
-        """How many BGP evaluations answering ``query`` costs: 1 here; the
-        entailment-rewriting evaluator evaluates one per entailment branch."""
-        return 1
 
     # ------------------------------------------------------------------
     # engine-space building blocks (dictionary-encoded id relations)

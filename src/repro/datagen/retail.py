@@ -13,10 +13,10 @@ The third large-scale generator (after :mod:`repro.datagen.blogger` and
   ``OnlineSale ⊑ Sale`` and ``StoreSale ⊑ Sale`` (a configurable fraction of
   sales is typed *only* with a subclass), ``hasPromoAmount ⊑ hasAmount``
   (a fraction of amounts is recorded only under the subproperty), and
-  ``rdfs:domain(hasCoupon) = Sale``.  A plain session undercounts; sessions
-  with ``entailment="saturate"`` / ``"rewrite"`` (or a pre-saturated
-  instance) agree with each other — the differential the entailment test
-  wall checks.
+  ``rdfs:domain(hasCoupon) = Sale``.  A plain session undercounts; a
+  session with ``entailment="saturate"`` agrees with plain evaluation over
+  a pre-saturated instance — the differential the entailment test wall
+  checks.
 
 Skew: products and stores are drawn with a Zipf distribution, so a few
 "blockbuster" products dominate the fact table — rolled-up cubes shrink
@@ -214,7 +214,7 @@ def retail_dataset(config: Optional[RetailConfig] = None) -> RetailDataset:
     """Generate base graph + schema + materialized AnS instance in one call.
 
     The instance carries the ρdf schema statements too, so
-    ``OLAPSession(dataset.instance, entailment=...)`` sees the same
+    ``OLAPSession(dataset.instance, entailment="saturate")`` sees the same
     subclass/subproperty/domain axioms the base graph was generated with.
     """
     config = config or RetailConfig()

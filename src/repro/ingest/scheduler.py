@@ -181,6 +181,9 @@ class RefreshScheduler:
         return self.last_decisions
 
     def _walk(self, session) -> List[RefreshDecision]:
+        # An entailing session's instance is its ρdf closure, which only
+        # follows the source graph when synced.
+        session.sync()
         cache = session.cache
         graph = session.instance
         decisions: List[RefreshDecision] = []

@@ -183,8 +183,8 @@ class WorkloadAdvisor:
         """Rows-touched saved per replay by serving ``query`` from cache.
 
         Both sides are the planner's own candidate costs, so the advisor
-        credits exactly what ``execute`` would be charged (entailment branch
-        fan-out and rolling passes included).
+        credits exactly what ``execute`` would be charged (rolling passes
+        included).
         """
         served, scratch = self._session.planner.price_cached(query, cells)
         return max(0.0, scratch - served) * accesses

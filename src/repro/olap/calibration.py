@@ -184,8 +184,8 @@ def strategy_family(strategy: str) -> Optional[str]:
     if strategy.startswith("plan[") and strategy.endswith("]"):
         strategy = strategy[len("plan[") : -1]
     if strategy == "scratch" or strategy.startswith("scratch["):
-        # scratch[saturate] / scratch[rewrite]: entailment-aware evaluation
-        # still touches the instance — same pricing family as plain scratch.
+        # scratch[saturate]: evaluation over the ρdf closure still touches
+        # the instance — same pricing family as plain scratch.
         return "instance"
     if strategy == "parallel":
         return "parallel"

@@ -197,11 +197,9 @@ class DeltaMaintainer:
         Rolled entries derive from a *mapped* base pres: re-deriving facts
         from the instance cannot reproduce the hierarchy substitution (the
         planner re-rolls them from a refreshed finer-grained entry instead).
-        Under entailment rewriting a delta triple ``(p, x, y)`` also affects
-        patterns over ``p``'s superproperties and the classes it types into,
-        which the probe unification would miss.  Both invalidate instead.
+        They invalidate instead.
         """
-        return not query.rollup and self._evaluator.entailment != "rewrite"
+        return not query.rollup
 
     def estimate_refresh_cost(
         self, materialized: MaterializedQueryResults, delta: GraphDelta
@@ -347,11 +345,11 @@ class DeltaMaintainer:
     ) -> Optional[MaterializedQueryResults]:
         """Patched results equal to a from-scratch recompute, or None.
 
-        ``None`` means the entry is not patchable (a rolled or
-        entailment-rewritten query, or relations not in this graph's id
-        space) and the caller should fall back to invalidation.  When the
-        delta does not touch the query at all the input object is returned
-        as-is — the caller only needs to re-stamp its version.
+        ``None`` means the entry is not patchable (a rolled query, or
+        relations not in this graph's id space) and the caller should fall
+        back to invalidation.  When the delta does not touch the query at
+        all the input object is returned as-is — the caller only needs to
+        re-stamp its version.
         """
         query = materialized.query
         if not self._patchable(query):

@@ -113,13 +113,13 @@ def estimate_parallel_cost(
     """Rows-touched estimate of the partitioned path.
 
     Per-shard evaluation splits ``serial_cost`` — the from-scratch estimate
-    of the work shards can evaluate, entailment branch fan-out included —
-    across the usable lanes (``min(workers, shard_count)``); merging touches
-    every one of the ``cells`` answer cells once per shard in the worst
-    case; dispatch pays a flat overhead per shard, which
-    ``model.dispatch_cost(graph)`` sets by attach mode — workers of a
-    snapshot-backed ``graph`` attach by path, those of a heap graph (or
-    None) are seeded by pickling it, which keeps tiny instances serial.
+    of the work shards can evaluate — across the usable lanes
+    (``min(workers, shard_count)``); merging touches every one of the
+    ``cells`` answer cells once per shard in the worst case; dispatch pays
+    a flat overhead per shard, which ``model.dispatch_cost(graph)`` sets by
+    attach mode — workers of a snapshot-backed ``graph`` attach by path,
+    those of a heap graph (or None) are seeded by pickling it, which keeps
+    tiny instances serial.
     Same unit as :func:`repro.olap.maintenance.estimate_scratch_cost`, so
     the planner can rank the two directly.
     """
@@ -186,26 +186,23 @@ class ExecutorStats:
 _WORKER_EVALUATOR: Optional[AnalyticalQueryEvaluator] = None
 
 
-def _initialize_worker(
-    source, engine: Optional[str] = None, evaluator_class=AnalyticalQueryEvaluator
-) -> None:
+def _initialize_worker(source, engine: Optional[str] = None) -> None:
     """Pool initializer: one evaluator per worker.
 
     ``source`` is the pickled graph, or the path of its snapshot: then
     nothing instance-sized crosses the process boundary — each worker mmaps
     the snapshot read-only and the OS page cache shares the hot pages across
     the pool, so pool build is O(header) whatever the instance size
-    (statistics come from the snapshot header too).  ``engine`` and
-    ``evaluator_class`` are the parent evaluator's: an explicit engine pin
-    (auto-resolution in the worker could disagree with the parent) and
-    ``entailment="rewrite"`` must govern the worker processes too.
+    (statistics come from the snapshot header too).  ``engine`` is the
+    parent evaluator's: auto-resolution in the worker could disagree with
+    the parent.
     """
     global _WORKER_EVALUATOR
     if isinstance(source, str):
         from repro.storage.snapshot import load_snapshot
 
         source = load_snapshot(source, mmap=True)
-    _WORKER_EVALUATOR = evaluator_class(source, engine=engine)
+    _WORKER_EVALUATOR = AnalyticalQueryEvaluator(source, engine=engine)
 
 
 def _run_shard(payload: Tuple[AnalyticalQuery, GraphShard, int, bool]):
@@ -474,7 +471,7 @@ class ParallelExecutor:
         self._process_pool = ProcessPoolExecutor(
             max_workers=self._workers,
             initializer=_initialize_worker,
-            initargs=(source, self._evaluator.engine, type(self._evaluator)),
+            initargs=(source, self._evaluator.engine),
         )
         self._process_pool_version = version
         return self._process_pool

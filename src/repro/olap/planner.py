@@ -49,8 +49,7 @@ Candidate strategies, in the order they are enumerated (a candidate's
     Re-evaluate ``Q_T`` shard-parallel on the AnS instance
     (:class:`~repro.olap.parallel.ParallelExecutor`): per-shard evaluation
     plus a merge of the aggregate states, priced as the scratch estimate
-    (entailment branch fan-out included) divided by the usable worker lanes
-    plus merge and dispatch overheads.  Only enumerated when the session
+    divided by the usable worker lanes plus merge and dispatch overheads.  Only enumerated when the session
     was built with ``workers > 1`` and the aggregate is mergeable.
 
 ``scratch``
@@ -603,9 +602,9 @@ class OLAPPlanner:
             transformed_query, pres_rows_hint, None
         )
         instance_triples = len(self._evaluator.instance)
-        # Entailment-aware sessions evaluate scratch over the saturated graph
-        # or through query rewriting; the plan names which, so explain()
-        # shows what "from scratch" actually means in this session.
+        # Entailment-aware sessions evaluate scratch over the saturated
+        # graph; the plan says so, so explain() shows what "from scratch"
+        # actually means in this session.
         mode = self._evaluator.entailment
         return PlanCandidate(
             "scratch" if mode is None else f"scratch[{mode}]",
@@ -640,13 +639,10 @@ class OLAPPlanner:
         strategy is priced in the same unit, then scaled by the per-engine
         multiplier (the columnar engine touches rows vectorized).
 
-        Under ``entailment="rewrite"`` every BGP expands into its entailment
-        branches — in every shard too — so the evaluable part pays the
-        branch fan-out; under ``"saturate"`` the statistics already describe
-        the (bigger) saturated graph and no extra factor applies.  Only this
-        part divides across the executor's lanes
-        (:func:`~repro.olap.parallel.estimate_parallel_cost` adds the merge
-        and dispatch overheads).
+        Under ``entailment="saturate"`` the statistics describe the (bigger)
+        saturated graph.  Only the evaluable part divides across the
+        executor's lanes (:func:`~repro.olap.parallel.estimate_parallel_cost`
+        adds the merge and dispatch overheads).
 
         A rolled query pays the base-query evaluation *plus* the rolling
         pass: every pres row goes through every hierarchy stage at the same
@@ -659,8 +655,6 @@ class OLAPPlanner:
         mispricing as the reuse candidates' (ROADMAP item 6), left as is.
         """
         cost = estimate_scratch_cost(self._statistics, query)
-        branch_count = self._evaluator.branch_count
-        cost *= max(branch_count(query.classifier), branch_count(query.measure))
         if executor is not None:
             cost = estimate_parallel_cost(
                 cost,

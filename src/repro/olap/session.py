@@ -37,10 +37,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import MaterializationError, OLAPError
 from repro.rdf.graph import Graph
-from repro.rdf.reasoning import saturate
-from repro.rdf.triples import Triple
+from repro.rdf.reasoning import RDFSClosure
 from repro.analytics.answer import CubeAnswer, MaterializedQueryResults
-from repro.analytics.entailment import EntailmentRewritingEvaluator
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
 from repro.analytics.schema import AnalyticalSchema
@@ -146,15 +144,11 @@ class OLAPSession:
     entailment:
         ``None`` (default) answers queries over the asserted triples only.
         ``"saturate"`` evaluates every query over the ρdf closure of the
-        instance: the session maintains an internal saturated copy, kept in
-        sync with the source graph — addition-only deltas (including
-        schema-triple additions, which re-trigger the fixpoint) flow into
-        the closure through the change log so cached cubes stay
-        refreshable; removals rebuild it.  ``"rewrite"`` leaves the graph
-        untouched and reformulates every BGP into its entailment branches
-        (see :mod:`repro.analytics.entailment`) — equivalent answers,
-        priced separately by the planner (``scratch[saturate]`` vs.
-        ``scratch[rewrite]`` in ``Plan.explain()``).
+        instance: an :class:`~repro.rdf.reasoning.RDFSClosure` the session
+        keeps in step with the source graph (see :meth:`sync`).  The
+        closure moves by the source's delta, so cached cubes stay
+        refreshable across additions and removals alike; plans name
+        scratch evaluation ``scratch[saturate]``.
 
     Examples
     --------
@@ -195,39 +189,28 @@ class OLAPSession:
             raise ValueError(
                 "OLAPSession needs exactly one of instance= or snapshot="
             )
-        if entailment not in (None, "saturate", "rewrite"):
+        if entailment not in (None, "saturate"):
             raise OLAPError(
-                f"unknown entailment mode {entailment!r}; expected None, 'saturate' or 'rewrite'"
+                f"unknown entailment mode {entailment!r}; expected None or 'saturate'"
             )
         if snapshot is not None:
             from repro.storage.snapshot import load_snapshot
 
             instance = load_snapshot(snapshot, mmap=snapshot_mmap)
         self.schema = schema
-        self._entailment = entailment
         #: The graph handed in by the caller (mutate this one); identical to
         #: :attr:`instance` except under ``entailment="saturate"``, where
-        #: ``instance`` is the session's internal saturated copy.
+        #: ``instance`` is the graph of the session's ρdf closure.
         self.source_instance = instance
-        self._entailment_version: Optional[int] = None
-        if entailment == "saturate":
-            closure = Graph(name=f"{instance.name}+rdfs")
-            closure.add_all(instance)
-            saturate(closure, in_place=True)
-            self._entailment_version = instance.version
-            instance = closure
+        self._closure = RDFSClosure(instance) if entailment == "saturate" else None
+        if self._closure is not None:
+            instance = self._closure.graph
         self.instance = instance
-        if entailment == "rewrite":
-            self.evaluator: AnalyticalQueryEvaluator = EntailmentRewritingEvaluator(
-                instance, engine=engine
-            )
-        else:
-            self.evaluator = AnalyticalQueryEvaluator(instance, engine=engine)
-            if entailment == "saturate":
-                # The planner and calibration name strategies off this marker
-                # (scratch[saturate]); evaluation itself is plain — the graph
-                # is already closed.
-                self.evaluator.entailment = "saturate"
+        self.evaluator = AnalyticalQueryEvaluator(instance, engine=engine)
+        # The planner names scratch evaluation off this marker
+        # (scratch[saturate]); evaluation itself is plain — the graph is
+        # already closed.
+        self.evaluator.entailment = entailment
         self._cache = ResultCache(cache_capacity, store_dir=cache_dir)
         self._cost_model = cost_model or CostModel()
         self._maintainer = DeltaMaintainer(self.evaluator, cost_model=self._cost_model)
@@ -337,39 +320,19 @@ class OLAPSession:
 
     @property
     def entailment(self) -> Optional[str]:
-        """The session's entailment mode: None, ``"saturate"`` or ``"rewrite"``."""
-        return self._entailment
+        """The session's entailment mode: None or ``"saturate"``."""
+        return self.evaluator.entailment
 
-    def _sync_entailment(self) -> None:
-        """Re-align the saturated evaluation graph with the source instance.
+    def sync(self) -> None:
+        """Bring the ρdf closure up to the source graph's version.
 
-        Only meaningful under ``entailment="saturate"``: addition-only
-        deltas (instance *or* schema triples) are added to the closure and
-        the fixpoint re-run in place — the closure's own change log then
-        carries the entailed additions, so the delta maintainer can patch
-        cached cubes exactly as it would for asserted triples.  Any removal
-        is non-monotone and rebuilds the closure outright (clearing degrades
-        the change log to the full-invalidation sentinel, which is the
-        honest answer for derived results).
+        A no-op without entailment.  Every read calls it first; so must
+        anyone who inspects :attr:`instance` or the cache's staleness
+        against it after mutating :attr:`source_instance` (the refresh
+        scheduler does).
         """
-        if self._entailment != "saturate":
-            return
-        source = self.source_instance
-        if source.version == self._entailment_version:
-            return
-        delta = source.deltas_since(self._entailment_version)
-        if delta is not None and not delta.removed:
-            decode = source.decode_id
-            for subject_id, predicate_id, object_id in delta.added:
-                self.instance.add(
-                    Triple(decode(subject_id), decode(predicate_id), decode(object_id))
-                )
-            saturate(self.instance, in_place=True)
-        else:
-            self.instance.clear()
-            self.instance.add_all(source)
-            saturate(self.instance, in_place=True)
-        self._entailment_version = source.version
+        if self._closure is not None:
+            self._closure.sync()
 
     @property
     def closed(self) -> bool:
@@ -424,7 +387,7 @@ class OLAPSession:
         from the change log), ``parallel`` or ``scratch`` (evaluated on the
         instance).
         """
-        self._sync_entailment()
+        self.sync()
         started = time.perf_counter()
         # Stamp a new entry with the version observed *before* evaluating: a
         # mutation interleaved between materialization and insertion must
@@ -481,7 +444,7 @@ class OLAPSession:
         was never executed here or its cache entry has been evicted or
         invalidated by an instance mutation.
         """
-        self._sync_entailment()
+        self.sync()
         resolved = self._resolve_query(query)
         entry = self._cache.get(resolved, self.instance, engine=self.engine)
         if entry is None:
@@ -536,7 +499,7 @@ class OLAPSession:
             raise OLAPError(
                 f"unknown strategy {strategy!r}; expected plan, rewrite or scratch"
             )
-        self._sync_entailment()
+        self.sync()
         original_query = self._resolve_query(query)
         transformed_query = operation.apply(original_query)
         origin_entry = self._cache.get(original_query, self.instance, engine=self.engine)

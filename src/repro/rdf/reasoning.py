@@ -22,19 +22,22 @@ rdfs11     transitivity of ``rdfs:subClassOf``
 =========  ======================================================
 
 Saturation runs to a fixpoint; the input graph is not modified unless
-``in_place=True``.
+``in_place=True``.  :class:`RDFSClosure` keeps a saturated copy of a graph
+that changes: it follows the source's change log by support counts instead
+of re-running the fixpoint.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import RDF, RDFS
 from repro.rdf.terms import IRI, Literal, Term
 from repro.rdf.triples import Triple
 
-__all__ = ["RDFSRules", "saturate", "schema_triples", "is_schema_triple"]
+__all__ = ["RDFSClosure", "RDFSRules", "saturate", "schema_triples", "is_schema_triple"]
 
 _TYPE = RDF.term("type")
 _SUBCLASS = RDFS.term("subClassOf")
@@ -149,6 +152,23 @@ class RDFSRules:
         entailed.discard(triple)
         return entailed
 
+    def consequences(self, triple: Triple) -> Set[Triple]:
+        """Every triple the closure of ``{triple}`` adds, ``triple`` excluded.
+
+        The schema is closed already, so each rule fires from a single data
+        premise and the closure of a graph is the union of its triples'
+        closures.
+        """
+        derived: Set[Triple] = set()
+        frontier = [triple]
+        while frontier:
+            for entailed in self.entail(frontier.pop()):
+                if entailed not in derived:
+                    derived.add(entailed)
+                    frontier.append(entailed)
+        derived.discard(triple)
+        return derived
+
 
 def saturate(graph: Graph, in_place: bool = False) -> Graph:
     """Return the RDFS saturation (closure) of ``graph``.
@@ -170,3 +190,81 @@ def saturate(graph: Graph, in_place: bool = False) -> Graph:
             target.add(triple)
         frontier = new_triples
     return target
+
+
+class RDFSClosure:
+    """The saturation of ``source``, kept in step with it by support counts.
+
+    :attr:`graph` holds ``source``'s triples plus every triple they entail
+    (what :func:`saturate` of a copy would hold).  For each entailed triple
+    the closure counts its *support*: the asserted triples whose own
+    :meth:`~RDFSRules.consequences` contain it.  A triple is in the closure
+    exactly when it is asserted or its support is above zero, so
+    :meth:`sync` applies an instance-data delta one triple at a time.  A
+    delta that touches the schema (or a change log that cannot say what
+    changed) recounts from scratch; either way :attr:`graph` moves by its
+    difference only, so its own change log carries the net entailed delta
+    and results derived from it stay delta-patchable.
+    """
+
+    def __init__(self, source: Graph):
+        self.source = source
+        self.graph = source.copy(name=f"{source.name}+rdfs")
+        self._support: Dict[Triple, int] = {}
+        self._version: Optional[int] = None
+        self.sync()
+
+    def sync(self) -> None:
+        """Bring :attr:`graph` up to the source's current version."""
+        source = self.source
+        version = source.version
+        if version == self._version:
+            return
+        delta = None if self._version is None else source.deltas_since(self._version)
+        if delta is None:
+            self._recount()
+        else:
+            decode = source.decode_id
+            added = [Triple(decode(s), decode(p), decode(o)) for s, p, o in delta.added]
+            removed = [Triple(decode(s), decode(p), decode(o)) for s, p, o in delta.removed]
+            if any(map(is_schema_triple, added + removed)):
+                self._recount()
+            else:
+                self._apply(added, removed)
+        self._version = version
+
+    def _apply(self, added: List[Triple], removed: List[Triple]) -> None:
+        graph, support, consequences = self.graph, self._support, self._rules.consequences
+        for triple in added:
+            graph.add(triple)
+            for derived in consequences(triple):
+                support[derived] = support.get(derived, 0) + 1
+                graph.add(derived)
+        unsupported = list(removed)
+        for triple in removed:
+            for derived in consequences(triple):
+                count = support[derived] - 1
+                if count:
+                    support[derived] = count
+                else:
+                    del support[derived]
+                    unsupported.append(derived)
+        for triple in unsupported:
+            if triple not in support and triple not in self.source:
+                graph.remove(triple)
+
+    def _recount(self) -> None:
+        """Recount every support under a freshly compiled schema, then move
+        :attr:`graph` by the difference (never ``clear()``: that would
+        degrade its change log to the full-invalidation sentinel)."""
+        self._rules = rules = RDFSRules(self.source)
+        support: Dict[Triple, int] = {}
+        asserted = list(self.source)
+        for triple in asserted:
+            for derived in rules.consequences(triple):
+                support[derived] = support.get(derived, 0) + 1
+        self._support = support
+        graph, kept, present = self.graph, set(asserted).union(support), set(self.graph)
+        for triple in present - kept:
+            graph.remove(triple)
+        graph.add_all(triple for triple in chain(asserted, support) if triple not in present)

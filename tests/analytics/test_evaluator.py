@@ -200,16 +200,3 @@ class TestSeededPartialResult:
         seeded = evaluator.partial_result(sites_query, seed=[])
         assert len(seeded) == 0
         assert seeded.columns == evaluator.partial_result(sites_query).columns
-
-    def test_seed_reaches_every_entailment_branch(self, small_retail_dataset):
-        from repro.analytics.entailment import EntailmentRewritingEvaluator
-        from repro.datagen.retail import revenue_query
-
-        query = revenue_query(small_retail_dataset.schema)
-        evaluator = EntailmentRewritingEvaluator(small_retail_dataset.instance)
-        assert evaluator.branch_count(query.classifier) > 1
-        full = _keyless_rows(evaluator.partial_result(query))
-        chosen = sorted({row[0] for row in full})[::2]
-        seeded = evaluator.partial_result(query, seed=chosen)
-        expected = Counter({row: n for row, n in full.items() if row[0] in chosen})
-        assert _keyless_rows(seeded) == expected

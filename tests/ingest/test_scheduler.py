@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datagen.generic import GenericConfig, generic_dataset
+from repro.datagen.retail import revenue_query
 from repro.errors import IngestError
 from repro.ingest import POLICIES, RefreshScheduler, StreamIngestor
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
@@ -12,6 +13,7 @@ from repro.olap.session import OLAPSession
 from repro.rdf import Literal, RDF, Triple
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import EX
+from repro.rdf.reasoning import saturate
 from repro.rdf.statistics import GraphStatistics
 
 from tests.naive_oracle import RecountedStatistics
@@ -248,6 +250,33 @@ class TestWalk:
         assert scheduler.stats.eager_refreshes == 2
         for session in sessions:
             session.close()
+
+    def test_an_entailing_session_is_synced_before_the_walk(self, small_retail_dataset):
+        """The walk compares entries against the session's ρdf closure, so
+        it must first bring the closure up to the source graph."""
+        dataset = small_retail_dataset
+        graph = dataset.instance.copy()
+        query = revenue_query(dataset.schema)
+        session = OLAPSession(graph, dataset.schema, entailment="saturate")
+        session.execute(query)
+        session.execute(query)  # hot
+        scheduler = RefreshScheduler([session], policy="eager")
+        sale = EX.term("sale/scheduled")
+        ingestor = StreamIngestor(graph, batch_size=4, scheduler=scheduler)
+        ingestor.ingest(add=[
+            Triple(sale, RDF_TYPE, EX.OnlineSale),  # a Sale only by entailment
+            Triple(sale, EX.atStore, EX.term("store/s0")),
+            Triple(sale, EX.ofProduct, EX.term("product/p0")),
+            Triple(sale, EX.hasPromoAmount, Literal(77)),  # an amount only by entailment
+        ])
+        ingestor.drain()
+        assert scheduler.stats.walked == 1
+        assert [d.action for d in scheduler.last_decisions] == ["eager"]
+        cube = session.execute(query)
+        assert session.history[-1].strategy == "cache"
+        oracle = AnalyticalQueryEvaluator(saturate(graph)).answer(query)
+        assert cube.same_cells(Cube(oracle, query))
+        session.close()
 
     def test_register_and_unregister(self, live):
         graph, session, _ = live

@@ -236,7 +236,7 @@ ENTAILED_CASES = {
     ),
 }
 
-ENTAILMENT_MODES = ("saturate", "rewrite")
+ENTAILMENT_MODES = ("saturate",)
 
 
 def _presaturated_oracle_cube(instance, query):

@@ -146,12 +146,11 @@ class TestBenefit:
         many = session.advise().materializations[0].benefit
         assert many > few
 
-    @pytest.mark.parametrize("entailment", [None, "rewrite"])
+    @pytest.mark.parametrize("entailment", [None, "saturate"])
     def test_benefit_is_planner_scratch_minus_planner_cached(self, entailment):
         """The advisor credits what ``execute`` is charged: for a rolled query
-        (and under entailment rewriting) the planner's scratch candidate
-        carries the rolling pass and the branch fan-out, which a hand-made
-        ``multiplier × estimate_scratch_cost`` left out."""
+        the planner's scratch candidate carries the rolling pass, which a
+        hand-made ``multiplier × estimate_scratch_cost`` left out."""
         config = RetailConfig(sales=40)
         retail = retail_dataset(config)
         rolled = RollUp("dcity", city_region_hierarchy(config)).apply(revenue_query(retail.schema))

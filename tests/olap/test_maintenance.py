@@ -543,3 +543,81 @@ class TestRefreshWorkIsDeltaSized:
             assert session.history[-1].strategy == "cache"
             oracle = AnalyticalQueryEvaluator(example4_instance, engine=engine).answer(each)
             assert cube.same_cells(Cube(oracle, each))
+
+
+class TestClosureSyncIsDeltaSized:
+    """Under ``entailment="saturate"`` an instance-data write moves the ρdf
+    closure by its support counts — no schema recompilation, no rebuild, no
+    walk of the source — and a write to the schema moves it by its
+    difference; either way the cached cube is patched, not recomputed."""
+
+    @pytest.fixture(params=["rows", "columnar"])
+    def engine(self, request):
+        if request.param == "columnar":
+            pytest.importorskip("numpy")
+        return request.param
+
+    @pytest.fixture()
+    def warm(self, small_retail_dataset, engine):
+        from repro.datagen.retail import revenue_query
+
+        source = small_retail_dataset.instance.copy()
+        query = revenue_query(small_retail_dataset.schema)
+        session = OLAPSession(
+            source, small_retail_dataset.schema, engine=engine, entailment="saturate"
+        )
+        session.execute(query)
+        yield source, session, query
+        session.close()
+
+    @staticmethod
+    def _read_is_refresh(source, session, query):
+        from repro.rdf.reasoning import saturate
+
+        cube = session.execute(query)
+        assert session.history[-1].strategy == "refresh"
+        oracle = AnalyticalQueryEvaluator(saturate(source), engine=session.engine).answer(query)
+        assert cube.same_cells(Cube(oracle, query))
+
+    def _guarded_write(self, warm, monkeypatch, write):
+        from repro.rdf.graph import Graph
+        from repro.rdf.reasoning import RDFSRules
+
+        source, session, query = warm
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("whole-closure work on a one-triple write")
+
+        monkeypatch.setattr(RDFSRules, "__init__", forbidden)
+        monkeypatch.setattr(Graph, "clear", forbidden)
+        monkeypatch.setattr(Graph, "__iter__", forbidden)
+        monkeypatch.setattr(Graph, "encoded_triples", forbidden)
+        write(source)
+        session.sync()
+        monkeypatch.undo()
+        self._read_is_refresh(source, session, query)
+
+    def test_one_triple_add(self, warm, monkeypatch):
+        sale = EX.term("sale/t0")
+        self._guarded_write(
+            warm, monkeypatch, lambda source: source.add(Triple(sale, EX.hasPromoAmount, Literal(9)))
+        )
+
+    def test_one_triple_removal(self, warm, monkeypatch):
+        source, _, _ = warm
+        (amount, *_) = sorted(source.triples(None, EX.hasAmount, None), key=repr)
+        self._guarded_write(warm, monkeypatch, lambda source: source.remove(amount))
+
+    def test_schema_triple_add(self, warm):
+        from repro.rdf.namespaces import RDFS
+
+        source, session, query = warm
+        source.add(Triple(EX.hasCouponAmount, RDFS.term("subPropertyOf"), EX.hasAmount))
+        sale = EX.term("sale/t1")
+        source.add(Triple(sale, EX.hasCouponAmount, Literal(5)))
+        self._read_is_refresh(source, session, query)
+        closure_version = session.instance.version
+        source.add(Triple(EX.hasCouponAmount, RDFS.term("subPropertyOf"), EX.hasPromoAmount))
+        session.sync()
+        assert session.instance.version > closure_version  # moved by its difference
+        self._read_is_refresh(source, session, query)

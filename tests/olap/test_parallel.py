@@ -30,6 +30,7 @@ from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery, KEY_COLUMN
 from repro.olap.cube import Cube
 from repro.olap.parallel import KEY_STRIDE, ParallelExecutor, estimate_parallel_cost
+from repro.olap.session import OLAPSession
 from repro.olap.calibration import CostModel
 from repro.olap.maintenance import estimate_scratch_cost
 
@@ -286,22 +287,39 @@ class TestParallelExecutor:
             assert executor.last_backend == "process"
         assert cube.same_cells(oracle)
 
-    def test_process_workers_rewrite_entailment_like_their_parent(self, small_retail_dataset):
-        """Workers must be built from the parent evaluator's class: a plain
-        worker evaluator silently drops every entailed sale and amount."""
-        from repro.analytics.entailment import EntailmentRewritingEvaluator
+    def test_process_workers_answer_over_a_saturate_sessions_closure(self, small_retail_dataset):
+        """Workers seeded from a saturate session's closure count every
+        entailed sale and amount, and are reseeded once a source mutation
+        is synced into the closure."""
         from repro.datagen.retail import revenue_query
+        from repro.rdf.reasoning import saturate
 
         dataset = small_retail_dataset
+        source = dataset.instance.copy()
         query = revenue_query(dataset.schema)
-        evaluator = EntailmentRewritingEvaluator(dataset.instance)
-        oracle = Cube(evaluator.answer(query), query)
-        plain = Cube(AnalyticalQueryEvaluator(dataset.instance).answer(query), query)
-        assert not oracle.same_cells(plain)  # entailment matters on this data
-        with ParallelExecutor(evaluator, workers=2, shard_count=3, backend="process") as executor:
-            cube = Cube(executor.answer(query), query)
-            assert executor.last_backend == "process"
-        assert cube.same_cells(oracle)
+
+        def oracle():
+            return Cube(AnalyticalQueryEvaluator(saturate(source)).answer(query), query)
+
+        plain = Cube(AnalyticalQueryEvaluator(source).answer(query), query)
+        assert not oracle().same_cells(plain)  # entailment matters on this data
+        with OLAPSession(source, dataset.schema, entailment="saturate") as session:
+            with ParallelExecutor(
+                session.evaluator, workers=2, shard_count=3, backend="process"
+            ) as executor:
+                cube = Cube(executor.answer(query), query)
+                assert executor.last_backend == "process"
+                assert cube.same_cells(oracle())
+                sale = EX.term("sale/parallel")
+                source.add(Triple(sale, RDF.term("type"), EX.OnlineSale))
+                source.add(Triple(sale, EX.atStore, EX.term("store/s0")))
+                source.add(Triple(sale, EX.ofProduct, EX.term("product/p0")))
+                source.add(Triple(sale, EX.hasPromoAmount, Literal(41)))
+                session.sync()
+                after = Cube(executor.answer(query), query)
+                assert executor.last_backend == "process"
+        assert after.same_cells(oracle())
+        assert not after.same_cells(cube)
 
     def test_process_pool_rebuilds_after_instance_mutation(self, example2_instance):
         query = make_sites_query("count")
@@ -554,7 +572,6 @@ class TestExecutorStatsAndAttachMode:
 
     def test_fallbacks_surface_in_plan_explain(self, example2_instance):
         from repro.analytics.sigma import DimensionRestriction
-        from repro.olap.session import OLAPSession
 
         base = make_sites_query("count")
         sigma = base.sigma.restrict("dage", DimensionRestriction.to_range(20, 30))

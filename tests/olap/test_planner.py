@@ -4,7 +4,6 @@ import pytest
 
 from repro.rdf import EX, Literal
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
-from repro.datagen.retail import RetailConfig, retail_dataset, revenue_query
 from repro.olap.cube import Cube
 from repro.olap.operations import Dice, DrillIn, DrillOut, Slice
 from repro.olap.planner import OLAPPlanner, Plan
@@ -192,40 +191,6 @@ class TestPlanEnumeration:
             scratch = AnalyticalQueryEvaluator(example2_instance).answer(transformed)
             assert Cube(answer, transformed).same_cells(Cube(scratch, transformed))
             assert partial is not None
-
-    def test_parallel_is_charged_the_entailment_fan_out_scratch_pays(self):
-        """``scratch[rewrite]`` and ``parallel`` evaluate the same entailment
-        branches, so they must differ by the lane division and the
-        merge/dispatch overhead only — with the fan-out left out of
-        ``parallel`` the planner picked it on a cost omitting work it does."""
-        dataset = retail_dataset(RetailConfig(sales=40))
-        query = revenue_query(dataset.schema)
-        with OLAPSession(
-            dataset.instance,
-            dataset.schema,
-            workers=2,
-            parallel_backend="thread",
-            entailment="rewrite",
-        ) as session:
-            planner = session.planner
-            fan_out = max(
-                session.evaluator.branch_count(query.classifier),
-                session.evaluator.branch_count(query.measure),
-            )
-            assert fan_out > 1  # else the test would pass vacuously
-            candidates = {c.strategy: c for c in planner.plan_query(query).candidates}
-            model = planner.cost_model
-            statistics = session.evaluator.bgp_evaluator.statistics
-            shards = planner.parallel.shard_count
-            overhead = model.engine_multiplier(session.engine) * (
-                model.merge_cell_cost
-                * (statistics.estimate_bgp_cardinality(query.classifier) + shards)
-                + model.dispatch_cost(dataset.instance) * shards
-            )
-            evaluable = candidates["scratch[rewrite]"].cost - model.base_cost
-            assert candidates["parallel"].cost == pytest.approx(
-                model.base_cost + evaluable / 2 + overhead
-            )
 
     def test_plans_are_sorted_by_cost(self, executed):
         session, query = executed

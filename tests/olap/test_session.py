@@ -94,7 +94,6 @@ ROUTES = [
     ("refresh", lambda graph, store: _updated_between_executes(graph)),
     ("parallel", lambda graph, store: _executed_in_parallel()),
     ("scratch[saturate]", lambda graph, store: _executed(graph, entailment="saturate")),
-    ("scratch[rewrite]", lambda graph, store: _executed(graph, entailment="rewrite")),
     ("rewrite[slice-dice/ans]", lambda graph, store: _transformed(graph, "rewrite")),
     ("scratch", lambda graph, store: _transformed(graph, "scratch")),
     ("scratch[saturate]", lambda graph, store: _transformed(graph, "scratch", entailment="saturate")),
@@ -114,12 +113,12 @@ class TestRouteLabels:
         with scenario(example2_instance, str(tmp_path)) as session:
             assert session.history[-1].strategy == label
 
-    @pytest.mark.parametrize("entailment", [None, "rewrite"])
+    @pytest.mark.parametrize("entailment", [None, "saturate"])
     @pytest.mark.parametrize("rolled", [False, True], ids=["base", "rolled"])
     def test_execute_takes_the_route_the_planner_prices_cheapest(self, rolled, entailment):
         """One pricing site: ``execute(Q)`` cannot pick another engine than the
-        planner's own winner for ``Q`` — rolling pass and entailment branch
-        fan-out included (separate pricing in ``execute`` used to miss both)."""
+        planner's own winner for ``Q`` — rolling pass included (separate
+        pricing in ``execute`` used to miss it)."""
         config = RetailConfig(sales=40)
         dataset = retail_dataset(config)
         query = revenue_query(dataset.schema)
@@ -135,7 +134,7 @@ class TestRouteLabels:
             entailment=entailment,
         ) as session:
             winner = session.planner.plan_query(query).chosen.strategy
-            assert winner in ("parallel", "scratch", "scratch[rewrite]")
+            assert winner in ("parallel", "scratch", "scratch[saturate]")
             cube = session.execute(query)
             assert session.history[-1].strategy == winner
             assert cube.same_cells(expected)
@@ -190,6 +189,12 @@ class TestTransform:
         session.execute(sites_query)
         with pytest.raises(OLAPError, match="expected plan, rewrite or scratch"):
             session.transform(sites_query, Slice("dage", Literal(35)), strategy=strategy)
+
+    @pytest.mark.parametrize("entailment", ["rewrite", "magic"])
+    def test_unknown_entailment_mode(self, example2_instance, entailment):
+        """Saturation is the one entailment mode: query rewriting is gone."""
+        with pytest.raises(OLAPError, match="expected None or 'saturate'"):
+            OLAPSession(example2_instance, entailment=entailment)
 
     def test_chained_navigation(self, example2_instance, sites_query):
         """Slice, then drill-out on the transformed query (cube chaining)."""

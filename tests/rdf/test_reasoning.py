@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdf import EX, Graph, Literal, RDF, RDFS, Triple
-from repro.rdf.reasoning import RDFSRules, is_schema_triple, saturate, schema_triples
+from repro.rdf.reasoning import RDFSClosure, RDFSRules, is_schema_triple, saturate, schema_triples
 
 RDF_TYPE = RDF.term("type")
 SUBCLASS = RDFS.term("subClassOf")
@@ -61,6 +61,14 @@ class TestRules:
         assert entailed == set()
 
 
+    def test_consequences_close_one_triple(self, schema_graph):
+        rules = RDFSRules(schema_graph)
+        triple = Triple(EX.user1, EX.wrotePost, EX.post1)
+        assert rules.consequences(triple) == set(saturate(Graph([triple]).union(schema_graph))) - {
+            triple, *schema_graph
+        }
+
+
 class TestSaturation:
     def test_saturation_reaches_fixpoint(self, schema_graph):
         graph = schema_graph.copy()
@@ -99,3 +107,41 @@ class TestSaturation:
         graph.add(Triple(EX.x, RDF_TYPE, EX.A))
         closed = saturate(graph)
         assert Triple(EX.x, RDF_TYPE, EX.B) in closed
+
+
+class TestClosure:
+    """RDFSClosure follows its source by support counts and equals a fresh
+    saturation after every sync."""
+
+    @staticmethod
+    def _synced(closure):
+        closure.sync()
+        assert set(closure.graph) == set(saturate(closure.source))
+
+    def test_data_writes_move_the_support_counts(self, schema_graph):
+        source = schema_graph.copy()
+        closure = RDFSClosure(source)
+        wrote = Triple(EX.user1, EX.wrotePost, EX.post1)
+        typed = Triple(EX.user1, RDF_TYPE, EX.Person)
+        source.add(wrote)
+        source.add(typed)  # asserted, and entailed by ``wrote``
+        self._synced(closure)
+        source.remove(typed)
+        self._synced(closure)
+        assert typed in closure.graph  # still entailed
+        source.remove(wrote)
+        self._synced(closure)
+        assert typed not in closure.graph
+        assert set(closure.graph) == set(schema_graph)
+
+    def test_schema_writes_move_the_graph_by_its_difference(self, schema_graph, monkeypatch):
+        source = schema_graph.copy()
+        source.add(Triple(EX.user1, EX.wrotePost, EX.post1))
+        closure = RDFSClosure(source)
+        monkeypatch.setattr(Graph, "clear", lambda self: pytest.fail("cleared the closure"))
+        for write in (source.remove, source.add):
+            version = closure.graph.version
+            write(Triple(EX.Person, SUBCLASS, EX.Agent))
+            self._synced(closure)
+            delta = closure.graph.deltas_since(version)
+            assert len(delta) == 2  # the axiom and (user1 rdf:type Agent)

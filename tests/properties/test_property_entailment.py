@@ -82,6 +82,7 @@ def _apply_update(draw, source, counter):
                 "remove",
                 "remove_schema",
                 "remove_entailed",
+                "remove_entailing",
             ]
         )
     )
@@ -130,6 +131,13 @@ def _apply_update(draw, source, counter):
         rules = RDFSRules(source)
         entailed = set().union(*(rules.consequences(triple) for triple in source))
         triples = sorted((triple for triple in source if triple in entailed), key=repr)
+    elif kind == "remove_entailing":
+        # Asserted triples that entail another asserted triple.
+        rules = RDFSRules(source)
+        triples = sorted(
+            (triple for triple in source if any(t in source for t in rules.consequences(triple))),
+            key=repr,
+        )
     else:
         triples = sorted(source, key=repr)
     if not triples:

@@ -126,6 +126,10 @@ class TestClosure:
         source.add(wrote)
         source.add(typed)  # asserted, and entailed by ``wrote``
         self._synced(closure)
+        source.remove(wrote)
+        self._synced(closure)
+        assert typed in closure.graph  # still asserted
+        source.add(wrote)
         source.remove(typed)
         self._synced(closure)
         assert typed in closure.graph  # still entailed

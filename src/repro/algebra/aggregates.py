@@ -82,7 +82,7 @@ def _poisoned_group() -> "_PoisonedGroup":
 POISONED_GROUP = _PoisonedGroup()
 
 
-def _identity(state: object, decode=None) -> object:
+def _identity(state: object, value=None) -> object:
     return state
 
 
@@ -113,9 +113,10 @@ class AggregateFunction:
         True when states are built from the *raw* relation column values
         (term ids on encoded relations) instead of :meth:`prepare`'d ones:
         ``count`` needs only the bag's cardinality and ``count_distinct``
-        ships integer sets, so neither decodes while grouping;
-        :meth:`finalize` then receives a unary ``decode`` to bring the
-        merged members into value space once, at the merge boundary.
+        ships integer sets, so neither converts while grouping;
+        :meth:`finalize` then receives ``value`` (id → comparable value,
+        :meth:`~repro.rdf.dictionary.TermDictionary.value`) to read the
+        merged members, once, at the merge boundary.
     """
 
     def __init__(
@@ -146,7 +147,7 @@ class AggregateFunction:
     ) -> "AggregateFunction":
         """Define a mergeable aggregate by its state algebra.
 
-        ``finalize`` is called as ``finalize(state, decode)``; a distributive
+        ``finalize`` is called as ``finalize(state, value)``; a distributive
         aggregate's state is the aggregated value itself.
         """
         aggregate = cls(name, make, distributive, numeric_only)
@@ -174,9 +175,9 @@ class AggregateFunction:
             )
         return self._merge(left, right)
 
-    def finalize(self, state: object, decode: Optional[Callable[[object], object]] = None) -> object:
+    def finalize(self, state: object, value: Optional[Callable[[object], object]] = None) -> object:
         """Turn a (merged) state into the aggregated value."""
-        return self._finalize(state, decode)
+        return self._finalize(state, value)
 
     def __call__(self, values: Iterable) -> object:
         """Aggregate a bag of values: the one-partition ``finalize(make(bag))``.
@@ -248,14 +249,13 @@ def _avg_merge(left: tuple, right: tuple) -> tuple:
     return (left[0] + right[0], left[1] + right[1])
 
 
-def _avg_finalize(state: tuple, decode=None) -> float:
+def _avg_finalize(state: tuple, value=None) -> float:
     total, count = state
     return float(total) / count
 
 
-def _distinct_finalize(state: frozenset, decode=None) -> int:
-    members = state if decode is None else (decode(value) for value in state)
-    return len({comparable(value) for value in members})
+def _distinct_finalize(state: frozenset, value=None) -> int:
+    return len(set(map(comparable if value is None else value, state)))
 
 
 #: ``count`` is distributive: the state is the bag's cardinality (no value
@@ -266,9 +266,9 @@ COUNT = AggregateFunction.from_states(
 
 #: ``count_distinct`` is *not* distributive (distinct values may repeat across
 #: sub-bags): the state is the set of distinct raw values, merge unions the
-#: sets, and only the merged set's members are decoded and converted, each
-#: exactly once — so two ids decoding to equal comparable values (``28`` and
-#: ``28.0``) count as one, exactly as over the whole bag.
+#: sets, and only the merged set's members are read as comparable values —
+#: so two ids decoding to equal comparable values (``28`` and ``28.0``) count
+#: as one, exactly as over the whole bag.
 COUNT_DISTINCT = AggregateFunction.from_states(
     "count_distinct",
     frozenset,

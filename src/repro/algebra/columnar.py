@@ -8,7 +8,7 @@ arrays and implements the relation protocol of
 :class:`~repro.algebra.relation.Relation` on them —
 
 * ``select`` — Σ-selection via boolean masks (a column's distinct ids, memoized
-  per relation, are decoded and tested once; the mask is ``np.isin``);
+  per relation, are tested once by ``values_passing``; the mask is ``np.isin``);
 * ``project`` / ``rename`` / ``reorder`` / ``prepend_keys`` — share the arrays;
 * ``map_column`` — ROLL-UP's parent substitution: the function runs once per
   (memoized) distinct id, one gather writes the column;
@@ -58,7 +58,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import AggregationError, AlgebraError, ConfigurationError, SchemaMismatchError
 from repro.algebra.aggregates import COUNT, AggregateFunction, get_aggregate
-from repro.algebra.expressions import comparable
 from repro.algebra.relation import IdRelation, Relation, Row, relation_like
 
 try:  # pragma: no cover - exercised via both CI legs (with and without numpy)
@@ -466,27 +465,15 @@ class ColumnarIdRelation(IdRelation):
 # ---------------------------------------------------------------------------
 
 
-def _column_mask(
-    relation: ColumnarIdRelation, column: str, value_test: Callable[[object], bool]
-):
-    """Mask of rows whose (decoded) column value passes ``value_test``.
-
-    Distinct ids (memoized per column) are decoded and tested exactly once;
-    the verdictful ids become an ``np.isin`` membership test over the whole
-    column.  Returns ``True`` when every distinct value passes (no mask needed).
-    """
+def _column_mask(relation: ColumnarIdRelation, column: str, test: Callable[[object], bool]):
+    """Mask of rows whose (decoded) column value passes ``test``: one
+    ``np.isin`` against :meth:`~repro.algebra.relation.Relation.values_passing`;
+    ``True`` when every distinct value passes (no mask needed)."""
     array = relation.column_array(column)
-    distinct = relation._distinct_ids(column)[0]
-    decoder = relation.column_decoder(column)
-    if decoder is None:
-        allowed = [value for value in distinct.tolist() if value_test(value)]
-    else:
-        allowed = [value for value in distinct.tolist() if value_test(decoder(value))]
-    if len(allowed) == len(distinct):
+    allowed = relation.values_passing(column, test)
+    if len(allowed) == len(relation._distinct_ids(column)[0]):
         return True
-    if not allowed:
-        return _np.zeros(len(array), dtype=bool)
-    return _np.isin(array, _np.asarray(allowed, dtype=array.dtype))
+    return _np.isin(array, _np.asarray(list(allowed), dtype=array.dtype))
 
 
 def _predicate_mask(relation: ColumnarIdRelation, predicate):
@@ -502,7 +489,7 @@ def _predicate_mask(relation: ColumnarIdRelation, predicate):
         restriction = sigma.restriction(name)
         if restriction.is_full or not relation.has_column(name):
             continue
-        mask = _combine_and(mask, _column_mask(relation, name, restriction.value_test()))
+        mask = _combine_and(mask, _column_mask(relation, name, restriction.allows))
     return mask
 
 
@@ -623,18 +610,17 @@ def dedup_arrays(arrays: List["_np.ndarray"]) -> "_np.ndarray":
 
 def _distinct_measure_values(relation: ColumnarIdRelation, measure: str):
     """``(values, inverse)``: the comparable value of each distinct measure
-    id (decoded once each) and every row's position among them."""
+    id (its dictionary's ``value``) and every row's position among them."""
     distinct, inverse = relation._distinct_ids(measure, inverse=True)
-    decoder = relation.column_decoder(measure)
-    if decoder is None:
+    if relation.column_decoder(measure) is None:
         return distinct.tolist(), inverse
-    return [comparable(decoder(value)) for value in distinct.tolist()], inverse
+    return list(map(relation.dictionary.value, distinct.tolist())), inverse
 
 
 def _measure_value_array(
     relation: ColumnarIdRelation, measure: str, aggregate: AggregateFunction
 ):
-    """Per-row numeric measure values, converted once per distinct id.
+    """Per-row numeric measure values: one dictionary value per distinct id.
 
     Returns an int64 array (all-``int`` bags, kept exact) or a float64 one
     (all-``float`` bags), else None — Decimal, strings, booleans, or ints
@@ -741,14 +727,14 @@ class ArrayGroupStates:
         """Box into the dict-state form (to mix with dict partitions)."""
         return dict(zip(_key_rows(self.keys, len(self)), self._boxed_states()))
 
-    def finalized(self, columns: Sequence[str], dictionary, encoded, decode=None) -> ColumnarIdRelation:
+    def finalized(self, columns: Sequence[str], dictionary, encoded, value=None) -> ColumnarIdRelation:
         """γ's output in the arrays: the key arrays as the grouping
         ``columns`` (``encoded`` of them ids of ``dictionary``), then the
         aggregate's own ``finalize`` of each state; a distributive aggregate's
         state is its value, so its one int64/float64 state array is taken as is."""
         aggregate, measures = get_aggregate(self.function), self.data[0]
         if not aggregate.distributive or measures.dtype == object:
-            measures = _value_array([aggregate.finalize(s, decode) for s in self._boxed_states()])
+            measures = _value_array([aggregate.finalize(s, value) for s in self._boxed_states()])
         arrays = dict(zip(columns, self.keys))
         arrays[columns[-1]] = measures
         return ColumnarIdRelation.from_arrays(columns, arrays, dictionary, encoded, len(self))

@@ -5,25 +5,25 @@ value) and returning a boolean.  The structured σ of the pipeline is Σ (the
 paper's Definition 2, :class:`~repro.analytics.sigma.SigmaPredicate`),
 which also **compiles** against a concrete relation schema:
 :func:`compile_predicate` lets it resolve its columns to positions once and
-evaluate rows positionally, on term ids where the relation is encoded (each
-distinct id decoded and tested once, see :func:`memoized_value_test`).  Any
-other callable receives per-row mappings, decoded on id-space relations.
+test each row's stored value (a term id where the relation is encoded)
+against the set :meth:`~repro.algebra.relation.Relation.values_passing`
+found, one test per distinct value.  Any other callable receives per-row
+mappings, decoded on id-space relations.
 
 Values are compared through :func:`comparable`, which converts RDF literals
 to native Python values so that a dimension bound to ``Literal("28",
-xsd:integer)`` falls in the range ``[20, 30]``.
+xsd:integer)`` falls in the range ``[20, 30]``.  A term id's comparable value
+is :meth:`~repro.rdf.dictionary.TermDictionary.value`, kept by its dictionary.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping
+from typing import Callable, Mapping
 
 __all__ = ["RowPredicate", "comparable", "compile_predicate"]
 
 #: Signature of a selection predicate.
 RowPredicate = Callable[[Mapping[str, object]], bool]
-
-_MISSING = object()
 
 
 def comparable(value: object) -> object:
@@ -40,24 +40,6 @@ def comparable(value: object) -> object:
     if callable(n3) and not isinstance(value, (str, int, float, bool)):
         return str(value)
     return value
-
-
-def memoized_unary(function: Callable[[object], object]) -> Callable[[object], object]:
-    """Memoize a unary function by argument (the shared id-decode cache shape)."""
-    cache: Dict[object, object] = {}
-
-    def call(value: object) -> object:
-        result = cache.get(value, _MISSING)
-        if result is _MISSING:
-            result = cache[value] = function(value)
-        return result
-
-    return call
-
-
-def memoized_value_test(test: Callable[[object], bool], decoder: Callable[[object], object]):
-    """Lift a decoded-value test to term ids, caching the verdict per id."""
-    return memoized_unary(lambda value_id: bool(test(decoder(value_id))))
 
 
 def compile_predicate(predicate: RowPredicate, relation) -> Callable[[tuple], bool]:

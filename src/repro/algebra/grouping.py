@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 from repro.errors import UnknownColumnError
 from repro.algebra.aggregates import POISONED_GROUP, AggregateFunction, get_aggregate
 from repro.algebra.columnar import ArrayGroupStates
-from repro.algebra.relation import IdRelation, Relation, value_decoder
+from repro.algebra.relation import IdRelation, Relation
 
 __all__ = [
     "group_aggregate",
@@ -80,9 +80,10 @@ def group_aggregate(
     # Group keys stay in their input space (ids group exactly like terms:
     # the encoding is bijective); the aggregated column is always plain.
     encoded = [name for name in by if relation.column_decoder(name) is not None]
+    dictionary = getattr(relation, "dictionary", None)
+    value = dictionary.value if relation.column_decoder(measure) is not None else None
     return finalize_group_states(
-        states, aggregate, (*by, output_column), getattr(relation, "dictionary", None),
-        encoded, value_decoder(relation, measure),
+        states, aggregate, (*by, output_column), dictionary, encoded, value
     )
 
 
@@ -94,8 +95,8 @@ def group_partial_states(
 ):
     """One partition's γ: one aggregate state per group.
 
-    ``None`` measures are filtered, encoded measure values are decoded and
-    converted once per distinct id (never, for ``raw_states`` aggregates),
+    ``None`` measures are filtered, encoded measure values are read as their
+    dictionary's comparable values (never, for ``raw_states`` aggregates),
     and a group whose bag is undefined under ⊕ is held as
     :data:`POISONED_GROUP` so the omission survives a merge.  Columnar
     relations answer in array form
@@ -142,22 +143,23 @@ def finalize_group_states(
     columns: Sequence[str],
     dictionary=None,
     encoded: Sequence[str] = (),
-    decode: Optional[Callable[[object], object]] = None,
+    value: Optional[Callable[[object], object]] = None,
 ) -> Relation:
     """γ's output over (merged) states: ``columns`` are the grouping columns
     (``encoded`` of them ids of ``dictionary``), then the aggregated one.
 
     Array states finalize in their arrays (they name the built-in that
-    finalizes them), a dict state map into rows; ``decode`` (id → term) is
-    forwarded to raw-state aggregates (count_distinct) whose members are
-    still encoded.  Poisoned groups (undefined in some partition) are dropped.
+    finalizes them), a dict state map into rows; ``value`` (id → comparable
+    value, :meth:`~repro.rdf.dictionary.TermDictionary.value`) is forwarded
+    to raw-state aggregates (count_distinct) whose members are still
+    encoded.  Poisoned groups (undefined in some partition) are dropped.
     """
     columns = tuple(columns)
     if isinstance(states, ArrayGroupStates):
-        return states.finalized(columns, dictionary, encoded, decode)
+        return states.finalized(columns, dictionary, encoded, value)
     aggregate = get_aggregate(function)
     rows = [
-        key + (aggregate.finalize(state, decode),)
+        key + (aggregate.finalize(state, value),)
         for key, state in states.items()
         if state is not POISONED_GROUP
     ]

@@ -31,7 +31,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
 
 from repro.errors import AggregationError, SchemaMismatchError, UnknownColumnError
 from repro.algebra.aggregates import POISONED_GROUP
-from repro.algebra.expressions import comparable, compile_predicate, memoized_unary
+from repro.algebra.expressions import compile_predicate
 
 __all__ = ["Relation", "IdRelation", "Row", "relation_like"]
 
@@ -189,6 +189,15 @@ class Relation:
         """Return the set of distinct values in the named column."""
         index = self.column_index(name)
         return {row[index] for row in self.rows}
+
+    def values_passing(self, name: str, test: Callable[[object], bool]) -> set:
+        """The distinct stored values of one column (term ids where it is
+        encoded) whose *decoded* value passes ``test``, each tested once —
+        Σ's selection on either engine is membership in this set."""
+        decode = self.column_decoder(name)
+        if decode is None:
+            return {value for value in self.distinct_values(name) if test(value)}
+        return {value for value in self.distinct_values(name) if test(decode(value))}
 
     def row_as_dict(self, row: Row) -> Dict[str, object]:
         return dict(zip(self._columns, row))
@@ -423,18 +432,20 @@ class Relation:
     def group_states(self, by: Sequence[str], measure: str, aggregate, serial: bool = False):
         """One partition's γ: a dict of one aggregate state per group.
 
-        ``None`` measures are filtered, encoded measure values are decoded
-        and converted once per distinct id (never, for ``raw_states``
-        aggregates), and a group whose bag is undefined under ⊕ is held as
-        :data:`~repro.algebra.aggregates.POISONED_GROUP` so the omission
-        survives a merge.  ``serial`` promises that no merge follows (the
-        partition is the whole relation); row storage has no use for it.
+        ``None`` measures are filtered, encoded measure values are read as
+        their dictionary's :meth:`~repro.rdf.dictionary.TermDictionary.value`
+        (never, for ``raw_states`` aggregates), and a group whose bag is
+        undefined under ⊕ is held as :data:`~repro.algebra.aggregates.POISONED_GROUP`
+        so the omission survives a merge.  ``serial`` promises that no merge
+        follows (the partition is the whole relation); row storage has no use for it.
         """
         measure_index = self.column_index(measure)
         key_of = tuple_getter(self.column_indexes(by))
         # count / count_distinct states are built from the raw column values
-        # (term ids on encoded relations) — no decoding while grouping.
-        decode = None if aggregate.raw_states else value_decoder(self, measure)
+        # (term ids on encoded relations) — no conversion while grouping.
+        value_of = None
+        if not aggregate.raw_states and self.column_decoder(measure) is not None:
+            value_of = self.dictionary.value
         bags: Dict[Tuple, List] = {}
         for row in self._rows:
             bags.setdefault(key_of(row), []).append(row[measure_index])
@@ -445,8 +456,8 @@ class Relation:
                 continue
             try:
                 if not aggregate.raw_states:
-                    if decode is not None:
-                        values = [decode(value) for value in values]
+                    if value_of is not None:
+                        values = list(map(value_of, values))
                     values = aggregate.prepare(values)
                 states[key] = aggregate.make(values)
             except AggregationError:
@@ -652,19 +663,6 @@ def aligned_rows(relations: Sequence[Relation]) -> List[Relation]:
     if aligned:
         return relations
     return [relation.materialize() for relation in relations]
-
-
-def value_decoder(relation: Relation, measure: str) -> Optional[Callable[[object], object]]:
-    """Memoized id → comparable value of an encoded measure column, else None.
-
-    Measure literals repeat, and every aggregate converts its inputs to the
-    comparable form anyway, so each distinct literal is decoded and
-    converted exactly once.
-    """
-    decoder = relation.column_decoder(measure)
-    if decoder is None:
-        return None
-    return memoized_unary(lambda value_id: comparable(decoder(value_id)))
 
 
 def relation_like(

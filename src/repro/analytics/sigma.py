@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Collection, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.errors import SigmaError
-from repro.algebra.expressions import comparable, memoized_value_test
+from repro.algebra.expressions import comparable
 
 __all__ = ["DimensionRestriction", "Sigma", "SigmaPredicate"]
 
@@ -128,22 +128,6 @@ class DimensionRestriction:
             return comparable(value) in self._comparable_values  # type: ignore[operator]
         except TypeError:
             return False
-
-    def value_test(self, decoder=None):
-        """Return a fast membership test for this restriction's values.
-
-        Without ``decoder`` the test is :meth:`allows` itself (decoded
-        values).  With a ``decoder`` (id → term, from an encoded relation
-        column) the returned test operates on **term ids**, decoding each
-        distinct id once and memoizing the verdict — dimension ids repeat
-        heavily, so Σ-selection over ``pres(Q)`` stays integer-speed.
-        Returns None for the full (unconstrained) restriction.
-        """
-        if self.is_full:
-            return None
-        if decoder is None:
-            return self.allows
-        return memoized_value_test(self.allows, decoder)
 
     def canonical_token(self) -> str:
         """A value-based identity token for caching (see :mod:`repro.olap.cache`).
@@ -323,9 +307,11 @@ class Sigma:
     def predicate(self) -> "SigmaPredicate":
         """The σ_dice selection predicate, compilable against any relation.
 
-        Use with :func:`repro.algebra.operators.select`: the predicate
-        resolves dimension columns to positions once per relation and tests
-        id-space rows without decoding (memoized per distinct id).
+        Use with :func:`repro.algebra.operators.select`: on either engine
+        each restricted column's distinct stored values are tested once
+        (:meth:`~repro.algebra.relation.Relation.values_passing`, decoded
+        terms handed to :meth:`DimensionRestriction.allows`) and a row is
+        kept by membership of its values in the passing sets.
         """
         return SigmaPredicate(self)
 
@@ -423,8 +409,8 @@ class SigmaPredicate:
                 # Dimensions absent from the relation are ignored (they may
                 # have been drilled out), mirroring allows_row.
                 continue
-            index = relation.column_index(name)
-            tests.append((index, restriction.value_test(relation.column_decoder(name))))
+            allowed = relation.values_passing(name, restriction.allows)
+            tests.append((relation.column_index(name), allowed.__contains__))
         if not tests:
             return lambda row: True
         if len(tests) == 1:

@@ -487,7 +487,7 @@ class ParallelExecutor:
         merged = merge_group_states((states for _, states in results), query.aggregate)
         answer_relation = finalize_group_states(
             merged, query.aggregate, (*dimension_columns, measure_column), dictionary,
-            dimension_columns, decode=dictionary.decode,
+            dimension_columns, value=dictionary.value,
         )
         return CubeAnswer(answer_relation, dimension_columns, measure_column)
 

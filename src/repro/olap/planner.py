@@ -82,7 +82,9 @@ from typing import Callable, List, Optional, Tuple
 from repro.analytics.answer import CubeAnswer, MaterializedQueryResults, PartialResult
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
-from repro.errors import MaterializationError, RewritingError
+from repro.errors import (
+    InvalidOperationError, MaterializationError, QueryDefinitionError, RewritingError,
+)
 from repro.olap.auxiliary import build_auxiliary_query
 from repro.olap.cache import CacheEntry, ResultCache
 from repro.olap.calibration import CostModel
@@ -690,6 +692,6 @@ class OLAPPlanner:
             return 0.0
         try:
             auxiliary = build_auxiliary_query(original_query.classifier, new_dimensions)
-        except Exception:  # not applicable — the rewrite will fail anyway
+        except (InvalidOperationError, QueryDefinitionError):  # not applicable: the rewrite fails too
             return float("inf")
         return self._statistics.estimate_evaluation_cost(auxiliary)

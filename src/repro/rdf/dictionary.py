@@ -16,6 +16,7 @@ import threading
 from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import DictionaryError
+from repro.algebra.expressions import comparable
 from repro.rdf.terms import Term
 
 __all__ = ["TermDictionary"]
@@ -41,6 +42,9 @@ class TermDictionary:
     dictionary object; nothing else does: they are not counted by ``len``,
     not listed by :meth:`items` / :meth:`terms`, not copied, and never reach
     a snapshot or a graph fingerprint.
+
+    :meth:`value` keeps each id's comparable value once it is asked for:
+    append-only ids never change meaning, so the memo is never stale.
     """
 
     def __init__(self):
@@ -48,6 +52,7 @@ class TermDictionary:
         self._id_to_term: List[Term] = []
         self._derived_ids: Dict[object, int] = {}
         self._derived_values: List[object] = []
+        self._values: Dict[int, object] = {}
 
     def __len__(self) -> int:
         return len(self._id_to_term)
@@ -100,6 +105,16 @@ class TermDictionary:
         if 0 <= term_id < len(self._id_to_term):
             return self._id_to_term[term_id]
         return self._decode_derived(term_id)
+
+    def value(self, term_id: int) -> object:
+        """The comparable value of an id: :func:`~repro.algebra.expressions.comparable`
+        of its :meth:`decode`, converted on first ask and kept for the
+        dictionary's life (two threads filling one id store equal values)."""
+        try:
+            return self._values[term_id]
+        except KeyError:
+            found = self._values[term_id] = comparable(self.decode(term_id))
+            return found
 
     def _decode_derived(self, term_id: int) -> object:
         if not -len(self._derived_values) <= term_id < 0:

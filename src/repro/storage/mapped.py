@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
-from repro.errors import DictionaryError, ReadOnlyGraphError
+from repro.errors import DictionaryError, ReadOnlyGraphError, SnapshotFormatError
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Term
@@ -87,7 +87,7 @@ class MappedTermDictionary(TermDictionary):
             return cached
         try:
             kind, text = term_record(term)
-        except Exception:
+        except SnapshotFormatError:  # a value with no record form is no term here
             return None
         probe = (kind, text.encode("utf-8"))
         table = (self._kinds, self._offsets, self._blob)

@@ -195,7 +195,7 @@ def test_gamma_oracle(name, aggregate, grouped, engine):
             )
             merged = finalize_group_states(
                 states, aggregate, (*by, "v"), dictionary, () if plain else by,
-                decode=whole.column_decoder("v"),
+                value=None if plain else dictionary.value,
             )
             assert merged.columns == (*by, "v")
             assert _cells(merged.rows, dictionary, grouped) == expected, parts

@@ -271,3 +271,45 @@ class TestSubsumption:
 
     def test_sigma_subsumption_requires_same_dimensions(self):
         assert not Sigma(["dage"]).subsumes(Sigma(["dcity"]))
+
+
+@pytest.mark.parametrize("engine", ["rows", "columnar"])
+def test_selection_tests_each_distinct_id_once_with_its_term(engine):
+    """σ_Σ over an id relation hands a ``to_predicate`` test each distinct id
+    of its column once, as the decoded term, on either engine; the kept rows
+    are those the decoded-row oracle keeps."""
+    from collections import Counter
+
+    from repro.algebra.columnar import ColumnarIdRelation
+    from repro.algebra.operators import select
+    from repro.algebra.relation import IdRelation
+    from repro.rdf.dictionary import TermDictionary
+
+    dictionary = TermDictionary()
+    people = [(EX.Madrid, 28), (EX.Kyoto, 35), (EX.Madrid, 28), (EX.Lima, 41), (EX.Kyoto, 35)]
+    columns = ("dcity", "dage")
+    rows = [(dictionary.encode(city), dictionary.encode(Literal(age))) for city, age in people]
+    if engine == "columnar":
+        np = pytest.importorskip("numpy")
+        arrays = {name: np.asarray([row[i] for row in rows]) for i, name in enumerate(columns)}
+        relation = ColumnarIdRelation.from_arrays(columns, arrays, dictionary)
+    else:
+        relation = IdRelation(columns, rows, dictionary=dictionary)
+    seen = []
+
+    def under_forty(age):
+        seen.append(age)
+        return comparable(age) < 40
+
+    sigma = Sigma(columns, {
+        "dcity": DimensionRestriction.to_values([EX.Madrid, EX.Lima]),
+        "dage": DimensionRestriction.to_predicate(under_forty),
+    })
+    kept = select(relation, sigma.predicate())
+    assert Counter(seen) == {Literal(28): 1, Literal(35): 1, Literal(41): 1}
+    assert all(isinstance(age, Literal) for age in seen)
+    decoded = relation.materialize()
+    oracle = [row for row in decoded.rows if sigma.allows_row(decoded.row_as_dict(row))]
+    assert Counter(kept.materialize().rows) == Counter(oracle) == {
+        (EX.Madrid, Literal(28)): 2
+    }

@@ -22,6 +22,7 @@ from repro.analytics.answer import CubeAnswer
 from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
 from repro.ingest import RefreshScheduler, StreamIngestor
 from repro.olap import Cube, DrillOut, OLAPSession, Slice
+from repro.olap.parallel import ParallelExecutor
 from repro.rdf import EX, RDF, Literal, Triple
 from repro.serving import OLAPService
 
@@ -279,3 +280,63 @@ def test_a_refresh_that_empties_a_group_drops_its_cell(dataset, engine):
         assert lonely not in carried and len(carried) == len(before) - 1
         assert list(carried.items()) == list(_fresh_cells(after.answer).items())
         assert lonely in _cell_map(before)
+
+
+# ---------------------------------------------------------------------------
+# A term id is converted to its comparable value once per dictionary
+# ---------------------------------------------------------------------------
+
+
+def _conversions(monkeypatch):
+    """The list each ``Literal.to_python`` call appends its literal to."""
+    calls = []
+    convert = Literal.to_python
+    monkeypatch.setattr(Literal, "to_python", lambda literal: calls.append(literal) or convert(literal))
+    return calls
+
+
+def _second_round(calls, run):
+    """The conversions of a second ``run`` after a first that made some."""
+    run()
+    first = len(calls)
+    assert first > 0
+    run()
+    return calls[first:]
+
+
+def _sum_and_count_distinct(session):
+    def run():
+        for aggregate in ("sum", "count_distinct"):
+            session.execute(_query(aggregate))
+
+    return run
+
+
+def test_an_id_is_converted_once_per_dictionary(dataset, engine, monkeypatch):
+    """With the cache off every ``execute`` evaluates again, yet the second
+    round converts no literal: γ and count_distinct's finalize read
+    ``TermDictionary.value``, which the dictionary keeps."""
+    calls = _conversions(monkeypatch)
+    graph = dataset.instance.copy()
+    with OLAPSession(graph, dataset.schema, engine=engine, cache_capacity=0) as session:
+        assert _second_round(calls, _sum_and_count_distinct(session)) == []
+
+
+def test_an_id_is_converted_once_per_snapshot_dictionary(dataset, tmp_path, monkeypatch):
+    pytest.importorskip("numpy")
+    from repro.storage import save_snapshot
+
+    path = str(tmp_path / "instance.snap")
+    save_snapshot(dataset.instance.copy(), path)
+    calls = _conversions(monkeypatch)
+    with OLAPSession(snapshot=path, schema=dataset.schema, cache_capacity=0) as session:
+        assert _second_round(calls, _sum_and_count_distinct(session)) == []
+
+
+def test_the_shard_merge_converts_an_id_once(dataset, engine, monkeypatch):
+    """count_distinct's merge finalize reads the dictionary's values too."""
+    calls = _conversions(monkeypatch)
+    evaluator = AnalyticalQueryEvaluator(dataset.instance.copy(), engine=engine)
+    with ParallelExecutor(evaluator, workers=1, shard_count=3) as executor:
+        query = _query("count_distinct")
+        assert _second_round(calls, lambda: executor.evaluate(query)) == []

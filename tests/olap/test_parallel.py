@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from repro.errors import AggregationError
-from repro.rdf import EX, Literal, RDF, Triple
+from repro.rdf import EX, Literal, RDF, TermDictionary, Triple
 from repro.rdf.terms import Variable
 from repro.algebra.aggregates import (
     AggregateFunction,
@@ -102,10 +102,11 @@ class TestPartialAggregateAlgebra:
 
     def test_count_distinct_finalize_decodes_each_member_once(self):
         distinct = get_aggregate("count_distinct")
-        state = distinct.merge(distinct.make([0, 1]), distinct.make([1, 2]))
-        decoded = {0: Literal(28), 1: Literal(28.0), 2: Literal(35)}
-        # ids 0 and 1 decode to comparable-equal values -> 2 distinct.
-        assert distinct.finalize(state, decode=decoded.__getitem__) == 2
+        dictionary = TermDictionary()
+        ids = [dictionary.encode(Literal(value)) for value in (28, 28.0, 35)]
+        state = distinct.merge(distinct.make(ids[:2]), distinct.make(ids[1:]))
+        # The first two ids decode to comparable-equal values -> 2 distinct.
+        assert distinct.finalize(state, value=dictionary.value) == 2
 
     def test_merge_is_associative_and_commutative(self):
         bag = [5, 1, 5, 8, 2, 9, 9, 4]

@@ -230,6 +230,20 @@ class TestPlanExecution:
             (Literal("URL2"), Literal("chrome")): 100,
         }
 
+    def test_an_unexpected_error_pricing_drill_in_propagates(self, figure3_instance, monkeypatch):
+        """Only "q_aux is not applicable" prices DRILL-IN's rewriting at inf:
+        any other error while building q_aux is a bug and surfaces."""
+        session = OLAPSession(figure3_instance)
+        query = make_views_query()
+        session.execute(query)
+
+        def planted(*args, **kwargs):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr("repro.olap.planner.build_auxiliary_query", planted)
+        with pytest.raises(RuntimeError, match="planted"):
+            _plan(session, query, DrillIn("d3"))
+
     def test_drill_in_planned_prefers_rewriting_at_scale(self, small_video_dataset):
         """With a realistically sized instance, pres(Q) + q_aux wins the plan."""
         from repro.datagen.videos import views_per_url_query

@@ -121,6 +121,20 @@ def test_mapped_dictionary_is_read_only(blogger_instance, tmp_path):
         mapped.dictionary.encode(unseen)
 
 
+def test_mapped_lookup_of_a_value_with_no_record_form_is_none(blogger_instance, tmp_path, monkeypatch):
+    """A value the snapshot cannot record (a tuple) is no term of it; any
+    other error while looking a term up propagates."""
+    dictionary = load_snapshot(_snapshot_of(blogger_instance, tmp_path)).dictionary
+    assert dictionary.lookup(("a", 1)) is None
+
+    def planted(term):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr("repro.storage.mapped.term_record", planted)
+    with pytest.raises(RuntimeError, match="planted"):
+        dictionary.lookup(IRI("http://example.org/not-cached-yet"))
+
+
 def test_mapped_graph_pickles_as_path(blogger_instance, tmp_path):
     mapped = load_snapshot(_snapshot_of(blogger_instance, tmp_path))
     payload = pickle.dumps(mapped)

@@ -81,21 +81,13 @@ class DimensionRestriction:
 
     @classmethod
     def to_range(cls, low: object, high: object, inclusive: bool = True) -> "DimensionRestriction":
-        """Restriction to a numeric/lexicographic range (range DICE)."""
-        low_comparable = comparable(low)
-        high_comparable = comparable(high)
+        """Restriction to a numeric/lexicographic range (range DICE).
 
-        def in_range(value: object) -> bool:
-            candidate = comparable(value)
-            try:
-                if inclusive:
-                    return low_comparable <= candidate <= high_comparable
-                return low_comparable < candidate < high_comparable
-            except TypeError:
-                return False
-
+        The bounds are kept as data, not in a closure, so a range-diced
+        query pickles and reaches process workers.
+        """
         bounds = f"[{low}, {high}]" if inclusive else f"({low}, {high})"
-        restriction = cls(predicate=in_range, description=f"range {bounds}")
+        restriction = cls(description=f"range {bounds}")
         restriction._range = (low, high, inclusive)
         return restriction
 
@@ -109,7 +101,7 @@ class DimensionRestriction:
     @property
     def is_full(self) -> bool:
         """True for the unconstrained restriction."""
-        return self._values is None and self._predicate is None
+        return self._values is None and self._predicate is None and self._range is None
 
     @property
     def values(self) -> Optional[Tuple[object, ...]]:
@@ -122,6 +114,15 @@ class DimensionRestriction:
             return True
         if self._predicate is not None:
             return bool(self._predicate(value))
+        if self._range is not None:
+            low, high, inclusive = self._range
+            low, high, candidate = comparable(low), comparable(high), comparable(value)
+            try:
+                if inclusive:
+                    return low <= candidate <= high
+                return low < candidate < high
+            except TypeError:
+                return False
         if value in self._values:  # type: ignore[operator]
             return True
         try:

@@ -12,9 +12,10 @@ somewhere:
   it on first access — after pricing the patch against recomputing once
   more, since later batches grow the delta — and entries nobody reads again
   cost nothing;
-* **invalidate** — drop it when patching is priced at or above recomputing
-  from scratch (keeping it would only waste memory — the read path would
-  never choose the patch).
+* **invalidate** — drop it (:meth:`~repro.olap.cache.ResultCache.invalidate`,
+  which keeps a pin) when patching is priced at or above recomputing from
+  scratch (keeping it would only waste memory — the read path would never
+  choose the patch).
 
 The :class:`RefreshScheduler` makes that call per entry, per batch.  Its
 ``"auto"`` policy follows the entry's observed hit rate
@@ -229,7 +230,7 @@ class RefreshScheduler:
             cache.mark_lazy(entry.key)
             self.stats.lazy_marks += 1
         else:  # invalidate
-            cache.evict(entry.key)
+            cache.invalidate(entry.key)
             self.stats.invalidations += 1
         return RefreshDecision(
             key=entry.key,

@@ -4,7 +4,7 @@
   transformations;
 * :mod:`repro.olap.auxiliary` — the auxiliary DRILL-IN query (Definition 6);
 * :mod:`repro.olap.rewriting` — Proposition 1, Algorithm 1, Algorithm 2, and
-  the strategy-selecting :class:`OLAPRewriter`;
+  :class:`OLAPRewriter`, which runs them;
 * :mod:`repro.olap.cube` — the cube result abstraction;
 * :mod:`repro.olap.cache` — the bounded canonical-form result cache;
 * :mod:`repro.olap.maintenance` — incremental refresh of cached results
@@ -29,12 +29,8 @@ from repro.olap.cache import (
     canonical_query_key,
 )
 from repro.olap.cube import Cube
-from repro.olap.maintenance import DeltaMaintainer, estimate_scratch_cost
-from repro.olap.parallel import (
-    ExecutorStats,
-    ParallelExecutor,
-    estimate_parallel_cost,
-)
+from repro.olap.maintenance import DeltaMaintainer
+from repro.olap.parallel import ExecutorStats, ParallelExecutor
 from repro.olap.planner import OLAPPlanner, Plan, PlanCandidate
 from repro.olap.hierarchy import DimensionHierarchy
 from repro.olap.operations import (
@@ -49,7 +45,6 @@ from repro.olap.operations import (
 )
 from repro.olap.rewriting import (
     OLAPRewriter,
-    RewriteOption,
     RewritingResult,
     answer_from_rolled_partial,
     drill_in_from_partial,
@@ -83,17 +78,14 @@ __all__ = [
     "DimensionHierarchy",
     "answer_from_rolled_partial",
     "OLAPRewriter",
-    "RewriteOption",
     "RewritingResult",
     "ResultCache",
     "CacheEntry",
     "CacheStats",
     "canonical_query_key",
     "DeltaMaintainer",
-    "estimate_scratch_cost",
     "ParallelExecutor",
     "ExecutorStats",
-    "estimate_parallel_cost",
     "OLAPPlanner",
     "Plan",
     "PlanCandidate",

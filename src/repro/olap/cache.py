@@ -450,7 +450,7 @@ class ResultCache:
             entry = self._entries.get(key)
             if entry is not None and entry.graph_version != graph.version:
                 if graph.deltas_since(entry.graph_version) is None:
-                    self._invalidate(key)
+                    self.invalidate(key)
                 entry = None
             if entry is not None:
                 self._entries.move_to_end(key)
@@ -489,7 +489,7 @@ class ResultCache:
                 return None
             delta = graph.deltas_since(entry.graph_version)
             if delta is None:
-                self._invalidate(key)
+                self.invalidate(key)
                 return None
             return entry, delta
 
@@ -511,7 +511,7 @@ class ResultCache:
             entry, delta = found
             refreshed = maintainer.refresh(entry.materialized, delta)
             if refreshed is None:
-                self._invalidate(entry.key)
+                self.invalidate(entry.key)
                 return None
             entry.materialized = refreshed
             entry.graph_version = graph.version
@@ -592,11 +592,21 @@ class ResultCache:
             self.stats.adopted += adopted
         return adopted
 
-    def _invalidate(self, key: str) -> None:
-        """Drop an entry that can no longer be patched (caller holds the lock)."""
-        del self._entries[key]
-        self._lazy.discard(key)
-        self.stats.invalidations += 1
+    def invalidate(self, query_or_key) -> bool:
+        """Drop an entry that cannot (or should not) be patched; True when
+        one was held.
+
+        Counted in ``stats.invalidations``.  Unlike :meth:`evict` the pin,
+        which is keyed by canonical form, survives: the next result stored
+        for the key is pinned again.  Disk copies are kept.
+        """
+        key = self._resolve_key(query_or_key)
+        with self._lock:
+            self._lazy.discard(key)
+            if self._entries.pop(key, None) is None:
+                return False
+            self.stats.invalidations += 1
+            return True
 
     def _write_through(self, key: str, materialized: MaterializedQueryResults, graph: Graph) -> None:
         """Persist a result known fresh at ``graph``'s current version, when a

@@ -10,10 +10,10 @@ relative correctness to rank strategies.
 
 This module closes the loop from observed runtimes back into planning:
 
-* :class:`CostModel` holds every pricing constant — the one object the
-  planner, :class:`~repro.olap.maintenance.DeltaMaintainer` and
-  :func:`~repro.olap.parallel.estimate_parallel_cost` read.  Its defaults
-  are the hand-set values; an uncalibrated session plans with them.
+* :class:`CostModel` holds every pricing constant.  This module defines
+  and fits them; :class:`~repro.olap.planner.OLAPPlanner`, which holds
+  every cost formula, is their only reader.  The defaults are the hand-set
+  values; an uncalibrated session plans with them.
 
 * :func:`fit_cost_model` performs a least-squares fit over the
   ``(predicted cost, observed execute seconds, strategy)`` samples a

@@ -54,27 +54,10 @@ from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
 from repro.bgp.evaluator import BGPEvaluator
 from repro.bgp.query import BGPQuery
-from repro.olap.calibration import CostModel
 from repro.rdf.graph import EncodedTriple, Graph, GraphDelta
 from repro.rdf.terms import Term, Variable
 
-__all__ = ["DeltaMaintainer", "estimate_scratch_cost"]
-
-
-def estimate_scratch_cost(statistics, query: AnalyticalQuery) -> float:
-    """Estimated rows touched by a from-scratch evaluation of ``query``.
-
-    Classifier and measure are evaluated independently and joined on the
-    fact variable; the join reads both results once more.  Shared by the
-    planner's scratch candidate and the refresh-vs-recompute decision, so
-    the two strategies are always priced in the same unit.
-    """
-    classifier_cost = statistics.estimate_evaluation_cost(query.classifier)
-    measure_cost = statistics.estimate_evaluation_cost(query.measure)
-    join_cost = statistics.estimate_bgp_cardinality(
-        query.classifier
-    ) + statistics.estimate_bgp_cardinality(query.measure)
-    return classifier_cost + measure_cost + join_cost
+__all__ = ["DeltaMaintainer"]
 
 
 class _TripleOverlay:
@@ -130,7 +113,7 @@ class DeltaMaintainer:
     evaluator:
         The session's analytical evaluator over the live instance; supplies
         the seeded ``partial_result`` that re-derives affected facts and the
-        statistics both cost estimates (and the affected-fact probes) use.
+        statistics the affected-fact probes use.
 
     Examples
     --------
@@ -157,11 +140,10 @@ class DeltaMaintainer:
     True
     """
 
-    def __init__(self, evaluator: AnalyticalQueryEvaluator, cost_model: Optional[CostModel] = None):
+    def __init__(self, evaluator: AnalyticalQueryEvaluator):
         self._evaluator = evaluator
         self._graph = evaluator.instance
         self._statistics = evaluator.bgp_evaluator.statistics
-        self._model = cost_model or CostModel()
         # A refresh *wave* prices and patches many cache entries against one
         # graph version, and a session's entries overwhelmingly share
         # classifier and measure bodies (Σ and head differ, bodies do not).
@@ -178,8 +160,7 @@ class DeltaMaintainer:
     def _sync_memos(self) -> None:
         # Statistics need no handling here: GraphStatistics is stamped with
         # the graph version and re-reads the graph's own summary (counters
-        # kept with the indexes, no scan) on the next estimate, so both cost
-        # estimates always price against the current instance.
+        # kept with the indexes, no scan) on the next estimate.
         version = self._graph.version
         if self._memo_version != version:
             self._memo_version = version
@@ -188,10 +169,10 @@ class DeltaMaintainer:
             self._pattern_memo.clear()
 
     # ------------------------------------------------------------------
-    # cost estimation
+    # what the planner prices a refresh from
     # ------------------------------------------------------------------
 
-    def _patchable(self, query: AnalyticalQuery) -> bool:
+    def patchable(self, query: AnalyticalQuery) -> bool:
         """Whether entries of ``query`` can be patched from deltas at all.
 
         Rolled entries derive from a *mapped* base pres: re-deriving facts
@@ -201,34 +182,19 @@ class DeltaMaintainer:
         """
         return not query.rollup
 
-    def estimate_refresh_cost(
-        self, materialized: MaterializedQueryResults, delta: GraphDelta
-    ) -> float:
-        """Estimated rows touched by patching ``materialized`` with ``delta``.
+    def unifications(self, query: AnalyticalQuery, delta: GraphDelta) -> int:
+        """How many (delta triple, body pattern) pairs unify for ``query``.
 
-        Grows linearly with the delta (probe work) and with the cached input
-        sizes (one partition scan of ``pres``, one splice of ``ans``) — so
-        for small update batches it undercuts the from-scratch estimate and
-        for instance-sized batches it exceeds it, which is exactly the
-        crossover the planner should find.
+        Each is one seed row of an affected-fact probe.  Unifying is
+        O(|delta| · |body|) id comparisons, memoized and shared with the
+        probes, so pricing a refresh by this count costs the probes nothing
+        and never charges a blogger-post insertion for classifier patterns
+        it can never touch.
         """
-        if not self._patchable(materialized.query):
-            return float("inf")  # such entries invalidate, never patch
-        query = materialized.query
-        # Each (delta triple, body pattern) pair that unifies is one seed row
-        # of an affected-fact probe; unifying is O(|delta| · |body|) id
-        # comparisons, shared with the probes, and keeps the estimate from
-        # charging a blogger-post insertion for classifier patterns it can
-        # never touch.
         self._sync_memos()
-        probes = sum(
+        return sum(
             len(self._unified(pattern, delta))
             for pattern in (*query.classifier.body, *query.measure.body)
-        )
-        return (
-            probes * self._model.delta_probe_cost
-            + len(materialized.partial) * self._model.pres_scan_cost
-            + len(materialized.answer) * self._model.refresh_cell_cost
         )
 
     # ------------------------------------------------------------------
@@ -290,9 +256,9 @@ class DeltaMaintainer:
     def _unified(self, pattern, delta: GraphDelta) -> List[Dict[Variable, int]]:
         """The bindings of every delta triple that unifies with ``pattern``.
 
-        Memoized per (pattern, delta) until the graph moves on: the refresh
-        estimate counts them and the affected-fact probes are seeded with
-        them, so each (pattern, delta triple) pair is unified once.
+        Memoized per (pattern, delta) until the graph moves on:
+        :meth:`unifications` counts them and the affected-fact probes are
+        seeded with them, so each (pattern, delta triple) pair is unified once.
         """
         key = (pattern, delta.from_version, delta.to_version)
         found = self._unified_memo.get(key)
@@ -352,7 +318,7 @@ class DeltaMaintainer:
         re-stamp its version.
         """
         query = materialized.query
-        if not self._patchable(query):
+        if not self.patchable(query):
             return None
         partial = materialized.partial
         answer = materialized.answer

@@ -53,8 +53,9 @@ Backends
     merge side never re-encodes.  The pool is version-stamped: a graph
     mutation rebuilds it so workers never serve a stale snapshot.
 ``auto``
-    ``process`` when the query pickles (Σ range restrictions carry
-    closures and do not), ``thread`` otherwise; ``serial`` when
+    ``process`` when the query pickles (only Σ restrictions built by
+    :meth:`~repro.analytics.sigma.DimensionRestriction.to_predicate` carry
+    callables that may not), ``thread`` otherwise; ``serial`` when
     ``workers <= 1``.
 
 Every dispatch — and every silent downgrade (a broken pool, an
@@ -62,14 +63,8 @@ unpicklable query) — is counted in :class:`ExecutorStats`, which the
 planner surfaces in :meth:`~repro.olap.planner.Plan.explain`, so
 benchmark numbers can never unknowingly mix backends.
 
-Cost model
-----------
-
-:func:`estimate_parallel_cost` prices the parallel candidate in the
-planner's rows-touched unit: the from-scratch estimate divided by the
-usable lanes, plus a per-cell merge term and a flat per-shard dispatch
-overhead.  Small instances therefore price parallel *above* plain scratch
-and the planner keeps them serial — parallelism has to be won, not assumed.
+The planner prices the ``parallel`` candidate
+(:meth:`~repro.olap.planner.OLAPPlanner.plan`); this module only runs it.
 """
 
 from __future__ import annotations
@@ -86,13 +81,11 @@ from repro.algebra.relation import IdRelation
 from repro.analytics.answer import CubeAnswer, MaterializedQueryResults, PartialResult
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import KEY_COLUMN, AnalyticalQuery
-from repro.olap.calibration import CostModel
 from repro.rdf.graph import GraphShard
 
 __all__ = [
     "ParallelExecutor",
     "ExecutorStats",
-    "estimate_parallel_cost",
     "KEY_STRIDE",
 ]
 
@@ -100,32 +93,6 @@ __all__ = [
 #: ``[1 + i * KEY_STRIDE, ...)``.  Keys only need global distinctness
 #: (Algorithm 1 dedups by key), and 2^40 keys per shard is unreachable.
 KEY_STRIDE = 1 << 40
-
-
-def estimate_parallel_cost(
-    serial_cost: float,
-    cells: float,
-    workers: int,
-    shard_count: int,
-    model: CostModel,
-    graph=None,
-) -> float:
-    """Rows-touched estimate of the partitioned path.
-
-    Per-shard evaluation splits ``serial_cost`` — the from-scratch estimate
-    of the work shards can evaluate — across the usable lanes
-    (``min(workers, shard_count)``); merging touches every one of the
-    ``cells`` answer cells once per shard in the worst case; dispatch pays
-    a flat overhead per shard, which ``model.dispatch_cost(graph)`` sets by
-    attach mode — workers of a snapshot-backed ``graph`` attach by path,
-    those of a heap graph (or None) are seeded by pickling it, which keeps
-    tiny instances serial.
-    Same unit as :func:`repro.olap.maintenance.estimate_scratch_cost`, so
-    the planner can rank the two directly.
-    """
-    lanes = max(1, min(int(workers), int(shard_count)))
-    merge = model.merge_cell_cost * (cells + shard_count)
-    return serial_cost / lanes + merge + model.dispatch_cost(graph) * shard_count
 
 
 class ExecutorStats:
@@ -419,8 +386,8 @@ class ParallelExecutor:
         try:
             pickle.dumps(query)
         except Exception:
-            # Σ predicate restrictions (e.g. ranges) carry closures; those
-            # queries cannot cross a process boundary.
+            # A Σ restriction built by to_predicate may carry a closure or a
+            # lambda; such a query cannot cross a process boundary.
             self._record_fallback("process", "thread", "query not picklable")
             return "thread"
         return "process"

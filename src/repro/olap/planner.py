@@ -25,9 +25,9 @@ Candidate strategies, in the order they are enumerated (a candidate's
     the *origin* query: derive ``pres(Q_T)`` from ``pres(Q)`` (Algorithm 1
     for DRILL-OUT, Algorithm 2 with its auxiliary query for DRILL-IN, the
     hierarchy roll for ROLL-UP), then the one γ of Equation (3) —
-    Proposition 1 (SLICE/DICE as σ over ``ans(Q)``) is the shortcut.  The
-    applicable rewritings are reported by
-    :meth:`repro.olap.rewriting.OLAPRewriter.options`.
+    Proposition 1 (SLICE/DICE as σ over ``ans(Q)``) is the shortcut.
+    :meth:`repro.olap.rewriting.OLAPRewriter.applicable` names the
+    rewriting that applies and the input it reads.
 
 ``compat[...]``
     A cached entry for a *different* query with the same classifier,
@@ -48,8 +48,7 @@ Candidate strategies, in the order they are enumerated (a candidate's
 ``parallel``
     Re-evaluate ``Q_T`` shard-parallel on the AnS instance
     (:class:`~repro.olap.parallel.ParallelExecutor`): per-shard evaluation
-    plus a merge of the aggregate states, priced as the scratch estimate
-    divided by the usable worker lanes plus merge and dispatch overheads.  Only enumerated when the session
+    plus a merge of the aggregate states.  Only enumerated when the session
     was built with ``workers > 1`` and the aggregate is mergeable.
 
 ``scratch``
@@ -58,21 +57,26 @@ Candidate strategies, in the order they are enumerated (a candidate's
 
 Cost model
 ----------
-All costs are in "rows touched".  Reuse candidates count the rows of the
-materialized inputs they read (with per-row weights reflecting selection vs.
-group-by vs. join work) plus their estimated output rows (reported by
-:class:`~repro.olap.rewriting.RewriteOption`); the from-scratch candidate
-sums per-triple-pattern match estimates plus the estimated BGP output
+Every cost formula is in this module; the rewriter, the maintainer and the
+parallel executor only run the routes.  All costs are in "rows touched".
+Reuse candidates count the rows of the materialized inputs they read (with
+per-row weights reflecting selection vs. group-by vs. join work) plus a
+crude estimate of their output rows; the from-scratch candidate sums
+per-triple-pattern match estimates plus the estimated BGP output
 cardinalities — the same statistics the BGP evaluator's join optimizer
-uses; cache hits pay a small per-cell touch cost.  The model only needs to
-*rank* strategies, from inputs (entry sizes, graph statistics) that are O(1)
-to read — and a fresh hit is not ranked at all.
+uses; ``parallel`` divides that by the usable worker lanes and adds merge
+and dispatch overheads, so small instances price it *above* plain scratch;
+``refresh-cached`` grows with the delta and the cached input sizes; cache
+hits pay a small per-cell touch cost.  The model only needs to *rank*
+strategies, from inputs (entry sizes, graph statistics, the delta's
+unifications with the query bodies) that are cheap to read — and a fresh
+hit is not ranked at all.
 
-Every constant lives in a :class:`~repro.olap.calibration.CostModel`; the
-defaults are the hand-set values, and
-:func:`~repro.olap.calibration.fit_cost_model` refits them from the
-observed runtimes a session records — see :mod:`repro.olap.calibration`
-and :mod:`repro.olap.advisor`.
+Every constant lives in a :class:`~repro.olap.calibration.CostModel` and
+:class:`OLAPPlanner` is its only reader; the defaults are the hand-set
+values, and :func:`~repro.olap.calibration.fit_cost_model` refits them
+from the observed runtimes a session records — see
+:mod:`repro.olap.calibration` and :mod:`repro.olap.advisor`.
 """
 
 from __future__ import annotations
@@ -88,9 +92,9 @@ from repro.errors import (
 from repro.olap.auxiliary import build_auxiliary_query
 from repro.olap.cache import CacheEntry, ResultCache
 from repro.olap.calibration import CostModel
-from repro.olap.maintenance import DeltaMaintainer, estimate_scratch_cost
+from repro.olap.maintenance import DeltaMaintainer
 from repro.olap.operations import OLAPOperation
-from repro.olap.parallel import ParallelExecutor, estimate_parallel_cost
+from repro.olap.parallel import ParallelExecutor
 from repro.analytics.rolling import roll_partial
 from repro.olap.rewriting import (
     OLAPRewriter,
@@ -180,12 +184,10 @@ class OLAPPlanner:
         supplies the graph statistics used to price the scratch candidate).
     cache:
         The session's bounded result cache (canonical-form keyed).
-    rewriter:
-        Optional pre-built :class:`~repro.olap.rewriting.OLAPRewriter`; one
-        is constructed over the evaluator's BGP evaluator otherwise.
     maintainer:
-        Optional :class:`~repro.olap.maintenance.DeltaMaintainer` pricing
-        and executing the ``refresh-cached`` candidate.
+        Optional :class:`~repro.olap.maintenance.DeltaMaintainer` executing
+        the ``refresh-cached`` candidate and counting the delta
+        unifications it is priced by.
     parallel:
         Optional :class:`~repro.olap.parallel.ParallelExecutor`; when
         present (session built with ``workers > 1``) a ``parallel``
@@ -225,19 +227,16 @@ class OLAPPlanner:
         self,
         evaluator: AnalyticalQueryEvaluator,
         cache: ResultCache,
-        rewriter: Optional[OLAPRewriter] = None,
         maintainer: Optional[DeltaMaintainer] = None,
         parallel: Optional[ParallelExecutor] = None,
         cost_model: Optional[CostModel] = None,
     ):
         self._evaluator = evaluator
         self._cache = cache
-        self._rewriter = rewriter or OLAPRewriter(evaluator.bgp_evaluator)
+        self._rewriter = OLAPRewriter(evaluator.bgp_evaluator)
         self._statistics = evaluator.bgp_evaluator.statistics
         self._model = cost_model or CostModel()
-        self._maintainer = maintainer or DeltaMaintainer(
-            evaluator, cost_model=self._model
-        )
+        self._maintainer = maintainer or DeltaMaintainer(evaluator)
         self._parallel = parallel
         # Per-engine rows-touched multiplier: a row touched by the columnar
         # engine's vectorized kernels is cheaper than one touched by the
@@ -255,7 +254,7 @@ class OLAPPlanner:
 
     @property
     def maintainer(self) -> DeltaMaintainer:
-        """The delta maintainer pricing and executing refresh candidates."""
+        """The delta maintainer executing refresh candidates."""
         return self._maintainer
 
     @property
@@ -420,9 +419,7 @@ class OLAPPlanner:
     def _refresh_candidate(
         self, transformed_query: AnalyticalQuery, entry: CacheEntry, delta: GraphDelta
     ) -> PlanCandidate:
-        cost = self._model.base_cost + self._maintainer.estimate_refresh_cost(
-            entry.materialized, delta
-        )
+        cost = self._model.base_cost + self._refresh_cost(entry.materialized, delta)
         pres_rows = len(entry.materialized.partial)
 
         def run() -> Tuple[CubeAnswer, PartialResult]:
@@ -454,41 +451,29 @@ class OLAPPlanner:
         transformed_query: AnalyticalQuery,
         materialize_partial: bool,
     ) -> List[PlanCandidate]:
-        candidates = []
-        for option in self._rewriter.options(materialized, operation, transformed_query):
-            # Every rewriting reads its materialized input and writes its
-            # estimated output (mirroring the scratch candidate, whose
-            # estimate also includes the output cardinality).
-            cost = self._model.base_cost + option.estimated_output_rows
-            if option.input_kind == "answer":
-                cost += option.input_rows * self._model.select_row_cost
-            elif option.needs_instance:
-                # The auxiliary query evaluates on the instance through the
-                # same engine as scratch, so it gets the same multiplier;
-                # the join over pres(Q) is priced at weight 1 (see __init__).
-                cost += option.input_rows * self._model.join_row_cost + (
-                    self._engine_multiplier
-                    * self._auxiliary_cost(materialized.query, transformed_query)
-                )
-            else:
-                cost += option.input_rows * self._model.group_row_cost
+        query = materialized.query
+        applicable = self._rewriter.applicable(query, operation, transformed_query)
+        if applicable is None:
+            return []
+        strategy, input_kind = applicable
+        cells = len(materialized.answer)
+        rows = cells if input_kind == "answer" else len(materialized.partial)
 
-            def run(op=operation, mat=materialized, tq=transformed_query):
-                result = self._rewriter.answer(
-                    mat, op, tq, materialize_partial=materialize_partial
-                )
-                return result.answer, result.partial
-
-            candidates.append(
-                PlanCandidate(
-                    f"rewrite[{option.strategy}]",
-                    cost,
-                    option.input_rows,
-                    f"{option.input_kind}({materialized.query.name}): {option.input_rows} rows",
-                    run,
-                )
+        def run():
+            result = self._rewriter.answer(
+                materialized, operation, transformed_query, materialize_partial=materialize_partial
             )
-        return candidates
+            return result.answer, result.partial
+
+        return [
+            PlanCandidate(
+                f"rewrite[{strategy}]",
+                self._rewrite_cost(strategy, rows, cells, query, transformed_query),
+                rows,
+                f"{input_kind}({query.name}): {rows} rows",
+                run,
+            )
+        ]
 
     def _fresh_relatives(self, transformed_query: AnalyticalQuery, original_query: AnalyticalQuery):
         """Fresh entries sharing ``transformed_query``'s core key, but for its
@@ -636,15 +621,21 @@ class OLAPPlanner:
         serially (``executor`` None: ``scratch``) or on ``executor``'s shards
         (``parallel``); one pricing, so neither omits work the other pays.
 
-        The evaluable part is shared with the refresh-vs-recompute decision
-        (see :func:`repro.olap.maintenance.estimate_scratch_cost`) so every
-        strategy is priced in the same unit, then scaled by the per-engine
-        multiplier (the columnar engine touches rows vectorized).
+        Classifier and measure are evaluated independently and joined on the
+        fact variable; the join reads both results once more.  The
+        refresh-vs-recompute decision prices recomputing with the same
+        ``scratch`` candidate, so every strategy is in the same unit.  The
+        result is scaled by the per-engine multiplier (the columnar engine
+        touches rows vectorized).  Under ``entailment="saturate"`` the
+        statistics describe the (bigger) saturated graph.
 
-        Under ``entailment="saturate"`` the statistics describe the (bigger)
-        saturated graph.  Only the evaluable part divides across the
-        executor's lanes (:func:`~repro.olap.parallel.estimate_parallel_cost`
-        adds the merge and dispatch overheads).
+        On shards only the evaluable part divides across the usable lanes
+        (``min(workers, shard_count)``); merging touches every classifier
+        row once plus one state map per shard, and dispatch pays a flat
+        overhead per shard that ``CostModel.dispatch_cost`` sets by attach
+        mode — workers of a snapshot-backed instance attach by path, those
+        of a heap graph are seeded by pickling it, which keeps tiny
+        instances serial.
 
         A rolled query pays the base-query evaluation *plus* the rolling
         pass: every pres row goes through every hierarchy stage at the same
@@ -656,27 +647,88 @@ class OLAPPlanner:
         ``pres`` it reads (vectorized on a columnar one): the same known
         mispricing as the reuse candidates' (ROADMAP item 6), left as is.
         """
-        cost = estimate_scratch_cost(self._statistics, query)
+        model, statistics = self._model, self._statistics
+        classifier_rows = statistics.estimate_bgp_cardinality(query.classifier)
+        measure_rows = statistics.estimate_bgp_cardinality(query.measure)
+        cost = (
+            statistics.estimate_evaluation_cost(query.classifier)
+            + statistics.estimate_evaluation_cost(query.measure)
+            + (classifier_rows + measure_rows)
+        )
         if executor is not None:
-            cost = estimate_parallel_cost(
-                cost,
-                self._statistics.estimate_bgp_cardinality(query.classifier),
-                executor.workers,
-                executor.shard_count,
-                self._model,
-                self._evaluator.instance,
+            shards = executor.shard_count
+            lanes = max(1, min(executor.workers, shards))
+            merge = model.merge_cell_cost * (classifier_rows + shards)
+            cost = (
+                cost / lanes + merge + model.dispatch_cost(self._evaluator.instance) * shards
             )
         cost *= self._engine_multiplier
         if query.rollup:
-            if pres_rows_hint is not None:
-                pres_rows = float(pres_rows_hint)
-            else:
-                # Same pres-rows proxy as the join term of estimate_scratch_cost.
-                pres_rows = self._statistics.estimate_bgp_cardinality(
-                    query.classifier
-                ) + self._statistics.estimate_bgp_cardinality(query.measure)
-            cost += pres_rows * self._model.group_row_cost * len(query.rollup)
+            # Cached pres row counts when known, else the pres-rows proxy of
+            # the join term above.
+            pres_rows = (
+                float(pres_rows_hint)
+                if pres_rows_hint is not None
+                else classifier_rows + measure_rows
+            )
+            cost += pres_rows * model.group_row_cost * len(query.rollup)
         return cost
+
+    def _rewrite_cost(
+        self,
+        strategy: str,
+        rows: int,
+        cells: int,
+        query: AnalyticalQuery,
+        transformed_query: AnalyticalQuery,
+    ) -> float:
+        """Estimated rows touched by one of the paper's rewritings.
+
+        Every rewriting reads its materialized input (``rows`` of ``ans(Q)``
+        or ``pres(Q)``) and writes its estimated output, from those rows and
+        the ``cells`` of ``ans(Q)`` — mirroring the scratch candidate, whose
+        estimate also includes the output cardinality.
+        """
+        model = self._model
+        if strategy == "slice-dice/ans":
+            selected = rows * _sigma_selectivity(transformed_query)
+            return model.base_cost + selected + rows * model.select_row_cost
+        if strategy == "roll-up/pres":
+            selected = rows * _sigma_selectivity(transformed_query)
+            return model.base_cost + selected + rows * model.group_row_cost
+        if strategy == "drill-out/pres":
+            # Dropping dimensions merges groups: the output is at most the
+            # current answer size, estimated as half of it.
+            return model.base_cost + max(cells / 2.0, 1.0) + rows * model.group_row_cost
+        # drill-in/pres+aux.  The auxiliary join can only refine groups:
+        # output grows with the new dimension's fan-out, estimated at 2x the
+        # current cells.  The auxiliary query evaluates on the instance
+        # through the same engine as scratch, so it gets the same multiplier;
+        # the join over pres(Q) is priced at weight 1 (see __init__).
+        return model.base_cost + cells * 2.0 + (
+            rows * model.join_row_cost
+            + self._engine_multiplier * self._auxiliary_cost(query, transformed_query)
+        )
+
+    def _refresh_cost(self, materialized: MaterializedQueryResults, delta: GraphDelta) -> float:
+        """Estimated rows touched by patching ``materialized`` with ``delta``.
+
+        Grows linearly with the delta (one affected-fact probe seed per
+        unification of a delta triple with a body pattern) and with the
+        cached input sizes (one partition scan of ``pres``, one splice of
+        ``ans``) — so for small update batches it undercuts the from-scratch
+        estimate and for instance-sized batches it exceeds it, which is
+        exactly the crossover the planner should find.
+        """
+        maintainer, model = self._maintainer, self._model
+        query = materialized.query
+        if not maintainer.patchable(query):
+            return float("inf")  # such entries invalidate, never patch
+        return (
+            maintainer.unifications(query, delta) * model.delta_probe_cost
+            + len(materialized.partial) * model.pres_scan_cost
+            + len(materialized.answer) * model.refresh_cell_cost
+        )
 
     def _auxiliary_cost(
         self, original_query: AnalyticalQuery, transformed_query: AnalyticalQuery
@@ -695,3 +747,22 @@ class OLAPPlanner:
         except (InvalidOperationError, QueryDefinitionError):  # not applicable: the rewrite fails too
             return float("inf")
         return self._statistics.estimate_evaluation_cost(auxiliary)
+
+
+def _sigma_selectivity(transformed_query: AnalyticalQuery) -> float:
+    """Heuristic fraction of rows kept by the transformed query's σ_dice.
+
+    Value-set restrictions keep roughly ``min(1, |S| / 10)`` of the rows
+    (dimension domains in the workloads have tens of values); range and
+    predicate restrictions keep half.  Per-dimension fractions multiply
+    (independence).  Only used for ranking, never for correctness.
+    """
+    selectivity = 1.0
+    sigma = transformed_query.sigma
+    for dimension in sigma.restricted_dimensions():
+        restriction = sigma[dimension]
+        if restriction.values is not None:
+            selectivity *= min(1.0, len(restriction.values) / 10.0)
+        else:
+            selectivity *= 0.5
+    return max(selectivity, 0.001)

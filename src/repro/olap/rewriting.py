@@ -60,7 +60,6 @@ __all__ = [
     "answer_from_rolled_partial",
     "drill_out_from_answer_naive",
     "OLAPRewriter",
-    "RewriteOption",
     "RewritingResult",
 ]
 
@@ -271,29 +270,20 @@ def _combiner(aggregate):
 
 
 class _Rewriting(NamedTuple):
-    """How one OLAP operation is answered from materialized results.
-
-    ``derive(pres(Q), Q, Q_T, instance_evaluator)`` returns ``pres(Q_T)``;
-    ``output_rows(input_rows, cells, Q_T)`` is the crude output-size
-    estimate the planner prices with, from the rows of the input read
-    (``input_kind``) and the cells of ``ans(Q)``.
-    """
+    """How one OLAP operation is answered from materialized results:
+    ``derive(pres(Q), Q, Q_T, instance_evaluator)`` returns ``pres(Q_T)``."""
 
     strategy: str
     input_kind: str  # "answer" (Proposition 1) or "partial"
-    needs_instance: bool
     derive: Callable[..., PartialResult]
-    output_rows: Callable[[int, int, AnalyticalQuery], float]
 
 
 _SLICE_DICE = _Rewriting(
     "slice-dice/ans",
     "answer",
-    False,
     lambda partial, query, transformed_query, instance_evaluator: select_partial(
         partial, transformed_query
     ),
-    lambda rows, cells, transformed_query: rows * _sigma_selectivity(transformed_query),
 )
 
 #: The one place an operation class is mapped to its rewriting.  DRILL-DOWN
@@ -306,76 +296,19 @@ _REWRITINGS = {
     DrillOut: _Rewriting(
         "drill-out/pres",
         "partial",
-        False,
         lambda partial, query, transformed_query, instance_evaluator: drill_out_partial(
             partial, query, transformed_query
         ),
-        # Dropping dimensions merges groups: the output is at most the
-        # current answer size, estimated as half of it.
-        lambda rows, cells, transformed_query: max(cells / 2.0, 1.0),
     ),
-    DrillIn: _Rewriting(
-        "drill-in/pres+aux",
-        "partial",
-        True,
-        drill_in_partial,
-        # The auxiliary join can only refine groups; output grows with the
-        # new dimension's fan-out, estimated at 2x the current cells.
-        lambda rows, cells, transformed_query: cells * 2.0,
-    ),
+    DrillIn: _Rewriting("drill-in/pres+aux", "partial", drill_in_partial),
     RollUp: _Rewriting(
         "roll-up/pres",
         "partial",
-        False,
         lambda partial, query, transformed_query, instance_evaluator: roll_partial(
             partial, transformed_query, start=len(query.rollup)
         ),
-        lambda rows, cells, transformed_query: rows * _sigma_selectivity(transformed_query),
     ),
 }
-
-
-# ---------------------------------------------------------------------------
-# Strategy selection
-# ---------------------------------------------------------------------------
-
-
-class RewriteOption(NamedTuple):
-    """One applicable rewriting, reported to the planner.
-
-    Instead of callers hand-picking an algorithm per operation, the
-    rewriter *reports* what it can do with the materialized inputs at hand:
-    which strategy, which input it consumes and how big that input is, a
-    crude estimate of the output size, and whether the instance must be
-    consulted (DRILL-IN's auxiliary query).  The planner turns each option
-    into a costed plan candidate.
-    """
-
-    strategy: str
-    #: ``"answer"`` or ``"partial"`` — which materialized input is read.
-    input_kind: str
-    input_rows: int
-    estimated_output_rows: float
-    needs_instance: bool
-
-
-def _sigma_selectivity(transformed_query: AnalyticalQuery) -> float:
-    """Heuristic fraction of rows kept by the transformed query's σ_dice.
-
-    Value-set restrictions keep roughly ``min(1, |S| / 10)`` of the rows
-    (dimension domains in the workloads have tens of values); range and
-    predicate restrictions keep half.  Per-dimension fractions multiply
-    (independence).  Only used for ranking, never for correctness.
-    """
-    selectivity = 1.0
-    sigma = transformed_query.sigma
-    for dimension in sigma.restricted_dimensions():
-        restriction = sigma[dimension]
-        if restriction.values is not None:
-            selectivity *= min(1.0, len(restriction.values) / 10.0)
-        else:
-            selectivity *= 0.5
-    return max(selectivity, 0.001)
 
 
 class RewritingResult(NamedTuple):
@@ -405,41 +338,20 @@ class OLAPRewriter:
     def __init__(self, instance_evaluator: Optional[BGPEvaluator] = None):
         self._instance_evaluator = instance_evaluator
 
-    def options(
-        self,
-        materialized: MaterializedQueryResults,
-        operation: OLAPOperation,
-        transformed_query: Optional[AnalyticalQuery] = None,
-    ) -> Tuple[RewriteOption, ...]:
-        """The rewritings applicable to ``T(Q)`` from the materialized results.
+    def applicable(
+        self, query: AnalyticalQuery, operation: OLAPOperation, transformed_query: AnalyticalQuery
+    ) -> Optional[Tuple[str, str]]:
+        """``(strategy, input kind)`` of the rewriting of ``T(Q)``, or None.
 
-        Returns an empty tuple when the operation has no rewriting
-        (DRILL-DOWN), when DRILL-IN lacks an instance evaluator, or when
-        DRILL-OUT removes a Σ-restricted dimension — the planner then knows
-        reuse of the origin is off the table and falls back to from-scratch
-        evaluation.
+        The input kind is ``"answer"`` (Proposition 1 reads ``ans(Q)``) or
+        ``"partial"`` (``pres(Q)``).  None when the operation has no
+        rewriting (DRILL-DOWN) or DRILL-OUT removes a Σ-restricted dimension
+        — reuse of the origin is then off the table.
         """
-        query = materialized.query
-        if transformed_query is None:
-            transformed_query = operation.apply(query)
         rewriting = _REWRITINGS.get(type(operation))
-        if (
-            rewriting is None
-            or (rewriting.needs_instance and self._instance_evaluator is None)
-            or _removed_restricted_dimensions(query, transformed_query)
-        ):
-            return ()
-        cells = len(materialized.answer)
-        rows = cells if rewriting.input_kind == "answer" else len(materialized.partial)
-        return (
-            RewriteOption(
-                rewriting.strategy,
-                rewriting.input_kind,
-                rows,
-                rewriting.output_rows(rows, cells, transformed_query),
-                rewriting.needs_instance,
-            ),
-        )
+        if rewriting is None or _removed_restricted_dimensions(query, transformed_query):
+            return None
+        return rewriting.strategy, rewriting.input_kind
 
     def answer(
         self,

@@ -213,7 +213,7 @@ class OLAPSession:
         self.evaluator.entailment = entailment
         self._cache = ResultCache(cache_capacity, store_dir=cache_dir)
         self._cost_model = cost_model or CostModel()
-        self._maintainer = DeltaMaintainer(self.evaluator, cost_model=self._cost_model)
+        self._maintainer = DeltaMaintainer(self.evaluator)
         self._parallel = (
             ParallelExecutor(
                 self.evaluator,

@@ -1,5 +1,7 @@
 """Unit tests for Σ (dimension restrictions of extended analytical queries)."""
 
+import pickle
+
 import pytest
 
 from repro.algebra.expressions import comparable
@@ -39,6 +41,16 @@ class TestDimensionRestriction:
         assert not restriction.allows(Literal(31))
         exclusive = DimensionRestriction.to_range(20, 30, inclusive=False)
         assert not exclusive.allows(Literal(20))
+
+    @pytest.mark.parametrize("inclusive", [True, False])
+    def test_range_survives_a_pickle_round_trip(self, inclusive):
+        restriction = DimensionRestriction.to_range(Literal(20), Literal(30), inclusive)
+        copy = pickle.loads(pickle.dumps(restriction))
+        assert not copy.is_full
+        assert copy.canonical_token() == restriction.canonical_token()
+        assert copy.description == restriction.description
+        for age in (19, 20, 25, 30, 31, "Madrid"):
+            assert copy.allows(Literal(age)) is restriction.allows(Literal(age))
 
     def test_range_fails_closed_on_non_comparable(self):
         restriction = DimensionRestriction.to_range(20, 30)

@@ -152,9 +152,11 @@ class TestPolicies:
         assert decision.as_dict()["query_name"] == query.name
 
     def test_unprofitable_patch_is_invalidated(self, live):
-        """When refresh prices >= scratch the entry is dropped, never marked."""
+        """When refresh prices >= scratch the entry is dropped, never marked;
+        the drop is an invalidation, and the key-scoped pin survives it."""
         graph, session, query = live
         session.execute(query)
+        session.cache.pin(query)
         scheduler = RefreshScheduler([session], policy="lazy")
         # A huge delta relative to the cube: patching costs more than
         # recomputing, so every policy must invalidate.
@@ -166,6 +168,9 @@ class TestPolicies:
         assert scheduler.stats.lazy_marks == 0
         assert not session.cache.lazy_keys()
         assert session.cache.peek(query, graph) is None
+        assert session.cache.is_pinned(query)
+        assert session.cache.stats.evictions == 0
+        assert session.cache.stats.invalidations == 1
 
 
 class TestWritePathIsDeltaSized:

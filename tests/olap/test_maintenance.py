@@ -8,7 +8,7 @@ from repro.algebra.operators import project
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
 from repro.olap.cube import Cube
-from repro.olap.maintenance import DeltaMaintainer, estimate_scratch_cost
+from repro.olap.maintenance import DeltaMaintainer
 from repro.olap.operations import Slice
 from repro.olap.session import OLAPSession
 
@@ -441,33 +441,33 @@ class TestPlannerIntegration:
 
 
 class TestCostEstimates:
+    """The planner's ``price_refresh``: ``(refresh-cached, scratch)`` costs
+    of one stale cache entry."""
+
+    @staticmethod
+    def _priced(session, query):
+        return session.planner.price_refresh(*session.cache.stale_entry(query, session.instance))
+
     def test_small_delta_refresh_beats_scratch(self, small_blogger_dataset):
         from repro.datagen.blogger import sites_per_blogger_query
 
         instance = small_blogger_dataset.instance.copy()
         query = sites_per_blogger_query(small_blogger_dataset.schema)
-        evaluator = AnalyticalQueryEvaluator(instance)
-        maintainer = DeltaMaintainer(evaluator)
-        materialized = evaluator.evaluate(query)
-        version = instance.version
+        session = OLAPSession(instance)
+        session.execute(query)
         _add_blogger(instance, "bench_userA", 30, "Madrid", sites=("s1",))
-        delta = instance.deltas_since(version)
-        refresh_cost = maintainer.estimate_refresh_cost(materialized, delta)
-        scratch_cost = estimate_scratch_cost(evaluator.bgp_evaluator.statistics, query)
+        refresh_cost, scratch_cost = self._priced(session, query)
         assert refresh_cost < scratch_cost
 
     def test_cost_grows_with_delta_size(self, example2_instance, sites_query):
-        evaluator = AnalyticalQueryEvaluator(example2_instance)
-        maintainer = DeltaMaintainer(evaluator)
-        materialized = evaluator.evaluate(sites_query)
-        version = example2_instance.version
+        session = OLAPSession(example2_instance)
+        session.execute(sites_query)
         _add_blogger(example2_instance, "d1", 20, "Rome", sites=("s1",))
-        small = example2_instance.deltas_since(version)
-        small_cost = maintainer.estimate_refresh_cost(materialized, small)
+        small_cost, _ = self._priced(session, sites_query)
         for index in range(10):
             _add_blogger(example2_instance, f"d2_{index}", 21 + index, "Rome", sites=("s1", "s2"))
-        large = example2_instance.deltas_since(version)
-        assert maintainer.estimate_refresh_cost(materialized, large) > small_cost
+        large_cost, _ = self._priced(session, sites_query)
+        assert large_cost > small_cost
 
 
 class TestRefreshWorkIsDeltaSized:

@@ -4,7 +4,7 @@ The merge algebra is tested directly (empty shards, one-shard degeneracy,
 AVG merge exactness, count_distinct dedup across shards, associativity and
 commutativity); the executor is tested against the serial engine on the
 paper's hand-built instances across backends, including the fallback paths
-(non-mergeable aggregates, unpicklable Σ restrictions).
+(non-mergeable aggregates, unpicklable Σ predicates).
 """
 
 import itertools
@@ -24,15 +24,18 @@ from repro.algebra.grouping import (
     group_partial_states,
     merge_group_states,
 )
+from repro.algebra.expressions import comparable
 from repro.algebra.relation import Relation
 from repro.algebra.operators import project
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery, KEY_COLUMN
+from repro.analytics.sigma import DimensionRestriction
+from repro.olap.cache import ResultCache
 from repro.olap.cube import Cube
-from repro.olap.parallel import KEY_STRIDE, ParallelExecutor, estimate_parallel_cost
+from repro.olap.parallel import KEY_STRIDE, ParallelExecutor
+from repro.olap.planner import OLAPPlanner
 from repro.olap.session import OLAPSession
 from repro.olap.calibration import CostModel
-from repro.olap.maintenance import estimate_scratch_cost
 
 from tests.conftest import make_sites_query, make_words_query
 
@@ -225,6 +228,24 @@ def _executor(instance, **kwargs):
     return ParallelExecutor(AnalyticalQueryEvaluator(instance), **kwargs)
 
 
+def _predicate_query(name):
+    """The sites query with a Σ predicate held in a lambda: it never pickles."""
+    base = make_sites_query("count")
+    in_twenties = DimensionRestriction.to_predicate(
+        lambda age: 20 <= comparable(age) <= 30, "age in [20, 30]"
+    )
+    return base.with_sigma(base.sigma.restrict("dage", in_twenties), name=name)
+
+
+def _priced(instance, query, **executor_kwargs):
+    """``{strategy: cost}`` of ``plan_query(query)`` on a planner over
+    ``instance`` whose parallel executor is built from ``executor_kwargs``."""
+    evaluator = AnalyticalQueryEvaluator(instance)
+    with ParallelExecutor(evaluator, backend="serial", **executor_kwargs) as executor:
+        plan = OLAPPlanner(evaluator, ResultCache(), parallel=executor).plan_query(query)
+    return {candidate.strategy: candidate.cost for candidate in plan.candidates}
+
+
 class TestParallelExecutor:
     @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
     @pytest.mark.parametrize("workers,shards,backend", [
@@ -339,15 +360,24 @@ class TestParallelExecutor:
         assert not after.same_cells(before)  # workers saw the update
 
     def test_unpicklable_sigma_falls_back_to_threads(self, example2_instance):
-        from repro.analytics.sigma import DimensionRestriction
-
-        base = make_sites_query("count")
-        sigma = base.sigma.restrict("dage", DimensionRestriction.to_range(20, 30))
-        query = base.with_sigma(sigma, name="Q_range")
+        query = _predicate_query("Q_predicate")
         oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
         with _executor(example2_instance, workers=2, shard_count=2, backend="process") as executor:
             cube = Cube(executor.answer(query), query)
             assert executor.last_backend == "thread"
+        assert cube.same_cells(oracle)
+
+    def test_range_dice_reaches_process_workers(self, example2_instance):
+        """A range restriction (the paper's Example 4 ``20 ≤ d_age ≤ 30``)
+        keeps its bounds as data, so the query pickles."""
+        base = make_sites_query("count")
+        sigma = base.sigma.restrict("dage", DimensionRestriction.to_range(20, 30))
+        query = base.with_sigma(sigma, name="Q_range")
+        oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
+        with _executor(example2_instance, workers=2, shard_count=2) as executor:
+            cube = Cube(executor.answer(query), query)
+            assert executor.last_backend == "process"
+            assert executor.stats.fallbacks == []
         assert cube.same_cells(oracle)
 
     def test_non_mergeable_aggregate_falls_back_to_serial(self, example2_instance):
@@ -388,24 +418,13 @@ class TestParallelExecutor:
 
 class TestParallelCostModel:
     def test_dispatch_overhead_keeps_tiny_instances_serial(self, example2_instance):
-        statistics = AnalyticalQueryEvaluator(example2_instance).bgp_evaluator.statistics
-        query = make_sites_query("count")
-        serial_cost = estimate_scratch_cost(statistics, query)
-        cells = statistics.estimate_bgp_cardinality(query.classifier)
-        parallel_cost = estimate_parallel_cost(
-            serial_cost, cells, workers=4, shard_count=4, model=CostModel()
-        )
-        assert parallel_cost > serial_cost
+        costs = _priced(example2_instance, make_sites_query("count"), workers=4, shard_count=4)
+        assert costs["parallel"] > costs["scratch"]
 
     def test_more_workers_price_lower_until_overhead_dominates(self, example2_instance):
-        statistics = AnalyticalQueryEvaluator(example2_instance).bgp_evaluator.statistics
         query = make_sites_query("count")
-        serial_cost = estimate_scratch_cost(statistics, query)
-        cells = statistics.estimate_bgp_cardinality(query.classifier)
         same_shards = [
-            estimate_parallel_cost(
-                serial_cost, cells, workers=workers, shard_count=8, model=CostModel()
-            )
+            _priced(example2_instance, query, workers=workers, shard_count=8)["parallel"]
             for workers in (1, 2, 4, 8)
         ]
         assert same_shards == sorted(same_shards, reverse=True)
@@ -508,11 +527,7 @@ class TestExecutorStatsAndAttachMode:
             assert executor.stats.fallbacks == []
 
     def test_unpicklable_query_fallback_is_recorded(self, example2_instance):
-        from repro.analytics.sigma import DimensionRestriction
-
-        base = make_sites_query("count")
-        sigma = base.sigma.restrict("dage", DimensionRestriction.to_range(20, 30))
-        query = base.with_sigma(sigma, name="Q_range_stats")
+        query = _predicate_query("Q_predicate_stats")
         with _executor(example2_instance, workers=2, shard_count=2, backend="process") as executor:
             executor.answer(query)
             assert executor.stats.dispatches.get("thread") == 1
@@ -572,11 +587,7 @@ class TestExecutorStatsAndAttachMode:
         assert cube.same_cells(oracle)
 
     def test_fallbacks_surface_in_plan_explain(self, example2_instance):
-        from repro.analytics.sigma import DimensionRestriction
-
-        base = make_sites_query("count")
-        sigma = base.sigma.restrict("dage", DimensionRestriction.to_range(20, 30))
-        query = base.with_sigma(sigma, name="Q_range_explain")
+        query = _predicate_query("Q_predicate_explain")
         with OLAPSession(
             example2_instance, workers=2, shard_count=2, parallel_backend="process"
         ) as session:
@@ -603,18 +614,10 @@ class TestExecutorStatsAndAttachMode:
         assert model.mmap_dispatch_shard_cost < model.dispatch_shard_cost
 
     def test_mmap_dispatch_prices_parallel_cheaper(self, example2_instance):
-        statistics = AnalyticalQueryEvaluator(example2_instance).bgp_evaluator.statistics
         query = make_sites_query("count")
-
-        class Mapped:
-            snapshot_path = "/tmp/example2.snap"
-
-        serial_cost = estimate_scratch_cost(statistics, query)
-        cells = statistics.estimate_bgp_cardinality(query.classifier)
-        pickled = estimate_parallel_cost(
-            serial_cost, cells, workers=2, shard_count=4, model=CostModel()
-        )
-        mmap = estimate_parallel_cost(
-            serial_cost, cells, workers=2, shard_count=4, model=CostModel(), graph=Mapped()
-        )
-        assert mmap < pickled
+        mapped = example2_instance.copy()
+        mapped.snapshot_path = "example2.snap"  # priced only: no worker attaches
+        pickled = _priced(example2_instance, query, workers=2, shard_count=4)
+        mmap = _priced(mapped, query, workers=2, shard_count=4)
+        assert mmap["parallel"] < pickled["parallel"]
+        assert mmap["scratch"] == pickled["scratch"]

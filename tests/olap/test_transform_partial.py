@@ -19,7 +19,9 @@ from repro.olap import (
     DimensionHierarchy,
     DrillIn,
     DrillOut,
+    OLAPPlanner,
     OLAPSession,
+    ResultCache,
     RollUp,
     Slice,
 )
@@ -253,12 +255,15 @@ def test_restricted_removed_dimension_still_refuses(engine):
     evaluator = AnalyticalQueryEvaluator(_multivalued_instance(), engine=engine)
     sliced = Slice("dcity", EX.term("Madrid")).apply(make_words_query("sum"))
     materialized = evaluator.evaluate(sliced)
+    drilled = DrillOut("dcity").apply(sliced)
+    planner = OLAPPlanner(evaluator, ResultCache())
+    with pytest.raises(RewritingError, match="cannot be answered by rewriting"):
+        planner.plan(sliced, DrillOut("dcity"), drilled, materialized, families=("rewrite",))
     rewriter = OLAPRewriter(evaluator.bgp_evaluator)
-    assert rewriter.options(materialized, DrillOut("dcity")) == ()
     with pytest.raises(RewritingError, match="restricts"):
         rewriter.answer(materialized, DrillOut("dcity"))
     with pytest.raises(RewritingError, match="restricts"):
-        drill_out_partial(materialized.partial, sliced, DrillOut("dcity").apply(sliced))
+        drill_out_partial(materialized.partial, sliced, drilled)
 
 
 # ---------------------------------------------------------------------------

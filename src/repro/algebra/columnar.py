@@ -608,43 +608,29 @@ def dedup_arrays(arrays: List["_np.ndarray"]) -> "_np.ndarray":
     return order[starts]
 
 
-def _distinct_measure_values(relation: ColumnarIdRelation, measure: str):
-    """``(values, inverse)``: the comparable value of each distinct measure
-    id (its dictionary's ``value``) and every row's position among them."""
-    distinct, inverse = relation._distinct_ids(measure, inverse=True)
-    if relation.column_decoder(measure) is None:
-        return distinct.tolist(), inverse
-    return list(map(relation.dictionary.value, distinct.tolist())), inverse
-
-
 def _measure_value_array(
     relation: ColumnarIdRelation, measure: str, aggregate: AggregateFunction
 ):
-    """Per-row numeric measure values: one dictionary value per distinct id.
+    """Per-row numeric measure values: one kind check and one gather from
+    the dictionary's typed column (:meth:`~repro.rdf.dictionary.TermDictionary.numeric_values`).
 
-    Returns an int64 array (all-``int`` bags, kept exact) or a float64 one
-    (all-``float`` bags), else None — Decimal, strings, booleans, or ints
-    mixed with floats (a group of ints alone must still sum to an ``int``):
-    the row γ owns those semantics, including the skip-the-group answer to
-    undefined aggregates.
+    Returns an int64 array (all-``int`` bags of magnitude under 2³¹, kept
+    exact) or a float64 one (all-``float`` bags), else None — Decimal,
+    strings, booleans, larger ints, ints mixed with floats (a group of ints
+    alone must still sum to an ``int``) or a custom ``prepare``: the row γ
+    owns those semantics, including the skip-the-group answer to undefined
+    aggregates.  A column of raw numbers (not ids) is taken as it is when
+    its dtype says the same.
     """
-    decoded, inverse = _distinct_measure_values(relation, measure)
-    try:
-        prepared = aggregate.prepare(decoded)
-    except AggregationError:
-        return None
-    kinds = set(map(type, prepared))
-    if kinds <= {int}:
-        # Unlimited-precision Python ints must stay exact: bound the
-        # magnitude so that even a whole-relation SUM (and a cross-shard
-        # merge of per-shard sums) cannot overflow int64 — 2^31 distinct
-        # magnitude times < 2^31 contributing rows stays under 2^62.
-        # Anything larger falls back to the row engine's exact arithmetic.
-        if any(abs(value) >= (1 << 31) for value in prepared):
-            return None
-        return _np.asarray(prepared, dtype=_np.int64)[inverse]
-    if kinds == {float}:
-        return _np.asarray(prepared, dtype=_np.float64)[inverse]
+    if getattr(aggregate.prepare, "__func__", None) is not AggregateFunction.prepare:
+        return None  # a custom conversion: only the row γ applies it
+    array = relation.column_array(measure)
+    if relation.column_decoder(measure) is not None:
+        return relation.dictionary.numeric_values(array)
+    if array.dtype == _np.float64 or (
+        array.dtype == _np.int64 and -(1 << 31) < array.min() and array.max() < (1 << 31)
+    ):
+        return array
     return None
 
 
@@ -654,7 +640,10 @@ def _distinct_value_codes(relation: ColumnarIdRelation, measure: str):
     Two ids decoding to equal comparable values (``"28"`` and ``"28.0"``)
     receive the same code — the distinctness space of count_distinct.
     """
-    values, inverse = _distinct_measure_values(relation, measure)
+    distinct, inverse = relation._distinct_ids(measure, inverse=True)
+    values = distinct.tolist()
+    if relation.column_decoder(measure) is not None:
+        values = list(map(relation.dictionary.value, values))
     code_of: Dict[object, int] = {}
     codes = [code_of.setdefault(value, len(code_of)) for value in values]
     return _np.asarray(codes, dtype=_np.int64)[inverse]

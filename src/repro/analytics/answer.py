@@ -21,7 +21,7 @@ benchmarks):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import MaterializationError
 from repro.algebra.expressions import comparable
@@ -179,7 +179,7 @@ class CubeAnswer:
         self._storage = relation
         self._decoded: Optional[Relation] = None
         self._cells: Optional[Dict[Tuple, object]] = None
-        self._comparable_cells: Optional[Dict[Tuple, object]] = None
+        self._comparable_cells: Optional[Dict[Tuple, List]] = None
         self.dimension_columns = dimension_columns
         self.measure_column = measure_column
 
@@ -233,15 +233,16 @@ class CubeAnswer:
         answer._comparable_cells = self._comparable_cells
         return answer
 
-    def comparable_cells(self) -> Dict[Tuple, object]:
+    def comparable_cells(self) -> Dict[Tuple, List]:
         """The cells keyed through the literal-to-Python conversion (built
-        once): what finds ``cube.cell(28, "Madrid")`` under typed literals
-        and what ``same_cells`` compares.  The first cell of a key wins."""
+        once), each key → the measures of every cell converting to it, in
+        cell order: what finds ``cube.cell(28, "Madrid")`` under typed
+        literals and what ``same_cells`` compares."""
         index = self._comparable_cells
         if index is None:
             index = {}
             for key, measure in self.decoded_cells().items():
-                index.setdefault(tuple(map(comparable, key)), measure)
+                index.setdefault(tuple(map(comparable, key)), []).append(measure)
             self._comparable_cells = index
         return index
 

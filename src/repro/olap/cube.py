@@ -14,8 +14,9 @@ same answer (a cache hit) shares it.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from types import MappingProxyType
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import OLAPError
 from repro.algebra.expressions import comparable
@@ -97,7 +98,7 @@ class Cube:
         # cube.cell(28, "Madrid") finds the cell keyed by typed literals.
         wanted = tuple(comparable(value) for value in key)
         try:
-            return self._answer.comparable_cells()[wanted]
+            return self._answer.comparable_cells()[wanted][0]  # the first cell of a key wins
         except KeyError:
             raise OLAPError(f"no cell for dimension values {key!r}") from None
 
@@ -137,7 +138,8 @@ class Cube:
 
         Dimension values are compared through their Python conversion so a
         cube built by rewriting (whose keys may be raw literals) compares
-        equal to one built from scratch.
+        equal to one built from scratch.  Where several cells of a cube
+        convert to one key, all their measures are matched, one to one.
         """
         if self.dimensions != other.dimensions:
             return False
@@ -145,14 +147,7 @@ class Cube:
         theirs = other._answer.comparable_cells()
         if mine.keys() != theirs.keys():
             return False
-        for key, measure in mine.items():
-            value, other_value = comparable(measure), comparable(theirs[key])
-            if isinstance(value, (int, float)) and isinstance(other_value, (int, float)):
-                if abs(float(value) - float(other_value)) > tolerance:
-                    return False
-            elif value != other_value:
-                return False
-        return True
+        return all(_same_measures(measures, theirs[key], tolerance) for key, measures in mine.items())
 
     def to_text(self, max_rows: int = 20) -> str:
         """ASCII rendering of the cube (sorted for stable output)."""
@@ -160,3 +155,21 @@ class Cube:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Cube(dims={self.dimensions}, cells={len(self._cells)})"
+
+
+def _same_measures(measures: List, others: List, tolerance: float) -> bool:
+    """True when the measures of one key's cells pair up one to one, both
+    sides sorted (numbers by value, first): within ``tolerance`` where both
+    are int or float, else exactly."""
+    mine, theirs = (sorted(map(comparable, side), key=_measure_order) for side in (measures, others))
+    return len(mine) == len(theirs) and all(
+        not abs(float(value) - float(other)) > tolerance
+        if isinstance(value, (int, float)) and isinstance(other, (int, float))
+        else value == other
+        for value, other in zip(mine, theirs)
+    )
+
+
+def _measure_order(value: object) -> Tuple:
+    number = isinstance(value, (int, float, Decimal))
+    return (not number, float(value) if number else repr(value))

@@ -12,6 +12,7 @@ order — a property the benchmarks rely on for reproducibility.
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Dict, Iterator, List, Tuple
 
@@ -21,11 +22,16 @@ from repro.rdf.terms import Term
 
 __all__ = ["TermDictionary"]
 
-#: Guards the assigning path of :meth:`TermDictionary.encode_derived` (two
-#: pool threads of one serving generation share a dictionary).  Module-level
-#: so that dictionaries — heap graphs are pickled into worker processes —
-#: stay picklable.
-_DERIVED_LOCK = threading.Lock()
+#: Guards the assigning paths of :meth:`TermDictionary.encode_derived` and of
+#: the typed value column (two pool threads of one serving generation share a
+#: dictionary).  Module-level so that dictionaries — heap graphs are pickled
+#: into worker processes — stay picklable.
+_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):  # a forked child must not inherit a lock another thread held
+    os.register_at_fork(after_in_child=_LOCK._at_fork_reinit)
+
+#: Kinds in the typed value column; 0 is "not filled yet".
+_INT, _FLOAT, _OTHER = 1, 2, 3
 
 
 class TermDictionary:
@@ -44,7 +50,11 @@ class TermDictionary:
     a snapshot or a graph fingerprint.
 
     :meth:`value` keeps each id's comparable value once it is asked for:
-    append-only ids never change meaning, so the memo is never stale.
+    append-only ids never change meaning, so the memo is never stale.  The
+    same values also sit in a **typed column** — id-indexed numpy arrays of a
+    kind and an int64 or float64 value, filled once per id on the first
+    :meth:`numeric_values` that asks for it and grown geometrically as ids
+    are appended — from which γ gathers a measure column in one step.
     """
 
     def __init__(self):
@@ -53,6 +63,7 @@ class TermDictionary:
         self._derived_ids: Dict[object, int] = {}
         self._derived_values: List[object] = []
         self._values: Dict[int, object] = {}
+        self._typed = None  # (kinds int8, values int64, head): see _fill_typed
 
     def __len__(self) -> int:
         return len(self._id_to_term)
@@ -93,7 +104,7 @@ class TermDictionary:
         if found is None:
             found = self._derived_ids.get(value)
         if found is None:
-            with _DERIVED_LOCK:
+            with _LOCK:
                 found = self._derived_ids.get(value)
                 if found is None:
                     self._derived_values.append(value)
@@ -115,6 +126,63 @@ class TermDictionary:
         except KeyError:
             found = self._values[term_id] = comparable(self.decode(term_id))
             return found
+
+    def numeric_values(self, ids):
+        """The values of ``ids`` (a non-empty numpy array of ids) in one
+        gather from the typed column, or None.
+
+        The answer is an int64 array when every id's :meth:`value` is an
+        ``int`` of magnitude under 2³¹ (a SUM of fewer than 2³¹ of them
+        cannot overflow), a float64 one when every one is a ``float``, and
+        None for anything else — Decimal, bool, string, a larger int, or a
+        mix of ints and floats — which the row γ owns.
+        """
+        typed, low, high = self._typed, int(ids.min()), int(ids.max())
+        kinds = None
+        if typed is not None and typed[2] - len(typed[0]) <= low and high < typed[2]:
+            kinds = typed[0][ids]
+        if kinds is None or not kinds.all():
+            typed = self._fill_typed(ids if kinds is None else ids[kinds == 0], low, high)
+            kinds = typed[0][ids]
+        kind = int(kinds[0])
+        if kind == _OTHER or not (kinds == kind).all():
+            return None
+        return typed[1][ids] if kind == _INT else typed[1].view("float64")[ids]
+
+    def _fill_typed(self, missing, low: int, high: int):
+        """Convert the ``missing`` ids, then grow the typed column to cover
+        ids ``low..high`` and store them.  The column is ``(kinds, values,
+        head)``: term ids index the first ``head`` slots, and a derived id
+        ``-k`` the k-th slot from the end (numpy's negative indexing); a float
+        is kept as its bits in the int64 ``values``, read through a float64
+        view."""
+        import numpy as np  # only the columnar γ calls this: rdf/ imports no numpy
+
+        # Converted outside the lock (two threads filling one id store equal
+        # values); the lock only covers growing and storing.
+        converted: Dict[int, Dict[int, object]] = {_INT: {}, _FLOAT: {}, _OTHER: {}}  # kind → id → value
+        for term_id in set(missing.tolist()):
+            value = self.value(term_id)
+            small_int = type(value) is int and -(1 << 31) < value < (1 << 31)
+            kind = _INT if small_int else _FLOAT if type(value) is float else _OTHER
+            converted[kind][term_id] = 0 if kind == _OTHER else value
+        with _LOCK:
+            kinds, values, head = self._typed or (np.zeros(0, np.int8), np.zeros(0, np.int64), 0)
+            tail = len(kinds) - head
+            if high >= head or -low > tail:
+                grown_head = max(high + 1, 2 * head, len(self)) if high >= head else head
+                grown_tail = max(-low, 2 * tail) if -low > tail else tail
+                size = grown_head + grown_tail
+                fresh = np.zeros(size, np.int8), np.zeros(size, np.int64)
+                for old, new in zip((kinds, values), fresh):
+                    new[:head], new[size - tail :] = old[:head], old[head:]
+                (kinds, values), head = fresh, grown_head
+            for kind, found in converted.items():
+                term_ids = np.fromiter(found, np.intp, len(found))
+                (values.view(np.float64) if kind == _FLOAT else values)[term_ids] = list(found.values())
+                kinds[term_ids] = kind  # after the value: a reader that sees the kind sees its value
+            self._typed = kinds, values, head
+        return self._typed
 
     def _decode_derived(self, term_id: int) -> object:
         if not -len(self._derived_values) <= term_id < 0:

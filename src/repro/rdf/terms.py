@@ -1,8 +1,11 @@
 """RDF terms: IRIs, literals, blank nodes and query variables.
 
-The term model follows the RDF 1.1 abstract syntax.  Terms are immutable,
-hashable value objects so that they can be used freely as dictionary keys,
-set members and columns of bag relations.
+The term model follows the RDF 1.1 abstract syntax.  Terms are immutable
+and **interned**: a constructor validates and normalises its arguments, then
+returns the one live instance of that value, so equality and hashing are
+``object``'s identity, run in C — a dict keyed by tuples of terms (a cube's
+cell map) never calls Python per key.  The intern table holds terms weakly,
+and unpickling and :mod:`copy` re-intern.
 
 Design notes
 ------------
@@ -18,10 +21,12 @@ Design notes
 
 from __future__ import annotations
 
+import os
 import re
 import threading
+import weakref
 from decimal import Decimal, InvalidOperation
-from typing import Union
+from typing import Dict, Union
 
 from repro.errors import InvalidTermError
 
@@ -43,19 +48,15 @@ _BNODE_LABEL = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
 
 
 class Term:
-    """Abstract base class of all RDF terms (and of :class:`Variable`); a term
-    hashes once, at construction, over its value (not a dictionary id)."""
+    """Abstract base class of all RDF terms (and of :class:`Variable`).
 
-    __slots__ = ("_hash",)
+    Every concrete term is interned: ``IRI("a") is IRI("a")`` and
+    ``Literal(28) is Literal("28", XSD_INTEGER)``, while terms of different
+    kinds with one spelling (``IRI("a")``, ``BlankNode("a")``,
+    ``Literal("a")``) stay distinct objects, hence unequal.
+    """
 
-    def _freeze(self, *values) -> None:
-        """Set the value slots — each subclass's ``__slots__`` — and the hash."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_hash", hash((type(self).__name__, *values)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ("__weakref__",)
 
     def __setattr__(self, name, val):  # immutability guard
         raise AttributeError(f"{type(self).__name__} instances are immutable")
@@ -67,9 +68,7 @@ class Term:
         return getattr(self, name) < getattr(other, name)
 
     def __reduce__(self):
-        # Immutable terms (which graphs and queries ship to worker processes)
-        # unpickle through _freeze, which re-hashes: a str hashes differently
-        # in another process (spawn, PYTHONHASHSEED), so no hash is shipped.
+        # The value is shipped, never an identity: unpickling re-interns.
         state = {name: getattr(self, name) for name in self.__slots__}
         return (_restore_term, (type(self), state))
 
@@ -107,14 +106,14 @@ class IRI(Term):
 
     __slots__ = ("value",)
 
-    def __init__(self, value: str):
+    def __new__(cls, value: str):
         if not isinstance(value, str):
             raise InvalidTermError(f"IRI value must be a string, got {type(value).__name__}")
         if not value:
             raise InvalidTermError("IRI value must be a non-empty string")
         if _IRI_FORBIDDEN.search(value):
             raise InvalidTermError(f"IRI contains forbidden characters: {value!r}")
-        self._freeze(value)
+        return _intern(cls, value)
 
     def n3(self) -> str:
         return f"<{self.value}>"
@@ -127,11 +126,6 @@ class IRI(Term):
             if index != -1 and index + 1 < len(value):
                 return value[index + 1 :]
         return value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IRI) and self.value == other.value
-
-    __hash__ = Term.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -184,8 +178,8 @@ class Literal(Term):
 
     __slots__ = ("lexical", "datatype", "language")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         lexical: Union[str, int, float, bool, Decimal],
         datatype: Union["IRI", str, None] = None,
         language: str | None = None,
@@ -226,7 +220,7 @@ class Literal(Term):
             else:
                 raise InvalidTermError("datatype must be an IRI or a string")
 
-        self._freeze(lexical, datatype_value, language)
+        return _intern(cls, lexical, datatype_value, language)
 
     # -- conversion --------------------------------------------------------
 
@@ -272,16 +266,6 @@ class Literal(Term):
             return quoted
         return f"{quoted}^^<{self.datatype}>"
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Literal)
-            and self.lexical == other.lexical
-            and self.datatype == other.datatype
-            and self.language == other.language
-        )
-
-    __hash__ = Term.__hash__
-
     def __lt__(self, other: "Literal") -> bool:
         if not isinstance(other, Literal):
             return NotImplemented
@@ -289,7 +273,10 @@ class Literal(Term):
             mine, theirs = self.to_python(), other.to_python()
             # An ill-typed form (``"abc"^^xsd:integer``) stays a str: order it by its lexical key.
             if not isinstance(mine, str) and not isinstance(theirs, str):
-                return float(mine) < float(theirs)
+                try:  # int, float and Decimal compare exactly with each other
+                    return mine < theirs
+                except InvalidOperation:  # a Decimal NaN is unordered, as float NaN is
+                    return False
         return (self.lexical, self.datatype) < (other.lexical, other.datatype)
 
     def __str__(self) -> str:
@@ -301,20 +288,15 @@ class BlankNode(Term):
 
     __slots__ = ("label",)
 
-    def __init__(self, label: str):
+    def __new__(cls, label: str):
         if not isinstance(label, str) or not label:
             raise InvalidTermError("blank node label must be a non-empty string")
         if not _BNODE_LABEL.match(label):
             raise InvalidTermError(f"invalid blank node label: {label!r}")
-        self._freeze(label)
+        return _intern(cls, label)
 
     def n3(self) -> str:
         return f"_:{self.label}"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BlankNode) and self.label == other.label
-
-    __hash__ = Term.__hash__
 
     def __str__(self) -> str:
         return self.label
@@ -323,39 +305,70 @@ class BlankNode(Term):
 class Variable(Term):
     """A query variable, used in triple patterns and query heads.
 
-    Variables compare by name only; ``Variable("x") == Variable("x")``.
+    Variables compare by name only; ``Variable("x") is Variable("?x")``.
     """
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if isinstance(name, Variable):
-            name = name.name
+            return name
         if not isinstance(name, str) or not name:
             raise InvalidTermError("variable name must be a non-empty string")
         if name.startswith("?") or name.startswith("$"):
             name = name[1:]
         if not _VARIABLE_NAME.match(name):
             raise InvalidTermError(f"invalid variable name: {name!r}")
-        self._freeze(name)
+        return _intern(cls, name)
 
     def n3(self) -> str:
         return f"?{self.name}"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Variable) and self.name == other.name
-
-    __hash__ = Term.__hash__
 
     def __str__(self) -> str:
         return self.name
 
 
+class _Entry(weakref.ref):
+    __slots__ = ("key",)  # the intern table's weak reference to one term, and its key
+
+
+#: ``(class, *value slots)`` → weak reference to the one live term.
+_TABLE: Dict[tuple, _Entry] = {}
+_TABLE_LOCK = threading.RLock()  # re-entrant: a GC pass inside _intern runs _forget
+if hasattr(os, "register_at_fork"):  # a forked child must not inherit a lock another thread held
+    os.register_at_fork(after_in_child=_TABLE_LOCK._at_fork_reinit)
+
+
+def _intern(cls, *values) -> Term:
+    """The live ``cls`` term holding ``values`` (already validated and
+    normalised); built and entered in the table when there is none."""
+    key = (cls, *values)
+    entry = _TABLE.get(key)
+    term = None if entry is None else entry()
+    if term is None:
+        with _TABLE_LOCK:  # two threads building one value get one instance
+            entry = _TABLE.get(key)
+            term = None if entry is None else entry()
+            if term is None:
+                term = object.__new__(cls)
+                for name, value in zip(cls.__slots__, values):
+                    object.__setattr__(term, name, value)
+                entry = _TABLE[key] = _Entry(term, _forget)
+                entry.key = key
+    return term
+
+
+def _forget(entry: _Entry, table=_TABLE, lock=_TABLE_LOCK) -> None:
+    """A freed term's callback: drop its entry, unless a new instance of the
+    same value has already replaced it."""
+    with lock:
+        if table.get(entry.key) is entry:
+            del table[entry.key]
+
+
 def _restore_term(cls, state):
-    """Unpickling helper: rebuild (and re-hash) a term without re-validating."""
-    instance = cls.__new__(cls)
-    instance._freeze(*(state[name] for name in cls.__slots__))
-    return instance
+    """Unpickling helper: the interned term of the shipped value (no re-validation)."""
+    return _intern(cls, *(state[name] for name in cls.__slots__))
 
 
 TermOrVariable = Union[IRI, Literal, BlankNode, Variable]

@@ -7,7 +7,9 @@ plus the engine-resolution contract (``REPRO_ENGINE`` override, the
 the planner's per-engine cost multiplier.
 """
 
+import operator
 import pickle
+from decimal import Decimal
 
 import pytest
 
@@ -15,7 +17,7 @@ np = pytest.importorskip("numpy")
 
 from repro.errors import AlgebraError, ConfigurationError, UnknownColumnError
 from repro.algebra import columnar
-from repro.algebra.aggregates import get_aggregate
+from repro.algebra.aggregates import AggregateFunction, get_aggregate
 from repro.algebra.columnar import (
     ROW_CONVERSIONS,
     ArrayGroupStates,
@@ -428,6 +430,117 @@ class TestColumnarGamma:
         fast = group_aggregate(relation, ["d"], "v", "count_distinct")
         assert fast.bag_equal(group_aggregate(row_relation, ["d"], "v", "count_distinct"))
         assert fast.rows[0][-1] == 2
+
+
+class _DoubledSum(AggregateFunction):
+    """SUM with a custom ``prepare``: only the row γ applies it."""
+
+    def prepare(self, values):
+        return [2 * value for value in super().prepare(values)]
+
+
+_DOUBLED_SUM = _DoubledSum.from_states(
+    "sum", sum, operator.add, lambda state, value=None: state, True, True, False
+)
+
+
+def _gamma_rows(values, aggregate):
+    """γ_{d, aggregate(v)} of ``values`` (two groups) on both engines."""
+    rows = [
+        (IRI(f"http://example.org/f{index}"), IRI(f"http://example.org/g{index % 2}"), value)
+        for index, value in enumerate(values)
+    ]
+    columnar_relation, row_relation = _paired_relations(rows)
+    fast = group_aggregate(columnar_relation, ["d"], "v", aggregate)
+    return columnar_relation, fast, group_aggregate(row_relation, ["d"], "v", aggregate)
+
+
+class TestTypedValueColumn:
+    """γ's measure conversion: one kind check over the distinct ids, one
+    gather from the dictionary's typed column; anything else is the row γ's."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [Literal(Decimal("1.5")), Literal(Decimal("2.25")), Literal(Decimal("4"))],
+            [Literal(True), Literal(False), Literal(True)],
+            [Literal("3"), Literal("4.5"), Literal("7")],
+            [Literal(2**31), Literal(1), Literal(-(2**31))],
+            [Literal(1), Literal(2.5), Literal(4)],
+        ],
+        ids=["decimal", "bool", "numeric-string", "int-2^31", "int-float-mix"],
+    )
+    @pytest.mark.parametrize("aggregate", ("sum", "avg", "min", "max"))
+    def test_fallback_cases_give_the_row_engines_answer(self, values, aggregate):
+        relation, fast, slow = _gamma_rows(values, aggregate)
+        _assert_no_array_form(relation, aggregate)
+        assert fast.bag_equal(slow)
+
+    def test_custom_prepare_goes_to_the_row_gamma(self):
+        relation, fast, slow = _gamma_rows([Literal(1), Literal(2), Literal(3)], _DOUBLED_SUM)
+        _assert_no_array_form(relation, _DOUBLED_SUM)
+        assert fast.bag_equal(slow)
+        assert sorted(row[-1] for row in fast.rows) == [4, 8]
+
+    @pytest.mark.parametrize("aggregate", ("sum", "avg", "min", "max"))
+    def test_derived_ids_gather_from_the_columns_tail(self, aggregate):
+        dictionary = TermDictionary()
+        group = dictionary.encode(IRI("http://example.org/g"))
+        ids = [dictionary.encode(Literal(5)), dictionary.encode_derived(Literal(40))]
+        ids.append(dictionary.encode_derived(41))
+        arrays = {"d": np.asarray([group] * 3), "v": np.asarray(ids)}
+        relation = ColumnarIdRelation.from_arrays(("d", "v"), arrays, dictionary)
+        assert isinstance(relation.group_states(["d"], "v", get_aggregate(aggregate)), ArrayGroupStates)
+        slow = IdRelation(("d", "v"), relation.rows, dictionary=dictionary)
+        assert group_aggregate(relation, ["d"], "v", aggregate).bag_equal(
+            group_aggregate(slow, ["d"], "v", aggregate)
+        )
+
+    @pytest.mark.parametrize("values", [[Literal(3), Literal(-4), Literal(10)], [Literal(0.5), Literal(2.25)]])
+    def test_ints_and_floats_gather_each_id_converted_once(self, values, monkeypatch):
+        relation, fast, slow = _gamma_rows(values, "sum")
+        assert fast.bag_equal(slow)
+        asked = []
+        value = relation.dictionary.value
+        monkeypatch.setattr(relation.dictionary, "value", lambda term_id: asked.append(term_id) or value(term_id))
+        for aggregate in ("sum", "avg", "min", "max"):
+            states = relation.group_states(["d"], "v", get_aggregate(aggregate))
+            assert isinstance(states, ArrayGroupStates)
+        assert asked == []  # filled by the first γ, gathered ever since
+
+    def test_a_dictionary_that_grows_after_the_column_was_built(self):
+        dictionary = TermDictionary()
+        group = dictionary.encode(IRI("http://example.org/g"))
+
+        def summed(values):
+            ids = [dictionary.encode(value) for value in values]
+            arrays = {"d": np.asarray([group] * len(ids)), "v": np.asarray(ids)}
+            relation = ColumnarIdRelation.from_arrays(("d", "v"), arrays, dictionary)
+            (row,) = group_aggregate(relation, ["d"], "v", "sum").rows
+            slow = IdRelation(("d", "v"), relation.rows, dictionary=dictionary)
+            assert group_aggregate(slow, ["d"], "v", "sum").rows == [row]
+            return row[-1]
+
+        assert summed([Literal(1), Literal(2)]) == 3
+        size = len(dictionary._typed[0])
+        grown = [Literal(index) for index in range(3, 3 + 2 * size)]
+        assert summed([Literal(1), *grown]) == 1 + sum(range(3, 3 + 2 * size))
+        assert len(dictionary._typed[0]) > size
+        assert summed([Literal(2), Literal(0.5)]) == 2.5  # a mix: the row γ
+        assert summed([Literal(0.25), Literal(0.5)]) == 0.75
+
+    def test_raw_number_columns_are_taken_as_they_are(self):
+        dictionary = TermDictionary()
+        arrays = {"d": np.asarray([0, 0, 1]), "v": np.asarray([1.5, 2.0, 4.0])}
+        dictionary.encode(IRI("http://example.org/g0"))
+        dictionary.encode(IRI("http://example.org/g1"))
+        relation = ColumnarIdRelation.from_arrays(("d", "v"), arrays, dictionary, encoded=["d"])
+        assert isinstance(relation.group_states(["d"], "v", get_aggregate("sum")), ArrayGroupStates)
+        huge = ColumnarIdRelation.from_arrays(
+            ("d", "v"), {"d": arrays["d"], "v": np.asarray([2**40, 1, 2])}, dictionary, encoded=["d"]
+        )
+        _assert_no_array_form(huge, "sum")
+        assert sorted(group_aggregate(huge, ["d"], "v", "sum").rows) == [(0, 2**40 + 1), (1, 2)]
 
 
 class TestArrayGroupStates:

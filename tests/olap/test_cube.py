@@ -180,6 +180,25 @@ class TestComparison:
         other = Cube(CubeAnswer(relation, ("dcity",), "v"))
         assert not two_dim_cube.same_cells(other)
 
+    def test_cells_sharing_a_comparable_key_are_all_compared(self):
+        """``"28"^^xsd:integer`` and ``"28.0"^^xsd:double`` convert to one key:
+        every cell under it counts, not only the first."""
+
+        def cube(*rows):
+            return Cube(CubeAnswer(Relation(["d", "v"], list(rows)), ("d",), "v"))
+
+        both = cube((Literal(28), 5), (Literal(28.0), 7))
+        first_only = cube((Literal(28), 5))
+        assert not both.same_cells(first_only) and not first_only.same_cells(both)
+        assert not both.same_cells(cube((Literal(28), 5), (Literal(28.0), 8)))
+        assert not both.same_cells(cube((Literal(28), 5), (Literal("x"), 7)))
+        assert both.same_cells(cube((Literal(28.0), 7), (Literal(28), 5 + 1e-12)))
+        # Paired in sorted order: 0 with -0.9e-9 and 1.8e-9 with 0.9e-9 are each
+        # within the tolerance, though pairing 0 with 0.9e-9 first is not.
+        spread = cube((Literal(28), 0.0), (Literal(28.0), 1.8e-9))
+        assert spread.same_cells(cube((Literal(28), 0.9e-9), (Literal(28.0), -0.9e-9)))
+        assert both.cell(28) == 5  # lookup: the first such cell
+
     def test_missing_cell_not_equal(self, two_dim_cube):
         relation = Relation(["dage", "dcity", "v"], [(Literal(28), EX.term("Madrid"), 3)])
         other = Cube(CubeAnswer(relation, ("dage", "dcity"), "v"))

@@ -1,5 +1,7 @@
 """Unit tests for the term dictionary (integer encoding)."""
 
+from decimal import Decimal
+
 import pytest
 
 from repro.errors import DictionaryError
@@ -126,3 +128,86 @@ class TestTermDictionary:
         dictionary.encode(EX.user2)
         assert dict(dictionary.items()) == {EX.user1: 0, EX.user2: 1}
         assert list(dictionary.terms()) == [EX.user1, EX.user2]
+
+
+class TestTypedValueColumn:
+    """The id-indexed kind / int64 / float64 arrays γ gathers measures from."""
+
+    def test_kinds_values_and_growth(self):
+        np = pytest.importorskip("numpy")
+        dictionary = TermDictionary()
+        ints = [dictionary.encode(Literal(value)) for value in (3, -7, 2**31 - 1)]
+        rows = np.asarray(ints + ints[:1])  # any order, repeats allowed
+        assert dictionary.numeric_values(rows).tolist() == [3, -7, 2**31 - 1, 3]
+        floats = [dictionary.encode(Literal(value)) for value in (0.5, -2.25)]
+        gathered = dictionary.numeric_values(np.asarray(floats))
+        assert gathered.dtype == np.float64 and gathered.tolist() == [0.5, -2.25]
+        assert dictionary.numeric_values(np.asarray(ints[:1] + floats[:1])) is None  # a mix
+        others = [Literal(2**31), Literal(True), Literal("3"), EX.user1, Literal(Decimal("1"))]
+        for term in others:
+            assert dictionary.numeric_values(np.asarray([dictionary.encode(term)])) is None
+        size = len(dictionary._typed[0])
+        late = [dictionary.encode(Literal(value)) for value in range(100, 100 + size)]
+        assert dictionary.numeric_values(np.asarray(late)).tolist() == list(range(100, 100 + size))
+        assert len(dictionary._typed[0]) > size
+        assert dictionary.numeric_values(rows).tolist() == [3, -7, 2**31 - 1, 3]
+
+    def test_derived_ids_live_in_the_columns_tail(self):
+        np = pytest.importorskip("numpy")
+        dictionary = TermDictionary()
+        term_ids = [dictionary.encode(Literal(value)) for value in (1, 2)]
+        derived = [dictionary.encode_derived(value) for value in (Literal(40), 41, Literal(42))]
+        ids = np.asarray(derived + term_ids)
+        assert dictionary.numeric_values(ids).tolist() == [40, 41, 42, 1, 2]
+        assert dictionary.numeric_values(np.asarray([dictionary.encode_derived("label")])) is None
+
+    def test_a_mapped_dictionary_decodes_the_heap_dictionarys_instances(self, tmp_path):
+        np = pytest.importorskip("numpy")
+        from repro.rdf.graph import Graph
+        from repro.storage import load_snapshot, save_snapshot
+
+        graph = Graph()
+        for index in range(20):
+            graph.add((EX.term(f"fact{index}"), EX.amount, Literal(index % 7)))
+            graph.add((EX.term(f"fact{index}"), EX.label, Literal(f"f{index}", language="en")))
+        path = str(tmp_path / "instance.snap")
+        save_snapshot(graph, path)
+        mapped = load_snapshot(path, mmap=True).dictionary
+        assert all(mapped.decode(term_id) is term for term, term_id in graph.dictionary.items())
+        amounts = [graph.dictionary.lookup(Literal(value)) for value in range(7)]
+        assert mapped.numeric_values(np.asarray(amounts)).tolist() == list(range(7))  # inherited
+
+    def test_readers_gathering_while_a_writer_appends_read_right_values(self):
+        np = pytest.importorskip("numpy")
+        import sys
+        import threading
+
+        dictionary = TermDictionary()
+        for value in range(60):
+            dictionary.encode(Literal(value))  # id == value throughout
+        errors, done = [], threading.Event()
+
+        def write():
+            for value in range(60, 4000):
+                dictionary.encode(Literal(value))
+            done.set()
+
+        def read():
+            while not done.is_set():
+                newest = np.arange(len(dictionary) - 50, len(dictionary))  # grows the column
+                values = dictionary.numeric_values(newest)
+                if values is None or values.tolist() != newest.tolist():
+                    errors.append(newest[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write)] + [threading.Thread(target=read) for _ in range(7)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and dictionary._typed[2] >= 2 * 60  # the column grew

@@ -1,18 +1,27 @@
 """Unit tests for RDF terms (IRI, Literal, BlankNode, Variable)."""
 
+import copy
+import gc
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import threading
+import time
+import warnings
+import weakref
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 from repro.errors import InvalidTermError
+from repro.rdf import terms as terms_module
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import (
     IRI,
+    Term,
     BlankNode,
     Literal,
     Variable,
@@ -126,6 +135,17 @@ class TestLiteral:
         assert Literal(9) < Literal(10)
         assert Literal(2.5) < Literal(3)
 
+    def test_numeric_ordering_is_exact(self):
+        """Integers above 2⁵³ and a Decimal against a float order exactly,
+        not through ``float``."""
+        assert Literal(2**53) < Literal(2**53 + 1) and not Literal(2**53 + 1) < Literal(2**53)
+        assert Literal(Decimal("0.1")) < Literal(0.1) and not Literal(0.1) < Literal(Decimal("0.1"))
+        assert sorted([Literal(2**53 + 1), Literal(2**53)]) == [Literal(2**53), Literal(2**53 + 1)]
+
+    @pytest.mark.parametrize("nan", [Literal(float("nan")), Literal("NaN", datatype=XSD_DECIMAL)])
+    def test_nan_is_unordered(self, nan):
+        assert not nan < Literal(1) and not Literal(1) < nan
+
     def test_ill_typed_numeric_orders_by_its_lexical_form(self):
         ill_typed = Literal("abc", datatype=XSD_INTEGER)
         one = Literal("1", datatype=XSD_INTEGER)
@@ -203,8 +223,138 @@ _TERMS = (
 )
 
 
+class TestInterning:
+    """One live instance per value: equality and hashing are identity."""
+
+    def test_equal_values_are_one_object(self):
+        assert IRI("http://example.org/x") is IRI("http://example.org/x")
+        assert Literal(28) is Literal("28", XSD_INTEGER)
+        assert Literal("chat", language="FR") is Literal("chat", language="fr")
+        assert Literal("7", datatype=IRI(XSD_INTEGER)) is Literal(7)
+        assert BlankNode("b1") is BlankNode("b1")
+        assert Variable("?x") is Variable("x") is Variable(Variable("x"))
+
+    def test_one_spelling_of_different_kinds_stays_unequal(self):
+        kinds = [IRI("a"), BlankNode("a"), Literal("a"), Variable("a")]
+        assert len({id(term) for term in kinds}) == 4
+        assert all(a != b for index, a in enumerate(kinds) for b in kinds[index + 1 :])
+
+    def test_no_term_class_defines_eq_or_hash(self):
+        for cls in (Term, IRI, Literal, BlankNode, Variable):
+            assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+            assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+
+    @pytest.mark.parametrize("term", _TERMS, ids=lambda term: type(term).__name__)
+    def test_pickle_and_copy_return_the_interned_instance(self, term):
+        assert pickle.loads(pickle.dumps(term)) is term
+        assert copy.copy(term) is term and copy.deepcopy(term) is term
+
+    def test_term_unpickled_from_another_hash_seed_is_the_interned_one(self):
+        output = _pickled_in_subprocess(
+            "[IRI('http://example.org/user1'), Literal('28', 'http://www.w3.org/2001/XMLSchema#integer')]"
+        )
+        assert all(mine is theirs for mine, theirs in zip(pickle.loads(output)[0], _TERMS[:2]))
+
+    def test_a_term_nothing_holds_is_freed_with_its_entry(self):
+        term = IRI("http://example.org/only-here")
+        key, alive = (IRI, term.value), weakref.ref(term)
+        assert key in terms_module._TABLE
+        del term
+        gc.collect()
+        assert alive() is None and key not in terms_module._TABLE
+        assert IRI("http://example.org/only-here").value == "http://example.org/only-here"
+
+    def test_a_stale_callback_leaves_a_newer_entry_alone(self):
+        term = IRI("http://example.org/kept")
+        key = (IRI, term.value)
+        entry = terms_module._TABLE[key]
+        stale = terms_module._Entry(term)
+        stale.key = key
+        terms_module._forget(stale)
+        assert terms_module._TABLE[key] is entry and IRI("http://example.org/kept") is term
+
+    def test_threads_building_one_value_get_one_instance(self):
+        values = [f"http://example.org/race/{index}" for index in range(300)]
+        built = [[] for _ in range(8)]
+        barrier = threading.Barrier(len(built))
+
+        def build(mine, offset):
+            barrier.wait(timeout=10)
+            for index in range(len(values)):
+                mine.append(IRI(values[(index + offset) % len(values)]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(mine, 37 * n)) for n, mine in enumerate(built)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for value in values:
+            assert len({id(term) for mine in built for term in mine if term.value == value}) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_interns_while_a_parent_thread_holds_the_locks(self):
+        """A process pool forks while a serving thread may be interning or
+        encoding: the child gets fresh locks, not the held ones."""
+        from repro.rdf import dictionary as dictionary_module
+
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with terms_module._TABLE_LOCK, dictionary_module._LOCK:
+                held.set()
+                release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(timeout=10)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads alive
+                pid = os.fork()
+            if pid == 0:  # the child: one new term, one freed term, one derived id
+                try:
+                    IRI("http://example.org/forked/new")
+                    TermDictionary().encode_derived(("forked", 1))
+                finally:
+                    os._exit(0)
+            deadline = time.monotonic() + 10
+            while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if status[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            assert status[0] == pid and os.WIFEXITED(status[1]), "the forked child blocked on a lock"
+        finally:
+            release.set()
+            holder.join(timeout=10)
+
+
+def _pickled_in_subprocess(expression: str) -> bytes:
+    """``pickle.dumps((terms, hashes))`` of ``expression``'s terms, built in a
+    subprocess under another hash seed than this one."""
+    ours = os.environ.get("PYTHONHASHSEED", "")
+    seed = str(int(ours) + 1) if ours.isdigit() else "1"
+    src = Path(__file__).resolve().parents[2] / "src"
+    environment = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+    script = (
+        "import pickle, sys\n"
+        "from repro.rdf.terms import IRI, Literal\n"
+        f"terms = {expression}\n"
+        "sys.stdout.buffer.write(pickle.dumps((terms, [hash(t) for t in terms])))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script], env=environment, capture_output=True, check=True, timeout=60
+    ).stdout
+
+
 class TestHashOnce:
-    """A term hashes once, at construction, over its value."""
+    """A term's hash is fixed for its life and a pickle ships no hash."""
 
     @pytest.mark.parametrize("term", _TERMS, ids=lambda term: type(term).__name__)
     def test_pickle_ships_the_value_not_the_hash(self, term):
@@ -217,19 +367,7 @@ class TestHashOnce:
 
     def test_term_pickled_under_another_hash_seed_finds_its_entry(self):
         """A hash pickled from another process would miss every dict lookup."""
-        ours = os.environ.get("PYTHONHASHSEED", "")
-        seed = str(int(ours) + 1) if ours.isdigit() else "1"
-        src = Path(__file__).resolve().parents[2] / "src"
-        environment = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
-        script = (
-            "import pickle, sys\n"
-            "from repro.rdf.terms import IRI, Literal\n"
-            "terms = [IRI('http://example.org/user1'), Literal('chat', language='fr')]\n"
-            "sys.stdout.buffer.write(pickle.dumps((terms, [hash(t) for t in terms])))\n"
-        )
-        output = subprocess.run(
-            [sys.executable, "-c", script], env=environment, capture_output=True, check=True, timeout=60
-        ).stdout
+        output = _pickled_in_subprocess("[IRI('http://example.org/user1'), Literal('chat', language='fr')]")
         terms, foreign_hashes = pickle.loads(output)
         assert [hash(term) for term in terms] != foreign_hashes  # the seeds really differ
         entries = {_TERMS[0]: "iri", _TERMS[2]: "literal"}

@@ -7,9 +7,8 @@ its OLAP rewriting algorithms — exactly the operators the pipeline runs:
   and its id-space variant :class:`IdRelation` (dictionary-encoded columns,
   late materialization);
 * :mod:`repro.algebra.operators` — σ, π, δ, ⋈, ×, ∪, rename;
-* :mod:`repro.algebra.expressions` — how σ compiles its predicate (Σ, or
-  any row callable) and :func:`comparable`, the value conversion every
-  comparison goes through;
+* :mod:`repro.algebra.expressions` — :func:`comparable`, the value
+  conversion every comparison (Σ's σ among them) goes through;
 * :mod:`repro.algebra.aggregates` — ⊕ functions with distributivity metadata;
 * :mod:`repro.algebra.grouping` — the γ group-and-aggregate operator.
 """

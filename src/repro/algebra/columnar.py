@@ -290,11 +290,9 @@ class ColumnarIdRelation(IdRelation):
 
     # -- the relation protocol, on the arrays -----------------------------
 
-    def select(self, predicate) -> Relation:
-        """σ by Σ's boolean mask; any other predicate runs on rows."""
-        mask = _predicate_mask(self, predicate)
-        if mask is None:
-            return self.to_rows("sigma:opaque-predicate").select(predicate)
+    def select(self, predicate) -> "ColumnarIdRelation":
+        """σ by Σ's boolean mask."""
+        mask = _sigma_mask(self, predicate.sigma)
         return self.take(slice(None) if mask is True else mask)
 
     def project(self, columns: Sequence[str]) -> "ColumnarIdRelation":
@@ -476,14 +474,9 @@ def _column_mask(relation: ColumnarIdRelation, column: str, test: Callable[[obje
     return _np.isin(array, _np.asarray(list(allowed), dtype=array.dtype))
 
 
-def _predicate_mask(relation: ColumnarIdRelation, predicate):
+def _sigma_mask(relation: ColumnarIdRelation, sigma):
     """Σ's boolean mask: one membership mask per restricted dimension the
-    relation holds (True for all rows); None for any other predicate."""
-    # Duck-typed via the public accessor so algebra need not import the
-    # analytics layer.
-    sigma = getattr(predicate, "sigma", None)
-    if sigma is None or not hasattr(sigma, "dimensions"):
-        return None
+    relation holds (True for all rows)."""
     mask = True
     for name in sigma.dimensions:
         restriction = sigma.restriction(name)

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import List, Mapping, Sequence, Tuple
 
 from repro.errors import SchemaMismatchError, UnknownColumnError
-from repro.algebra.expressions import RowPredicate
 from repro.algebra.relation import IdRelation, Relation, relation_like
 
 __all__ = [
@@ -41,12 +40,12 @@ __all__ = [
 ]
 
 
-def select(relation: Relation, predicate: RowPredicate) -> Relation:
-    """σ: keep the rows satisfying ``predicate``.
+def select(relation: Relation, predicate) -> Relation:
+    """σ: keep the rows satisfying ``predicate``, a Σ predicate
+    (:meth:`~repro.analytics.sigma.Sigma.predicate`).
 
-    A Σ predicate is compiled once against the relation's column positions
-    (row storage) or to a boolean mask (columnar storage); any other
-    callable receives per-row mappings (decoded on id-space relations).
+    It is compiled once against the relation's column positions (row
+    storage) or to a boolean mask (columnar storage).
     """
     return relation.select(predicate)
 

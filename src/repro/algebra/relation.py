@@ -31,7 +31,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
 
 from repro.errors import AggregationError, SchemaMismatchError, UnknownColumnError
 from repro.algebra.aggregates import POISONED_GROUP
-from repro.algebra.expressions import compile_predicate
 
 __all__ = ["Relation", "IdRelation", "Row", "relation_like"]
 
@@ -199,13 +198,6 @@ class Relation:
             return {value for value in self.distinct_values(name) if test(value)}
         return {value for value in self.distinct_values(name) if test(decode(value))}
 
-    def row_as_dict(self, row: Row) -> Dict[str, object]:
-        return dict(zip(self._columns, row))
-
-    def iter_dicts(self) -> Iterator[Dict[str, object]]:
-        for row in self.rows:
-            yield self.row_as_dict(row)
-
     # ------------------------------------------------------------------
     # value space (overridden by IdRelation)
     # ------------------------------------------------------------------
@@ -315,7 +307,7 @@ class Relation:
         return self
 
     def select(self, predicate) -> "Relation":
-        test = compile_predicate(predicate, self)
+        test = predicate.compile(self)
         return relation_like(self._columns, [row for row in self._rows if test(row)], self)
 
     def project(self, columns: Sequence[str]) -> "Relation":
@@ -617,13 +609,6 @@ class IdRelation(Relation):
             return super()._column_image(name, distinct, function)
         decode, encode = self._dictionary.decode, self._dictionary.encode_derived
         return {value_id: encode(function(decode(value_id))) for value_id in distinct}
-
-    def row_as_dict(self, row: Row) -> Dict[str, object]:
-        decode = self._dictionary.decode
-        return {
-            name: decode(value) if name in self._encoded else value
-            for name, value in zip(self._columns, row)
-        }
 
     def to_text(self, max_rows: int = 20) -> str:
         return self.materialize().to_text(max_rows=max_rows)

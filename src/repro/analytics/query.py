@@ -28,7 +28,7 @@ Validation performed at construction:
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 from repro.errors import QueryDefinitionError
 from repro.algebra.aggregates import AggregateFunction, get_aggregate
@@ -36,6 +36,9 @@ from repro.rdf.terms import Variable
 from repro.bgp.query import BGPQuery
 from repro.analytics.schema import AnalyticalSchema
 from repro.analytics.sigma import DimensionRestriction, Sigma
+
+if TYPE_CHECKING:
+    from repro.olap.hierarchy import DimensionHierarchy
 
 __all__ = ["AnalyticalQuery", "RollStage", "KEY_COLUMN", "canonical_bgp_key"]
 
@@ -71,11 +74,13 @@ class RollStage:
 
     __slots__ = ("dimension", "hierarchy", "sigma_before")
 
-    def __init__(self, dimension: str, hierarchy: object, sigma_before: Sigma):
-        if not hasattr(hierarchy, "parent") or not hasattr(hierarchy, "canonical_token"):
+    def __init__(self, dimension: str, hierarchy: "DimensionHierarchy", sigma_before: Sigma):
+        # Imported here: repro.olap sits above the analytics layer.
+        from repro.olap.hierarchy import DimensionHierarchy
+
+        if not isinstance(hierarchy, DimensionHierarchy):
             raise QueryDefinitionError(
-                "a RollStage hierarchy must provide parent() and canonical_token() "
-                f"(got {type(hierarchy).__name__})"
+                f"a RollStage hierarchy must be a DimensionHierarchy, got {type(hierarchy).__name__}"
             )
         self.dimension = dimension
         self.hierarchy = hierarchy
@@ -94,7 +99,7 @@ class RollStage:
         return self.canonical_token() == other.canonical_token()
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"RollStage({self.dimension} via {getattr(self.hierarchy, 'name', '?')})"
+        return f"RollStage({self.dimension} via {self.hierarchy.name})"
 
 
 class AnalyticalQuery:
@@ -293,7 +298,7 @@ class AnalyticalQuery:
             self.rollup[count].sigma_before, f"{self.name}@lvl{count}", self.rollup[:count]
         )
 
-    def with_rollup(self, dimension: str, hierarchy: object, name: Optional[str] = None) -> "AnalyticalQuery":
+    def with_rollup(self, dimension: str, hierarchy: "DimensionHierarchy", name: Optional[str] = None) -> "AnalyticalQuery":
         """Push a ROLL-UP stage: coarsen ``dimension`` through ``hierarchy``.
 
         The current Σ is recorded on the stage (it restricts the *finer*
@@ -384,8 +389,7 @@ class AnalyticalQuery:
         ]
         for level, stage in enumerate(self.rollup, start=1):
             lines.append(
-                f"  roll-up[{level}]: {stage.dimension} via "
-                f"{getattr(stage.hierarchy, 'name', 'hierarchy')}"
+                f"  roll-up[{level}]: {stage.dimension} via {stage.hierarchy.name}"
             )
         return "\n".join(lines)
 

@@ -6,61 +6,55 @@ to a non-empty subset of ``V_i``.  SLICE and DICE are then pure Σ
 transformations.
 
 Here Σ is represented by :class:`Sigma`, a mapping from dimension name to a
-:class:`DimensionRestriction`.  A restriction is one of:
+:class:`DimensionRestriction`.  A restriction is plain data, one of:
 
 * the **full** domain (no constraint) — the default for every dimension;
 * an explicit **value set**;
-* an intensional **predicate** (e.g. a numeric range, as in the paper's
-  Example 4 where ``20 ≤ d_age ≤ 30``), carrying a human-readable
-  description.
+* a **range** between two bounds, each end closed or open (e.g. the
+  paper's Example 4, where ``20 ≤ d_age ≤ 30``).
 
-Restrictions answer :meth:`DimensionRestriction.allows` for individual
-values; :meth:`Sigma.allows_row` combines them over a row of dimension
-values, which is exactly the σ_dice selection of Definition 5.
+The conjunction of two restrictions (:meth:`DimensionRestriction.intersect`)
+is again one of these, so a restriction pickles, compares and canonicalizes
+by value whatever OLAP chain built it.  Restrictions answer
+:meth:`DimensionRestriction.allows` for individual values;
+:meth:`Sigma.allows_row` combines them over a row of dimension values, which
+is exactly the σ_dice selection of Definition 5, and :meth:`Sigma.predicate`
+is the one σ predicate the algebra runs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Dict, Iterable, Mapping, Optional, Tuple, Union
+from decimal import Decimal
+from fractions import Fraction
+from operator import ge, gt, le, lt
+from typing import Collection, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import SigmaError
 from repro.algebra.expressions import comparable
 
 __all__ = ["DimensionRestriction", "Sigma", "SigmaPredicate"]
 
+_EMPTY = "the intersection of the two restrictions is empty"
+#: A range's test at its low and its high end, by whether the end is closed.
+_AT_LEAST, _AT_MOST = {True: ge, False: gt}, {True: le, False: lt}
+
 
 class DimensionRestriction:
-    """The restriction Σ(dᵢ) of one dimension."""
+    """The restriction Σ(dᵢ) of one dimension: full, a value set or a range."""
 
-    __slots__ = ("_values", "_comparable_values", "_predicate", "_range", "description")
+    __slots__ = ("_values", "_comparable_values", "_range")
 
-    def __init__(
-        self,
-        values: Optional[Collection[object]] = None,
-        predicate: Optional[Callable[[object], bool]] = None,
-        description: str = "",
-    ):
-        self._range: Optional[Tuple[object, object, bool]] = None
-        if values is not None and predicate is not None:
-            raise SigmaError("a dimension restriction is either a value set or a predicate, not both")
-        if values is not None:
-            values_tuple = tuple(values)
-            if not values_tuple:
-                raise SigmaError("a dimension restriction value set must be non-empty (Definition 2)")
-            self._values = values_tuple
-            self._comparable_values = {comparable(value) for value in values_tuple}
-        else:
-            self._values = None
-            self._comparable_values = None
-        self._predicate = predicate
-        if not description:
-            if values is not None:
-                description = "{" + ", ".join(str(value) for value in self._values) + "}"
-            elif predicate is not None:
-                description = getattr(predicate, "__name__", "predicate")
-            else:
-                description = "V (full domain)"
-        self.description = description
+    def __init__(self, values: Optional[Collection[object]] = None):
+        #: ``(low, low_closed, high, high_closed)`` for a range.
+        self._range: Optional[Tuple[object, bool, object, bool]] = None
+        if values is None:
+            self._values = self._comparable_values = None
+            return
+        values_tuple = tuple(values)
+        if not values_tuple:
+            raise SigmaError("a dimension restriction value set must be non-empty (Definition 2)")
+        self._values = values_tuple
+        self._comparable_values = {comparable(value) for value in values_tuple}
 
     # -- constructors -------------------------------------------------------
 
@@ -81,49 +75,57 @@ class DimensionRestriction:
 
     @classmethod
     def to_range(cls, low: object, high: object, inclusive: bool = True) -> "DimensionRestriction":
-        """Restriction to a numeric/lexicographic range (range DICE).
-
-        The bounds are kept as data, not in a closure, so a range-diced
-        query pickles and reaches process workers.
-        """
-        bounds = f"[{low}, {high}]" if inclusive else f"({low}, {high})"
-        restriction = cls(description=f"range {bounds}")
-        restriction._range = (low, high, inclusive)
-        return restriction
+        """Restriction to a numeric/lexicographic range (range DICE), closed
+        at both ends or open at both ends."""
+        return cls._between(low, bool(inclusive), high, bool(inclusive))
 
     @classmethod
-    def to_predicate(cls, predicate: Callable[[object], bool], description: str = "") -> "DimensionRestriction":
-        """Restriction defined by an arbitrary membership predicate."""
-        return cls(predicate=predicate, description=description)
+    def _between(cls, low: object, low_closed: bool, high: object, high_closed: bool) -> "DimensionRestriction":
+        restriction = cls()
+        restriction._range = (low, low_closed, high, high_closed)
+        return restriction
 
     # -- semantics -----------------------------------------------------------
 
     @property
     def is_full(self) -> bool:
         """True for the unconstrained restriction."""
-        return self._values is None and self._predicate is None and self._range is None
+        return self._values is None and self._range is None
 
     @property
     def values(self) -> Optional[Tuple[object, ...]]:
-        """The explicit value set, or None for full/predicate restrictions."""
+        """The explicit value set, or None for full/range restrictions."""
         return self._values
+
+    @property
+    def bounds(self) -> Optional[Tuple[object, bool, object, bool]]:
+        """``(low, low_closed, high, high_closed)`` of a range, else None."""
+        return self._range
+
+    @property
+    def description(self) -> str:
+        """A human-readable rendering (session history, ``Sigma.describe``)."""
+        if self._values is not None:
+            return "{" + ", ".join(str(value) for value in self._values) + "}"
+        if self._range is not None:
+            low, low_closed, high, high_closed = self._range
+            return f"range {'[' if low_closed else '('}{low}, {high}{']' if high_closed else ')'}"
+        return "V (full domain)"
 
     def allows(self, value: object) -> bool:
         """True when ``value`` belongs to Σ(dᵢ)."""
-        if self.is_full:
-            return True
-        if self._predicate is not None:
-            return bool(self._predicate(value))
         if self._range is not None:
-            low, high, inclusive = self._range
-            low, high, candidate = comparable(low), comparable(high), comparable(value)
+            low, low_closed, high, high_closed = self._range
+            candidate = comparable(value)
             try:
-                if inclusive:
-                    return low <= candidate <= high
-                return low < candidate < high
+                return _AT_LEAST[low_closed](candidate, comparable(low)) and _AT_MOST[high_closed](
+                    candidate, comparable(high)
+                )
             except TypeError:
                 return False
-        if value in self._values:  # type: ignore[operator]
+        if self._values is None:
+            return True
+        if value in self._values:
             return True
         try:
             return comparable(value) in self._comparable_values  # type: ignore[operator]
@@ -134,24 +136,21 @@ class DimensionRestriction:
         """A value-based identity token for caching (see :mod:`repro.olap.cache`).
 
         Two restrictions with equal tokens allow exactly the same values, so
-        materialized results keyed by the token can be shared:
-
-        * the full domain and explicit value sets canonicalize by value
-          (order-insensitive, via the same literal-to-Python conversion the
-          σ_dice selection uses);
-        * ranges built by :meth:`to_range` canonicalize by their bounds;
-        * arbitrary predicates have no inspectable extension, so they
-          canonicalize by object identity — never falsely shared, but only
-          reusable while the same predicate object is in play.
+        materialized results keyed by the token can be shared.  Value sets
+        canonicalize order-insensitively and ranges by their bounds, both
+        through the same literal-to-Python conversion the σ_dice selection
+        uses; numbers that compare equal (``20``, ``20.0``) render alike, so
+        restrictions that allow the same values have equal tokens.
         """
-        if self.is_full:
-            return "*"
         if self._values is not None:
-            return "in{" + ",".join(sorted(repr(v) for v in self._comparable_values)) + "}"
+            return "in{" + ",".join(sorted(_token_of(v) for v in self._comparable_values)) + "}"
         if self._range is not None:
-            low, high, inclusive = self._range
-            return f"range({comparable(low)!r},{comparable(high)!r},{inclusive})"
-        return f"pred@{id(self._predicate)}"
+            low, low_closed, high, high_closed = self._range
+            return (
+                f"range{'[' if low_closed else '('}{_token_of(low)},"
+                f"{_token_of(high)}{']' if high_closed else ')'}"
+            )
+        return "*"
 
     def subsumes(self, other: "DimensionRestriction") -> bool:
         """True when every value allowed by ``other`` is allowed by this one.
@@ -164,56 +163,82 @@ class DimensionRestriction:
             return True
         if other.is_full:
             return False
-        if self.canonical_token() == other.canonical_token():
-            return True
         if other._values is not None:
             # A finite extension: check membership value by value.
             return all(self.allows(value) for value in other._values)
-        if self._range is not None and other._range is not None:
-            low, high, inclusive = self._range
-            other_low, other_high, other_inclusive = other._range
-            try:
-                wider_low = comparable(low) < comparable(other_low) or (
-                    comparable(low) == comparable(other_low) and (inclusive or not other_inclusive)
-                )
-                wider_high = comparable(high) > comparable(other_high) or (
-                    comparable(high) == comparable(other_high) and (inclusive or not other_inclusive)
-                )
-            except TypeError:
-                return False
-            return wider_low and wider_high
-        return False
+        if self._values is not None:
+            return False
+        try:
+            return self.intersect(other) == other
+        except SigmaError:
+            return False
 
     def intersect(self, other: "DimensionRestriction") -> "DimensionRestriction":
-        """The conjunction of two restrictions (used when dicing an already-diced query)."""
+        """The conjunction of two restrictions (dicing an already-diced query).
+
+        A value set keeps the values the other side allows; two ranges give
+        the tighter range.  Raises :class:`~repro.errors.SigmaError` when
+        the conjunction allows nothing (Definition 2 wants non-empty sets).
+        """
         if self.is_full:
             return other
         if other.is_full:
             return self
-        if self._values is not None and other._values is not None:
-            common = [value for value in self._values if other.allows(value)]
+        if self._values is not None or other._values is not None:
+            finite, test = (self, other) if self._values is not None else (other, self)
+            common = [value for value in finite._values if test.allows(value)]
             if not common:
-                raise SigmaError("the intersection of the two restrictions is empty")
+                raise SigmaError(_EMPTY)
             return DimensionRestriction.to_values(common)
-
-        def both(value: object) -> bool:
-            return self.allows(value) and other.allows(value)
-
-        return DimensionRestriction.to_predicate(
-            both, description=f"{self.description} ∩ {other.description}"
-        )
+        low, low_closed = _tighter(self._range[:2], other._range[:2], gt)
+        high, high_closed = _tighter(self._range[2:], other._range[2:], lt)
+        try:
+            empty = not _AT_MOST[low_closed and high_closed](comparable(low), comparable(high))
+        except TypeError:
+            empty = True
+        if empty:
+            raise SigmaError(_EMPTY)
+        return DimensionRestriction._between(low, low_closed, high, high_closed)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DimensionRestriction):
             return NotImplemented
-        if self.is_full and other.is_full:
-            return True
-        if self._values is not None and other._values is not None:
-            return set(self._values) == set(other._values)
-        return self is other  # predicate restrictions compare by identity
+        return self.canonical_token() == other.canonical_token()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DimensionRestriction({self.description})"
+
+
+def _token_of(value: object) -> str:
+    """The token of one value or bound: ``repr`` of its comparable form, with
+    numbers as exact fractions (``20``, ``41/2``), so ``20``, ``20.0`` and
+    ``Decimal("20")`` — equal under ``allows`` — get one token."""
+    value = comparable(value)
+    if isinstance(value, (int, float, Decimal)):
+        try:
+            return str(Fraction(value))
+        except (ValueError, OverflowError):  # NaN and the infinities
+            return repr(float(value))
+    return repr(value)
+
+
+def _tighter(first: Tuple[object, bool], second: Tuple[object, bool], tighter) -> Tuple[object, bool]:
+    """The tighter of two ``(bound, closed)`` ends of the same side: by
+    ``tighter`` (``>`` for lows, ``<`` for highs), closed only when both are
+    at a tie.  Bounds that do not order (NaN, unrelated types) bound ranges
+    no value lies in, so their conjunction is empty."""
+    (bound, closed), (other_bound, other_closed) = first, second
+    try:
+        mine, theirs = comparable(bound), comparable(other_bound)
+        if tighter(mine, theirs):
+            return bound, closed
+        if tighter(theirs, mine):
+            return other_bound, other_closed
+        if mine == theirs:
+            return other_bound, closed and other_closed
+    except TypeError:
+        pass
+    raise SigmaError(_EMPTY)
 
 
 class Sigma:
@@ -381,12 +406,12 @@ class Sigma:
 
 
 class SigmaPredicate:
-    """The σ_dice selection of Definition 5 as a compilable row predicate.
+    """The σ_dice selection of Definition 5, the one σ predicate.
 
-    Callable on row mappings (delegating to :meth:`Sigma.allows_row`) for
-    the generic path, and compilable against a relation schema so that
-    :func:`repro.algebra.operators.select` evaluates it positionally —
-    directly on term ids when the relation is id-encoded.
+    Row storage compiles it against a relation schema
+    (:meth:`compile`), so :func:`repro.algebra.operators.select` evaluates
+    it positionally — directly on term ids when the relation is id-encoded;
+    columnar storage reads :attr:`sigma` and builds a boolean mask.
     """
 
     __slots__ = ("_sigma",)
@@ -399,10 +424,8 @@ class SigmaPredicate:
         """The Σ this predicate selects by (used by the columnar kernels)."""
         return self._sigma
 
-    def __call__(self, row: Mapping[str, object]) -> bool:
-        return self._sigma.allows_row(row)
-
     def compile(self, relation):
+        """A positional row test over ``relation``'s rows."""
         tests = []
         for name in self._sigma.dimensions:
             restriction = self._sigma.restriction(name)

@@ -12,7 +12,8 @@ answers coincide with ``ans(Q)`` whenever the query is expressible:
   embeddings contributes one binding of the measure variable (bag
   semantics), matching the paper's measure-bag construction;
 * Σ restrictions become ``VALUES`` blocks (explicit value sets) or ``FILTER``
-  ranges; predicate-based restrictions are not expressible and raise.
+  ranges (``>``/``>=`` and ``<``/``<=`` per end, bounds rendered as RDF
+  terms);
 * the aggregation function maps onto a SPARQL aggregate
   (``COUNT`` / ``SUM`` / ``AVG`` / ``MIN`` / ``MAX`` /
   ``COUNT(DISTINCT ...)``).
@@ -24,13 +25,12 @@ SPARQL endpoint.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional
 
 from repro.errors import QueryDefinitionError
 from repro.rdf.namespaces import PrefixMap
-from repro.rdf.terms import IRI, Literal, Term, Variable
-from repro.rdf.triples import TriplePattern
-from repro.bgp.query import BGPQuery
+from repro.rdf.terms import IRI, XSD_DOUBLE, Literal, Term, Variable
 from repro.analytics.query import AnalyticalQuery
 from repro.analytics.sigma import DimensionRestriction
 
@@ -73,19 +73,20 @@ def _render_restriction(dimension: str, restriction: DimensionRestriction, prefi
     if restriction.values is not None:
         rendered = " ".join(_render_term(_as_rdf_value(value), prefixes) for value in restriction.values)
         return f"  VALUES ?{dimension} {{ {rendered} }}"
-    description = restriction.description
-    if description.startswith("range ["):
-        bounds = description[len("range [") : -1].split(",")
-        low, high = (bound.strip() for bound in bounds)
-        return f"  FILTER(?{dimension} >= {low} && ?{dimension} <= {high})"
-    raise QueryDefinitionError(
-        f"the Σ restriction on dimension {dimension!r} ({description}) is not expressible in SPARQL"
+    low, low_closed, high, high_closed = restriction.bounds
+    low, high = (_render_term(_as_rdf_value(bound), prefixes) for bound in (low, high))
+    return (
+        f"  FILTER(?{dimension} {'>=' if low_closed else '>'} {low} && "
+        f"?{dimension} {'<=' if high_closed else '<'} {high})"
     )
 
 
 def _as_rdf_value(value) -> Term:
     if isinstance(value, Term):
         return value
+    if isinstance(value, float) and not math.isfinite(value):
+        # XSD spells the special doubles INF, -INF and NaN; ``repr`` does not.
+        return Literal("NaN" if math.isnan(value) else "INF" if value > 0 else "-INF", XSD_DOUBLE)
     return Literal(value)
 
 
@@ -93,7 +94,7 @@ def to_sparql(query: AnalyticalQuery, prefixes: Optional[PrefixMap] = None) -> s
     """Render an analytical query as a SPARQL 1.1 SELECT query string.
 
     Raises :class:`~repro.errors.QueryDefinitionError` when the aggregation
-    function or a Σ restriction has no SPARQL counterpart.
+    function has no SPARQL counterpart.
     """
     aggregate_name = query.aggregate.name
     if aggregate_name not in SPARQL_AGGREGATES:

@@ -135,21 +135,6 @@ def canonical_query_key(query: AnalyticalQuery) -> str:
     return query.canonical_key
 
 
-def _key_is_persistable(key: str) -> bool:
-    """True when the canonical key identifies the query by *value* alone.
-
-    Opaque predicate restrictions canonicalize by object identity
-    (``pred@<id>``, see ``DimensionRestriction.canonical_token``), and so do
-    hierarchies built from arbitrary ``classify`` functions (``hier@<id>``,
-    see ``DimensionHierarchy.canonical_token``).  That is sound while the
-    predicate/hierarchy object is alive in this process, but an ``id`` can
-    be recycled after garbage collection or in another process, so such keys
-    must never reach the disk store — a different object could collide with
-    a dead one's key and be served the wrong cube.
-    """
-    return "pred@" not in key and "hier@" not in key
-
-
 # ---------------------------------------------------------------------------
 # entry files (warm start across sessions)
 # ---------------------------------------------------------------------------
@@ -610,8 +595,8 @@ class ResultCache:
 
     def _write_through(self, key: str, materialized: MaterializedQueryResults, graph: Graph) -> None:
         """Persist a result known fresh at ``graph``'s current version, when a
-        disk store is configured and the key identifies the query by value."""
-        if self._store_dir is None or not _key_is_persistable(key):
+        disk store is configured."""
+        if self._store_dir is None:
             return
         path = self._entry_path(key)
         if os.path.isdir(path):  # an entry directory of the earlier TSV format
@@ -755,7 +740,7 @@ class ResultCache:
     def _load_from_store(
         self, key: str, query: AnalyticalQuery, graph: Graph, engine: Optional[str]
     ) -> Optional[CacheEntry]:
-        if self._store_dir is None or not _key_is_persistable(key):
+        if self._store_dir is None:
             return None
         path = self._entry_path(key)
         if not os.path.exists(path):

@@ -18,7 +18,7 @@ substituted in ``pres(Q)``, then Algorithm 1's δ step) followed by
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import OLAPError
 from repro.algebra.expressions import comparable
@@ -29,18 +29,18 @@ __all__ = ["DimensionHierarchy"]
 class DimensionHierarchy:
     """A one-level concept hierarchy: dimension value → parent value.
 
+    A hierarchy is data — explicit pairs, or numeric bands built by
+    :meth:`banded` — so it pickles and canonicalizes by value.
+
     Parameters
     ----------
     mapping:
         Explicit child → parent assignments.  Keys are compared both as
         given and through the literal-to-Python conversion, so a mapping
         keyed by plain ints matches ``xsd:integer`` literals.
-    classify:
-        Optional fallback function applied to values absent from ``mapping``
-        (e.g. ``lambda age: "young" if age < 30 else "senior"``).
     default:
-        Parent assigned when neither ``mapping`` nor ``classify`` covers a
-        value; with the default ``None`` such values raise
+        Parent assigned when neither ``mapping`` nor a band covers a value;
+        with the default ``None`` such values raise
         :class:`~repro.errors.OLAPError`, which surfaces incomplete
         hierarchies instead of silently mis-grouping.
     name:
@@ -50,7 +50,6 @@ class DimensionHierarchy:
     def __init__(
         self,
         mapping: Optional[Mapping[object, object]] = None,
-        classify: Optional[Callable[[object], object]] = None,
         default: Optional[object] = None,
         name: str = "hierarchy",
     ):
@@ -64,12 +63,9 @@ class DimensionHierarchy:
                     self._comparable_mapping[comparable(child)] = parent
                 except TypeError:
                     pass
-        self._classify = classify
         self._default = default
-        #: ``(low, high, label)`` triples when built by :meth:`banded`; lets
-        #: :meth:`canonical_token` stay content-based for banding closures.
-        self._bands: Optional[Tuple[Tuple[object, object, object], ...]] = None
-        self._band_default: Optional[object] = None
+        #: ``(low, high, label)`` triples of a :meth:`banded` hierarchy.
+        self._bands: Tuple[Tuple[object, object, object], ...] = ()
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[object, object]], name: str = "hierarchy") -> "DimensionHierarchy":
@@ -87,23 +83,8 @@ class DimensionHierarchy:
 
         Bounds are inclusive; bands are tried in the given order.
         """
-        band_list = [(comparable(low), comparable(high), label) for low, high, label in bands]
-
-        def classify(value: object) -> object:
-            candidate = comparable(value)
-            for low, high, label in band_list:
-                try:
-                    if low <= candidate <= high:
-                        return label
-                except TypeError:
-                    continue
-            if default is not None:
-                return default
-            raise OLAPError(f"value {value!r} falls outside every band of hierarchy {name!r}")
-
-        hierarchy = cls(classify=classify, name=name)
-        hierarchy._bands = tuple(band_list)
-        hierarchy._band_default = default
+        hierarchy = cls(default=default, name=name)
+        hierarchy._bands = tuple((comparable(low), comparable(high), label) for low, high, label in bands)
         return hierarchy
 
     def parent(self, value: object) -> object:
@@ -116,8 +97,12 @@ class DimensionHierarchy:
             key = None
         if key is not None and key in self._comparable_mapping:
             return self._comparable_mapping[key]
-        if self._classify is not None:
-            return self._classify(value)
+        for low, high, label in self._bands:
+            try:
+                if low <= key <= high:
+                    return label
+            except TypeError:
+                continue
         if self._default is not None:
             return self._default
         raise OLAPError(f"hierarchy {self.name!r} has no parent for value {value!r}")
@@ -127,31 +112,22 @@ class DimensionHierarchy:
 
         Two hierarchies with equal tokens map every value to the same parent,
         so cached cubes rolled through one can serve queries rolled through
-        the other:
-
-        * explicit mappings canonicalize by their (order-insensitive)
-          child → parent pairs plus the default;
-        * :meth:`banded` hierarchies canonicalize by their band triples;
-        * arbitrary ``classify`` functions have no inspectable extension, so
-          they canonicalize by object identity (``hier@...`` tokens, which
-          :mod:`repro.olap.cache` refuses to persist to disk).
+        the other: explicit mappings canonicalize by their (order-insensitive)
+        child → parent pairs, :meth:`banded` hierarchies by their band
+        triples, both plus the default.
         """
-        if self._bands is not None:
+        if self._bands:
             bands = ";".join(f"({low!r},{high!r})->{label!r}" for low, high, label in self._bands)
             token = "bands{" + bands + "}"
-            if self._band_default is not None:
-                token += f"|default={self._band_default!r}"
-            return token
-        if self._classify is not None:
-            return f"hier@{id(self)}"
-        entries = []
-        for child, parent in self._mapping.items():
-            try:
-                key = comparable(child)
-            except TypeError:
-                key = child
-            entries.append(f"{key!r}->{parent!r}")
-        token = "map{" + ";".join(sorted(entries)) + "}"
+        else:
+            entries = []
+            for child, parent in self._mapping.items():
+                try:
+                    key = comparable(child)
+                except TypeError:
+                    key = child
+                entries.append(f"{key!r}->{parent!r}")
+            token = "map{" + ";".join(sorted(entries)) + "}"
         if self._default is not None:
             token += f"|default={self._default!r}"
         return token

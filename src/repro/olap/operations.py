@@ -25,6 +25,7 @@ from typing import Collection, Dict, Iterable, Mapping, Optional, Sequence, Tupl
 from repro.errors import InvalidOperationError
 from repro.analytics.query import AnalyticalQuery
 from repro.analytics.sigma import DimensionRestriction, Sigma
+from repro.olap.hierarchy import DimensionHierarchy
 
 __all__ = ["OLAPOperation", "Slice", "Dice", "DrillOut", "DrillIn", "RollUp", "DrillDown", "compose"]
 
@@ -214,11 +215,10 @@ class RollUp(OLAPOperation):
 
     kind = "roll-up"
 
-    def __init__(self, dimension: str, hierarchy):
-        if not hasattr(hierarchy, "parent") or not hasattr(hierarchy, "canonical_token"):
+    def __init__(self, dimension: str, hierarchy: DimensionHierarchy):
+        if not isinstance(hierarchy, DimensionHierarchy):
             raise InvalidOperationError(
-                "ROLL-UP requires a DimensionHierarchy-like object with parent() "
-                f"and canonical_token(); got {type(hierarchy).__name__}"
+                f"ROLL-UP requires a DimensionHierarchy, got {type(hierarchy).__name__}"
             )
         self.dimension = dimension
         self.hierarchy = hierarchy
@@ -233,7 +233,7 @@ class RollUp(OLAPOperation):
         )
 
     def describe(self) -> str:
-        return f"roll-up {self.dimension} via {getattr(self.hierarchy, 'name', 'hierarchy')}"
+        return f"roll-up {self.dimension} via {self.hierarchy.name}"
 
 
 class DrillDown(OLAPOperation):

@@ -53,13 +53,13 @@ Backends
     merge side never re-encodes.  The pool is version-stamped: a graph
     mutation rebuilds it so workers never serve a stale snapshot.
 ``auto``
-    ``process`` when the query pickles (only Σ restrictions built by
-    :meth:`~repro.analytics.sigma.DimensionRestriction.to_predicate` carry
-    callables that may not), ``thread`` otherwise; ``serial`` when
-    ``workers <= 1``.
+    ``process``; ``thread`` once a process pool has broken, or for a query
+    whose custom aggregate does not pickle (Σ is data — value sets and
+    ranges — so only an aggregate's state functions can hold a closure);
+    ``serial`` when ``workers <= 1``.
 
 Every dispatch — and every silent downgrade (a broken pool, an
-unpicklable query) — is counted in :class:`ExecutorStats`, which the
+unpicklable aggregate) — is counted in :class:`ExecutorStats`, which the
 planner surfaces in :meth:`~repro.olap.planner.Plan.explain`, so
 benchmark numbers can never unknowingly mix backends.
 
@@ -99,8 +99,8 @@ class ExecutorStats:
     """Dispatch bookkeeping for one :class:`ParallelExecutor`.
 
     Counts every dispatch by the backend that actually served it and every
-    **downgrade** (process pool broken, unpicklable query, unsupported
-    aggregate) with its reason — the planner surfaces this in
+    **downgrade** (process pool broken, unsupported or unpicklable
+    aggregate, roll-up) with its reason — the planner surfaces this in
     :meth:`~repro.olap.planner.Plan.explain` so a benchmark can never
     silently mix backends.
     """
@@ -283,8 +283,11 @@ class ParallelExecutor:
         Requires a mergeable aggregate (a custom bag function has no state
         to merge); anything else falls back to the serial evaluator inside
         :meth:`evaluate`.
-        Rolled-up queries are unsupported: their hierarchy objects (often
-        closures) do not survive the worker-process pickle boundary.
+        Rolled-up queries are unsupported: a parent that is not a graph term
+        gets a negative id from its dictionary
+        (:meth:`~repro.rdf.dictionary.TermDictionary.encode_derived`), and
+        each worker's dictionary would number those parents its own way, so
+        worker ids would not match the merge side's.
         """
         if query.rollup:
             return False
@@ -328,7 +331,8 @@ class ParallelExecutor:
         if not self.supports(query):
             self.last_backend = "fallback-serial"
             self.stats.record_dispatch("fallback-serial")
-            self._record_fallback(self._backend, "serial", "unsupported aggregate")
+            reason = "rolled-up query" if query.rollup else "unsupported aggregate"
+            self._record_fallback(self._backend, "serial", reason)
             return None
         count = self._shard_count if shard_count is None else int(shard_count)
         return self._dispatch(query, self._graph.partition(count), keep_rows)
@@ -384,11 +388,12 @@ class ParallelExecutor:
         if self._process_broken:
             return "thread"
         try:
-            pickle.dumps(query)
+            pickle.dumps(query.aggregate)
         except Exception:
-            # A Σ restriction built by to_predicate may carry a closure or a
-            # lambda; such a query cannot cross a process boundary.
-            self._record_fallback("process", "thread", "query not picklable")
+            # Σ and the query are data, but a custom aggregate's state
+            # functions may be closures or lambdas that cannot cross a
+            # process boundary.
+            self._record_fallback("process", "thread", "aggregate not picklable")
             return "thread"
         return "process"
 

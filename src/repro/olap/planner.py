@@ -753,8 +753,8 @@ def _sigma_selectivity(transformed_query: AnalyticalQuery) -> float:
     """Heuristic fraction of rows kept by the transformed query's σ_dice.
 
     Value-set restrictions keep roughly ``min(1, |S| / 10)`` of the rows
-    (dimension domains in the workloads have tens of values); range and
-    predicate restrictions keep half.  Per-dimension fractions multiply
+    (dimension domains in the workloads have tens of values); ranges keep
+    half.  Per-dimension fractions multiply
     (independence).  Only used for ranking, never for correctness.
     """
     selectivity = 1.0

@@ -31,7 +31,7 @@ from repro.algebra.grouping import (
     merge_group_states,
 )
 from repro.algebra.operators import dedup, join_on, project, select, union_all
-from repro.algebra.relation import IdRelation, Relation
+from repro.algebra.relation import IdRelation
 from repro.analytics.sigma import DimensionRestriction, Sigma
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import IRI, Literal
@@ -205,33 +205,36 @@ class TestColumnarIdRelation:
 
 _CITY0, _CITY1, _CITY2 = (IRI(f"http://example.org/city{index}") for index in range(3))
 
-#: σ predicates over ``_sample_rows`` → whether the arrays answer them.
+#: σ predicates over ``_sample_rows``; the arrays answer every one.
 _SELECTIONS = {
-    "value": (sigma_predicate(d=DimensionRestriction.to_value(_CITY1)), True),
-    "value set": (sigma_predicate(d=DimensionRestriction.to_values([_CITY0, _CITY2])), True),
-    "int range": (sigma_predicate(v=DimensionRestriction.to_range(10, 30)), True),
-    "float range": (sigma_predicate(v=DimensionRestriction.to_range(9.5, 30.5)), True),
-    "exclusive range": (sigma_predicate(v=DimensionRestriction.to_range(10, 30, inclusive=False)), True),
-    "literal bounds": (sigma_predicate(v=DimensionRestriction.to_range(Literal(0), Literal(20.5))), True),
-    "conjunction": (
-        sigma_predicate(v=DimensionRestriction.to_range(0, 30), d=DimensionRestriction.to_value(_CITY0)),
-        True,
+    "value": sigma_predicate(d=DimensionRestriction.to_value(_CITY1)),
+    "value set": sigma_predicate(d=DimensionRestriction.to_values([_CITY0, _CITY2])),
+    "int range": sigma_predicate(v=DimensionRestriction.to_range(10, 30)),
+    "float range": sigma_predicate(v=DimensionRestriction.to_range(9.5, 30.5)),
+    "exclusive range": sigma_predicate(v=DimensionRestriction.to_range(10, 30, inclusive=False)),
+    "literal bounds": sigma_predicate(v=DimensionRestriction.to_range(Literal(0), Literal(20.5))),
+    "conjunction": sigma_predicate(
+        v=DimensionRestriction.to_range(0, 30), d=DimensionRestriction.to_value(_CITY0)
     ),
-    "unrestricted": (Sigma(("d", "v")).predicate(), True),
-    "disjunction callable": (lambda row: row["v"] in (Literal(0), Literal(40)), False),
-    "negation callable": (lambda row: row["d"] != _CITY1, False),
+    "unrestricted": Sigma(("d", "v")).predicate(),
+    "half-open range": sigma_predicate(
+        v=DimensionRestriction.to_range(0, 30).intersect(DimensionRestriction.to_range(10, 40, inclusive=False))
+    ),
+    "values within a range": sigma_predicate(
+        v=DimensionRestriction.to_values([Literal(0), Literal(40)]).intersect(DimensionRestriction.to_range(-5, 5))
+    ),
 }
 
 
 class TestSelectKernel:
     @pytest.mark.parametrize("case", list(_SELECTIONS))
     def test_sigma_like_predicates_match_row_select(self, case):
-        predicate, on_arrays = _SELECTIONS[case]
+        predicate = _SELECTIONS[case]
         columnar_relation, row_relation = _paired_relations(_sample_rows())
-        before = ROW_CONVERSIONS["sigma:opaque-predicate"]
+        before = ROW_CONVERSIONS.copy()
         fast = select(columnar_relation, predicate)
-        assert isinstance(fast, ColumnarIdRelation) == on_arrays
-        assert ROW_CONVERSIONS["sigma:opaque-predicate"] == before + (not on_arrays)
+        assert isinstance(fast, ColumnarIdRelation)
+        assert ROW_CONVERSIONS == before
         assert fast.bag_equal(select(row_relation, predicate))
 
     def test_all_rows_filtered_mask(self):
@@ -259,20 +262,12 @@ class TestSelectKernel:
             ("dage",),
             {"dage": DimensionRestriction.to_value(IRI("http://example.org/city1"))},
         )
-        before = ROW_CONVERSIONS["sigma:opaque-predicate"]
+        before = ROW_CONVERSIONS.copy()
         fast = columnar_relation.select(sigma.predicate())
         assert isinstance(fast, ColumnarIdRelation) and (
-            ROW_CONVERSIONS["sigma:opaque-predicate"] == before
+            ROW_CONVERSIONS == before
         ), "SigmaPredicate lost the vectorized fast path"
         assert fast.bag_equal(select(row_relation, sigma.predicate()))
-
-    def test_opaque_callable_falls_back_to_rows(self):
-        columnar_relation, row_relation = _paired_relations(_sample_rows())
-        opaque = lambda row: str(row["d"]).endswith("city1")  # noqa: E731
-        before = ROW_CONVERSIONS["sigma:opaque-predicate"]
-        assert not isinstance(columnar_relation.select(opaque), ColumnarIdRelation)
-        assert ROW_CONVERSIONS["sigma:opaque-predicate"] == before + 1
-        assert select(columnar_relation, opaque).bag_equal(select(row_relation, opaque))
 
 
 class TestJoinKernel:

@@ -65,10 +65,6 @@ class TestIdRelation:
     def test_iter_decoded_matches_materialize(self, people):
         assert list(people.iter_decoded()) == people.materialize().rows
 
-    def test_row_as_dict_decodes(self, people):
-        row_dicts = list(people.iter_dicts())
-        assert {d["city"] for d in row_dicts} == {EX.term("Madrid"), EX.term("NY")}
-
     def test_evaluate_equals_materialized_evaluate_ids(self, graph):
         x = Variable("x")
         query = BGPQuery([x], [TriplePattern(x, RDF_TYPE, EX.Blogger)])
@@ -98,11 +94,6 @@ class TestOperatorsPreserveEncoding:
         )
         selected = select(people, predicate)
         assert len(selected) == 1
-
-    def test_select_with_opaque_callable_sees_decoded_rows(self, people):
-        selected = select(people, lambda row: row["city"] == EX.term("NY"))
-        assert isinstance(selected, IdRelation)
-        assert selected.materialize().distinct_values("x") == {EX.term("u2")}
 
     def test_project_and_dedup_keep_metadata(self, people):
         cities = dedup(project(people, ("city",)))
@@ -196,7 +187,6 @@ class TestCompiledSelectSemantics:
         """σ over zero rows never evaluates the predicate."""
         empty = Relation(("a",), [])
         assert len(select(empty, sigma_predicate(b=DimensionRestriction.to_value(1)))) == 0
-        assert len(select(empty, lambda row: row["b"] == 1)) == 0
 
     def test_sigma_ignores_a_dimension_the_relation_lacks(self):
         """As ``Sigma.allows_row`` does: the dimension may have been drilled out."""

@@ -35,8 +35,18 @@ _SELECTIONS = {
         lambda g, v: g in "ab" and 2 <= v <= 5,
     ),
     "unrestricted": (Sigma(("g", "v")).predicate(), lambda g, v: True),
-    "disjunction": (lambda row: row["g"] == "c" or row["v"] == 3, lambda g, v: g == "c" or v == 3),
-    "negation": (lambda row: not row["g"] == "a", lambda g, v: g != "a"),
+    "half-open range": (
+        sigma_predicate(v=DimensionRestriction.to_range(1, 3).intersect(
+            DimensionRestriction.to_range(0, 3, inclusive=False)
+        )),
+        lambda g, v: 1 <= v < 3,
+    ),
+    "values within a range": (
+        sigma_predicate(v=DimensionRestriction.to_values([1, 3, 0.5]).intersect(
+            DimensionRestriction.to_range(1, 5)
+        )),
+        lambda g, v: v in (1, 3),
+    ),
 }
 
 

@@ -51,10 +51,6 @@ class TestColumnAccess:
         assert relation.column_values("v") == [5, 5, 7]
         assert relation.distinct_values("x") == {1, 2}
 
-    def test_row_dict_iteration(self):
-        relation = Relation(["x", "v"], [(1, 2)])
-        assert list(relation.iter_dicts()) == [{"x": 1, "v": 2}]
-
 
 class TestMutationHelpers:
     def test_add_row_checks_arity(self):

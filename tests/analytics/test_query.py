@@ -153,7 +153,7 @@ class TestDerivedQueries:
         with pytest.raises(QueryDefinitionError):
             query.with_rollup("other", hierarchy)
         with pytest.raises(QueryDefinitionError):
-            query.with_rollup("dcity", object())  # no parent(): not a hierarchy
+            query.with_rollup("dcity", object())  # not a DimensionHierarchy
         rolled = query.with_rollup("dcity", hierarchy).with_rollup("dcity", hierarchy)
         # A stage whose recorded Σ no longer ranges over the dimensions: the
         # base Σ it hands over, and the prefix stack holding it, are refused.
@@ -184,6 +184,13 @@ class TestEquality:
         a = AnalyticalQuery(classifier(), measure(), "count")
         b = AnalyticalQuery(classifier(), measure(), "sum")
         assert a != b
+
+    def test_equal_range_dices_are_equal(self):
+        a = AnalyticalQuery(classifier(), measure(), "count")
+        one = a.with_sigma(a.sigma.restrict("dage", DimensionRestriction.to_range(20, 30)))
+        other = a.with_sigma(a.sigma.restrict("dage", DimensionRestriction.to_range(20, 30)))
+        assert one == other
+        assert one != a.with_sigma(a.sigma.restrict("dage", DimensionRestriction.to_range(20, 31)))
 
     def test_different_sigma_breaks_equality(self):
         a = AnalyticalQuery(classifier(), measure(), "count")

@@ -1,10 +1,11 @@
 """Unit tests for Σ (dimension restrictions of extended analytical queries)."""
 
 import pickle
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.algebra.expressions import comparable
 from repro.errors import SigmaError
 from repro.rdf import EX, Literal
 from repro.rdf.namespaces import XSD
@@ -56,16 +57,6 @@ class TestDimensionRestriction:
         restriction = DimensionRestriction.to_range(20, 30)
         assert not restriction.allows(Literal("Madrid"))
 
-    def test_predicate_restriction(self):
-        restriction = DimensionRestriction.to_predicate(lambda value: str(value).startswith("M"), "starts with M")
-        assert restriction.allows("Madrid")
-        assert not restriction.allows("Kyoto")
-        assert restriction.description == "starts with M"
-
-    def test_values_and_predicate_mutually_exclusive(self):
-        with pytest.raises(SigmaError):
-            DimensionRestriction(values=[1], predicate=lambda v: True)
-
     def test_intersection_of_value_sets(self):
         a = DimensionRestriction.to_values([1, 2, 3])
         b = DimensionRestriction.to_values([2, 3, 4])
@@ -88,6 +79,39 @@ class TestDimensionRestriction:
         both = values.intersect(in_range)
         assert both.allows(25)
         assert not both.allows(1) and not both.allows(40)
+        # Either order gives the values the range allows: a value set, as data.
+        assert both.values == (25,) and in_range.intersect(values).values == (25,)
+
+    def test_intersection_of_ranges_is_the_tighter_range(self):
+        both = DimensionRestriction.to_range(20, 40).intersect(DimensionRestriction.to_range(25, 60))
+        assert both == DimensionRestriction.to_range(25, 40)
+        assert both.bounds == (25, True, 40, True)
+
+    def test_intersection_of_ranges_keeps_the_open_end_at_a_tie(self):
+        closed = DimensionRestriction.to_range(20, 30)
+        both = closed.intersect(DimensionRestriction.to_range(20, 30, inclusive=False))
+        assert both == DimensionRestriction.to_range(20, 30, inclusive=False)
+        half_open = closed.intersect(DimensionRestriction.to_range(10, 30, inclusive=False))
+        assert half_open.bounds == (20, True, 30, False)
+        assert half_open.description == "range [20, 30)"
+        assert half_open.allows(20) and not half_open.allows(30)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (DimensionRestriction.to_range(20, 30), DimensionRestriction.to_range(31, 40)),
+            (DimensionRestriction.to_range(20, 30), DimensionRestriction.to_range(30, 40, inclusive=False)),
+            (DimensionRestriction.to_range(20, 30), DimensionRestriction.to_range("a", "m")),
+            (DimensionRestriction.to_range(20, 30), DimensionRestriction.to_values([Literal(31)])),
+            (DimensionRestriction.to_range(float("nan"), 30), DimensionRestriction.to_range(0, 40)),
+        ],
+        ids=["disjoint", "touching-open", "unordered-types", "values-outside", "nan-bound"],
+    )
+    def test_an_empty_intersection_is_rejected(self, left, right):
+        with pytest.raises(SigmaError):
+            left.intersect(right)
+        with pytest.raises(SigmaError):
+            right.intersect(left)
 
     def test_value_matches_on_the_raw_value_or_its_comparable_form(self):
         typed_28 = Literal("28", datatype=XSD.integer)
@@ -118,7 +142,7 @@ class TestDimensionRestriction:
         "restriction, expected",
         [
             (DimensionRestriction.to_value(28), True),
-            (DimensionRestriction.to_predicate(lambda value: comparable(value) != 28), False),
+            (DimensionRestriction.to_values([27, 29]), False),
             (DimensionRestriction.to_range(float("-inf"), 30, inclusive=False), True),
             (DimensionRestriction.to_range(float("-inf"), 28), True),
             (DimensionRestriction.to_range(28, float("inf"), inclusive=False), False),
@@ -133,6 +157,53 @@ class TestDimensionRestriction:
         assert DimensionRestriction.full() == DimensionRestriction.full()
         assert DimensionRestriction.to_values([1, 2]) == DimensionRestriction.to_values([2, 1])
         assert DimensionRestriction.to_values([1]) != DimensionRestriction.full()
+
+    def test_equal_ranges_are_equal(self):
+        assert DimensionRestriction.to_range(20, 30) == DimensionRestriction.to_range(20, 30)
+        assert DimensionRestriction.to_range(Literal(20), 30) == DimensionRestriction.to_range(20, 30)
+        assert DimensionRestriction.to_range(20, 30) != DimensionRestriction.to_range(20, 30, inclusive=False)
+        assert DimensionRestriction.to_range(20, 30) != DimensionRestriction.to_range(20, 31)
+
+    def test_numbers_that_compare_equal_give_equal_restrictions(self):
+        """``20``, ``20.0`` and ``Decimal("20")`` are one value to ``allows``,
+        so restrictions over them are equal and share a token."""
+        from decimal import Decimal
+
+        assert DimensionRestriction.to_values([20]) == DimensionRestriction.to_values([20.0])
+        assert DimensionRestriction.to_values([Literal(20)]) == DimensionRestriction.to_values([Decimal(20)])
+        assert DimensionRestriction.to_range(20.0, 30) == DimensionRestriction.to_range(20, Literal(30))
+        assert DimensionRestriction.to_values([20.5]) != DimensionRestriction.to_values([20])
+        assert DimensionRestriction.to_values(["20"]) != DimensionRestriction.to_values([20])
+
+
+_BOUNDS = st.integers(-4, 12)
+_VALUES = st.lists(st.one_of(_BOUNDS, _BOUNDS.map(Literal)), min_size=1, max_size=4)
+_RESTRICTIONS = st.one_of(
+    st.just(DimensionRestriction.full()),
+    _VALUES.map(DimensionRestriction.to_values),
+    st.builds(DimensionRestriction.to_range, _BOUNDS, _BOUNDS, st.booleans()),
+)
+#: Every integer bound and value, and every midpoint between two of them.
+_PROBES = [k / 2 for k in range(-10, 27)] + [Literal(k) for k in range(-5, 14)]
+
+
+class TestIntersectionIsData:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_RESTRICTIONS, min_size=1, max_size=4))
+    def test_any_chain_pickles_compares_and_allows_what_every_operand_allows(self, operands):
+        try:
+            restriction = reduce(DimensionRestriction.intersect, operands)
+        except SigmaError:
+            # Only a conjunction that allows nothing may be refused.
+            assert not any(all(op.allows(value) for op in operands) for value in _PROBES)
+            return
+        copy = pickle.loads(pickle.dumps(restriction))
+        assert copy == restriction
+        assert copy.canonical_token() == restriction.canonical_token()
+        for value in _PROBES:
+            expected = all(op.allows(value) for op in operands)
+            assert restriction.allows(value) is expected
+            assert copy.allows(value) is expected
 
 
 class TestSigma:
@@ -229,12 +300,6 @@ class TestCanonicalTokens:
             != DimensionRestriction.to_range(20, 31).canonical_token()
         )
 
-    def test_opaque_predicates_canonicalize_by_identity(self):
-        even = DimensionRestriction.to_predicate(lambda v: True)
-        other = DimensionRestriction.to_predicate(lambda v: True)
-        assert even.canonical_token() != other.canonical_token()
-        assert even.canonical_token() == even.canonical_token()
-
     def test_sigma_tokens_follow_dimension_order(self):
         sigma = Sigma(["dage", "dcity"]).restrict(
             "dage", DimensionRestriction.to_value(Literal(28))
@@ -271,6 +336,14 @@ class TestSubsumption:
             DimensionRestriction.to_range(20, 40)
         )
 
+    def test_range_subsumes_a_range_sharing_an_end_of_another_number_type(self):
+        assert DimensionRestriction.to_range(20.0, 40).subsumes(
+            DimensionRestriction.to_range(20, 30)
+        )
+        assert not DimensionRestriction.to_range(20, 40, inclusive=False).subsumes(
+            DimensionRestriction.to_range(20.0, 30)
+        )
+
     def test_sigma_subsumption_is_pointwise(self):
         weaker = Sigma(["dage", "dcity"]).restrict(
             "dage", DimensionRestriction.to_values([Literal(28), Literal(35)])
@@ -286,9 +359,9 @@ class TestSubsumption:
 
 
 @pytest.mark.parametrize("engine", ["rows", "columnar"])
-def test_selection_tests_each_distinct_id_once_with_its_term(engine):
-    """σ_Σ over an id relation hands a ``to_predicate`` test each distinct id
-    of its column once, as the decoded term, on either engine; the kept rows
+def test_selection_tests_each_distinct_id_once_with_its_term(engine, monkeypatch):
+    """σ_Σ over an id relation asks a restriction about each distinct id of
+    its column once, as the decoded term, on either engine; the kept rows
     are those the decoded-row oracle keeps."""
     from collections import Counter
 
@@ -307,21 +380,26 @@ def test_selection_tests_each_distinct_id_once_with_its_term(engine):
         relation = ColumnarIdRelation.from_arrays(columns, arrays, dictionary)
     else:
         relation = IdRelation(columns, rows, dictionary=dictionary)
+    under_forty = DimensionRestriction.to_range(float("-inf"), 40, inclusive=False)
     seen = []
+    allows = DimensionRestriction.allows
 
-    def under_forty(age):
-        seen.append(age)
-        return comparable(age) < 40
+    def spying_allows(restriction, value):
+        if restriction is under_forty:
+            seen.append(value)
+        return allows(restriction, value)
 
     sigma = Sigma(columns, {
         "dcity": DimensionRestriction.to_values([EX.Madrid, EX.Lima]),
-        "dage": DimensionRestriction.to_predicate(under_forty),
+        "dage": under_forty,
     })
+    monkeypatch.setattr(DimensionRestriction, "allows", spying_allows)
     kept = select(relation, sigma.predicate())
+    monkeypatch.undo()
     assert Counter(seen) == {Literal(28): 1, Literal(35): 1, Literal(41): 1}
     assert all(isinstance(age, Literal) for age in seen)
     decoded = relation.materialize()
-    oracle = [row for row in decoded.rows if sigma.allows_row(decoded.row_as_dict(row))]
+    oracle = [row for row in decoded.rows if sigma.allows_row(dict(zip(decoded.columns, row)))]
     assert Counter(kept.materialize().rows) == Counter(oracle) == {
         (EX.Madrid, Literal(28)): 2
     }

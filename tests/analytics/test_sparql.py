@@ -13,6 +13,9 @@ from repro.olap import Dice, Slice
 from tests.conftest import make_sites_query, make_words_query
 
 
+_INT_20, _INT_30 = Literal(20).n3(), Literal(30).n3()
+
+
 @pytest.fixture()
 def prefixes() -> PrefixMap:
     prefix_map = PrefixMap()
@@ -78,17 +81,32 @@ class TestSigmaRendering:
     def test_range_restriction_becomes_filter(self, prefixes):
         query = Dice({"dage": (20, 30)}).apply(make_sites_query())
         text = to_sparql(query, prefixes)
-        assert "FILTER(?dage >= 20 && ?dage <= 30)" in text
+        assert f"FILTER(?dage >= {_INT_20} && ?dage <= {_INT_30})" in text
 
-    def test_predicate_restriction_rejected(self, prefixes):
-        query = make_sites_query()
-        restricted = query.with_sigma(
-            query.sigma.restrict(
-                "dage", DimensionRestriction.to_predicate(lambda value: True, "custom predicate")
-            )
-        )
-        with pytest.raises(QueryDefinitionError):
-            to_sparql(restricted, prefixes)
+    def test_exclusive_range_uses_strict_comparisons(self, prefixes):
+        query = Dice({"dage": DimensionRestriction.to_range(20, 30, inclusive=False)}).apply(make_sites_query())
+        text = to_sparql(query, prefixes)
+        assert f"FILTER(?dage > {_INT_20} && ?dage < {_INT_30})" in text
+
+    def test_string_bounds_render_as_literals(self, prefixes):
+        query = Dice({"dage": ("a", "m")}).apply(make_sites_query())
+        text = to_sparql(query, prefixes)
+        assert 'FILTER(?dage >= "a" && ?dage <= "m")' in text
+
+    def test_intersected_ranges_render_the_tighter_range(self, prefixes):
+        diced = Dice({"dage": (20, 40)}).apply(make_sites_query())
+        tighter = Dice({"dage": DimensionRestriction.to_range(25, 60, inclusive=False)}).apply(diced)
+        text = to_sparql(tighter, prefixes)
+        assert f"FILTER(?dage > {Literal(25).n3()} && ?dage <= {Literal(40).n3()})" in text
+
+    def test_infinite_bounds_render_as_xsd_doubles(self, prefixes):
+        """XSD spells the infinite doubles ``INF``/``-INF``; Python's ``inf``
+        would be an ill-typed literal every comparison errors on."""
+        query = Dice({"dage": (float("-inf"), 30)}).apply(make_sites_query())
+        text = to_sparql(query, prefixes)
+        minus_inf = Literal("-INF", "http://www.w3.org/2001/XMLSchema#double").n3()
+        assert f"FILTER(?dage >= {minus_inf} && ?dage <= {_INT_30})" in text
+        assert '"-inf"' not in text
 
     def test_unrestricted_sigma_adds_no_filters(self, prefixes):
         text = to_sparql(make_sites_query(), prefixes)

@@ -549,30 +549,6 @@ class TestPersistenceWarmStart:
         assert cold.get(sites_query, example2_instance) is None
         assert cold.stats.disk_hits == 0
 
-    def test_opaque_predicate_keys_never_persist(
-        self, tmp_path, example2_instance, sites_query
-    ):
-        """Identity-based (pred@...) canonical tokens are process-local: an
-        id can be recycled across processes, so such entries must stay out
-        of the disk store entirely."""
-        import os
-
-        from repro.analytics.sigma import DimensionRestriction
-
-        predicate_query = sites_query.with_sigma(
-            sites_query.sigma.restrict(
-                "dage", DimensionRestriction.to_predicate(lambda value: True)
-            )
-        )
-        store = str(tmp_path / "cache")
-        cache = ResultCache(capacity=4, store_dir=store)
-        cache.put(
-            predicate_query, _evaluate(example2_instance, predicate_query), example2_instance
-        )
-        assert not os.path.isdir(store) or not os.listdir(store)
-        # The in-memory entry still works as usual.
-        assert cache.get(predicate_query, example2_instance) is not None
-
     def test_capacity_zero_still_writes_through(
         self, tmp_path, example2_instance, sites_query, materialized
     ):
@@ -627,6 +603,33 @@ class TestSessionCacheIntegration:
         assert sorted(os.listdir(store)) == entry_files
         for name, stamp in stamps.items():
             assert _file_stamp(os.path.join(store, name)) == stamp
+
+    def test_repeating_a_dice_of_a_range_diced_dimension_is_a_hit(self, tmp_path):
+        """A DICE of a range-diced dimension conjoins the two ranges into the
+        tighter range, keyed by value: repeating it is a hit that stores
+        nothing, and the query pickles and warm-starts from disk."""
+        import pickle
+
+        from repro.datagen.blogger import BloggerConfig, blogger_dataset, sites_per_blogger_query
+
+        dataset = blogger_dataset(BloggerConfig(bloggers=60, seed=7))
+        root = sites_per_blogger_query(dataset.schema)
+        store = str(tmp_path / "cache")
+        session = OLAPSession(dataset.instance, dataset.schema, cache_dir=store)
+        session.execute(root)
+        diced = session.transform(root, Dice({"dage": (20, 40)})).query
+        operation = Dice({"dage": (25, 60)})
+        first = session.transform(diced, operation)
+        assert session.cache.stats.puts == 3
+        second = session.transform(diced, operation)
+        assert session.history[-1].strategy == "plan[cached]"
+        assert session.cache.stats.puts == 3
+        assert second.query == first.query
+        assert pickle.loads(pickle.dumps(second.query)) == second.query
+
+        warm = OLAPSession(dataset.instance, dataset.schema, cache_dir=store)
+        assert warm.execute(second.query).same_cells(second)
+        assert warm.history[-1].strategy == "cache[disk]"
 
     def test_forget_discards_cache_entry(self, example2_instance, sites_query):
         session = OLAPSession(example2_instance)
@@ -877,7 +880,7 @@ class TestAdoption:
 
         writer = example2_instance
         first = self._generation(writer)
-        rolled = RollUp("dage", DimensionHierarchy(classify=lambda age: "any", name="all")).apply(sites_query)
+        rolled = RollUp("dage", DimensionHierarchy.banded([(0, 200, "any")], name="all")).apply(sites_query)
         source = ResultCache(capacity=4)
         source.put(sites_query, _evaluate(first, sites_query), first)
         source.put(rolled, _evaluate(first, rolled), first)

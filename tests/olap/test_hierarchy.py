@@ -330,7 +330,7 @@ class TestDerivedIds:
         assert rolled.dimension_values("dcity") == {"Spain", "Elsewhere"}
         assert rolled.cell(28, "Spain") == 4
 
-    def test_a_value_sigma_excluded_needs_no_parent(self, engine):
+    def test_a_value_sigma_excluded_needs_no_parent(self, engine, monkeypatch):
         """σ(sigma_before) runs before the substitution: ``parent()`` is never
         asked about a value the finer Σ removed — and is asked once per
         distinct child, not once per row."""
@@ -338,13 +338,18 @@ class TestDerivedIds:
         from tests.conftest import make_words_query
 
         asked = []
-        iberia = {EX.term("Madrid"): "Iberia", EX.term("Sevilla"): "Iberia"}
+        # No default: asking about NY or Lima would raise.
+        hierarchy = DimensionHierarchy(
+            {EX.term("Madrid"): "Iberia", EX.term("Sevilla"): "Iberia"}, name="iberia-only"
+        )
+        parent = DimensionHierarchy.parent
 
-        def classify(city):
-            asked.append(city)
-            return iberia[city]  # KeyError for NY / Lima
+        def asking_parent(self, city):
+            if self is hierarchy:
+                asked.append(city)
+            return parent(self, city)
 
-        hierarchy = DimensionHierarchy(classify=classify, name="iberia-only")
+        monkeypatch.setattr(DimensionHierarchy, "parent", asking_parent)
         diced = Dice({"dcity": [EX.term("Madrid"), EX.term("Sevilla")]}).apply(
             make_words_query("count")
         )

@@ -24,7 +24,6 @@ from repro.algebra.grouping import (
     group_partial_states,
     merge_group_states,
 )
-from repro.algebra.expressions import comparable
 from repro.algebra.relation import Relation
 from repro.algebra.operators import project
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
@@ -228,15 +227,6 @@ def _executor(instance, **kwargs):
     return ParallelExecutor(AnalyticalQueryEvaluator(instance), **kwargs)
 
 
-def _predicate_query(name):
-    """The sites query with a Σ predicate held in a lambda: it never pickles."""
-    base = make_sites_query("count")
-    in_twenties = DimensionRestriction.to_predicate(
-        lambda age: 20 <= comparable(age) <= 30, "age in [20, 30]"
-    )
-    return base.with_sigma(base.sigma.restrict("dage", in_twenties), name=name)
-
-
 def _priced(instance, query, **executor_kwargs):
     """``{strategy: cost}`` of ``plan_query(query)`` on a planner over
     ``instance`` whose parallel executor is built from ``executor_kwargs``."""
@@ -359,14 +349,6 @@ class TestParallelExecutor:
         assert after.same_cells(oracle)
         assert not after.same_cells(before)  # workers saw the update
 
-    def test_unpicklable_sigma_falls_back_to_threads(self, example2_instance):
-        query = _predicate_query("Q_predicate")
-        oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
-        with _executor(example2_instance, workers=2, shard_count=2, backend="process") as executor:
-            cube = Cube(executor.answer(query), query)
-            assert executor.last_backend == "thread"
-        assert cube.same_cells(oracle)
-
     def test_range_dice_reaches_process_workers(self, example2_instance):
         """A range restriction (the paper's Example 4 ``20 ≤ d_age ≤ 30``)
         keeps its bounds as data, so the query pickles."""
@@ -379,6 +361,48 @@ class TestParallelExecutor:
             assert executor.last_backend == "process"
             assert executor.stats.fallbacks == []
         assert cube.same_cells(oracle)
+
+    def test_slice_after_range_dice_reaches_process_workers(self, example2_instance):
+        """Dicing or slicing a range-diced dimension again conjoins the two
+        restrictions into data (values ∩ range is a value set, range ∩ range
+        the tighter range), so the query still pickles."""
+        from repro.olap.operations import Dice, Slice
+
+        diced = Dice({"dage": (20, 40)}).apply(make_sites_query("count"))
+        queries = (Slice("dage", Literal(28)).apply(diced), Dice({"dage": (25, 60)}).apply(diced))
+        with _executor(example2_instance, workers=2, shard_count=2) as executor:
+            for query in queries:
+                oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
+                assert Cube(executor.answer(query), query).same_cells(oracle)
+                assert executor.last_backend == "process"
+            assert executor.stats.dispatches == {"process": 2}
+            assert executor.stats.fallbacks == []
+
+    def test_closure_aggregate_runs_on_threads_without_breaking_the_pool(
+        self, example2_instance
+    ):
+        """A mergeable custom aggregate whose state functions are closures
+        cannot cross a process boundary: that query alone runs on threads,
+        and the pool keeps serving the queries that pickle."""
+        offset = 0
+
+        def make(values):
+            return len(values) + offset
+
+        custom = AggregateFunction.from_states(
+            "count_closure", make, lambda a, b: a + b, lambda state, value=None: state,
+            distributive=True, numeric_only=False, raw_states=True,
+        )
+        base = make_sites_query("count")
+        query = AnalyticalQuery(base.classifier, base.measure, custom, name="Q_closure")
+        oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
+        with _executor(example2_instance, workers=2, shard_count=2, backend="process") as executor:
+            assert Cube(executor.answer(query), query).same_cells(oracle)
+            assert executor.last_backend == "thread"
+            assert executor.stats.fallbacks == [("process", "thread", "aggregate not picklable")]
+            executor.answer(base)
+            assert executor.last_backend == "process"
+            assert executor.stats.process_failures == 0
 
     def test_non_mergeable_aggregate_falls_back_to_serial(self, example2_instance):
         registry = default_registry()
@@ -526,14 +550,6 @@ class TestExecutorStatsAndAttachMode:
             assert executor.stats.process_failures == 0
             assert executor.stats.fallbacks == []
 
-    def test_unpicklable_query_fallback_is_recorded(self, example2_instance):
-        query = _predicate_query("Q_predicate_stats")
-        with _executor(example2_instance, workers=2, shard_count=2, backend="process") as executor:
-            executor.answer(query)
-            assert executor.stats.dispatches.get("thread") == 1
-            assert ("process", "thread", "query not picklable") in executor.stats.fallbacks
-            assert "fallback" in executor.stats.summary()
-
     def test_unsupported_aggregate_fallback_is_recorded(self, example2_instance):
         registry = default_registry()
         name = "median_test_executor_stats"
@@ -548,6 +564,19 @@ class TestExecutorStatsAndAttachMode:
             executor.answer(query)
             assert executor.stats.dispatches.get("fallback-serial") == 1
             assert any(reason == "unsupported aggregate" for _, _, reason in executor.stats.fallbacks)
+
+    def test_rolled_query_fallback_names_the_roll_up(self, example2_instance):
+        """A rolled query stays serial: its derived parents' negative ids are
+        numbered per dictionary, so workers' ids would not match the merge's."""
+        from repro.olap import DimensionHierarchy, RollUp
+
+        hierarchy = DimensionHierarchy.banded([(0, 29, "young"), (30, 120, "senior")])
+        query = RollUp("dage", hierarchy).apply(make_sites_query("count"))
+        oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
+        with _executor(example2_instance, workers=2, shard_count=2, backend="thread") as executor:
+            assert not executor.supports(query)
+            assert Cube(executor.answer(query), query).same_cells(oracle)
+            assert executor.stats.fallbacks == [("thread", "serial", "rolled-up query")]
 
     def test_broken_pool_failure_is_counted_and_surfaced(self, example2_instance, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
@@ -586,15 +615,20 @@ class TestExecutorStatsAndAttachMode:
             assert executor.stats.dispatches == {"process": 1}
         assert cube.same_cells(oracle)
 
-    def test_fallbacks_surface_in_plan_explain(self, example2_instance):
-        query = _predicate_query("Q_predicate_explain")
+    def test_fallbacks_surface_in_plan_explain(self, example2_instance, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def explode(*args, **kwargs):
+            raise BrokenProcessPool("simulated pool death")
+
         with OLAPSession(
             example2_instance, workers=2, shard_count=2, parallel_backend="process"
         ) as session:
-            session.parallel.answer(query)  # triggers the thread downgrade
+            monkeypatch.setattr(session.parallel, "_dispatch_process", explode)
+            plain = make_sites_query("count")
+            session.parallel.answer(plain)  # triggers the thread downgrade
             from repro.olap.operations import DrillOut
 
-            plain = make_sites_query("count")
             operation = DrillOut("dage")
             plan = session.planner.plan(plain, operation, operation.apply(plain))
             explanation = plan.explain()

@@ -407,8 +407,8 @@ def test_roll_up_chain_is_closed_over_the_engine(monkeypatch):
         [(EX.term(f"dimvalue/0/{v}"), EX.term(f"d0bucket/{v // 3}")) for v in values],
         name="d0_bucket",
     )
-    halves = DimensionHierarchy(
-        classify=lambda bucket: "low" if bucket in (EX.term("d0bucket/0"), EX.term("d0bucket/1")) else "high",
+    halves = DimensionHierarchy.from_pairs(
+        [(EX.term(f"d0bucket/{v // 3}"), "low" if v // 3 < 2 else "high") for v in values],
         name="d0_half",
     )
     def refuse(self, reason):

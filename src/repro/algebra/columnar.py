@@ -11,14 +11,16 @@ arrays and implements the relation protocol of
   per relation, are tested once by ``values_passing``; the mask is ``np.isin``);
 * ``project`` / ``rename`` / ``reorder`` / ``prepend_keys`` — share the arrays;
 * ``map_column`` — ROLL-UP's parent substitution: the function runs once per
-  (memoized) distinct id, one gather writes the column;
+  (memoized) distinct id, one gather writes the column (the distinct ids and
+  each row's position among them come from tables over a dense id span);
 * ``dedup`` — δ via the run heads of one sorted packed key, first occurrences
   kept in order;
 * ``split_on`` / ``union_all`` — the (anti-)semi-join against a set of id
   tuples by ``np.isin`` masks, and ∪ by concatenating columns (the splice of
   a delta refresh);
 * ``join_on`` — the int-keyed equi-join (the fact-variable join of
-  Definition 4) via argsort + ``searchsorted`` expansion;
+  Definition 4): an argsort of the right side, then :func:`expand_sorted`,
+  which reads each key's run from an offsets table when the ids are dense;
 * ``group_states`` — γ's states via the same packed-key group boundaries with
   ``reduceat`` reductions for COUNT/SUM/AVG/MIN/MAX, held in array form
   (:class:`ArrayGroupStates`) so shards merge (concatenate + re-reduce)
@@ -263,12 +265,21 @@ class ColumnarIdRelation(IdRelation):
 
     def _distinct_ids(self, name: str, inverse: bool = False):
         """``(distinct, inverse)``: the column's sorted distinct values, memoized on first
-        use (two threads may both fill it, equally), and each row's position if asked."""
+        use (two threads may both fill it, equally), and each row's position if asked:
+        under :func:`expand_sorted`'s span rule, a presence table and its ``cumsum``."""
         array, distinct = self.column_array(name), self._distinct.get(name)
-        if distinct is not None:
-            return distinct, _np.searchsorted(distinct, array) if inverse else None
-        found = _np.unique(array, return_inverse=inverse)
-        distinct, positions = found if inverse else (found, None)
+        span = _dense_span(array) if distinct is None or inverse else None
+        if span:
+            shifted = array - span[0]
+            present = _np.zeros(span[1] - span[0] + 1, dtype=bool)
+            present[shifted] = True
+            distinct = _np.flatnonzero(present) + span[0]
+            positions = (_np.cumsum(present) - 1)[shifted] if inverse else None
+        elif distinct is None:
+            found = _np.unique(array, return_inverse=inverse)
+            distinct, positions = found if inverse else (found, None)
+        else:
+            positions = _np.searchsorted(distinct, array) if inverse else None
         self._distinct[name] = distinct
         return distinct, positions
 
@@ -390,9 +401,9 @@ class ColumnarIdRelation(IdRelation):
         return self._with((key_column,) + self._columns, arrays, self._length)
 
     def join_on(self, right, join_pairs, kept_right_columns) -> Relation:
-        """Single-pair ⋈ of two columnar relations via argsort + ``searchsorted``
-        expansion (:func:`~repro.algebra.operators.join_on` aligned the value
-        spaces); other shapes hash-join on rows."""
+        """Single-pair ⋈ of two columnar relations via argsort + :func:`expand_sorted`
+        (:func:`~repro.algebra.operators.join_on` aligned the value spaces);
+        other shapes hash-join on rows."""
         if len(join_pairs) != 1 or not isinstance(right, ColumnarIdRelation):
             reason = "join:multi-pair" if len(join_pairs) != 1 else "join:mixed-storage"
             return self.to_rows(reason).join_on(right, join_pairs, kept_right_columns)
@@ -495,8 +506,20 @@ def _combine_and(left, right):
 
 
 # ---------------------------------------------------------------------------
-# ⋈: int-keyed equi-join via argsort + searchsorted expansion
+# ⋈: int-keyed equi-join by offsets (dense ids) or searchsorted expansion
 # ---------------------------------------------------------------------------
+
+#: How many times its length an id array's span may be to index a table.
+_DENSE_SPAN = 4
+
+
+def _dense_span(ids, ordered: bool = False):
+    """``(low, high)`` of an integer id array (``ordered``: sorted) when
+    :func:`expand_sorted`'s span rule lets it index a table, else None."""
+    if not len(ids) or ids.dtype.kind != "i":
+        return None
+    low, high = (int(ids[0]), int(ids[-1])) if ordered else (int(ids.min()), int(ids.max()))
+    return (low, high) if high - low < _DENSE_SPAN * len(ids) else None
 
 
 def expand_sorted(left_keys, sorted_keys):
@@ -504,23 +527,36 @@ def expand_sorted(left_keys, sorted_keys):
 
     Returns ``(left_idx, sorted_positions)`` such that
     ``left_keys[left_idx] == sorted_keys[sorted_positions]`` pairwise,
-    enumerating every match (bag semantics) grouped by left row.  This is
-    the engine's expansion-join primitive: the BGP evaluator's column-block
-    solver keeps per-predicate triple arrays pre-sorted and joins binding
-    columns against them with two ``searchsorted`` calls.
+    enumerating every match (bag semantics) grouped by left row, positions
+    ascending within a row.  This is the engine's expansion-join primitive:
+    the BGP solver joins binding columns against per-predicate sorted
+    triple arrays with it, and the fact join against the sorted measure side.
+
+    The span rule: term ids are dense integers, so when the key span
+    ``sorted_keys[-1] - sorted_keys[0] + 1`` is at most ``_DENSE_SPAN`` times
+    ``len(sorted_keys)``, each key's run is read from an offsets table over
+    the span (CSR: a ``cumsum`` of the ``bincount``, O(n + span)) by two
+    gathers, and keys outside the span (derived negative ids included) get
+    no match.  A wider span takes two ``searchsorted``.  Both give the same
+    runs.  :meth:`ColumnarIdRelation._distinct_ids` ranks ids by the same rule.
     """
-    lo = _np.searchsorted(sorted_keys, left_keys, side="left")
-    hi = _np.searchsorted(sorted_keys, left_keys, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    left_idx = _np.repeat(_np.arange(len(left_keys), dtype=_np.int64), counts)
-    if total:
-        starts = _np.repeat(lo, counts)
-        prefix = _np.cumsum(counts) - counts
-        offsets = _np.arange(total, dtype=_np.int64) - _np.repeat(prefix, counts)
-        positions = starts + offsets
+    span = _dense_span(sorted_keys, ordered=True) if left_keys.dtype.kind == "i" else None
+    if span:
+        # offsets[i], offsets[i + 1]: the run of key low + i - 1; the first
+        # entry serves keys below the span and the last those above it.
+        low, high = span
+        bincount = _np.bincount(sorted_keys - low)
+        offsets = _np.concatenate(([0, 0], _np.cumsum(bincount), [len(sorted_keys)]))
+        slots = _np.clip(left_keys, low - 1, high + 1) - (low - 1)
+        lo, hi = offsets[slots], offsets[1:][slots]
     else:
-        positions = _np.empty(0, dtype=_np.int64)
+        lo = _np.searchsorted(sorted_keys, left_keys, side="left")
+        hi = _np.searchsorted(sorted_keys, left_keys, side="right")
+    counts = hi - lo
+    ends = _np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    left_idx = _np.repeat(_np.arange(len(left_keys), dtype=_np.int64), counts)
+    positions = _np.arange(total, dtype=_np.int64) + _np.repeat(hi - ends, counts)
     return left_idx, positions
 
 

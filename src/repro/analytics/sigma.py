@@ -76,11 +76,19 @@ class DimensionRestriction:
     @classmethod
     def to_range(cls, low: object, high: object, inclusive: bool = True) -> "DimensionRestriction":
         """Restriction to a numeric/lexicographic range (range DICE), closed
-        at both ends or open at both ends."""
+        at both ends or open at both ends; one that allows nothing raises."""
         return cls._between(low, bool(inclusive), high, bool(inclusive))
 
     @classmethod
     def _between(cls, low: object, low_closed: bool, high: object, high_closed: bool) -> "DimensionRestriction":
+        """The one range constructor.  Bounds that do not order (NaN, unrelated
+        types), cross or meet at an open end allow nothing: :class:`SigmaError`."""
+        try:
+            empty = not _AT_MOST[low_closed and high_closed](comparable(low), comparable(high))
+        except TypeError:
+            empty = True
+        if empty:
+            raise SigmaError(f"the range {low!r}..{high!r} allows no value (Definition 2)")
         restriction = cls()
         restriction._range = (low, low_closed, high, high_closed)
         return restriction
@@ -192,12 +200,6 @@ class DimensionRestriction:
             return DimensionRestriction.to_values(common)
         low, low_closed = _tighter(self._range[:2], other._range[:2], gt)
         high, high_closed = _tighter(self._range[2:], other._range[2:], lt)
-        try:
-            empty = not _AT_MOST[low_closed and high_closed](comparable(low), comparable(high))
-        except TypeError:
-            empty = True
-        if empty:
-            raise SigmaError(_EMPTY)
         return DimensionRestriction._between(low, low_closed, high, high_closed)
 
     def __eq__(self, other: object) -> bool:

@@ -45,10 +45,6 @@ except ImportError:  # pragma: no cover
 
 __all__ = ["BGPEvaluator", "ColumnarTripleIndex", "evaluate_query", "gathered_relation"]
 
-#: Term-id ceiling for packing an (s, o) pair into one int64 join key.
-_PAIR_KEY_BITS = 31
-
-
 class ColumnarTripleIndex:
     """Columnar (array) views over one graph's triples, cached per version.
 
@@ -57,14 +53,15 @@ class ColumnarTripleIndex:
     materializes, per predicate, the matching ``(subject, object)`` id pairs
     as contiguous ``int64`` arrays in either sort order, plus sorted
     candidate arrays for two-constant patterns, so the column-block solver
-    can extend whole binding blocks with ``searchsorted`` joins.
+    can extend whole binding blocks with
+    :func:`~repro.algebra.columnar.expand_sorted` joins over them.
 
     Arrays are built lazily (one Python pass per predicate) and cached; any
     graph mutation (detected via :attr:`~repro.rdf.graph.Graph.version`)
     drops the caches, so the index never serves a stale snapshot.
     """
 
-    __slots__ = ("_graph", "_version", "_pairs", "_sorted_pairs", "_candidates", "_pair_keys")
+    __slots__ = ("_graph", "_version", "_pairs", "_sorted_pairs", "_candidates")
 
     def __init__(self, graph: Graph):
         self._graph = graph
@@ -72,7 +69,6 @@ class ColumnarTripleIndex:
         self._pairs: Dict[int, Tuple] = {}
         self._sorted_pairs: Dict[Tuple[int, int], Tuple] = {}
         self._candidates: Dict[Tuple, object] = {}
-        self._pair_keys: Dict[int, object] = {}
 
     def refresh(self) -> None:
         """Drop every cached array when the graph changed underneath."""
@@ -82,7 +78,6 @@ class ColumnarTripleIndex:
             self._pairs.clear()
             self._sorted_pairs.clear()
             self._candidates.clear()
-            self._pair_keys.clear()
 
     def predicate_pairs(self, p_id: int) -> Tuple:
         """All ``(subjects, objects)`` of triples with predicate ``p_id``.
@@ -140,21 +135,6 @@ class ColumnarTripleIndex:
                 _np.fromiter(values, dtype=_np.int64)
             )
         return found
-
-    def pair_keys(self, p_id: int):
-        """Sorted packed ``(s << 31) | o`` keys, or None when ids overflow."""
-        found = self._pair_keys.get(p_id)
-        if found is None:
-            subjects, objects = self.predicate_pairs(p_id)
-            if len(subjects) and int(
-                max(subjects.max(), objects.max())
-            ) >= (1 << _PAIR_KEY_BITS):
-                found = self._pair_keys[p_id] = ()
-            else:
-                found = self._pair_keys[p_id] = _np.sort(
-                    (subjects << _PAIR_KEY_BITS) | objects
-                )
-        return None if isinstance(found, tuple) else found
 
 
 class BGPEvaluator:
@@ -303,11 +283,12 @@ class BGPEvaluator:
         operation against the :class:`ColumnarTripleIndex`:
 
         * a pattern binding one new variable from a bound one is an
-          expansion join (``searchsorted`` against the pre-sorted
-          per-predicate pair arrays);
-        * a pattern over two bound variables is a semi-join mask on packed
-          pair keys; over one bound variable and a constant, a sorted
-          membership mask;
+          expansion join (:func:`~repro.algebra.columnar.expand_sorted`
+          against the pre-sorted per-predicate pair arrays);
+        * a pattern over two bound variables keeps the rows whose object is
+          among the objects of their subject's run (the same expansion, by
+          subject); over one bound variable and a constant, an ``np.isin``
+          mask against the candidate ids;
         * the ``fact_range`` of shard evaluation is a single batched
           ``(lo <= ids) & (ids < hi)`` prune of the whole block, applied
           the moment the restricted variable is bound.
@@ -393,24 +374,14 @@ class BGPEvaluator:
             else:
                 # No free variable: an existence filter.
                 if s_bound and o_bound:
-                    packed = index.pair_keys(p_id)
-                    if packed is None:
-                        return None  # term ids overflow the packed key
-                    subject_column = block[s]
-                    if len(subject_column) and int(
-                        max(subject_column.max(), block[o].max())
-                    ) >= (1 << _PAIR_KEY_BITS):
-                        return None
-                    keys = (subject_column << _PAIR_KEY_BITS) | block[o]
-                    mask = _sorted_membership(packed, keys)
+                    keys, values = index.sorted_pairs(p_id, 0)
+                    left_idx, positions = columnar_kernels.expand_sorted(block[s], keys)
+                    mask = _np.zeros(length, dtype=bool)
+                    mask[left_idx[values[positions] == block[o][left_idx]]] = True
                 elif s_bound:
-                    mask = _sorted_membership(
-                        index.candidates(None, p_id, o_id, 0), block[s]
-                    )
+                    mask = _np.isin(block[s], index.candidates(None, p_id, o_id, 0))
                 elif o_bound:
-                    mask = _sorted_membership(
-                        index.candidates(s_id, p_id, None, 2), block[o]
-                    )
+                    mask = _np.isin(block[o], index.candidates(s_id, p_id, None, 2))
                 else:
                     # Fully constant pattern: the conjunction survives or dies.
                     if graph.count_ids(s_id, p_id, o_id) == 0:
@@ -612,15 +583,6 @@ class BGPEvaluator:
                         continue
                 extended.append(tuple(new_binding))
         return extended
-
-
-def _sorted_membership(sorted_values, keys):
-    """Boolean mask: which ``keys`` occur in the pre-sorted value array."""
-    if len(sorted_values) == 0:
-        return _np.zeros(len(keys), dtype=bool)
-    positions = _np.searchsorted(sorted_values, keys)
-    positions[positions == len(sorted_values)] = len(sorted_values) - 1
-    return sorted_values[positions] == keys
 
 
 def _distinct_rows(rows: Iterable[Tuple]) -> Iterator[Tuple]:

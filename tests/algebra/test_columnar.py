@@ -12,6 +12,7 @@ import pickle
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
@@ -310,6 +311,55 @@ class TestJoinKernel:
         )
         assert len(empty.join_on(other, [("x", "x")], ("v",))) == 0
         assert len(other.join_on(empty, [("x", "x")], ("d",))) == 0
+
+
+@st.composite
+def _ids(draw, dense, sort=True):
+    """Ids on one side of the span rule: ``dense`` ones in ``[base, base +
+    _DENSE_SPAN·n)``, or those plus one id that widens the span just past it."""
+    count = draw(st.integers(0 if dense else 1, 10))
+    base = draw(st.integers(-4, 20))  # below 0: derived ids
+    width = columnar._DENSE_SPAN * count
+    ids = draw(st.lists(st.integers(base, base + max(width - 1, 0)), min_size=count, max_size=count))
+    if not dense:
+        ids.append(min(ids) + columnar._DENSE_SPAN * (count + 1))
+    if ids:
+        assert (columnar._dense_span(np.asarray(ids, dtype=np.int64)) is not None) is dense
+    return sorted(ids) if sort else draw(st.permutations(ids))
+
+
+class TestDenseIdKernels:
+    """The offsets table and the rank table against nested loops, on both
+    sides of the span rule."""
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["offsets", "searchsorted"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_expand_sorted_enumerates_every_match_in_order(self, dense, data):
+        right = data.draw(_ids(dense))
+        low, high = (right[0], right[-1]) if right else (0, 0)
+        # Keys below, inside (gaps included) and above the span, and derived ids.
+        left = data.draw(st.lists(st.integers(min(low, 0) - 3, high + 3), max_size=12))
+        expected = [(i, j) for i, key in enumerate(left) for j, other in enumerate(right) if key == other]
+        left_idx, positions = columnar.expand_sorted(
+            np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
+        )
+        assert left_idx.dtype == positions.dtype == np.int64
+        assert list(zip(left_idx.tolist(), positions.tolist())) == expected
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["presence-table", "unique"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_distinct_ids_and_their_positions(self, dense, data):
+        values = data.draw(_ids(dense, sort=False))
+        array = np.asarray(values, dtype=np.int64)
+        for memoized in (False, True):
+            relation = ColumnarIdRelation.from_arrays(("c",), {"c": array}, TermDictionary(), (), len(values))
+            if memoized:
+                relation._distinct_ids("c")  # the positions come from the memoized ids
+            distinct, positions = relation._distinct_ids("c", inverse=True)
+            assert distinct.tolist() == sorted(set(values))
+            assert distinct[positions].tolist() == values
 
 
 def _assert_no_array_form(relation, aggregate):

@@ -25,8 +25,8 @@ arrays and implements the relation protocol of
   ``reduceat`` reductions for COUNT/SUM/AVG/MIN/MAX, held in array form
   (:class:`ArrayGroupStates`) so shards merge (concatenate + re-reduce)
   and a whole relation finalizes into a columnar ``ans(Q)`` without boxing
-  one Python state per group; :func:`distinct_count_states` is the serial
-  COUNT-DISTINCT (``count`` over the δ of ``(group, value)`` pairs).
+  one Python state per group; COUNT-DISTINCT's state is the δ of the
+  ``(group, id)`` pairs, and :func:`distinct_count_states` counts them.
 
 The engine of an operator is the storage of its input: the BGP solver
 chooses it once, when it constructs a relation, and every protocol method
@@ -347,6 +347,12 @@ class ColumnarIdRelation(IdRelation):
         block = _np.array(rows, dtype=_np.int64).reshape(len(rows), len(self._columns))
         return self._with(self._columns, dict(zip(self._columns, block.T)), len(rows))
 
+    def __reduce__(self):
+        """Pickled as schema and arrays: the ``_distinct`` memo stays behind."""
+        return ColumnarIdRelation.from_arrays, (
+            self._columns, self._column_arrays, self._dictionary, self._encoded, self._length
+        )
+
     def with_dictionary(self, dictionary) -> "ColumnarIdRelation":
         relation = ColumnarIdRelation.from_arrays(
             self._columns, self._column_arrays, dictionary, self._encoded, self._length
@@ -417,28 +423,22 @@ class ColumnarIdRelation(IdRelation):
         encoded = self._encoded | (right.encoded_columns & set(kept_right_columns))
         return self._with(self._columns + tuple(kept_right_columns), arrays, len(left_idx), encoded)
 
-    def group_states(self, by: Sequence[str], measure: str, aggregate, serial: bool = False):
+    def group_states(self, by: Sequence[str], measure: str, aggregate):
         """One partition's γ states in array form (:class:`ArrayGroupStates`).
 
         Integer bags reduce exactly (int64 ``reduceat``) and AVG states carry
         exact integer ``(sum, count)`` pairs, so merged shard averages are
         bit-identical to the one-partition answer.  COUNT-DISTINCT, whose
-        state is a set of ids per group, answers as
-        :func:`distinct_count_states` when ``serial`` (no merge follows) and
-        boxes only the δ of its ``(group, id)`` pairs otherwise.  An aggregate
-        without array form, or a measure value that is not an
-        int64/float64-exact number, takes the dict-form states of the rows.
+        state is a set of ids per group, holds the δ of its ``(group, id)``
+        pairs instead.  An aggregate without array form, or a measure value
+        that is not an int64/float64-exact number, takes the dict-form states
+        of the rows.
         """
         if aggregate.mergeable and aggregate.name == "count_distinct":
-            if serial:
-                return distinct_count_states(self, by, measure)
             arrays = [self.column_array(name) for name in (*by, measure)]
             keep = dedup_arrays(arrays)
-            keys = _key_rows([array[keep] for array in arrays[:-1]], len(keep))
-            ids: Dict[Tuple, List[int]] = {}
-            for key, value in zip(keys, arrays[-1][keep].tolist()):
-                ids.setdefault(key, []).append(value)
-            return {key: aggregate.make(values) for key, values in ids.items()}
+            pairs = [array[keep] for array in arrays]
+            return ArrayGroupStates(aggregate.name, tuple(by), pairs[:-1], pairs[-1:])
         layout = _STATE_ARRAYS.get(aggregate.name) if aggregate.mergeable else None
         values = None
         if layout is not None and self._length and any(of_values for _, of_values in layout):
@@ -692,8 +692,8 @@ def _key_rows(key_arrays: List["_np.ndarray"], count: int) -> List[Row]:
 #: The one aggregate → array-state table.  Each state array is named by the
 #: reduce ufunc that merges it and — when the flag is True — also builds it
 #: from the measure values; flag False arrays are built from the group's row
-#: count.  Aggregates absent here (``count_distinct``, custom ones) keep
-#: dict-form states.
+#: count.  ``count_distinct`` holds pairs, not one reducible state per group;
+#: custom aggregates keep dict-form states.
 _STATE_ARRAYS: Dict[str, Tuple[Tuple[str, bool], ...]] = {
     "count": (("add", False),),
     "sum": (("add", True),),
@@ -712,8 +712,12 @@ class ArrayGroupStates:
     column) plus the aggregate's state arrays — so merging two shards'
     states is a concatenate + group-reduce, not a per-group dict fold.
 
-    Supported for ``count``/``sum``/``avg``/``min``/``max`` over exactly
-    representable numeric bags; anything else stays in dict form.  All
+    ``count`` / ``sum`` / ``avg`` / ``min`` / ``max`` over exactly
+    representable numeric bags hold one row per group.  ``count_distinct``
+    holds one row per distinct ``(group…, id)`` pair of the partition, its
+    one data array the ids: :func:`len` counts pairs, not groups, a merge
+    concatenates the pairs and :meth:`finalized` counts each group's
+    distinct comparable values.  Anything else stays in dict form.  All
     attributes are plain picklable data (states cross process boundaries).
     """
 
@@ -732,6 +736,7 @@ class ArrayGroupStates:
         self.data = list(data)
 
     def __len__(self) -> int:
+        """Rows held: groups, or ``(group…, id)`` pairs for ``count_distinct``."""
         return len(self.data[0])
 
     def _boxed_states(self) -> Iterable:
@@ -742,14 +747,30 @@ class ArrayGroupStates:
         return data_lists[0] if len(data_lists) == 1 else zip(*data_lists)
 
     def to_dict(self) -> Dict[Tuple, object]:
-        """Box into the dict-state form (to mix with dict partitions)."""
-        return dict(zip(_key_rows(self.keys, len(self)), self._boxed_states()))
+        """Box into the dict-state form (to mix with dict partitions):
+        ``count_distinct``'s pairs become ``{key: frozenset(ids)}``."""
+        keys = _key_rows(self.keys, len(self))
+        if self.function != "count_distinct":
+            return dict(zip(keys, self._boxed_states()))
+        members: Dict[Tuple, set] = {}
+        for key, member in zip(keys, self.data[0].tolist()):
+            members.setdefault(key, set()).add(member)
+        return {key: frozenset(ids) for key, ids in members.items()}
 
     def finalized(self, columns: Sequence[str], dictionary, encoded, value=None) -> ColumnarIdRelation:
         """γ's output in the arrays: the key arrays as the grouping
         ``columns`` (``encoded`` of them ids of ``dictionary``), then the
         aggregate's own ``finalize`` of each state; a distributive aggregate's
-        state is its value, so its one int64/float64 state array is taken as is."""
+        state is its value, so its one int64/float64 state array is taken as is.
+        ``count_distinct``'s pairs are counted by :func:`distinct_count_states`
+        against ``dictionary`` (their ids are its ids when ``value`` is given)."""
+        if self.function == "count_distinct":
+            ids = (*encoded, columns[-1]) if value is not None else encoded
+            pairs = ColumnarIdRelation.from_arrays(
+                columns, dict(zip(columns, self.keys + self.data)), dictionary, ids, len(self)
+            )
+            counts = distinct_count_states(pairs, columns[:-1], columns[-1])
+            return counts.finalized(columns, dictionary, encoded)
         aggregate, measures = get_aggregate(self.function), self.data[0]
         if not aggregate.distributive or measures.dtype == object:
             measures = _value_array([aggregate.finalize(s, value) for s in self._boxed_states()])
@@ -765,7 +786,7 @@ class ArrayGroupStates:
         # int64 and float64 shards re-reduce as objects: an all-int group stays int.
         data = [_concatenate([mine, theirs]) for mine, theirs in zip(self.data, other.data)]
         length = len(data[0])
-        if length == 0:
+        if length == 0 or self.function == "count_distinct":
             return ArrayGroupStates(self.function, self.key_columns, keys, data)
         order, starts = _group_boundaries(keys, length)
         merged_keys = [array[order][starts] for array in keys]
@@ -777,7 +798,7 @@ class ArrayGroupStates:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"ArrayGroupStates({self.function}, {len(self)} groups, "
+            f"ArrayGroupStates({self.function}, {len(self)} rows, "
             f"keys={self.key_columns})"
         )
 
@@ -785,14 +806,23 @@ class ArrayGroupStates:
 def distinct_count_states(
     relation: ColumnarIdRelation, by: Sequence[str], measure: str
 ) -> ArrayGroupStates:
-    """Serial γ_{by, count_distinct(measure)} as ``count`` states over δ.
+    """γ_{by, count_distinct(measure)} as ``count`` states, in one sort.
 
-    The one aggregate whose state (a set of ids per group) has no array
-    form: over a whole relation the distinct count of a group is the plain
-    count of its distinct ``(group, value)`` pairs, so the serial case
-    deduplicates on the *comparable decoded* value and counts, instead of
-    boxing one set per group.
+    The rows are sorted by group, then by a code of the measure's
+    *comparable decoded* value (``"28"`` and ``"28.0"`` share one); the
+    heads of the ``(group, code)`` runs are the distinct pairs, and a
+    group's distinct count is the number of heads it spans.
     """
-    arrays = [relation.column_array(name) for name in by]
-    arrays.append(_distinct_value_codes(relation, measure))
-    return relation.take(dedup_arrays(arrays)).group_states(by, measure, COUNT)
+    if not relation:
+        return relation.group_states(by, measure, COUNT)
+    key_arrays = [relation.column_array(name) for name in by]
+    codes = _distinct_value_codes(relation, measure)
+    order, starts = _group_boundaries([*key_arrays, codes], len(relation))
+    heads = [array[order[starts]] for array in key_arrays]
+    new_group = _np.zeros(len(starts), dtype=bool)
+    new_group[0] = True
+    for array in heads:
+        new_group[1:] |= array[1:] != array[:-1]
+    groups = _np.flatnonzero(new_group)
+    counts = _np.diff(_np.append(groups, len(starts)))
+    return ArrayGroupStates("count", tuple(by), [array[groups] for array in heads], [counts])

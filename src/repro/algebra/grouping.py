@@ -73,10 +73,7 @@ def group_aggregate(
         raise UnknownColumnError(
             f"output column {output_column!r} clashes with a grouping column"
         )
-    # serial=True: no merge follows, so columnar storage may count the δ of
-    # (group, value) pairs for count_distinct — sets of ids per group have
-    # no array form, and boxing them costs 2.4x.
-    states = relation.group_states(by, measure, aggregate, serial=True)
+    states = relation.group_states(by, measure, aggregate)
     # Group keys stay in their input space (ids group exactly like terms:
     # the encoding is bijective); the aggregated column is always plain.
     encoded = [name for name in by if relation.column_decoder(name) is not None]
@@ -150,9 +147,10 @@ def finalize_group_states(
 
     Array states finalize in their arrays (they name the built-in that
     finalizes them), a dict state map into rows; ``value`` (id → comparable
-    value, :meth:`~repro.rdf.dictionary.TermDictionary.value`) is forwarded
-    to raw-state aggregates (count_distinct) whose members are still
-    encoded.  Poisoned groups (undefined in some partition) are dropped.
+    value, :meth:`~repro.rdf.dictionary.TermDictionary.value`, given when
+    the measure column held ids of ``dictionary``) is forwarded to raw-state
+    aggregates (count_distinct) whose members are still encoded.  Poisoned
+    groups (undefined in some partition) are dropped.
     """
     columns = tuple(columns)
     if isinstance(states, ArrayGroupStates):

@@ -421,15 +421,14 @@ class Relation:
                         rows.append(left_row + right_part)
         return relation_like(self._columns + tuple(kept_right_columns), rows, self, right)
 
-    def group_states(self, by: Sequence[str], measure: str, aggregate, serial: bool = False):
+    def group_states(self, by: Sequence[str], measure: str, aggregate):
         """One partition's γ: a dict of one aggregate state per group.
 
         ``None`` measures are filtered, encoded measure values are read as
         their dictionary's :meth:`~repro.rdf.dictionary.TermDictionary.value`
         (never, for ``raw_states`` aggregates), and a group whose bag is
         undefined under ⊕ is held as :data:`~repro.algebra.aggregates.POISONED_GROUP`
-        so the omission survives a merge.  ``serial`` promises that no merge
-        follows (the partition is the whole relation); row storage has no use for it.
+        so the omission survives a merge.
         """
         measure_index = self.column_index(measure)
         key_of = tuple_getter(self.column_indexes(by))

@@ -269,13 +269,9 @@ class AnalyticalQueryEvaluator:
         )
 
     def shard_results(
-        self,
-        query: AnalyticalQuery,
-        shard: GraphShard,
-        key_base: int = 1,
-        keep_rows: bool = True,
-    ) -> Tuple[Optional[list], Dict[Tuple, object]]:
-        """Evaluate one fact shard: (``pres(Q)`` rows, γ state map).
+        self, query: AnalyticalQuery, shard: GraphShard, key_base: int = 1
+    ) -> Tuple[Relation, object]:
+        """Evaluate one fact shard: (``pres(Q)``, γ states).
 
         The fact variable is range-restricted to the shard's id interval in
         both the classifier and the measure evaluation, so each fact's
@@ -284,18 +280,21 @@ class AnalyticalQueryEvaluator:
         range, preserving Algorithm 1's key-dedup semantics across the
         concatenated ``pres(Q)``.
 
-        Returns plain picklable data (a list of row tuples, or None when
-        ``keep_rows`` is False, and a state map keyed by dimension-value
-        tuples in the engine's value space): this is the payload worker
-        processes ship back to the merge side.
+        This is the payload a worker process ships back to the merge side:
+        the ``pres(Q)`` relation cut loose from its dictionary (every process
+        numbers terms alike, so the merge side re-binds it to its own) and
+        the states of :meth:`partial_answer_states`.  On the columnar engine
+        both are int64 arrays — the relation's columns, without its memo,
+        and :class:`~repro.algebra.columnar.ArrayGroupStates`
+        (``count_distinct``'s as ``(group…, id)`` pairs); on the row engine,
+        id row tuples and a state dict keyed by dimension-id tuples.
         """
         fact_range = (query.fact_variable, shard.lo, shard.hi)
         partial = self.partial_result(
             query, key_generator=KeyGenerator(key_base), fact_range=fact_range
         )
         states = self.partial_answer_states(query, partial)
-        rows = partial.storage.to_rows("parallel:ship-rows").rows if keep_rows else None
-        return rows, states
+        return partial.storage.with_dictionary(None), states
 
     def evaluate(self, query: AnalyticalQuery) -> MaterializedQueryResults:
         """Answer ``Q`` and keep the materialized inputs for later OLAP reuse.

@@ -15,12 +15,13 @@ and the per-shard results are combined:
   (:mod:`repro.algebra.grouping`): each shard stops at the aggregate
   states of :mod:`repro.algebra.aggregates` and the merge side folds them
   — COUNT/SUM add, AVG merges ``(sum, count)`` pairs, MIN/MAX re-compare,
-  count_distinct unions per-shard id sets — then finalizes exactly as the
+  count_distinct unites per-shard id sets — then finalizes exactly as the
   serial γ does, so results combine **without re-decoding** a single term.  On
   the columnar engine the shard states arrive in **array form**
   (:class:`~repro.algebra.columnar.ArrayGroupStates`: one row per group
-  across parallel int64 arrays), and the merge is a concatenate +
-  re-reduce instead of a per-group dict fold — no re-boxing.
+  across parallel int64 arrays, one per distinct ``(group…, id)`` pair for
+  count_distinct), and the merge is a concatenate + re-reduce instead of a
+  per-group dict fold — no re-boxing.
 
 Backends
 --------
@@ -48,10 +49,13 @@ Backends
       per pool build.
 
     In both modes workers receive tiny pickled shard specs per task and
-    ship back plain rows and state maps — term ids are identical across
-    workers (the snapshot preserves the dense first-seen ids), so the
-    merge side never re-encodes.  The pool is version-stamped: a graph
-    mutation rebuilds it so workers never serve a stale snapshot.
+    ship back the shard's ``pres(Q)``, cut loose from its dictionary, and
+    its γ states: int64 arrays on the columnar engine (a few buffers per
+    shard), id row tuples and state dicts on the row engine.  Term ids are
+    identical across workers (the snapshot preserves the dense first-seen
+    ids), so the merge side re-binds the relations to its dictionary and
+    never re-encodes.  The pool is version-stamped: a graph mutation
+    rebuilds it so workers never serve a stale snapshot.
 ``auto``
     ``process``; ``thread`` once a process pool has broken, or for a query
     whose custom aggregate does not pickle (Σ is data — value sets and
@@ -77,7 +81,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import OLAPError
 
 from repro.algebra.grouping import finalize_group_states, merge_group_states
-from repro.algebra.relation import IdRelation
+from repro.algebra.relation import Relation
 from repro.analytics.answer import CubeAnswer, MaterializedQueryResults, PartialResult
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import KEY_COLUMN, AnalyticalQuery
@@ -172,11 +176,11 @@ def _initialize_worker(source, engine: Optional[str] = None) -> None:
     _WORKER_EVALUATOR = AnalyticalQueryEvaluator(source, engine=engine)
 
 
-def _run_shard(payload: Tuple[AnalyticalQuery, GraphShard, int, bool]):
+def _run_shard(payload: Tuple[AnalyticalQuery, GraphShard, int]):
     """Evaluate one pickled shard spec in a worker process."""
-    query, shard, key_base, keep_rows = payload
+    query, shard, key_base = payload
     assert _WORKER_EVALUATOR is not None, "worker initializer did not run"
-    return _WORKER_EVALUATOR.shard_results(query, shard, key_base=key_base, keep_rows=keep_rows)
+    return _WORKER_EVALUATOR.shard_results(query, shard, key_base=key_base)
 
 
 # ---------------------------------------------------------------------------
@@ -309,39 +313,23 @@ class ParallelExecutor:
         property suite in ``tests/properties/test_property_parallel.py``
         holds all of this across worker/shard combinations.
         """
-        results = self._shard_results(query, shard_count, keep_rows=True)
-        if results is None:
-            return self._evaluator.evaluate(query)
-        return MaterializedQueryResults(
-            query, self._merge_answer(query, results), self._merge_partial(query, results)
-        )
-
-    def answer(self, query: AnalyticalQuery, shard_count: Optional[int] = None) -> CubeAnswer:
-        """``ans(Q)`` alone: workers ship no ``pres(Q)`` rows, only γ states."""
-        results = self._shard_results(query, shard_count, keep_rows=False)
-        if results is None:
-            return self._evaluator.answer(query)
-        return self._merge_answer(query, results)
-
-    def _shard_results(
-        self, query: AnalyticalQuery, shard_count: Optional[int], keep_rows: bool
-    ) -> Optional[List[Tuple[Optional[list], Dict]]]:
-        """Per-shard ``(pres rows, γ states)``; None (a recorded fallback) when
-        ``query`` is unsupported and the caller must evaluate it serially."""
         if not self.supports(query):
             self.last_backend = "fallback-serial"
             self.stats.record_dispatch("fallback-serial")
             reason = "rolled-up query" if query.rollup else "unsupported aggregate"
             self._record_fallback(self._backend, "serial", reason)
-            return None
+            return self._evaluator.evaluate(query)
         count = self._shard_count if shard_count is None else int(shard_count)
-        return self._dispatch(query, self._graph.partition(count), keep_rows)
+        results = self._dispatch(query, self._graph.partition(count))
+        return MaterializedQueryResults(
+            query, self._merge_answer(query, results), self._merge_partial(query, results)
+        )
 
     # -- dispatch ------------------------------------------------------
 
     def _dispatch(
-        self, query: AnalyticalQuery, shards: Tuple[GraphShard, ...], keep_rows: bool
-    ) -> List[Tuple[Optional[list], Dict]]:
+        self, query: AnalyticalQuery, shards: Tuple[GraphShard, ...]
+    ) -> List[Tuple[Relation, object]]:
         if self._closed:
             raise OLAPError(
                 "ParallelExecutor is closed: its worker pools were shut down "
@@ -350,7 +338,7 @@ class ParallelExecutor:
         backend = self._effective_backend(query, shards)
         if backend == "process":
             try:
-                results = self._dispatch_process(query, shards, keep_rows)
+                results = self._dispatch_process(query, shards)
                 self.last_backend = "process"
                 self.stats.record_dispatch("process")
                 return results
@@ -367,16 +355,14 @@ class ParallelExecutor:
                 self._record_fallback("process", "thread", type(exc).__name__)
                 backend = "thread"
         if backend == "thread":
-            results = self._dispatch_thread(query, shards, keep_rows)
+            results = self._dispatch_thread(query, shards)
             self.last_backend = "thread"
             self.stats.record_dispatch("thread")
             return results
         self.last_backend = "serial"
         self.stats.record_dispatch("serial")
         return [
-            self._evaluator.shard_results(
-                query, shard, key_base=_shard_key_base(shard), keep_rows=keep_rows
-            )
+            self._evaluator.shard_results(query, shard, key_base=_shard_key_base(shard))
             for shard in shards
         ]
 
@@ -403,29 +389,22 @@ class ParallelExecutor:
         if not self.stats.fallbacks or self.stats.fallbacks[-1] != record:
             self.stats.record_fallback(*record)
 
-    def _dispatch_thread(self, query, shards, keep_rows):
+    def _dispatch_thread(self, query, shards):
         if self._thread_pool is None:
             self._thread_pool = ThreadPoolExecutor(
                 max_workers=self._workers, thread_name_prefix="repro-shard"
             )
         evaluator = self._evaluator
         futures = [
-            self._thread_pool.submit(
-                evaluator.shard_results,
-                query,
-                shard,
-                _shard_key_base(shard),
-                keep_rows,
-            )
+            self._thread_pool.submit(evaluator.shard_results, query, shard, _shard_key_base(shard))
             for shard in shards
         ]
         return [future.result() for future in futures]
 
-    def _dispatch_process(self, query, shards, keep_rows):
+    def _dispatch_process(self, query, shards):
         pool = self._ensure_process_pool()
         futures = [
-            pool.submit(_run_shard, (query, shard, _shard_key_base(shard), keep_rows))
-            for shard in shards
+            pool.submit(_run_shard, (query, shard, _shard_key_base(shard))) for shard in shards
         ]
         return [future.result() for future in futures]
 
@@ -451,7 +430,7 @@ class ParallelExecutor:
     # -- merge ---------------------------------------------------------
 
     def _merge_answer(
-        self, query: AnalyticalQuery, results: List[Tuple[Optional[list], Dict]]
+        self, query: AnalyticalQuery, results: List[Tuple[Relation, object]]
     ) -> CubeAnswer:
         dictionary = self._graph.dictionary
         dimension_columns = query.dimension_names
@@ -464,26 +443,18 @@ class ParallelExecutor:
         return CubeAnswer(answer_relation, dimension_columns, measure_column)
 
     def _merge_partial(
-        self, query: AnalyticalQuery, results: List[Tuple[Optional[list], Dict]]
+        self, query: AnalyticalQuery, results: List[Tuple[Relation, object]]
     ) -> PartialResult:
-        fact = query.fact_variable.name
-        dimension_columns = query.dimension_names
-        measure_column = query.measure_variable.name
-        pres_rows: list = []
-        for shard_rows, _ in results:
-            pres_rows.extend(shard_rows)
-        pres_relation = IdRelation.adopt_encoded(
-            (fact, *dimension_columns, KEY_COLUMN, measure_column),
-            pres_rows,
-            self._graph.dictionary,
-            encoded=(fact, *dimension_columns, measure_column),
-        )
+        """``pres(Q)``: the shards' relations re-bound to the instance's
+        dictionary and concatenated in their own storage (∪)."""
+        dictionary = self._graph.dictionary
+        first, *rest = (relation.with_dictionary(dictionary) for relation, _ in results)
         return PartialResult(
-            pres_relation,
-            fact_column=fact,
-            dimension_columns=dimension_columns,
+            first.union_all(rest),
+            fact_column=query.fact_variable.name,
+            dimension_columns=query.dimension_names,
             key_column=KEY_COLUMN,
-            measure_column=measure_column,
+            measure_column=query.measure_variable.name,
         )
 
     # -- lifecycle -----------------------------------------------------

@@ -35,7 +35,7 @@ from repro.algebra.operators import dedup, join_on, project, select, union_all
 from repro.algebra.relation import IdRelation
 from repro.analytics.sigma import DimensionRestriction, Sigma
 from repro.rdf.dictionary import TermDictionary
-from repro.rdf.terms import IRI, Literal
+from repro.rdf.terms import IRI, XSD_DECIMAL, Literal
 from tests.conftest import sigma_predicate
 
 AGGREGATES = ("count", "sum", "avg", "min", "max", "count_distinct")
@@ -588,6 +588,18 @@ class TestTypedValueColumn:
         assert sorted(group_aggregate(huge, ["d"], "v", "sum").rows) == [(0, 2**40 + 1), (1, 2)]
 
 
+#: Measures for count_distinct: ``28`` / ``"28.0"^^xsd:decimal`` / ``28.0`` are
+#: three ids of one comparable value, ``"28"`` (a string) is another value.
+_DISTINCT_MEASURES = (
+    Literal(28),
+    Literal("28.0", XSD_DECIMAL),
+    Literal(28.0),
+    Literal("28"),
+    Literal(5),
+    IRI("http://example.org/m"),
+)
+
+
 class TestArrayGroupStates:
     @pytest.mark.parametrize("aggregate", ("count", "sum", "avg", "min", "max"))
     def test_states_match_dict_form(self, aggregate):
@@ -598,14 +610,63 @@ class TestArrayGroupStates:
         assert array_states.to_dict() == dict_states
 
     def test_count_distinct_partition_states_come_from_the_arrays(self):
-        """A shard's id sets are boxed from the δ of the (group, id) pairs —
-        the same dict states as the row engine's, without a row conversion
-        (the worker would otherwise convert its pres twice: γ, then shipping)."""
-        columnar_relation, row_relation = _paired_relations(_sample_rows())
+        """A partition's count_distinct state is the δ of its (group, id)
+        pairs, read off the arrays with no row conversion: one row per
+        distinct pair, boxing to the row engine's id sets."""
+        columnar_relation, row_relation = _paired_relations(_sample_rows(30))
         before = ROW_CONVERSIONS.copy()
         states = group_partial_states(columnar_relation, ["d"], "v", "count_distinct")
         assert ROW_CONVERSIONS == before
-        assert states == group_partial_states(row_relation, ["d"], "v", "count_distinct")
+        assert isinstance(states, ArrayGroupStates) and states.function == "count_distinct"
+        pairs = list(zip(states.keys[0].tolist(), states.data[0].tolist()))
+        distinct = {(d, v) for _, d, v in row_relation.rows}
+        assert len(states) == len(pairs) == len(set(pairs)) == len(distinct) < len(row_relation)
+        assert set(pairs) == distinct
+        assert states.to_dict() == group_partial_states(row_relation, ["d"], "v", "count_distinct")
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, len(_DISTINCT_MEASURES) - 1)), max_size=40
+        ),
+        cuts=st.lists(st.integers(0, 40), max_size=3),
+        shuffle=st.randoms(use_true_random=False),
+    )
+    def test_count_distinct_array_states_merge_to_the_serial_gamma(self, rows, cuts, shuffle):
+        """1–4 partitions (empty ones included), merged in any order — all in
+        array form, or one of them boxed by the row engine — equal the
+        serial γ; ``28`` and ``28.0`` count once even across partitions."""
+        dictionary = TermDictionary()
+        groups = [dictionary.encode(IRI(f"http://example.org/g{index}")) for index in range(4)]
+        measures = [dictionary.encode(term) for term in _DISTINCT_MEASURES]
+        id_rows = [(groups[group], measures[measure]) for group, measure in rows]
+        arrays = {
+            name: np.asarray([row[index] for row in id_rows], dtype=np.int64)
+            for index, name in enumerate(("d", "v"))
+        }
+        relation = ColumnarIdRelation.from_arrays(("d", "v"), arrays, dictionary)
+        serial = group_aggregate(
+            IdRelation(("d", "v"), id_rows, dictionary=dictionary), ["d"], "v", "count_distinct"
+        )
+        edges = [0, *sorted(min(cut, len(rows)) for cut in cuts), len(rows)]
+        parts = [relation.take(np.arange(lo, hi)) for lo, hi in zip(edges, edges[1:])]
+        states = [group_partial_states(part, ["d"], "v", "count_distinct") for part in parts]
+        merged = merge_group_states(shuffle.sample(states, len(states)), "count_distinct")
+        assert isinstance(merged, ArrayGroupStates)
+        assert len(merged) == sum(map(len, states))
+        finalized = finalize_group_states(
+            merged, "count_distinct", ("d", "v"), dictionary, ("d",), dictionary.value
+        )
+        assert isinstance(finalized, ColumnarIdRelation)
+        assert sorted(finalized.rows) == sorted(serial.rows)
+        assert sorted(group_aggregate(relation, ["d"], "v", "count_distinct").rows) == sorted(serial.rows)
+        boxed = IdRelation(("d", "v"), parts[0].rows, dictionary=dictionary)
+        mixed = [group_partial_states(boxed, ["d"], "v", "count_distinct"), *states[1:]]
+        merged = merge_group_states(shuffle.sample(mixed, len(mixed)), "count_distinct")
+        finalized = finalize_group_states(
+            merged, "count_distinct", ("d", "v"), dictionary, ("d",), dictionary.value
+        )
+        assert sorted(finalized.rows) == sorted(serial.rows)
 
     @pytest.mark.parametrize("aggregate", ("count", "sum", "avg", "min", "max"))
     def test_split_merge_equals_serial(self, aggregate):

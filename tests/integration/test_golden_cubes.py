@@ -550,7 +550,7 @@ def test_paper_example_golden_cubes_parallel(name, workers, shards, request, upd
         shard_count=shards,
         backend="thread" if workers > 1 else "serial",
     ) as executor:
-        cube = Cube(executor.answer(query), query)
+        cube = Cube(executor.evaluate(query).answer, query)
     _check_against_golden(name, cube)
 
 
@@ -570,7 +570,7 @@ def test_workload_golden_cubes_parallel(name, request, update_golden):
     with ParallelExecutor(
         AnalyticalQueryEvaluator(dataset.instance), workers=2, shard_count=5, backend="thread"
     ) as executor:
-        cube = Cube(executor.answer(query), query)
+        cube = Cube(executor.evaluate(query).answer, query)
     _check_against_golden(name, cube)
 
 

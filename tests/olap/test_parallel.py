@@ -4,7 +4,8 @@ The merge algebra is tested directly (empty shards, one-shard degeneracy,
 AVG merge exactness, count_distinct dedup across shards, associativity and
 commutativity); the executor is tested against the serial engine on the
 paper's hand-built instances across backends, including the fallback paths
-(non-mergeable aggregates, unpicklable Σ predicates).
+(non-mergeable aggregates, unpicklable custom aggregates), and the process
+backend on what actually crosses the pipe (heap and snapshot instances).
 """
 
 import itertools
@@ -252,20 +253,20 @@ class TestParallelExecutor:
         with _executor(
             example2_instance, workers=workers, shard_count=shards, backend=backend
         ) as executor:
-            cube = Cube(executor.answer(query), query)
+            cube = Cube(executor.evaluate(query).answer, query)
         assert cube.same_cells(oracle)
 
     def test_example2_counts_are_the_paper_numbers(self, example2_instance):
         query = make_sites_query("count")
         with _executor(example2_instance, workers=2, shard_count=3, backend="thread") as executor:
-            cube = Cube(executor.answer(query), query)
+            cube = Cube(executor.evaluate(query).answer, query)
         assert cube.cell(28, "http://example.org/Madrid") == 3
         assert cube.cell(35, "http://example.org/NY") == 2
 
     def test_avg_example4_exact(self, example4_instance):
         query = make_words_query("avg")
         with _executor(example4_instance, workers=2, shard_count=5, backend="thread") as executor:
-            cube = Cube(executor.answer(query), query)
+            cube = Cube(executor.evaluate(query).answer, query)
         assert cube.cell(28, "http://example.org/Madrid") == 210.0
         assert cube.cell(35, "http://example.org/NY") == 570.0
 
@@ -275,27 +276,26 @@ class TestParallelExecutor:
         expected = serial.partial_result(query)
         with _executor(example2_instance, workers=2, shard_count=4, backend="thread") as executor:
             materialized = executor.evaluate(query)
-        partial = materialized.partial
-        assert partial.columns == expected.columns
-        keyless = [name for name in expected.columns if name != KEY_COLUMN]
-        assert project(partial.storage, keyless).bag_equal(project(expected.storage, keyless))
-        # keys are globally distinct across shards (disjoint strides)
-        keys = partial.storage.column_values(KEY_COLUMN)
-        assert len(keys) == len(set(keys))
+        _assert_pres_equal_modulo_keys(materialized.partial, expected)
 
     def test_shard_keys_use_disjoint_strides(self, example2_instance):
         query = make_sites_query("count")
         evaluator = AnalyticalQueryEvaluator(example2_instance)
-        shards = example2_instance.partition(2)
-        rows_b, _ = evaluator.shard_results(query, shards[1], key_base=1 + KEY_STRIDE)
-        keys = {row[-2] for row in rows_b}
-        assert all(key > KEY_STRIDE for key in keys)
+        keyed = 0
+        for shard in example2_instance.partition(len(example2_instance.dictionary)):
+            base = 1 + shard.index * KEY_STRIDE
+            relation, _ = evaluator.shard_results(query, shard, key_base=base)
+            assert relation.dictionary is None  # shipped cut loose from the dictionary
+            keys = relation.column_values(KEY_COLUMN)
+            assert all(base <= key < base + KEY_STRIDE for key in keys)
+            keyed += bool(keys)
+        assert keyed >= 2  # the strides really separated two shards' keys
 
     def test_process_backend_matches_serial(self, example2_instance):
         query = make_sites_query("count")
         oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
         with _executor(example2_instance, workers=2, shard_count=3, backend="process") as executor:
-            cube = Cube(executor.answer(query), query)
+            cube = Cube(executor.evaluate(query).answer, query)
             assert executor.last_backend == "process"
         assert cube.same_cells(oracle)
 
@@ -319,7 +319,7 @@ class TestParallelExecutor:
             with ParallelExecutor(
                 session.evaluator, workers=2, shard_count=3, backend="process"
             ) as executor:
-                cube = Cube(executor.answer(query), query)
+                cube = Cube(executor.evaluate(query).answer, query)
                 assert executor.last_backend == "process"
                 assert cube.same_cells(oracle())
                 sale = EX.term("sale/parallel")
@@ -328,7 +328,7 @@ class TestParallelExecutor:
                 source.add(Triple(sale, EX.ofProduct, EX.term("product/p0")))
                 source.add(Triple(sale, EX.hasPromoAmount, Literal(41)))
                 session.sync()
-                after = Cube(executor.answer(query), query)
+                after = Cube(executor.evaluate(query).answer, query)
                 assert executor.last_backend == "process"
         assert after.same_cells(oracle())
         assert not after.same_cells(cube)
@@ -336,7 +336,7 @@ class TestParallelExecutor:
     def test_process_pool_rebuilds_after_instance_mutation(self, example2_instance):
         query = make_sites_query("count")
         with _executor(example2_instance, workers=2, shard_count=2, backend="process") as executor:
-            before = Cube(executor.answer(query), query)
+            before = Cube(executor.evaluate(query).answer, query)
             user9 = EX.term("user9")
             example2_instance.add(Triple(user9, RDF.term("type"), EX.Blogger))
             example2_instance.add(Triple(user9, EX.hasAge, Literal(35)))
@@ -345,7 +345,7 @@ class TestParallelExecutor:
             example2_instance.add(Triple(user9, EX.wrotePost, post))
             example2_instance.add(Triple(post, EX.postedOn, EX.term("s3")))
             oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
-            after = Cube(executor.answer(query), query)
+            after = Cube(executor.evaluate(query).answer, query)
         assert after.same_cells(oracle)
         assert not after.same_cells(before)  # workers saw the update
 
@@ -357,7 +357,7 @@ class TestParallelExecutor:
         query = base.with_sigma(sigma, name="Q_range")
         oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
         with _executor(example2_instance, workers=2, shard_count=2) as executor:
-            cube = Cube(executor.answer(query), query)
+            cube = Cube(executor.evaluate(query).answer, query)
             assert executor.last_backend == "process"
             assert executor.stats.fallbacks == []
         assert cube.same_cells(oracle)
@@ -373,7 +373,7 @@ class TestParallelExecutor:
         with _executor(example2_instance, workers=2, shard_count=2) as executor:
             for query in queries:
                 oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
-                assert Cube(executor.answer(query), query).same_cells(oracle)
+                assert Cube(executor.evaluate(query).answer, query).same_cells(oracle)
                 assert executor.last_backend == "process"
             assert executor.stats.dispatches == {"process": 2}
             assert executor.stats.fallbacks == []
@@ -397,10 +397,10 @@ class TestParallelExecutor:
         query = AnalyticalQuery(base.classifier, base.measure, custom, name="Q_closure")
         oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
         with _executor(example2_instance, workers=2, shard_count=2, backend="process") as executor:
-            assert Cube(executor.answer(query), query).same_cells(oracle)
+            assert Cube(executor.evaluate(query).answer, query).same_cells(oracle)
             assert executor.last_backend == "thread"
             assert executor.stats.fallbacks == [("process", "thread", "aggregate not picklable")]
-            executor.answer(base)
+            executor.evaluate(base)
             assert executor.last_backend == "process"
             assert executor.stats.process_failures == 0
 
@@ -417,7 +417,7 @@ class TestParallelExecutor:
         oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
         with _executor(example2_instance, workers=2, shard_count=3, backend="thread") as executor:
             assert not executor.supports(query)
-            cube = Cube(executor.answer(query), query)
+            cube = Cube(executor.evaluate(query).answer, query)
             assert executor.last_backend == "fallback-serial"
         assert cube.same_cells(oracle)
 
@@ -427,7 +427,7 @@ class TestParallelExecutor:
         query = Slice("dcity", EX.term("NY")).apply(make_sites_query("count"))
         oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
         with _executor(example2_instance, workers=2, shard_count=3, backend="thread") as executor:
-            cube = Cube(executor.answer(query), query)
+            cube = Cube(executor.evaluate(query).answer, query)
         assert cube.same_cells(oracle)
 
     def test_invalid_configuration_raises(self, example2_instance):
@@ -505,7 +505,7 @@ class TestMixedTypeGroupSemantics:
         with _executor(
             graph, workers=2, shard_count=len(graph.dictionary), backend="thread"
         ) as executor:
-            cube = Cube(executor.answer(query), query)
+            cube = Cube(executor.evaluate(query).answer, query)
         assert cube.same_cells(serial)
 
 
@@ -525,10 +525,10 @@ class TestErrorPropagation:
             # user1's rows all live in one shard, so the TypeError is raised
             # inside a worker and must re-surface through future.result().
             with pytest.raises(TypeError):
-                executor.answer(query)
+                executor.evaluate(query)
             good = make_words_query("count")
             oracle = Cube(AnalyticalQueryEvaluator(example4_instance).answer(good), good)
-            assert Cube(executor.answer(good, shard_count=2), good).same_cells(oracle)
+            assert Cube(executor.evaluate(good, shard_count=2).answer, good).same_cells(oracle)
             assert executor.last_backend == "process"  # not permanently degraded
 
     def test_evaluate_rejects_zero_shard_override(self, example2_instance):
@@ -543,8 +543,8 @@ class TestExecutorStatsAndAttachMode:
     def test_dispatches_are_counted_per_backend(self, example2_instance):
         query = make_sites_query("count")
         with _executor(example2_instance, workers=1, shard_count=2, backend="serial") as executor:
-            executor.answer(query)
-            executor.answer(query)
+            executor.evaluate(query)
+            executor.evaluate(query)
             assert executor.stats.dispatches == {"serial": 2}
             assert executor.stats.total_dispatches == 2
             assert executor.stats.process_failures == 0
@@ -561,7 +561,7 @@ class TestExecutorStatsAndAttachMode:
             )
         query = make_sites_query(name)
         with _executor(example2_instance, workers=2, shard_count=2, backend="thread") as executor:
-            executor.answer(query)
+            executor.evaluate(query)
             assert executor.stats.dispatches.get("fallback-serial") == 1
             assert any(reason == "unsupported aggregate" for _, _, reason in executor.stats.fallbacks)
 
@@ -575,7 +575,7 @@ class TestExecutorStatsAndAttachMode:
         oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
         with _executor(example2_instance, workers=2, shard_count=2, backend="thread") as executor:
             assert not executor.supports(query)
-            assert Cube(executor.answer(query), query).same_cells(oracle)
+            assert Cube(executor.evaluate(query).answer, query).same_cells(oracle)
             assert executor.stats.fallbacks == [("thread", "serial", "rolled-up query")]
 
     def test_broken_pool_failure_is_counted_and_surfaced(self, example2_instance, monkeypatch):
@@ -588,7 +588,7 @@ class TestExecutorStatsAndAttachMode:
 
             monkeypatch.setattr(executor, "_dispatch_process", explode)
             oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
-            cube = Cube(executor.answer(query), query)
+            cube = Cube(executor.evaluate(query).answer, query)
             assert cube.same_cells(oracle)
             assert executor.last_backend == "thread"
             assert executor.stats.process_failures == 1
@@ -610,7 +610,7 @@ class TestExecutorStatsAndAttachMode:
         oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
         with _executor(mapped, workers=2, shard_count=3, backend="process") as executor:
             assert executor.attach_mode == "snapshot-mmap"
-            cube = Cube(executor.answer(query), query)
+            cube = Cube(executor.evaluate(query).answer, query)
             assert executor.last_backend == "process"
             assert executor.stats.dispatches == {"process": 1}
         assert cube.same_cells(oracle)
@@ -626,7 +626,7 @@ class TestExecutorStatsAndAttachMode:
         ) as session:
             monkeypatch.setattr(session.parallel, "_dispatch_process", explode)
             plain = make_sites_query("count")
-            session.parallel.answer(plain)  # triggers the thread downgrade
+            session.parallel.evaluate(plain)  # triggers the thread downgrade
             from repro.olap.operations import DrillOut
 
             operation = DrillOut("dage")
@@ -655,3 +655,104 @@ class TestExecutorStatsAndAttachMode:
         mmap = _priced(mapped, query, workers=2, shard_count=4)
         assert mmap["parallel"] < pickled["parallel"]
         assert mmap["scratch"] == pickled["scratch"]
+
+
+def _split_distinct_instance():
+    """Bloggers with word-counted posts.  The first- and the last-encoded
+    blogger share the (28, Madrid) group and write ``"28"^^xsd:integer`` and
+    ``"28.0"^^xsd:decimal``: two ids with one comparable value, which two
+    shards put on different sides of the pipe."""
+    from repro.rdf import Graph
+    from repro.rdf.terms import XSD_DECIMAL, XSD_INTEGER
+
+    graph = Graph()
+
+    def blogger(name, age, city, word_counts):
+        user = EX.term(name)
+        graph.add(Triple(user, RDF.term("type"), EX.Blogger))
+        graph.add(Triple(user, EX.hasAge, Literal(age)))
+        graph.add(Triple(user, EX.livesIn, EX.term(city)))
+        for index, words in enumerate(word_counts):
+            post = EX.term(f"{name}/post{index}")
+            graph.add(Triple(user, EX.wrotePost, post))
+            graph.add(Triple(post, EX.hasWordCount, words))
+
+    blogger("first", 28, "Madrid", [Literal("28", XSD_INTEGER)])
+    for index in range(24):
+        words = [Literal(10 * (index % 4) + extra) for extra in range(index % 3 + 1)]
+        blogger(f"user{index}", (28, 35, 41)[index % 3], ("Madrid", "NY")[index % 2], words)
+    blogger("last", 28, "Madrid", [Literal("28.0", XSD_DECIMAL)])
+    return graph
+
+
+class TestProcessBackendDifferential:
+    """What crosses the pipe: worker processes ship each shard's ``pres(Q)``
+    and γ states, and the merge must equal the serial evaluator."""
+
+    @pytest.mark.parametrize("attach", ["pickled-graph", "snapshot-mmap"])
+    def test_process_shards_equal_the_serial_evaluator(self, attach, tmp_path):
+        graph = _split_distinct_instance()
+        if attach == "snapshot-mmap":
+            pytest.importorskip("numpy")
+            from repro.storage import load_snapshot, save_snapshot
+
+            path = str(tmp_path / "split.snap")
+            save_snapshot(graph, path)
+            graph = load_snapshot(path, mmap=True)
+        first, last = (graph.dictionary.lookup(EX.term(name)) for name in ("first", "last"))
+        shards = graph.partition(2)
+        assert shards[0].contains(first) and shards[1].contains(last)
+        serial = AnalyticalQueryEvaluator(graph)
+        young_or_middle = DimensionRestriction.to_values([Literal(28), Literal(35)])
+        with ParallelExecutor(serial, workers=2, shard_count=2, backend="process") as executor:
+            assert executor.attach_mode == attach
+            for aggregate in ALL_AGGREGATES:
+                base = make_words_query(aggregate)
+                diced = base.with_sigma(base.sigma.restrict("dage", young_or_middle), name="Q_diced")
+                for query in (base, diced):
+                    merged = executor.evaluate(query)
+                    assert executor.last_backend == "process"
+                    expected = serial.evaluate(query)
+                    cube = Cube(merged.answer, query)
+                    assert cube.same_cells(Cube(expected.answer, query)), (aggregate, query.name)
+                    if aggregate == "count_distinct":
+                        assert cube.cell(28, "http://example.org/Madrid") == 3  # {0, 20, 28 = 28.0}
+                    _assert_pres_equal_modulo_keys(merged.partial, expected.partial)
+                    assert merged.partial.storage.dictionary is graph.dictionary
+            assert executor.stats.fallbacks == []
+
+
+def _assert_pres_equal_modulo_keys(merged, expected):
+    """Bag-equal ``pres(Q)`` but for the opaque keys, in the serial storage;
+    a columnar one holds plain arrays (a worker's may be ``np.memmap`` views)."""
+    assert merged.columns == expected.columns
+    keyless = [name for name in expected.columns if name != KEY_COLUMN]
+    assert project(merged.storage, keyless).bag_equal(project(expected.storage, keyless))
+    keys = merged.storage.column_values(KEY_COLUMN)
+    assert len(keys) == len(set(keys))  # globally distinct: disjoint strides
+    assert type(merged.storage) is type(expected.storage)
+    if hasattr(merged.storage, "column_array"):
+        import numpy as np
+
+        for name in merged.columns:
+            assert type(merged.storage.column_array(name)) is np.ndarray, name
+
+
+class TestColumnarShardsStayInArrays:
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 2)])
+    def test_every_aggregate_merges_without_a_row_conversion(
+        self, example4_instance, backend, workers
+    ):
+        pytest.importorskip("numpy")
+        from repro.algebra.columnar import ROW_CONVERSIONS, ColumnarIdRelation
+
+        evaluator = AnalyticalQueryEvaluator(example4_instance, engine="columnar")
+        with ParallelExecutor(evaluator, workers=workers, shard_count=3, backend=backend) as executor:
+            before = ROW_CONVERSIONS.copy()
+            results = [executor.evaluate(make_words_query(name)) for name in ALL_AGGREGATES]
+            assert ROW_CONVERSIONS == before
+            assert executor.stats.dispatches == {backend: len(ALL_AGGREGATES)}
+        for name, result in zip(ALL_AGGREGATES, results):
+            assert isinstance(result.partial.storage, ColumnarIdRelation), name
+            oracle = evaluator.evaluate(make_words_query(name))
+            assert Cube(result.answer, result.query).same_cells(Cube(oracle.answer, oracle.query))

@@ -93,12 +93,6 @@ class Relation:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_dicts(cls, columns: Sequence[str], dicts: Iterable[Mapping[str, object]]) -> "Relation":
-        """Build a relation from mappings; missing keys become ``None``."""
-        rows = [tuple(mapping.get(column) for column in columns) for mapping in dicts]
-        return cls(columns, rows)
-
-    @classmethod
     def adopt(cls, columns: Sequence[str], rows: List[Row]) -> "Relation":
         """Adopt a pre-validated row list without copying or re-checking arity.
 
@@ -256,19 +250,6 @@ class Relation:
             return False
         left, right = _comparison_pair(self, other)
         return left.to_multiset() == right.to_multiset()
-
-    def set_equal(self, other: "Relation", ignore_column_order: bool = False) -> bool:
-        """Set equality: same schema and same distinct rows."""
-        if not isinstance(other, Relation):
-            return False
-        if ignore_column_order:
-            if set(self._columns) != set(other._columns):
-                return False
-            other = other.reorder(self._columns)
-        elif self._columns != other._columns:
-            return False
-        left, right = _comparison_pair(self, other)
-        return set(left.rows) == set(right.rows)
 
     def __eq__(self, other: object) -> bool:
         """Relations compare by bag equality with identical schemas."""

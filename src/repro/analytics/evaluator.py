@@ -1,11 +1,13 @@
 """From-scratch evaluation of analytical queries over an AnS instance.
 
-This module implements Definition 1 (the answer set of an AnQ), Definition 3
-(the intermediary query ``int(Q)``), the extended measure result ``mᵏ(I)``
-and Definition 4 (the partial result ``pres(Q, I)``), together with the
-aggregation step of Equation (3):
+This module implements the extended measure result ``mᵏ(I)`` and
+Definition 4 (the partial result ``pres(Q, I)``), together with the
+aggregation step of Equation (3), which answers Definition 1:
 
     ``ans(Q)(I) = γ_{d₁,...,dₙ,⊕(v)}(π_{x,d₁,...,dₙ,v}(pres(Q, I)))``
+
+The literal Definitions 1 and 3 (per-fact measure bags, ``int(Q)``) are
+test code (``tests/definitions.py``), the reference Equation (3) is held to.
 
 The evaluator is the *baseline* against which the OLAP rewritings of
 :mod:`repro.olap.rewriting` are compared: it always goes back to the AnS
@@ -32,8 +34,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.algebra.columnar import resolve_engine
 from repro.algebra.grouping import group_aggregate, group_partial_states
-from repro.algebra.operators import join_on, rename, select
-from repro.algebra.relation import Relation, relation_like
+from repro.algebra.operators import join_on, select
+from repro.algebra.relation import Relation
 from repro.rdf.graph import Graph, GraphShard
 from repro.rdf.statistics import GraphStatistics
 from repro.bgp.evaluator import BGPEvaluator
@@ -117,53 +119,6 @@ class AnalyticalQueryEvaluator:
         # Consume len(measure) consecutive keys in one step; the measure's
         # storage prepends them (row tuples, or an arange column).
         return measure.prepend_keys(KEY_COLUMN, keys.take(len(measure)))
-
-    # ------------------------------------------------------------------
-    # components (public, decoded — the id engine is an implementation detail)
-    # ------------------------------------------------------------------
-
-    def classifier_result(self, query: AnalyticalQuery) -> Relation:
-        """``c_Σ(I)``: the classifier answer (set semantics), restricted by Σ.
-
-        The extended classifier is, by Definition 2, the union over all
-        combinations of Σ values of the classifier with dimensions
-        substituted; its answer equals the Σ-selection over the plain
-        classifier answer, which is how we compute it.
-        """
-        return self._classifier_relation(query).materialize()
-
-    def measure_result(self, query: AnalyticalQuery) -> Relation:
-        """``m(I)``: the measure answer with bag semantics (one row per embedding)."""
-        return self._measure_relation(query).materialize()
-
-    def extended_measure_result(
-        self, query: AnalyticalQuery, key_generator: Optional[KeyGenerator] = None
-    ) -> Relation:
-        """``mᵏ(I)``: the measure result with a fresh ``newk()`` key per tuple."""
-        return self._extended_measure_relation(query, key_generator).materialize()
-
-    def intermediary_result(self, query: AnalyticalQuery) -> Relation:
-        """``int(Q)(I) = c ⋈ₓ m̄`` (Definition 3).
-
-        ``m̄`` has set semantics and exposes every variable of the measure
-        body; measure body variables whose names collide with classifier
-        columns (other than the fact variable) are renamed with an ``m_``
-        prefix to keep the join a pure fact-variable join.
-        """
-        fact = query.fact_variable.name
-        classifier_relation = self._classifier_relation(query)
-
-        measure_bar = query.measure_bar()
-        clashes = {
-            variable: variable
-            for variable in measure_bar.head
-            if variable.name != fact and variable.name in classifier_relation.columns
-        }
-        measure_relation = self._bgp_result(measure_bar, "set")
-        if clashes:
-            renaming = {variable.name: f"m_{variable.name}" for variable in clashes}
-            measure_relation = rename(measure_relation, renaming)
-        return join_on(classifier_relation, measure_relation, [(fact, fact)]).materialize()
 
     # ------------------------------------------------------------------
     # pres / ans
@@ -305,51 +260,3 @@ class AnalyticalQueryEvaluator:
         """
         partial = self.partial_result(query)
         return MaterializedQueryResults(query, self.answer_from_partial(query, partial), partial)
-
-    # ------------------------------------------------------------------
-    # direct Definition 1 semantics (used to cross-check Equation (3) in tests)
-    # ------------------------------------------------------------------
-
-    def answer_definition1(self, query: AnalyticalQuery) -> CubeAnswer:
-        """Compute ``ans(Q, I)`` literally following Definition 1.
-
-        For every classifier tuple ``⟨xʲ, d₁ʲ, ..., dₙʲ⟩`` build the bag
-        ``qʲ(I)`` of measure values of ``xʲ``; facts with an empty bag do not
-        contribute; group the classifier tuples by dimension values and
-        aggregate the union of their facts' bags.
-
-        This is intentionally the naive formulation — quadratic in the worst
-        case — and exists so property-based tests can check that the
-        relational-algebra pipeline (Equation (3)) agrees with it.
-        """
-        classifier_relation = self._classifier_relation(query)
-        measure_relation = self._measure_relation(query)
-        measure_column = query.measure_variable.name
-        measure_decoder = measure_relation.column_decoder(measure_column)
-        fact_index = 0
-        measure_values: Dict[object, list] = {}
-        for row in measure_relation:
-            measure_values.setdefault(row[0], []).append(row[1])
-
-        dimension_columns = query.dimension_names
-        groups: Dict[Tuple, list] = {}
-        for row in classifier_relation:
-            fact = row[fact_index]
-            bag = measure_values.get(fact)
-            if not bag:
-                continue  # empty bag: the aggregated measure is undefined
-            key = tuple(row[1:])
-            groups.setdefault(key, []).extend(bag)
-
-        rows = []
-        for key, values in groups.items():
-            if measure_decoder is not None:
-                values = [measure_decoder(value) for value in values]
-            rows.append(key + (query.aggregate(values),))
-        relation = relation_like(
-            (*dimension_columns, measure_column),
-            rows,
-            classifier_relation,
-            plain_columns=(measure_column,),
-        )
-        return CubeAnswer(relation, dimension_columns, measure_column)

@@ -264,14 +264,6 @@ class AnalyticalQuery:
         """The number of dimensions of the cube this query defines."""
         return len(self.dimensions)
 
-    def is_extended(self) -> bool:
-        """True when Σ restricts at least one dimension."""
-        return not self.sigma.is_unrestricted()
-
-    def is_rolled(self) -> bool:
-        """True when at least one ROLL-UP stage coarsens this query."""
-        return bool(self.rollup)
-
     # ------------------------------------------------------------------
     # hierarchy lattice
     # ------------------------------------------------------------------
@@ -321,14 +313,6 @@ class AnalyticalQuery:
         if name is not None:
             finer.name = name
         return finer
-
-    # ------------------------------------------------------------------
-    # derived queries
-    # ------------------------------------------------------------------
-
-    def measure_bar(self) -> BGPQuery:
-        """The ``m̄`` query of Definition 3: same body as m, head = all body variables."""
-        return self.measure.all_variables_head()
 
     # ------------------------------------------------------------------
     # transformation helpers (used by the OLAP operations)

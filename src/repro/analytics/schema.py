@@ -20,11 +20,11 @@ checks the analytics layer needs:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.errors import HomomorphismError, SchemaDefinitionError
 from repro.rdf.namespaces import ANS, RDF, Namespace
-from repro.rdf.terms import IRI, Term, Variable
+from repro.rdf.terms import IRI, Variable
 from repro.rdf.triples import TriplePattern
 from repro.bgp.query import BGPQuery
 
@@ -222,18 +222,6 @@ class AnalyticalSchema:
             raise SchemaDefinitionError(f"unknown analysis property {property_iri.n3()}")
         return self._properties[property_iri]
 
-    def has_class(self, iri: Union[str, IRI]) -> bool:
-        return _as_iri(iri, self.namespace) in self._classes
-
-    def has_property(self, iri: Union[str, IRI]) -> bool:
-        return _as_iri(iri, self.namespace) in self._properties
-
-    def class_iris(self) -> List[IRI]:
-        return list(self._classes)
-
-    def property_iris(self) -> List[IRI]:
-        return list(self._properties)
-
     # ------------------------------------------------------------------
     # homomorphism check (queries against the AnS)
     # ------------------------------------------------------------------
@@ -290,14 +278,6 @@ class AnalyticalSchema:
                     f"variable ?{variable.name} of query {query.name!r} is constrained to belong "
                     f"to multiple analysis classes {names}; the query is not homomorphic to the AnS"
                 )
-
-    def is_homomorphic(self, query: BGPQuery) -> bool:
-        """Boolean variant of :meth:`check_homomorphic`."""
-        try:
-            self.check_homomorphic(query)
-        except HomomorphismError:
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # presentation

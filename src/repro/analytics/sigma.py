@@ -353,12 +353,6 @@ class Sigma:
         updated[dimension] = restriction
         return Sigma(self._dimensions, updated)
 
-    def restrict_many(self, restrictions: Mapping[str, DimensionRestriction]) -> "Sigma":
-        sigma = self
-        for dimension, restriction in restrictions.items():
-            sigma = sigma.restrict(dimension, restriction)
-        return sigma
-
     def without(self, dimensions: Iterable[str]) -> "Sigma":
         """Drop dimensions (DRILL-OUT): Σ′ = Σ \\ {(dⱼ, Σ(dⱼ))}."""
         dropped = set(dimensions)

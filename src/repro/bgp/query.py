@@ -18,10 +18,10 @@ The module also provides the derived notions the paper relies on:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import QueryDefinitionError, QueryNotRootedError
-from repro.rdf.terms import IRI, Literal, Term, TermOrVariable, Variable
+from repro.rdf.terms import Term, Variable
 from repro.rdf.triples import TriplePattern
 
 __all__ = ["BGPQuery"]
@@ -169,20 +169,6 @@ class BGPQuery:
         """Return a query with the same body and a different head."""
         return BGPQuery(head, self._body, name=name or self.name)
 
-    def with_body(self, body: Iterable[TriplePattern], name: Optional[str] = None) -> "BGPQuery":
-        """Return a query with the same head and a different body."""
-        return BGPQuery(self._head, body, name=name or self.name)
-
-    def all_variables_head(self, name: Optional[str] = None) -> "BGPQuery":
-        """Return the ``m̄`` variant (Definition 3): head = all body variables.
-
-        The original head variables come first (in order), followed by the
-        remaining body variables in deterministic (sorted) order, so the
-        result columns are predictable.
-        """
-        remaining = sorted(self.existential_variables(), key=lambda variable: variable.name)
-        return BGPQuery(list(self._head) + remaining, self._body, name=name or f"{self.name}_bar")
-
     def substitute(self, binding: Dict[Variable, Term]) -> "BGPQuery":
         """Ground some variables of the query (drops them from the head).
 
@@ -196,21 +182,9 @@ class BGPQuery:
             raise QueryDefinitionError("substitution would remove every head variable")
         return BGPQuery(new_head, new_body, name=self.name)
 
-    def rename_variables(self, mapping: Dict[Variable, Variable]) -> "BGPQuery":
-        """Apply a variable-to-variable renaming to head and body."""
-        cast: Dict[Variable, Term] = dict(mapping)
-        new_body = [pattern.substitute(cast) for pattern in self._body]
-        new_head = [mapping.get(variable, variable) for variable in self._head]
-        return BGPQuery(new_head, new_body, name=self.name)
-
     # ------------------------------------------------------------------
     # structural introspection used by the drill-in auxiliary query
     # ------------------------------------------------------------------
-
-    def patterns_with_variable(self, variable: Union[str, Variable]) -> List[TriplePattern]:
-        """Return the body patterns in which ``variable`` occurs."""
-        target = _as_variable(variable)
-        return [pattern for pattern in self._body if target in pattern.variables()]
 
     def predicates(self) -> Set[Term]:
         """The set of constant predicates used in the body."""

@@ -29,7 +29,7 @@ eagerly applies a patch the read path would have rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import IngestError
 
@@ -159,10 +159,6 @@ class RefreshScheduler:
         """Add a session whose cache this scheduler maintains."""
         if session not in self._sessions:
             self._sessions.append(session)
-
-    def unregister(self, session) -> None:
-        if session in self._sessions:
-            self._sessions.remove(session)
 
     # ------------------------------------------------------------------
 

@@ -644,23 +644,9 @@ class ResultCache:
             self._lazy.add(key)
             return True
 
-    def unmark_lazy(self, query_or_key) -> bool:
-        """Remove a lazy mark; True when the key was marked."""
-        key = self._resolve_key(query_or_key)
-        with self._lock:
-            if key in self._lazy:
-                self._lazy.remove(key)
-                return True
-            return False
-
     def is_lazy(self, query_or_key) -> bool:
         with self._lock:
             return self._resolve_key(query_or_key) in self._lazy
-
-    def lazy_keys(self) -> Tuple[str, ...]:
-        """Canonical keys currently marked for lazy refresh-on-read."""
-        with self._lock:
-            return tuple(sorted(self._lazy))
 
     # -- pinning (advisor support) -------------------------------------------
 
@@ -692,10 +678,6 @@ class ResultCache:
                 self._pinned.remove(key)
                 return True
             return False
-
-    def is_pinned(self, query_or_key) -> bool:
-        with self._lock:
-            return self._resolve_key(query_or_key) in self._pinned
 
     def pinned_keys(self) -> Tuple[str, ...]:
         """Canonical keys currently pinned (whether or not in memory)."""

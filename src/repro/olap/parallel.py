@@ -23,18 +23,14 @@ and the per-shard results are combined:
   count_distinct), and the merge is a concatenate + re-reduce instead of a
   per-group dict fold — no re-boxing.
 
-Backends
---------
+Execution
+---------
 
-``serial``
+``workers == 1``
     Shards evaluated inline, one after the other.  Still exercises the
     range-restricted evaluation and the merge algebra — the oracle-testing
-    configuration, and the ``workers=1`` degenerate case.
-``thread``
-    A shared :class:`~concurrent.futures.ThreadPoolExecutor` over the live
-    evaluator.  No pickling, always-current data; concurrency is bounded by
-    the GIL, so this is the correctness/fallback backend, not the fast one.
-``process``
+    configuration.
+``workers > 1``
     A :class:`~concurrent.futures.ProcessPoolExecutor` with one of two
     **attach modes** (see :attr:`ParallelExecutor.attach_mode`):
 
@@ -45,8 +41,7 @@ Backends
       through the OS page cache.  Pool build cost is O(1) in the instance
       size — no graph is ever pickled.
     * ``pickled-graph`` — heap instances are pickled into every worker
-      once via the initializer (the pre-snapshot behaviour): O(instance)
-      per pool build.
+      once via the initializer: O(instance) per pool build.
 
     In both modes workers receive tiny pickled shard specs per task and
     ship back the shard's ``pres(Q)``, cut loose from its dictionary, and
@@ -56,16 +51,16 @@ Backends
     ids), so the merge side re-binds the relations to its dictionary and
     never re-encodes.  The pool is version-stamped: a graph mutation
     rebuilds it so workers never serve a stale snapshot.
-``auto``
-    ``process``; ``thread`` once a process pool has broken, or for a query
-    whose custom aggregate does not pickle (Σ is data — value sets and
-    ranges — so only an aggregate's state functions can hold a closure);
-    ``serial`` when ``workers <= 1``.
 
-Every dispatch — and every silent downgrade (a broken pool, an
-unpicklable aggregate) — is counted in :class:`ExecutorStats`, which the
-planner surfaces in :meth:`~repro.olap.planner.Plan.explain`, so
-benchmark numbers can never unknowingly mix backends.
+:meth:`ParallelExecutor.supports` says which queries can go to shards: not
+a roll-up, not a non-mergeable aggregate, and — with worker processes — not
+an aggregate that does not pickle (Σ is data, so only a custom aggregate's
+state functions can hold a closure), nor any query once the pool has
+broken.  The planner offers the ``parallel`` candidate only for those, and
+prices ``scratch`` for the rest.  A pool that breaks mid-dispatch is the
+one downgrade left inside :meth:`ParallelExecutor.evaluate`: that query is
+answered inline and counted in :class:`ExecutorStats` (``stats``), so
+benchmark numbers can never unknowingly mix processes and inline runs.
 
 The planner prices the ``parallel`` candidate
 (:meth:`~repro.olap.planner.OLAPPlanner.plan`); this module only runs it.
@@ -74,7 +69,7 @@ The planner prices the ``parallel`` candidate
 from __future__ import annotations
 
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Tuple
 
@@ -102,17 +97,15 @@ KEY_STRIDE = 1 << 40
 class ExecutorStats:
     """Dispatch bookkeeping for one :class:`ParallelExecutor`.
 
-    Counts every dispatch by the backend that actually served it and every
-    **downgrade** (process pool broken, unsupported or unpicklable
-    aggregate, roll-up) with its reason — the planner surfaces this in
-    :meth:`~repro.olap.planner.Plan.explain` so a benchmark can never
-    silently mix backends.
+    Counts every dispatch by where it ran (``"process"`` or inline
+    ``"serial"``) and every **downgrade** (a pool that broke mid-dispatch)
+    with its reason, so a benchmark can never silently mix the two.
     """
 
     __slots__ = ("dispatches", "process_failures", "fallbacks")
 
     def __init__(self):
-        #: Per-effective-backend dispatch counts, e.g. ``{"process": 4}``.
+        #: Dispatch counts by where they ran, e.g. ``{"process": 4}``.
         self.dispatches: Dict[str, int] = {}
         #: Number of process-pool dispatch attempts that raised.
         self.process_failures = 0
@@ -125,28 +118,8 @@ class ExecutorStats:
     def record_fallback(self, from_backend: str, to_backend: str, reason: str) -> None:
         self.fallbacks.append((from_backend, to_backend, reason))
 
-    @property
-    def total_dispatches(self) -> int:
-        return sum(self.dispatches.values())
-
-    def summary(self) -> str:
-        """One-line human-readable form used in plan explanations."""
-        if not self.dispatches and not self.fallbacks:
-            return "no dispatches yet"
-        parts = [
-            f"{backend}:{count}"
-            for backend, count in sorted(self.dispatches.items())
-        ]
-        line = " ".join(parts)
-        if self.fallbacks:
-            reasons = ", ".join(
-                f"{frm}->{to} ({reason})" for frm, to, reason in self.fallbacks
-            )
-            line += f"; {len(self.fallbacks)} fallback(s): {reasons}"
-        return line
-
     def __repr__(self) -> str:  # pragma: no cover
-        return f"ExecutorStats({self.summary()})"
+        return f"ExecutorStats(dispatches={self.dispatches}, fallbacks={self.fallbacks})"
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +168,14 @@ class ParallelExecutor:
     ----------
     evaluator:
         The serial :class:`~repro.analytics.evaluator.AnalyticalQueryEvaluator`
-        over the AnS instance (it is also the fallback for non-mergeable
-        aggregates).
+        over the AnS instance (it also answers a query inline when the pool
+        breaks under it).
     workers:
-        Pool size.  ``1`` evaluates the shards inline (the merge algebra is
-        still exercised).
+        ``1`` evaluates the shards inline (the merge algebra is still
+        exercised); ``> 1`` is the size of the worker-process pool.
     shard_count:
         Number of fact shards per query; defaults to ``workers``.  More
         shards than workers smooths load imbalance at a small dispatch cost.
-    backend:
-        ``"auto"`` (default), ``"process"``, ``"thread"`` or ``"serial"``
-        — see the module docstring.
 
     Examples
     --------
@@ -229,12 +199,7 @@ class ParallelExecutor:
         evaluator: AnalyticalQueryEvaluator,
         workers: int = 2,
         shard_count: Optional[int] = None,
-        backend: str = "auto",
     ):
-        if backend not in ("auto", "process", "thread", "serial"):
-            raise ValueError(
-                f"unknown backend {backend!r}; expected auto, process, thread or serial"
-            )
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self._evaluator = evaluator
@@ -243,15 +208,13 @@ class ParallelExecutor:
         self._shard_count = self._workers if shard_count is None else int(shard_count)
         if self._shard_count < 1:
             raise ValueError(f"shard_count must be >= 1, got {shard_count}")
-        self._backend = backend
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
         self._process_pool: Optional[ProcessPoolExecutor] = None
         self._process_pool_version: Optional[int] = None
         self._process_broken = False
         self._closed = False
-        #: Backend used by the most recent dispatch (introspection / tests).
+        #: Where the most recent dispatch ran: ``"process"`` or ``"serial"``.
         self.last_backend: Optional[str] = None
-        #: Running dispatch/fallback counters (surfaced by Plan.explain()).
+        #: Running dispatch/fallback counters.
         self.stats = ExecutorStats()
 
     @property
@@ -276,33 +239,37 @@ class ParallelExecutor:
     def shard_count(self) -> int:
         return self._shard_count
 
-    @property
-    def backend(self) -> str:
-        """The *requested* backend (the effective one is :attr:`last_backend`)."""
-        return self._backend
-
     def supports(self, query: AnalyticalQuery) -> bool:
-        """True when ``query`` can be answered by partitioned evaluation.
+        """True when ``query`` can be answered on this executor's shards.
 
         Requires a mergeable aggregate (a custom bag function has no state
-        to merge); anything else falls back to the serial evaluator inside
-        :meth:`evaluate`.
-        Rolled-up queries are unsupported: a parent that is not a graph term
-        gets a negative id from its dictionary
+        to merge).  Rolled-up queries are unsupported: a parent that is not
+        a graph term gets a negative id from its dictionary
         (:meth:`~repro.rdf.dictionary.TermDictionary.encode_derived`), and
         each worker's dictionary would number those parents its own way, so
-        worker ids would not match the merge side's.
+        worker ids would not match the merge side's.  With worker processes
+        the aggregate must also pickle, and the pool must not have broken;
+        a closed executor supports nothing.
         """
-        if query.rollup:
+        if self._closed or query.rollup or not query.aggregate.mergeable:
             return False
-        return query.aggregate.mergeable
+        if self._workers == 1:
+            return True
+        if self._process_broken:
+            return False
+        try:
+            pickle.dumps(query.aggregate)
+        except (pickle.PicklingError, AttributeError, TypeError):
+            # Σ and the query are data, but a custom aggregate's state
+            # functions may be closures or lambdas that cannot cross a
+            # process boundary.
+            return False
+        return True
 
     # -- execution -----------------------------------------------------
 
-    def evaluate(
-        self, query: AnalyticalQuery, shard_count: Optional[int] = None
-    ) -> MaterializedQueryResults:
-        """Answer ``query`` shard-parallel; fall back to serial when unsupported.
+    def evaluate(self, query: AnalyticalQuery) -> MaterializedQueryResults:
+        """Answer ``query`` shard-parallel; :meth:`supports` must hold.
 
         The result equals the serial engine's under
         :meth:`~repro.olap.cube.Cube.same_cells` — exact for COUNT, MIN,
@@ -313,14 +280,17 @@ class ParallelExecutor:
         property suite in ``tests/properties/test_property_parallel.py``
         holds all of this across worker/shard combinations.
         """
+        if self._closed:
+            raise OLAPError(
+                "ParallelExecutor is closed: its worker pool was shut down "
+                "and will not be rebuilt (create a new session/executor)"
+            )
         if not self.supports(query):
-            self.last_backend = "fallback-serial"
-            self.stats.record_dispatch("fallback-serial")
-            reason = "rolled-up query" if query.rollup else "unsupported aggregate"
-            self._record_fallback(self._backend, "serial", reason)
-            return self._evaluator.evaluate(query)
-        count = self._shard_count if shard_count is None else int(shard_count)
-        results = self._dispatch(query, self._graph.partition(count))
+            raise OLAPError(
+                f"query {query.name!r} cannot run on shards (a roll-up, a "
+                f"non-mergeable or unpicklable aggregate, or a broken pool)"
+            )
+        results = self._dispatch(query, self._graph.partition(self._shard_count))
         return MaterializedQueryResults(
             query, self._merge_answer(query, results), self._merge_partial(query, results)
         )
@@ -330,13 +300,7 @@ class ParallelExecutor:
     def _dispatch(
         self, query: AnalyticalQuery, shards: Tuple[GraphShard, ...]
     ) -> List[Tuple[Relation, object]]:
-        if self._closed:
-            raise OLAPError(
-                "ParallelExecutor is closed: its worker pools were shut down "
-                "and will not be rebuilt (create a new session/executor)"
-            )
-        backend = self._effective_backend(query, shards)
-        if backend == "process":
+        if self._workers > 1 and len(shards) > 1:
             try:
                 results = self._dispatch_process(query, shards)
                 self.last_backend = "process"
@@ -345,61 +309,19 @@ class ParallelExecutor:
             except (BrokenProcessPool, pickle.PicklingError, OSError) as exc:
                 # A torn-down pool or unpicklable instance data (workers die
                 # unpickling the initializer's graph): count the failure,
-                # record the downgrade, and serve this (and future) queries
-                # on threads.  Genuine evaluation errors (e.g. min over
-                # mixed types) propagate — they would raise identically on
-                # any backend.
+                # answer this query inline, and stop offering shards (see
+                # supports).  Genuine evaluation errors (e.g. min over mixed
+                # types) propagate — they would raise identically inline.
                 self._process_broken = True
                 self._shutdown_process_pool()
                 self.stats.process_failures += 1
-                self._record_fallback("process", "thread", type(exc).__name__)
-                backend = "thread"
-        if backend == "thread":
-            results = self._dispatch_thread(query, shards)
-            self.last_backend = "thread"
-            self.stats.record_dispatch("thread")
-            return results
+                self.stats.record_fallback("process", "serial", type(exc).__name__)
         self.last_backend = "serial"
         self.stats.record_dispatch("serial")
         return [
             self._evaluator.shard_results(query, shard, key_base=_shard_key_base(shard))
             for shard in shards
         ]
-
-    def _effective_backend(self, query: AnalyticalQuery, shards) -> str:
-        if self._backend == "serial" or self._workers <= 1 or len(shards) <= 1:
-            return "serial"
-        if self._backend == "thread":
-            return "thread"
-        if self._process_broken:
-            return "thread"
-        try:
-            pickle.dumps(query.aggregate)
-        except Exception:
-            # Σ and the query are data, but a custom aggregate's state
-            # functions may be closures or lambdas that cannot cross a
-            # process boundary.
-            self._record_fallback("process", "thread", "aggregate not picklable")
-            return "thread"
-        return "process"
-
-    def _record_fallback(self, from_backend: str, to_backend: str, reason: str) -> None:
-        """Record a downgrade, deduping immediate repeats of the same cause."""
-        record = (from_backend, to_backend, reason)
-        if not self.stats.fallbacks or self.stats.fallbacks[-1] != record:
-            self.stats.record_fallback(*record)
-
-    def _dispatch_thread(self, query, shards):
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=self._workers, thread_name_prefix="repro-shard"
-            )
-        evaluator = self._evaluator
-        futures = [
-            self._thread_pool.submit(evaluator.shard_results, query, shard, _shard_key_base(shard))
-            for shard in shards
-        ]
-        return [future.result() for future in futures]
 
     def _dispatch_process(self, query, shards):
         pool = self._ensure_process_pool()
@@ -465,20 +387,14 @@ class ParallelExecutor:
         return self._closed
 
     def close(self) -> None:
-        """Shut down the worker pools (idempotent).
+        """Shut down the worker pool (idempotent).
 
-        Both pools are released even if shutting down the thread pool
-        raises; after closing, any further dispatch raises
+        After closing, any further dispatch raises
         :class:`~repro.errors.OLAPError` instead of silently rebuilding a
         pool that nobody would ever shut down again.
         """
         self._closed = True
-        try:
-            if self._thread_pool is not None:
-                self._thread_pool.shutdown(wait=True)
-                self._thread_pool = None
-        finally:
-            self._shutdown_process_pool()
+        self._shutdown_process_pool()
 
     def _shutdown_process_pool(self) -> None:
         if self._process_pool is not None:
@@ -495,7 +411,7 @@ class ParallelExecutor:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"ParallelExecutor({self._workers} workers, {self._shard_count} shards, "
-            f"backend={self._backend})"
+            f"{self.attach_mode} attach)"
         )
 
 

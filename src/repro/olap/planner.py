@@ -49,7 +49,8 @@ Candidate strategies, in the order they are enumerated (a candidate's
     Re-evaluate ``Q_T`` shard-parallel on the AnS instance
     (:class:`~repro.olap.parallel.ParallelExecutor`): per-shard evaluation
     plus a merge of the aggregate states.  Only enumerated when the session
-    was built with ``workers > 1`` and the aggregate is mergeable.
+    was built with ``workers > 1`` and the executor can run ``Q_T`` in its
+    worker processes (:meth:`~repro.olap.parallel.ParallelExecutor.supports`).
 
 ``scratch``
     Re-evaluate ``Q_T`` on the AnS instance with the id-space engine,
@@ -569,11 +570,8 @@ class OLAPPlanner:
         instance_triples = len(self._evaluator.instance)
         detail = (
             f"{executor.shard_count} shards on {executor.workers} workers "
-            f"({executor.backend} backend, {executor.attach_mode} attach)"
+            f"({executor.attach_mode} attach)"
         )
-        stats = executor.stats
-        if stats.fallbacks or stats.process_failures:
-            detail += f"; dispatched {stats.summary()}"
         return PlanCandidate(
             "parallel",
             cost,

@@ -104,12 +104,12 @@ class OLAPSession:
         The AnS instance graph.  May be None when ``snapshot`` is given.
     snapshot:
         Path of an on-disk columnar snapshot (see :mod:`repro.storage`) to
-        open as the instance — mutually exclusive with ``instance``.  With
-        ``snapshot_mmap=True`` (default) the session attaches read-only
-        memmap views (cold start is O(header), the columnar kernels read
-        the file's pages zero-copy, and parallel workers re-attach by path
-        instead of receiving a pickled graph); with ``snapshot_mmap=False``
-        the snapshot is decoded into a mutable heap graph.
+        open as the instance — mutually exclusive with ``instance``.  The
+        session attaches read-only memmap views (cold start is O(header),
+        the columnar kernels read the file's pages zero-copy, and parallel
+        workers re-attach by path instead of receiving a pickled graph); for
+        a mutable heap graph pass
+        ``load_snapshot(path, mmap=False)`` as ``instance`` instead.
     schema:
         Optional analytical schema (kept for introspection; queries carry
         their own).
@@ -121,15 +121,20 @@ class OLAPSession:
         Optional directory for write-through persistence of cache entries;
         a new session pointed at the same directory warm-starts from them.
     workers:
-        Size of the shard-parallel worker pool.  With ``workers > 1`` the
-        planner enumerates a ``parallel`` candidate (per-shard evaluation +
-        partial-aggregate merge) for :meth:`execute` and :meth:`transform`
-        alike.  ``1`` (default) keeps everything serial.
+        Size of the shard-parallel worker-process pool (``>= 1``).  With
+        ``workers > 1`` the planner enumerates a ``parallel`` candidate
+        (per-shard evaluation + partial-aggregate merge) for
+        :meth:`execute` and :meth:`transform` alike, for every query the
+        :class:`~repro.olap.parallel.ParallelExecutor` supports.  ``1``
+        (default) keeps everything serial.
     shard_count:
-        Fact shards per parallel evaluation (defaults to ``workers``).
+        Fact shards per parallel evaluation (``>= 1``; defaults to
+        ``workers``).
     parallel_backend:
-        ``"auto"`` / ``"process"`` / ``"thread"`` / ``"serial"`` — see
-        :class:`~repro.olap.parallel.ParallelExecutor`.
+        ``"auto"`` (default) or ``"process"``, which mean the same thing:
+        ``workers > 1`` runs shards in worker processes.  The former
+        ``"thread"`` and ``"serial"`` values were removed and raise
+        ``ValueError``.
     engine:
         ``"rows"``, ``"columnar"`` or None/``"auto"`` — the execution
         engine of the from-scratch evaluator (see
@@ -181,13 +186,25 @@ class OLAPSession:
         parallel_backend: str = "auto",
         engine: Optional[str] = None,
         snapshot: Optional[str] = None,
-        snapshot_mmap: bool = True,
         cost_model: Optional[CostModel] = None,
         entailment: Optional[str] = None,
     ):
         if (instance is None) == (snapshot is None):
             raise ValueError(
                 "OLAPSession needs exactly one of instance= or snapshot="
+            )
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if shard_count is not None and shard_count < 1:
+            raise ValueError(f"shard_count must be >= 1, got {shard_count}")
+        if parallel_backend in ("thread", "serial"):
+            raise ValueError(
+                f"parallel_backend {parallel_backend!r} was removed: workers > 1 "
+                f"runs shards in worker processes"
+            )
+        if parallel_backend not in ("auto", "process"):
+            raise ValueError(
+                f"unknown parallel_backend {parallel_backend!r}; expected 'auto' or 'process'"
             )
         if entailment not in (None, "saturate"):
             raise OLAPError(
@@ -196,7 +213,7 @@ class OLAPSession:
         if snapshot is not None:
             from repro.storage.snapshot import load_snapshot
 
-            instance = load_snapshot(snapshot, mmap=snapshot_mmap)
+            instance = load_snapshot(snapshot, mmap=True)
         self.schema = schema
         #: The graph handed in by the caller (mutate this one); identical to
         #: :attr:`instance` except under ``entailment="saturate"``, where
@@ -215,12 +232,7 @@ class OLAPSession:
         self._cost_model = cost_model or CostModel()
         self._maintainer = DeltaMaintainer(self.evaluator)
         self._parallel = (
-            ParallelExecutor(
-                self.evaluator,
-                workers=workers,
-                shard_count=shard_count,
-                backend=parallel_backend,
-            )
+            ParallelExecutor(self.evaluator, workers=workers, shard_count=shard_count)
             if workers > 1
             else None
         )
@@ -337,18 +349,18 @@ class OLAPSession:
     @property
     def closed(self) -> bool:
         """True once :meth:`close` has run (the session stays queryable
-        serially, but the parallel pools are gone for good)."""
+        serially, but the parallel pool is gone for good)."""
         return self._closed
 
     def close(self) -> None:
-        """Release the parallel worker pools (idempotent; no-op when serial).
+        """Release the parallel worker pool (idempotent; no-op when serial).
 
         Safe to call any number of times — a second close does nothing.
-        After closing, the executor refuses to rebuild its pools, so a
+        After closing, the executor refuses to rebuild its pool, so a
         closed session can never leak worker processes; serial execution
         still works.  ``__exit__`` always calls this, so leaving the
-        ``with`` block through an exception shuts down the thread *and*
-        process pools too.
+        ``with`` block through an exception shuts down the process pool
+        too.
         """
         if self._closed:
             return

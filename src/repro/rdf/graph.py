@@ -23,8 +23,8 @@ from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Se
 from repro.errors import InvalidTripleError
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.namespaces import RDF
-from repro.rdf.terms import IRI, BlankNode, Literal, Term, TermOrVariable, Variable
-from repro.rdf.triples import Triple, TriplePattern
+from repro.rdf.terms import IRI, Literal, Term, TermOrVariable, Variable
+from repro.rdf.triples import Triple
 
 __all__ = ["Graph", "GraphDelta", "GraphShard", "DEFAULT_CHANGE_LOG_LIMIT"]
 
@@ -398,11 +398,6 @@ class Graph:
         return self._change_log_limit
 
     @property
-    def change_log_length(self) -> int:
-        """Number of change records currently retained."""
-        return len(self._change_log)
-
-    @property
     def change_log_base(self) -> int:
         """The oldest version :meth:`deltas_since` can still answer for."""
         return self._log_base
@@ -482,24 +477,6 @@ class Graph:
             self._position_id(subject), self._position_id(predicate), self._position_id(object)
         ):
             yield Triple(decode(s), decode(p), decode(o))  # type: ignore[arg-type]
-
-    def match_pattern(self, pattern: TriplePattern) -> Iterator[Triple]:
-        """Iterate over triples matching a :class:`TriplePattern`.
-
-        Repeated variables in the pattern (e.g. ``?x ?p ?x``) are honoured.
-        """
-        seen_vars = {}
-        positions = pattern.as_tuple()
-        for index, term in enumerate(positions):
-            if isinstance(term, Variable):
-                seen_vars.setdefault(term, []).append(index)
-        for triple in self.triples(*(None if isinstance(t, Variable) else t for t in positions)):
-            components = triple.as_tuple()
-            if all(
-                len({components[i] for i in occurrences}) == 1
-                for occurrences in seen_vars.values()
-            ):
-                yield triple
 
     def _position_id(self, term: Optional[TermOrVariable]) -> Optional[int]:
         """Map a pattern position to an id constraint (None = unconstrained).
@@ -755,10 +732,6 @@ class Graph:
         for obj in self.objects(subject, predicate):
             return obj
         return None
-
-    def instances_of(self, klass: IRI) -> Iterator[Term]:
-        """Iterate over subjects with ``rdf:type klass``."""
-        return self.subjects(_RDF_TYPE, klass)
 
     # ------------------------------------------------------------------
     # partitioning (parallel execution support)

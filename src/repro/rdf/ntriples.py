@@ -11,7 +11,7 @@ dot per statement) but lenient about surrounding whitespace.
 from __future__ import annotations
 
 import re
-from typing import IO, Iterable, Iterator, List, Union
+from typing import IO, Iterable, List, Union
 
 from repro.errors import InvalidTermError, ParseError
 from repro.rdf.graph import Graph
@@ -144,11 +144,3 @@ def dump_ntriples(graph: Graph, path: str, sort: bool = True) -> None:
     """Write a graph to an N-Triples file."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(serialize_ntriples(graph, sort=sort))
-
-
-def iter_ntriples(source: Iterable[str]) -> Iterator[Triple]:
-    """Stream triples from an iterable of N-Triples lines without building a graph."""
-    for line_number, line in enumerate(source, start=1):
-        triple = parse_ntriples_line(line, line_number)
-        if triple is not None:
-            yield triple

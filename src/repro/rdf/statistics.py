@@ -28,7 +28,7 @@ from typing import Dict
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import RDF
-from repro.rdf.terms import IRI, Term, Variable
+from repro.rdf.terms import Term, Variable
 from repro.rdf.triples import TriplePattern
 
 __all__ = ["GraphStatistics"]
@@ -75,16 +75,6 @@ class GraphStatistics:
     # ------------------------------------------------------------------
     # estimation
     # ------------------------------------------------------------------
-
-    def predicate_cardinality(self, predicate: Term) -> int:
-        """Number of triples with the given predicate (0 when unknown)."""
-        self._sync()
-        return self.predicate_counts.get(predicate, 0)
-
-    def class_cardinality(self, klass: Term) -> int:
-        """Number of ``rdf:type`` triples with the given class as object."""
-        self._sync()
-        return self.class_counts.get(klass, 0)
 
     def estimate_pattern(self, pattern: TriplePattern) -> float:
         """Estimate the number of triples matching ``pattern``.

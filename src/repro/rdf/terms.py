@@ -77,18 +77,6 @@ class Term:
         raise NotImplementedError
 
     @property
-    def is_iri(self) -> bool:
-        return isinstance(self, IRI)
-
-    @property
-    def is_literal(self) -> bool:
-        return isinstance(self, Literal)
-
-    @property
-    def is_blank(self) -> bool:
-        return isinstance(self, BlankNode)
-
-    @property
     def is_variable(self) -> bool:
         return isinstance(self, Variable)
 

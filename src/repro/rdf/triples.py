@@ -124,15 +124,6 @@ class TriplePattern:
     def variables(self) -> Set[Variable]:
         return {term for term in self.as_tuple() if isinstance(term, Variable)}
 
-    def is_ground(self) -> bool:
-        return not self.variables()
-
-    def to_triple(self) -> Triple:
-        """Convert a ground pattern into a :class:`Triple`."""
-        if not self.is_ground():
-            raise InvalidTripleError(f"pattern is not ground: {self.n3()}")
-        return Triple(self.subject, self.predicate, self.object)  # type: ignore[arg-type]
-
     # -- matching ----------------------------------------------------------
 
     def matches(self, triple: Triple, binding: Optional[Binding] = None) -> bool:

@@ -230,7 +230,7 @@ class TestBagFunctionAggregate:
         expected = Cube(NaiveAnalyticalEvaluator(example4_instance).answer(median_query), median_query)
         assert sorted(expected.cells().values()) == [120, 570]
         with OLAPSession(
-            example4_instance, workers=2, parallel_backend="thread", engine=engine
+            example4_instance, workers=2, engine=engine
         ) as session:
             assert not median_query.aggregate.mergeable
             assert not session.planner.parallel.supports(median_query)

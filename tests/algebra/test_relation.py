@@ -28,10 +28,6 @@ class TestConstruction:
         with pytest.raises(SchemaMismatchError):
             Relation(["x", "v"], [(1,)])
 
-    def test_from_dicts_fills_missing_with_none(self):
-        relation = Relation.from_dicts(["x", "v"], [{"x": 1, "v": 2}, {"x": 3}])
-        assert relation.rows == [(1, 2), (3, None)]
-
     def test_empty_constructor(self):
         relation = Relation.empty(["a", "b"])
         assert len(relation) == 0 and relation.columns == ("a", "b")
@@ -75,17 +71,11 @@ class TestComparison:
         assert a == b
         assert not a.bag_equal(c)
 
-    def test_set_equality_ignores_duplicates(self):
-        a = Relation(["x"], [(1,), (1,), (2,)])
-        c = Relation(["x"], [(1,), (2,)])
-        assert a.set_equal(c)
-
     def test_column_order_option(self):
         a = Relation(["x", "v"], [(1, 10)])
         b = Relation(["v", "x"], [(10, 1)])
         assert not a.bag_equal(b)
         assert a.bag_equal(b, ignore_column_order=True)
-        assert a.set_equal(b, ignore_column_order=True)
 
     def test_different_schema_never_equal(self):
         assert not Relation(["x"], [(1,)]).bag_equal(Relation(["y"], [(1,)]))

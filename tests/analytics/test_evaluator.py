@@ -5,13 +5,20 @@ from collections import Counter
 import pytest
 
 from repro.rdf import EX, Literal
-from repro.algebra.operators import project
+from repro.algebra.operators import dedup, project
 from repro.analytics.answer import KeyGenerator
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import KEY_COLUMN
 from repro.analytics.sigma import DimensionRestriction
 
 from tests.conftest import make_sites_query, make_words_query
+from tests.definitions import (
+    answer_definition1,
+    classifier_result,
+    extended_measure_result,
+    intermediary_result,
+    measure_result,
+)
 
 
 class TestKeyGenerator:
@@ -29,8 +36,8 @@ class TestExample2:
 
     def test_classifier_result(self, example2_instance, sites_query):
         evaluator = AnalyticalQueryEvaluator(example2_instance)
-        result = evaluator.classifier_result(sites_query)
-        assert result.set_equal(result)  # classifier has set semantics: no dup rows
+        result = classifier_result(evaluator, sites_query)
+        assert len(set(result.rows)) == len(result)  # classifier has set semantics: no dup rows
         rows = set(result.rows)
         assert rows == {
             (EX.user1, Literal(28), EX.term("Madrid")),
@@ -40,7 +47,7 @@ class TestExample2:
 
     def test_measure_result_is_a_bag(self, example2_instance, sites_query):
         evaluator = AnalyticalQueryEvaluator(example2_instance)
-        result = evaluator.measure_result(sites_query)
+        result = measure_result(evaluator, sites_query)
         multiset = result.to_multiset()
         # user1's bag is {|s1, s1, s2|}: two embeddings onto s1.
         assert multiset[(EX.user1, EX.term("s1"))] == 2
@@ -50,12 +57,12 @@ class TestExample2:
 
     def test_extended_measure_result_keys_every_tuple(self, example2_instance, sites_query):
         evaluator = AnalyticalQueryEvaluator(example2_instance)
-        keyed = evaluator.extended_measure_result(sites_query)
+        keyed = extended_measure_result(evaluator, sites_query)
         assert keyed.columns == (KEY_COLUMN, "x", "vsite")
         keys = keyed.column_values(KEY_COLUMN)
         assert len(keys) == len(set(keys)) == 5
         # Dropping the key recovers exactly the bag m(I).
-        assert project(keyed, ("x", "vsite")).bag_equal(evaluator.measure_result(sites_query))
+        assert project(keyed, ("x", "vsite")).bag_equal(measure_result(evaluator, sites_query))
 
     def test_answer_matches_example2(self, example2_instance, sites_query):
         evaluator = AnalyticalQueryEvaluator(example2_instance)
@@ -69,8 +76,8 @@ class TestExample2:
     def test_equation3_matches_definition1(self, example2_instance, sites_query):
         evaluator = AnalyticalQueryEvaluator(example2_instance)
         via_pres = evaluator.answer(sites_query)
-        via_definition = evaluator.answer_definition1(sites_query)
-        assert via_pres.relation.set_equal(via_definition.relation)
+        via_definition = answer_definition1(evaluator, sites_query)
+        assert dedup(via_pres.relation).bag_equal(dedup(via_definition.relation))
 
 
 class TestExample4:
@@ -130,13 +137,15 @@ class TestIntermediaryResult:
         """π_{x,d,v}(int(Q)) = π_{x,d,v}(pres(Q)) — Equation (1)."""
         evaluator = AnalyticalQueryEvaluator(example2_instance)
         partial = evaluator.partial_result(sites_query)
-        intermediary = evaluator.intermediary_result(sites_query)
+        intermediary = intermediary_result(evaluator, sites_query)
         columns = ("x", "dage", "dcity", "vsite")
-        assert project(partial.relation, columns).set_equal(project(intermediary, columns))
+        assert dedup(project(partial.relation, columns)).bag_equal(
+            dedup(project(intermediary, columns))
+        )
 
     def test_int_contains_measure_body_variables(self, example2_instance, sites_query):
         evaluator = AnalyticalQueryEvaluator(example2_instance)
-        intermediary = evaluator.intermediary_result(sites_query)
+        intermediary = intermediary_result(evaluator, sites_query)
         assert "p" in intermediary.columns  # the existential post variable
 
     def test_clashing_measure_variable_is_renamed(self, example2_instance):
@@ -152,7 +161,7 @@ class TestIntermediaryResult:
         )
         query = AnalyticalQuery(classifier, measure, "count")
         evaluator = AnalyticalQueryEvaluator(example2_instance)
-        intermediary = evaluator.intermediary_result(query)
+        intermediary = intermediary_result(evaluator, query)
         assert "m_dage" in intermediary.columns
 
 

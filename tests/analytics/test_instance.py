@@ -66,7 +66,7 @@ class TestCustomLenses:
             parse_query("def(?x) :- ?x rdf:type ex:Blogger, ?x ex:wrotePost ?p"),
         )
         instance = materialize_instance(schema, base_graph)
-        members = set(instance.instances_of(EX.ActiveBlogger))
+        members = set(instance.subjects(RDF_TYPE, EX.ActiveBlogger))
         assert members == {EX.user1}
 
     def test_analysis_property_defined_by_a_path_query(self, base_graph):

@@ -12,6 +12,7 @@ from repro.analytics.sigma import DimensionRestriction, Sigma
 from repro.datagen.blogger import blogger_schema
 
 from tests.conftest import make_sites_query
+from tests.definitions import measure_bar
 
 RDF_TYPE = RDF.term("type")
 
@@ -42,7 +43,7 @@ class TestConstruction:
         assert query.measure_variable == Variable("vsite")
         assert query.aggregate.name == "count"
         assert query.arity == 2
-        assert not query.is_extended()
+        assert query.sigma.is_unrestricted()
 
     def test_aggregate_can_be_function_object(self):
         from repro.algebra.aggregates import SUM
@@ -103,7 +104,7 @@ class TestConstruction:
 class TestDerivedQueries:
     def test_measure_bar_exposes_all_body_variables(self):
         query = AnalyticalQuery(classifier(), measure(), "count")
-        bar = query.measure_bar()
+        bar = measure_bar(query)
         assert set(bar.head_names) == {"x", "vsite", "p"}
         assert bar.head_names[0] == "x"
 
@@ -111,7 +112,7 @@ class TestDerivedQueries:
         query = AnalyticalQuery(classifier(), measure(), "count", name="Q")
         sigma = query.sigma.restrict("dage", DimensionRestriction.to_value(28))
         sliced = query.with_sigma(sigma, name="Q_slice")
-        assert sliced.is_extended()
+        assert not sliced.sigma.is_unrestricted()
         assert sliced.classifier == query.classifier
         assert sliced.measure == query.measure
         assert sliced.aggregate.name == "count"

@@ -20,7 +20,6 @@ class TestRegistration:
         query = parse_query("def(?x) :- ?x rdf:type ex:Blogger")
         node = schema.add_class("Blogger", query)
         assert node.iri == EX.Blogger
-        assert schema.has_class("Blogger")
         assert schema.analysis_class(EX.Blogger).label == "Blogger"
 
     def test_add_class_from_type_default(self):
@@ -70,12 +69,10 @@ class TestRegistration:
         with pytest.raises(SchemaDefinitionError):
             schema.analysis_property("nothing")
 
-    def test_iri_listings(self):
+    def test_listings(self):
         schema = blogger_schema()
-        assert EX.Blogger in schema.class_iris()
-        assert EX.wrotePost in schema.property_iris()
-        assert len(schema.classes) == len(schema.class_iris())
-        assert len(schema.properties) == len(schema.property_iris())
+        assert EX.Blogger in {node.iri for node in schema.classes}
+        assert EX.wrotePost in {edge.iri for edge in schema.properties}
 
 
 class TestHomomorphism:
@@ -89,12 +86,10 @@ class TestHomomorphism:
         )
         schema.check_homomorphic(classifier)
         schema.check_homomorphic(measure)
-        assert schema.is_homomorphic(classifier)
 
     def test_unknown_property_rejected(self):
         schema = blogger_schema()
         query = parse_query("q(?x) :- ?x ex:worksAt ?y")
-        assert not schema.is_homomorphic(query)
         with pytest.raises(HomomorphismError):
             schema.check_homomorphic(query)
 

@@ -253,11 +253,10 @@ class TestSigma:
             Sigma(["d"], {"d": [1, 2, 3]})  # type: ignore[dict-item]
 
     def test_allows_row_implements_sigma_dice(self):
-        sigma = Sigma(["dage", "dcity"]).restrict_many(
-            {
-                "dage": DimensionRestriction.to_range(20, 30),
-                "dcity": DimensionRestriction.to_values([EX.Madrid, EX.Kyoto]),
-            }
+        sigma = (
+            Sigma(["dage", "dcity"])
+            .restrict("dage", DimensionRestriction.to_range(20, 30))
+            .restrict("dcity", DimensionRestriction.to_values([EX.Madrid, EX.Kyoto]))
         )
         assert sigma.allows_row({"dage": Literal(28), "dcity": EX.Madrid, "v": 7})
         assert not sigma.allows_row({"dage": Literal(35), "dcity": EX.Madrid})

@@ -65,12 +65,6 @@ class TestVariables:
         assert query.variables() == {Variable(name) for name in ("x1", "x2", "x3", "y1", "y2")}
         assert query.existential_variables() == {Variable("y1"), Variable("y2")}
 
-    def test_patterns_with_variable(self):
-        query = paper_rooted_query()
-        assert len(query.patterns_with_variable("y2")) == 2
-        assert len(query.patterns_with_variable("x2")) == 1
-        assert query.patterns_with_variable("unused") == []
-
     def test_predicates(self):
         query = paper_rooted_query()
         assert EX.wrotePost in query.predicates()
@@ -115,18 +109,6 @@ class TestTransformations:
         assert narrowed.head_names == ("x1", "x3")
         assert narrowed.body == query.body
 
-    def test_with_body(self):
-        query = paper_rooted_query()
-        extended = query.with_body(list(query.body) + [TriplePattern(Variable("x1"), RDF_TYPE, EX.Blogger)])
-        assert len(extended.body) == 5
-        assert extended.head == query.head
-
-    def test_all_variables_head_orders_head_first(self):
-        query = paper_rooted_query()
-        bar = query.all_variables_head()
-        assert bar.head_names[:3] == ("x1", "x2", "x3")
-        assert set(bar.head_names[3:]) == {"y1", "y2"}
-
     def test_substitute_grounds_and_drops_from_head(self):
         query = paper_rooted_query()
         grounded = query.substitute({Variable("x2"): EX.user2})
@@ -137,13 +119,6 @@ class TestTransformations:
         query = BGPQuery(["x"], [TriplePattern(Variable("x"), RDF_TYPE, EX.Blogger)])
         with pytest.raises(QueryDefinitionError):
             query.substitute({Variable("x"): EX.user1})
-
-    def test_rename_variables(self):
-        query = paper_rooted_query()
-        renamed = query.rename_variables({Variable("x1"): Variable("fact")})
-        assert renamed.head_names[0] == "fact"
-        assert Variable("x1") not in renamed.variables()
-
 
 class TestEqualityAndDisplay:
     def test_equality_ignores_body_order(self):

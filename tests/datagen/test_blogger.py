@@ -40,11 +40,11 @@ class TestBaseGraph:
 
     def test_requested_number_of_bloggers(self):
         graph = blogger_base_graph(BloggerConfig(bloggers=25))
-        assert len(list(graph.instances_of(EX.Blogger))) == 25
+        assert len(list(graph.subjects(RDF_TYPE, EX.Blogger))) == 25
 
     def test_posts_have_sites_and_word_counts(self):
         graph = blogger_base_graph(BloggerConfig(bloggers=20))
-        posts = list(graph.instances_of(EX.BlogPost))
+        posts = list(graph.subjects(RDF_TYPE, EX.BlogPost))
         assert posts
         for post in posts[:10]:
             assert graph.value(post, EX.postedOn) is not None
@@ -54,7 +54,7 @@ class TestBaseGraph:
         graph = blogger_base_graph(BloggerConfig(bloggers=60, multi_city_fraction=0.5, seed=4))
         multi = [
             blogger
-            for blogger in graph.instances_of(EX.Blogger)
+            for blogger in graph.subjects(RDF_TYPE, EX.Blogger)
             if len(list(graph.objects(blogger, EX.livesIn))) > 1
         ]
         assert multi  # some bloggers live in two cities
@@ -63,7 +63,7 @@ class TestBaseGraph:
         graph = blogger_base_graph(BloggerConfig(bloggers=60, missing_age_fraction=0.5, seed=4))
         without_age = [
             blogger
-            for blogger in graph.instances_of(EX.Blogger)
+            for blogger in graph.subjects(RDF_TYPE, EX.Blogger)
             if graph.value(blogger, EX.hasAge) is None
         ]
         assert without_age
@@ -73,7 +73,7 @@ class TestSchemaAndDataset:
     def test_schema_declares_figure1_vocabulary(self):
         schema = blogger_schema()
         for class_name in ("Blogger", "BlogPost", "City", "Site", "Age", "Name", "Value"):
-            assert schema.has_class(class_name)
+            assert schema.analysis_class(class_name)
         for property_name in (
             "acquaintedWith",
             "identifiedBy",
@@ -83,7 +83,7 @@ class TestSchemaAndDataset:
             "postedOn",
             "hasWordCount",
         ):
-            assert schema.has_property(property_name)
+            assert schema.analysis_property(property_name)
 
     def test_dataset_instance_is_queryable(self):
         dataset = blogger_dataset(BloggerConfig(bloggers=30))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.rdf import EX
+from repro.errors import SchemaDefinitionError
+from repro.rdf import EX, RDF
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.olap.operations import DrillIn, DrillOut
 from repro.olap.session import OLAPSession
@@ -13,6 +14,8 @@ from repro.datagen.generic import (
     generic_query,
     generic_schema,
 )
+
+RDF_TYPE = RDF.term("type")
 
 
 class TestConfig:
@@ -36,7 +39,7 @@ class TestGeneration:
     def test_fact_count_and_dimensions(self):
         config = GenericConfig(facts=30, dimensions=4, with_detail=False)
         graph = generic_base_graph(config)
-        facts = list(graph.instances_of(EX.term("Fact")))
+        facts = list(graph.subjects(RDF_TYPE, EX.term("Fact")))
         assert len(facts) == 30
         for fact in facts[:5]:
             for dimension in range(4):
@@ -46,7 +49,7 @@ class TestGeneration:
     def test_fanout_one_means_single_valued(self):
         config = GenericConfig(facts=50, dimensions=2, values_per_dimension=1.0, with_detail=False)
         graph = generic_base_graph(config)
-        for fact in graph.instances_of(EX.term("Fact")):
+        for fact in graph.subjects(RDF_TYPE, EX.term("Fact")):
             for dimension in range(2):
                 assert len(list(graph.objects(fact, EX.term(f"dim{dimension}")))) == 1
 
@@ -55,7 +58,7 @@ class TestGeneration:
         graph = generic_base_graph(config)
         multivalued = [
             fact
-            for fact in graph.instances_of(EX.term("Fact"))
+            for fact in graph.subjects(RDF_TYPE, EX.term("Fact"))
             if len(list(graph.objects(fact, EX.term("dim0")))) > 1
         ]
         assert multivalued
@@ -63,7 +66,7 @@ class TestGeneration:
     def test_detail_chain_generated_when_enabled(self):
         config = GenericConfig(facts=20, with_detail=True)
         graph = generic_base_graph(config)
-        details = list(graph.instances_of(EX.term("Detail")))
+        details = list(graph.subjects(RDF_TYPE, EX.term("Detail")))
         assert details
         for detail in details[:5]:
             assert graph.value(detail, EX.detailA) is not None
@@ -75,10 +78,12 @@ class TestSchemaAndQuery:
         config = GenericConfig(dimensions=3, with_detail=True)
         schema = generic_schema(config)
         for dimension in range(3):
-            assert schema.has_property(f"dim{dimension}")
-        assert schema.has_property("hasDetail") and schema.has_class("Detail")
+            schema.analysis_property(f"dim{dimension}")
+        schema.analysis_property("hasDetail")
+        schema.analysis_class("Detail")
         without_detail = generic_schema(GenericConfig(dimensions=2, with_detail=False))
-        assert not without_detail.has_property("hasDetail")
+        with pytest.raises(SchemaDefinitionError):
+            without_detail.analysis_property("hasDetail")
 
     def test_query_over_subset_of_dimensions(self):
         config = GenericConfig(facts=10, dimensions=4)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rdf import EX
+from repro.rdf import EX, RDF
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.datagen.videos import (
     VideoConfig,
@@ -11,6 +11,8 @@ from repro.datagen.videos import (
     video_schema,
     views_per_url_query,
 )
+
+RDF_TYPE = RDF.term("type")
 
 
 class TestConfig:
@@ -28,18 +30,18 @@ class TestBaseGraph:
 
     def test_counts(self):
         graph = video_base_graph(VideoConfig(videos=25, websites=7))
-        assert len(list(graph.instances_of(EX.Video))) == 25
-        assert len(list(graph.instances_of(EX.Website))) == 7
+        assert len(list(graph.subjects(RDF_TYPE, EX.Video))) == 25
+        assert len(list(graph.subjects(RDF_TYPE, EX.Website))) == 7
 
     def test_every_video_has_views_and_a_posting(self):
         graph = video_base_graph(VideoConfig(videos=15))
-        for video in graph.instances_of(EX.Video):
+        for video in graph.subjects(RDF_TYPE, EX.Video):
             assert graph.value(video, EX.viewNum) is not None
             assert graph.value(video, EX.postedOn) is not None
 
     def test_every_website_has_url_and_browser(self):
         graph = video_base_graph(VideoConfig(videos=10, websites=5))
-        for website in graph.instances_of(EX.Website):
+        for website in graph.subjects(RDF_TYPE, EX.Website):
             assert graph.value(website, EX.hasUrl) is not None
             assert graph.value(website, EX.supportsBrowser) is not None
 
@@ -47,7 +49,7 @@ class TestBaseGraph:
         graph = video_base_graph(VideoConfig(videos=10, websites=20, browsers_per_website=2.5, seed=2))
         multi = [
             website
-            for website in graph.instances_of(EX.Website)
+            for website in graph.subjects(RDF_TYPE, EX.Website)
             if len(list(graph.objects(website, EX.supportsBrowser))) > 1
         ]
         assert multi
@@ -57,9 +59,9 @@ class TestSchemaAndQueries:
     def test_schema_vocabulary(self):
         schema = video_schema()
         for class_name in ("Video", "Website", "Url", "Browser", "ViewCount"):
-            assert schema.has_class(class_name)
+            assert schema.analysis_class(class_name)
         for property_name in ("postedOn", "hasUrl", "supportsBrowser", "viewNum"):
-            assert schema.has_property(property_name)
+            assert schema.analysis_property(property_name)
 
     def test_views_query_structure(self):
         query = views_per_url_query()

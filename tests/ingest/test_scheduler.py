@@ -65,7 +65,7 @@ class TestPolicies:
         # The cached entry is already fresh: the next read is a plain hit.
         session.execute(query)
         assert session.history[-1].strategy in ("cache", "cache[disk]")
-        assert not session.cache.lazy_keys()
+        assert not session.cache.is_lazy(query)
 
     def test_lazy_policy_defers_to_the_read_path(self, live):
         graph, session, query = live
@@ -74,12 +74,12 @@ class TestPolicies:
         ingest_round(graph, scheduler, "lazy")
         assert scheduler.stats.lazy_marks == 1
         assert scheduler.stats.eager_refreshes == 0
-        assert session.cache.lazy_keys()
+        assert session.cache.is_lazy(query)
         before = session.cache.stats.lazy_refreshes
         session.execute(query)
         assert session.history[-1].strategy == "refresh"
         assert session.cache.stats.lazy_refreshes == before + 1
-        assert not session.cache.lazy_keys()  # consumed by the read
+        assert not session.cache.is_lazy(query)  # consumed by the read
 
     def test_lazy_entry_is_not_rewalked(self, live):
         """A lazy-marked entry belongs to the read path; later batches skip it."""
@@ -113,7 +113,7 @@ class TestPolicies:
         bulk = StreamIngestor(graph, batch_size=len(doomed), scheduler=scheduler)
         bulk.ingest(remove=doomed)
         bulk.drain()
-        assert session.cache.lazy_keys() and scheduler.stats.lazy_marks == 1
+        assert session.cache.is_lazy(query) and scheduler.stats.lazy_marks == 1
         entry, delta = session.cache.stale_entry(query, graph)
         refresh_cost, scratch_cost = session.planner.price_refresh(entry, delta)
         assert refresh_cost > scratch_cost
@@ -122,7 +122,7 @@ class TestPolicies:
         cube = session.execute(query)
         assert session.history[-1].strategy == "scratch"
         assert session.cache.stats.lazy_refreshes == 0
-        assert not session.cache.lazy_keys()  # the recomputed entry superseded the mark
+        assert not session.cache.is_lazy(query)  # the recomputed entry superseded the mark
         oracle = AnalyticalQueryEvaluator(graph).answer(query)
         assert cube.same_cells(Cube(oracle, query))
 
@@ -166,9 +166,9 @@ class TestPolicies:
         ingestor.drain()
         assert scheduler.stats.invalidations == 1
         assert scheduler.stats.lazy_marks == 0
-        assert not session.cache.lazy_keys()
+        assert not session.cache.is_lazy(query)
         assert session.cache.peek(query, graph) is None
-        assert session.cache.is_pinned(query)
+        assert query.canonical_key in session.cache.pinned_keys()
         assert session.cache.stats.evictions == 0
         assert session.cache.stats.invalidations == 1
 
@@ -283,14 +283,12 @@ class TestWalk:
         assert cube.same_cells(Cube(oracle, query))
         session.close()
 
-    def test_register_and_unregister(self, live):
+    def test_register_is_idempotent(self, live):
         graph, session, _ = live
         scheduler = RefreshScheduler()
         scheduler.register(session)
-        scheduler.register(session)  # idempotent
+        scheduler.register(session)
         assert scheduler.sessions == (session,)
-        scheduler.unregister(session)
-        assert scheduler.sessions == ()
 
     def test_constructor_validation(self):
         with pytest.raises(IngestError):

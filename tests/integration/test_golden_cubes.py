@@ -524,15 +524,15 @@ def test_after_update_golden_cubes(name, mode, request, update_golden):
     _check_against_golden(name, cube)
 
 
-@pytest.mark.parametrize("workers,shards", [(1, 3), (2, 3), (2, 7)])
+@pytest.mark.parametrize("shards", [1, 3, 7])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_paper_example_golden_cubes_parallel(name, workers, shards, request, update_golden):
+def test_paper_example_golden_cubes_parallel(name, shards, request, update_golden):
     """The partitioned engine reproduces every golden cube cell for cell.
 
     The final (transformed) query of each case is answered directly by the
     shard-parallel executor — per-shard evaluation plus partial-aggregate
-    merge — and must match the committed fixture, at several worker/shard
-    configurations including the workers=1 merge-only degenerate.
+    merge, shards run inline — and must match the committed fixture, at
+    several shard counts including the one-shard degenerate.
     """
     if update_golden:
         return  # fixtures are written by the scratch strategy only
@@ -545,10 +545,7 @@ def test_paper_example_golden_cubes_parallel(name, workers, shards, request, upd
     if build.operation is not None:
         query = build.operation.apply(query)
     with ParallelExecutor(
-        AnalyticalQueryEvaluator(instance),
-        workers=workers,
-        shard_count=shards,
-        backend="thread" if workers > 1 else "serial",
+        AnalyticalQueryEvaluator(instance), workers=1, shard_count=shards
     ) as executor:
         cube = Cube(executor.evaluate(query).answer, query)
     _check_against_golden(name, cube)
@@ -568,7 +565,7 @@ def test_workload_golden_cubes_parallel(name, request, update_golden):
     if operation is not None:
         query = operation.apply(query)
     with ParallelExecutor(
-        AnalyticalQueryEvaluator(dataset.instance), workers=2, shard_count=5, backend="thread"
+        AnalyticalQueryEvaluator(dataset.instance), workers=1, shard_count=5
     ) as executor:
         cube = Cube(executor.evaluate(query).answer, query)
     _check_against_golden(name, cube)

@@ -35,9 +35,10 @@ def test_session_requires_exactly_one_source(dataset, snapshot_path):
 def test_snapshot_session_matches_heap_session(dataset, snapshot_path, mmap):
     query = sites_per_blogger_query(dataset.schema)
     heap_session = OLAPSession(dataset.instance, dataset.schema)
-    snapshot_session = OLAPSession(
-        snapshot=snapshot_path, schema=dataset.schema, snapshot_mmap=mmap
-    )
+    if mmap:
+        snapshot_session = OLAPSession(snapshot=snapshot_path, schema=dataset.schema)
+    else:  # a mutable heap reload is the loader's choice, not a session option
+        snapshot_session = OLAPSession(load_snapshot(snapshot_path, mmap=False), dataset.schema)
     assert isinstance(snapshot_session.instance, SnapshotGraph) == mmap
 
     oracle = heap_session.execute(query)
@@ -58,7 +59,6 @@ def test_mmap_session_parallel_workers_attach_by_path(dataset, snapshot_path):
         schema=dataset.schema,
         workers=2,
         shard_count=3,
-        parallel_backend="process",
     ) as session:
         assert session.parallel.attach_mode == "snapshot-mmap"
         materialized = session.parallel.evaluate(query)

@@ -261,7 +261,7 @@ class TestPinning:
         key = canonical_query_key(sites_query)
         assert cache.pin(key) is False  # no entry yet; pin is latent
         cache.put(sites_query, materialized, example2_instance)
-        assert cache.is_pinned(sites_query)
+        assert sites_query.canonical_key in cache.pinned_keys()
         assert key in cache.pinned_keys()
 
     def test_pin_survives_re_put(self, example2_instance, sites_query, materialized):
@@ -269,7 +269,7 @@ class TestPinning:
         cache.put(sites_query, materialized, example2_instance)
         cache.pin(sites_query)
         cache.put(sites_query, materialized, example2_instance)  # refreshed entry
-        assert cache.is_pinned(sites_query)
+        assert sites_query.canonical_key in cache.pinned_keys()
 
     def test_explicit_evict_unpins_and_counts(
         self, example2_instance, sites_query, materialized
@@ -279,7 +279,7 @@ class TestPinning:
         cache.pin(sites_query)
         assert cache.evict(sites_query) is True
         assert cache.evict(sites_query) is False  # already gone
-        assert not cache.is_pinned(sites_query)
+        assert sites_query.canonical_key not in cache.pinned_keys()
         assert cache.stats.evictions == 1
 
     def test_discard_drops_pin(self, example2_instance, sites_query, materialized):
@@ -287,7 +287,7 @@ class TestPinning:
         cache.put(sites_query, materialized, example2_instance)
         cache.pin(sites_query)
         cache.discard(sites_query)
-        assert not cache.is_pinned(sites_query)
+        assert sites_query.canonical_key not in cache.pinned_keys()
 
     def test_clear_drops_pins(self, example2_instance, sites_query, materialized):
         cache = ResultCache(capacity=2)
@@ -308,15 +308,12 @@ class TestLazyMarks:
         cache = ResultCache(capacity=2)
         assert cache.mark_lazy(sites_query) is False
         assert not cache.is_lazy(sites_query)
-        assert cache.lazy_keys() == ()
 
     def test_mark_on_live_entry_sticks(self, example2_instance, sites_query, materialized):
         cache = ResultCache(capacity=2)
         cache.put(sites_query, materialized, example2_instance)
         assert cache.mark_lazy(sites_query) is True
         assert cache.is_lazy(sites_query)
-        assert cache.unmark_lazy(sites_query) is True
-        assert not cache.is_lazy(sites_query)
 
     def test_re_put_clears_the_mark(self, example2_instance, sites_query, materialized):
         """Regression: a new result supersedes the previous entry's mark —

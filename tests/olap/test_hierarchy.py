@@ -152,7 +152,7 @@ class TestSessionRollUp:
         assert record.execute_seconds <= record.seconds
         # The rolled cube is materialized under its own canonical key, so it
         # can be served from cache and drilled back down.
-        assert rolled.query.is_rolled()
+        assert rolled.query.rollup
         assert session.materialized(rolled.query) is not None
 
     def test_roll_up_records_feed_calibration_and_advisor(self, example2_instance, sites_query):
@@ -181,7 +181,7 @@ class TestSessionRollUp:
         session.execute(sites_query)
         rolled = session.roll_up(sites_query, "dage", AGE_BANDS)
         drilled = session.drill_down(rolled.query)
-        assert not drilled.query.is_rolled()
+        assert not drilled.query.rollup
         base = Cube(session.materialized(sites_query).answer, sites_query)
         assert drilled.same_cells(base)
         assert session.history[-1].strategy.startswith("plan[")

@@ -14,7 +14,7 @@ class TestSlice:
     def test_slice_restricts_sigma_to_single_value(self):
         query = make_sites_query()
         sliced = Slice("dage", Literal(35)).apply(query)
-        assert sliced.is_extended()
+        assert not sliced.sigma.is_unrestricted()
         assert sliced.sigma["dage"].values == (Literal(35),)
         assert sliced.sigma["dcity"].is_full
         # The classifier and measure are untouched (only Σ changes).

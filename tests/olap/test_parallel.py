@@ -3,16 +3,17 @@
 The merge algebra is tested directly (empty shards, one-shard degeneracy,
 AVG merge exactness, count_distinct dedup across shards, associativity and
 commutativity); the executor is tested against the serial engine on the
-paper's hand-built instances across backends, including the fallback paths
-(non-mergeable aggregates, unpicklable custom aggregates), and the process
-backend on what actually crosses the pipe (heap and snapshot instances).
+paper's hand-built instances with inline shards (``workers=1``), its
+``supports`` gate (non-mergeable, rolled-up and unpicklable queries are
+never planned ``parallel``), the broken-pool downgrade, and worker
+processes on what actually crosses the pipe (heap and snapshot instances).
 """
 
 import itertools
 
 import pytest
 
-from repro.errors import AggregationError
+from repro.errors import AggregationError, OLAPError
 from repro.rdf import EX, Literal, RDF, TermDictionary, Triple
 from repro.rdf.terms import Variable
 from repro.algebra.aggregates import (
@@ -32,10 +33,13 @@ from repro.analytics.query import AnalyticalQuery, KEY_COLUMN
 from repro.analytics.sigma import DimensionRestriction
 from repro.olap.cache import ResultCache
 from repro.olap.cube import Cube
+from repro.olap.operations import DrillOut
 from repro.olap.parallel import KEY_STRIDE, ParallelExecutor
 from repro.olap.planner import OLAPPlanner
 from repro.olap.session import OLAPSession
 from repro.olap.calibration import CostModel
+
+from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
 
 from tests.conftest import make_sites_query, make_words_query
 
@@ -228,44 +232,65 @@ def _executor(instance, **kwargs):
     return ParallelExecutor(AnalyticalQueryEvaluator(instance), **kwargs)
 
 
+def _closure_aggregate():
+    """A mergeable custom count whose state functions are closures."""
+    offset = 0
+
+    def make(values):
+        return len(values) + offset
+
+    return AggregateFunction.from_states(
+        "count_closure", make, lambda a, b: a + b, lambda state, value=None: state,
+        distributive=True, numeric_only=False, raw_states=True,
+    )
+
+
+def _closure_query(base):
+    return AnalyticalQuery(base.classifier, base.measure, _closure_aggregate(), name="Q_closure")
+
+
+def _median_aggregate():
+    """The name of a registered non-mergeable (bag-function) aggregate."""
+    registry = default_registry()
+    name = "median_test_parallel_executor"
+    if name not in registry:
+        registry.register(
+            AggregateFunction(
+                name, lambda values: sorted(values)[len(values) // 2], distributive=False
+            )
+        )
+    return name
+
+
 def _priced(instance, query, **executor_kwargs):
     """``{strategy: cost}`` of ``plan_query(query)`` on a planner over
     ``instance`` whose parallel executor is built from ``executor_kwargs``."""
     evaluator = AnalyticalQueryEvaluator(instance)
-    with ParallelExecutor(evaluator, backend="serial", **executor_kwargs) as executor:
+    with ParallelExecutor(evaluator, **executor_kwargs) as executor:
         plan = OLAPPlanner(evaluator, ResultCache(), parallel=executor).plan_query(query)
     return {candidate.strategy: candidate.cost for candidate in plan.candidates}
 
 
 class TestParallelExecutor:
     @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
-    @pytest.mark.parametrize("workers,shards,backend", [
-        (1, 1, "serial"),
-        (1, 3, "serial"),
-        (2, 3, "thread"),
-        (4, 7, "thread"),
-    ])
-    def test_matches_serial_engine_on_example2(
-        self, example2_instance, aggregate, workers, shards, backend
-    ):
+    @pytest.mark.parametrize("shards", [1, 3, 4, 7])
+    def test_matches_serial_engine_on_example2(self, example2_instance, aggregate, shards):
         query = make_sites_query(aggregate)
         oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
-        with _executor(
-            example2_instance, workers=workers, shard_count=shards, backend=backend
-        ) as executor:
+        with _executor(example2_instance, workers=1, shard_count=shards) as executor:
             cube = Cube(executor.evaluate(query).answer, query)
         assert cube.same_cells(oracle)
 
     def test_example2_counts_are_the_paper_numbers(self, example2_instance):
         query = make_sites_query("count")
-        with _executor(example2_instance, workers=2, shard_count=3, backend="thread") as executor:
+        with _executor(example2_instance, workers=1, shard_count=3) as executor:
             cube = Cube(executor.evaluate(query).answer, query)
         assert cube.cell(28, "http://example.org/Madrid") == 3
         assert cube.cell(35, "http://example.org/NY") == 2
 
     def test_avg_example4_exact(self, example4_instance):
         query = make_words_query("avg")
-        with _executor(example4_instance, workers=2, shard_count=5, backend="thread") as executor:
+        with _executor(example4_instance, workers=1, shard_count=5) as executor:
             cube = Cube(executor.evaluate(query).answer, query)
         assert cube.cell(28, "http://example.org/Madrid") == 210.0
         assert cube.cell(35, "http://example.org/NY") == 570.0
@@ -274,7 +299,7 @@ class TestParallelExecutor:
         query = make_sites_query("count")
         serial = AnalyticalQueryEvaluator(example2_instance)
         expected = serial.partial_result(query)
-        with _executor(example2_instance, workers=2, shard_count=4, backend="thread") as executor:
+        with _executor(example2_instance, workers=1, shard_count=4) as executor:
             materialized = executor.evaluate(query)
         _assert_pres_equal_modulo_keys(materialized.partial, expected)
 
@@ -294,7 +319,7 @@ class TestParallelExecutor:
     def test_process_backend_matches_serial(self, example2_instance):
         query = make_sites_query("count")
         oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
-        with _executor(example2_instance, workers=2, shard_count=3, backend="process") as executor:
+        with _executor(example2_instance, workers=2, shard_count=3) as executor:
             cube = Cube(executor.evaluate(query).answer, query)
             assert executor.last_backend == "process"
         assert cube.same_cells(oracle)
@@ -317,7 +342,7 @@ class TestParallelExecutor:
         assert not oracle().same_cells(plain)  # entailment matters on this data
         with OLAPSession(source, dataset.schema, entailment="saturate") as session:
             with ParallelExecutor(
-                session.evaluator, workers=2, shard_count=3, backend="process"
+                session.evaluator, workers=2, shard_count=3
             ) as executor:
                 cube = Cube(executor.evaluate(query).answer, query)
                 assert executor.last_backend == "process"
@@ -335,7 +360,7 @@ class TestParallelExecutor:
 
     def test_process_pool_rebuilds_after_instance_mutation(self, example2_instance):
         query = make_sites_query("count")
-        with _executor(example2_instance, workers=2, shard_count=2, backend="process") as executor:
+        with _executor(example2_instance, workers=2, shard_count=2) as executor:
             before = Cube(executor.evaluate(query).answer, query)
             user9 = EX.term("user9")
             example2_instance.add(Triple(user9, RDF.term("type"), EX.Blogger))
@@ -378,55 +403,50 @@ class TestParallelExecutor:
             assert executor.stats.dispatches == {"process": 2}
             assert executor.stats.fallbacks == []
 
-    def test_closure_aggregate_runs_on_threads_without_breaking_the_pool(
-        self, example2_instance
-    ):
+    def test_closure_aggregate_is_not_offered_to_processes(self, example2_instance):
         """A mergeable custom aggregate whose state functions are closures
-        cannot cross a process boundary: that query alone runs on threads,
-        and the pool keeps serving the queries that pickle."""
-        offset = 0
-
-        def make(values):
-            return len(values) + offset
-
-        custom = AggregateFunction.from_states(
-            "count_closure", make, lambda a, b: a + b, lambda state, value=None: state,
-            distributive=True, numeric_only=False, raw_states=True,
-        )
-        base = make_sites_query("count")
-        query = AnalyticalQuery(base.classifier, base.measure, custom, name="Q_closure")
-        oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
-        with _executor(example2_instance, workers=2, shard_count=2, backend="process") as executor:
-            assert Cube(executor.evaluate(query).answer, query).same_cells(oracle)
-            assert executor.last_backend == "thread"
-            assert executor.stats.fallbacks == [("process", "thread", "aggregate not picklable")]
-            executor.evaluate(base)
+        cannot cross a process boundary: ``supports`` refuses it, so the
+        planner prices scratch, and the pool keeps serving the queries that
+        pickle."""
+        query = _closure_query(make_sites_query("count"))
+        with _executor(example2_instance, workers=2, shard_count=2) as executor:
+            assert not executor.supports(query)
+            with pytest.raises(OLAPError):
+                executor.evaluate(query)
+            executor.evaluate(make_sites_query("count"))
             assert executor.last_backend == "process"
             assert executor.stats.process_failures == 0
+            assert executor.stats.fallbacks == []
+        with _executor(example2_instance, workers=1, shard_count=2) as inline:
+            assert inline.supports(query)  # nothing crosses a pipe inline
+            oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
+            assert Cube(inline.evaluate(query).answer, query).same_cells(oracle)
 
-    def test_non_mergeable_aggregate_falls_back_to_serial(self, example2_instance):
-        registry = default_registry()
-        name = "median_test_parallel_executor"
-        if name not in registry:
-            registry.register(
-                AggregateFunction(
-                    name, lambda values: sorted(values)[len(values) // 2], distributive=False
-                )
-            )
-        query = make_sites_query(name)
-        oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
-        with _executor(example2_instance, workers=2, shard_count=3, backend="thread") as executor:
-            assert not executor.supports(query)
-            cube = Cube(executor.evaluate(query).answer, query)
-            assert executor.last_backend == "fallback-serial"
-        assert cube.same_cells(oracle)
+    @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
+    def test_builtin_aggregate_is_offered_to_processes(self, example2_instance, aggregate):
+        """The pickle probe in ``supports`` passes every built-in aggregate,
+        so the planner keeps a ``parallel`` candidate for it."""
+        query = make_sites_query(aggregate)
+        with _executor(example2_instance, workers=2, shard_count=2) as executor:
+            assert executor.supports(query)
+            assert executor.stats.dispatches == {}  # the probe dispatches nothing
+        assert "parallel" in _priced(example2_instance, query, workers=2, shard_count=2)
+
+    def test_non_mergeable_aggregate_is_not_supported(self, example2_instance):
+        query = make_sites_query(_median_aggregate())
+        for workers in (1, 2):
+            with _executor(example2_instance, workers=workers, shard_count=3) as executor:
+                assert not executor.supports(query)
+                with pytest.raises(OLAPError):
+                    executor.evaluate(query)
+                assert executor.stats.dispatches == {}
 
     def test_sliced_query_matches_serial(self, example2_instance):
         from repro.olap.operations import Slice
 
         query = Slice("dcity", EX.term("NY")).apply(make_sites_query("count"))
         oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
-        with _executor(example2_instance, workers=2, shard_count=3, backend="thread") as executor:
+        with _executor(example2_instance, workers=1, shard_count=3) as executor:
             cube = Cube(executor.evaluate(query).answer, query)
         assert cube.same_cells(oracle)
 
@@ -436,8 +456,6 @@ class TestParallelExecutor:
             ParallelExecutor(evaluator, workers=0)
         with pytest.raises(ValueError):
             ParallelExecutor(evaluator, workers=2, shard_count=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(evaluator, workers=2, backend="gpu")
 
 
 class TestParallelCostModel:
@@ -502,9 +520,7 @@ class TestMixedTypeGroupSemantics:
 
         serial = Cube(AnalyticalQueryEvaluator(graph).answer(query), query)
         assert len(serial) == 1  # only d2 survives
-        with _executor(
-            graph, workers=2, shard_count=len(graph.dictionary), backend="thread"
-        ) as executor:
+        with _executor(graph, workers=1, shard_count=len(graph.dictionary)) as executor:
             cube = Cube(executor.evaluate(query).answer, query)
         assert cube.same_cells(serial)
 
@@ -521,79 +537,71 @@ class TestErrorPropagation:
         query = make_words_query("min")
         with pytest.raises(TypeError):
             AnalyticalQueryEvaluator(example4_instance).answer(query)
-        with _executor(example4_instance, workers=2, shard_count=2, backend="process") as executor:
+        with _executor(example4_instance, workers=2, shard_count=2) as executor:
             # user1's rows all live in one shard, so the TypeError is raised
             # inside a worker and must re-surface through future.result().
             with pytest.raises(TypeError):
                 executor.evaluate(query)
             good = make_words_query("count")
             oracle = Cube(AnalyticalQueryEvaluator(example4_instance).answer(good), good)
-            assert Cube(executor.evaluate(good, shard_count=2).answer, good).same_cells(oracle)
+            assert Cube(executor.evaluate(good).answer, good).same_cells(oracle)
             assert executor.last_backend == "process"  # not permanently degraded
-
-    def test_evaluate_rejects_zero_shard_override(self, example2_instance):
-        with _executor(example2_instance, workers=2, shard_count=2, backend="serial") as executor:
-            with pytest.raises(ValueError):
-                executor.evaluate(make_sites_query("count"), shard_count=0)
 
 
 class TestExecutorStatsAndAttachMode:
-    """Dispatch bookkeeping: no silent backend mixing, snapshot attach mode."""
+    """Dispatch bookkeeping: no silent process/inline mixing, snapshot attach mode."""
 
-    def test_dispatches_are_counted_per_backend(self, example2_instance):
+    def test_dispatches_are_counted_where_they_ran(self, example2_instance):
         query = make_sites_query("count")
-        with _executor(example2_instance, workers=1, shard_count=2, backend="serial") as executor:
+        with _executor(example2_instance, workers=1, shard_count=2) as executor:
             executor.evaluate(query)
             executor.evaluate(query)
             assert executor.stats.dispatches == {"serial": 2}
-            assert executor.stats.total_dispatches == 2
             assert executor.stats.process_failures == 0
             assert executor.stats.fallbacks == []
 
-    def test_unsupported_aggregate_fallback_is_recorded(self, example2_instance):
-        registry = default_registry()
-        name = "median_test_executor_stats"
-        if name not in registry:
-            registry.register(
-                AggregateFunction(
-                    name, lambda values: sorted(values)[len(values) // 2], distributive=False
-                )
-            )
-        query = make_sites_query(name)
-        with _executor(example2_instance, workers=2, shard_count=2, backend="thread") as executor:
-            executor.evaluate(query)
-            assert executor.stats.dispatches.get("fallback-serial") == 1
-            assert any(reason == "unsupported aggregate" for _, _, reason in executor.stats.fallbacks)
-
-    def test_rolled_query_fallback_names_the_roll_up(self, example2_instance):
+    def test_rolled_query_is_not_supported(self, example2_instance):
         """A rolled query stays serial: its derived parents' negative ids are
         numbered per dictionary, so workers' ids would not match the merge's."""
         from repro.olap import DimensionHierarchy, RollUp
 
         hierarchy = DimensionHierarchy.banded([(0, 29, "young"), (30, 120, "senior")])
         query = RollUp("dage", hierarchy).apply(make_sites_query("count"))
-        oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
-        with _executor(example2_instance, workers=2, shard_count=2, backend="thread") as executor:
+        with _executor(example2_instance, workers=1, shard_count=2) as executor:
             assert not executor.supports(query)
-            assert Cube(executor.evaluate(query).answer, query).same_cells(oracle)
-            assert executor.stats.fallbacks == [("thread", "serial", "rolled-up query")]
+            with pytest.raises(OLAPError):
+                executor.evaluate(query)
 
-    def test_broken_pool_failure_is_counted_and_surfaced(self, example2_instance, monkeypatch):
+    def test_broken_pool_failure_is_counted_and_stops_parallel_plans(
+        self, example2_instance, monkeypatch
+    ):
+        """The one downgrade left: a pool that breaks mid-dispatch.  That query
+        is answered inline and counted; from then on ``supports`` is False, so
+        the planner offers no ``parallel`` candidate."""
         from concurrent.futures.process import BrokenProcessPool
 
-        query = make_sites_query("count")
-        with _executor(example2_instance, workers=2, shard_count=2, backend="process") as executor:
-            def explode(*args, **kwargs):
-                raise BrokenProcessPool("simulated pool death")
+        def explode(*args, **kwargs):
+            raise BrokenProcessPool("simulated pool death")
 
+        query = make_sites_query("count")
+        oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
+        with OLAPSession(example2_instance, workers=2, shard_count=2) as session:
+            executor = session.parallel
+            operation = DrillOut("dage")
+            before = session.planner.plan(query, operation, operation.apply(query))
+            assert "pickled-graph attach" in before.explain()
             monkeypatch.setattr(executor, "_dispatch_process", explode)
-            oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
             cube = Cube(executor.evaluate(query).answer, query)
             assert cube.same_cells(oracle)
-            assert executor.last_backend == "thread"
+            assert executor.last_backend == "serial"
             assert executor.stats.process_failures == 1
-            assert ("process", "thread", "BrokenProcessPool") in executor.stats.fallbacks
-            assert "BrokenProcessPool" in executor.stats.summary()
+            assert executor.stats.fallbacks == [("process", "serial", "BrokenProcessPool")]
+            assert not executor.supports(query)
+            after = session.planner.plan(query, operation, operation.apply(query))
+            assert "parallel" not in [c.strategy for c in after.candidates]
+            assert "parallel" not in [c.strategy for c in session.planner.plan_query(query).candidates]
+            assert session.execute(query).same_cells(oracle)
+            assert session.history[-1].strategy == "scratch"
 
     def test_heap_graph_attach_mode_is_pickled(self, example2_instance):
         with _executor(example2_instance, workers=2, shard_count=2) as executor:
@@ -608,32 +616,12 @@ class TestExecutorStatsAndAttachMode:
         mapped = load_snapshot(path, mmap=True)
         query = make_sites_query("count")
         oracle = Cube(AnalyticalQueryEvaluator(example2_instance).answer(query), query)
-        with _executor(mapped, workers=2, shard_count=3, backend="process") as executor:
+        with _executor(mapped, workers=2, shard_count=3) as executor:
             assert executor.attach_mode == "snapshot-mmap"
             cube = Cube(executor.evaluate(query).answer, query)
             assert executor.last_backend == "process"
             assert executor.stats.dispatches == {"process": 1}
         assert cube.same_cells(oracle)
-
-    def test_fallbacks_surface_in_plan_explain(self, example2_instance, monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
-
-        def explode(*args, **kwargs):
-            raise BrokenProcessPool("simulated pool death")
-
-        with OLAPSession(
-            example2_instance, workers=2, shard_count=2, parallel_backend="process"
-        ) as session:
-            monkeypatch.setattr(session.parallel, "_dispatch_process", explode)
-            plain = make_sites_query("count")
-            session.parallel.evaluate(plain)  # triggers the thread downgrade
-            from repro.olap.operations import DrillOut
-
-            operation = DrillOut("dage")
-            plan = session.planner.plan(plain, operation, operation.apply(plain))
-            explanation = plan.explain()
-            assert "pickled-graph attach" in explanation
-            assert "fallback" in explanation
 
     def test_dispatch_cost_tracks_attach_mode(self, example2_instance, tmp_path):
         pytest.importorskip("numpy")
@@ -704,7 +692,7 @@ class TestProcessBackendDifferential:
         assert shards[0].contains(first) and shards[1].contains(last)
         serial = AnalyticalQueryEvaluator(graph)
         young_or_middle = DimensionRestriction.to_values([Literal(28), Literal(35)])
-        with ParallelExecutor(serial, workers=2, shard_count=2, backend="process") as executor:
+        with ParallelExecutor(serial, workers=2, shard_count=2) as executor:
             assert executor.attach_mode == attach
             for aggregate in ALL_AGGREGATES:
                 base = make_words_query(aggregate)
@@ -739,20 +727,62 @@ def _assert_pres_equal_modulo_keys(merged, expected):
 
 
 class TestColumnarShardsStayInArrays:
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 2)])
+    @pytest.mark.parametrize("workers,ran", [(1, "serial"), (2, "process")])
     def test_every_aggregate_merges_without_a_row_conversion(
-        self, example4_instance, backend, workers
+        self, example4_instance, workers, ran
     ):
         pytest.importorskip("numpy")
         from repro.algebra.columnar import ROW_CONVERSIONS, ColumnarIdRelation
 
         evaluator = AnalyticalQueryEvaluator(example4_instance, engine="columnar")
-        with ParallelExecutor(evaluator, workers=workers, shard_count=3, backend=backend) as executor:
+        with ParallelExecutor(evaluator, workers=workers, shard_count=3) as executor:
             before = ROW_CONVERSIONS.copy()
             results = [executor.evaluate(make_words_query(name)) for name in ALL_AGGREGATES]
             assert ROW_CONVERSIONS == before
-            assert executor.stats.dispatches == {backend: len(ALL_AGGREGATES)}
+            assert executor.stats.dispatches == {ran: len(ALL_AGGREGATES)}
         for name, result in zip(ALL_AGGREGATES, results):
             assert isinstance(result.partial.storage, ColumnarIdRelation), name
             oracle = evaluator.evaluate(make_words_query(name))
             assert Cube(result.answer, result.query).same_cells(Cube(oracle.answer, oracle.query))
+
+
+@pytest.fixture(scope="module")
+def generic_snapshot(tmp_path_factory):
+    """A 2,000-fact instance saved as a snapshot: large enough that the
+    planner prices two mmap-attached workers below scratch."""
+    pytest.importorskip("numpy")
+    from repro.storage import save_snapshot
+
+    dataset = generic_dataset(GenericConfig(facts=2000, dimensions=2, seed=1))
+    path = str(tmp_path_factory.mktemp("parallel") / "generic.snap")
+    save_snapshot(dataset.instance, path)
+    return dataset, path
+
+
+class TestParallelPlansRunInProcesses:
+    """``workers > 1`` means worker processes: the planner offers ``parallel``
+    only for a query the executor will run there, and prices ``scratch``
+    for the rest."""
+
+    def test_a_parallel_plan_runs_in_processes(self, generic_snapshot):
+        dataset, path = generic_snapshot
+        query = generic_query(dataset.config, aggregate="sum")
+        with OLAPSession(snapshot=path, workers=2) as session:
+            assert session.planner.plan_query(query).chosen.strategy == "parallel"
+            cube = session.execute(query)
+            assert session.history[-1].strategy == "parallel"
+            assert session.parallel.last_backend == "process"
+        oracle = AnalyticalQueryEvaluator(dataset.instance).answer(query)
+        assert cube.same_cells(Cube(oracle, query))
+
+    def test_an_unpicklable_aggregate_is_planned_scratch(self, generic_snapshot):
+        dataset, path = generic_snapshot
+        query = _closure_query(generic_query(dataset.config, aggregate="count"))
+        with OLAPSession(snapshot=path, workers=2) as session:
+            plan = session.planner.plan_query(query)
+            assert [candidate.strategy for candidate in plan.candidates] == ["scratch"]
+            cube = session.execute(query)
+            assert session.history[-1].strategy == "scratch"
+            assert session.parallel.stats.dispatches == {}
+        oracle = AnalyticalQueryEvaluator(dataset.instance).answer(query)
+        assert cube.same_cells(Cube(oracle, query))

@@ -165,7 +165,7 @@ class TestPlanEnumeration:
         assert "parallel" not in [c.strategy for c in plan.candidates]
 
         with OLAPSession(
-            example2_instance, workers=2, parallel_backend="thread"
+            example2_instance, workers=2
         ) as parallel_session:
             parallel_session.execute(query)
             plan = _plan(parallel_session, query, Slice("dage", Literal(35)))
@@ -179,7 +179,7 @@ class TestPlanEnumeration:
 
     def test_parallel_candidate_executes_correctly_when_forced(self, example2_instance):
         with OLAPSession(
-            example2_instance, workers=2, shard_count=3, parallel_backend="thread"
+            example2_instance, workers=2, shard_count=3
         ) as session:
             query = make_sites_query()
             session.execute(query)

@@ -73,7 +73,7 @@ def _updated_between_executes(instance):
 
 def _executed_in_parallel():
     dataset = retail_dataset(RetailConfig(sales=300))
-    session = OLAPSession(dataset.instance, dataset.schema, workers=2, parallel_backend="thread")
+    session = OLAPSession(dataset.instance, dataset.schema, workers=2)
     session.execute(revenue_query(dataset.schema))
     return session
 
@@ -130,7 +130,6 @@ class TestRouteLabels:
             dataset.instance,
             dataset.schema,
             workers=2,
-            parallel_backend="thread",
             entailment=entailment,
         ) as session:
             winner = session.planner.plan_query(query).chosen.strategy
@@ -256,7 +255,7 @@ class TestLifecycle:
     """`close()` is idempotent and `__exit__` releases every pool, always."""
 
     def test_close_is_idempotent(self, example2_instance, sites_query):
-        session = OLAPSession(example2_instance, workers=2, parallel_backend="thread")
+        session = OLAPSession(example2_instance, workers=2)
         session.execute(sites_query)
         session.close()
         assert session.closed
@@ -266,28 +265,35 @@ class TestLifecycle:
     def test_exit_after_exception_leaves_no_live_pool(
         self, example2_instance, sites_query
     ):
-        session = OLAPSession(example2_instance, workers=2, parallel_backend="thread")
+        session = OLAPSession(example2_instance, workers=2)
         with pytest.raises(RuntimeError):
             with session:
                 session.execute(sites_query)
                 raise RuntimeError("body failed")
         assert session.closed
         assert session._parallel.closed
-        assert session._parallel._thread_pool is None
         assert session._parallel._process_pool is None
 
     def test_closed_executor_refuses_dispatch(self, example2_instance, sites_query):
         from repro.errors import OLAPError
 
-        session = OLAPSession(example2_instance, workers=2, parallel_backend="thread")
+        session = OLAPSession(example2_instance, workers=2)
         session.close()
         with pytest.raises(OLAPError):
             session._parallel.evaluate(sites_query)
 
+    def test_closed_executor_is_never_planned(self, example2_instance, sites_query):
+        session = OLAPSession(example2_instance, workers=2)
+        assert session._parallel.supports(sites_query)
+        session.close()
+        assert not session._parallel.supports(sites_query)
+        strategies = [c.strategy for c in session.planner.plan_query(sites_query).candidates]
+        assert "parallel" not in strategies
+
     def test_closed_session_still_executes_serially(
         self, example2_instance, sites_query
     ):
-        session = OLAPSession(example2_instance, workers=2, parallel_backend="thread")
+        session = OLAPSession(example2_instance, workers=2)
         session.close()
         cube = session.execute(sites_query)
         assert len(cube) > 0
@@ -297,3 +303,30 @@ class TestLifecycle:
             session.execute(sites_query)
         assert session.closed
         session.close()
+
+
+class TestParallelArguments:
+    """The session checks its parallel arguments itself, whatever ``workers``
+    is: the executor that also checks them is only built for ``workers > 1``."""
+
+    @pytest.mark.parametrize(
+        "arguments,message",
+        [
+            ({"workers": 0}, "workers"),
+            ({"workers": -3}, "workers"),
+            ({"workers": 1, "shard_count": 0}, "shard_count"),
+            ({"workers": 1, "parallel_backend": "gpu"}, "unknown parallel_backend"),
+            ({"workers": 1, "parallel_backend": "thread"}, "was removed"),
+            ({"workers": 2, "parallel_backend": "serial"}, "was removed"),
+        ],
+        ids=["workers-0", "workers-negative", "shards-0", "unknown-backend", "thread", "serial"],
+    )
+    def test_bad_parallel_arguments_raise(self, example2_instance, arguments, message):
+        with pytest.raises(ValueError, match=message):
+            OLAPSession(example2_instance, **arguments)
+
+    @pytest.mark.parametrize("backend", ["auto", "process"])
+    def test_auto_and_process_both_mean_worker_processes(self, example2_instance, backend):
+        with OLAPSession(example2_instance, workers=2, parallel_backend=backend) as session:
+            assert session.workers == 2
+            assert session.parallel.attach_mode == "pickled-graph"

@@ -131,7 +131,6 @@ def test_columnar_shard_evaluation_matches_row_oracle(seed, aggregate, shards):
         AnalyticalQueryEvaluator(dataset.instance, engine="columnar"),
         workers=1,
         shard_count=shards,
-        backend="serial",
     )
     try:
         merged = executor.evaluate(query)

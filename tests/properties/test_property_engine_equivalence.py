@@ -22,6 +22,7 @@ from repro.olap.rewriting import (
     slice_dice_from_answer,
 )
 
+from tests.definitions import answer_definition1
 from tests.naive_oracle import NaiveAnalyticalEvaluator
 
 _SETTINGS = dict(max_examples=8, deadline=None)
@@ -62,7 +63,7 @@ def _materialized_in_both_spaces(instance, query):
 @given(seed=st.integers(min_value=0, max_value=40), use_words=st.booleans())
 @settings(**_SETTINGS)
 def test_equation3_matches_definition1_and_the_oracle(seed, use_words):
-    """answer() (Equation (3)) ≡ answer_definition1() ≡ the naive oracle."""
+    """answer() (Equation (3)) ≡ Definition 1 ≡ the naive oracle."""
     dataset = _blogger(seed)
     query = (
         words_per_blogger_query(dataset.schema)
@@ -71,7 +72,7 @@ def test_equation3_matches_definition1_and_the_oracle(seed, use_words):
     )
     engine = AnalyticalQueryEvaluator(dataset.instance)
     eq3 = _cube(engine.answer(query), query)
-    def1 = _cube(engine.answer_definition1(query), query)
+    def1 = _cube(answer_definition1(engine, query), query)
     oracle = _cube(NaiveAnalyticalEvaluator(dataset.instance).answer(query), query)
 
     assert eq3.same_cells(def1)

@@ -3,18 +3,18 @@
 Hypothesis generates chains of up to six OLAP operations over blogger,
 video and generic (multi-valued dimensions) instances; at the root and
 after **every** transformation the
-shard-parallel engine (workers ∈ {1, 2, 4} × shard counts {1, 3, 7}, all
-five aggregates COUNT/SUM/AVG/MIN/MAX plus count_distinct's set-merge path)
-must produce a cube cell-for-cell equal to the serial id-space engine — the
-oracle, mirroring PR 3's differential-maintenance suite.  ``pres(Q)`` must
-also agree as a bag once the opaque ``newk()`` keys are projected away.
+shard-parallel engine (shard counts {1, 3, 7}, all five aggregates
+COUNT/SUM/AVG/MIN/MAX plus count_distinct's set-merge path) must produce a
+cube cell-for-cell equal to the serial id-space engine — the oracle,
+mirroring the differential-maintenance suite.  ``pres(Q)`` must also agree
+as a bag once the opaque ``newk()`` keys are projected away.
 
-The worker/shard choice pools can be pinned from the environment
-(``REPRO_PARALLEL_WORKERS`` / ``REPRO_PARALLEL_SHARDS``, comma-separated) —
-that is how the CI shard-count matrix runs each leg against one
-configuration.  The thread backend is used throughout: the merge algebra is
-backend-independent, and the process backend's plumbing is covered by
-``tests/olap/test_parallel.py``.
+The shard choice pool can be pinned from the environment
+(``REPRO_PARALLEL_SHARDS``, comma-separated) — that is how the CI
+shard-count matrix runs each leg against one configuration.  Shards run
+inline (``workers=1``): the merge algebra is the same wherever a shard ran,
+and what crosses a process boundary is covered by
+``tests/olap/test_parallel.py::TestProcessBackendDifferential``.
 """
 
 import os
@@ -53,7 +53,6 @@ def _env_choices(name, default):
     return default
 
 
-WORKER_CHOICES = _env_choices("REPRO_PARALLEL_WORKERS", (1, 2, 4))
 SHARD_CHOICES = _env_choices("REPRO_PARALLEL_SHARDS", (1, 3, 7))
 
 _dataset_cache = {}
@@ -162,24 +161,18 @@ def _assert_parallel_matches_serial(executor, serial, query):
     seed=st.integers(min_value=0, max_value=15),
     scenario=st.sampled_from(sorted(_DATASETS)),
     aggregate=st.sampled_from(AGGREGATES),
-    workers=st.sampled_from(WORKER_CHOICES),
     shards=st.sampled_from(SHARD_CHOICES),
     chain_length=st.integers(min_value=1, max_value=6),
 )
 @settings(**_SETTINGS)
-def test_parallel_chain_matches_serial_oracle(
-    data, seed, scenario, aggregate, workers, shards, chain_length
-):
+def test_parallel_chain_matches_serial_oracle(data, seed, scenario, aggregate, shards, chain_length):
     dataset = _DATASETS[scenario](seed)
     serial = AnalyticalQueryEvaluator(dataset.instance)
     query = _root_query(scenario, dataset, aggregate)
     pools = _value_pool(serial, query)
 
     executor = ParallelExecutor(
-        AnalyticalQueryEvaluator(dataset.instance),
-        workers=workers,
-        shard_count=shards,
-        backend="thread" if workers > 1 else "serial",
+        AnalyticalQueryEvaluator(dataset.instance), workers=1, shard_count=shards
     )
     try:
         _assert_parallel_matches_serial(executor, serial, query)
@@ -197,7 +190,7 @@ def test_parallel_chain_matches_serial_oracle(
 @given(
     seed=st.integers(min_value=0, max_value=15),
     aggregate=st.sampled_from(AGGREGATES),
-    workers=st.sampled_from(WORKER_CHOICES),
+    workers=st.sampled_from((1, 2, 4)),
     shards=st.sampled_from(SHARD_CHOICES),
 )
 @settings(**_SETTINGS)
@@ -214,11 +207,7 @@ def test_parallel_session_execute_matches_serial_oracle(seed, aggregate, workers
     query = _root_query("blogger", dataset, aggregate)
     serial = AnalyticalQueryEvaluator(dataset.instance)
     with OLAPSession(
-        dataset.instance,
-        dataset.schema,
-        workers=workers,
-        shard_count=shards,
-        parallel_backend="thread",
+        dataset.instance, dataset.schema, workers=workers, shard_count=shards
     ) as session:
         cube = session.execute(query)
         assert cube.same_cells(Cube(serial.answer(query), query))

@@ -120,7 +120,6 @@ def test_mapped_shard_evaluation_matches_heap_oracle(
         AnalyticalQueryEvaluator(mapped_graph),
         workers=1,
         shard_count=shards,
-        backend="serial",
     )
     try:
         merged = executor.evaluate(query)

@@ -175,16 +175,3 @@ class TestRoundtripAtScale:
             '<http://a.example/s> <http://a.example/p> "\\U0001F600" .'
         )
         assert triple.object.lexical == "\U0001F600"
-
-    def test_iter_ntriples_streams_without_a_graph(self):
-        from repro.rdf.ntriples import iter_ntriples
-
-        lines = [
-            "# header",
-            "<http://example.org/user1> <http://example.org/livesIn> <http://example.org/Madrid> .",
-            "",
-            "<http://example.org/user2> <http://example.org/livesIn> <http://example.org/NY> .",
-        ]
-        triples = list(iter_ntriples(lines))
-        assert len(triples) == 2
-        assert triples[0].subject == EX.user1

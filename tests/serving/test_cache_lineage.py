@@ -303,7 +303,7 @@ def test_pins_survive_adoption(dataset, publish_mode, pin_reader):
             assert bool(service.tenant("tenant-a").sessions) == pin_reader
             await service.query("tenant-a", other)  # capacity 1: would evict an unpinned entry
             cache = _session(service, "tenant-a").cache
-            assert cache.is_pinned(pinned)
+            assert pinned.canonical_key in cache.pinned_keys()
             result = await service.query("tenant-a", pinned)
             assert result.strategy == "refresh"
             _assert_served_right(result)

@@ -14,13 +14,13 @@ and re-saturated when the base graph carries RDFS schema statements.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Optional
 
 from repro.errors import SchemaDefinitionError
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import RDF
 from repro.rdf.reasoning import saturate
-from repro.rdf.terms import IRI, Literal, Term
+from repro.rdf.terms import IRI, Literal
 from repro.rdf.triples import Triple
 from repro.bgp.evaluator import BGPEvaluator
 from repro.analytics.schema import AnalyticalSchema

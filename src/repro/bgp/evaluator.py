@@ -43,98 +43,7 @@ try:  # numpy is the optional [fast] extra; the row engine needs none of it
 except ImportError:  # pragma: no cover
     _np = None
 
-__all__ = ["BGPEvaluator", "ColumnarTripleIndex", "evaluate_query", "gathered_relation"]
-
-class ColumnarTripleIndex:
-    """Columnar (array) views over one graph's triples, cached per version.
-
-    The graph's native indexes are nested Python dicts — ideal for the row
-    engine's per-binding lookups, useless for vectorized joins.  This index
-    materializes, per predicate, the matching ``(subject, object)`` id pairs
-    as contiguous ``int64`` arrays in either sort order, plus sorted
-    candidate arrays for two-constant patterns, so the column-block solver
-    can extend whole binding blocks with
-    :func:`~repro.algebra.columnar.expand_sorted` joins over them.
-
-    Arrays are built lazily (one Python pass per predicate) and cached; any
-    graph mutation (detected via :attr:`~repro.rdf.graph.Graph.version`)
-    drops the caches, so the index never serves a stale snapshot.
-    """
-
-    __slots__ = ("_graph", "_version", "_pairs", "_sorted_pairs", "_candidates")
-
-    def __init__(self, graph: Graph):
-        self._graph = graph
-        self._version = graph.version
-        self._pairs: Dict[int, Tuple] = {}
-        self._sorted_pairs: Dict[Tuple[int, int], Tuple] = {}
-        self._candidates: Dict[Tuple, object] = {}
-
-    def refresh(self) -> None:
-        """Drop every cached array when the graph changed underneath."""
-        version = self._graph.version
-        if version != self._version:
-            self._version = version
-            self._pairs.clear()
-            self._sorted_pairs.clear()
-            self._candidates.clear()
-
-    def predicate_pairs(self, p_id: int) -> Tuple:
-        """All ``(subjects, objects)`` of triples with predicate ``p_id``.
-
-        Storage backends that already hold the columns in array form (mmap
-        snapshots) are sliced zero-copy via
-        :meth:`~repro.rdf.graph.Graph.columnar_predicate_pairs`; heap
-        graphs take the Python build pass over their dict indexes.
-        """
-        found = self._pairs.get(p_id)
-        if found is None:
-            found = self._graph.columnar_predicate_pairs(p_id)
-            if found is None:
-                subjects: List[int] = []
-                objects: List[int] = []
-                for s, _, o in self._graph.match_ids(None, p_id, None):
-                    subjects.append(s)
-                    objects.append(o)
-                found = (
-                    _np.asarray(subjects, dtype=_np.int64),
-                    _np.asarray(objects, dtype=_np.int64),
-                )
-            self._pairs[p_id] = found
-        return found
-
-    def sorted_pairs(self, p_id: int, sort_position: int) -> Tuple:
-        """``(sorted key array, aligned other-position array)`` for ``p_id``.
-
-        ``sort_position`` 0 sorts by subject (keys = subjects, values =
-        objects); 2 sorts by object.  Snapshot-backed graphs store both
-        sort orders on disk, so the argsort is skipped and the arrays are
-        zero-copy file views.
-        """
-        key = (p_id, sort_position)
-        found = self._sorted_pairs.get(key)
-        if found is None:
-            found = self._graph.columnar_sorted_pairs(p_id, sort_position)
-            if found is None:
-                subjects, objects = self.predicate_pairs(p_id)
-                keys, values = (subjects, objects) if sort_position == 0 else (objects, subjects)
-                order = _np.argsort(keys, kind="stable")
-                found = (keys[order], values[order])
-            self._sorted_pairs[key] = found
-        return found
-
-    def candidates(
-        self, s_id: Optional[int], p_id: Optional[int], o_id: Optional[int], position: int
-    ):
-        """Sorted ids at the one free ``position`` of a two-constant pattern."""
-        key = (s_id, p_id, o_id, position)
-        found = self._candidates.get(key)
-        if found is None:
-            values = self._graph.match_single_ids(s_id, p_id, o_id, position)
-            found = self._candidates[key] = _np.sort(
-                _np.fromiter(values, dtype=_np.int64)
-            )
-        return found
+__all__ = ["BGPEvaluator", "evaluate_query", "gathered_relation"]
 
 
 class BGPEvaluator:
@@ -154,7 +63,6 @@ class BGPEvaluator:
         self._graph = graph
         self._statistics = statistics if statistics is not None else GraphStatistics(graph)
         self._engine = resolve_engine(engine)
-        self._columnar_index: Optional[ColumnarTripleIndex] = None
 
     @property
     def graph(self) -> Graph:
@@ -202,10 +110,10 @@ class BGPEvaluator:
         if semantics not in ("set", "bag"):
             raise EvaluationError(f"unknown semantics {semantics!r}; expected 'set' or 'bag'")
 
-        # Seeded calls stay on the row solver: the columnar index drops every
-        # array when the graph version moves and rebuilds a heap predicate's
-        # with a Python pass, so a seeded (delta-sized) solve after each
-        # ingest batch would cost O(instance) there.
+        # Seeded calls stay on the row solver: a mutation drops the column
+        # arrays of every predicate it touches and a heap graph rebuilds one
+        # with a Python pass over the predicate, so a seeded (delta-sized)
+        # solve after each ingest batch would cost O(predicate) there.
         if self._engine == "columnar" and not seed:
             # The columnar fast path: emit column blocks instead of per-row
             # binding tuples.  Unsupported query shapes (variable
@@ -280,7 +188,9 @@ class BGPEvaluator:
         The binding state is a block of parallel ``int64`` arrays (one per
         bound variable, all the same length) instead of a list of slot
         tuples.  Each triple pattern extends the block with one vectorized
-        operation against the :class:`ColumnarTripleIndex`:
+        operation against the graph's column arrays
+        (:meth:`~repro.rdf.graph.Graph.columnar_sorted_pairs` and its
+        siblings):
 
         * a pattern binding one new variable from a bound one is an
           expansion join (:func:`~repro.algebra.columnar.expand_sorted`
@@ -300,10 +210,6 @@ class BGPEvaluator:
         """
         graph = self._graph
         dictionary = graph.dictionary
-        index = self._columnar_index
-        if index is None:
-            index = self._columnar_index = ColumnarTripleIndex(graph)
-        index.refresh()
 
         head_names = query.head_names
 
@@ -345,7 +251,7 @@ class BGPEvaluator:
             if s_free and o_free:
                 if length is not None:
                     return None  # disconnected pattern: cartesian step, row path
-                subjects, objects = index.predicate_pairs(p_id)
+                subjects, objects = graph.columnar_predicate_pairs(p_id)
                 block = {s: subjects, o: objects}
                 length = len(subjects)
             elif s_free or o_free:
@@ -354,7 +260,7 @@ class BGPEvaluator:
                     # Expansion join on the bound end of the pattern.
                     bound_variable = o if s_free else s
                     sort_position = 2 if s_free else 0
-                    keys, values = index.sorted_pairs(p_id, sort_position)
+                    keys, values = graph.columnar_sorted_pairs(p_id, sort_position)
                     left_idx, positions = columnar_kernels.expand_sorted(
                         block[bound_variable], keys
                     )
@@ -368,20 +274,20 @@ class BGPEvaluator:
                     if length is not None:
                         return None  # shares no variable with the block
                     position = 0 if s_free else 2
-                    candidates = index.candidates(s_id, p_id, o_id, position)
+                    candidates = graph.columnar_candidates(s_id, p_id, o_id, position)
                     block = {free_variable: candidates}
                     length = len(candidates)
             else:
                 # No free variable: an existence filter.
                 if s_bound and o_bound:
-                    keys, values = index.sorted_pairs(p_id, 0)
+                    keys, values = graph.columnar_sorted_pairs(p_id, 0)
                     left_idx, positions = columnar_kernels.expand_sorted(block[s], keys)
                     mask = _np.zeros(length, dtype=bool)
                     mask[left_idx[values[positions] == block[o][left_idx]]] = True
                 elif s_bound:
-                    mask = _np.isin(block[s], index.candidates(None, p_id, o_id, 0))
+                    mask = _np.isin(block[s], graph.columnar_candidates(None, p_id, o_id, 0))
                 elif o_bound:
-                    mask = _np.isin(block[o], index.candidates(s_id, p_id, None, 2))
+                    mask = _np.isin(block[o], graph.columnar_candidates(s_id, p_id, None, 2))
                 else:
                     # Fully constant pattern: the conjunction survives or dies.
                     if graph.count_ids(s_id, p_id, o_id) == 0:

@@ -26,7 +26,7 @@ import re
 from typing import List, Optional, Tuple
 
 from repro.errors import QueryParseError
-from repro.rdf.namespaces import EX, Namespace, PrefixMap, RDF, RDFS, XSD
+from repro.rdf.namespaces import EX, Namespace, PrefixMap, RDF
 from repro.rdf.terms import (
     IRI,
     Literal,

@@ -8,7 +8,7 @@ reproducible benchmarks and property tests.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 __all__ = ["zipf_index", "pick_zipf", "pick_uniform", "multi_valued_count"]
 

@@ -23,8 +23,8 @@ EXP-2 ... EXP-8 in DESIGN.md.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import EX, RDF, Namespace

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import EX, RDF, RDFS, Namespace

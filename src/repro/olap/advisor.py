@@ -36,7 +36,7 @@ observed runtimes and starts with the hot set already materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analytics.query import AnalyticalQuery
 from repro.olap.cache import canonical_query_key

@@ -25,7 +25,6 @@ from repro.errors import InvalidOperationError
 from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
 from repro.bgp.query import BGPQuery
-from repro.analytics.query import AnalyticalQuery
 
 __all__ = ["build_auxiliary_query", "auxiliary_join_columns"]
 

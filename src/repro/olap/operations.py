@@ -20,11 +20,11 @@ The operations validate their applicability:
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import InvalidOperationError
 from repro.analytics.query import AnalyticalQuery
-from repro.analytics.sigma import DimensionRestriction, Sigma
+from repro.analytics.sigma import DimensionRestriction
 from repro.olap.hierarchy import DimensionHierarchy
 
 __all__ = ["OLAPOperation", "Slice", "Dice", "DrillOut", "DrillIn", "RollUp", "DrillDown", "compose"]

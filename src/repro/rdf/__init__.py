@@ -7,7 +7,7 @@ what the analytics layer needs:
 * :mod:`repro.rdf.triples` — triples and triple patterns;
 * :mod:`repro.rdf.namespaces` — namespaces, prefix maps, RDF/RDFS/XSD;
 * :mod:`repro.rdf.dictionary` — term dictionary (integer encoding);
-* :mod:`repro.rdf.graph` — in-memory triple store with SPO/POS/OSP indexes;
+* :mod:`repro.rdf.graph` — in-memory triple store with SPO/POS indexes;
 * :mod:`repro.rdf.ntriples`, :mod:`repro.rdf.turtle` — parsers/serializers;
 * :mod:`repro.rdf.reasoning` — RDFS saturation;
 * :mod:`repro.rdf.statistics` — statistics for join-order estimation.

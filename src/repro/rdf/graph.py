@@ -1,18 +1,21 @@
 """In-memory RDF graph (triple store) with dictionary encoding and indexes.
 
-The store keeps every triple as a tuple of integer term identifiers and
-maintains three permutation indexes (SPO, POS, OSP), so that any triple
-pattern with at least one constant can be answered by index lookup rather
-than a scan.  This is the classical design of in-memory RDF engines and is
-sufficient for the workloads of the paper's evaluation (hundreds of
-thousands of triples).
+The store keeps every triple as integer term identifiers in two permutation
+indexes, SPO and POS — the two orders a snapshot file stores, ``(p, s, o)``
+and ``(p, o, s)``.  A pattern with a constant subject or predicate is an
+index lookup; an object-only pattern scans POS once per predicate (the
+predicates of an AnS instance are few).  The graph also owns the
+per-predicate column arrays of the columnar BGP solver: built on first use
+and dropped per predicate when a mutation touches it.
 
-Two access levels are offered:
+Three access levels are offered:
 
 * a **term-level API** (:meth:`Graph.add`, :meth:`Graph.triples`,
   :meth:`Graph.subjects`, ...) convenient for data loading and tests;
 * an **id-level API** (:meth:`Graph.match_ids`, :meth:`Graph.encode_term`,
-  ...) used by the BGP evaluator's hot loops to avoid re-encoding terms.
+  ...) used by the BGP evaluator's hot loops to avoid re-encoding terms;
+* a **columnar API** (:meth:`Graph.columnar_predicate_pairs`, ...) of
+  ``int64`` arrays for the vectorized solver.
 """
 
 from __future__ import annotations
@@ -170,12 +173,16 @@ class Graph:
             raise ValueError(f"change_log_limit must be >= 0, got {change_log_limit}")
         self.name = name
         self._dictionary = TermDictionary()
-        self._triples: Set[EncodedTriple] = set()
-        # Permutation indexes. Each maps first-component id to a dict of
-        # second-component id to a set of third-component ids.
+        # The two permutation indexes (the only copies of the triples). Each
+        # maps first-component id to a dict of second-component id to a set
+        # of third-component ids.
         self._spo: Dict[int, Dict[int, Set[int]]] = {}
         self._pos: Dict[int, Dict[int, Set[int]]] = {}
-        self._osp: Dict[int, Dict[int, Set[int]]] = {}
+        self._triple_count = 0
+        # Column arrays of the columnar hooks, per predicate id: built on
+        # first use, dropped when a mutation touches the predicate, never
+        # pickled.
+        self._columns: Dict[int, Dict[object, object]] = {}
         # Statistics kept with the indexes (see statistics_summary): triples
         # and distinct subjects per predicate id; zero counts are deleted.
         self._predicate_triples: Dict[int, int] = {}
@@ -248,10 +255,8 @@ class Graph:
         triple = self._as_triple(triple)
         encode = self._dictionary.encode
         encoded = (encode(triple.subject), encode(triple.predicate), encode(triple.object))
-        if encoded in self._triples:
+        if not self._index_add(encoded):
             return False
-        self._triples.add(encoded)
-        self._index_add(encoded)
         self._version += 1
         self._log_change(1, encoded)
         return True
@@ -272,16 +277,11 @@ class Graph:
         """
         triple = self._as_triple(triple)
         lookup = self._dictionary.lookup
-        ids = (lookup(triple.subject), lookup(triple.predicate), lookup(triple.object))
-        if None in ids:
+        encoded = (lookup(triple.subject), lookup(triple.predicate), lookup(triple.object))
+        if None in encoded or not self._index_remove(encoded):  # type: ignore[arg-type]
             return False
-        encoded = (ids[0], ids[1], ids[2])  # type: ignore[assignment]
-        if encoded not in self._triples:
-            return False
-        self._triples.discard(encoded)
-        self._index_remove(encoded)
         self._version += 1
-        self._log_change(-1, encoded)
+        self._log_change(-1, encoded)  # type: ignore[arg-type]
         return True
 
     def apply(self, add: Iterable = (), remove: Iterable = ()) -> int:
@@ -318,37 +318,47 @@ class Graph:
         anyway, and consumers patching derived results from deltas are
         better served by an honest "recompute from scratch" answer.
         """
-        if self._triples:
+        if self._triple_count:
             self._version += 1
-        self._triples.clear()
+        self._triple_count = 0
         self._spo.clear()
         self._pos.clear()
-        self._osp.clear()
+        self._columns.clear()
         self._predicate_triples.clear()
         self._predicate_subjects.clear()
         self._change_log.clear()
         self._log_base = self._version
 
-    def _index_add(self, encoded: EncodedTriple) -> None:
+    def _index_add(self, encoded: EncodedTriple) -> bool:
+        """Index one triple; False (and nothing changed) when already present."""
         s, p, o = encoded
         by_predicate = self._spo.setdefault(s, {})
         objects = by_predicate.get(p)
         if objects is None:
             objects = by_predicate[p] = set()
             self._predicate_subjects[p] = self._predicate_subjects.get(p, 0) + 1
+        elif o in objects:
+            return False
         objects.add(o)
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
         self._predicate_triples[p] = self._predicate_triples.get(p, 0) + 1
+        self._triple_count += 1
+        self._columns.pop(p, None)
+        return True
 
-    def _index_remove(self, encoded: EncodedTriple) -> None:
+    def _index_remove(self, encoded: EncodedTriple) -> bool:
+        """Unindex one triple; False (and nothing changed) when absent."""
         s, p, o = encoded
+        if o not in self._spo.get(s, {}).get(p, ()):
+            return False
         self._discard_from_index(self._spo, s, p, o)
         self._discard_from_index(self._pos, p, o, s)
-        self._discard_from_index(self._osp, o, s, p)
         self._decrement(self._predicate_triples, p)
         if p not in self._spo.get(s, ()):
             self._decrement(self._predicate_subjects, p)
+        self._triple_count -= 1
+        self._columns.pop(p, None)
+        return True
 
     @staticmethod
     def _decrement(counts: Dict[int, int], key: int) -> None:
@@ -359,12 +369,8 @@ class Graph:
 
     @staticmethod
     def _discard_from_index(index: Dict[int, Dict[int, Set[int]]], a: int, b: int, c: int) -> None:
-        second = index.get(a)
-        if second is None:
-            return
-        third = second.get(b)
-        if third is None:
-            return
+        second = index[a]
+        third = second[b]
         third.discard(c)
         if not third:
             del second[b]
@@ -436,27 +442,22 @@ class Graph:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._triple_count
 
     def __contains__(self, triple) -> bool:
-        if not isinstance(triple, Triple):
-            subject, predicate, object_ = triple
-            triple = Triple(subject, predicate, object_)
+        """Membership of a triple; malformed input raises like :meth:`add`."""
+        triple = self._as_triple(triple)
         lookup = self._dictionary.lookup
-        s = lookup(triple.subject)
-        p = lookup(triple.predicate)
-        o = lookup(triple.object)
-        if s is None or p is None or o is None:
-            return False
-        return (s, p, o) in self._triples
+        ids = (lookup(triple.subject), lookup(triple.predicate), lookup(triple.object))
+        return None not in ids and self.count_ids(*ids) > 0
 
     def __iter__(self) -> Iterator[Triple]:
         decode = self._dictionary.decode
-        for s, p, o in self._triples:
+        for s, p, o in self.encoded_triples():
             yield Triple(decode(s), decode(p), decode(o))  # type: ignore[arg-type]
 
     def __bool__(self) -> bool:
-        return bool(self._triples)
+        return self._triple_count > 0
 
     # ------------------------------------------------------------------
     # pattern matching (term level)
@@ -520,41 +521,25 @@ class Graph:
                 for obj in objects:
                     yield (s, p, obj)
                 return
-            if o is not None:
-                predicates = self._osp.get(o, {}).get(s)
-                if predicates is None:
-                    return
-                for pred in predicates:
-                    yield (s, pred, o)
-                return
             for pred, objects in by_predicate.items():
-                for obj in objects:
-                    yield (s, pred, obj)
+                if o is None:
+                    for obj in objects:
+                        yield (s, pred, obj)
+                elif o in objects:
+                    yield (s, pred, o)
             return
-        if p is not None:
-            by_object = self._pos.get(p)
-            if by_object is None:
-                return
-            if o is not None:
-                subjects = by_object.get(o)
-                if subjects is None:
-                    return
-                for subj in subjects:
-                    yield (subj, p, o)
-                return
-            for obj, subjects in by_object.items():
-                for subj in subjects:
-                    yield (subj, p, obj)
+        if p is None and o is None:
+            yield from self.encoded_triples()
             return
-        if o is not None:
-            by_subject = self._osp.get(o)
-            if by_subject is None:
-                return
-            for subj, predicates in by_subject.items():
-                for pred in predicates:
+        for pred in (self._pos if p is None else (p,)):
+            by_object = self._pos.get(pred, {})
+            if o is None:
+                for obj, subjects in by_object.items():
+                    for subj in subjects:
+                        yield (subj, pred, obj)
+            else:
+                for subj in by_object.get(o, ()):
                     yield (subj, pred, o)
-            return
-        yield from self._triples
 
     def match_single_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int], position: int
@@ -574,8 +559,6 @@ class Graph:
             return self._spo.get(s, {}).get(p, ())
         if position == 0 and p is not None and o is not None:
             return self._pos.get(p, {}).get(o, ())
-        if position == 1 and s is not None and o is not None:
-            return self._osp.get(o, {}).get(s, ())
         return (triple[position] for triple in self.match_ids(s, p, o))
 
     def count_ids(self, s: Optional[int], p: Optional[int], o: Optional[int]) -> int:
@@ -587,17 +570,18 @@ class Graph:
         if s == -1 or p == -1 or o == -1:
             return 0
         if s is None and p is None and o is None:
-            return len(self._triples)
+            return self._triple_count
         if s is not None and p is None and o is None:
             return sum(len(objects) for objects in self._spo.get(s, {}).values())
         if p is not None and s is None and o is None:
             return self._predicate_triples.get(p, 0)
         if o is not None and s is None and p is None:
-            return sum(len(predicates) for predicates in self._osp.get(o, {}).values())
+            return sum(len(by_object.get(o, ())) for by_object in self._pos.values())
         if p is not None and o is not None and s is None:
             return len(self._pos.get(p, {}).get(o, ()))
-        if s is not None and p is not None and o is None:
-            return len(self._spo.get(s, {}).get(p, ()))
+        if s is not None and p is not None:
+            objects = self._spo.get(s, {}).get(p, ())
+            return len(objects) if o is None else int(o in objects)
         return sum(1 for _ in self.match_ids(s, p, o))
 
     # ------------------------------------------------------------------
@@ -612,32 +596,68 @@ class Graph:
     snapshot_path: Optional[str] = None
 
     def encoded_triples(self) -> Iterable[EncodedTriple]:
-        """All triples as encoded ``(s, p, o)`` id tuples (read-only view).
+        """All triples as encoded ``(s, p, o)`` id tuples, read off an index.
 
-        Heap graphs return their triple set directly (no copy); mapped
-        graphs yield from their fact columns.  Callers must not mutate the
-        result and should materialize it before iterating more than once.
+        Heap graphs walk POS (so a :meth:`copy` rebuilds POS in this
+        graph's order); mapped graphs yield from their fact columns.  The
+        result is a one-pass iterator.
         """
-        return self._triples
+        for p, by_object in self._pos.items():
+            for o, subjects in by_object.items():
+                for s in subjects:
+                    yield (s, p, o)
+
+    def _column(self, p_id: int, key, build):
+        """The cached array(s) ``key`` of predicate ``p_id``: ``build(numpy)`` on a miss."""
+        cache = self._columns.setdefault(p_id, {})
+        found = cache.get(key)
+        if found is None:
+            import numpy  # only the columnar solver calls this: rdf/ imports no numpy
+
+            found = cache[key] = build(numpy)
+        return found
 
     def columnar_predicate_pairs(self, p_id: int):
-        """Pre-built ``(subjects, objects)`` arrays for one predicate, or None.
+        """``(subjects, objects)`` ``int64`` arrays of predicate ``p_id``.
 
-        Storage backends that already hold the fact columns in array form
-        (mapped snapshots) override this so
-        :class:`repro.bgp.evaluator.ColumnarTripleIndex` can skip its
-        Python build pass and slice the columns zero-copy.  The base heap
-        graph has no such arrays and returns ``None``.
+        Heap graphs build them from POS in its iteration order (the row
+        order of the columnar solver's scans) and keep them until a
+        mutation touches ``p_id``; mapped snapshots slice their file.
         """
-        return None
+
+        def build(np):
+            subjects: List[int] = []
+            objects: List[int] = []
+            for s, _, o in self.match_ids(None, p_id, None):
+                subjects.append(s)
+                objects.append(o)
+            return (np.asarray(subjects, dtype=np.int64), np.asarray(objects, dtype=np.int64))
+
+        return self._column(p_id, "pairs", build)
 
     def columnar_sorted_pairs(self, p_id: int, sort_position: int):
-        """Pre-sorted pair arrays for one predicate, or None (see above).
+        """``(sorted keys, aligned values)`` arrays of predicate ``p_id``.
 
-        ``sort_position`` 0 requests ``(subjects, objects)`` sorted by
-        subject; 2 requests ``(objects, subjects)`` sorted by object.
+        ``sort_position`` 0 gives ``(subjects, objects)`` sorted by subject;
+        2 gives ``(objects, subjects)`` sorted by object.  A heap graph
+        stable-sorts its :meth:`columnar_predicate_pairs`.
         """
-        return None
+
+        def build(np):
+            subjects, objects = self.columnar_predicate_pairs(p_id)
+            keys, values = (subjects, objects) if sort_position == 0 else (objects, subjects)
+            order = np.argsort(keys, kind="stable")
+            return (keys[order], values[order])
+
+        return self._column(p_id, sort_position, build)
+
+    def columnar_candidates(self, s: Optional[int], p: int, o: Optional[int], position: int):
+        """Sorted ``int64`` ids at the one free ``position`` of a two-constant pattern."""
+
+        def build(np):
+            return np.sort(np.fromiter(self.match_single_ids(s, p, o, position), dtype=np.int64))
+
+        return self._column(p, (s, o, position), build)
 
     def statistics_summary(self) -> Dict[str, object]:
         """Summary counts for :class:`~repro.rdf.statistics.GraphStatistics`.
@@ -777,8 +797,7 @@ class Graph:
         """
         clone = Graph(name=name or self.name, change_log_limit=self._change_log_limit)
         clone._dictionary = self._dictionary.copy()
-        clone._triples = set(self.encoded_triples())
-        for encoded in clone._triples:
+        for encoded in self.encoded_triples():
             clone._index_add(encoded)
         return clone
 
@@ -816,6 +835,11 @@ class Graph:
         if len(self) != len(other):
             return False
         return all(triple in other for triple in self)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_columns"] = {}  # the receiver rebuilds what it reads
+        return state
 
     # Graphs are mutable and compare by triple-set contents, so they must
     # not be hashable; assigning None (rather than a raising method) makes

@@ -10,7 +10,7 @@ with the classical lightweight statistics of RDF engines:
 * counts of ``rdf:type`` instances per class.
 
 The counts are an index, not a scan: every graph keeps them itself (heap
-graphs beside their permutation indexes, updated by each effective
+graphs beside their SPO/POS indexes, updated by each effective
 mutation; mapped snapshots in their header) and
 :meth:`~repro.rdf.graph.Graph.statistics_summary` hands them over in
 O(#predicates + #classes).  A :class:`GraphStatistics` is therefore a cheap

@@ -47,7 +47,7 @@ import os
 import shutil
 import tempfile
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.errors import ServingError
 from repro.rdf.graph import Graph

@@ -206,27 +206,7 @@ class SnapshotGraph(Graph):
     def clear(self) -> None:
         self._read_only("clear")
 
-    # -- size / membership / iteration ---------------------------------
-
-    def __len__(self) -> int:
-        return self._triple_count
-
-    def __bool__(self) -> bool:
-        return self._triple_count > 0
-
-    def __contains__(self, triple) -> bool:
-        from repro.rdf.triples import Triple
-
-        if not isinstance(triple, Triple):
-            subject, predicate, object_ = triple
-            triple = Triple(subject, predicate, object_)
-        lookup = self._dictionary.lookup
-        s = lookup(triple.subject)
-        p = lookup(triple.predicate)
-        o = lookup(triple.object)
-        if s is None or p is None or o is None:
-            return False
-        return self.count_ids(s, p, o) > 0
+    # -- iteration ----------------------------------------------------
 
     def encoded_triples(self):
         """All encoded triples, in ``(p, s, o)`` order (read-only)."""
@@ -309,15 +289,6 @@ class SnapshotGraph(Graph):
                 return ()
             lo, hi = self._span(self._obj_keys, bounds[0], bounds[1], o)
             return self._obj_vals[lo:hi].tolist()
-        if position == 1 and s is not None and o is not None:
-            found = []
-            for predicate, (lo, hi) in self._pred_slices.items():
-                left, right = self._span(self._s, lo, hi, s)
-                if left < right:
-                    inner = self._span(self._o, left, right, o)
-                    if inner[0] < inner[1]:
-                        found.append(predicate)
-            return found
         return (triple[position] for triple in self.match_ids(s, p, o))
 
     def count_ids(self, s, p, o) -> int:

@@ -11,8 +11,9 @@ re-parsing or re-encoding it:
   predicate's triples form one contiguous, subject-sorted slice;
 * the per-predicate **object sort order** — the same triples re-sorted by
   ``(p, o, s)``, stored as two aligned arrays (object keys, subject values),
-  so both sort orders of :class:`repro.bgp.evaluator.ColumnarTripleIndex`
-  are zero-copy slices of the file;
+  so both sort orders of the columnar hooks
+  (:meth:`repro.rdf.graph.Graph.columnar_sorted_pairs`) are zero-copy
+  slices of the file;
 * the term dictionary — a typed-term table (one kind byte per term), an
   offset index and a UTF-8 string blob, stored in id order so the dense
   first-seen ids survive the round trip, plus a lexicographic permutation
@@ -571,8 +572,7 @@ def _load_heap(snapshot: Snapshot):
     s_col = snapshot.section("spo_s").tolist()
     p_col = snapshot.section("spo_p").tolist()
     o_col = snapshot.section("spo_o").tolist()
-    graph._triples = set(zip(s_col, p_col, o_col))
-    for encoded in graph._triples:
+    for encoded in zip(s_col, p_col, o_col):
         graph._index_add(encoded)
     graph._version = int(header["graph_version"])
     graph._log_base = graph._version

@@ -1,5 +1,7 @@
 """Unit tests for BGP query evaluation (set and bag semantics)."""
 
+import hashlib
+import pickle
 from collections import Counter
 
 import pytest
@@ -11,6 +13,7 @@ from repro.rdf.triples import TriplePattern
 from repro.bgp.evaluator import BGPEvaluator, evaluate_query
 from repro.bgp.parser import parse_query
 from repro.bgp.query import BGPQuery
+from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
 
 RDF_TYPE = RDF.term("type")
 
@@ -216,3 +219,110 @@ class TestSeededEvaluation:
             (EX.term("u2"), EX.term("s0")), (EX.term("u2"), EX.term("s1")),
         }
         assert max(expected.values()) == (3 if semantics == "bag" else 1)
+
+
+class TestGraphOwnsColumns:
+    """The column arrays live on the graph: shared by every evaluator,
+    dropped per predicate by the mutation that touches it, never pickled."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy(self):
+        pytest.importorskip("numpy")
+
+    @staticmethod
+    def _arrays(graph, p_id, other_id):
+        return (
+            graph.columnar_predicate_pairs(p_id),
+            graph.columnar_sorted_pairs(p_id, 0),
+            graph.columnar_sorted_pairs(p_id, 2),
+            graph.columnar_candidates(None, p_id, other_id, 0),
+        )
+
+    def test_two_evaluators_read_the_same_arrays(self, example2_like_graph, monkeypatch):
+        graph = example2_like_graph
+        served = ({}, {})  # (hook, args) -> arrays, per evaluator
+        phase = [0]
+        for name in ("columnar_predicate_pairs", "columnar_sorted_pairs", "columnar_candidates"):
+            hook = getattr(graph, name)
+
+            def recording(*args, _hook=hook, _name=name):
+                found = served[phase[0]][(_name, args)] = _hook(*args)
+                return found
+
+            monkeypatch.setattr(graph, name, recording)
+        query = parse_query("q(?x, ?s) :- ?x rdf:type ex:Blogger, ?x wrotePost ?p, ?p postedOn ?s")
+        first = BGPEvaluator(graph, engine="columnar").evaluate_ids(query)
+        phase[0] = 1
+        second = BGPEvaluator(graph, engine="columnar").evaluate_ids(query)
+        assert Counter(first.rows) == Counter(second.rows)
+        assert served[1], "the columnar solver read no graph column"
+        for key, arrays in served[1].items():
+            assert arrays is served[0][key], key
+
+    @pytest.mark.parametrize("mutation", ["add", "remove"])
+    def test_a_mutation_rebuilds_only_its_predicate(self, example2_like_graph, mutation):
+        graph = example2_like_graph
+        p1, p2 = graph.encode_term(EX.postedOn), graph.encode_term(EX.wrotePost)
+        site, post = graph.encode_term(EX.term("s1")), graph.encode_term(EX.term("p1"))
+        before_p1 = self._arrays(graph, p1, site)
+        before_p2 = self._arrays(graph, p2, post)
+        if mutation == "add":
+            changed = graph.add(Triple(EX.term("p9"), EX.postedOn, EX.term("s1")))
+        else:
+            changed = graph.remove(Triple(EX.term("p2"), EX.postedOn, EX.term("s1")))
+        assert changed
+        after_p2 = self._arrays(graph, p2, post)
+        assert all(new is old for new, old in zip(after_p2, before_p2))
+        after_p1 = self._arrays(graph, p1, site)
+        assert all(new is not old for new, old in zip(after_p1, before_p1))
+        subjects, objects = after_p1[0]
+        pairs = set(zip(subjects.tolist(), objects.tolist()))
+        expected = {(s, o) for s, _, o in graph.match_ids(None, p1, None)}
+        assert pairs == expected and len(subjects) == len(expected)
+        touched = graph.encode_term(EX.term("p9" if mutation == "add" else "p2"))
+        assert ((touched, site) in pairs) == (mutation == "add")
+        assert (touched in after_p1[3].tolist()) == (mutation == "add")
+
+    def test_clear_rebuilds_every_predicate(self, example2_like_graph):
+        graph = example2_like_graph
+        p1, p2 = graph.encode_term(EX.postedOn), graph.encode_term(EX.wrotePost)
+        before = [self._arrays(graph, p, None) for p in (p1, p2)]
+        graph.clear()
+        for p, old_arrays in zip((p1, p2), before):
+            arrays = self._arrays(graph, p, None)
+            assert all(new is not old for new, old in zip(arrays, old_arrays))
+            assert all(len(part) == 0 for array in arrays[:3] for part in array)
+
+    def test_a_pickled_graph_carries_no_arrays(self, example2_like_graph):
+        graph = example2_like_graph
+        p1 = graph.encode_term(EX.postedOn)
+        subjects, objects = graph.columnar_predicate_pairs(p1)
+        received = pickle.loads(pickle.dumps(graph))
+        assert received._columns == {}
+        assert graph._columns, "pickling must not drop the sender's arrays"
+        again = received.columnar_predicate_pairs(p1)
+        assert again[0].tolist() == subjects.tolist() and again[1].tolist() == objects.tolist()
+
+    # Each engine's rows, in order, hashed as ``(len, sha256 prefix)``: the
+    # figures the evaluator gave while each evaluator built its own column
+    # index.  The graph owning the columns must not move a row (float SUM
+    # and AVG add in row order).  The instance is built on the row engine,
+    # since its triple insertion order is the building engine's row order.
+    _ROW_ORDER = {
+        ("rows", "classifier"): (712, "f10fafcbc50deff4"),
+        ("rows", "measure"): (568, "bbbe08095a3391fc"),
+        ("columnar", "classifier"): (712, "bdec821c1358de29"),
+        ("columnar", "measure"): (568, "d367efe4f12038b0"),
+    }
+
+    @pytest.mark.parametrize("engine", ["rows", "columnar"])
+    def test_row_order_is_unchanged_on_the_generic_dataset(self, engine, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "rows")
+        config = GenericConfig(facts=300, dimensions=3, values_per_dimension=1.4, zipf_exponent=0.9, seed=17)
+        dataset = generic_dataset(config)
+        query = generic_query(config, include_detail_in_classifier=True)
+        evaluator = BGPEvaluator(dataset.instance, engine=engine)
+        for label, bgp, semantics in (("classifier", query.classifier, "set"), ("measure", query.measure, "bag")):
+            rows = [tuple(map(int, row)) for row in evaluator.evaluate_ids(bgp, semantics=semantics).rows]
+            digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+            assert (len(rows), digest) == self._ROW_ORDER[(engine, label)], label

@@ -1,5 +1,6 @@
 """Property-based tests for the RDF substrate (store invariants, I/O roundtrips)."""
 
+import itertools
 import os
 import tempfile
 
@@ -93,6 +94,27 @@ _mutations = st.one_of(
 )
 
 
+def _mutate(graph, mutation):
+    """Apply one drawn mutation; a poisoned batch must leave ``graph`` as it was."""
+    kind = mutation[0]
+    if kind == "add":
+        graph.add(mutation[1])
+    elif kind == "remove":
+        graph.remove(mutation[1])
+    elif kind == "clear":
+        graph.clear()
+    else:
+        _, adds, removes, poison = mutation
+        if poison is None:
+            graph.apply(add=adds, remove=removes)
+        else:
+            before = set(graph)
+            adds = adds[:poison] + [("not", "a-triple")] + adds[poison:]
+            with pytest.raises(InvalidTripleError):
+                graph.apply(add=adds, remove=removes)
+            assert set(graph) == before
+
+
 def _assert_statistics_match_recount(graph, expected=None):
     """All five fields equal the recount (of ``graph`` unless given); returns it."""
     if expected is None:
@@ -114,23 +136,7 @@ class TestMaintainedStatistics:
         graph = Graph(initial)
         long_lived = GraphStatistics(graph)  # re-syncs by version stamp
         for mutation in mutations:
-            kind = mutation[0]
-            if kind == "add":
-                graph.add(mutation[1])
-            elif kind == "remove":
-                graph.remove(mutation[1])
-            elif kind == "clear":
-                graph.clear()
-            else:
-                _, adds, removes, poison = mutation
-                if poison is None:
-                    graph.apply(add=adds, remove=removes)
-                else:
-                    before = set(graph)
-                    adds = adds[:poison] + [("not", "a-triple")] + adds[poison:]
-                    with pytest.raises(InvalidTripleError):
-                        graph.apply(add=adds, remove=removes)
-                    assert set(graph) == before
+            _mutate(graph, mutation)
             recount = _assert_statistics_match_recount(graph)
             long_lived.estimate_pattern(TriplePattern(Variable("s"), EX.term("p0"), Variable("o")))
             assert statistics_fields(long_lived) == recount
@@ -152,6 +158,63 @@ class TestMaintainedStatistics:
             # The reload is mutable: its counters keep following its indexes.
             reloaded.apply(add=dropped)
             _assert_statistics_match_recount(reloaded)
+
+
+def _assert_access_paths_match_a_scan(graph):
+    """Every bound/unbound shape of every id-level access path, and ``in``,
+    equals a brute-force filter of ``encoded_triples()``.
+
+    Bound positions range over the ids at that position, one id of the
+    dictionary that is not there, and the unknown-id sentinel ``-1``.
+    """
+    triples = list(graph.encoded_triples())
+    assert len(triples) == len(set(triples)) == len(graph)
+    all_ids = range(len(graph.dictionary))
+    values = []
+    for position in range(3):
+        present = sorted({triple[position] for triple in triples})
+        absent = [term_id for term_id in all_ids if term_id not in present][:1]
+        values.append(present + absent + [-1])
+    for shape in itertools.product((False, True), repeat=3):
+        choices = [values[k] if bound else [None] for k, bound in enumerate(shape)]
+        for key in itertools.product(*choices):
+            expected = sorted(
+                triple for triple in triples
+                if all(want is None or want == got for want, got in zip(key, triple))
+            )
+            assert sorted(graph.match_ids(*key)) == expected, key
+            assert graph.count_ids(*key) == len(expected), key
+            for position in (k for k in range(3) if key[k] is None):
+                found = sorted(graph.match_single_ids(*key, position))
+                assert found == sorted(triple[position] for triple in expected), (key, position)
+            if all(shape) and -1 not in key:
+                decoded = tuple(map(graph.dictionary.decode, key))
+                assert (decoded in graph) == bool(expected), key
+    absent = (EX.term("absent"), EX.term("p0"), Literal(1))
+    assert absent not in graph
+
+
+class TestAccessPaths:
+    """A heap graph and its mmap snapshot against a scan, after any mutations."""
+
+    @settings(max_examples=40, deadline=None, print_blob=True)
+    @given(_pool_lists, st.lists(_mutations, max_size=8))
+    def test_every_shape_equals_a_filtered_scan(self, initial, mutations):
+        graph = Graph(initial)
+        _assert_access_paths_match_a_scan(graph)
+        for mutation in mutations:
+            _mutate(graph, mutation)
+            _assert_access_paths_match_a_scan(graph)
+        _assert_access_paths_match_a_scan(graph.copy())
+        try:
+            import numpy  # noqa: F401 - snapshots require the [fast] extra
+        except ImportError:
+            return
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "graph.snap")
+            graph.save_snapshot(path)
+            _assert_access_paths_match_a_scan(Graph.load_snapshot(path, mmap=True))
+            _assert_access_paths_match_a_scan(Graph.load_snapshot(path, mmap=False))
 
 
 class TestSerializationRoundtrips:

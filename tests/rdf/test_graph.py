@@ -79,6 +79,34 @@ class TestMutation:
                 small_graph.remove(garbage)
 
 
+@pytest.fixture(params=["heap", "snapshot"])
+def either_graph(request, small_graph, tmp_path) -> Graph:
+    """``small_graph`` on the heap, or re-opened from its mmap snapshot."""
+    if request.param == "heap":
+        return small_graph
+    pytest.importorskip("numpy")  # snapshots require the [fast] extra
+    path = str(tmp_path / "small.snap")
+    small_graph.save_snapshot(path)
+    return Graph.load_snapshot(path)
+
+
+class TestMembership:
+    @pytest.mark.parametrize(
+        "malformed",
+        [(EX.user1, EX.hasAge), (EX.user1, EX.hasAge, Literal(28), EX.extra), 5],
+        ids=["pair", "quad", "int"],
+    )
+    def test_malformed_input_raises_like_add(self, either_graph, malformed):
+        with pytest.raises(InvalidTripleError):
+            _ = malformed in either_graph
+
+    def test_triples_and_tuples_answer(self, either_graph):
+        assert Triple(EX.user1, EX.hasAge, Literal(28)) in either_graph
+        assert (EX.user1, EX.hasAge, Literal(28)) in either_graph
+        assert (EX.user1, EX.hasAge, Literal(99)) not in either_graph
+        assert (EX.nobody, EX.hasAge, Literal(28)) not in either_graph
+
+
 class TestApply:
     """``Graph.apply`` is the one atomic batch mutation (ingestion and the
     serving writer both delegate to it)."""

@@ -15,12 +15,15 @@ arrays and implements the relation protocol of
   each row's position among them come from tables over a dense id span);
 * ``dedup`` — δ via the run heads of one sorted packed key, first occurrences
   kept in order;
-* ``split_on`` / ``union_all`` — the (anti-)semi-join against a set of id
-  tuples by ``np.isin`` masks, and ∪ by concatenating columns (the splice of
-  a delta refresh);
+* ``union_all`` — ∪ by concatenating columns;
+* ``splice`` — a delta refresh's replacement of the affected facts' rows: in
+  a relation ordered by its fact, the runs are found by ``searchsorted`` and
+  the re-derived rows go in at their facts' positions (one ``concatenate``
+  per column); the touched groups' rows are found in one packed-key pass;
 * ``join_on`` — the int-keyed equi-join (the fact-variable join of
-  Definition 4): an argsort of the right side, then :func:`expand_sorted`,
-  which reads each key's run from an offsets table when the ids are dense;
+  Definition 4): :func:`expand_sorted` over the right side, argsorted only
+  when it is not already in key order, which reads each key's run from an
+  offsets table when the ids are dense;
 * ``group_states`` — γ's states via the same packed-key group boundaries with
   ``reduceat`` reductions for COUNT/SUM/AVG/MIN/MAX, held in array form
   (:class:`ArrayGroupStates`) so shards merge (concatenate + re-reduce)
@@ -167,6 +170,10 @@ def _value_array(values: List) -> "_np.ndarray":
     return column
 
 
+#: Rows up to which a relation decodes through a dict, not the id arrays.
+_FEW_ROWS = 64
+
+
 class ColumnarIdRelation(IdRelation):
     """An :class:`~repro.algebra.relation.IdRelation` stored column-wise.
 
@@ -288,15 +295,22 @@ class ColumnarIdRelation(IdRelation):
 
     def decoded_columns(self) -> List[Sequence]:
         """Per encoded column, its distinct ids decoded once and gathered
-        back by their positions — no row conversion."""
-        columns = []
+        back by their positions — no row conversion.  A relation of at most
+        :data:`_FEW_ROWS` rows (a refresh's replaced and regrouped cells)
+        finds its distinct ids with a dict instead: there numpy's per-call
+        cost outweighs its per-row speed."""
+        columns, decode = [], self._dictionary.decode
         for name, array in self._column_arrays.items():
-            if name in self._encoded:
-                distinct, inverse = self._distinct_ids(name, inverse=True)
-                terms = list(map(self._dictionary.decode, distinct.tolist()))
-                columns.append(list(map(terms.__getitem__, inverse.tolist())))
-            else:
+            if name not in self._encoded:
                 columns.append(array.tolist())
+            elif self._length <= _FEW_ROWS:
+                ids = array.tolist()
+                terms = {term_id: decode(term_id) for term_id in set(ids)}
+                columns.append(list(map(terms.__getitem__, ids)))
+            else:
+                distinct, inverse = self._distinct_ids(name, inverse=True)
+                terms = list(map(decode, distinct.tolist()))
+                columns.append(list(map(terms.__getitem__, inverse.tolist())))
         return columns
 
     # -- the relation protocol, on the arrays -----------------------------
@@ -363,20 +377,63 @@ class ColumnarIdRelation(IdRelation):
     def column_max(self, name: str, default: int = 0):
         return int(self.column_array(name).max()) if self._length else default
 
-    def split_on(self, columns: Sequence[str], keys, rest: bool = True):
-        """``(⋉, ▷)`` by mask: per-column ``np.isin`` against the keys'
-        components finds the candidates (exactly the matches for one column);
-        with several columns the few candidates are confirmed as tuples."""
-        arrays = [self.column_array(name) for name in columns]
-        mask = _np.full(self._length, bool(keys))
-        for position, array in enumerate(arrays):
-            components = _np.fromiter({key[position] for key in keys}, dtype=_np.int64)
-            mask &= _np.isin(array, components)
-        if len(arrays) > 1:
-            candidates = _np.flatnonzero(mask)
-            tuples = zip(*(array[candidates].tolist() for array in arrays))
-            mask[candidates] = [row in keys for row in tuples]
-        return self.take(mask), self.take(~mask) if rest else None
+    def splice(self, columns: Sequence[str], keys, rows: Relation, touching=None):
+        """A delta refresh's splice (see :meth:`Relation.splice`) in the arrays.
+
+        On one column the relation is ordered by (``pres(Q)`` by its fact),
+        the keys' runs are found by ``searchsorted`` and ``rows``, ordered the
+        same way, take their places, so the result stays ordered; otherwise
+        the matching rows are found by :func:`_rows_in` and ``rows`` follow
+        the kept ones.  Either way each column is one ``concatenate`` of the
+        kept runs and the inserted ones.  ``rows`` in another storage,
+        dictionary or encoding splice as rows.
+        """
+        if not (
+            isinstance(rows, ColumnarIdRelation)
+            and rows.dictionary is self._dictionary
+            and rows.encoded_columns == self._encoded
+        ):
+            return self.to_rows("splice:no-array-form").splice(columns, keys, rows, touching)
+        if len(columns) == 1 and _ascending(self.column_array(columns[0])):
+            name = columns[0]
+            wanted = _np.array(sorted({key for key, in keys}), dtype=_np.int64)
+            if not _ascending(rows.column_array(name)):
+                rows = rows.take(_np.argsort(rows.column_array(name), kind="stable"))
+            column, new = self.column_array(name), rows.column_array(name)
+            lo, hi = _np.searchsorted(column, wanted), _np.searchsorted(column, wanted, side="right")
+            at, to = _np.searchsorted(new, wanted), _np.searchsorted(new, wanted, side="right")
+            if int((to - at).sum()) != len(rows):
+                raise AlgebraError(f"every spliced row must hold one of the keys in column {name!r}")
+        else:
+            arrays = [self.column_array(name) for name in columns]
+            wanted = _np.array(list(keys), dtype=_np.int64).reshape(len(keys), len(columns))
+            picked = _rows_in(arrays, list(wanted.T), len(keys), self._length)
+            lo, hi = _np.append(picked, self._length), _np.append(picked + 1, self._length)
+            at, to = _np.zeros(len(lo), dtype=_np.int64), _np.zeros(len(lo), dtype=_np.int64)
+            to[-1] = len(rows)
+        spliced, removed = self._replaced(lo, hi, rows, at, to)
+        if touching is None:
+            return spliced, removed, None
+        groups = [_np.concatenate([removed.column_array(name), rows.column_array(name)]) for name in touching]
+        arrays = [spliced.column_array(name) for name in touching]
+        touched = _rows_in(arrays, groups, len(removed) + len(rows), len(spliced))
+        return spliced, removed, spliced.take(touched)
+
+    def _replaced(self, lo, hi, rows: "ColumnarIdRelation", at, to):
+        """``(spliced, removed)``: the disjoint ascending runs ``[lo, hi)`` of
+        this relation replaced, each, by the rows ``[at, to)`` of ``rows``."""
+        counts = hi - lo
+        removed = _np.arange(int(counts.sum())) + _np.repeat(lo - _np.cumsum(counts) + counts, counts)
+        kept = list(zip([0, *hi.tolist()], [*lo.tolist(), self._length]))
+        inserted = list(zip(at.tolist(), to.tolist()))
+        arrays = {}
+        for name, array in self._column_arrays.items():
+            other, pieces = rows.column_array(name), [array] * (2 * len(inserted) + 1)
+            pieces[::2] = [array[start:stop] for start, stop in kept]
+            pieces[1::2] = [other[start:stop] for start, stop in inserted]
+            arrays[name] = _concatenate(pieces)
+        length = self._length - len(removed) + int((to - at).sum())
+        return self._with(self._columns, arrays, length), self.take(removed)
 
     def union_all(self, others: Sequence[Relation]) -> Relation:
         """∪ by concatenating columns; operands that do not share this
@@ -407,7 +464,7 @@ class ColumnarIdRelation(IdRelation):
         return self._with((key_column,) + self._columns, arrays, self._length)
 
     def join_on(self, right, join_pairs, kept_right_columns) -> Relation:
-        """Single-pair ⋈ of two columnar relations via argsort + :func:`expand_sorted`
+        """Single-pair ⋈ of two columnar relations via :func:`expand_sorted`
         (:func:`~repro.algebra.operators.join_on` aligned the value spaces);
         other shapes hash-join on rows."""
         if len(join_pairs) != 1 or not isinstance(right, ColumnarIdRelation):
@@ -567,9 +624,16 @@ def _expand_matches(left_keys, right_keys):
     ``left_keys[left_idx] == right_keys[right_idx]`` pairwise, enumerating
     every match (bag semantics) grouped by left row.
     """
+    if _ascending(right_keys):  # the measure side comes out of the solve in fact order
+        return expand_sorted(left_keys, right_keys)
     order = _np.argsort(right_keys, kind="stable")
     left_idx, positions = expand_sorted(left_keys, right_keys[order])
     return left_idx, order[positions]
+
+
+def _ascending(array) -> bool:
+    """Whether ``array`` is non-decreasing: one vector compare, no sort."""
+    return bool((array[1:] >= array[:-1]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +656,52 @@ def _key_codes(array, dense: bool = False):
     return codes.astype(_np.int64, copy=False), (len(distinct) - 1).bit_length()
 
 
+def _packed_key(key_arrays: List["_np.ndarray"], length: int):
+    """``(key, bits)``: the key columns packed into one int64 per row by bit
+    width (the key so far, then the column, re-densified to pass no 63 bits),
+    the first column most significant, so equal tuples get equal keys."""
+    key, bits = _np.zeros(length, dtype=_np.int64), 0
+    for array in key_arrays:
+        column, width = _key_codes(array)
+        if bits + width > _KEY_BITS:
+            key, bits = _key_codes(key, dense=True)
+        if bits + width > _KEY_BITS:
+            column, width = _key_codes(column, dense=True)
+        key, bits = (key << width) | column, bits + width
+    return key, bits
+
+
+def _rows_in(arrays: List["_np.ndarray"], keys: List["_np.ndarray"], count: int, length: int):
+    """Ascending positions of the rows whose tuple over ``arrays`` (int64
+    columns of ``length`` rows) is one of the ``count`` tuples ``keys`` holds
+    (one array per column, parallel; a delta's few).
+
+    One pass over the relation: the first column's values are looked up in
+    a presence table of the keys' first components over the column's span
+    (``np.isin`` when the span is too wide, under :func:`expand_sorted`'s
+    rule).  The few candidates it leaves and the keys are then packed into
+    one int64 per tuple (:func:`_packed_key`) and matched by
+    ``searchsorted``; no sort touches the relation.
+    """
+    if not arrays:
+        return _np.arange(length if count else 0)
+    first, wanted = arrays[0], keys[0]
+    span = _dense_span(first)
+    if span is None:
+        candidates = _np.flatnonzero(_np.isin(first, wanted))
+    else:
+        table = _np.zeros(span[1] - span[0] + 1, dtype=bool)
+        table[wanted[(wanted >= span[0]) & (wanted <= span[1])] - span[0]] = True
+        candidates = _np.flatnonzero(table[first - span[0]])
+    if len(arrays) == 1 or not len(candidates):
+        return candidates
+    tuples = [_np.concatenate([array[candidates], part]) for array, part in zip(arrays, keys)]
+    packed, _ = _packed_key(tuples, len(candidates) + count)
+    found, wanted = packed[: len(candidates)], _np.sort(packed[len(candidates) :])
+    slots = _np.minimum(_np.searchsorted(wanted, found), count - 1)
+    return candidates[wanted[slots] == found]
+
+
 def _group_boundaries(key_arrays: List["_np.ndarray"], length: int):
     """Sort rows by the key columns and locate the group runs.
 
@@ -602,14 +712,7 @@ def _group_boundaries(key_arrays: List["_np.ndarray"], length: int):
     above the row index, which breaks ties.
     """
     row_bits = (length - 1).bit_length()
-    key, bits = _np.zeros(length, dtype=_np.int64), 0
-    for array in key_arrays:
-        column, width = _key_codes(array)
-        if bits + width > _KEY_BITS:
-            key, bits = _key_codes(key, dense=True)
-        if bits + width > _KEY_BITS:
-            column, width = _key_codes(column, dense=True)
-        key, bits = (key << width) | column, bits + width
+    key, bits = _packed_key(key_arrays, length)
     if bits + row_bits > _KEY_BITS:
         key, bits = _key_codes(key, dense=True)
     key = (key << row_bits) | _np.arange(length, dtype=_np.int64)

@@ -333,14 +333,28 @@ class Relation:
         """The largest value of one column (``default`` when empty)."""
         return max(self.column_values(name), default=default)
 
-    def split_on(self, columns: Sequence[str], keys, rest: bool = True):
-        """``(⋉, ▷)`` against a set of value tuples: the rows whose tuple over
-        ``columns`` is in ``keys``, and the others (both in row order); with
-        ``rest=False`` the ▷ half is not built (None)."""
+    def splice(self, columns: Sequence[str], keys, rows: "Relation", touching=None):
+        """A delta refresh's splice: this bag with the rows whose tuple over
+        ``columns`` is in ``keys`` (a set of value tuples) replaced by ``rows``,
+        each of which holds one of the keys, in this storage and value space.
+
+        Returns ``(spliced, removed, touched)``: ``removed`` the replaced rows in
+        row order and, when ``touching`` names columns, ``touched`` the rows of
+        ``spliced`` whose tuple over them is that of a removed or inserted row,
+        in ``spliced``'s order (None otherwise).  Row storage keeps the other
+        rows in order and appends ``rows``.
+        """
         key_of = tuple_getter(self.column_indexes(columns))
         hits = list(map(keys.__contains__, map(key_of, self._rows)))
-        matching = self.with_rows(list(compress(self._rows, hits)))
-        return matching, self.with_rows(list(compress(self._rows, map(not_, hits)))) if rest else None
+        inserted = rows.rows
+        removed = list(compress(self._rows, hits))
+        spliced = self.with_rows([*compress(self._rows, map(not_, hits)), *inserted])
+        if touching is None:
+            return spliced, self.with_rows(removed), None
+        group_of = tuple_getter(self.column_indexes(touching))
+        groups = set(map(group_of, removed)) | set(map(group_of, inserted))
+        touched = [row for row in spliced._rows if group_of(row) in groups]
+        return spliced, self.with_rows(removed), self.with_rows(touched)
 
     def union_all(self, others: Sequence["Relation"]) -> "Relation":
         """∪ with relations of this schema (bag union: rows concatenated)."""

@@ -203,14 +203,19 @@ class CubeAnswer:
             cells = self._cells = dict(zip(keys, columns[-1]))
         return cells
 
+    @property
+    def decoded(self) -> bool:
+        """Whether the cell map is built: a cube over this answer decodes nothing."""
+        return self._cells is not None
+
     def patched(self, relation: Relation, replaced: Relation, regrouped: "CubeAnswer") -> "CubeAnswer":
         """The answer over ``relation`` = this one's cells minus ``replaced``
         (some of its rows), then ``regrouped``'s — what a delta refresh builds.
 
         When this answer was decoded, the new one inherits the cell map:
         copied, the replaced cells dropped, the regrouped ones decoded and
-        appended — O(touched) decodes, in ``relation``'s row order.  An answer
-        never decoded carries nothing.
+        appended — decodes of the replaced and regrouped cells only.  An
+        answer never decoded carries nothing.
         """
         answer = CubeAnswer(relation, self.dimension_columns, self.measure_column)
         if self._cells is not None:

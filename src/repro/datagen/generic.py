@@ -124,10 +124,10 @@ def generic_base_graph(config: GenericConfig, namespace: Namespace = EX) -> Grap
         graph.add(Triple(fact, _RDF_TYPE, namespace.term("Fact")))
         for dimension in range(config.dimensions):
             count = multi_valued_count(rng, config.values_per_dimension, maximum=5)
-            chosen = set()
-            for _ in range(count):
-                chosen.add(pick_zipf(rng, dimension_values[dimension], config.zipf_exponent))
-            for value in chosen:
+            # Deduplicated in pick order: interned IRIs hash by identity, so a
+            # set's order would follow memory addresses, not the seed.
+            picks = (pick_zipf(rng, dimension_values[dimension], config.zipf_exponent) for _ in range(count))
+            for value in dict.fromkeys(picks):
                 graph.add(Triple(fact, _dimension_property(dimension, namespace), value))
         for _ in range(multi_valued_count(rng, config.measures_per_fact, maximum=8)):
             graph.add(Triple(fact, namespace.measure, Literal(rng.randrange(1, config.measure_max))))

@@ -432,18 +432,30 @@ class ResultCache:
         """
         key = query.canonical_key
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.graph_version != graph.version:
-                if graph.deltas_since(entry.graph_version) is None:
-                    self.invalidate(key)
-                entry = None
+            entry = self.hit(query, graph)
             if entry is not None:
-                self._entries.move_to_end(key)
-                entry.hits += 1
-                self.stats.hits += 1
                 return entry
+            stale = self._entries.get(key)
+            if stale is not None and graph.deltas_since(stale.graph_version) is None:
+                self.invalidate(key)
             self.stats.misses += 1
             return self._load_from_store(key, query, graph, engine)
+
+    def hit(self, query: AnalyticalQuery, graph: Graph, ready=None) -> Optional[CacheEntry]:
+        """The fresh in-memory entry for ``query``, counted as a hit (recency,
+        statistics) — when there is one and ``ready(entry)``, if given, holds;
+        otherwise None, with no side effect and no disk lookup.  Checked and
+        counted under one lock hold, so an entry evicted meanwhile is a None."""
+        with self._lock:
+            entry = self._entries.get(query.canonical_key)
+            if entry is None or entry.graph_version != graph.version:
+                return None
+            if ready is not None and not ready(entry):
+                return None
+            self._entries.move_to_end(entry.key)
+            entry.hits += 1
+            self.stats.hits += 1
+            return entry
 
     def peek(self, query: AnalyticalQuery, graph: Graph) -> Optional[CacheEntry]:
         """The *fresh* in-memory entry for ``query``, without side effects.

@@ -18,36 +18,43 @@ recomputing them:
    these projections is a sound superset of every fact whose classifier
    rows or measure bag changed.
 
-2. **Patch pres(Q).** Rows of unaffected facts are kept verbatim; rows of
-   affected facts are dropped and re-derived from the current graph by one
+2. **Patch pres(Q).** The affected facts' rows are re-derived from the
+   current graph by one
    :meth:`~repro.analytics.evaluator.AnalyticalQueryEvaluator.partial_result`
    seeded with the affected facts — Definition 4 built where scratch
    evaluation builds it, the solver starting from the fact column instead
-   of enumerating every fact.
+   of enumerating every fact — and spliced in place of the facts' cached
+   rows (:meth:`~repro.algebra.relation.Relation.splice`); every other row
+   is kept verbatim.  On the columnar engine ``pres(Q)`` is in fact order,
+   so the facts' runs are found by binary search and the fresh rows go in
+   at their positions.
 
 3. **γ over the touched groups.** A group is *touched* when its dimension
    tuple appears on a dropped or a re-derived row.  The touched groups'
-   rows of the patched ``pres(Q)`` (retained rows of those groups plus the
-   fresh rows) go through
+   rows of the patched ``pres(Q)``, which the splice hands back from one
+   pass, go through
    :meth:`~repro.analytics.evaluator.AnalyticalQueryEvaluator.answer_from_partial`
    — Equation (3)'s γ, the one scratch evaluation and every rewriting use —
-   and the resulting cells replace the touched cells of the cached
-   ``ans(Q)``; untouched cells are kept verbatim.  Maintenance is thereby
-   one more ``pres → pres`` derivation followed by the shared γ: no
+   and the resulting cells are spliced over the touched cells of the cached
+   ``ans(Q)``; untouched cells are kept verbatim, and of the decoded cells
+   only the replaced and regrouped ones are decoded.  Maintenance is
+   thereby one more ``pres → pres`` derivation followed by the shared γ: no
    aggregate is ever inverted, a refreshed cell is γ of the group's
    current rows.
 
 The result is cell-for-cell identical to a from-scratch recomputation (the
 differential oracle in ``tests/properties/test_property_maintenance.py``
-enforces exactly that), at a cost proportional to the delta, not the
-instance.
+enforces exactly that).  Its cost follows the delta: the re-derivation,
+the γ and the decode are delta-sized, and the splice sorts, ranks and
+searches no array of the instance's size — what is left of ``|pres(Q)|``
+and ``|ans(Q)|`` is one vectorized pass to find the touched groups' rows
+and the copy of the new columns (results are immutable).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.algebra.operators import union_all
 from repro.algebra.relation import Relation
 from repro.analytics.answer import KeyGenerator, MaterializedQueryResults
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
@@ -338,13 +345,6 @@ class DeltaMaintainer:
         if not affected:
             return materialized
 
-        dimensions = partial.dimension_columns
-        # σ over the cached pres: the affected facts' rows leave, every other
-        # row is kept verbatim — in the storage the pres has.
-        dropped, retained = pres_storage.split_on(
-            (partial.fact_column,), {(fact,) for fact in affected}
-        )
-
         # Re-derive the affected facts' rows from the current instance — one
         # pres(Q) seeded with them — under newk() keys above every cached one
         # so they cannot collide, into the storage the cached pres has.
@@ -352,21 +352,22 @@ class DeltaMaintainer:
         derived = self._evaluator.partial_result(query, key_generator=keys, seed=sorted(affected))
         fresh = pres_storage.with_rows(derived.storage.rows)
 
-        # γ over the touched groups only — those of a dropped or a fresh row:
-        # ⋉ picks their retained rows, a 1-triple delta on a 100k-row pres
-        # never re-aggregates the groups it did not reach.  The cells replace
-        # (▷ ∪) the touched cells of the cached ans; a group left without rows
-        # (or undefined under ⊕) simply yields no cell.
-        touched = _key_tuples(dropped, dimensions) | _key_tuples(fresh, dimensions)
-        touched_retained, _ = retained.split_on(dimensions, touched, rest=False)
-        regrouped = self._evaluator.answer_from_partial(
-            query, partial.with_storage(union_all(touched_retained, fresh))
+        # The splice: the affected facts' rows leave and the fresh ones take
+        # their place, every other row kept verbatim.  γ runs over the touched
+        # groups only — those of a removed or a fresh row, whose rows of the
+        # new pres the splice hands back — so a 1-triple delta on a 100k-row
+        # pres never re-aggregates the groups it did not reach.  Their cells
+        # replace the touched cells of the cached ans; a group left without
+        # rows (or undefined under ⊕) simply yields no cell.
+        dimensions = partial.dimension_columns
+        spliced, dropped, touched_rows = pres_storage.splice(
+            (partial.fact_column,), {(fact,) for fact in affected}, fresh, touching=dimensions
         )
-        replaced, untouched = ans_storage.split_on(answer.dimension_columns, touched)
+        regrouped = self._evaluator.answer_from_partial(query, partial.with_storage(touched_rows))
+        touched = _key_tuples(dropped, dimensions) | _key_tuples(fresh, dimensions)
+        cells, replaced, _ = ans_storage.splice(answer.dimension_columns, touched, regrouped.storage)
         return MaterializedQueryResults(
-            query,
-            answer.patched(union_all(untouched, regrouped.storage), replaced, regrouped),
-            partial.with_storage(union_all(retained, fresh)),
+            query, answer.patched(cells, replaced, regrouped), partial.with_storage(spliced)
         )
 
 

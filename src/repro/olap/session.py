@@ -392,14 +392,17 @@ class OLAPSession:
     def execute(self, query: AnalyticalQuery) -> Cube:
         """Answer ``query`` and materialize ``ans(Q)`` and ``pres(Q)`` (cache-first).
 
-        Runs the winner of :meth:`OLAPPlanner.plan_query
-        <repro.olap.planner.OLAPPlanner.plan_query>`; the history strategy
+        A fresh in-memory entry is served by :meth:`cached_cube`; otherwise
+        runs the winner of :meth:`OLAPPlanner.plan_query
+        <repro.olap.planner.OLAPPlanner.plan_query>`.  The history strategy
         names the route: ``cache`` / ``cache[disk]`` (the stored results,
         without touching the instance), ``refresh`` (a stale entry patched
         from the change log), ``parallel`` or ``scratch`` (evaluated on the
         instance).
         """
-        self.sync()
+        cube = self.cached_cube(query)
+        if cube is not None:
+            return cube
         started = time.perf_counter()
         # Stamp a new entry with the version observed *before* evaluating: a
         # mutation interleaved between materialization and insertion must
@@ -415,19 +418,36 @@ class OLAPSession:
             if entry is None or entry.origin == "disk":
                 strategy = "cache[disk]"
         self._store(query, chosen, answer, partial, observed_version)
+        return self._executed(query, answer, strategy, chosen.input_rows, started)
+
+    def cached_cube(self, query: AnalyticalQuery, decode: bool = True) -> Optional[Cube]:
+        """``query`` answered from its fresh in-memory cache entry, or None.
+
+        The one hit path: :meth:`execute` tries it first, and the serving
+        layer calls it on its event loop with ``decode=False``, which serves
+        only an answer already decoded — so the call reads the entry and
+        neither decodes nor evaluates.  None, with nothing counted or
+        recorded, when the entry is missing, stale, only on disk or (under
+        ``decode=False``) not decoded yet; the planner's route then answers.
+        """
+        self.sync()
+        started = time.perf_counter()
+        ready = None if decode else (lambda entry: entry.materialized.answer.decoded)
+        entry = self._cache.hit(query, self.instance, ready)
+        if entry is None:
+            return None
+        answer = entry.materialized.answer
+        self._queries[query.name] = query
+        strategy = "cache[disk]" if entry.origin == "disk" else "cache"
+        return self._executed(query, answer, strategy, len(answer), started)
+
+    def _executed(self, query, answer: CubeAnswer, strategy: str, input_rows: int, started: float) -> Cube:
+        """The cube of an answered :meth:`execute`, its record appended."""
         elapsed = time.perf_counter() - started
-        return self._recorded(
-            Cube(answer, query),
-            TransformationRecord(
-                query_name=query.name,
-                operation="execute",
-                strategy=strategy,
-                seconds=elapsed,
-                input_rows=chosen.input_rows,
-                output_cells=len(answer),
-                execute_seconds=elapsed,
-            ),
+        record = TransformationRecord(
+            query.name, "execute", strategy, elapsed, input_rows, len(answer), execute_seconds=elapsed
         )
+        return self._recorded(Cube(answer, query), record)
 
     def _recorded(self, cube: Cube, record: TransformationRecord) -> Cube:
         """Append ``record`` to the history and hand it back on its cube.

@@ -40,7 +40,8 @@ multi-tenant serving loop:
 The service is an ``async`` object: construct it, then ``async with`` it
 (or call :meth:`aclose` yourself).  Query execution itself runs on a
 bounded thread pool (`max_concurrency` threads), so the event loop stays
-responsive while the engine works.
+responsive while the engine works; only a fresh cache hit whose answer is
+already decoded is answered on the loop, since it reads and computes nothing.
 """
 
 from __future__ import annotations
@@ -389,13 +390,17 @@ class OLAPService:
             try:
                 started = time.perf_counter()
                 session, predecessor = self._session_for(state, generation)
-                if predecessor is not None:  # a new session's first read: not a cold start
-                    await self._loop.run_in_executor(
-                        self._executor, self._adopt, session, predecessor
+                # A fresh, decoded hit is answered here on the loop (it only
+                # reads the entry); anything else runs on the executor.
+                cube = None if predecessor is not None else session.cached_cube(query, decode=False)
+                if cube is None:
+                    if predecessor is not None:  # a new session's first read: not a cold start
+                        await self._loop.run_in_executor(
+                            self._executor, self._adopt, session, predecessor
+                        )
+                    cube = await self._loop.run_in_executor(
+                        self._executor, self._execute, session, query
                     )
-                cube = await self._loop.run_in_executor(
-                    self._executor, self._execute, session, query
-                )
                 finished = time.perf_counter()
             finally:
                 self._slots.release()

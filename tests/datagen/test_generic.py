@@ -1,5 +1,10 @@
 """Unit tests for the configurable generic generator used by the experiments."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import SchemaDefinitionError
@@ -35,6 +40,29 @@ class TestGeneration:
     def test_deterministic(self):
         config = GenericConfig(facts=40, seed=21)
         assert generic_base_graph(config) == generic_base_graph(config)
+
+    def test_triple_order_does_not_follow_memory_addresses(self):
+        """Two processes build one base graph, one after interning every
+        dimension-value IRI in reverse order: the triples come out in one
+        order, since interned IRIs hash by identity and no set may order them."""
+        build = (
+            "import hashlib, sys\n"
+            "from repro.datagen.generic import GenericConfig, _dimension_value, generic_base_graph\n"
+            "config = GenericConfig(facts=300, dimensions=3, values_per_dimension=2.5, seed=5)\n"
+            "values = range(config.dimension_cardinality - 1, -1, -1) if sys.argv[1] == 'reversed' else ()\n"
+            "held = [_dimension_value(d, v) for d in (2, 1, 0) for v in values]\n"
+            "triples = list(generic_base_graph(config).encoded_triples())\n"
+            "print(hashlib.sha256(repr(triples).encode()).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", build, order], env=env, capture_output=True, text=True, check=True
+            ).stdout
+            for order in ("reversed", "none")
+        ]
+        assert digests[0] == digests[1]
 
     def test_fact_count_and_dimensions(self):
         config = GenericConfig(facts=30, dimensions=4, with_detail=False)

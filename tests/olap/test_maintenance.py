@@ -544,6 +544,62 @@ class TestRefreshWorkIsDeltaSized:
             oracle = AnalyticalQueryEvaluator(example4_instance, engine=engine).answer(each)
             assert cube.same_cells(Cube(oracle, each))
 
+    def test_one_fact_splices_by_position(self, monkeypatch):
+        """A 1-fact refresh on a 10k-row columnar pres sorts, ranks and
+        isin-tests no pres- or ans-length array, converts no rows, decodes
+        only the touched cells' ids and keeps pres in fact order."""
+        np = pytest.importorskip("numpy")
+        from repro.algebra.columnar import ROW_CONVERSIONS
+        from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
+
+        config = GenericConfig(
+            facts=3000, dimension_cardinality=40, measures_per_fact=4.0, with_detail=False, seed=9
+        )
+        dataset = generic_dataset(config)
+        instance, query = dataset.instance, generic_query(config, aggregate="count")
+        evaluator = AnalyticalQueryEvaluator(instance, engine="columnar")
+        materialized = evaluator.evaluate(query)
+        Cube(materialized.answer, query)  # decoded, as a served entry is
+        floor = min(len(materialized.partial), len(materialized.answer))
+        assert len(materialized.partial) >= 10_000 and floor > 1000
+
+        version = instance.version
+        fact, groups = EX.term("fact/new"), (EX.term("dimvalue/0/3"), EX.term("dimvalue/1/7"))
+        instance.add(Triple(fact, RDF_TYPE, EX.term("Fact")))
+        for dimension, value in enumerate(groups):
+            instance.add(Triple(fact, EX.term(f"dim{dimension}"), value))
+        instance.add(Triple(fact, EX.measure, Literal(5)))
+        delta = instance.deltas_since(version)
+        # The statistics' own re-read decodes each predicate and class once.
+        evaluator.bgp_evaluator.statistics.refresh()
+
+        large = []
+        for name in ("sort", "argsort", "unique", "lexsort", "isin"):
+            def counting(array, *args, _name=name, _function=getattr(np, name), **kwargs):
+                if np.ndim(array) and np.shape(array)[-1] >= floor:
+                    large.append((_name, np.shape(array)[-1]))
+                return _function(array, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        decoded = []
+        decode = instance.dictionary.decode
+        monkeypatch.setattr(
+            instance.dictionary, "decode", lambda term_id: decoded.append(term_id) or decode(term_id)
+        )
+        conversions = ROW_CONVERSIONS.copy()
+        refreshed = DeltaMaintainer(evaluator).refresh(materialized, delta)
+        assert not large
+        assert ROW_CONVERSIONS == conversions
+        assert decoded and set(decoded) <= set(map(instance.dictionary.lookup, groups))
+        monkeypatch.undo()
+
+        facts = refreshed.partial.storage.column_array("x")
+        assert (facts[1:] >= facts[:-1]).all()
+        keyless = ["x", *query.dimension_names, query.measure_variable.name]
+        scratch = evaluator.partial_result(query)
+        assert project(refreshed.partial.storage, keyless).bag_equal(project(scratch.storage, keyless))
+        assert Cube(refreshed.answer, query).same_cells(Cube(evaluator.answer(query), query))
+
 
 class TestClosureSyncIsDeltaSized:
     """Under ``entailment="saturate"`` an instance-data write moves the ρdf

@@ -355,7 +355,8 @@ def _assert_operator(operator, left, right):
         assert fast.rows == slow.rows  # first-occurrence order
 
 
-# ``split_on``: the id-tuple (anti-)semi-join a delta refresh splices with.
+# ``splice``: a delta refresh replaces the rows of some keys and finds the
+# rows of the groups it touched.
 
 _ABSENT = [10_000, -10_000]  # ids no generated row holds
 
@@ -365,29 +366,52 @@ def _keys_over(width):
 
 
 @pytest.mark.parametrize("key_columns", [("a",), ("c", "a"), ("a", "b", "c"), ()])
+@pytest.mark.parametrize("touching", [None, ("b",), ("b", "c"), ("a", "c", "b"), ()])
 @given(rows=_rows, data=st.data())
 @settings(max_examples=25, deadline=None, print_blob=True)
-def test_split_on_matches_row_engine_and_stays_in_the_arrays(key_columns, rows, data):
-    """``(⋉, ▷)`` against a key set — empty, partly absent from the relation,
-    holding derived (negative) ids — is the row engine's pair, row order
-    included, and never leaves the columnar storage."""
+def test_splice_matches_row_engine_and_stays_in_the_arrays(key_columns, touching, rows, data):
+    """Replacing the rows of a key set — empty, partly absent from the
+    relation, holding derived (negative) ids — by rows of those keys gives
+    the row engine's bag, removed rows and touched rows without leaving the
+    arrays.  In a relation ordered by its one key column the new rows take
+    the removed rows' places (the result stays ordered); otherwise they
+    follow the kept rows, as in row storage."""
+    positions = [_COLUMNS.index(name) for name in key_columns]
+
+    def key_of(row):
+        return tuple(row[position] for position in positions)
+
     keys = data.draw(_keys_over(len(key_columns)))
+    if data.draw(st.booleans(), label="ordered") and positions:
+        rows = sorted(rows, key=key_of)
+    inserted = []
+    for row in data.draw(_rows, label="inserted") if keys else []:
+        key = data.draw(st.sampled_from(sorted(keys)))
+        for position, value in zip(positions, key):
+            row = row[:position] + (value,) + row[position + 1 :]
+        inserted.append(row)
     fast, slow = _both_storages(rows)
     before = ROW_CONVERSIONS.copy()
-    fast_pair = fast.split_on(key_columns, keys)
+    fast_out = fast.splice(key_columns, keys, _both_storages(inserted)[0], touching)
     assert not set(ROW_CONVERSIONS - before)
-    for fast_part, slow_part in zip(fast_pair, slow.split_on(key_columns, keys)):
-        assert isinstance(fast_part, ColumnarIdRelation)
-        assert not isinstance(slow_part, ColumnarIdRelation)
-        assert fast_part.columns == slow_part.columns == _COLUMNS
-        assert fast_part.rows == slow_part.rows
-    matching, rest = fast_pair
-    assert len(matching) + len(rest) == len(rows)
-    assert all(tuple(row[_COLUMNS.index(name)] for name in key_columns) in keys for row in matching.rows)
-    # ⋉ alone: the ▷ half is not built when the caller has no use for it.
-    for relation in (fast, slow):
-        only, nothing = relation.split_on(key_columns, keys, rest=False)
-        assert nothing is None and only.rows == matching.rows
+    slow_out = slow.splice(key_columns, keys, _both_storages(inserted)[1], touching)
+
+    kept = [row for row in rows if key_of(row) not in keys]
+    in_place = len(positions) == 1 and rows == sorted(rows, key=key_of)
+    assert slow_out[0].rows == kept + inserted
+    assert fast_out[0].rows == (sorted(kept + inserted, key=key_of) if in_place else kept + inserted)
+    removed = [row for row in rows if key_of(row) in keys]
+    assert fast_out[1].rows == slow_out[1].rows == removed
+    for (spliced, _, touched), columnar in ((fast_out, True), (slow_out, False)):
+        assert isinstance(spliced, ColumnarIdRelation) is columnar
+        assert spliced.columns == _COLUMNS
+        if touching is None:
+            assert touched is None
+            continue
+        assert isinstance(touched, ColumnarIdRelation) is columnar
+        group = [_COLUMNS.index(name) for name in touching]
+        groups = {tuple(row[i] for i in group) for row in removed + inserted}
+        assert touched.rows == [row for row in spliced.rows if tuple(row[i] for i in group) in groups]
 
 
 # Σ's three evaluators: mappings, positional rows, arrays.

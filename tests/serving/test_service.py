@@ -277,6 +277,149 @@ class TestUpdates:
         run(main())
 
 
+class TestHitOnTheLoop:
+    """A fresh cache hit whose answer is already decoded is answered on the
+    event loop and dispatches nothing to the executor; every other read
+    goes to the pool, and the loop never plans, evaluates, refreshes or
+    decodes."""
+
+    @pytest.fixture()
+    def watched(self, monkeypatch):
+        from repro.algebra.columnar import ColumnarIdRelation
+        from repro.algebra.relation import IdRelation, Relation
+        from repro.analytics.evaluator import AnalyticalQueryEvaluator
+        from repro.olap.maintenance import DeltaMaintainer
+        from repro.olap.planner import OLAPPlanner
+
+        on_loop, dispatched = [], []
+        for owner, name in (
+            (OLAPPlanner, "plan_query"),
+            (AnalyticalQueryEvaluator, "partial_result"),
+            (DeltaMaintainer, "refresh"),
+            (Relation, "decoded_columns"),
+            (IdRelation, "decoded_columns"),
+            (ColumnarIdRelation, "decoded_columns"),
+        ):
+            def spy(*args, _original=getattr(owner, name), _name=f"{owner.__name__}.{name}", **kwargs):
+                if threading.current_thread() is threading.main_thread():
+                    on_loop.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        for name in ("_adopt", "_execute"):
+            def dispatch(*args, _original=getattr(OLAPService, name), _name=name):
+                dispatched.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(OLAPService, name, staticmethod(dispatch))
+        return on_loop, dispatched
+
+    def test_fresh_decoded_hit_dispatches_nothing(self, dataset, query, watched):
+        on_loop, dispatched = watched
+
+        async def main():
+            async with OLAPService(dataset.instance, dataset.schema) as service:
+                first = await service.query("alice", query)
+                assert dispatched == ["_execute"] and first.strategy == "scratch"
+                pins = service.generations.current.pins
+                second = await service.query("alice", query)
+                assert dispatched == ["_execute"] and second.strategy == "cache"
+                assert second.cube.cells() == first.cube.cells()
+                assert service.stats.served == 2 and service.stats.served_by_tenant == {"alice": 2}
+                assert service.inflight == 0 and service.tenant("alice").inflight == 0
+                assert service.generations.current.pins == pins
+                return second
+
+        second = run(main())
+        assert not on_loop
+        assert second.cube.same_cells(scratch_cube(second.generation.graph, query))
+
+    def test_a_hit_is_admitted_and_cancelled_like_any_read(self, dataset, query):
+        """A loop hit still takes a slot: with the only one held it waits,
+        and cancelled there it leaves no count, pin or slot behind."""
+        entered, gate = threading.Event(), threading.Event()
+
+        def blocking(session, served_query):
+            entered.set()
+            gate.wait(timeout=10)
+            return session.execute(served_query)
+
+        async def main():
+            async with OLAPService(
+                dataset.instance, dataset.schema, max_concurrency=1, publish_mode="heap"
+            ) as service:
+                await service.query("alice", query)
+                pins = service.generations.current.pins
+                service._execute = blocking
+                running = asyncio.ensure_future(service.query("bob", query))
+                # Waited for off the loop: a thread's wake-up must reach it.
+                assert await asyncio.get_running_loop().run_in_executor(None, entered.wait, 10)
+                hit = asyncio.ensure_future(service.query("alice", query))
+                await asyncio.sleep(0.02)  # let it block on the semaphore
+                assert not hit.done() and service.inflight == 2
+                hit.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await hit
+                gate.set()
+                await running
+                assert service.inflight == 0 and service.tenant("alice").inflight == 0
+                assert service.generations.current.pins == pins
+                assert (await service.query("alice", query)).strategy == "cache"
+                assert service.stats.served == 3
+
+        run(main())
+
+    def test_every_other_read_goes_to_the_pool(self, dataset, query, publish_mode, watched):
+        from repro.analytics.evaluator import AnalyticalQueryEvaluator
+        from repro.datagen.generic import generic_query
+        from repro.olap.cache import ResultCache
+
+        on_loop, dispatched = watched
+        summed = generic_query(dataset.config, aggregate="sum", name="Q_sum")
+        coarse = generic_query(dataset.config, dimensions=[0], name="Q_d0")
+
+        async def read(service, served_query, strategy, dispatches):
+            before = len(dispatched)
+            result = await service.query("alice", served_query)
+            assert (result.strategy, dispatched[before:]) == (strategy, dispatches)
+            return result
+
+        async def main():
+            async with OLAPService(
+                dataset.instance, dataset.schema, publish_mode=publish_mode
+            ) as service:
+                served = [await read(service, each, "scratch", ["_execute"]) for each in (query, summed)]
+                await service.update(add=fact_batch("loop"))
+                # The first read of the new generation's session adopts, then
+                # refreshes; the other adopted entry is stale until read.
+                served.append(await read(service, query, "refresh", ["_adopt", "_execute"]))
+                served.append(await read(service, summed, "refresh", ["_execute"]))
+                served.append(await read(service, query, "cache", []))
+                # An entry whose answer was never decoded is decoded on the pool.
+                session = service.tenant("alice").sessions[service.current_version]
+                undecoded = AnalyticalQueryEvaluator(session.instance).evaluate(coarse)
+                on_loop.clear()  # the test's own evaluation, not the service's
+                session.cache.put(coarse, undecoded, session.instance)
+                served.append(await read(service, coarse, "cache", ["_execute"]))
+                # An entry evicted as the loop looks it up is evaluated on the pool.
+                hit = ResultCache.hit
+
+                def evicting(cache, looked_up, graph, ready=None):
+                    cache.invalidate(looked_up.canonical_key)
+                    return hit(cache, looked_up, graph, ready)
+
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(ResultCache, "hit", evicting)
+                    served.append(await read(service, summed, "scratch", ["_execute"]))
+                assert service.inflight == 0 and service.stats.served == len(served)
+                return served
+
+        served = run(main())
+        assert not on_loop
+        for result in served:
+            assert result.cube.same_cells(scratch_cube(result.generation.graph, result.query))
+
+
 class TestLifecycle:
     def test_closed_service_rejects_reads_and_writes(self, dataset, query):
         async def main():

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import MaterializationError
 from repro.algebra.expressions import comparable
+from repro.algebra.operators import select
 from repro.algebra.relation import Relation
 
 __all__ = ["KeyGenerator", "PartialResult", "CubeAnswer", "MaterializedQueryResults"]
@@ -79,6 +80,10 @@ class PartialResult:
     derivation — ROLL-UP included — consumes :attr:`storage` and never
     decodes, while :attr:`relation` is the decoded view for external
     consumers (tests, display) — materialized lazily, once.
+
+    A SLICE/DICE ``pres(Q_T) = σ_Σ′(pres(Q))`` is **deferred**
+    (:meth:`selected`): it shares the parent's relation until :attr:`storage`
+    is first read, and knows its layout (σ's input layout) all along.
     """
 
     def __init__(
@@ -95,8 +100,11 @@ class PartialResult:
                 f"partial-result relation columns {relation.columns} do not match the expected "
                 f"layout {expected}"
             )
-        self._storage = relation
+        # (relation, Σ predicates still to apply to it): one attribute, so a
+        # reader never sees half of a realization.
+        self._state: Tuple[Relation, tuple] = (relation, ())
         self._decoded: Optional[Relation] = None
+        self.columns: Tuple[str, ...] = expected
         self.fact_column = fact_column
         self.dimension_columns = dimension_columns
         self.key_column = key_column
@@ -104,14 +112,41 @@ class PartialResult:
 
     @property
     def storage(self) -> Relation:
-        """The relation in its native value space (ids when engine-built)."""
-        return self._storage
+        """The relation in its native value space (ids when engine-built).
+
+        A pending σ runs here, and the parent is dropped; two threads
+        reading at once may both run it, and either (equal) result is kept.
+        """
+        relation, pending = self._state
+        if pending:
+            for predicate in pending:
+                relation = select(relation, predicate)
+            self._state = (relation, ())
+        return relation
+
+    def row_bound(self) -> Tuple[int, int]:
+        """``(rows, σ passes pending)`` without realizing: while σ is pending,
+        the parent's row count (σ only drops rows)."""
+        relation, pending = self._state
+        return len(relation), len(pending)
+
+    def selected(self, predicate) -> "PartialResult":
+        """σ by a Σ predicate (:meth:`~repro.analytics.sigma.Sigma.predicate`),
+        deferred until :attr:`storage` is read; over a deferred partial the
+        two selections chain on the one parent relation."""
+        relation, pending = self._state
+        return self._pending(relation, (*pending, predicate))
+
+    def _pending(self, relation: Relation, pending: tuple) -> "PartialResult":
+        result = self.with_storage(relation)
+        result._state = (relation, pending)
+        return result
 
     @property
     def relation(self) -> Relation:
         """The decoded view of ``pres(Q)`` (lazily materialized, cached)."""
         if self._decoded is None:
-            self._decoded = self._storage.to_rows("decode:pres").materialize()
+            self._decoded = self.storage.to_rows("decode:pres").materialize()
         return self._decoded
 
     def with_storage(self, relation: Relation) -> "PartialResult":
@@ -130,23 +165,27 @@ class PartialResult:
             measure_column=self.measure_column,
         )
 
-    def __len__(self) -> int:
-        return len(self._storage)
+    def with_dictionary(self, dictionary) -> "PartialResult":
+        """This partial read against ``dictionary`` (see
+        :meth:`Relation.with_dictionary
+        <repro.algebra.relation.Relation.with_dictionary>`), a pending σ kept."""
+        relation, pending = self._state
+        return self._pending(relation.with_dictionary(dictionary), pending)
 
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return self._storage.columns
+    def __len__(self) -> int:
+        return len(self.storage)
 
     def facts(self) -> set:
         """The set of distinct facts appearing in the partial result (decoded)."""
-        facts = self._storage.distinct_values(self.fact_column)
-        decode = self._storage.column_decoder(self.fact_column)
+        storage = self.storage
+        facts = storage.distinct_values(self.fact_column)
+        decode = storage.column_decoder(self.fact_column)
         return facts if decode is None else {decode(fact) for fact in facts}
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"PartialResult(fact={self.fact_column!r}, dims={self.dimension_columns}, "
-            f"{len(self._storage)} rows)"
+            f"{self.row_bound()} rows/pending σ)"
         )
 
 
@@ -276,7 +315,8 @@ class MaterializedQueryResults:
     complete — the paper assumes ``pres(Q)`` "has been materialized and
     stored as part of the evaluation of the original query".  The rewriting
     engine derives ``pres(Q_T)`` from ``partial`` (Proposition 1's SLICE/DICE
-    shortcut reads ``answer``), delta maintenance patches both.
+    shortcut reads ``answer``, and leaves ``partial`` a deferred σ over the
+    origin's), delta maintenance patches both.
     """
 
     def __init__(self, query, answer: CubeAnswer, partial: PartialResult):
@@ -287,15 +327,12 @@ class MaterializedQueryResults:
     def with_dictionary(self, dictionary) -> "MaterializedQueryResults":
         """The same results bound to ``dictionary`` — how a cache entry
         crosses to the next generation of its graph (no copy, cells shared)."""
-        partial = self.partial
         return MaterializedQueryResults(
-            self.query,
-            self.answer.with_dictionary(dictionary),
-            partial.with_storage(partial.storage.with_dictionary(dictionary)),
+            self.query, self.answer.with_dictionary(dictionary), self.partial.with_dictionary(dictionary)
         )
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"MaterializedQueryResults({self.query.name}, "
-            f"ans: {len(self.answer)} cells, pres: {len(self.partial)} rows)"
+            f"ans: {len(self.answer)} cells, pres: {self.partial!r})"
         )

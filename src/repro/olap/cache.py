@@ -293,15 +293,8 @@ class CacheEntry:
     def query(self) -> AnalyticalQuery:
         return self.materialized.query
 
-    def size_rows(self) -> int:
-        """Rows held by this entry (answer cells + partial rows)."""
-        return len(self.materialized.answer) + len(self.materialized.partial)
-
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"CacheEntry({self.query.name!r}, {self.size_rows()} rows, "
-            f"v{self.graph_version}, {self.origin})"
-        )
+        return f"CacheEntry({self.query.name!r}, v{self.graph_version}, {self.origin})"
 
 
 def carried(entries: Iterable[CacheEntry], graph: Graph) -> List[CacheEntry]:

@@ -119,7 +119,7 @@ class PlanCandidate:
         cost: float,
         input_rows: int,
         detail: str,
-        execute: Callable[[], Tuple[CubeAnswer, Optional[PartialResult]]],
+        execute: Callable[[], Tuple[CubeAnswer, PartialResult]],
     ):
         self.strategy = strategy
         self.cost = cost
@@ -127,7 +127,7 @@ class PlanCandidate:
         self.detail = detail
         self._execute = execute
 
-    def execute(self) -> Tuple[CubeAnswer, Optional[PartialResult]]:
+    def execute(self) -> Tuple[CubeAnswer, PartialResult]:
         return self._execute()
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -157,7 +157,7 @@ class Plan:
     def chosen(self) -> PlanCandidate:
         return self.candidates[0]
 
-    def execute(self) -> Tuple[CubeAnswer, Optional[PartialResult]]:
+    def execute(self) -> Tuple[CubeAnswer, PartialResult]:
         return self.chosen.execute()
 
     def explain(self) -> str:
@@ -273,7 +273,6 @@ class OLAPPlanner:
         operation: OLAPOperation,
         transformed_query: AnalyticalQuery,
         origin_materialized: Optional[MaterializedQueryResults] = None,
-        materialize_partial: bool = True,
         families: Optional[Tuple[str, ...]] = None,
     ) -> Plan:
         """Enumerate and cost the candidate strategies for ``T(Q)``.
@@ -284,10 +283,10 @@ class OLAPPlanner:
         Without a ``families`` filter a fresh hit is planned alone, and
         scratch is a candidate whenever it is not, so a plan always exists.
 
-        Every candidate returns ``ans(Q_T)`` with ``pres(Q_T)``;
-        ``materialize_partial=False`` makes the Proposition 1 candidates
-        (SLICE/DICE ``rewrite`` and ``compat``) skip the σ over ``pres`` and
-        return no partial result.
+        Every candidate returns ``ans(Q_T)`` with ``pres(Q_T)``; the
+        Proposition 1 candidates (SLICE/DICE ``rewrite`` and ``compat``)
+        return it as a deferred σ over the ``pres`` they start from, run
+        only when something reads it.
 
         ``families`` restricts the enumeration to the named candidate
         families (the session's forced strategies pass ``("rewrite",)`` or
@@ -309,15 +308,11 @@ class OLAPPlanner:
 
         if origin_materialized is not None and wanted("rewrite"):
             candidates.extend(
-                self._rewrite_candidates(
-                    origin_materialized, operation, transformed_query, materialize_partial
-                )
+                self._rewrite_candidates(origin_materialized, operation, transformed_query)
             )
 
         if wanted("compat"):
-            candidates.extend(
-                self._compatible_candidates(transformed_query, original_query, materialize_partial)
-            )
+            candidates.extend(self._compatible_candidates(transformed_query, original_query))
 
         rollup_candidates = (
             self._rollup_candidates(transformed_query, original_query)
@@ -338,7 +333,7 @@ class OLAPPlanner:
         if transformed_query.rollup:
             observed = [candidate.input_rows for candidate in rollup_candidates]
             if origin_materialized is not None:
-                observed.append(len(origin_materialized.partial))
+                observed.append(origin_materialized.partial.row_bound()[0])
             if observed:
                 pres_rows_hint = max(observed)
 
@@ -421,7 +416,7 @@ class OLAPPlanner:
         self, transformed_query: AnalyticalQuery, entry: CacheEntry, delta: GraphDelta
     ) -> PlanCandidate:
         cost = self._model.base_cost + self._refresh_cost(entry.materialized, delta)
-        pres_rows = len(entry.materialized.partial)
+        pres_rows = entry.materialized.partial.row_bound()[0]
 
         def run() -> Tuple[CubeAnswer, PartialResult]:
             refreshed = self._cache.refresh(
@@ -450,7 +445,6 @@ class OLAPPlanner:
         materialized: MaterializedQueryResults,
         operation: OLAPOperation,
         transformed_query: AnalyticalQuery,
-        materialize_partial: bool,
     ) -> List[PlanCandidate]:
         query = materialized.query
         applicable = self._rewriter.applicable(query, operation, transformed_query)
@@ -458,18 +452,16 @@ class OLAPPlanner:
             return []
         strategy, input_kind = applicable
         cells = len(materialized.answer)
-        rows = cells if input_kind == "answer" else len(materialized.partial)
+        rows, realize = (cells, 0.0) if input_kind == "answer" else self._pres_read(materialized.partial)
 
         def run():
-            result = self._rewriter.answer(
-                materialized, operation, transformed_query, materialize_partial=materialize_partial
-            )
+            result = self._rewriter.answer(materialized, operation, transformed_query)
             return result.answer, result.partial
 
         return [
             PlanCandidate(
                 f"rewrite[{strategy}]",
-                self._rewrite_cost(strategy, rows, cells, query, transformed_query),
+                self._rewrite_cost(strategy, rows, cells, query, transformed_query) + realize,
                 rows,
                 f"{input_kind}({query.name}): {rows} rows",
                 run,
@@ -489,7 +481,6 @@ class OLAPPlanner:
         self,
         transformed_query: AnalyticalQuery,
         original_query: AnalyticalQuery,
-        materialize_partial: bool,
     ) -> List[PlanCandidate]:
         candidates = []
         for entry in self._fresh_relatives(transformed_query, original_query):
@@ -502,8 +493,7 @@ class OLAPPlanner:
             rows = len(entry.materialized.answer)
 
             def run(mat=entry.materialized, tq=transformed_query):
-                partial = select_partial(mat.partial, tq) if materialize_partial else None
-                return slice_dice_from_answer(mat.answer, tq), partial
+                return slice_dice_from_answer(mat.answer, tq), select_partial(mat.partial, tq)
 
             candidates.append(
                 PlanCandidate(
@@ -544,9 +534,9 @@ class OLAPPlanner:
             junction_sigma = stages[level].sigma_before
             if not source.sigma.subsumes(junction_sigma):
                 continue
-            rows = len(entry.materialized.partial)
+            rows, realize = self._pres_read(entry.materialized.partial)
             remaining = len(stages) - level
-            cost = self._model.base_cost + rows * self._model.group_row_cost * remaining
+            cost = self._model.base_cost + rows * self._model.group_row_cost * remaining + realize
 
             def run(mat=entry.materialized, lvl=level):
                 partial = roll_partial(mat.partial, transformed_query, start=lvl)
@@ -722,11 +712,20 @@ class OLAPPlanner:
         query = materialized.query
         if not maintainer.patchable(query):
             return float("inf")  # such entries invalidate, never patch
+        pres_rows, realize = self._pres_read(materialized.partial)
         return (
             maintainer.unifications(query, delta) * model.delta_probe_cost
-            + len(materialized.partial) * model.pres_scan_cost
+            + pres_rows * model.pres_scan_cost
+            + realize
             + len(materialized.answer) * model.refresh_cell_cost
         )
+
+    def _pres_read(self, partial: PartialResult) -> Tuple[int, float]:
+        """``(rows, σ cost)`` of reading ``partial``, priced without realizing
+        it: a deferred SLICE/DICE ``pres`` counts its parent's rows, plus
+        ``select_row_cost`` per row for each σ still to run over them."""
+        rows, pending = partial.row_bound()
+        return rows, rows * pending * self._model.select_row_cost
 
     def _auxiliary_cost(
         self, original_query: AnalyticalQuery, transformed_query: AnalyticalQuery

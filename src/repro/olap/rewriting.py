@@ -11,7 +11,7 @@ The paper's Algorithms 1 and 2 have one shape: build a table ``T`` from
 key column's concrete values, so each operation is written here exactly
 once, as the derivation of ``pres(Q_T)`` from ``pres(Q)``:
 
-* :func:`select_partial` — SLICE / DICE: ``σ_Σ′(pres(Q))``;
+* :func:`select_partial` — SLICE / DICE: ``σ_Σ′(pres(Q))``, run on first read;
 * :func:`drill_out_partial` — Algorithm 1, lines 2–3: project, then δ;
 * :func:`drill_in_partial` — Algorithm 2, lines 2–3: ``pres(Q) ⋈ q_aux(I)``;
 * :func:`repro.analytics.rolling.roll_partial` — ROLL-UP: substitute
@@ -88,8 +88,10 @@ def slice_dice_from_answer(answer: CubeAnswer, transformed_query: AnalyticalQuer
 
 
 def select_partial(partial: PartialResult, transformed_query: AnalyticalQuery) -> PartialResult:
-    """SLICE / DICE: ``pres(Q_T) = σ_Σ′(pres(Q))``, the Σ′ row selection."""
-    return partial.with_storage(select(partial.storage, transformed_query.sigma.predicate()))
+    """SLICE / DICE: ``pres(Q_T) = σ_Σ′(pres(Q))``, the Σ′ row selection,
+    deferred to the first read of its ``storage`` (Proposition 1 answers
+    from ``ans(Q)``: only a step navigating on from ``Q_T`` pays for it)."""
+    return partial.selected(transformed_query.sigma.predicate())
 
 
 def drill_out_partial(
@@ -319,10 +321,9 @@ class RewritingResult(NamedTuple):
     #: (``ans(Q)``), ``drill-out/pres`` / ``roll-up/pres`` (``pres(Q)``),
     #: ``drill-in/pres+aux`` (``pres(Q)`` and the instance).
     strategy: str
-    #: The derived ``pres(Q_T)`` — the table the answer was aggregated from.
-    #: None only for an answer-only Proposition 1 rewriting (see
-    #: :meth:`OLAPRewriter.answer`'s ``materialize_partial``).
-    partial: Optional[PartialResult]
+    #: The derived ``pres(Q_T)`` — the table the answer was aggregated from,
+    #: or, for SLICE/DICE, the deferred σ over ``pres(Q)``.
+    partial: PartialResult
 
 
 class OLAPRewriter:
@@ -358,7 +359,6 @@ class OLAPRewriter:
         materialized: MaterializedQueryResults,
         operation: OLAPOperation,
         transformed_query: Optional[AnalyticalQuery] = None,
-        materialize_partial: bool = False,
     ) -> RewritingResult:
         """Answer ``T(Q)`` using the materialized results of ``Q``.
 
@@ -369,8 +369,9 @@ class OLAPRewriter:
         ``pres(Q_T)`` is derived once; the answer is Equation (3) over it and
         the result carries it, so the transformed query can itself be the
         input of further rewritten OLAP operations.  SLICE/DICE is the
-        exception: its answer is Proposition 1's σ over ``ans(Q)``, and
-        ``σ_Σ′(pres(Q))`` is only computed under ``materialize_partial=True``.
+        exception: its answer is Proposition 1's σ over ``ans(Q)``, and its
+        ``pres(Q_T) = σ_Σ′(pres(Q))`` is carried deferred — the σ runs only
+        if something reads it (:func:`select_partial`).
         """
         query = materialized.query
         if transformed_query is None:
@@ -380,13 +381,10 @@ class OLAPRewriter:
             raise InvalidOperationError(
                 f"no rewriting is defined for operation {type(operation).__name__}"
             )
-        by_proposition_1 = rewriting.input_kind == "answer"
-        partial = None
-        if materialize_partial or not by_proposition_1:
-            partial = rewriting.derive(
-                materialized.partial, query, transformed_query, self._instance_evaluator
-            )
-        if by_proposition_1:
+        partial = rewriting.derive(
+            materialized.partial, query, transformed_query, self._instance_evaluator
+        )
+        if rewriting.input_kind == "answer":
             answer = slice_dice_from_answer(materialized.answer, transformed_query)
         else:
             answer = answer_from_rolled_partial(partial, transformed_query)

@@ -562,7 +562,6 @@ class OLAPSession:
             operation,
             transformed_query,
             origin_materialized,
-            materialize_partial=materialize,
             families=_STRATEGY_FAMILIES[strategy],
         )
         chosen = plan.chosen
@@ -698,7 +697,6 @@ class OLAPSession:
                 operation,
                 transformed_query,
                 materialized,
-                materialize_partial=False,
                 families=(family,),
             )
             started = time.perf_counter()

@@ -21,6 +21,7 @@ Three access levels are offered:
 from __future__ import annotations
 
 from collections import deque
+from itertools import takewhile
 from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import InvalidTripleError
@@ -427,10 +428,12 @@ class Graph:
         memo = self._delta_memo
         if memo is not None and memo[0] == version and memo[1] == self._version:
             return memo[2]
+        # The window is the log's tail (versions grow along it): read it
+        # backwards, then coalesce forward, in the mutations' order.
+        window = list(takewhile(lambda record: record[0] > version, reversed(self._change_log)))
         net: Dict[EncodedTriple, int] = {}
-        for logged_version, sign, encoded in self._change_log:
-            if logged_version > version:
-                net[encoded] = net.get(encoded, 0) + sign
+        for _, sign, encoded in reversed(window):
+            net[encoded] = net.get(encoded, 0) + sign
         added = tuple(triple for triple, balance in net.items() if balance > 0)
         removed = tuple(triple for triple, balance in net.items() if balance < 0)
         delta = GraphDelta(added, removed, version, self._version)

@@ -104,15 +104,21 @@ class TestRewriterAndSessionChaining:
         regrouped = evaluator.answer_from_partial(DrillOut("dage").apply(sites_query), result.partial)
         assert Cube(regrouped).same_cells(Cube(result.answer))
 
-    def test_slice_sigma_over_pres_runs_only_on_request(self, example2_instance, sites_query):
-        """Proposition 1 answers from ans(Q); σ over pres(Q) is the materializing extra."""
+    def test_slice_sigma_over_pres_runs_on_first_read(self, monkeypatch, example2_instance, sites_query):
+        """Proposition 1 answers from ans(Q); σ over pres(Q) runs when the
+        result's ``partial.storage`` is first read, and only then, once."""
+        from repro.analytics import answer as answer_module
+
         evaluator = AnalyticalQueryEvaluator(example2_instance)
         materialized = evaluator.evaluate(sites_query)
-        rewriter = OLAPRewriter(evaluator.bgp_evaluator)
-        operation = Slice("dage", Literal(35))
-        assert rewriter.answer(materialized, operation).partial is None
-        with_partial = rewriter.answer(materialized, operation, materialize_partial=True)
-        assert len(with_partial.partial) == 2
+        selections = _count_calls(monkeypatch, answer_module, "select")
+        result = OLAPRewriter(evaluator.bgp_evaluator).answer(materialized, Slice("dage", Literal(35)))
+        assert result.partial.columns == materialized.partial.columns
+        assert result.partial.row_bound() == (5, 1)  # the parent's rows, one σ pending
+        assert selections == [] and result.partial.row_bound()[1] == 1
+        assert len(result.partial) == 2 and result.partial.row_bound() == (2, 0)
+        result.partial.storage
+        assert selections == ["select"]
 
     def test_session_chains_three_rewritten_steps(self, small_video_dataset):
         from repro.datagen.videos import views_per_url_query
@@ -224,7 +230,7 @@ def test_rewriting_is_one_derivation_then_the_shared_gamma(case, aggregate, engi
     transformed = operation.apply(origin)
     evaluator = AnalyticalQueryEvaluator(graph, engine=engine)
     result = OLAPRewriter(evaluator.bgp_evaluator).answer(
-        evaluator.evaluate(origin), operation, transformed, materialize_partial=True
+        evaluator.evaluate(origin), operation, transformed
     )
     rewritten = Cube(result.answer, transformed)
     assert len(rewritten) > 0

@@ -160,6 +160,44 @@ class TestMaintainedStatistics:
             _assert_statistics_match_recount(reloaded)
 
 
+def _full_walk_delta(graph, version):
+    """``deltas_since`` by its definition: coalesce every logged record newer
+    than ``version``, walking the whole log forward — ``(added, removed)``,
+    or None where the log cannot answer."""
+    if version > graph.version or (version < graph.version and version < graph.change_log_base):
+        return None
+    net = {}
+    for logged_version, sign, encoded in graph._change_log:
+        if logged_version > version:
+            net[encoded] = net.get(encoded, 0) + sign
+    return (
+        tuple(triple for triple, balance in net.items() if balance > 0),
+        tuple(triple for triple, balance in net.items() if balance < 0),
+    )
+
+
+class TestChangeLogWindow:
+    """``deltas_since`` reads only the log's tail, and answers what a walk
+    of the whole log answers — ``added`` and ``removed`` in the same order."""
+
+    @settings(max_examples=150, deadline=None, print_blob=True)
+    @given(_pool_lists, st.lists(_mutations, max_size=16), st.integers(1, 6))
+    def test_window_equals_the_full_walk(self, initial, mutations, limit):
+        graph = Graph(initial, change_log_limit=limit)  # small limits roll the log over
+        for mutation in mutations:
+            _mutate(graph, mutation)
+            # Every stamp, asked twice (the second read is the memo's) and
+            # in an order that misses the memo between them.
+            for version in [*range(graph.version + 2), *range(graph.version + 1, -1, -1)]:
+                delta = graph.deltas_since(version)
+                expected = _full_walk_delta(graph, version)
+                if expected is None:
+                    assert delta is None
+                else:
+                    assert (delta.added, delta.removed) == expected
+                    assert (delta.from_version, delta.to_version) == (version, graph.version)
+
+
 def _assert_access_paths_match_a_scan(graph):
     """Every bound/unbound shape of every id-level access path, and ``in``,
     equals a brute-force filter of ``encoded_triples()``.

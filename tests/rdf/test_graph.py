@@ -1,5 +1,7 @@
 """Unit tests for the in-memory triple store (Graph)."""
 
+from collections import deque
+
 import pytest
 
 from repro.errors import InvalidTripleError
@@ -450,6 +452,39 @@ class TestChangeLog:
             _encoded(small_graph, first),
             _encoded(small_graph, second),
         }
+
+
+class _CountingLog(deque):
+    """A change log that counts the records iterated, either way."""
+
+    def __init__(self, records):
+        super().__init__(records)
+        self.visited = 0
+
+    def __iter__(self):
+        for record in deque.__iter__(self):
+            self.visited += 1
+            yield record
+
+    def __reversed__(self):
+        for record in deque.__reversed__(self):
+            self.visited += 1
+            yield record
+
+
+def test_a_miss_near_the_tail_of_a_full_log_visits_the_window_only():
+    """``deltas_since`` on a memo miss reads the records newer than the
+    stamp (and the one that stops it), not the whole 4,096-record log."""
+    graph = Graph()
+    for index in range(graph.change_log_limit + 100):
+        graph.add(Triple(EX.term(f"s{index}"), EX.p, EX.o))
+    assert len(graph._change_log) == graph.change_log_limit
+    graph._change_log = log = _CountingLog(graph._change_log)
+    for behind in (1, 3, 20):
+        log.visited = 0
+        delta = graph.deltas_since(graph.version - behind)
+        assert len(delta.added) == behind
+        assert log.visited <= behind + 1
 
 
 class TestAdoptHistory:

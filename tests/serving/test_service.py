@@ -98,8 +98,13 @@ class TestAdmission:
 
     @staticmethod
     def _blocking_execute(gate: threading.Event, started: "asyncio.Queue"):
+        """An execute that signals ``started`` and then blocks on ``gate``.  It
+        runs on an executor thread, so the signal goes through the loop: a
+        ``put_nowait`` from the thread would not wake a loop asleep in ``get``."""
+        loop = asyncio.get_running_loop()
+
         def execute(session, query):
-            started.put_nowait(None)
+            loop.call_soon_threadsafe(started.put_nowait, None)
             gate.wait(timeout=10)
             return session.execute(query)
 
@@ -442,9 +447,10 @@ class TestLifecycle:
             async with service:
                 started = asyncio.Queue()
                 real_execute = service._execute
+                loop = asyncio.get_running_loop()
 
                 def slow_execute(session, q):
-                    started.put_nowait(None)
+                    loop.call_soon_threadsafe(started.put_nowait, None)
                     gate.wait(timeout=10)
                     return real_execute(session, q)
 

@@ -5,14 +5,14 @@ add/remove triples into coalesced, atomic micro-batches applied to a bare
 :class:`~repro.rdf.graph.Graph` or through the serving layer's single
 writer, with bounded-buffer backpressure (typed error or async blocking).
 :class:`~repro.ingest.scheduler.RefreshScheduler` runs after every
-published batch and decides, per stale cached cube, between eager refresh,
-lazy refresh-on-read and invalidation, using the calibrated cost model's
-refresh-vs-scratch pricing and each entry's observed hit rate.
+published batch and patches the stale cached cubes that are read often
+(or drops them, when :meth:`~repro.olap.planner.OLAPPlanner.refresh_stale`
+prices recomputing below patching); the read path prices the rest.
 """
 
 from __future__ import annotations
 
-from repro.ingest.scheduler import POLICIES, RefreshDecision, RefreshScheduler, SchedulerStats
+from repro.ingest.scheduler import RefreshScheduler, SchedulerStats
 from repro.ingest.stream import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_CAPACITY,
@@ -26,8 +26,6 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_CAPACITY",
     "IngestStats",
-    "POLICIES",
-    "RefreshDecision",
     "RefreshScheduler",
     "SchedulerStats",
     "StreamIngestor",

@@ -35,8 +35,8 @@ the classic write-ahead staging buffer of streaming stores:
   the sink half-mutated.
 * **Refresh scheduling.**  After every applied batch the attached
   :class:`~repro.ingest.scheduler.RefreshScheduler` (when given) walks its
-  registered session caches and decides, per stale entry, between eager
-  refresh, lazy refresh-on-read and invalidation.
+  registered session caches and patches (or drops) the stale entries that
+  are read often; the read path prices the rest.
 """
 
 from __future__ import annotations

@@ -223,9 +223,9 @@ class CacheStats:
     """Hit / miss / eviction / invalidation / refresh accounting of one cache.
 
     ``refreshes`` counts stale entries successfully patched from graph
-    deltas (see :meth:`ResultCache.refresh`); ``invalidations`` counts
-    entries actually dropped because they could not (or should not) be
-    patched.
+    deltas (see :meth:`ResultCache.refresh`), on a read or after a batch;
+    ``invalidations`` counts entries actually dropped because they could not
+    (or should not) be patched.  ``lazy_refreshes`` has no producer and reads 0.
     """
 
     __slots__ = (
@@ -247,8 +247,8 @@ class CacheStats:
         self.evictions = 0
         self.invalidations = 0
         self.refreshes = 0
-        #: Subset of ``refreshes`` that patched an entry the refresh
-        #: scheduler had marked for lazy refresh-on-read.
+        #: Always 0: no entry is marked for refresh-on-read (the read path
+        #: prices every stale entry).  Kept because the benchmark reports it.
         self.lazy_refreshes = 0
         self.disk_hits = 0
         #: Disk entries that could not be read (truncated, corrupt, foreign
@@ -359,9 +359,6 @@ class ResultCache:
         self._store_dir = store_dir
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self._pinned: set = set()
-        # Keys the refresh scheduler deferred: stale entries to be patched
-        # on their next read instead of eagerly after the publishing batch.
-        self._lazy: set = set()
         # Reentrant: refresh() re-enters stale_entry(), and the serving
         # layer's reader threads race get/put/pin against each other.
         self._lock = threading.RLock()
@@ -506,9 +503,6 @@ class ResultCache:
             entry.materialized = refreshed
             entry.graph_version = graph.version
             self.stats.refreshes += 1
-            if entry.key in self._lazy:
-                self._lazy.discard(entry.key)
-                self.stats.lazy_refreshes += 1
             self._entries.move_to_end(entry.key)
             self._write_through(entry.key, refreshed, graph)
             return entry
@@ -549,9 +543,6 @@ class ResultCache:
 
     def _insert(self, entry: CacheEntry) -> None:
         """Store ``entry`` most recently used, evicting LRU overflow (caller holds the lock)."""
-        # A new result supersedes any lazy mark left on the key: the
-        # mark priced a *previous* entry's patch, not this one's.
-        self._lazy.discard(entry.key)
         if self._capacity > 0:
             self._entries[entry.key] = entry
             self._entries.move_to_end(entry.key)
@@ -592,7 +583,6 @@ class ResultCache:
         """
         key = self._resolve_key(query_or_key)
         with self._lock:
-            self._lazy.discard(key)
             if self._entries.pop(key, None) is None:
                 return False
             self.stats.invalidations += 1
@@ -617,41 +607,12 @@ class ResultCache:
         key = query.canonical_key
         with self._lock:
             self._pinned.discard(key)
-            self._lazy.discard(key)
             return self._entries.pop(key, None) is not None
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._pinned.clear()
-            self._lazy.clear()
-
-    # -- lazy refresh-on-read marks (refresh-scheduler support) ----------------
-
-    def mark_lazy(self, query_or_key) -> bool:
-        """Mark an entry for lazy refresh-on-read (scheduler decision).
-
-        The refresh scheduler marks stale-but-patchable entries it chose
-        *not* to refresh eagerly, so it stops re-deciding them after every
-        batch; the session's read path still prices the patch against
-        recomputing (the delta may have grown since) and a patch of a marked
-        entry is counted in ``stats.lazy_refreshes``.
-        Accepts a query or canonical key; returns True when the mark was
-        recorded.  Only a key with a live in-memory entry is marked — a
-        mark is a decision *about an entry*, not about whatever is stored
-        under the same key later.  Marks are dropped when the entry is
-        refreshed, invalidated, evicted or re-``put``.
-        """
-        key = self._resolve_key(query_or_key)
-        with self._lock:
-            if key not in self._entries:
-                return False
-            self._lazy.add(key)
-            return True
-
-    def is_lazy(self, query_or_key) -> bool:
-        with self._lock:
-            return self._resolve_key(query_or_key) in self._lazy
 
     # -- pinning (advisor support) -------------------------------------------
 
@@ -698,7 +659,6 @@ class ResultCache:
         key = self._resolve_key(query_or_key)
         with self._lock:
             self._pinned.discard(key)
-            self._lazy.discard(key)
             if self._entries.pop(key, None) is not None:
                 self.stats.evictions += 1
                 return True
@@ -715,7 +675,6 @@ class ResultCache:
                 # evil — the caller asked for all of them explicitly.
                 break
             del self._entries[victim]
-            self._lazy.discard(victim)
             self.stats.evictions += 1
 
     # -- disk store ----------------------------------------------------------

@@ -8,8 +8,10 @@ prices each with a row-count cost model, and executes the cheapest.
 
 It is the only place a route is enumerated and priced: the session's forced
 ``rewrite`` / ``scratch`` strategies are ``families`` filters on
-:meth:`OLAPPlanner.plan`, and ``OLAPSession.execute`` runs
-:meth:`OLAPPlanner.plan_query`.
+:meth:`OLAPPlanner.plan`, ``OLAPSession.execute`` runs
+:meth:`OLAPPlanner.plan_query`, and a stale entry is patched off the read
+path only by :meth:`OLAPPlanner.refresh_stale`, which ranks the same
+candidates.
 
 Candidate strategies, in the order they are enumerated (a candidate's
 *family* is its strategy name up to the first ``[``):
@@ -356,26 +358,34 @@ class OLAPPlanner:
         (``cached`` or ``refresh-cached``), ``parallel`` and ``scratch``,
         priced as in :meth:`plan`.  A fresh hit is returned alone (a hit
         must stay O(1)).  A stale entry is priced against recomputing on
-        every read, whether or not the refresh scheduler marked it for
-        refresh-on-read: the mark defers the *patch*, never the *pricing* —
-        batches landing after the mark grow the delta it was priced for.
+        every read: batches landing since it went stale grow its delta.
         """
         candidates = self._own_entry_candidates(query)
         if candidates and candidates[0].strategy == "cached":
             return Plan(None, query, candidates)
-        if self._parallel is not None and self._parallel.supports(query):
-            candidates.append(self._parallel_candidate(query))
-        candidates.append(self._scratch_candidate(query))
-        return Plan(None, query, candidates)
+        return Plan(None, query, candidates + self._instance_candidates(query))
 
-    def price_refresh(self, entry: CacheEntry, delta: GraphDelta) -> Tuple[float, float]:
-        """``(refresh-cached cost, scratch cost)`` of one stale cache entry: the
-        candidates :meth:`plan_query` ranks on the next read, which the ingest
-        layer's ``RefreshScheduler`` decides on when a batch publishes."""
-        return (
-            self._refresh_candidate(entry.query, entry, delta).cost,
-            self._scratch_candidate(entry.query).cost,
-        )
+    def refresh_stale(self, query: AnalyticalQuery) -> Optional[CacheEntry]:
+        """Patch ``query``'s stale cache entry if :meth:`plan_query` would,
+        else drop it; the refreshed entry, or None.
+
+        The one refresh decision off the read path: the ingest layer's
+        ``RefreshScheduler`` calls it for hot entries after a batch, and
+        ``OLAPSession.transform`` for a stale origin.  ``refresh-cached`` is
+        ranked against the instance candidates :meth:`plan_query` ranks it
+        against.  A patch that loses now loses on every later read (the delta
+        only grows), so the entry is invalidated; its pin survives.  Nothing
+        is done when ``query`` has no stale entry.
+        """
+        graph = self._evaluator.instance
+        found = self._cache.stale_entry(query, graph)
+        if found is None:
+            return None
+        patch = self._refresh_candidate(query, *found)
+        if Plan(None, query, [patch, *self._instance_candidates(query)]).chosen is patch:
+            return self._cache.refresh(query, graph, self._maintainer)
+        self._cache.invalidate(query)
+        return None
 
     def price_cached(self, query: AnalyticalQuery, cells: int) -> Tuple[float, float]:
         """``(cached cost, scratch cost)`` of answering ``query`` from a
@@ -398,6 +408,14 @@ class OLAPPlanner:
         if stale is not None:
             return [self._refresh_candidate(query, stale[0], stale[1])]
         return []
+
+    def _instance_candidates(self, query: AnalyticalQuery) -> List[PlanCandidate]:
+        """``parallel`` (when the executor can run ``query``) and ``scratch``."""
+        candidates = []
+        if self._parallel is not None and self._parallel.supports(query):
+            candidates.append(self._parallel_candidate(query))
+        candidates.append(self._scratch_candidate(query))
+        return candidates
 
     def _cached_cost(self, cells: int) -> float:
         return self._model.base_cost + cells * self._model.cached_cell_cost
@@ -706,13 +724,18 @@ class OLAPPlanner:
         cached input sizes (one partition scan of ``pres``, one splice of
         ``ans``) — so for small update batches it undercuts the from-scratch
         estimate and for instance-sized batches it exceeds it, which is
-        exactly the crossover the planner should find.
+        exactly the crossover the planner should find.  A deferred SLICE/DICE
+        ``pres`` is realized first, and the scan reads only the rows its σ
+        keeps.
         """
         maintainer, model = self._maintainer, self._model
         query = materialized.query
         if not maintainer.patchable(query):
             return float("inf")  # such entries invalidate, never patch
-        pres_rows, realize = self._pres_read(materialized.partial)
+        partial = materialized.partial
+        pres_rows, realize = self._pres_read(partial)
+        if partial.row_bound()[1]:
+            pres_rows *= _sigma_selectivity(query)
         return (
             maintainer.unifications(query, delta) * model.delta_probe_cost
             + pres_rows * model.pres_scan_cost

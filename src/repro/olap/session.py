@@ -42,7 +42,7 @@ from repro.analytics.answer import CubeAnswer, MaterializedQueryResults
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
 from repro.analytics.schema import AnalyticalSchema
-from repro.olap.cache import DEFAULT_CAPACITY, CacheEntry, ResultCache
+from repro.olap.cache import DEFAULT_CAPACITY, ResultCache
 from repro.olap.calibration import CostModel, fit_cost_model
 from repro.olap.cube import Cube
 from repro.olap.maintenance import DeltaMaintainer
@@ -374,17 +374,6 @@ class OLAPSession:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _refresh_origin(self, query: AnalyticalQuery) -> Optional[CacheEntry]:
-        """Patch an origin query's stale entry when the planner prices that
-        below recomputing it (as for :meth:`execute`); the fresh entry or None."""
-        if self._cache.stale_entry(query, self.instance) is None:
-            return None
-        chosen = self._planner.plan_query(query).chosen
-        if chosen.strategy != "refresh-cached":
-            return None
-        chosen.execute()
-        return self._cache.peek(query, self.instance)
-
     # ------------------------------------------------------------------
     # query execution
     # ------------------------------------------------------------------
@@ -547,9 +536,9 @@ class OLAPSession:
             # planner's refresh-cached candidate covers it without touching
             # the origin), patching the origin when priced cheaper than
             # recomputing restores every rewrite candidate for this and
-            # subsequent operations.  The forced rewrite/scratch
-            # filters stay pure and never refresh.
-            origin_entry = self._refresh_origin(original_query)
+            # subsequent operations; an origin not worth patching is dropped.
+            # The forced rewrite/scratch filters stay pure and never refresh.
+            origin_entry = self._planner.refresh_stale(original_query)
         origin_materialized = origin_entry.materialized if origin_entry is not None else None
 
         started = time.perf_counter()

@@ -1,14 +1,17 @@
-"""RefreshScheduler: per-entry eager / lazy / invalidate decisions."""
+"""RefreshScheduler: hot stale entries are refreshed or dropped after a batch,
+cold ones are left to the read path."""
 
 import pytest
 
 from repro.datagen.generic import GenericConfig, generic_dataset
 from repro.datagen.retail import revenue_query
 from repro.errors import IngestError
-from repro.ingest import POLICIES, RefreshScheduler, StreamIngestor
+from repro.ingest import RefreshScheduler, StreamIngestor
+from repro.ingest.scheduler import HOT_HITS
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.olap.cube import Cube
 from repro.olap.operations import Slice
+from repro.olap.planner import OLAPPlanner
 from repro.olap.session import OLAPSession
 from repro.rdf import Literal, RDF, Triple
 from repro.rdf.graph import Graph
@@ -54,133 +57,139 @@ def ingest_round(graph, scheduler, tag: str, rounds: int = 1):
     return ingestor
 
 
-class TestPolicies:
-    def test_eager_policy_refreshes_in_place(self, live):
-        graph, session, query = live
+def warm(session, query, reads):
+    """Materialize ``query``, then read it ``reads`` more times (its hits)."""
+    for _ in range(reads + 1):
         session.execute(query)
-        scheduler = RefreshScheduler([session], policy="eager")
-        ingest_round(graph, scheduler, "eager", rounds=2)
+
+
+class TestHotAndCold:
+    def test_a_hot_entry_is_refreshed_in_place(self, live):
+        graph, session, query = live
+        warm(session, query, HOT_HITS)
+        scheduler = RefreshScheduler([session])
+        ingest_round(graph, scheduler, "hot", rounds=2)
         assert scheduler.stats.eager_refreshes >= 1
-        assert scheduler.stats.lazy_marks == 0
+        assert scheduler.stats.lazy_marks == scheduler.stats.invalidations == 0
         # The cached entry is already fresh: the next read is a plain hit.
         session.execute(query)
-        assert session.history[-1].strategy in ("cache", "cache[disk]")
-        assert not session.cache.is_lazy(query)
+        assert session.history[-1].strategy == "cache"
 
-    def test_lazy_policy_defers_to_the_read_path(self, live):
+    def test_a_cold_entry_is_left_to_the_read_path(self, live):
         graph, session, query = live
-        session.execute(query)
-        scheduler = RefreshScheduler([session], policy="lazy")
-        ingest_round(graph, scheduler, "lazy")
+        warm(session, query, HOT_HITS - 1)
+        scheduler = RefreshScheduler([session])
+        ingest_round(graph, scheduler, "cold")
         assert scheduler.stats.lazy_marks == 1
         assert scheduler.stats.eager_refreshes == 0
-        assert session.cache.is_lazy(query)
-        before = session.cache.stats.lazy_refreshes
+        assert session.cache.stale_entry(query, graph) is not None
         session.execute(query)
         assert session.history[-1].strategy == "refresh"
-        assert session.cache.stats.lazy_refreshes == before + 1
-        assert not session.cache.is_lazy(query)  # consumed by the read
+        assert session.cache.stats.refreshes == 1
+        assert session.cache.stats.lazy_refreshes == 0  # no producer left
 
-    def test_lazy_entry_is_not_rewalked(self, live):
-        """A lazy-marked entry belongs to the read path; later batches skip it."""
+    def test_a_cold_entry_is_counted_by_every_walk_that_leaves_it(self, live):
         graph, session, query = live
         session.execute(query)
-        scheduler = RefreshScheduler([session], policy="lazy")
+        scheduler = RefreshScheduler([session])
         ingest_round(graph, scheduler, "first")
-        walked = scheduler.stats.walked
         ingest_round(graph, scheduler, "second")
-        assert scheduler.stats.walked == walked
-        assert scheduler.stats.lazy_marks == 1
+        assert scheduler.stats.walked == scheduler.stats.lazy_marks == 2
+        assert scheduler.stats.batches == 2
 
-    def test_lazy_mark_defers_the_patch_not_the_pricing(self, live):
-        """Batches landing after the mark grow the delta: the read re-prices it.
-
-        Regression: a marked entry's ``refresh-cached`` candidate used to be
-        returned alone, so a delta that outgrew a recomputation was still
-        patched row by row.
-        """
+    def test_a_walk_over_cold_entries_prices_nothing(self, live, monkeypatch):
         graph, session, query = live
         session.execute(query)
-        scheduler = RefreshScheduler([session], policy="lazy")
-        dropped = next(iter(graph))
+        session.execute(Slice("d0", EX.term("dimvalue/0/0")).apply(query))
+        graph.add_all(fact_triples("unpriced", 0))
+        priced = []
+        refresh_cost = OLAPPlanner._refresh_cost
+        monkeypatch.setattr(
+            OLAPPlanner, "_refresh_cost", lambda *args: priced.append(args) or refresh_cost(*args)
+        )
+        scheduler = RefreshScheduler([session])
+        scheduler.after_batch()
+        assert scheduler.stats.lazy_marks == 2
+        assert priced == []
+
+    def test_a_cold_entry_is_priced_on_its_read(self, live):
+        """Batches after the walk grow the delta: the read re-prices the patch
+        and recomputes once the delta outgrows a recomputation."""
+        graph, session, query = live
+        session.execute(query)
+        scheduler = RefreshScheduler([session])
         ingestor = StreamIngestor(graph, batch_size=1, scheduler=scheduler)
-        ingestor.ingest(remove=[dropped])
+        ingestor.ingest(remove=[next(iter(graph))])
         ingestor.drain()
-        (decision,) = scheduler.last_decisions
-        assert decision.action == "lazy" and decision.refresh_cost < decision.scratch_cost
-        # Nine tenths of the instance go away; the walk skips the marked entry.
+        assert scheduler.stats.lazy_marks == 1
+        plan = session.planner.plan_query(query)
+        assert plan.chosen.strategy == "refresh-cached"
+        # Nine tenths of the instance go away; the walk leaves the cold entry.
         doomed = [triple for triple in graph][: len(graph) * 9 // 10]
         bulk = StreamIngestor(graph, batch_size=len(doomed), scheduler=scheduler)
         bulk.ingest(remove=doomed)
         bulk.drain()
-        assert session.cache.is_lazy(query) and scheduler.stats.lazy_marks == 1
-        entry, delta = session.cache.stale_entry(query, graph)
-        refresh_cost, scratch_cost = session.planner.price_refresh(entry, delta)
-        assert refresh_cost > scratch_cost
+        assert scheduler.stats.lazy_marks == 2 and scheduler.stats.invalidations == 0
         plan = session.planner.plan_query(query)
         assert {c.strategy for c in plan.candidates} == {"refresh-cached", "scratch"}
         cube = session.execute(query)
         assert session.history[-1].strategy == "scratch"
-        assert session.cache.stats.lazy_refreshes == 0
-        assert not session.cache.is_lazy(query)  # the recomputed entry superseded the mark
         oracle = AnalyticalQueryEvaluator(graph).answer(query)
         assert cube.same_cells(Cube(oracle, query))
 
-    def test_auto_policy_splits_by_hit_rate(self, live):
+    def test_hot_and_cold_split_by_hits(self, live):
         graph, session, query = live
         cold_query = Slice("d0", EX.term("dimvalue/0/0")).apply(query)
-        session.execute(query)
-        session.execute(query)
-        session.execute(query)  # hot: 2 hits after materialization
-        session.execute(cold_query)  # cold: 0 hits
-        scheduler = RefreshScheduler([session], policy="auto", hot_hits=2)
-        ingest_round(graph, scheduler, "auto")
-        actions = {d.query_name: d.action for d in scheduler.last_decisions}
-        assert actions[query.name] == "eager"
-        assert actions[cold_query.name] == "lazy"
+        warm(session, query, HOT_HITS)
+        session.execute(cold_query)
+        scheduler = RefreshScheduler([session])
+        ingest_round(graph, scheduler, "split")
         assert scheduler.stats.eager_refreshes == 1
         assert scheduler.stats.lazy_marks == 1
+        assert session.cache.peek(query, graph) is not None
+        assert session.cache.peek(cold_query, graph) is None
+        assert session.cache.stale_entry(cold_query, graph) is not None
 
-    def test_decisions_carry_the_pricing(self, live):
-        graph, session, query = live
-        session.execute(query)
-        scheduler = RefreshScheduler([session], policy="eager")
-        ingest_round(graph, scheduler, "price")
-        decision = scheduler.last_decisions[0]
-        assert decision.action == "eager"
-        assert 0 < decision.refresh_cost < decision.scratch_cost
-        assert decision.as_dict()["query_name"] == query.name
-
-    def test_unprofitable_patch_is_invalidated(self, live):
-        """When refresh prices >= scratch the entry is dropped, never marked;
+    def test_an_unprofitable_patch_is_invalidated(self, live):
+        """When refresh is not the cheapest answer the hot entry is dropped;
         the drop is an invalidation, and the key-scoped pin survives it."""
         graph, session, query = live
-        session.execute(query)
+        warm(session, query, HOT_HITS)
         session.cache.pin(query)
-        scheduler = RefreshScheduler([session], policy="lazy")
+        scheduler = RefreshScheduler([session])
         # A huge delta relative to the cube: patching costs more than
-        # recomputing, so every policy must invalidate.
+        # recomputing.
         ingestor = StreamIngestor(graph, batch_size=100000, scheduler=scheduler)
         for index in range(400):
             ingestor.ingest(add=fact_triples("bulk", index))
         ingestor.drain()
         assert scheduler.stats.invalidations == 1
-        assert scheduler.stats.lazy_marks == 0
-        assert not session.cache.is_lazy(query)
+        assert scheduler.stats.eager_refreshes == scheduler.stats.lazy_marks == 0
         assert session.cache.peek(query, graph) is None
+        assert session.cache.stale_entry(query, graph) is None
         assert query.canonical_key in session.cache.pinned_keys()
         assert session.cache.stats.evictions == 0
         assert session.cache.stats.invalidations == 1
+
+    def test_a_hot_entry_past_the_log_window_is_an_invalidation(self, dataset):
+        graph = Graph(dataset.instance, change_log_limit=2)
+        with OLAPSession(graph, dataset.schema) as session:
+            warm(session, dataset.query, HOT_HITS)
+            scheduler = RefreshScheduler([session])
+            ingest_round(graph, scheduler, "window")
+            assert scheduler.stats.invalidations == 1
+            assert scheduler.stats.eager_refreshes == 0
+            assert len(session.cache) == 0
 
 
 class TestWritePathIsDeltaSized:
     """Nothing between ``ingest()`` and the refreshed cube walks the instance."""
 
-    @pytest.mark.parametrize("policy, served", [("eager", "cache"), ("lazy", "refresh")])
-    def test_no_whole_graph_iteration(self, live, monkeypatch, policy, served):
+    @pytest.mark.parametrize("reads, served", [(HOT_HITS, "cache"), (0, "refresh")])
+    def test_no_whole_graph_iteration(self, live, monkeypatch, reads, served):
         graph, session, query = live
-        session.execute(query)
-        scheduler = RefreshScheduler([session], policy=policy)
+        warm(session, query, reads)
+        scheduler = RefreshScheduler([session])
         expected = AnalyticalQueryEvaluator(
             Graph(list(graph) + fact_triples("guard", 0))
         ).answer(query)
@@ -211,29 +220,41 @@ class TestWritePathIsDeltaSized:
             graph = dataset.instance.copy()
             session = OLAPSession(graph, dataset.schema)
             cold_query = Slice("d0", EX.term("dimvalue/0/0")).apply(dataset.query)
-            session.execute(dataset.query)
-            session.execute(dataset.query)  # hot: one hit; the slice stays cold
+            warm(session, dataset.query, HOT_HITS)  # the slice stays cold
             session.execute(cold_query)
-            scheduler = RefreshScheduler([session], policy="auto", hot_hits=1)
+            priced = []
+            plan_of = session.planner.plan_query
+
+            def plan_query(query):
+                plan = plan_of(query)
+                priced.append(("read", query.name, plan.explain()))
+                return plan
+
+            session.planner.plan_query = plan_query
+            refresh_candidate = session.planner._refresh_candidate
+
+            def refresh_priced(query, entry, delta):
+                candidate = refresh_candidate(query, entry, delta)
+                priced.append(("batch", query.name, candidate.cost))
+                return candidate
+
+            session.planner._refresh_candidate = refresh_priced
+            scheduler = RefreshScheduler([session])
             ingestor = StreamIngestor(graph, batch_size=64, scheduler=scheduler)
             doomed = sorted(graph, key=str)[::7]
-            seen = []
             for index in range(12):
                 ingestor.ingest(add=fact_triples("priced", index), remove=doomed[index::12])
                 ingestor.drain()
                 session.execute(dataset.query)
-                session.execute(cold_query)  # patches the lazy-marked entry
-                seen.extend(
-                    (d.query_name, d.action, d.refresh_cost, d.scratch_cost)
-                    for d in scheduler.last_decisions
-                )
+                session.execute(cold_query)  # the read path patches the cold entry
             session.close()
-            return seen
+            return priced, scheduler.stats.as_dict(), session.cache.stats.as_dict()
 
         maintained = decisions()
         monkeypatch.setattr(GraphStatistics, "refresh", RecountedStatistics.refresh)
-        assert maintained and maintained == decisions()
-        assert {action for _, action, _, _ in maintained} >= {"eager", "lazy"}
+        assert maintained[0] and maintained == decisions()
+        stats = maintained[1]
+        assert stats["eager_refreshes"] >= 1 and stats["lazy_marks"] >= 1
 
 
 class TestWalk:
@@ -241,16 +262,16 @@ class TestWalk:
         graph, session, query = live
         session.execute(query)
         scheduler = RefreshScheduler([session])
-        scheduler.after_batch()
+        assert scheduler.after_batch() is None
         assert scheduler.stats.walked == 0
-        assert scheduler.last_decisions == ()
+        assert scheduler.stats.batches == 1
 
     def test_multiple_sessions_are_walked(self, dataset):
         graph = dataset.instance.copy()
         sessions = [OLAPSession(graph, dataset.schema) for _ in range(2)]
         for session in sessions:
-            session.execute(dataset.query)
-        scheduler = RefreshScheduler(sessions, policy="eager")
+            warm(session, dataset.query, HOT_HITS)
+        scheduler = RefreshScheduler(sessions)
         ingest_round(graph, scheduler, "multi")
         assert scheduler.stats.eager_refreshes == 2
         for session in sessions:
@@ -263,9 +284,8 @@ class TestWalk:
         graph = dataset.instance.copy()
         query = revenue_query(dataset.schema)
         session = OLAPSession(graph, dataset.schema, entailment="saturate")
-        session.execute(query)
-        session.execute(query)  # hot
-        scheduler = RefreshScheduler([session], policy="eager")
+        warm(session, query, HOT_HITS)
+        scheduler = RefreshScheduler([session])
         sale = EX.term("sale/scheduled")
         ingestor = StreamIngestor(graph, batch_size=4, scheduler=scheduler)
         ingestor.ingest(add=[
@@ -275,8 +295,7 @@ class TestWalk:
             Triple(sale, EX.hasPromoAmount, Literal(77)),  # an amount only by entailment
         ])
         ingestor.drain()
-        assert scheduler.stats.walked == 1
-        assert [d.action for d in scheduler.last_decisions] == ["eager"]
+        assert scheduler.stats.walked == scheduler.stats.eager_refreshes == 1
         cube = session.execute(query)
         assert session.history[-1].strategy == "cache"
         oracle = AnalyticalQueryEvaluator(saturate(graph)).answer(query)
@@ -290,9 +309,8 @@ class TestWalk:
         scheduler.register(session)
         assert scheduler.sessions == (session,)
 
-    def test_constructor_validation(self):
+    @pytest.mark.parametrize("policy", ["psychic", "eager", "lazy"])
+    def test_auto_is_the_only_policy(self, policy):
+        assert RefreshScheduler(policy="auto").stats.as_dict()["batches"] == 0
         with pytest.raises(IngestError):
-            RefreshScheduler(policy="psychic")
-        with pytest.raises(IngestError):
-            RefreshScheduler(hot_hits=-1)
-        assert set(POLICIES) == {"eager", "lazy", "auto"}
+            RefreshScheduler(policy=policy)

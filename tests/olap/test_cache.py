@@ -297,47 +297,6 @@ class TestPinning:
         assert cache.pinned_keys() == ()
 
 
-class TestLazyMarks:
-    def test_mark_without_entry_is_refused(self, example2_instance, sites_query):
-        """Regression: a mark on a missing key must not be recorded.
-
-        An orphaned mark would survive until a future entry landed under
-        the same key and then force a refresh-on-read that skipped the
-        refresh-vs-scratch pricing the mark is supposed to encode.
-        """
-        cache = ResultCache(capacity=2)
-        assert cache.mark_lazy(sites_query) is False
-        assert not cache.is_lazy(sites_query)
-
-    def test_mark_on_live_entry_sticks(self, example2_instance, sites_query, materialized):
-        cache = ResultCache(capacity=2)
-        cache.put(sites_query, materialized, example2_instance)
-        assert cache.mark_lazy(sites_query) is True
-        assert cache.is_lazy(sites_query)
-
-    def test_re_put_clears_the_mark(self, example2_instance, sites_query, materialized):
-        """Regression: a new result supersedes the previous entry's mark —
-        the mark priced the *old* entry's patch, not the new one's."""
-        cache = ResultCache(capacity=2)
-        cache.put(sites_query, materialized, example2_instance)
-        cache.mark_lazy(sites_query)
-        cache.put(sites_query, materialized, example2_instance)
-        assert not cache.is_lazy(sites_query)
-
-    def test_discard_and_evict_drop_the_mark(
-        self, example2_instance, sites_query, materialized
-    ):
-        cache = ResultCache(capacity=2)
-        cache.put(sites_query, materialized, example2_instance)
-        cache.mark_lazy(sites_query)
-        cache.discard(sites_query)
-        assert not cache.is_lazy(sites_query)
-        cache.put(sites_query, materialized, example2_instance)
-        cache.mark_lazy(sites_query)
-        cache.evict(sites_query)
-        assert not cache.is_lazy(sites_query)
-
-
 class TestAccounting:
     def test_hit_and_miss_counts(self, example2_instance, sites_query, materialized):
         cache = ResultCache(capacity=4)

@@ -100,8 +100,10 @@ def test_the_refreshed_entry_serves_the_refreshed_cells(dataset, engine):
     with OLAPSession(graph, dataset.schema, engine=engine) as session:
         before = session.execute(query)
         stale_cells = dict(before.cells())  # a snapshot: cells() is a live view
+        session.execute(query)
+        session.execute(query)  # hot: the scheduler patches it after the batch
         ingestor = StreamIngestor(
-            graph, batch_size=4, scheduler=RefreshScheduler([session], policy="eager")
+            graph, batch_size=4, scheduler=RefreshScheduler([session])
         )
         fact = EX.term("fact/memo-extra")
         ingestor.ingest(add=[

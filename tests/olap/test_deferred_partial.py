@@ -342,3 +342,32 @@ def test_the_planner_prices_an_unread_pres_without_realizing_it(dataset, engine)
             (rows - realized.input_rows) * planner.cost_model.group_row_cost
             + rows * planner.cost_model.select_row_cost
         )
+
+
+def test_a_stale_unread_pres_prices_its_refresh_scan_at_the_rows_sigma_keeps(dataset, engine):
+    """Refreshing a stale unread SLICE realizes its σ (one pass over the root's
+    rows, priced as such) and then scans only the rows σ kept: the scan is
+    priced at the root's rows times the slice's selectivity, a tenth for one
+    value, not at the root's rows."""
+    graph = dataset.instance.copy()
+    root = _root()
+    with OLAPSession(graph, dataset.schema, engine=engine) as session:
+        session.execute(root)
+        rows = len(session.materialized(root).partial)
+        sliced = session.transform(root, _SLICE)
+        graph.add(Triple(EX.term("unrelated"), EX.term("nothing"), Literal(1)))
+        model = session.planner.cost_model
+
+        def refresh_cost():
+            plan = session.planner.plan_query(sliced.query)
+            return next(c.cost for c in plan.candidates if c.strategy == "refresh-cached")
+
+        deferred_cost = refresh_cost()
+        partial = session.cache.stale_entry(sliced.query, graph)[0].materialized.partial
+        assert _pending(partial) and partial.row_bound()[0] == rows
+        partial.storage  # realize: the same entry, its scan priced at the kept rows
+        kept = len(partial)
+        assert kept < rows
+        assert deferred_cost - refresh_cost() == pytest.approx(
+            rows * model.select_row_cost + (rows * 0.1 - kept) * model.pres_scan_cost
+        )

@@ -421,6 +421,52 @@ class TestPlannerIntegration:
         )
         assert cube.same_cells(scratch)
 
+    def test_a_stale_origin_is_patched_without_being_planned(
+        self, small_blogger_dataset, monkeypatch
+    ):
+        """DRILL-OUT over a stale origin: ``transform`` looks the origin up (one
+        miss), patches it through ``refresh_stale`` — priced once, with no
+        ``plan_query`` of its own — then plans the target (the second miss),
+        ranking a rewrite of the patched pres."""
+        from repro.datagen.blogger import sites_per_blogger_query
+        from repro.olap.operations import DrillOut
+
+        instance = small_blogger_dataset.instance.copy()
+        query = sites_per_blogger_query(small_blogger_dataset.schema)
+        session = OLAPSession(instance, small_blogger_dataset.schema)
+        session.execute(query)
+        _add_blogger(instance, "origin_user", 33, "Madrid", sites=("site_1",))
+        planner, planned, priced = session.planner, [], []
+        plan_query, refresh_candidate = planner.plan_query, planner._refresh_candidate
+        monkeypatch.setattr(planner, "plan_query", lambda q: planned.append(q) or plan_query(q))
+        monkeypatch.setattr(
+            planner, "_refresh_candidate", lambda *args: priced.append(args[0]) or refresh_candidate(*args)
+        )
+        misses = session.cache.stats.misses
+        cube = session.transform(query, DrillOut("dage"))
+        assert session.cache.stats.misses - misses == 2
+        assert planned == [] and priced == [query]
+        assert session.cache.stats.refreshes == 1
+        assert "rewrite[drill-out/pres]" in session.explain_last()  # the origin is fresh again
+        transformed = DrillOut("dage").apply(query)
+        scratch = Cube(AnalyticalQueryEvaluator(instance).answer(transformed), transformed)
+        assert cube.same_cells(scratch)
+
+    def test_a_stale_origin_not_worth_patching_is_dropped(self, example2_instance, sites_query):
+        """Its delta only grows, so a later read would recompute it anyway."""
+        session = OLAPSession(example2_instance)
+        session.execute(sites_query)
+        for index in range(40):
+            _add_blogger(example2_instance, f"bulk{index}", 20 + index, "Rome", sites=("s1", "s2"))
+        operation = Slice("dage", Literal(35))
+        cube = session.transform(sites_query, operation)
+        assert session.cache.stale_entry(sites_query, example2_instance) is None
+        assert session.cache.stats.invalidations == 1
+        assert session.cache.stats.refreshes == 0
+        transformed = operation.apply(sites_query)
+        scratch = Cube(AnalyticalQueryEvaluator(example2_instance).answer(transformed), transformed)
+        assert cube.same_cells(scratch)
+
     def test_refresh_cached_loses_to_fresh_exact_hit(self, example2_instance, sites_query):
         """A fresh exact entry must still be served as plan[cached] — the
         refresh candidate is only enumerated for stale entries."""
@@ -441,12 +487,13 @@ class TestPlannerIntegration:
 
 
 class TestCostEstimates:
-    """The planner's ``price_refresh``: ``(refresh-cached, scratch)`` costs
-    of one stale cache entry."""
+    """``(refresh-cached, scratch)`` costs of one stale cache entry, as
+    ``plan_query`` ranks them."""
 
     @staticmethod
     def _priced(session, query):
-        return session.planner.price_refresh(*session.cache.stale_entry(query, session.instance))
+        costs = {c.strategy: c.cost for c in session.planner.plan_query(query).candidates}
+        return costs["refresh-cached"], costs["scratch"]
 
     def test_small_delta_refresh_beats_scratch(self, small_blogger_dataset):
         from repro.datagen.blogger import sites_per_blogger_query
@@ -529,10 +576,10 @@ class TestRefreshWorkIsDeltaSized:
             calls.append((pattern, triple))
             return unify(self, pattern, triple)
 
+        _, delta = session.cache.stale_entry(query, example4_instance)
         monkeypatch.setattr(DeltaMaintainer, "_unify_ids", counting)
         for each in (query, sliced):
-            entry, delta = session.cache.stale_entry(each, example4_instance)
-            session.planner.price_refresh(entry, delta)
+            session.planner.plan_query(each)
             assert session.cache.refresh(each, example4_instance, session.maintainer) is not None
         patterns = set(query.classifier.body) | set(query.measure.body)
         triples = delta.added + delta.removed

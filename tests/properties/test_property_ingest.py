@@ -10,10 +10,10 @@ serves.  Reads are interleaved at random points.  The invariants:
 * after a drain the live graph equals the shadow graph, triple for triple
   (coalescing and micro-batching change *work*, never *state*);
 * every cube the session serves mid-stream equals a from-scratch
-  recomputation over the live graph at that moment, cell for cell —
-  whatever the attached :class:`~repro.ingest.scheduler.RefreshScheduler`
-  policy (none, eager, lazy, auto) decided for the cached entry, and at
-  cache capacities 0, 1 and the default.
+  recomputation over the live graph at that moment, cell for cell — with no
+  :class:`~repro.ingest.scheduler.RefreshScheduler`, or with one and the
+  cached entry hot (refreshed or dropped after each batch) or cold (left to
+  the read path), and at cache capacities 0, 1 and the default.
 
 The hypothesis profile matches the other differential suites:
 ``deadline=None`` and ``print_blob=True``.
@@ -27,6 +27,7 @@ from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.datagen import BloggerConfig, blogger_dataset
 from repro.datagen.blogger import words_per_blogger_query
 from repro.ingest import RefreshScheduler, StreamIngestor
+from repro.ingest.scheduler import HOT_HITS
 from repro.olap.cube import Cube
 from repro.olap.session import OLAPSession
 from repro.rdf import EX, Literal, RDF, Triple
@@ -106,14 +107,14 @@ def _check_cube(session, query, live):
 @given(
     data=st.data(),
     seed=st.integers(min_value=0, max_value=10),
-    policy=st.sampled_from([None, "eager", "lazy", "auto"]),
+    scheduling=st.sampled_from([None, "hot", "cold"]),
     capacity=st.sampled_from([0, 1, None]),
     batch_size=st.integers(min_value=1, max_value=8),
     steps=st.integers(min_value=2, max_value=10),
 )
 @settings(**_SETTINGS)
 def test_ingested_streams_match_direct_application(
-    data, seed, policy, capacity, batch_size, steps
+    data, seed, scheduling, capacity, batch_size, steps
 ):
     dataset = _blogger(seed)
     live = dataset.instance.copy()
@@ -121,12 +122,14 @@ def test_ingested_streams_match_direct_application(
     query = words_per_blogger_query(dataset.schema)
     kwargs = {} if capacity is None else {"cache_capacity": capacity}
     session = OLAPSession(live, dataset.schema, **kwargs)
-    scheduler = None if policy is None else RefreshScheduler([session], policy=policy)
+    scheduler = None if scheduling is None else RefreshScheduler([session])
     ingestor = StreamIngestor(
         live, batch_size=batch_size, max_batch_age=1000.0, scheduler=scheduler
     )
     counter = itertools.count()
-    session.execute(query)  # warm the cache so refreshes have a target
+    # Warm the cache so refreshes have a target; a hot entry is read again.
+    for _ in range(1 + (HOT_HITS if scheduling == "hot" else 0)):
+        session.execute(query)
 
     for _ in range(steps):
         action = data.draw(st.sampled_from(["mutate", "mutate", "pump", "read"]))
@@ -148,7 +151,7 @@ def test_ingested_streams_match_direct_application(
     ingestor.drain()
     assert set(live) == set(shadow), (
         f"ingested graph diverged from direct application "
-        f"(batch_size={batch_size}, policy={policy}, "
+        f"(batch_size={batch_size}, scheduling={scheduling}, "
         f"stats={ingestor.stats.as_dict()})"
     )
     _check_cube(session, query, live)
@@ -160,21 +163,22 @@ def test_ingested_streams_match_direct_application(
 
 @given(
     seed=st.integers(min_value=0, max_value=6),
-    policy=st.sampled_from(["eager", "lazy", "auto"]),
+    hot=st.booleans(),
 )
 @settings(**_SETTINGS)
-def test_scheduler_policies_converge_to_the_same_cube(seed, policy):
-    """All policies serve identical cubes; only the *timing* of the patch
-    work differs (eager pays before the read, lazy on it)."""
+def test_hot_and_cold_entries_converge_to_the_same_cube(seed, hot):
+    """Hot and cold entries serve identical cubes; only the *timing* of the
+    patch work differs (a hot one is patched before the read, a cold one on
+    it)."""
     dataset = _blogger(seed)
     live = dataset.instance.copy()
     query = words_per_blogger_query(dataset.schema)
     session = OLAPSession(live, dataset.schema)
-    scheduler = RefreshScheduler([session], policy=policy)
+    scheduler = RefreshScheduler([session])
     ingestor = StreamIngestor(live, batch_size=6, max_batch_age=1000.0, scheduler=scheduler)
     counter = itertools.count()
-    session.execute(query)
-    session.execute(query)  # make the entry hot for the auto policy
+    for _ in range(1 + (HOT_HITS if hot else 0)):
+        session.execute(query)
 
     # Deterministic mutations: hypothesis varies only seed and policy here.
     tag = EX.term(f"conv_user{seed}")
@@ -190,9 +194,12 @@ def test_scheduler_policies_converge_to_the_same_cube(seed, policy):
         ingestor.add(triple)
     ingestor.drain()
 
-    if policy == "lazy":
-        assert scheduler.stats.lazy_marks + scheduler.stats.invalidations >= 1
+    stats = scheduler.stats
+    if hot:
+        assert stats.eager_refreshes + stats.invalidations == 1 and stats.lazy_marks == 0
+    else:
+        assert stats.lazy_marks == 1 and stats.eager_refreshes + stats.invalidations == 0
     _check_cube(session, query, live)
-    if policy in ("eager", "auto") and scheduler.stats.eager_refreshes:
-        # The eager patch already ran; the read was a plain cache hit.
-        assert session.history[-1].strategy in ("cache", "cache[disk]")
+    if stats.eager_refreshes:
+        # The patch already ran after the batch; the read was a plain cache hit.
+        assert session.history[-1].strategy == "cache"

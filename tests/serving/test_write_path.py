@@ -192,9 +192,12 @@ class TestPromptDrain:
             service = OLAPService(dataset.instance, dataset.schema)
 
             real_execute = service._execute
+            loop = asyncio.get_running_loop()
 
             def blocking_execute(session, q):
-                started.put_nowait(None)
+                # An executor thread: a put_nowait from here would not wake
+                # the loop asleep in started.get().
+                loop.call_soon_threadsafe(started.put_nowait, None)
                 gate.wait(timeout=10)
                 return real_execute(session, q)
 

@@ -170,10 +170,6 @@ def _value_array(values: List) -> "_np.ndarray":
     return column
 
 
-#: Rows up to which a relation decodes through a dict, not the id arrays.
-_FEW_ROWS = 64
-
-
 class ColumnarIdRelation(IdRelation):
     """An :class:`~repro.algebra.relation.IdRelation` stored column-wise.
 
@@ -294,24 +290,13 @@ class ColumnarIdRelation(IdRelation):
         return set(self._distinct_ids(name)[0].tolist())
 
     def decoded_columns(self) -> List[Sequence]:
-        """Per encoded column, its distinct ids decoded once and gathered
-        back by their positions — no row conversion.  A relation of at most
-        :data:`_FEW_ROWS` rows (a refresh's replaced and regrouped cells)
-        finds its distinct ids with a dict instead: there numpy's per-call
-        cost outweighs its per-row speed."""
-        columns, decode = [], self._dictionary.decode
-        for name, array in self._column_arrays.items():
-            if name not in self._encoded:
-                columns.append(array.tolist())
-            elif self._length <= _FEW_ROWS:
-                ids = array.tolist()
-                terms = {term_id: decode(term_id) for term_id in set(ids)}
-                columns.append(list(map(terms.__getitem__, ids)))
-            else:
-                distinct, inverse = self._distinct_ids(name, inverse=True)
-                terms = list(map(decode, distinct.tolist()))
-                columns.append(list(map(terms.__getitem__, inverse.tolist())))
-        return columns
+        """Per column its values, an encoded column's in one gather from the
+        dictionary's term table (:meth:`~repro.rdf.dictionary.TermDictionary.decode_many`)
+        — no row conversion."""
+        return [
+            self._dictionary.decode_many(array) if name in self._encoded else array.tolist()
+            for name, array in self._column_arrays.items()
+        ]
 
     # -- the relation protocol, on the arrays -----------------------------
 

@@ -17,6 +17,9 @@ benchmarks):
   ``vsite``, ``vwords``, ...);
 * the **aggregated measure column** of ``ans(Q)`` keeps the measure
   variable's name.
+
+A :class:`CubeAnswer` also keeps its decoded cell map, built once — on the
+columnar engine from one term-table gather per encoded column — and shared.
 """
 
 from __future__ import annotations
@@ -230,10 +233,11 @@ class CubeAnswer:
     def decoded_cells(self) -> Dict[Tuple, object]:
         """``(d₁, ..., dₙ) → measure`` over decoded values, built once.
 
-        Decoded column-wise in the answer's own storage, each distinct id
-        once.  The returned dict is shared by every cube over this answer:
-        treat it as read-only.  Two threads asking at once may both decode;
-        they build equal maps and either may be the one kept.
+        Decoded column-wise in the answer's own storage (one term-table
+        gather per column on the columnar engine).  The returned dict is
+        shared by every cube over this answer: treat it as read-only.  Two
+        threads asking at once may both decode; they build equal maps and
+        either may be the one kept.
         """
         cells = self._cells
         if cells is None:

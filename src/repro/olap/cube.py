@@ -8,8 +8,9 @@ display helpers used by the examples and the CLI.
 A cube is the **decoding boundary**: it leaves its constructor with its
 cells decoded.  The decoded map belongs to the
 :class:`~repro.analytics.answer.CubeAnswer`, so the decode is paid once per
-answer — column-wise, per distinct id — and every further cube over the
-same answer (a cache hit) shares it.
+answer — column-wise: on the columnar engine one gather per column from the
+dictionary's term table (:meth:`~repro.rdf.dictionary.TermDictionary.decode_many`)
+— and every further cube over the same answer (a cache hit) shares it.
 """
 
 from __future__ import annotations

@@ -54,7 +54,10 @@ class TermDictionary:
     same values also sit in a **typed column** — id-indexed numpy arrays of a
     kind and an int64 or float64 value, filled once per id on the first
     :meth:`numeric_values` that asks for it and grown geometrically as ids
-    are appended — from which γ gathers a measure column in one step.
+    are appended — from which γ gathers a measure column in one step.  The
+    terms themselves sit in a **term table** of the same layout (a filled
+    flag and an object array), from which :meth:`decode_many` decodes a
+    whole id column in one gather.
     """
 
     def __init__(self):
@@ -64,6 +67,7 @@ class TermDictionary:
         self._derived_values: List[object] = []
         self._values: Dict[int, object] = {}
         self._typed = None  # (kinds int8, values int64, head): see _fill_typed
+        self._table = None  # (filled bool, terms object, head): see decode_many
 
     def __len__(self) -> int:
         return len(self._id_to_term)
@@ -117,6 +121,37 @@ class TermDictionary:
             return self._id_to_term[term_id]
         return self._decode_derived(term_id)
 
+    def decode_many(self, ids) -> list:
+        """The terms (or derived values) of ``ids``, a numpy int array, as a
+        list: one gather from the term table, which is laid out as the typed
+        column is (see :meth:`_fill_typed`), so one gather decodes a column
+        that mixes term and derived ids.  An id :meth:`decode` refuses raises
+        :class:`DictionaryError` here too."""
+        if not len(ids):
+            return []
+        table, low, high = self._table, int(ids.min()), int(ids.max())
+        if table is None or not (high < table[2] <= low + len(table[0]) and table[0][ids].all()):
+            table = self._fill_table(ids, low, high)
+        return table[1][ids].tolist()
+
+    def _fill_table(self, ids, low: int, high: int):
+        """:meth:`decode` each distinct id of ``ids`` (``low..high``), then
+        grow the term table to cover them, store them and publish it.  Only
+        asked ids are filled — spare slots stay empty, so an id past the
+        dictionary's ends misses and is refused here, and a snapshot's
+        dictionary decodes no term it is not asked for."""
+        import numpy as np  # only the columnar decode calls this: rdf/ imports no numpy
+
+        ordered = np.sort(ids)  # np.unique hashes: slower here than a sort
+        distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        found = np.fromiter(map(self.decode, distinct.tolist()), object, len(distinct))
+        with _LOCK:  # decoded outside: two threads filling one id store one interned term
+            filled, terms, head = _grown(self._table, (np.bool_, object), low, high, len(self))
+            terms[distinct] = found
+            filled[distinct] = True  # after the term: a reader that sees the flag sees the term
+            self._table = filled, terms, head
+        return self._table
+
     def value(self, term_id: int) -> object:
         """The comparable value of an id: :func:`~repro.algebra.expressions.comparable`
         of its :meth:`decode`, converted on first ask and kept for the
@@ -167,16 +202,7 @@ class TermDictionary:
             kind = _INT if small_int else _FLOAT if type(value) is float else _OTHER
             converted[kind][term_id] = 0 if kind == _OTHER else value
         with _LOCK:
-            kinds, values, head = self._typed or (np.zeros(0, np.int8), np.zeros(0, np.int64), 0)
-            tail = len(kinds) - head
-            if high >= head or -low > tail:
-                grown_head = max(high + 1, 2 * head, len(self)) if high >= head else head
-                grown_tail = max(-low, 2 * tail) if -low > tail else tail
-                size = grown_head + grown_tail
-                fresh = np.zeros(size, np.int8), np.zeros(size, np.int64)
-                for old, new in zip((kinds, values), fresh):
-                    new[:head], new[size - tail :] = old[:head], old[head:]
-                (kinds, values), head = fresh, grown_head
+            kinds, values, head = _grown(self._typed, (np.int8, np.int64), low, high, len(self))
             for kind, found in converted.items():
                 term_ids = np.fromiter(found, np.intp, len(found))
                 (values.view(np.float64) if kind == _FLOAT else values)[term_ids] = list(found.values())
@@ -195,6 +221,11 @@ class TermDictionary:
     def terms(self) -> Iterator[Term]:
         return iter(self._id_to_term)
 
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_table"] = None  # the receiver's terms are its own interned instances
+        return state
+
     def copy(self) -> "TermDictionary":
         clone = TermDictionary()
         clone._term_to_id = dict(self._term_to_id)
@@ -203,3 +234,23 @@ class TermDictionary:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TermDictionary({len(self)} terms)"
+
+
+def _grown(table, dtypes, low: int, high: int, count: int):
+    """``table`` — ``(arrays…, head)`` or None — with room for ids
+    ``low..high``: a new, zero-filled copy when they fall outside it, the
+    head grown to at least ``count`` and doubling, the tail doubling; the
+    caller fills it and publishes it."""
+    import numpy as np
+
+    *arrays, head = table or (*(np.zeros(0, dtype) for dtype in dtypes), 0)
+    tail = len(arrays[0]) - head
+    if high < head and -low <= tail:
+        return (*arrays, head)
+    grown_head = max(high + 1, 2 * head, count) if high >= head else head
+    grown_tail = max(-low, 2 * tail) if -low > tail else tail
+    size = grown_head + grown_tail
+    fresh = [np.zeros(size, array.dtype) for array in arrays]
+    for old, new in zip(arrays, fresh):
+        new[:head], new[size - tail :] = old[:head], old[head:]
+    return (*fresh, grown_head)

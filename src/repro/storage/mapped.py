@@ -29,7 +29,7 @@ from repro.errors import DictionaryError, ReadOnlyGraphError, SnapshotFormatErro
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Term
-from repro.storage.snapshot import Snapshot, decode_term_record, record_key, record_position
+from repro.storage.snapshot import Snapshot, decode_records, decode_term_record, record_key, record_position
 from repro.storage.snapshot import term_record
 
 try:
@@ -57,9 +57,11 @@ class MappedTermDictionary(TermDictionary):
         self._blob = snapshot.section("term_blob")
         self._sort = snapshot.section("term_sort")
         self._count = int(snapshot.header["term_count"])
-        # _id_to_term doubles as the decode cache (id -> Term, None = cold);
-        # _term_to_id caches successful lookups only.
+        # _id_to_term doubles as the decode cache (id -> Term, None = cold),
+        # complete once _every_term has run; _term_to_id caches successful
+        # lookups only.
         self._id_to_term = [None] * self._count
+        self._complete = False
 
     def __len__(self) -> int:
         return self._count
@@ -116,16 +118,24 @@ class MappedTermDictionary(TermDictionary):
 
     # -- iteration / copy ----------------------------------------------
 
+    def _every_term(self) -> list:
+        """Every term in id order, decoded in one pass over the records on
+        first use and kept as the decode cache (the same interned terms)."""
+        if not self._complete:
+            self._id_to_term = decode_records(self._kinds, self._offsets, self._blob)
+            self._complete = True
+        return self._id_to_term
+
     def items(self) -> Iterator[Tuple[Term, int]]:
-        return ((self.decode(term_id), term_id) for term_id in range(self._count))
+        return zip(self._every_term(), range(self._count))
 
     def terms(self) -> Iterator[Term]:
-        return (self.decode(term_id) for term_id in range(self._count))
+        return iter(self._every_term())
 
     def copy(self) -> TermDictionary:
         """Materialize a plain mutable heap dictionary (decodes every term)."""
         clone = TermDictionary()
-        clone._id_to_term = [self.decode(term_id) for term_id in range(self._count)]
+        clone._id_to_term = list(self._every_term())
         clone._term_to_id = {term: i for i, term in enumerate(clone._id_to_term)}
         return clone
 

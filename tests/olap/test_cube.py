@@ -77,7 +77,7 @@ class TestDecodeOnce:
     and ``cell`` lookups over one answer share one decode and one index."""
 
     def test_one_columnwise_decode_per_answer_however_many_cubes(self):
-        """A columnar answer decodes in its arrays — each distinct id once,
+        """A columnar answer decodes in its arrays — one gather per column,
         no row conversion — and only the first cube over it pays."""
         np = pytest.importorskip("numpy")
         from repro.algebra.columnar import ROW_CONVERSIONS, ColumnarIdRelation
@@ -94,8 +94,9 @@ class TestDecodeOnce:
         )
         answer = CubeAnswer(relation, ("dage", "dcity"), "v")
         decoded = []
-        original = dictionary.decode
+        original, gather = dictionary.decode, dictionary.decode_many
         dictionary.decode = lambda term_id: decoded.append(term_id) or original(term_id)
+        dictionary.decode_many = lambda ids: decoded.extend(ids.tolist()) or gather(ids)
         before = ROW_CONVERSIONS.copy()
         try:
             for _ in range(3):
@@ -109,10 +110,11 @@ class TestDecodeOnce:
                 (Literal(28), EX.term("NY"), 9),
             ]
         finally:
-            del dictionary.decode
+            del dictionary.decode, dictionary.decode_many
         assert ROW_CONVERSIONS == before
-        # Each distinct id once for the cells, once for the decoded relation.
-        assert sorted(decoded) == sorted(2 * list(set(ages) | set(cities)))
+        # Each distinct id decoded once into the fresh dictionary's term table,
+        # then one gather per column for the cells and one for the decoded relation.
+        assert sorted(decoded) == sorted(list(set(ages) | set(cities)) + 2 * (ages + cities))
 
     def test_second_chance_lookup_converts_the_cells_once(self, monkeypatch):
         from repro.algebra import expressions

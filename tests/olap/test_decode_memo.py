@@ -13,6 +13,7 @@ import gc
 import sys
 import threading
 import weakref
+from contextlib import contextmanager
 
 import pytest
 
@@ -50,6 +51,19 @@ def _cell_map(cube):
     return vars(cube)["_cells"]
 
 
+@contextmanager
+def _decoded_ids(dictionary):
+    """The ids ``dictionary`` decodes meanwhile, one by one or gathered."""
+    ids = []
+    decode, gather = dictionary.decode, dictionary.decode_many
+    dictionary.decode = lambda term_id: ids.append(term_id) or decode(term_id)
+    dictionary.decode_many = lambda column: ids.extend(column.tolist()) or gather(column)
+    try:
+        yield ids
+    finally:
+        del dictionary.decode, dictionary.decode_many
+
+
 def test_a_cube_is_fully_decoded_when_it_is_handed_over(dataset, engine):
     query = _query()
     with OLAPSession(dataset.instance.copy(), dataset.schema, engine=engine) as session:
@@ -74,18 +88,12 @@ def test_a_hit_decodes_nothing_and_converts_nothing(dataset, engine):
     query = _query()
     with OLAPSession(dataset.instance.copy(), dataset.schema, engine=engine) as session:
         first = session.execute(query)
-        dictionary = session.instance.dictionary
-        decodes = []
-        original = dictionary.decode
-        dictionary.decode = lambda term_id: decodes.append(term_id) or original(term_id)
         before = dict(ROW_CONVERSIONS)
-        try:
+        with _decoded_ids(session.instance.dictionary) as decodes:
             hits = [session.execute(query) for _ in range(3)]
             for cube in hits:
                 cube.dimension_values("d0")
                 cube.get(*next(iter(cube.cells())))
-        finally:
-            del dictionary.decode
         assert [cube.record.strategy for cube in hits] == ["cache"] * 3
         assert decodes == []
         assert dict(ROW_CONVERSIONS) == before
@@ -219,13 +227,8 @@ def test_a_refresh_carries_the_untouched_cells_and_decodes_only_the_touched(data
         before = session.execute(query)
         graph.apply(add=_extra_fact("carried"))
         dictionary = graph.dictionary
-        decodes = []
-        original = dictionary.decode
-        dictionary.decode = lambda term_id: decodes.append(term_id) or original(term_id)
-        try:
+        with _decoded_ids(dictionary) as decodes:
             after = session.execute(query)
-        finally:
-            del dictionary.decode
         assert after.record.strategy == "refresh"
         carried = _cell_map(after)
         assert carried is vars(after.answer)["_cells"] and carried is not _cell_map(before)
@@ -239,7 +242,7 @@ def test_a_refresh_carries_the_untouched_cells_and_decodes_only_the_touched(data
             for name in after.answer.dimension_columns
             for term_id in after.answer.storage.column_values(name)
         } - touched_ids
-        assert len(foreign) > 4 and not foreign & set(decodes)
+        assert len(foreign) > 4 and decodes and not foreign & set(decodes)
 
 
 def test_an_answer_never_decoded_carries_nothing(dataset, engine):

@@ -629,9 +629,12 @@ class TestRefreshWorkIsDeltaSized:
 
             monkeypatch.setattr(np, name, counting)
         decoded = []
-        decode = instance.dictionary.decode
+        decode, gather = instance.dictionary.decode, instance.dictionary.decode_many
         monkeypatch.setattr(
             instance.dictionary, "decode", lambda term_id: decoded.append(term_id) or decode(term_id)
+        )
+        monkeypatch.setattr(
+            instance.dictionary, "decode_many", lambda ids: decoded.extend(ids.tolist()) or gather(ids)
         )
         conversions = ROW_CONVERSIONS.copy()
         refreshed = DeltaMaintainer(evaluator).refresh(materialized, delta)

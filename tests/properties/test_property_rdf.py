@@ -7,14 +7,20 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import InvalidTripleError
+from repro.errors import DictionaryError, InvalidTripleError
 from repro.rdf import EX, RDF, Graph, GraphStatistics, IRI, Literal, Triple
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.ntriples import parse_ntriples, serialize_ntriples
 from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
 from repro.rdf.turtle import parse_turtle, serialize_turtle
 
 from tests.naive_oracle import RecountedStatistics, statistics_fields
+
+try:
+    import numpy as np
+except ImportError:  # the numpy-free install has no term table
+    np = None
 
 # Strategies producing small, well-formed RDF terms.
 local_names = st.text(alphabet="abcdefghij0123456789", min_size=1, max_size=8)
@@ -273,3 +279,39 @@ class TestSerializationRoundtrips:
     def test_serialization_is_deterministic(self, triple_list):
         graph = Graph(triple_list)
         assert serialize_ntriples(graph) == serialize_ntriples(graph.copy())
+
+
+# One step of a dictionary's life: encode a term, derive a value (a ROLL-UP
+# parent: a term, a label, a tuple), gather ids (positions into the ids
+# known at that point), or gather one id past either end (offset from it).
+_derived_values = st.one_of(iris, literals, local_names, st.tuples(local_names, st.integers(0, 3)))
+_dictionary_steps = st.one_of(
+    st.tuples(st.just("encode"), objects),
+    st.tuples(st.just("derive"), _derived_values),
+    st.tuples(st.just("gather"), st.lists(st.integers(0, 10**6), max_size=12)),
+    st.tuples(st.just("outside"), st.tuples(st.booleans(), st.integers(0, 40))),
+)
+
+
+class TestTermTableGather:
+    @pytest.mark.skipif(np is None, reason="the term table is a numpy array")
+    @settings(max_examples=150, deadline=None, print_blob=True)
+    @given(st.lists(_dictionary_steps, max_size=40))
+    def test_interleaved_encodes_and_gathers_equal_decoding_one_by_one(self, steps):
+        dictionary = TermDictionary()
+        for kind, argument in steps:
+            if kind == "encode":
+                dictionary.encode(argument)
+            elif kind == "derive":
+                dictionary.encode_derived(argument)
+            known = list(range(len(dictionary))) + [-k for k in range(1, len(dictionary._derived_values) + 1)]
+            if kind == "gather" and known:
+                ids = np.asarray([known[position % len(known)] for position in argument], dtype=np.int64)
+                gathered = dictionary.decode_many(ids)
+                assert len(gathered) == len(ids)
+                assert all(value is dictionary.decode(term_id) for value, term_id in zip(gathered, ids.tolist()))
+            elif kind == "outside":
+                past_the_tail, offset = argument
+                bad = -len(dictionary._derived_values) - 1 - offset if past_the_tail else len(dictionary) + offset
+                with pytest.raises(DictionaryError):
+                    dictionary.decode_many(np.asarray(known[:1] + [bad], dtype=np.int64))

@@ -1,11 +1,14 @@
 """Unit tests for the term dictionary (integer encoding)."""
 
+import pickle
+import sys
+import threading
 from decimal import Decimal
 
 import pytest
 
 from repro.errors import DictionaryError
-from repro.rdf import EX, Literal
+from repro.rdf import EX, BlankNode, Literal
 from repro.rdf.dictionary import TermDictionary
 
 
@@ -211,3 +214,143 @@ class TestTypedValueColumn:
         finally:
             sys.setswitchinterval(interval)
         assert errors == [] and dictionary._typed[2] >= 2 * 60  # the column grew
+
+
+def _every_kind(dictionary):
+    """Ids of a term of every kind, then derived ids — a tuple, a string, an
+    int, a term of no graph and None among them — in one mixed list."""
+    terms = [
+        EX.user1, BlankNode("b1"), Literal(28), Literal(2.5), Literal(2**40), Literal(True),
+        Literal(Decimal("1.5")), Literal("x", language="en"), Literal("3"),
+    ]
+    derived = [("band", 1), "label", 41, EX.term("bucket/3"), None]
+    return [dictionary.encode(term) for term in terms] + [dictionary.encode_derived(value) for value in derived]
+
+
+class TestTermTable:
+    """The id-indexed object array ``decode_many`` gathers terms from."""
+
+    def test_a_gather_is_decode_for_every_kind_and_derived_ids(self):
+        np = pytest.importorskip("numpy")
+        dictionary = TermDictionary()
+        ids = _every_kind(dictionary)
+        mixed = np.asarray(ids + ids[::-1] + ids[:3])  # any order, repeats allowed
+        gathered = dictionary.decode_many(mixed)
+        assert len(gathered) == len(mixed)
+        assert all(term is dictionary.decode(term_id) for term, term_id in zip(gathered, mixed.tolist()))
+        assert dictionary.decode_many(np.asarray([], dtype=np.int64)) == []
+
+    def test_the_table_grows_after_encode_and_encode_derived(self):
+        np = pytest.importorskip("numpy")
+        dictionary = TermDictionary()
+        ids = _every_kind(dictionary)
+        dictionary.decode_many(np.asarray(ids))
+        size = len(dictionary._table[0])
+        late = [dictionary.encode(Literal(value)) for value in range(100, 100 + size)]
+        late += [dictionary.encode_derived(f"late{value}") for value in range(size)]
+        everything = np.asarray(ids + late)
+        assert dictionary.decode_many(everything) == [dictionary.decode(term_id) for term_id in ids + late]
+        assert len(dictionary._table[0]) > size and dictionary._table[2] >= len(dictionary)
+
+    def test_ids_outside_the_dictionary_raise_spare_capacity_included(self):
+        np = pytest.importorskip("numpy")
+        dictionary = TermDictionary()
+        ids = _every_kind(dictionary)
+        dictionary.decode_many(np.asarray(ids))
+        newest, lowest = dictionary.encode(EX.user2), dictionary.encode_derived("one more")
+        dictionary.decode_many(np.asarray([newest, lowest]))  # head and tail double: spare slots
+        _, terms, head = dictionary._table
+        assert head > newest + 1 and len(terms) - head > -lowest
+        for bad in (newest + 1, head - 1, head, len(terms), lowest - 1, head - len(terms), 10**9, -(10**9)):
+            with pytest.raises(DictionaryError):
+                dictionary.decode(bad)
+            with pytest.raises(DictionaryError):
+                dictionary.decode_many(np.asarray([ids[0], bad]))
+        assert dictionary._table[0].sum() == len(set(ids)) + 2  # a refused gather fills nothing
+
+    def test_a_mapped_dictionary_decodes_only_the_requested_ids(self, tmp_path, monkeypatch):
+        np = pytest.importorskip("numpy")
+        from repro.rdf.graph import Graph
+        from repro.storage import load_snapshot, mapped, save_snapshot
+
+        graph = Graph()
+        for index in range(40):
+            graph.add((EX.term(f"fact{index}"), EX.amount, Literal(index % 7)))
+        path = str(tmp_path / "instance.snap")
+        save_snapshot(graph, path)
+        dictionary = load_snapshot(path, mmap=True).dictionary
+        reads = []
+        record_key = mapped.record_key
+        monkeypatch.setattr(mapped, "record_key", lambda *table: reads.append(table[-1]) or record_key(*table))
+        wanted = [graph.dictionary.lookup(term) for term in (EX.term("fact3"), Literal(5), EX.amount)]
+        column = np.asarray(wanted + wanted[:2])
+        gathered = dictionary.decode_many(column)
+        assert sorted(reads) == sorted(wanted)  # each asked id once, no other
+        assert all(term is graph.dictionary.decode(term_id) for term, term_id in zip(gathered, column.tolist()))
+        assert dictionary.decode_many(column) == gathered and len(reads) == len(wanted)
+        assert dictionary.decode_many(np.asarray([dictionary.encode_derived("x")])) == ["x"]
+        with pytest.raises(DictionaryError):
+            dictionary.decode_many(np.asarray([len(dictionary)]))
+
+    def test_a_copy_shares_no_table(self):
+        np = pytest.importorskip("numpy")
+        dictionary = TermDictionary()
+        ids = np.asarray(_every_kind(dictionary)[:4])
+        before = dictionary.decode_many(ids)
+        clone = dictionary.copy()
+        assert clone.decode_many(ids) == before
+        for mine, theirs in zip(dictionary._table[:2], clone._table[:2]):
+            assert not np.shares_memory(mine, theirs)
+        added = clone.encode(EX.only_in_the_clone)
+        assert clone.decode_many(np.asarray([added])) == [EX.only_in_the_clone]
+        with pytest.raises(DictionaryError):
+            dictionary.decode_many(np.asarray([added]))
+        assert dictionary.decode_many(ids) == before
+
+    def test_a_pickled_dictionary_carries_no_table_and_gathers_interned_terms(self):
+        np = pytest.importorskip("numpy")
+        dictionary = TermDictionary()
+        ids = np.asarray(_every_kind(dictionary))
+        gathered = dictionary.decode_many(ids)
+        loaded = pickle.loads(pickle.dumps(dictionary))
+        assert dictionary._table is not None and loaded._table is None
+        again = loaded.decode_many(ids)
+        assert all(mine is theirs for mine, theirs in zip(gathered[:9], again[:9]))  # re-interned terms
+        assert again == gathered  # derived values compare equal (a tuple is re-built)
+
+    def test_readers_gathering_while_writers_append_read_right_terms(self):
+        np = pytest.importorskip("numpy")
+        dictionary = TermDictionary()
+        for value in range(60):
+            dictionary.encode(Literal(value))  # id == value throughout
+            dictionary.encode_derived(f"label{value}")  # id == -(value + 1) throughout
+        errors, done = [], threading.Event()
+
+        def write():
+            for value in range(60, 4000):
+                dictionary.encode(Literal(value))
+                dictionary.encode_derived(f"label{value}")
+            done.set()
+
+        def read():
+            while not done.is_set():
+                count = min(len(dictionary), len(dictionary._derived_values))
+                newest = np.arange(count - 40, count)
+                column = np.concatenate((newest, -newest - 1))  # grows head and tail
+                expected = [Literal(value) for value in newest.tolist()]
+                expected += [f"label{value}" for value in newest.tolist()]
+                if dictionary.decode_many(column) != expected:
+                    errors.append(count)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write)] + [threading.Thread(target=read) for _ in range(7)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and dictionary._table[2] >= 2 * 60  # the table grew

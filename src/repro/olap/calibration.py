@@ -1,19 +1,19 @@
 """Runtime-calibrated cost model for the OLAP planner.
 
 The planner prices every answering strategy in an abstract "rows touched"
-unit built from hand-set constants: per-row weights for σ-selection,
-grouping and joins over materialized inputs, a per-cell weight for serving
-cached answers, per-engine multipliers, and the merge / dispatch overheads
-of the refresh and parallel paths.  Those constants were guessed once; on a
-real host they are wrong in *relative* terms — and the planner only needs
-relative correctness to rank strategies.
+unit: per-row weights for σ-selection, grouping and joins over materialized
+inputs (fitted from a replay, see :class:`CostModel`), a per-cell weight for
+serving cached answers, per-engine multipliers, and the merge / dispatch
+overheads of the refresh and parallel paths (hand-set).  Constants that are
+wrong in *relative* terms misrank strategies — and the planner only needs
+relative correctness to rank them.
 
 This module closes the loop from observed runtimes back into planning:
 
 * :class:`CostModel` holds every pricing constant.  This module defines
   and fits them; :class:`~repro.olap.planner.OLAPPlanner`, which holds
-  every cost formula, is their only reader.  The defaults are the hand-set
-  values; an uncalibrated session plans with them.
+  every cost formula, is their only reader.  An uncalibrated session plans
+  with the defaults.
 
 * :func:`fit_cost_model` performs a least-squares fit over the
   ``(predicted cost, observed execute seconds, strategy)`` samples a
@@ -71,28 +71,32 @@ FAMILIES = ("instance", "reuse", "cached", "refresh", "parallel")
 class CostModel:
     """Every constant of the planner's rows-touched cost model.
 
-    The defaults are the hand-set constants (the only place they are
-    written down).  Fitted models (see :func:`fit_cost_model`) carry
-    ``source="fitted"`` and the per-family scale factors that produced
-    them.
+    The defaults are the only place the constants are written down.  The
+    reuse weights were fitted by replaying every distinct step of a
+    ``nav_warm``-shaped episode through forced ``rewrite`` and ``scratch`` on
+    both engines and rescaling by :func:`fit_family_scales` until the reuse
+    scale came back ≈ 1; the others are hand-set.  Run-time fits (see
+    :func:`fit_cost_model`) carry ``source="fitted"`` and their family scales.
 
     Examples
     --------
     >>> model = CostModel()
     >>> model.select_row_cost
-    1.0
+    0.2
     >>> model.engine_multiplier("columnar")
     0.35
     >>> model.source
     'static'
     """
 
-    #: Per-row weight of a σ-selection over a materialized answer/partial.
-    select_row_cost: float = 1.0
-    #: Per-row weight of project + dedup + group-aggregate (Algorithm 1).
-    group_row_cost: float = 2.0
+    #: Per-row weight of a σ-selection over a materialized answer/partial
+    #: (``rewrite``/``compat`` SLICE/DICE, a deferred σ's realization).
+    select_row_cost: float = 0.2
+    #: Per-row weight of project + dedup + group-aggregate over a pres(Q)
+    #: (DRILL-OUT, ROLL-UP, ``rollup-from-cached``, scratch's rolling pass).
+    group_row_cost: float = 0.4
     #: Per-row weight of the pres(Q) side of the auxiliary join (Alg. 2).
-    join_row_cost: float = 2.0
+    join_row_cost: float = 0.4
     #: Per-cell weight of returning an already-computed cached answer.
     cached_cell_cost: float = 0.05
     #: Flat base cost of any strategy (lookup / bookkeeping).
@@ -109,14 +113,13 @@ class CostModel:
     dispatch_shard_cost: float = 200.0
     #: Per-shard dispatch overhead when workers attach a snapshot by mmap.
     mmap_dispatch_shard_cost: float = 8.0
-    #: Rows-touched multiplier per execution engine (vectorized columnar
-    #: kernels touch a row for a fraction of the interpreted loop's cost).
-    #: The columnar 0.35 is hand-set, not fitted; ROADMAP item 6 refits it
-    #: against measured plan regret.
+    #: Rows-touched multiplier of instance evaluation per engine (vectorized
+    #: columnar kernels touch a row for a fraction of the interpreted loop's
+    #: cost).  The columnar 0.35 is hand-set; ROADMAP item 6 refits it.
     engine_multipliers: Dict[str, float] = field(
         default_factory=lambda: {"rows": 1.0, "columnar": 0.35}
     )
-    #: ``"static"`` for the hand-set defaults, ``"fitted"`` after calibration.
+    #: ``"static"`` for the defaults, ``"fitted"`` after run-time calibration.
     source: str = "static"
     #: Number of history samples the fit consumed (0 for static models).
     samples: int = 0

@@ -62,24 +62,24 @@ Cost model
 ----------
 Every cost formula is in this module; the rewriter, the maintainer and the
 parallel executor only run the routes.  All costs are in "rows touched".
-Reuse candidates count the rows of the materialized inputs they read (with
-per-row weights reflecting selection vs. group-by vs. join work) plus a
-crude estimate of their output rows; the from-scratch candidate sums
-per-triple-pattern match estimates plus the estimated BGP output
-cardinalities — the same statistics the BGP evaluator's join optimizer
-uses; ``parallel`` divides that by the usable worker lanes and adds merge
-and dispatch overheads, so small instances price it *above* plain scratch;
-``refresh-cached`` grows with the delta and the cached input sizes; cache
-hits pay a small per-cell touch cost.  The model only needs to *rank*
-strategies, from inputs (entry sizes, graph statistics, the delta's
-unifications with the query bodies) that are cheap to read — and a fresh
-hit is not ranked at all.
+Reuse candidates count the rows of the materialized inputs they read, at
+per-row weights for selection, group-by and join work fitted against
+scratch (the drills add a crude estimate of their output rows); the
+from-scratch candidate sums per-triple-pattern match estimates plus the
+estimated BGP output cardinalities — the same statistics the BGP
+evaluator's join optimizer uses; ``parallel`` divides that by the usable
+worker lanes and adds merge and dispatch overheads, so small instances
+price it *above* plain scratch; ``refresh-cached`` grows with the delta and
+the cached input sizes; cache hits pay a small per-cell touch cost.  The
+model only needs to *rank* strategies, from inputs (entry sizes, graph
+statistics, the delta's unifications with the query bodies) that are cheap
+to read — and a fresh hit is not ranked at all.
 
 Every constant lives in a :class:`~repro.olap.calibration.CostModel` and
-:class:`OLAPPlanner` is its only reader; the defaults are the hand-set
-values, and :func:`~repro.olap.calibration.fit_cost_model` refits them
-from the observed runtimes a session records — see
-:mod:`repro.olap.calibration` and :mod:`repro.olap.advisor`.
+:class:`OLAPPlanner` is its only reader;
+:func:`~repro.olap.calibration.fit_cost_model` refits them from the
+observed runtimes a session records — see :mod:`repro.olap.calibration`
+and :mod:`repro.olap.advisor`.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ class OLAPPlanner:
         candidate is enumerated for mergeable aggregates.
     cost_model:
         Optional :class:`~repro.olap.calibration.CostModel` supplying
-        every pricing constant.  Defaults to the static hand-set model; a
+        every pricing constant.  Defaults to the static model; a
         model fitted from observed runtimes
         (:func:`~repro.olap.calibration.fit_cost_model`) recalibrates the
         *relative* strategy weights without changing any answer.
@@ -241,13 +241,8 @@ class OLAPPlanner:
         self._model = cost_model or CostModel()
         self._maintainer = maintainer or DeltaMaintainer(evaluator)
         self._parallel = parallel
-        # Per-engine rows-touched multiplier: a row touched by the columnar
-        # engine's vectorized kernels is cheaper than one touched by the
-        # interpreted row loop, so instance-evaluating candidates (scratch,
-        # parallel) are priced down accordingly.  The reuse candidates
-        # (rewrite, compat) run in the storage of the pres(Q) they read —
-        # vectorized too on a columnar pres — yet keep weight 1: a known
-        # mispricing (ROADMAP item 6), left as is rather than retuned here.
+        # Rows-touched multiplier of scratch and parallel; the reuse weights
+        # need none (one set of them fits both engines).
         self._engine_multiplier = self._model.engine_multiplier(evaluator.engine)
 
     @property
@@ -647,11 +642,8 @@ class OLAPPlanner:
         pass: every pres row goes through every hierarchy stage at the same
         ``group_row_cost`` the ``rollup-from-cached`` candidate is priced
         at — otherwise evaluation would look artificially cheap exactly
-        where the lattice has a cached shortcut.  Rolling is priced as
-        serial row-level work, outside both the engine multiplier and the
-        per-lane division — although it now runs in the storage of the
-        ``pres`` it reads (vectorized on a columnar one): the same known
-        mispricing as the reuse candidates' (ROADMAP item 6), left as is.
+        where the lattice has a cached shortcut.  Like that candidate, the
+        pass is outside the engine multiplier and the per-lane division.
         """
         model, statistics = self._model, self._statistics
         classifier_rows = statistics.estimate_bgp_cardinality(query.classifier)
@@ -691,17 +683,16 @@ class OLAPPlanner:
         """Estimated rows touched by one of the paper's rewritings.
 
         Every rewriting reads its materialized input (``rows`` of ``ans(Q)``
-        or ``pres(Q)``) and writes its estimated output, from those rows and
-        the ``cells`` of ``ans(Q)`` — mirroring the scratch candidate, whose
-        estimate also includes the output cardinality.
+        or ``pres(Q)``) at its family weight.  SLICE/DICE and ROLL-UP are
+        priced as the ``compat`` and one-stage ``rollup-from-cached``
+        candidates that do the same work; the drills add their estimated
+        output from the ``cells`` of ``ans(Q)``.
         """
         model = self._model
         if strategy == "slice-dice/ans":
-            selected = rows * _sigma_selectivity(transformed_query)
-            return model.base_cost + selected + rows * model.select_row_cost
+            return model.base_cost + rows * model.select_row_cost
         if strategy == "roll-up/pres":
-            selected = rows * _sigma_selectivity(transformed_query)
-            return model.base_cost + selected + rows * model.group_row_cost
+            return model.base_cost + rows * model.group_row_cost
         if strategy == "drill-out/pres":
             # Dropping dimensions merges groups: the output is at most the
             # current answer size, estimated as half of it.
@@ -710,7 +701,7 @@ class OLAPPlanner:
         # output grows with the new dimension's fan-out, estimated at 2x the
         # current cells.  The auxiliary query evaluates on the instance
         # through the same engine as scratch, so it gets the same multiplier;
-        # the join over pres(Q) is priced at weight 1 (see __init__).
+        # the join over pres(Q) is priced at the reuse weight.
         return model.base_cost + cells * 2.0 + (
             rows * model.join_row_cost
             + self._engine_multiplier * self._auxiliary_cost(query, transformed_query)

@@ -145,7 +145,7 @@ class OLAPSession:
         Optional :class:`~repro.olap.calibration.CostModel` supplying every
         pricing constant the planner and the delta maintainer read.  Pass a
         fitted model (see :meth:`fit_cost_model`) to replan a workload
-        with runtime-calibrated costs; omit it for the hand-set defaults.
+        with runtime-calibrated costs; omit it for the static defaults.
     entailment:
         ``None`` (default) answers queries over the asserted triples only.
         ``"saturate"`` evaluates every query over the ρdf closure of the
@@ -557,9 +557,10 @@ class OLAPSession:
         planned = strategy == "plan"
         plan_seconds = time.perf_counter() - started if planned else 0.0
         answer, transformed_partial = plan.execute()
-        details: Dict[str, object] = (
-            {"plan": plan.explain(), "estimated_cost": chosen.cost} if planned else {}
-        )
+        # Forced routes record their price too: fit_cost_model samples them.
+        details: Dict[str, object] = {"estimated_cost": chosen.cost}
+        if planned:
+            details["plan"] = plan.explain()
         elapsed = time.perf_counter() - started
 
         if materialize:

@@ -10,6 +10,7 @@ the planner's per-engine cost multiplier.
 import operator
 import pickle
 from decimal import Decimal
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -360,6 +361,19 @@ class TestDenseIdKernels:
             distinct, positions = relation._distinct_ids("c", inverse=True)
             assert distinct.tolist() == sorted(set(values))
             assert distinct[positions].tolist() == values
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=_ids(False, sort=False))
+    def test_sparse_distinct_ids_are_sorted_out_without_unique(self, values):
+        # Past the span rule the no-inverse memo sorts and compares
+        # neighbours: np.unique without an inverse takes numpy's hashing path.
+        array = np.asarray(values, dtype=np.int64)
+        relation = ColumnarIdRelation.from_arrays(("c",), {"c": array}, TermDictionary(), (), len(values))
+        with mock.patch.object(np, "unique", side_effect=AssertionError("np.unique called")):
+            distinct, positions = relation._distinct_ids("c")
+            assert relation.distinct_values("c") == set(values)
+        assert positions is None
+        assert distinct.dtype == np.int64 and distinct.tolist() == sorted(set(values))
 
 
 def _assert_no_array_form(relation, aggregate):

@@ -37,11 +37,11 @@ def _record(strategy, cost, execute_seconds, plan_seconds=0.0):
 
 
 class TestCostModel:
-    def test_defaults_are_the_hand_set_constants(self):
+    def test_defaults_are_the_fitted_reuse_weights_and_hand_set_constants(self):
         model = CostModel()
-        assert model.select_row_cost == 1.0
-        assert model.group_row_cost == 2.0
-        assert model.join_row_cost == 2.0
+        assert model.select_row_cost == 0.2
+        assert model.group_row_cost == 0.4
+        assert model.join_row_cost == 0.4
         assert model.cached_cell_cost == 0.05
         assert model.base_cost == 1.0
         assert model.delta_probe_cost == 2.0
@@ -144,8 +144,9 @@ class TestFit:
         model = fit_cost_model(history)
         assert model.source == "fitted"
         assert model.family_scales["reuse"] == pytest.approx(4.0)
-        assert model.select_row_cost == pytest.approx(4.0)
-        assert model.group_row_cost == pytest.approx(8.0)
+        assert model.select_row_cost == pytest.approx(CostModel().select_row_cost * 4)
+        assert model.group_row_cost == pytest.approx(CostModel().group_row_cost * 4)
+        assert model.join_row_cost == pytest.approx(CostModel().join_row_cost * 4)
         # untouched families keep static constants
         assert model.merge_cell_cost == 0.5
 

@@ -4,7 +4,10 @@ import pytest
 
 from repro.rdf import EX, Literal
 from repro.analytics.evaluator import AnalyticalQueryEvaluator
+from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
+from repro.olap.calibration import samples_from_history
 from repro.olap.cube import Cube
+from repro.olap.hierarchy import DimensionHierarchy
 from repro.olap.operations import Dice, DrillIn, DrillOut, Slice
 from repro.olap.planner import OLAPPlanner, Plan
 from repro.olap.session import OLAPSession
@@ -325,3 +328,78 @@ class TestExplain:
         session, query = executed
         session.transform(query, Slice("dage", Literal(35)), strategy="plan")
         assert session.history[-1].details["estimated_cost"] > 0
+
+    @pytest.mark.parametrize("strategy", ["rewrite", "scratch"])
+    def test_forced_record_carries_its_price_but_no_plan(self, executed, strategy):
+        """A both-routes replay feeds the calibrator: forced records are samples."""
+        session, query = executed
+        session.transform(query, DrillOut("dage"), strategy=strategy)
+        record = session.history[-1]
+        assert record.details["estimated_cost"] > 0
+        assert "plan" not in record.details
+        assert [sample.strategy for sample in samples_from_history([record])] == [record.strategy]
+
+
+def _dimension_value(dimension, value):
+    return EX.term(f"dimvalue/{dimension}/{value}")
+
+
+@pytest.fixture(scope="module")
+def navigation_dataset():
+    """Shaped like the ``nav_warm`` benchmark's data: 4,000 facts over three
+    multi-valued, Zipf-skewed dimensions, with detail resources."""
+    return generic_dataset(
+        GenericConfig(
+            facts=4000,
+            dimensions=3,
+            values_per_dimension=1.4,
+            measures_per_fact=2.0,
+            with_detail=True,
+            zipf_exponent=0.9,
+            seed=29,
+        )
+    )
+
+
+@pytest.fixture(params=["columnar", "rows"])
+def navigation(request, navigation_dataset):
+    if request.param == "columnar":
+        pytest.importorskip("numpy")
+    root = generic_query(navigation_dataset.config, include_detail_in_classifier=True, name="root")
+    session = OLAPSession(navigation_dataset.instance, navigation_dataset.schema, engine=request.param)
+    session.execute(root)
+    yield session, root
+    session.close()
+
+
+class TestNavigationPlanChoice:
+    """With the root materialized, the planner takes the paper's rewritings
+    where they do less work than re-evaluation.  Asserts choices, not timings."""
+
+    @staticmethod
+    def _planned_strategy(session, cube):
+        scratch = Cube(AnalyticalQueryEvaluator(session.instance).answer(cube.query), cube.query)
+        assert cube.same_cells(scratch)
+        return session.history[-1].strategy
+
+    def test_drill_out_takes_its_pres_rewriting(self, navigation):
+        session, root = navigation
+        cube = session.transform(root, DrillOut("d1"))
+        assert self._planned_strategy(session, cube) == "plan[rewrite[drill-out/pres]]"
+
+    def test_one_stage_roll_up_takes_its_pres_rewriting(self, navigation):
+        session, root = navigation
+        buckets = DimensionHierarchy.from_pairs(
+            [(_dimension_value(0, value), EX.term(f"d0bucket/{value // 5}")) for value in range(20)],
+            name="d0_bucket",
+        )
+        cube = session.roll_up(root, "d0", buckets)
+        assert self._planned_strategy(session, cube) == "plan[rewrite[roll-up/pres]]"
+
+    def test_slice_takes_a_reuse_route(self, navigation):
+        session, root = navigation
+        cube = session.transform(root, Slice("d1", _dimension_value(1, 0)))
+        assert self._planned_strategy(session, cube) in (
+            "plan[rewrite[slice-dice/ans]]",
+            "plan[compat[slice-dice/ans]]",
+        )

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.analytics.query import AnalyticalQuery
-from repro.olap.cache import canonical_query_key
+from repro.olap.cache import CacheEntry, canonical_query_key
 from repro.olap.calibration import CostModel, fit_cost_model
 
 __all__ = [
@@ -209,12 +209,13 @@ class WorkloadAdvisor:
         for query in session._queries.values():
             queries_by_key.setdefault(canonical_query_key(query), query)
 
+        fresh = _fresh_entries(session)
         scored = []
         for key, query in queries_by_key.items():
             accesses = counts.get(key, 0)
             if accesses <= 0:
                 continue
-            entry = cache.peek(query, session.instance)
+            entry = fresh.get(key)
             cells = len(entry.materialized.answer) if entry is not None else 0
             benefit = self._benefit(query, cells, accesses)
             if benefit <= 0.0:
@@ -300,10 +301,17 @@ def apply_recommendations(session, report: AdvisorReport) -> Dict[str, int]:
         session.cache.pin(rec.key)
         counts["pinned"] += 1
     for rec in report.materializations:
-        if session.cache.peek(rec.query, session.instance) is None:
+        if rec.key not in _fresh_entries(session):
             session.execute(rec.query)
             counts["materialized"] += 1
     for rec in report.evictions:
         if session.cache.evict(rec.key):
             counts["evicted"] += 1
     return counts
+
+
+def _fresh_entries(session) -> Dict[str, CacheEntry]:
+    """``session``'s fresh in-memory cache entries by canonical key, read in
+    one pass without touching recency or statistics."""
+    version = session.instance.version
+    return {entry.key: entry for entry in session.cache.entries() if entry.graph_version == version}

@@ -447,19 +447,6 @@ class ResultCache:
             self.stats.hits += 1
             return entry
 
-    def peek(self, query: AnalyticalQuery, graph: Graph) -> Optional[CacheEntry]:
-        """The *fresh* in-memory entry for ``query``, without side effects.
-
-        No statistics, no recency, no disk lookup, no invalidation — used by
-        callers deciding whether other work (e.g. refreshing an origin
-        query) is worth doing before the accounted lookup happens.
-        """
-        with self._lock:
-            entry = self._entries.get(query.canonical_key)
-            if entry is None or entry.graph_version != graph.version:
-                return None
-            return entry
-
     def stale_entry(self, query: AnalyticalQuery, graph: Graph):
         """The retained stale entry for ``query`` plus its pending deltas.
 
@@ -698,15 +685,10 @@ class ResultCache:
             return None
         if materialized is None:
             return None
-        entry = CacheEntry(
-            key, query.core_key, materialized, graph.version, origin="disk"
-        )
+        entry = CacheEntry(key, query.core_key, materialized, graph.version, origin="disk")
         entry.hits += 1
         self.stats.disk_hits += 1
-        if self._capacity > 0:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            self._evict_overflow()
+        self._insert(entry)
         return entry
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -64,7 +64,7 @@ Every cost formula is in this module; the rewriter, the maintainer and the
 parallel executor only run the routes.  All costs are in "rows touched".
 Reuse candidates count the rows of the materialized inputs they read, at
 per-row weights for selection, group-by and join work fitted against
-scratch (the drills add a crude estimate of their output rows); the
+scratch (DRILL-IN adds its auxiliary query at the engine multiplier); the
 from-scratch candidate sums per-triple-pattern match estimates plus the
 estimated BGP output cardinalities — the same statistics the BGP
 evaluator's join optimizer uses; ``parallel`` divides that by the usable
@@ -216,8 +216,7 @@ class OLAPPlanner:
     >>> cube = session.execute(query)
     >>> value = sorted(cube.dimension_values("d0"), key=repr)[0]
     >>> operation = Slice("d0", value)
-    >>> plan = session.planner.plan(query, operation, operation.apply(query),
-    ...                             session.materialized(query))
+    >>> plan = session.planner.plan(query, operation, operation.apply(query))
     >>> len(plan.candidates) >= 2          # at least a reuse option + scratch
     True
     >>> plan.chosen is plan.candidates[0]  # cheapest first
@@ -269,16 +268,19 @@ class OLAPPlanner:
         original_query: AnalyticalQuery,
         operation: OLAPOperation,
         transformed_query: AnalyticalQuery,
-        origin_materialized: Optional[MaterializedQueryResults] = None,
         families: Optional[Tuple[str, ...]] = None,
     ) -> Plan:
         """Enumerate and cost the candidate strategies for ``T(Q)``.
 
-        ``origin_materialized`` carries the origin query's materialized
-        results when the session still holds them; the cache supplies the
-        transformed query's own entry and compatible weaker-Σ entries.
+        Makes the operation's cache reads: the origin's entry first (one
+        accounted lookup, whatever the filter), then the transformed query's
+        own entry and the compatible weaker-Σ and finer lattice entries.
         Without a ``families`` filter a fresh hit is planned alone, and
         scratch is a candidate whenever it is not, so a plan always exists.
+        When neither the origin nor the transformed query has a usable entry,
+        an unfiltered plan hands a stale origin to :meth:`refresh_stale`
+        first: patched, it restores the rewritings for this and later
+        operations; not worth patching, it is dropped.
 
         Every candidate returns ``ans(Q_T)`` with ``pres(Q_T)``; the
         Proposition 1 candidates (SLICE/DICE ``rewrite`` and ``compat``)
@@ -287,32 +289,38 @@ class OLAPPlanner:
 
         ``families`` restricts the enumeration to the named candidate
         families (the session's forced strategies pass ``("rewrite",)`` or
-        ``("scratch",)``); unlisted families are not probed.  A filter that
-        leaves no candidate raises :class:`~repro.errors.MaterializationError`
-        when the origin's results are not materialized,
-        :class:`~repro.errors.RewritingError` otherwise.
+        ``("scratch",)``) and never refreshes; unlisted families are not
+        probed.  A filter that leaves no candidate raises
+        :class:`~repro.errors.MaterializationError` when the origin's results
+        are not materialized, :class:`~repro.errors.RewritingError` otherwise.
         """
 
         def wanted(family: str) -> bool:
             return families is None or family in families
 
-        candidates: List[PlanCandidate] = []
+        evaluator = self._evaluator
+        origin = self._cache.get(original_query, evaluator.instance, engine=evaluator.engine)
+        candidates = self._own_entry_candidates(transformed_query) if wanted("cached") else []
+        if families is None and candidates and candidates[0].strategy == "cached":
+            return Plan(operation, transformed_query, candidates)
+        if origin is None and families is None and not candidates:
+            origin = self.refresh_stale(original_query)
 
-        if wanted("cached"):  # the query's own entry: cached, or refresh-cached when stale
-            candidates.extend(self._own_entry_candidates(transformed_query))
-            if families is None and candidates and candidates[0].strategy == "cached":
-                return Plan(operation, transformed_query, candidates)
-
-        if origin_materialized is not None and wanted("rewrite"):
+        if origin is not None and wanted("rewrite"):
             candidates.extend(
-                self._rewrite_candidates(origin_materialized, operation, transformed_query)
+                self._rewrite_candidates(origin.materialized, operation, transformed_query)
             )
 
+        relatives = (
+            self._fresh_relatives(transformed_query, original_query)
+            if wanted("compat") or wanted("rollup-from-cached")
+            else []
+        )
         if wanted("compat"):
-            candidates.extend(self._compatible_candidates(transformed_query, original_query))
+            candidates.extend(self._compatible_candidates(transformed_query, relatives))
 
         rollup_candidates = (
-            self._rollup_candidates(transformed_query, original_query)
+            self._rollup_candidates(transformed_query, relatives)
             if wanted("rollup-from-cached")
             else []
         )
@@ -329,8 +337,8 @@ class OLAPPlanner:
         pres_rows_hint: Optional[int] = None
         if transformed_query.rollup:
             observed = [candidate.input_rows for candidate in rollup_candidates]
-            if origin_materialized is not None:
-                observed.append(origin_materialized.partial.row_bound()[0])
+            if origin is not None:
+                observed.append(origin.materialized.partial.row_bound()[0])
             if observed:
                 pres_rows_hint = max(observed)
 
@@ -339,7 +347,7 @@ class OLAPPlanner:
 
         if not candidates:  # only the ("rewrite",) filter can leave none
             reason = f"{operation.describe()} cannot be answered by rewriting {original_query.name!r}"
-            if origin_materialized is None:
+            if origin is None:
                 raise MaterializationError(
                     f"{reason}: its results are not materialized; call execute() first"
                 )
@@ -366,7 +374,7 @@ class OLAPPlanner:
 
         The one refresh decision off the read path: the ingest layer's
         ``RefreshScheduler`` calls it for hot entries after a batch, and
-        ``OLAPSession.transform`` for a stale origin.  ``refresh-cached`` is
+        :meth:`plan` for a stale origin.  ``refresh-cached`` is
         ranked against the instance candidates :meth:`plan_query` ranks it
         against.  A patch that loses now loses on every later read (the delta
         only grows), so the entry is invalidated; its pin survives.  Nothing
@@ -474,29 +482,32 @@ class OLAPPlanner:
         return [
             PlanCandidate(
                 f"rewrite[{strategy}]",
-                self._rewrite_cost(strategy, rows, cells, query, transformed_query) + realize,
+                self._rewrite_cost(strategy, rows, query, transformed_query) + realize,
                 rows,
                 f"{input_kind}({query.name}): {rows} rows",
                 run,
             )
         ]
 
-    def _fresh_relatives(self, transformed_query: AnalyticalQuery, original_query: AnalyticalQuery):
+    def _fresh_relatives(
+        self, transformed_query: AnalyticalQuery, original_query: AnalyticalQuery
+    ) -> List[CacheEntry]:
         """Fresh entries sharing ``transformed_query``'s core key, but for its
-        own and the origin's (the exact hit and the rewritings cover those)."""
+        own and the origin's (the exact hit and the rewritings cover those):
+        one snapshot per plan, read by the ``compat`` and lattice candidates."""
         version = self._evaluator.instance.version
         covered = (transformed_query.canonical_key, original_query.canonical_key)
-        for entry in self._cache.entries_with_core(transformed_query):
-            if entry.key not in covered and entry.graph_version == version:
-                yield entry
+        return [
+            entry
+            for entry in self._cache.entries_with_core(transformed_query)
+            if entry.key not in covered and entry.graph_version == version
+        ]
 
     def _compatible_candidates(
-        self,
-        transformed_query: AnalyticalQuery,
-        original_query: AnalyticalQuery,
+        self, transformed_query: AnalyticalQuery, relatives: List[CacheEntry]
     ) -> List[PlanCandidate]:
         candidates = []
-        for entry in self._fresh_relatives(transformed_query, original_query):
+        for entry in relatives:
             if tuple(entry.query.rollup) != tuple(transformed_query.rollup):
                 # Entries share the core key across lattice levels; σ-selecting
                 # an answer at a different granularity would be wrong.
@@ -520,7 +531,7 @@ class OLAPPlanner:
         return candidates
 
     def _rollup_candidates(
-        self, transformed_query: AnalyticalQuery, original_query: AnalyticalQuery
+        self, transformed_query: AnalyticalQuery, relatives: List[CacheEntry]
     ) -> List[PlanCandidate]:
         """Answer a rolled-up cube from any cached finer-grained cube.
 
@@ -537,7 +548,7 @@ class OLAPPlanner:
             return []
         stages = transformed_query.rollup
         candidates = []
-        for entry in self._fresh_relatives(transformed_query, original_query):
+        for entry in relatives:
             source = entry.query
             level = len(source.rollup)
             if level >= len(stages):
@@ -673,38 +684,25 @@ class OLAPPlanner:
         return cost
 
     def _rewrite_cost(
-        self,
-        strategy: str,
-        rows: int,
-        cells: int,
-        query: AnalyticalQuery,
-        transformed_query: AnalyticalQuery,
+        self, strategy: str, rows: int, query: AnalyticalQuery, transformed_query: AnalyticalQuery
     ) -> float:
         """Estimated rows touched by one of the paper's rewritings.
 
         Every rewriting reads its materialized input (``rows`` of ``ans(Q)``
         or ``pres(Q)``) at its family weight.  SLICE/DICE and ROLL-UP are
         priced as the ``compat`` and one-stage ``rollup-from-cached``
-        candidates that do the same work; the drills add their estimated
-        output from the ``cells`` of ``ans(Q)``.
+        candidates that do the same work.  DRILL-IN's auxiliary query
+        evaluates on the instance through the same engine as scratch, so it
+        is added at the engine multiplier.
         """
         model = self._model
         if strategy == "slice-dice/ans":
             return model.base_cost + rows * model.select_row_cost
-        if strategy == "roll-up/pres":
+        if strategy in ("roll-up/pres", "drill-out/pres"):
             return model.base_cost + rows * model.group_row_cost
-        if strategy == "drill-out/pres":
-            # Dropping dimensions merges groups: the output is at most the
-            # current answer size, estimated as half of it.
-            return model.base_cost + max(cells / 2.0, 1.0) + rows * model.group_row_cost
-        # drill-in/pres+aux.  The auxiliary join can only refine groups:
-        # output grows with the new dimension's fan-out, estimated at 2x the
-        # current cells.  The auxiliary query evaluates on the instance
-        # through the same engine as scratch, so it gets the same multiplier;
-        # the join over pres(Q) is priced at the reuse weight.
-        return model.base_cost + cells * 2.0 + (
-            rows * model.join_row_cost
-            + self._engine_multiplier * self._auxiliary_cost(query, transformed_query)
+        # drill-in/pres+aux
+        return model.base_cost + rows * model.join_row_cost + (
+            self._engine_multiplier * self._auxiliary_cost(query, transformed_query)
         )
 
     def _refresh_cost(self, materialized: MaterializedQueryResults, delta: GraphDelta) -> float:

@@ -61,8 +61,10 @@ _STRATEGY_FAMILIES = {
 }
 
 #: History labels of :meth:`OLAPSession.execute` for the planner candidates
-#: whose name differs (``cache[disk]`` when the entry came from the disk store).
-_EXECUTE_LABELS = {"cached": "cache", "refresh-cached": "refresh"}
+#: whose name differs.  ``execute`` tries :meth:`OLAPSession.cached_cube`
+#: first, which serves every fresh in-memory entry: a planned hit was read
+#: from disk.
+_EXECUTE_LABELS = {"cached": "cache[disk]", "refresh-cached": "refresh"}
 
 
 @dataclass
@@ -401,11 +403,6 @@ class OLAPSession:
         chosen = self._planner.plan_query(query).chosen
         answer, partial = chosen.execute()
         strategy = _EXECUTE_LABELS.get(chosen.strategy, chosen.strategy)
-        if chosen.strategy == "cached":
-            # A hit that is not in memory (capacity 0) was read from disk.
-            entry = self._cache.peek(query, self.instance)
-            if entry is None or entry.origin == "disk":
-                strategy = "cache[disk]"
         self._store(query, chosen, answer, partial, observed_version)
         return self._executed(query, answer, strategy, chosen.input_rows, started)
 
@@ -496,9 +493,9 @@ class OLAPSession:
         query: Union[str, AnalyticalQuery],
         operation: OLAPOperation,
         strategy: str = "plan",
-        materialize: bool = True,
     ) -> Cube:
-        """Apply an OLAP operation to a query and answer the result.
+        """Apply an OLAP operation to a query, answer the result and store
+        it (``ans(Q_T)`` and ``pres(Q_T)``) for further navigation.
 
         Parameters
         ----------
@@ -512,9 +509,10 @@ class OLAPSession:
             ``"rewrite"`` — force the paper's rewriting algorithms (raises
             when the needed materialized input is missing);
             ``"scratch"`` — force re-evaluation on the instance.
-        materialize:
-            Whether to store the transformed query's results (``ans(Q_T)``
-            and ``pres(Q_T)``) for further navigation.
+
+        The planner makes every cache read, including patching a stale
+        origin when that is priced cheaper than recomputing it (see
+        :meth:`OLAPPlanner.plan <repro.olap.planner.OLAPPlanner.plan>`).
         """
         if strategy not in _STRATEGY_FAMILIES:
             raise OLAPError(
@@ -523,35 +521,13 @@ class OLAPSession:
         self.sync()
         original_query = self._resolve_query(query)
         transformed_query = operation.apply(original_query)
-        origin_entry = self._cache.get(original_query, self.instance, engine=self.engine)
-        if (
-            origin_entry is None
-            and strategy == "plan"
-            and self._cache.peek(transformed_query, self.instance) is None
-            and self._cache.stale_entry(transformed_query, self.instance) is None
-        ):
-            # The origin's materialized results went stale under an instance
-            # update.  Unless the transformed query itself is freshly cached
-            # (the planner will just serve it) or patchable in place (the
-            # planner's refresh-cached candidate covers it without touching
-            # the origin), patching the origin when priced cheaper than
-            # recomputing restores every rewrite candidate for this and
-            # subsequent operations; an origin not worth patching is dropped.
-            # The forced rewrite/scratch filters stay pure and never refresh.
-            origin_entry = self._planner.refresh_stale(original_query)
-        origin_materialized = origin_entry.materialized if origin_entry is not None else None
-
         started = time.perf_counter()
         # Version observed when the transformed result is materialized (see
         # ResultCache.put: the stamp must predate the evaluation, not the
         # insertion).
         observed_version = self.instance.version
         plan = self._planner.plan(
-            original_query,
-            operation,
-            transformed_query,
-            origin_materialized,
-            families=_STRATEGY_FAMILIES[strategy],
+            original_query, operation, transformed_query, families=_STRATEGY_FAMILIES[strategy]
         )
         chosen = plan.chosen
         planned = strategy == "plan"
@@ -562,9 +538,7 @@ class OLAPSession:
         if planned:
             details["plan"] = plan.explain()
         elapsed = time.perf_counter() - started
-
-        if materialize:
-            self._store(transformed_query, chosen, answer, transformed_partial, observed_version)
+        self._store(transformed_query, chosen, answer, transformed_partial, observed_version)
 
         return self._recorded(
             Cube(answer, transformed_query),
@@ -677,18 +651,12 @@ class OLAPSession:
         Returns a dictionary with both cubes, their timings and whether the
         cell contents agree.
         """
-        materialized = self.materialized(query)
-        original_query = materialized.query
+        self.sync()
+        original_query = self._resolve_query(query)
         transformed_query = operation.apply(original_query)
 
         def answered_by(family: str) -> Tuple[Cube, float, str]:
-            plan = self._planner.plan(
-                original_query,
-                operation,
-                transformed_query,
-                materialized,
-                families=(family,),
-            )
+            plan = self._planner.plan(original_query, operation, transformed_query, families=(family,))
             started = time.perf_counter()
             answer, _ = plan.execute()
             seconds = time.perf_counter() - started

@@ -146,8 +146,9 @@ class TestHotAndCold:
         ingest_round(graph, scheduler, "split")
         assert scheduler.stats.eager_refreshes == 1
         assert scheduler.stats.lazy_marks == 1
-        assert session.cache.peek(query, graph) is not None
-        assert session.cache.peek(cold_query, graph) is None
+        fresh = {entry.key for entry in session.cache.entries() if entry.graph_version == graph.version}
+        assert query.canonical_key in fresh
+        assert cold_query.canonical_key not in fresh
         assert session.cache.stale_entry(cold_query, graph) is not None
 
     def test_an_unprofitable_patch_is_invalidated(self, live):
@@ -165,7 +166,7 @@ class TestHotAndCold:
         ingestor.drain()
         assert scheduler.stats.invalidations == 1
         assert scheduler.stats.eager_refreshes == scheduler.stats.lazy_marks == 0
-        assert session.cache.peek(query, graph) is None
+        assert query.canonical_key not in session.cache.keys()
         assert session.cache.stale_entry(query, graph) is None
         assert query.canonical_key in session.cache.pinned_keys()
         assert session.cache.stats.evictions == 0

@@ -162,7 +162,7 @@ class TestCanonicalKeys:
         cache = ResultCache(capacity=4)
         for _ in range(3):
             assert cache.get(fresh, example2_instance) is None
-            assert cache.peek(fresh, example2_instance) is None
+            assert cache.entries() == []
             assert cache.stale_entry(fresh, example2_instance) is None
         cache.put(fresh, materialized, example2_instance)
         for _ in range(3):

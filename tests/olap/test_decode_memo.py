@@ -250,7 +250,7 @@ def test_an_answer_never_decoded_carries_nothing(dataset, engine):
     graph = dataset.instance.copy()
     with OLAPSession(graph, dataset.schema, engine=engine) as session:
         session.execute(query)
-        entry = session.cache.peek(query, graph)
+        (entry,) = session.cache.entries()
         answer = entry.materialized.answer
         cold = CubeAnswer(answer.storage, answer.dimension_columns, answer.measure_column)
         entry.materialized = type(entry.materialized)(query, cold, entry.materialized.partial)

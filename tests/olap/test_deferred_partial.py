@@ -325,9 +325,7 @@ def test_the_planner_prices_an_unread_pres_without_realizing_it(dataset, engine)
         origin = session.materialized(sliced.query)
         operation = DrillOut("d2")
         planner = session.planner
-        plan = planner.plan(
-            sliced.query, operation, operation.apply(sliced.query), origin, families=("rewrite",)
-        )
+        plan = planner.plan(sliced.query, operation, operation.apply(sliced.query), families=("rewrite",))
         assert _pending(origin.partial)
         rows = len(session.materialized(root).partial)
         (candidate,) = plan.candidates
@@ -335,7 +333,7 @@ def test_the_planner_prices_an_unread_pres_without_realizing_it(dataset, engine)
         deferred_cost = candidate.cost
         origin.partial.storage  # realize: the same plan, priced at the selected rows
         realized = planner.plan(
-            sliced.query, operation, operation.apply(sliced.query), origin, families=("rewrite",)
+            sliced.query, operation, operation.apply(sliced.query), families=("rewrite",)
         ).chosen
         assert realized.input_rows == len(origin.partial) < rows
         assert deferred_cost - realized.cost == pytest.approx(

@@ -8,7 +8,8 @@ from repro.datagen.generic import GenericConfig, generic_dataset, generic_query
 from repro.olap.calibration import samples_from_history
 from repro.olap.cube import Cube
 from repro.olap.hierarchy import DimensionHierarchy
-from repro.olap.operations import Dice, DrillIn, DrillOut, Slice
+from repro.olap.cache import ResultCache
+from repro.olap.operations import Dice, DrillIn, DrillOut, RollUp, Slice
 from repro.olap.planner import OLAPPlanner, Plan
 from repro.olap.session import OLAPSession
 
@@ -33,13 +34,7 @@ def executed(session):
 
 
 def _plan(session, query, operation) -> Plan:
-    entry = session.cache.get(query, session.instance)
-    return session.planner.plan(
-        query,
-        operation,
-        operation.apply(query),
-        entry.materialized if entry is not None else None,
-    )
+    return session.planner.plan(query, operation, operation.apply(query))
 
 
 class TestPlanEnumeration:
@@ -344,6 +339,13 @@ def _dimension_value(dimension, value):
     return EX.term(f"dimvalue/{dimension}/{value}")
 
 
+def _d0_buckets():
+    return DimensionHierarchy.from_pairs(
+        [(_dimension_value(0, value), EX.term(f"d0bucket/{value // 5}")) for value in range(20)],
+        name="d0_bucket",
+    )
+
+
 @pytest.fixture(scope="module")
 def navigation_dataset():
     """Shaped like the ``nav_warm`` benchmark's data: 4,000 facts over three
@@ -389,11 +391,7 @@ class TestNavigationPlanChoice:
 
     def test_one_stage_roll_up_takes_its_pres_rewriting(self, navigation):
         session, root = navigation
-        buckets = DimensionHierarchy.from_pairs(
-            [(_dimension_value(0, value), EX.term(f"d0bucket/{value // 5}")) for value in range(20)],
-            name="d0_bucket",
-        )
-        cube = session.roll_up(root, "d0", buckets)
+        cube = session.roll_up(root, "d0", _d0_buckets())
         assert self._planned_strategy(session, cube) == "plan[rewrite[roll-up/pres]]"
 
     def test_slice_takes_a_reuse_route(self, navigation):
@@ -403,3 +401,45 @@ class TestNavigationPlanChoice:
             "plan[rewrite[slice-dice/ans]]",
             "plan[compat[slice-dice/ans]]",
         )
+
+    def test_drill_in_takes_its_pres_aux_rewriting(self, navigation):
+        session, root = navigation
+        cube = session.transform(root, DrillIn("da"))
+        assert self._planned_strategy(session, cube) == "plan[rewrite[drill-in/pres+aux]]"
+
+
+def test_the_planner_makes_an_operations_cache_reads(navigation, monkeypatch):
+    """A roll-up of an evicted origin, never stored itself: the session reads
+    nothing from the cache outside the plan, which probes the target's stale
+    entry once and snapshots the entry list once for both reuse families."""
+    session, root = navigation
+    operation = RollUp("d0", _d0_buckets())
+    target = operation.apply(root)
+    session.cache.evict(root)
+    cache, planning, calls = session.cache, [], []
+    for name in [name for name in dir(ResultCache) if not name.startswith("_")]:
+        method = getattr(cache, name)
+        if callable(method):
+            def recorded(*args, _name=name, _method=method, **kwargs):
+                key = getattr(args[0], "canonical_key", None) if args else None
+                calls.append((_name, key, bool(planning)))
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(cache, name, recorded)
+    plan = session.planner.plan
+
+    def planned(*args, **kwargs):
+        planning.append(True)
+        try:
+            return plan(*args, **kwargs)
+        finally:
+            planning.pop()
+
+    monkeypatch.setattr(session.planner, "plan", planned)
+    cube = session.transform(root, operation)
+    assert cube.same_cells(Cube(AnalyticalQueryEvaluator(session.instance).answer(target), target))
+    assert [name for name, _, inside in calls if not inside] == ["put"]
+    assert [call for call in calls if call[:2] == ("stale_entry", target.canonical_key)] == [
+        ("stale_entry", target.canonical_key, True)
+    ]
+    assert [name for name, _, _ in calls].count("entries_with_core") == 1

@@ -213,12 +213,6 @@ class TestTransform:
         assert len(cube) == 2
         assert cube.cell(Literal("URL1"), Literal("firefox")) == 100
 
-    def test_transform_without_materializing_result(self, example2_instance, sites_query):
-        session = OLAPSession(example2_instance)
-        session.execute(sites_query)
-        cube = session.transform(sites_query, Slice("dage", Literal(35)), materialize=False)
-        assert cube.query.name not in session.executed_queries()
-
 
 class TestCompareStrategies:
     def test_comparison_structure(self, example2_instance, sites_query):

@@ -262,9 +262,11 @@ def test_restricted_removed_dimension_still_refuses(engine):
     sliced = Slice("dcity", EX.term("Madrid")).apply(make_words_query("sum"))
     materialized = evaluator.evaluate(sliced)
     drilled = DrillOut("dcity").apply(sliced)
-    planner = OLAPPlanner(evaluator, ResultCache())
+    cache = ResultCache()
+    cache.put(sliced, materialized, evaluator.instance)
+    planner = OLAPPlanner(evaluator, cache)
     with pytest.raises(RewritingError, match="cannot be answered by rewriting"):
-        planner.plan(sliced, DrillOut("dcity"), drilled, materialized, families=("rewrite",))
+        planner.plan(sliced, DrillOut("dcity"), drilled, families=("rewrite",))
     rewriter = OLAPRewriter(evaluator.bgp_evaluator)
     with pytest.raises(RewritingError, match="restricts"):
         rewriter.answer(materialized, DrillOut("dcity"))

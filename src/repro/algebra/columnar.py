@@ -364,8 +364,8 @@ class ColumnarIdRelation(IdRelation):
     def column_max(self, name: str, default: int = 0):
         return int(self.column_array(name).max()) if self._length else default
 
-    def splice(self, columns: Sequence[str], keys, rows: Relation, touching=None):
-        """A delta refresh's splice (see :meth:`Relation.splice`) in the arrays.
+    def splice_runs(self, columns: Sequence[str], keys, rows: Relation):
+        """A delta refresh's splice (see :meth:`Relation.splice_runs`) in the arrays.
 
         On one column the relation is ordered by (``pres(Q)`` by its fact),
         the keys' runs are found by ``searchsorted`` and ``rows``, ordered the
@@ -380,7 +380,7 @@ class ColumnarIdRelation(IdRelation):
             and rows.dictionary is self._dictionary
             and rows.encoded_columns == self._encoded
         ):
-            return self.to_rows("splice:no-array-form").splice(columns, keys, rows, touching)
+            return self.to_rows("splice:no-array-form").splice_runs(columns, keys, rows)
         if len(columns) == 1 and _ascending(self.column_array(columns[0])):
             name = columns[0]
             wanted = _np.array(sorted({key for key, in keys}), dtype=_np.int64)
@@ -399,12 +399,13 @@ class ColumnarIdRelation(IdRelation):
             at, to = _np.zeros(len(lo), dtype=_np.int64), _np.zeros(len(lo), dtype=_np.int64)
             to[-1] = len(rows)
         spliced, removed = self._replaced(lo, hi, rows, at, to)
-        if touching is None:
-            return spliced, removed, None
+        return spliced, removed, (lo.tolist(), hi.tolist(), at.tolist(), to.tolist()), rows
+
+    def _touched(self, removed: "ColumnarIdRelation", rows: "ColumnarIdRelation", touching: Sequence[str]):
+        """:meth:`Relation._touched` in one :func:`_rows_in` pass."""
         groups = [_np.concatenate([removed.column_array(name), rows.column_array(name)]) for name in touching]
-        arrays = [spliced.column_array(name) for name in touching]
-        touched = _rows_in(arrays, groups, len(removed) + len(rows), len(spliced))
-        return spliced, removed, spliced.take(touched)
+        arrays = [self.column_array(name) for name in touching]
+        return self.take(_rows_in(arrays, groups, len(removed) + len(rows), self._length))
 
     def _replaced(self, lo, hi, rows: "ColumnarIdRelation", at, to):
         """``(spliced, removed)``: the disjoint ascending runs ``[lo, hi)`` of

@@ -25,7 +25,7 @@ Two value spaces coexist:
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, count
 from operator import itemgetter, not_
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -344,17 +344,29 @@ class Relation:
         in ``spliced``'s order (None otherwise).  Row storage keeps the other
         rows in order and appends ``rows``.
         """
+        spliced, removed, _, rows = self.splice_runs(columns, keys, rows)
+        return spliced, removed, None if touching is None else spliced._touched(removed, rows, touching)
+
+    def splice_runs(self, columns: Sequence[str], keys, rows: "Relation"):
+        """:meth:`splice` without ``touching``, telling how it spliced:
+        ``(spliced, removed, (lo, hi, at, to), rows)`` — the disjoint ascending
+        runs ``[lo, hi)`` of this relation replaced, each, by the rows
+        ``[at, to)`` of the ``rows`` returned (reordered where the storage keeps
+        the result ordered) — so a sequence parallel to the rows splices alike."""
         key_of = tuple_getter(self.column_indexes(columns))
         hits = list(map(keys.__contains__, map(key_of, self._rows)))
-        inserted = rows.rows
-        removed = list(compress(self._rows, hits))
-        spliced = self.with_rows([*compress(self._rows, map(not_, hits)), *inserted])
-        if touching is None:
-            return spliced, self.with_rows(removed), None
+        gone, length = list(compress(count(), hits)), len(self._rows)
+        spliced = self.with_rows([*compress(self._rows, map(not_, hits)), *rows.rows])
+        ends = [position + 1 for position in gone]
+        runs = ([*gone, length], [*ends, length], [0] * (len(gone) + 1), [0] * len(gone) + [len(rows)])
+        return spliced, self.with_rows(list(compress(self._rows, hits))), runs, rows
+
+    def _touched(self, removed: "Relation", rows: "Relation", touching: Sequence[str]) -> "Relation":
+        """The rows of this splice result whose tuple over ``touching`` is that
+        of a ``removed`` or an inserted row (``rows``), in row order."""
         group_of = tuple_getter(self.column_indexes(touching))
-        groups = set(map(group_of, removed)) | set(map(group_of, inserted))
-        touched = [row for row in spliced._rows if group_of(row) in groups]
-        return spliced, self.with_rows(removed), self.with_rows(touched)
+        groups = set(map(group_of, removed.rows)) | set(map(group_of, rows.rows))
+        return self.with_rows([row for row in self._rows if group_of(row) in groups])
 
     def union_all(self, others: Sequence["Relation"]) -> "Relation":
         """∪ with relations of this schema (bag union: rows concatenated)."""

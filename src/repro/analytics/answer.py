@@ -18,13 +18,15 @@ benchmarks):
 * the **aggregated measure column** of ``ans(Q)`` keeps the measure
   variable's name.
 
-A :class:`CubeAnswer` also keeps its decoded cell map, built once — on the
-columnar engine from one term-table gather per encoded column — and shared.
+A :class:`CubeAnswer` also keeps its decoded columns, gathered once — on the
+columnar engine one term-table gather per encoded column — and shared; its
+keyed cell map is built from them on the first keyed lookup.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import MaterializationError
 from repro.algebra.expressions import comparable
@@ -200,16 +202,16 @@ class CubeAnswer:
     lookup, pretty-printing, pivoting) is :class:`repro.olap.cube.Cube`,
     which is constructed from a ``CubeAnswer``.
 
-    The answer is also where its **decoded form** lives: the cell map
-    (:meth:`decoded_cells`) is built the first time a cube is constructed
-    over the answer and shared, read-only, by every later one — a cache
-    entry holds its ``CubeAnswer``, so a hit decodes nothing.  An answer is
-    never mutated (refresh and every rewriting build a new one), so the memo
-    needs no invalidation and goes away with the answer; the two answers
-    that *are* this one again take it along — :meth:`patched` (a delta
-    refresh: the untouched cells are carried, only the touched ones are
-    decoded) and :meth:`with_dictionary` (the same cells in a later
-    generation of the graph).
+    The answer is also where its **decoded form** lives: its decoded
+    columns (:meth:`decoded_columns`) are gathered the first time a cube is
+    constructed over the answer, the keyed cell map (:meth:`decoded_cells`)
+    on the first keyed lookup, and both are shared, read-only, by every
+    later cube — a cache entry holds its ``CubeAnswer``, so a hit decodes
+    nothing.  An answer is never mutated (refresh and every rewriting build a
+    new one), so the memos need no invalidation and go away with the answer;
+    the two answers that *are* this one again take them along —
+    :meth:`patched` (a delta refresh) and :meth:`with_dictionary` (the same
+    cells in a later generation of the graph).
     """
 
     def __init__(self, relation: Relation, dimension_columns: Tuple[str, ...], measure_column: str):
@@ -219,7 +221,7 @@ class CubeAnswer:
                 f"answer relation columns {relation.columns} do not match the expected layout {expected}"
             )
         self._storage = relation
-        self._decoded: Optional[Relation] = None
+        self._columns: Optional[List[Sequence]] = None
         self._cells: Optional[Dict[Tuple, object]] = None
         self._comparable_cells: Optional[Dict[Tuple, List]] = None
         self.dimension_columns = dimension_columns
@@ -230,44 +232,60 @@ class CubeAnswer:
         """The answer relation in its native value space (ids when engine-built)."""
         return self._storage
 
-    def decoded_cells(self) -> Dict[Tuple, object]:
-        """``(d₁, ..., dₙ) → measure`` over decoded values, built once.
-
-        Decoded column-wise in the answer's own storage (one term-table
-        gather per column on the columnar engine).  The returned dict is
-        shared by every cube over this answer: treat it as read-only.  Two
-        threads asking at once may both decode; they build equal maps and
-        either may be the one kept.
-        """
-        cells = self._cells
-        if cells is None:
-            columns = self._storage.decoded_columns()  # (d₁, ..., dₙ, v): checked at construction
-            keys = zip(*columns[:-1]) if self.dimension_columns else [()] * len(self._storage)
-            cells = self._cells = dict(zip(keys, columns[-1]))
-        return cells
+    def decoded_columns(self) -> List[Sequence]:
+        """``[d₁, ..., dₙ, v]``, decoded in row order once (one term-table
+        gather per encoded column on the columnar engine) and shared: treat
+        them as read-only.  Two threads asking at once may both decode; either
+        (equal) result may be kept."""
+        columns = self._columns
+        if columns is None:
+            columns = self._columns = self._storage.decoded_columns()
+        return columns
 
     @property
     def decoded(self) -> bool:
-        """Whether the cell map is built: a cube over this answer decodes nothing."""
-        return self._cells is not None
+        """Whether the decoded columns are in hand: a cube over this answer decodes nothing."""
+        return self._columns is not None
 
-    def patched(self, relation: Relation, replaced: Relation, regrouped: "CubeAnswer") -> "CubeAnswer":
-        """The answer over ``relation`` = this one's cells minus ``replaced``
-        (some of its rows), then ``regrouped``'s — what a delta refresh builds.
+    def iter_cells(self) -> Iterator[Tuple[Tuple, object]]:
+        """``((d₁, ..., dₙ), measure)`` per row, in row order, zipped from the decoded columns."""
+        columns = self.decoded_columns()
+        keys = zip(*columns[:-1]) if self.dimension_columns else repeat((), len(self._storage))
+        return zip(keys, columns[-1])
 
-        When this answer was decoded, the new one inherits the cell map:
-        copied, the replaced cells dropped, the regrouped ones decoded and
-        appended — decodes of the replaced and regrouped cells only.  An
-        answer never decoded carries nothing.
-        """
-        answer = CubeAnswer(relation, self.dimension_columns, self.measure_column)
-        if self._cells is not None:
-            cells = dict(self._cells)
-            for key in CubeAnswer(replaced, self.dimension_columns, self.measure_column).decoded_cells():
-                del cells[key]
-            cells.update(regrouped.decoded_cells())
-            assert len(cells) == len(relation), "carried cell map out of step with ans(Q)"
-            answer._cells = cells
+    def decoded_cells(self) -> Dict[Tuple, object]:
+        """``(d₁, ..., dₙ) → measure`` over decoded values, built from the
+        decoded columns on the first keyed lookup and shared, like them:
+        treat it as read-only; two threads may both build it, either kept."""
+        cells = self._cells
+        if cells is None:
+            cells = self._cells = dict(self.iter_cells())
+        return cells
+
+    def patched(self, touched: Set[Tuple], regrouped: "CubeAnswer") -> "CubeAnswer":
+        """This answer with the cells of the ``touched`` keys (id tuples over
+        the dimensions) replaced by ``regrouped``'s (:meth:`Relation.splice_runs
+        <repro.algebra.relation.Relation.splice_runs>`) — what a delta refresh builds.
+
+        The decoded forms held are carried, so only the regrouped cells are
+        decoded: the columns are spliced by the runs the relation's splice
+        took; a built map is copied with the same cells swapped (regrouped
+        ones last)."""
+        dimensions = self.dimension_columns
+        relation, _, runs, rows = self._storage.splice_runs(dimensions, touched, regrouped.storage)
+        answer = CubeAnswer(relation, dimensions, self.measure_column)
+        columns = self._columns
+        if columns is not None:
+            fresh = CubeAnswer(rows, dimensions, self.measure_column)
+            answer._columns = [_spliced(old, new, runs) for old, new in zip(columns, fresh.decoded_columns())]
+            if self._cells is not None:
+                cells = dict(self._cells)
+                for lo, hi, _, _ in zip(*runs):
+                    for position in range(lo, hi):
+                        del cells[tuple(column[position] for column in columns[:-1])]
+                cells.update(fresh.iter_cells())
+                assert len(cells) == len(relation), "carried cell map out of step with ans(Q)"
+                answer._cells = cells
         return answer
 
     def with_dictionary(self, dictionary) -> "CubeAnswer":
@@ -277,7 +295,7 @@ class CubeAnswer:
         answer = CubeAnswer(
             self._storage.with_dictionary(dictionary), self.dimension_columns, self.measure_column
         )
-        answer._decoded, answer._cells = self._decoded, self._cells
+        answer._columns, answer._cells = self._columns, self._cells
         answer._comparable_cells = self._comparable_cells
         return answer
 
@@ -289,17 +307,15 @@ class CubeAnswer:
         index = self._comparable_cells
         if index is None:
             index = {}
-            for key, measure in self.decoded_cells().items():
+            for key, measure in self.iter_cells():
                 index.setdefault(tuple(map(comparable, key)), []).append(measure)
             self._comparable_cells = index
         return index
 
     @property
     def relation(self) -> Relation:
-        """The decoded answer relation ``(d₁, ..., dₙ, v)`` (lazy, cached)."""
-        if self._decoded is None:
-            self._decoded = self._storage.materialize()
-        return self._decoded
+        """The decoded answer relation ``(d₁, ..., dₙ, v)``, zipped from the decoded columns."""
+        return Relation.adopt(self._storage.columns, list(zip(*self.decoded_columns())))
 
     def __len__(self) -> int:
         return len(self._storage)
@@ -310,6 +326,18 @@ class CubeAnswer:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CubeAnswer(dims={self.dimension_columns}, {len(self._storage)} cells)"
+
+
+def _spliced(column: Sequence, fresh: Sequence, runs) -> list:
+    """``column`` with its runs ``[lo, hi)`` replaced, each, by ``fresh[at:to]``
+    (:meth:`Relation.splice_runs <repro.algebra.relation.Relation.splice_runs>`)."""
+    result, start = [], 0
+    for lo, hi, at, to in zip(*runs):
+        result += column[start:lo]
+        result += fresh[at:to]
+        start = hi
+    result += column[start:]
+    return result
 
 
 class MaterializedQueryResults:

@@ -25,7 +25,8 @@ ids with memoized decoding, the fact-variable hash join keys on integers and
 ``ans(Q)`` stay encoded, so the OLAP rewritings never decode either; the
 public accessors (``PartialResult.relation``, ``CubeAnswer.relation``)
 decode lazily at the result boundary and a :class:`~repro.olap.cube.Cube`
-decodes its answer once (``CubeAnswer.decoded_cells``).
+decodes its answer once, column by column (``CubeAnswer.decoded_columns``);
+the keyed cell map is built from those columns on the first keyed lookup.
 """
 
 from __future__ import annotations

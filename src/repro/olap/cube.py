@@ -6,18 +6,19 @@ answer relation with cell-level access, dimension introspection and
 display helpers used by the examples and the CLI.
 
 A cube is the **decoding boundary**: it leaves its constructor with its
-cells decoded.  The decoded map belongs to the
-:class:`~repro.analytics.answer.CubeAnswer`, so the decode is paid once per
-answer — column-wise: on the columnar engine one gather per column from the
-dictionary's term table (:meth:`~repro.rdf.dictionary.TermDictionary.decode_many`)
-— and every further cube over the same answer (a cache hit) shares it.
+answer's columns decoded (on the columnar engine one term-table gather per
+column, :meth:`~repro.rdf.dictionary.TermDictionary.decode_many`), which
+``len``, iteration, ``dimension_values`` and the relation view read; the
+keyed map behind ``cells``/``cell``/``get`` is built from them on the first
+keyed lookup.  Both belong to the :class:`~repro.analytics.answer.CubeAnswer`,
+so each is paid once per answer and shared by every further cube over it.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import OLAPError
 from repro.algebra.expressions import comparable
@@ -39,8 +40,8 @@ class Cube:
         #: cube built directly from an answer).
         self.record = None
         # Decoded here, not on first access — but only the first cube over
-        # an answer pays; the map is the answer's, shared and never mutated.
-        self._cells: Dict[Tuple, object] = answer.decoded_cells()
+        # an answer pays; the columns are the answer's, shared and never mutated.
+        self._columns: List[Sequence] = answer.decoded_columns()
 
     # ------------------------------------------------------------------
     # structure
@@ -68,14 +69,14 @@ class Cube:
 
     def __len__(self) -> int:
         """Number of non-empty cells."""
-        return len(self._cells)
+        return len(self._answer)
 
     def dimension_values(self, dimension: str) -> set:
         """Distinct values appearing along one dimension."""
         if dimension not in self.dimensions:
             raise OLAPError(f"unknown dimension {dimension!r}; cube dimensions are {self.dimensions}")
         index = self.dimensions.index(dimension)
-        return {key[index] for key in self._cells}
+        return set(self._columns[index])
 
     # ------------------------------------------------------------------
     # cell access
@@ -84,7 +85,7 @@ class Cube:
     def cells(self) -> Mapping[Tuple, object]:
         """Dimension-value tuples (in dimension order) → measures: a read-only
         view of the map every cube over this answer shares, not a copy."""
-        return MappingProxyType(self._cells)
+        return MappingProxyType(self._answer.decoded_cells())
 
     def cell(self, *values, **named_values) -> object:
         """The measure of one cell, addressed positionally or by dimension name.
@@ -93,8 +94,9 @@ class Cube:
         (no fact with those dimension values had a defined measure).
         """
         key = self._cell_key(values, named_values)
-        if key in self._cells:
-            return self._cells[key]
+        cells = self._answer.decoded_cells()
+        if key in cells:
+            return cells[key]
         # Second chance: compare via the literal-to-Python conversion so that
         # cube.cell(28, "Madrid") finds the cell keyed by typed literals.
         wanted = tuple(comparable(value) for value in key)
@@ -128,7 +130,8 @@ class Cube:
         return tuple(values)
 
     def __iter__(self) -> Iterator[Tuple[Tuple, object]]:
-        return iter(self._cells.items())
+        """``(key, measure)`` per cell, in the answer's row order, from the columns."""
+        return self._answer.iter_cells()
 
     # ------------------------------------------------------------------
     # comparison / display
@@ -155,7 +158,7 @@ class Cube:
         return self._answer.relation.sorted().to_text(max_rows=max_rows)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Cube(dims={self.dimensions}, cells={len(self._cells)})"
+        return f"Cube(dims={self.dimensions}, cells={len(self)})"
 
 
 def _same_measures(measures: List, others: List, tolerance: float) -> bool:

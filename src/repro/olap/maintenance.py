@@ -36,8 +36,9 @@ recomputing them:
    :meth:`~repro.analytics.evaluator.AnalyticalQueryEvaluator.answer_from_partial`
    — Equation (3)'s γ, the one scratch evaluation and every rewriting use —
    and the resulting cells are spliced over the touched cells of the cached
-   ``ans(Q)``; untouched cells are kept verbatim, and of the decoded cells
-   only the replaced and regrouped ones are decoded.  Maintenance is
+   ``ans(Q)`` (:meth:`~repro.analytics.answer.CubeAnswer.patched`);
+   untouched cells are kept verbatim, decoded ones too, and only the
+   regrouped cells are decoded.  Maintenance is
    thereby one more ``pres → pres`` derivation followed by the shared γ: no
    aggregate is ever inverted, a refreshed cell is γ of the group's
    current rows.
@@ -365,9 +366,8 @@ class DeltaMaintainer:
         )
         regrouped = self._evaluator.answer_from_partial(query, partial.with_storage(touched_rows))
         touched = _key_tuples(dropped, dimensions) | _key_tuples(fresh, dimensions)
-        cells, replaced, _ = ans_storage.splice(answer.dimension_columns, touched, regrouped.storage)
         return MaterializedQueryResults(
-            query, answer.patched(cells, replaced, regrouped), partial.with_storage(spliced)
+            query, answer.patched(touched, regrouped), partial.with_storage(spliced)
         )
 
 

@@ -912,3 +912,32 @@ class TestDistinctIdsFoundOnce:
         assert passes() == first
         assert calls == []
         assert 0 < len(first[0]) < len(pres)
+
+
+class TestSpliceRuns:
+    """``splice_runs`` says how the splice spliced: replaying its runs on the
+    old rows and the rows it returns gives the spliced and the removed rows,
+    in both storages — what a refresh splices an answer's decoded columns by."""
+
+    _KEYED = st.lists(st.tuples(*[st.integers(0, 5)] * 3), max_size=12)
+
+    @given(rows=_KEYED, inserted=_KEYED, width=st.sampled_from([1, 2]), ordered=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_replaying_the_runs_gives_the_splice(self, rows, inserted, width, ordered):
+        from repro.analytics.answer import _spliced
+
+        columns, dictionary = ("a", "b", "v"), TermDictionary()
+        if ordered:
+            rows = sorted(rows)
+        keys = {row[:width] for row in inserted}
+        arrays = {name: np.array([row[i] for row in rows], dtype=np.int64) for i, name in enumerate(columns)}
+        for relation in (
+            ColumnarIdRelation.from_arrays(columns, arrays, dictionary, length=len(rows)),
+            IdRelation(columns, rows, dictionary=dictionary),
+        ):
+            new = relation.with_rows(inserted)
+            spliced, removed, runs, placed = relation.splice_runs(columns[:width], keys, new)
+            assert spliced.rows == _spliced(relation.rows, placed.rows, runs)
+            assert removed.rows == [relation.rows[i] for lo, hi, _, _ in zip(*runs) for i in range(lo, hi)]
+            assert sorted(placed.rows) == sorted(inserted)
+            assert spliced.rows == relation.splice(columns[:width], keys, new)[0].rows

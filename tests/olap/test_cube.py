@@ -113,8 +113,8 @@ class TestDecodeOnce:
             del dictionary.decode, dictionary.decode_many
         assert ROW_CONVERSIONS == before
         # Each distinct id decoded once into the fresh dictionary's term table,
-        # then one gather per column for the cells and one for the decoded relation.
-        assert sorted(decoded) == sorted(list(set(ages) | set(cities)) + 2 * (ages + cities))
+        # then one gather per column, which the cells and the decoded relation share.
+        assert sorted(decoded) == sorted(list(set(ages) | set(cities)) + ages + cities)
 
     def test_second_chance_lookup_converts_the_cells_once(self, monkeypatch):
         from repro.algebra import expressions
@@ -152,6 +152,82 @@ class TestDecodeOnce:
         assert ROW_CONVERSIONS["decode:pres"] == before
         assert facts == partial.relation.distinct_values(partial.fact_column)
         assert ROW_CONVERSIONS["decode:pres"] == before + 1
+
+
+@pytest.fixture(params=["rows", "columnar"])
+def encoded_answer(request):
+    """A two-dimension answer in id space on either engine, and its dictionary."""
+    from repro.algebra.relation import IdRelation
+    from repro.rdf.dictionary import TermDictionary
+
+    dictionary = TermDictionary()
+    ages = [dictionary.encode(Literal(age)) for age in (28, 35, 28)]
+    cities = [dictionary.encode(EX.term(city)) for city in ("Madrid", "NY", "NY")]
+    columns, encoded = ("dage", "dcity", "v"), ("dage", "dcity")
+    if request.param == "columnar":
+        np = pytest.importorskip("numpy")
+        from repro.algebra.columnar import ColumnarIdRelation
+
+        arrays = {"dage": np.array(ages), "dcity": np.array(cities), "v": np.array([3, 2, 9])}
+        relation = ColumnarIdRelation.from_arrays(columns, arrays, dictionary, encoded=encoded)
+    else:
+        relation = IdRelation(columns, zip(ages, cities, [3, 2, 9]), dictionary=dictionary, encoded=encoded)
+    return CubeAnswer(relation, ("dage", "dcity"), "v"), dictionary
+
+
+_ENCODED_CELLS = [
+    ((Literal(28), EX.term("Madrid")), 3),
+    ((Literal(35), EX.term("NY")), 2),
+    ((Literal(28), EX.term("NY")), 9),
+]
+
+
+class TestLazyCellMap:
+    """A cube holds its answer's decoded columns; the keyed map is built
+    from them on the first keyed lookup, once per answer."""
+
+    def test_a_cube_reads_the_columns_and_builds_no_map(self, encoded_answer):
+        answer, _ = encoded_answer
+        cube = Cube(answer)
+        assert answer.decoded and vars(answer)["_cells"] is None
+        assert len(cube) == 3 and list(cube) == _ENCODED_CELLS
+        assert cube.dimension_values("dage") == {Literal(28), Literal(35)}
+        assert "Madrid" in cube.to_text() and "Cube(" in repr(cube)
+        assert cube.relation.rows == [(*key, measure) for key, measure in _ENCODED_CELLS]
+        assert vars(answer)["_cells"] is None
+
+    def test_the_first_keyed_lookup_builds_the_map_once_per_answer(self, encoded_answer, monkeypatch):
+        answer, _ = encoded_answer
+        builds = []
+        iterate = CubeAnswer.iter_cells
+        monkeypatch.setattr(CubeAnswer, "iter_cells", lambda each: builds.append(each) or iterate(each))
+        first, second = Cube(answer), Cube(answer)
+        assert first.cell(Literal(35), EX.term("NY")) == 2 and len(builds) == 1
+        built = vars(answer)["_cells"]
+        assert list(built.items()) == _ENCODED_CELLS
+        assert second.get(Literal(28), EX.term("NY")) == 9 and dict(second.cells()) == built
+        assert Cube(answer).cells()[(Literal(28), EX.term("Madrid"))] == 3
+        assert len(builds) == 1 and vars(answer)["_cells"] is built
+
+    def test_cells_relation_and_text_share_one_decode(self, encoded_answer):
+        """The keyed map, the decoded relation and the text rendering all read
+        the one decode: on the columnar engine one ``decode_many`` per encoded
+        column, on the row engine one ``decode`` per distinct id."""
+        answer, dictionary = encoded_answer
+        decoded, gathers = [], []
+        decode, gather = dictionary.decode, dictionary.decode_many
+        dictionary.decode = lambda term_id: decoded.append(term_id) or decode(term_id)
+        dictionary.decode_many = lambda ids: gathers.append(ids.tolist()) or gather(ids)
+        try:
+            cube = Cube(answer)
+            cube.cells()
+            assert cube.relation.rows == [(*key, measure) for key, measure in _ENCODED_CELLS]
+            assert "Madrid" in cube.to_text()
+        finally:
+            del dictionary.decode, dictionary.decode_many
+        assert sorted(decoded) == sorted(set(decoded))  # each distinct id once
+        columnar = type(answer.storage).__name__ == "ColumnarIdRelation"
+        assert len(gathers) == (2 if columnar else 0)
 
 
 class TestComparison:

@@ -1,11 +1,13 @@
-"""The decoded cell map belongs to the ``CubeAnswer``: decoded once, never stale.
+"""The decoded forms belong to the ``CubeAnswer``: decoded once, never stale.
 
-A cache entry holds its ``CubeAnswer`` and a hit hands it back, so a repeated
-``execute`` decodes nothing; refresh and every rewriting build a *new*
-answer, so the memo has nothing to invalidate — a refresh hands the untouched
-cells of the old map on to the new answer.  These tests hold both halves:
-the saving (one decode per answer, a cube fully decoded when handed over) and
-the safety (no stale, aliased, racy or leaked cells).
+A cube is handed over with its answer's decoded *columns*; the keyed cell
+map is built from them on the first keyed lookup.  A cache entry holds its
+``CubeAnswer`` and a hit hands it back, so a repeated ``execute`` decodes
+nothing; refresh and every rewriting build a *new* answer, so the memos have
+nothing to invalidate — a refresh hands the untouched decoded cells of the
+old answer on to the new one.  These tests hold both halves: the saving (one
+decode per answer, a cube's columns decoded when handed over, no map until a
+keyed lookup) and the safety (no stale, aliased, racy or leaked cells).
 """
 
 import asyncio
@@ -46,9 +48,15 @@ def _query(aggregate="sum"):
     return generic_query(_CONFIG, aggregate=aggregate, name=f"memo_{aggregate}")
 
 
+def _columns(cube):
+    """The cube's decoded columns, read without calling any accessor."""
+    return vars(cube)["_columns"]
+
+
 def _cell_map(cube):
-    """The cube's decoded map, read without calling any accessor."""
-    return vars(cube)["_cells"]
+    """The keyed cell map of the cube's answer (None until a keyed lookup),
+    read without calling any accessor."""
+    return vars(cube.answer)["_cells"]
 
 
 @contextmanager
@@ -70,9 +78,9 @@ def test_a_cube_is_fully_decoded_when_it_is_handed_over(dataset, engine):
         executed = session.execute(query)
         transformed = session.transform(query, DrillOut("d1"))
         for cube in (executed, transformed):
-            assert len(_cell_map(cube)) == len(cube.answer) > 0
-            assert _cell_map(cube) is vars(cube.answer)["_cells"]
-            assert all(not isinstance(value, int) for key in _cell_map(cube) for value in key)
+            assert len(_columns(cube)[-1]) == len(cube.answer) > 0
+            assert _columns(cube) is vars(cube.answer)["_columns"]
+            assert all(not isinstance(value, int) for column in _columns(cube)[:-1] for value in column)
 
 
 def test_a_served_cube_is_fully_decoded_when_it_is_handed_over(dataset):
@@ -81,7 +89,7 @@ def test_a_served_cube_is_fully_decoded_when_it_is_handed_over(dataset):
             return await service.query("tenant", _query())
 
     served = asyncio.run(serve())
-    assert len(_cell_map(served.cube)) == len(served.cube.answer) > 0
+    assert len(_columns(served.cube)[-1]) == len(served.cube.answer) > 0
 
 
 def test_a_hit_decodes_nothing_and_converts_nothing(dataset, engine):
@@ -97,7 +105,7 @@ def test_a_hit_decodes_nothing_and_converts_nothing(dataset, engine):
         assert [cube.record.strategy for cube in hits] == ["cache"] * 3
         assert decodes == []
         assert dict(ROW_CONVERSIONS) == before
-        assert all(_cell_map(cube) is _cell_map(first) for cube in hits)
+        assert all(_columns(cube) is _columns(first) for cube in hits)
 
 
 def test_the_refreshed_entry_serves_the_refreshed_cells(dataset, engine):
@@ -137,7 +145,7 @@ def test_cells_is_a_read_only_view_of_the_shared_map(dataset):
     query = _query()
     with OLAPSession(dataset.instance.copy(), dataset.schema) as session:
         cube = session.execute(query)
-        pristine = dict(_cell_map(cube))
+        pristine = dict(cube)
         handed_out = cube.cells()
         with pytest.raises(TypeError):
             handed_out[("bogus",)] = -1
@@ -159,7 +167,7 @@ def test_two_threads_building_cubes_over_one_cached_answer_agree(dataset):
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                vars(answer)["_cells"] = None  # a cold answer, as after a rewriting
+                vars(answer)["_columns"] = vars(answer)["_cells"] = None  # a cold answer, as after a rewriting
                 barrier = threading.Barrier(4)
                 cubes = []
 
@@ -186,10 +194,10 @@ def test_the_decoded_map_goes_away_with_its_entry(dataset, drop):
     with OLAPSession(dataset.instance.copy(), dataset.schema, cache_capacity=1) as session:
         cube = session.execute(query)
         answer = weakref.ref(cube.answer)
-        cells = _cell_map(cube)
+        columns = _columns(cube)
         del cube
-        assert answer() is not None and vars(answer())["_cells"] is cells
-        del cells
+        assert answer() is not None and vars(answer())["_columns"] is columns
+        del columns
         if drop == "forget":
             session.forget(query)
         else:
@@ -215,9 +223,13 @@ def _extra_fact(tag):
     ]
 
 
+def _fresh(answer):
+    """A new, memo-less wrapper of ``answer``'s storage: what decoding it from nothing gives."""
+    return CubeAnswer(answer.storage, answer.dimension_columns, answer.measure_column)
+
+
 def _fresh_cells(answer):
-    """What decoding ``answer`` from nothing gives (a new, memo-less wrapper)."""
-    return CubeAnswer(answer.storage, answer.dimension_columns, answer.measure_column).decoded_cells()
+    return _fresh(answer).decoded_cells()
 
 
 def test_a_refresh_carries_the_untouched_cells_and_decodes_only_the_touched(dataset, engine):
@@ -230,10 +242,11 @@ def test_a_refresh_carries_the_untouched_cells_and_decodes_only_the_touched(data
         with _decoded_ids(dictionary) as decodes:
             after = session.execute(query)
         assert after.record.strategy == "refresh"
-        carried = _cell_map(after)
-        assert carried is vars(after.answer)["_cells"] and carried is not _cell_map(before)
-        # Equal to decoding the patched answer from nothing — key order included.
-        assert list(carried.items()) == list(_fresh_cells(after.answer).items())
+        carried = _columns(after)
+        assert carried is vars(after.answer)["_columns"] and carried is not _columns(before)
+        assert _cell_map(after) is None  # the old answer had no map: none is carried
+        # Equal to decoding the patched answer from nothing — row order included.
+        assert list(map(list, carried)) == list(map(list, _fresh(after.answer).decoded_columns()))
         assert after.cell(*_TOUCHED) == before.cells().get(_TOUCHED, 0) + 1
         # Only the touched group was decoded: no dimension value of another cell.
         touched_ids = {dictionary.lookup(term) for term in _TOUCHED}
@@ -257,8 +270,8 @@ def test_an_answer_never_decoded_carries_nothing(dataset, engine):
         graph.apply(add=_extra_fact("cold"))
         refreshed = session.cache.refresh(query, graph, session.maintainer)
         assert refreshed is not None
-        assert vars(refreshed.materialized.answer)["_cells"] is None
-        assert vars(cold)["_cells"] is None
+        assert vars(refreshed.materialized.answer)["_columns"] is None
+        assert vars(cold)["_columns"] is None
         oracle = Cube(AnalyticalQueryEvaluator(graph, engine=engine).answer(query), query)
         assert session.execute(query).same_cells(oracle)
 
@@ -285,6 +298,156 @@ def test_a_refresh_that_empties_a_group_drops_its_cell(dataset, engine):
         assert lonely not in carried and len(carried) == len(before) - 1
         assert list(carried.items()) == list(_fresh_cells(after.answer).items())
         assert lonely in _cell_map(before)
+
+
+@pytest.mark.parametrize("keyed", [False, True], ids=["columns-only", "map-built"])
+def test_a_refresh_that_empties_a_group_decodes_none_of_its_ids(dataset, engine, keyed):
+    """The replaced rows leave the carried columns (and map) by position:
+    the emptied cell's ids are never decoded, with or without a built map."""
+    query = _query("count")
+    graph = dataset.instance.copy()
+    lonely = (EX.term("dimvalue/0/lonely-ids"), EX.term("dimvalue/1/lonely-ids"))
+    fact = EX.term("fact/memo-lonely-ids")
+    membership = Triple(fact, EX.term("dim0"), lonely[0])
+    graph.apply(add=[
+        Triple(fact, RDF.term("type"), EX.term("Fact")),
+        membership,
+        Triple(fact, EX.term("dim1"), lonely[1]),
+        Triple(fact, EX.term("measure"), Literal(3)),
+    ])
+    lonely_ids = {graph.dictionary.lookup(term) for term in lonely}
+    with OLAPSession(graph, dataset.schema, engine=engine) as session:
+        before = session.execute(query)
+        if keyed:
+            before.cells()
+        graph.apply(remove=[membership])
+        with _decoded_ids(graph.dictionary) as decodes:
+            after = session.execute(query)
+        assert after.record.strategy == "refresh"
+        assert lonely not in dict(after) and len(after) == len(before) - 1
+        assert (_cell_map(after) is not None) == keyed
+        assert not lonely_ids & set(decodes)
+
+
+# ---------------------------------------------------------------------------
+# The keyed cell map is built on the first keyed lookup
+# ---------------------------------------------------------------------------
+
+
+def _map_builds(monkeypatch):
+    """The list each ``CubeAnswer.iter_cells`` call (what a map build reads) appends its answer to."""
+    builds = []
+    iterate = CubeAnswer.iter_cells
+    monkeypatch.setattr(CubeAnswer, "iter_cells", lambda answer: builds.append(answer) or iterate(answer))
+    return builds
+
+
+def test_execute_with_the_cache_off_and_transform_build_no_cell_map(dataset, engine, monkeypatch):
+    query = _query()
+    builds = _map_builds(monkeypatch)
+    with OLAPSession(dataset.instance.copy(), dataset.schema, engine=engine, cache_capacity=0) as session:
+        executed = session.execute(query)
+    with OLAPSession(dataset.instance.copy(), dataset.schema, engine=engine) as session:
+        session.execute(query)
+        transformed = session.transform(query, DrillOut("d1"))
+    assert executed.record.strategy == "scratch"
+    assert transformed.record.strategy.startswith("plan[rewrite")
+    assert builds == []
+    for cube in (executed, transformed):
+        assert cube.answer.decoded and len(_columns(cube)[-1]) == len(cube.answer) > 0
+        assert _cell_map(cube) is None
+
+
+@pytest.mark.parametrize("lookup", ["cells", "cell", "get"])
+def test_the_first_keyed_lookup_builds_the_map_once_and_later_cubes_share_it(
+    dataset, engine, lookup, monkeypatch
+):
+    query = _query()
+    with OLAPSession(dataset.instance.copy(), dataset.schema, engine=engine) as session:
+        cube = session.execute(query)
+        key, measure = next(iter(cube))
+        builds = _map_builds(monkeypatch)
+        read = {
+            "cells": lambda c: c.cells()[key],
+            "cell": lambda c: c.cell(*key),
+            "get": lambda c: c.get(*key),
+        }
+        assert read[lookup](cube) == measure
+        assert builds == [cube.answer]
+        built = _cell_map(cube)
+        hits = [session.execute(query) for _ in range(3)]
+        assert [hit.record.strategy for hit in hits] == ["cache"] * 3
+        for each in (cube, *hits):
+            assert each.cells()[key] == each.cell(*key) == each.get(*key) == measure
+            assert _cell_map(each) is built
+        assert builds == [cube.answer]
+
+
+def test_length_order_and_dimension_values_read_the_columns_as_the_map_gives_them(dataset, engine):
+    query = _query()
+    with OLAPSession(dataset.instance.copy(), dataset.schema, engine=engine) as session:
+        for cube in (session.execute(query), session.transform(query, DrillOut("d1"))):
+            pairs = list(cube)
+            values = {name: cube.dimension_values(name) for name in cube.dimensions}
+            assert len(cube) == len(pairs) > 0 and _cell_map(cube) is None
+            cells = cube.cells()
+            assert pairs == list(cells.items()) and len(cube) == len(cells)
+            for index, name in enumerate(cube.dimensions):
+                assert values[name] == {key[index] for key in cells}
+
+
+def test_four_threads_racing_the_first_keyed_lookup_agree(dataset, engine):
+    query = _query()
+    with OLAPSession(dataset.instance.copy(), dataset.schema, engine=engine) as session:
+        expected = list(session.execute(query))
+        answer = session.materialized(query).answer
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                vars(answer)["_cells"] = None  # the columns in hand, no map yet
+                cube = Cube(answer, query)
+                barrier = threading.Barrier(4)
+                maps = []
+
+                def look():
+                    barrier.wait(timeout=10)
+                    maps.append(cube.cells())
+
+                threads = [threading.Thread(target=look) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(maps) == 4
+                assert all(list(cells.items()) == expected for cells in maps)
+                assert list(vars(answer)["_cells"].items()) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("keyed", [False, True], ids=["columns-only", "map-built"])
+def test_a_refreshed_one_dimension_cube_reads_as_a_fresh_decode(dataset, engine, keyed):
+    """On the columnar engine a one-dimension ``ans`` is ordered by its
+    column, so the regrouped cell goes back in place, not last: the carried
+    columns follow it there."""
+    query = _query("count")
+    graph = dataset.instance.copy()
+    with OLAPSession(graph, dataset.schema, engine=engine) as session:
+        session.execute(query)
+        before = session.transform(query, DrillOut("d1"))
+        if keyed:
+            before.cells()
+        graph.apply(add=_extra_fact("one-dimension"))
+        after = session.execute(before.query)
+        assert after.record.strategy == "refresh"
+        fresh = Cube(_fresh(after.answer), before.query)
+        assert list(after) == list(fresh)
+        assert list(map(list, _columns(after))) == list(map(list, _columns(fresh)))
+        assert (_cell_map(after) is not None) == keyed
+        assert after.cells() == fresh.cells()
+        assert after.cell(_TOUCHED[0]) == before.cell(_TOUCHED[0]) + 1
 
 
 # ---------------------------------------------------------------------------

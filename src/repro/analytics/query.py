@@ -224,7 +224,7 @@ class AnalyticalQuery:
     @cached_property
     def core_key(self) -> str:
         """The Σ-independent part of the canonical form (classifier, measure,
-        aggregate): the planner's compatible-entry scans match on it."""
+        aggregate): the planner's scan for rewrite sources matches on it."""
         classifier, measure = canonical_bgp_key(self.classifier), canonical_bgp_key(self.measure)
         return f"c:{classifier}|m:{measure}|agg:{self.aggregate.name}"
 

@@ -22,8 +22,8 @@ on its ids.  ``hierarchy.parent()`` sees decoded values, once per distinct
 child; a parent that is no term of the graph travels under a derived id
 (:meth:`TermDictionary.encode_derived
 <repro.rdf.dictionary.TermDictionary.encode_derived>`).  Shared by the
-from-scratch evaluator, the OLAP rewriter and the planner's
-``rollup-from-cached`` candidate.
+from-scratch evaluator and the OLAP rewriter's ``roll-up/pres`` route, from
+the origin or any cached finer lattice level.
 """
 
 from __future__ import annotations

@@ -391,10 +391,10 @@ class ResultCache:
     def entries_with_core(self, query: AnalyticalQuery) -> Iterator[CacheEntry]:
         """Entries whose Σ-independent canonical form matches ``query``'s.
 
-        These are the reuse candidates for SLICE/DICE-style answering: same
-        classifier/measure/aggregate, possibly different Σ.  Iteration does
-        not touch recency (the candidate list is snapshotted under the
-        lock, so a concurrent insert cannot corrupt it).
+        These are the planner's rewrite sources besides the origin: same
+        classifier/measure/aggregate, possibly another Σ or lattice level.
+        Iteration does not touch recency (the candidate list is snapshotted
+        under the lock, so a concurrent insert cannot corrupt it).
         """
         core = query.core_key
         with self._lock:

@@ -90,10 +90,10 @@ class CostModel:
     """
 
     #: Per-row weight of a σ-selection over a materialized answer/partial
-    #: (``rewrite``/``compat`` SLICE/DICE, a deferred σ's realization).
+    #: (``rewrite[slice-dice/ans]``, a deferred σ's realization).
     select_row_cost: float = 0.2
     #: Per-row weight of project + dedup + group-aggregate over a pres(Q)
-    #: (DRILL-OUT, ROLL-UP, ``rollup-from-cached``, scratch's rolling pass).
+    #: (DRILL-OUT, ROLL-UP per stage rolled, scratch's rolling pass).
     group_row_cost: float = 0.4
     #: Per-row weight of the pres(Q) side of the auxiliary join (Alg. 2).
     join_row_cost: float = 0.4
@@ -192,11 +192,7 @@ def strategy_family(strategy: str) -> Optional[str]:
         return "instance"
     if strategy == "parallel":
         return "parallel"
-    if (
-        strategy.startswith("rewrite[")
-        or strategy.startswith("compat[")
-        or strategy == "rollup-from-cached"
-    ):
+    if strategy.startswith("rewrite["):
         return "reuse"
     if strategy in ("cached", "cache", "cache[disk]"):
         return "cached"

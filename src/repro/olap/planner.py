@@ -23,20 +23,20 @@ Candidate strategies, in the order they are enumerated (a candidate's
     planned alone: its ``Plan.explain()`` shows this one candidate.
 
 ``rewrite[...]``
-    One of the paper's rewritings applied to the materialized results of
-    the *origin* query: derive ``pres(Q_T)`` from ``pres(Q)`` (Algorithm 1
-    for DRILL-OUT, Algorithm 2 with its auxiliary query for DRILL-IN, the
-    hierarchy roll for ROLL-UP), then the one γ of Equation (3) —
-    Proposition 1 (SLICE/DICE as σ over ``ans(Q)``) is the shortcut.
-    :meth:`repro.olap.rewriting.OLAPRewriter.applicable` names the
-    rewriting that applies and the input it reads.
-
-``compat[...]``
-    A cached entry for a *different* query with the same classifier,
-    measure and aggregate whose Σ is pointwise weaker than ``Q_T``'s: then
-    ``ans(Q_T) = σ_Σ'(ans(Q_C))`` (Proposition 1 applied dimension-wise).
+    One of the paper's rewritings applied to materialized results: derive
+    ``pres(Q_T)`` from a cached ``pres`` (Algorithm 1 for DRILL-OUT,
+    Algorithm 2 with its auxiliary query for DRILL-IN, the hierarchy roll
+    for ROLL-UP), then the one γ of Equation (3) — Proposition 1 (σ over
+    ``ans``) is the SLICE/DICE shortcut.  The sources are the *origin*
+    query's entry, then every fresh entry sharing ``Q_T``'s classifier,
+    measure and aggregate; :func:`repro.olap.rewriting.reuse_route` names
+    each one's rewriting by how it relates to ``Q_T``, not by which
+    operation produced ``Q_T``: ``slice-dice/ans`` from a same-level entry
+    whose Σ is pointwise weaker, ``roll-up/pres`` from a finer lattice level
+    (DRILL-DOWN included), ``drill-out/pres`` and ``drill-in/pres+aux`` from
+    the origin only.  Each candidate's detail names the source it reads.
     This is how a DICE of a SLICE reuses the SLICE's materialized results
-    even when the origin query handed to the session is the root query.
+    even when the origin handed to the session is the root query.
 
 ``refresh-cached``
     The transformed query's canonical form is cached but **stale** (the
@@ -98,13 +98,7 @@ from repro.olap.calibration import CostModel
 from repro.olap.maintenance import DeltaMaintainer
 from repro.olap.operations import OLAPOperation
 from repro.olap.parallel import ParallelExecutor
-from repro.analytics.rolling import roll_partial
-from repro.olap.rewriting import (
-    OLAPRewriter,
-    answer_from_rolled_partial,
-    select_partial,
-    slice_dice_from_answer,
-)
+from repro.olap.rewriting import OLAPRewriter, reuse_route
 from repro.rdf.graph import GraphDelta
 
 __all__ = ["PlanCandidate", "Plan", "OLAPPlanner"]
@@ -274,7 +268,8 @@ class OLAPPlanner:
 
         Makes the operation's cache reads: the origin's entry first (one
         accounted lookup, whatever the filter), then the transformed query's
-        own entry and the compatible weaker-Σ and finer lattice entries.
+        own entry and the entries sharing its core key, the other sources of
+        the ``rewrite`` candidates.
         Without a ``families`` filter a fresh hit is planned alone, and
         scratch is a candidate whenever it is not, so a plan always exists.
         When neither the origin nor the transformed query has a usable entry,
@@ -283,16 +278,18 @@ class OLAPPlanner:
         operations; not worth patching, it is dropped.
 
         Every candidate returns ``ans(Q_T)`` with ``pres(Q_T)``; the
-        Proposition 1 candidates (SLICE/DICE ``rewrite`` and ``compat``)
-        return it as a deferred σ over the ``pres`` they start from, run
-        only when something reads it.
+        Proposition 1 candidates (``rewrite[slice-dice/ans]``) return it as a
+        deferred σ over the ``pres`` they start from, run only when something
+        reads it.
 
         ``families`` restricts the enumeration to the named candidate
         families (the session's forced strategies pass ``("rewrite",)`` or
         ``("scratch",)``) and never refreshes; unlisted families are not
         probed.  A filter that leaves no candidate raises
         :class:`~repro.errors.MaterializationError` when the origin's results
-        are not materialized, :class:`~repro.errors.RewritingError` otherwise.
+        are not materialized, :class:`~repro.errors.RewritingError` otherwise
+        (no cached entry relates to ``Q_T``: a forced-rewrite DRILL-DOWN
+        without a cached finer level, say).
         """
 
         def wanted(family: str) -> bool:
@@ -306,25 +303,12 @@ class OLAPPlanner:
         if origin is None and families is None and not candidates:
             origin = self.refresh_stale(original_query)
 
-        if origin is not None and wanted("rewrite"):
-            candidates.extend(
-                self._rewrite_candidates(origin.materialized, operation, transformed_query)
-            )
-
-        relatives = (
-            self._fresh_relatives(transformed_query, original_query)
-            if wanted("compat") or wanted("rollup-from-cached")
+        reuse = (
+            self._rewrite_candidates(origin, operation, transformed_query)
+            if wanted("rewrite")
             else []
         )
-        if wanted("compat"):
-            candidates.extend(self._compatible_candidates(transformed_query, relatives))
-
-        rollup_candidates = (
-            self._rollup_candidates(transformed_query, relatives)
-            if wanted("rollup-from-cached")
-            else []
-        )
-        candidates.extend(rollup_candidates)
+        candidates.extend(reuse)
 
         executor = self._parallel
         if wanted("parallel") and executor is not None and executor.supports(transformed_query):
@@ -336,11 +320,14 @@ class OLAPPlanner:
         # the reuse candidates carry actual counts would skew the comparison.
         pres_rows_hint: Optional[int] = None
         if transformed_query.rollup:
-            observed = [candidate.input_rows for candidate in rollup_candidates]
+            observed = [
+                candidate.input_rows
+                for candidate in reuse
+                if candidate.strategy == "rewrite[roll-up/pres]"
+            ]
             if origin is not None:
                 observed.append(origin.materialized.partial.row_bound()[0])
-            if observed:
-                pres_rows_hint = max(observed)
+            pres_rows_hint = max(observed, default=None)
 
         if wanted("scratch"):
             candidates.append(self._scratch_candidate(transformed_query, pres_rows_hint))
@@ -463,120 +450,64 @@ class OLAPPlanner:
 
     def _rewrite_candidates(
         self,
-        materialized: MaterializedQueryResults,
+        origin: Optional[CacheEntry],
         operation: OLAPOperation,
         transformed_query: AnalyticalQuery,
     ) -> List[PlanCandidate]:
-        query = materialized.query
-        applicable = self._rewriter.applicable(query, operation, transformed_query)
-        if applicable is None:
-            return []
-        strategy, input_kind = applicable
-        cells = len(materialized.answer)
-        rows, realize = (cells, 0.0) if input_kind == "answer" else self._pres_read(materialized.partial)
+        """``rewrite[...]``: one candidate per source :func:`reuse_route`
+        relates to ``Q_T``.
 
-        def run():
+        The sources are the origin's entry first (passed in: one read off disk
+        never enters memory, so no scan of the cache finds it), then every
+        fresh entry sharing ``Q_T``'s core key but for ``Q_T``'s own, which the
+        ``cached`` and ``refresh-cached`` candidates cover.
+        """
+        version = self._evaluator.instance.version
+        sources = [] if origin is None else [origin]
+        listed = {transformed_query.canonical_key, *(entry.key for entry in sources)}
+        sources += [
+            entry
+            for entry in self._cache.entries_with_core(transformed_query)
+            if entry.key not in listed and entry.graph_version == version
+        ]
+        candidates = []
+        for entry in sources:
+            strategy = reuse_route(entry.query, transformed_query, operation)
+            if strategy is not None:
+                candidates.append(
+                    self._rewrite_candidate(entry.materialized, strategy, operation, transformed_query)
+                )
+        return candidates
+
+    def _rewrite_candidate(
+        self,
+        materialized: MaterializedQueryResults,
+        strategy: str,
+        operation: OLAPOperation,
+        transformed_query: AnalyticalQuery,
+    ) -> PlanCandidate:
+        """The ``strategy`` rewriting of ``Q_T`` from ``materialized``; its
+        detail names the source it reads."""
+        source = materialized.query
+        if strategy == "slice-dice/ans":
+            rows, realize = len(materialized.answer), 0.0
+            detail = f"ans({source.name}): {rows} rows"
+        else:
+            rows, realize = self._pres_read(materialized.partial)
+            level = f" at lattice level {len(source.rollup)}" if strategy == "roll-up/pres" else ""
+            detail = f"pres({source.name}){level}: {rows} rows"
+
+        def run() -> Tuple[CubeAnswer, PartialResult]:
             result = self._rewriter.answer(materialized, operation, transformed_query)
             return result.answer, result.partial
 
-        return [
-            PlanCandidate(
-                f"rewrite[{strategy}]",
-                self._rewrite_cost(strategy, rows, query, transformed_query) + realize,
-                rows,
-                f"{input_kind}({query.name}): {rows} rows",
-                run,
-            )
-        ]
-
-    def _fresh_relatives(
-        self, transformed_query: AnalyticalQuery, original_query: AnalyticalQuery
-    ) -> List[CacheEntry]:
-        """Fresh entries sharing ``transformed_query``'s core key, but for its
-        own and the origin's (the exact hit and the rewritings cover those):
-        one snapshot per plan, read by the ``compat`` and lattice candidates."""
-        version = self._evaluator.instance.version
-        covered = (transformed_query.canonical_key, original_query.canonical_key)
-        return [
-            entry
-            for entry in self._cache.entries_with_core(transformed_query)
-            if entry.key not in covered and entry.graph_version == version
-        ]
-
-    def _compatible_candidates(
-        self, transformed_query: AnalyticalQuery, relatives: List[CacheEntry]
-    ) -> List[PlanCandidate]:
-        candidates = []
-        for entry in relatives:
-            if tuple(entry.query.rollup) != tuple(transformed_query.rollup):
-                # Entries share the core key across lattice levels; σ-selecting
-                # an answer at a different granularity would be wrong.
-                continue
-            if not entry.query.sigma.subsumes(transformed_query.sigma):
-                continue
-            rows = len(entry.materialized.answer)
-
-            def run(mat=entry.materialized, tq=transformed_query):
-                return slice_dice_from_answer(mat.answer, tq), select_partial(mat.partial, tq)
-
-            candidates.append(
-                PlanCandidate(
-                    "compat[slice-dice/ans]",
-                    self._model.base_cost + rows * self._model.select_row_cost,
-                    rows,
-                    f"ans({entry.query.name}) with weaker sigma: {rows} rows",
-                    run,
-                )
-            )
-        return candidates
-
-    def _rollup_candidates(
-        self, transformed_query: AnalyticalQuery, relatives: List[CacheEntry]
-    ) -> List[PlanCandidate]:
-        """Answer a rolled-up cube from any cached finer-grained cube.
-
-        A cached entry qualifies when it sits *below* the target in the
-        hierarchy lattice: its rollup stack is a prefix of the target's
-        (stage-for-stage, by canonical token) and its Σ subsumes the Σ the
-        target records at the junction level — then σ-selecting the entry's
-        ``pres`` down to the junction Σ and rolling it through the remaining
-        stages yields exactly ``pres(Q_T)`` (Σ-subsumption machinery of the
-        ``compat`` candidates, lifted to lattice levels).  The cached base
-        query itself is the ``level 0`` case.
-        """
-        if not transformed_query.rollup:
-            return []
-        stages = transformed_query.rollup
-        candidates = []
-        for entry in relatives:
-            source = entry.query
-            level = len(source.rollup)
-            if level >= len(stages):
-                continue
-            if tuple(source.rollup) != tuple(stages[:level]):
-                continue
-            junction_sigma = stages[level].sigma_before
-            if not source.sigma.subsumes(junction_sigma):
-                continue
-            rows, realize = self._pres_read(entry.materialized.partial)
-            remaining = len(stages) - level
-            cost = self._model.base_cost + rows * self._model.group_row_cost * remaining + realize
-
-            def run(mat=entry.materialized, lvl=level):
-                partial = roll_partial(mat.partial, transformed_query, start=lvl)
-                return answer_from_rolled_partial(partial, transformed_query), partial
-
-            candidates.append(
-                PlanCandidate(
-                    "rollup-from-cached",
-                    cost,
-                    rows,
-                    f"pres({entry.query.name}) at lattice level {level}: "
-                    f"{rows} rows through {remaining} stage(s)",
-                    run,
-                )
-            )
-        return candidates
+        return PlanCandidate(
+            f"rewrite[{strategy}]",
+            self._rewrite_cost(strategy, rows, source, transformed_query) + realize,
+            rows,
+            detail,
+            run,
+        )
 
     def _parallel_candidate(self, transformed_query: AnalyticalQuery) -> PlanCandidate:
         executor = self._parallel
@@ -651,9 +582,9 @@ class OLAPPlanner:
 
         A rolled query pays the base-query evaluation *plus* the rolling
         pass: every pres row goes through every hierarchy stage at the same
-        ``group_row_cost`` the ``rollup-from-cached`` candidate is priced
+        ``group_row_cost`` the ``rewrite[roll-up/pres]`` candidates are priced
         at — otherwise evaluation would look artificially cheap exactly
-        where the lattice has a cached shortcut.  Like that candidate, the
+        where the lattice has a cached shortcut.  Like those candidates, the
         pass is outside the engine multiplier and the per-lane division.
         """
         model, statistics = self._model, self._statistics
@@ -688,17 +619,19 @@ class OLAPPlanner:
     ) -> float:
         """Estimated rows touched by one of the paper's rewritings.
 
-        Every rewriting reads its materialized input (``rows`` of ``ans(Q)``
-        or ``pres(Q)``) at its family weight.  SLICE/DICE and ROLL-UP are
-        priced as the ``compat`` and one-stage ``rollup-from-cached``
-        candidates that do the same work.  DRILL-IN's auxiliary query
-        evaluates on the instance through the same engine as scratch, so it
-        is added at the engine multiplier.
+        Every rewriting reads its source's materialized input (``rows`` of
+        ``ans`` or ``pres``) at its family weight; a roll pays it once per
+        stage between the source's lattice level and ``Q_T``'s.  DRILL-IN's
+        auxiliary query evaluates on the instance through the same engine as
+        scratch, so it is added at the engine multiplier.
         """
         model = self._model
         if strategy == "slice-dice/ans":
             return model.base_cost + rows * model.select_row_cost
-        if strategy in ("roll-up/pres", "drill-out/pres"):
+        if strategy == "roll-up/pres":
+            stages = len(transformed_query.rollup) - len(query.rollup)
+            return model.base_cost + rows * model.group_row_cost * stages
+        if strategy == "drill-out/pres":
             return model.base_cost + rows * model.group_row_cost
         # drill-in/pres+aux
         return model.base_cost + rows * model.join_row_cost + (

@@ -15,7 +15,8 @@ once, as the derivation of ``pres(Q_T)`` from ``pres(Q)``:
 * :func:`drill_out_partial` — Algorithm 1, lines 2–3: project, then δ;
 * :func:`drill_in_partial` — Algorithm 2, lines 2–3: ``pres(Q) ⋈ q_aux(I)``;
 * :func:`repro.analytics.rolling.roll_partial` — ROLL-UP: substitute
-  hierarchy parents, then δ (the generalized Algorithm 1);
+  hierarchy parents, then δ (the generalized Algorithm 1), once per stage
+  between ``Q``'s lattice level and ``Q_T``'s;
 
 and ``ans(Q_T)`` is Equation (3) over that table, through the same γ
 from-scratch evaluation uses
@@ -31,12 +32,16 @@ re-aggregation of ``ans(Q)`` discussed in Example 5, kept for the tests and
 the ``examples/olap_dashboard_session.py`` demo that show why ``pres(Q)`` is
 needed.
 
-:class:`OLAPRewriter` packages these behind one per-operation table.
+:func:`reuse_route` is the one reuse rule: it names the rewriting that
+answers ``Q_T`` from the results of a query ``Q`` — the origin of the
+operation, or any cached query at ``Q_T``'s lattice level or a finer one —
+by how ``Q`` relates to ``Q_T``, not by which operation produced ``Q_T``.
+:class:`OLAPRewriter` runs the named rewriting from one derivation table.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 from repro.errors import InvalidOperationError, RewritingError
 from repro.algebra.aggregates import AggregateFunction
@@ -48,7 +53,7 @@ from repro.analytics.evaluator import AnalyticalQueryEvaluator
 from repro.analytics.query import AnalyticalQuery
 from repro.analytics.rolling import roll_partial
 from repro.olap.auxiliary import auxiliary_join_columns, build_auxiliary_query
-from repro.olap.operations import Dice, DrillIn, DrillOut, OLAPOperation, RollUp, Slice
+from repro.olap.operations import DrillIn, DrillOut, OLAPOperation
 
 __all__ = [
     "slice_dice_from_answer",
@@ -59,6 +64,7 @@ __all__ = [
     "drill_in_from_partial",
     "answer_from_rolled_partial",
     "drill_out_from_answer_naive",
+    "reuse_route",
     "OLAPRewriter",
     "RewritingResult",
 ]
@@ -267,50 +273,51 @@ def _combiner(aggregate):
 
 
 # ---------------------------------------------------------------------------
-# The per-operation table
+# The reuse rule and the derivation table
 # ---------------------------------------------------------------------------
 
 
-class _Rewriting(NamedTuple):
-    """How one OLAP operation is answered from materialized results:
-    ``derive(pres(Q), Q, Q_T, instance_evaluator)`` returns ``pres(Q_T)``."""
-
-    strategy: str
-    input_kind: str  # "answer" (Proposition 1) or "partial"
-    derive: Callable[..., PartialResult]
-
-
-_SLICE_DICE = _Rewriting(
-    "slice-dice/ans",
-    "answer",
-    lambda partial, query, transformed_query, instance_evaluator: select_partial(
-        partial, transformed_query
+#: The one place a rewriting is mapped to its derivation:
+#: ``derive(pres(Q), Q, Q_T, instance_evaluator)`` returns ``pres(Q_T)``.
+_DERIVATIONS = {
+    "slice-dice/ans": lambda partial, query, target, _: select_partial(partial, target),
+    "roll-up/pres": lambda partial, query, target, _: roll_partial(
+        partial, target, start=len(query.rollup)
     ),
-)
-
-#: The one place an operation class is mapped to its rewriting.  DRILL-DOWN
-#: is absent: it restores a finer granularity that ``pres(Q)`` no longer
-#: carries; the planner answers it from the cache lattice or from scratch,
-#: never from the coarser origin.
-_REWRITINGS = {
-    Slice: _SLICE_DICE,
-    Dice: _SLICE_DICE,
-    DrillOut: _Rewriting(
-        "drill-out/pres",
-        "partial",
-        lambda partial, query, transformed_query, instance_evaluator: drill_out_partial(
-            partial, query, transformed_query
-        ),
-    ),
-    DrillIn: _Rewriting("drill-in/pres+aux", "partial", drill_in_partial),
-    RollUp: _Rewriting(
-        "roll-up/pres",
-        "partial",
-        lambda partial, query, transformed_query, instance_evaluator: roll_partial(
-            partial, transformed_query, start=len(query.rollup)
-        ),
-    ),
+    "drill-out/pres": lambda partial, query, target, _: drill_out_partial(partial, query, target),
+    "drill-in/pres+aux": drill_in_partial,
 }
+
+#: The rewritings between cubes of different dimensions, read off the operation.
+_DRILLS = {DrillOut: "drill-out/pres", DrillIn: "drill-in/pres+aux"}
+
+
+def reuse_route(
+    query: AnalyticalQuery, transformed_query: AnalyticalQuery, operation: OLAPOperation
+) -> Optional[str]:
+    """The rewriting that answers ``Q_T`` from the materialized results of
+    ``Q``, or None: the one reuse rule, for the origin and any cached entry.
+
+    When ``Q`` shares ``Q_T``'s classifier, measure and aggregate (its core
+    key), the rule reads their positions in the cube lattice: at the same
+    level with a Σ subsuming ``Q_T``'s, ``slice-dice/ans`` (Proposition 1
+    applied dimension-wise); at a finer level whose rollup stack is a prefix
+    of ``Q_T``'s and whose Σ subsumes the Σ ``Q_T`` records at the junction,
+    ``roll-up/pres`` through the remaining stages (a DRILL-DOWN target
+    included).  Otherwise ``Q_T`` has other dimensions, and only DRILL-OUT
+    and DRILL-IN of ``Q`` itself have a rewriting — DRILL-OUT none when it
+    removes a Σ-restricted dimension (see :func:`drill_out_partial`).
+    """
+    if query.core_key == transformed_query.core_key:
+        level, stages = len(query.rollup), transformed_query.rollup
+        if query.rollup != stages[:level]:  # not at Q_T's level or a finer one
+            return None
+        if level == len(stages):
+            return "slice-dice/ans" if query.sigma.subsumes(transformed_query.sigma) else None
+        return "roll-up/pres" if query.sigma.subsumes(stages[level].sigma_before) else None
+    if _removed_restricted_dimensions(query, transformed_query):
+        return None
+    return _DRILLS.get(type(operation))
 
 
 class RewritingResult(NamedTuple):
@@ -327,7 +334,7 @@ class RewritingResult(NamedTuple):
 
 
 class OLAPRewriter:
-    """Answers transformed queries from materialized results of the original.
+    """Answers transformed queries from materialized results (see :func:`reuse_route`).
 
     Parameters
     ----------
@@ -339,32 +346,20 @@ class OLAPRewriter:
     def __init__(self, instance_evaluator: Optional[BGPEvaluator] = None):
         self._instance_evaluator = instance_evaluator
 
-    def applicable(
-        self, query: AnalyticalQuery, operation: OLAPOperation, transformed_query: AnalyticalQuery
-    ) -> Optional[Tuple[str, str]]:
-        """``(strategy, input kind)`` of the rewriting of ``T(Q)``, or None.
-
-        The input kind is ``"answer"`` (Proposition 1 reads ``ans(Q)``) or
-        ``"partial"`` (``pres(Q)``).  None when the operation has no
-        rewriting (DRILL-DOWN) or DRILL-OUT removes a Σ-restricted dimension
-        — reuse of the origin is then off the table.
-        """
-        rewriting = _REWRITINGS.get(type(operation))
-        if rewriting is None or _removed_restricted_dimensions(query, transformed_query):
-            return None
-        return rewriting.strategy, rewriting.input_kind
-
     def answer(
         self,
         materialized: MaterializedQueryResults,
         operation: OLAPOperation,
         transformed_query: Optional[AnalyticalQuery] = None,
     ) -> RewritingResult:
-        """Answer ``T(Q)`` using the materialized results of ``Q``.
+        """Answer ``Q_T`` from the materialized results of a query ``Q`` by
+        the rewriting :func:`reuse_route` names.
 
-        ``transformed_query`` may be supplied when the caller has already
-        built it (e.g. the OLAP session); otherwise it is derived by
-        applying ``operation`` to the materialized query.
+        ``Q`` is usually the query ``operation`` transforms, but may be any
+        cached query the rule relates to ``Q_T`` (the planner passes each of
+        its sources with the operation it plans).  ``transformed_query`` may
+        be supplied when the caller has already built it; otherwise it is
+        derived by applying ``operation`` to the materialized query.
 
         ``pres(Q_T)`` is derived once; the answer is Equation (3) over it and
         the result carries it, so the transformed query can itself be the
@@ -376,16 +371,17 @@ class OLAPRewriter:
         query = materialized.query
         if transformed_query is None:
             transformed_query = operation.apply(query)
-        rewriting = _REWRITINGS.get(type(operation))
-        if rewriting is None:
+        # A refused DRILL-OUT still runs its derivation, which says why it refuses.
+        strategy = reuse_route(query, transformed_query, operation) or _DRILLS.get(type(operation))
+        if strategy is None:
             raise InvalidOperationError(
-                f"no rewriting is defined for operation {type(operation).__name__}"
+                f"no rewriting answers {transformed_query.name!r} from the results of {query.name!r}"
             )
-        partial = rewriting.derive(
+        partial = _DERIVATIONS[strategy](
             materialized.partial, query, transformed_query, self._instance_evaluator
         )
-        if rewriting.input_kind == "answer":
+        if strategy == "slice-dice/ans":
             answer = slice_dice_from_answer(materialized.answer, transformed_query)
         else:
             answer = answer_from_rolled_partial(partial, transformed_query)
-        return RewritingResult(answer, rewriting.strategy, partial)
+        return RewritingResult(answer, strategy, partial)

@@ -16,8 +16,9 @@ together — the object a data analyst (or an example script) works with:
   transformed query.  The default ``"plan"`` strategy routes the operation
   through the cost-based :class:`~repro.olap.planner.OLAPPlanner`, which
   picks the cheapest of: returning a cached answer, one of the paper's
-  rewritings, σ-selecting a cached compatible (weaker-Σ) answer, or
-  re-evaluating from scratch.  The forced strategies ``"rewrite"`` and
+  rewritings over the origin's results or over any cached query at the
+  target's lattice level (with a weaker Σ) or a finer one, or re-evaluating
+  from scratch.  The forced strategies ``"rewrite"`` and
   ``"scratch"`` restrict the planner to that candidate family, so the
   paths can be compared (:meth:`compare_strategies`);
 * every transformed query is materialized in turn (subject to the cache
@@ -502,12 +503,15 @@ class OLAPSession:
         query:
             The origin query (or its name) the operation transforms.
         operation:
-            The OLAP operation (SLICE / DICE / DRILL-OUT / DRILL-IN).
+            The OLAP operation (SLICE / DICE / DRILL-OUT / DRILL-IN /
+            ROLL-UP / DRILL-DOWN).
         strategy:
             ``"plan"`` (default) — cost-based choice among cached answers,
-            the paper's rewritings, compatible cached views and scratch;
-            ``"rewrite"`` — force the paper's rewriting algorithms (raises
-            when the needed materialized input is missing);
+            the paper's rewritings (from the origin or another cached
+            query) and scratch;
+            ``"rewrite"`` — force the paper's rewriting algorithms, from
+            the cheapest source (raises when no cached result can be
+            rewritten into the transformed query);
             ``"scratch"`` — force re-evaluation on the instance.
 
         The planner makes every cache read, including patching a stale
@@ -605,8 +609,8 @@ class OLAPSession:
         plan/execute timing split and the planner's ``estimated_cost``
         (feeding :meth:`fit_cost_model` and the advisor), and the rolled
         cube is materialized in the cache — a subsequent coarser roll-up
-        can be answered from it (the ``rollup-from-cached`` lattice
-        candidate), and :meth:`drill_down` can navigate back.
+        can be answered from it (``rewrite[roll-up/pres]`` from any cached
+        finer lattice level), and :meth:`drill_down` can navigate back.
 
         The returned cube is bound to the *rolled* query (its rollup stack
         records the hierarchy stage), not the origin query.
@@ -633,7 +637,8 @@ class OLAPSession:
         rolled (validation only).  Routed through :meth:`transform` like
         every other operation: the planner typically serves the finer cube
         straight from the cache (it was materialized on the way up) or
-        re-rolls it from a cached ancestor; scratch evaluation is the
+        re-rolls it from a cached finer level (``rewrite[roll-up/pres]``,
+        which ``strategy="rewrite"`` forces); scratch evaluation is the
         always-available fallback.
         """
         original_query = self._resolve_query(query)

@@ -89,7 +89,7 @@ class TestStrategyFamily:
             ("plan[parallel]", "parallel"),
             ("rewrite[slice/ans]", "reuse"),
             ("plan[rewrite[drill-out/pres]]", "reuse"),
-            ("plan[compat[sigma]]", "reuse"),
+            ("plan[rewrite[slice-dice/ans]]", "reuse"),
             ("cache", "cached"),
             ("cache[disk]", "cached"),
             ("plan[cached]", "cached"),

@@ -5,7 +5,7 @@ result carries is ``σ_Σ′(pres(Q))``, run the first time its ``storage`` is
 read.  These tests hold, on both engines, that an unread one shares its
 parent's relation and owns no array, that a read one is the eager selection
 row for row, and that every consumer reading one it did not realize itself —
-a later rewriting, the ``compat`` route, a refresh, a disk write-through, a
+a later rewriting, a σ from a cached SLICE, a refresh, a disk write-through, a
 generation change, concurrent readers, pickling, the planner — gets what the
 eager selection would have given it.
 """
@@ -175,7 +175,7 @@ def test_navigating_on_from_an_unread_slice_equals_scratch(dataset, engine, oper
 
 
 def test_compat_dice_over_an_unread_slice_chains_two_deferred_sigmas(dataset, engine):
-    """The DICE is answered from the cached SLICE's ``ans`` (``compat``); its
+    """The DICE is answered from the cached SLICE's ``ans``, not the root's; its
     ``pres`` is a second σ chained on the SLICE's pending one, over the root's
     relation.  Realized, it is the two eager selections; navigating on from
     it equals scratch."""
@@ -185,7 +185,8 @@ def test_compat_dice_over_an_unread_slice_chains_two_deferred_sigmas(dataset, en
         session.execute(root)
         sliced = session.transform(root, _SLICE)
         diced = session.transform(root, both)
-        assert diced.record.strategy == "plan[compat[slice-dice/ans]]"
+        assert diced.record.strategy == "plan[rewrite[slice-dice/ans]]"
+        assert f"(ans({sliced.query.name}):" in session.explain_last().splitlines()[1]
         _assert_scratch_equal(session, diced)
         partial = session.materialized(diced.query).partial
         parent = session.materialized(root).partial

@@ -64,13 +64,14 @@ class TestPlanEnumeration:
         assert plan.chosen.strategy == "cached"
 
     def test_a_fresh_hit_is_planned_alone(self, executed, monkeypatch):
-        """Neither scratch nor the compatible-entry scan is priced for a query
-        the cache then serves; a filtered plan still enumerates its families."""
+        """Neither scratch nor the cached-entry scan of the rewritings is priced
+        for a query the cache then serves; a filtered plan still enumerates
+        its families."""
         session, query = executed
         operation = Slice("dage", Literal(35))
         session.transform(query, operation)
         probed = []
-        for name in ("_scratch_candidate", "_compatible_candidates"):
+        for name in ("_scratch_candidate", "_rewrite_candidates"):
             original = getattr(OLAPPlanner, name)
             monkeypatch.setattr(
                 OLAPPlanner,
@@ -131,7 +132,9 @@ class TestPlanEnumeration:
         session.forget(query)  # the root's results are gone: only the slice remains
         operation = Dice({"dage": [Literal(35)], "dcity": [EX.term("NY")]})
         cube = session.transform(query, operation, strategy="plan")
-        assert session.history[-1].strategy == "plan[compat[slice-dice/ans]]"
+        assert session.history[-1].strategy == "plan[rewrite[slice-dice/ans]]"
+        chosen = session.explain_last().splitlines()[1]
+        assert f"(ans({sliced.query.name}):" in chosen  # the cached SLICE, not the root
         assert cube.cells() == {(Literal(35), EX.term("NY")): 2}
         assert sliced.same_cells(sliced)  # the slice itself is untouched
 

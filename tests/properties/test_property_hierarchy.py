@@ -270,7 +270,12 @@ def test_evicted_level_rolls_from_a_cached_finer_level(seed, engine):
     session.forget(session.transform(zone, to_departments).query)
     session.forget(zone)
     served = session.transform(zone, to_departments)
-    assert session.history[-1].strategy == "plan[rollup-from-cached]"
+    assert session.history[-1].strategy == "plan[rewrite[roll-up/pres]]"
+    chosen = session.explain_last().splitlines()[1]
+    assert any(
+        f"(pres({finer.name}) at lattice level {len(finer.rollup)}:" in chosen
+        for finer in (query, region)
+    )
     oracle = Cube(AnalyticalQueryEvaluator(dataset.instance).answer(served.query), served.query)
     assert served.same_cells(oracle)
 

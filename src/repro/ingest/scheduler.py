@@ -17,7 +17,8 @@ are left to the read path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.errors import IngestError
 
@@ -29,31 +30,22 @@ __all__ = ["RefreshScheduler", "SchedulerStats"]
 HOT_HITS = 2
 
 
+@dataclass
 class SchedulerStats:
     """Cumulative counts of one scheduler's walks."""
 
-    __slots__ = ("batches", "walked", "eager_refreshes", "lazy_marks", "invalidations")
-
-    def __init__(self) -> None:
-        #: Batches after which the scheduler walked its sessions.
-        self.batches = 0
-        #: Stale entries seen across all walks.
-        self.walked = 0
-        #: Hot stale entries patched.
-        self.eager_refreshes = 0
-        #: Cold stale entries left to the read path, once per walk that saw
-        #: them (the name is the benchmark's).
-        self.lazy_marks = 0
-        #: Hot stale entries dropped: their patch was not the cheapest answer,
-        #: or the change log no longer reached back to their stamp.
-        self.invalidations = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        parts = ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__)
-        return f"SchedulerStats({parts})"
+    #: Batches after which the scheduler walked its sessions.
+    batches: int = 0
+    #: Stale entries seen across all walks.
+    walked: int = 0
+    #: Hot stale entries patched.
+    eager_refreshes: int = 0
+    #: Cold stale entries left to the read path, once per walk that saw
+    #: them (the name is the benchmark's).
+    lazy_marks: int = 0
+    #: Hot stale entries dropped: their patch was not the cheapest answer,
+    #: or the change log no longer reached back to their stamp.
+    invalidations: int = 0
 
 
 class RefreshScheduler:

@@ -44,7 +44,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import (
@@ -93,71 +93,35 @@ class AppliedBatch:
         )
 
 
+@dataclass
 class IngestStats:
     """Accepted / coalesced / rejected / applied accounting of one ingestor."""
 
-    __slots__ = (
-        "submitted",
-        "accepted",
-        "superseded",
-        "duplicates",
-        "rejected",
-        "blocked",
-        "batches",
-        "applied_adds",
-        "applied_removes",
-        "failed_batches",
-        "flush_reasons",
-    )
-
-    def __init__(self) -> None:
-        #: Mutations offered to the ingestor (before coalescing).
-        self.submitted = 0
-        #: Mutations that grew the pending buffer.
-        self.accepted = 0
-        #: Pending mutations overwritten by an opposite mutation of the
-        #: same triple (last-writer-wins: the earlier one never touches
-        #: the graph).
-        self.superseded = 0
-        #: Submissions identical to an already-pending mutation (absorbed).
-        self.duplicates = 0
-        #: Submissions refused with :class:`IngestBackpressureError`.
-        self.rejected = 0
-        #: Async submissions that had to wait for a flush to free space.
-        self.blocked = 0
-        self.batches = 0
-        self.applied_adds = 0
-        self.applied_removes = 0
-        self.failed_batches = 0
-        #: Batches per cut reason (``size`` / ``age`` / ``forced``).
-        self.flush_reasons: Dict[str, int] = {}
+    #: Mutations offered to the ingestor (before coalescing).
+    submitted: int = 0
+    #: Mutations that grew the pending buffer.
+    accepted: int = 0
+    #: Pending mutations overwritten by an opposite mutation of the
+    #: same triple (last-writer-wins: the earlier one never touches
+    #: the graph).
+    superseded: int = 0
+    #: Submissions identical to an already-pending mutation (absorbed).
+    duplicates: int = 0
+    #: Submissions refused with :class:`IngestBackpressureError`.
+    rejected: int = 0
+    #: Async submissions that had to wait for a flush to free space.
+    blocked: int = 0
+    batches: int = 0
+    applied_adds: int = 0
+    applied_removes: int = 0
+    failed_batches: int = 0
+    #: Batches per cut reason (``size`` / ``age`` / ``forced``).
+    flush_reasons: Dict[str, int] = field(default_factory=dict)
 
     @property
     def coalesced(self) -> int:
         """Submitted mutations that never reached the sink (superseded + dups)."""
         return self.superseded + self.duplicates
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "submitted": self.submitted,
-            "accepted": self.accepted,
-            "superseded": self.superseded,
-            "duplicates": self.duplicates,
-            "coalesced": self.coalesced,
-            "rejected": self.rejected,
-            "blocked": self.blocked,
-            "batches": self.batches,
-            "applied_adds": self.applied_adds,
-            "applied_removes": self.applied_removes,
-            "failed_batches": self.failed_batches,
-            "flush_reasons": dict(self.flush_reasons),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"IngestStats(submitted={self.submitted}, coalesced={self.coalesced}, "
-            f"batches={self.batches}, rejected={self.rejected})"
-        )
 
 
 class StreamIngestor:
@@ -305,20 +269,22 @@ class StreamIngestor:
         """
         return self._pump_error
 
-    def _oldest_arrival(self) -> Optional[float]:
-        """Arrival clock reading of the oldest pending mutation, or None."""
-        if not self._pending:
-            return None
-        return next(iter(self._pending.values()))[1]
-
     def due(self) -> bool:
         """True when a micro-batch should be cut now (size or age)."""
-        if not self._pending:
-            return False
-        if len(self._pending) >= self._batch_size:
-            return True
-        oldest = self._oldest_arrival()
-        return oldest is not None and self._clock() - oldest >= self._max_batch_age
+        return self._due_reason() is not None
+
+    def _due_reason(self) -> Optional[str]:
+        """Why a batch is due now — ``"size"`` or ``"age"`` — or None.
+
+        The front entry of the buffer is the oldest pending mutation.
+        """
+        pending = self._pending
+        if not pending:
+            return None
+        if len(pending) >= self._batch_size:
+            return "size"
+        oldest = next(iter(pending.values()))[1]
+        return "age" if self._clock() - oldest >= self._max_batch_age else None
 
     # -- submission ----------------------------------------------------
 
@@ -455,16 +421,8 @@ class StreamIngestor:
         the same mutation twice; survivors keep their own arrival stamps,
         so cutting a batch never restarts their age.
         """
-        if not self._pending:
-            return None
-        oldest = self._oldest_arrival()
-        if len(self._pending) >= self._batch_size:
-            reason = "size"
-        elif oldest is not None and self._clock() - oldest >= self._max_batch_age:
-            reason = "age"
-        elif force:
-            reason = "forced"
-        else:
+        reason = self._due_reason() or ("forced" if force and self._pending else None)
+        if reason is None:
             return None
         items: List[Tuple[Triple, int, float]] = []
         pending = self._pending
@@ -492,20 +450,41 @@ class StreamIngestor:
             pending[triple] = (sign, arrival)
             pending.move_to_end(triple, last=False)
 
-    def _record(self, adds, removes, reason, seconds, version) -> AppliedBatch:
+    async def _apply_batch(self, force: bool) -> Optional[AppliedBatch]:
+        """Cut one batch, apply it to the sink and record it; None when none is due.
+
+        A bare graph applies it through :meth:`~repro.rdf.graph.Graph.apply`
+        (this coroutine then never suspends: see :func:`_run_inline`), a
+        service through its single writer's ``update``.  Both are atomic, so
+        a failed batch left the sink unchanged: its mutations are re-queued
+        and a transient failure costs a retry, not the mutations.
+        """
+        taken = self._take_batch(force)
+        if taken is None:
+            return None
+        items, reason = taken
+        adds = tuple(triple for triple, sign, _ in items if sign > 0)
+        removes = tuple(triple for triple, sign, _ in items if sign < 0)
+        started = time.perf_counter()
+        try:
+            if self._service_sink:
+                version = (await self._sink.update(add=adds, remove=removes)).version
+            else:
+                self._sink.apply(add=adds, remove=removes)
+                version = self._sink.version
+        except Exception:
+            self.stats.failed_batches += 1
+            self._requeue(items)
+            raise
         batch = AppliedBatch(
-            sequence=self._sequence,
-            adds=adds,
-            removes=removes,
-            reason=reason,
-            seconds=seconds,
-            version=version,
+            self._sequence, adds, removes, reason, time.perf_counter() - started, version
         )
         self._sequence += 1
-        self.stats.batches += 1
-        self.stats.applied_adds += len(adds)
-        self.stats.applied_removes += len(removes)
-        self.stats.flush_reasons[reason] = self.stats.flush_reasons.get(reason, 0) + 1
+        stats = self.stats
+        stats.batches += 1
+        stats.applied_adds += len(adds)
+        stats.applied_removes += len(removes)
+        stats.flush_reasons[reason] = stats.flush_reasons.get(reason, 0) + 1
         self.applied.append(batch)
         if self._space is not None:
             self._space.set()
@@ -524,24 +503,7 @@ class StreamIngestor:
             raise IngestError(
                 "this ingestor's sink is an OLAPService; use aflush()/adrain()"
             )
-        taken = self._take_batch(force)
-        if taken is None:
-            return None
-        items, reason = taken
-        adds = tuple(triple for triple, sign, _ in items if sign > 0)
-        removes = tuple(triple for triple, sign, _ in items if sign < 0)
-        started = time.perf_counter()
-        try:
-            self._sink.apply(add=adds, remove=removes)
-        except Exception:
-            # Graph.apply is atomic — the graph is unchanged: re-queue the
-            # batch so a transient failure costs a retry, not the mutations.
-            self.stats.failed_batches += 1
-            self._requeue(items)
-            raise
-        return self._record(
-            adds, removes, reason, time.perf_counter() - started, self._sink.version
-        )
+        return _run_inline(self._apply_batch(force))
 
     async def aflush(self, force: bool = False) -> Optional[AppliedBatch]:
         """Cut and apply one micro-batch (any sink; service sinks await)."""
@@ -550,24 +512,7 @@ class StreamIngestor:
         if self._flush_lock is None:
             self._flush_lock = asyncio.Lock()
         async with self._flush_lock:
-            taken = self._take_batch(force)
-            if taken is None:
-                return None
-            items, reason = taken
-            adds = tuple(triple for triple, sign, _ in items if sign > 0)
-            removes = tuple(triple for triple, sign, _ in items if sign < 0)
-            started = time.perf_counter()
-            try:
-                result = await self._sink.update(add=adds, remove=removes)
-            except Exception:
-                # update() is atomic: the writer graph rolled back, so the
-                # batch can be re-queued and retried without double-apply.
-                self.stats.failed_batches += 1
-                self._requeue(items)
-                raise
-            return self._record(
-                adds, removes, reason, time.perf_counter() - started, result.version
-            )
+            return await self._apply_batch(force)
 
     def drain(self) -> List[AppliedBatch]:
         """Flush until the buffer is empty (synchronous sinks)."""
@@ -684,3 +629,13 @@ class StreamIngestor:
             f"StreamIngestor({kind} sink, {self.pending}/{self._capacity} pending, "
             f"{self.stats.batches} batches)"
         )
+
+
+def _run_inline(coroutine):
+    """The result of a coroutine that finishes without suspending."""
+    try:
+        coroutine.send(None)
+    except StopIteration as finished:
+        return finished.value
+    coroutine.close()
+    raise IngestError("a synchronous batch suspended")

@@ -55,6 +55,7 @@ import shutil
 import threading
 from array import array
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ReproError, SnapshotFormatError
@@ -219,52 +220,32 @@ def _load_entry(
 # ---------------------------------------------------------------------------
 
 
+@dataclass
 class CacheStats:
     """Hit / miss / eviction / invalidation / refresh accounting of one cache.
 
     ``refreshes`` counts stale entries successfully patched from graph
     deltas (see :meth:`ResultCache.refresh`), on a read or after a batch;
     ``invalidations`` counts entries actually dropped because they could not
-    (or should not) be patched.  ``lazy_refreshes`` has no producer and reads 0.
+    (or should not) be patched.
     """
 
-    __slots__ = (
-        "hits",
-        "misses",
-        "evictions",
-        "invalidations",
-        "refreshes",
-        "lazy_refreshes",
-        "disk_hits",
-        "disk_rejects",
-        "puts",
-        "adopted",
-    )
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self.refreshes = 0
-        #: Always 0: no entry is marked for refresh-on-read (the read path
-        #: prices every stale entry).  Kept because the benchmark reports it.
-        self.lazy_refreshes = 0
-        self.disk_hits = 0
-        #: Disk entries that could not be read (truncated, corrupt, foreign
-        #: or an older format): each a miss, overwritten by the recompute.
-        self.disk_rejects = 0
-        self.puts = 0
-        #: Entries taken over, born stale, from a cache over an earlier
-        #: generation of the graph (:meth:`ResultCache.adopt`) — not puts.
-        self.adopted = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        parts = ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__)
-        return f"CacheStats({parts})"
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    invalidations: int = 0
+    refreshes: int = 0
+    #: Always 0: no entry is marked for refresh-on-read (the read path
+    #: prices every stale entry).  Kept because the benchmark reports it.
+    lazy_refreshes: int = 0
+    disk_hits: int = 0
+    #: Disk entries that could not be read (truncated, corrupt, foreign
+    #: or an older format): each a miss, overwritten by the recompute.
+    disk_rejects: int = 0
+    puts: int = 0
+    #: Entries taken over, born stale, from a cache over an earlier
+    #: generation of the graph (:meth:`ResultCache.adopt`) — not puts.
+    adopted: int = 0
 
 
 class CacheEntry:

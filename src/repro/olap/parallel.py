@@ -71,6 +71,7 @@ from __future__ import annotations
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OLAPError
@@ -94,6 +95,7 @@ __all__ = [
 KEY_STRIDE = 1 << 40
 
 
+@dataclass
 class ExecutorStats:
     """Dispatch bookkeeping for one :class:`ParallelExecutor`.
 
@@ -102,24 +104,12 @@ class ExecutorStats:
     with its reason, so a benchmark can never silently mix the two.
     """
 
-    __slots__ = ("dispatches", "process_failures", "fallbacks")
-
-    def __init__(self):
-        #: Dispatch counts by where they ran, e.g. ``{"process": 4}``.
-        self.dispatches: Dict[str, int] = {}
-        #: Number of process-pool dispatch attempts that raised.
-        self.process_failures = 0
-        #: Chronological ``(from_backend, to_backend, reason)`` records.
-        self.fallbacks: List[Tuple[str, str, str]] = []
-
-    def record_dispatch(self, backend: str) -> None:
-        self.dispatches[backend] = self.dispatches.get(backend, 0) + 1
-
-    def record_fallback(self, from_backend: str, to_backend: str, reason: str) -> None:
-        self.fallbacks.append((from_backend, to_backend, reason))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"ExecutorStats(dispatches={self.dispatches}, fallbacks={self.fallbacks})"
+    #: Dispatch counts by where they ran, e.g. ``{"process": 4}``.
+    dispatches: Dict[str, int] = field(default_factory=dict)
+    #: Number of process-pool dispatch attempts that raised.
+    process_failures: int = 0
+    #: Chronological ``(from_backend, to_backend, reason)`` records.
+    fallbacks: List[Tuple[str, str, str]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +294,8 @@ class ParallelExecutor:
             try:
                 results = self._dispatch_process(query, shards)
                 self.last_backend = "process"
-                self.stats.record_dispatch("process")
+                dispatches = self.stats.dispatches
+                dispatches["process"] = dispatches.get("process", 0) + 1
                 return results
             except (BrokenProcessPool, pickle.PicklingError, OSError) as exc:
                 # A torn-down pool or unpicklable instance data (workers die
@@ -315,9 +306,10 @@ class ParallelExecutor:
                 self._process_broken = True
                 self._shutdown_process_pool()
                 self.stats.process_failures += 1
-                self.stats.record_fallback("process", "serial", type(exc).__name__)
+                self.stats.fallbacks.append(("process", "serial", type(exc).__name__))
         self.last_backend = "serial"
-        self.stats.record_dispatch("serial")
+        dispatches = self.stats.dispatches
+        dispatches["serial"] = dispatches.get("serial", 0) + 1
         return [
             self._evaluator.shard_results(query, shard, key_base=_shard_key_base(shard))
             for shard in shards

@@ -181,10 +181,6 @@ class OLAPPlanner:
         supplies the graph statistics used to price the scratch candidate).
     cache:
         The session's bounded result cache (canonical-form keyed).
-    maintainer:
-        Optional :class:`~repro.olap.maintenance.DeltaMaintainer` executing
-        the ``refresh-cached`` candidate and counting the delta
-        unifications it is priced by.
     parallel:
         Optional :class:`~repro.olap.parallel.ParallelExecutor`; when
         present (session built with ``workers > 1``) a ``parallel``
@@ -223,7 +219,6 @@ class OLAPPlanner:
         self,
         evaluator: AnalyticalQueryEvaluator,
         cache: ResultCache,
-        maintainer: Optional[DeltaMaintainer] = None,
         parallel: Optional[ParallelExecutor] = None,
         cost_model: Optional[CostModel] = None,
     ):
@@ -232,7 +227,7 @@ class OLAPPlanner:
         self._rewriter = OLAPRewriter(evaluator.bgp_evaluator)
         self._statistics = evaluator.bgp_evaluator.statistics
         self._model = cost_model or CostModel()
-        self._maintainer = maintainer or DeltaMaintainer(evaluator)
+        self._maintainer = DeltaMaintainer(evaluator)
         self._parallel = parallel
         # Rows-touched multiplier of scratch and parallel; the reuse weights
         # need none (one set of them fits both engines).
@@ -245,7 +240,8 @@ class OLAPPlanner:
 
     @property
     def maintainer(self) -> DeltaMaintainer:
-        """The delta maintainer executing refresh candidates."""
+        """The delta maintainer executing the ``refresh-cached`` candidate and
+        counting the delta unifications it is priced by."""
         return self._maintainer
 
     @property

@@ -46,7 +46,6 @@ from repro.analytics.schema import AnalyticalSchema
 from repro.olap.cache import DEFAULT_CAPACITY, ResultCache
 from repro.olap.calibration import CostModel, fit_cost_model
 from repro.olap.cube import Cube
-from repro.olap.maintenance import DeltaMaintainer
 from repro.olap.operations import DrillDown, OLAPOperation, RollUp
 from repro.olap.parallel import ParallelExecutor
 from repro.olap.planner import OLAPPlanner
@@ -232,19 +231,15 @@ class OLAPSession:
         # already closed.
         self.evaluator.entailment = entailment
         self._cache = ResultCache(cache_capacity, store_dir=cache_dir)
-        self._cost_model = cost_model or CostModel()
-        self._maintainer = DeltaMaintainer(self.evaluator)
-        self._parallel = (
-            ParallelExecutor(self.evaluator, workers=workers, shard_count=shard_count)
-            if workers > 1
-            else None
-        )
         self._planner = OLAPPlanner(
             self.evaluator,
             self._cache,
-            maintainer=self._maintainer,
-            parallel=self._parallel,
-            cost_model=self._cost_model,
+            parallel=(
+                ParallelExecutor(self.evaluator, workers=workers, shard_count=shard_count)
+                if workers > 1
+                else None
+            ),
+            cost_model=cost_model,
         )
         self._queries: Dict[str, AnalyticalQuery] = {}
         self.history: List[TransformationRecord] = []
@@ -263,11 +258,6 @@ class OLAPSession:
     def planner(self) -> OLAPPlanner:
         return self._planner
 
-    @property
-    def cost_model(self) -> CostModel:
-        """The cost model pricing every candidate in this session."""
-        return self._cost_model
-
     def fit_cost_model(self, min_samples: int = 1) -> CostModel:
         """Fit a :class:`~repro.olap.calibration.CostModel` from this
         session's history.
@@ -283,7 +273,7 @@ class OLAPSession:
         return fit_cost_model(
             self.history,
             engine=self.engine,
-            base=self._cost_model,
+            base=self._planner.cost_model,
             min_samples=min_samples,
         )
 
@@ -314,19 +304,14 @@ class OLAPSession:
         return apply_recommendations(self, report)
 
     @property
-    def maintainer(self) -> DeltaMaintainer:
-        """The delta maintainer patching cached results after instance updates."""
-        return self._maintainer
-
-    @property
     def parallel(self) -> Optional[ParallelExecutor]:
         """The shard-parallel executor (None for a single-worker session)."""
-        return self._parallel
+        return self._planner.parallel
 
     @property
     def workers(self) -> int:
         """The session's worker-pool size (1 = fully serial)."""
-        return self._parallel.workers if self._parallel is not None else 1
+        return self.parallel.workers if self.parallel is not None else 1
 
     @property
     def engine(self) -> str:
@@ -368,8 +353,8 @@ class OLAPSession:
         if self._closed:
             return
         self._closed = True
-        if self._parallel is not None:
-            self._parallel.close()
+        if self.parallel is not None:
+            self.parallel.close()
 
     def __enter__(self) -> "OLAPSession":
         return self
@@ -598,7 +583,6 @@ class OLAPSession:
         query: Union[str, AnalyticalQuery],
         dimension: str,
         hierarchy,
-        aggregate: Optional[str] = None,
         strategy: str = "plan",
     ) -> Cube:
         """Roll a cube up along a dimension hierarchy.
@@ -615,15 +599,7 @@ class OLAPSession:
         The returned cube is bound to the *rolled* query (its rollup stack
         records the hierarchy stage), not the origin query.
         """
-        original_query = self._resolve_query(query)
-        if aggregate is not None and aggregate != getattr(original_query.aggregate, "name", None):
-            raise OLAPError(
-                f"session roll-up keeps the query's own aggregate "
-                f"({getattr(original_query.aggregate, 'name', '?')}); for ad-hoc "
-                f"re-aggregation roll pres(Q) with repro.analytics.rolling.roll_partial "
-                f"and aggregate it with repro.olap.rewriting.answer_from_rolled_partial"
-            )
-        return self.transform(original_query, RollUp(dimension, hierarchy), strategy=strategy)
+        return self.transform(query, RollUp(dimension, hierarchy), strategy=strategy)
 
     def drill_down(
         self,
@@ -641,8 +617,7 @@ class OLAPSession:
         which ``strategy="rewrite"`` forces); scratch evaluation is the
         always-available fallback.
         """
-        original_query = self._resolve_query(query)
-        return self.transform(original_query, DrillDown(dimension), strategy=strategy)
+        return self.transform(query, DrillDown(dimension), strategy=strategy)
 
     # ------------------------------------------------------------------
     # comparisons (used by examples / tests / the CLI demo)

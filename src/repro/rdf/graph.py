@@ -699,29 +699,6 @@ class Graph:
         instances = pos.get(self._dictionary.lookup(_RDF_TYPE), {})
         return predicates, [(c, len(members)) for c, members in instances.items()]
 
-    def save_snapshot(self, path: str) -> None:
-        """Serialize this graph into an on-disk columnar snapshot file.
-
-        See :mod:`repro.storage` for the format.  Requires numpy (the
-        ``[fast]`` extra); raises
-        :class:`~repro.errors.ConfigurationError` without it.
-        """
-        from repro.storage.snapshot import save_snapshot
-
-        save_snapshot(self, path)
-
-    @staticmethod
-    def load_snapshot(path: str, mmap: bool = True) -> "Graph":
-        """Load a snapshot file previously written by :meth:`save_snapshot`.
-
-        With ``mmap=True`` (default) returns a read-only memory-mapped
-        :class:`repro.storage.mapped.SnapshotGraph` that opens in O(header)
-        time; with ``mmap=False`` decodes into a plain mutable heap graph.
-        """
-        from repro.storage.snapshot import load_snapshot
-
-        return load_snapshot(path, mmap=mmap)
-
     # ------------------------------------------------------------------
     # navigation helpers
     # ------------------------------------------------------------------

@@ -105,55 +105,25 @@ class PublishResult:
     version: int
 
 
+@dataclass
 class ServiceStats:
     """Served / rejected / published accounting of one service."""
 
-    __slots__ = (
-        "served",
-        "rejected_queue_full",
-        "rejected_tenant_busy",
-        "rejected_closed",
-        "updates",
-        "update_failures",
-        "publishes",
-        "served_by_tenant",
-    )
-
-    def __init__(self) -> None:
-        self.served = 0
-        self.rejected_queue_full = 0
-        self.rejected_tenant_busy = 0
-        self.rejected_closed = 0
-        self.updates = 0
-        #: Batches that raised and were rolled back — never counted in
-        #: ``updates``, which only ever counts batches readers can observe.
-        self.update_failures = 0
-        self.publishes = 0
-        self.served_by_tenant: Dict[str, int] = {}
+    served: int = 0
+    rejected_queue_full: int = 0
+    rejected_tenant_busy: int = 0
+    rejected_closed: int = 0
+    updates: int = 0
+    #: Batches that raised and were rolled back — never counted in
+    #: ``updates``, which only ever counts batches readers can observe.
+    update_failures: int = 0
+    publishes: int = 0
+    served_by_tenant: Dict[str, int] = field(default_factory=dict)
 
     @property
     def rejected(self) -> int:
         """Total rejections across all typed causes."""
         return self.rejected_queue_full + self.rejected_tenant_busy + self.rejected_closed
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "served": self.served,
-            "rejected": self.rejected,
-            "rejected_queue_full": self.rejected_queue_full,
-            "rejected_tenant_busy": self.rejected_tenant_busy,
-            "rejected_closed": self.rejected_closed,
-            "updates": self.updates,
-            "update_failures": self.update_failures,
-            "publishes": self.publishes,
-            "served_by_tenant": dict(self.served_by_tenant),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"ServiceStats(served={self.served}, rejected={self.rejected}, "
-            f"updates={self.updates}, publishes={self.publishes})"
-        )
 
 
 @dataclass(frozen=True)

@@ -249,13 +249,13 @@ class TestWritePathIsDeltaSized:
                 session.execute(dataset.query)
                 session.execute(cold_query)  # the read path patches the cold entry
             session.close()
-            return priced, scheduler.stats.as_dict(), session.cache.stats.as_dict()
+            return priced, scheduler.stats, session.cache.stats
 
         maintained = decisions()
         monkeypatch.setattr(GraphStatistics, "refresh", RecountedStatistics.refresh)
         assert maintained[0] and maintained == decisions()
         stats = maintained[1]
-        assert stats["eager_refreshes"] >= 1 and stats["lazy_marks"] >= 1
+        assert stats.eager_refreshes >= 1 and stats.lazy_marks >= 1
 
 
 class TestWalk:
@@ -312,6 +312,6 @@ class TestWalk:
 
     @pytest.mark.parametrize("policy", ["psychic", "eager", "lazy"])
     def test_auto_is_the_only_policy(self, policy):
-        assert RefreshScheduler(policy="auto").stats.as_dict()["batches"] == 0
+        assert RefreshScheduler(policy="auto").stats.batches == 0
         with pytest.raises(IngestError):
             RefreshScheduler(policy=policy)

@@ -760,7 +760,7 @@ class TestRefreshAccounting:
         fresh.execute(sites_query)
         assert fresh.history[-1].strategy == "cache[disk]"
         _grow_instance(example2_instance, suffix="W")
-        entry = fresh.cache.refresh(sites_query, example2_instance, fresh.maintainer)
+        entry = fresh.cache.refresh(sites_query, example2_instance, fresh.planner.maintainer)
         assert entry is not None and entry.origin == "disk"
         assert (fresh.cache.stats.refreshes, fresh.cache.stats.invalidations) == (1, 0)
         for storage in (entry.materialized.partial.storage, entry.materialized.answer.storage):

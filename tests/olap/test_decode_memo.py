@@ -268,7 +268,7 @@ def test_an_answer_never_decoded_carries_nothing(dataset, engine):
         cold = CubeAnswer(answer.storage, answer.dimension_columns, answer.measure_column)
         entry.materialized = type(entry.materialized)(query, cold, entry.materialized.partial)
         graph.apply(add=_extra_fact("cold"))
-        refreshed = session.cache.refresh(query, graph, session.maintainer)
+        refreshed = session.cache.refresh(query, graph, session.planner.maintainer)
         assert refreshed is not None
         assert vars(refreshed.materialized.answer)["_columns"] is None
         assert vars(cold)["_columns"] is None

@@ -119,20 +119,6 @@ class TestRollUpCorrectness:
         with pytest.raises(OLAPError):
             session.roll_up(sites_query, "dbrowser", AGE_BANDS)
 
-    def test_roll_up_with_another_aggregate_points_at_the_building_blocks(
-        self, example2_instance, sites_query
-    ):
-        session = OLAPSession(example2_instance)
-        session.execute(sites_query)
-        with pytest.raises(OLAPError) as raised:
-            session.roll_up(sites_query, "dage", AGE_BANDS, aggregate="sum")
-        message = str(raised.value)
-        assert f"{roll_partial.__module__}.{roll_partial.__name__}" in message
-        assert (
-            f"{answer_from_rolled_partial.__module__}.{answer_from_rolled_partial.__name__}"
-            in message
-        )
-
 
 class TestSessionRollUp:
     def test_session_roll_up_and_history(self, example2_instance, sites_query):

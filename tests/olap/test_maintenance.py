@@ -580,7 +580,7 @@ class TestRefreshWorkIsDeltaSized:
         monkeypatch.setattr(DeltaMaintainer, "_unify_ids", counting)
         for each in (query, sliced):
             session.planner.plan_query(each)
-            assert session.cache.refresh(each, example4_instance, session.maintainer) is not None
+            assert session.cache.refresh(each, example4_instance, session.planner.maintainer) is not None
         patterns = set(query.classifier.body) | set(query.measure.body)
         triples = delta.added + delta.removed
         assert len(calls) == len(set(calls)) == len(patterns) * len(triples)

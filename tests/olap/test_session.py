@@ -265,8 +265,8 @@ class TestLifecycle:
                 session.execute(sites_query)
                 raise RuntimeError("body failed")
         assert session.closed
-        assert session._parallel.closed
-        assert session._parallel._process_pool is None
+        assert session.parallel.closed
+        assert session.parallel._process_pool is None
 
     def test_closed_executor_refuses_dispatch(self, example2_instance, sites_query):
         from repro.errors import OLAPError
@@ -274,13 +274,13 @@ class TestLifecycle:
         session = OLAPSession(example2_instance, workers=2)
         session.close()
         with pytest.raises(OLAPError):
-            session._parallel.evaluate(sites_query)
+            session.parallel.evaluate(sites_query)
 
     def test_closed_executor_is_never_planned(self, example2_instance, sites_query):
         session = OLAPSession(example2_instance, workers=2)
-        assert session._parallel.supports(sites_query)
+        assert session.parallel.supports(sites_query)
         session.close()
-        assert not session._parallel.supports(sites_query)
+        assert not session.parallel.supports(sites_query)
         strategies = [c.strategy for c in session.planner.plan_query(sites_query).candidates]
         assert "parallel" not in strategies
 

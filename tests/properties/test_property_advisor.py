@@ -39,7 +39,7 @@ def _chain(data, session, query, pools, chain_length):
         assert planned.same_cells(scratch), (
             f"fitted-model planner diverged from scratch on {transformed.name} "
             f"(strategy {session.history[-1].strategy}, "
-            f"model {session.cost_model.describe()})"
+            f"model {session.planner.cost_model.describe()})"
         )
         current = transformed
 

@@ -152,7 +152,7 @@ def test_ingested_streams_match_direct_application(
     assert set(live) == set(shadow), (
         f"ingested graph diverged from direct application "
         f"(batch_size={batch_size}, scheduling={scheduling}, "
-        f"stats={ingestor.stats.as_dict()})"
+        f"stats={ingestor.stats})"
     )
     _check_cube(session, query, live)
     # Micro-batching may only reduce the mutations that hit the graph.

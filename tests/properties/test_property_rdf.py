@@ -14,6 +14,7 @@ from repro.rdf.ntriples import parse_ntriples, serialize_ntriples
 from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
 from repro.rdf.turtle import parse_turtle, serialize_turtle
+from repro.storage.snapshot import load_snapshot, save_snapshot
 
 from tests.naive_oracle import RecountedStatistics, statistics_fields
 
@@ -157,10 +158,10 @@ class TestMaintainedStatistics:
         expected = statistics_fields(RecountedStatistics(graph))
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "graph.snap")
-            graph.save_snapshot(path)
-            reloaded = Graph.load_snapshot(path, mmap=False)
+            save_snapshot(graph, path)
+            reloaded = load_snapshot(path, mmap=False)
             _assert_statistics_match_recount(reloaded, expected)
-            _assert_statistics_match_recount(Graph.load_snapshot(path, mmap=True), expected)
+            _assert_statistics_match_recount(load_snapshot(path, mmap=True), expected)
             # The reload is mutable: its counters keep following its indexes.
             reloaded.apply(add=dropped)
             _assert_statistics_match_recount(reloaded)
@@ -256,9 +257,9 @@ class TestAccessPaths:
             return
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "graph.snap")
-            graph.save_snapshot(path)
-            _assert_access_paths_match_a_scan(Graph.load_snapshot(path, mmap=True))
-            _assert_access_paths_match_a_scan(Graph.load_snapshot(path, mmap=False))
+            save_snapshot(graph, path)
+            _assert_access_paths_match_a_scan(load_snapshot(path, mmap=True))
+            _assert_access_paths_match_a_scan(load_snapshot(path, mmap=False))
 
 
 class TestSerializationRoundtrips:

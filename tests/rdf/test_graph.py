@@ -8,6 +8,7 @@ from repro.errors import InvalidTripleError
 from repro.rdf import EX, Graph, IRI, Literal, RDF, Triple
 from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
+from repro.storage.snapshot import load_snapshot, save_snapshot
 
 RDF_TYPE = RDF.term("type")
 
@@ -88,8 +89,8 @@ def either_graph(request, small_graph, tmp_path) -> Graph:
         return small_graph
     pytest.importorskip("numpy")  # snapshots require the [fast] extra
     path = str(tmp_path / "small.snap")
-    small_graph.save_snapshot(path)
-    return Graph.load_snapshot(path)
+    save_snapshot(small_graph, path)
+    return load_snapshot(path)
 
 
 class TestMembership:

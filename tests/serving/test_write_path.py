@@ -7,6 +7,7 @@ to busy-poll the in-flight counter instead of being woken.
 """
 
 import asyncio
+import dataclasses
 import errno
 import os
 import threading
@@ -169,7 +170,7 @@ class TestAtomicUpdate:
                 await service.update(add=fact_batch("ok", 1))
                 assert service.stats.updates == 1
                 assert service.stats.update_failures == 1
-                assert service.stats.as_dict()["update_failures"] == 1
+                assert dataclasses.asdict(service.stats)["update_failures"] == 1
 
         run(main())
 
